@@ -1,15 +1,21 @@
 //! Data-path micro-benchmarks: ECMP selection, bucket-table dispatch (the
 //! per-packet redirector work the paper eBPF-accelerates), Nagle
-//! aggregation, session tables and tunnel encapsulation.
+//! aggregation, session tables, tunnel encapsulation and the assembled
+//! gateway's per-request path over a working set too large to stay cached.
 
 // Benchmark scaffolding, like tests, may assert via unwrap.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use canal_bench::microbench::{bench, black_box};
+use canal_gateway::gateway::{Gateway, GatewayConfig};
 use canal_gateway::redirector::BucketTable;
 use canal_gateway::tunnel::{SessionAggregator, TunnelConfig};
 use canal_net::nagle::NagleBuffer;
-use canal_net::{bucket_of, ecmp_select, Endpoint, FiveTuple, Packet, SessionTable, VpcAddr, VpcId};
-use canal_sim::{SimDuration, SimTime};
+use canal_net::{
+    Endpoint, FiveTuple, FlowHash, GlobalServiceId, Packet, ServiceId, SessionTable, TenantId,
+    VpcAddr, VpcId,
+};
+use canal_sim::{SimDuration, SimRng, SimTime};
+use std::num::NonZeroUsize;
 
 fn tuple(sport: u16) -> FiveTuple {
     FiveTuple::tcp(
@@ -20,8 +26,9 @@ fn tuple(sport: u16) -> FiveTuple {
 
 fn bench_hashing() {
     let t = tuple(12_345);
-    bench("hash/ecmp_select", || ecmp_select(black_box(&t), 16));
-    bench("hash/bucket_of", || bucket_of(black_box(&t), 1024));
+    let (hops, buckets) = (NonZeroUsize::new(16).unwrap(), NonZeroUsize::new(1024).unwrap());
+    bench("hash/ecmp_select", || FlowHash::of(black_box(&t)).select(hops));
+    bench("hash/bucket_of", || FlowHash::of(black_box(&t)).bucket(buckets));
 }
 
 fn bench_redirector() {
@@ -66,10 +73,50 @@ fn bench_tunnel() {
     bench("tunnel/encapsulate_1KiB", || agg.encapsulate(&pkt));
 }
 
+/// The `l4_fastpath` shape: 65,536 established flows over 1,024 services on
+/// a 32-backend gateway, visited in a scrambled order so every request
+/// finds its service slot, bucket and session cold.
+fn bench_gateway() {
+    let cfg = GatewayConfig {
+        azs: 2,
+        backends_per_az: 16,
+        shard_size: 3,
+        buckets: 128,
+        ..GatewayConfig::default()
+    };
+    let mut gw = Gateway::new(cfg);
+    let mut rng = SimRng::seed(42);
+    let services: Vec<GlobalServiceId> = (0..1024u32)
+        .map(|i| GlobalServiceId::compose(TenantId(1 + i / 16), ServiceId(i % 16)))
+        .collect();
+    for &s in &services {
+        gw.register_service(s, &mut rng);
+    }
+    let flows: Vec<FiveTuple> = (0..65_536u32)
+        .map(|i| {
+            FiveTuple::tcp(
+                Endpoint::new(VpcAddr::new(VpcId(1 + i % 64), 10, 1, (i >> 8) as u8, i as u8), 1024 + (i >> 4) as u16),
+                Endpoint::new(VpcAddr::new(VpcId(1 + i % 64), 10, 9, 9, 9), 443),
+            )
+        })
+        .collect();
+    let mut now = SimTime::ZERO;
+    for (i, t) in flows.iter().enumerate() {
+        gw.handle_request(now, services[i % services.len()], t, true).unwrap();
+    }
+    let mut i = 0usize;
+    bench("gateway/handle_request_64k_flows_1k_services", || {
+        i = (i + 40_503) % flows.len(); // odd stride: a full cycle, no locality
+        now += SimDuration::from_micros(10);
+        gw.handle_request(now, services[i % services.len()], black_box(&flows[i]), i.is_multiple_of(16))
+    });
+}
+
 fn main() {
     bench_hashing();
     bench_redirector();
     bench_nagle();
     bench_session_table();
     bench_tunnel();
+    bench_gateway();
 }

@@ -12,7 +12,9 @@ use canal_sim::Digest;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Identifier of a gateway backend (a group of replica VMs).
+/// Identifier of a gateway backend (a group of replica VMs). Keys are small
+/// dense integers (the gateway numbers its backends from 0), so per-backend
+/// state is a vector indexed by key.
 pub type BackendKey = u32;
 
 /// A fault plan referenced a domain the topology does not contain —
@@ -44,16 +46,28 @@ pub enum FailureDomain {
 #[derive(Debug, Clone)]
 struct BackendState {
     az: AzId,
-    replicas: usize,
-    failed_replicas: BTreeSet<usize>,
+    /// Per-replica failure flag; the length is the replica count.
+    replica_failed: Vec<bool>,
+    /// How many flags are set.
+    failed_count: usize,
     backend_failed: bool,
 }
 
-/// Placement plus failure state, with availability queries.
+impl BackendState {
+    fn replica_live(&self, r: usize) -> bool {
+        self.replica_failed.get(r) == Some(&false)
+    }
+}
+
+/// Placement plus failure state, with availability queries. The
+/// per-request queries ([`PlacementView::backend_available`],
+/// [`PlacementView::serving_replica`]) are an index into `backends` and a
+/// scan of one backend's flags; nothing is collected.
 #[derive(Debug, Default)]
 pub struct PlacementView {
+    /// Indexed by [`BackendKey`]; `None` for keys never registered.
     // lint:allow(bounded-state) reason=the registered topology; backends are added at setup or by explicit scale operations
-    backends: BTreeMap<BackendKey, BackendState>,
+    backends: Vec<Option<BackendState>>,
     failed_azs: BTreeSet<AzId>,
     // lint:allow(bounded-state) reason=one entry per placed service; placements happen at registration and scale time, never per request
     placements: BTreeMap<GlobalServiceId, Vec<BackendKey>>,
@@ -68,21 +82,38 @@ impl PlacementView {
     /// Register a backend with its AZ and replica count.
     pub fn add_backend(&mut self, key: BackendKey, az: AzId, replicas: usize) {
         assert!(replicas > 0);
-        self.backends.insert(
-            key,
-            BackendState {
-                az,
-                replicas,
-                failed_replicas: BTreeSet::new(),
-                backend_failed: false,
-            },
-        );
+        let idx = key as usize;
+        if idx >= self.backends.len() {
+            self.backends.resize_with(idx + 1, || None);
+        }
+        self.backends[idx] = Some(BackendState {
+            az,
+            replica_failed: vec![false; replicas],
+            failed_count: 0,
+            backend_failed: false,
+        });
+    }
+
+    fn backend(&self, key: BackendKey) -> Option<&BackendState> {
+        self.backends.get(key as usize)?.as_ref()
+    }
+
+    fn backend_mut(&mut self, key: BackendKey) -> Option<&mut BackendState> {
+        self.backends.get_mut(key as usize)?.as_mut()
+    }
+
+    /// Registered backends with their keys, ascending.
+    fn registered(&self) -> impl Iterator<Item = (BackendKey, &BackendState)> {
+        self.backends
+            .iter()
+            .enumerate()
+            .filter_map(|(k, be)| Some((k as BackendKey, be.as_ref()?)))
     }
 
     /// Place a service's configuration on a backend (Fig. 8: a service's
     /// config is installed on multiple backends across AZs).
     pub fn place(&mut self, service: GlobalServiceId, backend: BackendKey) {
-        assert!(self.backends.contains_key(&backend), "unknown backend");
+        assert!(self.backend(backend).is_some(), "unknown backend");
         let list = self.placements.entry(service).or_default();
         if !list.contains(&backend) {
             list.push(backend);
@@ -98,10 +129,10 @@ impl PlacementView {
     fn check_domain(&self, domain: FailureDomain) -> Result<(), UnknownDomain> {
         let known = match domain {
             FailureDomain::Replica(b, r) => {
-                self.backends.get(&b).is_some_and(|be| r < be.replicas)
+                self.backend(b).is_some_and(|be| r < be.replica_failed.len())
             }
-            FailureDomain::Backend(b) => self.backends.contains_key(&b),
-            FailureDomain::Az(az) => self.backends.values().any(|be| be.az == az),
+            FailureDomain::Backend(b) => self.backend(b).is_some(),
+            FailureDomain::Az(az) => self.registered().any(|(_, be)| be.az == az),
         };
         if known {
             Ok(())
@@ -117,12 +148,15 @@ impl PlacementView {
         self.check_domain(domain)?;
         match domain {
             FailureDomain::Replica(b, r) => {
-                if let Some(be) = self.backends.get_mut(&b) {
-                    be.failed_replicas.insert(r);
+                if let Some(be) = self.backend_mut(b) {
+                    if be.replica_live(r) {
+                        be.replica_failed[r] = true;
+                        be.failed_count += 1;
+                    }
                 }
             }
             FailureDomain::Backend(b) => {
-                if let Some(be) = self.backends.get_mut(&b) {
+                if let Some(be) = self.backend_mut(b) {
                     be.backend_failed = true;
                 }
             }
@@ -141,14 +175,18 @@ impl PlacementView {
         self.check_domain(domain)?;
         match domain {
             FailureDomain::Replica(b, r) => {
-                if let Some(be) = self.backends.get_mut(&b) {
-                    be.failed_replicas.remove(&r);
+                if let Some(be) = self.backend_mut(b) {
+                    if be.replica_failed.get(r) == Some(&true) {
+                        be.replica_failed[r] = false;
+                        be.failed_count -= 1;
+                    }
                 }
             }
             FailureDomain::Backend(b) => {
-                if let Some(be) = self.backends.get_mut(&b) {
+                if let Some(be) = self.backend_mut(b) {
                     be.backend_failed = false;
-                    be.failed_replicas.clear();
+                    be.replica_failed.fill(false);
+                    be.failed_count = 0;
                 }
             }
             FailureDomain::Az(az) => {
@@ -161,25 +199,27 @@ impl PlacementView {
     /// Whether a backend can serve: its AZ is up, it isn't failed, and at
     /// least one replica lives.
     pub fn backend_available(&self, key: BackendKey) -> bool {
-        let Some(be) = self.backends.get(&key) else {
-            return false;
-        };
-        !self.failed_azs.contains(&be.az)
-            && !be.backend_failed
-            && be.failed_replicas.len() < be.replicas
+        self.backend(key).is_some_and(|be| {
+            self.group_up(be) && be.failed_count < be.replica_failed.len()
+        })
     }
 
-    /// Live replica indices of a backend (empty when unavailable).
-    pub fn live_replicas(&self, key: BackendKey) -> Vec<usize> {
-        let Some(be) = self.backends.get(&key) else {
-            return Vec::new();
-        };
-        if self.failed_azs.contains(&be.az) || be.backend_failed {
-            return Vec::new();
+    /// Whether the backend's AZ is up and the backend itself is not failed
+    /// (its replicas may still all be down).
+    fn group_up(&self, be: &BackendState) -> bool {
+        !be.backend_failed && !self.failed_azs.contains(&be.az)
+    }
+
+    /// The replica that serves a flow dispatched to `preferred`: that
+    /// replica when it lives, else the first live one (the short disruption
+    /// and reconstruction of §4.2); `None` when the backend is unavailable.
+    pub fn serving_replica(&self, key: BackendKey, preferred: usize) -> Option<usize> {
+        let be = self.backend(key).filter(|be| self.group_up(be))?;
+        if be.replica_live(preferred) {
+            Some(preferred)
+        } else {
+            be.replica_failed.iter().position(|&failed| !failed)
         }
-        (0..be.replicas)
-            .filter(|r| !be.failed_replicas.contains(r))
-            .collect()
     }
 
     /// Whether a service has any available backend.
@@ -193,30 +233,30 @@ impl PlacementView {
     pub fn service_available_in_az(&self, service: GlobalServiceId, az: AzId) -> bool {
         self.backends_of(service)
             .iter()
-            .any(|&b| self.backend_available(b) && self.backends[&b].az == az)
+            .any(|&b| self.backend_available(b) && self.az_of(b) == Some(az))
     }
 
     /// The AZ of a backend.
     pub fn az_of(&self, key: BackendKey) -> Option<AzId> {
-        self.backends.get(&key).map(|b| b.az)
+        self.backend(key).map(|b| b.az)
     }
 
     /// All registered backend keys.
     pub fn backend_keys(&self) -> Vec<BackendKey> {
-        self.backends.keys().copied().collect()
+        self.registered().map(|(key, _)| key).collect()
     }
 
     /// Fold the whole placement + failure state into a digest: `backends`
     /// with their per-replica failure sets, `failed_azs`, and the
     /// service-to-backend `placements`.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.backends.len() as u64);
-        for (&key, be) in &self.backends {
+        d.write_u64(self.registered().count() as u64);
+        for (key, be) in self.registered() {
             d.write_u64(key as u64)
                 .write_u64(be.az.0 as u64)
-                .write_u64(be.replicas as u64)
-                .write_u64(be.failed_replicas.len() as u64);
-            for &r in &be.failed_replicas {
+                .write_u64(be.replica_failed.len() as u64)
+                .write_u64(be.failed_count as u64);
+            for (r, _) in be.replica_failed.iter().enumerate().filter(|(_, &failed)| failed) {
                 d.write_u64(r as u64);
             }
             d.write_u64(be.backend_failed as u64);
@@ -269,10 +309,12 @@ mod tests {
         v.fail(FailureDomain::Replica(1, 0)).unwrap();
         v.fail(FailureDomain::Replica(1, 1)).unwrap();
         assert!(v.backend_available(1));
-        assert_eq!(v.live_replicas(1), vec![2]);
+        assert_eq!(v.serving_replica(1, 0), Some(2), "dead replica falls over");
+        assert_eq!(v.serving_replica(1, 2), Some(2));
         // Last replica gone: backend down.
         v.fail(FailureDomain::Replica(1, 2)).unwrap();
         assert!(!v.backend_available(1));
+        assert_eq!(v.serving_replica(1, 2), None);
         assert!(v.service_available(svc_a()), "backend2/3 still carry A");
     }
 
@@ -320,14 +362,14 @@ mod tests {
         assert!(!v.backend_available(1));
         v.recover(FailureDomain::Backend(1)).unwrap();
         assert!(v.backend_available(1));
-        assert_eq!(v.live_replicas(1).len(), 3, "replica failures cleared too");
+        assert_eq!(v.serving_replica(1, 0), Some(0), "replica failures cleared too");
     }
 
     #[test]
     fn unknown_entities_answer_safely() {
         let v = fig8();
         assert!(!v.backend_available(99));
-        assert!(v.live_replicas(99).is_empty());
+        assert_eq!(v.serving_replica(99, 0), None);
         let ghost = GlobalServiceId::compose(TenantId(9), ServiceId(9));
         assert!(!v.service_available(ghost));
         assert!(v.backends_of(ghost).is_empty());

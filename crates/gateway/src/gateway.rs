@@ -6,18 +6,27 @@
 //! session consistency; a sandbox handles exceptions; per-window water
 //! levels and top-service RPS feed the control plane (root-cause analysis,
 //! precise scaling — `canal-control`).
+//!
+//! The per-request path ([`Gateway::handle_request_avoiding`]) hashes the
+//! five-tuple once ([`FlowHash`]) and does one hashed probe for the
+//! service's slot, which holds everything that request needs about the
+//! service (placed backends, their bucket tables, their window counters);
+//! backends and replicas are vectors indexed by id. DESIGN.md §16 has the
+//! argument for why digests do not see any of that.
 
 use crate::config::{ActiveConfig, ConfigRejection, ConfigSpec};
 use crate::failure::{BackendKey, FailureDomain, PlacementView};
 use crate::overload::{
     AttemptKind, ClientId, OverloadConfig, OverloadControl, OverloadSignals,
 };
-use crate::redirector::{BucketTable, Redirector};
+use crate::redirector::BucketTable;
 use crate::sandbox::Sandbox;
 use crate::sharding::ShuffleShardPlanner;
-use canal_net::{FiveTuple, GlobalServiceId, Priority, SessionTable};
+use canal_net::{
+    AzId, FiveTuple, FlatKey, FlatTable, FlowHash, GlobalServiceId, Priority, SessionTable,
+};
 use canal_sim::{CpuServer, Digest, SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// Identifier of a gateway backend.
 pub type BackendId = BackendKey;
@@ -112,8 +121,33 @@ struct ReplicaState {
     sessions: SessionTable,
 }
 
-struct ServiceWindow {
-    requests: u64,
+/// One deployed backend: its replica VMs and its redirector's counters.
+struct Backend {
+    az: AzId,
+    /// Indexed by replica number.
+    replicas: Vec<ReplicaState>,
+    /// Packets this backend's redirector dispatched.
+    dispatches: u64,
+    /// Dispatches that took at least one chain hop (the paper's claim that
+    /// "the redirection frequency is low" is checked against these).
+    redirected: u64,
+}
+
+/// One service on one of the backends it is placed on.
+struct Placement {
+    backend: BackendId,
+    /// The service's bucket table in that backend's redirector.
+    table: BucketTable,
+    /// Requests served there in the current monitoring window.
+    window_requests: u64,
+}
+
+/// Everything the per-request path needs to know about one service,
+/// behind one lookup.
+struct ServiceSlot {
+    /// In placement order (the order ECMP indexes the pool in), mirroring
+    /// `PlacementView::backends_of`.
+    placements: Vec<Placement>,
 }
 
 /// The mesh gateway.
@@ -121,20 +155,20 @@ pub struct Gateway {
     cfg: GatewayConfig,
     placement: PlacementView,
     planner: ShuffleShardPlanner,
-    // lint:allow(bounded-state) reason=one entry per replica VM in the deployed topology; grown only by explicit scale operations
-    replicas: BTreeMap<(BackendId, usize), ReplicaState>,
-    /// Per-backend redirector (per-service bucket tables inside).
-    // lint:allow(bounded-state) reason=one redirector per deployed backend; grown only by explicit scale operations
-    redirectors: BTreeMap<BackendId, Redirector>,
+    /// Indexed by [`BackendId`]; ids are handed out densely from 0.
+    // lint:allow(bounded-state) reason=one entry per deployed backend; grown only by explicit scale operations
+    backends: Vec<Backend>,
+    /// One slot per service ever registered or extended here.
+    // lint:allow(bounded-state) reason=one slot per service ever registered; registration is a control-plane setup operation, not a data-path event
+    services: FlatTable<GlobalServiceId, ServiceSlot>,
+    /// The bucket table every placement starts from (all replicas of a
+    /// backend, no scale event yet). Installed tables are clones of it and
+    /// share its array until their own chains change.
+    fresh_table: BucketTable,
     /// The sandbox/throttle machinery.
     pub sandbox: Sandbox,
     /// The overload-control pipeline, when enabled.
     overload: Option<OverloadControl>,
-    // lint:allow(bounded-state) reason=one entry per deployed backend; grown only by explicit scale operations
-    backend_az: BTreeMap<BackendId, canal_net::AzId>,
-    next_backend: BackendId,
-    /// Per (backend, service) request counts in the current window.
-    window: BTreeMap<(BackendId, GlobalServiceId), ServiceWindow>,
     window_start: SimTime,
     errors: u64,
     served: u64,
@@ -144,6 +178,18 @@ pub struct Gateway {
     known_services: std::collections::BTreeSet<GlobalServiceId>,
     /// The version-skew-safe `{running, staged}` config pair.
     active_config: ActiveConfig,
+}
+
+/// The leading run of `sorted` (ascending by backend) that belongs to
+/// `backend`; `sorted` is advanced past it.
+fn take_backend<'a, T>(
+    sorted: &mut &'a [(BackendId, GlobalServiceId, T)],
+    backend: BackendId,
+) -> &'a [(BackendId, GlobalServiceId, T)] {
+    let n = sorted.iter().take_while(|(b, _, _)| *b == backend).count();
+    let (here, rest) = sorted.split_at(n);
+    *sorted = rest;
+    here
 }
 
 /// One backend's water-level report for the control plane.
@@ -165,17 +211,16 @@ impl Gateway {
     /// Build a gateway with `cfg`, creating the initial backend pool.
     pub fn new(cfg: GatewayConfig) -> Self {
         let total = cfg.azs * cfg.backends_per_az;
+        let replicas: Vec<usize> = (0..cfg.replicas_per_backend).collect();
         let mut gw = Gateway {
             cfg,
             placement: PlacementView::new(),
             planner: ShuffleShardPlanner::new(total, cfg.shard_size, cfg.shard_size - 1),
-            replicas: BTreeMap::new(),
-            redirectors: BTreeMap::new(),
+            backends: Vec::new(),
+            services: FlatTable::new(),
+            fresh_table: BucketTable::new(cfg.buckets, &replicas, cfg.max_chain),
             sandbox: Sandbox::new(),
             overload: None,
-            backend_az: BTreeMap::new(),
-            next_backend: 0,
-            window: BTreeMap::new(),
             window_start: SimTime::ZERO,
             errors: 0,
             served: 0,
@@ -184,7 +229,7 @@ impl Gateway {
         };
         for az in 0..cfg.azs {
             for _ in 0..cfg.backends_per_az {
-                gw.create_backend(canal_net::AzId(az as u32));
+                gw.create_backend(AzId(az as u32));
             }
         }
         gw
@@ -238,32 +283,55 @@ impl Gateway {
         &self.active_config
     }
 
-    fn create_backend(&mut self, az: canal_net::AzId) -> BackendId {
-        let id = self.next_backend;
-        self.next_backend += 1;
+    fn create_backend(&mut self, az: AzId) -> BackendId {
+        let id = self.backends.len() as BackendId;
         self.placement
             .add_backend(id, az, self.cfg.replicas_per_backend);
-        self.backend_az.insert(id, az);
-        for r in 0..self.cfg.replicas_per_backend {
-            self.replicas.insert(
-                (id, r),
-                ReplicaState {
-                    cpu: CpuServer::new(self.cfg.cores_per_replica),
-                    sessions: SessionTable::new(
-                        self.cfg.sessions_per_replica,
-                        self.cfg.session_idle_timeout,
-                    ),
-                },
-            );
-        }
-        self.redirectors.insert(id, Redirector::new());
+        let replicas = (0..self.cfg.replicas_per_backend)
+            .map(|_| ReplicaState {
+                cpu: CpuServer::new(self.cfg.cores_per_replica),
+                sessions: SessionTable::new(
+                    self.cfg.sessions_per_replica,
+                    self.cfg.session_idle_timeout,
+                ),
+            })
+            .collect();
+        self.backends.push(Backend {
+            az,
+            replicas,
+            dispatches: 0,
+            redirected: 0,
+        });
         id
+    }
+
+    /// Place `service` on `backend` and install (or replace) its bucket
+    /// table there.
+    fn install(&mut self, service: GlobalServiceId, backend: BackendId) {
+        self.placement.place(service, backend);
+        let table = self.fresh_table.clone();
+        let hash = service.flat_hash();
+        if !self.services.contains(hash, &service) {
+            self.services
+                .insert_new(hash, service, ServiceSlot { placements: Vec::new() });
+        }
+        let Some(slot) = self.services.get_mut(hash, &service) else {
+            return;
+        };
+        match slot.placements.iter_mut().find(|p| p.backend == backend) {
+            Some(p) => p.table = table,
+            None => slot.placements.push(Placement {
+                backend,
+                table,
+                window_requests: 0,
+            }),
+        }
     }
 
     /// The `New` scaling operation: spawn a fresh backend in `az` and grow
     /// the shard pool. (Its multi-minute wall-clock cost is modeled by the
     /// control plane, which schedules the completion event.)
-    pub fn scale_new_backend(&mut self, az: canal_net::AzId) -> BackendId {
+    pub fn scale_new_backend(&mut self, az: AzId) -> BackendId {
         self.planner.grow_pool(1);
         self.create_backend(az)
     }
@@ -275,14 +343,7 @@ impl Gateway {
         let combo = self.planner.assign(service, rng);
         let backends: Vec<BackendId> = combo.iter().map(|&b| b as BackendId).collect();
         for &b in &backends {
-            self.placement.place(service, b);
-            let replicas: Vec<usize> = (0..self.cfg.replicas_per_backend).collect();
-            if let Some(r) = self.redirectors.get_mut(&b) {
-                r.install(
-                    service,
-                    BucketTable::new(self.cfg.buckets, &replicas, self.cfg.max_chain),
-                );
-            }
+            self.install(service, b);
         }
         backends
     }
@@ -298,14 +359,7 @@ impl Gateway {
             // The planner only knows services it assigned; register the
             // extension directly for services placed manually.
         }
-        self.placement.place(service, backend);
-        let replicas: Vec<usize> = (0..self.cfg.replicas_per_backend).collect();
-        if let Some(r) = self.redirectors.get_mut(&backend) {
-            r.install(
-                service,
-                BucketTable::new(self.cfg.buckets, &replicas, self.cfg.max_chain),
-            );
-        }
+        self.install(service, backend);
         true
     }
 
@@ -315,8 +369,12 @@ impl Gateway {
     }
 
     /// All backends with their AZ.
-    pub fn backends(&self) -> Vec<(BackendId, canal_net::AzId)> {
-        self.backend_az.iter().map(|(&b, &az)| (b, az)).collect()
+    pub fn backends(&self) -> Vec<(BackendId, AzId)> {
+        self.backend_ids().zip(self.backends.iter().map(|be| be.az)).collect()
+    }
+
+    fn backend_ids(&self) -> impl Iterator<Item = BackendId> {
+        0..self.backends.len() as BackendId
     }
 
     /// Handle one request at the gateway: throttle check → backend choice
@@ -346,74 +404,85 @@ impl Gateway {
         syn: bool,
         avoid: &[BackendId],
     ) -> Result<GatewayServed, GatewayError> {
+        let outcome = self.dispatch(now, service, tuple, syn, avoid);
+        match outcome {
+            Ok(_) => self.served += 1,
+            Err(_) => self.errors += 1,
+        }
+        outcome
+    }
+
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        service: GlobalServiceId,
+        tuple: &FiveTuple,
+        syn: bool,
+        avoid: &[BackendId],
+    ) -> Result<GatewayServed, GatewayError> {
         if !self.sandbox.admit(now, service) {
-            self.errors += 1;
             return Err(GatewayError::Throttled);
         }
-        let placed = self.placement.backends_of(service);
-        if placed.is_empty() {
-            self.errors += 1;
-            return Err(GatewayError::UnknownService);
-        }
-        let available: Vec<BackendId> = placed
-            .iter()
-            .copied()
-            .filter(|&b| self.placement.backend_available(b))
-            .collect();
-        if available.is_empty() {
-            self.errors += 1;
-            return Err(GatewayError::Unavailable);
-        }
-        let preferred: Vec<BackendId> = available
-            .iter()
-            .copied()
-            .filter(|b| !avoid.contains(b))
-            .collect();
-        let pool = if preferred.is_empty() { &available } else { &preferred };
-        let backend = pool[canal_net::ecmp_select(tuple, pool.len())];
-        let live = self.placement.live_replicas(backend);
+        let slot = self
+            .services
+            .get_mut(service.flat_hash(), &service)
+            .ok_or(GatewayError::UnknownService)?;
+
+        // ECMP over the service's available backends, preferring those not
+        // in `avoid`; the pool is counted and indexed in place.
+        let placement = &self.placement;
+        let usable = |p: &Placement, steer: bool| {
+            placement.backend_available(p.backend) && !(steer && avoid.contains(&p.backend))
+        };
+        let count = |steer: bool| slot.placements.iter().filter(|p| usable(p, steer)).count();
+        let available = NonZeroUsize::new(count(false)).ok_or(GatewayError::Unavailable)?;
+        let preferred = if avoid.is_empty() { None } else { NonZeroUsize::new(count(true)) };
+        let (pool, steer) = match preferred {
+            Some(n) => (n, true),
+            None => (available, false),
+        };
+        let hash = FlowHash::of(tuple);
+        let placed = slot
+            .placements
+            .iter_mut()
+            .filter(|p| usable(p, steer))
+            .nth(hash.select(pool))
+            .ok_or(GatewayError::Unavailable)?;
+        let backend = placed.backend;
+        let be = self
+            .backends
+            .get_mut(backend as usize)
+            .ok_or(GatewayError::Unavailable)?;
 
         // Bucket-table dispatch with the replica session tables as the
         // flow-state oracle.
-        let replicas = &self.replicas;
-        let decision = self
-            .redirectors
-            .get_mut(&backend)
-            .ok_or(GatewayError::Unavailable)?
-            .dispatch(service, tuple, syn, |r, t| {
-                replicas
-                    .get(&(backend, r))
-                    .is_some_and(|st| st.sessions.contains(t))
-            })
-            .ok_or(GatewayError::UnknownService)?;
+        let replicas = &be.replicas;
+        let decision = placed.table.dispatch_hashed(hash, syn, |r| {
+            replicas
+                .get(r)
+                .is_some_and(|st| st.sessions.contains_hashed(hash, tuple))
+        });
+        be.dispatches += 1;
+        if decision.redirect_hops > 0 {
+            be.redirected += 1;
+        }
 
         // If the chain head is dead, fall over to any live replica (the
         // short disruption + reconstruction of §4.2).
-        let replica = if live.contains(&decision.replica) {
-            decision.replica
-        } else {
-            *live.first().ok_or(GatewayError::Unavailable)?
-        };
-
-        let state = self
-            .replicas
-            .get_mut(&(backend, replica))
+        let replica = placement
+            .serving_replica(backend, decision.replica)
             .ok_or(GatewayError::Unavailable)?;
-        if syn || !state.sessions.contains(tuple) {
-            if state.sessions.establish(*tuple, now).is_err() {
-                self.errors += 1;
-                return Err(GatewayError::SessionsExhausted);
-            }
-        } else {
-            state.sessions.touch(tuple, now);
-        }
+        let state = be
+            .replicas
+            .get_mut(replica)
+            .ok_or(GatewayError::Unavailable)?;
+        state
+            .sessions
+            .touch_or_establish(hash, *tuple, now)
+            .map_err(|_| GatewayError::SessionsExhausted)?;
         let served = state.cpu.submit(now, self.cfg.cpu_per_request);
 
-        self.window
-            .entry((backend, service))
-            .or_insert(ServiceWindow { requests: 0 })
-            .requests += 1;
-        self.served += 1;
+        placed.window_requests += 1;
         Ok(GatewayServed {
             backend,
             replica,
@@ -508,24 +577,30 @@ impl Gateway {
     /// Read and reset the monitoring window: per-backend water levels with
     /// top services (the control plane's §4.3 input).
     pub fn water_levels(&mut self, now: SimTime) -> Vec<WaterLevel> {
-        let mut out = Vec::new();
-        for (&backend, &_az) in self.backend_az.iter() {
+        let counted: Vec<(BackendId, GlobalServiceId, u64)> = self
+            .placements_by_backend()
+            .into_iter()
+            .filter(|(_, _, p)| p.window_requests > 0)
+            .map(|(b, s, p)| (b, s, p.window_requests))
+            .collect();
+        let mut counted = counted.as_slice();
+        let mut out = Vec::with_capacity(self.backends.len());
+        for (backend, be) in self.backends.iter_mut().enumerate() {
+            let backend = backend as BackendId;
             let mut util_sum = 0.0;
             let mut occupancy: f64 = 0.0;
-            let mut n = 0;
-            for r in 0..self.cfg.replicas_per_backend {
-                if let Some(st) = self.replicas.get_mut(&(backend, r)) {
-                    util_sum += st.cpu.window_utilization(now);
-                    occupancy = occupancy.max(st.sessions.occupancy());
-                    n += 1;
-                }
+            for st in &mut be.replicas {
+                util_sum += st.cpu.window_utilization(now);
+                occupancy = occupancy.max(st.sessions.occupancy());
             }
-            let utilization = if n == 0 { 0.0 } else { util_sum / n as f64 };
-            let mut top: Vec<(GlobalServiceId, u64)> = self
-                .window
+            let utilization = if be.replicas.is_empty() {
+                0.0
+            } else {
+                util_sum / be.replicas.len() as f64
+            };
+            let mut top: Vec<(GlobalServiceId, u64)> = take_backend(&mut counted, backend)
                 .iter()
-                .filter(|((b, _), _)| *b == backend)
-                .map(|((_, s), w)| (*s, w.requests))
+                .map(|&(_, s, n)| (s, n))
                 .collect();
             top.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
             top.truncate(10);
@@ -537,17 +612,34 @@ impl Gateway {
                 alert: utilization > self.cfg.alert_threshold,
             });
         }
-        self.window.clear();
+        for (_, slot) in self.services.iter_mut() {
+            for p in &mut slot.placements {
+                p.window_requests = 0;
+            }
+        }
         self.window_start = now;
         out
     }
 
+    /// Every (backend, service) placement, ascending by backend then
+    /// service: the order the per-backend redirector maps and the window
+    /// map iterated in when they were ordered maps, which digests and the
+    /// stable top-services sort still see.
+    fn placements_by_backend(&self) -> Vec<(BackendId, GlobalServiceId, &Placement)> {
+        let mut all: Vec<(BackendId, GlobalServiceId, &Placement)> = self
+            .services
+            .iter()
+            .flat_map(|(&s, slot)| slot.placements.iter().map(move |p| (p.backend, s, p)))
+            .collect();
+        all.sort_unstable_by_key(|&(b, s, _)| (b, s));
+        all
+    }
+
     /// Session count currently live on a backend.
     pub fn backend_sessions(&self, backend: BackendId) -> usize {
-        (0..self.cfg.replicas_per_backend)
-            .filter_map(|r| self.replicas.get(&(backend, r)))
-            .map(|st| st.sessions.len())
-            .sum()
+        self.backends
+            .get(backend as usize)
+            .map_or(0, |be| be.replicas.iter().map(|st| st.sessions.len()).sum())
     }
 
     /// Lifetime counters `(served, errors)`.
@@ -564,7 +656,7 @@ impl Gateway {
     pub fn rolling_upgrade_order(&self) -> Vec<(BackendId, usize)> {
         let mut order = Vec::new();
         for r in 0..self.cfg.replicas_per_backend {
-            for &b in self.backend_az.keys() {
+            for b in self.backend_ids() {
                 order.push((b, r));
             }
         }
@@ -572,24 +664,35 @@ impl Gateway {
     }
 
     /// Fold the whole gateway into a digest, delegating to every
-    /// subsystem: `placement`, `planner`, per-replica `replicas` state,
-    /// per-backend `redirectors`, the `sandbox`, the `overload` pipeline,
-    /// `backend_az`, `next_backend`, the `window` counters and
-    /// `window_start`, `errors`/`served`, `known_services`, and the
-    /// `active_config` pair.
+    /// subsystem: `placement`, `planner`, per-replica state and
+    /// per-redirector tables and counters of `backends`, the `sandbox`, the
+    /// `overload` pipeline, the backend AZs and count, the window counters
+    /// of `services` and `window_start`, `errors`/`served`,
+    /// `known_services`, and the `active_config` pair. Tables and counters
+    /// that live in service slots are emitted per backend in ascending
+    /// service order, so the sequence is independent of the slot layout.
     pub fn fold_digest(&self, d: &mut Digest) {
         self.placement.fold_digest(d);
         self.planner.fold_digest(d);
-        d.write_u64(self.replicas.len() as u64);
-        for (&(b, r), st) in &self.replicas {
-            d.write_u64(b as u64).write_u64(r as u64);
-            st.cpu.fold_digest(d);
-            d.write_u64(st.sessions.len() as u64);
+        d.write_u64(self.backends.iter().map(|be| be.replicas.len() as u64).sum());
+        for (b, be) in self.backend_ids().zip(&self.backends) {
+            for (r, st) in be.replicas.iter().enumerate() {
+                d.write_u64(b as u64).write_u64(r as u64);
+                st.cpu.fold_digest(d);
+                d.write_u64(st.sessions.len() as u64);
+            }
         }
-        d.write_u64(self.redirectors.len() as u64);
-        for (&b, red) in &self.redirectors {
-            d.write_u64(b as u64);
-            red.fold_digest(d);
+        let placed = self.placements_by_backend();
+        let mut rest = placed.as_slice();
+        d.write_u64(self.backends.len() as u64);
+        for (b, be) in self.backend_ids().zip(&self.backends) {
+            let here = take_backend(&mut rest, b);
+            d.write_u64(b as u64).write_u64(here.len() as u64);
+            for (_, svc, p) in here {
+                d.write_u64(svc.0);
+                p.table.fold_digest(d);
+            }
+            d.write_u64(be.dispatches).write_u64(be.redirected);
         }
         self.sandbox.fold_digest(d);
         match &self.overload {
@@ -601,14 +704,15 @@ impl Gateway {
                 ov.fold_digest(d);
             }
         }
-        d.write_u64(self.backend_az.len() as u64);
-        for (&b, az) in &self.backend_az {
-            d.write_u64(b as u64).write_u64(az.0 as u64);
+        d.write_u64(self.backends.len() as u64);
+        for (b, be) in self.backend_ids().zip(&self.backends) {
+            d.write_u64(b as u64).write_u64(be.az.0 as u64);
         }
-        d.write_u64(self.next_backend as u64);
-        d.write_u64(self.window.len() as u64);
-        for (&(b, s), w) in &self.window {
-            d.write_u64(b as u64).write_u64(s.0).write_u64(w.requests);
+        d.write_u64(self.backends.len() as u64);
+        let counted = placed.iter().filter(|(_, _, p)| p.window_requests > 0);
+        d.write_u64(counted.clone().count() as u64);
+        for (b, s, p) in counted {
+            d.write_u64(*b as u64).write_u64(s.0).write_u64(p.window_requests);
         }
         d.write_u64(self.window_start.as_nanos())
             .write_u64(self.errors)
@@ -635,7 +739,11 @@ impl Gateway {
         let still_up = self.placement.backend_available(backend);
         // Upgrade happens here (image swap); then the replica rejoins with
         // a cleared session table.
-        if let Some(st) = self.replicas.get_mut(&(backend, replica)) {
+        let upgraded = self
+            .backends
+            .get_mut(backend as usize)
+            .and_then(|be| be.replicas.get_mut(replica));
+        if let Some(st) = upgraded {
             st.sessions.expire_idle(SimTime::MAX - SimDuration::from_secs(1));
         }
         let recovered = self

@@ -78,7 +78,7 @@ pub use overload::{
     OverloadControl, OverloadSignals, RetryBudget, TelemetrySink,
 };
 pub use policy::{ActivePolicy, PolicyPushRejection};
-pub use redirector::{BucketTable, DispatchDecision, Redirector};
+pub use redirector::{BucketTable, DispatchDecision};
 pub use resilience::{
     AttemptError, DispatchCounters, DispatchOutcome, OutlierDetector, ResilienceConfig,
     ResilienceStats, ResilientDispatcher,

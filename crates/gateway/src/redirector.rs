@@ -13,12 +13,15 @@
 //!   the flow (session state), redirecting hop by hop.
 //!
 //! The paper's modifications to Beamer: chains longer than 2 (consecutive
-//! scale events), per-service tables indexed by the global service id, and
-//! eBPF execution (a cost constant, not a logic change).
+//! scale events), per-service tables indexed by the global service id (the
+//! gateway keeps each service's tables in that service's slot, see
+//! [`crate::gateway`]), and eBPF execution (a cost constant, not a logic
+//! change).
 
-use canal_net::{bucket_of, FiveTuple, GlobalServiceId};
+use canal_net::{FiveTuple, FlowHash};
 use canal_sim::Digest;
-use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 /// Where a packet ended up and how many chain redirections it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +32,23 @@ pub struct DispatchDecision {
     pub redirect_hops: usize,
 }
 
-/// A per-service bucket table.
+/// Marks the unused tail of a bucket's chain slots.
+const NO_REPLICA: usize = usize::MAX;
+
+/// A per-service bucket table: one flat array of `max_chain` slots per
+/// bucket (chain entries first, head = highest priority), so a dispatch
+/// touches one contiguous run of memory whatever the bucket count.
+///
+/// The array is copy-on-write: a clone shares it until either side's
+/// chains change. A gateway installs thousands of tables that start out
+/// identical (every service on every backend it is placed on) and differ
+/// only after a scale or offline event on their backend, so until then
+/// they are one array that stays in cache, not megabytes of copies that
+/// each packet misses into.
 #[derive(Debug, Clone)]
 pub struct BucketTable {
-    buckets: Vec<Vec<usize>>,
+    slots: Arc<[usize]>,
+    n_buckets: NonZeroUsize,
     max_chain: usize,
 }
 
@@ -41,25 +57,49 @@ impl BucketTable {
     /// chains up to `max_chain` long (paper: > 2).
     pub fn new(n_buckets: usize, replicas: &[usize], max_chain: usize) -> Self {
         assert!(n_buckets > 0 && !replicas.is_empty() && max_chain >= 2);
-        let buckets = (0..n_buckets)
-            .map(|b| vec![replicas[b % replicas.len()]])
-            .collect();
-        BucketTable { buckets, max_chain }
+        assert!(!replicas.contains(&NO_REPLICA));
+        let mut slots = vec![NO_REPLICA; n_buckets * max_chain];
+        for (b, chain) in slots.chunks_exact_mut(max_chain).enumerate() {
+            chain[0] = replicas[b % replicas.len()];
+        }
+        BucketTable {
+            slots: slots.into(),
+            n_buckets: NonZeroUsize::new(n_buckets).unwrap_or(NonZeroUsize::MIN),
+            max_chain,
+        }
     }
 
     /// Number of buckets (fixed for the table's lifetime).
     pub fn len(&self) -> usize {
-        self.buckets.len()
+        self.n_buckets.get()
     }
 
     /// Whether the table has no buckets (never true after construction).
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        false
+    }
+
+    /// The live prefix of one bucket's slots.
+    fn live(slots: &[usize]) -> &[usize] {
+        let len = slots.iter().position(|&r| r == NO_REPLICA).unwrap_or(slots.len());
+        &slots[..len]
+    }
+
+    /// Every bucket's chain, in bucket order.
+    fn chains(&self) -> impl Iterator<Item = &[usize]> {
+        self.slots.chunks_exact(self.max_chain).map(Self::live)
     }
 
     /// The chain of a bucket (head = highest priority).
     pub fn chain(&self, bucket: usize) -> &[usize] {
-        &self.buckets[bucket]
+        Self::live(&self.slots[bucket * self.max_chain..(bucket + 1) * self.max_chain])
+    }
+
+    /// Put `replica` at the head of a bucket's slots; the entry past
+    /// `max_chain` falls off the tail.
+    fn prepend(slots: &mut [usize], replica: usize) {
+        slots.rotate_right(1);
+        slots[0] = replica;
     }
 
     /// Prepend `replacement` in every bucket whose head is `leaving` — the
@@ -67,10 +107,11 @@ impl BucketTable {
     /// established flows chain back to `leaving` until they age out.
     pub fn replica_going_offline(&mut self, leaving: usize, replacement: usize) {
         assert_ne!(leaving, replacement);
-        for chain in &mut self.buckets {
-            if chain.first() == Some(&leaving) {
-                chain.insert(0, replacement);
-                chain.truncate(self.max_chain);
+        assert_ne!(replacement, NO_REPLICA);
+        let max_chain = self.max_chain;
+        for chain in Arc::make_mut(&mut self.slots).chunks_exact_mut(max_chain) {
+            if chain[0] == leaving {
+                Self::prepend(chain, replacement);
             }
         }
     }
@@ -78,22 +119,31 @@ impl BucketTable {
     /// Finish an offline: drop `leaving` from all chains (its flows have
     /// aged out; see [`crate::sandbox`] for the drain timing).
     pub fn replica_removed(&mut self, leaving: usize) {
-        for chain in &mut self.buckets {
-            chain.retain(|&r| r != leaving);
+        let max_chain = self.max_chain;
+        for chain in Arc::make_mut(&mut self.slots).chunks_exact_mut(max_chain) {
+            let mut kept = 0;
+            for i in 0..chain.len() {
+                if chain[i] != leaving && chain[i] != NO_REPLICA {
+                    chain[kept] = chain[i];
+                    kept += 1;
+                }
+            }
+            chain[kept..].fill(NO_REPLICA);
         }
         // A bucket must never end up empty; that would be a config error the
         // controller prevents by sequencing replacement before removal.
-        debug_assert!(self.buckets.iter().all(|c| !c.is_empty()));
+        debug_assert!(self.chains().all(|c| !c.is_empty()));
     }
 
     /// Scale-out: the new replica takes over ~1/(n+1) of buckets by
     /// prepending itself, shifting old heads down the chain.
     pub fn replica_added(&mut self, new_replica: usize, take_every: usize) {
         assert!(take_every > 0);
-        for (i, chain) in self.buckets.iter_mut().enumerate() {
-            if i % take_every == 0 && chain.first() != Some(&new_replica) {
-                chain.insert(0, new_replica);
-                chain.truncate(self.max_chain);
+        assert_ne!(new_replica, NO_REPLICA);
+        let max_chain = self.max_chain;
+        for (i, chain) in Arc::make_mut(&mut self.slots).chunks_exact_mut(max_chain).enumerate() {
+            if i % take_every == 0 && chain[0] != new_replica {
+                Self::prepend(chain, new_replica);
             }
         }
     }
@@ -106,18 +156,29 @@ impl BucketTable {
         syn: bool,
         has_flow: F,
     ) -> DispatchDecision {
-        let bucket = bucket_of(tuple, self.buckets.len());
-        let chain = &self.buckets[bucket];
+        self.dispatch_hashed(FlowHash::of(tuple), syn, |replica| has_flow(replica, tuple))
+    }
+
+    /// [`BucketTable::dispatch`] for a packet whose flow hash is already
+    /// known; the oracle closes over the tuple itself.
+    pub fn dispatch_hashed<F: Fn(usize) -> bool>(
+        &self,
+        hash: FlowHash,
+        syn: bool,
+        has_flow: F,
+    ) -> DispatchDecision {
+        let chain = self.chain(hash.bucket(self.n_buckets));
+        let head = chain.first().copied().unwrap_or(NO_REPLICA);
         if syn {
             // New flows insert at the head (highest priority).
             return DispatchDecision {
-                replica: chain[0],
+                replica: head,
                 redirect_hops: 0,
             };
         }
         // Established flows walk the chain to their owner.
         for (hops, &replica) in chain.iter().enumerate() {
-            if has_flow(replica, tuple) {
+            if has_flow(replica) {
                 return DispatchDecision {
                     replica,
                     redirect_hops: hops,
@@ -127,21 +188,21 @@ impl BucketTable {
         // No owner anywhere (e.g. state aged out): treat like a new flow at
         // the head; the replica will RST/re-establish.
         DispatchDecision {
-            replica: chain[0],
-            redirect_hops: chain.len() - 1,
+            replica: head,
+            redirect_hops: chain.len().saturating_sub(1),
         }
     }
 
     /// Longest chain currently in the table (the App. A latency concern).
     pub fn max_chain_in_use(&self) -> usize {
-        self.buckets.iter().map(Vec::len).max().unwrap_or(0)
+        self.chains().map(<[usize]>::len).max().unwrap_or(0)
     }
 
-    /// Fold every bucket's chain (`buckets`) and the `max_chain` cap into
-    /// a digest.
+    /// Fold every bucket's chain (`slots`, as chain length then entries)
+    /// and the `max_chain` cap into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.buckets.len() as u64);
-        for chain in &self.buckets {
+        d.write_u64(self.n_buckets.get() as u64);
+        for chain in self.chains() {
             d.write_u64(chain.len() as u64);
             for &r in chain {
                 d.write_u64(r as u64);
@@ -151,76 +212,10 @@ impl BucketTable {
     }
 }
 
-/// Per-service bucket tables, indexed by global service id (paper mod ii).
-#[derive(Debug, Default)]
-pub struct Redirector {
-    // lint:allow(bounded-state) reason=one table per service installed on this backend; installs happen at registration and scale time
-    tables: BTreeMap<GlobalServiceId, BucketTable>,
-    dispatches: u64,
-    redirected: u64,
-}
-
-impl Redirector {
-    /// Empty redirector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Install (or replace) a service's bucket table.
-    pub fn install(&mut self, service: GlobalServiceId, table: BucketTable) {
-        self.tables.insert(service, table);
-    }
-
-    /// The table of a service.
-    pub fn table(&self, service: GlobalServiceId) -> Option<&BucketTable> {
-        self.tables.get(&service)
-    }
-
-    /// Mutable table access (scale events).
-    pub fn table_mut(&mut self, service: GlobalServiceId) -> Option<&mut BucketTable> {
-        self.tables.get_mut(&service)
-    }
-
-    /// Dispatch a packet for a service. Returns `None` for unknown services
-    /// (the packet is dropped and the gateway answers 503 upstream).
-    pub fn dispatch<F: Fn(usize, &FiveTuple) -> bool>(
-        &mut self,
-        service: GlobalServiceId,
-        tuple: &FiveTuple,
-        syn: bool,
-        has_flow: F,
-    ) -> Option<DispatchDecision> {
-        let table = self.tables.get(&service)?;
-        let d = table.dispatch(tuple, syn, has_flow);
-        self.dispatches += 1;
-        if d.redirect_hops > 0 {
-            self.redirected += 1;
-        }
-        Some(d)
-    }
-
-    /// Lifetime counters `(dispatches, redirected)` — the paper's claim that
-    /// "the redirection frequency is low" is checked against these.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.dispatches, self.redirected)
-    }
-
-    /// Fold every service's `tables` plus the `dispatches`/`redirected`
-    /// counters into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.tables.len() as u64);
-        for (svc, table) in &self.tables {
-            d.write_u64(svc.0);
-            table.fold_digest(d);
-        }
-        d.write_u64(self.dispatches).write_u64(self.redirected);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canal_net::{Endpoint, ServiceId, TenantId, VpcAddr, VpcId};
+    use canal_net::{Endpoint, VpcAddr, VpcId};
     use std::collections::HashSet;
 
     fn tuple(sport: u16) -> FiveTuple {
@@ -230,15 +225,12 @@ mod tests {
         )
     }
 
-    fn gs() -> GlobalServiceId {
-        GlobalServiceId::compose(TenantId(1), ServiceId(1))
-    }
-
     #[test]
     fn syn_goes_to_chain_head() {
         let t = BucketTable::new(64, &[0, 1, 2], 4);
         let d = t.dispatch(&tuple(1000), true, |_, _| false);
-        let head = t.chain(bucket_of(&tuple(1000), 64))[0];
+        let bucket = FlowHash::of(&tuple(1000)).bucket(NonZeroUsize::new(64).unwrap());
+        let head = t.chain(bucket)[0];
         assert_eq!(d.replica, head);
         assert_eq!(d.redirect_hops, 0);
     }
@@ -337,21 +329,29 @@ mod tests {
     }
 
     #[test]
-    fn redirector_routes_per_service() {
-        let mut r = Redirector::new();
-        r.install(gs(), BucketTable::new(16, &[0, 1], 4));
-        let other = GlobalServiceId::compose(TenantId(2), ServiceId(1));
-        r.install(other, BucketTable::new(16, &[5, 6], 4));
-        let d1 = r.dispatch(gs(), &tuple(1), true, |_, _| false).unwrap();
-        let d2 = r.dispatch(other, &tuple(1), true, |_, _| false).unwrap();
-        assert!([0, 1].contains(&d1.replica));
-        assert!([5, 6].contains(&d2.replica));
-        // Unknown service: None.
-        let unknown = GlobalServiceId::compose(TenantId(9), ServiceId(9));
-        assert!(r.dispatch(unknown, &tuple(1), true, |_, _| false).is_none());
-        let (dispatches, redirected) = r.stats();
-        assert_eq!(dispatches, 2);
-        assert_eq!(redirected, 0);
+    fn clones_share_slots_until_one_side_changes() {
+        let fresh = BucketTable::new(64, &[0, 1, 2], 4);
+        let mut a = fresh.clone();
+        let mut b = fresh.clone();
+        assert!(Arc::ptr_eq(&a.slots, &fresh.slots) && Arc::ptr_eq(&b.slots, &fresh.slots));
+        // An event gives that table an array of its own and leaves the
+        // others as they were.
+        a.replica_going_offline(1, 3);
+        b.replica_added(9, 2);
+        assert!(!Arc::ptr_eq(&a.slots, &fresh.slots) && !Arc::ptr_eq(&b.slots, &fresh.slots));
+        for bucket in 0..64 {
+            assert_eq!(fresh.chain(bucket), &[bucket % 3]);
+            let want_a: &[usize] = if bucket % 3 == 1 { &[3, 1] } else { &[bucket % 3] };
+            assert_eq!(a.chain(bucket), want_a);
+            assert_eq!(b.chain(bucket)[0], if bucket % 2 == 0 { 9 } else { bucket % 3 });
+        }
+        let digest = |t: &BucketTable| {
+            let mut d = Digest::new();
+            t.fold_digest(&mut d);
+            d.value()
+        };
+        assert_eq!(digest(&fresh), digest(&BucketTable::new(64, &[0, 1, 2], 4)));
+        assert_ne!(digest(&a), digest(&fresh));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! [`canal_net::vxlan::VxlanFrame`] and accounts the before/after session
 //! pressure that Table 5's tunneling savings derive from.
 
-use canal_net::{ecmp::rss_core_for_sport, FiveTuple, Packet, VxlanFrame};
+use canal_net::{ecmp::rss_core_for_sport, FiveTuple, FlatTable, FlowHash, Packet, VxlanFrame};
 use canal_sim::Digest;
-use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// Tunnel fan-out configuration.
 #[derive(Debug, Clone, Copy)]
@@ -44,10 +44,18 @@ impl TunnelConfig {
 #[derive(Debug)]
 pub struct SessionAggregator {
     cfg: TunnelConfig,
+    /// `cfg.tunnels_per_replica`, checked non-zero once at construction.
+    tunnels: NonZeroUsize,
     replica_ip: u32,
     vni: u32,
-    /// session five-tuple → tunnel index (sticky).
-    session_to_tunnel: BTreeMap<FiveTuple, usize>,
+    /// The tracked user sessions. A session's tunnel is a pure function of
+    /// its flow hash (sticky by construction), so only membership is kept.
+    sessions: FlatTable<FiveTuple, ()>,
+    /// Tracked sessions per tunnel, kept in step with `sessions`.
+    per_tunnel: Vec<u32>,
+    /// Tunnels with at least one tracked session.
+    // lint:allow(digest-coverage) reason=derived: recomputable from the folded `sessions` set (each session's tunnel is its flow hash modulo the tunnel count)
+    in_use: usize,
     encapsulated: u64,
 }
 
@@ -57,20 +65,26 @@ impl SessionAggregator {
         assert!(cfg.tunnels_per_replica > 0);
         SessionAggregator {
             cfg,
+            tunnels: NonZeroUsize::new(cfg.tunnels_per_replica).unwrap_or(NonZeroUsize::MIN),
             replica_ip,
             vni,
-            session_to_tunnel: BTreeMap::new(),
+            sessions: FlatTable::new(),
+            per_tunnel: vec![0; cfg.tunnels_per_replica],
+            in_use: 0,
             encapsulated: 0,
         }
     }
 
+    /// The session's tunnel; starts tracking the session on first sight.
     fn tunnel_of(&mut self, tuple: &FiveTuple) -> usize {
-        if let Some(&t) = self.session_to_tunnel.get(tuple) {
-            return t;
+        let hash = FlowHash::of(tuple);
+        let tunnel = hash.select(self.tunnels);
+        if !self.sessions.contains(hash.value(), tuple) {
+            self.sessions.insert_new(hash.value(), *tuple, ());
+            self.per_tunnel[tunnel] += 1;
+            self.in_use += (self.per_tunnel[tunnel] == 1) as usize;
         }
-        let t = (canal_net::hash_five_tuple(tuple) % self.cfg.tunnels_per_replica as u64) as usize;
-        self.session_to_tunnel.insert(*tuple, t);
-        t
+        tunnel
     }
 
     /// Encapsulate one packet into its session's tunnel. The returned frame
@@ -91,16 +105,13 @@ impl SessionAggregator {
 
     /// Sessions currently tracked by the aggregator (user-visible sessions).
     pub fn user_sessions(&self) -> usize {
-        self.session_to_tunnel.len()
+        self.sessions.len()
     }
 
     /// Distinct tunnels in use — what the underlying server's session table
     /// actually holds after aggregation.
     pub fn tunnels_in_use(&self) -> usize {
-        let mut used: Vec<usize> = self.session_to_tunnel.values().copied().collect();
-        used.sort_unstable();
-        used.dedup();
-        used.len()
+        self.in_use
     }
 
     /// The session-table reduction factor achieved so far.
@@ -125,25 +136,32 @@ impl SessionAggregator {
 
     /// Session churn: forget a closed session.
     pub fn session_closed(&mut self, tuple: &FiveTuple) -> bool {
-        self.session_to_tunnel.remove(tuple).is_some()
+        let hash = FlowHash::of(tuple);
+        if self.sessions.remove(hash.value(), tuple).is_none() {
+            return false;
+        }
+        let tunnel = hash.select(self.tunnels);
+        self.per_tunnel[tunnel] -= 1;
+        self.in_use -= (self.per_tunnel[tunnel] == 0) as usize;
+        true
     }
 
     /// Fold the aggregator state into a digest: the config, endpoints, the
-    /// `session_to_tunnel` map (session keys hashed through the same
-    /// deterministic five-tuple hash the tunnel choice uses), and the
-    /// `encapsulated` counter.
+    /// tracked `sessions` in ascending five-tuple order (each as its flow
+    /// hash and the tunnel that hash selects), and the `encapsulated`
+    /// counter.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.cfg.tunnels_per_replica as u64)
             .write_u64(self.cfg.replica_cores as u64)
             .write_u64(self.cfg.sport_base as u64)
             .write_u64(self.cfg.router_ip as u64)
             .write_u64(self.replica_ip as u64)
-            .write_u64(self.vni as u64)
-            .write_u64(self.session_to_tunnel.len() as u64);
-        for (tuple, &tunnel) in &self.session_to_tunnel {
-            d.write_u64(canal_net::hash_five_tuple(tuple))
-                .write_u64(tunnel as u64);
-        }
+            .write_u64(self.vni as u64);
+        let tunnels = self.tunnels;
+        self.sessions.fold_digest(d, |d, tuple, ()| {
+            let hash = FlowHash::of(tuple);
+            d.write_u64(hash.value()).write_u64(hash.select(tunnels) as u64);
+        });
         d.write_u64(self.encapsulated);
     }
 }
@@ -225,6 +243,64 @@ mod tests {
         assert!(a.session_closed(&p.tuple));
         assert!(!a.session_closed(&p.tuple));
         assert_eq!(a.user_sessions(), 0);
+    }
+
+    /// Open / close / reopen churn: the O(1) per-tunnel counts must give
+    /// what the old implementation computed by collecting, sorting and
+    /// deduplicating every tracked session's tunnel, and the digest must be
+    /// what folding the old `BTreeMap<FiveTuple, usize>` gave.
+    #[test]
+    fn churn_keeps_counts_equal_to_a_recount() {
+        use canal_sim::SimRng;
+        use std::collections::BTreeMap;
+
+        let mut rng = SimRng::seed(0x7A11_0001);
+        let mut a = agg();
+        let mut model: BTreeMap<FiveTuple, usize> = BTreeMap::new();
+        for step in 0..6000 {
+            let p = pkt(rng.index(300) as u16);
+            if rng.chance(0.6) {
+                let frame = a.encapsulate(&p);
+                let tunnel = (canal_net::hash_five_tuple(&p.tuple) % 40) as usize;
+                assert_eq!(frame.outer_sport, 40_000 + tunnel as u16);
+                model.insert(p.tuple, tunnel);
+            } else {
+                assert_eq!(a.session_closed(&p.tuple), model.remove(&p.tuple).is_some());
+            }
+            let mut used: Vec<usize> = model.values().copied().collect();
+            used.sort_unstable();
+            used.dedup();
+            assert_eq!(a.tunnels_in_use(), used.len(), "step {step}");
+            assert_eq!(a.user_sessions(), model.len());
+            let expect = if used.is_empty() { 1.0 } else { model.len() as f64 / used.len() as f64 };
+            assert_eq!(a.reduction_factor(), expect);
+        }
+        // Close everything: counts return to zero, then reopen.
+        for t in model.keys() {
+            assert!(a.session_closed(t));
+        }
+        assert_eq!((a.user_sessions(), a.tunnels_in_use()), (0, 0));
+        a.encapsulate(&pkt(7));
+        assert_eq!((a.user_sessions(), a.tunnels_in_use()), (1, 1));
+
+        // The digest is the old map's fold, entry for entry.
+        let mut model: BTreeMap<FiveTuple, usize> = BTreeMap::new();
+        let mut b = agg();
+        for sport in [900u16, 17, 4242, 17, 65_000, 3] {
+            b.encapsulate(&pkt(sport));
+            let t = pkt(sport).tuple;
+            model.insert(t, (canal_net::hash_five_tuple(&t) % 40) as usize);
+        }
+        let mut got = Digest::new();
+        b.fold_digest(&mut got);
+        let mut want = Digest::new();
+        want.write_u64(40).write_u64(4).write_u64(40_000).write_u64(0x0A63_0001);
+        want.write_u64(0x0A63_0002).write_u64(77).write_u64(model.len() as u64);
+        for (t, &tunnel) in &model {
+            want.write_u64(canal_net::hash_five_tuple(t)).write_u64(tunnel as u64);
+        }
+        want.write_u64(6);
+        assert_eq!(got.value(), want.value());
     }
 
     #[test]

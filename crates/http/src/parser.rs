@@ -36,9 +36,24 @@ impl std::error::Error for ParseError {}
 
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 
-/// Find `\r\n\r\n`; returns the offset *after* it.
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// Find `\r\n\r\n`; returns the offset *after* it. `scanned` is how far
+/// earlier calls on this (only ever appended-to) buffer got without finding
+/// it: the search resumes three bytes before, where a terminator split
+/// across two feeds would start, so a header section that trickles in is
+/// scanned once overall, not once per feed.
+fn find_header_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let start = scanned.saturating_sub(3);
+    match buf[start..].windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(p) => {
+            // A later call (body still in flight) finds it again at once.
+            *scanned = start + p;
+            Some(start + p + 4)
+        }
+        None => {
+            *scanned = buf.len();
+            None
+        }
+    }
 }
 
 fn parse_headers(block: &str) -> Result<HeaderMap, ParseError> {
@@ -69,6 +84,8 @@ fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: BytesMut,
+    /// See [`find_header_end`]; reset when a message leaves `buf`.
+    scanned: usize,
 }
 
 impl RequestParser {
@@ -91,7 +108,7 @@ impl RequestParser {
 
     /// Attempt to extract the next pipelined request from the buffer.
     pub fn try_parse(&mut self) -> Result<Option<Request>, ParseError> {
-        let Some(header_end) = find_header_end(&self.buf) else {
+        let Some(header_end) = find_header_end(&self.buf, &mut self.scanned) else {
             if self.buf.len() > MAX_HEADER_BYTES {
                 return Err(ParseError::HeadersTooLarge);
             }
@@ -116,6 +133,7 @@ impl RequestParser {
             return Ok(None); // body still in flight
         }
         let mut msg = self.buf.split_to(header_end + body_len);
+        self.scanned = 0;
         let body: Bytes = msg.split_off(header_end).freeze();
         Ok(Some(Request {
             method,
@@ -130,6 +148,8 @@ impl RequestParser {
 #[derive(Debug, Default)]
 pub struct ResponseParser {
     buf: BytesMut,
+    /// See [`find_header_end`]; reset when a message leaves `buf`.
+    scanned: usize,
 }
 
 impl ResponseParser {
@@ -141,7 +161,7 @@ impl ResponseParser {
     /// Feed newly received bytes; returns a complete response if available.
     pub fn feed(&mut self, data: &[u8]) -> Result<Option<Response>, ParseError> {
         self.buf.extend_from_slice(data);
-        let Some(header_end) = find_header_end(&self.buf) else {
+        let Some(header_end) = find_header_end(&self.buf, &mut self.scanned) else {
             if self.buf.len() > MAX_HEADER_BYTES {
                 return Err(ParseError::HeadersTooLarge);
             }
@@ -167,6 +187,7 @@ impl ResponseParser {
             return Ok(None);
         }
         let mut msg = self.buf.split_to(header_end + body_len);
+        self.scanned = 0;
         let body: Bytes = msg.split_off(header_end).freeze();
         Ok(Some(Response {
             status: StatusCode(code),
@@ -237,6 +258,84 @@ mod tests {
         let second = p.try_parse().unwrap().unwrap();
         assert_eq!(second.path, "/b");
         assert!(p.try_parse().unwrap().is_none());
+    }
+
+    /// A 32 KiB header section fed one byte at a time: every feed before
+    /// the last is incomplete, and the scan resumes where it stopped.
+    #[test]
+    fn large_header_section_trickles_in() {
+        let mut wire = b"GET /big HTTP/1.1\r\n".to_vec();
+        let mut i = 0;
+        while wire.len() < 32 * 1024 {
+            wire.extend_from_slice(format!("X-Pad-{i}: {}\r\n", "v".repeat(50)).as_bytes());
+            i += 1;
+        }
+        wire.extend_from_slice(b"\r\n");
+        let mut p = RequestParser::new();
+        let (last, head) = wire.split_last().unwrap();
+        for &b in head {
+            assert_eq!(p.feed(&[b]), Ok(None));
+        }
+        assert_eq!(p.scanned, head.len(), "the scan never restarts from byte 0");
+        let req = p.feed(&[*last]).unwrap().expect("complete at the final byte");
+        assert_eq!(req.headers.len(), i);
+        assert_eq!(req.headers.get(&format!("x-pad-{}", i - 1)), Some("v".repeat(50).as_str()));
+        assert_eq!(p.buffered(), 0);
+
+        let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
+        wire.extend_from_slice(&head[20..]);
+        wire.push(*last);
+        let mut p = ResponseParser::new();
+        let (last, head) = wire.split_last().unwrap();
+        for &b in head {
+            assert_eq!(p.feed(&[b]), Ok(None));
+        }
+        assert_eq!(p.feed(&[*last]).unwrap().unwrap().headers.len(), i);
+    }
+
+    /// The terminator split across two feeds at each of its four positions
+    /// (0 = it arrives whole in the second feed), with and without a body.
+    #[test]
+    fn terminator_split_across_feeds() {
+        let wire = b"POST /u HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n\r\nabc";
+        let end = wire.len() - 3;
+        for cut in (end - 4)..=end {
+            let mut p = RequestParser::new();
+            assert_eq!(p.feed(&wire[..cut]), Ok(None), "cut {cut}");
+            let req = p.feed(&wire[cut..]).unwrap().expect("complete");
+            assert_eq!(req.body.as_ref(), b"abc");
+            // The same with the body arriving in a third feed.
+            let mut p = RequestParser::new();
+            assert_eq!(p.feed(&wire[..cut]), Ok(None));
+            assert_eq!(p.feed(&wire[cut..end + 1]), Ok(None), "body in flight");
+            assert_eq!(p.feed(&wire[end + 1..]).unwrap().unwrap().body.as_ref(), b"abc");
+        }
+        let wire = Response::ok(&b"xy"[..]).encode();
+        let end = wire.len() - 2;
+        for cut in (end - 4)..=end {
+            let mut p = ResponseParser::new();
+            assert_eq!(p.feed(&wire[..cut]), Ok(None), "cut {cut}");
+            assert_eq!(p.feed(&wire[cut..]).unwrap().unwrap().body.as_ref(), b"xy");
+        }
+    }
+
+    /// Two pipelined requests in one buffer, the second longer than the
+    /// first: the scan position must not survive the first one's removal.
+    #[test]
+    fn pipelined_requests_rescan_from_the_new_front() {
+        let first = Request::post("/a", &b"0123456789"[..]).with_header("X-Long", &"h".repeat(200));
+        let second = Request::get("/b").with_header("Host", "h");
+        let mut wire = first.encode().to_vec();
+        wire.extend_from_slice(&second.encode());
+        wire.extend_from_slice(&Request::get("/c").encode());
+        let mut p = RequestParser::new();
+        // Everything but the last byte: two complete requests and a partial.
+        let (last, head) = wire.split_last().unwrap();
+        assert_eq!(p.feed(head).unwrap().unwrap().path, "/a");
+        assert_eq!(p.try_parse().unwrap().unwrap().path, "/b");
+        assert_eq!(p.try_parse(), Ok(None));
+        assert_eq!(p.feed(&[*last]).unwrap().unwrap().path, "/c");
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   `last_good` bug, caught structurally). Exceptions are typed:
 //!   `reason=derived: ...` or `reason=transient: ...`.
 //! * **bounded-state** — a growable collection field (`Vec`, `VecDeque`,
-//!   `BTreeMap`, `BTreeSet`, `BinaryHeap`) that the owning struct's
+//!   `BTreeMap`, `BTreeSet`, `BinaryHeap`, `canal_net::FlatTable`) that the
+//!   owning struct's
 //!   `&mut self` methods grow must carry bound evidence: a shrink call on
 //!   the same field, a cap const / cap field, or an eviction counter.
 //! * **seed-dataflow** — any lib fn in a determinism crate whose body
@@ -60,7 +61,8 @@ impl FileRecord {
 }
 
 /// Collection types whose growth must be bounded.
-const GROWABLE: &[&str] = &["Vec", "VecDeque", "BTreeMap", "BTreeSet", "BinaryHeap"];
+const GROWABLE: &[&str] =
+    &["Vec", "VecDeque", "BTreeMap", "BTreeSet", "BinaryHeap", "FlatTable"];
 
 /// Methods that grow a collection.
 const GROW_METHODS: &[&str] = &[
@@ -68,10 +70,12 @@ const GROW_METHODS: &[&str] = &[
     "push_back",
     "push_front",
     "insert",
+    "insert_new",
     "extend",
     "append",
     "entry",
     "resize",
+    "resize_with",
 ];
 
 /// Methods that shrink or rotate a collection (bound evidence).

@@ -33,10 +33,13 @@ pub enum TargetKind {
 
 /// Crates whose long-lived mutable state participates in the determinism
 /// digest: the `digest-coverage` and `bounded-state` rules police struct
-/// state here. A subset of [`DETERMINISM_CRATES`] — the facade and leaf
-/// protocol crates hold no cross-event state of their own.
+/// state here. A subset of [`DETERMINISM_CRATES`] — the facade and the
+/// codec and workload crates hold no cross-event state of their own;
+/// `canal_net` does (session tables, the flat table under them, token
+/// buckets, connection state).
 pub const DIGEST_CRATES: &[&str] = &[
     "canal_sim",
+    "canal_net",
     "canal_control",
     "canal_gateway",
     "canal_telemetry",

@@ -127,13 +127,13 @@ impl L7Engine {
         known_targets: &std::collections::BTreeSet<String>,
     ) -> Result<(), RouteInstallError> {
         for rule in routes.rules() {
-            if rule.targets.is_empty() {
+            if rule.targets().is_empty() {
                 return Err(RouteInstallError::NoTargets { rule: rule.name.clone() });
             }
-            if rule.targets.iter().all(|t| t.weight == 0) {
+            if rule.targets().iter().all(|t| t.weight == 0) {
                 return Err(RouteInstallError::ZeroWeight { rule: rule.name.clone() });
             }
-            for t in &rule.targets {
+            for t in rule.targets() {
                 if !known_targets.contains(&t.name) {
                     return Err(RouteInstallError::UnknownTarget {
                         rule: rule.name.clone(),
@@ -333,23 +333,19 @@ mod tests {
 
         // Empty and zero-weight target sets are likewise refused.
         // `RouteRule::new` refuses empty target lists, but a decoded push
-        // can still carry one — build the struct directly.
+        // can still carry one — build the rule unchecked.
         let mut none = RouteTable::new();
-        none.push(RouteRule {
-            name: "api".into(),
-            predicate: RoutePredicate::prefix("/api"),
-            targets: vec![],
-        });
+        none.push(RouteRule::unchecked("api", RoutePredicate::prefix("/api"), vec![]));
         assert_eq!(
             e.try_install_routes(none, &known),
             Err(RouteInstallError::NoTargets { rule: "api".into() })
         );
         let mut zero = RouteTable::new();
-        zero.push(RouteRule {
-            name: "api".into(),
-            predicate: RoutePredicate::prefix("/api"),
-            targets: vec![WeightedTarget::new("v1", 0)],
-        });
+        zero.push(RouteRule::unchecked(
+            "api",
+            RoutePredicate::prefix("/api"),
+            vec![WeightedTarget::new("v1", 0)],
+        ));
         assert_eq!(
             e.try_install_routes(zero, &known),
             Err(RouteInstallError::ZeroWeight { rule: "api".into() })

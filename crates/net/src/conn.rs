@@ -70,6 +70,18 @@ impl TcpConn {
         }
     }
 
+    /// Fold the connection into a digest: `state`, `opened_at`,
+    /// `last_activity`, `time_wait_until` and the byte counters
+    /// `bytes_c2s` / `bytes_s2c`.
+    pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
+        d.write_u64(self.state as u64)
+            .write_u64(self.opened_at.as_nanos())
+            .write_u64(self.last_activity.as_nanos())
+            .write_u64(self.time_wait_until.map_or(u64::MAX, SimTime::as_nanos))
+            .write_u64(self.bytes_c2s)
+            .write_u64(self.bytes_s2c);
+    }
+
     /// Current state (after applying any due TIME_WAIT expiry).
     pub fn state_at(&mut self, now: SimTime) -> TcpState {
         if let Some(until) = self.time_wait_until {

@@ -13,9 +13,14 @@
 //!   (see `canal-gateway::redirector`).
 //!
 //! The hash is FNV-1a over the canonical tuple encoding — stable across runs
-//! and platforms (no `DefaultHasher`, whose output is randomized).
+//! and platforms (no `DefaultHasher`, whose output is randomized). A packet
+//! is hashed **once**: [`FlowHash::of`] runs the 21-byte pass and every
+//! consumer (ECMP, bucket choice, the session table's slot, the tunnel
+//! choice) derives its index from that one value.
 
+use crate::flat::FlatKey;
 use crate::packet::FiveTuple;
+use std::num::NonZeroUsize;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -35,7 +40,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// the input bytes), which biases `hash % n` for even `n` when tuple fields
 /// are correlated; the finalizer's shifts break that linearity.
 #[inline]
-fn fmix64(mut h: u64) -> u64 {
+pub(crate) fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
@@ -56,19 +61,42 @@ pub fn hash_five_tuple(t: &FiveTuple) -> u64 {
     fmix64(fnv1a(&buf))
 }
 
-/// ECMP selection: which of `n` live replicas the router sends this flow to.
-/// Panics on `n == 0` (a router with no next hops is a config error upstream).
-pub fn ecmp_select(t: &FiveTuple, n: usize) -> usize {
-    assert!(n > 0, "ECMP over zero replicas");
-    (hash_five_tuple(t) % n as u64) as usize
+/// The hash of one packet's five-tuple, computed once and handed to every
+/// table on the packet's path. The counts are [`NonZeroUsize`]: an empty
+/// next-hop pool or bucket table is rejected where the pool or table is
+/// built, not by a panic per packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowHash(u64);
+
+impl FlowHash {
+    /// Hash a five-tuple (the only place the 21-byte pass runs).
+    pub fn of(t: &FiveTuple) -> Self {
+        FlowHash(hash_five_tuple(t))
+    }
+
+    /// The raw value, as [`hash_five_tuple`] returns it.
+    pub fn value(self) -> u64 {
+        self.0
+    }
+
+    /// ECMP selection: which of `n` next hops (live replicas, backends,
+    /// tunnels) the router sends this flow to.
+    pub fn select(self, n: NonZeroUsize) -> usize {
+        (self.0 % n.get() as u64) as usize
+    }
+
+    /// Fixed-size bucket index for the redirector's bucket table.
+    pub fn bucket(self, n_buckets: NonZeroUsize) -> usize {
+        // A different mix than ECMP so the two mappings are independent.
+        let h = self.0.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15;
+        (h % n_buckets.get() as u64) as usize
+    }
 }
 
-/// Fixed-size bucket index for the redirector's bucket table.
-pub fn bucket_of(t: &FiveTuple, n_buckets: usize) -> usize {
-    assert!(n_buckets > 0, "bucket table must be non-empty");
-    // A different mix than ECMP so the two mappings are independent.
-    let h = hash_five_tuple(t).rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15;
-    (h % n_buckets as u64) as usize
+impl FlatKey for FiveTuple {
+    fn flat_hash(&self) -> u64 {
+        hash_five_tuple(self)
+    }
 }
 
 /// Hash an outer tunnel source port to a vSwitch RSS core (§4.4 session
@@ -81,9 +109,20 @@ pub fn rss_core_for_sport(sport: u16, cores: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PINNED_HASH: u64 = 3_742_825_464_139_286_700;
+    const PINNED_ECMP_BUCKET: (usize, usize) = (0, 3063);
     use crate::addr::{Endpoint, VpcAddr};
     use crate::ids::VpcId;
     use crate::packet::FiveTuple;
+
+    fn ecmp_select(t: &FiveTuple, n: usize) -> usize {
+        FlowHash::of(t).select(NonZeroUsize::new(n).unwrap())
+    }
+
+    fn bucket_of(t: &FiveTuple, n: usize) -> usize {
+        FlowHash::of(t).bucket(NonZeroUsize::new(n).unwrap())
+    }
 
     fn tuple(vpc: u32, src_last: u8, sport: u16, dport: u16) -> FiveTuple {
         FiveTuple::tcp(
@@ -171,9 +210,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ECMP over zero replicas")]
-    fn ecmp_zero_panics() {
-        ecmp_select(&tuple(1, 1, 1, 1), 0);
+    fn flow_hash_is_the_published_five_tuple_hash() {
+        // Digests fold `hash_five_tuple`; the once-per-packet hash must be
+        // that same value, and these two pins keep it from drifting.
+        let t = tuple(1, 5, 1234, 80);
+        assert_eq!(FlowHash::of(&t).value(), hash_five_tuple(&t));
+        assert_eq!(hash_five_tuple(&t), PINNED_HASH);
+        assert_eq!((ecmp_select(&t, 7), bucket_of(&t, 4096)), PINNED_ECMP_BUCKET);
     }
 
     #[test]

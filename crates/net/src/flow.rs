@@ -4,13 +4,17 @@
 //! a hard session budget (§3.2 Issue #4): once the table fills, new flows are
 //! refused even though the CPU may be nearly idle — the imbalance session
 //! aggregation (§4.4) exists to fix. [`SessionTable`] models exactly that:
-//! bounded capacity, idle-timeout aging, and occupancy accounting.
+//! bounded capacity, idle-timeout aging, and occupancy accounting. Like the
+//! SLB and vSwitch tables it stands for, it is a hash table
+//! ([`FlatTable`]): one probe per packet, keyed by the [`FlowHash`] the
+//! packet already carries.
 
 use crate::addr::VpcAddr;
+use crate::ecmp::FlowHash;
+use crate::flat::FlatTable;
 use crate::ids::{TenantId, VpcId};
 use crate::packet::FiveTuple;
 use canal_sim::{Digest, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Key identifying a session (the five-tuple).
 pub type SessionKey = FiveTuple;
@@ -72,12 +76,14 @@ struct SessionEntry {
     established_at: SimTime,
 }
 
-/// A bounded session table with idle-timeout aging.
+/// A bounded session table with idle-timeout aging. The slot array grows
+/// with the sessions actually held, never with `capacity`: the budget is
+/// 100,000 per replica and a gateway has dozens of replicas.
 #[derive(Debug)]
 pub struct SessionTable {
     capacity: usize,
     idle_timeout: SimDuration,
-    entries: BTreeMap<SessionKey, SessionEntry>,
+    entries: FlatTable<SessionKey, SessionEntry>,
     /// Total sessions ever accepted.
     accepted: u64,
     /// Insertions refused because the table was full.
@@ -93,7 +99,7 @@ impl SessionTable {
         SessionTable {
             capacity,
             idle_timeout,
-            entries: BTreeMap::new(),
+            entries: FlatTable::new(),
             accepted: 0,
             rejected: 0,
             expired: 0,
@@ -122,15 +128,33 @@ impl SessionTable {
 
     /// Whether a session exists for this key.
     pub fn contains(&self, key: &SessionKey) -> bool {
-        self.entries.contains_key(key)
+        self.contains_hashed(FlowHash::of(key), key)
+    }
+
+    /// [`SessionTable::contains`] for a packet whose hash is already known
+    /// (`hash` must be `FlowHash::of(key)`).
+    pub fn contains_hashed(&self, hash: FlowHash, key: &SessionKey) -> bool {
+        self.entries.contains(hash.value(), key)
     }
 
     /// Record a new session. Errors if at capacity (after opportunistically
-    /// expiring idle sessions).
+    /// expiring idle sessions). Re-establishing a live session refreshes
+    /// its idle timer.
     pub fn establish(&mut self, key: SessionKey, now: SimTime) -> Result<(), SessionError> {
-        if self.entries.contains_key(&key) {
-            // Re-establishing refreshes the timestamp.
-            self.touch(&key, now);
+        self.touch_or_establish(FlowHash::of(&key), key, now)
+    }
+
+    /// The per-packet operation, one probe when the session exists: refresh
+    /// its idle timer, or else establish it as [`SessionTable::establish`]
+    /// does (`hash` must be `FlowHash::of(&key)`).
+    pub fn touch_or_establish(
+        &mut self,
+        hash: FlowHash,
+        key: SessionKey,
+        now: SimTime,
+    ) -> Result<(), SessionError> {
+        if let Some(e) = self.entries.get_mut(hash.value(), &key) {
+            e.last_seen = now;
             return Ok(());
         }
         if self.entries.len() >= self.capacity {
@@ -140,7 +164,8 @@ impl SessionTable {
             self.rejected += 1;
             return Err(SessionError::Full);
         }
-        self.entries.insert(
+        self.entries.insert_new(
+            hash.value(),
             key,
             SessionEntry {
                 last_seen: now,
@@ -154,7 +179,7 @@ impl SessionTable {
     /// Refresh a session's idle timer on traffic. Returns false if no such
     /// session exists (caller should treat the packet as a stray).
     pub fn touch(&mut self, key: &SessionKey, now: SimTime) -> bool {
-        match self.entries.get_mut(key) {
+        match self.entries.get_mut(FlowHash::of(key).value(), key) {
             Some(e) => {
                 e.last_seen = now;
                 true
@@ -166,24 +191,16 @@ impl SessionTable {
     /// Explicitly close a session. Returns session age if it existed.
     pub fn close(&mut self, key: &SessionKey, now: SimTime) -> Option<SimDuration> {
         self.entries
-            .remove(key)
+            .remove(FlowHash::of(key).value(), key)
             .map(|e| now.since(e.established_at))
     }
 
     /// Drop every session idle past the timeout. Returns how many expired.
     pub fn expire_idle(&mut self, now: SimTime) -> usize {
         let timeout = self.idle_timeout;
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, e| now.since(e.last_seen) < timeout);
-        let removed = before - self.entries.len();
+        let removed = self.entries.retain(|_, e| now.since(e.last_seen) < timeout);
         self.expired += removed as u64;
         removed
-    }
-
-    /// Keys of all live sessions (unordered).
-    pub fn keys(&self) -> impl Iterator<Item = &SessionKey> {
-        self.entries.keys()
     }
 
     /// Lifetime counters: (accepted, rejected, expired).
@@ -250,6 +267,91 @@ mod tests {
         assert_eq!(t.expire_idle(T(12)), 0); // refreshed at t=8
         assert_eq!(t.expire_idle(T(19)), 1); // 11s idle now
         assert!(!t.touch(&key(1), T(20)));
+    }
+
+    /// Seeded differential test against the `BTreeMap` implementation this
+    /// table replaced: random establish / touch / close / `expire_idle`
+    /// sequences over a small key space and a small budget, so the table
+    /// is full most of the time, keys are deleted and re-inserted, and the
+    /// slot array doubles and shrinks.
+    #[test]
+    fn matches_the_btreemap_model_under_random_operations() {
+        use canal_sim::SimRng;
+        use std::collections::BTreeMap;
+
+        struct Model {
+            capacity: usize,
+            timeout: SimDuration,
+            entries: BTreeMap<SessionKey, (SimTime, SimTime)>,
+            stats: (u64, u64, u64),
+        }
+        impl Model {
+            fn expire_idle(&mut self, now: SimTime) -> usize {
+                let before = self.entries.len();
+                let timeout = self.timeout;
+                self.entries.retain(|_, e| now.since(e.0) < timeout);
+                let removed = before - self.entries.len();
+                self.stats.2 += removed as u64;
+                removed
+            }
+            fn establish(&mut self, key: SessionKey, now: SimTime) -> Result<(), SessionError> {
+                if let Some(e) = self.entries.get_mut(&key) {
+                    e.0 = now;
+                    return Ok(());
+                }
+                if self.entries.len() >= self.capacity {
+                    self.expire_idle(now);
+                }
+                if self.entries.len() >= self.capacity {
+                    self.stats.1 += 1;
+                    return Err(SessionError::Full);
+                }
+                self.entries.insert(key, (now, now));
+                self.stats.0 += 1;
+                Ok(())
+            }
+        }
+
+        let mut rng = SimRng::seed(0x5E55_0001);
+        for case in 0..30 {
+            let capacity = [5usize, 40, 700][case % 3];
+            let space = capacity * 2;
+            let timeout = SimDuration::from_millis(50);
+            let mut table = SessionTable::new(capacity, timeout);
+            let mut model = Model { capacity, timeout, entries: BTreeMap::new(), stats: (0, 0, 0) };
+            let mut now = SimTime::ZERO;
+            for _ in 0..3000 {
+                now += SimDuration::from_micros(rng.int_range(0, 400));
+                let k = key(rng.index(space) as u16);
+                match rng.index(8) {
+                    0..=2 => assert_eq!(table.establish(k, now), model.establish(k, now)),
+                    3 => {
+                        let h = FlowHash::of(&k);
+                        assert_eq!(table.touch_or_establish(h, k, now), model.establish(k, now));
+                    }
+                    4 => {
+                        let hit = model.entries.get_mut(&k).map(|e| e.0 = now).is_some();
+                        assert_eq!(table.touch(&k, now), hit);
+                    }
+                    5 => {
+                        let age = model.entries.remove(&k).map(|e| now.since(e.1));
+                        assert_eq!(table.close(&k, now), age);
+                    }
+                    6 => assert_eq!(table.contains(&k), model.entries.contains_key(&k)),
+                    _ => {
+                        if rng.chance(0.1) {
+                            assert_eq!(table.expire_idle(now), model.expire_idle(now));
+                        }
+                    }
+                }
+                assert_eq!(table.len(), model.entries.len());
+            }
+            assert_eq!(table.stats(), model.stats);
+            for i in 0..space {
+                let k = key(i as u16);
+                assert_eq!(table.contains(&k), model.entries.contains_key(&k));
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 pub mod addr;
 pub mod conn;
 pub mod ecmp;
+pub mod flat;
 pub mod flow;
 pub mod ids;
 pub mod link;
@@ -30,7 +31,8 @@ pub mod vxlan;
 
 pub use addr::{Endpoint, VpcAddr};
 pub use conn::{TcpConn, TcpState};
-pub use ecmp::{bucket_of, ecmp_select, hash_five_tuple};
+pub use ecmp::{hash_five_tuple, FlowHash};
+pub use flat::{FlatKey, FlatTable};
 pub use flow::{FlowLabel, SessionKey, SessionTable};
 pub use ids::{AzId, GlobalServiceId, NodeId, PodId, ServiceId, TenantId, VpcId};
 pub use link::Link;

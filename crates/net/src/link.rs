@@ -42,6 +42,16 @@ impl Link {
         self.extra_latency = SimDuration::ZERO;
     }
 
+    /// Fold the link into a digest: `base_latency`, the injected `loss` and
+    /// `extra_latency`, and the `drops` / `delivered` counters.
+    pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
+        d.write_u64(self.base_latency.as_nanos())
+            .write_f64(self.loss)
+            .write_u64(self.extra_latency.as_nanos())
+            .write_u64(self.drops)
+            .write_u64(self.delivered);
+    }
+
     /// Whether degradation is currently injected.
     pub fn degraded(&self) -> bool {
         self.loss > 0.0 || self.extra_latency > SimDuration::ZERO

@@ -37,6 +37,7 @@ pub struct NagleBuffer {
     pending_bytes: usize,
     pending_writes: usize,
     oldest_pending: Option<SimTime>,
+    // lint:allow(bounded-state) reason=one buffer per simulated flow, dropped with it; the segment list is that flow's result
     emitted: Vec<Segment>,
 }
 
@@ -139,6 +140,24 @@ impl NagleBuffer {
             self.pending_bytes = 0;
             self.pending_writes = 0;
             self.oldest_pending = None;
+        }
+    }
+
+    /// Fold the buffer into a digest: the knobs (`mss`, `flush_delay`,
+    /// `enabled`), what is pending (`pending_bytes`, `pending_writes`,
+    /// `oldest_pending`) and every segment in `emitted`.
+    pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
+        d.write_u64(self.mss as u64)
+            .write_u64(self.flush_delay.as_nanos())
+            .write_u64(self.enabled as u64)
+            .write_u64(self.pending_bytes as u64)
+            .write_u64(self.pending_writes as u64)
+            .write_u64(self.oldest_pending.map_or(u64::MAX, SimTime::as_nanos))
+            .write_u64(self.emitted.len() as u64);
+        for seg in &self.emitted {
+            d.write_u64(seg.at.as_nanos())
+                .write_u64(seg.len as u64)
+                .write_u64(seg.writes as u64);
         }
     }
 

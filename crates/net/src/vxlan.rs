@@ -198,8 +198,10 @@ impl VxlanFrame {
 /// globally unique service id attached to the inner packet (§4.2).
 #[derive(Debug, Default)]
 pub struct VSwitch {
+    // lint:allow(bounded-state) reason=one entry per tenant VNI bound at setup; the 24-bit VNI space bounds it
     vni_to_tenant: BTreeMap<u32, TenantId>,
     /// (tenant, inner dst port) → per-tenant service.
+    // lint:allow(bounded-state) reason=one entry per registered tenant service port; registration is a control-plane setup operation, not a data-path event
     service_by_port: BTreeMap<(TenantId, u16), ServiceId>,
 }
 
@@ -217,6 +219,21 @@ impl VSwitch {
     /// Register a tenant service reachable on an inner destination port.
     pub fn register_service(&mut self, tenant: TenantId, dst_port: u16, service: ServiceId) {
         self.service_by_port.insert((tenant, dst_port), service);
+    }
+
+    /// Fold both registries, `vni_to_tenant` and `service_by_port`, into a
+    /// digest.
+    pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
+        d.write_u64(self.vni_to_tenant.len() as u64);
+        for (&vni, tenant) in &self.vni_to_tenant {
+            d.write_u64(vni as u64).write_u64(tenant.raw() as u64);
+        }
+        d.write_u64(self.service_by_port.len() as u64);
+        for (&(tenant, port), service) in &self.service_by_port {
+            d.write_u64(tenant.raw() as u64)
+                .write_u64(port as u64)
+                .write_u64(service.raw() as u64);
+        }
     }
 
     /// Tenant owning a VNI, if mapped.

@@ -19,7 +19,10 @@
 //!
 //! A verdict is the AND of the dimension masks followed by
 //! first-set-bit (first-match-wins), so per-request cost is O(log n)
-//! searches plus O(n/64) word operations — never a per-rule scan. The top
+//! searches plus O(n/64) word operations — never a per-rule scan. The AND
+//! is streamed: each dimension resolves to borrowed masks, the words are
+//! combined one index at a time and the walk stops at the first non-zero
+//! word, so a lookup allocates nothing. The top
 //! level of [`CompiledPolicySet`] is keyed by [`TenantId`]: a packet
 //! selects its own tenant's table before any rule bit is consulted, which
 //! makes cross-tenant matches structurally impossible even when VPC
@@ -91,26 +94,14 @@ impl RuleSet {
         }
     }
 
-    /// AND another mask in.
-    pub fn and_with(&mut self, other: &RuleSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
-    /// Lowest set bit — the first-match-wins winner.
-    pub fn first_set(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
     /// Number of 64-bit words (the per-AND cost unit).
     pub fn word_count(&self) -> usize {
         self.words.len()
+    }
+
+    /// Word `w` of the mask (rules `64 * w ..`).
+    fn word(&self, w: usize) -> u64 {
+        self.words[w]
     }
 
     /// Fold the mask into a digest.
@@ -130,6 +121,9 @@ struct IntervalTable {
     bounds: Vec<u64>,
     /// Candidate rules per segment, parallel to `bounds`.
     segs: Vec<RuleSet>,
+    /// No rule constrains this dimension: every lookup would return the
+    /// full mask, so lookups return nothing to AND instead.
+    unconstrained: bool,
 }
 
 impl IntervalTable {
@@ -166,13 +160,19 @@ impl IntervalTable {
                 }
             }
         }
-        IntervalTable { bounds, segs }
+        let unconstrained = per_rule.iter().all(Vec::is_empty);
+        IntervalTable { bounds, segs, unconstrained }
     }
 
     /// The candidate set for one key: binary search over segment starts.
-    fn lookup(&self, key: u64) -> &RuleSet {
+    /// `None` stands for "every rule" (see `unconstrained`), which spares
+    /// the lookup the table's memory altogether.
+    fn lookup(&self, key: u64) -> Option<&RuleSet> {
+        if self.unconstrained {
+            return None;
+        }
         let idx = self.bounds.partition_point(|b| *b <= key).saturating_sub(1);
-        &self.segs[idx]
+        Some(&self.segs[idx])
     }
 
     /// Comparisons one lookup costs: `ceil(log2(segments))`.
@@ -200,12 +200,14 @@ struct MapTable {
 }
 
 impl MapTable {
-    fn mask(&self, key: &str) -> RuleSet {
-        let mut m = self.any.clone();
-        if let Some(e) = self.exact.get(key) {
-            m.or_with(e);
+    /// Word `w` of the dimension's mask: rules without a constraint here,
+    /// plus those keyed by exactly this token. With no keyed rule at all
+    /// every rule is in `any`, and the mask is not even read.
+    fn word(&self, key: &str, w: usize) -> u64 {
+        if self.exact.is_empty() {
+            return u64::MAX;
         }
-        m
+        self.any.word(w) | self.exact.get(key).map_or(0, |e| e.word(w))
     }
 
     fn search_ops(&self) -> u64 {
@@ -232,17 +234,22 @@ struct SniTable {
 }
 
 impl SniTable {
-    fn mask(&self, sni: Option<&str>) -> RuleSet {
-        let mut m = self.any.clone();
+    /// Word `w` of the dimension's mask: rules without an SNI constraint,
+    /// plus the exact and label-boundary suffix hits for `sni`.
+    fn word(&self, sni: Option<&str>, w: usize) -> u64 {
+        if self.exact.is_empty() && self.suffix.is_empty() {
+            return u64::MAX; // no rule names an SNI: `any` is every rule
+        }
+        let mut m = self.any.word(w);
         if let Some(name) = sni {
             if let Some(e) = self.exact.get(name) {
-                m.or_with(e);
+                m |= e.word(w);
             }
             if !self.suffix.is_empty() {
                 for (i, c) in name.char_indices() {
                     if c == '.' {
                         if let Some(s) = self.suffix.get(&name[i..]) {
-                            m.or_with(s);
+                            m |= s.word(w);
                         }
                     }
                 }
@@ -321,7 +328,12 @@ impl PathTrie {
         PathTrie { nodes }
     }
 
-    fn lookup(&self, path: &str) -> &RuleSet {
+    /// `None` stands for "every rule": a trie of the root alone means no
+    /// rule has a path prefix.
+    fn lookup(&self, path: &str) -> Option<&RuleSet> {
+        if self.nodes.len() == 1 {
+            return None;
+        }
         let mut cur = 0usize;
         for &b in path.as_bytes() {
             match self.nodes[cur].children.get(&b) {
@@ -329,7 +341,7 @@ impl PathTrie {
                 None => break,
             }
         }
-        &self.nodes[cur].cum
+        Some(&self.nodes[cur].cum)
     }
 
     /// A walk costs at most one map probe per prefix byte.
@@ -355,22 +367,35 @@ impl PathTrie {
 #[derive(Debug, Clone)]
 struct HeaderSlot {
     auto: RuleSet,
-    /// Presence-only predicates, keyed by lowercase header name.
-    present: BTreeMap<String, RuleSet>,
-    /// Name+value predicates, keyed by (lowercase name, value).
-    exact: BTreeMap<(String, String), RuleSet>,
+    /// Presence-only predicates, keyed by lowercase header name, ascending.
+    present: Vec<(String, RuleSet)>,
+    /// Name+value predicates, keyed by (lowercase name, value), ascending.
+    exact: Vec<((String, String), RuleSet)>,
+}
+
+/// Order a lowercase key against a header name as the key would order
+/// against the name's lowercase form, without building that form.
+fn cmp_lowercase(key: &str, name: &str) -> std::cmp::Ordering {
+    key.bytes().cmp(name.bytes().map(|b| b.to_ascii_lowercase()))
 }
 
 impl HeaderSlot {
-    fn mask(&self, headers: &[(&str, &str)]) -> RuleSet {
-        let mut m = self.auto.clone();
+    /// Word `w` of the slot's mask: rules with no predicate in this slot,
+    /// plus those whose slot predicate some request header satisfies.
+    fn word(&self, headers: &[(&str, &str)], w: usize) -> u64 {
+        if self.present.is_empty() && self.exact.is_empty() {
+            return u64::MAX; // no rule has a predicate here: `auto` is every rule
+        }
+        let mut m = self.auto.word(w);
         for &(name, value) in headers {
-            let lower = name.to_ascii_lowercase();
-            if let Some(p) = self.present.get(&lower) {
-                m.or_with(p);
+            if let Ok(i) = self.present.binary_search_by(|(k, _)| cmp_lowercase(k, name)) {
+                m |= self.present[i].1.word(w);
             }
-            if let Some(e) = self.exact.get(&(lower, value.to_string())) {
-                m.or_with(e);
+            let by_name_then_value = |((k, v), _): &((String, String), RuleSet)| {
+                cmp_lowercase(k, name).then_with(|| v.as_str().cmp(value))
+            };
+            if let Ok(i) = self.exact.binary_search_by(by_name_then_value) {
+                m |= self.exact[i].1.word(w);
             }
         }
         m
@@ -453,8 +478,15 @@ impl CompiledTenant {
         let mut sni_any = RuleSet::empty(n);
         let mut sni_exact: BTreeMap<String, RuleSet> = BTreeMap::new();
         let mut sni_suffix: BTreeMap<String, RuleSet> = BTreeMap::new();
-        let mut slots: Vec<HeaderSlot> = (0..crate::spec::MAX_HEADER_PREDICATES)
-            .map(|_| HeaderSlot {
+        // Header slots accumulate in ordered maps and are flattened into
+        // sorted vectors at the end.
+        struct SlotBuilder {
+            auto: RuleSet,
+            present: BTreeMap<String, RuleSet>,
+            exact: BTreeMap<(String, String), RuleSet>,
+        }
+        let mut slots: Vec<SlotBuilder> = (0..crate::spec::MAX_HEADER_PREDICATES)
+            .map(|_| SlotBuilder {
                 auto: RuleSet::empty(n),
                 present: BTreeMap::new(),
                 exact: BTreeMap::new(),
@@ -532,24 +564,64 @@ impl CompiledTenant {
             methods: MapTable { any: method_any, exact: method_exact },
             path: PathTrie::build(n, &prefixes),
             sni: SniTable { any: sni_any, exact: sni_exact, suffix: sni_suffix },
-            headers: slots,
+            headers: slots
+                .into_iter()
+                .map(|s| HeaderSlot {
+                    auto: s.auto,
+                    present: s.present.into_iter().collect(),
+                    exact: s.exact.into_iter().collect(),
+                })
+                .collect(),
             default_action: tp.default_action,
         })
     }
 
-    /// Candidate mask from the L4 dimensions alone.
-    fn l4_mask(&self, ctx: &L4Ctx) -> RuleSet {
-        let mut m = self.src.lookup(ctx.src_ip as u64).clone();
-        m.and_with(self.ports.lookup(ctx.dst_port as u64));
-        m.and_with(self.idents.lookup(ctx.identity));
-        m
+    /// Index of the first rule matching the L4 context and, when given, the
+    /// L7 context: the dimension masks are ANDed one word at a time, cheap
+    /// borrowed dimensions first, and the walk stops at the first word
+    /// that keeps a bit. A dimension no rule constrains contributes all
+    /// ones without its tables being touched.
+    fn first_match(&self, l4: &L4Ctx, l7: Option<&L7Ctx<'_>>) -> Option<usize> {
+        let borrowed = [
+            self.src.lookup(l4.src_ip as u64),
+            self.ports.lookup(l4.dst_port as u64),
+            self.idents.lookup(l4.identity),
+            l7.and_then(|c| self.path.lookup(c.path)),
+        ];
+        let words = self.n.div_ceil(64);
+        for w in 0..words {
+            // Every rule of this word; the last word may be partial.
+            let mut word = match self.n % 64 {
+                tail if tail != 0 && w + 1 == words => (1u64 << tail) - 1,
+                _ => u64::MAX,
+            };
+            for mask in borrowed.iter().flatten() {
+                word &= mask.word(w);
+            }
+            if let Some(ctx) = l7 {
+                word &= self.methods.word(ctx.method, w);
+                if word != 0 {
+                    word &= self.sni.word(ctx.sni, w);
+                }
+                for slot in &self.headers {
+                    if word == 0 {
+                        break;
+                    }
+                    word &= slot.word(ctx.headers, w);
+                }
+            }
+            if word != 0 {
+                return Some(w * 64 + word.trailing_zeros() as usize);
+            }
+        }
+        None
     }
 
     /// The node L4 path's verdict. The full L7 match mask is always a
     /// subset of the L4 mask (L7 dimensions only narrow it), so an empty
     /// L4 candidate set means the default verdict is final.
     pub fn l4_verdict(&self, ctx: &L4Ctx) -> L4Verdict {
-        match self.l4_mask(ctx).first_set() {
+        match self.first_match(ctx, None) {
             None => match self.default_action {
                 PolicyVerdict::Allow => L4Verdict::Allow,
                 PolicyVerdict::Deny => L4Verdict::Deny,
@@ -564,14 +636,7 @@ impl CompiledTenant {
 
     /// Index of the first matching rule under full L4+L7 context.
     pub fn l7_match(&self, l4: &L4Ctx, l7: &L7Ctx<'_>) -> Option<usize> {
-        let mut m = self.l4_mask(l4);
-        m.and_with(&self.methods.mask(l7.method));
-        m.and_with(self.path.lookup(l7.path));
-        m.and_with(&self.sni.mask(l7.sni));
-        for slot in &self.headers {
-            m.and_with(&slot.mask(l7.headers));
-        }
-        m.first_set()
+        self.first_match(l4, Some(l7))
     }
 
     /// The gateway L7 path's verdict.
@@ -718,13 +783,13 @@ mod tests {
     }
 
     #[test]
-    fn ruleset_first_set_and_tail_masking() {
+    fn ruleset_bits_and_tail_masking() {
         let mut s = RuleSet::empty(70);
-        assert_eq!(s.first_set(), None);
         s.set(65);
         s.set(3);
-        assert_eq!(s.first_set(), Some(3));
-        assert!(s.contains(65));
+        s.set(70); // past the end: ignored
+        assert!(s.contains(65) && s.contains(3) && !s.contains(4));
+        assert_eq!((s.word(0), s.word(1)), (1 << 3, 1 << 1));
         let f = RuleSet::full(70);
         assert!(f.contains(69));
         assert!(!f.contains(70));
@@ -803,6 +868,27 @@ mod tests {
         assert_eq!(verdict(&[("X-Team", "infra"), ("X-Trace", "1")]), PolicyVerdict::Allow);
         assert_eq!(verdict(&[("X-Team", "infra")]), PolicyVerdict::Deny);
         assert_eq!(verdict(&[("X-Team", "other"), ("X-Trace", "1")]), PolicyVerdict::Deny);
+    }
+
+    #[test]
+    fn unconstrained_dimensions_contribute_every_rule() {
+        // 70 rules are one full mask word and a six-bit tail. Only the
+        // identity dimension is constrained; every other one is skipped.
+        let mut rules: Vec<PolicyRule> = (0..69).map(|_| PolicyRule::deny().with_identities(&[1])).collect();
+        rules.push(PolicyRule::allow());
+        let c = CompiledTenant::compile(&tenant_policy(rules)).unwrap_or_else(|e| panic!("{e}"));
+        let l7 = L7Ctx { method: "GET", path: "/x", sni: Some("a.b"), headers: &[("X-Any", "1")] };
+        assert_eq!(c.l7_match(&l4(1, 1, 80, 1), &l7), Some(0));
+        assert_eq!(c.l7_match(&l4(1, 1, 80, 2), &l7), Some(69), "found in the tail word");
+        assert_eq!(c.l4_verdict(&l4(1, 1, 80, 2)), L4Verdict::Allow);
+        // Nothing constrained at all: the tail mask alone decides.
+        let open = tenant_policy((0..70).map(|_| PolicyRule::allow()).collect());
+        let c = CompiledTenant::compile(&open).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(c.l7_match(&l4(1, 1, 80, 2), &l7), Some(0));
+        // And no rule at all: no word to walk.
+        let c = CompiledTenant::empty(PolicyVerdict::Allow);
+        assert_eq!(c.l7_match(&l4(1, 1, 80, 2), &l7), None);
+        assert_eq!(c.l7_verdict(&l4(1, 1, 80, 2), &l7), PolicyVerdict::Allow);
     }
 
     #[test]

@@ -164,6 +164,66 @@ fn compiled_matches_reference_and_is_digest_stable() {
     }
 }
 
+/// The streamed verdict (dimension masks ANDed word by word, stopping at
+/// the first word that keeps a bit) against the reference, where streaming
+/// matters: 260 rules are five mask words, narrow rules push first matches
+/// into the later words, and request header names arrive in mixed case
+/// with values that match, mismatch or are absent. The small policies are
+/// the other edge: with one to three rules most dimensions are constrained
+/// by no rule at all and are skipped rather than ANDed.
+#[test]
+fn streamed_verdicts_match_reference_across_mask_words() {
+    const MIXED: &[(&str, &str)] = &[
+        ("X-Team", "infra"),
+        ("x-TEAM", "payments"),
+        ("X-Trace", "1"),
+        ("Authorization", "bearer"),
+        ("x-team", "nobody"),
+        ("X-Unrelated", "1"),
+    ];
+    let mut rng = SimRng::seed(0x57E4_0001);
+    let mut by_word = [0usize; 5];
+    for case in 0..40 {
+        let n = [1, 2, 3, 70, 260][case % 5];
+        let tp = TenantPolicy {
+            tenant: TenantId(1),
+            vpc: VpcId(1),
+            rules: (0..n)
+                .map(|_| {
+                    // Constrain every rule of a large policy somewhere, so
+                    // few packets match early and the walk has to continue
+                    // past word 0.
+                    let mut r = random_rule(&mut rng);
+                    while n > 3 && r.source_cidr.is_none() && r.dest_ports.is_none() && r.headers.is_empty() {
+                        r = random_rule(&mut rng);
+                    }
+                    r
+                })
+                .collect(),
+            default_action: PolicyVerdict::Deny,
+        };
+        let compiled = match CompiledTenant::compile(&tp) {
+            Ok(c) => c,
+            Err(e) => panic!("random policy must validate: {e}"),
+        };
+        for _ in 0..PACKETS / 4 {
+            let (l4, method, path, sni, _) = random_ctx(&mut rng);
+            let l4 = L4Ctx { tenant: TenantId(1), vpc: VpcId(1), ..l4 };
+            let from = rng.index(MIXED.len());
+            let headers = &MIXED[from..from + rng.index(MIXED.len() - from + 1)];
+            let l7 = L7Ctx { method, path, sni, headers };
+            assert_eq!(compiled.l4_verdict(&l4), reference_l4_verdict(&tp, &l4), "{l4:?}");
+            let got = compiled.l7_match(&l4, &l7);
+            assert_eq!(got, reference_l7_match(&tp, &l4, &l7), "{l4:?} {method} {path} {sni:?} {headers:?}");
+            assert_eq!(compiled.l7_verdict(&l4, &l7), reference_l7_verdict(&tp, &l4, &l7));
+            if let Some(i) = got {
+                by_word[i / 64] += 1;
+            }
+        }
+    }
+    assert!(by_word.iter().all(|&n| n > 0), "first matches per mask word: {by_word:?}");
+}
+
 #[test]
 fn no_cross_tenant_match_over_overlapping_vpc_spaces() {
     for seed in [7, 99, 2024] {

@@ -100,6 +100,16 @@ cargo run -q --release -p canal-bench --bin failover -- --fast \
     --json target/failover.json \
     --bench "target/BENCH_$(date +%F)_failover.json" >/dev/null
 
+# Benchmark smoke: the committed benchmark (BENCHMARK.json, benchmark/)
+# is a package outside the workspace, so nothing above compiles it. The
+# smoke run drives every workload at 1% of its work with every output
+# checked; the package's own tests hold it to the BENCHMARK.json contract.
+# Both build into the same target directory run.sh uses.
+echo "==> benchmark smoke (all five workloads, outputs checked) + contract tests"
+bash benchmark/run.sh --smoke >/dev/null
+bench_target="$(mkdir -p "${CARGO_TARGET_DIR:-target}" && cd "${CARGO_TARGET_DIR:-target}" && pwd)"
+(cd benchmark && CARGO_TARGET_DIR="$bench_target" cargo test --release --offline -q)
+
 # Clippy enforces the [workspace.lints] table where available; the lint
 # binary above already covers the determinism rules, so a missing clippy
 # (minimal toolchains) downgrades to a note rather than a failure.
