@@ -4,43 +4,19 @@
 //! chaos                              # full 120 s recovery timeline
 //! chaos --fast                       # compressed smoke run (scripts/check.sh)
 //! chaos --seed 7                     # different seed
-//! chaos --bench target/BENCH_x.json  # also write a throughput trajectory point
 //! ```
 //!
 //! Exit code is non-zero if the availability invariant is violated (a
 //! request failed while ground truth had a live replica in a live AZ) or
 //! any paper-vs-measured check missed.
 
-use std::time::Instant;
-
+use canal_bench::cli::{gate, gate_checks, take_flag, take_value};
 use canal_bench::experiments::chaos::{report_for, run_chaos, ChaosParams};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    let mut bench_path = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        args.remove(pos);
-        if pos < args.len() {
-            bench_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--bench takes a path");
-            std::process::exit(2);
-        }
-    }
-    let fast = args.iter().any(|a| a == "--fast");
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    let fast = take_flag(&mut args, "--fast");
     let params = if fast {
         ChaosParams::fast()
     } else {
@@ -53,59 +29,15 @@ fn main() {
     // The hard invariant, independent of the report's bands: with the fault
     // plan active and retries on, a service with >=1 live replica in a live
     // AZ serves every request.
-    let started = Instant::now();
     let outcome = run_chaos(seed, &params);
-    let wall = started.elapsed().as_secs_f64();
-    if let Some(path) = bench_path {
-        let json = render_bench(seed, fast, wall, &outcome);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("FAIL: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("bench point written to {path}");
-    }
     let canal_violations = outcome
         .arch("canal")
         .map(|a| a.invariant_violations)
         .unwrap_or(u64::MAX);
     println!("digest: {:#018x}", outcome.digest());
-    if canal_violations != 0 {
-        eprintln!("FAIL: canal availability invariant violated ({canal_violations} requests)");
-        std::process::exit(1);
-    }
-    // In --fast smoke mode only the invariant gates; the tuned bands are
-    // asserted at full scale by the experiments driver.
-    if !fast && report.checks.iter().any(|c| !c.pass) {
-        let missed = report.checks.iter().filter(|c| !c.pass).count();
-        eprintln!("FAIL: {missed} fig8 checks missed");
-        std::process::exit(1);
-    }
-}
-
-/// One throughput-trajectory point: how fast this machine pushes the Fig. 8
-/// chaos timeline (all architectures), for the dated `BENCH_<date>_fig8.json`
-/// series CI archives per commit. Hand-rolled JSON — no serde in the
-/// workspace.
-fn render_bench(
-    seed: u64,
-    fast: bool,
-    wall_seconds: f64,
-    outcome: &canal_bench::experiments::chaos::ChaosOutcome,
-) -> String {
-    let wall = wall_seconds.max(1e-9);
-    let offered: u64 = outcome.archs.iter().map(|a| a.offered).sum();
-    let attempts: u64 = outcome.archs.iter().map(|a| a.attempts).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"fig8\",\n");
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"mode\": \"{}\",\n", if fast { "fast" } else { "full" }));
-    s.push_str(&format!("  \"wall_seconds\": {wall_seconds:.6},\n"));
-    s.push_str(&format!("  \"archs\": {},\n", outcome.archs.len()));
-    s.push_str(&format!("  \"plan_events\": {},\n", outcome.plan_events));
-    s.push_str(&format!("  \"offered\": {offered},\n"));
-    s.push_str(&format!("  \"attempts\": {attempts},\n"));
-    s.push_str(&format!("  \"attempts_per_sec\": {:.1}\n", attempts as f64 / wall));
-    s.push_str("}\n");
-    s
+    gate(
+        canal_violations == 0,
+        &format!("canal availability invariant violated ({canal_violations} requests)"),
+    );
+    gate_checks(fast, &report, "fig8");
 }

@@ -5,7 +5,6 @@
 //! drill --fast                       # 4x compressed smoke run (scripts/check.sh)
 //! drill --seed 7                     # different seed
 //! drill --json target/drill.json     # also write a machine-readable report
-//! drill --bench target/BENCH_x.json  # also write a throughput trajectory point
 //! ```
 //!
 //! Exit code is non-zero unless the drill invariant holds: the planned
@@ -19,92 +18,33 @@
 //! fleet on exactly one config version. Double runs must be bit-identical.
 //! At full scale every report check gates too.
 
-use std::time::Instant;
-
+use canal_bench::cli::{gate, gate_checks, report_json, take_flag, take_value, write_report};
 use canal_bench::experiments::drill::{report_for, run_drill, DrillParams};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    let mut json_path = None;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        if pos < args.len() {
-            json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--json takes a path");
-            std::process::exit(2);
-        }
-    }
-    let mut bench_path = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        args.remove(pos);
-        if pos < args.len() {
-            bench_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--bench takes a path");
-            std::process::exit(2);
-        }
-    }
-    let fast = args.iter().any(|a| a == "--fast");
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    let json_path: Option<String> = take_value(&mut args, "--json", "a path");
+    let fast = take_flag(&mut args, "--fast");
     let params = if fast { DrillParams::fast() } else { DrillParams::full() };
 
     let report = report_for(seed, &params);
     println!("{}", report.render());
 
-    let started = Instant::now();
     let outcome = run_drill(seed, &params);
-    let wall = started.elapsed().as_secs_f64();
     let rerun = run_drill(seed, &params);
     println!("digest: {:#018x}", outcome.digest());
 
     if let Some(path) = json_path {
-        let json = render_json(seed, fast, &outcome, &report);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("FAIL: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("report written to {path}");
-    }
-    if let Some(path) = bench_path {
-        let json = render_bench(seed, fast, wall, &outcome);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("FAIL: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("bench point written to {path}");
+        write_report(&path, render_json(seed, fast, &outcome, &report));
     }
 
-    if outcome.digest() != rerun.digest() {
-        eprintln!("FAIL: double run diverged (determinism broken)");
-        std::process::exit(1);
-    }
-    if !outcome.drill_ok() {
-        eprintln!("FAIL: drill invariant violated (drain / gray / partition / convergence)");
-        std::process::exit(1);
-    }
-    // In --fast smoke mode only the invariant gates; the tuned bands are
-    // asserted at full scale by the experiments driver.
-    if !fast && report.checks.iter().any(|c| !c.pass) {
-        let missed = report.checks.iter().filter(|c| !c.pass).count();
-        eprintln!("FAIL: {missed} drill checks missed");
-        std::process::exit(1);
-    }
+    gate(outcome.digest() == rerun.digest(), "double run diverged (determinism broken)");
+    gate(outcome.drill_ok(), "drill invariant violated (drain / gray / partition / convergence)");
+    gate_checks(fast, &report, "drill");
 }
 
-/// Hand-rolled JSON (no serde in the workspace): the CI-archived artifact.
+/// The CI-archived report: this bin's section inside the shared envelope.
 fn render_json(
     seed: u64,
     fast: bool,
@@ -113,12 +53,6 @@ fn render_json(
 ) -> String {
     let c = &outcome.canal;
     let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"drill\",\n");
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"mode\": \"{}\",\n", if fast { "fast" } else { "full" }));
-    s.push_str(&format!("  \"digest\": \"{:#018x}\",\n", outcome.digest()));
-    s.push_str(&format!("  \"drill_ok\": {},\n", outcome.drill_ok()));
     s.push_str("  \"canal\": {\n");
     s.push_str(&format!("    \"requests\": {},\n", c.requests));
     s.push_str(&format!("    \"errors\": {},\n", c.errors));
@@ -142,42 +76,5 @@ fn render_json(
     s.push_str(&format!("    \"one_converged_version\": {},\n", c.one_converged_version));
     s.push_str(&format!("    \"last_good\": {}\n", c.last_good));
     s.push_str("  },\n");
-    s.push_str("  \"checks\": [\n");
-    for (i, check) in report.checks.iter().enumerate() {
-        let comma = if i + 1 == report.checks.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": {:?}, \"pass\": {}}}{comma}\n",
-            check.name, check.pass
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// One throughput-trajectory point: how fast this machine pushes the drill
-/// simulation, for the `BENCH_<date>.json` series CI archives per commit.
-fn render_bench(
-    seed: u64,
-    fast: bool,
-    wall_seconds: f64,
-    outcome: &canal_bench::experiments::drill::DrillOutcome,
-) -> String {
-    let c = &outcome.canal;
-    let wall = wall_seconds.max(1e-9);
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"drill\",\n");
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"mode\": \"{}\",\n", if fast { "fast" } else { "full" }));
-    s.push_str(&format!("  \"wall_seconds\": {wall_seconds:.6},\n"));
-    s.push_str(&format!("  \"events\": {},\n", c.events));
-    s.push_str(&format!("  \"events_per_sec\": {:.1},\n", c.events as f64 / wall));
-    s.push_str(&format!("  \"requests_per_sec\": {:.1},\n", c.requests as f64 / wall));
-    s.push_str(&format!(
-        "  \"bytes_per_req\": {:.1}\n",
-        c.total_bytes as f64 / c.requests.max(1) as f64
-    ));
-    s.push_str("}\n");
-    s
+    report_json("drill", seed, fast, outcome.digest(), ("drill_ok", outcome.drill_ok()), &s, report)
 }

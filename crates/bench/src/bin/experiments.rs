@@ -10,6 +10,7 @@
 //!
 //! Exit code is non-zero if any paper-vs-measured check missed its band.
 
+use canal_bench::cli::{take_flag, take_value};
 use canal_bench::{run_experiment, ExperimentReport, ALL_EXPERIMENTS};
 
 /// Run experiments concurrently (they are independent and seeded), keeping
@@ -42,31 +43,14 @@ fn run_all(ids: &[String], seed: u64) -> Vec<(String, Option<ExperimentReport>)>
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    if args.iter().any(|a| a == "--list") {
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    if take_flag(&mut args, "--list") {
         for id in ALL_EXPERIMENTS {
             println!("{id}");
         }
         return;
     }
-    let markdown = if let Some(pos) = args.iter().position(|a| a == "--markdown") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
+    let markdown = take_flag(&mut args, "--markdown");
     let ids: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
         ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {

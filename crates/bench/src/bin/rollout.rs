@@ -13,24 +13,13 @@
 //! change is contained to the canary wave. At full scale every report
 //! check gates too.
 
+use canal_bench::cli::{gate, gate_checks, take_flag, take_value};
 use canal_bench::experiments::rollout::{report_for, run_rollout, RolloutParams};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    let fast = args.iter().any(|a| a == "--fast");
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    let fast = take_flag(&mut args, "--fast");
     let params = if fast {
         RolloutParams::fast()
     } else {
@@ -42,15 +31,6 @@ fn main() {
 
     let outcome = run_rollout(seed, &params);
     println!("digest: {:#018x}", outcome.digest());
-    if !outcome.rollout_ok() {
-        eprintln!("FAIL: safe-rollout invariant violated (blast radius / rollback / fail-static)");
-        std::process::exit(1);
-    }
-    // In --fast smoke mode only the invariant gates; the tuned bands are
-    // asserted at full scale by the experiments driver.
-    if !fast && report.checks.iter().any(|c| !c.pass) {
-        let missed = report.checks.iter().filter(|c| !c.pass).count();
-        eprintln!("FAIL: {missed} rollout checks missed");
-        std::process::exit(1);
-    }
+    gate(outcome.rollout_ok(), "safe-rollout invariant violated (blast radius / rollback / fail-static)");
+    gate_checks(fast, &report, "rollout");
 }

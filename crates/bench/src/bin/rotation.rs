@@ -16,34 +16,14 @@
 //! batches, and the key-server backlog fully drains. Double runs must be
 //! bit-identical. At full scale every report check gates too.
 
+use canal_bench::cli::{gate, gate_checks, report_json, take_flag, take_value, write_report};
 use canal_bench::experiments::handshake::{report_for, run_handshake, HandshakeParams};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    let mut json_path = None;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        if pos < args.len() {
-            json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--json takes a path");
-            std::process::exit(2);
-        }
-    }
-    let fast = args.iter().any(|a| a == "--fast");
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    let json_path: Option<String> = take_value(&mut args, "--json", "a path");
+    let fast = take_flag(&mut args, "--fast");
     let params = if fast {
         HandshakeParams::fast()
     } else {
@@ -58,32 +38,15 @@ fn main() {
     println!("digest: {:#018x}", outcome.digest());
 
     if let Some(path) = json_path {
-        let json = render_json(seed, fast, &outcome, &report);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("FAIL: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("report written to {path}");
+        write_report(&path, render_json(seed, fast, &outcome, &report));
     }
 
-    if outcome.digest() != rerun.digest() {
-        eprintln!("FAIL: double run diverged (determinism broken)");
-        std::process::exit(1);
-    }
-    if !outcome.rotation_ok() {
-        eprintln!("FAIL: cert-lifecycle invariant violated (storm / rollback / revocation)");
-        std::process::exit(1);
-    }
-    // In --fast smoke mode only the invariant gates; the tuned bands are
-    // asserted at full scale by the experiments driver.
-    if !fast && report.checks.iter().any(|c| !c.pass) {
-        let missed = report.checks.iter().filter(|c| !c.pass).count();
-        eprintln!("FAIL: {missed} handshake checks missed");
-        std::process::exit(1);
-    }
+    gate(outcome.digest() == rerun.digest(), "double run diverged (determinism broken)");
+    gate(outcome.rotation_ok(), "cert-lifecycle invariant violated (storm / rollback / revocation)");
+    gate_checks(fast, &report, "handshake");
 }
 
-/// Hand-rolled JSON (no serde in the workspace): the CI-archived artifact.
+/// The CI-archived report: this bin's section inside the shared envelope.
 fn render_json(
     seed: u64,
     fast: bool,
@@ -92,12 +55,6 @@ fn render_json(
 ) -> String {
     let c = &outcome.canal;
     let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"handshake\",\n");
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"mode\": \"{}\",\n", if fast { "fast" } else { "full" }));
-    s.push_str(&format!("  \"digest\": \"{:#018x}\",\n", outcome.digest()));
-    s.push_str(&format!("  \"rotation_ok\": {},\n", outcome.rotation_ok()));
     s.push_str("  \"canal\": {\n");
     s.push_str(&format!("    \"rotated_certs\": {},\n", c.rotated_certs));
     s.push_str(&format!("    \"full_handshakes\": {},\n", c.full_handshakes));
@@ -114,15 +71,5 @@ fn render_json(
     s.push_str(&format!("    \"rotations_converged\": {},\n", c.rotations_converged));
     s.push_str(&format!("    \"rotations_rolled_back\": {}\n", c.rotations_rolled_back));
     s.push_str("  },\n");
-    s.push_str("  \"checks\": [\n");
-    for (i, check) in report.checks.iter().enumerate() {
-        let comma = if i + 1 == report.checks.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": {:?}, \"pass\": {}}}{comma}\n",
-            check.name, check.pass
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    report_json("handshake", seed, fast, outcome.digest(), ("rotation_ok", outcome.rotation_ok()), &s, report)
 }

@@ -4,7 +4,6 @@
 //! surge                              # full 30 s-per-pass run
 //! surge --fast                       # compressed smoke run (scripts/check.sh)
 //! surge --seed 7                     # different seed
-//! surge --bench target/BENCH_x.json  # also write a throughput trajectory point
 //! ```
 //!
 //! Exit code is non-zero unless the isolation invariant holds: under the
@@ -13,36 +12,13 @@
 //! goodput degrades gracefully (shed engages, goodput stays above the
 //! floor). At full scale every report check gates too.
 
-use std::time::Instant;
-
-use canal_bench::experiments::overload::{report_for, run_surge, SurgeParams, REQUEST_BYTES};
+use canal_bench::cli::{gate, gate_checks, take_flag, take_value};
+use canal_bench::experiments::overload::{report_for, run_surge, SurgeParams};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    let mut bench_path = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        args.remove(pos);
-        if pos < args.len() {
-            bench_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--bench takes a path");
-            std::process::exit(2);
-        }
-    }
-    let fast = args.iter().any(|a| a == "--fast");
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    let fast = take_flag(&mut args, "--fast");
     let params = if fast {
         SurgeParams::fast()
     } else {
@@ -52,64 +28,9 @@ fn main() {
     let report = report_for(seed, &params);
     println!("{}", report.render());
 
-    let started = Instant::now();
     let outcome = run_surge(seed, &params);
-    let wall = started.elapsed().as_secs_f64();
     println!("digest: {:#018x}", outcome.digest());
 
-    if let Some(path) = bench_path {
-        let json = render_bench(seed, fast, wall, &outcome);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("FAIL: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("bench point written to {path}");
-    }
-    if !outcome.isolation_ok() {
-        eprintln!("FAIL: tenant-isolation invariant violated under surge");
-        std::process::exit(1);
-    }
-    // In --fast smoke mode only the invariant gates; the tuned bands are
-    // asserted at full scale by the experiments driver.
-    if !fast && report.checks.iter().any(|c| !c.pass) {
-        let missed = report.checks.iter().filter(|c| !c.pass).count();
-        eprintln!("FAIL: {missed} overload checks missed");
-        std::process::exit(1);
-    }
-}
-
-/// One throughput-trajectory point: how fast this machine pushes the
-/// overload simulation, for the `BENCH_<date>.json` series CI archives
-/// per commit.
-fn render_bench(
-    seed: u64,
-    fast: bool,
-    wall_seconds: f64,
-    outcome: &canal_bench::experiments::overload::SurgeOutcome,
-) -> String {
-    let wall = wall_seconds.max(1e-9);
-    let mut offered = 0u64;
-    let mut started = 0u64;
-    for p in &outcome.placements {
-        for pass in [&p.baseline, &p.surge] {
-            for t in &pass.tenants {
-                offered += t.offered;
-                started += t.started;
-            }
-        }
-    }
-    // Arrival + service events across every placement and pass.
-    let events = offered + started;
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"surge\",\n");
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"mode\": \"{}\",\n", if fast { "fast" } else { "full" }));
-    s.push_str(&format!("  \"wall_seconds\": {wall_seconds:.6},\n"));
-    s.push_str(&format!("  \"events\": {events},\n"));
-    s.push_str(&format!("  \"events_per_sec\": {:.1},\n", events as f64 / wall));
-    s.push_str(&format!("  \"requests_per_sec\": {:.1},\n", offered as f64 / wall));
-    s.push_str(&format!("  \"bytes_per_req\": {:.1}\n", REQUEST_BYTES as f64));
-    s.push_str("}\n");
-    s
+    gate(outcome.isolation_ok(), "tenant-isolation invariant violated under surge");
+    gate_checks(fast, &report, "overload");
 }

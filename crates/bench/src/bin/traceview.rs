@@ -14,24 +14,13 @@
 //! runs with the same seed produce bit-identical outcome digests. At full
 //! scale every report check gates too.
 
+use canal_bench::cli::{gate, gate_checks, take_flag, take_value};
 use canal_bench::experiments::trace::{report_for, run_trace, TraceParams};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        args.remove(pos);
-        if pos < args.len() {
-            seed = match args.remove(pos).parse() {
-                Ok(s) => s,
-                Err(_) => {
-                    eprintln!("--seed takes a u64");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    let fast = args.iter().any(|a| a == "--fast");
+    let seed = take_value(&mut args, "--seed", "a u64").unwrap_or(42u64);
+    let fast = take_flag(&mut args, "--fast");
     let params = if fast {
         TraceParams::fast()
     } else {
@@ -47,14 +36,10 @@ fn main() {
     // Determinism gate: the same seed must reproduce the same outcome
     // bit for bit, including every sampling decision and RCA verdict.
     let again = run_trace(seed, &params);
-    if again.digest() != outcome.digest() {
-        eprintln!(
-            "FAIL: double run diverged ({:#018x} vs {:#018x})",
-            outcome.digest(),
-            again.digest()
-        );
-        std::process::exit(1);
-    }
+    gate(
+        again.digest() == outcome.digest(),
+        &format!("double run diverged ({:#018x} vs {:#018x})", outcome.digest(), again.digest()),
+    );
 
     let failures = outcome.invariant_failures();
     if !failures.is_empty() {
@@ -63,11 +48,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    // In --fast smoke mode only the invariants gate; the tuned bands are
-    // asserted at full scale by the experiments driver.
-    if !fast && report.checks.iter().any(|c| !c.pass) {
-        let missed = report.checks.iter().filter(|c| !c.pass).count();
-        eprintln!("FAIL: {missed} trace checks missed");
-        std::process::exit(1);
-    }
+    gate_checks(fast, &report, "trace");
 }

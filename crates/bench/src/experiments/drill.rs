@@ -479,16 +479,8 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         }
 
         // 4. Deliver config pushes: a partitioned target never sees one.
-        let mut due: Vec<(u64, u32)> = Vec::new();
-        pending_pushes.retain(|&(when, version, t)| {
-            if when <= now {
-                due.push((version, t));
-                false
-            } else {
-                true
-            }
-        });
-        for (version, target) in due {
+        let due: Vec<_> = pending_pushes.extract_if(.., |&mut (when, ..)| when <= now).collect();
+        for (_, version, target) in due {
             events += 1;
             if state.control_partitioned(target) {
                 dropped_pushes += 1;

@@ -24,7 +24,7 @@
 //!   resumes pushing (stale waves *and* a version-legal rollback) at its
 //!   old epoch while the recovered controller runs at epoch+1. Every
 //!   zombie push is fenced by the data plane's monotone epoch floor
-//!   ([`ConfigRejection::StaleEpoch`]); the fleet never diverges.
+//!   ([`Rejection::StaleEpoch`]); the fleet never diverges.
 //!
 //! A journal-less baseline (sidecar / ambient control planes restart
 //! blind) is priced analytically for comparison: full-fleet re-push with
@@ -36,13 +36,13 @@
 //! [`Journal`]: canal_control::Journal
 //! [`RolloutController::recover`]: canal_control::rollout::RolloutController::recover
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
-//! [`ConfigRejection::StaleEpoch`]: canal_gateway::ConfigRejection::StaleEpoch
+//! [`Rejection::StaleEpoch`]: canal_gateway::Rejection::StaleEpoch
 
 use crate::harness::{Check, ExperimentReport};
 use canal_control::rollout::{
     HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutPhase,
 };
-use canal_gateway::{ActiveConfig, ConfigRejection, ConfigSpec, RouteSpec};
+use canal_gateway::{ActiveConfig, ConfigSpec, Rejection, RouteSpec};
 use canal_net::GlobalServiceId;
 use canal_sim::faults::{FaultPlan, FaultState, FaultTopology};
 use canal_sim::output::Table;
@@ -507,15 +507,7 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         // 5. Northbound acks (one-tick delay). An ack addressed to a dead
         //    or superseded incarnation is lost — exactly the window the
         //    journal's anti-entropy pass covers.
-        let mut due_acks = Vec::new();
-        acks.retain(|a| {
-            if a.due <= now {
-                due_acks.push(*a);
-                false
-            } else {
-                true
-            }
-        });
+        let due_acks: Vec<AckMsg> = acks.extract_if(.., |a| a.due <= now).collect();
         for a in due_acks {
             m.events += 1;
             if let Some(c) = ctl.as_mut() {
@@ -565,15 +557,7 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         }
 
         // 8. Southbound deliveries: stage-fenced, then commit-or-NACK.
-        let mut due_pushes = Vec::new();
-        pushes.retain(|p| {
-            if p.due <= now {
-                due_pushes.push(p.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let due_pushes: Vec<_> = pushes.extract_if(.., |p| p.due <= now).collect();
         for p in due_pushes {
             m.events += 1;
             let ac = &mut fleet[p.target as usize];
@@ -588,17 +572,15 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
             let outcome = if p.rollback {
                 ac.roll_back_to_fenced(now, make_spec(p.version), &services, p.epoch)
             } else {
-                match ac.stage_fenced(make_spec(p.version), p.epoch) {
-                    Ok(()) => ac.commit_staged(now, &services),
-                    Err(rej) => Err(rej),
-                }
+                ac.stage_fenced(make_spec(p.version), p.epoch)
+                    .and_then(|()| ac.commit(now, &services))
             };
             match outcome {
                 Ok(v) => {
                     m.commits += 1;
                     acks.push(AckMsg { due: now + tick, target: p.target, version: v, epoch: p.epoch });
                 }
-                Err(ConfigRejection::StaleEpoch { .. }) => {
+                Err(Rejection::StaleEpoch { .. }) => {
                     if p.zombie {
                         m.zombie_fenced += 1;
                     } else {

@@ -54,6 +54,7 @@
 //! [`ActiveCertBundle`]: canal_gateway::ActiveCertBundle
 //! [`BatchAccelerator`]: canal_crypto::accel::BatchAccelerator
 
+use crate::experiments::southbound::deliver;
 use crate::harness::{Check, ExperimentReport};
 use canal_control::{
     CertRotationController, RolloutAction, RolloutConfig, RolloutResult, RotationConfig,
@@ -493,7 +494,7 @@ pub fn run_canal(
                 .map(|&t| {
                     let mut slot = ActiveCertBundle::new();
                     slot.stage(bootstrap(t));
-                    slot.commit_staged(SimTime::ZERO, t).ok();
+                    slot.commit(SimTime::ZERO, t).ok();
                     (t, slot)
                 })
                 .collect()
@@ -645,22 +646,10 @@ pub fn run_canal(
 
         // 3. Deliver pushes/rollbacks whose propagation delay elapsed.
         let mut due: Vec<(u64, u32, bool)> = Vec::new();
-        pending_pushes.retain(|&(at, version, t)| {
-            if at <= now {
-                due.push((version, t, false));
-                false
-            } else {
-                true
-            }
-        });
-        pending_rollbacks.retain(|&(at, version, t)| {
-            if at <= now {
-                due.push((version, t, true));
-                false
-            } else {
-                true
-            }
-        });
+        for (queue, is_rollback) in [(&mut pending_pushes, false), (&mut pending_rollbacks, true)] {
+            let arrived = queue.extract_if(.., |&mut (at, ..)| at <= now);
+            due.extend(arrived.map(|(_, version, t)| (version, t, is_rollback)));
+        }
         for (version, target, is_rollback) in due {
             let Some(spec) = ctl.bundle(version).cloned() else {
                 continue;
@@ -673,18 +662,10 @@ pub fn run_canal(
                 slot.roll_back_to(now, spec, tenant).ok();
                 continue;
             }
-            slot.stage(spec);
-            match slot.commit_staged(now, tenant) {
-                Ok(v) => {
-                    if poison_versions.contains(&v) {
-                        poison_committed += 1;
-                    }
-                    ctl.ack(target, v, now);
-                }
-                Err(_rejection) => {
-                    nacks += 1;
-                    ctl.nack(target, version);
-                }
+            match deliver(slot, spec, now, tenant, &mut ctl, target) {
+                Ok(v) if poison_versions.contains(&v) => poison_committed += 1,
+                Ok(_) => {}
+                Err(_rejection) => nacks += 1,
             }
         }
 

@@ -18,4 +18,5 @@ pub mod perf;
 pub mod policy;
 pub mod resource;
 pub mod rollout;
+pub mod southbound;
 pub mod trace;

@@ -46,7 +46,7 @@ const SURGER: u32 = 1;
 /// Fraction of each tenant's traffic that is interactive (the rest is bulk).
 const INTERACTIVE_FRACTION: f64 = 0.75;
 /// Request payload size offered to the byte caps.
-pub const REQUEST_BYTES: u64 = 8 << 10;
+const REQUEST_BYTES: u64 = 8 << 10;
 /// Telemetry sampling period for the control-plane monitor.
 const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(250);
 

@@ -41,14 +41,13 @@
 //! [`AlertKind::PolicyDeny`]: canal_control::AlertKind
 
 use crate::experiments::rollout::ArmOutcome;
+use crate::experiments::southbound::{ambient_arm, deliver, istio_arm};
 use crate::harness::{Check, ExperimentReport};
-use canal_control::configure::ConfigPlane;
 use canal_control::{
     AlertKind, HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutResult,
     WaterLevelMonitor,
 };
 use canal_gateway::ActivePolicy;
-use canal_mesh::arch::{Architecture, ClusterShape};
 use canal_mesh::L4Filter;
 use canal_net::{TenantId, VpcId};
 use canal_policy::{
@@ -65,12 +64,6 @@ use std::collections::BTreeSet;
 const TENANT_IDS: [u32; 2] = [1, 2];
 /// Source /24 both tenants block (rule 1, L4-only).
 const BLOCKED_CIDR: Cidr = Cidr { base: 0x0A00_C800, prefix_len: 24 };
-/// Operator detection delay for the blind-push arms, scaled by
-/// `time_scale`.
-const DETECT_SECS: f64 = 15.0;
-/// Ambient's per-waypoint push pacing (not time-compressed, as in the
-/// rollout experiment, so fast mode still shows partial exposure).
-const AMBIENT_GAP_SECS: f64 = 1.0;
 /// Steady tail latency fed to the health gate (the gate trips on the
 /// unexpected-deny rate here, never on latency).
 const STEADY_P99: SimDuration = SimDuration::from_millis(5);
@@ -467,7 +460,6 @@ fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arriv
     let mut gws: Vec<ActivePolicy> = (0..params.fleet).map(|_| ActivePolicy::new()).collect();
     let mut nodes: Vec<L4Filter> = (0..params.fleet).map(|_| L4Filter::new()).collect();
     let mut committed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); params.fleet];
-    let mut running: Vec<u64> = vec![0; params.fleet];
     let mut store = PolicyStore::new();
 
     let mut state = FaultState::new(&FaultTopology { backends: Vec::new() });
@@ -508,7 +500,7 @@ fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arriv
             let a = stream[ar_idx];
             ar_idx += 1;
             gw_window[a.gw].0 += 1;
-            let enforcing = running[a.gw] > 0;
+            let enforcing = gws[a.gw].running_version().is_some();
             let verdict = if enforcing {
                 events += 1;
                 match nodes[a.gw].admit(&a.l4()) {
@@ -534,7 +526,7 @@ fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arriv
                     .map(|s| s.l7_verdict(&a.l4(), &a.l7()))
                     .unwrap_or(PolicyVerdict::Deny);
                 if intended == PolicyVerdict::Allow {
-                    let rv = running[a.gw];
+                    let rv = gws[a.gw].running_version().unwrap_or(0);
                     if poisoned_versions.contains(&rv) {
                         errors_poison += 1;
                     } else if deny_version == Some(rv) {
@@ -594,20 +586,14 @@ fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arriv
                     );
                     for t in targets {
                         let gw = &mut gws[t as usize];
-                        gw.stage(spec.clone());
-                        match gw.commit_staged(now) {
+                        match deliver(gw, spec.clone(), now, (), &mut ctl, t) {
                             Ok(v) => {
-                                running[t as usize] = v;
                                 committed[t as usize].insert(v);
                                 if let Some(c) = gw.compiled() {
                                     nodes[t as usize].install(c.clone());
                                 }
-                                ctl.ack(t, v, now);
                             }
-                            Err(_rejection) => {
-                                nacks += 1;
-                                ctl.nack(t, version);
-                            }
+                            Err(_rejection) => nacks += 1,
                         }
                     }
                 }
@@ -622,8 +608,7 @@ fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arriv
                     );
                     for t in targets {
                         let gw = &mut gws[t as usize];
-                        if gw.roll_back_to(now, spec.clone()).is_ok() {
-                            running[t as usize] = to;
+                        if gw.roll_back_to(now, spec.clone(), ()).is_ok() {
                             committed[t as usize].insert(to);
                             if let Some(c) = gw.compiled() {
                                 nodes[t as usize].install(c.clone());
@@ -711,75 +696,18 @@ fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arriv
     }
 }
 
-/// Requests the intended baseline policy would allow — the ones a blindly
-/// applied broken policy (fail-closed) turns into errors.
-fn baseline_allows(stream: &[Arrival]) -> Vec<bool> {
-    let set = CompiledPolicySet::compile(&spec_for(1, false, false)).ok();
+/// Requests the intended baseline policy would allow, as `(arrival,
+/// gateway)`: the ones a blindly applied broken policy (fail-closed) turns
+/// into errors.
+fn baseline_allowed(stream: &[Arrival]) -> Vec<(SimTime, usize)> {
+    let Ok(set) = CompiledPolicySet::compile(&spec_for(1, false, false)) else {
+        return Vec::new();
+    };
     stream
         .iter()
-        .map(|a| {
-            set.as_ref()
-                .map(|s| s.l7_verdict(&a.l4(), &a.l7()) == PolicyVerdict::Allow)
-                .unwrap_or(false)
-        })
+        .filter(|a| set.l7_verdict(&a.l4(), &a.l7()) == PolicyVerdict::Allow)
+        .map(|a| (a.at, a.gw))
         .collect()
-}
-
-/// The istio arm: one full southbound push, blind apply (enforcement
-/// fails closed under the malformed policy), operator-scale detection,
-/// one full restore push.
-fn run_istio(params: &PolicyParams, plan: &FaultPlan, stream: &[Arrival], allows: &[bool]) -> ArmOutcome {
-    let bad_at = t_bad(plan);
-    let push = ConfigPlane::new(Architecture::Sidecar)
-        .push_update(&ClusterShape::production(params.fleet))
-        .push_time
-        .scale(params.time_scale);
-    let detect = SimDuration::from_secs_f64(DETECT_SECS).scale(params.time_scale);
-    let applied = bad_at + push;
-    let restored = bad_at + detect + push;
-    let errors = stream
-        .iter()
-        .zip(allows)
-        .filter(|(a, &ok)| ok && a.at >= applied && a.at < restored)
-        .count() as u64;
-    ArmOutcome {
-        name: "istio-full-push",
-        fleet: params.fleet,
-        exposed: params.fleet,
-        offered: stream.len() as u64,
-        errors,
-        ttr_s: (detect + push).as_secs_f64(),
-    }
-}
-
-/// The ambient arm: per-waypoint sequential blind pushes, halted
-/// mid-flight at operator detection, sequential restore at the same pace.
-fn run_ambient(params: &PolicyParams, plan: &FaultPlan, stream: &[Arrival], allows: &[bool]) -> ArmOutcome {
-    let bad_at = t_bad(plan);
-    let gap = SimDuration::from_secs_f64(AMBIENT_GAP_SECS);
-    let detect = SimDuration::from_secs_f64(DETECT_SECS).scale(params.time_scale);
-    let exposed = ((detect.as_nanos() / gap.as_nanos()) as usize + 1).min(params.fleet);
-    let halt = bad_at + detect;
-    let errors = stream
-        .iter()
-        .zip(allows)
-        .filter(|(a, &ok)| {
-            if !ok || a.gw >= exposed {
-                return false;
-            }
-            let applied = bad_at + gap.times(a.gw as u64);
-            let restored = halt + gap.times(a.gw as u64 + 1);
-            a.at >= applied && a.at < restored
-        })
-        .count() as u64;
-    ArmOutcome {
-        name: "ambient-waypoint",
-        fleet: params.fleet,
-        exposed,
-        offered: stream.len() as u64,
-        errors,
-        ttr_s: (detect + gap.times(exposed as u64)).as_secs_f64(),
-    }
 }
 
 /// Isolation gate: compile the overlapping two-tenant spec jointly and
@@ -900,10 +828,11 @@ fn cost_gate(seed: u64) -> (u64, u64, usize) {
 pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
     let plan = scripted_plan(params.time_scale);
     let stream = arrivals(seed, params);
-    let allows = baseline_allows(&stream);
     let canal = run_canal(seed, params, &plan, &stream);
-    let ambient = run_ambient(params, &plan, &stream, &allows);
-    let istio = run_istio(params, &plan, &stream, &allows);
+    let (bad_at, offered) = (t_bad(&plan), stream.len() as u64);
+    let at_risk = baseline_allowed(&stream);
+    let ambient = ambient_arm(params.fleet, params.time_scale, bad_at, offered, at_risk.iter().copied());
+    let istio = istio_arm(params.fleet, params.time_scale, bad_at, offered, at_risk.iter().copied());
     let (isolation_probes, cross_tenant_matches) = isolation_gate(seed, ISOLATION_PROBES);
     let (compiled_digest, reference_digest) = differential_gate(&stream);
     let (compiled_ops, naive_ops, cost_rules) = cost_gate(seed);

@@ -36,6 +36,7 @@
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
 //! [`FaultPlan`]: canal_sim::faults::FaultPlan
 
+use crate::experiments::southbound::{ambient_arm, deliver, istio_arm};
 use crate::harness::{Check, ExperimentReport};
 use canal_control::configure::ConfigPlane;
 use canal_control::{
@@ -54,12 +55,6 @@ use std::collections::BTreeSet;
 const SVC: GlobalServiceId = GlobalServiceId(7);
 /// The service the poisoned route table points at — placed nowhere.
 const BAD_SVC: GlobalServiceId = GlobalServiceId(404);
-/// Operator detection delay for the blind-push arms (monitoring pipeline +
-/// a human noticing), scaled by `time_scale`.
-const DETECT_SECS: f64 = 15.0;
-/// Ambient's per-waypoint push pacing (a policy constant, deliberately not
-/// time-compressed so fast mode still shows partial exposure).
-const AMBIENT_GAP_SECS: f64 = 1.0;
 /// Probability an arrival served under the degrading config errors.
 const DEGRADE_FAIL: f64 = 0.9;
 /// The availability SLO the budget-burn metric is charged against (99.9%).
@@ -428,7 +423,6 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
     let known: BTreeSet<GlobalServiceId> = [SVC].into_iter().collect();
     let mut gws: Vec<ActiveConfig> = (0..params.fleet).map(|_| ActiveConfig::new()).collect();
     let mut committed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); params.fleet];
-    let mut running: Vec<u64> = vec![0; params.fleet];
 
     let mut state = FaultState::new(&FaultTopology {
         backends: Vec::new(),
@@ -479,7 +473,7 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
             let a = stream[ar_idx];
             ar_idx += 1;
             window_offered += 1;
-            let rv = running[a.gw];
+            let rv = gws[a.gw].running_version().unwrap_or(0);
             let mut err = false;
             if rv > 0 && poisoned_versions.contains(&rv) {
                 errors_poison += 1;
@@ -539,18 +533,12 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
                     }
                     let poisoned = poisoned_versions.contains(&version);
                     for t in targets {
-                        let gw = &mut gws[t as usize];
-                        gw.stage(spec_for(version, poisoned));
-                        match gw.commit_staged(now, &known) {
+                        let spec = spec_for(version, poisoned);
+                        match deliver(&mut gws[t as usize], spec, now, &known, &mut ctl, t) {
                             Ok(v) => {
-                                running[t as usize] = v;
                                 committed[t as usize].insert(v);
-                                ctl.ack(t, v, now);
                             }
-                            Err(_rejection) => {
-                                nacks += 1;
-                                ctl.nack(t, version);
-                            }
+                            Err(_rejection) => nacks += 1,
                         }
                     }
                 }
@@ -587,7 +575,6 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
                             .roll_back_to(now, spec_for(to, poisoned), &known)
                             .is_ok()
                         {
-                            running[t as usize] = to;
                             committed[t as usize].insert(to);
                         }
                     }
@@ -680,67 +667,16 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
     }
 }
 
-/// The istio arm: one full southbound push, blind apply, operator-scale
-/// detection, one full rollback push.
-fn run_istio(params: &RolloutParams, plan: &FaultPlan, stream: &[Arrival]) -> ArmOutcome {
-    let tl = timeline(plan);
-    let push = ConfigPlane::new(Architecture::Sidecar)
-        .push_update(&ClusterShape::production(params.fleet))
-        .push_time
-        .scale(params.time_scale);
-    let detect = SimDuration::from_secs_f64(DETECT_SECS).scale(params.time_scale);
-    let applied = tl.t_bad + push;
-    let restored = tl.t_bad + detect + push;
-    let errors = stream
-        .iter()
-        .filter(|a| a.at >= applied && a.at < restored)
-        .count() as u64;
-    ArmOutcome {
-        name: "istio-full-push",
-        fleet: params.fleet,
-        exposed: params.fleet,
-        offered: stream.len() as u64,
-        errors,
-        ttr_s: (detect + push).as_secs_f64(),
-    }
-}
-
-/// The ambient arm: per-waypoint sequential pushes, blind apply, halted
-/// mid-flight at operator detection, sequential rollback at the same pace.
-fn run_ambient(params: &RolloutParams, plan: &FaultPlan, stream: &[Arrival]) -> ArmOutcome {
-    let tl = timeline(plan);
-    let gap = SimDuration::from_secs_f64(AMBIENT_GAP_SECS);
-    let detect = SimDuration::from_secs_f64(DETECT_SECS).scale(params.time_scale);
-    let exposed = ((detect.as_nanos() / gap.as_nanos()) as usize + 1).min(params.fleet);
-    let halt = tl.t_bad + detect;
-    let errors = stream
-        .iter()
-        .filter(|a| {
-            if a.gw >= exposed {
-                return false;
-            }
-            let applied = tl.t_bad + gap.times(a.gw as u64);
-            let restored = halt + gap.times(a.gw as u64 + 1);
-            a.at >= applied && a.at < restored
-        })
-        .count() as u64;
-    ArmOutcome {
-        name: "ambient-waypoint",
-        fleet: params.fleet,
-        exposed,
-        offered: stream.len() as u64,
-        errors,
-        ttr_s: (detect + gap.times(exposed as u64)).as_secs_f64(),
-    }
-}
-
 /// Run the whole blast-radius scenario. Fully deterministic in `seed`.
 pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
     let plan = scripted_plan(params.time_scale);
     let stream = arrivals(seed, params);
     let canal = run_canal(seed, params, &plan, &stream);
-    let ambient = run_ambient(params, &plan, &stream);
-    let istio = run_istio(params, &plan, &stream);
+    // Under a blind push every arrival on a proxy running the bad config errors.
+    let (t_bad, offered) = (timeline(&plan).t_bad, stream.len() as u64);
+    let at_risk = || stream.iter().map(|a| (a.at, a.gw));
+    let ambient = ambient_arm(params.fleet, params.time_scale, t_bad, offered, at_risk());
+    let istio = istio_arm(params.fleet, params.time_scale, t_bad, offered, at_risk());
     let blocked_availability = if canal.blocked_offered == 0 {
         1.0
     } else {

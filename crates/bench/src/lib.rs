@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod harness;
 pub mod microbench;

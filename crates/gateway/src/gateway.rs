@@ -15,6 +15,7 @@
 //! argument for why digests do not see any of that.
 
 use crate::config::{ActiveConfig, ConfigRejection, ConfigSpec};
+use crate::failstatic::Rejection;
 use crate::failure::{BackendKey, FailureDomain, PlacementView};
 use crate::overload::{
     AttemptKind, ClientId, OverloadConfig, OverloadControl, OverloadSignals,
@@ -265,7 +266,10 @@ impl Gateway {
     /// Validate and atomically commit the staged config against this
     /// gateway's known services. A rejection is the NACK the control plane
     /// records; the gateway keeps serving its last committed config.
-    pub fn commit_staged_config(&mut self, now: SimTime) -> Result<u64, ConfigRejection> {
+    pub fn commit_staged_config(
+        &mut self,
+        now: SimTime,
+    ) -> Result<u64, Rejection<ConfigRejection>> {
         self.active_config.commit_staged(now, &self.known_services)
     }
 
@@ -274,7 +278,7 @@ impl Gateway {
         &mut self,
         now: SimTime,
         spec: ConfigSpec,
-    ) -> Result<u64, ConfigRejection> {
+    ) -> Result<u64, Rejection<ConfigRejection>> {
         self.active_config.roll_back_to(now, spec, &self.known_services)
     }
 

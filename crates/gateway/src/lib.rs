@@ -30,21 +30,20 @@
 //!   tables: `Draining` stops new sessions at once, established sessions
 //!   daisy-chain to their owner until they close, and a deadline bounds the
 //!   window — planned failover loses zero established sessions.
-//! * [`certs`] — rollback-safe certificate distribution: the gateway's
-//!   `ActiveCertBundle { running, staged }` pair mirrors [`config`] for
-//!   trust bundles (tenant/generation/clock validation → NACK, fail-static
-//!   serving on the running bundle), plus the typed bridge from handshake
+//! * [`failstatic`] — the fail-static contract every distributed plane
+//!   commits through: one generic `{running, staged}` slot that stages a
+//!   push, checks it in the order fence, version, content, and only then
+//!   swaps it in atomically; any refusal is a NACK upstream and the gateway
+//!   keeps serving its last committed state (§2.2's bad-config outage
+//!   vector). The three planes below supply only their content check:
+//! * [`config`] — routes: unknown service, empty backend set, duplicate
+//!   route.
+//! * [`policy`] — tenant network policy: the content check is compilation
+//!   of the [`canal_policy::PolicySpec`], so the enforced spec and its
+//!   compiled tables never diverge.
+//! * [`certs`] — trust bundles: mismatched tenant, bad or regressed CA
+//!   generation, clock-skewed expiry; plus the typed bridge from handshake
 //!   [`canal_crypto::MtlsError`]s into the resilience layer.
-//! * [`config`] — version-skew-safe configuration: every gateway holds an
-//!   `ActiveConfig { running, staged }` pair, atomically commits or rejects
-//!   a staged version (semantic validation → NACK), and keeps serving the
-//!   last committed config when pushes are blocked or poisoned
-//!   (fail-static, §2.2's bad-config outage vector).
-//! * [`policy`] — the same fail-static contract for the network-policy
-//!   plane: `ActivePolicy { running, staged }` validates *and compiles* a
-//!   staged [`canal_policy::PolicySpec`] atomically, NACKing semantic
-//!   poison while the datapath keeps enforcing the last committed
-//!   compiled set (DESIGN.md §14).
 //! * [`gateway`] — the assembled gateway: service placement, per-backend
 //!   CPU/session accounting, request dispatch, and the water-level signals
 //!   the control plane consumes.
@@ -56,6 +55,7 @@
 pub mod certs;
 pub mod config;
 pub mod drain;
+pub mod failstatic;
 pub mod failure;
 pub mod gateway;
 pub mod health;
@@ -70,6 +70,7 @@ pub mod tunnel;
 pub use certs::{ActiveCertBundle, BundleRejection, CertBundleSpec, CertFault};
 pub use config::{ActiveConfig, ConfigRejection, ConfigSpec, RouteSpec};
 pub use drain::{DrainError, DrainPhase, DrainReject, GatewayDrain};
+pub use failstatic::{FailStatic, Plane, Rejection};
 pub use failure::{FailureDomain, PlacementView, UnknownDomain};
 pub use gateway::{BackendId, Gateway, GatewayConfig, ReplicaId};
 pub use health::HealthCheckPlan;
@@ -77,7 +78,7 @@ pub use overload::{
     AttemptKind, BrownoutController, BrownoutLevel, ClientId, CoDel, OverloadConfig,
     OverloadControl, OverloadSignals, RetryBudget, TelemetrySink,
 };
-pub use policy::{ActivePolicy, PolicyPushRejection};
+pub use policy::ActivePolicy;
 pub use redirector::{BucketTable, DispatchDecision};
 pub use resilience::{
     AttemptError, DispatchCounters, DispatchOutcome, OutlierDetector, ResilienceConfig,

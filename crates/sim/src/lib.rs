@@ -53,7 +53,7 @@ pub use faults::{
     RandomFaultProfile,
 };
 pub use invariant::{Digest, EventOrderMonitor};
-pub use metrics::{Counter, Exemplar, Gauge, Histogram, MetricSet, TimeSeries};
+pub use metrics::{Counter, Exemplar, Gauge, Histogram, TimeSeries};
 pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, FairServed, QueueReject};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -5,7 +5,6 @@
 //! * [`Histogram`] — log-bucketed value distribution with quantile queries;
 //!   resolution is ~4.6% per bucket (16 buckets per octave), bounded memory.
 //! * [`TimeSeries`] — (time, value) samples for the timeline figures.
-//! * [`MetricSet`] — a string-keyed registry an experiment can dump at the end.
 
 use crate::invariant::Digest;
 use crate::time::SimTime;
@@ -388,91 +387,6 @@ impl TimeSeries {
     }
 }
 
-/// A string-keyed bundle of metrics an experiment dumps at the end.
-#[derive(Debug, Default)]
-pub struct MetricSet {
-    // lint:allow(bounded-state) reason=one entry per statically named metric; experiments register a fixed name set
-    counters: BTreeMap<String, Counter>,
-    // lint:allow(bounded-state) reason=one entry per statically named metric; experiments register a fixed name set
-    gauges: BTreeMap<String, Gauge>,
-    // lint:allow(bounded-state) reason=one entry per statically named metric; experiments register a fixed name set
-    histograms: BTreeMap<String, Histogram>,
-    // lint:allow(bounded-state) reason=one entry per statically named metric; experiments register a fixed name set
-    series: BTreeMap<String, TimeSeries>,
-}
-
-impl MetricSet {
-    /// New empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counter by name, created on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
-    }
-
-    /// Gauge by name, created on first use.
-    pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_string()).or_default()
-    }
-
-    /// Histogram by name, created on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
-    }
-
-    /// Time series by name, created on first use.
-    pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_string()).or_default()
-    }
-
-    /// Read-only counter lookup.
-    pub fn get_counter(&self, name: &str) -> Option<&Counter> {
-        self.counters.get(name)
-    }
-
-    /// Read-only histogram lookup.
-    pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Read-only series lookup.
-    pub fn get_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Iterate histograms (name-sorted).
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Fold the whole registry into a digest: every named entry of
-    /// `counters`, `gauges`, `histograms` and `series`, in name order.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.counters.len() as u64);
-        for (name, c) in &self.counters {
-            d.write_str(name);
-            c.fold_digest(d);
-        }
-        d.write_u64(self.gauges.len() as u64);
-        for (name, g) in &self.gauges {
-            d.write_str(name);
-            g.fold_digest(d);
-        }
-        d.write_u64(self.histograms.len() as u64);
-        for (name, h) in &self.histograms {
-            d.write_str(name);
-            h.fold_digest(d);
-        }
-        d.write_u64(self.series.len() as u64);
-        for (name, s) in &self.series {
-            d.write_str(name);
-            s.fold_digest(d);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,17 +527,5 @@ mod tests {
         );
         assert_eq!(s.max_in(SimTime::from_secs(20), SimTime::from_secs(30)), None);
         assert_eq!(s.last(), Some(9.0));
-    }
-
-    #[test]
-    fn metric_set_registry() {
-        let mut m = MetricSet::new();
-        m.counter("requests").add(10);
-        m.histogram("latency").record(5.0);
-        m.series("cpu").push(SimTime::ZERO, 0.4);
-        assert_eq!(m.get_counter("requests").unwrap().get(), 10);
-        assert_eq!(m.get_histogram("latency").unwrap().count(), 1);
-        assert_eq!(m.get_series("cpu").unwrap().len(), 1);
-        assert!(m.get_counter("absent").is_none());
     }
 }
