@@ -1,7 +1,4 @@
-//! What the `canal-bench` binaries share (std-only): flag parsing, the
-//! `FAIL:` exit gates, and the envelope of the JSON report CI archives.
-
-use crate::ExperimentReport;
+//! Flag parsing for the `experiments` runner (std-only).
 
 /// Remove the first `flag` from `args`; true if it was there.
 pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
@@ -22,63 +19,6 @@ pub fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str, what
         std::process::exit(2);
     }
     parsed
-}
-
-/// Exit with status 1 and `FAIL: {what}` unless `ok`.
-pub fn gate(ok: bool, what: &str) {
-    if !ok {
-        eprintln!("FAIL: {what}");
-        std::process::exit(1);
-    }
-}
-
-/// Gate on the report's tuned bands, at full scale only: in `--fast` smoke
-/// mode a bin gates on its invariant alone, and the experiments driver
-/// asserts the bands.
-pub fn gate_checks(fast: bool, report: &ExperimentReport, name: &str) {
-    let missed = report.checks.iter().filter(|c| !c.pass).count();
-    gate(fast || missed == 0, &format!("{missed} {name} checks missed"));
-}
-
-/// Write a bin's JSON report to `path`, or fail the run.
-pub fn write_report(path: &str, json: String) {
-    match std::fs::write(path, json) {
-        Ok(()) => println!("report written to {path}"),
-        Err(e) => gate(false, &format!("could not write {path}: {e}")),
-    }
-}
-
-/// The JSON report of one smoke run: its identity, the invariant's verdict
-/// (`ok` is the key and the value), the bin's own `body` (whole
-/// `"key": value,` lines at two-space indent) and every check of `report`.
-/// Hand-rolled: no serde in the workspace.
-pub fn report_json(
-    experiment: &str,
-    seed: u64,
-    fast: bool,
-    digest: u64,
-    ok: (&str, bool),
-    body: &str,
-    report: &ExperimentReport,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"experiment\": \"{experiment}\",\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"mode\": \"{}\",\n", if fast { "fast" } else { "full" }));
-    s.push_str(&format!("  \"digest\": \"{digest:#018x}\",\n"));
-    s.push_str(&format!("  \"{}\": {},\n", ok.0, ok.1));
-    s.push_str(body);
-    s.push_str("  \"checks\": [\n");
-    for (i, check) in report.checks.iter().enumerate() {
-        let comma = if i + 1 == report.checks.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": {:?}, \"pass\": {}}}{comma}\n",
-            check.name, check.pass
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]

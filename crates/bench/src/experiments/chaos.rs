@@ -20,9 +20,10 @@
 //! amplification, and time-to-recovery per failure domain.
 //!
 //! Everything is seeded: double runs with equal seeds produce bit-identical
-//! [`ChaosOutcome::digest`] values (asserted in `crates/bench/tests/chaos.rs`).
+//! [`ChaosOutcome::digest`] values (held by `crate::scenario::drive`).
 
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json, Scenario};
 use canal_cluster::DnsView;
 use canal_control::configure::ConfigPlane;
 use canal_crypto::accel::AsymmetricBackend;
@@ -94,18 +95,6 @@ impl ChaosParams {
             storm: false,
             retry_budget: None,
         }
-    }
-
-    /// Enable the total-outage retry-storm window.
-    pub fn with_storm(mut self) -> Self {
-        self.storm = true;
-        self
-    }
-
-    /// Enable retry-budget admission with the given earn ratio and cap.
-    pub fn with_retry_budget(mut self, ratio: f64, cap: f64) -> Self {
-        self.retry_budget = Some((ratio, cap));
-        self
     }
 
     /// Scenario horizon (scaled).
@@ -873,19 +862,54 @@ fn measure_incidents(plan: &[FaultEvent], bins: &[BinStat]) -> Vec<IncidentOutco
     out
 }
 
-/// Fig. 8 — the chaos recovery-timeline experiment (full-scale run).
-pub fn fig8(seed: u64) -> ExperimentReport {
-    report_for(seed, &ChaosParams::full())
+/// Fig. 8, the chaos recovery timeline. Only canal is held to the
+/// availability invariant: the sidecar and ambient arms are the baselines
+/// that lose avoidable requests.
+impl Scenario for ChaosOutcome {
+    const ID: &'static str = "fig8";
+    const INVARIANT: &'static str =
+        "availability: a service with a live replica in a live AZ serves 100% under fault injection";
+    const OK_KEY: &'static str = "availability_ok";
+    type Params = ChaosParams;
+
+    fn params(fast: bool) -> ChaosParams {
+        if fast { ChaosParams::fast() } else { ChaosParams::full() }
+    }
+
+    fn run(seed: u64, params: &ChaosParams) -> Self {
+        run_chaos(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let violations = self.arch("canal").map_or(u64::MAX, |a| a.invariant_violations);
+        unless(
+            violations == 0,
+            &format!("canal availability invariant violated ({violations} requests)"),
+        )
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        let section = |c: &ArchOutcome| {
+            fields!(c => offered, succeeded, attempts, invariant_violations, fail_open,
+                ejections, dns_flips, deadline_exceeded)
+        };
+        self.arch("canal").map(|c| ("canal", section(c))).into_iter().collect()
+    }
+
+    fn report(&self, seed: u64, params: &ChaosParams) -> ExperimentReport {
+        report(self, seed, params)
+    }
 }
 
-/// Build the report for the given parameters (the `chaos` binary's `--fast`
-/// smoke mode reuses this with [`ChaosParams::fast`]).
-pub fn report_for(seed: u64, params: &ChaosParams) -> ExperimentReport {
+fn report(outcome: &ChaosOutcome, seed: u64, params: &ChaosParams) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig8",
         "chaos recovery timeline: deterministic faults vs the resilient datapath",
     );
-    let outcome = run_chaos(seed, params);
 
     let mut summary = Table::new(
         "fig8 availability & resilience summary",

@@ -40,13 +40,15 @@
 //!   behave like the sidecar arm.
 //!
 //! Everything is seeded and tick-driven; double runs are bit-identical
-//! ([`DrillOutcome::digest`], gated by the `drill` binary).
+//! ([`DrillOutcome::digest`], gated by `experiments drill`).
 //!
 //! [`GrayDetector`]: canal_cluster::GrayDetector
 //! [`GatewayDrain`]: canal_gateway::GatewayDrain
 //! [`RolloutController`]: canal_control::rollout::RolloutController
 
+use crate::experiments::southbound::RateCarry;
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json, Scenario};
 use canal_cluster::probe::ProbePolicy;
 use canal_cluster::{GrayDetector, GrayPolicy, GrayVerdict};
 use canal_control::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController};
@@ -170,21 +172,6 @@ fn scripted_plan(scale: f64) -> FaultPlan {
         p1 = PARTITIONED[1],
     );
     FaultPlan::parse(&script).unwrap_or_default()
-}
-
-/// Accumulates integral demand from a fractional per-tick rate.
-#[derive(Debug, Clone, Copy, Default)]
-struct RateCarry {
-    carry: f64,
-}
-
-impl RateCarry {
-    fn take(&mut self, amount: f64) -> u64 {
-        self.carry += amount;
-        let whole = self.carry.floor();
-        self.carry -= whole;
-        whole as u64
-    }
 }
 
 /// Everything the canal arm measures.
@@ -324,7 +311,7 @@ impl DrillOutcome {
         d.value()
     }
 
-    /// The disaster-drill invariant the `drill` binary gates on: the
+    /// The disaster-drill invariant `experiments drill` gates on: the
     /// planned drain loses zero established sessions (with real hand-offs
     /// observed), the gray gateway is quarantined within the bounded
     /// detection window with zero false positives and clears after heal,
@@ -742,19 +729,51 @@ pub fn run_drill(seed: u64, params: &DrillParams) -> DrillOutcome {
     DrillOutcome { canal, arms }
 }
 
-/// The `drill` experiment (full-scale run).
-pub fn drill(seed: u64) -> ExperimentReport {
-    report_for(seed, &DrillParams::full())
+/// The disaster drill: gray failure, asymmetric partition, graceful drain.
+impl Scenario for DrillOutcome {
+    const ID: &'static str = "drill";
+    const INVARIANT: &'static str =
+        "disaster drill: the drain loses zero sessions, the gray gateway is quarantined with no false positives, a partition causes no rollback, one version after heal";
+    const OK_KEY: &'static str = "drill_ok";
+    type Params = DrillParams;
+
+    fn params(fast: bool) -> DrillParams {
+        if fast { DrillParams::fast() } else { DrillParams::full() }
+    }
+
+    fn run(seed: u64, params: &DrillParams) -> Self {
+        run_drill(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        unless(
+            self.drill_ok(),
+            "drill invariant violated (drain / gray / partition / convergence)",
+        )
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        vec![("canal", fields!(self.canal => requests, errors, gray_errors, detect_windows,
+            quarantines, false_positive_quarantines, quarantine_cleared, sessions_opened,
+            sessions_at_drain, handed_off, force_closed, rollbacks, dropped_pushes,
+            catch_up_pushes, fail_static_served, lease_violations, one_converged_version,
+            last_good))]
+    }
+
+    fn report(&self, _seed: u64, params: &DrillParams) -> ExperimentReport {
+        report(self, params)
+    }
 }
 
-/// Build the report for the given parameters (the `drill` binary's `--fast`
-/// smoke mode reuses this with [`DrillParams::fast`]).
-pub fn report_for(seed: u64, params: &DrillParams) -> ExperimentReport {
+fn report(outcome: &DrillOutcome, params: &DrillParams) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "drill",
         "disaster drill: gray failure, asymmetric partition, graceful drain",
     );
-    let outcome = run_drill(seed, params);
     let c = &outcome.canal;
     let window_s = params.gray_policy().window.as_secs_f64();
 
@@ -869,29 +888,4 @@ pub fn report_for(seed: u64, params: &DrillParams) -> ExperimentReport {
         c.asym_forward_errors > 0 && c.asym_reverse_errors == 0,
     ));
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn double_runs_are_bit_identical() {
-        let params = DrillParams::fast();
-        let a = run_drill(7, &params);
-        let b = run_drill(7, &params);
-        assert_eq!(a.digest(), b.digest());
-        let c = run_drill(8, &params);
-        assert_ne!(a.digest(), c.digest(), "different seeds must diverge");
-    }
-
-    #[test]
-    fn fast_run_holds_the_drill_invariant() {
-        let outcome = run_drill(42, &DrillParams::fast());
-        assert!(
-            outcome.drill_ok(),
-            "drill invariant violated: {:#?}",
-            outcome.canal
-        );
-    }
 }

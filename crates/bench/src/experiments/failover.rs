@@ -31,7 +31,7 @@
 //! duplicate canary exposure, and zombie pushes that all apply.
 //!
 //! Everything is seeded and tick-driven; double runs are bit-identical
-//! ([`FailoverOutcome::digest`], gated by the `failover` binary).
+//! ([`FailoverOutcome::digest`], gated by `experiments failover`).
 //!
 //! [`Journal`]: canal_control::Journal
 //! [`RolloutController::recover`]: canal_control::rollout::RolloutController::recover
@@ -39,6 +39,7 @@
 //! [`Rejection::StaleEpoch`]: canal_gateway::Rejection::StaleEpoch
 
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json};
 use canal_control::rollout::{
     HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutPhase,
 };
@@ -284,7 +285,7 @@ impl FailoverOutcome {
         d.value()
     }
 
-    /// The failover invariant the `failover` binary gates on:
+    /// The failover invariant `experiments failover` gates on:
     ///
     /// * healthy-crash: the crash really orphaned in-flight pushes, the
     ///   recovered incarnation (epoch exactly +1) resumed the wave,
@@ -664,19 +665,51 @@ pub fn run_failover(seed: u64, params: &FailoverParams) -> FailoverOutcome {
     FailoverOutcome { healthy, rollback, zombie, baselines }
 }
 
-/// The `failover` experiment (full-scale run).
-pub fn failover(seed: u64) -> ExperimentReport {
-    report_for(seed, &FailoverParams::full())
+/// The controller-failover drill.
+impl crate::scenario::Scenario for FailoverOutcome {
+    const ID: &'static str = "failover";
+    const INVARIANT: &'static str =
+        "controller failover: a crash mid-wave resumes from the journal re-pushing only orphans, a crashed rollback is completed, every zombie push is epoch-fenced";
+    const OK_KEY: &'static str = "failover_ok";
+    type Params = FailoverParams;
+
+    fn params(fast: bool) -> FailoverParams {
+        if fast { FailoverParams::fast() } else { FailoverParams::full() }
+    }
+
+    fn run(seed: u64, params: &FailoverParams) -> Self {
+        run_failover(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        unless(self.failover_ok(), "failover invariant violated (resume / rollback / fencing)")
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        let arms = [&self.healthy, &self.rollback, &self.zombie].map(|a| {
+            let arm = fields!(a => pushes_delivered, commits, nacks, duplicate_exposures,
+                dropped_in_flight, recovery_pushes, rollback_repushes, zombie_pushes,
+                zombie_fenced, epoch_before, epoch_after, resumed_in_flight, rollbacks,
+                converged_version, divergent, on_bad_version, journal_appended, journal_evicted);
+            (a.name, arm)
+        });
+        vec![("arms", Json::Obj(arms.into()))]
+    }
+
+    fn report(&self, _seed: u64, _params: &FailoverParams) -> ExperimentReport {
+        report(self)
+    }
 }
 
-/// Build the report for the given parameters (the `failover` binary's
-/// `--fast` smoke mode reuses this with [`FailoverParams::fast`]).
-pub fn report_for(seed: u64, params: &FailoverParams) -> ExperimentReport {
+fn report(outcome: &FailoverOutcome) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "failover",
         "controller crash recovery: journaled rollouts, epoch fencing, zombie race",
     );
-    let outcome = run_failover(seed, params);
     let h = &outcome.healthy;
     let r = &outcome.rollback;
     let z = &outcome.zombie;
@@ -780,28 +813,6 @@ pub fn report_for(seed: u64, params: &FailoverParams) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn double_runs_are_bit_identical() {
-        let params = FailoverParams::fast();
-        let a = run_failover(7, &params);
-        let b = run_failover(7, &params);
-        assert_eq!(a.digest(), b.digest());
-        let c = run_failover(8, &params);
-        assert_ne!(a.digest(), c.digest(), "different seeds must diverge");
-    }
-
-    #[test]
-    fn fast_run_holds_the_failover_invariant() {
-        let outcome = run_failover(42, &FailoverParams::fast());
-        assert!(
-            outcome.failover_ok(),
-            "failover invariant violated:\nhealthy: {:#?}\nrollback: {:#?}\nzombie: {:#?}",
-            outcome.healthy,
-            outcome.rollback,
-            outcome.zombie
-        );
-    }
 
     #[test]
     fn full_run_holds_the_failover_invariant() {

@@ -48,14 +48,15 @@
 //! after which swept session tickets can never resume.
 //!
 //! Everything is seeded and tick-driven; double runs are bit-identical
-//! ([`HandshakeOutcome::digest`], gated by the `rotation` binary).
+//! ([`HandshakeOutcome::digest`], gated by `experiments handshake`).
 //!
 //! [`CertRotationController`]: canal_control::CertRotationController
 //! [`ActiveCertBundle`]: canal_gateway::ActiveCertBundle
 //! [`BatchAccelerator`]: canal_crypto::accel::BatchAccelerator
 
-use crate::experiments::southbound::deliver;
+use crate::experiments::southbound::{deliver, RateCarry};
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json, Scenario};
 use canal_control::{
     CertRotationController, RolloutAction, RolloutConfig, RolloutResult, RotationConfig,
 };
@@ -249,21 +250,6 @@ pub struct KsDegrade {
     pub factor: f64,
 }
 
-/// Accumulates integral demand from a fractional per-tick rate.
-#[derive(Debug, Clone, Copy, Default)]
-struct RateCarry {
-    carry: f64,
-}
-
-impl RateCarry {
-    fn take(&mut self, amount: f64) -> u64 {
-        self.carry += amount;
-        let whole = self.carry.floor();
-        self.carry -= whole;
-        whole as u64
-    }
-}
-
 /// Everything the canal arm measures.
 #[derive(Debug, Clone)]
 pub struct CanalHandshakeRun {
@@ -404,7 +390,7 @@ impl HandshakeOutcome {
         d.value()
     }
 
-    /// The cert-lifecycle invariant the `rotation` binary gates on: the
+    /// The cert-lifecycle invariant `experiments handshake` gates on: the
     /// whole rotating fleet re-keys, non-rotating tenants lose zero
     /// availability, the poisoned bundle is NACKed at the canary (0
     /// committed) and automatically rolled back with a clean later retry,
@@ -958,19 +944,54 @@ pub fn run_handshake(seed: u64, params: &HandshakeParams) -> HandshakeOutcome {
     }
 }
 
-/// The `handshake` experiment (full-scale run).
-pub fn handshake(seed: u64) -> ExperimentReport {
-    report_for(seed, &HandshakeParams::full())
+/// The certificate-rotation handshake storm.
+impl Scenario for HandshakeOutcome {
+    const ID: &'static str = "handshake";
+    const INVARIANT: &'static str =
+        "cert rotation: the tenant re-keys with no loss elsewhere, a clock-skewed bundle is NACKed and rolled back, revocation sticks";
+    const OK_KEY: &'static str = "rotation_ok";
+    type Params = HandshakeParams;
+
+    fn params(fast: bool) -> HandshakeParams {
+        if fast { HandshakeParams::fast() } else { HandshakeParams::full() }
+    }
+
+    fn run(seed: u64, params: &HandshakeParams) -> Self {
+        run_handshake(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        unless(
+            self.rotation_ok(),
+            "cert-lifecycle invariant violated (storm / rollback / revocation)",
+        )
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        let c = &self.canal;
+        vec![("canal", fields!(c => rotated_certs, full_handshakes, resumed_handshakes,
+            steady_occupancy: format_args!("{:.4}", c.steady_occupancy),
+            storm_occupancy: format_args!("{:.4}", c.storm_occupancy),
+            storm_full_p99_ms: format_args!("{:.3}", c.storm_full_p99_us / 1000.0),
+            peak_sojourn_s: format_args!("{:.3}", c.peak_sojourn_s),
+            nonrotating_errors, poison_exposed, poison_committed, poison_rolled_back,
+            tickets_swept, rotations_converged, rotations_rolled_back))]
+    }
+
+    fn report(&self, _seed: u64, params: &HandshakeParams) -> ExperimentReport {
+        report(self, params)
+    }
 }
 
-/// Build the report for the given parameters (the `rotation` binary's
-/// `--fast` smoke mode reuses this with [`HandshakeParams::fast`]).
-pub fn report_for(seed: u64, params: &HandshakeParams) -> ExperimentReport {
+fn report(outcome: &HandshakeOutcome, params: &HandshakeParams) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "handshake",
         "cert lifecycle at region scale: rotation waves, handshake storms, rollback-safe bundles",
     );
-    let outcome = run_handshake(seed, params);
     let c = &outcome.canal;
 
     let mut arms = Table::new(
@@ -1138,26 +1159,6 @@ pub fn report_for(seed: u64, params: &HandshakeParams) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn double_runs_are_bit_identical() {
-        let params = HandshakeParams::fast();
-        let a = run_handshake(7, &params);
-        let b = run_handshake(7, &params);
-        assert_eq!(a.digest(), b.digest());
-        let c = run_handshake(8, &params);
-        assert_ne!(a.digest(), c.digest(), "different seeds must diverge");
-    }
-
-    #[test]
-    fn fast_run_holds_the_rotation_invariant() {
-        let outcome = run_handshake(42, &HandshakeParams::fast());
-        assert!(
-            outcome.rotation_ok(),
-            "rotation invariant violated: {:#?}",
-            outcome.canal
-        );
-    }
 
     /// Satellite regression: a degraded key server during the storm sheds
     /// full handshakes first while resumed sessions keep working, and

@@ -16,7 +16,7 @@
 //! Each placement runs twice — without and with the surge — and the
 //! isolation invariant compares the two: *well-behaved tenants must hold
 //! their no-surge P99 within a bounded factor, while the surging tenant's
-//! goodput degrades gracefully instead of collapsing*. The `surge` binary
+//! goodput degrades gracefully instead of collapsing*. `experiments overload`
 //! exits non-zero when the invariant does not hold for canal.
 //!
 //! Overload signals are also published to the control plane's
@@ -25,9 +25,10 @@
 //! during the surge.
 //!
 //! Everything is seeded; double runs produce bit-identical
-//! [`SurgeOutcome::digest`] values (asserted in `crates/bench/tests/surge.rs`).
+//! [`SurgeOutcome::digest`] values (held by `crate::scenario::drive`).
 
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json, Scenario};
 use canal_control::{OverloadAssessment, WaterLevelMonitor};
 use canal_gateway::overload::{AttemptKind, OverloadConfig, OverloadControl};
 use canal_net::{
@@ -294,7 +295,7 @@ impl SurgeOutcome {
         self.placements.iter().find(|p| p.name == name)
     }
 
-    /// The isolation invariant the `surge` binary gates on: under canal,
+    /// The isolation invariant `experiments overload` gates on: under canal,
     /// every well-behaved tenant holds its no-surge P99 within
     /// [`VICTIM_P99_BOUND`] and keeps its goodput, while the surging
     /// tenant degrades gracefully — shed happens, but goodput stays above
@@ -457,19 +458,55 @@ pub fn run_surge(seed: u64, params: &SurgeParams) -> SurgeOutcome {
     SurgeOutcome { placements: out }
 }
 
-/// The `overload` experiment (full-scale run).
-pub fn overload(seed: u64) -> ExperimentReport {
-    report_for(seed, &SurgeParams::full())
+/// The gateway overload-control surge.
+impl Scenario for SurgeOutcome {
+    const ID: &'static str = "overload";
+    const INVARIANT: &'static str =
+        "tenant isolation: well-behaved tenants hold their no-surge P99 while the surging tenant degrades gracefully";
+    const OK_KEY: &'static str = "isolation_ok";
+    type Params = SurgeParams;
+
+    fn params(fast: bool) -> SurgeParams {
+        if fast { SurgeParams::fast() } else { SurgeParams::full() }
+    }
+
+    fn run(seed: u64, params: &SurgeParams) -> Self {
+        run_surge(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        unless(self.isolation_ok(), "tenant-isolation invariant violated under surge")
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        let section = |c: &PlacementOutcome| {
+            fields!(c =>
+                victim_p99_ratio: format_args!("{:.4}", c.victim_p99_ratio()),
+                victim_goodput_ratio: format_args!("{:.4}", c.victim_goodput_ratio()),
+                surger_goodput_ratio: format_args!("{:.4}", c.surger().goodput_ratio()),
+                surger_shed: c.surger().shed,
+                total_shed: c.surge.total_shed,
+                brownout_engaged: c.surge.brownout_engaged,
+                overload_alerts: c.surge.overload_alerts,
+            )
+        };
+        self.placement("canal").map(|c| ("canal", section(c))).into_iter().collect()
+    }
+
+    fn report(&self, _seed: u64, _params: &SurgeParams) -> ExperimentReport {
+        report(self)
+    }
 }
 
-/// Build the report for the given parameters (the `surge` binary's `--fast`
-/// smoke mode reuses this with [`SurgeParams::fast`]).
-pub fn report_for(seed: u64, params: &SurgeParams) -> ExperimentReport {
+fn report(outcome: &SurgeOutcome) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "overload",
         "gateway overload control: per-tenant fairness under a 20x single-tenant surge",
     );
-    let outcome = run_surge(seed, params);
 
     let mut summary = Table::new(
         "per-tenant outcome during the surge pass",

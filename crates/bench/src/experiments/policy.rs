@@ -32,8 +32,7 @@
 //! and **match cost** (the compiled per-lookup op bound must stay well
 //! under the reference's O(rules) scan on a large synthetic rule set).
 //! Everything is seeded; double runs are bit-identical
-//! ([`PolicyBlastOutcome::digest`], asserted in
-//! `crates/bench/tests/policy.rs`).
+//! ([`PolicyBlastOutcome::digest`], held by `crate::scenario::drive`).
 //!
 //! [`RolloutController`]: canal_control::RolloutController
 //! [`ActivePolicy`]: canal_gateway::ActivePolicy
@@ -43,6 +42,7 @@
 use crate::experiments::rollout::ArmOutcome;
 use crate::experiments::southbound::{ambient_arm, deliver, istio_arm};
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json, Scenario};
 use canal_control::{
     AlertKind, HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutResult,
     WaterLevelMonitor,
@@ -374,7 +374,7 @@ impl PolicyBlastOutcome {
         d.value()
     }
 
-    /// The invariant the `policy` binary gates on: the poisoned policy is
+    /// The invariant `experiments policy` gates on: the poisoned policy is
     /// NACKed and never committed under canal (blast radius 0), the
     /// wrong-scope deny-all is contained to the canary wave and rolled
     /// back by the deny-spike health gate, the compiled tables are
@@ -865,19 +865,54 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
     }
 }
 
-/// The `policy` experiment (full-scale run).
-pub fn policy(seed: u64) -> ExperimentReport {
-    report_for(seed, &PolicyParams::full())
+/// The tenant policy plane: bad-push blast radius and the compiled-match gates.
+impl Scenario for PolicyBlastOutcome {
+    const ID: &'static str = "policy";
+    const INVARIANT: &'static str =
+        "tenant policy: a poisoned cut is never committed, a wrong-scope deny-all is contained to the canary, compiled tables equal the reference, no cross-tenant match";
+    const OK_KEY: &'static str = "policy_ok";
+    type Params = PolicyParams;
+
+    fn params(fast: bool) -> PolicyParams {
+        if fast { PolicyParams::fast() } else { PolicyParams::full() }
+    }
+
+    fn run(seed: u64, params: &PolicyParams) -> Self {
+        run_policy(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        unless(
+            self.policy_ok(),
+            "policy invariant violated (containment / isolation / differential / cost)",
+        )
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("canal", fields!(self => nacks, rollbacks, deny_exposed, canary_size, deny_errors,
+                policy_alerts, healthy_converged, node_allowed, node_denied, node_deferred,
+                store_len)),
+            ("engine", fields!(self => isolation_probes, cross_tenant_matches,
+                differential_equal: self.compiled_digest == self.reference_digest,
+                compiled_ops, naive_ops, cost_rules)),
+        ]
+    }
+
+    fn report(&self, _seed: u64, _params: &PolicyParams) -> ExperimentReport {
+        report(self)
+    }
 }
 
-/// Build the report for the given parameters (the `policy` binary's
-/// `--fast` smoke mode reuses this with [`PolicyParams::fast`]).
-pub fn report_for(seed: u64, params: &PolicyParams) -> ExperimentReport {
+fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "policy",
         "tenant policy plane: blast radius of bad policy pushes + compiled match-engine gates",
     );
-    let outcome = run_policy(seed, params);
 
     let mut blast = Table::new(
         "blast radius of the poisoned policy",

@@ -30,7 +30,7 @@
 //! Measured per arm: the fraction of the fleet that ever ran the bad
 //! config, errors and 99.9%-SLO budget burned, availability, and
 //! time-to-rollback. Everything is seeded; double runs are bit-identical
-//! ([`BlastOutcome::digest`], asserted in `crates/bench/tests/rollout.rs`).
+//! ([`BlastOutcome::digest`], held by `crate::scenario::drive`).
 //!
 //! [`RolloutController`]: canal_control::RolloutController
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
@@ -38,6 +38,7 @@
 
 use crate::experiments::southbound::{ambient_arm, deliver, istio_arm};
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, unless, Json, Scenario};
 use canal_control::configure::ConfigPlane;
 use canal_control::{
     AlertKind, HealthSample, RollbackReason, RolloutAction, RolloutConfig, RolloutController,
@@ -310,7 +311,7 @@ impl BlastOutcome {
         d.value()
     }
 
-    /// The safe-rollout invariant the `rollout` binary gates on: the
+    /// The safe-rollout invariant `experiments rollout` gates on: the
     /// poisoned version is never committed anywhere under canal (blast
     /// radius 0, availability 100% — fail-static), rollback is automatic
     /// and far faster than operator-detection arms, the degrading change is
@@ -703,19 +704,49 @@ pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
     }
 }
 
-/// The `rollout` experiment (full-scale run).
-pub fn rollout(seed: u64) -> ExperimentReport {
-    report_for(seed, &RolloutParams::full())
+/// The config-rollout blast-radius comparison.
+impl Scenario for BlastOutcome {
+    const ID: &'static str = "rollout";
+    const INVARIANT: &'static str =
+        "config rollout: a poisoned version is NACKed at the canary and never committed, rollback is automatic, fail-static serving";
+    const OK_KEY: &'static str = "rollout_ok";
+    type Params = RolloutParams;
+
+    fn params(fast: bool) -> RolloutParams {
+        if fast { RolloutParams::fast() } else { RolloutParams::full() }
+    }
+
+    fn run(seed: u64, params: &RolloutParams) -> Self {
+        run_rollout(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        unless(
+            self.rollout_ok(),
+            "safe-rollout invariant violated (blast radius / rollback / fail-static)",
+        )
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        vec![("canal", fields!(self => fleet, canary_size, nacks, rollbacks, degrade_exposed,
+            degrade_errors, blocked_timeout_rollback, healthy_converged, healthy_waves,
+            healthy_exposed, rollout_alerts, dropped_pushes, rollback_targets_good))]
+    }
+
+    fn report(&self, _seed: u64, _params: &RolloutParams) -> ExperimentReport {
+        report(self)
+    }
 }
 
-/// Build the report for the given parameters (the `rollout` binary's
-/// `--fast` smoke mode reuses this with [`RolloutParams::fast`]).
-pub fn report_for(seed: u64, params: &RolloutParams) -> ExperimentReport {
+fn report(outcome: &BlastOutcome) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "rollout",
         "safe config rollout: blast radius of one poisoned change across push strategies",
     );
-    let outcome = run_rollout(seed, params);
 
     let mut blast = Table::new(
         "blast radius of the poisoned change",

@@ -1,7 +1,8 @@
 //! What the rollout-family experiments (`rollout`, `policy`, `handshake`)
 //! share: delivering one southbound push to a gateway's fail-static slot,
 //! and the two analytic blind-push baselines a bad change is compared
-//! against.
+//! against; and, for the tick-driven ones (`handshake`, `drill`), the
+//! fractional-rate accumulator.
 
 use crate::experiments::rollout::ArmOutcome;
 use canal_control::versioned::TargetId;
@@ -16,6 +17,21 @@ const DETECT_SECS: f64 = 15.0;
 /// Ambient's per-waypoint push pacing (a policy constant, deliberately not
 /// time-compressed so fast mode still shows partial exposure).
 const AMBIENT_GAP_SECS: f64 = 1.0;
+
+/// Accumulates integral demand from a fractional per-tick rate.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RateCarry {
+    carry: f64,
+}
+
+impl RateCarry {
+    pub(crate) fn take(&mut self, amount: f64) -> u64 {
+        self.carry += amount;
+        let whole = self.carry.floor();
+        self.carry -= whole;
+        whole as u64
+    }
+}
 
 /// The controller side of a delivery: where a gateway's verdict goes.
 pub trait Verdicts {

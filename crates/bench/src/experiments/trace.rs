@@ -15,8 +15,8 @@
 //! unconditionally; a [`TailPolicy`] retains every error trace and the
 //! slowest percentile, retrieving their spans from bounded per-site
 //! [`SpanRing`]s with a small decision lag (the rings overwrite long before
-//! they would matter — eviction counts are reported). The invariants the
-//! `traceview` binary gates on: ≥99% of error and global-P999 traces
+//! they would matter — eviction counts are reported). The invariants
+//! `experiments trace` gates on: ≥99% of error and global-P999 traces
 //! retained at a ≤2% head rate, telemetry cost within per-architecture
 //! budget with canal strictly below sidecar, and the span-evidence RCA
 //! localizing faults at least as accurately as trend correlation with
@@ -26,6 +26,7 @@
 //! [`TraceOutcome::digest`] values.
 
 use crate::harness::{Check, ExperimentReport};
+use crate::scenario::{fields, Json, Scenario};
 use canal_control::rca::{HopWindowStats, SpanEvidenceRca, SpanRcaVerdict, TrendHopRca};
 use canal_mesh::costs::CostModel;
 use canal_sim::faults::{BackendSpec, FaultPlan, FaultState, FaultTopology};
@@ -540,8 +541,8 @@ impl TraceOutcome {
         self.episodes.iter().map(|e| e.trend_windows).sum()
     }
 
-    /// Every violated invariant, as human-readable labels. The `traceview`
-    /// binary refuses to exit clean unless this is empty (in `--fast` smoke
+    /// Every violated invariant, as human-readable labels. `experiments trace`
+    /// refuses to exit clean unless this is empty (in `--fast` smoke
     /// mode too — these hold at any scale, unlike the tuned report bands).
     pub fn invariant_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -938,19 +939,58 @@ pub fn run_trace(seed: u64, params: &TraceParams) -> TraceOutcome {
     }
 }
 
-/// The trace experiment (full-scale run).
-pub fn trace(seed: u64) -> ExperimentReport {
-    report_for(seed, &TraceParams::full())
+/// Mesh-wide tracing under the fault timeline.
+impl Scenario for TraceOutcome {
+    const ID: &'static str = "trace";
+    const INVARIANT: &'static str =
+        "tracing: tail sampling keeps the error/P999 traces at a <=2% head rate, span-evidence RCA beats trend correlation";
+    const OK_KEY: &'static str = "invariants_ok";
+    type Params = TraceParams;
+
+    fn params(fast: bool) -> TraceParams {
+        if fast { TraceParams::fast() } else { TraceParams::full() }
+    }
+
+    fn run(seed: u64, params: &TraceParams) -> Self {
+        run_trace(seed, params)
+    }
+
+    fn outcome_digest(&self) -> u64 {
+        self.digest()
+    }
+
+    fn failures(&self) -> Vec<String> {
+        self.invariant_failures()
+    }
+
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        let section = |c: &TraceArchOutcome| {
+            fields!(c => offered, errors, error_retained, p999_traces, p999_retained,
+                head_rate: format_args!("{:.4}", c.head_rate),
+                retained_traces, spans_recorded, spans_evicted, spans_exported, exemplar_retained)
+        };
+        let canal = self.arch("canal").map(|c| ("canal", section(c)));
+        let mut sections: Vec<_> = canal.into_iter().collect();
+        sections.push(("rca", fields!(self =>
+            episodes: self.episodes.len(),
+            span_correct: self.span_correct(),
+            trend_correct: self.trend_correct(),
+            span_windows: self.span_windows_total(),
+            trend_windows: self.trend_windows_total(),
+        )));
+        sections
+    }
+
+    fn report(&self, _seed: u64, _params: &TraceParams) -> ExperimentReport {
+        report(self)
+    }
 }
 
-/// Build the report for the given parameters (the `traceview` binary's
-/// `--fast` smoke mode reuses this with [`TraceParams::fast`]).
-pub fn report_for(seed: u64, params: &TraceParams) -> ExperimentReport {
+fn report(outcome: &TraceOutcome) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "trace",
         "mesh-wide tracing: cost-charged sampling, assembly and span-evidence RCA",
     );
-    let outcome = run_trace(seed, params);
 
     let mut sampling = Table::new(
         "sampling & retention per architecture",

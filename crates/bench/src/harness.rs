@@ -64,11 +64,6 @@ impl ExperimentReport {
         }
     }
 
-    /// Whether every check passed.
-    pub fn all_passed(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
     /// Render the whole report as text.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -6,26 +6,6 @@
 use canal_bench::experiments::chaos::{run_chaos, run_retry_storm, ChaosParams};
 
 #[test]
-fn equal_seeds_give_bit_identical_digests() {
-    let params = ChaosParams::fast();
-    let a = run_chaos(1234, &params);
-    let b = run_chaos(1234, &params);
-    assert_eq!(
-        a.digest(),
-        b.digest(),
-        "double-running the chaos experiment with equal seeds must be bit-identical"
-    );
-}
-
-#[test]
-fn different_seeds_give_different_digests() {
-    let params = ChaosParams::fast();
-    let a = run_chaos(1, &params);
-    let b = run_chaos(2, &params);
-    assert_ne!(a.digest(), b.digest(), "seed must actually steer the run");
-}
-
-#[test]
 fn canal_serves_every_request_with_a_live_replica() {
     let params = ChaosParams::fast();
     for seed in [42, 7, 1001] {

@@ -354,11 +354,6 @@ impl ReplayState {
         }
     }
 
-    /// Is the target exposed to a non-converged version per the journal?
-    pub fn is_exposed(&self, target: TargetId) -> bool {
-        self.in_flight.as_ref().is_some_and(|fl| fl.exposed.contains(&target))
-    }
-
     /// Fold the replay state into a digest.
     pub fn fold_digest(&self, digest: &mut Digest) {
         digest

@@ -901,11 +901,6 @@ impl RolloutController {
         self.active.is_some()
     }
 
-    /// Targets the current version has been pushed to so far.
-    pub fn exposed_count(&self) -> usize {
-        self.active.as_ref().map_or(0, |a| a.pushed)
-    }
-
     /// Lifetime automatic rollbacks.
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks

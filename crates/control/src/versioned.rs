@@ -151,11 +151,6 @@ impl VersionedConfigStore {
         self.targets.get(&target).copied()
     }
 
-    /// All registered targets, ascending.
-    pub fn target_ids(&self) -> Vec<TargetId> {
-        self.targets.keys().copied().collect()
-    }
-
     /// Targets behind the latest version.
     pub fn stale_targets(&self) -> Vec<TargetId> {
         self.targets

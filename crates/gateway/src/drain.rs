@@ -208,11 +208,6 @@ impl GatewayDrain {
         self.sessions.values().filter(|&&o| o == gateway).count()
     }
 
-    /// Total live sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// The underlying bucket table (bucket-ownership assertions in tests).
     pub fn table(&self) -> &BucketTable {
         &self.table

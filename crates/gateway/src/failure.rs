@@ -241,11 +241,6 @@ impl PlacementView {
         self.backend(key).map(|b| b.az)
     }
 
-    /// All registered backend keys.
-    pub fn backend_keys(&self) -> Vec<BackendKey> {
-        self.registered().map(|(key, _)| key).collect()
-    }
-
     /// Fold the whole placement + failure state into a digest: `backends`
     /// with their per-replica failure sets, `failed_azs`, and the
     /// service-to-backend `placements`.

@@ -64,11 +64,6 @@ impl ActivePolicy {
         self.commit(now, ())
     }
 
-    /// The spec currently being enforced (last committed), if any.
-    pub fn running_spec(&self) -> Option<&PolicySpec> {
-        self.running().map(|(s, _)| s)
-    }
-
     /// The compiled tables the datapath evaluates, if any policy has ever
     /// committed.
     pub fn compiled(&self) -> Option<&CompiledPolicySet> {

@@ -458,11 +458,6 @@ impl CanalMesh {
             )),
         }
     }
-
-    /// Canal with a different crypto backend (for the Fig. 12/27/28 sweeps).
-    pub fn with_backend(costs: CostModel, asym: Box<dyn AsymmetricBackend + Send>) -> Self {
-        CanalMesh { costs, asym }
-    }
 }
 
 impl MeshArchitecture for CanalMesh {

@@ -167,11 +167,6 @@ impl PathExecutor {
         self.stages.get(&id)
     }
 
-    /// Mutable access (for window-utilization reads).
-    pub fn stage_mut(&mut self, id: StageId) -> Option<&mut CpuServer> {
-        self.stages.get_mut(&id)
-    }
-
     /// Utilization of every registered stage over `[0, now]`.
     pub fn utilizations(&self, now: SimTime) -> Vec<(StageId, f64)> {
         self.stages

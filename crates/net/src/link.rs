@@ -73,11 +73,6 @@ impl Link {
         self.base_latency
     }
 
-    /// Current effective one-way latency for a delivered packet.
-    pub fn effective_latency(&self) -> SimDuration {
-        self.base_latency + self.extra_latency
-    }
-
     /// Packets dropped so far.
     pub fn drops(&self) -> u64 {
         self.drops

@@ -69,11 +69,6 @@ impl NagleBuffer {
         b
     }
 
-    /// Whether aggregation is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Submit one application write of `len` bytes at time `now`. Any due
     /// timer flush happens first (so call order by time must be monotonic).
     pub fn write(&mut self, now: SimTime, len: usize) {

@@ -50,15 +50,6 @@ impl FiveTuple {
         }
     }
 
-    /// Construct a UDP five-tuple.
-    pub const fn udp(src: Endpoint, dst: Endpoint) -> Self {
-        FiveTuple {
-            src,
-            dst,
-            proto: Proto::Udp,
-        }
-    }
-
     /// The reverse direction of this flow.
     pub const fn reversed(self) -> Self {
         FiveTuple {

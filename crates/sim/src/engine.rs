@@ -155,11 +155,6 @@ impl<E> Simulation<E> {
         });
     }
 
-    /// Seed an event `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pop and dispatch a single event. Returns `false` when the queue is
     /// empty or the model halted.
     pub fn step<M: Model<Event = E>>(&mut self, model: &mut M) -> bool {

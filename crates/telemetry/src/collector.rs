@@ -56,11 +56,6 @@ impl AssembledTrace {
         }
     }
 
-    /// Whether any hop observed a failure.
-    pub fn has_error(&self) -> bool {
-        self.spans.iter().any(|s| s.error)
-    }
-
     /// Structural soundness: exactly one root, every other span's parent is
     /// present, every child interval lies within its parent's, and no
     /// parent cycle exists.
@@ -185,11 +180,6 @@ impl Collector {
     /// Spans ingested so far.
     pub fn ingested(&self) -> u64 {
         self.ingested
-    }
-
-    /// Distinct traces seen so far.
-    pub fn trace_count(&self) -> usize {
-        self.traces.len()
     }
 
     /// Assemble one trace, if any of its spans have arrived.

@@ -195,15 +195,6 @@ impl TailPolicy {
         self.totals_ms.count()
     }
 
-    /// Current slow-tail threshold (ms); +inf while warming up.
-    pub fn threshold_ms(&self) -> f64 {
-        if self.totals_ms.count() < self.warmup {
-            f64::INFINITY
-        } else {
-            self.totals_ms.quantile(self.slow_quantile)
-        }
-    }
-
     /// Fold the policy state into a digest: the configuration, the running
     /// `totals_ms` latency distribution, and the
     /// `kept_error`/`kept_slow`/`kept_warmup`/`dropped` verdict counters.

@@ -18,10 +18,21 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-# Invariant smokes: every canal-bench bin runs its compressed (--fast)
-# scenario and exits nonzero unless its invariant holds; the table of bins
-# and invariants is scripts/smokes.sh, which CI runs too.
-bash scripts/smokes.sh
+# Invariant smokes: the eight robustness scenarios at their compressed
+# (--fast) scale. The runner drives each twice and exits nonzero unless the
+# two digests agree and the scenario's invariant holds (`--list` states
+# each); target/<id>.json is what CI archives.
+echo "==> scenario smokes (double run + invariant, --fast)"
+cargo run -q --release -p canal-bench --bin experiments -- --fast --json target \
+    fig8 overload trace rollout handshake drill policy failover >/dev/null
+
+# Drift gate: EXPERIMENTS.md's tables are the runner's output, so a change
+# that moves a measured value must regenerate them. This is also the full
+# scale run of every experiment: a missed band or a scenario failure exits
+# nonzero here.
+echo "==> EXPERIMENTS.md drift gate (experiments --markdown)"
+cargo run -q --release -p canal-bench --bin experiments -- --markdown > target/experiments.md
+diff <(sed -n '/^### /,$p' EXPERIMENTS.md) target/experiments.md
 
 # Benchmark smoke: the committed benchmark (BENCHMARK.json, benchmark/)
 # is a package outside the workspace, so nothing above compiles it. The

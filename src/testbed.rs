@@ -17,9 +17,7 @@
 //! ```
 
 use canal_gateway::gateway::{Gateway, GatewayConfig, GatewayError};
-use canal_http::{
-    Request, Response, RoutePredicate, RouteRule, RouteTable, StatusCode, WeightedTarget,
-};
+use canal_http::{Request, RoutePredicate, RouteRule, RouteTable, StatusCode, WeightedTarget};
 use canal_mesh::authz::{AuthzPolicy, AuthzRule};
 use canal_mesh::l7::{L7Engine, L7Outcome};
 use canal_mesh::observability::{GatewayObservability, NodeObservability};
@@ -267,14 +265,6 @@ impl Testbed {
             target,
             served_by,
         })
-    }
-
-    /// Build the HTTP response object a client would receive.
-    pub fn to_http_response(outcome: &TestbedResponse) -> Response {
-        match outcome.status {
-            StatusCode::OK => Response::ok(&b"ok"[..]),
-            code => Response::new(code, &b""[..]),
-        }
     }
 }
 
