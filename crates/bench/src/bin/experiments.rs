@@ -6,9 +6,10 @@
 //! experiments --seed 7 all        # different seed
 //! experiments --list              # list ids; scenarios carry their invariant
 //! experiments --markdown          # emit the EXPERIMENTS.md check tables
-//! experiments --fast --json target fig8 drill
+//! experiments --fast --json target/smoke fig8 drill
 //!                                 # scenarios only: the compressed smoke
 //!                                 # run, and <dir>/<id>.json for each
+//! experiments --fast              # no ids: every scenario of the table
 //! ```
 //!
 //! A scenario (`canal_bench::scenario`) is run twice at the seed and prints
@@ -68,7 +69,11 @@ fn main() {
     let fast = take_flag(&mut args, "--fast");
     let json_dir: Option<String> = take_value(&mut args, "--json", "a directory");
 
-    let rows: Vec<&'static Experiment> = if args.is_empty() || args.iter().any(|a| a == "all") {
+    let scenarios_only = fast || json_dir.is_some();
+    let rows: Vec<&'static Experiment> = if args.is_empty() {
+        // No ids: everything, or every scenario under a scenarios-only flag.
+        EXPERIMENTS.iter().filter(|row| !scenarios_only || row.scenario.is_some()).collect()
+    } else if args.iter().any(|a| a == "all") {
         EXPERIMENTS.iter().collect()
     } else {
         let row = |id: &String| {
@@ -76,7 +81,7 @@ fn main() {
         };
         args.iter().map(row).collect()
     };
-    if fast || json_dir.is_some() {
+    if scenarios_only {
         if let Some(row) = rows.iter().find(|row| row.scenario.is_none()) {
             usage(&format!("--fast and --json take scenario ids only; {} is not one (use --list)", row.id));
         }

@@ -23,7 +23,7 @@
 //! [`ChaosOutcome::digest`] values (held by `crate::scenario::drive`).
 
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_cluster::DnsView;
 use canal_control::configure::ConfigPlane;
 use canal_crypto::accel::AsymmetricBackend;
@@ -886,10 +886,8 @@ impl Scenario for ChaosOutcome {
 
     fn failures(&self) -> Vec<String> {
         let violations = self.arch("canal").map_or(u64::MAX, |a| a.invariant_violations);
-        unless(
-            violations == 0,
-            &format!("canal availability invariant violated ({violations} requests)"),
-        )
+        let clause = format!("{violations} requests failed with a live replica reachable");
+        violated("canal availability", &[(&clause, violations == 0)])
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

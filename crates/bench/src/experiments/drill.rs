@@ -46,12 +46,12 @@
 //! [`GatewayDrain`]: canal_gateway::GatewayDrain
 //! [`RolloutController`]: canal_control::rollout::RolloutController
 
-use crate::experiments::southbound::RateCarry;
+use crate::experiments::southbound::{DelayLine, RateCarry, TickClock};
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_cluster::probe::ProbePolicy;
 use canal_cluster::{GrayDetector, GrayPolicy, GrayVerdict};
-use canal_control::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController};
+use canal_control::rollout::{Delivery, HealthSample, RolloutConfig, RolloutController};
 use canal_gateway::{DrainPhase, GatewayDrain};
 use canal_net::{Endpoint, FiveTuple, VpcAddr, VpcId};
 use canal_sim::faults::{FaultPlan, FaultState, FaultTopology};
@@ -116,13 +116,10 @@ impl DrillParams {
         DrillParams { time_scale: 0.25, fleet: 6, req_per_s: 600.0, opens_per_s: 40.0 }
     }
 
-    /// Scenario horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
-        SimDuration::from_secs_f64(HORIZON_S).scale(self.time_scale)
-    }
-
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(100).scale(self.time_scale)
+    /// The scaled clock: the scripted timeline in 100 ms ticks.
+    fn clock(&self) -> TickClock {
+        let horizon = SimDuration::from_secs_f64(HORIZON_S);
+        TickClock::new(self.time_scale, SimDuration::from_millis(100), horizon)
     }
 
     fn gray_policy(&self) -> GrayPolicy {
@@ -152,26 +149,19 @@ impl DrillParams {
     }
 }
 
-/// The scripted region timeline (times × `scale`).
-fn scripted_plan(scale: f64) -> FaultPlan {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let script = format!(
-        "# disaster-drill region timeline (times x{scale})\n\
-         at {gray} degrade gray {GRAY_GW} loss 60% extra 10ms\n\
-         at {part} fail control-partition {p0}\n\
-         at {part} fail control-partition {p1}\n\
-         at {part} degrade link-directed {ASYM_FROM}>{ASYM_TO} loss 50%\n\
-         at {heal} recover gray {GRAY_GW}\n\
-         at {heal} recover control-partition {p0}\n\
-         at {heal} recover control-partition {p1}\n\
-         at {heal} recover link-directed {ASYM_FROM}>{ASYM_TO}\n",
-        gray = s(GRAY_ONSET_S),
-        part = s(PARTITION_S),
-        heal = s(HEAL_S),
-        p0 = PARTITIONED[0],
-        p1 = PARTITIONED[1],
-    );
-    FaultPlan::parse(&script).unwrap_or_default()
+/// The scripted region timeline.
+fn scripted_plan(clock: &TickClock) -> FaultPlan {
+    let [p0, p1] = PARTITIONED;
+    clock.script(&[
+        (GRAY_ONSET_S, format!("degrade gray {GRAY_GW} loss 60% extra 10ms")),
+        (PARTITION_S, format!("fail control-partition {p0}")),
+        (PARTITION_S, format!("fail control-partition {p1}")),
+        (PARTITION_S, format!("degrade link-directed {ASYM_FROM}>{ASYM_TO} loss 50%")),
+        (HEAL_S, format!("recover gray {GRAY_GW}")),
+        (HEAL_S, format!("recover control-partition {p0}")),
+        (HEAL_S, format!("recover control-partition {p1}")),
+        (HEAL_S, format!("recover link-directed {ASYM_FROM}>{ASYM_TO}")),
+    ])
 }
 
 /// Everything the canal arm measures.
@@ -321,41 +311,21 @@ impl DrillOutcome {
     /// converged version fleet-wide, and the scripted link fault really was
     /// asymmetric.
     pub fn drill_ok(&self) -> bool {
-        let c = &self.canal;
-        c.force_closed == 0
-            && c.handed_off > 0
-            && c.drain_completed
-            && c.sessions_at_drain > 0
-            && c.quarantines == 1
-            && c.false_positive_quarantines == 0
-            && c.detect_windows <= DETECT_WINDOW_BOUND
-            && c.quarantine_cleared
-            && c.rollbacks == 0
-            && c.rollouts_converged == 2
-            && c.dropped_pushes > 0
-            && c.catch_up_pushes >= 1
-            && c.one_converged_version
-            && c.last_good == 2
-            && c.fail_static_served > 0
-            && c.lease_violations == 0
-            && c.asym_forward_errors > 0
-            && c.asym_reverse_errors == 0
+        self.failures().is_empty()
     }
 }
 
 /// Run the canal arm: the scripted drill against the real machinery.
 pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     let ts = params.time_scale;
-    let tick = params.tick();
-    let tick_s = tick.as_secs_f64();
-    let ticks = params.horizon().as_nanos() / tick.as_nanos();
-    let at = |secs: f64| SimTime::from_nanos((secs * ts * 1e9) as u64);
-    let plan = scripted_plan(ts);
+    let clock = params.clock();
+    let tick_s = clock.tick().as_secs_f64();
+    let plan = scripted_plan(&clock);
     let mut rng = SimRng::seed(seed ^ 0xD_2111_D12A_57E2);
 
     // Ground truth.
     let mut state = FaultState::new(&FaultTopology { backends: Vec::new() });
-    let mut ev_idx = 0usize;
+    let mut pending_faults = plan.events();
 
     // Request plane: the differential gray detector over the fleet.
     let mut detector: GrayDetector<u32> =
@@ -375,8 +345,8 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     for g in 0..params.fleet as u32 {
         ctl.add_target(g);
     }
-    let mut pending_pushes: Vec<(SimTime, u64, u32)> = Vec::new();
-    let push_delay = tick;
+    let mut southbound: DelayLine<Delivery> = DelayLine::default();
+    let push_delay = clock.tick();
     let mut partitioned_prev: BTreeSet<u32> = BTreeSet::new();
     let mut v1_begun = false;
     let mut v2_begun = false;
@@ -404,17 +374,11 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     let mut events = 0u64;
 
     let base_latency = SimDuration::from_millis(1);
-    let gray_onset = at(GRAY_ONSET_S);
+    let gray_onset = clock.at(GRAY_ONSET_S);
 
-    for step in 0..=ticks {
-        let now = SimTime::from_nanos(tick.as_nanos() * step);
-
+    for now in clock.ticks() {
         // 1. Scripted ground truth.
-        while ev_idx < plan.events().len() && plan.events()[ev_idx].at <= now {
-            state.apply(&plan.events()[ev_idx]);
-            ev_idx += 1;
-            events += 1;
-        }
+        events += state.apply_due(&mut pending_faults, now) as u64;
 
         // 2. Reachability transitions feed the controller; heal emits the
         //    monotone catch-up pushes.
@@ -422,57 +386,34 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         for &g in partitioned_now.difference(&partitioned_prev) {
             ctl.set_reachable(g, false, now);
         }
-        let mut healed = Vec::new();
+        let mut actions = Vec::new();
         for &g in partitioned_prev.difference(&partitioned_now) {
-            healed.push(g);
-        }
-        for g in healed {
-            for action in ctl.set_reachable(g, true, now) {
-                if let RolloutAction::Push { version, targets, .. } = action {
-                    for t in targets {
-                        pending_pushes.push((now + push_delay, version, t));
-                    }
-                }
-            }
+            actions.extend(ctl.set_reachable(g, true, now));
         }
         partitioned_prev = partitioned_now;
 
-        // 3. Rollout beats + state machine.
-        let mut actions = Vec::new();
-        if !v1_begun && now >= at(ROLLOUT_V1_S) {
+        // 3. Rollout beats + state machine. Rollbacks travel like pushes;
+        //    the drill gate asserts none ever fire.
+        if !v1_begun && now >= clock.at(ROLLOUT_V1_S) {
             v1_begun = true;
             actions.extend(ctl.begin(now, true, HealthSample::HEALTHY, &mut rng));
         }
-        if !v2_begun && now >= at(ROLLOUT_V2_S) {
+        if !v2_begun && now >= clock.at(ROLLOUT_V2_S) {
             v2_begun = true;
             actions.extend(ctl.begin(now, true, HealthSample::HEALTHY, &mut rng));
         }
         actions.extend(ctl.tick(now, None));
-        for action in actions {
-            match action {
-                RolloutAction::Push { version, targets, .. } => {
-                    for t in targets {
-                        pending_pushes.push((now + push_delay, version, t));
-                    }
-                }
-                RolloutAction::Rollback { to, targets, .. } => {
-                    // Rollbacks are delivered like pushes; the drill gate
-                    // asserts none ever fire.
-                    for t in targets {
-                        pending_pushes.push((now + push_delay, to, t));
-                    }
-                }
-            }
+        for d in actions.iter().flat_map(|action| action.deliveries()) {
+            southbound.send(now + push_delay, d);
         }
 
         // 4. Deliver config pushes: a partitioned target never sees one.
-        let due: Vec<_> = pending_pushes.extract_if(.., |&mut (when, ..)| when <= now).collect();
-        for (_, version, target) in due {
+        for d in southbound.arrived(now) {
             events += 1;
-            if state.control_partitioned(target) {
+            if state.control_partitioned(d.target) {
                 dropped_pushes += 1;
             } else {
-                ctl.ack(target, version, now);
+                ctl.ack(d.target, d.version, now);
             }
         }
 
@@ -593,7 +534,7 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         live = still_live;
 
         // 11. The planned drain, and its progress.
-        if !drain_begun && now >= at(DRAIN_S) {
+        if !drain_begun && now >= clock.at(DRAIN_S) {
             drain_begun = true;
             sessions_at_drain = drain.sessions_on(DRAIN_GW) as u64;
             drain
@@ -750,10 +691,27 @@ impl Scenario for DrillOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        unless(
-            self.drill_ok(),
-            "drill invariant violated (drain / gray / partition / convergence)",
-        )
+        let c = &self.canal;
+        violated("drill", &[
+            ("the drain force-closes no session", c.force_closed == 0),
+            ("the drain hands sessions off", c.handed_off > 0),
+            ("the leaving gateway reaches Drained", c.drain_completed),
+            ("the drain starts with established sessions", c.sessions_at_drain > 0),
+            ("exactly the gray gateway is quarantined, once", c.quarantines == 1),
+            ("no healthy gateway is quarantined", c.false_positive_quarantines == 0),
+            ("gray detection is bounded", c.detect_windows <= DETECT_WINDOW_BOUND),
+            ("the quarantine clears after heal", c.quarantine_cleared),
+            ("the partition causes no rollback", c.rollbacks == 0),
+            ("both rollouts converge", c.rollouts_converged == 2),
+            ("the partition drops pushes", c.dropped_pushes > 0),
+            ("heal triggers catch-up pushes", c.catch_up_pushes >= 1),
+            ("the fleet ends on one converged version", c.one_converged_version),
+            ("that version is v2", c.last_good == 2),
+            ("partitioned gateways serve fail-static", c.fail_static_served > 0),
+            ("no gateway serves past its config lease", c.lease_violations == 0),
+            ("the asymmetric link fails forward", c.asym_forward_errors > 0),
+            ("the asymmetric link is clean in reverse", c.asym_reverse_errors == 0),
+        ])
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

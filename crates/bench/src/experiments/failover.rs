@@ -38,10 +38,11 @@
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
 //! [`Rejection::StaleEpoch`]: canal_gateway::Rejection::StaleEpoch
 
+use crate::experiments::southbound::{DelayLine, TickClock};
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json};
+use crate::scenario::{fields, violated, Json};
 use canal_control::rollout::{
-    HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutPhase,
+    Delivery, HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutPhase,
 };
 use canal_gateway::{ActiveConfig, ConfigSpec, Rejection, RouteSpec};
 use canal_net::GlobalServiceId;
@@ -93,8 +94,10 @@ impl FailoverParams {
         FailoverParams { time_scale: 0.5, fleet: 8 }
     }
 
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(100).scale(self.time_scale)
+    /// The scaled clock: each arm's timeline in 100 ms ticks.
+    fn clock(&self) -> TickClock {
+        let horizon = SimDuration::from_secs_f64(HORIZON_S);
+        TickClock::new(self.time_scale, SimDuration::from_millis(100), horizon)
     }
 
     fn rollout_cfg(&self) -> RolloutConfig {
@@ -117,53 +120,26 @@ enum Scenario {
     Zombie,
 }
 
-/// The scripted timeline for one arm (times × `scale`).
-fn scripted_plan(scenario: Scenario, scale: f64) -> FaultPlan {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let d = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let script = match scenario {
-        Scenario::HealthyCrash => format!(
-            "# controller dies as the promotion wave leaves; restarts later\n\
-             at {crash} fail control-crash {dur}\n",
-            crash = s(CRASH_WAVE_S),
-            dur = d(RESTART_AFTER_S),
-        ),
-        Scenario::RollbackCrash => format!(
-            "# controller dies right after journaling the rollback intent\n\
-             at {crash} fail control-crash {dur}\n",
-            crash = s(CRASH_ROLLBACK_S),
-            dur = d(RESTART_AFTER_S),
-        ),
-        Scenario::Zombie => format!(
-            "# crash, fast restart, then the old incarnation resumes pushing\n\
-             at {crash} fail control-crash {dur}\n\
-             at {zon} fail control-zombie\n\
-             at {zoff} recover control-zombie\n",
-            crash = s(CRASH_WAVE_S),
-            dur = d(RESTART_ZOMBIE_S),
-            zon = s(ZOMBIE_ON_S),
-            zoff = s(ZOMBIE_OFF_S),
-        ),
-    };
-    FaultPlan::parse(&script).unwrap_or_default()
-}
-
-/// A southbound message in flight (one-tick delivery delay).
-#[derive(Debug, Clone)]
-struct PushMsg {
-    due: SimTime,
-    version: u64,
-    target: u32,
-    epoch: u64,
-    rollback: bool,
-    /// True when the emitting incarnation is the resumed zombie.
-    zombie: bool,
+/// The scripted timeline for one arm.
+fn scripted_plan(scenario: Scenario, clock: &TickClock) -> FaultPlan {
+    let crash = |restart_after: f64| format!("fail control-crash {}", clock.ms(restart_after));
+    match scenario {
+        // The controller dies as the promotion wave leaves; restarts later.
+        Scenario::HealthyCrash => clock.script(&[(CRASH_WAVE_S, crash(RESTART_AFTER_S))]),
+        // The controller dies right after journaling the rollback intent.
+        Scenario::RollbackCrash => clock.script(&[(CRASH_ROLLBACK_S, crash(RESTART_AFTER_S))]),
+        // Crash, fast restart, then the old incarnation resumes pushing.
+        Scenario::Zombie => clock.script(&[
+            (CRASH_WAVE_S, crash(RESTART_ZOMBIE_S)),
+            (ZOMBIE_ON_S, "fail control-zombie".to_string()),
+            (ZOMBIE_OFF_S, "recover control-zombie".to_string()),
+        ]),
+    }
 }
 
 /// A northbound ack in flight.
 #[derive(Debug, Clone, Copy)]
 struct AckMsg {
-    due: SimTime,
     target: u32,
     version: u64,
     epoch: u64,
@@ -298,31 +274,7 @@ impl FailoverOutcome {
     ///   version-legal rollback) and every single push was fenced; the
     ///   fleet converged on the new controller's version, no divergence.
     pub fn failover_ok(&self) -> bool {
-        let h = &self.healthy;
-        let r = &self.rollback;
-        let z = &self.zombie;
-        let healthy_ok = h.dropped_in_flight > 0
-            && h.resumed_in_flight
-            && h.recovery_pushes > 0
-            && h.duplicate_exposures == 0
-            && h.rollbacks == 0
-            && h.nacks == 0
-            && !h.divergent
-            && h.converged_version == 2
-            && h.epoch_after == h.epoch_before + 1;
-        let rollback_ok = r.dropped_in_flight > 0
-            && r.rollback_repushes > 0
-            && r.on_bad_version == 0
-            && !r.divergent
-            && r.converged_version == 1
-            && r.epoch_after == r.epoch_before + 1;
-        let zombie_ok = z.zombie_pushes > 0
-            && z.zombie_fenced == z.zombie_pushes
-            && z.duplicate_exposures == 0
-            && !z.divergent
-            && z.converged_version == 2
-            && z.epoch_after == z.epoch_before + 1;
-        healthy_ok && rollback_ok && zombie_ok
+        crate::scenario::Scenario::failures(self).is_empty()
     }
 }
 
@@ -344,16 +296,14 @@ fn make_spec(version: u64) -> ConfigSpec {
 /// Run one scripted arm against the real fleet. Fully deterministic in
 /// `seed`.
 fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverArmRun {
-    let ts = params.time_scale;
-    let tick = params.tick();
-    let ticks = SimDuration::from_secs_f64(HORIZON_S * ts).as_nanos() / tick.as_nanos();
-    let at = |secs: f64| SimTime::from_nanos((secs * ts * 1e9) as u64);
-    let plan = scripted_plan(scenario, ts);
+    let clock = params.clock();
+    let tick = clock.tick();
+    let plan = scripted_plan(scenario, &clock);
     let mut rng = SimRng::seed(seed ^ 0x000F_A110_4E12);
 
     // Ground truth: the DSL drives crash, restart and zombie onset.
     let mut state = FaultState::new(&FaultTopology { backends: Vec::new() });
-    let mut ev_idx = 0usize;
+    let mut pending_faults = plan.events();
 
     // The real data plane: one epoch-fencing ActiveConfig per gateway.
     let services = (1..=SERVICES).map(GlobalServiceId).collect();
@@ -369,10 +319,12 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         }
     }
     let mut zombie_ctl: Option<RolloutController> = None;
-    let mut zombie_stash: Vec<PushMsg> = Vec::new();
+    let mut zombie_stash: Vec<Delivery> = Vec::new();
 
-    let mut pushes: Vec<PushMsg> = Vec::new();
-    let mut acks: Vec<AckMsg> = Vec::new();
+    // Southbound deliveries (with whether the resumed zombie sent them)
+    // and northbound acks, each one tick on the wire.
+    let mut pushes: DelayLine<(Delivery, bool)> = DelayLine::default();
+    let mut acks: DelayLine<AckMsg> = DelayLine::default();
     let mut was_down = false;
     let mut was_zombie = false;
     let mut v1_begun = false;
@@ -408,30 +360,13 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         state_digest: 0,
     };
 
-    let enqueue = |pushes: &mut Vec<PushMsg>, due: SimTime, action: RolloutAction, zombie: bool| {
-        match action {
-            RolloutAction::Push { version, targets, epoch } => {
-                for target in targets {
-                    pushes.push(PushMsg { due, version, target, epoch, rollback: false, zombie });
-                }
-            }
-            RolloutAction::Rollback { to, targets, epoch } => {
-                for target in targets {
-                    pushes.push(PushMsg { due, version: to, target, epoch, rollback: true, zombie });
-                }
-            }
-        }
+    let enqueue = |pushes: &mut DelayLine<_>, due: SimTime, action: &RolloutAction, zombie: bool| {
+        action.deliveries().for_each(|d| pushes.send(due, (d, zombie)));
     };
 
-    for step in 0..=ticks {
-        let now = SimTime::from_nanos(tick.as_nanos() * step);
-
+    for now in clock.ticks() {
         // 1. Scripted ground truth.
-        while ev_idx < plan.events().len() && plan.events()[ev_idx].at <= now {
-            state.apply(&plan.events()[ev_idx]);
-            ev_idx += 1;
-            m.events += 1;
-        }
+        m.events += state.apply_due(&mut pending_faults, now) as u64;
 
         // 2. Crash edge: the incarnation dies; everything in its send
         //    queue dies with it. The write-ahead journal already has every
@@ -441,17 +376,16 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
             was_down = true;
             if let Some(c) = ctl.take() {
                 m.epoch_before = c.epoch();
-                m.dropped_in_flight += pushes.len() as u64;
+                let lost = std::mem::take(&mut pushes).arrived(SimTime::MAX);
+                m.dropped_in_flight += lost.len() as u64;
                 if scenario == Scenario::Zombie {
-                    zombie_stash = pushes.clone();
-                    zombie_ctl = Some(c);
-                } else {
-                    // The journal survives the process (it is written
-                    // ahead of every push); recovery reads this copy.
-                    zombie_ctl = Some(c); // journal carrier only
+                    zombie_stash = lost.into_iter().map(|(d, _)| d).collect();
                 }
-                pushes.clear();
-                acks.clear();
+                // The journal survives the process (it is written ahead of
+                // every push); recovery reads this copy. Outside the zombie
+                // scenario the old incarnation is its carrier only.
+                zombie_ctl = Some(c);
+                acks = DelayLine::default();
             }
         }
 
@@ -479,13 +413,12 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
                 ac.observe_epoch(c.epoch());
                 m.events += 1;
             }
-            for action in actions {
-                match &action {
-                    RolloutAction::Push { targets, .. } => {
-                        m.recovery_pushes += targets.len() as u64;
-                    }
-                    RolloutAction::Rollback { targets, .. } => {
-                        m.rollback_repushes += targets.len() as u64;
+            for action in &actions {
+                for d in action.deliveries() {
+                    if d.rollback {
+                        m.rollback_repushes += 1;
+                    } else {
+                        m.recovery_pushes += 1;
                     }
                 }
                 enqueue(&mut pushes, now + tick, action, false);
@@ -497,8 +430,8 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         //    send queue and starts ticking again at its old epoch.
         if state.zombie_active() && !was_zombie {
             was_zombie = true;
-            for msg in zombie_stash.drain(..) {
-                pushes.push(PushMsg { due: now + tick, zombie: true, ..msg });
+            for d in zombie_stash.drain(..) {
+                pushes.send(now + tick, (d, true));
             }
         }
         if !state.zombie_active() {
@@ -508,8 +441,7 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         // 5. Northbound acks (one-tick delay). An ack addressed to a dead
         //    or superseded incarnation is lost — exactly the window the
         //    journal's anti-entropy pass covers.
-        let due_acks: Vec<AckMsg> = acks.extract_if(.., |a| a.due <= now).collect();
-        for a in due_acks {
+        for a in acks.arrived(now) {
             m.events += 1;
             if let Some(c) = ctl.as_mut() {
                 if c.epoch() == a.epoch {
@@ -523,11 +455,11 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         //    canary health through the floor.
         if let Some(c) = ctl.as_mut() {
             let mut actions = Vec::new();
-            if !v1_begun && now >= at(V1_S) {
+            if !v1_begun && now >= clock.at(V1_S) {
                 v1_begun = true;
                 actions.extend(c.begin(now, true, HealthSample::HEALTHY, &mut rng));
             }
-            if !v2_begun && now >= at(V2_S) {
+            if !v2_begun && now >= clock.at(V2_S) {
                 v2_begun = true;
                 actions.extend(c.begin(now, true, HealthSample::HEALTHY, &mut rng));
             }
@@ -539,7 +471,7 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
                 HealthSample::HEALTHY
             };
             actions.extend(c.tick(now, Some(health)));
-            for action in actions {
+            for action in &actions {
                 enqueue(&mut pushes, now + tick, action, false);
             }
             m.events += 1;
@@ -550,7 +482,7 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         //    rollback — the push the epoch fence exists for.
         if state.zombie_active() {
             if let Some(zc) = zombie_ctl.as_mut() {
-                for action in zc.tick(now, None) {
+                for action in &zc.tick(now, None) {
                     enqueue(&mut pushes, now + tick, action, true);
                 }
                 m.events += 1;
@@ -558,11 +490,10 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         }
 
         // 8. Southbound deliveries: stage-fenced, then commit-or-NACK.
-        let due_pushes: Vec<_> = pushes.extract_if(.., |p| p.due <= now).collect();
-        for p in due_pushes {
+        for (p, zombie) in pushes.arrived(now) {
             m.events += 1;
             let ac = &mut fleet[p.target as usize];
-            if p.zombie {
+            if zombie {
                 m.zombie_pushes += 1;
             } else {
                 m.pushes_delivered += 1;
@@ -579,17 +510,17 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
             match outcome {
                 Ok(v) => {
                     m.commits += 1;
-                    acks.push(AckMsg { due: now + tick, target: p.target, version: v, epoch: p.epoch });
+                    acks.send(now + tick, AckMsg { target: p.target, version: v, epoch: p.epoch });
                 }
                 Err(Rejection::StaleEpoch { .. }) => {
-                    if p.zombie {
+                    if zombie {
                         m.zombie_fenced += 1;
                     } else {
                         m.nacks += 1;
                     }
                 }
                 Err(_) => {
-                    if !p.zombie {
+                    if !zombie {
                         m.nacks += 1;
                         if let Some(c) = ctl.as_mut() {
                             c.nack(p.target, p.version);
@@ -686,7 +617,29 @@ impl crate::scenario::Scenario for FailoverOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        unless(self.failover_ok(), "failover invariant violated (resume / rollback / fencing)")
+        let h = &self.healthy;
+        let r = &self.rollback;
+        let z = &self.zombie;
+        violated("failover", &[
+            ("healthy-crash: the crash orphans in-flight pushes", h.dropped_in_flight > 0),
+            ("healthy-crash: recovery resumes the in-flight wave", h.resumed_in_flight),
+            ("healthy-crash: recovery re-pushes the orphans", h.recovery_pushes > 0),
+            ("healthy-crash: no gateway is exposed twice", h.duplicate_exposures == 0),
+            ("healthy-crash: nothing rolls back", h.rollbacks == 0),
+            ("healthy-crash: nothing is NACKed", h.nacks == 0),
+            ("healthy-crash: the fleet converges on v2", !h.divergent && h.converged_version == 2),
+            ("healthy-crash: the recovered epoch is the old one plus one", h.epoch_after == h.epoch_before + 1),
+            ("rollback-crash: the crash orphans the rollback pushes", r.dropped_in_flight > 0),
+            ("rollback-crash: recovery re-emits the journaled rollback", r.rollback_repushes > 0),
+            ("rollback-crash: no gateway is left on the poisoned version", r.on_bad_version == 0),
+            ("rollback-crash: the fleet converges back on v1", !r.divergent && r.converged_version == 1),
+            ("rollback-crash: the recovered epoch is the old one plus one", r.epoch_after == r.epoch_before + 1),
+            ("zombie: the old incarnation pushes", z.zombie_pushes > 0),
+            ("zombie: every zombie push is fenced", z.zombie_fenced == z.zombie_pushes),
+            ("zombie: no gateway is exposed twice", z.duplicate_exposures == 0),
+            ("zombie: the fleet converges on v2", !z.divergent && z.converged_version == 2),
+            ("zombie: the recovered epoch is the old one plus one", z.epoch_after == z.epoch_before + 1),
+        ])
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

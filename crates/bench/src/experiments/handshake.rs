@@ -54,11 +54,11 @@
 //! [`ActiveCertBundle`]: canal_gateway::ActiveCertBundle
 //! [`BatchAccelerator`]: canal_crypto::accel::BatchAccelerator
 
-use crate::experiments::southbound::{deliver, RateCarry};
+use crate::experiments::southbound::{deliver, DelayLine, RateCarry, TickClock};
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_control::{
-    CertRotationController, RolloutAction, RolloutConfig, RolloutResult, RotationConfig,
+    CertRotationController, Delivery, RolloutConfig, RolloutResult, RotationConfig,
 };
 use canal_crypto::accel::{AccelConfig, AsymmetricBackend, BatchAccelerator};
 use canal_crypto::keyserver::{KeyServerPlacement, RemoteKeyServerBackend};
@@ -146,13 +146,9 @@ impl HandshakeParams {
         }
     }
 
-    /// Scenario horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
-        SimDuration::from_secs(110).scale(self.time_scale)
-    }
-
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(100).scale(self.time_scale)
+    /// The scaled clock: a 110 s timeline in 100 ms ticks.
+    fn clock(&self) -> TickClock {
+        TickClock::new(self.time_scale, SimDuration::from_millis(100), SimDuration::from_secs(110))
     }
 
     fn total_workloads(&self) -> u64 {
@@ -180,23 +176,15 @@ impl HandshakeParams {
     }
 }
 
-/// The scripted region timeline (times × `scale`).
-fn scripted_plan(scale: f64) -> FaultPlan {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let script = format!(
-        "# rotation-storm region timeline (times x{scale})\n\
-         at {t22} fail az-mass-restart 0\n\
-         at {t24} recover az-mass-restart 0\n\
-         at {t50} fail cert-expiry-skew\n\
-         at {t60} recover cert-expiry-skew\n\
-         at {t75} fail ca-compromise-revoke 2\n",
-        t22 = s(22.0),
-        t24 = s(24.0),
-        t50 = s(50.0),
-        t60 = s(60.0),
-        t75 = s(75.0),
-    );
-    FaultPlan::parse(&script).unwrap_or_default()
+/// The scripted region timeline.
+fn scripted_plan(clock: &TickClock) -> FaultPlan {
+    clock.script(&[
+        (22.0, "fail az-mass-restart 0"),
+        (24.0, "recover az-mass-restart 0"),
+        (50.0, "fail cert-expiry-skew"),
+        (60.0, "recover cert-expiry-skew"),
+        (75.0, "fail ca-compromise-revoke 2"),
+    ])
 }
 
 /// A weighted latency histogram with exact weighted percentiles.
@@ -398,24 +386,7 @@ impl HandshakeOutcome {
     /// in the Fig. 25 bubble regime while the storm fills batches, and the
     /// key-server backlog fully drains.
     pub fn rotation_ok(&self) -> bool {
-        let c = &self.canal;
-        c.rotated_certs > 0
-            && c.nonrotating_errors == 0
-            && c.nonrotating_offered > 0
-            && c.poison_committed == 0
-            && c.poison_exposed > 0
-            && c.poison_exposed <= self.canary_size
-            && c.poison_rolled_back
-            && c.poison_retry_converged
-            && c.nacks > 0
-            && c.compromise_floor_raised
-            && c.tickets_swept > 0
-            && c.revoked_resumes_blocked
-            && c.storm_occupancy > c.steady_occupancy + 0.25
-            && c.steady_occupancy < 0.5
-            && c.steady_resumed_fraction > 0.8
-            && c.backlog_end == 0
-            && c.sheds == 0
+        self.failures().is_empty()
     }
 }
 
@@ -436,10 +407,10 @@ pub fn run_canal(
     retry_budget: bool,
 ) -> CanalHandshakeRun {
     let ts = params.time_scale;
-    let tick = params.tick();
+    let clock = params.clock();
+    let tick = clock.tick();
     let tick_s = tick.as_secs_f64();
-    let ticks = params.horizon().as_nanos() / tick.as_nanos();
-    let plan = scripted_plan(ts);
+    let plan = scripted_plan(&clock);
     let rotation_cfg = params.rotation_cfg();
     let mut rng = SimRng::seed(seed ^ 0x0CE7_11FE_C7C1_E0A5);
 
@@ -448,16 +419,15 @@ pub fn run_canal(
     for t in 0..params.fleet as u32 {
         ctl.add_target(t);
     }
-    let expiry = |secs: f64| SimTime::from_nanos((secs * ts * 1e9) as u64);
     // Tenant 0 rotates at 10 s (expiry 30 s − 20 s lead); tenant 1 becomes
     // due inside the skew window; tenant 2 waits for the compromise; the
     // rest never rotate inside the horizon.
     let tenant_ids: Vec<u64> = (0..=params.other_tenants).collect();
-    ctl.register_tenant(ROTATING_TENANT, 1, expiry(30.0));
-    ctl.register_tenant(SKEWED_TENANT, 1, expiry(72.0));
-    ctl.register_tenant(COMPROMISED_TENANT, 1, expiry(400.0));
+    ctl.register_tenant(ROTATING_TENANT, 1, clock.at(30.0));
+    ctl.register_tenant(SKEWED_TENANT, 1, clock.at(72.0));
+    ctl.register_tenant(COMPROMISED_TENANT, 1, clock.at(400.0));
     for &t in tenant_ids.iter().skip(3) {
-        ctl.register_tenant(t, 1, expiry(500.0 + t as f64));
+        ctl.register_tenant(t, 1, clock.at(500.0 + t as f64));
     }
 
     // Data plane: per-gateway, per-tenant fail-static bundle pairs,
@@ -506,7 +476,7 @@ pub fn run_canal(
 
     // Fault ground truth.
     let mut state = FaultState::new(&FaultTopology { backends: Vec::new() });
-    let mut ev_idx = 0usize;
+    let mut pending_faults = plan.events();
 
     // Demand carries.
     let mut churn_full_carry = RateCarry::default();
@@ -522,8 +492,8 @@ pub fn run_canal(
     let rot_share = params.rotating_workloads as f64 / params.total_workloads() as f64;
 
     // Phase windows.
-    let steady_from = expiry(2.0);
-    let steady_to = expiry(9.0);
+    let steady_from = clock.at(2.0);
+    let steady_to = clock.at(9.0);
     let mut storm_from = SimTime::MAX;
     let mut storm_to = SimTime::MAX;
 
@@ -566,23 +536,18 @@ pub fn run_canal(
     // Pushes land after a propagation delay, so a bundle whose horizon
     // collapsed to "just after now" is expired by commit time.
     let push_delay = tick + tick.scale(0.5);
-    let mut pending_pushes: Vec<(SimTime, u64, u32)> = Vec::new();
-    let mut pending_rollbacks: Vec<(SimTime, u64, u32)> = Vec::new();
+    let mut southbound: DelayLine<Delivery> = DelayLine::default();
 
     let resumed_us = RESUMED_NODE_CPU.as_micros_f64() as u64;
     let full_node_cpu_s = ks_backend.node_cpu_cost().as_secs_f64();
     let resumed_node_cpu_s = RESUMED_NODE_CPU.as_secs_f64();
 
-    for step in 0..=ticks {
-        let now = SimTime::from_nanos(tick.as_nanos() * step);
+    for now in clock.ticks() {
         let in_steady = now >= steady_from && now < steady_to;
         let in_storm = now >= storm_from && now < storm_to;
 
         // 1. Scripted ground truth.
-        while ev_idx < plan.events().len() && plan.events()[ev_idx].at <= now {
-            state.apply(&plan.events()[ev_idx]);
-            ev_idx += 1;
-        }
+        state.apply_due(&mut pending_faults, now);
         if state.az_mass_restarting(0) && !restart_seen {
             restart_seen = true;
             reconnect_pool += reconnect_total;
@@ -605,50 +570,42 @@ pub fn run_canal(
             None
         };
         let skew_cutting = skew.is_some();
-        let actions = ctl.tick(now, None, skew, &mut rng);
-        for action in actions {
-            match action {
-                RolloutAction::Push { version, targets, .. } => {
-                    if skew_cutting && !poison_versions.contains(&version) {
-                        poison_versions.push(version);
-                    }
-                    if poison_versions.contains(&version) {
-                        poison_exposed = poison_exposed.max(targets.len());
-                    }
-                    for t in targets {
-                        pending_pushes.push((now + push_delay, version, t));
-                    }
+        for action in ctl.tick(now, None, skew, &mut rng) {
+            let wave: Vec<Delivery> = action.deliveries().collect();
+            let head = wave[0];
+            if head.rollback && head.version == 0 {
+                continue; // nothing converged yet: fail-static holds
+            }
+            if !head.rollback {
+                if skew_cutting && !poison_versions.contains(&head.version) {
+                    poison_versions.push(head.version);
                 }
-                RolloutAction::Rollback { to, targets, .. } => {
-                    if to == 0 {
-                        continue; // nothing converged yet: fail-static holds
-                    }
-                    for t in targets {
-                        pending_rollbacks.push((now + push_delay, to, t));
-                    }
+                if poison_versions.contains(&head.version) {
+                    poison_exposed = poison_exposed.max(wave.len());
                 }
+            }
+            for d in wave {
+                southbound.send(now + push_delay, d);
             }
         }
 
-        // 3. Deliver pushes/rollbacks whose propagation delay elapsed.
-        let mut due: Vec<(u64, u32, bool)> = Vec::new();
-        for (queue, is_rollback) in [(&mut pending_pushes, false), (&mut pending_rollbacks, true)] {
-            let arrived = queue.extract_if(.., |&mut (at, ..)| at <= now);
-            due.extend(arrived.map(|(_, version, t)| (version, t, is_rollback)));
-        }
-        for (version, target, is_rollback) in due {
-            let Some(spec) = ctl.bundle(version).cloned() else {
+        // 3. Deliver what the propagation delay has released: the due
+        //    pushes first, then the due rollbacks.
+        let (pushes, rollbacks): (Vec<_>, Vec<_>) =
+            southbound.arrived(now).into_iter().partition(|d| !d.rollback);
+        for d in pushes.into_iter().chain(rollbacks) {
+            let Some(spec) = ctl.bundle(d.version).cloned() else {
                 continue;
             };
             let tenant = spec.trust.tenant;
-            let Some(slot) = gws[target as usize].get_mut(&tenant) else {
+            let Some(slot) = gws[d.target as usize].get_mut(&tenant) else {
                 continue;
             };
-            if is_rollback {
+            if d.rollback {
                 slot.roll_back_to(now, spec, tenant).ok();
                 continue;
             }
-            match deliver(slot, spec, now, tenant, &mut ctl, target) {
+            match deliver(slot, spec, now, tenant, &mut ctl, d.target) {
                 Ok(v) if poison_versions.contains(&v) => poison_committed += 1,
                 Ok(_) => {}
                 Err(_rejection) => nacks += 1,
@@ -744,7 +701,7 @@ pub fn run_canal(
         backlog_rot += demand.rotating_full;
         backlog_other += demand.other_full;
         let capacity = match degrade {
-            Some(kd) if now >= expiry(kd.from_s) && now < expiry(kd.to_s) => {
+            Some(kd) if now >= clock.at(kd.from_s) && now < clock.at(kd.to_s) => {
                 params.ks_capacity_per_s * kd.factor
             }
             _ => params.ks_capacity_per_s,
@@ -965,10 +922,28 @@ impl Scenario for HandshakeOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        unless(
-            self.rotation_ok(),
-            "cert-lifecycle invariant violated (storm / rollback / revocation)",
-        )
+        let c = &self.canal;
+        violated("cert-lifecycle", &[
+            ("the rotating fleet re-keys", c.rotated_certs > 0),
+            ("non-rotating tenants handshake", c.nonrotating_offered > 0),
+            ("non-rotating tenants lose no handshake", c.nonrotating_errors == 0),
+            ("the poisoned bundle is never committed", c.poison_committed == 0),
+            (
+                "the poisoned bundle reaches the canary wave and no further",
+                (1..=self.canary_size).contains(&c.poison_exposed),
+            ),
+            ("the canary NACKs the poisoned bundle", c.nacks > 0),
+            ("the poisoned rotation rolls back automatically", c.poison_rolled_back),
+            ("the skewed tenant's retry converges", c.poison_retry_converged),
+            ("the compromise raises the revocation floor", c.compromise_floor_raised),
+            ("the post-compromise sweep drops tickets", c.tickets_swept > 0),
+            ("no swept ticket resumes", c.revoked_resumes_blocked),
+            ("the storm fills accelerator batches", c.storm_occupancy > c.steady_occupancy + 0.25),
+            ("steady state stays in the bubble regime", c.steady_occupancy < 0.5),
+            ("steady state is mostly resumption", c.steady_resumed_fraction > 0.8),
+            ("the key-server backlog drains", c.backlog_end == 0),
+            ("no handshake is shed", c.sheds == 0),
+        ])
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

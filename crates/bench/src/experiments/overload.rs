@@ -28,7 +28,7 @@
 //! [`SurgeOutcome::digest`] values (held by `crate::scenario::drive`).
 
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_control::{OverloadAssessment, WaterLevelMonitor};
 use canal_gateway::overload::{AttemptKind, OverloadConfig, OverloadControl};
 use canal_net::{
@@ -301,13 +301,7 @@ impl SurgeOutcome {
     /// tenant degrades gracefully — shed happens, but goodput stays above
     /// [`SURGER_GOODPUT_FLOOR`].
     pub fn isolation_ok(&self) -> bool {
-        let Some(canal) = self.placement("canal") else {
-            return false;
-        };
-        canal.victim_p99_ratio() <= VICTIM_P99_BOUND
-            && canal.victim_goodput_ratio() >= 0.99
-            && canal.surger().goodput_ratio() >= SURGER_GOODPUT_FLOOR
-            && canal.surger().shed > 0
+        self.failures().is_empty()
     }
 }
 
@@ -479,7 +473,15 @@ impl Scenario for SurgeOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        unless(self.isolation_ok(), "tenant-isolation invariant violated under surge")
+        let Some(canal) = self.placement("canal") else {
+            return violated("tenant-isolation", &[("the canal placement ran", false)]);
+        };
+        violated("tenant-isolation", &[
+            ("victims hold their no-surge P99", canal.victim_p99_ratio() <= VICTIM_P99_BOUND),
+            ("victims keep their goodput", canal.victim_goodput_ratio() >= 0.99),
+            ("the surger keeps its goodput floor", canal.surger().goodput_ratio() >= SURGER_GOODPUT_FLOOR),
+            ("the surger is shed", canal.surger().shed > 0),
+        ])
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

@@ -39,15 +39,13 @@
 //! [`L4Filter`]: canal_mesh::L4Filter
 //! [`AlertKind::PolicyDeny`]: canal_control::AlertKind
 
-use crate::experiments::rollout::ArmOutcome;
-use crate::experiments::southbound::{ambient_arm, deliver, istio_arm};
+use crate::experiments::southbound::{poisson_arrivals, Blast, CanalArm, TickClock};
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_control::{
-    AlertKind, HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutResult,
-    WaterLevelMonitor,
+    AlertKind, HealthSample, RolloutConfig, RolloutController, RolloutKind, WaterLevelMonitor,
 };
-use canal_gateway::ActivePolicy;
+use canal_gateway::policy::PolicyPlane;
 use canal_mesh::L4Filter;
 use canal_net::{TenantId, VpcId};
 use canal_policy::{
@@ -55,9 +53,8 @@ use canal_policy::{
     PolicyRule, PolicySpec, PolicyStore, PolicyVerdict, TenantPolicy, POLICY_RETAIN_CAP,
 };
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
-use canal_sim::output::{num, pct, Table};
+use canal_sim::output::Table;
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
-use std::collections::BTreeSet;
 
 /// The two tenants sharing the 10.0.0.0/16 address space (their VPCs
 /// overlap on purpose — addresses alone never discriminate, §4.2).
@@ -107,14 +104,10 @@ impl PolicyParams {
         PolicyParams { time_scale: 0.25, rps: 280.0, fleet: 12 }
     }
 
-    /// Scenario horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
-        SimDuration::from_secs(90).scale(self.time_scale)
-    }
-
-    /// Controller tick period (scaled).
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(500).scale(self.time_scale)
+    /// The scaled clock: a 90 s timeline, the controller ticking every
+    /// 500 ms of it.
+    fn clock(&self) -> TickClock {
+        TickClock::new(self.time_scale, SimDuration::from_millis(500), SimDuration::from_secs(90))
     }
 
     /// The canal arm's wave sizing and gates (scaled).
@@ -135,16 +128,11 @@ impl PolicyParams {
 
 /// The scripted scenario: a window during which the policy *source* is
 /// poisoned, so any change cut inside it is semantically invalid.
-fn scripted_plan(scale: f64) -> FaultPlan {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let script = format!(
-        "# one poisoned policy cut (times x{scale})\n\
-         at {t20} fail policy-poison      # operator ships the malformed policy\n\
-         at {t30} recover policy-poison   # source fixed upstream\n",
-        t20 = s(20.0),
-        t30 = s(30.0),
-    );
-    FaultPlan::parse(&script).unwrap_or_default()
+fn scripted_plan(clock: &TickClock) -> FaultPlan {
+    clock.script(&[
+        (20.0, "fail policy-poison"),    // operator ships the malformed policy
+        (30.0, "recover policy-poison"), // source fixed upstream
+    ])
 }
 
 /// One precomputed arrival: a request with full L4+L7 context.
@@ -179,15 +167,7 @@ impl Arrival {
 /// One deterministic Poisson stream over both tenants, spread uniformly
 /// over the fleet. Both tenants draw sources from the *same* 10.0.0.0/16.
 fn arrivals(seed: u64, params: &PolicyParams) -> Vec<Arrival> {
-    let horizon_s = params.horizon().as_secs_f64();
-    let mut rng = SimRng::seed(seed ^ 0x0011_C7A5_7AB1_E500);
-    let mut all = Vec::new();
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / params.rps);
-        if t > horizon_s {
-            break;
-        }
+    poisson_arrivals(seed ^ 0x0011_C7A5_7AB1_E500, params.rps, params.clock().horizon(), |rng, at| {
         // A thin slice of sources falls in the blocked /24, the rest
         // spreads over the shared /16. Legitimate denies are kept rare
         // (~1.6% total) so the deny-spike watermark separates cleanly
@@ -219,8 +199,8 @@ fn arrivals(seed: u64, params: &PolicyParams) -> Vec<Arrival> {
         } else {
             3
         };
-        all.push(Arrival {
-            at: SimTime::from_nanos((t * 1e9) as u64),
+        Arrival {
+            at,
             gw: rng.index(params.fleet),
             tenant: TENANT_IDS[rng.index(2)],
             src_ip,
@@ -228,9 +208,8 @@ fn arrivals(seed: u64, params: &PolicyParams) -> Vec<Arrival> {
             identity: 100 + rng.index(8) as u64,
             method,
             path: rng.index(PATHS.len()),
-        });
-    }
-    all
+        }
+    })
 }
 
 /// The baseline (good) rule set both tenants run: an L4 CIDR deny, an L4
@@ -275,28 +254,14 @@ fn spec_for(version: u64, poisoned: bool, deny_all: bool) -> PolicySpec {
 /// The whole experiment's outcome.
 #[derive(Debug, Clone)]
 pub struct PolicyBlastOutcome {
-    /// Per-arm results for the poisoned change, in canal / ambient /
-    /// istio order.
-    pub arms: Vec<ArmOutcome>,
-    /// Fleet size shared by every arm.
-    pub fleet: usize,
-    /// Canal's canary wave size.
-    pub canary_size: usize,
-    /// NACKs the canal gateways sent for the poisoned version.
-    pub nacks: u64,
-    /// Automatic rollbacks the controller performed.
-    pub rollbacks: u64,
+    /// The poisoned policy across the three arms, and canal's healthy
+    /// policy rollout before it.
+    pub blast: Blast,
     /// Gateways that committed the wrong-scope deny-all version before
     /// the health gate rolled it back (must be ≤ canary).
     pub deny_exposed: usize,
     /// Tenant-1 requests wrongly denied by the deny-all canary.
     pub deny_errors: u64,
-    /// Whether the initial healthy policy rollout converged fleet-wide.
-    pub healthy_converged: bool,
-    /// Waves the healthy rollout used.
-    pub healthy_waves: usize,
-    /// Targets the healthy rollout reached (must equal the fleet).
-    pub healthy_exposed: usize,
     /// `PolicyDeny` alerts the water-level monitor raised.
     pub policy_alerts: u64,
     /// Node-path admission counters summed over the fleet.
@@ -330,32 +295,23 @@ pub struct PolicyBlastOutcome {
 }
 
 impl PolicyBlastOutcome {
-    /// The outcome for one arm.
-    pub fn arm(&self, name: &str) -> Option<&ArmOutcome> {
-        self.arms.iter().find(|a| a.name == name)
-    }
-
     /// Fold the complete outcome into one value: equal seeds must produce
     /// equal digests, bit for bit.
     pub fn digest(&self) -> u64 {
+        let b = &self.blast;
         let mut d = Digest::new();
-        for a in &self.arms {
-            d.write_str(a.name)
-                .write_u64(a.fleet as u64)
-                .write_u64(a.exposed as u64)
-                .write_u64(a.offered)
-                .write_u64(a.errors)
-                .write_f64(a.ttr_s);
+        for a in &b.arms {
+            a.fold_digest(&mut d);
         }
-        d.write_u64(self.fleet as u64)
-            .write_u64(self.canary_size as u64)
-            .write_u64(self.nacks)
-            .write_u64(self.rollbacks)
+        d.write_u64(b.fleet as u64)
+            .write_u64(b.canary_size as u64)
+            .write_u64(b.nacks)
+            .write_u64(b.rollbacks)
             .write_u64(self.deny_exposed as u64)
             .write_u64(self.deny_errors)
-            .write_u64(u64::from(self.healthy_converged))
-            .write_u64(self.healthy_waves as u64)
-            .write_u64(self.healthy_exposed as u64)
+            .write_u64(u64::from(b.healthy_converged))
+            .write_u64(b.healthy_waves as u64)
+            .write_u64(b.healthy_exposed as u64)
             .write_u64(self.policy_alerts)
             .write_u64(self.node_allowed)
             .write_u64(self.node_denied)
@@ -381,318 +337,7 @@ impl PolicyBlastOutcome {
     /// bit-identical to the naive reference, the overlapping tenants
     /// never cross-match, and the compiled match cost beats the scan.
     pub fn policy_ok(&self) -> bool {
-        let (Some(canal), Some(ambient), Some(istio)) = (
-            self.arm("canal"),
-            self.arm("ambient-waypoint"),
-            self.arm("istio-full-push"),
-        ) else {
-            return false;
-        };
-        canal.exposed == 0
-            && canal.errors == 0
-            && self.nacks > 0
-            && self.rollbacks >= 2
-            && self.deny_exposed >= 1
-            && self.deny_exposed <= self.canary_size
-            && self.deny_errors > 0
-            && self.healthy_converged
-            && self.healthy_exposed == self.fleet
-            && self.policy_alerts >= 1
-            && self.isolation_probes > 0
-            && self.cross_tenant_matches == 0
-            && self.compiled_digest == self.reference_digest
-            && self.compiled_ops < self.naive_ops
-            && canal.ttr_s < istio.ttr_s
-            && ambient.exposed > canal.exposed
-            && ambient.exposed < istio.exposed
-            && istio.exposed == self.fleet
-    }
-}
-
-/// When the poisoned policy change ships.
-fn t_bad(plan: &FaultPlan) -> SimTime {
-    plan.events()
-        .iter()
-        .find(|e| e.target == FaultTarget::PolicyPoison && e.kind == FaultKind::Crash)
-        .map(|e| e.at)
-        .unwrap_or(SimTime::MAX)
-}
-
-/// Everything the canal arm produces beyond its [`ArmOutcome`].
-struct CanalRun {
-    arm: ArmOutcome,
-    nacks: u64,
-    rollbacks: u64,
-    deny_exposed: usize,
-    deny_errors: u64,
-    healthy_converged: bool,
-    healthy_waves: usize,
-    healthy_exposed: usize,
-    policy_alerts: u64,
-    node_allowed: u64,
-    node_denied: u64,
-    node_deferred: u64,
-    store_len: usize,
-    events: u64,
-    state_digest: u64,
-}
-
-/// Drive the canal arm: controller ticks, fail-static gateway policy,
-/// per-node L4 filters, the scripted poison window, and three scheduled
-/// policy changes (healthy, poisoned, wrong-scope deny-all).
-///
-/// Serving model: a gateway with no committed policy forwards permissive
-/// (the migration bootstrap — enforcement turns on at the first commit);
-/// after that the node's [`L4Filter`] screens every arrival and defers
-/// L7-predicated candidates to the gateway tables.
-fn run_canal(seed: u64, params: &PolicyParams, plan: &FaultPlan, stream: &[Arrival]) -> CanalRun {
-    let ts = params.time_scale;
-    let tick = params.tick();
-    let ticks = params.horizon().as_nanos() / tick.as_nanos();
-    let baseline = HealthSample { error_rate: 0.0, p99: STEADY_P99 };
-    let baseline_set = CompiledPolicySet::compile(&spec_for(1, false, false)).ok();
-
-    let mut ctl = RolloutController::new(params.rollout_cfg(), SimDuration::ZERO)
-        .with_kind(canal_control::RolloutKind::Policy);
-    for t in 0..params.fleet as u32 {
-        ctl.add_target(t);
-    }
-    let mut gws: Vec<ActivePolicy> = (0..params.fleet).map(|_| ActivePolicy::new()).collect();
-    let mut nodes: Vec<L4Filter> = (0..params.fleet).map(|_| L4Filter::new()).collect();
-    let mut committed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); params.fleet];
-    let mut store = PolicyStore::new();
-
-    let mut state = FaultState::new(&FaultTopology { backends: Vec::new() });
-    let mut monitor = WaterLevelMonitor::new();
-    let mut rng = SimRng::seed(seed ^ 0x0011_C7A5_C7F1_0001);
-
-    // The three scheduled changes (seconds, then scaled): the healthy
-    // baseline rollout, the poisoned cut (content keyed off the scripted
-    // fault state), and the valid-but-wrong-scope deny-all.
-    let begin_at = |secs: f64| SimTime::from_nanos((secs * ts * 1e9) as u64);
-    let schedule = [(begin_at(0.0), false), (t_bad(plan), false), (begin_at(45.0), true)];
-    let mut next_begin = 0usize;
-
-    let mut poisoned_versions: BTreeSet<u64> = BTreeSet::new();
-    let mut deny_version: Option<u64> = None;
-
-    let mut ev_idx = 0usize;
-    let mut ar_idx = 0usize;
-    let mut alerts_seen = 0usize;
-    let mut gw_window: Vec<(u64, u64)> = vec![(0, 0); params.fleet];
-    let mut errors_poison = 0u64;
-    let mut deny_errors = 0u64;
-    let mut nacks = 0u64;
-    let mut events = 0u64;
-
-    for step in 0..=ticks {
-        let now = SimTime::from_nanos(tick.as_nanos() * step);
-
-        // 1. Scripted ground truth advances.
-        while ev_idx < plan.events().len() && plan.events()[ev_idx].at <= now {
-            state.apply(&plan.events()[ev_idx]);
-            ev_idx += 1;
-        }
-
-        // 2. Arrivals since the last tick, screened at the node and (on
-        //    deferral) decided by the gateway's *running* tables.
-        while ar_idx < stream.len() && stream[ar_idx].at <= now {
-            let a = stream[ar_idx];
-            ar_idx += 1;
-            gw_window[a.gw].0 += 1;
-            let enforcing = gws[a.gw].running_version().is_some();
-            let verdict = if enforcing {
-                events += 1;
-                match nodes[a.gw].admit(&a.l4()) {
-                    L4Verdict::Allow => PolicyVerdict::Allow,
-                    L4Verdict::Deny => PolicyVerdict::Deny,
-                    L4Verdict::NeedsL7 => {
-                        events += 1;
-                        gws[a.gw]
-                            .compiled()
-                            .map(|c| c.l7_verdict(&a.l4(), &a.l7()))
-                            .unwrap_or(PolicyVerdict::Deny)
-                    }
-                }
-            } else {
-                PolicyVerdict::Allow
-            };
-            if verdict == PolicyVerdict::Deny {
-                gw_window[a.gw].1 += 1;
-                // An unexpected deny is an error: the running tables deny
-                // what the intended baseline policy allows.
-                let intended = baseline_set
-                    .as_ref()
-                    .map(|s| s.l7_verdict(&a.l4(), &a.l7()))
-                    .unwrap_or(PolicyVerdict::Deny);
-                if intended == PolicyVerdict::Allow {
-                    let rv = gws[a.gw].running_version().unwrap_or(0);
-                    if poisoned_versions.contains(&rv) {
-                        errors_poison += 1;
-                    } else if deny_version == Some(rv) {
-                        deny_errors += 1;
-                    }
-                }
-            }
-        }
-
-        // 3. Policy health *is* the monitor's deny watermark: the health
-        //    sample the controller bakes against reports an error only
-        //    when a new PolicyDeny alert fired since the last tick. The
-        //    deny spike is therefore always detected (and alerted) before
-        //    the health gate can roll the change back.
-        let policy_alerts_now = monitor
-            .alerts()
-            .iter()
-            .filter(|(_, k)| *k == AlertKind::PolicyDeny)
-            .count();
-        let health = Some(HealthSample {
-            error_rate: if policy_alerts_now > alerts_seen { 1.0 } else { 0.0 },
-            p99: STEADY_P99,
-        });
-        alerts_seen = policy_alerts_now;
-
-        // 4. Scheduled changes + the controller's own state machine.
-        let mut actions: Vec<RolloutAction> = Vec::new();
-        if next_begin < schedule.len() && now >= schedule[next_begin].0 && !ctl.in_flight() {
-            let deny_all = schedule[next_begin].1;
-            next_begin += 1;
-            actions.extend(ctl.begin(now, true, baseline, &mut rng));
-            let version = ctl.store().version();
-            if state.policy_poisoned() {
-                poisoned_versions.insert(version);
-            }
-            if deny_all {
-                deny_version = Some(version);
-            }
-            store.record(spec_for(
-                version,
-                poisoned_versions.contains(&version),
-                deny_version == Some(version),
-            ));
-        }
-        actions.extend(ctl.tick(now, health));
-
-        // 5. Apply actions to the data plane. Every push runs through the
-        //    gateway's fail-static commit (validate + compile or NACK);
-        //    the node filter mirrors whatever the gateway committed.
-        for action in actions {
-            match action {
-                RolloutAction::Push { version, targets, .. } => {
-                    let spec = spec_for(
-                        version,
-                        poisoned_versions.contains(&version),
-                        deny_version == Some(version),
-                    );
-                    for t in targets {
-                        let gw = &mut gws[t as usize];
-                        match deliver(gw, spec.clone(), now, (), &mut ctl, t) {
-                            Ok(v) => {
-                                committed[t as usize].insert(v);
-                                if let Some(c) = gw.compiled() {
-                                    nodes[t as usize].install(c.clone());
-                                }
-                            }
-                            Err(_rejection) => nacks += 1,
-                        }
-                    }
-                }
-                RolloutAction::Rollback { to, targets, .. } => {
-                    if to == 0 {
-                        continue; // nothing ever committed; fail-static holds
-                    }
-                    let spec = spec_for(
-                        to,
-                        poisoned_versions.contains(&to),
-                        deny_version == Some(to),
-                    );
-                    for t in targets {
-                        let gw = &mut gws[t as usize];
-                        if gw.roll_back_to(now, spec.clone(), ()).is_ok() {
-                            committed[t as usize].insert(to);
-                            if let Some(c) = gw.compiled() {
-                                nodes[t as usize].install(c.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // 6. The water-level monitor watches *per-gateway* deny fractions
-        //    — per-gateway watermarks catch a wrong-scope canary while the
-        //    fleet average still looks healthy. A gateway's window is only
-        //    ingested once it holds a full evidence quantum, so the spike
-        //    line is never crossed on two-request noise.
-        for w in gw_window.iter_mut() {
-            if w.0 >= MONITOR_QUANTUM {
-                monitor.ingest_policy(now, w.0, w.1);
-                *w = (0, 0);
-            }
-        }
-    }
-
-    // Post-run bookkeeping from the controller's audit log.
-    let outcomes = ctl.outcomes();
-    let healthy = outcomes.front();
-    let poison_outcome = outcomes.iter().find(|o| poisoned_versions.contains(&o.version));
-    let committed_poison = committed
-        .iter()
-        .filter(|set| set.iter().any(|v| poisoned_versions.contains(v)))
-        .count();
-    let deny_exposed = deny_version
-        .map(|dv| committed.iter().filter(|set| set.contains(&dv)).count())
-        .unwrap_or(0);
-    let policy_alerts = monitor
-        .alerts()
-        .iter()
-        .filter(|(_, k)| *k == AlertKind::PolicyDeny)
-        .count() as u64;
-    let (mut node_allowed, mut node_denied, mut node_deferred) = (0u64, 0u64, 0u64);
-    for n in &nodes {
-        let (a, d, f) = n.counters();
-        node_allowed += a;
-        node_denied += d;
-        node_deferred += f;
-    }
-
-    let mut d = Digest::new();
-    ctl.fold_digest(&mut d);
-    for gw in &gws {
-        gw.fold_digest(&mut d);
-    }
-    for n in &nodes {
-        n.fold_digest(&mut d);
-    }
-    store.fold_digest(&mut d);
-    monitor.fold_digest(&mut d);
-    d.write_u64(nacks);
-
-    CanalRun {
-        arm: ArmOutcome {
-            name: "canal",
-            fleet: params.fleet,
-            exposed: committed_poison,
-            offered: stream.len() as u64,
-            errors: errors_poison,
-            ttr_s: poison_outcome
-                .map(|o| o.ended_at.since(o.started_at).as_secs_f64())
-                .unwrap_or(f64::INFINITY),
-        },
-        nacks,
-        rollbacks: ctl.rollbacks(),
-        deny_exposed,
-        deny_errors,
-        healthy_converged: healthy.is_some_and(|o| o.result == RolloutResult::Converged),
-        healthy_waves: healthy.map(|o| o.waves_pushed).unwrap_or(0),
-        healthy_exposed: healthy.map(|o| o.exposed_targets).unwrap_or(0),
-        policy_alerts,
-        node_allowed,
-        node_denied,
-        node_deferred,
-        store_len: store.len(),
-        events,
-        state_digest: d.value(),
+        self.failures().is_empty()
     }
 }
 
@@ -824,34 +469,176 @@ fn cost_gate(seed: u64) -> (u64, u64, usize) {
 }
 
 /// Run the whole policy blast-radius scenario. Fully deterministic in
-/// `seed`.
+/// `seed`. The canal arm is driven tick by tick: controller, fail-static
+/// gateway policy, per-node L4 filters, the scripted poison window, and
+/// three scheduled policy changes (healthy, poisoned, wrong-scope
+/// deny-all); the blind-push arms are priced against the same arrivals.
+///
+/// Serving model: a gateway with no committed policy forwards permissive
+/// (the migration bootstrap — enforcement turns on at the first commit);
+/// after that the node's [`L4Filter`] screens every arrival and defers
+/// L7-predicated candidates to the gateway tables.
 pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
-    let plan = scripted_plan(params.time_scale);
+    let clock = params.clock();
+    let plan = scripted_plan(&clock);
     let stream = arrivals(seed, params);
-    let canal = run_canal(seed, params, &plan, &stream);
-    let (bad_at, offered) = (t_bad(&plan), stream.len() as u64);
+    let t_bad = plan.first(FaultTarget::PolicyPoison, FaultKind::Crash).unwrap_or(SimTime::MAX);
+    let baseline = HealthSample { error_rate: 0.0, p99: STEADY_P99 };
+    let baseline_set = CompiledPolicySet::compile(&spec_for(1, false, false)).ok();
+
+    // The three scheduled changes (seconds, then scaled): the healthy
+    // baseline rollout, the poisoned cut (content keyed off the scripted
+    // fault state), and the valid-but-wrong-scope deny-all.
+    let schedule = vec![(clock.at(0.0), false), (t_bad, false), (clock.at(45.0), true)];
+    let ctl = RolloutController::new(params.rollout_cfg(), SimDuration::ZERO)
+        .with_kind(RolloutKind::Policy);
+    let mut canal: CanalArm<PolicyPlane> = CanalArm::new(ctl, params.fleet, schedule);
+    let spec_of = |version: u64, canal: &CanalArm<PolicyPlane>| {
+        spec_for(version, canal.poisoned.contains(&version), canal.harmful == Some(version))
+    };
+    let mut nodes: Vec<L4Filter> = (0..params.fleet).map(|_| L4Filter::new()).collect();
+    let mut store = PolicyStore::new();
+
+    let mut state = FaultState::new(&FaultTopology { backends: Vec::new() });
+    let mut pending_faults = plan.events();
+    let mut monitor = WaterLevelMonitor::new();
+    let mut rng = SimRng::seed(seed ^ 0x0011_C7A5_C7F1_0001);
+
+    let mut ar_idx = 0usize;
+    let mut alerts_seen = 0usize;
+    let mut gw_window: Vec<(u64, u64)> = vec![(0, 0); params.fleet];
+    let mut errors_poison = 0u64;
+    let mut deny_errors = 0u64;
+    let mut events = 0u64;
+
+    for now in clock.ticks() {
+        // 1. Scripted ground truth advances.
+        state.apply_due(&mut pending_faults, now);
+
+        // 2. Arrivals since the last tick, screened at the node and (on
+        //    deferral) decided by the gateway's *running* tables.
+        while ar_idx < stream.len() && stream[ar_idx].at <= now {
+            let a = stream[ar_idx];
+            ar_idx += 1;
+            gw_window[a.gw].0 += 1;
+            let gw = &canal.slots[a.gw];
+            let verdict = if gw.running_version().is_some() {
+                events += 1;
+                match nodes[a.gw].admit(&a.l4()) {
+                    L4Verdict::Allow => PolicyVerdict::Allow,
+                    L4Verdict::Deny => PolicyVerdict::Deny,
+                    L4Verdict::NeedsL7 => {
+                        events += 1;
+                        gw.compiled()
+                            .map(|c| c.l7_verdict(&a.l4(), &a.l7()))
+                            .unwrap_or(PolicyVerdict::Deny)
+                    }
+                }
+            } else {
+                PolicyVerdict::Allow
+            };
+            if verdict == PolicyVerdict::Deny {
+                gw_window[a.gw].1 += 1;
+                // An unexpected deny is an error: the running tables deny
+                // what the intended baseline policy allows.
+                let intended = baseline_set
+                    .as_ref()
+                    .map(|s| s.l7_verdict(&a.l4(), &a.l7()))
+                    .unwrap_or(PolicyVerdict::Deny);
+                if intended == PolicyVerdict::Allow {
+                    let rv = gw.running_version().unwrap_or(0);
+                    if canal.poisoned.contains(&rv) {
+                        errors_poison += 1;
+                    } else if canal.harmful == Some(rv) {
+                        deny_errors += 1;
+                    }
+                }
+            }
+        }
+
+        // 3. Policy health *is* the monitor's deny watermark: the health
+        //    sample the controller bakes against reports an error only
+        //    when a new PolicyDeny alert fired since the last tick. The
+        //    deny spike is therefore always detected (and alerted) before
+        //    the health gate can roll the change back.
+        let policy_alerts_now = policy_alerts(&monitor);
+        let health = Some(HealthSample {
+            error_rate: if policy_alerts_now > alerts_seen { 1.0 } else { 0.0 },
+            p99: STEADY_P99,
+        });
+        alerts_seen = policy_alerts_now;
+
+        // 4. Scheduled changes + the controller's own state machine.
+        let mut actions = Vec::new();
+        let begun = canal.begin_due(now, state.policy_poisoned(), baseline, &mut rng);
+        if let Some((version, first_actions)) = begun {
+            actions = first_actions;
+            store.record(spec_of(version, &canal));
+        }
+        actions.extend(canal.ctl.tick(now, health));
+
+        // 5. Apply actions to the data plane. Every delivery runs through
+        //    the gateway's fail-static commit (validate + compile or NACK);
+        //    the node filter mirrors whatever the gateway committed.
+        for d in actions.iter().flat_map(|action| action.deliveries()) {
+            if canal.apply(d, spec_of(d.version, &canal), now, ()) {
+                if let Some(c) = canal.slots[d.target as usize].compiled() {
+                    nodes[d.target as usize].install(c.clone());
+                }
+            }
+        }
+
+        // 6. The water-level monitor watches *per-gateway* deny fractions
+        //    — per-gateway watermarks catch a wrong-scope canary while the
+        //    fleet average still looks healthy. A gateway's window is only
+        //    ingested once it holds a full evidence quantum, so the spike
+        //    line is never crossed on two-request noise.
+        for w in gw_window.iter_mut() {
+            if w.0 >= MONITOR_QUANTUM {
+                monitor.ingest_policy(now, w.0, w.1);
+                *w = (0, 0);
+            }
+        }
+    }
+
+    let (mut node_allowed, mut node_denied, mut node_deferred) = (0u64, 0u64, 0u64);
+    for n in &nodes {
+        let (a, d, f) = n.counters();
+        node_allowed += a;
+        node_denied += d;
+        node_deferred += f;
+    }
+
+    let mut d = Digest::new();
+    canal.ctl.fold_digest(&mut d);
+    for gw in &canal.slots {
+        gw.fold_digest(&mut d);
+    }
+    for n in &nodes {
+        n.fold_digest(&mut d);
+    }
+    store.fold_digest(&mut d);
+    monitor.fold_digest(&mut d);
+    d.write_u64(canal.nacks);
+
+    // A blindly applied broken policy fails closed: every request the
+    // intended baseline would allow errors on a proxy that runs it.
     let at_risk = baseline_allowed(&stream);
-    let ambient = ambient_arm(params.fleet, params.time_scale, bad_at, offered, at_risk.iter().copied());
-    let istio = istio_arm(params.fleet, params.time_scale, bad_at, offered, at_risk.iter().copied());
+    let canary_size = params.rollout_cfg().canary_size;
+    let offered = stream.len() as u64;
+    let at_risk = at_risk.iter().copied();
     let (isolation_probes, cross_tenant_matches) = isolation_gate(seed, ISOLATION_PROBES);
     let (compiled_digest, reference_digest) = differential_gate(&stream);
     let (compiled_ops, naive_ops, cost_rules) = cost_gate(seed);
     PolicyBlastOutcome {
-        arms: vec![canal.arm.clone(), ambient, istio],
-        fleet: params.fleet,
-        canary_size: params.rollout_cfg().canary_size,
-        nacks: canal.nacks,
-        rollbacks: canal.rollbacks,
-        deny_exposed: canal.deny_exposed,
-        deny_errors: canal.deny_errors,
-        healthy_converged: canal.healthy_converged,
-        healthy_waves: canal.healthy_waves,
-        healthy_exposed: canal.healthy_exposed,
-        policy_alerts: canal.policy_alerts,
-        node_allowed: canal.node_allowed,
-        node_denied: canal.node_denied,
-        node_deferred: canal.node_deferred,
-        store_len: canal.store_len,
+        blast: canal.blast(canary_size, offered, errors_poison, params.time_scale, t_bad, at_risk),
+        deny_exposed: canal.harmful_exposed(),
+        deny_errors,
+        policy_alerts: policy_alerts(&monitor) as u64,
+        node_allowed,
+        node_denied,
+        node_deferred,
+        store_len: store.len(),
         isolation_probes,
         cross_tenant_matches,
         compiled_digest,
@@ -859,10 +646,15 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
         compiled_ops,
         naive_ops,
         cost_rules,
-        events: canal.events,
-        total_bytes: stream.len() as u64 * REQUEST_BYTES,
-        canal_state_digest: canal.state_digest,
+        events,
+        total_bytes: offered * REQUEST_BYTES,
+        canal_state_digest: d.value(),
     }
+}
+
+/// `PolicyDeny` alerts the monitor has raised so far.
+fn policy_alerts(monitor: &WaterLevelMonitor) -> usize {
+    monitor.alerts().iter().filter(|(_, k)| *k == AlertKind::PolicyDeny).count()
 }
 
 /// The tenant policy plane: bad-push blast radius and the compiled-match gates.
@@ -886,16 +678,28 @@ impl Scenario for PolicyBlastOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        unless(
-            self.policy_ok(),
-            "policy invariant violated (containment / isolation / differential / cost)",
-        )
+        let mut clauses = self.blast.clauses();
+        clauses.extend([
+            (
+                "the wrong-scope deny-all is contained to the canary wave",
+                (1..=self.blast.canary_size).contains(&self.deny_exposed),
+            ),
+            ("the deny-all canary wrongly denies requests", self.deny_errors > 0),
+            ("the deny spike raises a PolicyDeny alert", self.policy_alerts >= 1),
+            ("the isolation gate probes", self.isolation_probes > 0),
+            ("overlapping tenants never cross-match", self.cross_tenant_matches == 0),
+            ("compiled tables equal the naive reference", self.compiled_digest == self.reference_digest),
+            ("a compiled lookup costs less than the scan", self.compiled_ops < self.naive_ops),
+        ]);
+        violated("policy", &clauses)
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
+        let b = &self.blast;
         vec![
-            ("canal", fields!(self => nacks, rollbacks, deny_exposed, canary_size, deny_errors,
-                policy_alerts, healthy_converged, node_allowed, node_denied, node_deferred,
+            ("canal", fields!(self => nacks: b.nacks, rollbacks: b.rollbacks, deny_exposed,
+                canary_size: b.canary_size, deny_errors, policy_alerts,
+                healthy_converged: b.healthy_converged, node_allowed, node_denied, node_deferred,
                 store_len)),
             ("engine", fields!(self => isolation_probes, cross_tenant_matches,
                 differential_equal: self.compiled_digest == self.reference_digest,
@@ -914,37 +718,23 @@ fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
         "tenant policy plane: blast radius of bad policy pushes + compiled match-engine gates",
     );
 
-    let mut blast = Table::new(
-        "blast radius of the poisoned policy",
-        &["arm", "exposed", "fleet", "exposed %", "errors", "availability", "ttr s"],
-    );
-    for a in &outcome.arms {
-        blast.row(&[
-            a.name.to_string(),
-            a.exposed.to_string(),
-            a.fleet.to_string(),
-            pct(a.exposed_fraction()),
-            a.errors.to_string(),
-            pct(a.availability()),
-            num(a.ttr_s),
-        ]);
-    }
-    report.tables.push(blast);
+    let blast = &outcome.blast;
+    report.tables.push(blast.table("blast radius of the poisoned policy", &[]));
 
     let mut plane = Table::new(
         "canal policy plane",
         &["metric", "value"],
     );
     for (k, v) in [
-        ("NACKs (poisoned cut)", outcome.nacks.to_string()),
-        ("automatic rollbacks", outcome.rollbacks.to_string()),
+        ("NACKs (poisoned cut)", blast.nacks.to_string()),
+        ("automatic rollbacks", blast.rollbacks.to_string()),
         (
             "deny-all exposure / canary",
-            format!("{} / {}", outcome.deny_exposed, outcome.canary_size),
+            format!("{} / {}", outcome.deny_exposed, blast.canary_size),
         ),
         ("wrongly denied requests", outcome.deny_errors.to_string()),
         ("PolicyDeny alerts", outcome.policy_alerts.to_string()),
-        ("healthy rollout waves", outcome.healthy_waves.to_string()),
+        ("healthy rollout waves", blast.healthy_waves.to_string()),
         ("node L4 allowed", outcome.node_allowed.to_string()),
         ("node L4 fast-denied", outcome.node_denied.to_string()),
         ("node deferred to L7", outcome.node_deferred.to_string()),
@@ -982,15 +772,12 @@ fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
     }
     report.tables.push(engine);
 
-    let canal = outcome.arm("canal");
-    let ambient = outcome.arm("ambient-waypoint");
-    let istio = outcome.arm("istio-full-push");
-    if let (Some(canal), Some(ambient), Some(istio)) = (canal, ambient, istio) {
+    if let Some(canal) = blast.arm("canal") {
         report.checks.push(Check::cond(
             "canal never commits the poisoned policy",
             "semantic validation NACKs at the canary; blast radius 0",
-            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, outcome.nacks),
-            canal.exposed == 0 && outcome.nacks > 0,
+            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, blast.nacks),
+            canal.exposed == 0 && blast.nacks > 0,
         ));
         report.checks.push(Check::cond(
             "fail-static keeps the running tables enforcing",
@@ -1001,18 +788,18 @@ fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
         report.checks.push(Check::cond(
             "rollback is automatic",
             "NACK and deny-spike health-gate rollbacks, no operator",
-            &format!("{} rollbacks", outcome.rollbacks),
-            outcome.rollbacks >= 2,
+            &format!("{} rollbacks", blast.rollbacks),
+            blast.rollbacks >= 2,
         ));
         report.checks.push(Check::cond(
             "wrong-scope deny-all contained to the canary wave",
             "the monitor's deny-spike alert trips the health gate during bake",
             &format!(
                 "{} of {} gateways (canary {}), {} wrong denies",
-                outcome.deny_exposed, outcome.fleet, outcome.canary_size, outcome.deny_errors
+                outcome.deny_exposed, blast.fleet, blast.canary_size, outcome.deny_errors
             ),
             outcome.deny_exposed >= 1
-                && outcome.deny_exposed <= outcome.canary_size
+                && outcome.deny_exposed <= blast.canary_size
                 && outcome.deny_errors > 0,
         ));
         report.checks.push(Check::cond(
@@ -1021,17 +808,7 @@ fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
             &format!("{} alerts", outcome.policy_alerts),
             outcome.policy_alerts >= 1,
         ));
-        report.checks.push(Check::cond(
-            "healthy policy rollout converges in waves",
-            "canary then growing waves reach the whole fleet",
-            &format!(
-                "{} waves over {} targets",
-                outcome.healthy_waves, outcome.healthy_exposed
-            ),
-            outcome.healthy_converged
-                && outcome.healthy_exposed == outcome.fleet
-                && outcome.healthy_waves >= 3,
-        ));
+        report.checks.push(blast.healthy_check("healthy policy rollout converges in waves"));
         report.checks.push(Check::cond(
             "tenant isolation over overlapping address spaces",
             "joint vs solo compiles agree on every probe; zero cross-tenant matches",
@@ -1063,24 +840,7 @@ fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
             ),
             outcome.node_allowed > 0 && outcome.node_denied > 0 && outcome.node_deferred > 0,
         ));
-        report.checks.push(Check::cond(
-            "blind pushes burn the fleet",
-            "istio exposes 100%; ambient halts mid-push (partial)",
-            &format!(
-                "istio {} / ambient {} / canal {}",
-                istio.exposed, ambient.exposed, canal.exposed
-            ),
-            istio.exposed == outcome.fleet
-                && ambient.exposed < istio.exposed
-                && ambient.exposed > canal.exposed,
-        ));
-        report.checks.push(Check::band(
-            "canal time-to-rollback vs istio",
-            "automatic NACK rollback ≪ operator detection",
-            canal.ttr_s / istio.ttr_s.max(1e-9),
-            0.0,
-            0.1,
-        ));
+        report.checks.extend(blast.blind_push_checks());
         report.checks.push(Check::cond(
             "policy store retention stays bounded",
             "version history capped at POLICY_RETAIN_CAP",

@@ -36,15 +36,18 @@
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
 //! [`FaultPlan`]: canal_sim::faults::FaultPlan
 
-use crate::experiments::southbound::{ambient_arm, deliver, istio_arm};
+use crate::experiments::southbound::{
+    poisson_arrivals, ArmOutcome, Blast, CanalArm, TickClock,
+};
+use canal_gateway::config::RoutePlane;
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, unless, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_control::configure::ConfigPlane;
 use canal_control::{
-    AlertKind, HealthSample, RollbackReason, RolloutAction, RolloutConfig, RolloutController,
+    AlertKind, HealthSample, RollbackReason, RolloutConfig, RolloutController, RolloutOutcome,
     RolloutResult, WaterLevelMonitor,
 };
-use canal_gateway::{ActiveConfig, ConfigSpec, RouteSpec};
+use canal_gateway::{ConfigSpec, RouteSpec};
 use canal_mesh::arch::{Architecture, ClusterShape};
 use canal_net::GlobalServiceId;
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
@@ -58,8 +61,6 @@ const SVC: GlobalServiceId = GlobalServiceId(7);
 const BAD_SVC: GlobalServiceId = GlobalServiceId(404);
 /// Probability an arrival served under the degrading config errors.
 const DEGRADE_FAIL: f64 = 0.9;
-/// The availability SLO the budget-burn metric is charged against (99.9%).
-const SLO_ERROR_BUDGET: f64 = 0.001;
 /// Steady tail latency fed to the health gate (content never changes it
 /// here; the gate trips on error rate).
 const STEADY_P99: SimDuration = SimDuration::from_millis(5);
@@ -95,14 +96,10 @@ impl RolloutParams {
         }
     }
 
-    /// Scenario horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
-        SimDuration::from_secs(90).scale(self.time_scale)
-    }
-
-    /// Controller tick period (scaled).
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_millis(500).scale(self.time_scale)
+    /// The scaled clock: a 90 s timeline, the controller ticking every
+    /// 500 ms of it.
+    fn clock(&self) -> TickClock {
+        TickClock::new(self.time_scale, SimDuration::from_millis(500), SimDuration::from_secs(90))
     }
 
     /// The canal arm's wave sizing and gates (scaled).
@@ -123,20 +120,13 @@ impl RolloutParams {
 /// `config-poison` window covers the operator shipping the bad route table;
 /// the `config-push` blackout covers a southbound channel outage a later
 /// (valid) rollout runs into.
-fn scripted_plan(scale: f64) -> FaultPlan {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let script = format!(
-        "# one bad config change, one push blackout (times x{scale})\n\
-         at {t20} fail config-poison      # operator ships the bad route table\n\
-         at {t30} recover config-poison   # source fixed upstream\n\
-         at {t40} fail config-push        # southbound channel outage\n\
-         at {t50} recover config-push\n",
-        t20 = s(20.0),
-        t30 = s(30.0),
-        t40 = s(40.0),
-        t50 = s(50.0),
-    );
-    FaultPlan::parse(&script).unwrap_or_default()
+fn scripted_plan(clock: &TickClock) -> FaultPlan {
+    clock.script(&[
+        (20.0, "fail config-poison"),    // operator ships the bad route table
+        (30.0, "recover config-poison"), // source fixed upstream
+        (40.0, "fail config-push"),      // southbound channel outage
+        (50.0, "recover config-push"),
+    ])
 }
 
 /// One precomputed client arrival.
@@ -150,105 +140,19 @@ struct Arrival {
 
 /// One deterministic Poisson stream, spread uniformly over the fleet.
 fn arrivals(seed: u64, params: &RolloutParams) -> Vec<Arrival> {
-    let horizon_s = params.horizon().as_secs_f64();
-    let mut rng = SimRng::seed(seed ^ 0x0110_07CA_11A5_0B5E);
-    let mut all = Vec::new();
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / params.rps);
-        if t > horizon_s {
-            break;
-        }
-        all.push(Arrival {
-            at: SimTime::from_nanos((t * 1e9) as u64),
-            gw: rng.index(params.fleet),
-            fail_draw: rng.chance(DEGRADE_FAIL),
-        });
-    }
-    all
-}
-
-/// One arm's blast-radius measurements for the poisoned change.
-#[derive(Debug, Clone)]
-pub struct ArmOutcome {
-    /// Arm name (`canal`, `ambient-waypoint`, `istio-full-push`).
-    pub name: &'static str,
-    /// Fleet size.
-    pub fleet: usize,
-    /// Proxies that ever *ran* (committed) the bad config.
-    pub exposed: usize,
-    /// Requests offered over the horizon.
-    pub offered: u64,
-    /// Requests that errored because their proxy ran the bad config.
-    pub errors: u64,
-    /// Seconds from the bad push starting to the last proxy back on good
-    /// config (for canal: to the automatic rollback completing).
-    pub ttr_s: f64,
-}
-
-impl ArmOutcome {
-    /// Fraction of the fleet that ever ran the bad config.
-    pub fn exposed_fraction(&self) -> f64 {
-        if self.fleet == 0 {
-            return 0.0;
-        }
-        self.exposed as f64 / self.fleet as f64
-    }
-
-    /// 1 − errors/offered.
-    pub fn availability(&self) -> f64 {
-        if self.offered == 0 {
-            return 1.0;
-        }
-        1.0 - self.errors as f64 / self.offered as f64
-    }
-
-    /// Error budget burned: errors over the 99.9%-SLO allowance for the
-    /// horizon (1.0 = the whole budget, >1 = blown).
-    pub fn budget_burned(&self) -> f64 {
-        let budget = (self.offered as f64 * SLO_ERROR_BUDGET).max(1.0);
-        self.errors as f64 / budget
-    }
-
-    fn fold_digest(&self, d: &mut Digest) {
-        d.write_str(self.name)
-            .write_u64(self.fleet as u64)
-            .write_u64(self.exposed as u64)
-            .write_u64(self.offered)
-            .write_u64(self.errors)
-            .write_f64(self.ttr_s);
-    }
-}
-
-/// One audit-log row from the canal controller, pre-rendered for the
-/// report table.
-#[derive(Debug, Clone)]
-pub struct AuditRow {
-    /// Version driven.
-    pub version: u64,
-    /// Terminal result label.
-    pub result: String,
-    /// Waves pushed (canary counts as one).
-    pub waves: usize,
-    /// Targets the version was pushed to.
-    pub exposed: usize,
-    /// Begin → terminal, seconds.
-    pub duration_s: f64,
+    poisson_arrivals(seed ^ 0x0110_07CA_11A5_0B5E, params.rps, params.clock().horizon(), |rng, at| Arrival {
+        at,
+        gw: rng.index(params.fleet),
+        fail_draw: rng.chance(DEGRADE_FAIL),
+    })
 }
 
 /// The whole experiment's outcome.
 #[derive(Debug, Clone)]
 pub struct BlastOutcome {
-    /// Per-arm results, in canal / ambient / istio order.
-    pub arms: Vec<ArmOutcome>,
-    /// Fleet size shared by every arm.
-    pub fleet: usize,
-    /// Canal's canary wave size.
-    pub canary_size: usize,
-    /// NACKs the canal gateways sent for the poisoned version.
-    pub nacks: u64,
-    /// Automatic rollbacks the controller performed.
-    pub rollbacks: u64,
+    /// The poisoned change across the three arms, and canal's healthy
+    /// rollout before it.
+    pub blast: Blast,
     /// Gateways that committed the valid-but-degrading version before the
     /// health gate rolled it back (must be ≤ canary).
     pub degrade_exposed: usize,
@@ -260,50 +164,40 @@ pub struct BlastOutcome {
     /// Whether the rollout begun inside the blackout ended in an
     /// ack-timeout rollback (it could not have converged).
     pub blocked_timeout_rollback: bool,
-    /// Whether the initial healthy rollout converged fleet-wide.
-    pub healthy_converged: bool,
-    /// Waves the healthy rollout used.
-    pub healthy_waves: usize,
-    /// Targets the healthy rollout reached (must equal the fleet).
-    pub healthy_exposed: usize,
     /// `ConfigRollout` alerts the water-level monitor raised.
     pub rollout_alerts: u64,
     /// Southbound pushes dropped by the scripted blackout.
     pub dropped_pushes: u64,
-    /// Whether every `Rollback` the controller emitted targeted a version
+    /// Whether every rollback the controller emitted targeted a version
     /// the fleet had actually converged on (or 0), never a poisoned or
     /// never-committed one.
     pub rollback_targets_good: bool,
     /// Controller + gateway state digest from the canal arm.
     pub canal_state_digest: u64,
     /// The canal controller's per-version audit log.
-    pub audit: Vec<AuditRow>,
+    pub audit: Vec<RolloutOutcome>,
 }
 
 impl BlastOutcome {
-    /// The outcome for one arm.
-    pub fn arm(&self, name: &str) -> Option<&ArmOutcome> {
-        self.arms.iter().find(|a| a.name == name)
-    }
-
     /// Fold the complete outcome into one value: equal seeds must produce
     /// equal digests, bit for bit.
     pub fn digest(&self) -> u64 {
+        let b = &self.blast;
         let mut d = Digest::new();
-        for a in &self.arms {
+        for a in &b.arms {
             a.fold_digest(&mut d);
         }
-        d.write_u64(self.fleet as u64)
-            .write_u64(self.canary_size as u64)
-            .write_u64(self.nacks)
-            .write_u64(self.rollbacks)
+        d.write_u64(b.fleet as u64)
+            .write_u64(b.canary_size as u64)
+            .write_u64(b.nacks)
+            .write_u64(b.rollbacks)
             .write_u64(self.degrade_exposed as u64)
             .write_u64(self.degrade_errors)
             .write_f64(self.blocked_availability)
             .write_u64(u64::from(self.blocked_timeout_rollback))
-            .write_u64(u64::from(self.healthy_converged))
-            .write_u64(self.healthy_waves as u64)
-            .write_u64(self.healthy_exposed as u64)
+            .write_u64(u64::from(b.healthy_converged))
+            .write_u64(b.healthy_waves as u64)
+            .write_u64(b.healthy_exposed as u64)
             .write_u64(self.rollout_alerts)
             .write_u64(self.dropped_pushes)
             .write_u64(u64::from(self.rollback_targets_good))
@@ -318,52 +212,7 @@ impl BlastOutcome {
     /// contained to the canary wave, the blackout never degrades serving,
     /// and the healthy rollout still converges fleet-wide.
     pub fn rollout_ok(&self) -> bool {
-        let (Some(canal), Some(ambient), Some(istio)) = (
-            self.arm("canal"),
-            self.arm("ambient-waypoint"),
-            self.arm("istio-full-push"),
-        ) else {
-            return false;
-        };
-        canal.exposed == 0
-            && canal.errors == 0
-            && self.nacks > 0
-            && self.rollbacks >= 2
-            && self.degrade_exposed >= 1
-            && self.degrade_exposed <= self.canary_size
-            && self.blocked_availability == 1.0
-            && self.blocked_timeout_rollback
-            && self.rollback_targets_good
-            && self.healthy_converged
-            && self.healthy_exposed == self.fleet
-            && canal.ttr_s < istio.ttr_s
-            && ambient.exposed > canal.exposed
-            && ambient.exposed < istio.exposed
-            && istio.exposed == self.fleet
-    }
-}
-
-/// Scripted timeline helpers derived from the plan.
-struct Timeline {
-    /// When the poisoned change ships.
-    t_bad: SimTime,
-    /// `config-push` blackout window.
-    blocked_from: SimTime,
-    blocked_to: SimTime,
-}
-
-fn timeline(plan: &FaultPlan) -> Timeline {
-    let find = |target: FaultTarget, kind: FaultKind| {
-        plan.events()
-            .iter()
-            .find(|e| e.target == target && e.kind == kind)
-            .map(|e| e.at)
-            .unwrap_or(SimTime::MAX)
-    };
-    Timeline {
-        t_bad: find(FaultTarget::ConfigPoison, FaultKind::Crash),
-        blocked_from: find(FaultTarget::ConfigPush, FaultKind::Crash),
-        blocked_to: find(FaultTarget::ConfigPush, FaultKind::Recover),
+        self.failures().is_empty()
     }
 }
 
@@ -384,69 +233,61 @@ fn spec_for(version: u64, poisoned: bool) -> ConfigSpec {
     ConfigSpec { version, routes }
 }
 
-/// Everything the canal arm produces beyond its [`ArmOutcome`].
-struct CanalRun {
-    arm: ArmOutcome,
-    nacks: u64,
-    rollbacks: u64,
-    degrade_exposed: usize,
-    degrade_errors: u64,
-    blocked_offered: u64,
-    blocked_errors: u64,
-    blocked_timeout_rollback: bool,
-    healthy_converged: bool,
-    healthy_waves: usize,
-    healthy_exposed: usize,
-    rollout_alerts: u64,
-    dropped_pushes: u64,
-    rollback_targets_good: bool,
-    state_digest: u64,
-    audit: Vec<AuditRow>,
+/// How the controller's audit log words one terminal result.
+fn result_label(result: RolloutResult) -> String {
+    match result {
+        RolloutResult::Converged => "converged".to_string(),
+        RolloutResult::FailedValidation => "failed validation".to_string(),
+        RolloutResult::RolledBack(RollbackReason::Nack { target }) => {
+            format!("rolled back (NACK from gw {target})")
+        }
+        RolloutResult::RolledBack(RollbackReason::HealthRegression) => {
+            "rolled back (health regression)".to_string()
+        }
+        RolloutResult::RolledBack(RollbackReason::AckTimeout) => {
+            "rolled back (ack timeout)".to_string()
+        }
+    }
 }
 
-/// Drive the canal arm: controller ticks, fail-static gateways, the
+/// Run the whole blast-radius scenario. Fully deterministic in `seed`. The
+/// canal arm is driven tick by tick: controller, fail-static gateways, the
 /// scripted faults, and the four scheduled config changes (healthy,
-/// poisoned, blackout-stalled, degrading).
-fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arrival]) -> CanalRun {
-    let ts = params.time_scale;
-    let tl = timeline(plan);
-    let tick = params.tick();
-    let ticks = params.horizon().as_nanos() / tick.as_nanos();
+/// poisoned, blackout-stalled, degrading); the blind-push arms are priced
+/// against the same arrivals.
+pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
+    let clock = params.clock();
+    let plan = scripted_plan(&clock);
+    let stream = arrivals(seed, params);
+    let first = |target, kind| plan.first(target, kind).unwrap_or(SimTime::MAX);
+    let t_bad = first(FaultTarget::ConfigPoison, FaultKind::Crash);
+    let blocked_from = first(FaultTarget::ConfigPush, FaultKind::Crash);
+    let blocked_to = first(FaultTarget::ConfigPush, FaultKind::Recover);
     let baseline = HealthSample {
         error_rate: 0.0,
         p99: STEADY_P99,
     };
 
-    let mut ctl = RolloutController::new(params.rollout_cfg(), SimDuration::ZERO);
-    for t in 0..params.fleet as u32 {
-        ctl.add_target(t);
-    }
+    // The four scheduled changes (seconds, then scaled): a healthy rollout,
+    // the poisoned one (content keyed off the scripted fault state), one
+    // that lands inside the push blackout, and a valid-but-degrading one.
+    let schedule = vec![
+        (clock.at(0.0), false),
+        (t_bad, false),
+        (clock.at(42.0), false),
+        (clock.at(60.0), true),
+    ];
+    let ctl = RolloutController::new(params.rollout_cfg(), SimDuration::ZERO);
+    let mut canal: CanalArm<RoutePlane> = CanalArm::new(ctl, params.fleet, schedule);
     let known: BTreeSet<GlobalServiceId> = [SVC].into_iter().collect();
-    let mut gws: Vec<ActiveConfig> = (0..params.fleet).map(|_| ActiveConfig::new()).collect();
-    let mut committed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); params.fleet];
 
     let mut state = FaultState::new(&FaultTopology {
         backends: Vec::new(),
     });
+    let mut pending_faults = plan.events();
     let mut monitor = WaterLevelMonitor::new();
     let mut rng = SimRng::seed(seed ^ 0xCA11_0077_5AFE_0001);
 
-    // The four scheduled changes (seconds, then scaled): a healthy rollout,
-    // the poisoned one (content keyed off the scripted fault state), one
-    // that lands inside the push blackout, and a valid-but-degrading one.
-    let begin_at = |secs: f64| SimTime::from_nanos((secs * ts * 1e9) as u64);
-    let schedule = [
-        (begin_at(0.0), false),
-        (tl.t_bad, false),
-        (begin_at(42.0), false),
-        (begin_at(60.0), true),
-    ];
-    let mut next_begin = 0usize;
-
-    let mut poisoned_versions: BTreeSet<u64> = BTreeSet::new();
-    let mut degrading_version: Option<u64> = None;
-
-    let mut ev_idx = 0usize;
     let mut ar_idx = 0usize;
     let mut window_offered = 0u64;
     let mut window_errors = 0u64;
@@ -454,18 +295,12 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
     let mut degrade_errors = 0u64;
     let mut blocked_offered = 0u64;
     let mut blocked_errors = 0u64;
-    let mut nacks = 0u64;
     let mut dropped_pushes = 0u64;
     let mut bad_rollback_targets = 0u64;
 
-    for step in 0..=ticks {
-        let now = SimTime::from_nanos(tick.as_nanos() * step);
-
+    for now in clock.ticks() {
         // 1. Scripted ground truth advances.
-        while ev_idx < plan.events().len() && plan.events()[ev_idx].at <= now {
-            state.apply(&plan.events()[ev_idx]);
-            ev_idx += 1;
-        }
+        state.apply_due(&mut pending_faults, now);
 
         // 2. Arrivals since the last tick, served from each gateway's
         //    *running* (last committed) config — fail-static by
@@ -474,19 +309,19 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
             let a = stream[ar_idx];
             ar_idx += 1;
             window_offered += 1;
-            let rv = gws[a.gw].running_version().unwrap_or(0);
+            let rv = canal.slots[a.gw].running_version().unwrap_or(0);
             let mut err = false;
-            if rv > 0 && poisoned_versions.contains(&rv) {
+            if rv > 0 && canal.poisoned.contains(&rv) {
                 errors_poison += 1;
                 err = true;
-            } else if degrading_version == Some(rv) && a.fail_draw {
+            } else if canal.harmful == Some(rv) && a.fail_draw {
                 degrade_errors += 1;
                 err = true;
             }
             if err {
                 window_errors += 1;
             }
-            if a.at >= tl.blocked_from && a.at < tl.blocked_to {
+            if a.at >= blocked_from && a.at < blocked_to {
                 blocked_offered += 1;
                 if err {
                     blocked_errors += 1;
@@ -507,102 +342,47 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
         window_errors = 0;
 
         // 4. Scheduled changes + the controller's own state machine.
-        let mut actions: Vec<RolloutAction> = Vec::new();
-        if next_begin < schedule.len() && now >= schedule[next_begin].0 && !ctl.in_flight() {
-            let degrading = schedule[next_begin].1;
-            next_begin += 1;
-            actions.extend(ctl.begin(now, true, baseline, &mut rng));
-            let version = ctl.store().version();
-            if state.config_poisoned() {
-                poisoned_versions.insert(version);
-            }
-            if degrading {
-                degrading_version = Some(version);
-            }
-        }
-        actions.extend(ctl.tick(now, health));
+        let begun = canal.begin_due(now, state.config_poisoned(), baseline, &mut rng);
+        let mut actions = begun.map_or_else(Vec::new, |(_, first_actions)| first_actions);
+        actions.extend(canal.ctl.tick(now, health));
 
         // 5. Apply actions to the data plane. A blocked southbound channel
-        //    drops the push entirely; gateways keep serving their running
+        //    drops the action entirely; gateways keep serving their running
         //    config and the controller's ack timeout cleans up.
         for action in actions {
-            match action {
-                RolloutAction::Push { version, targets, .. } => {
-                    if state.config_blocked() {
-                        dropped_pushes += 1;
-                        continue;
-                    }
-                    let poisoned = poisoned_versions.contains(&version);
-                    for t in targets {
-                        let spec = spec_for(version, poisoned);
-                        match deliver(&mut gws[t as usize], spec, now, &known, &mut ctl, t) {
-                            Ok(v) => {
-                                committed[t as usize].insert(v);
-                            }
-                            Err(_rejection) => nacks += 1,
-                        }
-                    }
+            let mut deliveries = action.deliveries().peekable();
+            // A rollback may only restore a version the fleet actually
+            // converged on (or 0 = nothing ever committed), and never a
+            // poisoned one. Count violations so the blast-radius gate fails
+            // if the controller ever "restores" a rejected or
+            // never-committed version.
+            if let Some(d) = deliveries.peek().filter(|d| d.rollback && d.version != 0) {
+                let converged = |o: &RolloutOutcome| {
+                    o.version == d.version && o.result == RolloutResult::Converged
+                };
+                if canal.poisoned.contains(&d.version) || !canal.ctl.outcomes().iter().any(converged) {
+                    bad_rollback_targets += 1;
                 }
-                RolloutAction::Rollback { to, targets, .. } => {
-                    // A rollback may only restore a version the fleet
-                    // actually converged on (or 0 = nothing ever
-                    // committed), and never a poisoned one. Count
-                    // violations so the blast-radius gate fails if the
-                    // controller ever "restores" a rejected or
-                    // never-committed version.
-                    let target_good = to == 0
-                        || (!poisoned_versions.contains(&to)
-                            && ctl.outcomes().iter().any(|o| {
-                                o.version == to && o.result == RolloutResult::Converged
-                            }));
-                    if !target_good {
-                        bad_rollback_targets += 1;
-                    }
-                    if state.config_blocked() {
-                        dropped_pushes += 1;
-                        continue;
-                    }
-                    if to == 0 {
-                        continue; // nothing ever committed; fail-static holds
-                    }
-                    // Materialize the target's real content — poisoned if
-                    // that version was cut from a poisoned source — so a
-                    // bad rollback target is validated (and exposed) like
-                    // any other push, not silently laundered into a good
-                    // config.
-                    let poisoned = poisoned_versions.contains(&to);
-                    for t in targets {
-                        if gws[t as usize]
-                            .roll_back_to(now, spec_for(to, poisoned), &known)
-                            .is_ok()
-                        {
-                            committed[t as usize].insert(to);
-                        }
-                    }
-                }
+            }
+            if state.config_blocked() {
+                dropped_pushes += 1;
+                continue;
+            }
+            for d in deliveries {
+                let spec = spec_for(d.version, canal.poisoned.contains(&d.version));
+                canal.apply(d, spec, now, &known);
             }
         }
 
         // 6. The control plane's monitor sees the rollout dimension.
-        monitor.ingest_rollout(now, ctl.in_flight(), ctl.rollbacks());
+        monitor.ingest_rollout(now, canal.ctl.in_flight(), canal.ctl.rollbacks());
     }
 
-    // Post-run bookkeeping from the controller's audit log.
-    let outcomes = ctl.outcomes();
-    let healthy = outcomes.front();
-    let blocked_outcome = outcomes
+    let blocked_outcome = canal
+        .ctl
+        .outcomes()
         .iter()
         .find(|o| o.result == RolloutResult::RolledBack(RollbackReason::AckTimeout));
-    let poison_outcome = outcomes
-        .iter()
-        .find(|o| poisoned_versions.contains(&o.version));
-    let committed_poison = committed
-        .iter()
-        .filter(|set| set.iter().any(|v| poisoned_versions.contains(v)))
-        .count();
-    let degrade_exposed = degrading_version
-        .map(|dv| committed.iter().filter(|set| set.contains(&dv)).count())
-        .unwrap_or(0);
     let rollout_alerts = monitor
         .alerts()
         .iter()
@@ -610,97 +390,33 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
         .count() as u64;
 
     let mut d = Digest::new();
-    ctl.fold_digest(&mut d);
-    for gw in &gws {
+    canal.ctl.fold_digest(&mut d);
+    for gw in &canal.slots {
         gw.fold_digest(&mut d);
     }
-    d.write_u64(nacks)
+    d.write_u64(canal.nacks)
         .write_u64(dropped_pushes)
         .write_u64(bad_rollback_targets);
 
-    CanalRun {
-        arm: ArmOutcome {
-            name: "canal",
-            fleet: params.fleet,
-            exposed: committed_poison,
-            offered: stream.len() as u64,
-            errors: errors_poison,
-            ttr_s: poison_outcome
-                .map(|o| o.ended_at.since(o.started_at).as_secs_f64())
-                .unwrap_or(f64::INFINITY),
-        },
-        nacks,
-        rollbacks: ctl.rollbacks(),
-        degrade_exposed,
+    // Under a blind push every arrival on a proxy running the bad config errors.
+    let at_risk = stream.iter().map(|a| (a.at, a.gw));
+    let canary_size = params.rollout_cfg().canary_size;
+    let offered = stream.len() as u64;
+    BlastOutcome {
+        blast: canal.blast(canary_size, offered, errors_poison, params.time_scale, t_bad, at_risk),
+        degrade_exposed: canal.harmful_exposed(),
         degrade_errors,
-        blocked_offered,
-        blocked_errors,
+        blocked_availability: if blocked_offered == 0 {
+            1.0
+        } else {
+            1.0 - blocked_errors as f64 / blocked_offered as f64
+        },
         blocked_timeout_rollback: blocked_outcome.is_some(),
-        healthy_converged: healthy.is_some_and(|o| o.result == RolloutResult::Converged),
-        healthy_waves: healthy.map(|o| o.waves_pushed).unwrap_or(0),
-        healthy_exposed: healthy.map(|o| o.exposed_targets).unwrap_or(0),
         rollout_alerts,
         dropped_pushes,
         rollback_targets_good: bad_rollback_targets == 0,
-        state_digest: d.value(),
-        audit: outcomes
-            .iter()
-            .map(|o| AuditRow {
-                version: o.version,
-                result: match o.result {
-                    RolloutResult::Converged => "converged".to_string(),
-                    RolloutResult::FailedValidation => "failed validation".to_string(),
-                    RolloutResult::RolledBack(RollbackReason::Nack { target }) => {
-                        format!("rolled back (NACK from gw {target})")
-                    }
-                    RolloutResult::RolledBack(RollbackReason::HealthRegression) => {
-                        "rolled back (health regression)".to_string()
-                    }
-                    RolloutResult::RolledBack(RollbackReason::AckTimeout) => {
-                        "rolled back (ack timeout)".to_string()
-                    }
-                },
-                waves: o.waves_pushed,
-                exposed: o.exposed_targets,
-                duration_s: o.ended_at.since(o.started_at).as_secs_f64(),
-            })
-            .collect(),
-    }
-}
-
-/// Run the whole blast-radius scenario. Fully deterministic in `seed`.
-pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
-    let plan = scripted_plan(params.time_scale);
-    let stream = arrivals(seed, params);
-    let canal = run_canal(seed, params, &plan, &stream);
-    // Under a blind push every arrival on a proxy running the bad config errors.
-    let (t_bad, offered) = (timeline(&plan).t_bad, stream.len() as u64);
-    let at_risk = || stream.iter().map(|a| (a.at, a.gw));
-    let ambient = ambient_arm(params.fleet, params.time_scale, t_bad, offered, at_risk());
-    let istio = istio_arm(params.fleet, params.time_scale, t_bad, offered, at_risk());
-    let blocked_availability = if canal.blocked_offered == 0 {
-        1.0
-    } else {
-        1.0 - canal.blocked_errors as f64 / canal.blocked_offered as f64
-    };
-    BlastOutcome {
-        arms: vec![canal.arm.clone(), ambient, istio],
-        fleet: params.fleet,
-        canary_size: params.rollout_cfg().canary_size,
-        nacks: canal.nacks,
-        rollbacks: canal.rollbacks,
-        degrade_exposed: canal.degrade_exposed,
-        degrade_errors: canal.degrade_errors,
-        blocked_availability,
-        blocked_timeout_rollback: canal.blocked_timeout_rollback,
-        healthy_converged: canal.healthy_converged,
-        healthy_waves: canal.healthy_waves,
-        healthy_exposed: canal.healthy_exposed,
-        rollout_alerts: canal.rollout_alerts,
-        dropped_pushes: canal.dropped_pushes,
-        rollback_targets_good: canal.rollback_targets_good,
-        canal_state_digest: canal.state_digest,
-        audit: canal.audit,
+        canal_state_digest: d.value(),
+        audit: canal.ctl.outcomes().iter().copied().collect(),
     }
 }
 
@@ -725,16 +441,26 @@ impl Scenario for BlastOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        unless(
-            self.rollout_ok(),
-            "safe-rollout invariant violated (blast radius / rollback / fail-static)",
-        )
+        let mut clauses = self.blast.clauses();
+        clauses.extend([
+            (
+                "the degrading change is contained to the canary wave",
+                (1..=self.blast.canary_size).contains(&self.degrade_exposed),
+            ),
+            ("the push blackout never degrades serving", self.blocked_availability == 1.0),
+            ("the rollout stalled by the blackout times out and rolls back", self.blocked_timeout_rollback),
+            ("every rollback restores a converged, unpoisoned version", self.rollback_targets_good),
+        ]);
+        violated("safe-rollout", &clauses)
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
-        vec![("canal", fields!(self => fleet, canary_size, nacks, rollbacks, degrade_exposed,
-            degrade_errors, blocked_timeout_rollback, healthy_converged, healthy_waves,
-            healthy_exposed, rollout_alerts, dropped_pushes, rollback_targets_good))]
+        let b = &self.blast;
+        vec![("canal", fields!(self => fleet: b.fleet, canary_size: b.canary_size, nacks: b.nacks,
+            rollbacks: b.rollbacks, degrade_exposed, degrade_errors, blocked_timeout_rollback,
+            healthy_converged: b.healthy_converged, healthy_waves: b.healthy_waves,
+            healthy_exposed: b.healthy_exposed, rollout_alerts, dropped_pushes,
+            rollback_targets_good))]
     }
 
     fn report(&self, _seed: u64, _params: &RolloutParams) -> ExperimentReport {
@@ -748,44 +474,21 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
         "safe config rollout: blast radius of one poisoned change across push strategies",
     );
 
-    let mut blast = Table::new(
-        "blast radius of the poisoned change",
-        &[
-            "arm",
-            "exposed",
-            "fleet",
-            "exposed %",
-            "errors",
-            "availability",
-            "budget burned",
-            "ttr s",
-        ],
-    );
-    for a in &outcome.arms {
-        blast.row(&[
-            a.name.to_string(),
-            a.exposed.to_string(),
-            a.fleet.to_string(),
-            pct(a.exposed_fraction()),
-            a.errors.to_string(),
-            pct(a.availability()),
-            num(a.budget_burned()),
-            num(a.ttr_s),
-        ]);
-    }
-    report.tables.push(blast);
+    let blast = &outcome.blast;
+    let burned = |a: &ArmOutcome| num(a.budget_burned());
+    report.tables.push(blast.table("blast radius of the poisoned change", &[("budget burned", burned)]));
 
     let mut audit = Table::new(
         "canal rollout audit log",
         &["version", "result", "waves", "exposed", "duration s"],
     );
-    for row in &outcome.audit {
+    for o in &outcome.audit {
         audit.row(&[
-            row.version.to_string(),
-            row.result.clone(),
-            row.waves.to_string(),
-            row.exposed.to_string(),
-            num(row.duration_s),
+            o.version.to_string(),
+            result_label(o.result),
+            o.waves_pushed.to_string(),
+            o.exposed_targets.to_string(),
+            num(o.ended_at.since(o.started_at).as_secs_f64()),
         ]);
     }
     report.tables.push(audit);
@@ -798,7 +501,7 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
     let ambient_plane = ConfigPlane::new(Architecture::Ambient);
     let canal_plane = ConfigPlane::new(Architecture::Canal);
     let istio_full = sidecar_plane.push_update(&shape);
-    let istio_canary = sidecar_plane.push_wave(&shape, outcome.canary_size);
+    let istio_canary = sidecar_plane.push_wave(&shape, blast.canary_size);
     let ambient_full = ambient_plane.push_update(&shape);
     let canal_full = canal_plane.push_update(&shape);
     let mut south = Table::new(
@@ -820,15 +523,12 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
     }
     report.tables.push(south);
 
-    let canal = outcome.arm("canal");
-    let ambient = outcome.arm("ambient-waypoint");
-    let istio = outcome.arm("istio-full-push");
-    if let (Some(canal), Some(ambient), Some(istio)) = (canal, ambient, istio) {
+    if let Some(canal) = blast.arm("canal") {
         report.checks.push(Check::cond(
             "canal never commits the poisoned version",
             "semantic validation NACKs at the canary; blast radius 0",
-            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, outcome.nacks),
-            canal.exposed == 0 && outcome.nacks > 0,
+            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, blast.nacks),
+            canal.exposed == 0 && blast.nacks > 0,
         ));
         report.checks.push(Check::cond(
             "fail-static serving keeps availability at 100%",
@@ -839,8 +539,8 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
         report.checks.push(Check::cond(
             "rollback is automatic",
             "NACK, ack-timeout and health-gate rollbacks, no operator",
-            &format!("{} rollbacks", outcome.rollbacks),
-            outcome.rollbacks >= 2,
+            &format!("{} rollbacks", blast.rollbacks),
+            blast.rollbacks >= 2,
         ));
         report.checks.push(Check::cond(
             "rollbacks restore only converged versions",
@@ -853,9 +553,9 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
             "health gate trips during bake, before wave 2",
             &format!(
                 "{} of {} gateways (canary {})",
-                outcome.degrade_exposed, outcome.fleet, outcome.canary_size
+                outcome.degrade_exposed, blast.fleet, blast.canary_size
             ),
-            outcome.degrade_exposed >= 1 && outcome.degrade_exposed <= outcome.canary_size,
+            outcome.degrade_exposed >= 1 && outcome.degrade_exposed <= blast.canary_size,
         ));
         report.checks.push(Check::cond(
             "blocked push fails static",
@@ -867,35 +567,8 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
             ),
             outcome.blocked_availability == 1.0 && outcome.blocked_timeout_rollback,
         ));
-        report.checks.push(Check::cond(
-            "healthy rollout converges in exponential waves",
-            "canary then growing waves reach the whole fleet",
-            &format!(
-                "{} waves over {} targets",
-                outcome.healthy_waves, outcome.healthy_exposed
-            ),
-            outcome.healthy_converged
-                && outcome.healthy_exposed == outcome.fleet
-                && outcome.healthy_waves >= 3,
-        ));
-        report.checks.push(Check::cond(
-            "blind pushes burn the fleet",
-            "istio exposes 100%; ambient halts mid-push (partial)",
-            &format!(
-                "istio {} / ambient {} / canal {}",
-                istio.exposed, ambient.exposed, canal.exposed
-            ),
-            istio.exposed == outcome.fleet
-                && ambient.exposed < istio.exposed
-                && ambient.exposed > canal.exposed,
-        ));
-        report.checks.push(Check::band(
-            "canal time-to-rollback vs istio",
-            "automatic NACK rollback ≪ operator detection",
-            canal.ttr_s / istio.ttr_s.max(1e-9),
-            0.0,
-            0.1,
-        ));
+        report.checks.push(blast.healthy_check("healthy rollout converges in exponential waves"));
+        report.checks.extend(blast.blind_push_checks());
         report.checks.push(Check::cond(
             "rollout surfaces as a monitor dimension",
             "ConfigRollout alerts on flight starts and rollbacks",

@@ -55,13 +55,10 @@ pub struct Driver {
     pub drive: fn(u64, bool) -> ScenarioRun,
 }
 
-/// `what` as the one failure unless `ok`.
-pub fn unless(ok: bool, what: &str) -> Vec<String> {
-    if ok {
-        Vec::new()
-    } else {
-        vec![what.to_string()]
-    }
+/// One failure line per clause of the `what` invariant that does not hold.
+pub fn violated(what: &str, clauses: &[(&str, bool)]) -> Vec<String> {
+    let broken = clauses.iter().filter(|(_, holds)| !holds);
+    broken.map(|(clause, _)| format!("{what} invariant violated: {clause}")).collect()
 }
 
 /// One full-scale run's report.

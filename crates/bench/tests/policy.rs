@@ -12,7 +12,7 @@ fn canal_holds_the_policy_blast_radius_invariant() {
             outcome.policy_ok(),
             "seed {seed}: containment / isolation / differential / cost invariant violated"
         );
-        let canal = outcome.arm("canal").expect("canal arm runs");
+        let canal = outcome.blast.arm("canal").expect("canal arm runs");
         assert_eq!(
             canal.exposed, 0,
             "seed {seed}: the poisoned policy must never commit anywhere"
@@ -22,14 +22,14 @@ fn canal_holds_the_policy_blast_radius_invariant() {
             "seed {seed}: fail-static tables keep serving through the NACKed push"
         );
         assert!(
-            outcome.nacks > 0,
+            outcome.blast.nacks > 0,
             "seed {seed}: the canary gateways must NACK the poisoned spec"
         );
         assert!(
-            outcome.deny_exposed >= 1 && outcome.deny_exposed <= outcome.canary_size,
+            outcome.deny_exposed >= 1 && outcome.deny_exposed <= outcome.blast.canary_size,
             "seed {seed}: the deny-all change reached {} gateways, canary is {}",
             outcome.deny_exposed,
-            outcome.canary_size
+            outcome.blast.canary_size
         );
         assert!(
             outcome.policy_alerts >= 1,

@@ -12,7 +12,7 @@ fn canal_holds_the_safe_rollout_invariant() {
             outcome.rollout_ok(),
             "seed {seed}: blast radius / rollback / fail-static invariant violated"
         );
-        let canal = outcome.arm("canal").expect("canal arm runs");
+        let canal = outcome.blast.arm("canal").expect("canal arm runs");
         assert_eq!(
             canal.exposed, 0,
             "seed {seed}: the poisoned version must never commit anywhere"
@@ -22,11 +22,11 @@ fn canal_holds_the_safe_rollout_invariant() {
             "seed {seed}: fail-static serving keeps availability at 100%"
         );
         assert!(
-            outcome.nacks > 0,
+            outcome.blast.nacks > 0,
             "seed {seed}: the canary gateways must NACK the poisoned spec"
         );
         assert!(
-            outcome.rollbacks >= 2,
+            outcome.blast.rollbacks >= 2,
             "seed {seed}: NACK and health-gate rollbacks are automatic"
         );
         assert!(
@@ -34,10 +34,10 @@ fn canal_holds_the_safe_rollout_invariant() {
             "seed {seed}: every rollback must restore a converged, unpoisoned version"
         );
         assert!(
-            outcome.degrade_exposed <= outcome.canary_size,
+            outcome.degrade_exposed <= outcome.blast.canary_size,
             "seed {seed}: the degrading change reached {} gateways, canary is {}",
             outcome.degrade_exposed,
-            outcome.canary_size
+            outcome.blast.canary_size
         );
     }
 }
@@ -45,11 +45,11 @@ fn canal_holds_the_safe_rollout_invariant() {
 #[test]
 fn blind_pushes_burn_the_fleet() {
     let outcome = run_rollout(42, &RolloutParams::fast());
-    let canal = outcome.arm("canal").expect("canal arm runs");
-    let ambient = outcome.arm("ambient-waypoint").expect("ambient arm runs");
-    let istio = outcome.arm("istio-full-push").expect("istio arm runs");
+    let canal = outcome.blast.arm("canal").expect("canal arm runs");
+    let ambient = outcome.blast.arm("ambient-waypoint").expect("ambient arm runs");
+    let istio = outcome.blast.arm("istio-full-push").expect("istio arm runs");
     assert_eq!(
-        istio.exposed, outcome.fleet,
+        istio.exposed, outcome.blast.fleet,
         "a full blind push exposes the whole fleet"
     );
     assert!(
@@ -85,11 +85,11 @@ fn blocked_push_fails_static_and_healthy_rollout_converges() {
         "the rollout stalled by the blackout must roll back on ack timeout"
     );
     assert!(
-        outcome.healthy_converged && outcome.healthy_exposed == outcome.fleet,
+        outcome.blast.healthy_converged && outcome.blast.healthy_exposed == outcome.blast.fleet,
         "the healthy rollout converges fleet-wide"
     );
     assert!(
-        outcome.healthy_waves >= 3,
+        outcome.blast.healthy_waves >= 3,
         "exponential waves: canary plus at least two promotions"
     );
     assert!(

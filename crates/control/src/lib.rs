@@ -70,7 +70,7 @@ pub use proofing::{FaultVerdict, FullMeshProber, ProbeProtocol};
 pub use rca::{candidate_causes, CandidateCause, RootCauseAnalyzer, RcaVerdict};
 pub use region::{RegionEvent, RegionReport, RegionSimulation};
 pub use rollout::{
-    HealthSample, RollbackReason, RolloutAction, RolloutConfig, RolloutController,
+    Delivery, HealthSample, RollbackReason, RolloutAction, RolloutConfig, RolloutController,
     RolloutOutcome, RolloutPhase, RolloutResult,
 };
 pub use scaling::{ScalingEngine, ScalingKind, ScalingRecord};

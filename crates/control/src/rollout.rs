@@ -209,6 +209,35 @@ pub enum RolloutAction {
     },
 }
 
+/// One target's share of a [`RolloutAction`]: what travels south to a single
+/// gateway. A consumer walks [`RolloutAction::deliveries`] and never needs
+/// to know which variant an action is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivery {
+    /// The receiving target.
+    pub target: TargetId,
+    /// The version to stage and commit, or to restore when `rollback`.
+    pub version: u64,
+    /// Fencing epoch of the emitting controller incarnation.
+    pub epoch: u64,
+    /// Whether this restores last-known-good: a rollback bypasses the
+    /// gateway's version monotonicity and is never acknowledged.
+    pub rollback: bool,
+}
+
+impl RolloutAction {
+    /// The action as per-target deliveries, in the action's target order.
+    /// The controller never emits an action without a target, so the first
+    /// delivery also says what the whole action is.
+    pub fn deliveries(&self) -> impl Iterator<Item = Delivery> + '_ {
+        let (version, targets, epoch, rollback) = match self {
+            RolloutAction::Push { version, targets, epoch } => (*version, targets, *epoch, false),
+            RolloutAction::Rollback { to, targets, epoch } => (*to, targets, *epoch, true),
+        };
+        targets.iter().map(move |&target| Delivery { target, version, epoch, rollback })
+    }
+}
+
 /// In-flight state of the version being driven.
 #[derive(Debug)]
 struct ActiveRollout {

@@ -15,7 +15,9 @@
 use std::collections::BTreeSet;
 
 use canal_control::journal::{Journal, JournalRecord};
-use canal_control::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController};
+use canal_control::rollout::{
+    Delivery, HealthSample, RolloutAction, RolloutConfig, RolloutController,
+};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
 
 const CASES: usize = 64;
@@ -23,9 +25,8 @@ const CASES: usize = 64;
 /// Drive a controller through a random rollout history and return its
 /// journal. The driver acks/nacks targets at random, advances time in
 /// random strides (so bakes, ack timeouts and promotions all fire), and
-/// checks the write-ahead invariant on every action batch: any target a
-/// `Push` covers is already in a journaled `WaveCut` for that version,
-/// and any `Rollback` target is already in a journaled `Rollback` record.
+/// checks the write-ahead invariant on every action batch
+/// ([`assert_write_ahead`]).
 fn random_history(seed: u64) -> Journal {
     let mut rng = SimRng::seed(seed);
     let fleet = 3 + rng.index(6) as u32;
@@ -55,15 +56,8 @@ fn random_history(seed: u64) -> Journal {
         };
         actions.extend(ctl.tick(now, Some(health)));
         for action in &actions {
-            assert_write_ahead(ctl.journal(), action, seed);
-            match action {
-                RolloutAction::Push { version, targets, .. } => {
-                    outstanding.extend(targets.iter().map(|&t| (t, *version)));
-                }
-                RolloutAction::Rollback { to, targets, .. } => {
-                    outstanding.extend(targets.iter().map(|&t| (t, *to)));
-                }
-            }
+            assert_write_ahead(ctl.journal(), action, ctl.epoch(), seed);
+            outstanding.extend(action.deliveries().map(|d| (d.target, d.version)));
         }
         // Deliver a random subset of outstanding pushes as acks or nacks;
         // the rest stay in flight (some will hit the ack timeout).
@@ -84,47 +78,34 @@ fn random_history(seed: u64) -> Journal {
     ctl.journal().clone()
 }
 
-/// Write-ahead: at the moment an action is handed south, the journal
-/// already carries the record that covers it.
-fn assert_write_ahead(journal: &Journal, action: &RolloutAction, seed: u64) {
-    match action {
-        RolloutAction::Push { version, targets, .. } => {
-            let cut: BTreeSet<u32> = journal
-                .records()
-                .filter_map(|r| match r {
-                    JournalRecord::WaveCut { version: v, targets, .. } if v == version => {
-                        Some(targets.iter().copied())
-                    }
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            for t in targets {
-                assert!(
-                    cut.contains(t),
-                    "seed {seed}: push of v{version} to target {t} left before its wave cut was journaled"
-                );
-            }
+/// Write-ahead, through the delivery view of an action: at the moment an
+/// action is handed south the journal already carries the record that
+/// covers it, a `WaveCut` of the pushed version or a `Rollback` to the
+/// restored one, and the action's deliveries are that record target for
+/// target: each target once, in the record's order, all at the live epoch
+/// with one version and one direction.
+fn assert_write_ahead(journal: &Journal, action: &RolloutAction, epoch: u64, seed: u64) {
+    let deliveries: Vec<Delivery> = action.deliveries().collect();
+    let head = deliveries[0];
+    assert_eq!(head.epoch, epoch, "seed {seed}: {head:?} left at a foreign epoch");
+    let targets: Vec<u32> = deliveries.iter().map(|d| d.target).collect();
+    assert_eq!(
+        deliveries,
+        targets.iter().map(|&target| Delivery { target, ..head }).collect::<Vec<_>>(),
+        "seed {seed}: one action, one version, epoch and direction"
+    );
+    let distinct: BTreeSet<u32> = targets.iter().copied().collect();
+    assert_eq!(distinct.len(), targets.len(), "seed {seed}: a target delivered twice in {targets:?}");
+    let journaled = journal.records().any(|r| match r {
+        JournalRecord::WaveCut { epoch: e, version, targets: cut, .. } => {
+            !head.rollback && (*e, *version, cut) == (epoch, head.version, &targets)
         }
-        RolloutAction::Rollback { to, targets, .. } => {
-            let rolled: BTreeSet<u32> = journal
-                .records()
-                .filter_map(|r| match r {
-                    JournalRecord::Rollback { to: rt, targets, .. } if rt == to => {
-                        Some(targets.iter().copied())
-                    }
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            for t in targets {
-                assert!(
-                    rolled.contains(t),
-                    "seed {seed}: rollback to v{to} of target {t} left before it was journaled"
-                );
-            }
+        JournalRecord::Rollback { epoch: e, to, targets: rolled, .. } => {
+            head.rollback && (*e, *to, rolled) == (epoch, head.version, &targets)
         }
-    }
+        _ => false,
+    });
+    assert!(journaled, "seed {seed}: {head:?} to {targets:?} left before it was journaled");
 }
 
 fn digest_of(state: &canal_control::journal::ReplayState) -> u64 {

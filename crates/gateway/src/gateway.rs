@@ -14,17 +14,12 @@
 //! backends and replicas are vectors indexed by id. DESIGN.md §16 has the
 //! argument for why digests do not see any of that.
 
-use crate::config::{ActiveConfig, ConfigRejection, ConfigSpec};
-use crate::failstatic::Rejection;
 use crate::failure::{BackendKey, FailureDomain, PlacementView};
-use crate::overload::{
-    AttemptKind, ClientId, OverloadConfig, OverloadControl, OverloadSignals,
-};
 use crate::redirector::BucketTable;
 use crate::sandbox::Sandbox;
 use crate::sharding::ShuffleShardPlanner;
 use canal_net::{
-    AzId, FiveTuple, FlatKey, FlatTable, FlowHash, GlobalServiceId, Priority, SessionTable,
+    AzId, FiveTuple, FlatKey, FlatTable, FlowHash, GlobalServiceId, SessionTable,
 };
 use canal_sim::{CpuServer, Digest, SimDuration, SimRng, SimTime};
 use std::num::NonZeroUsize;
@@ -168,17 +163,9 @@ pub struct Gateway {
     fresh_table: BucketTable,
     /// The sandbox/throttle machinery.
     pub sandbox: Sandbox,
-    /// The overload-control pipeline, when enabled.
-    overload: Option<OverloadControl>,
     window_start: SimTime,
     errors: u64,
     served: u64,
-    /// Known services (everything ever registered/extended here), the
-    /// ground truth `ActiveConfig` validation checks routes against.
-    // lint:allow(bounded-state) reason=one entry per service ever registered; registration is a control-plane setup operation, not a data-path event
-    known_services: std::collections::BTreeSet<GlobalServiceId>,
-    /// The version-skew-safe `{running, staged}` config pair.
-    active_config: ActiveConfig,
 }
 
 /// The leading run of `sorted` (ascending by backend) that belongs to
@@ -221,12 +208,9 @@ impl Gateway {
             services: FlatTable::new(),
             fresh_table: BucketTable::new(cfg.buckets, &replicas, cfg.max_chain),
             sandbox: Sandbox::new(),
-            overload: None,
             window_start: SimTime::ZERO,
             errors: 0,
             served: 0,
-            known_services: std::collections::BTreeSet::new(),
-            active_config: ActiveConfig::new(),
         };
         for az in 0..cfg.azs {
             for _ in 0..cfg.backends_per_az {
@@ -255,36 +239,6 @@ impl Gateway {
     /// Recovery. Errors if the domain is outside the registered topology.
     pub fn recover(&mut self, domain: FailureDomain) -> Result<(), crate::failure::UnknownDomain> {
         self.placement.recover(domain)
-    }
-
-    /// Stage a pushed config without applying it (serving continues from
-    /// the last committed config until [`Self::commit_staged_config`]).
-    pub fn stage_config(&mut self, spec: ConfigSpec) {
-        self.active_config.stage(spec);
-    }
-
-    /// Validate and atomically commit the staged config against this
-    /// gateway's known services. A rejection is the NACK the control plane
-    /// records; the gateway keeps serving its last committed config.
-    pub fn commit_staged_config(
-        &mut self,
-        now: SimTime,
-    ) -> Result<u64, Rejection<ConfigRejection>> {
-        self.active_config.commit_staged(now, &self.known_services)
-    }
-
-    /// Roll back to an explicit last-known-good config (re-validated).
-    pub fn roll_back_config(
-        &mut self,
-        now: SimTime,
-        spec: ConfigSpec,
-    ) -> Result<u64, Rejection<ConfigRejection>> {
-        self.active_config.roll_back_to(now, spec, &self.known_services)
-    }
-
-    /// The `{running, staged}` config pair.
-    pub fn active_config(&self) -> &ActiveConfig {
-        &self.active_config
     }
 
     fn create_backend(&mut self, az: AzId) -> BackendId {
@@ -343,7 +297,6 @@ impl Gateway {
     /// Register a tenant service: shuffle-shard it onto backends in each AZ
     /// and install its bucket tables.
     pub fn register_service(&mut self, service: GlobalServiceId, rng: &mut SimRng) -> Vec<BackendId> {
-        self.known_services.insert(service);
         let combo = self.planner.assign(service, rng);
         let backends: Vec<BackendId> = combo.iter().map(|&b| b as BackendId).collect();
         for &b in &backends {
@@ -355,7 +308,6 @@ impl Gateway {
     /// The `Reuse` scaling operation: extend a service onto an existing
     /// low-water backend. Returns false if already placed there.
     pub fn extend_service(&mut self, service: GlobalServiceId, backend: BackendId) -> bool {
-        self.known_services.insert(service);
         if self.placement.backends_of(service).contains(&backend) {
             return false;
         }
@@ -495,89 +447,6 @@ impl Gateway {
         })
     }
 
-    /// Turn on the overload-control pipeline: subsequent traffic should
-    /// enter through [`Gateway::offer_request`] / [`Gateway::pump_overload`]
-    /// instead of calling [`Gateway::handle_request`] directly.
-    pub fn enable_overload_control(&mut self, cfg: OverloadConfig) {
-        self.overload = Some(OverloadControl::new(cfg));
-    }
-
-    /// The overload pipeline, if enabled.
-    pub fn overload(&self) -> Option<&OverloadControl> {
-        self.overload.as_ref()
-    }
-
-    /// Mutable access to the overload pipeline (weight overrides, signals).
-    pub fn overload_mut(&mut self) -> Option<&mut OverloadControl> {
-        self.overload.as_mut()
-    }
-
-    /// Offer one request to the overload pipeline: retry-budget admission →
-    /// bounded per-tenant queue. Returns a ticket; the dispatch outcome is
-    /// delivered by [`Gateway::pump_overload`] once the fair scheduler
-    /// grants the request CPU (or sheds it). Requires
-    /// [`Gateway::enable_overload_control`] first.
-    #[allow(clippy::too_many_arguments, reason = "request metadata is genuinely this wide")]
-    pub fn offer_request(
-        &mut self,
-        now: SimTime,
-        service: GlobalServiceId,
-        priority: Priority,
-        tuple: &FiveTuple,
-        syn: bool,
-        client: ClientId,
-        kind: AttemptKind,
-        bytes: u64,
-    ) -> Result<u64, GatewayError> {
-        let Some(ov) = self.overload.as_mut() else {
-            // Pipeline disabled: nothing can ever pump the ticket out.
-            return Err(GatewayError::Unavailable);
-        };
-        let res = ov.offer(now, service, priority, *tuple, syn, client, kind, bytes);
-        if res.is_err() {
-            self.errors += 1;
-        }
-        res
-    }
-
-    /// Drain the overload scheduler up to `now`: each granted request is
-    /// dispatched through the normal gateway path at its grant time; CoDel
-    /// sheds surface as [`GatewayError::OverloadShed`]. Returns
-    /// `(ticket, outcome)` pairs in grant order.
-    pub fn pump_overload(
-        &mut self,
-        now: SimTime,
-    ) -> Vec<(u64, Result<GatewayServed, GatewayError>)> {
-        let Some(mut ov) = self.overload.take() else {
-            return Vec::new();
-        };
-        let started = ov.pump(now);
-        let mut out = Vec::with_capacity(started.len());
-        for s in started {
-            let res = if s.shed {
-                self.errors += 1;
-                Err(GatewayError::OverloadShed)
-            } else {
-                self.handle_request_avoiding(s.start, s.pending.service, &s.pending.tuple, s.pending.syn, &[])
-            };
-            out.push((s.ticket, res));
-        }
-        self.overload = Some(ov);
-        out
-    }
-
-    /// When the overload scheduler next has work to grant (schedule a pump
-    /// event then). `None` when queues are empty or the pipeline is off.
-    pub fn next_overload_wake(&self) -> Option<SimTime> {
-        self.overload.as_ref().and_then(|ov| ov.next_wake())
-    }
-
-    /// Read and reset the overload telemetry window (queue depth, shed
-    /// rate, sojourn p99) for the control plane's monitor.
-    pub fn overload_signals(&mut self) -> Option<OverloadSignals> {
-        self.overload.as_mut().map(|ov| ov.signals())
-    }
-
     /// Read and reset the monitoring window: per-backend water levels with
     /// top services (the control plane's §4.3 input).
     pub fn water_levels(&mut self, now: SimTime) -> Vec<WaterLevel> {
@@ -670,9 +539,8 @@ impl Gateway {
     /// Fold the whole gateway into a digest, delegating to every
     /// subsystem: `placement`, `planner`, per-replica state and
     /// per-redirector tables and counters of `backends`, the `sandbox`, the
-    /// `overload` pipeline, the backend AZs and count, the window counters
-    /// of `services` and `window_start`, `errors`/`served`,
-    /// `known_services`, and the `active_config` pair. Tables and counters
+    /// backend AZs and count, the window counters of `services` and
+    /// `window_start`, and `errors`/`served`. Tables and counters
     /// that live in service slots are emitted per backend in ascending
     /// service order, so the sequence is independent of the slot layout.
     pub fn fold_digest(&self, d: &mut Digest) {
@@ -699,15 +567,6 @@ impl Gateway {
             d.write_u64(be.dispatches).write_u64(be.redirected);
         }
         self.sandbox.fold_digest(d);
-        match &self.overload {
-            None => {
-                d.write_u64(0);
-            }
-            Some(ov) => {
-                d.write_u64(1);
-                ov.fold_digest(d);
-            }
-        }
         d.write_u64(self.backends.len() as u64);
         for (b, be) in self.backend_ids().zip(&self.backends) {
             d.write_u64(b as u64).write_u64(be.az.0 as u64);
@@ -720,12 +579,7 @@ impl Gateway {
         }
         d.write_u64(self.window_start.as_nanos())
             .write_u64(self.errors)
-            .write_u64(self.served)
-            .write_u64(self.known_services.len() as u64);
-        for s in &self.known_services {
-            d.write_u64(s.0);
-        }
-        self.active_config.fold_digest(d);
+            .write_u64(self.served);
     }
 
     /// Execute one upgrade step: fail the replica, migrate its sessions'
@@ -938,52 +792,6 @@ mod tests {
         gw.register_service(svc(1), &mut rng);
         let (b, r) = gw.rolling_upgrade_order()[0];
         assert!(!gw.rolling_upgrade_step(b, r));
-    }
-
-    #[test]
-    fn overload_pipeline_dispatches_through_gateway() {
-        let (mut gw, s) = gateway_with_service();
-        gw.enable_overload_control(OverloadConfig::default());
-        let ticket = gw
-            .offer_request(
-                T(0),
-                s,
-                Priority::Interactive,
-                &tuple(1),
-                true,
-                1,
-                AttemptKind::First,
-                256,
-            )
-            .unwrap();
-        let results = gw.pump_overload(T(1));
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, ticket);
-        assert!(results[0].1.is_ok(), "granted request dispatched");
-        let (served, errors) = gw.stats();
-        assert_eq!((served, errors), (1, 0));
-        let sig = gw.overload_signals().unwrap();
-        assert_eq!((sig.offered, sig.started), (1, 1));
-    }
-
-    #[test]
-    fn offer_without_overload_control_is_unavailable() {
-        let (mut gw, s) = gateway_with_service();
-        assert_eq!(
-            gw.offer_request(
-                T(0),
-                s,
-                Priority::Interactive,
-                &tuple(1),
-                true,
-                1,
-                AttemptKind::First,
-                256,
-            ),
-            Err(GatewayError::Unavailable)
-        );
-        assert!(gw.pump_overload(T(1)).is_empty());
-        assert!(gw.next_overload_wake().is_none());
     }
 
     #[test]

@@ -461,8 +461,9 @@ impl OverloadSignals {
     }
 }
 
-/// The assembled overload-control pipeline. Owned by a `Gateway` (via
-/// `enable_overload_control`) or driven standalone in tests.
+/// The assembled overload-control pipeline. It stands in front of a
+/// `Gateway`, composed by its driver: what it grants goes on to
+/// `Gateway::handle_request_avoiding`.
 pub struct OverloadControl {
     cfg: OverloadConfig,
     fair: FairCpuServer,
@@ -470,7 +471,6 @@ pub struct OverloadControl {
     budget: RetryBudget,
     brownout: BrownoutController,
     pending: BTreeMap<u64, PendingRequest>,
-    weight_overrides: BTreeMap<u32, u32>,
     telemetry: Option<TelemetrySink>,
     // Window counters, reset by `signals`.
     win_offered: u64,
@@ -497,7 +497,6 @@ impl OverloadControl {
                 cfg.brownout_exit,
             ),
             pending: BTreeMap::new(),
-            weight_overrides: BTreeMap::new(),
             telemetry: None,
             win_offered: 0,
             win_started: 0,
@@ -533,32 +532,8 @@ impl OverloadControl {
         self.telemetry.as_ref().map(|s| &s.sampler)
     }
 
-    /// Override one tenant's scheduling weight (applies to classes created
-    /// afterwards and re-registers any existing ones).
-    pub fn set_tenant_weight(&mut self, tenant: u32, weight: u32) {
-        self.weight_overrides.insert(tenant, weight);
-        let existing: Vec<ClassId> = self
-            .codel
-            .keys()
-            .copied()
-            .filter(|&c| self.cfg.per_tenant && (c >> 1) as u32 == tenant)
-            .collect();
-        for class in existing {
-            let prio = if class & 1 == 0 {
-                Priority::Interactive
-            } else {
-                Priority::Bulk
-            };
-            self.fair.add_class(class, self.class_config(tenant, prio));
-        }
-    }
-
-    fn class_config(&self, tenant: u32, priority: Priority) -> ClassConfig {
-        let base = self
-            .weight_overrides
-            .get(&tenant)
-            .copied()
-            .unwrap_or(self.cfg.tenant_weight);
+    fn class_config(&self, priority: Priority) -> ClassConfig {
+        let base = self.cfg.tenant_weight;
         let weight = match priority {
             Priority::Interactive => base * self.cfg.interactive_boost.max(1),
             Priority::Bulk => base,
@@ -583,7 +558,7 @@ impl OverloadControl {
         let class = self.class_of(service, priority);
         if !self.codel.contains_key(&class) {
             let cc = if self.cfg.per_tenant {
-                self.class_config(service.tenant().0, priority)
+                self.class_config(priority)
             } else {
                 ClassConfig {
                     weight: 1,
@@ -807,7 +782,7 @@ impl OverloadControl {
 
     /// Fold the whole pipeline into a digest: the `fair` scheduler, every
     /// class's `codel` shedder, the retry `budget` ledger, the `brownout`
-    /// controller, parked `pending` requests, `weight_overrides`, the
+    /// controller, parked `pending` requests, the
     /// `telemetry` attachment, the window counters and `total_shed`.
     pub fn fold_digest(&self, d: &mut Digest) {
         self.fair.fold_digest(d);
@@ -845,10 +820,6 @@ impl OverloadControl {
                 .write_u64(canal_net::hash_five_tuple(&p.tuple))
                 .write_u64(p.syn as u64)
                 .write_u64(p.client);
-        }
-        d.write_u64(self.weight_overrides.len() as u64);
-        for (&tenant, &w) in &self.weight_overrides {
-            d.write_u64(tenant as u64).write_u64(w as u64);
         }
         d.write_u64(self.telemetry.is_some() as u64);
         d.write_u64(self.win_offered)

@@ -552,6 +552,12 @@ impl FaultPlan {
         &self.events
     }
 
+    /// When the plan first does `kind` to `target`, if it ever does: e.g.
+    /// `(ConfigPoison, Crash)` is when the bad change ships.
+    pub fn first(&self, target: FaultTarget, kind: FaultKind) -> Option<SimTime> {
+        self.events.iter().find(|e| e.target == target && e.kind == kind).map(|e| e.at)
+    }
+
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -737,6 +743,19 @@ impl FaultState {
             replicas: topo.backends.iter().map(|b| (b.id, b.replicas)).collect(),
             ..Default::default()
         }
+    }
+
+    /// The plan cursor of a tick-driven model: apply the leading events of
+    /// `pending` (what is left of [`FaultPlan::events`]) that are due by
+    /// `now`, in plan order, leave the rest in `pending`, and say how many
+    /// fired. The position is the caller's slice, not state of this struct,
+    /// whose digest is the ground truth alone.
+    pub fn apply_due(&mut self, pending: &mut &[FaultEvent], now: SimTime) -> usize {
+        let due = pending.iter().take_while(|e| e.at <= now).count();
+        let (fired, rest) = pending.split_at(due);
+        fired.iter().for_each(|e| self.apply(e));
+        *pending = rest;
+        due
     }
 
     /// Apply one fired event.
@@ -1303,6 +1322,25 @@ mod tests {
             }
         }
         assert!(down.is_empty(), "every crash recovers by the horizon");
+        // Replaying it through a cursor, tick by tick, is applying every
+        // event with `at <= now` by hand: same count and same ground truth
+        // at every tick, and nothing is left at the horizon.
+        let state_digest = |st: &FaultState| {
+            let mut d = Digest::new();
+            st.fold_digest(&mut d);
+            d.value()
+        };
+        let (mut pending, mut ticked, mut applied) = (a.events(), FaultState::new(&topo()), 0);
+        for step in 0..=100 {
+            let now = SimTime::ZERO + SimDuration::from_secs(3 * step);
+            applied += ticked.apply_due(&mut pending, now);
+            let mut by_hand = FaultState::new(&topo());
+            let due = a.events().iter().filter(|e| e.at <= now);
+            due.clone().for_each(|e| by_hand.apply(e));
+            assert_eq!(applied, due.count(), "t={now:?}");
+            assert_eq!(state_digest(&ticked), state_digest(&by_hand), "t={now:?}");
+        }
+        assert_eq!(applied, a.len());
     }
 
     #[test]
