@@ -22,6 +22,7 @@
 //! Everything is seeded: double runs with equal seeds produce bit-identical
 //! [`ChaosOutcome::digest`] values (held by `crate::scenario::drive`).
 
+use crate::experiments::southbound::{ms, script};
 use crate::harness::{Check, ExperimentReport};
 use crate::scenario::{fields, violated, Json, Scenario};
 use canal_cluster::DnsView;
@@ -36,7 +37,6 @@ use canal_mesh::arch::{Architecture, ClusterShape};
 use canal_net::{AzId, Endpoint, FiveTuple, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
 use canal_sim::faults::{
     BackendSpec, FaultEvent, FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology,
-    ScriptError,
 };
 use canal_sim::output::{num, pct, Table};
 use canal_sim::{stats, Digest, Model, Scheduler, SimDuration, SimRng, SimTime, Simulation};
@@ -50,6 +50,8 @@ const NEW_CONN_FRACTION: f64 = 0.10;
 const CLIENT_AZ: u32 = 0;
 /// The AZ the scripted power loss hits.
 const FAULT_AZ: u32 = 1;
+/// Beats of the scripted Fig. 8 timeline ([`beats`]).
+const FIG8_BEATS: usize = 12;
 /// DNS name the service publishes health under.
 const DNS_NAME: &str = "svc.mesh";
 /// The arrival stream models one client population, so the retry budget
@@ -286,59 +288,38 @@ fn profiles(scale: f64) -> Vec<ArchProfile> {
     ]
 }
 
-/// Build the scripted Fig. 8 scenario against the *actual* placement, so
-/// every target exists in the topology (unknown domains are hard errors
-/// downstream). Times are nominal seconds on the 120 s timeline, scaled.
-fn scripted_plan(
-    local_backend: BackendId,
-    storm_backends: &[BackendId],
-    scale: f64,
-) -> Result<FaultPlan, ScriptError> {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let mut script = format!(
-        "# Fig. 8 recovery timeline (times x{scale})\n\
-         at {t10} fail replica {b}/0          # replica VM crash\n\
-         at {t18} recover replica {b}/0\n\
-         at {t28} degrade config-push extra {stall}  # controller brownout\n\
-         at {t30} fail backend {b}            # whole backend, mid-stall\n\
-         at {t44} recover backend {b}\n\
-         at {t46} recover config-push\n\
-         at {t60} fail az {az}                # AZ power loss\n\
-         at {t70} degrade key-server extra 15ms\n\
-         at {t80} recover key-server\n\
-         at {t84} recover az {az}\n\
-         at {t95} degrade link {caz}-{az} loss 10% extra 2ms\n\
-         at {t103} recover link {caz}-{az}\n",
-        b = local_backend,
-        az = FAULT_AZ,
-        caz = CLIENT_AZ,
-        stall = s(5.0),
-        t10 = s(10.0),
-        t18 = s(18.0),
-        t28 = s(28.0),
-        t30 = s(30.0),
-        t44 = s(44.0),
-        t46 = s(46.0),
-        t60 = s(60.0),
-        t70 = s(70.0),
-        t80 = s(80.0),
-        t84 = s(84.0),
-        t95 = s(95.0),
-        t103 = s(103.0),
-    );
-    if !storm_backends.is_empty() {
-        // Retry-storm appendix: every placed backend down at once. With no
-        // live replica anywhere the availability invariant is vacuous, so
-        // each attempt past the first is pure retry amplification.
-        script.push_str("# retry-storm appendix: total outage\n");
-        for &b in storm_backends {
-            script.push_str(&format!("at {} fail backend {b}\n", s(106.0)));
-        }
-        for &b in storm_backends {
-            script.push_str(&format!("at {} recover backend {b}\n", s(114.0)));
-        }
-    }
-    FaultPlan::parse(&script)
+/// The beats of the Fig. 8 recovery timeline against the *actual*
+/// placement, so every target exists in the topology (unknown domains are
+/// hard errors downstream). Times are nominal seconds on the 120 s
+/// timeline.
+fn beats(local_backend: BackendId, scale: f64) -> [(f64, String); FIG8_BEATS] {
+    let (b, az, caz) = (local_backend, FAULT_AZ, CLIENT_AZ);
+    [
+        (10.0, format!("fail replica {b}/0")), // replica VM crash
+        (18.0, format!("recover replica {b}/0")),
+        (28.0, format!("degrade config-push extra {}", ms(scale, 5.0))), // controller brownout
+        (30.0, format!("fail backend {b}")), // whole backend, mid-stall
+        (44.0, format!("recover backend {b}")),
+        (46.0, "recover config-push".to_string()),
+        (60.0, format!("fail az {az}")), // AZ power loss
+        (70.0, "degrade key-server extra 15ms".to_string()),
+        (80.0, "recover key-server".to_string()),
+        (84.0, format!("recover az {az}")),
+        (95.0, format!("degrade link {caz}-{az} loss 10% extra 2ms")),
+        (103.0, format!("recover link {caz}-{az}")),
+    ]
+}
+
+/// The scripted plan: the Fig. 8 timeline, then the retry-storm appendix
+/// over `storm_backends` (none: no appendix). With every placed backend
+/// down at once there is no live replica anywhere, the availability
+/// invariant is vacuous, and each attempt past the first is pure retry
+/// amplification.
+fn scripted_plan(local_backend: BackendId, storm_backends: &[BackendId], scale: f64) -> FaultPlan {
+    let mut beats = beats(local_backend, scale).to_vec();
+    beats.extend(storm_backends.iter().map(|b| (106.0, format!("fail backend {b}"))));
+    beats.extend(storm_backends.iter().map(|b| (114.0, format!("recover backend {b}"))));
+    script(scale, &beats)
 }
 
 fn to_domain(target: FaultTarget) -> Option<FailureDomain> {
@@ -418,11 +399,11 @@ impl ChaosModel {
     fn handshake_cost(&self) -> SimDuration {
         match self.detection.arch {
             Architecture::Canal => {
-                if self.truth.key_server_down() {
+                if self.truth.crashed(FaultTarget::KeyServer) {
                     SimDuration::from_millis(2)
                 } else {
                     let mut ks = RemoteKeyServerBackend::new(KeyServerPlacement::LocalAz);
-                    let extra = self.truth.key_server_extra();
+                    let extra = self.truth.extra(FaultTarget::KeyServer);
                     if extra > SimDuration::ZERO {
                         ks.inject_timeout(Some(extra));
                     }
@@ -449,7 +430,7 @@ impl Model for ChaosModel {
                 if to_domain(ev.target).is_some() {
                     let push = self
                         .detection
-                        .push_update_delayed(&self.shape, self.truth.config_extra())
+                        .push_update_delayed(&self.shape, self.truth.extra(FaultTarget::ConfigPush))
                         .total_time
                         .scale(self.scale);
                     sched.after(self.probe_interval + push, Ev::Detect(i));
@@ -521,11 +502,12 @@ impl Model for ChaosModel {
                             }
                             let az = backend_az.get(&served.backend).copied().unwrap_or(CLIENT_AZ);
                             if az != CLIENT_AZ {
-                                let loss = truth.link_loss(CLIENT_AZ, az);
+                                let link = FaultTarget::Link { a: CLIENT_AZ, b: az };
+                                let loss = truth.loss(link);
                                 if loss > 0.0 && loss_rng.chance(loss) {
                                     return Err(AttemptError::BackendFailure(served.backend));
                                 }
-                                link_extra = truth.link_extra(CLIENT_AZ, az);
+                                link_extra = truth.extra(link);
                             }
                             Ok(served)
                         }
@@ -657,7 +639,7 @@ fn run_arch(
             .unwrap_or(0);
 
         let storm_backends = if params.storm { placed.clone() } else { Vec::new() };
-        let plan = scripted_plan(local_backend, &storm_backends, scale).unwrap_or_default();
+        let plan = scripted_plan(local_backend, &storm_backends, scale);
         let plan_events = plan.len();
         let replicas_per_backend = gw.config().replicas_per_backend;
         let topo = FaultTopology {
@@ -887,7 +869,13 @@ impl Scenario for ChaosOutcome {
     fn failures(&self) -> Vec<String> {
         let violations = self.arch("canal").map_or(u64::MAX, |a| a.invariant_violations);
         let clause = format!("{violations} requests failed with a live replica reachable");
-        violated("canal availability", &[(&clause, violations == 0)])
+        // A beat the fault DSL rejects empties the plan, and a fault-free
+        // run is trivially available (these params append no storm).
+        let scripted = format!("the plan has {} events for {FIG8_BEATS} beats", self.plan_events);
+        violated(
+            "canal availability",
+            &[(&clause, violations == 0), (&scripted, self.plan_events == FIG8_BEATS)],
+        )
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

@@ -54,7 +54,7 @@ use canal_cluster::{GrayDetector, GrayPolicy, GrayVerdict};
 use canal_control::rollout::{Delivery, HealthSample, RolloutConfig, RolloutController};
 use canal_gateway::{DrainPhase, GatewayDrain};
 use canal_net::{Endpoint, FiveTuple, VpcAddr, VpcId};
-use canal_sim::faults::{FaultPlan, FaultState, FaultTopology};
+use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, Table};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
 use std::collections::BTreeSet;
@@ -347,7 +347,6 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     }
     let mut southbound: DelayLine<Delivery> = DelayLine::default();
     let push_delay = clock.tick();
-    let mut partitioned_prev: BTreeSet<u32> = BTreeSet::new();
     let mut v1_begun = false;
     let mut v2_begun = false;
     let mut drain_begun = false;
@@ -378,19 +377,23 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
 
     for now in clock.ticks() {
         // 1. Scripted ground truth.
-        events += state.apply_due(&mut pending_faults, now) as u64;
+        let fired = state.apply_due(&mut pending_faults, now);
+        events += fired.len() as u64;
 
         // 2. Reachability transitions feed the controller; heal emits the
         //    monotone catch-up pushes.
-        let partitioned_now: BTreeSet<u32> = state.partitioned_targets().collect();
-        for &g in partitioned_now.difference(&partitioned_prev) {
-            ctl.set_reachable(g, false, now);
-        }
         let mut actions = Vec::new();
-        for &g in partitioned_prev.difference(&partitioned_now) {
-            actions.extend(ctl.set_reachable(g, true, now));
+        for ev in fired {
+            match (ev.target, ev.kind) {
+                (FaultTarget::ControlPartition(g), FaultKind::Crash) => {
+                    ctl.set_reachable(g, false, now);
+                }
+                (FaultTarget::ControlPartition(g), FaultKind::Recover) => {
+                    actions.extend(ctl.set_reachable(g, true, now));
+                }
+                _ => {}
+            }
         }
-        partitioned_prev = partitioned_now;
 
         // 3. Rollout beats + state machine. Rollbacks travel like pushes;
         //    the drill gate asserts none ever fire.
@@ -410,7 +413,7 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         // 4. Deliver config pushes: a partitioned target never sees one.
         for d in southbound.arrived(now) {
             events += 1;
-            if state.control_partitioned(d.target) {
+            if state.active(FaultTarget::ControlPartition(d.target)) {
                 dropped_pushes += 1;
             } else {
                 ctl.ack(d.target, d.version, now);
@@ -419,7 +422,7 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
 
         // 5. Lease accounting: a partitioned gateway serving fail-static
         //    must still be inside its config lease.
-        for &g in &partitioned_prev {
+        for g in state.partitioned_targets() {
             if !ctl.lease_valid(g, now) {
                 lease_violations += 1;
             }
@@ -459,7 +462,7 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
             events += 1;
             if ok {
                 total_bytes += 1024 + rng.index(512) as u64;
-                if partitioned_prev.contains(&g) {
+                if state.active(FaultTarget::ControlPartition(g)) {
                     fail_static_served += 1;
                 }
             } else {
@@ -611,9 +614,10 @@ fn request_outcome(
 ) -> (bool, SimDuration) {
     let mut latency = base.scale(rng.uniform(0.8, 1.2));
     let mut ok = true;
-    if state.gray_active(g) {
-        latency += state.gray_extra(g);
-        if rng.chance(state.gray_loss(g)) {
+    let gray = FaultTarget::GrayDegrade(g);
+    if state.active(gray) {
+        latency += state.extra(gray);
+        if rng.chance(state.loss(gray)) {
             ok = false;
         }
     }

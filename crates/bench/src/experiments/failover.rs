@@ -46,7 +46,7 @@ use canal_control::rollout::{
 };
 use canal_gateway::{ActiveConfig, ConfigSpec, Rejection, RouteSpec};
 use canal_net::GlobalServiceId;
-use canal_sim::faults::{FaultPlan, FaultState, FaultTopology};
+use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::Table;
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -325,8 +325,6 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
     // and northbound acks, each one tick on the wire.
     let mut pushes: DelayLine<(Delivery, bool)> = DelayLine::default();
     let mut acks: DelayLine<AckMsg> = DelayLine::default();
-    let mut was_down = false;
-    let mut was_zombie = false;
     let mut v1_begun = false;
     let mut v2_begun = false;
     // The version under test; in the rollback arm it is the poisoned one.
@@ -365,77 +363,78 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
     };
 
     for now in clock.ticks() {
-        // 1. Scripted ground truth.
-        m.events += state.apply_due(&mut pending_faults, now) as u64;
-
-        // 2. Crash edge: the incarnation dies; everything in its send
-        //    queue dies with it. The write-ahead journal already has every
-        //    intent. A zombie scenario keeps the paused process (and its
-        //    queue) around to resume later.
-        if state.controller_down() && !was_down {
-            was_down = true;
-            if let Some(c) = ctl.take() {
-                m.epoch_before = c.epoch();
-                let lost = std::mem::take(&mut pushes).arrived(SimTime::MAX);
-                m.dropped_in_flight += lost.len() as u64;
-                if scenario == Scenario::Zombie {
-                    zombie_stash = lost.into_iter().map(|(d, _)| d).collect();
+        // 1. Scripted ground truth, and what changed this tick.
+        let fired = state.apply_due(&mut pending_faults, now);
+        m.events += fired.len() as u64;
+        for ev in fired {
+            match (ev.target, ev.kind) {
+                // 2. Crash: the incarnation dies; everything in its send
+                //    queue dies with it. The write-ahead journal already
+                //    has every intent. A zombie scenario keeps the paused
+                //    process (and its queue) around to resume later.
+                (FaultTarget::ControlCrash, FaultKind::Crash) => {
+                    let Some(c) = ctl.take() else { continue };
+                    m.epoch_before = c.epoch();
+                    let lost = std::mem::take(&mut pushes).arrived(SimTime::MAX);
+                    m.dropped_in_flight += lost.len() as u64;
+                    if scenario == Scenario::Zombie {
+                        zombie_stash = lost.into_iter().map(|(d, _)| d).collect();
+                    }
+                    // The journal survives the process (it is written ahead
+                    // of every push); recovery reads this copy. Outside the
+                    // zombie scenario the old incarnation is its carrier
+                    // only.
+                    zombie_ctl = Some(c);
+                    acks = DelayLine::default();
                 }
-                // The journal survives the process (it is written ahead of
-                // every push); recovery reads this copy. Outside the zombie
-                // scenario the old incarnation is its carrier only.
-                zombie_ctl = Some(c);
-                acks = DelayLine::default();
-            }
-        }
-
-        // 3. Restart edge: a new incarnation recovers from the journal
-        //    plus the fleet's reported running versions, announces its
-        //    fenced epoch to every gateway (the probe path), and applies
-        //    the reconciliation actions.
-        if !state.controller_down() && was_down && ctl.is_none() {
-            was_down = false;
-            let journal = zombie_ctl.as_ref().map(|c| c.journal().clone()).unwrap_or_default();
-            if scenario != Scenario::Zombie {
-                zombie_ctl = None;
-            }
-            let fleet_running: BTreeMap<u32, u64> = (0..params.fleet as u32)
-                .map(|g| (g, fleet[g as usize].running_version().unwrap_or(0)))
-                .collect();
-            let (c, actions) =
-                RolloutController::recover(params.rollout_cfg(), SimDuration::ZERO, &journal, &fleet_running, now);
-            m.epoch_after = c.epoch();
-            m.resumed_in_flight = matches!(
-                c.phase(),
-                RolloutPhase::Canary | RolloutPhase::Promoting { .. }
-            );
-            for ac in fleet.iter_mut() {
-                ac.observe_epoch(c.epoch());
-                m.events += 1;
-            }
-            for action in &actions {
-                for d in action.deliveries() {
-                    if d.rollback {
-                        m.rollback_repushes += 1;
-                    } else {
-                        m.recovery_pushes += 1;
+                // 3. Restart: a new incarnation recovers from the journal
+                //    plus the fleet's reported running versions, announces
+                //    its fenced epoch to every gateway (the probe path),
+                //    and applies the reconciliation actions.
+                (FaultTarget::ControlCrash, FaultKind::Recover) if ctl.is_none() => {
+                    let journal = zombie_ctl.as_ref().map(|c| c.journal().clone()).unwrap_or_default();
+                    if scenario != Scenario::Zombie {
+                        zombie_ctl = None;
+                    }
+                    let fleet_running: BTreeMap<u32, u64> = (0..params.fleet as u32)
+                        .map(|g| (g, fleet[g as usize].running_version().unwrap_or(0)))
+                        .collect();
+                    let (c, actions) = RolloutController::recover(
+                        params.rollout_cfg(),
+                        SimDuration::ZERO,
+                        &journal,
+                        &fleet_running,
+                        now,
+                    );
+                    m.epoch_after = c.epoch();
+                    m.resumed_in_flight =
+                        matches!(c.phase(), RolloutPhase::Canary | RolloutPhase::Promoting { .. });
+                    for ac in fleet.iter_mut() {
+                        ac.observe_epoch(c.epoch());
+                        m.events += 1;
+                    }
+                    for action in &actions {
+                        for d in action.deliveries() {
+                            if d.rollback {
+                                m.rollback_repushes += 1;
+                            } else {
+                                m.recovery_pushes += 1;
+                            }
+                        }
+                        enqueue(&mut pushes, now + tick, action, false);
+                    }
+                    ctl = Some(c);
+                }
+                // 4. Zombie resume: the paused incarnation flushes its
+                //    stale send queue and starts ticking again at its old
+                //    epoch.
+                (FaultTarget::ControlZombie, FaultKind::Crash) => {
+                    for d in zombie_stash.drain(..) {
+                        pushes.send(now + tick, (d, true));
                     }
                 }
-                enqueue(&mut pushes, now + tick, action, false);
+                _ => {}
             }
-            ctl = Some(c);
-        }
-
-        // 4. Zombie resume edge: the paused incarnation flushes its stale
-        //    send queue and starts ticking again at its old epoch.
-        if state.zombie_active() && !was_zombie {
-            was_zombie = true;
-            for d in zombie_stash.drain(..) {
-                pushes.send(now + tick, (d, true));
-            }
-        }
-        if !state.zombie_active() {
-            was_zombie = false;
         }
 
         // 5. Northbound acks (one-tick delay). An ack addressed to a dead
@@ -480,7 +479,7 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
         // 7. The zombie keeps ticking at its old epoch: its ack timeout
         //    fires (it hears nothing) and it emits a version-legal
         //    rollback — the push the epoch fence exists for.
-        if state.zombie_active() {
+        if state.active(FaultTarget::ControlZombie) {
             if let Some(zc) = zombie_ctl.as_mut() {
                 for action in &zc.tick(now, None) {
                     enqueue(&mut pushes, now + tick, action, true);

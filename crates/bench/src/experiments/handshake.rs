@@ -69,7 +69,7 @@ use canal_gateway::certs::TrustBundle;
 use canal_mesh::arch::{build, Architecture, RequestCtx};
 use canal_mesh::costs::CostModel;
 use canal_mesh::path::PathExecutor;
-use canal_sim::faults::{FaultPlan, FaultState, FaultTopology};
+use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, Table};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -521,8 +521,6 @@ pub fn run_canal(
 
     // Scenario trackers.
     let mut rotated_certs = 0u64;
-    let mut restart_seen = false;
-    let mut compromise_flagged = false;
     let mut poison_versions: Vec<u64> = Vec::new();
     let mut poison_exposed = 0usize;
     let mut poison_committed = 0usize;
@@ -546,21 +544,24 @@ pub fn run_canal(
         let in_steady = now >= steady_from && now < steady_to;
         let in_storm = now >= storm_from && now < storm_to;
 
-        // 1. Scripted ground truth.
-        state.apply_due(&mut pending_faults, now);
-        if state.az_mass_restarting(0) && !restart_seen {
-            restart_seen = true;
-            reconnect_pool += reconnect_total;
-        }
-        if state.tenant_compromised(COMPROMISED_TENANT as u32) && !compromise_flagged {
-            compromise_flagged = true;
-            ctl.flag_compromise(COMPROMISED_TENANT);
+        // 1. Scripted ground truth. A restart wave and a CA compromise are
+        //    instants: the model reacts when the event fires.
+        for ev in state.apply_due(&mut pending_faults, now) {
+            match (ev.target, ev.kind) {
+                (FaultTarget::AzMassRestart(0), FaultKind::Crash) => reconnect_pool += reconnect_total,
+                (FaultTarget::CaCompromiseRevoke(t), FaultKind::Crash)
+                    if u64::from(t) == COMPROMISED_TENANT =>
+                {
+                    ctl.flag_compromise(COMPROMISED_TENANT);
+                }
+                _ => {}
+            }
         }
 
         // 2. Control plane tick: rotation schedule + rollout state machine.
         //    A hard clock-skew fault (magnitude 0) collapses the horizon.
-        let skew = if state.cert_skew_active() {
-            let magnitude = state.cert_skew();
+        let skew = if state.active(FaultTarget::CertExpirySkew) {
+            let magnitude = state.extra(FaultTarget::CertExpirySkew);
             Some(if magnitude == SimDuration::ZERO {
                 rotation_cfg.cert_ttl
             } else {

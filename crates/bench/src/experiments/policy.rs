@@ -570,7 +570,7 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
 
         // 4. Scheduled changes + the controller's own state machine.
         let mut actions = Vec::new();
-        let begun = canal.begin_due(now, state.policy_poisoned(), baseline, &mut rng);
+        let begun = canal.begin_due(now, state.active(FaultTarget::PolicyPoison), baseline, &mut rng);
         if let Some((version, first_actions)) = begun {
             actions = first_actions;
             store.record(spec_of(version, &canal));

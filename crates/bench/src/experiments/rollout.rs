@@ -342,7 +342,7 @@ pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
         window_errors = 0;
 
         // 4. Scheduled changes + the controller's own state machine.
-        let begun = canal.begin_due(now, state.config_poisoned(), baseline, &mut rng);
+        let begun = canal.begin_due(now, state.active(FaultTarget::ConfigPoison), baseline, &mut rng);
         let mut actions = begun.map_or_else(Vec::new, |(_, first_actions)| first_actions);
         actions.extend(canal.ctl.tick(now, health));
 
@@ -364,7 +364,7 @@ pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
                     bad_rollback_targets += 1;
                 }
             }
-            if state.config_blocked() {
+            if state.crashed(FaultTarget::ConfigPush) {
                 dropped_pushes += 1;
                 continue;
             }

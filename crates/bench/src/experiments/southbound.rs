@@ -64,16 +64,14 @@ impl TickClock {
         SimTime::from_nanos((secs * self.time_scale * 1e9) as u64)
     }
 
-    /// The fault plan of a scenario's beats: `what` (the fault DSL's action
-    /// and target) at each scripted second, in the order given.
+    /// [`script`] on this clock's time compression.
     pub(crate) fn script<S: AsRef<str>>(&self, beats: &[(f64, S)]) -> FaultPlan {
-        let line = |(secs, what): &(f64, S)| format!("at {} {}\n", self.ms(*secs), what.as_ref());
-        FaultPlan::parse(&beats.iter().map(line).collect::<String>()).unwrap_or_default()
+        script(self.time_scale, beats)
     }
 
-    /// `secs` as a scaled duration of the fault DSL.
+    /// [`ms`] on this clock's time compression.
     pub(crate) fn ms(&self, secs: f64) -> String {
-        format!("{}ms", (secs * 1000.0 * self.time_scale) as u64)
+        ms(self.time_scale, secs)
     }
 
     /// The `now` of every tick, from zero through the last one inside the
@@ -82,6 +80,21 @@ impl TickClock {
         let tick = self.tick.as_nanos();
         (0..=self.horizon.as_nanos() / tick).map(move |step| SimTime::from_nanos(tick * step))
     }
+}
+
+/// The fault plan of a scenario's beats: `what` (the fault DSL's action and
+/// target) at each scripted second, shrunk by `time_scale`, in the order
+/// given. A beat the DSL rejects leaves the plan empty; `fig8` and `trace`,
+/// which a fault-free run would still pass, hold the event count in their
+/// `failures()`.
+pub(crate) fn script<S: AsRef<str>>(time_scale: f64, beats: &[(f64, S)]) -> FaultPlan {
+    let line = |(secs, what): &(f64, S)| format!("at {} {}\n", ms(time_scale, *secs), what.as_ref());
+    FaultPlan::parse(&beats.iter().map(line).collect::<String>()).unwrap_or_default()
+}
+
+/// `secs` as a scaled duration of the fault DSL.
+pub(crate) fn ms(time_scale: f64, secs: f64) -> String {
+    format!("{}ms", (secs * 1000.0 * time_scale) as u64)
 }
 
 /// A channel with a propagation delay: what is sent arrives once, not

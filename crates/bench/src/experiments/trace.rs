@@ -25,11 +25,12 @@
 //! Everything is seeded: double runs with equal seeds produce bit-identical
 //! [`TraceOutcome::digest`] values.
 
+use crate::experiments::southbound::script;
 use crate::harness::{Check, ExperimentReport};
 use crate::scenario::{fields, Json, Scenario};
 use canal_control::rca::{HopWindowStats, SpanEvidenceRca, SpanRcaVerdict, TrendHopRca};
 use canal_mesh::costs::CostModel;
-use canal_sim::faults::{BackendSpec, FaultPlan, FaultState, FaultTopology};
+use canal_sim::faults::{BackendSpec, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, pct, Table};
 use canal_sim::{stats, Digest, Histogram, SimDuration, SimRng, SimTime};
 use canal_telemetry::{
@@ -153,34 +154,19 @@ fn topology() -> FaultTopology {
 
 /// The scripted fault timeline: non-overlapping fig8-style episodes so the
 /// RCA windows around each onset stay clean. Times are nominal seconds on
-/// the 120 s timeline, scaled.
-fn scripted_plan(scale: f64) -> FaultPlan {
-    let s = |t: f64| format!("{}ms", (t * 1000.0 * scale) as u64);
-    let script = format!(
-        "# tracing fault timeline (times x{scale})\n\
-         at {t10} fail replica 0/0            # replica VM crash\n\
-         at {t18} recover replica 0/0\n\
-         at {t30} fail backend 1              # whole backend down\n\
-         at {t44} recover backend 1\n\
-         at {t50} fail az 1                   # AZ power loss\n\
-         at {t58} recover az 1\n\
-         at {t66} degrade key-server extra 15ms\n\
-         at {t78} recover key-server\n\
-         at {t88} degrade link 0-1 loss 10% extra 2ms\n\
-         at {t100} recover link 0-1\n",
-        t10 = s(10.0),
-        t18 = s(18.0),
-        t30 = s(30.0),
-        t44 = s(44.0),
-        t50 = s(50.0),
-        t58 = s(58.0),
-        t66 = s(66.0),
-        t78 = s(78.0),
-        t88 = s(88.0),
-        t100 = s(100.0),
-    );
-    FaultPlan::parse(&script).unwrap_or_default()
-}
+/// the 120 s timeline.
+const BEATS: [(f64, &str); 10] = [
+    (10.0, "fail replica 0/0"), // replica VM crash
+    (18.0, "recover replica 0/0"),
+    (30.0, "fail backend 1"), // whole backend down
+    (44.0, "recover backend 1"),
+    (50.0, "fail az 1"), // AZ power loss
+    (58.0, "recover az 1"),
+    (66.0, "degrade key-server extra 15ms"),
+    (78.0, "recover key-server"),
+    (88.0, "degrade link 0-1 loss 10% extra 2ms"),
+    (100.0, "recover link 0-1"),
+];
 
 /// Ground-truth fault effects on one arrival, shared across architectures
 /// (the key-server extra only binds for canal, which offloads handshakes).
@@ -209,11 +195,12 @@ fn effects(truth: &FaultState, a: &TraceArrival) -> Effects {
     }
     let mut link_extra = SimDuration::ZERO;
     if az != CLIENT_AZ {
-        let base = truth.link_extra(CLIENT_AZ, az);
+        let link = FaultTarget::Link { a: CLIENT_AZ, b: az };
+        let base = truth.extra(link);
         if base > SimDuration::ZERO {
             link_extra = base.scale(1.0 + a.sev);
         }
-        let loss = truth.link_loss(CLIENT_AZ, az);
+        let loss = truth.loss(link);
         if loss > 0.0 {
             let lost = a.loss_rolls.iter().filter(|&&r| r < loss).count();
             link_extra += SimDuration::from_millis(2).times(lost as u64);
@@ -223,7 +210,7 @@ fn effects(truth: &FaultState, a: &TraceArrival) -> Effects {
         }
     }
     let ks_extra = if a.new_conn {
-        truth.key_server_extra().scale(0.6 + 1.2 * a.sev)
+        truth.extra(FaultTarget::KeyServer).scale(0.6 + 1.2 * a.sev)
     } else {
         SimDuration::ZERO
     };
@@ -546,6 +533,10 @@ impl TraceOutcome {
     /// mode too — these hold at any scale, unlike the tuned report bands).
     pub fn invariant_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
+        // A beat the fault DSL rejects empties the plan: nothing to trace.
+        if self.plan_events != BEATS.len() {
+            out.push(format!("the plan has {} events for {} beats", self.plan_events, BEATS.len()));
+        }
         for a in &self.archs {
             if a.error_retention() < 0.99 {
                 out.push(format!(
@@ -658,8 +649,7 @@ fn run_arch_trace(
     let mut collector = Collector::new();
     let mut retained: BTreeSet<u64> = BTreeSet::new();
     let mut truth = FaultState::new(topo);
-    let events = plan.events();
-    let mut ev_idx = 0usize;
+    let mut pending_faults = plan.events();
     let mut hist = Histogram::new();
     let mut totals: Vec<(u64, f64, bool)> = Vec::with_capacity(arrivals.len());
     let mut seg_sum: BTreeMap<SegmentKind, f64> = BTreeMap::new();
@@ -668,10 +658,7 @@ fn run_arch_trace(
 
     for (i, a) in arrivals.iter().enumerate() {
         let trace_id = i as u64 + 1;
-        while ev_idx < events.len() && events[ev_idx].at <= a.at {
-            truth.apply(&events[ev_idx]);
-            ev_idx += 1;
-        }
+        truth.apply_due(&mut pending_faults, a.at);
         let fx = effects(&truth, a);
         let spans = chain_spans(arch, &costs, a, &fx, trace_id);
         let total = spans[0].end.since(spans[0].start);
@@ -880,7 +867,7 @@ fn episode_rca(
 pub fn run_trace(seed: u64, params: &TraceParams) -> TraceOutcome {
     let scale = params.time_scale;
     let arrivals = gen_arrivals(seed, params);
-    let plan = scripted_plan(scale);
+    let plan = script(scale, &BEATS);
     let topo = topology();
     let mut archs = Vec::new();
     let mut canal_collector = Collector::new();

@@ -22,10 +22,9 @@
 //!   rather than closed-form approximations. Its fair-queueing sibling
 //!   ([`FairCpuServer`]) adds bounded per-class queues and deficit-weighted
 //!   round-robin scheduling for the gateway overload-control layer.
-//! * [`faults`] — deterministic fault injection: seed-reproducible
-//!   [`FaultPlan`]s (scenario DSL + MTTF/MTTR random plans) scheduling typed
-//!   fault events into a simulation, with [`FaultState`] ground-truth
-//!   bookkeeping for chaos experiments (Fig. 8).
+//! * [`faults`] — deterministic fault injection: [`FaultPlan`]s written in
+//!   a scenario DSL schedule typed fault events into a simulation, with
+//!   [`FaultState`] ground-truth bookkeeping for chaos experiments (Fig. 8).
 //! * [`invariant`] — runtime determinism self-checks: the engine
 //!   debug-asserts event-order invariants on every dispatch, and [`Digest`]
 //!   folds run outcomes so double-run harnesses can demand bit-identical
@@ -48,10 +47,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Model, Scheduler, Simulation};
-pub use faults::{
-    FaultEvent, FaultKind, FaultPlan, FaultRates, FaultState, FaultTarget, FaultTopology,
-    RandomFaultProfile,
-};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 pub use invariant::{Digest, EventOrderMonitor};
 pub use metrics::{Counter, Exemplar, Gauge, Histogram, TimeSeries};
 pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, FairServed, QueueReject};

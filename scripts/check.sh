@@ -56,4 +56,9 @@ else
     echo "==> clippy not installed; skipping (workspace lints still apply on nightly builds)"
 fi
 
+# A report, not a gate: the size ROADMAP's open-items table tracks, so every
+# simplicity PR quotes the same count.
+echo "==> workspace .rs lines (scripts/loc.sh)"
+bash scripts/loc.sh
+
 echo "All checks passed."
