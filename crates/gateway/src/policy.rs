@@ -2,12 +2,17 @@
 //!
 //! A pushed [`PolicySpec`] goes through the fail-static contract of
 //! [`crate::failstatic`] (fence, version, content, swap). Here the content
-//! check *is* compilation: [`CompiledPolicySet::compile`] validates the spec
-//! and builds the tables the data path evaluates in one step, so the
+//! check *is* compilation, and a commit compiles *against what is running*:
+//! [`CompiledPolicySet::compile_against`] validates and builds the tables of
+//! the tenants whose policy differs from the running spec's and takes every
+//! other tenant's tables from the running set as they are, so a one-tenant
+//! edit costs one tenant's compile. The result is the set a compile from
+//! scratch builds (same verdicts, same digest, same rejection), so the
 //! enforced spec and its compiled form can never diverge, and a spec that
-//! fails either is refused with the [`PolicyRejection`] the compiler gave.
-//! A poisoned policy push can therefore never widen or narrow enforcement
-//! beyond the canary that NACKed it.
+//! fails is refused with the [`PolicyRejection`] the compiler gave. A
+//! rollback is admitted with no running state to compare against and
+//! compiles in full. A poisoned policy push can therefore never widen or
+//! narrow enforcement beyond the canary that NACKed it.
 
 use crate::failstatic::{FailStatic, Plane, Rejection};
 use canal_policy::{CompiledPolicySet, PolicyRejection, PolicySpec};
@@ -36,9 +41,9 @@ impl Plane for PolicyPlane {
         spec: PolicySpec,
         _now: SimTime,
         (): (),
-        _running: Option<&Self::Served>,
+        running: Option<&Self::Served>,
     ) -> Result<Self::Served, PolicyRejection> {
-        let compiled = CompiledPolicySet::compile(&spec)?;
+        let compiled = CompiledPolicySet::compile_against(&spec, running.map(|(s, c)| (s, c)))?;
         Ok((spec, compiled))
     }
 
@@ -75,7 +80,7 @@ impl ActivePolicy {
 mod tests {
     use super::*;
     use canal_net::{TenantId, VpcId};
-    use canal_policy::{L4Ctx, L4Verdict, PolicyRule, TenantPolicy};
+    use canal_policy::{L4Ctx, L4Verdict, PolicyRule, SniMatch, TenantPolicy};
 
     fn spec(version: u64, rules: Vec<PolicyRule>) -> PolicySpec {
         PolicySpec {
@@ -107,5 +112,24 @@ mod tests {
         assert!(ap.staged().is_none(), "poisoned staged spec discarded");
         assert_eq!(ap.rejections(), 1);
         assert_eq!(ap.commits(), 1);
+    }
+
+    /// The scan-all oracle would match `example.com` inside `evilexample.com`
+    /// and the tables nowhere, so a suffix without its dot never commits.
+    #[test]
+    fn dotless_sni_suffix_is_nacked_with_its_own_rejection() {
+        let mut ap = ActivePolicy::new();
+        ap.stage(spec(1, vec![PolicyRule::allow()]));
+        ap.commit_staged(SimTime::ZERO).ok();
+        let suffix = SniMatch::Suffix("example.com".to_string());
+        ap.stage(spec(2, vec![PolicyRule::deny(), PolicyRule::allow().with_sni(suffix)]));
+        assert_eq!(
+            ap.commit_staged(SimTime::from_secs(5)),
+            Err(Rejection::Content(PolicyRejection::SniSuffixWithoutDot {
+                tenant: TenantId(1),
+                rule: 1
+            }))
+        );
+        assert_eq!(ap.running_version(), Some(1));
     }
 }

@@ -8,13 +8,21 @@
 //! * `contract_*`: seeded random sequences of every operation with valid,
 //!   stale and poisoned specs, checked step by step against a small model
 //!   and against the invariants stated on [`FailStatic`].
+//! * `sharing_*`: the policy plane compiles a commit against what is
+//!   running and shares the tables of the tenants the push left alone, so
+//!   the same histories run over many-tenant specs: what is served is
+//!   always what a compile of its spec from scratch builds, a refusal
+//!   leaves every tenant's tables where they were, and a holder of an older
+//!   version keeps that version.
 
 use canal_gateway::certs::{CertBundleSpec, CertPlane, TrustBundle};
 use canal_gateway::config::{ConfigSpec, RoutePlane, RouteSpec};
 use canal_gateway::policy::PolicyPlane;
-use canal_gateway::{FailStatic, Plane, Rejection};
+use canal_gateway::{ActivePolicy, FailStatic, Plane, Rejection};
 use canal_net::{GlobalServiceId, TenantId, VpcId};
-use canal_policy::{PolicyRule, PolicySpec, PolicyVerdict, TenantPolicy};
+use canal_policy::{
+    CompiledPolicySet, L4Ctx, L4Verdict, PolicyRule, PolicySpec, PolicyVerdict, TenantPolicy,
+};
 use canal_sim::{Digest, SimRng, SimTime};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -112,25 +120,34 @@ enum Op {
 
 type Outcome<C> = Result<u64, Rejection<C>>;
 
-/// Run `op` at `now`. Calls that return no version report 0, `Observe`
-/// whether the floor advanced.
+/// Run `op` at `now` with the fixture's specs.
 fn apply<P: Fixture>(
     slot: &mut FailStatic<P>,
     op: Op,
     now: SimTime,
     known: &BTreeSet<GlobalServiceId>,
 ) -> Outcome<P::Reject> {
+    apply_with(slot, op, now, P::ctx(known), P::make)
+}
+
+/// Run `op` at `now`, its spec built by `make`. Calls that return no version
+/// report 0, `Observe` whether the floor advanced.
+fn apply_with<P: Plane>(
+    slot: &mut FailStatic<P>,
+    op: Op,
+    now: SimTime,
+    ctx: P::Ctx<'_>,
+    make: fn(u64, bool) -> P::Spec,
+) -> Outcome<P::Reject> {
     match op {
         Op::Stage(v, p) => {
-            slot.stage(P::make(v, p));
+            slot.stage(make(v, p));
             Ok(0)
         }
-        Op::StageFenced(v, p, epoch) => slot.stage_fenced(P::make(v, p), epoch).map(|()| 0),
-        Op::Commit => slot.commit(now, P::ctx(known)),
-        Op::RollBack(v, p) => slot.roll_back_to(now, P::make(v, p), P::ctx(known)),
-        Op::RollBackFenced(v, p, epoch) => {
-            slot.roll_back_to_fenced(now, P::make(v, p), P::ctx(known), epoch)
-        }
+        Op::StageFenced(v, p, epoch) => slot.stage_fenced(make(v, p), epoch).map(|()| 0),
+        Op::Commit => slot.commit(now, ctx),
+        Op::RollBack(v, p) => slot.roll_back_to(now, make(v, p), ctx),
+        Op::RollBackFenced(v, p, epoch) => slot.roll_back_to_fenced(now, make(v, p), ctx, epoch),
         Op::Observe(epoch) => Ok(slot.observe_epoch(epoch) as u64),
     }
 }
@@ -306,6 +323,24 @@ impl Model {
     }
 }
 
+/// A random call on a slot running `running` under epoch floor `floor`: a
+/// quarter of the specs poisoned, versions straddling the running one
+/// (version 0 stays out because the cert fixture's generation follows it),
+/// epochs straddling the floor.
+fn random_op(rng: &mut SimRng, running: Option<u64>, floor: u64) -> Op {
+    let v = rng.int_range(1, running.unwrap_or(0) + 3);
+    let p = rng.chance(0.25);
+    let epoch = rng.int_range(floor.saturating_sub(2), floor + 3);
+    [
+        Op::Stage(v, p),
+        Op::StageFenced(v, p, epoch),
+        Op::Commit,
+        Op::RollBack(v, p),
+        Op::RollBackFenced(v, p, epoch),
+        Op::Observe(epoch),
+    ][rng.index(6)]
+}
+
 fn served_digest<P: Plane>(served: &P::Served) -> u64 {
     let mut d = Digest::new();
     P::fold_served(served, &mut d);
@@ -321,19 +356,7 @@ fn contract<P: Fixture>() {
         for step in 0..STEPS {
             let (was, digest_was) = (model, digest_of(&slot));
             let served_was = slot.running().map(served_digest::<P>);
-            // Versions straddle the running one; version 0 stays out because
-            // the cert fixture's generation follows it.
-            let v = rng.int_range(1, model.running.unwrap_or(0) + 3);
-            let p = rng.chance(0.25);
-            let epoch = rng.int_range(model.floor.saturating_sub(2), model.floor + 3);
-            let op = [
-                Op::Stage(v, p),
-                Op::StageFenced(v, p, epoch),
-                Op::Commit,
-                Op::RollBack(v, p),
-                Op::RollBackFenced(v, p, epoch),
-                Op::Observe(epoch),
-            ][rng.index(6)];
+            let op = random_op(&mut rng, model.running, model.floor);
             let now = SimTime::from_secs(step as u64);
             let at = format!("case {case} step {step} {op:?}");
 
@@ -395,4 +418,136 @@ fn contract_policy() {
 #[test]
 fn contract_certs() {
     contract::<CertPlane>();
+}
+
+/// Tenants of the sharing tests' specs.
+const SHARED_TENANTS: u32 = 6;
+
+/// Version `v` of a [`SHARED_TENANTS`]-tenant policy: every tenant allows
+/// ports 80 to 1000 except tenant `1 + v % SHARED_TENANTS`, which allows up
+/// to `1000 + v` (poisoned: an inverted range instead). Two versions differ
+/// in at most those two tenants.
+fn tenants_spec(version: u64, poisoned: bool) -> PolicySpec {
+    let edited = 1 + (version % u64::from(SHARED_TENANTS)) as u32;
+    let tenants = (1..=SHARED_TENANTS)
+        .map(|t| {
+            let rule = match (t == edited, poisoned) {
+                (false, _) => PolicyRule::allow().with_ports(80, 1000),
+                (true, false) => PolicyRule::allow().with_ports(80, 1000 + version as u16),
+                (true, true) => PolicyRule::allow().with_ports(1000 + version as u16, 80),
+            };
+            TenantPolicy {
+                tenant: TenantId(t),
+                vpc: VpcId(t),
+                rules: vec![PolicyRule::deny().with_ports(22, 22), rule],
+                default_action: PolicyVerdict::Deny,
+            }
+        })
+        .collect();
+    PolicySpec { version, tenants }
+}
+
+fn set_digest(set: &CompiledPolicySet) -> u64 {
+    let mut d = Digest::new();
+    set.fold_digest(&mut d);
+    d.value()
+}
+
+/// The contract's random histories over many-tenant policy specs. After
+/// every step the tables served are the ones a compile of the running spec
+/// from scratch builds; a refusal of any kind leaves all of them where they
+/// were; a commit keeps the tables of every tenant the two versions agree
+/// on; a rollback, admitted with nothing running to compare against, keeps
+/// none.
+#[test]
+fn sharing_policy_histories_serve_what_a_compile_from_scratch_builds() {
+    let n = SHARED_TENANTS as usize;
+    let (mut refused_commits, mut commits, mut rollbacks) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = SimRng::seed(0x5AA2_ED00 ^ case);
+        let mut slot = ActivePolicy::new();
+        for step in 0..STEPS {
+            let was = slot.compiled().cloned();
+            let op = random_op(&mut rng, slot.running_version(), slot.epoch_floor());
+            let at = format!("case {case} step {step} {op:?}");
+            let got = apply_with(&mut slot, op, SimTime::from_secs(step as u64), (), tenants_spec);
+
+            let Some((spec, compiled)) = slot.running() else {
+                continue;
+            };
+            let scratch = CompiledPolicySet::compile(spec).ok();
+            assert_eq!(Some(set_digest(compiled)), scratch.as_ref().map(set_digest), "{at}");
+            let Some(was) = was else {
+                continue;
+            };
+            let kept = compiled.shared_tenants(&was);
+            match (got, op) {
+                (Ok(_), Op::Commit) => {
+                    commits += 1;
+                    assert!(kept >= n - 2, "{at}: kept {kept} of {n}");
+                }
+                (Ok(_), Op::RollBack(..) | Op::RollBackFenced(..)) => {
+                    rollbacks += 1;
+                    assert_eq!(kept, 0, "{at}: a rollback compiles in full");
+                }
+                (got, op) => {
+                    let poisoned_commit = matches!((got, op), (Err(Rejection::Content(_)), Op::Commit));
+                    refused_commits += poisoned_commit as u32;
+                    assert_eq!(kept, n, "{at}: nothing served may move");
+                    assert_eq!(set_digest(compiled), set_digest(&was), "{at}");
+                }
+            }
+        }
+    }
+    assert!(commits > 100 && rollbacks > 100 && refused_commits > 100, "exercised too little");
+}
+
+/// A node's filter holds a clone of the set its gateway committed, which
+/// shares that set's tables (`canal_mesh::L4Filter::install` takes exactly
+/// this clone; the gateway crate sits below the mesh and cannot name it).
+/// While the gateway commits the next two versions on top of the tenants
+/// they share, the node goes on giving the verdicts of the version it has.
+#[test]
+fn sharing_leaves_a_node_on_the_version_it_installed() {
+    let ctx = |tenant: u32, dst_port: u16| L4Ctx {
+        tenant: TenantId(tenant),
+        vpc: VpcId(tenant),
+        src_ip: 1,
+        dst_port,
+        identity: 0,
+    };
+    // Each version's widened port, one past it, and a port every version
+    // treats alike, for every tenant.
+    let probes: Vec<L4Ctx> = (1..=SHARED_TENANTS)
+        .flat_map(|t| [22, 80, 1000, 1001, 1002, 1003, 1004].map(|port| ctx(t, port)))
+        .collect();
+    let verdicts = |set: &CompiledPolicySet| -> Vec<L4Verdict> {
+        probes.iter().map(|p| set.l4_verdict(p)).collect()
+    };
+
+    let mut gateway = ActivePolicy::new();
+    gateway.stage(tenants_spec(1, false));
+    assert_eq!(gateway.commit_staged(SimTime::ZERO), Ok(1));
+    let node = gateway.compiled().cloned().unwrap_or_else(CompiledPolicySet::empty);
+    assert_eq!(gateway.compiled().map(|c| c.shared_tenants(&node)), Some(SHARED_TENANTS as usize));
+    let (digest_v1, verdicts_v1) = (set_digest(&node), verdicts(&node));
+    assert_eq!(node.l4_verdict(&ctx(2, 1001)), L4Verdict::Allow, "version 1 widens tenant 2");
+
+    for v in [2, 3] {
+        gateway.stage(tenants_spec(v, false));
+        assert_eq!(gateway.commit_staged(SimTime::from_secs(v)), Ok(v));
+    }
+    let served = gateway.compiled().cloned().unwrap_or_else(CompiledPolicySet::empty);
+    assert_eq!(served.version(), 3);
+    assert_eq!(served.l4_verdict(&ctx(2, 1001)), L4Verdict::Deny, "version 3 does not");
+    assert_eq!(served.l4_verdict(&ctx(4, 1003)), L4Verdict::Allow, "it widens tenant 4");
+    assert_ne!(verdicts(&served), verdicts_v1);
+
+    assert_eq!(node.version(), 1);
+    assert_eq!(verdicts(&node), verdicts_v1);
+    assert_eq!(set_digest(&node), digest_v1);
+    // Tenants 2, 3 and 4 were compiled again on the way (3 twice: widened by
+    // version 2, narrowed back into new tables by version 3); tenants 1, 5
+    // and 6 are still the one copy version 1 built.
+    assert_eq!(served.shared_tenants(&node), SHARED_TENANTS as usize - 3);
 }

@@ -2,15 +2,18 @@
 //!
 //! The paper's sidecar-free bet is that the *node* keeps only the thin L4
 //! layer (vSwitch, labeling) while rich L7 work centralizes at the
-//! gateway. Policy enforcement splits the same way: [`L4Filter`] holds a
-//! tenant's compiled policy set and admits or rejects flows on L4 context
-//! alone (source address, destination port, verified identity). Flows
+//! gateway. Policy enforcement splits the same way: [`L4Filter`] holds the
+//! compiled policy set and admits or rejects flows on L4 context alone
+//! (source address, destination port, verified identity). Flows
 //! whose first candidate rule carries L7 predicates come back
 //! [`L4Verdict::NeedsL7`] — the node forwards them and the gateway's
-//! `ActivePolicy` (the second and final enforcement point, same compiled
-//! tables) decides on full request context. All three architecture arms
-//! share this filter; what differs per arm is only *where* it runs
-//! (sidecar pod, ambient node proxy, canal vSwitch).
+//! `ActivePolicy` (the second and final enforcement point) decides on full
+//! request context. Both points hold the same tables, not a copy each:
+//! cloning a [`CompiledPolicySet`] shares every tenant's immutable tables,
+//! so what a node installs is the gateway's set, and it keeps the version
+//! it enforces alive however many versions the gateway commits meanwhile.
+//! All three architecture arms share this filter; what differs per arm is
+//! only *where* it runs (sidecar pod, ambient node proxy, canal vSwitch).
 
 use canal_policy::{CompiledPolicySet, L4Ctx, L4Verdict};
 use canal_sim::Digest;
@@ -42,8 +45,8 @@ impl L4Filter {
         }
     }
 
-    /// Swap in a newly compiled policy set (the node's copy of what the
-    /// gateway committed). Counters survive the swap.
+    /// Swap in a newly compiled policy set: a clone of what the gateway
+    /// committed, which shares its tables. Counters survive the swap.
     pub fn install(&mut self, set: CompiledPolicySet) {
         self.set = set;
     }
@@ -121,5 +124,35 @@ mod tests {
         // Unknown tenant: deny.
         assert_eq!(f.admit(&ctx(9, 1, 80)), L4Verdict::Deny);
         assert_eq!(f.counters(), (0, 2, 1));
+    }
+
+    /// The filter holds the gateway's tables, not a copy, and later versions
+    /// are compiled on top of the tenants they share with it: none of that
+    /// may move what a node still on the old version enforces.
+    #[test]
+    fn a_filter_keeps_its_version_while_later_ones_share_its_tables() {
+        let mut v1 = spec();
+        v1.tenants.push(TenantPolicy { tenant: TenantId(2), vpc: VpcId(2), ..v1.tenants[0].clone() });
+        let set1 = CompiledPolicySet::compile(&v1).unwrap();
+        let mut f = L4Filter::new();
+        f.install(set1.clone());
+        assert_eq!(set1.shared_tenants(&f.set), 2);
+
+        // Version 2 lifts tenant 1's CIDR block, version 3 denies it everything.
+        let mut v2 = PolicySpec { version: 2, ..v1.clone() };
+        v2.tenants[0].rules.remove(0);
+        let set2 = CompiledPolicySet::compile_against(&v2, Some((&v1, &set1))).unwrap();
+        let mut v3 = PolicySpec { version: 3, ..v2.clone() };
+        v3.tenants[0].rules = vec![PolicyRule::deny()];
+        let set3 = CompiledPolicySet::compile_against(&v3, Some((&v2, &set2))).unwrap();
+        drop((set1, set2));
+
+        assert_eq!(set3.shared_tenants(&f.set), 1, "tenant 2 is one copy across all three");
+        assert_eq!(set3.l4_verdict(&ctx(1, 0x0A00_0105, 80)), L4Verdict::Deny);
+        assert_eq!(f.version(), 1);
+        for tenant in [1, 2] {
+            assert_eq!(f.admit(&ctx(tenant, 0x0A00_C805, 80)), L4Verdict::Deny, "version 1's block");
+            assert_eq!(f.admit(&ctx(tenant, 0x0A00_0105, 80)), L4Verdict::NeedsL7);
+        }
     }
 }

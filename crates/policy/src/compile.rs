@@ -27,6 +27,15 @@
 //! selects its own tenant's table before any rule bit is consulted, which
 //! makes cross-tenant matches structurally impossible even when VPC
 //! address spaces overlap.
+//!
+//! The tenant is also the unit of compilation. A [`CompiledTenant`] is
+//! immutable once built and the set holds it by [`Arc`], so every holder of
+//! a version (each gateway's slot, each node's filter) and every later
+//! version that left the tenant alone point at one copy of its tables.
+//! [`CompiledPolicySet::compile_against`] is the only compile loop: given
+//! the spec and set already running it compiles the tenants whose
+//! [`TenantPolicy`] changed and takes the rest as they are, and
+//! [`CompiledPolicySet::compile`] is that loop with nothing to take from.
 
 use crate::spec::{
     validate_tenant, verdict_tag, L4Ctx, L7Ctx, PolicyRejection, PolicySpec, PolicyVerdict,
@@ -34,7 +43,8 @@ use crate::spec::{
 };
 use canal_net::TenantId;
 use canal_sim::Digest;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// What the node L4 path can conclude without seeing the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +58,18 @@ pub enum L4Verdict {
     NeedsL7,
 }
 
+/// Word `w` of the mask holding every one of `n` rules; the last word may
+/// be partial.
+fn every_rule(n: usize, w: usize) -> u64 {
+    match n % 64 {
+        tail if tail != 0 && w + 1 == n.div_ceil(64) => (1u64 << tail) - 1,
+        _ => u64::MAX,
+    }
+}
+
 /// A fixed-width bitmask over one tenant's rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleSet {
+struct RuleSet {
     /// 64-bit words, lowest rule index in bit 0 of word 0.
     words: Vec<u64>,
     /// Number of valid bits (the tenant's rule count).
@@ -59,43 +78,31 @@ pub struct RuleSet {
 
 impl RuleSet {
     /// All-zero mask over `bits` rules.
-    pub fn empty(bits: usize) -> Self {
+    fn empty(bits: usize) -> Self {
         RuleSet { words: vec![0; bits.div_ceil(64)], bits }
     }
 
-    /// All-ones mask over `bits` rules (tail bits kept clear).
-    pub fn full(bits: usize) -> Self {
-        let mut s = RuleSet { words: vec![u64::MAX; bits.div_ceil(64)], bits };
-        let tail = bits % 64;
-        if tail != 0 {
-            if let Some(last) = s.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-        s
-    }
-
     /// Set bit `i`.
-    pub fn set(&mut self, i: usize) {
+    fn set(&mut self, i: usize) {
         if i < self.bits {
             self.words[i / 64] |= 1u64 << (i % 64);
         }
     }
 
     /// Whether bit `i` is set.
-    pub fn contains(&self, i: usize) -> bool {
+    fn contains(&self, i: usize) -> bool {
         i < self.bits && (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// OR another mask in.
-    pub fn or_with(&mut self, other: &RuleSet) {
+    fn or_with(&mut self, other: &RuleSet) {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w |= o;
         }
     }
 
     /// Number of 64-bit words (the per-AND cost unit).
-    pub fn word_count(&self) -> usize {
+    fn word_count(&self) -> usize {
         self.words.len()
     }
 
@@ -105,11 +112,16 @@ impl RuleSet {
     }
 
     /// Fold the mask into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.bits as u64);
-        for &w in &self.words {
-            d.write_u64(w);
-        }
+    fn fold_digest(&self, d: &mut Digest) {
+        fold_mask(self.bits, &self.words, d);
+    }
+}
+
+/// The digest form of one mask: its bit count, then its words.
+fn fold_mask(bits: usize, words: &[u64], d: &mut Digest) {
+    d.write_u64(bits as u64);
+    for &w in words {
+        d.write_u64(w);
     }
 }
 
@@ -119,60 +131,69 @@ impl RuleSet {
 struct IntervalTable {
     /// Segment start keys, ascending; `bounds[0] == 0` always.
     bounds: Vec<u64>,
-    /// Candidate rules per segment, parallel to `bounds`.
-    segs: Vec<RuleSet>,
+    /// Candidate rules per segment: one mask of `bits` rules after another,
+    /// in `bounds` order, in one allocation.
+    segs: Vec<u64>,
+    /// Rule count (the width of each segment's mask, in bits).
+    bits: usize,
     /// No rule constrains this dimension: every lookup would return the
     /// full mask, so lookups return nothing to AND instead.
     unconstrained: bool,
 }
 
 impl IntervalTable {
-    /// Build from per-rule inclusive ranges; an empty range list means the
-    /// rule matches any key in this dimension.
-    fn build(n: usize, per_rule: &[Vec<(u64, u64)>]) -> IntervalTable {
-        let mut cuts: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        cuts.insert(0);
-        for ranges in per_rule {
-            for &(lo, hi) in ranges {
-                cuts.insert(lo);
-                if hi < u64::MAX {
-                    cuts.insert(hi + 1);
-                }
+    /// Build over `n` rules from `(rule, lo, hi)` inclusive ranges; a rule
+    /// with no range matches any key in this dimension.
+    fn build(n: usize, ranges: &[(usize, u64, u64)]) -> IntervalTable {
+        let mut bounds = Vec::with_capacity(1 + 2 * ranges.len());
+        bounds.push(0);
+        for &(_, lo, hi) in ranges {
+            bounds.push(lo);
+            if hi < u64::MAX {
+                bounds.push(hi + 1);
             }
         }
-        let bounds: Vec<u64> = cuts.into_iter().collect();
-        let mut segs = vec![RuleSet::empty(n); bounds.len()];
-        for (i, ranges) in per_rule.iter().enumerate() {
-            if ranges.is_empty() {
-                for seg in &mut segs {
-                    seg.set(i);
-                }
+        bounds.sort_unstable();
+        bounds.dedup();
+        // Every segment starts as the rules without a range here.
+        let mut ranged = RuleSet::empty(n);
+        for &(rule, ..) in ranges {
+            ranged.set(rule);
+        }
+        let words = n.div_ceil(64);
+        let mut segs = Vec::with_capacity(bounds.len() * words);
+        for _ in 0..bounds.len() {
+            segs.extend((0..words).map(|w| every_rule(n, w) & !ranged.word(w)));
+        }
+        for &(rule, lo, hi) in ranges {
+            // An inverted range matches nothing; a rule past `n` is ignored
+            // here as `RuleSet::set` ignores it.
+            if lo > hi || rule >= n {
                 continue;
             }
-            for &(lo, hi) in ranges {
-                if lo > hi {
-                    continue;
-                }
-                let mut s = bounds.partition_point(|b| *b <= lo).saturating_sub(1);
-                while s < bounds.len() && bounds[s] <= hi {
-                    segs[s].set(i);
-                    s += 1;
-                }
+            let mut s = bounds.partition_point(|b| *b <= lo).saturating_sub(1);
+            while s < bounds.len() && bounds[s] <= hi {
+                segs[s * words + rule / 64] |= 1u64 << (rule % 64);
+                s += 1;
             }
         }
-        let unconstrained = per_rule.iter().all(Vec::is_empty);
-        IntervalTable { bounds, segs, unconstrained }
+        IntervalTable { bounds, segs, bits: n, unconstrained: ranges.is_empty() }
     }
 
-    /// The candidate set for one key: binary search over segment starts.
+    /// The mask words of segment `s`.
+    fn segment(&self, s: usize) -> &[u64] {
+        let words = self.bits.div_ceil(64);
+        &self.segs[s * words..(s + 1) * words]
+    }
+
+    /// The candidate mask for one key: binary search over segment starts.
     /// `None` stands for "every rule" (see `unconstrained`), which spares
     /// the lookup the table's memory altogether.
-    fn lookup(&self, key: u64) -> Option<&RuleSet> {
+    fn lookup(&self, key: u64) -> Option<&[u64]> {
         if self.unconstrained {
             return None;
         }
-        let idx = self.bounds.partition_point(|b| *b <= key).saturating_sub(1);
-        Some(&self.segs[idx])
+        Some(self.segment(self.bounds.partition_point(|b| *b <= key).saturating_sub(1)))
     }
 
     /// Comparisons one lookup costs: `ceil(log2(segments))`.
@@ -185,8 +206,8 @@ impl IntervalTable {
         for &b in &self.bounds {
             d.write_u64(b);
         }
-        for s in &self.segs {
-            s.fold_digest(d);
+        for s in 0..self.bounds.len() {
+            fold_mask(self.bits, self.segment(s), d);
         }
     }
 }
@@ -319,10 +340,9 @@ impl PathTrie {
         // Children are always created after their parent, so an in-order
         // pass pushes ancestor sets down in one sweep.
         for i in 0..nodes.len() {
-            let parent = nodes[i].cum.clone();
-            let kids: Vec<usize> = nodes[i].children.values().copied().collect();
-            for k in kids {
-                nodes[k].cum.or_with(&parent);
+            let (upto, later) = nodes.split_at_mut(i + 1);
+            for &k in upto[i].children.values() {
+                later[k - i - 1].cum.or_with(&upto[i].cum);
             }
         }
         PathTrie { nodes }
@@ -330,7 +350,7 @@ impl PathTrie {
 
     /// `None` stands for "every rule": a trie of the root alone means no
     /// rule has a path prefix.
-    fn lookup(&self, path: &str) -> Option<&RuleSet> {
+    fn lookup(&self, path: &str) -> Option<&[u64]> {
         if self.nodes.len() == 1 {
             return None;
         }
@@ -341,7 +361,7 @@ impl PathTrie {
                 None => break,
             }
         }
-        Some(&self.nodes[cur].cum)
+        Some(&self.nodes[cur].cum.words)
     }
 
     /// A walk costs at most one map probe per prefix byte.
@@ -469,12 +489,14 @@ impl CompiledTenant {
         let n = tp.rules.len();
         let mut actions = Vec::with_capacity(n);
         let mut l7_rules = RuleSet::empty(n);
-        let mut src_ranges = Vec::with_capacity(n);
-        let mut port_ranges = Vec::with_capacity(n);
-        let mut ident_ranges = Vec::with_capacity(n);
+        // `(rule, lo, hi)` per constrained rule; at most one address block
+        // and one port range each, any number of identities.
+        let mut src_ranges: Vec<(usize, u64, u64)> = Vec::with_capacity(n);
+        let mut port_ranges: Vec<(usize, u64, u64)> = Vec::with_capacity(n);
+        let mut ident_ranges: Vec<(usize, u64, u64)> = Vec::new();
         let mut method_any = RuleSet::empty(n);
         let mut method_exact: BTreeMap<String, RuleSet> = BTreeMap::new();
-        let mut prefixes: Vec<(usize, &str)> = Vec::new();
+        let mut prefixes: Vec<(usize, &str)> = Vec::with_capacity(n);
         let mut sni_any = RuleSet::empty(n);
         let mut sni_exact: BTreeMap<String, RuleSet> = BTreeMap::new();
         let mut sni_suffix: BTreeMap<String, RuleSet> = BTreeMap::new();
@@ -498,18 +520,14 @@ impl CompiledTenant {
             if r.has_l7_predicates() {
                 l7_rules.set(i);
             }
-            src_ranges.push(match r.source_cidr {
-                Some(c) => {
-                    let (lo, hi) = c.range();
-                    vec![(lo as u64, hi as u64)]
-                }
-                None => Vec::new(),
-            });
-            port_ranges.push(match r.dest_ports {
-                Some(p) => vec![(p.lo as u64, p.hi as u64)],
-                None => Vec::new(),
-            });
-            ident_ranges.push(r.source_identities.iter().map(|&id| (id, id)).collect());
+            if let Some(c) = r.source_cidr {
+                let (lo, hi) = c.range();
+                src_ranges.push((i, lo as u64, hi as u64));
+            }
+            if let Some(p) = r.dest_ports {
+                port_ranges.push((i, p.lo as u64, p.hi as u64));
+            }
+            ident_ranges.extend(r.source_identities.iter().map(|&id| (i, id, id)));
             if r.methods.is_empty() {
                 method_any.set(i);
             } else {
@@ -588,15 +606,10 @@ impl CompiledTenant {
             self.idents.lookup(l4.identity),
             l7.and_then(|c| self.path.lookup(c.path)),
         ];
-        let words = self.n.div_ceil(64);
-        for w in 0..words {
-            // Every rule of this word; the last word may be partial.
-            let mut word = match self.n % 64 {
-                tail if tail != 0 && w + 1 == words => (1u64 << tail) - 1,
-                _ => u64::MAX,
-            };
+        for w in 0..self.n.div_ceil(64) {
+            let mut word = every_rule(self.n, w);
             for mask in borrowed.iter().flatten() {
-                word &= mask.word(w);
+                word &= mask[w];
             }
             if let Some(ctx) = l7 {
                 word &= self.methods.word(ctx.method, w);
@@ -691,29 +704,72 @@ impl CompiledTenant {
 /// A whole compiled spec: per-tenant tables keyed by [`TenantId`]. A
 /// lookup selects the caller's tenant first, so no rule bit of another
 /// tenant is ever consulted — isolation is structural.
+///
+/// A tenant's tables are immutable once built and held by `Arc`: `clone()`
+/// (what a node's filter takes of the gateway's set) copies the tenant index
+/// and bumps reference counts, and the next version's set shares the
+/// tables of every tenant it did not change.
 #[derive(Debug, Clone)]
 pub struct CompiledPolicySet {
     version: u64,
-    tenants: BTreeMap<TenantId, CompiledTenant>,
+    /// Ascending by tenant, one entry each: a lookup is a binary search of
+    /// one small contiguous array, then the one hop to the tenant's tables.
+    /// Not an ordered map: its node walk in front of that hop is a cache
+    /// miss per packet on the node's L4 admit (DESIGN.md §16).
+    tenants: Vec<(TenantId, Arc<CompiledTenant>)>,
 }
 
 impl CompiledPolicySet {
     /// Validate and compile a full spec; any rejection NACKs the whole
-    /// push.
+    /// push. [`Self::compile_against`] with nothing to reuse.
     pub fn compile(spec: &PolicySpec) -> Result<CompiledPolicySet, PolicyRejection> {
+        Self::compile_against(spec, None)
+    }
+
+    /// Validate and compile `spec`, taking from `prior` (a spec and the set
+    /// compiled from *it*) the tables of every tenant whose
+    /// [`TenantPolicy`] is field-for-field equal in both, wherever it sits
+    /// in either list: only the tenants that differ are validated and
+    /// compiled, in `spec`'s order, so the rejection (and the result) is the
+    /// one a compile from scratch gives. Equality is `TenantPolicy`'s `==`,
+    /// never a digest: a collision would enforce another tenant's tables.
+    pub fn compile_against(
+        spec: &PolicySpec,
+        prior: Option<(&PolicySpec, &CompiledPolicySet)>,
+    ) -> Result<CompiledPolicySet, PolicyRejection> {
+        let mut was: Vec<&TenantPolicy> = prior.map_or(Vec::new(), |(p, _)| p.tenants.iter().collect());
+        was.sort_unstable_by_key(|tp| tp.tenant);
+        // Ordered as it is built, so that a tenant named twice is refused
+        // where the spec's order reaches it, whatever that order is.
         let mut tenants = BTreeMap::new();
         for tp in &spec.tenants {
-            if tenants.contains_key(&tp.tenant) {
+            let Entry::Vacant(slot) = tenants.entry(tp.tenant) else {
                 return Err(PolicyRejection::DuplicateTenant(tp.tenant));
-            }
-            tenants.insert(tp.tenant, CompiledTenant::compile(tp)?);
+            };
+            let shared = prior.and_then(|(_, set)| {
+                let i = was.binary_search_by_key(&tp.tenant, |old| old.tenant).ok()?;
+                set.tables(tp.tenant).filter(|_| was[i] == tp)
+            });
+            slot.insert(match shared {
+                Some(tables) => Arc::clone(tables),
+                None => Arc::new(CompiledTenant::compile(tp)?),
+            });
         }
-        Ok(CompiledPolicySet { version: spec.version, tenants })
+        Ok(CompiledPolicySet { version: spec.version, tenants: tenants.into_iter().collect() })
+    }
+
+    /// How many tenants' tables this set and `other` hold in common: the
+    /// same allocation, not merely equal content.
+    pub fn shared_tenants(&self, other: &CompiledPolicySet) -> usize {
+        self.tenants
+            .iter()
+            .filter(|(t, tables)| other.tables(*t).is_some_and(|o| Arc::ptr_eq(tables, o)))
+            .count()
     }
 
     /// An empty set at version 0 (deny-all for every tenant).
     pub fn empty() -> CompiledPolicySet {
-        CompiledPolicySet { version: 0, tenants: BTreeMap::new() }
+        CompiledPolicySet { version: 0, tenants: Vec::new() }
     }
 
     /// The spec version this was compiled from.
@@ -723,17 +779,22 @@ impl CompiledPolicySet {
 
     /// One tenant's compiled table.
     pub fn tenant(&self, t: TenantId) -> Option<&CompiledTenant> {
-        self.tenants.get(&t)
+        self.tables(t).map(Arc::as_ref)
+    }
+
+    fn tables(&self, t: TenantId) -> Option<&Arc<CompiledTenant>> {
+        let i = self.tenants.binary_search_by_key(&t, |(tenant, _)| *tenant).ok()?;
+        Some(&self.tenants[i].1)
     }
 
     /// Total rules across tenants.
     pub fn rule_count(&self) -> usize {
-        self.tenants.values().map(CompiledTenant::rule_count).sum()
+        self.tenants.iter().map(|(_, t)| t.rule_count()).sum()
     }
 
     /// Node L4 verdict; a tenant with no policy is denied (zero trust).
     pub fn l4_verdict(&self, ctx: &L4Ctx) -> L4Verdict {
-        match self.tenants.get(&ctx.tenant) {
+        match self.tables(ctx.tenant) {
             Some(t) => t.l4_verdict(ctx),
             None => L4Verdict::Deny,
         }
@@ -742,12 +803,12 @@ impl CompiledPolicySet {
     /// Gateway L7 match; `None` when no rule of the caller's tenant
     /// matches (or the tenant has no policy).
     pub fn l7_match(&self, l4: &L4Ctx, l7: &L7Ctx<'_>) -> Option<usize> {
-        self.tenants.get(&l4.tenant).and_then(|t| t.l7_match(l4, l7))
+        self.tables(l4.tenant).and_then(|t| t.l7_match(l4, l7))
     }
 
     /// Gateway L7 verdict; a tenant with no policy is denied (zero trust).
     pub fn l7_verdict(&self, l4: &L4Ctx, l7: &L7Ctx<'_>) -> PolicyVerdict {
-        match self.tenants.get(&l4.tenant) {
+        match self.tables(l4.tenant) {
             Some(t) => t.l7_verdict(l4, l7),
             None => PolicyVerdict::Deny,
         }
@@ -790,9 +851,8 @@ mod tests {
         s.set(70); // past the end: ignored
         assert!(s.contains(65) && s.contains(3) && !s.contains(4));
         assert_eq!((s.word(0), s.word(1)), (1 << 3, 1 << 1));
-        let f = RuleSet::full(70);
-        assert!(f.contains(69));
-        assert!(!f.contains(70));
+        assert_eq!((every_rule(70, 0), every_rule(70, 1)), (u64::MAX, (1 << 6) - 1));
+        assert_eq!(every_rule(128, 1), u64::MAX, "no tail to mask");
     }
 
     #[test]

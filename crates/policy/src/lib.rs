@@ -35,7 +35,7 @@ pub mod reference;
 pub mod spec;
 pub mod store;
 
-pub use compile::{CompiledPolicySet, CompiledTenant, L4Verdict, RuleSet};
+pub use compile::{CompiledPolicySet, CompiledTenant, L4Verdict};
 pub use reference::{reference_l4_verdict, reference_l7_match, reference_l7_verdict};
 pub use spec::{
     validate, Cidr, HeaderPredicate, L4Ctx, L7Ctx, PolicyRejection, PolicyRule, PolicySpec,

@@ -88,7 +88,8 @@ pub enum SniMatch {
     /// Exact server-name match.
     Exact(String),
     /// Wildcard suffix match: `Suffix(".example.com")` matches
-    /// `a.example.com` but not `example.com` itself.
+    /// `a.example.com` but not `example.com` itself. The leading dot is
+    /// part of the pattern; [`validate`] rejects a suffix without it.
     Suffix(String),
 }
 
@@ -107,7 +108,7 @@ pub struct HeaderPredicate {
 /// One policy rule. Every predicate left empty/`None` matches anything;
 /// a rule with only L4 predicates can be decided entirely on the node L4
 /// path, while L7 predicates defer the verdict to the gateway.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub struct PolicyRule {
     /// Source-address constraint.
     pub source_cidr: Option<Cidr>,
@@ -125,6 +126,42 @@ pub struct PolicyRule {
     pub headers: Vec<HeaderPredicate>,
     /// Verdict when the rule matches.
     pub action: PolicyVerdict,
+}
+
+/// `a == b` for a slice whose comparison is one `bcmp` call. Most rules leave
+/// most predicates empty, and the zero-length call on two dangling pointers
+/// is the slow one (DESIGN.md §16: ~125 ns against 1-2 ns non-empty), so
+/// lengths go first and the empty case never makes it.
+fn flat_eq<T: PartialEq>(a: &[T], b: &[T]) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
+}
+
+/// Field-wise equality, and the one the compiler decides table reuse by
+/// ([`CompiledPolicySet::compile_against`]): the destructuring is exhaustive,
+/// so a field added to the rule does not compile until it is compared here.
+///
+/// [`CompiledPolicySet::compile_against`]: crate::compile::CompiledPolicySet::compile_against
+impl PartialEq for PolicyRule {
+    fn eq(&self, other: &PolicyRule) -> bool {
+        let PolicyRule {
+            source_cidr,
+            dest_ports,
+            source_identities,
+            methods,
+            path_prefix,
+            sni,
+            headers,
+            action,
+        } = self;
+        *source_cidr == other.source_cidr
+            && *dest_ports == other.dest_ports
+            && *action == other.action
+            && flat_eq(source_identities, &other.source_identities)
+            && flat_eq(path_prefix.as_bytes(), other.path_prefix.as_bytes())
+            && *methods == other.methods
+            && *sni == other.sni
+            && *headers == other.headers
+    }
 }
 
 impl PolicyRule {
@@ -388,6 +425,14 @@ pub enum PolicyRejection {
         /// Rule index.
         rule: usize,
     },
+    /// An SNI suffix without its leading dot: it could only match inside a
+    /// label (`example.com` in `evilexample.com`), never on a boundary.
+    SniSuffixWithoutDot {
+        /// Offending tenant.
+        tenant: TenantId,
+        /// Rule index.
+        rule: usize,
+    },
 }
 
 impl fmt::Display for PolicyRejection {
@@ -417,6 +462,9 @@ impl fmt::Display for PolicyRejection {
             }
             PolicyRejection::EmptySni { tenant, rule } => {
                 write!(f, "{tenant} rule {rule}: empty SNI pattern")
+            }
+            PolicyRejection::SniSuffixWithoutDot { tenant, rule } => {
+                write!(f, "{tenant} rule {rule}: SNI suffix without its leading dot")
             }
         }
     }
@@ -457,6 +505,9 @@ pub fn validate_tenant(tp: &TenantPolicy) -> Result<(), PolicyRejection> {
         match &r.sni {
             Some(SniMatch::Exact(s)) | Some(SniMatch::Suffix(s)) if s.is_empty() => {
                 return Err(PolicyRejection::EmptySni { tenant: tp.tenant, rule: i });
+            }
+            Some(SniMatch::Suffix(s)) if !s.starts_with('.') => {
+                return Err(PolicyRejection::SniSuffixWithoutDot { tenant: tp.tenant, rule: i });
             }
             _ => {}
         }
@@ -562,6 +613,42 @@ mod tests {
         bad.rules.push(PolicyRule::allow().with_source_cidr(Cidr::new(0x0A00_0001, 24)));
         let spec = PolicySpec { version: 1, tenants: vec![bad] };
         assert_eq!(validate(&spec), Err(PolicyRejection::BadCidr { tenant: t1(), rule: 0 }));
+    }
+
+    #[test]
+    fn validation_rejects_sni_suffix_without_its_dot() {
+        let suffix = |s: &str| {
+            let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+            tp.rules.push(PolicyRule::deny());
+            tp.rules.push(PolicyRule::allow().with_sni(SniMatch::Suffix(s.to_string())));
+            validate(&PolicySpec { version: 1, tenants: vec![tp] })
+        };
+        // `ends_with("example.com")` would also admit `evilexample.com`.
+        assert_eq!(
+            suffix("example.com"),
+            Err(PolicyRejection::SniSuffixWithoutDot { tenant: t1(), rule: 1 })
+        );
+        assert_eq!(suffix(""), Err(PolicyRejection::EmptySni { tenant: t1(), rule: 1 }));
+        assert_eq!(suffix(".example.com"), Ok(()));
+    }
+
+    /// The two fields `flat_eq` compares, across its empty shortcut.
+    #[test]
+    fn rule_equality_crosses_the_empty_case_both_ways() {
+        let bare = PolicyRule::allow();
+        let ids = |ids: &[u64]| PolicyRule::allow().with_identities(ids);
+        let path = |p: &str| PolicyRule::allow().with_path_prefix(p);
+        assert_eq!(bare, PolicyRule::allow());
+        assert_eq!(ids(&[1, 2]), ids(&[1, 2]));
+        assert_eq!(path("/api"), path("/api"));
+        for other in [ids(&[1]), path("/")] {
+            assert_ne!(bare, other);
+            assert_ne!(other, bare);
+        }
+        assert_ne!(ids(&[1, 2]), ids(&[1, 3]));
+        assert_ne!(ids(&[1, 2]), ids(&[1]));
+        assert_ne!(path("/api"), path("/app"));
+        assert_ne!(path("/api"), path("/api/v1"));
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! * **isolation** — removing every *other* tenant from the spec changes
 //!   no verdict: no packet or request from tenant A ever matches tenant
 //!   B's policy, overlapping addresses notwithstanding.
+//! * **incremental** — compiling a spec against the one it was edited
+//!   from gives what compiling it from scratch gives (digest, verdicts,
+//!   rejection), shares the tables of exactly the tenants the edit left
+//!   alone, and notices a change to any one field.
+//!
+//! The rule generator poisons a rule now and then (an SNI suffix without
+//! its leading dot, which the scan would match inside a label and the
+//! tables never): every spec the differential runs see is one `validate`
+//! accepted, and every one it refused must be refused by the compiler too.
 
 // The shared generators/drivers are test code even though they are not
 // themselves `#[test]` fns, so clippy's allow-panic-in-tests does not
@@ -19,8 +28,9 @@
 
 use canal_net::{TenantId, VpcId};
 use canal_policy::{
-    reference_l4_verdict, reference_l7_match, reference_l7_verdict, Cidr, CompiledPolicySet,
-    CompiledTenant, L4Ctx, L7Ctx, PolicyRule, PolicySpec, PolicyVerdict, SniMatch, TenantPolicy,
+    reference_l4_verdict, reference_l7_match, reference_l7_verdict, validate, Cidr,
+    CompiledPolicySet, CompiledTenant, HeaderPredicate, L4Ctx, L7Ctx, PolicyRejection, PolicyRule,
+    PolicySpec, PolicyVerdict, PortRange, SniMatch, TenantPolicy,
 };
 use canal_sim::{Digest, SimRng};
 
@@ -39,6 +49,7 @@ const HEADERS: &[(&str, &str)] = &[
 ];
 
 /// One random rule; every dimension independently constrained or wildcard.
+/// One suffix in twenty comes without its dot: see [`dotless`].
 fn random_rule(rng: &mut SimRng) -> PolicyRule {
     let mut r = if rng.chance(0.5) { PolicyRule::allow() } else { PolicyRule::deny() };
     if rng.chance(0.6) {
@@ -67,7 +78,8 @@ fn random_rule(rng: &mut SimRng) -> PolicyRule {
         r = if rng.chance(0.5) {
             r.with_sni(SniMatch::Exact(SNIS[rng.index(SNIS.len())].to_string()))
         } else {
-            r.with_sni(SniMatch::Suffix(".example.com".to_string()))
+            let suffix = if rng.chance(0.05) { "example.com" } else { ".example.com" };
+            r.with_sni(SniMatch::Suffix(suffix.to_string()))
         };
     }
     while rng.chance(0.25) && r.headers.len() < 3 {
@@ -78,17 +90,56 @@ fn random_rule(rng: &mut SimRng) -> PolicyRule {
     r
 }
 
-/// A multi-tenant spec over the shared /16, from one seed.
-fn random_spec(rng: &mut SimRng) -> PolicySpec {
-    let tenants = (1..=TENANTS)
+/// Whether the generator poisoned this rule: an SNI suffix that could only
+/// match inside a label.
+fn dotless(r: &PolicyRule) -> bool {
+    matches!(&r.sni, Some(SniMatch::Suffix(s)) if !s.starts_with('.'))
+}
+
+/// One random rule `validate` accepts.
+fn valid_rule(rng: &mut SimRng) -> PolicyRule {
+    loop {
+        let r = random_rule(rng);
+        if !dotless(&r) {
+            return r;
+        }
+    }
+}
+
+/// A `tenants` x `rules` spec over the shared /16, poisoned rules and all.
+fn draw_spec(rng: &mut SimRng, tenants: u32, rules: usize) -> PolicySpec {
+    let tenants = (1..=tenants)
         .map(|t| TenantPolicy {
             tenant: TenantId(t),
             vpc: VpcId(t),
-            rules: (0..RULES_PER_TENANT).map(|_| random_rule(rng)).collect(),
+            rules: (0..rules).map(|_| random_rule(rng)).collect(),
             default_action: if rng.chance(0.5) { PolicyVerdict::Allow } else { PolicyVerdict::Deny },
         })
         .collect();
     PolicySpec { version: 1, tenants }
+}
+
+/// A spec `validate` accepts, from one seed. One it refuses is drawn again,
+/// once the compiler has refused it for the same rule: the first poisoned
+/// one, which is all the generator can get wrong.
+fn sized_spec(rng: &mut SimRng, tenants: u32, rules: usize) -> PolicySpec {
+    loop {
+        let spec = draw_spec(rng, tenants, rules);
+        let Err(refused) = validate(&spec) else {
+            return spec;
+        };
+        let first = spec.tenants.iter().find_map(|tp| {
+            let rule = tp.rules.iter().position(dotless)?;
+            Some(PolicyRejection::SniSuffixWithoutDot { tenant: tp.tenant, rule })
+        });
+        assert_eq!(Some(&refused), first.as_ref());
+        assert_eq!(CompiledPolicySet::compile(&spec).err(), Some(refused));
+    }
+}
+
+/// The three-tenant spec the differential and isolation runs use.
+fn random_spec(rng: &mut SimRng) -> PolicySpec {
+    sized_spec(rng, TENANTS, RULES_PER_TENANT)
 }
 
 /// One random packet/request context, biased into the shared /16 so
@@ -193,9 +244,9 @@ fn streamed_verdicts_match_reference_across_mask_words() {
                     // Constrain every rule of a large policy somewhere, so
                     // few packets match early and the walk has to continue
                     // past word 0.
-                    let mut r = random_rule(&mut rng);
+                    let mut r = valid_rule(&mut rng);
                     while n > 3 && r.source_cidr.is_none() && r.dest_ports.is_none() && r.headers.is_empty() {
-                        r = random_rule(&mut rng);
+                        r = valid_rule(&mut rng);
                     }
                     r
                 })
@@ -274,5 +325,208 @@ fn unknown_tenant_never_reaches_any_rule() {
         assert_eq!(full.l4_verdict(&l4), canal_policy::L4Verdict::Deny);
         assert_eq!(full.l7_match(&l4, &l7), None);
         assert_eq!(full.l7_verdict(&l4, &l7), PolicyVerdict::Deny);
+    }
+}
+
+/// What accepting a dot-less suffix would mean, and that the generator does
+/// draw them: the scan matches inside a label where the tables match
+/// nothing, so `validate` and the compiler refuse exactly the specs that
+/// carry one ([`sized_spec`] holds the two to the same rejection).
+#[test]
+fn dotless_sni_suffixes_are_drawn_and_refused() {
+    let tp = TenantPolicy {
+        tenant: TenantId(1),
+        vpc: VpcId(1),
+        rules: vec![PolicyRule::allow().with_sni(SniMatch::Suffix("example.com".to_string()))],
+        default_action: PolicyVerdict::Deny,
+    };
+    let l4 = L4Ctx { tenant: TenantId(1), vpc: VpcId(1), src_ip: 1, dst_port: 443, identity: 0 };
+    let l7 = L7Ctx { method: "GET", path: "/", sni: Some("evilexample.com"), headers: &[] };
+    assert_eq!(reference_l7_verdict(&tp, &l4, &l7), PolicyVerdict::Allow, "inside a label");
+
+    let mut rng = SimRng::seed(0xD07);
+    let mut refused = 0;
+    for _ in 0..64 {
+        let spec = draw_spec(&mut rng, TENANTS, RULES_PER_TENANT);
+        let poisoned = spec.tenants.iter().any(|tp| tp.rules.iter().any(dotless));
+        assert_eq!(validate(&spec).is_err(), poisoned);
+        assert_eq!(CompiledPolicySet::compile(&spec).is_err(), poisoned);
+        refused += poisoned as usize;
+    }
+    assert!((8..56).contains(&refused), "{refused} of 64 specs refused");
+}
+
+/// Shape of the specs the incremental-compile tests edit.
+const EDIT_TENANTS: u32 = 8;
+const EDIT_RULES: usize = 12;
+
+fn flipped(v: PolicyVerdict) -> PolicyVerdict {
+    match v {
+        PolicyVerdict::Allow => PolicyVerdict::Deny,
+        PolicyVerdict::Deny => PolicyVerdict::Allow,
+    }
+}
+
+fn set_digest(set: &CompiledPolicySet) -> u64 {
+    let mut d = Digest::new();
+    set.fold_digest(&mut d);
+    d.value()
+}
+
+/// Compile `new` from scratch and against `old`, and hold the two to each
+/// other: the same rejection, or the same digest and the same L4 and L7
+/// verdicts for every tenant of either spec and one of neither. Returns
+/// `old`'s set and the incremental one.
+fn scratch_and_incremental(
+    old: &PolicySpec,
+    new: &PolicySpec,
+    rng: &mut SimRng,
+) -> Result<(CompiledPolicySet, CompiledPolicySet), PolicyRejection> {
+    let prior = match CompiledPolicySet::compile(old) {
+        Ok(c) => c,
+        Err(e) => panic!("the spec edited from must validate: {e}"),
+    };
+    let scratch = CompiledPolicySet::compile(new);
+    let against = CompiledPolicySet::compile_against(new, Some((old, &prior)));
+    let (scratch, against) = match (scratch, against) {
+        (Ok(s), Ok(a)) => (s, a),
+        (Err(s), Err(a)) => {
+            assert_eq!(s, a, "the two refuse differently");
+            return Err(a);
+        }
+        (s, a) => panic!("from scratch {:?}, against the old spec {:?}", s.err(), a.err()),
+    };
+    assert_eq!(set_digest(&against), set_digest(&scratch));
+    assert_eq!(against.rule_count(), scratch.rule_count());
+    for _ in 0..PACKETS / 4 {
+        let (l4, method, path, sni, hdrs) = random_ctx(rng);
+        let tenant = 1 + rng.index(EDIT_TENANTS as usize + 2) as u32;
+        let l4 = L4Ctx { tenant: TenantId(tenant), vpc: VpcId(tenant), ..l4 };
+        let l7 = L7Ctx { method, path, sni, headers: &HEADERS[..hdrs] };
+        assert_eq!(against.l4_verdict(&l4), scratch.l4_verdict(&l4), "{l4:?}");
+        assert_eq!(against.l7_match(&l4, &l7), scratch.l7_match(&l4, &l7), "{l4:?} {method} {path} {sni:?}");
+        assert_eq!(against.l7_verdict(&l4, &l7), scratch.l7_verdict(&l4, &l7));
+    }
+    Ok((prior, against))
+}
+
+/// Every kind of edit a push can carry, each compiled both ways. What the
+/// incremental set shares with the old one is counted by allocation: an
+/// edit unshares the tenants it touched and no other, wherever they sit.
+#[test]
+fn compiling_against_the_old_spec_equals_compiling_from_scratch() {
+    let n = EDIT_TENANTS as usize;
+    for seed in [3, 17, 4242] {
+        let mut rng = SimRng::seed(seed);
+        let old = sized_spec(&mut rng, EDIT_TENANTS, EDIT_RULES);
+        let (t, r) = (rng.index(n), rng.index(EDIT_RULES));
+        let tenant = old.tenants[t].tenant;
+        // A new rule in place of rule `r`, never equal to the one it replaces.
+        let mut edit = |spec: &mut PolicySpec, t: usize| {
+            let rule = &mut spec.tenants[t].rules[r];
+            *rule = PolicyRule { action: flipped(rule.action), ..valid_rule(&mut rng) };
+        };
+        let mut cases: Vec<(&str, PolicySpec, Result<usize, PolicyRejection>)> = Vec::new();
+
+        let mut new = old.clone();
+        edit(&mut new, t);
+        cases.push(("one rule edited", new, Ok(n - 1)));
+
+        let mut new = old.clone();
+        for t in [0, 2, 5] {
+            edit(&mut new, t);
+        }
+        cases.push(("three tenants edited", new, Ok(n - 3)));
+
+        cases.push(("only the version", PolicySpec { version: 2, ..old.clone() }, Ok(n)));
+
+        let mut new = old.clone();
+        new.tenants.rotate_left(3);
+        new.tenants.swap(0, 1);
+        cases.push(("tenants reordered", new.clone(), Ok(n)));
+        edit(&mut new, t);
+        cases.push(("reordered and one edited", new, Ok(n - 1)));
+
+        let mut new = old.clone();
+        let added = TenantId(EDIT_TENANTS + 1);
+        new.tenants.insert(t, TenantPolicy { tenant: added, ..old.tenants[t].clone() });
+        cases.push(("one tenant added", new, Ok(n)));
+
+        let mut new = old.clone();
+        new.tenants.remove(t);
+        cases.push(("one tenant removed", new, Ok(n - 1)));
+
+        let mut new = old.clone();
+        new.tenants.push(old.tenants[t].clone());
+        cases.push(("one tenant twice", new, Err(PolicyRejection::DuplicateTenant(tenant))));
+
+        let mut new = old.clone();
+        edit(&mut new, t);
+        new.tenants[t].rules[r].dest_ports = Some(PortRange { lo: 443, hi: 80 });
+        let refused = PolicyRejection::InvertedPortRange { tenant, rule: r };
+        cases.push(("the edited tenant poisoned", new.clone(), Err(refused.clone())));
+        // The first refusal in the spec's order is the one reported.
+        new.tenants.push(old.tenants[t].clone());
+        cases.push(("poisoned, then twice", new, Err(refused)));
+
+        for (what, new, want) in cases {
+            let got = scratch_and_incremental(&old, &new, &mut rng)
+                .map(|(prior, against)| against.shared_tenants(&prior));
+            assert_eq!(got, want, "seed {seed}: {what}");
+        }
+    }
+}
+
+/// Reuse is decided by `PolicyRule`'s and `TenantPolicy`'s `==`, so that
+/// equality has to see every field: a change to any one of them, in one
+/// tenant, makes that tenant's tables new and leaves every other tenant's
+/// where they were.
+#[test]
+fn a_change_to_any_one_field_unshares_that_tenant_and_only_it() {
+    // A field added to the rule does not compile here until it is listed,
+    // which is the reminder to give it a mutation below.
+    let PolicyRule {
+        source_cidr: _,
+        dest_ports: _,
+        source_identities: _,
+        methods: _,
+        path_prefix: _,
+        sni: _,
+        headers: _,
+        action: _,
+    } = PolicyRule::allow();
+    type Mutation = fn(&mut TenantPolicy, usize);
+    // Each one leaves a value the generator cannot have drawn.
+    let mutations: [(&str, Mutation); 10] = [
+        ("source_cidr", |tp, r| tp.rules[r].source_cidr = Some(Cidr::new(0x0B00_0000, 8))),
+        ("dest_ports", |tp, r| tp.rules[r].dest_ports = Some(PortRange { lo: 9999, hi: 9999 })),
+        ("source_identities", |tp, r| tp.rules[r].source_identities.push(7)),
+        ("methods", |tp, r| tp.rules[r].methods.push("OPTIONS".to_string())),
+        ("path_prefix", |tp, r| tp.rules[r].path_prefix.push_str("/x")),
+        ("sni", |tp, r| tp.rules[r].sni = Some(SniMatch::Exact("mutated.example".to_string()))),
+        ("headers", |tp, r| {
+            tp.rules[r].headers.push(HeaderPredicate { name: "x-mutated".to_string(), value: None })
+        }),
+        ("action", |tp, r| tp.rules[r].action = flipped(tp.rules[r].action)),
+        ("default_action", |tp, _| tp.default_action = flipped(tp.default_action)),
+        ("vpc", |tp, _| tp.vpc = VpcId(99)),
+    ];
+    let mut rng = SimRng::seed(0xF1E1D);
+    let old = sized_spec(&mut rng, EDIT_TENANTS, EDIT_RULES);
+    for (field, mutate) in mutations {
+        let (t, r) = (rng.index(EDIT_TENANTS as usize), rng.index(EDIT_RULES));
+        let mut new = old.clone();
+        mutate(&mut new.tenants[t], r);
+        let (prior, against) = match scratch_and_incremental(&old, &new, &mut rng) {
+            Ok(sets) => sets,
+            Err(e) => panic!("{field}: the mutated spec must validate: {e}"),
+        };
+        for (i, tp) in old.tenants.iter().enumerate() {
+            let same = match (prior.tenant(tp.tenant), against.tenant(tp.tenant)) {
+                (Some(was), Some(is)) => std::ptr::eq(was, is),
+                _ => panic!("tenant {i} missing"),
+            };
+            assert_eq!(same, i != t, "{field} of tenant {t} changed: tenant {i}");
+        }
     }
 }
