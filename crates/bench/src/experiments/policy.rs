@@ -493,9 +493,6 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
     let ctl = RolloutController::new(params.rollout_cfg(), SimDuration::ZERO)
         .with_kind(RolloutKind::Policy);
     let mut canal: CanalArm<PolicyPlane> = CanalArm::new(ctl, params.fleet, schedule);
-    let spec_of = |version: u64, canal: &CanalArm<PolicyPlane>| {
-        spec_for(version, canal.poisoned.contains(&version), canal.harmful == Some(version))
-    };
     let mut nodes: Vec<L4Filter> = (0..params.fleet).map(|_| L4Filter::new()).collect();
     let mut store = PolicyStore::new();
 
@@ -573,15 +570,22 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
         let begun = canal.begin_due(now, state.active(FaultTarget::PolicyPoison), baseline, &mut rng);
         if let Some((version, first_actions)) = begun {
             actions = first_actions;
-            store.record(spec_of(version, &canal));
+            let (poisoned, deny_all) = (canal.poisoned.contains(&version), canal.harmful == Some(version));
+            store.record(spec_for(version, poisoned, deny_all));
         }
         actions.extend(canal.ctl.tick(now, health));
 
-        // 5. Apply actions to the data plane. Every delivery runs through
-        //    the gateway's fail-static commit (validate + compile or NACK);
-        //    the node filter mirrors whatever the gateway committed.
+        // 5. Apply actions to the data plane. Every delivery is a clone of
+        //    the archived document (a wave's gateways share its tenants) and
+        //    runs through the gateway's fail-static commit (validate +
+        //    compile or NACK); the node filter mirrors whatever the gateway
+        //    committed. Version 0, where a rollback lands when nothing ever
+        //    converged, has no document and restores nothing.
         for d in actions.iter().flat_map(|action| action.deliveries()) {
-            if canal.apply(d, spec_of(d.version, &canal), now, ()) {
+            let Some(spec) = store.get(d.version) else {
+                continue;
+            };
+            if canal.apply(d, spec.clone(), now, ()) {
                 if let Some(c) = canal.slots[d.target as usize].compiled() {
                     nodes[d.target as usize].install(c.clone());
                 }

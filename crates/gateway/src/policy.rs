@@ -4,15 +4,23 @@
 //! [`crate::failstatic`] (fence, version, content, swap). Here the content
 //! check *is* compilation, and a commit compiles *against what is running*:
 //! [`CompiledPolicySet::compile_against`] validates and builds the tables of
-//! the tenants whose policy differs from the running spec's and takes every
-//! other tenant's tables from the running set as they are, so a one-tenant
-//! edit costs one tenant's compile. The result is the set a compile from
-//! scratch builds (same verdicts, same digest, same rejection), so the
-//! enforced spec and its compiled form can never diverge, and a spec that
-//! fails is refused with the [`PolicyRejection`] the compiler gave. A
-//! rollback is admitted with no running state to compare against and
-//! compiles in full. A poisoned policy push can therefore never widen or
-//! narrow enforcement beyond the canary that NACKed it.
+//! the tenants whose policy differs from the one the running set compiled
+//! them from and takes every other tenant's tables from the running set as
+//! they are, so a one-tenant edit costs one tenant's compile. The result is
+//! the set a compile from scratch builds (same verdicts, same digest, same
+//! rejection), so the enforced spec and its compiled form can never diverge,
+//! and a spec that fails is refused with the [`PolicyRejection`] the compiler
+//! gave. A rollback is admitted with no running state to compare against
+//! and compiles in full. A poisoned policy push can therefore never widen
+//! or narrow enforcement beyond the canary that NACKed it.
+//!
+//! The document is shared the way the tables are. A [`PolicySpec`] holds its
+//! tenants copy on write ([`canal_policy::TenantList`]), so what the slot
+//! stages and runs is the pushed clone at the price of a reference per
+//! tenant, the comparison above is a pointer check for every tenant the
+//! operator did not touch, and no later edit of the operator's copy can
+//! reach a staged or running spec: the edit copies its tenant first.
+//! Nothing here does any of that; the slot only moves the spec it is given.
 
 use crate::failstatic::{FailStatic, Plane, Rejection};
 use canal_policy::{CompiledPolicySet, PolicyRejection, PolicySpec};
@@ -43,7 +51,7 @@ impl Plane for PolicyPlane {
         (): (),
         running: Option<&Self::Served>,
     ) -> Result<Self::Served, PolicyRejection> {
-        let compiled = CompiledPolicySet::compile_against(&spec, running.map(|(s, c)| (s, c)))?;
+        let compiled = CompiledPolicySet::compile_against(&spec, running.map(|(_, c)| c))?;
         Ok((spec, compiled))
     }
 
@@ -85,12 +93,14 @@ mod tests {
     fn spec(version: u64, rules: Vec<PolicyRule>) -> PolicySpec {
         PolicySpec {
             version,
-            tenants: vec![TenantPolicy {
+            tenants: [TenantPolicy {
                 tenant: TenantId(1),
                 vpc: VpcId(1),
                 rules,
                 default_action: canal_policy::PolicyVerdict::Deny,
-            }],
+            }]
+            .into_iter()
+            .collect(),
         }
     }
 

@@ -13,7 +13,9 @@
 //!   the same histories run over many-tenant specs: what is served is
 //!   always what a compile of its spec from scratch builds, a refusal
 //!   leaves every tenant's tables where they were, and a holder of an older
-//!   version keeps that version.
+//!   version keeps that version. The documents share their tenants the same
+//!   way: an edit of the operator's copy in place moves nothing a gateway
+//!   has staged or runs and nothing the archive holds.
 
 use canal_gateway::certs::{CertBundleSpec, CertPlane, TrustBundle};
 use canal_gateway::config::{ConfigSpec, RoutePlane, RouteSpec};
@@ -21,11 +23,13 @@ use canal_gateway::policy::PolicyPlane;
 use canal_gateway::{ActivePolicy, FailStatic, Plane, Rejection};
 use canal_net::{GlobalServiceId, TenantId, VpcId};
 use canal_policy::{
-    CompiledPolicySet, L4Ctx, L4Verdict, PolicyRule, PolicySpec, PolicyVerdict, TenantPolicy,
+    CompiledPolicySet, L4Ctx, L4Verdict, PolicyRule, PolicySpec, PolicyStore, PolicyVerdict,
+    PortRange, TenantPolicy,
 };
 use canal_sim::{Digest, SimRng, SimTime};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 const CASES: u64 = 64;
 const STEPS: usize = 200;
@@ -70,12 +74,14 @@ impl Fixture for PolicyPlane {
         };
         PolicySpec {
             version,
-            tenants: vec![TenantPolicy {
+            tenants: [TenantPolicy {
                 tenant: TenantId(1),
                 vpc: VpcId(1),
                 rules: vec![rule],
                 default_action: PolicyVerdict::Deny,
-            }],
+            }]
+            .into_iter()
+            .collect(),
         }
     }
 
@@ -550,4 +556,86 @@ fn sharing_leaves_a_node_on_the_version_it_installed() {
     // version 2, narrowed back into new tables by version 3); tenants 1, 5
     // and 6 are still the one copy version 1 built.
     assert_eq!(served.shared_tenants(&node), SHARED_TENANTS as usize - 3);
+}
+
+/// What the shared document promises the slot and the archive. The operator
+/// pushes clones of one document and goes on editing it in place
+/// (`spec.tenants[i].rules[j]`): version 1 runs, version 2 sits staged, both
+/// are archived, and the edit towards version 3 moves none of them, by value
+/// or by digest. It copies the tenant it touches, and only that one.
+#[test]
+fn sharing_an_edit_in_place_moves_nothing_staged_running_or_archived() {
+    let n = SHARED_TENANTS as usize;
+    // Equal to `spec`, sharing nothing with it.
+    let unshared = |spec: &PolicySpec| PolicySpec {
+        version: spec.version,
+        tenants: spec.tenants.iter().cloned().collect(),
+    };
+    let probes: Vec<L4Ctx> = (1..=SHARED_TENANTS)
+        .flat_map(|t| {
+            [22, 80, 1001, 1002].map(|dst_port| L4Ctx {
+                tenant: TenantId(t),
+                vpc: VpcId(t),
+                src_ip: 1,
+                dst_port,
+                identity: 0,
+            })
+        })
+        .collect();
+    let verdicts = |gateway: &ActivePolicy| -> Vec<Option<L4Verdict>> {
+        probes.iter().map(|p| gateway.compiled().map(|c| c.l4_verdict(p))).collect()
+    };
+    let archive_digest = |store: &PolicyStore| {
+        let mut d = Digest::new();
+        store.fold_digest(&mut d);
+        d.value()
+    };
+
+    let mut operator = tenants_spec(1, false);
+    let mut gateway = ActivePolicy::new();
+    let mut store = PolicyStore::new();
+    gateway.stage(operator.clone());
+    assert_eq!(gateway.commit_staged(SimTime::ZERO), Ok(1));
+    store.record(operator.clone());
+    let v1 = unshared(&operator);
+
+    operator.version = 2;
+    operator.tenants[2].rules[1].dest_ports = Some(PortRange { lo: 80, hi: 1002 });
+    gateway.stage(operator.clone());
+    store.record(operator.clone());
+    let v2 = unshared(&operator);
+    assert_eq!(operator.tenants.shared_tenants(&v2.tenants), 0);
+    let (slot_was, verdicts_were) = (digest_of(&gateway), verdicts(&gateway));
+    let archive_was = archive_digest(&store);
+
+    // Tenant 5 opens port 22.
+    operator.version = 3;
+    operator.tenants[4].rules[0].action = PolicyVerdict::Allow;
+    assert_ne!(operator.tenants[4], v2.tenants[4]);
+
+    let running = gateway.running().map(|(spec, _)| spec);
+    assert_eq!(running, Some(&v1));
+    assert_eq!(gateway.staged(), Some(&v2));
+    assert_eq!((store.get(1), store.get(2)), (Some(&v1), Some(&v2)));
+    assert_eq!(digest_of(&gateway), slot_was);
+    assert_eq!(verdicts(&gateway), verdicts_were);
+    assert_eq!(archive_digest(&store), archive_was);
+
+    // The staged and the archived version 2 are one document, of which the
+    // operator's copy now shares every tenant but the edited one; version 1
+    // lost tenant 3 to the edit before.
+    for held in [gateway.staged(), store.get(2)].into_iter().flatten() {
+        for (i, (ours, theirs)) in operator.tenants.shared().iter().zip(held.tenants.shared()).enumerate() {
+            assert_eq!(Arc::ptr_eq(ours, theirs), i != 4, "tenant {}", i + 1);
+        }
+    }
+    assert_eq!(running.map(|spec| operator.tenants.shared_tenants(&spec.tenants)), Some(n - 2));
+
+    // And the push of version 3 compiles tenant 5 alone.
+    let was = gateway.compiled().cloned().unwrap_or_else(CompiledPolicySet::empty);
+    assert_eq!(gateway.commit_staged(SimTime::from_secs(2)), Ok(2));
+    gateway.stage(operator.clone());
+    assert_eq!(gateway.commit_staged(SimTime::from_secs(3)), Ok(3));
+    assert_eq!(gateway.compiled().map(|c| c.shared_tenants(&was)), Some(n - 2));
+    assert_eq!(gateway.compiled().map(|c| c.l4_verdict(&probes[16])), Some(L4Verdict::Allow));
 }

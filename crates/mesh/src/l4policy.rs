@@ -92,7 +92,7 @@ mod tests {
     fn spec() -> PolicySpec {
         PolicySpec {
             version: 1,
-            tenants: vec![TenantPolicy {
+            tenants: [TenantPolicy {
                 tenant: TenantId(1),
                 vpc: VpcId(1),
                 rules: vec![
@@ -101,7 +101,9 @@ mod tests {
                     PolicyRule::allow(),
                 ],
                 default_action: PolicyVerdict::Deny,
-            }],
+            }]
+            .into_iter()
+            .collect(),
         }
     }
 
@@ -141,10 +143,10 @@ mod tests {
         // Version 2 lifts tenant 1's CIDR block, version 3 denies it everything.
         let mut v2 = PolicySpec { version: 2, ..v1.clone() };
         v2.tenants[0].rules.remove(0);
-        let set2 = CompiledPolicySet::compile_against(&v2, Some((&v1, &set1))).unwrap();
+        let set2 = CompiledPolicySet::compile_against(&v2, Some(&set1)).unwrap();
         let mut v3 = PolicySpec { version: 3, ..v2.clone() };
         v3.tenants[0].rules = vec![PolicyRule::deny()];
-        let set3 = CompiledPolicySet::compile_against(&v3, Some((&v2, &set2))).unwrap();
+        let set3 = CompiledPolicySet::compile_against(&v3, Some(&set2)).unwrap();
         drop((set1, set2));
 
         assert_eq!(set3.shared_tenants(&f.set), 1, "tenant 2 is one copy across all three");

@@ -32,10 +32,13 @@
 //! immutable once built and the set holds it by [`Arc`], so every holder of
 //! a version (each gateway's slot, each node's filter) and every later
 //! version that left the tenant alone point at one copy of its tables.
-//! [`CompiledPolicySet::compile_against`] is the only compile loop: given
-//! the spec and set already running it compiles the tenants whose
-//! [`TenantPolicy`] changed and takes the rest as they are, and
-//! [`CompiledPolicySet::compile`] is that loop with nothing to take from.
+//! [`CompiledPolicySet::compile_against`] is the only compile loop: a set
+//! remembers the [`TenantPolicy`] each tenant's tables were compiled from
+//! (the spec's own shared copy, not another), so given the set already
+//! running the loop compiles the tenants whose policy changed and takes the
+//! rest as they are, and [`CompiledPolicySet::compile`] is that loop with
+//! nothing to take from. A tenant the edit left alone is the same allocation
+//! in both versions of the document and its comparison is a pointer check.
 
 use crate::spec::{
     validate_tenant, verdict_tag, L4Ctx, L7Ctx, PolicyRejection, PolicySpec, PolicyVerdict,
@@ -717,6 +720,10 @@ pub struct CompiledPolicySet {
     /// Not an ordered map: its node walk in front of that hop is a cache
     /// miss per packet on the node's L4 admit (DESIGN.md §16).
     tenants: Vec<(TenantId, Arc<CompiledTenant>)>,
+    /// What each tenant's tables were compiled from, in `tenants`' order:
+    /// what the next version's tenants are compared against. Beside the
+    /// index, not in it, so that a lookup's cache lines hold only the index.
+    sources: Vec<Arc<TenantPolicy>>,
 }
 
 impl CompiledPolicySet {
@@ -726,36 +733,39 @@ impl CompiledPolicySet {
         Self::compile_against(spec, None)
     }
 
-    /// Validate and compile `spec`, taking from `prior` (a spec and the set
-    /// compiled from *it*) the tables of every tenant whose
-    /// [`TenantPolicy`] is field-for-field equal in both, wherever it sits
-    /// in either list: only the tenants that differ are validated and
+    /// Validate and compile `spec`, taking from `prior` (the set running
+    /// now) the tables of every tenant it compiled from a [`TenantPolicy`]
+    /// field-for-field equal to `spec`'s, wherever the tenant sits in
+    /// `spec`'s list: only the tenants that differ are validated and
     /// compiled, in `spec`'s order, so the rejection (and the result) is the
     /// one a compile from scratch gives. Equality is `TenantPolicy`'s `==`,
-    /// never a digest: a collision would enforce another tenant's tables.
+    /// which two versions sharing the allocation satisfy without a walk;
+    /// never a digest, and never identity alone: a collision would enforce
+    /// another tenant's tables, and a tenant rebuilt equal keeps its own.
     pub fn compile_against(
         spec: &PolicySpec,
-        prior: Option<(&PolicySpec, &CompiledPolicySet)>,
+        prior: Option<&CompiledPolicySet>,
     ) -> Result<CompiledPolicySet, PolicyRejection> {
-        let mut was: Vec<&TenantPolicy> = prior.map_or(Vec::new(), |(p, _)| p.tenants.iter().collect());
-        was.sort_unstable_by_key(|tp| tp.tenant);
         // Ordered as it is built, so that a tenant named twice is refused
         // where the spec's order reaches it, whatever that order is.
-        let mut tenants = BTreeMap::new();
-        for tp in &spec.tenants {
-            let Entry::Vacant(slot) = tenants.entry(tp.tenant) else {
+        let mut by_tenant = BTreeMap::new();
+        for tp in spec.tenants.shared() {
+            let Entry::Vacant(slot) = by_tenant.entry(tp.tenant) else {
                 return Err(PolicyRejection::DuplicateTenant(tp.tenant));
             };
-            let shared = prior.and_then(|(_, set)| {
-                let i = was.binary_search_by_key(&tp.tenant, |old| old.tenant).ok()?;
-                set.tables(tp.tenant).filter(|_| was[i] == tp)
+            let reused = prior.and_then(|set| {
+                let i = set.position(tp.tenant)?;
+                (set.sources[i] == *tp).then(|| Arc::clone(&set.tenants[i].1))
             });
-            slot.insert(match shared {
-                Some(tables) => Arc::clone(tables),
+            let tables = match reused {
+                Some(tables) => tables,
                 None => Arc::new(CompiledTenant::compile(tp)?),
-            });
+            };
+            slot.insert((tables, Arc::clone(tp)));
         }
-        Ok(CompiledPolicySet { version: spec.version, tenants: tenants.into_iter().collect() })
+        let (tenants, sources) =
+            by_tenant.into_iter().map(|(t, (tables, source))| ((t, tables), source)).unzip();
+        Ok(CompiledPolicySet { version: spec.version, tenants, sources })
     }
 
     /// How many tenants' tables this set and `other` hold in common: the
@@ -769,7 +779,7 @@ impl CompiledPolicySet {
 
     /// An empty set at version 0 (deny-all for every tenant).
     pub fn empty() -> CompiledPolicySet {
-        CompiledPolicySet { version: 0, tenants: Vec::new() }
+        CompiledPolicySet { version: 0, tenants: Vec::new(), sources: Vec::new() }
     }
 
     /// The spec version this was compiled from.
@@ -782,9 +792,12 @@ impl CompiledPolicySet {
         self.tables(t).map(Arc::as_ref)
     }
 
+    fn position(&self, t: TenantId) -> Option<usize> {
+        self.tenants.binary_search_by_key(&t, |(tenant, _)| *tenant).ok()
+    }
+
     fn tables(&self, t: TenantId) -> Option<&Arc<CompiledTenant>> {
-        let i = self.tenants.binary_search_by_key(&t, |(tenant, _)| *tenant).ok()?;
-        Some(&self.tenants[i].1)
+        Some(&self.tenants[self.position(t)?].1)
     }
 
     /// Total rules across tenants.
@@ -962,7 +975,8 @@ mod tests {
 
     #[test]
     fn unknown_tenant_is_denied() {
-        let spec = PolicySpec { version: 1, tenants: vec![tenant_policy(vec![PolicyRule::allow()])] };
+        let tenants = [tenant_policy(vec![PolicyRule::allow()])].into_iter().collect();
+        let spec = PolicySpec { version: 1, tenants };
         let set = CompiledPolicySet::compile(&spec).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(set.l4_verdict(&l4(1, 1, 80, 0)), L4Verdict::Allow);
         assert_eq!(set.l4_verdict(&l4(9, 1, 80, 0)), L4Verdict::Deny);
@@ -976,10 +990,12 @@ mod tests {
     fn compile_digest_is_stable_and_content_sensitive() {
         let spec = PolicySpec {
             version: 3,
-            tenants: vec![tenant_policy(vec![
+            tenants: [tenant_policy(vec![
                 PolicyRule::deny().with_path_prefix("/admin"),
                 PolicyRule::allow(),
-            ])],
+            ])]
+            .into_iter()
+            .collect(),
         };
         let a = CompiledPolicySet::compile(&spec).unwrap_or_else(|e| panic!("{e}"));
         let b = CompiledPolicySet::compile(&spec).unwrap_or_else(|e| panic!("{e}"));

@@ -7,8 +7,9 @@
 //! * [`spec`] — the declarative model: [`PolicyRule`]s over source CIDR,
 //!   destination-port range, verified workload identity, HTTP method, path
 //!   prefix, SNI and header predicates, grouped per tenant into a versioned
-//!   [`PolicySpec`], plus semantic validation ([`validate`]) whose
-//!   rejections the gateway NACKs instead of applying.
+//!   [`PolicySpec`] whose versions and copies share every tenant they did
+//!   not change ([`TenantList`]), plus semantic validation ([`validate`])
+//!   whose rejections the gateway NACKs instead of applying.
 //! * [`compile`] — the compiled form: per-dimension disjoint-interval
 //!   tables (binary search over segment boundaries), a path-prefix byte
 //!   trie and exact-match maps, each yielding a per-rule bitmask; a verdict
@@ -18,8 +19,8 @@
 //!   structural, not filtered.
 //! * [`reference`] — the naive scan-all-rules matcher the differential
 //!   property tests compare against bit for bit.
-//! * [`store`] — the bounded version archive the rollout controller's
-//!   rollback targets are materialized from.
+//! * [`store`] — the bounded version archive pushes are cloned from and the
+//!   rollout controller's rollback targets are materialized from.
 //!
 //! Everything is deterministic: no wall clocks, no ambient randomness, and
 //! every stateful struct folds into a [`canal_sim::Digest`].
@@ -39,7 +40,7 @@ pub use compile::{CompiledPolicySet, CompiledTenant, L4Verdict};
 pub use reference::{reference_l4_verdict, reference_l7_match, reference_l7_verdict};
 pub use spec::{
     validate, Cidr, HeaderPredicate, L4Ctx, L7Ctx, PolicyRejection, PolicyRule, PolicySpec,
-    PolicyVerdict, PortRange, SniMatch, TenantPolicy, MAX_HEADER_PREDICATES,
+    PolicyVerdict, PortRange, SniMatch, TenantList, TenantPolicy, MAX_HEADER_PREDICATES,
     MAX_PATH_PREFIX_BYTES, MAX_RULES_PER_TENANT,
 };
 pub use store::{PolicyStore, POLICY_RETAIN_CAP};

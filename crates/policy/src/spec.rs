@@ -6,10 +6,19 @@
 //! semantics). [`validate`] is the semantic gate the gateway's
 //! `ActivePolicy` runs before committing — a spec that fails it is NACKed
 //! upstream, never applied (fail-static).
+//!
+//! The tenant is the unit of sharing in the document as it is in the
+//! compiled tables: a spec's [`TenantList`] holds each tenant by [`Arc`], so
+//! a clone of a spec (a push, a staged copy, an archive entry) is the list
+//! plus a reference count per tenant, two versions share every tenant the
+//! edit between them left alone, and an edit in place copies the one tenant
+//! it touches, and only while someone else still holds it.
 
 use canal_net::{TenantId, VpcId};
 use canal_sim::Digest;
 use std::fmt;
+use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 /// Hard cap on rules per tenant: bounds compiled-table memory and is a
 /// semantic-rejection trigger, not a silent truncation.
@@ -342,6 +351,106 @@ impl TenantPolicy {
     }
 }
 
+/// The tenants of a [`PolicySpec`], in the operator's order, shared copy on
+/// write. `clone()` copies the list and counts a reference per tenant; no
+/// rule is copied. The only way to a `&mut TenantPolicy` is [`IndexMut`],
+/// which goes through [`Arc::make_mut`]: it copies the tenant first if any
+/// other list still holds it, so a document that was cloned (staged,
+/// running, archived, in flight to another gateway) cannot be altered by a
+/// later edit of the copy it was cloned from. `==` is [`TenantPolicy`]'s
+/// field-wise `==`; two lists holding the same allocation skip the walk
+/// (`Arc`'s own shortcut for `Eq` types), and that is all identity decides.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct TenantList(Vec<Arc<TenantPolicy>>);
+
+impl TenantList {
+    /// Number of tenants.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the list holds no tenant.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The tenants in order.
+    pub fn iter(&self) -> <&TenantList as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// The tenants in order as the list holds them: what the compiler keeps
+    /// beside a tenant's tables to compare the next version against.
+    pub fn shared(&self) -> &[Arc<TenantPolicy>] {
+        &self.0
+    }
+
+    /// How many of this list's tenants `other` holds too: the same
+    /// allocation, not merely equal content.
+    pub fn shared_tenants(&self, other: &TenantList) -> usize {
+        self.0.iter().filter(|tp| other.0.iter().any(|o| Arc::ptr_eq(tp, o))).count()
+    }
+
+    /// Append a tenant.
+    pub fn push(&mut self, tp: TenantPolicy) {
+        self.0.push(Arc::new(tp));
+    }
+
+    /// Insert a tenant at position `i`, shifting the rest right.
+    pub fn insert(&mut self, i: usize, tp: TenantPolicy) {
+        self.0.insert(i, Arc::new(tp));
+    }
+
+    /// Remove and return the tenant at position `i`, shifting the rest left.
+    pub fn remove(&mut self, i: usize) -> Arc<TenantPolicy> {
+        self.0.remove(i)
+    }
+
+    /// Swap the tenants at positions `a` and `b`; nothing is copied.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        self.0.swap(a, b);
+    }
+
+    /// Rotate the list so that position `mid` comes first; nothing is copied.
+    pub fn rotate_left(&mut self, mid: usize) {
+        self.0.rotate_left(mid);
+    }
+}
+
+impl FromIterator<TenantPolicy> for TenantList {
+    fn from_iter<I: IntoIterator<Item = TenantPolicy>>(iter: I) -> Self {
+        TenantList(iter.into_iter().map(Arc::new).collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a TenantList {
+    type Item = &'a TenantPolicy;
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, Arc<TenantPolicy>>,
+        fn(&'a Arc<TenantPolicy>) -> &'a TenantPolicy,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|tp| &**tp)
+    }
+}
+
+impl Index<usize> for TenantList {
+    type Output = TenantPolicy;
+
+    fn index(&self, i: usize) -> &TenantPolicy {
+        &self.0[i]
+    }
+}
+
+impl IndexMut<usize> for TenantList {
+    /// The tenant to edit: this list's own copy of it, made now if another
+    /// list shares the one it holds.
+    fn index_mut(&mut self, i: usize) -> &mut TenantPolicy {
+        Arc::make_mut(&mut self.0[i])
+    }
+}
+
 /// A versioned multi-tenant policy push: the unit the control plane
 /// distributes and the rollout controller canaries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -349,7 +458,7 @@ pub struct PolicySpec {
     /// Monotone version from `VersionedConfigStore`.
     pub version: u64,
     /// Per-tenant policies.
-    pub tenants: Vec<TenantPolicy>,
+    pub tenants: TenantList,
 }
 
 impl PolicySpec {
@@ -595,7 +704,7 @@ mod tests {
     fn validation_rejects_semantic_poison() {
         let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
         tp.rules.push(PolicyRule::allow().with_ports(443, 80));
-        let spec = PolicySpec { version: 1, tenants: vec![tp] };
+        let spec = PolicySpec { version: 1, tenants: [tp].into_iter().collect() };
         assert_eq!(
             validate(&spec),
             Err(PolicyRejection::InvertedPortRange { tenant: t1(), rule: 0 })
@@ -606,12 +715,12 @@ mod tests {
     fn validation_rejects_duplicate_tenant_and_bad_cidr() {
         let a = TenantPolicy::default_deny(t1(), VpcId(1));
         let b = TenantPolicy::default_deny(t1(), VpcId(2));
-        let spec = PolicySpec { version: 1, tenants: vec![a.clone(), b] };
+        let spec = PolicySpec { version: 1, tenants: [a.clone(), b].into_iter().collect() };
         assert_eq!(validate(&spec), Err(PolicyRejection::DuplicateTenant(t1())));
 
         let mut bad = a;
         bad.rules.push(PolicyRule::allow().with_source_cidr(Cidr::new(0x0A00_0001, 24)));
-        let spec = PolicySpec { version: 1, tenants: vec![bad] };
+        let spec = PolicySpec { version: 1, tenants: [bad].into_iter().collect() };
         assert_eq!(validate(&spec), Err(PolicyRejection::BadCidr { tenant: t1(), rule: 0 }));
     }
 
@@ -621,7 +730,7 @@ mod tests {
             let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
             tp.rules.push(PolicyRule::deny());
             tp.rules.push(PolicyRule::allow().with_sni(SniMatch::Suffix(s.to_string())));
-            validate(&PolicySpec { version: 1, tenants: vec![tp] })
+            validate(&PolicySpec { version: 1, tenants: [tp].into_iter().collect() })
         };
         // `ends_with("example.com")` would also admit `evilexample.com`.
         assert_eq!(
@@ -673,9 +782,35 @@ mod tests {
         );
     }
 
+    /// Copy on write, tenant by tenant: a clone shares every tenant, an edit
+    /// through `IndexMut` copies the one it touches if the clone still holds
+    /// it and edits in place if nobody does, and `==` never asks who holds
+    /// what.
+    #[test]
+    fn an_edit_copies_the_tenant_it_touches_only_while_it_is_shared() {
+        let mut spec = PolicySpec {
+            version: 1,
+            tenants: (1..=3).map(|t| TenantPolicy::default_deny(TenantId(t), VpcId(t))).collect(),
+        };
+        let held = spec.clone();
+        assert_eq!(spec.tenants.shared_tenants(&held.tenants), 3);
+
+        spec.tenants[1].rules.push(PolicyRule::allow());
+        assert_eq!(spec.tenants.shared_tenants(&held.tenants), 2);
+        assert!(held.tenants[1].rules.is_empty(), "the holder's copy did not move");
+        assert_ne!(spec, held);
+
+        // Tenant 2 is this list's alone now: a second edit stays where it is.
+        let own = Arc::as_ptr(&spec.tenants.shared()[1]);
+        spec.tenants[1].rules.clear();
+        assert_eq!(Arc::as_ptr(&spec.tenants.shared()[1]), own);
+        assert_eq!(spec, held, "equal again by value, one tenant apart by allocation");
+        assert_eq!(spec.tenants.shared_tenants(&held.tenants), 2);
+    }
+
     #[test]
     fn digest_is_content_sensitive() {
-        let mut a = PolicySpec { version: 1, tenants: Vec::new() };
+        let mut a = PolicySpec { version: 1, ..PolicySpec::default() };
         let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
         tp.rules.push(PolicyRule::allow().with_path_prefix("/api"));
         a.tenants.push(tp);

@@ -6,7 +6,10 @@
 //! form again. [`PolicyStore`] keeps the most recent
 //! [`POLICY_RETAIN_CAP`] specs keyed by version, evicting the oldest and
 //! counting evictions, so memory stays flat no matter how many pushes a
-//! region sees.
+//! region sees. What it retains is documents that share their tenants
+//! ([`TenantList`](crate::spec::TenantList)): a version costs the archive
+//! the tenants its edit touched, and a push is a clone of [`PolicyStore::get`],
+//! so the gateways of a wave share the archived tenants too.
 
 use crate::spec::PolicySpec;
 use canal_sim::Digest;
@@ -46,11 +49,6 @@ impl PolicyStore {
         self.by_version.get(&version)
     }
 
-    /// The most recent retained spec.
-    pub fn latest(&self) -> Option<&PolicySpec> {
-        self.by_version.values().next_back()
-    }
-
     /// Number of retained specs.
     pub fn len(&self) -> usize {
         self.by_version.len()
@@ -78,9 +76,13 @@ impl PolicyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{PolicyRule, PortRange, TenantPolicy};
+    use canal_net::{TenantId, VpcId};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn spec(v: u64) -> PolicySpec {
-        PolicySpec { version: v, tenants: Vec::new() }
+        PolicySpec { version: v, ..PolicySpec::default() }
     }
 
     #[test]
@@ -93,7 +95,42 @@ mod tests {
         assert_eq!(store.evicted(), 4);
         assert!(store.get(1).is_none(), "oldest evicted");
         assert!(store.get(POLICY_RETAIN_CAP as u64 + 4).is_some());
-        assert_eq!(store.latest().map(|s| s.version), Some(POLICY_RETAIN_CAP as u64 + 4));
+    }
+
+    /// Each version edits one tenant of the one before and is archived as a
+    /// clone: a full archive of a 64-tenant document holds the first
+    /// version's 64 tenants and one more per later version, not 16 x 64.
+    #[test]
+    fn a_full_archive_of_one_tenant_edits_holds_each_tenant_once() {
+        const TENANTS: usize = 64;
+        let mut spec = PolicySpec {
+            version: 0,
+            tenants: (1..=TENANTS as u32)
+                .map(|t| TenantPolicy {
+                    rules: vec![PolicyRule::allow().with_ports(80, 80)],
+                    ..TenantPolicy::default_deny(TenantId(t), VpcId(t))
+                })
+                .collect(),
+        };
+        let mut store = PolicyStore::new();
+        for v in 1..=POLICY_RETAIN_CAP as u64 + 3 {
+            spec.version = v;
+            spec.tenants[v as usize % TENANTS].rules[0].dest_ports = Some(PortRange { lo: 80, hi: 80 + v as u16 });
+            store.record(spec.clone());
+        }
+        assert_eq!(store.len(), POLICY_RETAIN_CAP);
+        let retained: Vec<&PolicySpec> = store.by_version.values().collect();
+        for pair in retained.windows(2) {
+            assert_eq!(pair[1].tenants.shared_tenants(&pair[0].tenants), TENANTS - 1);
+            assert_ne!(pair[0], pair[1]);
+        }
+        let oldest_and_newest = retained[0].tenants.shared_tenants(&retained[POLICY_RETAIN_CAP - 1].tenants);
+        assert_eq!(oldest_and_newest, TENANTS - (POLICY_RETAIN_CAP - 1));
+        let allocations: BTreeSet<*const TenantPolicy> =
+            retained.iter().flat_map(|s| s.tenants.shared()).map(Arc::as_ptr).collect();
+        assert_eq!(allocations.len(), TENANTS + POLICY_RETAIN_CAP - 1, "64 + 15, not 1,024");
+        // The operator's copy shares the newest entry whole and can be edited on.
+        assert_eq!(spec.tenants.shared_tenants(&retained[POLICY_RETAIN_CAP - 1].tenants), TENANTS);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * **incremental** — compiling a spec against the one it was edited
 //!   from gives what compiling it from scratch gives (digest, verdicts,
 //!   rejection), shares the tables of exactly the tenants the edit left
-//!   alone, and notices a change to any one field.
+//!   alone, and notices a change to any one field; and it does so whether
+//!   the new spec still shares its untouched tenants with the old one (a
+//!   clone edited in place) or was rebuilt equal from nothing.
 //!
 //! The rule generator poisons a rule now and then (an SNI suffix without
 //! its leading dot, which the scan would match inside a label and the
@@ -387,7 +389,7 @@ fn scratch_and_incremental(
         Err(e) => panic!("the spec edited from must validate: {e}"),
     };
     let scratch = CompiledPolicySet::compile(new);
-    let against = CompiledPolicySet::compile_against(new, Some((old, &prior)));
+    let against = CompiledPolicySet::compile_against(new, Some(&prior));
     let (scratch, against) = match (scratch, against) {
         (Ok(s), Ok(a)) => (s, a),
         (Err(s), Err(a)) => {
@@ -410,9 +412,20 @@ fn scratch_and_incremental(
     Ok((prior, against))
 }
 
+/// `spec` built again from nothing: equal to it, sharing no tenant with it.
+/// Reuse is decided by equality, so everything a clone edited in place gets
+/// from the compiler this must get too.
+fn rebuilt(spec: &PolicySpec) -> PolicySpec {
+    let rebuilt = PolicySpec { version: spec.version, tenants: spec.tenants.iter().cloned().collect() };
+    assert_eq!(&rebuilt, spec);
+    assert_eq!(rebuilt.tenants.shared_tenants(&spec.tenants), 0);
+    rebuilt
+}
+
 /// Every kind of edit a push can carry, each compiled both ways. What the
 /// incremental set shares with the old one is counted by allocation: an
-/// edit unshares the tenants it touched and no other, wherever they sit.
+/// edit unshares the tenants it touched and no other, wherever they sit,
+/// in the tables and (for the clone edited in place) in the document.
 #[test]
 fn compiling_against_the_old_spec_equals_compiling_from_scratch() {
     let n = EDIT_TENANTS as usize;
@@ -470,9 +483,14 @@ fn compiling_against_the_old_spec_equals_compiling_from_scratch() {
         cases.push(("poisoned, then twice", new, Err(refused)));
 
         for (what, new, want) in cases {
-            let got = scratch_and_incremental(&old, &new, &mut rng)
-                .map(|(prior, against)| against.shared_tenants(&prior));
-            assert_eq!(got, want, "seed {seed}: {what}");
+            if let Ok(kept) = want {
+                assert_eq!(new.tenants.shared_tenants(&old.tenants), kept, "seed {seed}: {what}");
+            }
+            for (how, new) in [("edited in place", &new), ("rebuilt", &rebuilt(&new))] {
+                let got = scratch_and_incremental(&old, new, &mut rng)
+                    .map(|(prior, against)| against.shared_tenants(&prior));
+                assert_eq!(got, want, "seed {seed}: {what}, {how}");
+            }
         }
     }
 }
@@ -517,16 +535,19 @@ fn a_change_to_any_one_field_unshares_that_tenant_and_only_it() {
         let (t, r) = (rng.index(EDIT_TENANTS as usize), rng.index(EDIT_RULES));
         let mut new = old.clone();
         mutate(&mut new.tenants[t], r);
-        let (prior, against) = match scratch_and_incremental(&old, &new, &mut rng) {
-            Ok(sets) => sets,
-            Err(e) => panic!("{field}: the mutated spec must validate: {e}"),
-        };
-        for (i, tp) in old.tenants.iter().enumerate() {
-            let same = match (prior.tenant(tp.tenant), against.tenant(tp.tenant)) {
-                (Some(was), Some(is)) => std::ptr::eq(was, is),
-                _ => panic!("tenant {i} missing"),
+        assert_eq!(new.tenants.shared_tenants(&old.tenants), EDIT_TENANTS as usize - 1, "{field}");
+        for new in [&new, &rebuilt(&new)] {
+            let (prior, against) = match scratch_and_incremental(&old, new, &mut rng) {
+                Ok(sets) => sets,
+                Err(e) => panic!("{field}: the mutated spec must validate: {e}"),
             };
-            assert_eq!(same, i != t, "{field} of tenant {t} changed: tenant {i}");
+            for (i, tp) in old.tenants.iter().enumerate() {
+                let same = match (prior.tenant(tp.tenant), against.tenant(tp.tenant)) {
+                    (Some(was), Some(is)) => std::ptr::eq(was, is),
+                    _ => panic!("tenant {i} missing"),
+                };
+                assert_eq!(same, i != t, "{field} of tenant {t} changed: tenant {i}");
+            }
         }
     }
 }
