@@ -3,23 +3,29 @@
 //! A pushed [`PolicySpec`] goes through the fail-static contract of
 //! [`crate::failstatic`] (fence, version, content, swap). Here the content
 //! check *is* compilation, and a commit compiles *against what is running*:
-//! [`CompiledPolicySet::compile_against`] validates and builds the tables of
-//! the tenants whose policy differs from the one the running set compiled
-//! them from and takes every other tenant's tables from the running set as
-//! they are, so a one-tenant edit costs one tenant's compile. The result is
-//! the set a compile from scratch builds (same verdicts, same digest, same
-//! rejection), so the enforced spec and its compiled form can never diverge,
-//! and a spec that fails is refused with the [`PolicyRejection`] the compiler
-//! gave. A rollback is admitted with no running state to compare against
-//! and compiles in full. A poisoned policy push can therefore never widen
-//! or narrow enforcement beyond the canary that NACKed it.
+//! [`CompiledPolicySet::compile_against`] takes a tenant's tables from the
+//! running set if the policy it compiled them from equals the pushed one,
+//! else from the pushed document's own node if somebody compiled that node
+//! before (the controller's validation, another gateway handed a clone of
+//! the same document), else it validates and compiles the tenant and leaves
+//! the tables in the node. A one-tenant edit costs a fleet one tenant's
+//! compile. The result is the set a compile from scratch builds (same
+//! verdicts, same digest, same rejection: a refusal is never remembered),
+//! so the enforced spec and its compiled form can never diverge, and a spec
+//! that fails is refused with the [`PolicyRejection`] the compiler gave. A
+//! rollback is admitted with no running state to compare against; its
+//! tables come from the target document's nodes, all of them if the target
+//! is the archived document that ran before ([`canal_policy::PolicyStore`]),
+//! none if it was generated anew. A poisoned policy push can therefore never
+//! widen or narrow enforcement beyond the canary that NACKed it.
 //!
 //! The document is shared the way the tables are. A [`PolicySpec`] holds its
 //! tenants copy on write ([`canal_policy::TenantList`]), so what the slot
 //! stages and runs is the pushed clone at the price of a reference per
 //! tenant, the comparison above is a pointer check for every tenant the
 //! operator did not touch, and no later edit of the operator's copy can
-//! reach a staged or running spec: the edit copies its tenant first.
+//! reach a staged or running spec or the tables in its nodes: the edit
+//! copies its tenant first, into a node without tables.
 //! Nothing here does any of that; the slot only moves the spec it is given.
 
 use crate::failstatic::{FailStatic, Plane, Rejection};

@@ -15,7 +15,10 @@
 //!   leaves every tenant's tables where they were, and a holder of an older
 //!   version keeps that version. The documents share their tenants the same
 //!   way: an edit of the operator's copy in place moves nothing a gateway
-//!   has staged or runs and nothing the archive holds.
+//!   has staged or runs and nothing the archive holds. And the shared
+//!   document carries the tables compiled from it: a fleet that is pushed
+//!   clones of one document compiles each tenant once, and a rollback to a
+//!   document the archive still holds compiles nothing.
 
 use canal_gateway::certs::{CertBundleSpec, CertPlane, TrustBundle};
 use canal_gateway::config::{ConfigSpec, RoutePlane, RouteSpec};
@@ -638,4 +641,55 @@ fn sharing_an_edit_in_place_moves_nothing_staged_running_or_archived() {
     assert_eq!(gateway.commit_staged(SimTime::from_secs(3)), Ok(3));
     assert_eq!(gateway.compiled().map(|c| c.shared_tenants(&was)), Some(n - 2));
     assert_eq!(gateway.compiled().map(|c| c.l4_verdict(&probes[16])), Some(L4Verdict::Allow));
+}
+
+/// A fleet compiles a tenant once. The controller compiles the operator's
+/// document to validate it, archives a clone and pushes a clone to each of 24
+/// gateways: whoever compiles a tenant first leaves its tables in the
+/// document's node, so every two gateways serve the same copy of every
+/// tenant's tables, the edited one included. A rollback to the archived
+/// previous document finds every tenant built too, although it is admitted
+/// with nothing running to compare against. (A rollback to a document
+/// generated anew keeps none: `sharing_policy_histories_...` above.)
+#[test]
+fn sharing_a_fleet_compiles_a_tenant_once_and_a_rollback_to_the_archive_nothing() {
+    const FLEET: usize = 24;
+    let n = SHARED_TENANTS as usize;
+    let mut fleet: Vec<ActivePolicy> = (0..FLEET).map(|_| ActivePolicy::new()).collect();
+    let mut store = PolicyStore::new();
+    let mut roll_out = |document: &PolicySpec, fleet: &mut [ActivePolicy]| {
+        assert!(CompiledPolicySet::compile(document).is_ok(), "controller-side validation");
+        store.record(document.clone());
+        for gateway in fleet {
+            gateway.stage(document.clone());
+            assert_eq!(gateway.commit_staged(SimTime::from_secs(document.version)), Ok(document.version));
+        }
+    };
+    let sets = |fleet: &[ActivePolicy]| -> Vec<CompiledPolicySet> {
+        fleet.iter().map(|gateway| gateway.compiled().cloned().unwrap_or_else(CompiledPolicySet::empty)).collect()
+    };
+
+    let mut operator = tenants_spec(1, false);
+    roll_out(&operator, &mut fleet);
+    let ran_v1 = sets(&fleet);
+    operator.version = 2;
+    operator.tenants[2].rules[1].dest_ports = Some(PortRange { lo: 80, hi: 1002 });
+    roll_out(&operator, &mut fleet);
+
+    let run_v2 = sets(&fleet);
+    for (a, ours) in run_v2.iter().enumerate() {
+        assert_eq!(ours.version(), 2);
+        for (b, theirs) in run_v2.iter().enumerate() {
+            assert_eq!(ours.shared_tenants(theirs), n, "gateways {a} and {b}");
+        }
+        assert_eq!(ours.shared_tenants(&ran_v1[a]), n - 1, "gateway {a}: the edited tenant is new");
+    }
+
+    let archived_v1 = store.get(1).cloned().unwrap_or_default();
+    assert_eq!(archived_v1.version, 1);
+    for (a, gateway) in fleet.iter_mut().enumerate() {
+        assert_eq!(gateway.roll_back_to(SimTime::from_secs(3), archived_v1.clone(), ()), Ok(1));
+        let back = gateway.compiled().map(|c| (c.shared_tenants(&ran_v1[a]), set_digest(c)));
+        assert_eq!(back, Some((n, set_digest(&ran_v1[a]))), "gateway {a}");
+    }
 }

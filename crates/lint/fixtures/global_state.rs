@@ -11,3 +11,9 @@ pub fn salt() -> &'static std::sync::OnceLock<u64> {
     static SALT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     &SALT
 }
+
+// Clean: a write-once field is owned state. It is built, digested (or
+// derived from what is) and dropped with the struct that holds it.
+pub struct Memo {
+    slot: std::sync::OnceLock<u64>,
+}

@@ -10,7 +10,7 @@
 //!   (`Instant::now`, `SystemTime::now`), draw ambient randomness
 //!   (`thread_rng`, `rand::random`, `OsRng`, ...), use hash-ordered
 //!   collections (`HashMap`/`HashSet`) outside tests, or hold ambient
-//!   global state (`static mut`, `thread_local!`, `OnceLock`, ...).
+//!   global state (`static mut`, `thread_local!`, a `static` `OnceLock`, ...).
 //! * **stdout / panic policy** — only `canal-bench` and binaries print;
 //!   no `unwrap()`/`expect()`/`panic!` in library code outside
 //!   `#[cfg(test)]`.
@@ -302,14 +302,18 @@ fn findings_for(record: &FileRecord, lexed: &LexedFile) -> Vec<Finding> {
         // Global state: process-lifetime mutable state escapes the digest
         // fold and leaks across back-to-back seeded runs.
         if determinism || kind == TargetKind::Lib {
-            push_patterns(
-                &mut findings,
-                "global-state",
-                rules::GLOBAL_STATE_PATTERNS,
-                lineno,
-                line,
-                "holds ambient global state; thread state through explicit structs so it is owned, digested and reset per run",
-            );
+            // A write-once cell is that only as a `static`; a field is owned.
+            let cells = rules::declares_static(line).then_some(rules::STATIC_CELL_PATTERNS);
+            for patterns in std::iter::once(rules::GLOBAL_STATE_PATTERNS).chain(cells) {
+                push_patterns(
+                    &mut findings,
+                    "global-state",
+                    patterns,
+                    lineno,
+                    line,
+                    "holds ambient global state; thread state through explicit structs so it is owned, digested and reset per run",
+                );
+            }
         }
 
         // Unordered maps: deterministic library/binary code only. Tests may
@@ -871,6 +875,16 @@ mod tests {
             TargetKind::Lib,
         );
         assert_eq!(r.rules_fired(), vec!["global-state"]);
+        // A write-once cell is global state as a `static`, not as a field.
+        let r = scan_one(
+            "fn salt() -> u64 {\n    static SALT: OnceLock<u64> = OnceLock::new();\n    *SALT.get_or_init(|| 7)\n}\n",
+            "canal_policy",
+            TargetKind::Lib,
+        );
+        assert_eq!(r.rules_fired(), vec!["global-state"]);
+        assert!(r.violations.iter().all(|v| v.line == 2), "{}", r.render());
+        let owned = "pub struct Memo {\n    slot: OnceLock<u64>,\n}\nfn get(slot: &'static OnceLock<u64>) -> Option<&'static u64> { slot.get() }\n";
+        assert!(scan_one(owned, "canal_policy", TargetKind::Lib).clean());
     }
 
     #[test]

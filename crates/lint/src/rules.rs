@@ -252,10 +252,12 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "global-state",
-        summary: "no static mut/thread_local!/OnceLock ambient global state",
+        summary: "no static mut/thread_local!/static OnceLock ambient global state",
         rationale: "Global mutable state survives across simulation runs in one process and \
                     escapes both the digest fold and the per-tenant isolation story: two \
-                    back-to-back seeded runs would see different initial state.",
+                    back-to-back seeded runs would see different initial state. A OnceLock, \
+                    OnceCell or LazyLock is that only in a `static` item; as a field of an \
+                    owned struct it is dropped with its owner and the rule leaves it alone.",
         suppression: SUPPRESS_PLAIN,
     },
     RuleDoc {
@@ -352,14 +354,20 @@ pub const STDOUT_PATTERNS: &[Pattern] = &[tok("println!"), tok("print!"), tok("d
 
 /// Ambient global state: survives across runs in one process, escapes the
 /// digest fold, and undermines per-tenant isolation reasoning.
-pub const GLOBAL_STATE_PATTERNS: &[Pattern] = &[
-    tok("static mut"),
-    tok("thread_local!"),
-    word("OnceLock"),
-    word("OnceCell"),
-    word("LazyLock"),
-    tok("lazy_static!"),
-];
+pub const GLOBAL_STATE_PATTERNS: &[Pattern] =
+    &[tok("static mut"), tok("thread_local!"), tok("lazy_static!")];
+
+/// Write-once cells, which are global state only as the type of a `static`
+/// item (see [`declares_static`]): as a field they live and die with the
+/// struct that owns them, like any other field.
+pub const STATIC_CELL_PATTERNS: &[Pattern] =
+    &[word("OnceLock"), word("OnceCell"), word("LazyLock")];
+
+/// Whether `line` holds the `static` keyword of an item, as against the
+/// `'static` lifetime.
+pub fn declares_static(line: &str) -> bool {
+    find_pattern(line, &word("static")).into_iter().any(|at| !line[..at].ends_with('\''))
+}
 
 /// Panicking constructs forbidden in library code outside `#[cfg(test)]`.
 pub const PANIC_PATTERNS: &[Pattern] = &[

@@ -29,24 +29,41 @@
 //! address spaces overlap.
 //!
 //! The tenant is also the unit of compilation. A [`CompiledTenant`] is
-//! immutable once built and the set holds it by [`Arc`], so every holder of
-//! a version (each gateway's slot, each node's filter) and every later
-//! version that left the tenant alone point at one copy of its tables.
-//! [`CompiledPolicySet::compile_against`] is the only compile loop: a set
-//! remembers the [`TenantPolicy`] each tenant's tables were compiled from
-//! (the spec's own shared copy, not another), so given the set already
-//! running the loop compiles the tenants whose policy changed and takes the
-//! rest as they are, and [`CompiledPolicySet::compile`] is that loop with
-//! nothing to take from. A tenant the edit left alone is the same allocation
-//! in both versions of the document and its comparison is a pointer check.
+//! immutable once built and held by [`Arc`], so every holder of a version
+//! (each gateway's slot, each node's filter) and every later version that
+//! left the tenant alone point at one copy of its tables.
+//! [`CompiledPolicySet::compile_against`] is the only compile loop, and a
+//! tenant's tables come to it from one of three places, tried in this order:
+//!
+//! 1. the set already running, if the [`TenantNode`] it compiled this tenant
+//!    from `==` the one being compiled. A set remembers those nodes (the
+//!    spec's own shared ones, not copies); a tenant the edit left alone is
+//!    the same allocation in both versions and the comparison is a pointer
+//!    check, and a document that arrives rebuilt equal keeps its running
+//!    tables all the same;
+//! 2. the node being compiled, if somebody compiled it before: the
+//!    controller validating the document, another gateway of the fleet
+//!    committing it, this gateway the last time it ran the version it is
+//!    now rolled back to;
+//! 3. [`CompiledTenant::compile`], whose tables are left in the node for
+//!    the next caller.
+//!
+//! The running set goes first so that a commit keeps what it serves; the
+//! order decides which copy of equal tables is taken, never what they say,
+//! because both were compiled from a policy equal to this one. No table is
+//! taken by digest or from a node other than the one being compiled. A
+//! tenant that fails validation leaves nothing in its node: the refusal is
+//! computed again by every compile that meets it, in the spec's order, so
+//! the rejection is the one a compile from scratch gives.
+//! [`CompiledPolicySet::compile`] is the loop with no running set.
 
 use crate::spec::{
     validate_tenant, verdict_tag, L4Ctx, L7Ctx, PolicyRejection, PolicySpec, PolicyVerdict,
-    SniMatch, TenantPolicy,
+    SniMatch, TenantNode, TenantPolicy,
 };
 use canal_net::TenantId;
 use canal_sim::Digest;
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What the node L4 path can conclude without seeing the request.
@@ -723,7 +740,7 @@ pub struct CompiledPolicySet {
     /// What each tenant's tables were compiled from, in `tenants`' order:
     /// what the next version's tenants are compared against. Beside the
     /// index, not in it, so that a lookup's cache lines hold only the index.
-    sources: Vec<Arc<TenantPolicy>>,
+    sources: Vec<Arc<TenantNode>>,
 }
 
 impl CompiledPolicySet {
@@ -733,38 +750,43 @@ impl CompiledPolicySet {
         Self::compile_against(spec, None)
     }
 
-    /// Validate and compile `spec`, taking from `prior` (the set running
-    /// now) the tables of every tenant it compiled from a [`TenantPolicy`]
-    /// field-for-field equal to `spec`'s, wherever the tenant sits in
-    /// `spec`'s list: only the tenants that differ are validated and
-    /// compiled, in `spec`'s order, so the rejection (and the result) is the
-    /// one a compile from scratch gives. Equality is `TenantPolicy`'s `==`,
-    /// which two versions sharing the allocation satisfy without a walk;
-    /// never a digest, and never identity alone: a collision would enforce
-    /// another tenant's tables, and a tenant rebuilt equal keeps its own.
+    /// Validate and compile `spec`, tenant by tenant in `spec`'s order. A
+    /// tenant's tables are `prior`'s (the set running now) if `prior`
+    /// compiled them from a [`TenantPolicy`] field-for-field equal to
+    /// `spec`'s, wherever the tenant sits in `spec`'s list; else the ones an
+    /// earlier compile left in `spec`'s own node; else they are compiled now
+    /// and left there (the module docs give the order its reasons). Only a
+    /// tenant compiled now is validated, so the rejection (and the result) is
+    /// the one a compile from scratch gives. Equality is `TenantPolicy`'s
+    /// `==`, which two versions sharing the allocation satisfy without a
+    /// walk; never a digest, and never identity alone: a collision would
+    /// enforce another tenant's tables, and a tenant rebuilt equal keeps its
+    /// own.
     pub fn compile_against(
         spec: &PolicySpec,
         prior: Option<&CompiledPolicySet>,
     ) -> Result<CompiledPolicySet, PolicyRejection> {
-        // Ordered as it is built, so that a tenant named twice is refused
-        // where the spec's order reaches it, whatever that order is.
-        let mut by_tenant = BTreeMap::new();
+        let mut tenants = Vec::with_capacity(spec.tenants.len());
+        let mut sources = Vec::with_capacity(spec.tenants.len());
         for tp in spec.tenants.shared() {
-            let Entry::Vacant(slot) = by_tenant.entry(tp.tenant) else {
-                return Err(PolicyRejection::DuplicateTenant(tp.tenant));
+            // Sorted as it is built, so that a tenant named twice is refused
+            // where the spec's order reaches it, whatever that order is; an
+            // ascending spec appends.
+            let at = match tenants.binary_search_by_key(&tp.tenant, |(tenant, _)| *tenant) {
+                Ok(_) => return Err(PolicyRejection::DuplicateTenant(tp.tenant)),
+                Err(at) => at,
             };
-            let reused = prior.and_then(|set| {
+            let running = prior.and_then(|set| {
                 let i = set.position(tp.tenant)?;
-                (set.sources[i] == *tp).then(|| Arc::clone(&set.tenants[i].1))
+                (set.sources[i] == *tp).then(|| &set.tenants[i].1)
             });
-            let tables = match reused {
-                Some(tables) => tables,
-                None => Arc::new(CompiledTenant::compile(tp)?),
+            let tables = match running.or_else(|| tp.tables()) {
+                Some(tables) => Arc::clone(tables),
+                None => tp.remember(CompiledTenant::compile(tp)?),
             };
-            slot.insert((tables, Arc::clone(tp)));
+            tenants.insert(at, (tp.tenant, tables));
+            sources.insert(at, Arc::clone(tp));
         }
-        let (tenants, sources) =
-            by_tenant.into_iter().map(|(t, (tables, source))| ((t, tables), source)).unzip();
         Ok(CompiledPolicySet { version: spec.version, tenants, sources })
     }
 
@@ -984,6 +1006,27 @@ mod tests {
             set.l7_verdict(&l4(9, 1, 80, 0), &L7Ctx::new("GET", "/")),
             PolicyVerdict::Deny
         );
+    }
+
+    /// A refusal is computed by every compile that meets it and never
+    /// remembered: the tenant before it in the spec's order was built and
+    /// left in its node, the refused one leaves its node empty.
+    #[test]
+    fn a_refused_tenant_leaves_nothing_in_its_node() {
+        let good = tenant_policy(vec![PolicyRule::allow()]);
+        let bad = TenantPolicy {
+            tenant: TenantId(2),
+            ..tenant_policy(vec![PolicyRule::allow().with_ports(443, 80)])
+        };
+        let spec = PolicySpec { version: 1, tenants: [good, bad].into_iter().collect() };
+        for _ in 0..2 {
+            assert_eq!(
+                CompiledPolicySet::compile(&spec).err(),
+                Some(PolicyRejection::InvertedPortRange { tenant: TenantId(2), rule: 0 })
+            );
+            assert!(spec.tenants.shared()[0].tables().is_some());
+            assert!(spec.tenants.shared()[1].tables().is_none());
+        }
     }
 
     #[test]

@@ -13,12 +13,25 @@
 //! plus a reference count per tenant, two versions share every tenant the
 //! edit between them left alone, and an edit in place copies the one tenant
 //! it touches, and only while someone else still holds it.
+//!
+//! What the list shares is a [`TenantNode`]: the tenant's policy and a
+//! write-once slot for the tables compiled from it. The tables are a pure
+//! function of the policy and the policy behind a shared node never changes,
+//! so whoever compiles the node first (the controller validating a document,
+//! a gateway committing it) leaves the tables where every other holder of
+//! the node finds them, and a fleet compiles a tenant once. The slot is not
+//! part of the document: `==`, `Debug` and `fold_digest` see the policy alone
+//! and a cloned node starts empty. The one way to change a node's policy is
+//! [`IndexMut`] on the list, and it empties the slot: [`Arc::make_mut`] edits
+//! a node nobody else holds where it is, and tables kept across that edit
+//! would enforce the policy as it was before it.
 
+use crate::compile::CompiledTenant;
 use canal_net::{TenantId, VpcId};
 use canal_sim::Digest;
 use std::fmt;
-use std::ops::{Index, IndexMut};
-use std::sync::Arc;
+use std::ops::{Deref, Index, IndexMut};
+use std::sync::{Arc, OnceLock};
 
 /// Hard cap on rules per tenant: bounds compiled-table memory and is a
 /// semantic-rejection trigger, not a silent truncation.
@@ -351,6 +364,63 @@ impl TenantPolicy {
     }
 }
 
+/// What a [`TenantList`] holds by [`Arc`]: one tenant's policy, and the
+/// tables compiled from it once somebody has compiled them. It derefs to the
+/// policy and is the policy to `==` and `Debug`; a clone has the policy and
+/// an empty slot.
+pub struct TenantNode {
+    policy: TenantPolicy,
+    /// Written at most once per policy: [`IndexMut`] empties it before it
+    /// hands the policy out for an edit.
+    tables: OnceLock<Arc<CompiledTenant>>,
+}
+
+impl TenantNode {
+    fn new(policy: TenantPolicy) -> Arc<TenantNode> {
+        Arc::new(TenantNode { policy, tables: OnceLock::new() })
+    }
+
+    /// The tables an earlier compile of this node left here.
+    pub(crate) fn tables(&self) -> Option<&Arc<CompiledTenant>> {
+        self.tables.get()
+    }
+
+    /// Leave `built`, compiled from this node's policy, for the node's other
+    /// holders. Returns the tables the node holds from now on: `built`, or
+    /// those of a compile on another thread that got here first.
+    pub(crate) fn remember(&self, built: CompiledTenant) -> Arc<CompiledTenant> {
+        Arc::clone(self.tables.get_or_init(|| Arc::new(built)))
+    }
+}
+
+impl Deref for TenantNode {
+    type Target = TenantPolicy;
+
+    fn deref(&self) -> &TenantPolicy {
+        &self.policy
+    }
+}
+
+impl Clone for TenantNode {
+    fn clone(&self) -> TenantNode {
+        TenantNode { policy: self.policy.clone(), tables: OnceLock::new() }
+    }
+}
+
+impl PartialEq for TenantNode {
+    fn eq(&self, other: &TenantNode) -> bool {
+        self.policy == other.policy
+    }
+}
+
+impl Eq for TenantNode {}
+
+impl fmt::Debug for TenantNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.policy.fmt(f)
+    }
+}
+
 /// The tenants of a [`PolicySpec`], in the operator's order, shared copy on
 /// write. `clone()` copies the list and counts a reference per tenant; no
 /// rule is copied. The only way to a `&mut TenantPolicy` is [`IndexMut`],
@@ -361,7 +431,7 @@ impl TenantPolicy {
 /// field-wise `==`; two lists holding the same allocation skip the walk
 /// (`Arc`'s own shortcut for `Eq` types), and that is all identity decides.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TenantList(Vec<Arc<TenantPolicy>>);
+pub struct TenantList(Vec<Arc<TenantNode>>);
 
 impl TenantList {
     /// Number of tenants.
@@ -381,7 +451,7 @@ impl TenantList {
 
     /// The tenants in order as the list holds them: what the compiler keeps
     /// beside a tenant's tables to compare the next version against.
-    pub fn shared(&self) -> &[Arc<TenantPolicy>] {
+    pub fn shared(&self) -> &[Arc<TenantNode>] {
         &self.0
     }
 
@@ -393,16 +463,16 @@ impl TenantList {
 
     /// Append a tenant.
     pub fn push(&mut self, tp: TenantPolicy) {
-        self.0.push(Arc::new(tp));
+        self.0.push(TenantNode::new(tp));
     }
 
     /// Insert a tenant at position `i`, shifting the rest right.
     pub fn insert(&mut self, i: usize, tp: TenantPolicy) {
-        self.0.insert(i, Arc::new(tp));
+        self.0.insert(i, TenantNode::new(tp));
     }
 
     /// Remove and return the tenant at position `i`, shifting the rest left.
-    pub fn remove(&mut self, i: usize) -> Arc<TenantPolicy> {
+    pub fn remove(&mut self, i: usize) -> Arc<TenantNode> {
         self.0.remove(i)
     }
 
@@ -419,19 +489,19 @@ impl TenantList {
 
 impl FromIterator<TenantPolicy> for TenantList {
     fn from_iter<I: IntoIterator<Item = TenantPolicy>>(iter: I) -> Self {
-        TenantList(iter.into_iter().map(Arc::new).collect())
+        TenantList(iter.into_iter().map(TenantNode::new).collect())
     }
 }
 
 impl<'a> IntoIterator for &'a TenantList {
     type Item = &'a TenantPolicy;
     type IntoIter = std::iter::Map<
-        std::slice::Iter<'a, Arc<TenantPolicy>>,
-        fn(&'a Arc<TenantPolicy>) -> &'a TenantPolicy,
+        std::slice::Iter<'a, Arc<TenantNode>>,
+        fn(&'a Arc<TenantNode>) -> &'a TenantPolicy,
     >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().map(|tp| &**tp)
+        self.0.iter().map(|node| &node.policy)
     }
 }
 
@@ -445,9 +515,12 @@ impl Index<usize> for TenantList {
 
 impl IndexMut<usize> for TenantList {
     /// The tenant to edit: this list's own copy of it, made now if another
-    /// list shares the one it holds.
+    /// list shares the one it holds, and without the tables compiled from
+    /// what it says now.
     fn index_mut(&mut self, i: usize) -> &mut TenantPolicy {
-        Arc::make_mut(&mut self.0[i])
+        let node = Arc::make_mut(&mut self.0[i]);
+        node.tables = OnceLock::new();
+        &mut node.policy
     }
 }
 
@@ -806,6 +879,48 @@ mod tests {
         assert_eq!(Arc::as_ptr(&spec.tenants.shared()[1]), own);
         assert_eq!(spec, held, "equal again by value, one tenant apart by allocation");
         assert_eq!(spec.tenants.shared_tenants(&held.tenants), 2);
+    }
+
+    /// The stale-tables hazard. A document nobody else holds is compiled (as
+    /// the controller's validation does, keeping nothing) and edited where
+    /// it is: the node that was edited must not still carry the tables of
+    /// the policy before the edit. A node that is shared is copied by the
+    /// edit, the copy starts without tables, and the holder's keep theirs.
+    #[test]
+    fn an_edit_forgets_the_tables_compiled_before_it() {
+        use crate::compile::{CompiledPolicySet, L4Verdict};
+        let ctx = L4Ctx { tenant: t1(), vpc: VpcId(1), src_ip: 1, dst_port: 80, identity: 0 };
+        let compile = |spec: &PolicySpec| {
+            let set = CompiledPolicySet::compile(spec).unwrap_or_else(|e| panic!("{e}"));
+            let mut d = Digest::new();
+            set.fold_digest(&mut d);
+            (set.l4_verdict(&ctx), d.value())
+        };
+        let rebuilt = |spec: &PolicySpec| PolicySpec {
+            version: spec.version,
+            tenants: spec.tenants.iter().cloned().collect(),
+        };
+        let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+        tp.rules.push(PolicyRule::allow().with_ports(80, 80));
+        let mut spec = PolicySpec { version: 1, tenants: [tp].into_iter().collect() };
+        assert_eq!(format!("{:?}", spec.tenants.shared()[0]), format!("{:?}", spec.tenants[0]));
+
+        assert_eq!(compile(&spec).0, L4Verdict::Allow);
+        let own = Arc::as_ptr(&spec.tenants.shared()[0]);
+        assert!(spec.tenants.shared()[0].tables().is_some(), "the compile left its tables");
+        spec.tenants[0].rules[0].action = PolicyVerdict::Deny;
+        assert_eq!(Arc::as_ptr(&spec.tenants.shared()[0]), own, "edited where it is");
+        assert!(spec.tenants.shared()[0].tables().is_none());
+        assert_eq!(compile(&spec), compile(&rebuilt(&spec)));
+        assert_eq!(compile(&spec).0, L4Verdict::Deny);
+
+        let held = spec.clone();
+        spec.tenants[0].rules[0].action = PolicyVerdict::Allow;
+        assert_eq!(spec.tenants.shared_tenants(&held.tenants), 0, "copied, being shared");
+        assert!(spec.tenants.shared()[0].tables().is_none());
+        assert!(held.tenants.shared()[0].tables().is_some());
+        assert_eq!(compile(&spec), compile(&rebuilt(&spec)));
+        assert_eq!((compile(&spec).0, compile(&held).0), (L4Verdict::Allow, L4Verdict::Deny));
     }
 
     #[test]

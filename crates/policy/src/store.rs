@@ -9,7 +9,9 @@
 //! region sees. What it retains is documents that share their tenants
 //! ([`TenantList`](crate::spec::TenantList)): a version costs the archive
 //! the tenants its edit touched, and a push is a clone of [`PolicyStore::get`],
-//! so the gateways of a wave share the archived tenants too.
+//! so the gateways of a wave share the archived tenants too, and with them
+//! the tables compiled from each: a rollback to a retained version compiles
+//! nothing, and those tables are dropped with the last document holding them.
 
 use crate::spec::PolicySpec;
 use canal_sim::Digest;
@@ -76,7 +78,7 @@ impl PolicyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PolicyRule, PortRange, TenantPolicy};
+    use crate::spec::{PolicyRule, PortRange, TenantNode, TenantPolicy};
     use canal_net::{TenantId, VpcId};
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -126,7 +128,7 @@ mod tests {
         }
         let oldest_and_newest = retained[0].tenants.shared_tenants(&retained[POLICY_RETAIN_CAP - 1].tenants);
         assert_eq!(oldest_and_newest, TENANTS - (POLICY_RETAIN_CAP - 1));
-        let allocations: BTreeSet<*const TenantPolicy> =
+        let allocations: BTreeSet<*const TenantNode> =
             retained.iter().flat_map(|s| s.tenants.shared()).map(Arc::as_ptr).collect();
         assert_eq!(allocations.len(), TENANTS + POLICY_RETAIN_CAP - 1, "64 + 15, not 1,024");
         // The operator's copy shares the newest entry whole and can be edited on.

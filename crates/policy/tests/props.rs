@@ -379,6 +379,13 @@ fn set_digest(set: &CompiledPolicySet) -> u64 {
 /// other: the same rejection, or the same digest and the same L4 and L7
 /// verdicts for every tenant of either spec and one of neither. Returns
 /// `old`'s set and the incremental one.
+///
+/// From scratch is a compile of [`rebuilt`]`(new)`: nodes nobody compiled,
+/// nothing running. Against `old` runs twice, with `new`'s nodes as they came
+/// (an edited or rebuilt tenant's holds nothing) and after a compile of `new`
+/// on its own has left tables in every one of them, which must change neither
+/// what is built nor what is taken from `old`'s set: the running tables go
+/// before a node's own. A refused spec is refused alike all four times.
 fn scratch_and_incremental(
     old: &PolicySpec,
     new: &PolicySpec,
@@ -388,26 +395,47 @@ fn scratch_and_incremental(
         Ok(c) => c,
         Err(e) => panic!("the spec edited from must validate: {e}"),
     };
-    let scratch = CompiledPolicySet::compile(new);
+    let scratch = CompiledPolicySet::compile(&rebuilt(new));
     let against = CompiledPolicySet::compile_against(new, Some(&prior));
-    let (scratch, against) = match (scratch, against) {
-        (Ok(s), Ok(a)) => (s, a),
-        (Err(s), Err(a)) => {
+    let alone = CompiledPolicySet::compile(new);
+    let filled = CompiledPolicySet::compile_against(new, Some(&prior));
+    let (scratch, against, alone, filled) = match (scratch, against, alone, filled) {
+        (Ok(s), Ok(a), Ok(alone), Ok(filled)) => (s, a, alone, filled),
+        (Err(s), Err(a), Err(alone), Err(filled)) => {
             assert_eq!(s, a, "the two refuse differently");
+            assert_eq!((&alone, &filled), (&a, &a), "a refusal repeated is another refusal");
             return Err(a);
         }
-        (s, a) => panic!("from scratch {:?}, against the old spec {:?}", s.err(), a.err()),
+        (s, a, alone, filled) => panic!(
+            "from scratch {:?}, against the old spec {:?}, alone {:?}, against it again {:?}",
+            s.err(),
+            a.err(),
+            alone.err(),
+            filled.err()
+        ),
     };
-    assert_eq!(set_digest(&against), set_digest(&scratch));
-    assert_eq!(against.rule_count(), scratch.rule_count());
+    for set in [&against, &alone, &filled] {
+        assert_eq!(set_digest(set), set_digest(&scratch));
+        assert_eq!(set.rule_count(), scratch.rule_count());
+    }
+    assert_eq!(filled.shared_tenants(&prior), against.shared_tenants(&prior), "taken from the old set");
+    for tp in &new.tenants {
+        let held_by = |set: &CompiledPolicySet| match (set.tenant(tp.tenant), filled.tenant(tp.tenant)) {
+            (Some(theirs), Some(ours)) => std::ptr::eq(theirs, ours),
+            _ => false,
+        };
+        assert!(held_by(&prior) || held_by(&alone), "{} was compiled a third time", tp.tenant);
+    }
     for _ in 0..PACKETS / 4 {
         let (l4, method, path, sni, hdrs) = random_ctx(rng);
         let tenant = 1 + rng.index(EDIT_TENANTS as usize + 2) as u32;
         let l4 = L4Ctx { tenant: TenantId(tenant), vpc: VpcId(tenant), ..l4 };
         let l7 = L7Ctx { method, path, sni, headers: &HEADERS[..hdrs] };
-        assert_eq!(against.l4_verdict(&l4), scratch.l4_verdict(&l4), "{l4:?}");
-        assert_eq!(against.l7_match(&l4, &l7), scratch.l7_match(&l4, &l7), "{l4:?} {method} {path} {sni:?}");
-        assert_eq!(against.l7_verdict(&l4, &l7), scratch.l7_verdict(&l4, &l7));
+        for set in [&against, &alone, &filled] {
+            assert_eq!(set.l4_verdict(&l4), scratch.l4_verdict(&l4), "{l4:?}");
+            assert_eq!(set.l7_match(&l4, &l7), scratch.l7_match(&l4, &l7), "{l4:?} {method} {path} {sni:?}");
+            assert_eq!(set.l7_verdict(&l4, &l7), scratch.l7_verdict(&l4, &l7));
+        }
     }
     Ok((prior, against))
 }

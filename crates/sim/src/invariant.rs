@@ -135,6 +135,8 @@ mod tests {
         assert_eq!(m.last_seen(), Some((SimTime::from_nanos(9), 2)));
     }
 
+    // The monitor's checks are `debug_assert!`s: no panic to expect without them.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "back in time")]
     fn monitor_catches_time_regression() {
@@ -143,6 +145,7 @@ mod tests {
         m.observe(SimTime::from_nanos(5), 1);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "FIFO tie-break")]
     fn monitor_catches_fifo_violation() {

@@ -63,6 +63,15 @@ fn fixtures_trip_every_rule() {
     assert!(at("bounded-state", "bounded_state.rs"));
     assert!(at("seed-dataflow", "seed_dataflow.rs"));
     assert!(at("global-state", "global_state.rs"));
+    // ... on its statics (`static mut`, `thread_local!`, a `static` `OnceLock`)
+    // and not on the `OnceLock` field of an owned struct further down.
+    let global_state_lines: Vec<usize> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "global-state" && v.file.contains("global_state.rs"))
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(global_state_lines, [4, 6, 11, 11]);
     assert!(
         report
             .violations
