@@ -404,7 +404,7 @@ pub fn run_canal(
     let mut rng = SimRng::seed(seed ^ 0x0CE7_11FE_C7C1_E0A5);
 
     // Control plane: the rotation controller over the gateway fleet.
-    let mut ctl = CertRotationController::new(rotation_cfg, params.rollout_cfg(), SimDuration::ZERO);
+    let mut ctl = CertRotationController::new(rotation_cfg, params.rollout_cfg());
     for t in 0..params.fleet as u32 {
         ctl.add_target(t);
     }

@@ -34,7 +34,9 @@
 //! Everything runs on simulated time and folds into a [`Digest`]; double
 //! runs are bit-identical.
 
-use crate::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutResult};
+use crate::rollout::{
+    HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutOutcome, RolloutResult,
+};
 use crate::versioned::TargetId;
 use canal_gateway::certs::{ActiveCertBundle, CertBundleSpec, TrustBundle};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
@@ -89,6 +91,9 @@ struct TenantCertState {
     retry_after: SimTime,
     /// Converged rotations for this tenant.
     rotations: u64,
+    /// Version of the last *converged* bundle — the rollback target;
+    /// protected from bundle eviction.
+    converged_version: Option<u64>,
 }
 
 /// Audit record for one driven rotation wave.
@@ -133,35 +138,26 @@ pub struct CertRotationController {
     /// gateway when applying a `Push`/`Rollback` action.
     bundles: BTreeMap<u64, CertBundleSpec>,
     bundles_evicted: u64,
-    /// Last *converged* bundle version per tenant — the rollback target;
-    /// protected from bundle eviction.
-    converged_versions: BTreeMap<u64, u64>,
     in_flight: Option<InFlightRotation>,
     history: VecDeque<RotationRecord>,
     history_evicted: u64,
-    /// Rollout outcomes already mapped back into tenant state.
-    observed_outcomes: usize,
-    rotations_started: u64,
     rotations_converged: u64,
     rotations_rolled_back: u64,
 }
 
 impl CertRotationController {
     /// Controller over an empty fleet and tenant roster.
-    pub fn new(cfg: RotationConfig, rollout_cfg: RolloutConfig, debounce: SimDuration) -> Self {
+    pub fn new(cfg: RotationConfig, rollout_cfg: RolloutConfig) -> Self {
         CertRotationController {
             cfg,
-            rollout: RolloutController::new(rollout_cfg, debounce)
+            rollout: RolloutController::new(rollout_cfg, SimDuration::ZERO)
                 .with_kind(crate::journal::RolloutKind::Cert),
             tenants: BTreeMap::new(),
             bundles: BTreeMap::new(),
             bundles_evicted: 0,
-            converged_versions: BTreeMap::new(),
             in_flight: None,
             history: VecDeque::new(),
             history_evicted: 0,
-            observed_outcomes: 0,
-            rotations_started: 0,
             rotations_converged: 0,
             rotations_rolled_back: 0,
         }
@@ -175,7 +171,8 @@ impl CertRotationController {
 
     /// Register a tenant with its currently-converged CA generation and
     /// cert expiry horizon. Returns false (and registers nothing) past
-    /// [`MAX_TENANTS`] or if the generation is zero.
+    /// [`MAX_TENANTS`] or if the generation is zero. Re-registering keeps
+    /// the tenant's last converged bundle as its rollback target.
     pub fn register_tenant(&mut self, tenant: u64, generation: u64, expiry: SimTime) -> bool {
         if self.tenants.len() >= MAX_TENANTS && !self.tenants.contains_key(&tenant) {
             return false;
@@ -183,6 +180,7 @@ impl CertRotationController {
         if generation == 0 {
             return false;
         }
+        let converged_version = self.tenants.get(&tenant).and_then(|st| st.converged_version);
         self.tenants.insert(
             tenant,
             TenantCertState {
@@ -192,6 +190,7 @@ impl CertRotationController {
                 compromised: false,
                 retry_after: SimTime::ZERO,
                 rotations: 0,
+                converged_version,
             },
         );
         true
@@ -242,19 +241,25 @@ impl CertRotationController {
         rng: &mut SimRng,
     ) -> Vec<RolloutAction> {
         let mut actions = self.rollout.tick(now, health);
-        // The rollout controller's last-known-good is global across driven
-        // versions, but cert bundles are per-tenant: a rollback must
-        // restore the *rotating tenant's* last converged bundle (0 when it
-        // never converged one — gateways then just keep their running
-        // bundle, fail-static).
-        if let Some(fl) = &self.in_flight {
+        if let Some(fl) = self.in_flight {
+            // The rollout controller's last-known-good is global across
+            // driven versions, but cert bundles are per-tenant: a rollback
+            // must restore the *rotating tenant's* last converged bundle (0
+            // when it never converged one — gateways then just keep their
+            // running bundle, fail-static).
+            let restore = self.converged_version(fl.tenant).unwrap_or(0);
             for a in &mut actions {
                 if let RolloutAction::Rollback { to, .. } = a {
-                    *to = self.converged_versions.get(&fl.tenant).copied().unwrap_or(0);
+                    *to = restore;
+                }
+            }
+            // The rotation ends when its rollout does, with its outcome.
+            if !self.rollout.in_flight() {
+                if let Some(&outcome) = self.rollout.outcomes().back() {
+                    self.settle(fl, outcome);
                 }
             }
         }
-        self.observe_outcomes();
         if self.in_flight.is_none() {
             if let Some(tenant) = self.next_due(now) {
                 actions.extend(self.cut_and_begin(tenant, now, health, clock_skew, rng));
@@ -326,7 +331,6 @@ impl CertRotationController {
         let valid = ActiveCertBundle::validate(&spec, now, tenant, st.generation).is_ok();
         let baseline = health.unwrap_or(HealthSample::HEALTHY);
         let actions = self.rollout.begin(now, valid, baseline, rng);
-        self.rotations_started += 1;
         match actions.first() {
             Some(RolloutAction::Push { version, .. }) => {
                 spec.trust.version = *version;
@@ -342,8 +346,19 @@ impl CertRotationController {
             }
             _ => {
                 // Refused controller-side (FailedValidation, blast radius
-                // 0) — record it and back the tenant off.
-                self.observe_outcomes();
+                // 0): no flight, no bundle. Record it and back the tenant
+                // off so the controller does not re-cut the same bad bundle
+                // every tick.
+                self.push_record(RotationRecord {
+                    tenant,
+                    version: self.rollout.store().version(),
+                    generation,
+                    revoked_prior,
+                    started_at: now,
+                    ended_at: now,
+                    result: RolloutResult::FailedValidation,
+                });
+                self.back_off(tenant, now);
             }
         }
         actions
@@ -357,7 +372,7 @@ impl CertRotationController {
             let victim = self
                 .bundles
                 .keys()
-                .find(|v| !self.converged_versions.values().any(|cv| cv == *v))
+                .find(|&&v| !self.tenants.values().any(|st| st.converged_version == Some(v)))
                 .copied();
             match victim {
                 Some(v) => {
@@ -369,78 +384,40 @@ impl CertRotationController {
         }
     }
 
-    /// Map freshly-terminal rollout outcomes back into tenant state.
-    /// `observed_outcomes` counts lifetime outcomes, so the index into the
-    /// bounded ring is offset by what the ring has evicted.
-    fn observe_outcomes(&mut self) {
-        let evicted = self.rollout.outcomes_evicted() as usize;
-        self.observed_outcomes = self.observed_outcomes.max(evicted);
-        while self.observed_outcomes < evicted + self.rollout.outcomes().len() {
-            let outcome = self.rollout.outcomes()[self.observed_outcomes - evicted];
-            self.observed_outcomes += 1;
-            let Some(fl) = self.in_flight.take() else {
-                // A FailedValidation begin never set in_flight; attribute
-                // the outcome to the tenant we just tried to rotate via
-                // the most recent cut. Tenant state: back off.
-                self.record_failed_validation(outcome.version, outcome.ended_at);
-                continue;
-            };
-            if outcome.version != fl.version {
-                // Outcome for an older rollout (shouldn't happen with the
-                // serial rollout controller); put the flight back.
-                self.in_flight = Some(fl);
-                continue;
-            }
-            let record = RotationRecord {
-                tenant: fl.tenant,
-                version: fl.version,
-                generation: fl.generation,
-                revoked_prior: fl.revoked_prior,
-                started_at: outcome.started_at,
-                ended_at: outcome.ended_at,
-                result: outcome.result,
-            };
-            if let Some(st) = self.tenants.get_mut(&fl.tenant) {
-                match outcome.result {
-                    RolloutResult::Converged => {
-                        st.generation = fl.generation;
-                        st.revocation_floor = fl.revocation_floor;
-                        st.expiry = fl.expiry;
-                        st.compromised = false;
-                        st.rotations += 1;
-                        self.converged_versions.insert(fl.tenant, fl.version);
-                        self.rotations_converged += 1;
-                    }
-                    RolloutResult::FailedValidation | RolloutResult::RolledBack(_) => {
-                        st.retry_after = outcome.ended_at + self.cfg.retry_backoff;
-                        self.rotations_rolled_back += 1;
-                    }
-                }
-            }
-            self.push_record(record);
+    /// Map the outcome of the in-flight rotation's rollout back into its
+    /// tenant's state.
+    fn settle(&mut self, fl: InFlightRotation, outcome: RolloutOutcome) {
+        self.in_flight = None;
+        self.push_record(RotationRecord {
+            tenant: fl.tenant,
+            version: fl.version,
+            generation: fl.generation,
+            revoked_prior: fl.revoked_prior,
+            started_at: outcome.started_at,
+            ended_at: outcome.ended_at,
+            result: outcome.result,
+        });
+        if outcome.result != RolloutResult::Converged {
+            self.back_off(fl.tenant, outcome.ended_at);
+            return;
+        }
+        if let Some(st) = self.tenants.get_mut(&fl.tenant) {
+            st.generation = fl.generation;
+            st.revocation_floor = fl.revocation_floor;
+            st.expiry = fl.expiry;
+            st.compromised = false;
+            st.rotations += 1;
+            st.converged_version = Some(fl.version);
+            self.rotations_converged += 1;
         }
     }
 
-    /// A begin that failed controller-side validation: no flight, no
-    /// bundle. The due tenant (still due) gets the backoff so the
-    /// controller does not re-cut the same bad bundle every tick.
-    fn record_failed_validation(&mut self, version: u64, ended_at: SimTime) {
-        let Some(tenant) = self.next_due(ended_at) else {
-            return;
-        };
+    /// A rotation of `tenant` that ended at `ended_at` without converging:
+    /// the tenant keeps its bundle and waits out the retry backoff.
+    fn back_off(&mut self, tenant: u64, ended_at: SimTime) {
         if let Some(st) = self.tenants.get_mut(&tenant) {
-            let record = RotationRecord {
-                tenant,
-                version,
-                generation: st.generation + 1,
-                revoked_prior: st.compromised,
-                started_at: ended_at,
-                ended_at,
-                result: RolloutResult::FailedValidation,
-            };
             st.retry_after = ended_at + self.cfg.retry_backoff;
             self.rotations_rolled_back += 1;
-            self.push_record(record);
         }
     }
 
@@ -461,12 +438,13 @@ impl CertRotationController {
     /// The last converged bundle version for `tenant` (its rollback
     /// target), if any rotation has converged.
     pub fn converged_version(&self, tenant: u64) -> Option<u64> {
-        self.converged_versions.get(&tenant).copied()
+        self.tenants.get(&tenant).and_then(|st| st.converged_version)
     }
 
-    /// Rotation waves begun (including controller-side refusals).
+    /// Rotation waves begun (including controller-side refusals): each
+    /// has converged, been rolled back or refused, or is in flight.
     pub fn rotations_started(&self) -> u64 {
-        self.rotations_started
+        self.rotations_converged + self.rotations_rolled_back + self.in_flight.is_some() as u64
     }
 
     /// Rotation waves that converged fleet-wide.
@@ -508,8 +486,10 @@ impl CertRotationController {
             spec.fold_digest(d);
         }
         d.write_u64(self.bundles_evicted);
-        for (tenant, version) in &self.converged_versions {
-            d.write_u64(*tenant).write_u64(*version);
+        for (tenant, st) in &self.tenants {
+            if let Some(version) = st.converged_version {
+                d.write_u64(*tenant).write_u64(version);
+            }
         }
         match &self.in_flight {
             None => {
@@ -533,9 +513,11 @@ impl CertRotationController {
                 .write_u64(r.started_at.as_nanos())
                 .write_u64(r.ended_at.as_nanos());
         }
+        // Every rollout outcome is settled by the tick that produced it.
+        let observed_outcomes = self.rollout.outcomes_evicted() + self.rollout.outcomes().len() as u64;
         d.write_u64(self.history_evicted)
-            .write_u64(self.observed_outcomes as u64)
-            .write_u64(self.rotations_started)
+            .write_u64(observed_outcomes)
+            .write_u64(self.rotations_started())
             .write_u64(self.rotations_converged)
             .write_u64(self.rotations_rolled_back);
     }
@@ -564,7 +546,6 @@ mod tests {
                 retry_backoff: SimDuration::from_secs(120),
             },
             quick_rollout(),
-            SimDuration::ZERO,
         );
         for t in 0..targets {
             c.add_target(t);
@@ -696,36 +677,6 @@ mod tests {
             ActiveCertBundle::validate(spec, later, 1, 1).is_err(),
             "a gateway clock one second later rejects the bundle"
         );
-    }
-
-    #[test]
-    fn double_run_digests_match() {
-        let run = || {
-            let mut c = controller(8);
-            let mut rng = SimRng::seed(42);
-            c.register_tenant(1, 1, SimTime::from_secs(700));
-            c.register_tenant(2, 5, SimTime::from_secs(900));
-            let mut now = SimTime::from_secs(200);
-            for step in 0..400u64 {
-                let actions = c.tick(now, None, None, &mut rng);
-                for a in actions {
-                    if let RolloutAction::Push { version, targets, .. } = a {
-                        for t in targets {
-                            if step % 17 == 3 {
-                                c.nack(t, version);
-                            } else {
-                                c.ack(t, version, now);
-                            }
-                        }
-                    }
-                }
-                now += SimDuration::from_secs(1);
-            }
-            let mut d = Digest::new();
-            c.fold_digest(&mut d);
-            d.value()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -36,8 +36,8 @@ use crate::versioned::TargetId;
 pub const JOURNAL_RETAIN_CAP: usize = 4096;
 
 /// Which distribution plane a journaled rollout belongs to. The journal
-/// itself is payload-agnostic — versions are opaque `u64`s — but recovery
-/// needs to know which southbound store to reconcile.
+/// itself is payload-agnostic — versions are opaque `u64`s — so a `Begin`
+/// record names the southbound store its versions index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RolloutKind {
     /// Route/config table distribution (PR 5).
@@ -49,7 +49,8 @@ pub enum RolloutKind {
 }
 
 impl RolloutKind {
-    fn tag(self) -> u64 {
+    /// The kind's word in a digest.
+    pub(crate) fn tag(self) -> u64 {
         match self {
             RolloutKind::Config => 1,
             RolloutKind::Cert => 2,
@@ -148,7 +149,7 @@ pub enum JournalRecord {
 
 impl JournalRecord {
     /// The epoch of the incarnation that wrote this record.
-    pub fn epoch(&self) -> u64 {
+    fn epoch(&self) -> u64 {
         match self {
             JournalRecord::Epoch { epoch, .. }
             | JournalRecord::Begin { epoch, .. }
@@ -226,8 +227,6 @@ impl JournalRecord {
 /// The in-flight rollout reconstructed by replay.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplayRollout {
-    /// Which distribution plane the rollout belongs to.
-    pub kind: Option<RolloutKind>,
     /// Version in flight.
     pub version: u64,
     /// Converged fallback recorded at begin.
@@ -258,6 +257,8 @@ pub struct PendingRollback {
 /// State reconstructed from a journal by [`Journal::replay`]. All record
 /// application is idempotent (max/union semantics), so replaying a
 /// journal — or any prefix twice — folds to the same state as once.
+/// Acks fold into nothing but the epoch: recovery learns what each target
+/// runs from the fleet's own report, which wins over any journaled ack.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplayState {
     /// Highest epoch any record carries.
@@ -271,8 +272,6 @@ pub struct ReplayState {
     pub in_flight: Option<ReplayRollout>,
     /// A journaled rollback not yet superseded by a later begin/converge.
     pub pending_rollback: Option<PendingRollback>,
-    /// Highest version each target acknowledged (per the journal).
-    pub acked: BTreeMap<TargetId, u64>,
     /// Highest version each target rejected (per the journal).
     pub nacked: BTreeMap<TargetId, u64>,
 }
@@ -285,7 +284,7 @@ impl ReplayState {
             JournalRecord::Epoch { epoch, .. } => {
                 self.epoch = self.epoch.max(*epoch);
             }
-            JournalRecord::Begin { epoch, kind, version, last_known_good, order, at } => {
+            JournalRecord::Begin { epoch, version, last_known_good, order, at, .. } => {
                 self.epoch = self.epoch.max(*epoch);
                 if *version < self.latest_begun {
                     return; // stale re-application of a superseded rollout
@@ -293,7 +292,6 @@ impl ReplayState {
                 self.latest_begun = *version;
                 if self.in_flight.as_ref().map(|r| r.version) != Some(*version) {
                     self.in_flight = Some(ReplayRollout {
-                        kind: Some(*kind),
                         version: *version,
                         last_known_good: *last_known_good,
                         order: order.clone(),
@@ -315,10 +313,8 @@ impl ReplayState {
                     }
                 }
             }
-            JournalRecord::Ack { epoch, target, version, .. } => {
+            JournalRecord::Ack { epoch, .. } => {
                 self.epoch = self.epoch.max(*epoch);
-                let e = self.acked.entry(*target).or_insert(0);
-                *e = (*e).max(*version);
             }
             JournalRecord::Nack { epoch, target, version, .. } => {
                 self.epoch = self.epoch.max(*epoch);
@@ -367,7 +363,6 @@ impl ReplayState {
             Some(fl) => {
                 digest
                     .write_u64(1)
-                    .write_u64(fl.kind.map_or(0, RolloutKind::tag))
                     .write_u64(fl.version)
                     .write_u64(fl.last_known_good)
                     .write_u64(fl.wave as u64)
@@ -391,9 +386,6 @@ impl ReplayState {
                 }
             }
         }
-        for (t, v) in &self.acked {
-            digest.write_u64(u64::from(*t)).write_u64(*v);
-        }
         for (t, v) in &self.nacked {
             digest.write_u64(u64::from(*t)).write_u64(*v);
         }
@@ -415,12 +407,8 @@ pub struct Journal {
     checkpoint: ReplayState,
     /// How many records have been evicted into the checkpoint.
     evicted: u64,
-    /// Total records ever appended.
-    appended: u64,
     /// Chained digest over every record ever appended, in order.
     chain: u64,
-    /// Highest epoch any appended record carried.
-    epoch: u64,
 }
 
 impl Journal {
@@ -435,8 +423,6 @@ impl Journal {
         d.write_u64(self.chain);
         rec.fold_digest(&mut d);
         self.chain = d.value();
-        self.epoch = self.epoch.max(rec.epoch());
-        self.appended += 1;
         self.records.push_back(rec);
         while self.records.len() > JOURNAL_RETAIN_CAP {
             if let Some(old) = self.records.pop_front() {
@@ -449,7 +435,7 @@ impl Journal {
     /// Start a new controller incarnation: bump the fencing epoch past
     /// everything journaled and record it. Returns the new epoch.
     pub fn begin_incarnation(&mut self, at: SimTime) -> u64 {
-        let epoch = self.epoch + 1;
+        let epoch = self.epoch() + 1;
         self.append(JournalRecord::Epoch { epoch, at });
         epoch
     }
@@ -473,9 +459,7 @@ impl Journal {
             records: VecDeque::new(),
             checkpoint: self.checkpoint.clone(),
             evicted: self.evicted,
-            appended: self.evicted,
             chain: 0,
-            epoch: self.checkpoint.epoch,
         };
         for rec in self.records.iter().take(keep) {
             out.append(rec.clone());
@@ -493,9 +477,9 @@ impl Journal {
         self.records.len()
     }
 
-    /// True when nothing was ever appended or retained.
+    /// True when nothing was ever appended.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.appended == 0
+        self.appended() == 0
     }
 
     /// Records evicted into the checkpoint so far.
@@ -503,19 +487,15 @@ impl Journal {
         self.evicted
     }
 
-    /// Total records ever appended.
+    /// Total records ever appended: each is either retained or evicted.
     pub fn appended(&self) -> u64 {
-        self.appended
+        self.evicted + self.records.len() as u64
     }
 
-    /// Chained digest over every record ever appended.
-    pub fn chain(&self) -> u64 {
-        self.chain
-    }
-
-    /// Highest epoch any appended record carried.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// Highest epoch any appended record carried: evicted records left
+    /// theirs in the checkpoint.
+    fn epoch(&self) -> u64 {
+        self.records.iter().map(JournalRecord::epoch).fold(self.checkpoint.epoch, u64::max)
     }
 
     /// Fold the journal — ring, checkpoint, counters, chain — into a
@@ -523,9 +503,9 @@ impl Journal {
     pub fn fold_digest(&self, digest: &mut Digest) {
         digest
             .write_u64(self.evicted)
-            .write_u64(self.appended)
+            .write_u64(self.appended())
             .write_u64(self.chain)
-            .write_u64(self.epoch)
+            .write_u64(self.epoch())
             .write_u64(self.records.len() as u64);
         self.checkpoint.fold_digest(digest);
         for rec in &self.records {
@@ -575,7 +555,6 @@ mod tests {
         assert_eq!(state.last_good, 2);
         assert!(state.in_flight.is_none());
         assert!(state.pending_rollback.is_none());
-        assert_eq!(state.acked.get(&3), Some(&2));
     }
 
     #[test]
@@ -592,7 +571,6 @@ mod tests {
         assert_eq!(fl.version, 2);
         assert_eq!(fl.exposed, BTreeSet::from([0, 1, 2, 3]));
         assert_eq!(fl.wave, 1);
-        assert_eq!(state.acked.get(&2), None);
         assert_eq!(state.last_good, 0);
     }
 
@@ -675,6 +653,6 @@ mod tests {
         a.append(r2.clone());
         b.append(r2);
         b.append(r1);
-        assert_ne!(a.chain(), b.chain());
+        assert_ne!(a.chain, b.chain);
     }
 }

@@ -21,8 +21,9 @@
 //! * [`region`] — the assembled control loop on the discrete-event engine:
 //!   workloads → gateway → monitor → decisions, with scaling capacity that
 //!   only lands at its completion instant.
-//! * [`versioned`] — xDS-style versioned config distribution: debounced
-//!   update coalescing, per-target ack/nack tracking, fleet convergence.
+//! * [`versioned`] — the ack ledger of xDS-style versioned config
+//!   distribution: the head version, per-target ack/nack state, fleet
+//!   convergence.
 //! * [`rollout`] — safe config rollout (§2.2's outage vector, defended):
 //!   validate → canary wave → health-gated exponential promotion →
 //!   converged, with automatic rollback to last-known-good on NACK,
@@ -58,10 +59,7 @@ pub use inphase::{InPhasePlanner, MigrationPlan};
 pub use monitor::{
     AlertKind, Classification, MonitorDecision, OverloadAssessment, WaterLevelMonitor,
 };
-pub use journal::{
-    Journal, JournalRecord, PendingRollback, ReplayRollout, ReplayState, RolloutKind,
-    JOURNAL_RETAIN_CAP,
-};
+pub use journal::{Journal, RolloutKind};
 pub use rca::{RootCauseAnalyzer, RcaVerdict};
 pub use region::{RegionEvent, RegionReport, RegionSimulation};
 pub use rollout::{
@@ -69,4 +67,3 @@ pub use rollout::{
     RolloutOutcome, RolloutPhase, RolloutResult,
 };
 pub use scaling::{ScalingEngine, ScalingKind, ScalingRecord};
-pub use versioned::VersionedConfigStore;

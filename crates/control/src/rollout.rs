@@ -40,17 +40,26 @@
 //!   monotone catch-up push reconciles the stale target forward — never
 //!   backward — so at most one converged active version exists fleet-wide.
 //!
+//! Every southbound action leaves through one of two write-ahead emitters,
+//! which append the journal record first and hand out the action second:
+//! `emit_cut` (a `WaveCut`, then the push of the rollout's version) and
+//! `emit_rollback` (a `Rollback`, then the push of last-known-good). Each
+//! transition kind therefore has exactly one crash point between append
+//! and hand-off, the one [`RolloutController::recover`] is written against.
+//! The only push that bypasses them is a catch-up of last-known-good,
+//! which exposes nothing the journal does not already record as converged.
+//!
 //! The controller is payload-agnostic: it decides *who* gets *which
 //! version when*; the harness carries the actual `ConfigSpec` bytes and the
 //! gateways' `ActiveConfig` performs the semantic validation whose verdict
 //! comes back here as an ack or NACK through the owned
-//! [`VersionedConfigStore`]. Everything runs on simulated time and folds
-//! into a [`Digest`], so double runs are bit-identical.
+//! [`VersionedConfigStore`] ack ledger. Everything runs on simulated time
+//! and folds into a [`Digest`], so double runs are bit-identical.
 
 use crate::journal::{Journal, JournalRecord, ReplayState, RolloutKind};
 use crate::versioned::{TargetId, VersionedConfigStore};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Audit-log retention: terminal [`RolloutOutcome`]s kept in memory. A
 /// region controller drives rollouts for months; the log is a ring with
@@ -255,6 +264,21 @@ struct ActiveRollout {
     wave_acked_at: Option<SimTime>,
 }
 
+impl ActiveRollout {
+    /// The audit entry for this rollout ending at `now` with `result`.
+    fn outcome(&self, now: SimTime, result: RolloutResult) -> RolloutOutcome {
+        RolloutOutcome {
+            version: self.version,
+            rolled_back_to: self.last_known_good,
+            started_at: self.started_at,
+            ended_at: now,
+            result,
+            waves_pushed: self.wave + 1,
+            exposed_targets: self.pushed,
+        }
+    }
+}
+
 /// Drives config versions through validate → canary → health-gated
 /// promotion → converged, with automatic rollback. Owns the
 /// [`VersionedConfigStore`] whose ack/NACK state gates every transition.
@@ -264,7 +288,9 @@ pub struct RolloutController {
     store: VersionedConfigStore,
     /// The fleet roster, registered at setup; `add_target` deduplicates.
     targets: Vec<TargetId>,
-    phase: RolloutPhase,
+    /// How the last rollout ended (`Idle` before any). While one is in
+    /// flight the phase is its wave, so this holds only terminal phases.
+    settled: RolloutPhase,
     active: Option<ActiveRollout>,
     /// Ring of terminal outcomes, newest at the back; bounded by
     /// [`ROLLOUT_OUTCOMES_RETAIN_CAP`] with evictions counted in
@@ -278,12 +304,11 @@ pub struct RolloutController {
     /// what a rollback restores, so a NACKed / rolled-back / half-pushed
     /// version can never become the rollback target.
     last_good: u64,
-    /// Targets currently partitioned from the control plane. Unreachable
-    /// ≠ NACK: membership gates quorum and leases, never rollback. At most
-    /// one entry per registered target; removed again on heal.
-    unreachable: BTreeSet<TargetId>,
-    /// When each partitioned target was last reachable — the lease anchor.
-    unreachable_since: BTreeMap<TargetId, SimTime>,
+    /// Targets currently partitioned from the control plane, each with
+    /// when it was last reachable — the lease anchor. Unreachable ≠ NACK:
+    /// membership gates quorum and leases, never rollback. Removed again
+    /// on heal.
+    unreachable: BTreeMap<TargetId, SimTime>,
     /// Ticks an acked-but-quorum-starved wave spent holding instead of
     /// promoting or rolling back.
     partition_holds: u64,
@@ -301,30 +326,38 @@ pub struct RolloutController {
 }
 
 impl RolloutController {
-    /// Controller over an empty fleet. `debounce` configures the owned
-    /// store's update-coalescing window. The first incarnation runs at
-    /// epoch 1 (journaled); crash recovery via [`Self::recover`] bumps it.
-    pub fn new(cfg: RolloutConfig, debounce: SimDuration) -> Self {
-        let mut journal = Journal::new();
-        let epoch = journal.begin_incarnation(SimTime::ZERO);
+    /// A new incarnation over an empty fleet that continues `journal`: its
+    /// fencing epoch is one past anything journaled, and is journaled.
+    fn incarnation(cfg: RolloutConfig, mut journal: Journal, now: SimTime) -> Self {
+        let epoch = journal.begin_incarnation(now);
         RolloutController {
             cfg,
-            store: VersionedConfigStore::new(debounce),
+            store: VersionedConfigStore::default(),
             targets: Vec::new(),
-            phase: RolloutPhase::Idle,
+            settled: RolloutPhase::Idle,
             active: None,
             outcomes: VecDeque::new(),
             outcomes_evicted: 0,
             rollbacks: 0,
             last_good: 0,
-            unreachable: BTreeSet::new(),
-            unreachable_since: BTreeMap::new(),
+            unreachable: BTreeMap::new(),
             partition_holds: 0,
             catch_up_pushes: 0,
             kind: RolloutKind::Config,
             journal,
             epoch,
         }
+    }
+
+    /// Controller over an empty fleet. The first incarnation runs at
+    /// epoch 1 (journaled); crash recovery via [`Self::recover`] bumps it.
+    ///
+    /// `_debounce` is ignored. Every [`Self::begin`] allocates a version
+    /// and pushes it at once, and a second begin is refused until the
+    /// first ends, so there is never a pending change a window could
+    /// coalesce with.
+    pub fn new(cfg: RolloutConfig, _debounce: SimDuration) -> Self {
+        Self::incarnation(cfg, Journal::new(), SimTime::ZERO)
     }
 
     /// Tag the journal records this controller writes with a distribution
@@ -339,8 +372,8 @@ impl RolloutController {
     /// anti-entropy pass over the fleet: `fleet_running` maps every
     /// live target to the config version it reports running (its keys are
     /// the roster). The new incarnation runs at a fenced epoch one past
-    /// anything journaled. Returns the controller and the reconciliation
-    /// actions to apply:
+    /// anything journaled. `_debounce` is ignored, as in [`Self::new`].
+    /// Returns the controller and the reconciliation actions to apply:
     ///
     /// * journal ends mid-rollback → re-emit the rollback for every
     ///   recorded target not yet running the rollback version;
@@ -355,15 +388,14 @@ impl RolloutController {
     ///   last-known-good.
     pub fn recover(
         cfg: RolloutConfig,
-        debounce: SimDuration,
+        _debounce: SimDuration,
         journal: &Journal,
         fleet_running: &BTreeMap<TargetId, u64>,
         now: SimTime,
     ) -> (Self, Vec<RolloutAction>) {
         let state = journal.replay();
-        let mut journal = journal.clone();
-        let epoch = journal.begin_incarnation(now);
-        let mut store = VersionedConfigStore::new(debounce);
+        let mut ctl = Self::incarnation(cfg, journal.clone(), now);
+        ctl.last_good = state.last_good;
         let max_version = state
             .in_flight
             .as_ref()
@@ -371,27 +403,15 @@ impl RolloutController {
             .max(state.last_good)
             .max(state.pending_rollback.as_ref().map_or(0, |p| p.version))
             .max(fleet_running.values().copied().max().unwrap_or(0));
-        store.restore_version(max_version);
-        let mut targets: Vec<TargetId> = fleet_running.keys().copied().collect();
-        // The journaled push order may name targets that vanished; the
-        // fleet report is the roster of record, but keep journaled order
-        // for targets that still exist.
-        if let Some(fl) = &state.in_flight {
-            let mut ordered: Vec<TargetId> = fl
-                .order
-                .iter()
-                .copied()
-                .filter(|t| fleet_running.contains_key(t))
-                .collect();
-            for t in &targets {
-                if !ordered.contains(t) {
-                    ordered.push(*t);
-                }
+        ctl.store.restore_version(max_version);
+        // The fleet report is the roster of record. The journaled push
+        // order may name targets that vanished, but it comes first for
+        // the targets that still exist.
+        let journaled = state.in_flight.iter().flat_map(|fl| &fl.order);
+        for &t in journaled.chain(fleet_running.keys()) {
+            if fleet_running.contains_key(&t) {
+                ctl.add_target(t);
             }
-            targets = ordered;
-        }
-        for &t in &targets {
-            store.add_target(t);
         }
         // Anti-entropy: the fleet's reported running versions seed the
         // ack state — the journal's ack set may be stale (an ack that
@@ -399,27 +419,9 @@ impl RolloutController {
         // commit the gateway lost before flushing).
         for (&t, &v) in fleet_running {
             if v > 0 {
-                store.ack(t, v, now);
+                ctl.store.ack(t, v);
             }
         }
-        let mut ctl = RolloutController {
-            cfg,
-            store,
-            targets,
-            phase: RolloutPhase::Idle,
-            active: None,
-            outcomes: VecDeque::new(),
-            outcomes_evicted: 0,
-            rollbacks: 0,
-            last_good: state.last_good,
-            unreachable: BTreeSet::new(),
-            unreachable_since: BTreeMap::new(),
-            partition_holds: 0,
-            catch_up_pushes: 0,
-            kind: RolloutKind::Config,
-            journal,
-            epoch,
-        };
         let actions = ctl.reconcile(&state, fleet_running, now);
         (ctl, actions)
     }
@@ -434,7 +436,7 @@ impl RolloutController {
         // Mid-rollback crash: the old incarnation journaled the rollback
         // intent but may have died before every push left. Finish it.
         if let Some(p) = &state.pending_rollback {
-            self.phase = RolloutPhase::RolledBack;
+            self.settled = RolloutPhase::RolledBack;
             let behind: Vec<TargetId> = p
                 .targets
                 .iter()
@@ -444,80 +446,38 @@ impl RolloutController {
             if behind.is_empty() {
                 return Vec::new();
             }
-            self.rollbacks += 1;
-            self.journal.append(JournalRecord::Rollback {
-                epoch: self.epoch,
-                version: p.version,
-                to: p.to,
-                targets: behind.clone(),
-                at: now,
-            });
-            return vec![RolloutAction::Rollback {
-                to: p.to,
-                targets: behind,
-                epoch: self.epoch,
-            }];
+            return self.emit_rollback(p.version, p.to, behind, now);
         }
         let Some(fl) = &state.in_flight else {
             // Terminal journal: idle at last_good; catch up stragglers.
-            self.phase = if state.last_good > 0 {
-                RolloutPhase::Converged
-            } else {
-                RolloutPhase::Idle
-            };
+            if state.last_good > 0 {
+                self.settled = RolloutPhase::Converged;
+            }
             let behind: Vec<TargetId> = fleet_running
                 .iter()
                 .filter(|(_, &v)| v < state.last_good)
                 .map(|(&t, _)| t)
                 .collect();
-            if behind.is_empty() {
-                return Vec::new();
-            }
-            self.catch_up_pushes += behind.len() as u64;
-            return vec![RolloutAction::Push {
-                version: state.last_good,
-                targets: behind,
-                epoch: self.epoch,
-            }];
+            return self.catch_up_to_last_good(behind);
         };
         // Mid-wave crash of a NACKed version: abort to last-known-good.
-        let nacked = state.nacked.values().any(|&v| v >= fl.version);
-        if nacked {
-            self.phase = RolloutPhase::RolledBack;
-            self.rollbacks += 1;
+        if let Some((&target, _)) = state.nacked.iter().find(|(_, &v)| v >= fl.version) {
             let exposed: Vec<TargetId> = self
                 .targets
                 .iter()
                 .copied()
                 .filter(|t| fl.exposed.contains(t))
                 .collect();
-            self.outcomes.push_back(RolloutOutcome {
+            let outcome = RolloutOutcome {
                 version: fl.version,
                 rolled_back_to: fl.last_known_good,
                 started_at: fl.started_at,
                 ended_at: now,
-                result: RolloutResult::RolledBack(RollbackReason::Nack {
-                    target: state
-                        .nacked
-                        .iter()
-                        .find(|(_, &v)| v >= fl.version)
-                        .map_or(0, |(&t, _)| t),
-                }),
+                result: RolloutResult::RolledBack(RollbackReason::Nack { target }),
                 waves_pushed: fl.wave + 1,
                 exposed_targets: exposed.len(),
-            });
-            self.journal.append(JournalRecord::Rollback {
-                epoch: self.epoch,
-                version: fl.version,
-                to: fl.last_known_good,
-                targets: exposed.clone(),
-                at: now,
-            });
-            return vec![RolloutAction::Rollback {
-                to: fl.last_known_good,
-                targets: exposed,
-                epoch: self.epoch,
-            }];
+            };
+            return self.abort(outcome, exposed);
         }
         // Mid-wave crash of a healthy rollout: resume the wave. The
         // journal's wave cuts are write-ahead, so `exposed` is a superset
@@ -541,11 +501,6 @@ impl RolloutController {
             wave_pushed_at: now,
             wave_acked_at: None,
         });
-        self.phase = if fl.wave == 0 {
-            RolloutPhase::Canary
-        } else {
-            RolloutPhase::Promoting { wave: fl.wave }
-        };
         let behind: Vec<TargetId> = self.targets[..pushed]
             .iter()
             .copied()
@@ -554,18 +509,7 @@ impl RolloutController {
         if behind.is_empty() {
             return Vec::new();
         }
-        self.journal.append(JournalRecord::WaveCut {
-            epoch: self.epoch,
-            version: fl.version,
-            wave: fl.wave,
-            targets: behind.clone(),
-            at: now,
-        });
-        vec![RolloutAction::Push {
-            version: fl.version,
-            targets: behind,
-            epoch: self.epoch,
-        }]
+        self.emit_cut(fl.version, fl.wave, behind, now)
     }
 
     /// Register a data-plane target (a gateway backend / proxy).
@@ -599,10 +543,9 @@ impl RolloutController {
             return Vec::new();
         }
         let last_known_good = self.last_good;
-        let version = self.store.record_change(now);
-        self.store.flush_push(now);
+        let version = self.store.next_version();
         if !valid {
-            self.phase = RolloutPhase::RolledBack;
+            self.settled = RolloutPhase::RolledBack;
             self.push_outcome(RolloutOutcome {
                 version,
                 rolled_back_to: last_known_good,
@@ -618,21 +561,13 @@ impl RolloutController {
         rng.shuffle(&mut order);
         let canary = self.cfg.canary_size.max(1).min(order.len());
         let wave_targets: Vec<TargetId> = order[..canary].to_vec();
-        // Write-ahead: the intent and the canary cut are journaled before
-        // the push action is handed south.
+        // The intent is journaled ahead of the canary cut.
         self.journal.append(JournalRecord::Begin {
             epoch: self.epoch,
             kind: self.kind,
             version,
             last_known_good,
             order: order.clone(),
-            at: now,
-        });
-        self.journal.append(JournalRecord::WaveCut {
-            epoch: self.epoch,
-            version,
-            wave: 0,
-            targets: wave_targets.clone(),
             at: now,
         });
         self.active = Some(ActiveRollout {
@@ -646,13 +581,12 @@ impl RolloutController {
             wave_pushed_at: now,
             wave_acked_at: None,
         });
-        self.phase = RolloutPhase::Canary;
-        vec![RolloutAction::Push { version, targets: wave_targets, epoch: self.epoch }]
+        self.emit_cut(version, 0, wave_targets, now)
     }
 
     /// An exposed target acknowledged `version`.
     pub fn ack(&mut self, target: TargetId, version: u64, now: SimTime) -> bool {
-        let accepted = self.store.ack(target, version, now);
+        let accepted = self.store.ack(target, version);
         if accepted {
             self.journal.append(JournalRecord::Ack {
                 epoch: self.epoch,
@@ -665,7 +599,8 @@ impl RolloutController {
     }
 
     /// An exposed target rejected `version` (its `ActiveConfig` refused to
-    /// commit). The next [`Self::tick`] rolls back.
+    /// commit). The next [`Self::tick`] rolls back. An unknown target or a
+    /// version never issued is refused: false, and nothing is journaled.
     pub fn nack(&mut self, target: TargetId, version: u64) -> bool {
         let accepted = self.store.nack(target, version);
         if accepted {
@@ -698,49 +633,25 @@ impl RolloutController {
         now: SimTime,
     ) -> Vec<RolloutAction> {
         if !reachable {
-            if self.unreachable.insert(target) {
-                self.unreachable_since.insert(target, now);
-            }
+            self.unreachable.entry(target).or_insert(now);
             return Vec::new();
         }
-        if !self.unreachable.remove(&target) {
+        if self.unreachable.remove(&target).is_none() {
             return Vec::new();
         }
-        self.unreachable_since.remove(&target);
         let acked = self.store.ack_state(target).map_or(0, |s| s.acked);
-        if self.active.as_ref().is_some_and(|active| {
-            active.order[..active.pushed].contains(&target) && acked < active.version
-        }) {
-            let (version, wave) = self
-                .active
-                .as_ref()
-                .map_or((0, 0), |a| (a.version, a.wave));
-            // Write-ahead: journal the catch-up cut before handing out
-            // the push.
-            self.journal.append(JournalRecord::WaveCut {
-                epoch: self.epoch,
-                version,
-                wave,
-                targets: vec![target],
-                at: now,
-            });
-            if let Some(active) = &mut self.active {
-                active.wave_pushed_at = now;
-            }
+        let missed_wave = self
+            .active
+            .as_mut()
+            .filter(|a| a.order[..a.pushed].contains(&target) && acked < a.version);
+        if let Some(active) = missed_wave {
+            active.wave_pushed_at = now;
+            let (version, wave) = (active.version, active.wave);
             self.catch_up_pushes += 1;
-            return vec![RolloutAction::Push {
-                version,
-                targets: vec![target],
-                epoch: self.epoch,
-            }];
+            return self.emit_cut(version, wave, vec![target], now);
         }
         if acked < self.last_good {
-            self.catch_up_pushes += 1;
-            return vec![RolloutAction::Push {
-                version: self.last_good,
-                targets: vec![target],
-                epoch: self.epoch,
-            }];
+            return self.catch_up_to_last_good(vec![target]);
         }
         Vec::new()
     }
@@ -751,7 +662,7 @@ impl RolloutController {
     /// An expired lease does not stop fail-static serving — it marks the
     /// served config as stale for operators and the drill gate.
     pub fn lease_valid(&self, target: TargetId, now: SimTime) -> bool {
-        match self.unreachable_since.get(&target) {
+        match self.unreachable.get(&target) {
             None => true,
             Some(&since) => now.since(since) < self.cfg.lease_duration,
         }
@@ -767,14 +678,7 @@ impl RolloutController {
         // 1. A NACK of the in-flight version anywhere ends the rollout
         //    immediately. Stale NACKs from an earlier, already-rolled-back
         //    version must not poison later rollouts.
-        let version = active.version;
-        let nacked = self.store.nacked_targets().into_iter().find(|&t| {
-            self.store
-                .ack_state(t)
-                .and_then(|s| s.nacked)
-                .is_some_and(|v| v >= version)
-        });
-        if let Some(target) = nacked {
+        if let Some(target) = self.store.nacking(active.version) {
             return self.roll_back(now, RollbackReason::Nack { target });
         }
         // 2. Wave ack progress. Unreachable targets neither ack nor NACK:
@@ -785,17 +689,13 @@ impl RolloutController {
         //    ack (a real fault, not a partition).
         if active.wave_acked_at.is_none() {
             let pushed_slice = &active.order[..active.pushed];
-            let reachable: Vec<TargetId> = pushed_slice
-                .iter()
-                .copied()
-                .filter(|t| !self.unreachable.contains(t))
-                .collect();
-            let reachable_acked = reachable.iter().all(|&t| {
+            let reachable = || pushed_slice.iter().filter(|t| !self.unreachable.contains_key(t));
+            let reachable_acked = reachable().all(|&t| {
                 self.store
                     .ack_state(t)
                     .is_some_and(|s| s.acked >= active.version)
             });
-            let quorum_met = reachable.len() as f64
+            let quorum_met = reachable().count() as f64
                 >= self.cfg.reachable_quorum * pushed_slice.len() as f64;
             if reachable_acked && quorum_met {
                 active.wave_acked_at = Some(now);
@@ -827,24 +727,15 @@ impl RolloutController {
                     // Nothing left to push: converged. This version is now
                     // the fleet's last-known-good.
                     self.last_good = active.version;
-                    let outcome = RolloutOutcome {
-                        version: active.version,
-                        rolled_back_to: active.last_known_good,
-                        started_at: active.started_at,
-                        ended_at: now,
-                        result: RolloutResult::Converged,
-                        waves_pushed: active.wave + 1,
-                        exposed_targets: active.pushed,
-                    };
-                    let version = active.version;
+                    let outcome = active.outcome(now, RolloutResult::Converged);
                     self.journal.append(JournalRecord::Converge {
                         epoch: self.epoch,
-                        version,
+                        version: outcome.version,
                         at: now,
                     });
                     self.push_outcome(outcome);
                     self.active = None;
-                    self.phase = RolloutPhase::Converged;
+                    self.settled = RolloutPhase::Converged;
                     return Vec::new();
                 }
                 let prev = active.pushed;
@@ -858,19 +749,8 @@ impl RolloutController {
                 active.wave += 1;
                 active.wave_pushed_at = now;
                 active.wave_acked_at = None;
-                let version = active.version;
-                let wave = active.wave;
-                self.phase = RolloutPhase::Promoting { wave };
-                // Write-ahead: the wave cut is journaled before the push
-                // action leaves.
-                self.journal.append(JournalRecord::WaveCut {
-                    epoch: self.epoch,
-                    version,
-                    wave,
-                    targets: targets.clone(),
-                    at: now,
-                });
-                return vec![RolloutAction::Push { version, targets, epoch: self.epoch }];
+                let (version, wave) = (active.version, active.wave);
+                return self.emit_cut(version, wave, targets, now);
             }
         }
         Vec::new()
@@ -880,33 +760,69 @@ impl RolloutController {
         let Some(active) = self.active.take() else {
             return Vec::new();
         };
-        self.rollbacks += 1;
-        self.phase = RolloutPhase::RolledBack;
-        self.push_outcome(RolloutOutcome {
-            version: active.version,
-            rolled_back_to: active.last_known_good,
-            started_at: active.started_at,
-            ended_at: now,
-            result: RolloutResult::RolledBack(reason),
-            waves_pushed: active.wave + 1,
-            exposed_targets: active.pushed,
-        });
         let targets = active.order[..active.pushed].to_vec();
-        // Write-ahead: the rollback intent is journaled before the pushes
-        // leave, so a crash mid-rollback is finished by the next
-        // incarnation ([`Self::recover`]).
-        self.journal.append(JournalRecord::Rollback {
+        self.abort(active.outcome(now, RolloutResult::RolledBack(reason)), targets)
+    }
+
+    /// End the rollout `outcome` describes as rolled back, and roll its
+    /// exposed `targets` back to the outcome's last-known-good.
+    fn abort(&mut self, outcome: RolloutOutcome, targets: Vec<TargetId>) -> Vec<RolloutAction> {
+        self.settled = RolloutPhase::RolledBack;
+        self.push_outcome(outcome);
+        self.emit_rollback(outcome.version, outcome.rolled_back_to, targets, outcome.ended_at)
+    }
+
+    /// The journaled cut: append the `WaveCut` of `targets`, then hand out
+    /// their push of `version`. Every push of a rollout's own version
+    /// leaves here, so a crash in between can only over-report exposure.
+    fn emit_cut(
+        &mut self,
+        version: u64,
+        wave: usize,
+        targets: Vec<TargetId>,
+        now: SimTime,
+    ) -> Vec<RolloutAction> {
+        self.journal.append(JournalRecord::WaveCut {
             epoch: self.epoch,
-            version: active.version,
-            to: active.last_known_good,
+            version,
+            wave,
             targets: targets.clone(),
             at: now,
         });
-        vec![RolloutAction::Rollback {
-            to: active.last_known_good,
-            targets,
+        vec![RolloutAction::Push { version, targets, epoch: self.epoch }]
+    }
+
+    /// The journaled rollback: count it, append the `Rollback` intent of
+    /// `targets` from `version` to `to`, then hand out their push. Every
+    /// rollback leaves here, so a crash in between is finished by the next
+    /// incarnation ([`Self::recover`]).
+    fn emit_rollback(
+        &mut self,
+        version: u64,
+        to: u64,
+        targets: Vec<TargetId>,
+        now: SimTime,
+    ) -> Vec<RolloutAction> {
+        self.rollbacks += 1;
+        self.journal.append(JournalRecord::Rollback {
             epoch: self.epoch,
-        }]
+            version,
+            to,
+            targets: targets.clone(),
+            at: now,
+        });
+        vec![RolloutAction::Rollback { to, targets, epoch: self.epoch }]
+    }
+
+    /// Catch `targets` up to last-known-good. This is the one push that is
+    /// not journaled: the journal already records that version as
+    /// converged, so the push exposes nothing recovery could miss.
+    fn catch_up_to_last_good(&mut self, targets: Vec<TargetId>) -> Vec<RolloutAction> {
+        if targets.is_empty() {
+            return Vec::new();
+        }
+        self.catch_up_pushes += targets.len() as u64;
+        vec![RolloutAction::Push { version: self.last_good, targets, epoch: self.epoch }]
     }
 
     /// Append to the bounded outcome ring, evicting the oldest past
@@ -919,9 +835,14 @@ impl RolloutController {
         }
     }
 
-    /// Current phase.
+    /// Current phase: the in-flight rollout's wave, else how the last one
+    /// ended.
     pub fn phase(&self) -> RolloutPhase {
-        self.phase
+        match &self.active {
+            Some(a) if a.wave == 0 => RolloutPhase::Canary,
+            Some(a) => RolloutPhase::Promoting { wave: a.wave },
+            None => self.settled,
+        }
     }
 
     /// Whether a config change is in flight (pushed somewhere, not yet
@@ -973,7 +894,7 @@ impl RolloutController {
         &self.journal
     }
 
-    /// The owned ack/NACK store (read-only).
+    /// The owned ack ledger (read-only).
     pub fn store(&self) -> &VersionedConfigStore {
         &self.store
     }
@@ -982,7 +903,7 @@ impl RolloutController {
     /// audit log into `d` — the experiment's double-run bit-identity
     /// covers the whole state machine.
     pub fn fold_digest(&self, d: &mut Digest) {
-        let phase_tag = match self.phase {
+        let phase_tag = match self.phase() {
             RolloutPhase::Idle => 0,
             RolloutPhase::Canary => 1,
             RolloutPhase::Promoting { wave } => 100 + wave as u64,
@@ -1017,22 +938,19 @@ impl RolloutController {
             }
         }
         d.write_u64(self.last_good);
+        // The partitioned targets, then each with its lease anchor.
         d.write_u64(self.unreachable.len() as u64);
-        for &t in &self.unreachable {
+        for &t in self.unreachable.keys() {
             d.write_u64(t as u64);
         }
-        for (&t, &since) in &self.unreachable_since {
+        for (&t, &since) in &self.unreachable {
             d.write_u64(t as u64).write_u64(since.as_nanos());
         }
         d.write_u64(self.partition_holds);
         d.write_u64(self.catch_up_pushes);
         d.write_u64(self.rollbacks);
         d.write_u64(self.epoch);
-        d.write_u64(match self.kind {
-            RolloutKind::Config => 1,
-            RolloutKind::Cert => 2,
-            RolloutKind::Policy => 3,
-        });
+        d.write_u64(self.kind.tag());
         self.journal.fold_digest(d);
         d.write_u64(self.outcomes_evicted);
         d.write_u64(self.outcomes.len() as u64);
@@ -1081,20 +999,31 @@ mod tests {
         }
     }
 
+    /// The canary push `begin` returned: its version and targets.
+    fn canary(actions: &[RolloutAction]) -> (u64, Vec<TargetId>) {
+        match actions.first() {
+            Some(RolloutAction::Push { version, targets, .. }) => (*version, targets.clone()),
+            other => panic!("expected canary push, got {other:?}"),
+        }
+    }
+
     /// Begin a rollout at `now` and ack/bake it through to convergence,
-    /// collecting pushed wave sizes. Returns the time convergence landed.
+    /// collecting pushed wave sizes; `partitioned` never acks. Returns the
+    /// time convergence landed.
     fn drive_to_converged(
         c: &mut RolloutController,
         rng: &mut SimRng,
         mut now: SimTime,
         wave_sizes: &mut Vec<usize>,
+        partitioned: Option<TargetId>,
     ) -> SimTime {
         let mut actions = c.begin(now, true, HealthSample::HEALTHY, rng);
         let mut guard = 0;
         while c.phase() != RolloutPhase::Converged {
-            for a in &actions {
+            for a in &mut actions {
                 if let RolloutAction::Push { targets, .. } = a {
                     wave_sizes.push(targets.len());
+                    targets.retain(|&t| Some(t) != partitioned);
                 }
             }
             ack_all(c, &actions, now);
@@ -1116,7 +1045,7 @@ mod tests {
         let mut c = controller(16);
         let mut rng = SimRng::seed(7);
         let mut wave_sizes = Vec::new();
-        drive_to_converged(&mut c, &mut rng, T(0), &mut wave_sizes);
+        drive_to_converged(&mut c, &mut rng, T(0), &mut wave_sizes, None);
         // canary 2, then 6 (to reach 8 = 2*4), then 8 (to reach 16... capped)
         assert_eq!(wave_sizes.iter().sum::<usize>(), 16);
         assert_eq!(wave_sizes[0], 2, "canary wave is small");
@@ -1132,13 +1061,11 @@ mod tests {
         let mut c = controller(12);
         let mut rng = SimRng::seed(42);
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let RolloutAction::Push { version, targets, .. } = &actions[0] else {
-            panic!("expected canary push");
-        };
+        let (version, targets) = canary(&actions);
         assert_eq!(targets.len(), 2);
         // The first canary target's ActiveConfig rejects the config.
-        c.nack(targets[0], *version);
-        c.ack(targets[1], *version, T(1));
+        c.nack(targets[0], version);
+        c.ack(targets[1], version, T(1));
         let out = c.tick(T(1), None);
         // Rollback covers exactly the exposed canary targets.
         assert_eq!(out.len(), 1);
@@ -1164,15 +1091,13 @@ mod tests {
         let mut c = controller(8);
         let mut rng = SimRng::seed(17);
         // v1 converges fleet-wide: it becomes last-known-good.
-        let now = drive_to_converged(&mut c, &mut rng, T(0), &mut Vec::new());
+        let now = drive_to_converged(&mut c, &mut rng, T(0), &mut Vec::new(), None);
         assert_eq!(c.last_known_good(), 1);
         // v2 is poisoned: the canary NACKs it and it rolls back.
         let a = c.begin(now, true, HealthSample::HEALTHY, &mut rng);
-        let Some(RolloutAction::Push { version, targets, .. }) = a.first() else {
-            panic!("expected canary push");
-        };
-        assert_eq!(*version, 2);
-        c.nack(targets[0], *version);
+        let (version, targets) = canary(&a);
+        assert_eq!(version, 2);
+        c.nack(targets[0], version);
         let out = c.tick(now + SimDuration::from_secs(1), None);
         let Some(RolloutAction::Rollback { to, .. }) = out.first() else {
             panic!("expected rollback");
@@ -1215,6 +1140,22 @@ mod tests {
     }
 
     #[test]
+    fn nack_of_an_unissued_version_is_refused() {
+        let mut c = controller(8);
+        let mut rng = SimRng::seed(47);
+        let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
+        let (version, targets) = canary(&actions);
+        let appended = c.journal().appended();
+        // Only the in-flight version was ever issued; a NACK of a later one
+        // must not read as a NACK of it.
+        assert!(!c.nack(targets[0], version + 1), "v{} was never issued", version + 1);
+        assert_eq!(c.journal().appended(), appended, "a refused NACK journals nothing");
+        assert!(c.tick(T(1), None).is_empty(), "the in-flight rollout is not rolled back");
+        assert!(c.in_flight());
+        assert_eq!(c.rollbacks(), 0);
+    }
+
+    #[test]
     fn zero_p99_baseline_skips_the_inflation_gate() {
         let mut c = controller(8);
         let mut rng = SimRng::seed(29);
@@ -1247,10 +1188,8 @@ mod tests {
         let mut rng = SimRng::seed(11);
         // First rollout dies to a canary NACK.
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let Some(RolloutAction::Push { version, targets, .. }) = actions.first() else {
-            panic!("expected canary push");
-        };
-        c.nack(targets[0], *version);
+        let (version, targets) = canary(&actions);
+        c.nack(targets[0], version);
         assert!(matches!(
             c.tick(T(1), None).first(),
             Some(RolloutAction::Rollback { .. })
@@ -1328,41 +1267,22 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_reproducible() {
-        let run = || {
-            let mut c = controller(12);
-            let mut rng = SimRng::seed(5);
-            let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-            if let Some(RolloutAction::Push { version, targets, .. }) = actions.first() {
-                c.nack(targets[0], *version);
-            }
-            c.tick(T(1), None);
-            let mut d = Digest::new();
-            c.fold_digest(&mut d);
-            d.value()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn unreachable_target_is_not_a_nack() {
         let mut c = controller(8);
         let mut rng = SimRng::seed(31);
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let Some(RolloutAction::Push { version, targets, .. }) = actions.first() else {
-            panic!("expected canary push");
-        };
+        let (version, targets) = canary(&actions);
         // One canary target partitions before it can ack; the other acks.
         // Quorum (0.5 of 2) is met by the reachable half, so the wave acks
         // and nothing ever rolls back — a partition is not a NACK.
         assert!(c.set_reachable(targets[0], false, T(0)).is_empty());
-        c.ack(targets[1], *version, T(1));
+        c.ack(targets[1], version, T(1));
         let out = c.tick(T(11), None); // well past ack_timeout
         assert!(!matches!(out.first(), Some(RolloutAction::Rollback { .. })));
         assert_ne!(c.phase(), RolloutPhase::RolledBack);
         assert_eq!(c.rollbacks(), 0);
         assert_eq!(c.unreachable.len(), 1);
-        assert!(c.unreachable.contains(&targets[0]));
+        assert!(c.unreachable.contains_key(&targets[0]));
     }
 
     #[test]
@@ -1370,9 +1290,7 @@ mod tests {
         let mut c = controller(8);
         let mut rng = SimRng::seed(33);
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let Some(RolloutAction::Push { targets, .. }) = actions.first() else {
-            panic!("expected canary push");
-        };
+        let (_, targets) = canary(&actions);
         // One target is partitioned, but the *reachable* one also fails to
         // ack — that is a real fault and must still roll back on timeout.
         c.set_reachable(targets[0], false, T(0));
@@ -1387,13 +1305,11 @@ mod tests {
         let mut c = controller(8);
         let mut rng = SimRng::seed(37);
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let Some(RolloutAction::Push { targets, .. }) = actions.first() else {
-            panic!("expected canary push");
-        };
+        let (_, targets) = canary(&actions);
         // The whole canary wave partitions: every reachable target (none)
         // has acked, but quorum is starved. The rollout holds — no rollback,
         // no blind promotion — until the partition resolves.
-        for &t in targets {
+        for t in targets {
             c.set_reachable(t, false, T(0));
         }
         for s in 1..30 {
@@ -1409,22 +1325,20 @@ mod tests {
         let mut c = controller(8);
         let mut rng = SimRng::seed(43);
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let Some(RolloutAction::Push { version, targets, .. }) = actions.first() else {
-            panic!("expected canary push");
-        };
+        let (version, targets) = canary(&actions);
         let (lost, ok) = (targets[0], targets[1]);
         c.set_reachable(lost, false, T(0));
-        c.ack(ok, *version, T(1));
+        c.ack(ok, version, T(1));
         assert!(c.tick(T(2), None).is_empty(), "wave acks on the reachable half");
         // The partition heals mid-flight: the in-flight version is re-pushed
         // to the healed target with a fresh ack clock (a catch-up push).
         let heal = c.set_reachable(lost, true, T(3));
         assert_eq!(
             heal,
-            vec![RolloutAction::Push { version: *version, targets: vec![lost], epoch: c.epoch() }]
+            vec![RolloutAction::Push { version, targets: vec![lost], epoch: c.epoch() }]
         );
         assert_eq!(c.catch_up_pushes(), 1);
-        assert!(!c.unreachable.contains(&lost));
+        assert!(!c.unreachable.contains_key(&lost));
     }
 
     #[test]
@@ -1432,34 +1346,13 @@ mod tests {
         let mut c = controller(8);
         let mut rng = SimRng::seed(41);
         // v1 converges fleet-wide, then target 3 partitions.
-        let now = drive_to_converged(&mut c, &mut rng, T(0), &mut Vec::new());
+        let now = drive_to_converged(&mut c, &mut rng, T(0), &mut Vec::new(), None);
         assert_eq!(c.last_known_good(), 1);
         let skip = 3u32;
         c.set_reachable(skip, false, now);
         // v2 rolls out and converges on the reachable fleet; the
         // partitioned target silently misses every push.
-        let mut t = now;
-        let mut actions = c.begin(t, true, HealthSample::HEALTHY, &mut rng);
-        let mut guard = 0;
-        while c.phase() != RolloutPhase::Converged {
-            for a in &actions {
-                if let RolloutAction::Push { version, targets, .. } = a {
-                    for &tg in targets {
-                        if tg != skip {
-                            c.ack(tg, *version, t);
-                        }
-                    }
-                }
-            }
-            t += SimDuration::from_secs(1);
-            actions = c.tick(t, Some(HealthSample::HEALTHY));
-            if actions.is_empty() && c.phase() != RolloutPhase::Converged {
-                t += RolloutConfig::default().bake_time;
-                actions = c.tick(t, Some(HealthSample::HEALTHY));
-            }
-            guard += 1;
-            assert!(guard < 50, "partition-tolerant rollout did not converge");
-        }
+        let t = drive_to_converged(&mut c, &mut rng, now, &mut Vec::new(), Some(skip));
         assert_eq!(c.last_known_good(), 2);
         // Heal: exactly one monotone catch-up push of last-known-good.
         let heal = c.set_reachable(skip, true, t);
@@ -1555,10 +1448,7 @@ mod tests {
         let mut rng = SimRng::seed(12);
         let mut c = controller(6);
         let actions = c.begin(T(0), true, HealthSample::HEALTHY, &mut rng);
-        let RolloutAction::Push { version, targets, .. } = &actions[0] else {
-            panic!("expected canary push");
-        };
-        let (version, canary) = (*version, targets.clone());
+        let (version, canary) = canary(&actions);
         let durable = c.journal().clone();
         // The crash ate both canary pushes: the fleet reports version 0.
         let fleet: BTreeMap<TargetId, u64> = (0..6u32).map(|t| (t, 0)).collect();
@@ -1587,14 +1477,11 @@ mod tests {
         let mut c = controller(6);
         // Converge v1 first so there is a last-known-good.
         let mut sizes = Vec::new();
-        let t_conv = drive_to_converged(&mut c, &mut rng, T(0), &mut sizes);
+        let t_conv = drive_to_converged(&mut c, &mut rng, T(0), &mut sizes, None);
         // Begin v2; canary NACKs; the rollback push is journaled but the
         // controller dies before it reaches the fleet.
         let actions = c.begin(t_conv, true, HealthSample::HEALTHY, &mut rng);
-        let RolloutAction::Push { version, targets, .. } = &actions[0] else {
-            panic!("expected canary push");
-        };
-        let (v2, canary) = (*version, targets.clone());
+        let (v2, canary) = canary(&actions);
         c.nack(canary[0], v2);
         let rb = c.tick(t_conv + SimDuration::from_secs(1), None);
         assert!(matches!(rb[0], RolloutAction::Rollback { .. }));
@@ -1633,12 +1520,9 @@ mod tests {
         let mut rng = SimRng::seed(14);
         let mut c = controller(4);
         let mut sizes = Vec::new();
-        let t_conv = drive_to_converged(&mut c, &mut rng, T(0), &mut sizes);
+        let t_conv = drive_to_converged(&mut c, &mut rng, T(0), &mut sizes, None);
         let actions = c.begin(t_conv, true, HealthSample::HEALTHY, &mut rng);
-        let RolloutAction::Push { version, targets, .. } = &actions[0] else {
-            panic!("expected canary push");
-        };
-        let (v2, canary) = (*version, targets.clone());
+        let (v2, canary) = canary(&actions);
         // NACK journaled, but the controller dies before its tick could
         // emit the rollback.
         c.nack(canary[0], v2);
@@ -1670,7 +1554,7 @@ mod tests {
         let mut rng = SimRng::seed(15);
         let mut c = controller(4);
         let mut sizes = Vec::new();
-        drive_to_converged(&mut c, &mut rng, T(0), &mut sizes);
+        drive_to_converged(&mut c, &mut rng, T(0), &mut sizes, None);
         let durable = c.journal().clone();
         let mut fleet: BTreeMap<TargetId, u64> = (0..4u32).map(|t| (t, 1)).collect();
         fleet.insert(3, 0); // one gateway restarted empty

@@ -1,23 +1,19 @@
-//! Randomized (property-style) tests over [`VersionedConfigStore`]: the
-//! invariants the rollout controller leans on. Cases come from a seeded
-//! `SimRng` so runs are reproducible.
+//! Randomized (property-style) tests over [`VersionedConfigStore`], the ack
+//! ledger: the invariants the rollout controller leans on. Cases come from
+//! a seeded `SimRng` so runs are reproducible.
 //!
 //! * acked version is monotone per target — no replay regresses a proxy;
 //! * a NACK is cleared only by an ack of the same-or-later version;
-//! * `converged()` ⇔ every target's acked version is at head;
-//! * debounce coalescing never loses the final change — after a flush, the
-//!   store's version covers every change recorded before it.
+//! * an ack or NACK of a version never issued, or by a target never
+//!   registered, is refused;
+//! * `converged()` ⇔ every target's acked version is at head.
 
 use canal_control::versioned::VersionedConfigStore;
-use canal_sim::{SimDuration, SimRng, SimTime};
+use canal_sim::SimRng;
 
 const CASES: usize = 64;
 
-fn t(secs: u64) -> SimTime {
-    SimTime::from_secs(secs)
-}
-
-/// Drive a random interleaving of change/flush/ack/nack operations and
+/// Drive a random interleaving of new-version / ack / nack operations and
 /// check the store's invariants after every step.
 #[test]
 fn acked_versions_are_monotone_and_nacks_clear_only_by_later_ack() {
@@ -25,28 +21,27 @@ fn acked_versions_are_monotone_and_nacks_clear_only_by_later_ack() {
     for case in 0..CASES {
         let mut rng = SimRng::seed(0xACC0 + case as u64 + meta.u64() % 7);
         let targets = 2 + rng.index(6) as u32;
-        let mut store = VersionedConfigStore::new(SimDuration::from_secs(2));
+        let mut store = VersionedConfigStore::default();
         for tgt in 0..targets {
             store.add_target(tgt);
         }
-        let mut acked: Vec<u64> = vec![0; targets as usize];
-        let mut nacked: Vec<Option<u64>> = vec![None; targets as usize];
-        let mut now = 0u64;
+        // One slot past the roster: a target that was never registered.
+        let mut acked: Vec<u64> = vec![0; targets as usize + 1];
+        let mut nacked: Vec<Option<u64>> = vec![None; targets as usize + 1];
         for _ in 0..200 {
-            now += 1 + rng.index(5) as u64;
-            match rng.index(5) {
+            // A random target and a random version around head.
+            let tgt = rng.index(targets as usize + 1) as u32;
+            let v = rng.index(store.version() as usize + 2) as u64;
+            let valid = tgt < targets && v <= store.version();
+            match rng.index(3) {
                 0 => {
-                    store.record_change(t(now));
+                    store.next_version();
                 }
                 1 => {
-                    store.flush_push(t(now));
-                }
-                2 => {
-                    let tgt = rng.index(targets as usize) as u32;
-                    // Ack a random version around head (unissued ones bounce).
-                    let v = rng.index(store.version() as usize + 2) as u64;
                     let before = acked[tgt as usize];
-                    if store.ack(tgt, v, t(now)) && v <= store.version() && v > before {
+                    let accepted = store.ack(tgt, v);
+                    assert_eq!(accepted, valid, "case {case}: ack of v{v} by {tgt}");
+                    if accepted && v > before {
                         // Monotone: only a strictly later ack advances, and
                         // only a same-or-later ack clears a NACK.
                         acked[tgt as usize] = v;
@@ -55,16 +50,12 @@ fn acked_versions_are_monotone_and_nacks_clear_only_by_later_ack() {
                         }
                     }
                 }
-                3 => {
-                    let tgt = rng.index(targets as usize) as u32;
-                    let v = store.version().max(1);
-                    if store.nack(tgt, v) {
+                _ => {
+                    let accepted = store.nack(tgt, v);
+                    assert_eq!(accepted, valid, "case {case}: NACK of v{v} by {tgt}");
+                    if accepted {
                         nacked[tgt as usize] = Some(v);
                     }
-                }
-                _ => {
-                    store.record_change(t(now));
-                    store.flush_push(t(now));
                 }
             }
             // Invariant: the store's per-target state matches the model.
@@ -90,17 +81,14 @@ fn converged_iff_all_targets_at_head() {
     for case in 0..CASES {
         let mut rng = SimRng::seed(0xC0117 + case as u64);
         let targets = 1 + rng.index(8) as u32;
-        let mut store = VersionedConfigStore::new(SimDuration::ZERO);
+        let mut store = VersionedConfigStore::default();
         for tgt in 0..targets {
             store.add_target(tgt);
         }
-        let mut now = 0u64;
         for _ in 0..100 {
-            now += 1;
             match rng.index(3) {
                 0 => {
-                    store.record_change(t(now));
-                    store.flush_push(t(now));
+                    store.next_version();
                 }
                 _ => {
                     let tgt = rng.index(targets as usize) as u32;
@@ -109,7 +97,7 @@ fn converged_iff_all_targets_at_head() {
                     } else {
                         store.version().saturating_sub(1)
                     };
-                    store.ack(tgt, v, t(now));
+                    store.ack(tgt, v);
                 }
             }
             let head = store.version();
@@ -121,45 +109,5 @@ fn converged_iff_all_targets_at_head() {
                 "case {case}: converged() disagrees with per-target acks at head {head}"
             );
         }
-    }
-}
-
-/// However changes interleave with flushes, after the last flush the
-/// store's version covers every change recorded before it: coalescing
-/// drops *pushes*, never the final configuration content.
-#[test]
-fn debounce_coalescing_never_loses_the_final_change() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed(0xDEB0 + case as u64);
-        let debounce = SimDuration::from_secs(1 + rng.index(5) as u64);
-        let mut store = VersionedConfigStore::new(debounce);
-        store.add_target(0);
-        let mut now = 0u64;
-        let mut last_change_version = 0u64;
-        for _ in 0..300 {
-            now += rng.index(3) as u64; // including same-instant bursts
-            if rng.chance(0.7) {
-                last_change_version = store.record_change(t(now));
-                // A change is never assigned a version below the head.
-                assert_eq!(last_change_version, store.version());
-            } else {
-                store.flush_push(t(now));
-            }
-        }
-        store.flush_push(t(now + 100));
-        // The final recorded change is exactly the store's head: nothing
-        // recorded later than it, nothing lost by coalescing.
-        assert_eq!(store.version(), last_change_version);
-        // And a target acking head converges the fleet-of-one.
-        store.ack(0, store.version(), t(now + 101));
-        assert!(store.converged());
-        // At least the final flush issued a push, and coalescing only ever
-        // absorbed changes (it cannot manufacture versions).
-        let (pushes, coalesced) = store.stats();
-        assert!(pushes >= 1, "case {case}: the closing flush must push");
-        assert!(
-            store.version() + coalesced >= 1,
-            "case {case}: changes recorded"
-        );
     }
 }

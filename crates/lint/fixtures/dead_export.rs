@@ -39,3 +39,10 @@ mod tests {
         assert_eq!(super::only_tests_call_this(), 11);
     }
 }
+
+// Unjudged, not flagged: nothing calls this `reset`, but
+// `dead_export_twin.rs` exports a `reset` its own code calls, and callers
+// resolve by name. The report counts both as unjudged.
+pub fn reset() -> u64 {
+    19
+}

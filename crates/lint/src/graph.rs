@@ -29,7 +29,9 @@
 //!   `pub(crate)` ones it already polices, and trait-impl methods cannot
 //!   carry `pub`. Masked code counts (comments and strings do not), a
 //!   `pub use` re-export does not, and files outside the lint's scope can
-//!   be read as callers only (`benchmark/`).
+//!   be read as callers only (`benchmark/`). Callers resolve by name, so
+//!   an item whose name another library file also exports cannot be
+//!   judged: the report counts those instead (`dead_export_unjudged`).
 
 use crate::lexer::LexedFile;
 use crate::parser::{ExportDef, FieldOpKind, FileSyntax, FnDef, StructDef};
@@ -356,6 +358,19 @@ pub(crate) fn exported_items(records: &[FileRecord]) -> impl Iterator<Item = (us
     })
 }
 
+/// The exported items `dead-export` cannot judge: another library file
+/// exports the same name, and the rule resolves callers by name, so a
+/// caller of either item keeps both alive.
+pub(crate) fn dead_export_unjudged(records: &[FileRecord]) -> Vec<(usize, &ExportDef)> {
+    let items: Vec<(usize, &ExportDef)> = exported_items(records).collect();
+    let mut files_of: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (rec, e) in &items {
+        files_of.entry(e.name.as_str()).or_default().insert(*rec);
+    }
+    let shared = |e: &ExportDef| files_of.get(e.name.as_str()).is_some_and(|f| f.len() > 1);
+    items.into_iter().filter(|(_, e)| shared(e)).collect()
+}
+
 fn dead_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(usize, Finding)>) {
     let items: Vec<(usize, &ExportDef)> = exported_items(records).collect();
     let names: BTreeSet<&str> = items.iter().map(|(_, e)| e.name.as_str()).collect();
@@ -389,18 +404,15 @@ fn dead_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(us
         if used {
             continue;
         }
-        let path = match &item.owner {
-            Some(owner) => format!("{owner}::{name}"),
-            None => name.to_string(),
-        };
         out.push((
             rec,
             Finding {
                 rule: "dead-export",
                 line: item.line,
                 message: format!(
-                    "`pub {} {path}` has no caller: no other file names it, and its own file only inside the item, its impl blocks or #[cfg(test)] code; delete it, or move it into the test module that uses it",
-                    item.keyword
+                    "`pub {} {}` has no caller: no other file names it, and its own file only inside the item, its impl blocks or #[cfg(test)] code; delete it, or move it into the test module that uses it",
+                    item.keyword,
+                    item.path()
                 ),
             },
         ));

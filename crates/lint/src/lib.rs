@@ -109,6 +109,9 @@ pub struct Report {
     pub manifests_checked: usize,
     /// Number of `pub` items in library targets (what `dead-export` checks).
     pub exports: usize,
+    /// `(file, line, item)` of each exported item `dead-export` cannot
+    /// judge, because another library file exports the same name.
+    pub dead_export_unjudged: Vec<(String, usize, String)>,
     /// Number of files read only for the names they use (`benchmark/`).
     pub caller_files: usize,
 }
@@ -134,10 +137,11 @@ impl Report {
             out.push_str(&format!("error: {v}\n"));
         }
         out.push_str(&format!(
-            "canal-lint: {} file(s), {} manifest(s) scanned; {} exported item(s); {} violation(s), {} suppressed exception(s)\n",
+            "canal-lint: {} file(s), {} manifest(s) scanned; {} exported item(s), {} unjudged by dead-export; {} violation(s), {} suppressed exception(s)\n",
             self.files_scanned,
             self.manifests_checked,
             self.exports,
+            self.dead_export_unjudged.len(),
             self.violations.len(),
             self.suppressed.len(),
         ));
@@ -178,6 +182,14 @@ impl Report {
             self.manifests_checked
         ));
         out.push_str(&format!("  \"exports\": {},\n", self.exports));
+        let unjudged: Vec<String> = self
+            .dead_export_unjudged
+            .iter()
+            .map(|(file, line, item)| {
+                format!("{{\"file\": \"{}\", \"line\": {line}, \"item\": \"{}\"}}", esc(file), esc(item))
+            })
+            .collect();
+        out.push_str(&format!("  \"dead_export_unjudged\": [{}],\n", unjudged.join(", ")));
         let fired: Vec<String> = self
             .rules_fired()
             .iter()
@@ -494,6 +506,10 @@ fn scan_files(files: &[ScanFile], callers: &[String], report: &mut Report) {
         .collect();
     report.caller_files += callers.len();
     report.exports += graph::exported_items(&records).count();
+    for (rec, item) in graph::dead_export_unjudged(&records) {
+        let entry = (files[rec].file.clone(), item.line, item.path());
+        report.dead_export_unjudged.push(entry);
+    }
     let mut per_file: Vec<Vec<Finding>> = records
         .iter()
         .zip(&lexed_files)

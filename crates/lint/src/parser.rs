@@ -138,6 +138,16 @@ pub struct ExportDef {
     pub end: usize,
 }
 
+impl ExportDef {
+    /// `Owner::name` for a method or associated const, else the name.
+    pub(crate) fn path(&self) -> String {
+        match &self.owner {
+            Some(owner) => format!("{owner}::{}", self.name),
+            None => self.name.clone(),
+        }
+    }
+}
+
 /// One `impl` block: the types it is for and the lines it spans.
 #[derive(Debug, Clone)]
 pub struct ImplBlock {

@@ -95,6 +95,14 @@ fn fixtures_trip_every_rule() {
             ("dead_export.rs", 18)
         ]
     );
+    // ... and counts, without flagging, the two `reset`s it cannot tell
+    // apart by name: one is dead, but the other's caller hides it.
+    let unjudged: Vec<(&str, usize)> = report
+        .dead_export_unjudged
+        .iter()
+        .map(|(file, line, _)| (file.as_str(), *line))
+        .collect();
+    assert_eq!(unjudged, [("dead_export.rs", 46), ("dead_export_twin.rs", 4)]);
     assert!(
         report
             .violations
