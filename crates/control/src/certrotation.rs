@@ -115,11 +115,11 @@ pub struct RotationRecord {
     pub result: RolloutResult,
 }
 
-/// The in-flight rotation (at most one; the rollout controller is serial).
+/// The in-flight rotation (at most one; the rollout controller is serial,
+/// so its version is the rollout's head until it settles).
 #[derive(Debug, Clone, Copy)]
 struct InFlightRotation {
     tenant: u64,
-    version: u64,
     generation: u64,
     revoked_prior: bool,
     expiry: SimTime,
@@ -336,7 +336,6 @@ impl CertRotationController {
                 spec.trust.version = *version;
                 self.in_flight = Some(InFlightRotation {
                     tenant,
-                    version: *version,
                     generation,
                     revoked_prior,
                     expiry: spec.not_after,
@@ -390,7 +389,7 @@ impl CertRotationController {
         self.in_flight = None;
         self.push_record(RotationRecord {
             tenant: fl.tenant,
-            version: fl.version,
+            version: outcome.version,
             generation: fl.generation,
             revoked_prior: fl.revoked_prior,
             started_at: outcome.started_at,
@@ -407,7 +406,7 @@ impl CertRotationController {
             st.expiry = fl.expiry;
             st.compromised = false;
             st.rotations += 1;
-            st.converged_version = Some(fl.version);
+            st.converged_version = Some(outcome.version);
             self.rotations_converged += 1;
         }
     }
@@ -498,7 +497,7 @@ impl CertRotationController {
             Some(fl) => {
                 d.write_u64(1)
                     .write_u64(fl.tenant)
-                    .write_u64(fl.version)
+                    .write_u64(self.rollout.store().version())
                     .write_u64(fl.generation)
                     .write_u64(fl.revoked_prior as u64)
                     .write_u64(fl.expiry.as_nanos())
