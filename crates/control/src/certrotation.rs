@@ -513,7 +513,8 @@ impl CertRotationController {
                 .write_u64(r.ended_at.as_nanos());
         }
         // Every rollout outcome is settled by the tick that produced it.
-        let observed_outcomes = self.rollout.outcomes_evicted() + self.rollout.outcomes().len() as u64;
+        let observed_outcomes =
+            self.rollout.outcomes_evicted() + self.rollout.outcomes().len() as u64;
         d.write_u64(self.history_evicted)
             .write_u64(observed_outcomes)
             .write_u64(self.rotations_started())
