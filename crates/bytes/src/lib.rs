@@ -102,9 +102,13 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copy a slice into a fresh buffer.
+    /// Copy a slice into a fresh buffer: one allocation, one copy.
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes::from(src.to_vec())
+        Bytes {
+            data: Arc::from(src),
+            start: 0,
+            end: src.len(),
+        }
     }
 
     /// Length of the visible window.
@@ -209,19 +213,19 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for Bytes {
     fn from(s: &[u8; N]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 
 impl From<&str> for Bytes {
     fn from(s: &str) -> Self {
-        Bytes::from(s.as_bytes().to_vec())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 

@@ -1,8 +1,10 @@
 //! HTTP/1.1 messages: methods, status codes, headers, request/response
 //! structs and their byte serializers.
 
+use crate::parser::crlf_lines;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::ops::Deref;
 
 /// HTTP request method (the subset mesh traffic uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,59 +114,108 @@ impl fmt::Display for StatusCode {
     }
 }
 
-/// An insertion-ordered, case-insensitive header map.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// UTF-8 text held as a span of a message buffer: a request's target, a
+/// message's header section. Only ever built from text known to be UTF-8
+/// (a `&str`, or bytes the parser has checked), so it reads as a `str`.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct Utf8Bytes(Bytes);
+
+impl Utf8Bytes {
+    /// `bytes`, which the caller has checked are UTF-8.
+    pub(crate) fn checked(bytes: Bytes) -> Self {
+        Utf8Bytes(bytes)
+    }
+}
+
+impl From<&str> for Utf8Bytes {
+    fn from(s: &str) -> Self {
+        Utf8Bytes(Bytes::from(s))
+    }
+}
+
+impl Deref for Utf8Bytes {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        // Every constructor holds UTF-8, so the fallback is never taken.
+        std::str::from_utf8(&self.0).unwrap_or_default()
+    }
+}
+
+impl fmt::Debug for Utf8Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Utf8Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl PartialEq<str> for Utf8Bytes {
+    fn eq(&self, other: &str) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<&str> for Utf8Bytes {
+    fn eq(&self, other: &&str) -> bool {
+        **self == **other
+    }
+}
+
+/// A message's header fields, read in place from its header section: the
+/// `name:value` lines after the start line, each ending in CRLF (a parsed
+/// section also holds the blank line). Names compare case-insensitively,
+/// duplicates are kept in order, and a value is reported without the
+/// whitespace around it.
+#[derive(Clone, Default)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
+    section: Utf8Bytes,
 }
 
 impl HeaderMap {
-    /// Empty map.
-    pub fn new() -> Self {
-        Self::default()
+    /// A header section the parser has checked: every line but the blank
+    /// one holds a `:`.
+    pub(crate) fn parsed(section: Utf8Bytes) -> Self {
+        HeaderMap { section }
     }
 
-    /// Append a header (duplicates preserved, per HTTP semantics).
-    pub fn insert(&mut self, name: &str, value: &str) {
-        self.entries.push((name.to_string(), value.to_string()));
+    /// This section with a `name: value` line appended.
+    fn with(&self, name: &str, value: &str) -> Self {
+        let section = [&*self.section, name, ": ", value, "\r\n"].concat();
+        HeaderMap { section: Utf8Bytes(Bytes::from(section)) }
     }
 
     /// First value for `name`, case-insensitive.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v)
     }
 
     /// All values for `name`, case-insensitive.
     pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.entries
-            .iter()
+        self.iter()
             .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Remove all values for `name`. Returns whether anything was removed.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.entries.len() != before
+            .map(|(_, v)| v)
     }
 
     /// Number of header lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.iter().count()
     }
 
     /// Whether no headers are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// Iterate `(name, value)` pairs in insertion order.
+    /// Iterate `(name, value)` pairs in the order they were sent or added.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        crlf_lines(&self.section)
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name, value.trim()))
     }
 
     /// Cookie value by key from any `Cookie:` header (`k=v; k2=v2` format),
@@ -182,15 +233,40 @@ impl HeaderMap {
         }
         None
     }
+
+    /// Serialize as field lines, each `name: value` and CRLF-terminated.
+    fn encode_into(&self, buf: &mut BytesMut) {
+        for (n, v) in self.iter() {
+            buf.put_slice(n.as_bytes());
+            buf.put_slice(b": ");
+            buf.put_slice(v.as_bytes());
+            buf.put_slice(b"\r\n");
+        }
+    }
 }
 
-/// An HTTP/1.1 request.
+impl PartialEq for HeaderMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for HeaderMap {}
+
+impl fmt::Debug for HeaderMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// An HTTP/1.1 request. A parsed one's target, headers and body are spans
+/// of the one buffer the parser copied the message into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method.
     pub method: Method,
     /// Request target (origin-form path, possibly with query).
-    pub path: String,
+    pub path: Utf8Bytes,
     /// Headers.
     pub headers: HeaderMap,
     /// Body bytes (empty when absent).
@@ -202,9 +278,7 @@ impl Request {
     pub fn get(path: &str) -> Self {
         Request {
             method: Method::Get,
-            path: path.to_string(),
-            headers: HeaderMap::new(),
-            body: Bytes::new(),
+            ..Self::post(path, Bytes::new())
         }
     }
 
@@ -212,21 +286,22 @@ impl Request {
     pub fn post(path: &str, body: impl Into<Bytes>) -> Self {
         Request {
             method: Method::Post,
-            path: path.to_string(),
-            headers: HeaderMap::new(),
+            path: Utf8Bytes::from(path),
+            headers: HeaderMap::default(),
             body: body.into(),
         }
     }
 
     /// Builder-style header attachment.
     pub fn with_header(mut self, name: &str, value: &str) -> Self {
-        self.headers.insert(name, value);
+        self.headers = self.headers.with(name, value);
         self
     }
 
     /// Path without the query string.
     pub fn path_only(&self) -> &str {
-        self.path.split('?').next().unwrap_or(&self.path)
+        let path: &str = &self.path;
+        path.split('?').next().unwrap_or(path)
     }
 
     /// Serialize to wire bytes (Content-Length emitted when a body exists or
@@ -237,12 +312,7 @@ impl Request {
         buf.put_u8(b' ');
         buf.put_slice(self.path.as_bytes());
         buf.put_slice(b" HTTP/1.1\r\n");
-        for (n, v) in self.headers.iter() {
-            buf.put_slice(n.as_bytes());
-            buf.put_slice(b": ");
-            buf.put_slice(v.as_bytes());
-            buf.put_slice(b"\r\n");
-        }
+        self.headers.encode_into(&mut buf);
         if !self.body.is_empty() || matches!(self.method, Method::Post | Method::Put | Method::Patch)
         {
             buf.put_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
@@ -253,7 +323,7 @@ impl Request {
     }
 }
 
-/// An HTTP/1.1 response.
+/// An HTTP/1.1 response, laid out like [`Request`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
@@ -269,7 +339,7 @@ impl Response {
     pub fn new(status: StatusCode, body: impl Into<Bytes>) -> Self {
         Response {
             status,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::default(),
             body: body.into(),
         }
     }
@@ -281,7 +351,7 @@ impl Response {
 
     /// Builder-style header attachment.
     pub fn with_header(mut self, name: &str, value: &str) -> Self {
-        self.headers.insert(name, value);
+        self.headers = self.headers.with(name, value);
         self
     }
 
@@ -291,12 +361,7 @@ impl Response {
         buf.put_slice(
             format!("HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason()).as_bytes(),
         );
-        for (n, v) in self.headers.iter() {
-            buf.put_slice(n.as_bytes());
-            buf.put_slice(b": ");
-            buf.put_slice(v.as_bytes());
-            buf.put_slice(b"\r\n");
-        }
+        self.headers.encode_into(&mut buf);
         buf.put_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
         buf.put_slice(b"\r\n");
         buf.put_slice(&self.body);
@@ -337,23 +402,24 @@ mod tests {
 
     #[test]
     fn header_map_case_insensitive() {
-        let mut h = HeaderMap::new();
-        h.insert("Content-Type", "text/plain");
-        h.insert("X-Canary", "true");
+        let h = Request::get("/")
+            .with_header("Content-Type", "text/plain")
+            .with_header("X-Canary", "true")
+            .headers;
         assert_eq!(h.get("content-type"), Some("text/plain"));
         assert_eq!(h.get("CONTENT-TYPE"), Some("text/plain"));
         assert_eq!(h.get("x-canary"), Some("true"));
         assert_eq!(h.get("absent"), None);
-        assert!(h.remove("X-CANARY"));
-        assert_eq!(h.get("x-canary"), None);
-        assert!(!h.remove("x-canary"));
+        assert_eq!(h.len(), 2);
+        assert!(Request::get("/").headers.is_empty());
     }
 
     #[test]
     fn header_map_duplicates_preserved() {
-        let mut h = HeaderMap::new();
-        h.insert("Set-Cookie", "a=1");
-        h.insert("set-cookie", "b=2");
+        let h = Response::ok(Bytes::new())
+            .with_header("Set-Cookie", "a=1")
+            .with_header("set-cookie", "b=2")
+            .headers;
         let all: Vec<&str> = h.get_all("Set-Cookie").collect();
         assert_eq!(all, vec!["a=1", "b=2"]);
         assert_eq!(h.get("set-cookie"), Some("a=1"));
@@ -361,11 +427,27 @@ mod tests {
 
     #[test]
     fn cookie_extraction() {
-        let mut h = HeaderMap::new();
-        h.insert("Cookie", "session=abc; user_group=beta; theme=dark");
+        let h = Request::get("/")
+            .with_header("Cookie", "session=abc; user_group=beta; theme=dark")
+            .headers;
         assert_eq!(h.cookie("user_group"), Some("beta"));
         assert_eq!(h.cookie("session"), Some("abc"));
         assert_eq!(h.cookie("absent"), None);
+    }
+
+    /// A built request and the same request parsed from its bytes are the
+    /// same value, and encode to the same bytes.
+    #[test]
+    fn built_and_parsed_requests_are_one_representation() {
+        let built = Request::get("/a/b?q=1")
+            .with_header("Host", "h")
+            .with_header("X-Empty", "");
+        let wire = built.encode();
+        let parsed = crate::RequestParser::new().feed(&wire).unwrap().unwrap();
+        assert_eq!(parsed, built);
+        assert_eq!(parsed.path, "/a/b?q=1");
+        assert_eq!(parsed.encode(), wire);
+        assert_eq!(format!("{:?}", parsed.headers), r#"[("Host", "h"), ("X-Empty", "")]"#);
     }
 
     #[test]

@@ -5,9 +5,19 @@
 //! buffered. Bodies are delimited by `Content-Length` (mesh traffic in the
 //! reproduction never uses chunked encoding; a `chunked` message is rejected
 //! explicitly rather than misparsed).
+//!
+//! Both parsers frame a message with one function, [`frame`]: find the blank
+//! line, check the header section, parse the start line, check every field
+//! line and size the body (RFC 9112 §2-6). A complete message is then copied
+//! once into a buffer of its own, and the message handed out is spans of
+//! that copy: the request target, the header section and the body (see
+//! [`crate::message`]). When the parser holds nothing and one feed brings
+//! the whole message, which is how a one-shot L7 hop parses, that copy is
+//! the only allocation the parse makes.
 
-use crate::message::{HeaderMap, Method, Request, Response, StatusCode};
-use bytes::{Bytes, BytesMut};
+use crate::message::{HeaderMap, Method, Request, Response, StatusCode, Utf8Bytes};
+use bytes::{Buf, Bytes, BytesMut};
+use std::ops::Range;
 
 /// Parse failures (connection should be reset).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +28,7 @@ pub enum ParseError {
     BadMethod,
     /// Header line missing the `:` separator.
     BadHeader,
-    /// Content-Length not a number.
+    /// Content-Length not a number, or two that disagree.
     BadContentLength,
     /// Chunked transfer encoding (unsupported by design).
     ChunkedUnsupported,
@@ -36,56 +46,216 @@ impl std::error::Error for ParseError {}
 
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 
-/// Find `\r\n\r\n`; returns the offset *after* it. `scanned` is how far
-/// earlier calls on this (only ever appended-to) buffer got without finding
-/// it: the search resumes three bytes before, where a terminator split
-/// across two feeds would start, so a header section that trickles in is
-/// scanned once overall, not once per feed.
-fn find_header_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
-    let start = scanned.saturating_sub(3);
-    match buf[start..].windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(p) => {
-            // A later call (body still in flight) finds it again at once.
-            *scanned = start + p;
-            Some(start + p + 4)
+/// Offset of the first LF in `bytes` at or after `from`, eight bytes a
+/// step: a word XORed with eight LFs has a zero byte where `bytes` has an
+/// LF, and the lowest zero byte is the lowest bit the borrow trick flags.
+fn find_lf(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut at = from;
+    while let Some(word) = bytes.get(at..at + 8) {
+        let x = u64::from_le_bytes(word.try_into().ok()?) ^ (ONES * u64::from(b'\n'));
+        let zero = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zero != 0 {
+            return Some(at + zero.trailing_zeros() as usize / 8);
         }
-        None => {
-            *scanned = buf.len();
-            None
-        }
+        at += 8;
     }
+    bytes.get(at..)?.iter().position(|&b| b == b'\n').map(|p| at + p)
 }
 
-fn parse_headers(block: &str) -> Result<HeaderMap, ParseError> {
-    let mut headers = HeaderMap::new();
-    for line in block.split("\r\n").filter(|l| !l.is_empty()) {
+/// `text` cut at every CRLF, which is dropped: what `text.split("\r\n")`
+/// gives, with the LFs found by [`find_lf`]. A bare CR or LF stays inside
+/// its line.
+pub(crate) fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let line = rest?;
+        let mut from = 0;
+        while let Some(lf) = find_lf(line.as_bytes(), from) {
+            if lf > 0 && line.as_bytes()[lf - 1] == b'\r' {
+                rest = line.get(lf + 1..);
+                return line.get(..lf - 1);
+            }
+            from = lf + 1;
+        }
+        rest = None;
+        Some(line)
+    })
+}
+
+/// Find `\r\n\r\n`; returns the offset *after* it. `scanned` is where
+/// earlier calls on this (only ever appended-to) buffer stopped looking: an
+/// LF before it either ended no terminator or is the one found, so a header
+/// section that trickles in is scanned once overall, not once per feed.
+fn find_header_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let mut from = (*scanned).max(3);
+    while let Some(lf) = find_lf(buf, from) {
+        if buf[lf - 3..lf] == *b"\r\n\r" {
+            // A later call (body still in flight) finds it again at once.
+            *scanned = lf;
+            return Some(lf + 1);
+        }
+        from = lf + 1;
+    }
+    *scanned = buf.len();
+    None
+}
+
+/// Check every field line (`name:value`, the name non-empty and without a
+/// space) and size the body: none without `Content-Length`, a chunked
+/// `Transfer-Encoding` refused, and `Content-Length` only as `1*DIGIT`,
+/// every copy of it the same (RFC 9112 §6.3: two that differ are how a
+/// request is smuggled past a proxy that frames by the other one).
+fn body_length(fields: &str) -> Result<usize, ParseError> {
+    let mut transfer_encoding = None;
+    let mut content_length: Option<&str> = None;
+    let mut conflicting = false;
+    for line in crlf_lines(fields).filter(|l| !l.is_empty()) {
         let (name, value) = line.split_once(':').ok_or(ParseError::BadHeader)?;
         if name.is_empty() || name.contains(' ') {
             return Err(ParseError::BadHeader);
         }
-        headers.insert(name, value.trim());
-    }
-    Ok(headers)
-}
-
-fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
-    if let Some(te) = headers.get("transfer-encoding") {
-        if te.to_ascii_lowercase().contains("chunked") {
-            return Err(ParseError::ChunkedUnsupported);
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            conflicting |= content_length.is_some_and(|first| first != value);
+            content_length.get_or_insert(value);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            transfer_encoding.get_or_insert(value);
         }
     }
-    match headers.get("content-length") {
-        Some(v) => v.trim().parse().map_err(|_| ParseError::BadContentLength),
-        None => Ok(0),
+    let chunked = |te: &str| te.as_bytes().windows(7).any(|w| w.eq_ignore_ascii_case(b"chunked"));
+    if transfer_encoding.is_some_and(chunked) {
+        return Err(ParseError::ChunkedUnsupported);
     }
+    match content_length {
+        None => Ok(0),
+        Some(v) if !conflicting && !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
+            v.parse().map_err(|_| ParseError::BadContentLength)
+        }
+        Some(_) => Err(ParseError::BadContentLength),
+    }
+}
+
+/// Where one message's parts lie in the buffer it was framed in.
+struct Frame<S> {
+    /// What the start line said.
+    start: S,
+    /// Where the header section starts: its field lines, then the blank
+    /// line.
+    fields: usize,
+    /// Where the body starts.
+    body: usize,
+    /// The whole message's length.
+    len: usize,
+}
+
+/// Frame the message at the front of `buf`: `Ok(None)` until its header
+/// section is complete, then its [`Frame`] (the body may still be in
+/// flight). `start_line` parses the first line; everything else is the same
+/// for requests and responses.
+fn frame<S>(
+    buf: &[u8],
+    scanned: &mut usize,
+    start_line: impl FnOnce(&str) -> Result<S, ParseError>,
+) -> Result<Option<Frame<S>>, ParseError> {
+    let Some(body) = find_header_end(buf, scanned) else {
+        if buf.len() > MAX_HEADER_BYTES {
+            return Err(ParseError::HeadersTooLarge);
+        }
+        return Ok(None);
+    };
+    if body > MAX_HEADER_BYTES {
+        return Err(ParseError::HeadersTooLarge);
+    }
+    let head = std::str::from_utf8(&buf[..body - 4]).map_err(|_| ParseError::BadStartLine)?;
+    let line = crlf_lines(head).next().unwrap_or(head);
+    let start = start_line(line)?;
+    let fields = line.len() + 2;
+    let body_len = body_length(head.get(fields..).unwrap_or(""))?;
+    let len = body.checked_add(body_len).ok_or(ParseError::BadContentLength)?;
+    Ok(Some(Frame { start, fields, body, len }))
+}
+
+/// The request line: the method and where the target sits in it.
+fn request_line(line: &str) -> Result<(Method, Range<usize>), ParseError> {
+    let mut parts = line.split(' ');
+    let method = parts.next().ok_or(ParseError::BadStartLine)?;
+    let path = parts.next().ok_or(ParseError::BadStartLine)?;
+    let version = parts.next().ok_or(ParseError::BadStartLine)?;
+    if parts.next().is_some() || !version.starts_with("HTTP/1.") {
+        return Err(ParseError::BadStartLine);
+    }
+    let at = method.len() + 1;
+    let method = Method::parse(method).ok_or(ParseError::BadMethod)?;
+    Ok((method, at..at + path.len()))
+}
+
+/// The status line's code (the reason phrase is not kept).
+fn status_line(line: &str) -> Result<StatusCode, ParseError> {
+    let mut parts = line.splitn(3, ' ');
+    let version = parts.next().ok_or(ParseError::BadStartLine)?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(ParseError::BadStartLine);
+    }
+    let code = parts.next().ok_or(ParseError::BadStartLine)?;
+    code.parse().map(StatusCode).map_err(|_| ParseError::BadStartLine)
+}
+
+/// What a connection has received and not yet handed out as a message.
+#[derive(Debug, Default)]
+struct Input {
+    buf: BytesMut,
+    /// See [`find_header_end`]; reset when a message leaves `buf`.
+    scanned: usize,
+}
+
+impl Input {
+    /// Append `data` and take the next complete message off the front: its
+    /// frame and its bytes, copied once into a [`Bytes`] of their own. With
+    /// nothing buffered the message is framed and copied straight out of
+    /// `data`, which is buffered only for what is left over.
+    fn next<S>(
+        &mut self,
+        data: &[u8],
+        start_line: impl FnOnce(&str) -> Result<S, ParseError>,
+    ) -> Result<Option<(Frame<S>, Bytes)>, ParseError> {
+        let direct = self.buf.is_empty();
+        if !direct {
+            self.buf.extend_from_slice(data);
+        }
+        let src: &[u8] = if direct { data } else { &self.buf };
+        let frame = match frame(src, &mut self.scanned, start_line) {
+            Ok(Some(frame)) if frame.len <= src.len() => frame,
+            incomplete_or_err => {
+                if direct {
+                    self.buf.extend_from_slice(data);
+                }
+                return incomplete_or_err.map(|_| None);
+            }
+        };
+        let message = Bytes::copy_from_slice(&src[..frame.len]);
+        if direct {
+            self.buf.extend_from_slice(&data[frame.len..]);
+        } else {
+            drop(self.buf.split_to(frame.len));
+        }
+        self.scanned = 0;
+        Ok(Some((frame, message)))
+    }
+}
+
+/// Cut a message [`Input::next`] copied into its header section (from
+/// `fields`) and its body (from `body`), both spans of the copy.
+fn headers_and_body(mut message: Bytes, fields: usize, body: usize) -> (HeaderMap, Bytes) {
+    let body = message.split_off(body);
+    message.advance(fields);
+    (HeaderMap::parsed(Utf8Bytes::checked(message)), body)
 }
 
 /// Incremental request parser for one connection.
 #[derive(Debug, Default)]
 pub struct RequestParser {
-    buf: BytesMut,
-    /// See [`find_header_end`]; reset when a message leaves `buf`.
-    scanned: usize,
+    input: Input,
 }
 
 impl RequestParser {
@@ -97,54 +267,25 @@ impl RequestParser {
     /// Feed newly received bytes; returns a complete request if one is now
     /// available (leftover bytes are retained for pipelined requests).
     pub fn feed(&mut self, data: &[u8]) -> Result<Option<Request>, ParseError> {
-        self.buf.extend_from_slice(data);
-        self.try_parse()
+        let Some((frame, message)) = self.input.next(data, request_line)? else {
+            return Ok(None);
+        };
+        let (method, target) = frame.start;
+        let path = Utf8Bytes::checked(message.slice(target));
+        let (headers, body) = headers_and_body(message, frame.fields, frame.body);
+        Ok(Some(Request { method, path, headers, body }))
     }
 
     /// Attempt to extract the next pipelined request from the buffer.
     pub fn try_parse(&mut self) -> Result<Option<Request>, ParseError> {
-        let Some(header_end) = find_header_end(&self.buf, &mut self.scanned) else {
-            if self.buf.len() > MAX_HEADER_BYTES {
-                return Err(ParseError::HeadersTooLarge);
-            }
-            return Ok(None);
-        };
-        let head = std::str::from_utf8(&self.buf[..header_end - 4])
-            .map_err(|_| ParseError::BadStartLine)?;
-        let mut lines = head.splitn(2, "\r\n");
-        let start = lines.next().unwrap_or("");
-        let mut parts = start.split(' ');
-        let method = parts.next().ok_or(ParseError::BadStartLine)?;
-        let path = parts.next().ok_or(ParseError::BadStartLine)?;
-        let version = parts.next().ok_or(ParseError::BadStartLine)?;
-        if parts.next().is_some() || !version.starts_with("HTTP/1.") {
-            return Err(ParseError::BadStartLine);
-        }
-        let method = Method::parse(method).ok_or(ParseError::BadMethod)?;
-        let path = path.to_string();
-        let headers = parse_headers(lines.next().unwrap_or(""))?;
-        let body_len = body_length(&headers)?;
-        if self.buf.len() < header_end + body_len {
-            return Ok(None); // body still in flight
-        }
-        let mut msg = self.buf.split_to(header_end + body_len);
-        self.scanned = 0;
-        let body: Bytes = msg.split_off(header_end).freeze();
-        Ok(Some(Request {
-            method,
-            path,
-            headers,
-            body,
-        }))
+        self.feed(&[])
     }
 }
 
 /// Incremental response parser for one connection.
 #[derive(Debug, Default)]
 pub struct ResponseParser {
-    buf: BytesMut,
-    /// See [`find_header_end`]; reset when a message leaves `buf`.
-    scanned: usize,
+    input: Input,
 }
 
 impl ResponseParser {
@@ -155,40 +296,11 @@ impl ResponseParser {
 
     /// Feed newly received bytes; returns a complete response if available.
     pub fn feed(&mut self, data: &[u8]) -> Result<Option<Response>, ParseError> {
-        self.buf.extend_from_slice(data);
-        let Some(header_end) = find_header_end(&self.buf, &mut self.scanned) else {
-            if self.buf.len() > MAX_HEADER_BYTES {
-                return Err(ParseError::HeadersTooLarge);
-            }
+        let Some((frame, message)) = self.input.next(data, status_line)? else {
             return Ok(None);
         };
-        let head = std::str::from_utf8(&self.buf[..header_end - 4])
-            .map_err(|_| ParseError::BadStartLine)?;
-        let mut lines = head.splitn(2, "\r\n");
-        let start = lines.next().unwrap_or("");
-        let mut parts = start.splitn(3, ' ');
-        let version = parts.next().ok_or(ParseError::BadStartLine)?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(ParseError::BadStartLine);
-        }
-        let code: u16 = parts
-            .next()
-            .ok_or(ParseError::BadStartLine)?
-            .parse()
-            .map_err(|_| ParseError::BadStartLine)?;
-        let headers = parse_headers(lines.next().unwrap_or(""))?;
-        let body_len = body_length(&headers)?;
-        if self.buf.len() < header_end + body_len {
-            return Ok(None);
-        }
-        let mut msg = self.buf.split_to(header_end + body_len);
-        self.scanned = 0;
-        let body: Bytes = msg.split_off(header_end).freeze();
-        Ok(Some(Response {
-            status: StatusCode(code),
-            headers,
-            body,
-        }))
+        let (headers, body) = headers_and_body(message, frame.fields, frame.body);
+        Ok(Some(Response { status: frame.start, headers, body }))
     }
 }
 
@@ -208,7 +320,7 @@ mod tests {
         assert_eq!(req.path, "/hello");
         assert_eq!(req.headers.get("host"), Some("a"));
         assert!(req.body.is_empty());
-        assert_eq!(p.buf.len(), 0);
+        assert_eq!(p.input.buf.len(), 0);
     }
 
     #[test]
@@ -271,11 +383,11 @@ mod tests {
         for &b in head {
             assert_eq!(p.feed(&[b]), Ok(None));
         }
-        assert_eq!(p.scanned, head.len(), "the scan never restarts from byte 0");
+        assert_eq!(p.input.scanned, head.len(), "the scan never restarts from byte 0");
         let req = p.feed(&[*last]).unwrap().expect("complete at the final byte");
         assert_eq!(req.headers.len(), i);
         assert_eq!(req.headers.get(&format!("x-pad-{}", i - 1)), Some("v".repeat(50).as_str()));
-        assert_eq!(p.buf.len(), 0);
+        assert_eq!(p.input.buf.len(), 0);
 
         let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
         wire.extend_from_slice(&head[20..]);
@@ -330,7 +442,7 @@ mod tests {
         assert_eq!(p.try_parse().unwrap().unwrap().path, "/b");
         assert_eq!(p.try_parse(), Ok(None));
         assert_eq!(p.feed(&[*last]).unwrap().unwrap().path, "/c");
-        assert_eq!(p.buf.len(), 0);
+        assert_eq!(p.input.buf.len(), 0);
     }
 
     #[test]
@@ -386,6 +498,76 @@ mod tests {
         let mut p = RequestParser::new();
         let huge = vec![b'a'; MAX_HEADER_BYTES + 10];
         assert_eq!(p.feed(&huge), Err(ParseError::HeadersTooLarge));
+    }
+
+    /// RFC 9112 §6.3: `Content-Length` is `1*DIGIT`. `usize::from_str`
+    /// alone would take `+5` as 5.
+    #[test]
+    fn content_length_is_digits_only() {
+        for bad in ["+5", "-5", "5, 5", "0x5", "5x", "", " "] {
+            let wire = format!("POST /u HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhello");
+            assert_eq!(RequestParser::new().feed(wire.as_bytes()), Err(ParseError::BadContentLength), "{bad:?}");
+            let wire = format!("HTTP/1.1 200 OK\r\nContent-Length: {bad}\r\n\r\nhello");
+            assert_eq!(ResponseParser::new().feed(wire.as_bytes()), Err(ParseError::BadContentLength), "{bad:?}");
+        }
+        let req = RequestParser::new().feed(b"POST /u HTTP/1.1\r\nContent-Length:  005 \r\n\r\nhello");
+        assert_eq!(req.unwrap().unwrap().body.as_ref(), b"hello");
+    }
+
+    /// Two `Content-Length` fields that disagree are refused rather than
+    /// framed by the first: a proxy framing by the other would see a
+    /// different request. Identical copies stay accepted.
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let wire = b"POST /u HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(RequestParser::new().feed(wire), Err(ParseError::BadContentLength));
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello";
+        assert_eq!(ResponseParser::new().feed(wire), Err(ParseError::BadContentLength));
+        let wire = b"POST /u HTTP/1.1\r\nContent-Length: 5\r\nCONTENT-LENGTH: 5\r\n\r\nhello";
+        assert_eq!(RequestParser::new().feed(wire).unwrap().unwrap().body.as_ref(), b"hello");
+    }
+
+    /// A length no buffer can reach is refused, not added up to a wrap.
+    #[test]
+    fn unreachable_content_length_is_rejected() {
+        let wire = format!("POST /u HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        assert_eq!(RequestParser::new().feed(wire.as_bytes()), Err(ParseError::BadContentLength));
+    }
+
+    /// The header cap holds whether the section arrives in pieces or whole:
+    /// a section of exactly `MAX_HEADER_BYTES` (blank line included) is the
+    /// largest accepted, one byte more is refused in one feed as in many.
+    #[test]
+    fn complete_oversized_head_is_rejected() {
+        let head = |start: &str, total: usize| {
+            let mut wire = format!("{start}\r\nX-Pad: ").into_bytes();
+            wire.resize(total - 4, b'v');
+            wire.extend_from_slice(b"\r\n\r\n");
+            wire
+        };
+        let fits = head("GET /big HTTP/1.1", MAX_HEADER_BYTES);
+        assert!(RequestParser::new().feed(&fits).unwrap().is_some());
+        let over = head("GET /big HTTP/1.1", MAX_HEADER_BYTES + 1);
+        assert_eq!(RequestParser::new().feed(&over), Err(ParseError::HeadersTooLarge));
+        let mut p = RequestParser::new();
+        let (first, rest) = over.split_at(MAX_HEADER_BYTES);
+        assert_eq!(p.feed(first), Ok(None));
+        assert_eq!(p.feed(rest), Err(ParseError::HeadersTooLarge));
+        let over = head("HTTP/1.1 200 OK", MAX_HEADER_BYTES + 1);
+        assert_eq!(ResponseParser::new().feed(&over), Err(ParseError::HeadersTooLarge));
+    }
+
+    /// A message that arrives whole in one feed on an empty parser is
+    /// copied once, and the request is spans of that copy.
+    #[test]
+    fn one_feed_leaves_nothing_buffered() {
+        let wire = Request::post("/a?b", &b"xyz"[..]).with_header("Host", "h").encode();
+        let mut p = RequestParser::new();
+        let req = p.feed(&wire).unwrap().unwrap();
+        assert_eq!((req.path.as_ref(), req.path_only()), ("/a?b", "/a"));
+        assert_eq!(req.headers.iter().collect::<Vec<_>>(), [("Host", "h"), ("Content-Length", "3")]);
+        assert_eq!(req.body.as_ref(), b"xyz");
+        assert_eq!((p.input.buf.len(), p.input.scanned), (0, 0));
     }
 
     #[test]

@@ -329,9 +329,11 @@ fn head_len(wire: &[u8]) -> usize {
 
 /// Rewrite the message's `Content-Length` (adding one where it has none):
 /// a sign, a list, leading zeros, trailing junk, no digits, a larger or
-/// smaller value, a second field with the same or another value, or a
-/// chunked `Transfer-Encoding` beside it.
-fn tamper_content_length(rng: &mut SimRng, m: &mut Vec<u8>) {
+/// smaller value, a second field with the same or another value, a value
+/// no buffer can reach, or a chunked `Transfer-Encoding` beside it. Returns
+/// the error a parser must refuse the result with, where RFC 9112 §6.3
+/// leaves it no choice.
+fn tamper_content_length(rng: &mut SimRng, m: &mut Vec<u8>) -> Option<ParseError> {
     let line_start = match m.windows(16).position(|w| w.eq_ignore_ascii_case(b"content-length: ")) {
         Some(p) => p,
         None => {
@@ -344,30 +346,36 @@ fn tamper_content_length(rng: &mut SimRng, m: &mut Vec<u8>) {
     let value_start = line_start + 16;
     let value_end = m[value_start..].windows(2).position(|w| w == b"\r\n").map_or(m.len(), |p| value_start + p);
     let n: u64 = std::str::from_utf8(&m[value_start..value_end]).ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    let value = match rng.index(10) {
-        0 => format!("+{n}"),
-        1 => format!("-{n}"),
-        2 => format!("{n}, {n}"),
-        3 => format!("0{n}"),
-        4 => format!("{n}x"),
-        5 => String::new(),
-        6 => (n + 1 + rng.int_range(0, 10)).to_string(),
-        7 => n.saturating_sub(1 + rng.int_range(0, 10)).to_string(),
+    let bad = Some(ParseError::BadContentLength);
+    let (value, refusal) = match rng.index(11) {
+        0 => (format!("+{n}"), bad),
+        1 => (format!("-{n}"), bad),
+        2 => (format!("{n}, {n}"), bad),
+        3 => (format!("0{n}"), None),
+        4 => (format!("{n}x"), bad),
+        5 => (String::new(), bad),
+        6 => ((n + 1 + rng.int_range(0, 10)).to_string(), None),
+        7 => (n.saturating_sub(1 + rng.int_range(0, 10)).to_string(), None),
         8 => {
             let other = if rng.chance(0.5) { n } else { n + 1 + rng.int_range(0, 10) };
             m.splice(line_start..line_start, format!("Content-Length: {other}\r\n").into_bytes());
-            return;
+            return if other == n { None } else { bad };
         }
+        9 => (u64::MAX.to_string(), bad),
         _ => {
             m.splice(line_start..line_start, b"Transfer-Encoding: chunked\r\n".iter().copied());
-            return;
+            return Some(ParseError::ChunkedUnsupported);
         }
     };
     m.splice(value_start..value_end, value.into_bytes());
+    refusal
 }
 
-fn mutate(rng: &mut SimRng, wire: &[u8]) -> Vec<u8> {
+/// A mutant of `wire`, and the error it must be refused with if its
+/// mutation leaves the parser no choice.
+fn mutate(rng: &mut SimRng, wire: &[u8]) -> (Vec<u8>, Option<ParseError>) {
     let mut m = wire.to_vec();
+    let mut refusal = None;
     // Three mutations in four land in the header section.
     let span = if rng.chance(0.75) { head_len(&m) } else { m.len() };
     match rng.index(4) {
@@ -385,9 +393,9 @@ fn mutate(rng: &mut SimRng, wire: &[u8]) -> Vec<u8> {
             let at = rng.index(span + 1);
             m.splice(at..at, insert.iter().copied());
         }
-        _ => tamper_content_length(rng, &mut m),
+        _ => refusal = tamper_content_length(rng, &mut m),
     }
-    m
+    (m, refusal)
 }
 
 /// `case`'s split points: every one for a sample, else one at random.
@@ -409,8 +417,11 @@ fn fuzz_http(cases: usize, seed: u64) {
             for cut in cuts(&mut rng, case, wire.len()) {
                 assert_eq!(drain_responses(&[&wire[..cut], &wire[cut..]]), whole, "case {case}, cut {cut}");
             }
-            let mutant = mutate(&mut rng, &wire);
+            let (mutant, refusal) = mutate(&mut rng, &wire);
             let got = drain_responses(&[&mutant]);
+            if let Some(e) = refusal {
+                assert_eq!(got, (vec![], Some(e)), "case {case}: {:?}", String::from_utf8_lossy(&mutant));
+            }
             let cut = rng.index(mutant.len() + 1);
             assert_eq!(
                 drain_responses(&[&mutant[..cut], &mutant[cut..]]),
@@ -439,8 +450,11 @@ fn fuzz_http(cases: usize, seed: u64) {
                 "case {case}, pipelined, cut {cut}"
             );
         }
-        let mutant = mutate(&mut rng, &wire);
+        let (mutant, refusal) = mutate(&mut rng, &wire);
         let got = drain_requests(&[&mutant]);
+        if let Some(e) = refusal {
+            assert_eq!(got, (vec![], Some(e)), "case {case}: {:?}", String::from_utf8_lossy(&mutant));
+        }
         let cut = rng.index(mutant.len() + 1);
         assert_eq!(
             drain_requests(&[&mutant[..cut], &mutant[cut..]]),
