@@ -125,6 +125,11 @@ impl Utf8Bytes {
     pub(crate) fn checked(bytes: Bytes) -> Self {
         Utf8Bytes(bytes)
     }
+
+    /// The text's bytes, read without checking them again.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 impl From<&str> for Utf8Bytes {
@@ -259,6 +264,11 @@ impl fmt::Debug for HeaderMap {
     }
 }
 
+/// The part of a request target before any `?`.
+pub(crate) fn before_query(path: &[u8]) -> &[u8] {
+    path.split(|&b| b == b'?').next().unwrap_or(path)
+}
+
 /// An HTTP/1.1 request. A parsed one's target, headers and body are spans
 /// of the one buffer the parser copied the message into.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,8 +310,8 @@ impl Request {
 
     /// Path without the query string.
     pub fn path_only(&self) -> &str {
-        let path: &str = &self.path;
-        path.split('?').next().unwrap_or(path)
+        // Cut at an ASCII byte, so the part before it is UTF-8 as well.
+        std::str::from_utf8(before_query(self.path.as_bytes())).unwrap_or_default()
     }
 
     /// Serialize to wire bytes (Content-Length emitted when a body exists or

@@ -13,7 +13,7 @@
 //! the index cannot key (`Contains`, no path predicate) are checked one by
 //! one. The index holds hashes and rule numbers, never a copy of a path.
 
-use crate::message::Request;
+use crate::message::{before_query, Request};
 
 /// Path predicate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,6 +161,23 @@ impl WeightedTarget {
     }
 }
 
+/// The target a uniform draw in `[0,1)` picks from `(weight, target)`
+/// pairs whose weights sum to `total`: the draws split in proportion to the
+/// weights, in order, and the last target takes what rounding leaves.
+/// `None` only for an empty list.
+fn pick<T>(total: u64, targets: impl Iterator<Item = (u32, T)>, uniform_draw: f64) -> Option<T> {
+    let mut ticket = (uniform_draw.clamp(0.0, 0.999_999_999) * total as f64) as u64;
+    let mut last = None;
+    for (weight, target) in targets {
+        if ticket < u64::from(weight) {
+            return Some(target);
+        }
+        ticket -= u64::from(weight);
+        last = Some(target);
+    }
+    last
+}
+
 /// A routing rule: predicate plus weighted targets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteRule {
@@ -206,34 +223,26 @@ impl RouteRule {
     /// Splitting the randomness out keeps the rule table pure and the
     /// simulation reproducible.
     pub fn select_target(&self, uniform_draw: f64) -> &WeightedTarget {
-        let total = self.total_weight;
-        let mut ticket = (uniform_draw.clamp(0.0, 0.999_999_999) * total as f64) as u64;
-        for t in &self.targets {
-            if ticket < t.weight as u64 {
-                return t;
-            }
-            ticket -= t.weight as u64;
-        }
+        let targets = self.targets.iter().map(|t| (t.weight, t));
         #[allow(clippy::expect_used)]
         // lint:allow(panic) reason=RouteRule::new requires a non-empty target list; an empty rule cannot route anything
-        self.targets.last().expect("non-empty")
+        pick(self.total_weight, targets, uniform_draw).expect("non-empty")
     }
 }
 
-/// One slot of the path index: which rule, and the hash and byte length of
-/// its path predicate (an `Exact` predicate is salted so it never answers a
-/// prefix probe of the same bytes).
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    hash: u64,
-    len: u32,
-    rule: u32,
-}
-
-/// Marks an empty index slot.
+/// Bytes of a [`Slot`] that hold its rule's record.
+const RECORD_BYTES: usize = 47;
+/// Marks an empty slot.
 const NO_RULE: u32 = u32::MAX;
 /// XORed into the hash of an `Exact` predicate.
 const EXACT_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
+/// Slot kind bit: the predicate is `Exact`, not `Prefix`.
+const EXACT: u8 = 1;
+/// Slot kind bit: the rule is answered by its [`RouteRule`], kept in
+/// `RouteTable::by_rule` at the position the record holds, because it also
+/// has method or header predicates, has no targets, or its record does not
+/// fit in the slot.
+const BY_RULE: u8 = 2;
 
 /// FNV-1a, one byte at a time, so the hashes of every prefix of a path come
 /// out of one pass over it.
@@ -263,104 +272,266 @@ impl PathHasher {
     }
 }
 
-/// The lookup structure behind [`RouteTable::find`]: an open-addressed
-/// table of [`IndexEntry`] for `Exact` / `Prefix` rules, the distinct
-/// prefix lengths to probe, and the rules it cannot key. Entries of one
-/// key sit in ascending rule order along their probe run (the table is
-/// insert-only and rebuilt in rule order), so the first hit at or past a
-/// lower bound is the lowest.
-#[derive(Debug, Clone, Default)]
-struct RouteIndex {
-    /// Empty, or a power-of-two number of slots, at most half full.
-    slots: Vec<IndexEntry>,
-    entries: usize,
-    /// Distinct byte lengths of `Prefix` predicates, ascending.
-    prefix_lens: Vec<u32>,
-    /// Whether any rule has an `Exact` predicate.
-    has_exact: bool,
-    /// Rules with a `Contains` predicate or none, ascending.
-    residual: Vec<u32>,
+/// Reads a slot's record front to back.
+#[derive(Clone, Copy)]
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take(4)?.try_into().ok().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take(8)?.try_into().ok().map(u64::from_le_bytes)
+    }
+
+    /// A string written by [`put_str`].
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = self.u8()?;
+        self.take(len.into())
+    }
 }
 
-impl RouteIndex {
+/// Append `s`, prefixed by its length, unless it is longer than a byte says.
+fn put_str(out: &mut Vec<u8>, s: &str) -> Option<()> {
+    out.push(u8::try_from(s.len()).ok()?);
+    out.extend_from_slice(s.as_bytes());
+    Some(())
+}
+
+/// One slot of the path index, one cache line: the hash and byte length of
+/// an `Exact` / `Prefix` predicate (an `Exact` one salted so it never
+/// answers a prefix probe of the same bytes), the rule's number, and its
+/// record. A plain rule's record is its total weight, its predicate bytes,
+/// its name and its targets (count, then weight and name each), so a probe
+/// lands on all the answer needs; a [`BY_RULE`] record is a position in
+/// `by_rule`.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Slot {
+    hash: u64,
+    len: u32,
+    rule: u32,
+    kind: u8,
+    record: [u8; RECORD_BYTES],
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { hash: 0, len: 0, rule: NO_RULE, kind: 0, record: [0; RECORD_BYTES] };
+
+    /// A plain rule's record, if it fits.
+    fn plain_record(predicate: &str, rule: &RouteRule) -> Option<[u8; RECORD_BYTES]> {
+        let mut out = Vec::with_capacity(RECORD_BYTES);
+        out.extend_from_slice(&rule.total_weight.to_le_bytes());
+        put_str(&mut out, predicate)?;
+        put_str(&mut out, &rule.name)?;
+        out.push(u8::try_from(rule.targets.len()).ok()?);
+        for t in &rule.targets {
+            out.extend_from_slice(&t.weight.to_le_bytes());
+            put_str(&mut out, &t.name)?;
+        }
+        let mut record = [0; RECORD_BYTES];
+        record.get_mut(..out.len())?.copy_from_slice(&out);
+        Some(record)
+    }
+
+    /// A [`BY_RULE`] slot's position in `by_rule`.
+    fn by_rule(&self) -> Option<usize> {
+        Cursor(&self.record).u32().map(|i| i as usize)
+    }
+
+    /// A plain slot's record past its total weight.
+    fn after_total(&self) -> Cursor<'_> {
+        Cursor(self.record.get(8..).unwrap_or_default())
+    }
+
+    /// Whether a plain slot's predicate holds for `path` (query stripped).
+    fn path_matches(&self, path: &[u8]) -> bool {
+        let predicate = self.after_total().bytes().unwrap_or_default();
+        match self.kind & EXACT {
+            0 => path.starts_with(predicate),
+            _ => path == predicate,
+        }
+    }
+
+    /// A plain slot's `(rule name, target name)` for a uniform draw.
+    fn answer(&self, uniform_draw: f64) -> Option<(&str, &str)> {
+        let mut c = Cursor(&self.record);
+        let total = c.u64()?;
+        c.bytes()?;
+        let name = c.bytes()?;
+        let mut left = c.u8()?;
+        let targets = std::iter::from_fn(move || {
+            left = left.checked_sub(1)?;
+            Some((c.u32()?, c.bytes()?))
+        });
+        let target = pick(total, targets, uniform_draw)?;
+        Some((std::str::from_utf8(name).ok()?, std::str::from_utf8(target).ok()?))
+    }
+}
+
+/// The first rule matching a request: the slot that answers it, or the
+/// numbered rule that does.
+enum Hit<'a> {
+    Slot(&'a Slot),
+    Rule(&'a (u32, RouteRule)),
+}
+
+/// An ordered route table; first matching rule wins.
+///
+/// `Exact` and `Prefix` rules live in an open-addressed table of [`Slot`]s,
+/// one probe per distinct prefix length (plus one for `Exact`). Entries of
+/// one key sit in ascending rule order along their probe run (the table is
+/// insert-only and rebuilt in rule order), so the first hit at or past a
+/// lower bound is the lowest. A lookup of a plain prefix rule is two
+/// dependent loads past the request: the table (prefix lengths up to 63
+/// bytes are a bit mask in it, not a list beside it) and the slot, whose
+/// record holds the predicate to confirm the hit with, the rule's name and
+/// its targets. Rules a slot cannot answer alone are kept whole in
+/// `by_rule`: those with a `Contains` predicate or none, which are checked
+/// one by one, and those a slot refers to.
+#[derive(Debug, Clone, Default)]
+pub struct RouteTable {
+    /// Number of rules pushed.
+    len: u32,
+    /// Empty, or a power-of-two number of slots, at most half full.
+    slots: Vec<Slot>,
+    /// Bit `n` set: some `Prefix` predicate is `n` bytes long.
+    short_prefixes: u64,
+    /// Lengths of `Prefix` predicates of 64 bytes or more, ascending.
+    long_prefixes: Vec<u32>,
+    /// Whether any rule has an `Exact` predicate.
+    has_exact: bool,
+    /// Rules no slot answers alone, with their numbers, ascending.
+    by_rule: Vec<(u32, RouteRule)>,
+    /// Positions in `by_rule` of the rules with a `Contains` predicate or
+    /// none, ascending.
+    residual: Vec<u32>,
+    /// Every rule as pushed: what the scan oracle reads.
+    #[cfg(test)]
+    rules: Vec<RouteRule>,
+}
+
+impl RouteTable {
+    /// Empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append a rule (evaluated after all earlier rules).
+    pub fn push(&mut self, rule: RouteRule) {
+        #[cfg(test)]
+        self.rules.push(rule.clone());
+        let number = self.len;
+        self.len += 1;
+        let (predicate, kind) = match &rule.predicate.path {
+            Some(PathPredicate::Exact(p)) => (p.as_str(), EXACT),
+            Some(PathPredicate::Prefix(p)) => (p.as_str(), 0),
+            Some(PathPredicate::Contains(_)) | None => {
+                self.residual.push(self.by_rule.len() as u32);
+                self.by_rule.push((number, rule));
+                return;
+            }
+        };
+        let len = predicate.len() as u32;
+        if kind == EXACT {
+            self.has_exact = true;
+        } else if len < 64 {
+            self.short_prefixes |= 1 << len;
+        } else if let Err(at) = self.long_prefixes.binary_search(&len) {
+            self.long_prefixes.insert(at, len);
+        }
+        let mut hasher = PathHasher::new();
+        hasher.write(predicate.as_bytes());
+        let hash = hasher.finish() ^ if kind == EXACT { EXACT_SALT } else { 0 };
+        let plain = rule.predicate.method.is_none()
+            && rule.predicate.headers.is_empty()
+            && !rule.targets.is_empty();
+        let (kind, record) = match plain.then(|| Slot::plain_record(predicate, &rule)).flatten() {
+            Some(record) => (kind, record),
+            None => {
+                let mut record = [0; RECORD_BYTES];
+                record[..4].copy_from_slice(&(self.by_rule.len() as u32).to_le_bytes());
+                self.by_rule.push((number, rule));
+                (kind | BY_RULE, record)
+            }
+        };
+        let indexed = self.len as usize - self.residual.len();
+        if indexed * 2 > self.slots.len() {
+            let mut old = std::mem::take(&mut self.slots);
+            old.retain(|s| s.rule != NO_RULE);
+            old.sort_unstable_by_key(|s| s.rule);
+            self.slots = vec![Slot::EMPTY; (indexed * 2).next_power_of_two().max(8)];
+            for s in old {
+                self.place(s);
+            }
+        }
+        self.place(Slot { hash, len, rule: number, kind, record });
+    }
+
     fn home(&self, hash: u64) -> usize {
         (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    fn place(&mut self, entry: IndexEntry) {
+    fn place(&mut self, slot: Slot) {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(entry.hash);
+        let mut i = self.home(slot.hash);
         while self.slots[i].rule != NO_RULE {
             i = (i + 1) & mask;
         }
-        self.slots[i] = entry;
+        self.slots[i] = slot;
     }
 
-    /// Index rule number `rule`.
-    fn add(&mut self, rule: u32, predicate: &RoutePredicate) {
-        let (bytes, salt) = match &predicate.path {
-            Some(PathPredicate::Exact(p)) => (p.as_bytes(), EXACT_SALT),
-            Some(PathPredicate::Prefix(p)) => (p.as_bytes(), 0),
-            Some(PathPredicate::Contains(_)) | None => {
-                self.residual.push(rule);
-                return;
-            }
-        };
-        let len = bytes.len() as u32;
-        if salt != 0 {
-            self.has_exact = true;
-        } else if let Err(at) = self.prefix_lens.binary_search(&len) {
-            self.prefix_lens.insert(at, len);
-        }
-        if (self.entries + 1) * 2 > self.slots.len() {
-            let mut old = std::mem::take(&mut self.slots);
-            old.retain(|e| e.rule != NO_RULE);
-            old.sort_unstable_by_key(|e| e.rule);
-            let empty = IndexEntry { hash: 0, len: 0, rule: NO_RULE };
-            self.slots = vec![empty; ((self.entries + 1) * 2).next_power_of_two().max(8)];
-            for e in old {
-                self.place(e);
-            }
-        }
-        let mut hasher = PathHasher::new();
-        hasher.write(bytes);
-        self.place(IndexEntry { hash: hasher.finish() ^ salt, len, rule });
-        self.entries += 1;
-    }
-
-    /// Lowest rule `>= from` indexed under `(hash, len)`.
-    fn probe(&self, hash: u64, len: u32, from: u32) -> Option<u32> {
+    /// The lowest-numbered slot of a rule `>= from` indexed under `(hash,
+    /// len)`.
+    fn probe(&self, hash: u64, len: u32, from: u32) -> Option<&Slot> {
         let mask = self.slots.len() - 1;
         let mut i = self.home(hash);
         loop {
-            let e = self.slots[i];
-            if e.rule == NO_RULE {
+            let s = &self.slots[i];
+            if s.rule == NO_RULE {
                 return None;
             }
-            if e.hash == hash && e.len == len && e.rule >= from {
-                return Some(e.rule);
+            if s.hash == hash && s.len == len && s.rule >= from {
+                return Some(s);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Lowest rule `>= from` whose `Exact` / `Prefix` predicate hashes like
-    /// `path` (query already stripped). A hash hit is a candidate, not a
-    /// match: the caller confirms it against the rule's own string.
-    fn lowest_path_candidate(&self, path: &str, from: u32) -> Option<u32> {
+    /// Prefix lengths to probe, ascending.
+    fn prefix_lens(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut short = self.short_prefixes;
+        let short = std::iter::from_fn(move || {
+            let len = short.trailing_zeros();
+            short &= short.wrapping_sub(1);
+            (len < 64).then_some(len)
+        });
+        short.chain(self.long_prefixes.iter().copied())
+    }
+
+    /// The slot of the lowest rule `>= from` whose `Exact` / `Prefix`
+    /// predicate hashes like the path `bytes` (query already stripped). A
+    /// hash hit is a candidate, not a match: the caller confirms it.
+    fn lowest_path_candidate(&self, bytes: &[u8], from: u32) -> Option<&Slot> {
         if self.slots.is_empty() {
             return None;
         }
-        let bytes = path.as_bytes();
-        let mut best: Option<u32> = None;
-        let mut consider = |hit: Option<u32>| {
-            if let Some(rule) = hit {
-                best = Some(best.map_or(rule, |b| b.min(rule)));
-            }
-        };
+        let mut best: Option<&Slot> = None;
+        let mut consider = |hit| best = [best, hit].into_iter().flatten().min_by_key(|s| s.rule);
         let mut hasher = PathHasher::new();
         let mut hashed = 0usize;
-        for &len in &self.prefix_lens {
+        for len in self.prefix_lens() {
             let Some(more) = bytes.get(hashed..len as usize) else {
                 break; // this prefix and every later one is longer than the path
             };
@@ -374,70 +545,57 @@ impl RouteIndex {
         }
         best
     }
-}
-
-/// An ordered route table; first matching rule wins.
-#[derive(Debug, Clone, Default)]
-pub struct RouteTable {
-    rules: Vec<RouteRule>,
-    index: RouteIndex,
-}
-
-impl RouteTable {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a rule (evaluated after all earlier rules).
-    pub fn push(&mut self, rule: RouteRule) {
-        self.index.add(self.rules.len() as u32, &rule.predicate);
-        self.rules.push(rule);
-    }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// The rules, in evaluation order.
-    pub fn rules(&self) -> &[RouteRule] {
-        &self.rules
+        self.len as usize
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.len == 0
     }
 
-    /// First rule matching the request.
-    pub fn find(&self, req: &Request) -> Option<&RouteRule> {
-        self.find_index(req).map(|i| &self.rules[i])
-    }
-
-    /// Position of the first rule matching the request: the lowest-numbered
-    /// rule the index proposes for the path, unless a rule the index cannot
-    /// key comes before it and matches; a proposal whose full predicate
-    /// (method, headers, cookie, or the path itself after a hash collision)
-    /// fails is skipped and the search resumes past it.
-    fn find_index(&self, req: &Request) -> Option<usize> {
-        let path = strip_query(&req.path);
-        let matches = |rule: u32| self.rules[rule as usize].predicate.matches_stripped(req, path);
-        let mut residual = self.index.residual.iter().copied().peekable();
+    /// The first rule matching the request: the lowest-numbered rule the
+    /// index proposes for the path, unless a rule the index cannot key comes
+    /// before it and matches; a proposal whose predicate (the path itself
+    /// after a hash collision, or the method, headers and cookie its rule
+    /// adds) fails is skipped and the search resumes past it.
+    fn lookup(&self, req: &Request) -> Option<Hit<'_>> {
+        let path = before_query(req.path.as_bytes());
+        // What a rule's own predicate reads; the index needs only bytes.
+        let text = || std::str::from_utf8(path).unwrap_or_default();
+        let mut residual = self.residual.iter().map(|&i| &self.by_rule[i as usize]).peekable();
         let mut from = 0u32;
         loop {
-            let candidate = self.index.lowest_path_candidate(path, from);
-            let end = candidate.unwrap_or(u32::MAX);
-            while let Some(rule) = residual.next_if(|&r| r < end) {
-                if matches(rule) {
-                    return Some(rule as usize);
+            let candidate = self.lowest_path_candidate(path, from);
+            let end = candidate.map_or(u32::MAX, |s| s.rule);
+            while let Some(entry) = residual.next_if(|(number, _)| *number < end) {
+                if entry.1.predicate.matches_stripped(req, text()) {
+                    return Some(Hit::Rule(entry));
                 }
             }
-            let rule = candidate?;
-            if matches(rule) {
-                return Some(rule as usize);
+            let slot = candidate?;
+            if slot.kind & BY_RULE == 0 {
+                if slot.path_matches(path) {
+                    return Some(Hit::Slot(slot));
+                }
+            } else if let Some(entry) = slot.by_rule().and_then(|i| self.by_rule.get(i)) {
+                if entry.1.predicate.matches_stripped(req, text()) {
+                    return Some(Hit::Rule(entry));
+                }
             }
-            from = rule + 1;
+            from = slot.rule + 1;
+        }
+    }
+
+    /// Position of the first rule matching the request: what the index
+    /// tests compare with [`RouteTable::find_index_by_scan`].
+    #[cfg(test)]
+    fn find_index(&self, req: &Request) -> Option<usize> {
+        match self.lookup(req)? {
+            Hit::Slot(s) => Some(s.rule as usize),
+            Hit::Rule((number, _)) => Some(*number as usize),
         }
     }
 
@@ -450,8 +608,10 @@ impl RouteTable {
 
     /// Match and select in one step: `(rule name, target name)`.
     pub fn route(&self, req: &Request, uniform_draw: f64) -> Option<(&str, &str)> {
-        self.find(req)
-            .map(|r| (r.name.as_str(), r.select_target(uniform_draw).name.as_str()))
+        match self.lookup(req)? {
+            Hit::Slot(s) => s.answer(uniform_draw),
+            Hit::Rule((_, r)) => Some((r.name.as_str(), r.select_target(uniform_draw).name.as_str())),
+        }
     }
 }
 
@@ -675,17 +835,48 @@ mod tests {
         assert_eq!(table.route(&Request::get("/apix"), 0.0), None);
     }
 
+    /// A plain rule's slot is one cache line that answers it alone; a rule
+    /// whose record would not fit is answered by its [`RouteRule`].
     #[test]
-    fn index_holds_no_path_copies() {
-        // 16 bytes a slot at most half full, whatever the prefix length.
+    fn plain_rules_are_answered_by_their_slot() {
+        assert_eq!((std::mem::size_of::<Slot>(), std::mem::align_of::<Slot>()), (64, 64));
+        let mut table = RouteTable::new();
+        for i in 0..100 {
+            let targets = vec![WeightedTarget::new("v1", 90), WeightedTarget::new("v2", 10)];
+            table.push(RouteRule::new(&format!("r{i:02}"), RoutePredicate::prefix(&format!("/r{i:02}/")), targets));
+        }
+        assert_eq!((table.slots.len(), table.by_rule.len(), table.short_prefixes), (256, 0, 1 << 5));
+        let req = Request::get("/r42/items?limit=20");
+        assert!(matches!(table.lookup(&req), Some(Hit::Slot(s)) if s.rule == 42));
+        assert_eq!(table.route(&req, 0.5), Some(("r42", "v1")));
+        assert_eq!(table.route(&req, 0.95), Some(("r42", "v2")));
+
         let mut table = RouteTable::new();
         for i in 0..100 {
             let long = format!("/{}/{i}/", "segment".repeat(40));
             table.push(RouteRule::new("r", RoutePredicate::prefix(&long), vec![WeightedTarget::new("v1", 1)]));
         }
-        assert_eq!(std::mem::size_of::<IndexEntry>(), 16);
-        assert_eq!(table.index.slots.len(), 256);
-        assert_eq!(table.index.prefix_lens.len(), 2, "one length per digit count");
+        assert_eq!((table.slots.len(), table.by_rule.len(), table.short_prefixes), (256, 100, 0));
+        assert_eq!(table.long_prefixes.len(), 2, "one length per digit count");
+        let req = Request::get(&format!("/{}/42/x", "segment".repeat(40)));
+        assert!(matches!(table.lookup(&req), Some(Hit::Rule((42, _)))));
+    }
+
+    /// A short prefix of every length from 0 to 63 bytes is a bit of the
+    /// table's mask; each is probed, shortest first.
+    #[test]
+    fn short_prefix_lengths_are_a_mask() {
+        let mut table = RouteTable::new();
+        for len in (0..64).rev() {
+            let prefix = format!("/{}", "a".repeat(len)).chars().take(len).collect::<String>();
+            table.push(RouteRule::new(&format!("p{len}"), RoutePredicate::prefix(&prefix), vec![WeightedTarget::new("v", 1)]));
+        }
+        assert_eq!(table.short_prefixes, u64::MAX);
+        assert!(table.prefix_lens().eq(0..64));
+        // Rule 0 is the 63-byte prefix: the longest path matches it first.
+        let path = format!("/{}", "a".repeat(70));
+        assert_eq!(table.route(&Request::get(&path), 0.0), Some(("p63", "v")));
+        assert_eq!(table.route(&Request::get("/aa"), 0.0), Some(("p3", "v")));
     }
 
     #[test]

@@ -80,16 +80,25 @@ const LOCAL_TENANT: TenantId = TenantId(0);
 #[derive(Debug, Clone)]
 pub struct AuthzPolicy {
     rules: Vec<AuthzRule>,
+    /// The rules and the default compiled together: a check's verdict comes
+    /// out of the tables, never out of `rules`.
     compiled: CompiledTenant,
     /// Verdict when no rule matches. Zero-trust default is deny.
-    pub default_action: AuthzAction,
+    default_action: AuthzAction,
+}
+
+fn verdict(action: AuthzAction) -> PolicyVerdict {
+    match action {
+        AuthzAction::Allow => PolicyVerdict::Allow,
+        AuthzAction::Deny => PolicyVerdict::Deny,
+    }
 }
 
 impl AuthzPolicy {
     fn empty(default_action: AuthzAction) -> Self {
         AuthzPolicy {
             rules: Vec::new(),
-            compiled: CompiledTenant::empty(PolicyVerdict::Deny),
+            compiled: CompiledTenant::empty(verdict(default_action)),
             default_action,
         }
     }
@@ -115,7 +124,7 @@ impl AuthzPolicy {
             tenant: LOCAL_TENANT,
             vpc: VpcId(0),
             rules: self.rules.iter().map(AuthzRule::to_policy_rule).collect(),
-            default_action: PolicyVerdict::Deny,
+            default_action: verdict(self.default_action),
         };
         match CompiledTenant::compile(&tp) {
             Ok(c) => self.compiled = c,
@@ -138,7 +147,8 @@ impl AuthzPolicy {
 
     /// Evaluate a request from a *verified* source identity (the mTLS layer
     /// established it; see `canal_crypto::mtls`) through the compiled
-    /// tables: one bitmask intersection, first set bit wins.
+    /// tables: one bitmask intersection, first set bit wins, and the
+    /// verdict is the tables' own.
     pub fn check(&self, source_identity: u64, req: &Request) -> AuthzAction {
         let l4 = L4Ctx {
             tenant: LOCAL_TENANT,
@@ -148,12 +158,9 @@ impl AuthzPolicy {
             identity: source_identity,
         };
         let l7 = L7Ctx::new(req.method.as_str(), req.path_only());
-        match self.compiled.l7_match(&l4, &l7) {
-            Some(i) => match self.rules.get(i) {
-                Some(r) => r.action,
-                None => self.default_action,
-            },
-            None => self.default_action,
+        match self.compiled.l7_verdict(&l4, &l7) {
+            PolicyVerdict::Allow => AuthzAction::Allow,
+            PolicyVerdict::Deny => AuthzAction::Deny,
         }
     }
 }

@@ -146,14 +146,16 @@ fn fold_mask(bits: usize, words: &[u64], d: &mut Digest) {
 }
 
 /// Disjoint-interval segment table: rule ranges cut into non-overlapping
-/// segments at compile time, looked up with one binary search.
+/// segments at compile time, looked up with one binary search. A segment is
+/// one row: its start key, then its candidate mask, so the rows the search
+/// reads are the ones that hold the answer, in one allocation.
 #[derive(Debug, Clone)]
 struct IntervalTable {
-    /// Segment start keys, ascending; `bounds[0] == 0` always.
-    bounds: Vec<u64>,
-    /// Candidate rules per segment: one mask of `bits` rules after another,
-    /// in `bounds` order, in one allocation.
-    segs: Vec<u64>,
+    /// One row of `1 + words` per segment: its start key (ascending, the
+    /// first 0), then one mask of `bits` rules.
+    rows: Vec<u64>,
+    /// Number of rows.
+    segments: usize,
     /// Rule count (the width of each segment's mask, in bits).
     bits: usize,
     /// No rule constrains this dimension: every lookup would return the
@@ -180,10 +182,11 @@ impl IntervalTable {
         for &(rule, ..) in ranges {
             ranged.set(rule);
         }
-        let words = n.div_ceil(64);
-        let mut segs = Vec::with_capacity(bounds.len() * words);
-        for _ in 0..bounds.len() {
-            segs.extend((0..words).map(|w| every_rule(n, w) & !ranged.word(w)));
+        let row = 1 + n.div_ceil(64);
+        let mut rows = Vec::with_capacity(bounds.len() * row);
+        for &start in &bounds {
+            rows.push(start);
+            rows.extend((0..row - 1).map(|w| every_rule(n, w) & !ranged.word(w)));
         }
         for &(rule, lo, hi) in ranges {
             // An inverted range matches nothing; a rule past `n` is ignored
@@ -193,17 +196,27 @@ impl IntervalTable {
             }
             let mut s = bounds.partition_point(|b| *b <= lo).saturating_sub(1);
             while s < bounds.len() && bounds[s] <= hi {
-                segs[s * words + rule / 64] |= 1u64 << (rule % 64);
+                rows[s * row + 1 + rule / 64] |= 1u64 << (rule % 64);
                 s += 1;
             }
         }
-        IntervalTable { bounds, segs, bits: n, unconstrained: ranges.is_empty() }
+        IntervalTable { rows, segments: bounds.len(), bits: n, unconstrained: ranges.is_empty() }
+    }
+
+    /// Words per row.
+    fn row(&self) -> usize {
+        1 + self.bits.div_ceil(64)
+    }
+
+    /// Where segment `s` starts.
+    fn start(&self, s: usize) -> u64 {
+        self.rows[s * self.row()]
     }
 
     /// The mask words of segment `s`.
     fn segment(&self, s: usize) -> &[u64] {
-        let words = self.bits.div_ceil(64);
-        &self.segs[s * words..(s + 1) * words]
+        let row = self.row();
+        &self.rows[s * row + 1..(s + 1) * row]
     }
 
     /// The candidate mask for one key: binary search over segment starts.
@@ -213,20 +226,29 @@ impl IntervalTable {
         if self.unconstrained {
             return None;
         }
-        Some(self.segment(self.bounds.partition_point(|b| *b <= key).saturating_sub(1)))
+        // The last segment that starts at or before `key` is in
+        // `base..base + size`; the first one starts at 0.
+        let (mut base, mut size) = (0, self.segments);
+        while size > 1 {
+            let half = size / 2;
+            let mid = base + half;
+            base = if self.start(mid) <= key { mid } else { base };
+            size -= half;
+        }
+        Some(self.segment(base))
     }
 
     /// Comparisons one lookup costs: `ceil(log2(segments))`.
     fn search_ops(&self) -> u64 {
-        u64::from((self.bounds.len().max(1) as u64).ilog2()) + 1
+        u64::from((self.segments.max(1) as u64).ilog2()) + 1
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.bounds.len() as u64);
-        for &b in &self.bounds {
-            d.write_u64(b);
+        d.write_u64(self.segments as u64);
+        for s in 0..self.segments {
+            d.write_u64(self.start(s));
         }
-        for s in 0..self.bounds.len() {
+        for s in 0..self.segments {
             fold_mask(self.bits, self.segment(s), d);
         }
     }
@@ -467,6 +489,9 @@ pub struct CompiledTenant {
     n: usize,
     /// Per-rule verdicts, indexed by rule position.
     actions: Vec<PolicyVerdict>,
+    /// Bit `i` set: rule `i < 64` allows. `actions` held in the table's own
+    /// bytes for the first 64 rules, so that their verdict costs no load.
+    first_allows: u64,
     /// Rules carrying L7 predicates (undecidable on the node L4 path).
     l7_rules: RuleSet,
     src: IntervalTable,
@@ -476,6 +501,10 @@ pub struct CompiledTenant {
     path: PathTrie,
     sni: SniTable,
     headers: Vec<HeaderSlot>,
+    /// How many of `headers` some rule has a predicate in. The slots past
+    /// them admit every rule, so a lookup stops there without reading the
+    /// slot list at all when no rule has a header predicate.
+    constrained_header_slots: usize,
     default_action: PolicyVerdict,
 }
 
@@ -486,6 +515,7 @@ impl CompiledTenant {
         CompiledTenant {
             n: 0,
             actions: Vec::new(),
+            first_allows: 0,
             l7_rules: RuleSet::empty(0),
             src: IntervalTable::build(0, &[]),
             ports: IntervalTable::build(0, &[]),
@@ -498,6 +528,7 @@ impl CompiledTenant {
                 suffix: BTreeMap::new(),
             },
             headers: Vec::new(),
+            constrained_header_slots: 0,
             default_action,
         }
     }
@@ -594,6 +625,8 @@ impl CompiledTenant {
 
         Ok(CompiledTenant {
             n,
+            first_allows: (actions.iter().take(64).enumerate())
+                .fold(0, |bits, (i, &a)| bits | (u64::from(a == PolicyVerdict::Allow) << i)),
             actions,
             l7_rules,
             src: IntervalTable::build(n, &src_ranges),
@@ -610,6 +643,7 @@ impl CompiledTenant {
                     exact: s.exact.into_iter().collect(),
                 })
                 .collect(),
+            constrained_header_slots: tp.rules.iter().map(|r| r.headers.len()).max().unwrap_or(0),
             default_action: tp.default_action,
         })
     }
@@ -636,7 +670,7 @@ impl CompiledTenant {
                 if word != 0 {
                     word &= self.sni.word(ctx.sni, w);
                 }
-                for slot in &self.headers {
+                for slot in &self.headers[..self.constrained_header_slots] {
                     if word == 0 {
                         break;
                     }
@@ -660,10 +694,19 @@ impl CompiledTenant {
                 PolicyVerdict::Deny => L4Verdict::Deny,
             },
             Some(i) if self.l7_rules.contains(i) => L4Verdict::NeedsL7,
-            Some(i) => match self.actions[i] {
+            Some(i) => match self.action(i) {
                 PolicyVerdict::Allow => L4Verdict::Allow,
                 PolicyVerdict::Deny => L4Verdict::Deny,
             },
+        }
+    }
+
+    /// Rule `i`'s verdict.
+    fn action(&self, i: usize) -> PolicyVerdict {
+        match i {
+            0..64 if self.first_allows >> i & 1 == 1 => PolicyVerdict::Allow,
+            0..64 => PolicyVerdict::Deny,
+            _ => self.actions[i],
         }
     }
 
@@ -675,7 +718,7 @@ impl CompiledTenant {
     /// The gateway L7 path's verdict.
     pub fn l7_verdict(&self, l4: &L4Ctx, l7: &L7Ctx<'_>) -> PolicyVerdict {
         match self.l7_match(l4, l7) {
-            Some(i) => self.actions[i],
+            Some(i) => self.action(i),
             None => self.default_action,
         }
     }
