@@ -3,7 +3,8 @@
 //! A minimal but real HTTP/1.1 implementation for the Canal Mesh L7 layer:
 //!
 //! * [`message`] — requests, responses, a case-insensitive header map, and
-//!   byte serializers.
+//!   byte serializers; a parsed message's target, headers and body are spans
+//!   of one copy of its bytes.
 //! * [`parser`] — an incremental push parser (feed bytes as they arrive on a
 //!   simulated connection; get a message out when it completes) for both
 //!   requests and responses.

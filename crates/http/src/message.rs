@@ -1,5 +1,12 @@
 //! HTTP/1.1 messages: methods, status codes, headers, request/response
 //! structs and their byte serializers.
+//!
+//! There is one representation of a message, whether it was parsed or
+//! built: the method or status is a field, and the target, the header
+//! section and the body are [`Bytes`] spans. The parser hands out spans of
+//! the one copy it made of the message; the builders write spans of their
+//! own, and [`Request::encode`] / [`Response::encode`] read either the same
+//! way. Header lookups walk the header section in place.
 
 use crate::parser::crlf_lines;
 use bytes::{BufMut, Bytes, BytesMut};

@@ -11,7 +11,15 @@
 //! list: `Exact` and `Prefix` path predicates are found through a flat
 //! hashed index (one probe per distinct prefix length), and only the rules
 //! the index cannot key (`Contains`, no path predicate) are checked one by
-//! one. The index holds hashes and rule numbers, never a copy of a path.
+//! one.
+//!
+//! The index is laid out for a gateway that holds a table per service and
+//! meets each one cold: a lookup's chain of dependent loads is the table
+//! itself, then one slot. A slot is a cache line holding the predicate's
+//! hash and the rule's record (predicate bytes, name, targets and weights),
+//! so the slot that a probe lands on confirms the match and answers it. A
+//! rule whose answer needs more (method, header or cookie predicates) is
+//! kept whole beside the slots and answered from there.
 
 use crate::message::{before_query, Request};
 
