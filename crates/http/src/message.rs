@@ -124,7 +124,7 @@ impl fmt::Display for StatusCode {
 /// UTF-8 text held as a span of a message buffer: a request's target, a
 /// message's header section. Only ever built from text known to be UTF-8
 /// (a `&str`, or bytes the parser has checked), so it reads as a `str`.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Utf8Bytes(Bytes);
 
 impl Utf8Bytes {
@@ -163,12 +163,6 @@ impl fmt::Debug for Utf8Bytes {
 impl fmt::Display for Utf8Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self)
-    }
-}
-
-impl PartialEq<str> for Utf8Bytes {
-    fn eq(&self, other: &str) -> bool {
-        **self == *other
     }
 }
 
