@@ -15,7 +15,6 @@
 pub mod cli;
 pub mod experiments;
 pub mod harness;
-pub mod microbench;
 pub mod scenario;
 
 pub use harness::{Check, ExperimentReport};

@@ -954,8 +954,8 @@ mod tests {
             Some(("canal_bench".to_string(), TargetKind::Bin))
         );
         assert_eq!(
-            c("crates/bench/benches/codecs.rs"),
-            Some(("canal_bench".to_string(), TargetKind::Bench))
+            c("crates/http/benches/parse.rs"),
+            Some(("canal_http".to_string(), TargetKind::Bench))
         );
         assert_eq!(
             c("tests/determinism.rs"),

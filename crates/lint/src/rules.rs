@@ -203,7 +203,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         summary: "no Instant::now/SystemTime::now in simulation-facing code",
         rationale: "Wall-clock reads make a seeded run irreproducible: the same seed must \
                     yield the same event timeline, so all time flows from canal_sim::SimTime \
-                    virtual time. Only canal-bench's microbenchmarks measure the real clock.",
+                    virtual time. Real time is measured by the benchmark package outside the \
+                    workspace (benchmark/, not linted) and by #[ignore]d ratio tests that carry \
+                    a suppression.",
         suppression: SUPPRESS_PLAIN,
     },
     RuleDoc {

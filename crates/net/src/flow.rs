@@ -130,18 +130,6 @@ impl SessionTable {
         Ok(())
     }
 
-    /// Refresh a session's idle timer on traffic. Returns false if no such
-    /// session exists (caller should treat the packet as a stray).
-    pub fn touch(&mut self, key: &SessionKey, now: SimTime) -> bool {
-        match self.entries.get_mut(FlowHash::of(key).value(), key) {
-            Some(e) => {
-                e.last_seen = now;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Explicitly close a session. Returns session age if it existed.
     pub fn close(&mut self, key: &SessionKey, now: SimTime) -> Option<SimDuration> {
         self.entries
@@ -213,21 +201,11 @@ mod tests {
         assert_eq!(expired, 2);
     }
 
-    #[test]
-    fn touch_keeps_sessions_alive() {
-        let mut t = SessionTable::new(2, SimDuration::from_secs(10));
-        t.establish(key(1), T(0)).unwrap();
-        assert!(t.touch(&key(1), T(8)));
-        assert_eq!(t.expire_idle(T(12)), 0); // refreshed at t=8
-        assert_eq!(t.expire_idle(T(19)), 1); // 11s idle now
-        assert!(!t.touch(&key(1), T(20)));
-    }
-
     /// Seeded differential test against the `BTreeMap` implementation this
-    /// table replaced: random establish / touch / close / `expire_idle`
-    /// sequences over a small key space and a small budget, so the table
-    /// is full most of the time, keys are deleted and re-inserted, and the
-    /// slot array doubles and shrinks.
+    /// table replaced: random establish / `touch_or_establish` / close /
+    /// `expire_idle` sequences over a small key space and a small budget, so
+    /// the table is full most of the time, keys are deleted and re-inserted,
+    /// and the slot array doubles and shrinks.
     #[test]
     fn matches_the_btreemap_model_under_random_operations() {
         use canal_sim::SimRng;
@@ -279,13 +257,9 @@ mod tests {
                 let k = key(rng.index(space) as u16);
                 match rng.index(8) {
                     0..=2 => assert_eq!(table.establish(k, now), model.establish(k, now)),
-                    3 => {
+                    3..=4 => {
                         let h = FlowHash::of(&k);
                         assert_eq!(table.touch_or_establish(h, k, now), model.establish(k, now));
-                    }
-                    4 => {
-                        let hit = model.entries.get_mut(&k).map(|e| e.0 = now).is_some();
-                        assert_eq!(table.touch(&k, now), hit);
                     }
                     5 => {
                         let age = model.entries.remove(&k).map(|e| now.since(e.1));
