@@ -30,7 +30,6 @@ pub fn fig16(seed: u64) -> ExperimentReport {
     let cfg = GatewayConfig {
         cpu_per_request: SimDuration::from_millis(8),
         sessions_per_replica: 2_000_000,
-        alert_threshold: 0.70,
         backends_per_az: 6,
         ..GatewayConfig::default()
     };

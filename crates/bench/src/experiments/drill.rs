@@ -92,6 +92,11 @@ const DRAIN_GRACE_S: f64 = 20.0;
 /// Fraction of the gray blast the ambient arm's node-tunnel reuse absorbs.
 const AMBIENT_SHIELD: f64 = 0.3;
 
+/// Request demand (requests/s across the region).
+const REQ_PER_S: f64 = 600.0;
+/// New-session rate (opens/s across the region).
+const OPENS_PER_S: f64 = 40.0;
+
 /// Disaster-drill run parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DrillParams {
@@ -99,21 +104,17 @@ pub struct DrillParams {
     pub time_scale: f64,
     /// Gateways in the region.
     pub fleet: usize,
-    /// Request demand (requests/s across the region).
-    pub req_per_s: f64,
-    /// New-session rate (opens/s across the region).
-    pub opens_per_s: f64,
 }
 
 impl DrillParams {
     /// The full run: 90 s timeline at real scale.
     pub fn full() -> Self {
-        DrillParams { time_scale: 1.0, fleet: 6, req_per_s: 600.0, opens_per_s: 40.0 }
+        DrillParams { time_scale: 1.0, fleet: 6 }
     }
 
     /// CI smoke mode: 4× compressed.
     pub fn fast() -> Self {
-        DrillParams { time_scale: 0.25, fleet: 6, req_per_s: 600.0, opens_per_s: 40.0 }
+        DrillParams { time_scale: 0.25, fleet: 6 }
     }
 
     /// The scaled clock: the scripted timeline in 100 ms ticks.
@@ -126,7 +127,6 @@ impl DrillParams {
         GrayPolicy {
             window: SimDuration::from_secs(1).scale(self.time_scale),
             cooloff: SimDuration::from_secs(10).scale(self.time_scale),
-            ..GrayPolicy::default()
         }
     }
 
@@ -442,7 +442,7 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
             .filter(|&g| drain.phase(g) == Some(DrainPhase::Drained))
             .map(|g| g as u32)
             .collect();
-        let n_requests = req_carry.take(params.req_per_s * tick_s);
+        let n_requests = req_carry.take(REQ_PER_S * tick_s);
         for _ in 0..n_requests {
             let zone = rng.index(params.fleet) as u32;
             let mut g = rng.index(params.fleet) as u32;
@@ -514,7 +514,7 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         }
 
         // 10. Session plane: opens, per-session packets, natural closes.
-        for _ in 0..open_carry.take(params.opens_per_s * tick_s) {
+        for _ in 0..open_carry.take(OPENS_PER_S * tick_s) {
             let tuple = session_tuple(next_port);
             next_port = next_port.wrapping_add(1);
             if drain.open(tuple).is_ok() {
@@ -645,7 +645,7 @@ fn session_tuple(sport: u16) -> FiveTuple {
 /// versions after the heal.
 fn analytic_arms(params: &DrillParams, canal: &CanalDrillRun) -> Vec<DrillArm> {
     let gray_window_s = (HEAL_S - GRAY_ONSET_S) * params.time_scale;
-    let gray_share = params.req_per_s / params.fleet as f64;
+    let gray_share = REQ_PER_S / params.fleet as f64;
     let undetected_errors = (gray_share * gray_window_s * 0.6) as u64;
     vec![
         DrillArm {

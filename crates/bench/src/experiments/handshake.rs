@@ -99,6 +99,11 @@ const AMBIENT_TUNNEL_REUSE: f64 = 0.3;
 /// Sampled tenant-2 session tickets used to prove the revocation sweep.
 const TICKET_SAMPLE: u64 = 64;
 
+/// Non-rotating tenants.
+const OTHER_TENANTS: u64 = 5;
+/// Steady reconnect churn across all tenants (connections/s).
+const CHURN_PER_S: f64 = 200.0;
+
 /// Handshake-storm run parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct HandshakeParams {
@@ -108,15 +113,11 @@ pub struct HandshakeParams {
     pub fleet: usize,
     /// Workload certs under the rotating tenant (the storm size).
     pub rotating_workloads: u64,
-    /// Non-rotating tenants.
-    pub other_tenants: u64,
     /// Workloads per non-rotating tenant.
     pub workloads_per_other: u64,
     /// Key-server asymmetric capacity (ops/s); the batch accelerator's
     /// 8-wide × 1 ms batches cap out at 8 k/s, so stay under that.
     pub ks_capacity_per_s: f64,
-    /// Steady reconnect churn across all tenants (connections/s).
-    pub churn_per_s: f64,
 }
 
 impl HandshakeParams {
@@ -126,10 +127,8 @@ impl HandshakeParams {
             time_scale: 1.0,
             fleet: 12,
             rotating_workloads: 100_000,
-            other_tenants: 5,
             workloads_per_other: 2_000,
             ks_capacity_per_s: 7_500.0,
-            churn_per_s: 200.0,
         }
     }
 
@@ -139,10 +138,8 @@ impl HandshakeParams {
             time_scale: 0.25,
             fleet: 8,
             rotating_workloads: 10_000,
-            other_tenants: 5,
             workloads_per_other: 500,
             ks_capacity_per_s: 3_500.0,
-            churn_per_s: 200.0,
         }
     }
 
@@ -152,7 +149,7 @@ impl HandshakeParams {
     }
 
     fn total_workloads(&self) -> u64 {
-        self.rotating_workloads + self.other_tenants * self.workloads_per_other
+        self.rotating_workloads + OTHER_TENANTS * self.workloads_per_other
     }
 
     fn rotation_cfg(&self) -> RotationConfig {
@@ -411,7 +408,7 @@ pub fn run_canal(
     // Tenant 0 rotates at 10 s (expiry 30 s − 20 s lead); tenant 1 becomes
     // due inside the skew window; tenant 2 waits for the compromise; the
     // rest never rotate inside the horizon.
-    let tenant_ids: Vec<u64> = (0..=params.other_tenants).collect();
+    let tenant_ids: Vec<u64> = (0..=OTHER_TENANTS).collect();
     ctl.register_tenant(ROTATING_TENANT, 1, clock.at(30.0));
     ctl.register_tenant(SKEWED_TENANT, 1, clock.at(72.0));
     ctl.register_tenant(COMPROMISED_TENANT, 1, clock.at(400.0));
@@ -659,7 +656,7 @@ pub fn run_canal(
 
         // 6. Handshake demand for this tick.
         let mut demand = TickDemand::default();
-        let churn = params.churn_per_s * tick_s;
+        let churn = CHURN_PER_S * tick_s;
         demand.resumed = churn_resumed_carry.take(churn * RESUME_FRACTION);
         demand.other_full = churn_full_carry.take(churn * (1.0 - RESUME_FRACTION));
         if storm_pool > 0 {

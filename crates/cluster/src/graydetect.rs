@@ -13,11 +13,11 @@
 //!   dependency) does not read as one gateway's gray failure.
 //!
 //! Verdicts move `Healthy → Suspect → Quarantined` only after
-//! `quarantine_after` *consecutive* bad windows (flap damping), a quarantine
-//! must dwell through a cooloff before canary re-admission
-//! ([`GrayDetector::allow_canary`]), and clearing needs `clear_after`
+//! `QUARANTINE_AFTER` *consecutive* bad windows (flap damping), a
+//! quarantine must dwell through a cooloff before canary re-admission
+//! ([`GrayDetector::allow_canary`]), and clearing needs `CLEAR_AFTER`
 //! consecutive clean canary windows. A safety valve refuses to quarantine
-//! more than `max_quarantined_fraction` of the fleet: if "everyone looks
+//! more than `MAX_QUARANTINED_FRACTION` of the fleet: if "everyone looks
 //! gray", the baseline is broken, not the peers.
 //!
 //! All retained state is bounded: the per-window latency ring holds at most
@@ -56,48 +56,34 @@ impl GrayVerdict {
     }
 }
 
-/// Tuning for the differential detector.
+/// EWMA weight of the newest window's error rate.
+const EWMA_ALPHA: f64 = 0.5;
+/// Minimum real requests in a window before passive evidence counts (tiny
+/// samples are noise, not signal).
+const MIN_REQUESTS: u64 = 5;
+/// Absolute EWMA error-rate floor below which a target is never bad.
+const ABS_ERROR_THRESHOLD: f64 = 0.2;
+/// EWMA error rate must also exceed the peer median by this margin.
+const PEER_ERROR_MARGIN: f64 = 0.1;
+/// Window p90 latency must exceed the peer median p90 by this factor to
+/// count as latency evidence.
+const PEER_LATENCY_FACTOR: f64 = 3.0;
+/// Consecutive bad windows before `Suspect` hardens to `Quarantined`.
+const QUARANTINE_AFTER: u32 = 3;
+/// Consecutive clean canary windows before a quarantine clears.
+const CLEAR_AFTER: u32 = 3;
+/// Refuse to quarantine above this fraction of registered targets.
+const MAX_QUARANTINED_FRACTION: f64 = 0.34;
+
+/// The detector's clock: how long a window is and how long a quarantine
+/// dwells. Both scale with a scenario's time compression; every threshold
+/// is a constant of this module.
 #[derive(Debug, Clone, Copy)]
 pub struct GrayPolicy {
     /// Evidence-window length (passive counters roll on this period).
     pub window: SimDuration,
-    /// EWMA weight of the newest window's error rate.
-    pub ewma_alpha: f64,
-    /// Minimum real requests in a window before passive evidence counts
-    /// (tiny samples are noise, not signal).
-    pub min_requests: u64,
-    /// Absolute EWMA error-rate floor below which a target is never bad.
-    pub abs_error_threshold: f64,
-    /// EWMA error rate must also exceed the peer median by this margin.
-    pub peer_error_margin: f64,
-    /// Window p90 latency must exceed the peer median p90 by this factor to
-    /// count as latency evidence.
-    pub peer_latency_factor: f64,
-    /// Consecutive bad windows before `Suspect` hardens to `Quarantined`.
-    pub quarantine_after: u32,
-    /// Consecutive clean canary windows before a quarantine clears.
-    pub clear_after: u32,
     /// Minimum dwell in `Quarantined` before canary re-admission starts.
     pub cooloff: SimDuration,
-    /// Refuse to quarantine above this fraction of registered targets.
-    pub max_quarantined_fraction: f64,
-}
-
-impl Default for GrayPolicy {
-    fn default() -> Self {
-        GrayPolicy {
-            window: SimDuration::from_secs(1),
-            ewma_alpha: 0.5,
-            min_requests: 5,
-            abs_error_threshold: 0.2,
-            peer_error_margin: 0.1,
-            peer_latency_factor: 3.0,
-            quarantine_after: 3,
-            clear_after: 3,
-            cooloff: SimDuration::from_secs(10),
-            max_quarantined_fraction: 0.34,
-        }
-    }
 }
 
 /// Per-target passive evidence; window counters reset on every roll.
@@ -225,7 +211,6 @@ impl<K: Ord + Clone> GrayDetector<K> {
     /// that *changed*, in key order.
     pub fn roll_window(&mut self, now: SimTime) -> Vec<(K, GrayVerdict)> {
         self.last_roll = Some(now);
-        let p = self.policy;
 
         // Peer baseline: the median EWMA error and median window p90 over
         // non-quarantined targets that saw traffic. Median (not mean) so a
@@ -234,8 +219,8 @@ impl<K: Ord + Clone> GrayDetector<K> {
         let mut peer_p90s: Vec<SimDuration> = Vec::new();
         for ev in self.targets.values() {
             if ev.verdict != GrayVerdict::Quarantined && ev.win_requests > 0 {
-                let a = p.ewma_alpha;
-                peer_errs.push(a * ev.win_error_rate() + (1.0 - a) * ev.ewma_error);
+                peer_errs
+                    .push(EWMA_ALPHA * ev.win_error_rate() + (1.0 - EWMA_ALPHA) * ev.ewma_error);
                 if let Some(q) = ev.win_p90() {
                     peer_p90s.push(q);
                 }
@@ -247,7 +232,7 @@ impl<K: Ord + Clone> GrayDetector<K> {
         let peer_p90_median = peer_p90s.get(peer_p90s.len() / 2).copied();
 
         let quarantine_cap =
-            ((self.targets.len() as f64) * p.max_quarantined_fraction).floor() as usize;
+            ((self.targets.len() as f64) * MAX_QUARANTINED_FRACTION).floor() as usize;
         let mut quarantined_now = self
             .targets
             .values()
@@ -257,7 +242,7 @@ impl<K: Ord + Clone> GrayDetector<K> {
         let mut changed = Vec::new();
         for (key, ev) in &mut self.targets {
             let probe_bad = self.probes.state(key) == Some(HealthState::Unhealthy);
-            let enough = ev.win_requests >= p.min_requests;
+            let enough = ev.win_requests >= MIN_REQUESTS;
             let win_rate = ev.win_error_rate();
 
             match ev.verdict {
@@ -265,23 +250,22 @@ impl<K: Ord + Clone> GrayDetector<K> {
                     // Fold the window into the EWMA only when it carried
                     // traffic; an idle window is no evidence either way.
                     if ev.win_requests > 0 {
-                        ev.ewma_error =
-                            p.ewma_alpha * win_rate + (1.0 - p.ewma_alpha) * ev.ewma_error;
+                        ev.ewma_error = EWMA_ALPHA * win_rate + (1.0 - EWMA_ALPHA) * ev.ewma_error;
                     }
                     let error_bad = enough
-                        && ev.ewma_error > p.abs_error_threshold
-                        && ev.ewma_error >= peer_err_median + p.peer_error_margin;
+                        && ev.ewma_error > ABS_ERROR_THRESHOLD
+                        && ev.ewma_error >= peer_err_median + PEER_ERROR_MARGIN;
                     let lat_bad = enough
                         && match (ev.win_p90(), peer_p90_median) {
                             (Some(mine), Some(peers)) if peers > SimDuration::ZERO => {
-                                mine.as_secs_f64() > peers.as_secs_f64() * p.peer_latency_factor
+                                mine.as_secs_f64() > peers.as_secs_f64() * PEER_LATENCY_FACTOR
                             }
                             _ => false,
                         };
                     if probe_bad || error_bad || lat_bad {
                         ev.bad_windows += 1;
                         ev.good_windows = 0;
-                        if ev.bad_windows >= p.quarantine_after {
+                        if ev.bad_windows >= QUARANTINE_AFTER {
                             if quarantined_now < quarantine_cap.max(1) {
                                 ev.verdict = GrayVerdict::Quarantined;
                                 ev.quarantined_at = Some(now);
@@ -316,13 +300,13 @@ impl<K: Ord + Clone> GrayDetector<K> {
                     // tail, so it restarts from the canary windows).
                     let past_cooloff = ev
                         .quarantined_at
-                        .is_none_or(|at| now.since(at) >= p.cooloff);
+                        .is_none_or(|at| now.since(at) >= self.policy.cooloff);
                     let clean = ev.win_requests > 0
-                        && win_rate <= p.abs_error_threshold / 2.0
+                        && win_rate <= ABS_ERROR_THRESHOLD / 2.0
                         && !probe_bad;
                     if past_cooloff && clean {
                         ev.good_windows += 1;
-                        if ev.good_windows >= p.clear_after {
+                        if ev.good_windows >= CLEAR_AFTER {
                             ev.verdict = GrayVerdict::Healthy;
                             ev.bad_windows = 0;
                             ev.good_windows = 0;
@@ -416,7 +400,11 @@ mod tests {
     const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
 
     fn detector() -> GrayDetector<u32> {
-        let mut d = GrayDetector::new(GrayPolicy::default(), ProbePolicy::default());
+        let policy = GrayPolicy {
+            window: SimDuration::from_secs(1),
+            cooloff: SimDuration::from_secs(10),
+        };
+        let mut d = GrayDetector::new(policy, ProbePolicy::default());
         for g in 0..6u32 {
             d.add_target(g);
         }
@@ -503,7 +491,7 @@ mod tests {
     fn sub_threshold_windows_never_quarantine() {
         let mut d = detector();
         // Alternate one bad window / one clean window: consecutive-bad never
-        // reaches quarantine_after.
+        // reaches QUARANTINE_AFTER.
         for w in 1..=20u64 {
             let bad = w % 2 == 0;
             for g in 0..6u32 {

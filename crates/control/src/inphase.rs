@@ -63,127 +63,108 @@ pub struct MigrationPlan {
     pub moves: Vec<(GlobalServiceId, BackendId)>,
 }
 
-/// The §6.3 planner.
-#[derive(Debug, Clone, Copy)]
-pub struct InPhasePlanner {
-    /// Pearson correlation above which two services count as in-phase.
-    pub phase_threshold: f64,
-    /// HWHM sampling points (paper: 10).
-    pub hwhm_samples: usize,
-    /// Candidate short-list size before the `G'` comparison (paper: 5).
-    pub shortlist: usize,
+/// Pearson correlation above which two services count as in-phase.
+const PHASE_THRESHOLD: f64 = 0.8;
+/// HWHM sampling points (paper: 10).
+const HWHM_SAMPLES: usize = 10;
+/// Candidate short-list size before the `G'` comparison (paper: 5).
+const SHORTLIST: usize = 5;
+
+/// Pairs of in-phase services (correlation ≥ threshold) on one backend.
+pub fn detect_in_phase(
+    services: &[ServiceProfile],
+) -> Vec<(GlobalServiceId, GlobalServiceId, f64)> {
+    let mut out = Vec::new();
+    for i in 0..services.len() {
+        for j in (i + 1)..services.len() {
+            let a = &services[i];
+            let b = &services[j];
+            if a.series.len() != b.series.len() || a.series.len() < 4 {
+                continue;
+            }
+            let r = pearson(&a.series, &b.series);
+            if r >= PHASE_THRESHOLD {
+                out.push((a.service, b.service, r));
+            }
+        }
+    }
+    out
 }
 
-impl Default for InPhasePlanner {
-    fn default() -> Self {
-        InPhasePlanner {
-            phase_threshold: 0.8,
-            hwhm_samples: 10,
-            shortlist: 5,
-        }
-    }
+/// Order in-phase services by migration priority: resource-weighted RPS
+/// descending (principle i), long-session count ascending as the
+/// tiebreak (principle ii).
+fn migration_order<'a>(group: &[&'a ServiceProfile]) -> Vec<&'a ServiceProfile> {
+    let mut sorted: Vec<&ServiceProfile> = group.to_vec();
+    sorted.sort_by(|a, b| {
+        b.weighted_rps()
+            .total_cmp(&a.weighted_rps())
+            .then(a.long_sessions.cmp(&b.long_sessions))
+    });
+    sorted
 }
 
-impl InPhasePlanner {
-    /// Pairs of in-phase services (correlation ≥ threshold) on one backend.
-    pub fn detect_in_phase(
-        &self,
-        services: &[ServiceProfile],
-    ) -> Vec<(GlobalServiceId, GlobalServiceId, f64)> {
-        let mut out = Vec::new();
-        for i in 0..services.len() {
-            for j in (i + 1)..services.len() {
-                let a = &services[i];
-                let b = &services[j];
-                if a.series.len() != b.series.len() || a.series.len() < 4 {
-                    continue;
-                }
-                let r = pearson(&a.series, &b.series);
-                if r >= self.phase_threshold {
-                    out.push((a.service, b.service, r));
-                }
-            }
+/// The fixed sample indices inside the service's HWHM window.
+fn hwhm_points(series: &[f64]) -> Vec<usize> {
+    let Some((lo, hi)) = hwhm_window(series) else {
+        return Vec::new();
+    };
+    let span = hi.saturating_sub(lo);
+    (0..HWHM_SAMPLES)
+        .map(|k| lo + (span * k) / HWHM_SAMPLES)
+        .collect()
+}
+
+/// The paper's target-selection algorithm for one service.
+fn select_target(
+    service: &ServiceProfile,
+    service_az: AzId,
+    candidates: &[BackendProfile],
+) -> Option<BackendId> {
+    let points = hwhm_points(&service.series);
+    if points.is_empty() {
+        return None;
+    }
+    // G: candidate sums at the service's hot points, same AZ only.
+    let mut g: Vec<(&BackendProfile, f64)> = candidates
+        .iter()
+        .filter(|c| c.az == service_az && c.series.len() == service.series.len())
+        .map(|c| {
+            let sum: f64 = points.iter().map(|&p| c.series[p]).sum();
+            (c, sum)
+        })
+        .collect();
+    g.sort_by(|a, b| a.1.total_cmp(&b.1));
+    g.truncate(SHORTLIST);
+    // G': compare the shortlist's full-day sums; lowest wins.
+    g.iter()
+        .min_by(|a, b| {
+            let fa: f64 = a.0.series.iter().sum();
+            let fb: f64 = b.0.series.iter().sum();
+            fa.total_cmp(&fb)
+        })
+        .map(|(c, _)| c.backend)
+}
+
+/// Plan migrations for an overloaded backend: walk the in-phase group in
+/// priority order, assigning each service a complementary target, until
+/// `moves_needed` services are placed.
+pub fn plan(
+    group: &[&ServiceProfile],
+    service_az: AzId,
+    candidates: &[BackendProfile],
+    moves_needed: usize,
+) -> MigrationPlan {
+    let mut moves = Vec::new();
+    for svc in migration_order(group) {
+        if moves.len() >= moves_needed {
+            break;
         }
-        out
-    }
-
-    /// Order in-phase services by migration priority: resource-weighted RPS
-    /// descending (principle i), long-session count ascending as the
-    /// tiebreak (principle ii).
-    pub fn migration_order<'a>(&self, group: &[&'a ServiceProfile]) -> Vec<&'a ServiceProfile> {
-        let mut sorted: Vec<&ServiceProfile> = group.to_vec();
-        sorted.sort_by(|a, b| {
-            b.weighted_rps()
-                .total_cmp(&a.weighted_rps())
-                .then(a.long_sessions.cmp(&b.long_sessions))
-        });
-        sorted
-    }
-
-    /// The fixed sample indices inside the service's HWHM window.
-    fn hwhm_points(&self, series: &[f64]) -> Vec<usize> {
-        let Some((lo, hi)) = hwhm_window(series) else {
-            return Vec::new();
-        };
-        let span = hi.saturating_sub(lo);
-        (0..self.hwhm_samples)
-            .map(|k| lo + (span * k) / self.hwhm_samples.max(1))
-            .collect()
-    }
-
-    /// The paper's target-selection algorithm for one service.
-    pub fn select_target(
-        &self,
-        service: &ServiceProfile,
-        service_az: AzId,
-        candidates: &[BackendProfile],
-    ) -> Option<BackendId> {
-        let points = self.hwhm_points(&service.series);
-        if points.is_empty() {
-            return None;
+        if let Some(target) = select_target(svc, service_az, candidates) {
+            moves.push((svc.service, target));
         }
-        // G: candidate sums at the service's hot points, same AZ only.
-        let mut g: Vec<(&BackendProfile, f64)> = candidates
-            .iter()
-            .filter(|c| c.az == service_az && c.series.len() == service.series.len())
-            .map(|c| {
-                let sum: f64 = points.iter().map(|&p| c.series[p]).sum();
-                (c, sum)
-            })
-            .collect();
-        g.sort_by(|a, b| a.1.total_cmp(&b.1));
-        g.truncate(self.shortlist);
-        // G': compare the shortlist's full-day sums; lowest wins.
-        g.iter()
-            .min_by(|a, b| {
-                let fa: f64 = a.0.series.iter().sum();
-                let fb: f64 = b.0.series.iter().sum();
-                fa.total_cmp(&fb)
-            })
-            .map(|(c, _)| c.backend)
     }
-
-    /// Plan migrations for an overloaded backend: walk the in-phase group in
-    /// priority order, assigning each service a complementary target, until
-    /// `moves_needed` services are placed.
-    pub fn plan(
-        &self,
-        group: &[&ServiceProfile],
-        service_az: AzId,
-        candidates: &[BackendProfile],
-        moves_needed: usize,
-    ) -> MigrationPlan {
-        let mut moves = Vec::new();
-        for svc in self.migration_order(group) {
-            if moves.len() >= moves_needed {
-                break;
-            }
-            if let Some(target) = self.select_target(svc, service_az, candidates) {
-                moves.push((svc.service, target));
-            }
-        }
-        MigrationPlan { moves }
-    }
+    MigrationPlan { moves }
 }
 
 #[cfg(test)]
@@ -216,13 +197,12 @@ mod tests {
 
     #[test]
     fn detects_synchronized_peaks() {
-        let planner = InPhasePlanner::default();
         let services = vec![
             profile(1, 40, 100.0, 0, 0.0),
             profile(2, 40, 80.0, 0, 0.0),  // same phase as 1
             profile(3, 88, 120.0, 0, 0.0), // opposite phase
         ];
-        let pairs = planner.detect_in_phase(&services);
+        let pairs = detect_in_phase(&services);
         assert_eq!(pairs.len(), 1);
         assert_eq!((pairs[0].0, pairs[0].1), (svc(1), svc(2)));
         assert!(pairs[0].2 > 0.95);
@@ -237,11 +217,10 @@ mod tests {
 
     #[test]
     fn migration_order_prefers_high_rps_then_few_long_sessions() {
-        let planner = InPhasePlanner::default();
         let big = profile(1, 0, 200.0, 50, 0.0);
         let small = profile(2, 0, 50.0, 0, 0.0);
         let big_sticky = profile(3, 0, 200.0, 500, 0.0);
-        let order = planner.migration_order(&[&small, &big_sticky, &big]);
+        let order = migration_order(&[&small, &big_sticky, &big]);
         let ids: Vec<GlobalServiceId> = order.iter().map(|p| p.service).collect();
         // big (same RPS as big_sticky but fewer long sessions) first.
         assert_eq!(ids, vec![svc(1), svc(3), svc(2)]);
@@ -249,7 +228,6 @@ mod tests {
 
     #[test]
     fn target_is_complementary_and_same_az() {
-        let planner = InPhasePlanner::default();
         let service = profile(1, 40, 100.0, 0, 0.0);
         let candidates = vec![
             BackendProfile {
@@ -268,7 +246,7 @@ mod tests {
                 series: vec![0.0; 96], // colder but wrong AZ
             },
         ];
-        let target = planner.select_target(&service, AzId(0), &candidates);
+        let target = select_target(&service, AzId(0), &candidates);
         assert_eq!(target, Some(11));
     }
 
@@ -276,7 +254,6 @@ mod tests {
     fn g_prime_breaks_ties_by_total_load() {
         // Two equally complementary backends at the hot window; the one with
         // the lower full-day load wins.
-        let planner = InPhasePlanner::default();
         let service = profile(1, 40, 100.0, 0, 0.0);
         let mut flat_low = vec![10.0; 96];
         let mut flat_high = vec![10.0; 96];
@@ -291,12 +268,11 @@ mod tests {
             BackendProfile { backend: 20, az: AzId(0), series: flat_high },
             BackendProfile { backend: 21, az: AzId(0), series: flat_low },
         ];
-        assert_eq!(planner.select_target(&service, AzId(0), &candidates), Some(21));
+        assert_eq!(select_target(&service, AzId(0), &candidates), Some(21));
     }
 
     #[test]
     fn plan_moves_at_most_requested() {
-        let planner = InPhasePlanner::default();
         let a = profile(1, 40, 100.0, 0, 0.0);
         let b = profile(2, 40, 90.0, 0, 0.0);
         let c = profile(3, 40, 80.0, 0, 0.0);
@@ -305,7 +281,7 @@ mod tests {
             az: AzId(0),
             series: day_curve(88, 100.0),
         }];
-        let plan = planner.plan(&[&a, &b, &c], AzId(0), &candidates, 2);
+        let plan = plan(&[&a, &b, &c], AzId(0), &candidates, 2);
         assert_eq!(plan.moves.len(), 2);
         // Highest-RPS services picked.
         assert_eq!(plan.moves[0].0, svc(1));
@@ -314,10 +290,9 @@ mod tests {
 
     #[test]
     fn no_candidates_no_plan() {
-        let planner = InPhasePlanner::default();
         let a = profile(1, 40, 100.0, 0, 0.0);
-        let plan = planner.plan(&[&a], AzId(0), &[], 1);
+        let plan = plan(&[&a], AzId(0), &[], 1);
         assert!(plan.moves.is_empty());
-        assert_eq!(planner.select_target(&a, AzId(0), &[]), None);
+        assert_eq!(select_target(&a, AzId(0), &[]), None);
     }
 }

@@ -55,7 +55,7 @@ pub mod scaling;
 
 pub use certrotation::{CertRotationController, RotationConfig, RotationRecord};
 pub use configure::{ConfigPlane, PushReport};
-pub use inphase::{InPhasePlanner, MigrationPlan};
+pub use inphase::MigrationPlan;
 pub use monitor::{
     AlertKind, Classification, MonitorDecision, OverloadAssessment, WaterLevelMonitor,
 };

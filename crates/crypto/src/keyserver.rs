@@ -50,9 +50,6 @@ pub struct KeyServerConfig {
     pub placement: KeyServerPlacement,
     /// Accelerator batch parameters.
     pub accel: AccelConfig,
-    /// Whether this AZ's hardware supports QAT/AVX-512 (<5% do not; they
-    /// fall back to software asymmetric crypto, §4.1.3).
-    pub has_accel_hardware: bool,
 }
 
 impl Default for KeyServerConfig {
@@ -60,7 +57,6 @@ impl Default for KeyServerConfig {
         KeyServerConfig {
             placement: KeyServerPlacement::LocalAz,
             accel: AccelConfig::default(),
-            has_accel_hardware: true,
         }
     }
 }
@@ -252,13 +248,8 @@ impl RemoteKeyServerBackend {
 impl AsymmetricBackend for RemoteKeyServerBackend {
     fn completion(&self, _concurrency: usize) -> SimDuration {
         let injected = self.injected_timeout.unwrap_or(SimDuration::ZERO);
-        if self.cfg.has_accel_hardware {
-            // Multi-tenant aggregation keeps batches full: no flush bubble.
-            self.cfg.placement.rtt() + self.cfg.accel.per_batch_cost + injected
-        } else {
-            // <5% of AZs: software fallback on the server.
-            self.cfg.placement.rtt() + SimDuration::from_millis(2) + injected
-        }
+        // Multi-tenant aggregation keeps batches full: no flush bubble.
+        self.cfg.placement.rtt() + self.cfg.accel.per_batch_cost + injected
     }
 
     fn node_cpu_cost(&self) -> SimDuration {
@@ -420,13 +411,6 @@ mod tests {
         let remote = RemoteKeyServerBackend::new(KeyServerPlacement::LocalAz);
         let sw = SoftwareBackend::default();
         assert!(remote.completion(1) < sw.completion(1));
-    }
-
-    #[test]
-    fn no_accel_hardware_falls_back_to_software_cost() {
-        let mut be = RemoteKeyServerBackend::new(KeyServerPlacement::LocalAz);
-        be.cfg.has_accel_hardware = false;
-        assert!(be.completion(8) > RemoteKeyServerBackend::new(KeyServerPlacement::LocalAz).completion(8));
     }
 
     #[test]

@@ -50,9 +50,10 @@ pub struct GatewayConfig {
     pub max_chain: usize,
     /// Gateway CPU demand per request (request+response passes).
     pub cpu_per_request: SimDuration,
-    /// Backend water-level alert threshold (fraction of CPU).
-    pub alert_threshold: f64,
 }
+
+/// Backend water-level alert threshold (fraction of CPU).
+const ALERT_THRESHOLD: f64 = 0.70;
 
 impl Default for GatewayConfig {
     fn default() -> Self {
@@ -67,7 +68,6 @@ impl Default for GatewayConfig {
             buckets: 1024,
             max_chain: 4,
             cpu_per_request: SimDuration::from_micros(34),
-            alert_threshold: 0.70,
         }
     }
 }
@@ -473,7 +473,7 @@ impl Gateway {
                 utilization,
                 session_occupancy: occupancy,
                 top_services: top,
-                alert: utilization > self.cfg.alert_threshold,
+                alert: utilization > ALERT_THRESHOLD,
             });
         }
         for (_, slot) in self.services.iter_mut() {

@@ -321,10 +321,6 @@ pub struct OverloadConfig {
     /// Whether queues are per (tenant, priority). When false, all traffic
     /// shares a single FIFO class — the ambient/sidecar baseline shape.
     pub per_tenant: bool,
-    /// Default per-class weight.
-    pub tenant_weight: u32,
-    /// Weight multiplier for [`Priority::Interactive`] classes.
-    pub interactive_boost: u32,
     /// Per-class queue slot cap.
     pub max_slots: usize,
     /// Per-class queue byte cap.
@@ -337,10 +333,6 @@ pub struct OverloadConfig {
     pub codel_interval: SimDuration,
     /// Whether retry-budget admission runs.
     pub retry_budget: bool,
-    /// Budget earned per first attempt.
-    pub retry_budget_ratio: f64,
-    /// Budget cap per client.
-    pub retry_budget_cap: f64,
     /// Whether brownout runs.
     pub brownout: bool,
     /// Sojourn EWMA that sheds observability sampling.
@@ -362,16 +354,12 @@ impl Default for OverloadConfig {
             quantum: SimDuration::from_micros(50),
             base_cpu: SimDuration::from_micros(34),
             per_tenant: true,
-            tenant_weight: 1,
-            interactive_boost: 4,
             max_slots: 512,
             max_bytes: 8 << 20,
             codel: true,
             codel_target: SimDuration::from_millis(2),
             codel_interval: SimDuration::from_millis(20),
             retry_budget: true,
-            retry_budget_ratio: 0.1,
-            retry_budget_cap: 10.0,
             brownout: true,
             brownout_observability: SimDuration::from_micros(800),
             brownout_canary: SimDuration::from_millis(2),
@@ -380,9 +368,6 @@ impl Default for OverloadConfig {
             canary_cpu_frac: 0.15,
         }
     }
-}
-
-impl OverloadConfig {
 }
 
 /// A request parked in an overload queue, waiting for its CPU grant.
@@ -443,8 +428,14 @@ pub struct OverloadSignals {
     pub brownout: BrownoutLevel,
 }
 
-impl OverloadSignals {
-}
+/// Per-class weight of a [`Priority::Bulk`] class.
+const TENANT_WEIGHT: u32 = 1;
+/// Weight multiplier for [`Priority::Interactive`] classes.
+const INTERACTIVE_BOOST: u32 = 4;
+/// Retry budget earned per first attempt.
+const RETRY_BUDGET_RATIO: f64 = 0.1;
+/// Retry budget cap per client.
+const RETRY_BUDGET_CAP: f64 = 10.0;
 
 /// The assembled overload-control pipeline. It stands in front of a
 /// `Gateway`, composed by its driver: what it grants goes on to
@@ -475,7 +466,7 @@ impl OverloadControl {
             cfg,
             fair: FairCpuServer::new(cfg.ingress_cores, cfg.quantum),
             codel: BTreeMap::new(),
-            budget: RetryBudget::new(cfg.retry_budget_ratio, cfg.retry_budget_cap),
+            budget: RetryBudget::new(RETRY_BUDGET_RATIO, RETRY_BUDGET_CAP),
             brownout: BrownoutController::new(
                 cfg.brownout_observability,
                 cfg.brownout_canary,
@@ -493,19 +484,13 @@ impl OverloadControl {
         }
     }
 
-    /// The active policy.
-    pub fn config(&self) -> OverloadConfig {
-        self.cfg
-    }
-
     fn class_config(&self, priority: Priority) -> ClassConfig {
-        let base = self.cfg.tenant_weight;
         let weight = match priority {
-            Priority::Interactive => base * self.cfg.interactive_boost.max(1),
-            Priority::Bulk => base,
+            Priority::Interactive => TENANT_WEIGHT * INTERACTIVE_BOOST,
+            Priority::Bulk => TENANT_WEIGHT,
         };
         ClassConfig {
-            weight: weight.max(1),
+            weight,
             max_slots: self.cfg.max_slots,
             max_bytes: self.cfg.max_bytes,
         }

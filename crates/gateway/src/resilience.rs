@@ -11,8 +11,9 @@
 //! breaker ([`OutlierDetector`]), and graceful degradation onto the
 //! `canal_cluster::dns` failover path when a whole backend is ejected.
 //!
-//! Every knob lives in [`ResilienceConfig`] so sidecar/ambient baselines
-//! can run the *same fault plan* with their own policies. All randomness
+//! The knobs the sidecar/ambient baselines turn live in [`ResilienceConfig`],
+//! so they run the *same fault plan* with their own policies; the rest are
+//! constants every policy shares. All randomness
 //! (jitter) comes from a caller-supplied `SimRng` — the dispatcher never
 //! seeds its own, per the determinism contract.
 //!
@@ -28,34 +29,35 @@ use canal_net::VpcAddr;
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Tunable resilience policy. Each field is one knob so baselines compare
-/// under identical fault plans.
+/// Total per-request budget; attempts stop once it is exhausted.
+const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(1);
+/// First retry backoff; doubles each attempt.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(10);
+/// Backoff cap.
+const BACKOFF_CEILING: SimDuration = SimDuration::from_millis(160);
+/// Jitter fraction `j` in `[0, 1)`: each backoff is scaled by a
+/// deterministic draw from `[1-j, 1]`.
+const JITTER: f64 = 0.5;
+/// Consecutive failures that trip ejection.
+pub const EJECT_CONSECUTIVE_FAILURES: u32 = 5;
+/// Size of the sliding outcome window per backend.
+const EJECT_WINDOW: usize = 20;
+/// Minimum success rate over a full window; below it the backend is
+/// ejected even without a consecutive-failure burst.
+const EJECT_MIN_SUCCESS_RATE: f64 = 0.5;
+
+/// Resilience policy: the knobs in which the baselines differ, so they
+/// compare under identical fault plans.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
-    /// Total per-request budget; attempts stop once it is exhausted.
-    pub request_deadline: SimDuration,
     /// Maximum attempts per request (1 = no retries).
     pub max_attempts: u32,
-    /// First retry backoff; doubles each attempt.
-    pub base_backoff: SimDuration,
-    /// Backoff cap.
-    pub max_backoff: SimDuration,
-    /// Jitter fraction `j` in `[0, 1)`: each backoff is scaled by a
-    /// deterministic draw from `[1-j, 1]`.
-    pub jitter: f64,
     /// Hedge delay: when set and shorter than the backoff, the retry fires
     /// after this long instead (against a different backend), trading
     /// duplicate work for tail latency.
     pub hedge_after: Option<SimDuration>,
     /// Whether the per-backend outlier-ejection circuit breaker runs.
     pub outlier_ejection: bool,
-    /// Consecutive failures that trip ejection.
-    pub eject_consecutive_failures: u32,
-    /// Size of the sliding outcome window per backend.
-    pub eject_window: u32,
-    /// Minimum success rate over a full window; below it the backend is
-    /// ejected even without a consecutive-failure burst.
-    pub eject_min_success_rate: f64,
     /// How long an ejected backend stays out before probing again.
     pub ejection_duration: SimDuration,
     /// Whether ejections are published to the DNS failover path
@@ -68,16 +70,9 @@ impl ResilienceConfig {
     /// hedging, ejection wired into DNS failover.
     pub fn paper_canal() -> Self {
         ResilienceConfig {
-            request_deadline: SimDuration::from_secs(1),
             max_attempts: 6,
-            base_backoff: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_millis(160),
-            jitter: 0.5,
             hedge_after: Some(SimDuration::from_millis(30)),
             outlier_ejection: true,
-            eject_consecutive_failures: 5,
-            eject_window: 20,
-            eject_min_success_rate: 0.5,
             ejection_duration: SimDuration::from_secs(10),
             dns_failover: true,
         }
@@ -103,17 +98,6 @@ impl ResilienceConfig {
             ..Self::ambient_baseline()
         }
     }
-
-    /// Everything off (one attempt, no breaker) — the null policy.
-    pub fn disabled() -> Self {
-        ResilienceConfig {
-            max_attempts: 1,
-            hedge_after: None,
-            outlier_ejection: false,
-            dns_failover: false,
-            ..Self::paper_canal()
-        }
-    }
 }
 
 /// Per-backend sliding-window circuit breaker (consecutive-failure and
@@ -137,30 +121,30 @@ impl OutlierDetector {
         self.ejections
     }
 
-    fn push_outcome(&mut self, ok: bool, window: u32) {
+    fn push_outcome(&mut self, ok: bool) {
         self.window.push_back(ok);
-        while self.window.len() > window as usize {
+        while self.window.len() > EJECT_WINDOW {
             self.window.pop_front();
         }
     }
 
-    fn record_success(&mut self, cfg: &ResilienceConfig) {
+    fn record_success(&mut self) {
         self.consecutive_failures = 0;
-        self.push_outcome(true, cfg.eject_window);
+        self.push_outcome(true);
     }
 
     /// Record a failure; returns true when this trips a fresh ejection.
     fn record_failure(&mut self, now: SimTime, cfg: &ResilienceConfig) -> bool {
         self.consecutive_failures += 1;
-        self.push_outcome(false, cfg.eject_window);
+        self.push_outcome(false);
         if self.is_ejected(now) {
             return false;
         }
-        let burst = self.consecutive_failures >= cfg.eject_consecutive_failures;
-        let full = self.window.len() >= cfg.eject_window as usize;
+        let burst = self.consecutive_failures >= EJECT_CONSECUTIVE_FAILURES;
+        let full = self.window.len() >= EJECT_WINDOW;
         let rate_ok = if full {
             let ok = self.window.iter().filter(|&&b| b).count() as f64;
-            ok / self.window.len() as f64 >= cfg.eject_min_success_rate
+            ok / self.window.len() as f64 >= EJECT_MIN_SUCCESS_RATE
         } else {
             true
         };
@@ -381,11 +365,11 @@ impl ResilientDispatcher {
     fn backoff_before_attempt(&mut self, attempt: u32) -> (SimDuration, bool) {
         // attempt is the index of the attempt about to be made (2nd, 3rd…).
         let exp = attempt.saturating_sub(2).min(16);
-        let mut backoff = self.cfg.base_backoff.times(1u64 << exp);
-        if backoff > self.cfg.max_backoff {
-            backoff = self.cfg.max_backoff;
+        let mut backoff = BASE_BACKOFF.times(1u64 << exp);
+        if backoff > BACKOFF_CEILING {
+            backoff = BACKOFF_CEILING;
         }
-        let jittered = backoff.scale(self.rng.uniform(1.0 - self.cfg.jitter, 1.0));
+        let jittered = backoff.scale(self.rng.uniform(1.0 - JITTER, 1.0));
         match self.cfg.hedge_after {
             Some(h) if h < jittered => (h, true),
             _ => (jittered, false),
@@ -402,7 +386,7 @@ impl ResilientDispatcher {
         mut attempt: impl FnMut(SimTime, &BTreeSet<BackendId>) -> Result<GatewayServed, AttemptError>,
     ) -> DispatchOutcome {
         self.stats.requests += 1;
-        let deadline = now + self.cfg.request_deadline;
+        let deadline = now + REQUEST_DEADLINE;
         let mut avoid: BTreeSet<BackendId> = if self.cfg.outlier_ejection {
             self.ejected_backends(now).into_iter().collect()
         } else {
@@ -425,7 +409,7 @@ impl ResilientDispatcher {
                         self.detectors
                             .entry(served.backend)
                             .or_default()
-                            .record_success(&self.cfg);
+                            .record_success();
                     }
                     self.stats.successes += 1;
                     return DispatchOutcome {
@@ -701,7 +685,7 @@ mod tests {
     fn consecutive_failures_trip_ejection_and_time_out() {
         let cfg = ResilienceConfig::paper_canal();
         let mut d = dispatcher(cfg);
-        for i in 0..cfg.eject_consecutive_failures {
+        for i in 0..EJECT_CONSECUTIVE_FAILURES {
             let now = SimTime::from_millis(i as u64);
             // Single-attempt probe against backend 9 that always fails.
             let mut first = true;
@@ -727,7 +711,7 @@ mod tests {
     fn ejected_backends_prepopulate_avoid_set() {
         let cfg = ResilienceConfig::paper_canal();
         let mut d = dispatcher(cfg);
-        for _ in 0..cfg.eject_consecutive_failures {
+        for _ in 0..EJECT_CONSECUTIVE_FAILURES {
             d.dispatch(SimTime::ZERO, |_, avoid| {
                 if avoid.contains(&3) {
                     Err(AttemptError::Rejected(GatewayError::Unavailable))
@@ -769,7 +753,6 @@ mod tests {
     #[test]
     fn deadline_bounds_the_retry_budget() {
         let cfg = ResilienceConfig {
-            request_deadline: SimDuration::from_millis(25),
             max_attempts: 100,
             hedge_after: None,
             ..ResilienceConfig::paper_canal()
@@ -780,7 +763,7 @@ mod tests {
         });
         assert!(out.deadline_exceeded);
         assert!(out.attempts < 100);
-        assert_eq!(out.completed_at, SimTime::ZERO + cfg.request_deadline);
+        assert_eq!(out.completed_at, SimTime::ZERO + REQUEST_DEADLINE);
         assert_eq!(d.stats().deadline_exceeded, 1);
     }
 
@@ -860,7 +843,7 @@ mod tests {
         let mut d = dispatcher(cfg);
         // Far more drain refusals than the ejection threshold: backend 7 is
         // draining, every first attempt hits it, retries land on 8.
-        for i in 0..(cfg.eject_consecutive_failures * 4) {
+        for i in 0..(EJECT_CONSECUTIVE_FAILURES * 4) {
             let now = SimTime::from_millis(i as u64);
             let out = d.dispatch(now, |t, avoid| {
                 if avoid.contains(&7) {
@@ -875,11 +858,14 @@ mod tests {
         // The regression: planned-drain refusals must never trip ejection.
         assert!(!d.is_ejected(SimTime::from_secs(1), 7));
         assert_eq!(d.stats().ejections, 0);
-        assert_eq!(d.stats().drain_refusals, (cfg.eject_consecutive_failures * 4) as u64);
+        assert_eq!(
+            d.stats().drain_refusals,
+            (EJECT_CONSECUTIVE_FAILURES * 4) as u64
+        );
         assert_eq!(d.counters().drain_refusals, d.stats().drain_refusals);
         // Contrast: the same volume of *real* failures does trip it.
         let mut real = dispatcher(cfg);
-        for i in 0..cfg.eject_consecutive_failures {
+        for i in 0..EJECT_CONSECUTIVE_FAILURES {
             let now = SimTime::from_millis(i as u64);
             real.dispatch(now, |t, avoid| {
                 if avoid.contains(&7) {
@@ -943,7 +929,7 @@ mod tests {
         let addr = VpcAddr::new(VpcId(1), 10, 0, 0, 1);
         view.add("svc", canal_net::AzId(0), addr);
         let addrs: BTreeMap<BackendId, VpcAddr> = [(3, addr)].into_iter().collect();
-        for _ in 0..cfg.eject_consecutive_failures {
+        for _ in 0..EJECT_CONSECUTIVE_FAILURES {
             d.dispatch(SimTime::ZERO, |_, _| Err(AttemptError::BackendFailure(3)));
         }
         let t1 = SimTime::from_millis(1);

@@ -29,22 +29,14 @@ use canal_telemetry::{Collector, HopSite, SegmentKind, Span};
 use std::collections::BTreeMap;
 
 /// Testbed parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TestbedConfig {
     /// Gateway deployment shape.
     pub gateway: GatewayConfig,
-    /// Modeled gateway L7 processing latency per request.
-    pub l7_latency: SimDuration,
 }
 
-impl Default for TestbedConfig {
-    fn default() -> Self {
-        TestbedConfig {
-            gateway: GatewayConfig::default(),
-            l7_latency: SimDuration::from_micros(120),
-        }
-    }
-}
+/// Modeled gateway L7 processing latency per request.
+const L7_LATENCY: SimDuration = SimDuration::from_micros(120);
 
 /// The outcome of one request through the testbed.
 #[derive(Debug, Clone)]
@@ -74,7 +66,6 @@ struct ServiceState {
 
 /// The assembled mesh under one handle.
 pub struct Testbed {
-    cfg: TestbedConfig,
     gateway: Gateway,
     services: BTreeMap<GlobalServiceId, ServiceState>,
     rng: SimRng,
@@ -102,7 +93,6 @@ impl Testbed {
             node_obs: NodeObservability::new(),
             gateway_obs: GatewayObservability::new(),
             collector: Collector::new(),
-            cfg,
         }
     }
 
@@ -242,7 +232,7 @@ impl Testbed {
             req.method.as_str(),
             req.path_only(),
             status,
-            self.cfg.l7_latency,
+            L7_LATENCY,
         );
         // Trace the request end to end: a root span at the client node proxy
         // wrapping a gateway child span (canal-telemetry assembles them).
@@ -255,7 +245,7 @@ impl Testbed {
             HopSite::Gateway,
             self.now + SimDuration::from_micros(10),
         );
-        gw_span.push_segment(SegmentKind::L7Parse, self.cfg.l7_latency);
+        gw_span.push_segment(SegmentKind::L7Parse, L7_LATENCY);
         gw_span.error = status.is_error();
         client_span.end = gw_span.end + SimDuration::from_micros(10);
         self.collector.ingest(client_span);

@@ -4,7 +4,7 @@
 //! control-plane invariants.
 
 use canal::control::configure::ConfigPlane;
-use canal::control::inphase::{BackendProfile, InPhasePlanner, ServiceProfile};
+use canal::control::inphase::{self, BackendProfile, ServiceProfile};
 use canal::control::monitor::{Classification, MonitorDecision, WaterLevelMonitor};
 use canal::control::scaling::{ScalingEngine, ScalingKind};
 use canal::gateway::gateway::{Gateway, GatewayConfig};
@@ -114,8 +114,7 @@ fn inphase_planner_on_generated_curves() {
             https_fraction: 0.0,
         },
     ];
-    let planner = InPhasePlanner::default();
-    let pairs = planner.detect_in_phase(&services);
+    let pairs = inphase::detect_in_phase(&services);
     assert_eq!(pairs.len(), 1, "only svc1/svc2 are in phase: {pairs:?}");
 
     let candidates = vec![
@@ -136,7 +135,7 @@ fn inphase_planner_on_generated_curves() {
         },
     ];
     let group: Vec<&ServiceProfile> = services[..2].iter().collect();
-    let plan = planner.plan(&group, AzId(0), &candidates, 1);
+    let plan = inphase::plan(&group, AzId(0), &candidates, 1);
     assert_eq!(plan.moves.len(), 1);
     // svc1 has the higher weighted RPS (HTTPS-weighted) → moves first.
     assert_eq!(plan.moves[0], (svc(1), 51));

@@ -5,7 +5,9 @@
 
 use canal::cluster::{CachingResolver, DnsView};
 use canal::gateway::gateway::{GatewayError, GatewayServed};
-use canal::gateway::resilience::{AttemptError, ResilienceConfig, ResilientDispatcher};
+use canal::gateway::resilience::{
+    AttemptError, ResilienceConfig, ResilientDispatcher, EJECT_CONSECUTIVE_FAILURES,
+};
 use canal::net::{AzId, VpcAddr, VpcId};
 use canal::sim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -42,7 +44,7 @@ fn setup() -> (ResilientDispatcher, DnsView, BTreeMap<u32, VpcAddr>) {
 /// Drive enough consecutive failures through the breaker to eject `LOCAL`,
 /// with `REMOTE` absorbing the steered retries.
 fn eject_local(dispatcher: &mut ResilientDispatcher, now: SimTime) {
-    let trip = dispatcher.config().eject_consecutive_failures;
+    let trip = EJECT_CONSECUTIVE_FAILURES;
     for i in 0..trip {
         let at = now + SimDuration::from_millis(i as u64 * 10);
         let outcome = dispatcher.dispatch(at, |t, avoid| {
