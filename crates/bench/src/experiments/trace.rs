@@ -266,7 +266,7 @@ fn chain_spans(
                 ServerSidecar,
                 vec![
                     (L7Parse, costs.sidecar_cpu_response),
-                    (L4Forward, costs.iptables_redirect),
+                    (L4Forward, costs.iptables_redirect()),
                     (Network, fx.link_extra),
                 ],
             ),

@@ -25,20 +25,13 @@ pub struct CostModel {
     pub copy_per_kib: SimDuration,
     /// One-way network hop on the testbed (loopback/vSwitch scale).
     pub hop_one_way: SimDuration,
-    /// One-way intra-AZ hop in production regions (App. A: RTT < 1 ms).
-    pub az_hop_one_way: SimDuration,
-    /// One-way cross-AZ hop.
-    pub cross_az_hop_one_way: SimDuration,
 
     // ---- Application ----
     /// Server app service time per request on the testbed echo workload
     /// (production apps are 40–200 ms, Fig. 24 — see `canal-workload`).
     pub app_service: SimDuration,
 
-    // ---- Redirection (§4.1.2) ----
-    /// iptables redirect per boundary crossing: 2 extra stack traversals +
-    /// 2 context switches (Fig. 21). Latency == CPU.
-    pub iptables_redirect: SimDuration,
+    // ---- Redirection (§4.1.2; iptables is derived, see `iptables_redirect`) ----
     /// eBPF socket redirect per crossing: one switch, no stack traversal.
     pub ebpf_redirect: SimDuration,
 
@@ -107,13 +100,9 @@ impl Default for CostModel {
             context_switch: SimDuration::from_micros(4),
             copy_per_kib: SimDuration::from_nanos(400),
             hop_one_way: SimDuration::from_micros(100),
-            az_hop_one_way: SimDuration::from_micros(250),
-            cross_az_hop_one_way: SimDuration::from_millis(1),
 
             app_service: SimDuration::from_micros(100),
 
-            // 2 stack traversals + 2 context switches.
-            iptables_redirect: SimDuration::from_micros(32),
             ebpf_redirect: SimDuration::from_micros(5),
 
             sidecar_cpu_request: SimDuration::from_micros(290),
@@ -165,29 +154,10 @@ impl CostModel {
         }
     }
 
-    /// Total mesh CPU per request under the Sidecar architecture
-    /// (both sidecars, both directions, both redirects) — the Fig. 13
-    /// accounting identity.
-    pub fn sidecar_cpu_per_request(&self) -> SimDuration {
-        (self.sidecar_cpu_request + self.sidecar_cpu_response + self.iptables_redirect).times(2)
-    }
-
-    /// Total mesh CPU per request under the Ambient architecture.
-    pub fn ambient_cpu_per_request(&self) -> SimDuration {
-        // 4 ztunnel passes (out+back on both nodes) + 1 waypoint round trip
-        // + 2 eBPF redirects.
-        self.ztunnel_cpu_per_pass.times(4)
-            + self.waypoint_cpu_request
-            + self.waypoint_cpu_response
-            + self.ebpf_redirect.times(2)
-    }
-
-    /// Total mesh CPU per request under Canal.
-    pub fn canal_cpu_per_request(&self) -> SimDuration {
-        self.node_proxy_cpu_per_pass.times(4)
-            + self.gateway_cpu_request
-            + self.gateway_cpu_response
-            + self.ebpf_redirect.times(2)
+    /// iptables redirect per boundary crossing: 2 extra stack traversals +
+    /// 2 context switches (Fig. 21). Latency == CPU.
+    pub fn iptables_redirect(&self) -> SimDuration {
+        (self.stack_traversal + self.context_switch).times(2)
     }
 }
 
@@ -198,26 +168,8 @@ mod tests {
     #[test]
     fn iptables_matches_its_decomposition() {
         let m = CostModel::default();
-        // 2 stack traversals + 2 context switches (Fig. 21).
-        assert_eq!(
-            m.iptables_redirect,
-            m.stack_traversal.times(2) + m.context_switch.times(2)
-        );
-    }
-
-    #[test]
-    fn per_request_cpu_ratios_land_in_paper_ranges() {
-        let m = CostModel::default();
-        let istio = m.sidecar_cpu_per_request().as_nanos() as f64;
-        let ambient = m.ambient_cpu_per_request().as_nanos() as f64;
-        let canal = m.canal_cpu_per_request().as_nanos() as f64;
-        // Fig. 13: Canal 12–19x below Istio, 4.6–7.2x below Ambient
-        // (ranges include background burn; steady-state per-request ratios
-        // must land close enough that background closes the gap).
-        let istio_ratio = istio / canal;
-        let ambient_ratio = ambient / canal;
-        assert!(istio_ratio > 10.0 && istio_ratio < 22.0, "{istio_ratio}");
-        assert!(ambient_ratio > 2.0 && ambient_ratio < 7.5, "{ambient_ratio}");
+        // 2 stack traversals + 2 context switches (Fig. 21): 32 µs.
+        assert_eq!(m.iptables_redirect(), SimDuration::from_micros(32));
     }
 
     #[test]
@@ -226,12 +178,5 @@ mod tests {
         assert_eq!(m.copy_cost(1024), m.copy_per_kib);
         assert_eq!(m.copy_cost(0), SimDuration::ZERO);
         assert_eq!(m.sym_crypto_cost(2048), m.sym_crypto_per_kib.times(2));
-    }
-
-    #[test]
-    fn hop_hierarchy() {
-        let m = CostModel::default();
-        assert!(m.hop_one_way < m.az_hop_one_way);
-        assert!(m.az_hop_one_way < m.cross_az_hop_one_way);
     }
 }
