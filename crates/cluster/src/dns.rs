@@ -54,11 +54,6 @@ impl DnsView {
         false
     }
 
-    /// All registered targets for a name.
-    pub fn targets(&self, name: &str) -> &[DnsTarget] {
-        self.records.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Resolve with AZ preference: healthy targets in `client_az` first;
     /// if none, healthy targets anywhere; if none at all, `None`.
     pub fn resolve(&self, name: &str, client_az: AzId) -> Option<DnsTarget> {
@@ -122,11 +117,6 @@ impl CachingResolver {
         let answer = view.resolve(name, client_az);
         self.cache.insert(key, CachedAnswer { answer, fetched: now });
         answer
-    }
-
-    /// Drop every cached answer (e.g. a client restart).
-    pub fn flush(&mut self) {
-        self.cache.clear();
     }
 }
 
@@ -243,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_answers_are_cached_and_flush_clears() {
+    fn negative_answers_are_cached() {
         let mut v = two_az_view();
         for a in [1, 2, 3] {
             v.set_health("gw.mesh", addr(a), false);
@@ -255,14 +245,6 @@ mod tests {
         assert!(
             r.resolve(t0 + SimDuration::from_secs(1), &v, "gw.mesh", AzId(0)).is_none(),
             "negative answer cached inside TTL"
-        );
-        r.flush();
-        assert_eq!(
-            r.resolve(t0 + SimDuration::from_secs(1), &v, "gw.mesh", AzId(0))
-                .unwrap()
-                .addr,
-            addr(1),
-            "flush forces a fresh lookup"
         );
     }
 

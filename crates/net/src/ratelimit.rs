@@ -59,11 +59,6 @@ impl TokenBucket {
         self.rate_per_sec = rate_per_sec;
     }
 
-    /// Current sustained rate.
-    pub fn rate(&self) -> f64 {
-        self.rate_per_sec
-    }
-
     /// Lifetime counters `(allowed, dropped)`.
     pub fn stats(&self) -> (u64, u64) {
         (self.allowed, self.dropped)
@@ -120,7 +115,6 @@ mod tests {
         assert!(b.admit(T(0)));
         assert!(!b.admit(T(1)));
         b.set_rate(T(1), 1000.0);
-        assert_eq!(b.rate(), 1000.0);
         // 10ms at 1000/s = 10 tokens (capped at burst 1).
         assert!(b.admit(T(11)));
     }

@@ -175,28 +175,6 @@ impl Histogram {
         self.exemplars.range(..idx).next_back().map(|(_, e)| *e)
     }
 
-    /// Merge another histogram into this one. Per bucket, the
-    /// larger-valued exemplar survives.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (&idx, &c) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += c;
-        }
-        for (&idx, e) in &other.exemplars {
-            let keep = self.exemplars.get(&idx).is_none_or(|cur| {
-                e.value > cur.value || (e.value == cur.value && e.trace_id < cur.trace_id)
-            });
-            if keep {
-                self.exemplars.insert(idx, *e);
-            }
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// Fold the full distribution state into a digest: `count`, `sum`,
     /// raw `min`/`max` (bit patterns, including the empty-histogram
     /// infinities), every `buckets` cell and every `exemplars` entry.
@@ -334,26 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_equals_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for i in 0..1000 {
-            let v = (i * 7 % 503) as f64;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.quantile(0.9), whole.quantile(0.9));
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
     fn exemplar_links_quantile_cell_to_trace() {
         let mut h = Histogram::new();
         for i in 1..=1000u64 {
@@ -381,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_keeps_largest_exemplar_and_merge_prefers_larger() {
+    fn bucket_keeps_largest_exemplar() {
         let mut h = Histogram::new();
         // Same bucket (values within ~4.4%): the larger value wins.
         h.record_with_exemplar(100.0, Some(1));
@@ -389,13 +347,6 @@ mod tests {
         h.record_with_exemplar(99.0, Some(3));
         let e = h.exemplars.get(&Histogram::bucket_of(100.0)).copied().expect("exemplar");
         assert_eq!((e.value, e.trace_id), (101.0, 2));
-
-        let mut other = Histogram::new();
-        other.record_with_exemplar(102.0, Some(9));
-        h.merge(&other);
-        let e = h.exemplars.get(&Histogram::bucket_of(100.0)).copied().expect("exemplar");
-        assert_eq!((e.value, e.trace_id), (102.0, 9));
-        assert_eq!(h.count(), 4);
     }
 
     #[test]

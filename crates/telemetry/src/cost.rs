@@ -130,16 +130,6 @@ impl TelemetryMeter {
         self.refunded_spans
     }
 
-    /// Merge another meter into this one.
-    pub fn merge(&mut self, other: &TelemetryMeter) {
-        self.cpu += other.cpu;
-        self.bytes += other.bytes;
-        self.spans_recorded += other.spans_recorded;
-        self.spans_exported += other.spans_exported;
-        self.refunded_cpu += other.refunded_cpu;
-        self.refunded_spans += other.refunded_spans;
-    }
-
     /// Fold the account into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.cpu.as_nanos())
@@ -175,19 +165,5 @@ mod tests {
         assert_eq!(m.cpu(), cost.l7_record_cpu + cost.export_cpu);
         assert_eq!(m.refunded_cpu(), cost.l7_record_cpu);
         assert_eq!(m.bytes(), cost.l7_span_bytes);
-    }
-
-    #[test]
-    fn merge_adds_all_fields() {
-        let cost = TelemetryCostModel::default();
-        let mut a = TelemetryMeter::new();
-        let mut b = TelemetryMeter::new();
-        a.charge_record(false, &cost);
-        b.charge_record(true, &cost);
-        b.refund_record(false, &cost);
-        a.merge(&b);
-        assert_eq!(a.spans_recorded(), 2);
-        assert_eq!(a.refunded_spans(), 1);
-        assert_eq!(a.cpu(), cost.l4_record_cpu + cost.l7_record_cpu);
     }
 }

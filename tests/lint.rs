@@ -27,6 +27,14 @@ fn workspace_is_lint_clean() {
         "suspiciously few manifests checked: {}",
         report.manifests_checked
     );
+    // The suppression ratchet: a new `lint:allow` has to raise this number
+    // in the same diff, and a deleted one should lower it.
+    const MAX_SUPPRESSIONS: usize = 26;
+    assert!(
+        report.suppressed.len() <= MAX_SUPPRESSIONS,
+        "{} lint:allow suppressions, the ratchet allows {MAX_SUPPRESSIONS}",
+        report.suppressed.len()
+    );
     // The dead-export caller scan read `benchmark/src` and `benchmark/tests`:
     // from a wrong root, every item only the benchmark calls would look dead.
     assert!(
