@@ -359,10 +359,12 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
     let slo = canal_cfg().codel_target;
     let mut next_sample = SAMPLE_EVERY;
 
+    // One grant buffer for the whole pass: every pump appends, `absorb` empties.
+    let mut started = Vec::new();
     let absorb = |out: &mut PassOutcome,
                       samples: &mut Vec<TenantSamples>,
-                      started: Vec<canal_gateway::overload::StartedRequest>| {
-        for s in started {
+                      started: &mut Vec<canal_gateway::overload::StartedRequest>| {
+        for s in started.drain(..) {
             let t = (s.pending.service.tenant().0 - 1) as usize;
             if s.shed {
                 out.tenants[t].shed += 1;
@@ -380,8 +382,8 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
 
     for a in arrivals {
         for ctrl in placement.controls.iter_mut() {
-            let started = ctrl.pump(a.at);
-            absorb(&mut out, &mut samples, started);
+            ctrl.pump(a.at, &mut started);
+            absorb(&mut out, &mut samples, &mut started);
         }
         // Publish the telemetry window to the control plane at a fixed
         // cadence, the way canal-control's monitor would consume it.
@@ -418,8 +420,8 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
     // Drain: grant everything still queued.
     let drain = SimTime::ZERO + horizon + SimDuration::from_secs(30);
     for ctrl in placement.controls.iter_mut() {
-        let started = ctrl.pump(drain);
-        absorb(&mut out, &mut samples, started);
+        ctrl.pump(drain, &mut started);
+        absorb(&mut out, &mut samples, &mut started);
         out.total_shed += ctrl.total_shed();
         if ctrl.brownout_level() > canal_gateway::BrownoutLevel::Normal {
             out.brownout_engaged = true;

@@ -40,8 +40,10 @@
 //!
 //! Signals ([`OverloadSignals`]: queue depth, shed rate, sojourn p99) feed
 //! `canal-control`'s monitor so precise scaling sees pressure before
-//! saturation. Everything runs on simulated time with `BTreeMap`-ordered
-//! state and no internal RNG — runs are digest-deterministic.
+//! saturation. A parked request lives in its class queue, as the payload of
+//! its job on the [`FairCpuServer`], until the pump hands it back with its
+//! grant: the pipeline keeps no table keyed by ticket. Everything runs on
+//! simulated time with no internal RNG — runs are digest-deterministic.
 
 use crate::gateway::GatewayError;
 use canal_net::{FiveTuple, GlobalServiceId, Priority};
@@ -442,11 +444,11 @@ const RETRY_BUDGET_CAP: f64 = 10.0;
 /// `Gateway::handle_request_avoiding`.
 pub struct OverloadControl {
     cfg: OverloadConfig,
-    fair: FairCpuServer,
+    /// Parked requests ride here, as their jobs' payloads.
+    fair: FairCpuServer<PendingRequest>,
     codel: BTreeMap<ClassId, CoDel>,
     budget: RetryBudget,
     brownout: BrownoutController,
-    pending: BTreeMap<u64, PendingRequest>,
     telemetry: Option<TelemetrySink>,
     // Window counters, reset by `signals`.
     win_offered: u64,
@@ -472,7 +474,6 @@ impl OverloadControl {
                 cfg.brownout_canary,
                 cfg.brownout_exit,
             ),
-            pending: BTreeMap::new(),
             telemetry: None,
             win_offered: 0,
             win_started: 0,
@@ -571,23 +572,20 @@ impl OverloadControl {
             }
         }
         let demand = self.cfg.base_cpu.scale(frac);
-        match self.fair.offer(now, class, demand, bytes) {
+        let pending = PendingRequest {
+            service,
+            tuple,
+            syn,
+            client,
+            priority,
+        };
+        match self.fair.offer(now, class, demand, bytes, pending) {
             Ok(ticket) => {
                 // Provisional span recording: charged unconditionally so the
                 // tail sampler can still retrieve slow/error traces later.
                 if let Some(sink) = self.telemetry.as_mut() {
                     sink.meter.charge_record(true, &sink.cost);
                 }
-                self.pending.insert(
-                    ticket,
-                    PendingRequest {
-                        service,
-                        tuple,
-                        syn,
-                        client,
-                        priority,
-                    },
-                );
                 Ok(ticket)
             }
             Err(QueueReject::SlotsFull | QueueReject::BytesFull) => {
@@ -600,16 +598,13 @@ impl OverloadControl {
     }
 
     /// Drain the scheduler up to `now` and classify each granted job:
-    /// served, or shed by CoDel at dequeue. The caller dispatches the
-    /// non-shed ones (normally through `Gateway::handle_request_avoiding`
-    /// at each job's `start` time).
-    pub fn pump(&mut self, now: SimTime) -> Vec<StartedRequest> {
+    /// served, or shed by CoDel at dequeue, appending the decisions to `out`
+    /// in start order. The caller dispatches the non-shed ones (normally
+    /// through `Gateway::handle_request_avoiding` at each job's `start`
+    /// time) and reuses `out` across pumps, so a pump allocates nothing.
+    pub fn pump(&mut self, now: SimTime, out: &mut Vec<StartedRequest>) {
         self.fair.advance(now);
-        let mut out = Vec::new();
-        for job in self.fair.take_started() {
-            let Some(pending) = self.pending.remove(&job.ticket) else {
-                continue;
-            };
+        for job in self.fair.drain_started() {
             self.win_sojourns_ms.push(job.sojourn.as_millis_f64());
             if self.cfg.brownout {
                 self.brownout.observe(job.sojourn);
@@ -643,14 +638,13 @@ impl OverloadControl {
             }
             out.push(StartedRequest {
                 ticket: job.ticket,
-                pending,
+                pending: job.payload,
                 start: job.start,
                 finish: job.finish,
                 sojourn: job.sojourn,
                 shed,
             });
         }
-        out
     }
 
     /// When the next queued request could be granted (schedule the next
@@ -718,8 +712,9 @@ impl OverloadControl {
 
     /// Fold the whole pipeline into a digest: the `fair` scheduler, every
     /// class's `codel` shedder, the retry `budget` ledger, the `brownout`
-    /// controller, parked `pending` requests, the
-    /// `telemetry` attachment, the window counters and `total_shed`.
+    /// controller, the parked requests (every job `fair` holds, queued or
+    /// started but not yet pumped, in ticket order), the `telemetry`
+    /// attachment, the window counters and `total_shed`.
     pub fn fold_digest(&self, d: &mut Digest) {
         self.fair.fold_digest(d);
         d.write_u64(self.codel.len() as u64);
@@ -749,8 +744,10 @@ impl OverloadControl {
                 BrownoutLevel::NoObservability => 1,
                 BrownoutLevel::NoCanary => 2,
             });
-        d.write_u64(self.pending.len() as u64);
-        for (&ticket, p) in &self.pending {
+        let mut parked: Vec<(u64, &PendingRequest)> = self.fair.held().collect();
+        parked.sort_unstable_by_key(|&(ticket, _)| ticket);
+        d.write_u64(parked.len() as u64);
+        for (ticket, p) in parked {
             d.write_u64(ticket)
                 .write_u64(p.service.0)
                 .write_u64(canal_net::hash_five_tuple(&p.tuple))
@@ -913,7 +910,8 @@ mod tests {
         let victim = ov.class_of(svc(2), Priority::Interactive);
         assert!(ov.fair.depth(surger) > 100);
         // The victim's request is granted promptly despite the flood.
-        let started = ov.pump(SimTime::from_millis(1));
+        let mut started = Vec::new();
+        ov.pump(SimTime::from_millis(1), &mut started);
         let v = started.iter().find(|s| s.pending.service == svc(2)).unwrap();
         assert!(
             v.sojourn <= SimDuration::from_micros(300),
@@ -983,7 +981,7 @@ mod tests {
         for i in 0..200u64 {
             let _ = offer_first(&mut ov, SimTime::from_micros(i * 50), 1, i as u16);
         }
-        ov.pump(SimTime::from_millis(20));
+        ov.pump(SimTime::from_millis(20), &mut Vec::new());
         assert!(ov.brownout_level() > BrownoutLevel::Normal);
         // Demand of new offers shrinks: an offered job's demand is base *
         // (1 - fracs). Verify indirectly: granted CPU per started job drops.
@@ -992,7 +990,7 @@ mod tests {
         for i in 0..50u64 {
             let _ = offer_first(&mut ov, SimTime::from_millis(21) + SimDuration::from_micros(i), 1, 500 + i as u16);
         }
-        ov.pump(SimTime::from_millis(40));
+        ov.pump(SimTime::from_millis(40), &mut Vec::new());
         let class = ov.class_of(svc(1), Priority::Interactive);
         let per_job = (ov.fair.granted(class) - before).as_nanos() as f64
             / (ov.fair.served_count(class) - served0) as f64;
@@ -1023,7 +1021,7 @@ mod tests {
         for i in 0..4u16 {
             offer_first(&mut ov, SimTime::from_micros(u64::from(i) * 200), 1, i).unwrap();
         }
-        ov.pump(SimTime::from_millis(1));
+        ov.pump(SimTime::from_millis(1), &mut Vec::new());
         let m = &ov.telemetry.as_ref().unwrap().meter;
         assert_eq!(m.refunded_spans(), 0);
         assert_eq!(m.spans_recorded(), 4);
@@ -1034,7 +1032,7 @@ mod tests {
         for i in 0..200u16 {
             offer_first(&mut ov, SimTime::from_millis(2), 1, 100 + i).unwrap();
         }
-        ov.pump(SimTime::from_millis(40));
+        ov.pump(SimTime::from_millis(40), &mut Vec::new());
         let m = &ov.telemetry.as_ref().unwrap().meter;
         assert!(m.refunded_spans() > 0, "brownout must refund span cost");
         assert!(m.refunded_cpu() > SimDuration::ZERO);
@@ -1078,7 +1076,7 @@ mod tests {
             )
             .unwrap();
         }
-        ov.pump(SimTime::from_millis(5));
+        ov.pump(SimTime::from_millis(5), &mut Vec::new());
         let inter = ov.fair.granted(ov.class_of(svc(1), Priority::Interactive));
         let bulk = ov.fair.granted(ov.class_of(svc(1), Priority::Bulk));
         let ratio = inter.as_nanos() as f64 / bulk.as_nanos() as f64;
@@ -1097,14 +1095,16 @@ mod tests {
         );
         offer_first(&mut ov, SimTime::ZERO, 1, 1).unwrap();
         offer_first(&mut ov, SimTime::ZERO, 9, 2).unwrap();
-        assert!(ov.pump(SimTime::from_millis(1)).len() == 2);
+        let mut started = Vec::new();
+        ov.pump(SimTime::from_millis(1), &mut started);
+        assert_eq!(started.len(), 2);
     }
 
     #[test]
     fn signals_window_resets_on_read() {
         let mut ov = OverloadControl::new(OverloadConfig::default());
         offer_first(&mut ov, SimTime::ZERO, 1, 1).unwrap();
-        ov.pump(SimTime::from_millis(1));
+        ov.pump(SimTime::from_millis(1), &mut Vec::new());
         let s1 = ov.signals();
         assert_eq!((s1.offered, s1.started), (1, 1));
         let s2 = ov.signals();

@@ -12,7 +12,9 @@
 //! cores by a deficit-weighted round-robin scheduler, so one surging class
 //! cannot starve the others beyond its weight share. Queue occupancy and
 //! per-job sojourn time are first-class outputs — they are what the
-//! gateway's CoDel shedder and brownout controller key on. Everything runs
+//! gateway's CoDel shedder and brownout controller key on. Each job carries
+//! a caller payload from `offer` to the [`FairServed`] that reports its
+//! start, so the caller keeps no side table keyed by ticket. Everything runs
 //! on simulated time with `BTreeMap`-ordered state, so runs stay
 //! digest-deterministic.
 
@@ -176,9 +178,10 @@ pub enum QueueReject {
     BytesFull,
 }
 
-/// One job started by the fair scheduler: when it arrived, queued, ran.
+/// One job started by the fair scheduler: when it arrived, queued, ran,
+/// and the payload it was offered with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FairServed {
+pub struct FairServed<T> {
     /// The class the job belongs to.
     pub class: ClassId,
     /// Caller-supplied ticket from [`FairCpuServer::offer`].
@@ -191,20 +194,23 @@ pub struct FairServed {
     pub finish: SimTime,
     /// Queue sojourn time (`start - arrival`) — the CoDel signal.
     pub sojourn: SimDuration,
+    /// The caller's payload from [`FairCpuServer::offer`].
+    pub payload: T,
 }
 
 #[derive(Debug, Clone, Copy)]
-struct QueuedJob {
+struct QueuedJob<T> {
     ticket: u64,
     arrival: SimTime,
     demand: SimDuration,
     bytes: u64,
+    payload: T,
 }
 
 #[derive(Debug, Clone)]
-struct ClassState {
+struct ClassState<T> {
     cfg: ClassConfig,
-    queue: VecDeque<QueuedJob>,
+    queue: VecDeque<QueuedJob<T>>,
     queued_bytes: u64,
     /// DRR credit in nanoseconds of CPU time.
     deficit: u64,
@@ -224,29 +230,29 @@ struct ClassState {
 /// [`FairCpuServer::advance`], so queue depth, byte occupancy and sojourn
 /// times build up under overload exactly as a real ingress queue would.
 /// Submissions must arrive in nondecreasing time order (the discrete-event
-/// engine guarantees this).
+/// engine guarantees this). Each job carries a payload `T` from
+/// [`FairCpuServer::offer`] to the [`FairServed`] that reports its start.
 #[derive(Debug, Clone)]
-pub struct FairCpuServer {
+pub struct FairCpuServer<T> {
     core_free: Vec<SimTime>,
     /// DRR quantum: nanoseconds of CPU credit added per round per weight
     /// unit. One typical job demand is a good value.
     quantum: SimDuration,
     // lint:allow(bounded-state) reason=one entry per registered tenant class; classes are added at setup, never per request
-    classes: BTreeMap<ClassId, ClassState>,
+    classes: BTreeMap<ClassId, ClassState<T>>,
     /// Round-robin order over currently-backlogged classes.
     rr: VecDeque<ClassId>,
     /// Whether the class at the front of `rr` has already received its
     /// quantum for the current visit (DRR tops up once per visit, not once
     /// per job, or the front class would never yield).
     front_topped: bool,
-    /// Jobs started since the last [`FairCpuServer::take_started`].
-    // lint:allow(bounded-state) reason=drained wholesale by take_started on every pump event
-    started: Vec<FairServed>,
+    /// Jobs started since the last [`FairCpuServer::drain_started`].
+    started: Vec<FairServed<T>>,
     next_ticket: u64,
     busy: SimDuration,
 }
 
-impl FairCpuServer {
+impl<T> FairCpuServer<T> {
     /// A fair server with `cores` processors and the given DRR quantum.
     pub fn new(cores: usize, quantum: SimDuration) -> Self {
         assert!(cores > 0, "server needs at least one core");
@@ -292,13 +298,15 @@ impl FairCpuServer {
 
     /// Offer a job to `class` at `now`. Advances the scheduler to `now`
     /// first (so cap checks see the live backlog), then either enqueues the
-    /// job — returning its ticket — or rejects it at the door.
+    /// job with its `payload` — returning its ticket — or rejects it at the
+    /// door, dropping the payload.
     pub fn offer(
         &mut self,
         now: SimTime,
         class: ClassId,
         demand: SimDuration,
         bytes: u64,
+        payload: T,
     ) -> Result<u64, QueueReject> {
         self.advance(now);
         let Some(state) = self.classes.get_mut(&class) else {
@@ -320,6 +328,7 @@ impl FairCpuServer {
             arrival: now,
             demand,
             bytes,
+            payload,
         });
         state.queued_bytes += bytes;
         if was_empty {
@@ -332,7 +341,7 @@ impl FairCpuServer {
 
     /// Drain the scheduler up to `now`: every core that frees at or before
     /// `now` picks its next job in deficit-weighted round-robin order.
-    /// Started jobs accumulate until [`FairCpuServer::take_started`].
+    /// Started jobs accumulate until [`FairCpuServer::drain_started`].
     pub fn advance(&mut self, now: SimTime) {
         loop {
             // Earliest-free core (first wins on ties, like CpuServer).
@@ -363,6 +372,7 @@ impl FairCpuServer {
                 start,
                 finish,
                 sojourn: start.since(job.arrival),
+                payload: job.payload,
             });
         }
     }
@@ -370,7 +380,7 @@ impl FairCpuServer {
     /// Dequeue the next job in deficit-weighted round-robin order: rotate
     /// through backlogged classes topping up deficits until one can afford
     /// its head-of-line job. `None` when every queue is empty.
-    fn drr_pop(&mut self) -> Option<(ClassId, QueuedJob)> {
+    fn drr_pop(&mut self) -> Option<(ClassId, QueuedJob<T>)> {
         loop {
             let cid = *self.rr.front()?;
             let Some(state) = self.classes.get_mut(&cid) else {
@@ -415,9 +425,17 @@ impl FairCpuServer {
         }
     }
 
-    /// Jobs started since the last call (in start order).
-    pub fn take_started(&mut self) -> Vec<FairServed> {
-        std::mem::take(&mut self.started)
+    /// Hand out the jobs started since the last call, in start order. The
+    /// buffer keeps its capacity, so a steady pump allocates nothing.
+    pub fn drain_started(&mut self) -> std::vec::Drain<'_, FairServed<T>> {
+        self.started.drain(..)
+    }
+
+    /// Every job the server holds, queued or started but not yet drained,
+    /// as `(ticket, payload)`; in no particular order.
+    pub fn held(&self) -> impl Iterator<Item = (u64, &T)> {
+        let queued = self.classes.values().flat_map(|c| c.queue.iter().map(|j| (j.ticket, &j.payload)));
+        queued.chain(self.started.iter().map(|j| (j.ticket, &j.payload)))
     }
 
     /// When the next queued job could start: the earliest core-free
@@ -459,7 +477,7 @@ impl FairCpuServer {
     /// the `quantum`, every class in `classes` (config, queue shape, bytes,
     /// `deficit`, `granted`, `served`, `rejected`), the `rr` rotation with
     /// its `front_topped` flag, undrained `started` jobs, `next_ticket` and
-    /// integrated `busy` time.
+    /// integrated `busy` time. Payloads are the caller's to fold.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.core_free.len() as u64);
         for &t in &self.core_free {
@@ -576,7 +594,7 @@ mod tests {
         assert!(last_over > last_under * 5);
     }
 
-    fn fair(cores: usize) -> FairCpuServer {
+    fn fair<T>(cores: usize) -> FairCpuServer<T> {
         FairCpuServer::new(cores, US(10))
     }
 
@@ -584,8 +602,8 @@ mod tests {
     fn fair_idle_job_starts_immediately() {
         let mut s = fair(1);
         s.add_class(1, ClassConfig::default());
-        s.offer(SimTime::ZERO, 1, US(10), 100).unwrap();
-        let started = s.take_started();
+        s.offer(SimTime::ZERO, 1, US(10), 100, ()).unwrap();
+        let started: Vec<_> = s.drain_started().collect();
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].start, SimTime::ZERO);
         assert_eq!(started[0].finish, SimTime::from_micros(10));
@@ -597,7 +615,7 @@ mod tests {
     fn fair_unknown_class_rejected() {
         let mut s = fair(1);
         assert_eq!(
-            s.offer(SimTime::ZERO, 7, US(1), 1),
+            s.offer(SimTime::ZERO, 7, US(1), 1, ()),
             Err(QueueReject::UnknownClass)
         );
     }
@@ -615,11 +633,11 @@ mod tests {
         );
         // First job binds to the idle core; next two occupy the 2 slots.
         for _ in 0..3 {
-            s.offer(SimTime::ZERO, 1, US(100), 100).unwrap();
+            s.offer(SimTime::ZERO, 1, US(100), 100, ()).unwrap();
         }
         assert_eq!(s.depth(1), 2);
         assert_eq!(
-            s.offer(SimTime::ZERO, 1, US(100), 100),
+            s.offer(SimTime::ZERO, 1, US(100), 100, ()),
             Err(QueueReject::SlotsFull)
         );
         // Byte cap: one 900-byte job fits under 1000 alongside nothing...
@@ -632,10 +650,10 @@ mod tests {
                 max_bytes: 1000,
             },
         );
-        s2.offer(SimTime::ZERO, 1, US(100), 900).unwrap(); // runs
-        s2.offer(SimTime::ZERO, 1, US(100), 900).unwrap(); // queued
+        s2.offer(SimTime::ZERO, 1, US(100), 900, ()).unwrap(); // runs
+        s2.offer(SimTime::ZERO, 1, US(100), 900, ()).unwrap(); // queued
         assert_eq!(
-            s2.offer(SimTime::ZERO, 1, US(100), 200),
+            s2.offer(SimTime::ZERO, 1, US(100), 200, ()),
             Err(QueueReject::BytesFull)
         );
         assert_eq!(s2.classes[&1].rejected, 1);
@@ -645,11 +663,11 @@ mod tests {
     fn fair_fifo_within_class() {
         let mut s = fair(1);
         s.add_class(1, ClassConfig::default());
-        let t0 = s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
-        let t1 = s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
-        let t2 = s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
+        let t0 = s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
+        let t1 = s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
+        let t2 = s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
         s.advance(SimTime::from_micros(30));
-        let order: Vec<u64> = s.take_started().iter().map(|j| j.ticket).collect();
+        let order: Vec<u64> = s.drain_started().map(|j| j.ticket).collect();
         assert_eq!(order, vec![t0, t1, t2]);
     }
 
@@ -660,8 +678,8 @@ mod tests {
         s.add_class(1, ClassConfig::default());
         s.add_class(2, ClassConfig::default());
         for _ in 0..50 {
-            s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
-            s.offer(SimTime::ZERO, 2, US(10), 1).unwrap();
+            s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
+            s.offer(SimTime::ZERO, 2, US(10), 1, ()).unwrap();
         }
         s.advance(SimTime::from_micros(500));
         let g1 = s.granted(1).as_nanos() as i64;
@@ -682,8 +700,8 @@ mod tests {
         );
         s.add_class(2, ClassConfig::default());
         for _ in 0..200 {
-            s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
-            s.offer(SimTime::ZERO, 2, US(10), 1).unwrap();
+            s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
+            s.offer(SimTime::ZERO, 2, US(10), 1, ()).unwrap();
         }
         // Drain half the backlog so both stay backlogged throughout.
         s.advance(SimTime::from_micros(1000));
@@ -701,15 +719,11 @@ mod tests {
         s.add_class(1, ClassConfig::default());
         s.add_class(2, ClassConfig::default());
         for _ in 0..100 {
-            s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
+            s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
         }
-        s.offer(SimTime::from_micros(100), 2, US(10), 1).unwrap();
+        s.offer(SimTime::from_micros(100), 2, US(10), 1, ()).unwrap();
         s.advance(SimTime::from_micros(2000));
-        let victim = s
-            .take_started()
-            .into_iter()
-            .find(|j| j.class == 2)
-            .unwrap();
+        let victim = s.drain_started().find(|j| j.class == 2).unwrap();
         // Under plain FIFO it would wait ~900us behind the flood; fair
         // queueing bounds the wait to roughly one in-flight job + quantum.
         assert!(
@@ -723,10 +737,10 @@ mod tests {
     fn fair_sojourn_measured_enqueue_to_start() {
         let mut s = fair(1);
         s.add_class(1, ClassConfig::default());
-        s.offer(SimTime::ZERO, 1, US(50), 1).unwrap();
-        s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
+        s.offer(SimTime::ZERO, 1, US(50), 1, ()).unwrap();
+        s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
         s.advance(SimTime::from_micros(60));
-        let started = s.take_started();
+        let started: Vec<_> = s.drain_started().collect();
         assert_eq!(started[1].sojourn, SimDuration::from_micros(50));
     }
 
@@ -735,8 +749,8 @@ mod tests {
         let mut s = fair(1);
         s.add_class(1, ClassConfig::default());
         assert_eq!(s.next_wake(), None);
-        s.offer(SimTime::ZERO, 1, US(10), 1).unwrap(); // running
-        s.offer(SimTime::ZERO, 1, US(10), 1).unwrap(); // queued
+        s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap(); // running
+        s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap(); // queued
         assert_eq!(s.next_wake(), Some(SimTime::from_micros(10)));
         s.advance(SimTime::from_micros(10));
         assert_eq!(s.next_wake(), None);
@@ -748,15 +762,10 @@ mod tests {
         let mut s = fair(2);
         s.add_class(1, ClassConfig::default());
         for _ in 0..4 {
-            s.offer(SimTime::ZERO, 1, US(10), 1).unwrap();
+            s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap();
         }
         s.advance(SimTime::from_micros(100));
-        let finish = s
-            .take_started()
-            .iter()
-            .map(|j| j.finish)
-            .max()
-            .unwrap();
+        let finish = s.drain_started().map(|j| j.finish).max().unwrap();
         assert_eq!(finish, SimTime::from_micros(20));
         assert_eq!(s.busy, SimDuration::from_micros(40));
     }
@@ -779,13 +788,65 @@ mod tests {
             for i in 0..300u64 {
                 let now = SimTime::from_nanos(i * 3_333);
                 let class = 1 + i % 3;
-                let _ = s.offer(now, class, US(5 + (i % 7)), 64 + i % 512);
-                out.append(&mut s.take_started());
+                let _ = s.offer(now, class, US(5 + (i % 7)), 64 + i % 512, ());
+                out.extend(s.drain_started());
             }
             s.advance(SimTime::from_secs(1));
-            out.append(&mut s.take_started());
+            out.extend(s.drain_started());
             out
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn fair_payload_rides_with_its_ticket() {
+        // Three classes at weights 1, 2 and 3 with mixed demands, so DRR
+        // starts jobs far from offer order. Every started job must carry
+        // the payload offered with its ticket (the pairing a caller-side map
+        // keyed by ticket used to provide), and `held` must list exactly
+        // the jobs offered and not yet drained.
+        let mut s = fair(2);
+        for (class, weight) in [(1, 1), (2, 2), (3, 3)] {
+            s.add_class(
+                class,
+                ClassConfig {
+                    weight,
+                    max_slots: 40,
+                    ..ClassConfig::default()
+                },
+            );
+        }
+        let mut rng = crate::rng::SimRng::seed(11);
+        let mut parked: BTreeMap<u64, (ClassId, u64)> = BTreeMap::new();
+        let (mut served, mut reordered, mut last_ticket) = (0, 0, None);
+        let mut check = |s: &mut FairCpuServer<(ClassId, u64)>, parked: &mut BTreeMap<u64, (ClassId, u64)>| {
+            for job in s.drain_started() {
+                assert_eq!(parked.remove(&job.ticket), Some(job.payload), "ticket {}", job.ticket);
+                assert_eq!(job.payload.0, job.class);
+                reordered += usize::from(last_ticket.is_some_and(|t| job.ticket < t));
+                last_ticket = Some(job.ticket);
+                served += 1;
+            }
+            let mut held: Vec<(u64, (ClassId, u64))> = s.held().map(|(t, p)| (t, *p)).collect();
+            held.sort_unstable();
+            assert!(held.iter().copied().eq(parked.iter().map(|(&t, &p)| (t, p))));
+        };
+        for i in 0..3_000u64 {
+            let now = SimTime::from_nanos(i * 4_000);
+            let class = 1 + rng.index(3) as u64;
+            let payload = (class, rng.u64());
+            if let Ok(ticket) = s.offer(now, class, US(3 + rng.index(12) as u64), 64, payload) {
+                parked.insert(ticket, payload);
+            }
+            // The payload must survive both a job started inside `offer`
+            // and one left queued until a later pump.
+            if i % 5 == 0 {
+                check(&mut s, &mut parked);
+            }
+        }
+        s.advance(SimTime::from_secs(1));
+        check(&mut s, &mut parked);
+        assert!(parked.is_empty());
+        assert!(served > 2_000 && reordered > 100, "{served} served, {reordered} reordered");
     }
 }

@@ -57,7 +57,7 @@ fn policies() -> [OverloadConfig; 3] {
 
 /// Pump `ov` at `now`, appending its grants to `out`.
 fn pump(ov: &mut OverloadControl, now: SimTime, out: &mut Vec<StartedRequest>) {
-    out.extend(ov.pump(now));
+    ov.pump(now, out);
 }
 
 fn fold_started(d: &mut Digest, tally: &mut [u64; 4], started: &mut Vec<StartedRequest>) {
