@@ -230,8 +230,7 @@ struct ClassState<T> {
 /// [`FairCpuServer::advance`], so queue depth, byte occupancy and sojourn
 /// times build up under overload exactly as a real ingress queue would.
 /// Submissions must arrive in nondecreasing time order (the discrete-event
-/// engine guarantees this). Each job carries a payload `T` from
-/// [`FairCpuServer::offer`] to the [`FairServed`] that reports its start.
+/// engine guarantees this).
 #[derive(Debug, Clone)]
 pub struct FairCpuServer<T> {
     core_free: Vec<SimTime>,
