@@ -57,7 +57,6 @@ use canal_net::{Endpoint, FiveTuple, VpcAddr, VpcId};
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, Table};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
-use std::collections::BTreeSet;
 
 /// The gateway the script turns gray.
 const GRAY_GW: u32 = 0;
@@ -438,19 +437,16 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
 
         // 7. Real requests: routed away from quarantined gateways, with
         //    per-request outcomes feeding the passive evidence stream.
-        let drained: BTreeSet<u32> = (0..params.fleet)
-            .filter(|&g| drain.phase(g) == Some(DrainPhase::Drained))
-            .map(|g| g as u32)
-            .collect();
+        let drained = |g: u32| drain.phase(g as usize) == Some(DrainPhase::Drained);
         let n_requests = req_carry.take(REQ_PER_S * tick_s);
         for _ in 0..n_requests {
             let zone = rng.index(params.fleet) as u32;
             let mut g = rng.index(params.fleet) as u32;
-            if detector.is_quarantined(&g) || drained.contains(&g) {
+            if detector.is_quarantined(&g) || drained(g) {
                 rerouted += 1;
                 for off in 1..params.fleet as u32 {
                     let alt = (g + off) % params.fleet as u32;
-                    if !detector.is_quarantined(&alt) && !drained.contains(&alt) {
+                    if !detector.is_quarantined(&alt) && !drained(alt) {
                         g = alt;
                         break;
                     }
@@ -523,18 +519,16 @@ pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
                 events += 1;
             }
         }
-        let mut still_live = Vec::with_capacity(live.len());
-        for (tuple, closes) in live {
-            if closes <= now {
-                drain.close(&tuple);
-                events += 1;
+        live.retain(|(tuple, closes)| {
+            events += 1;
+            if *closes <= now {
+                drain.close(tuple);
+                false
             } else {
-                drain.packet(&tuple);
-                events += 1;
-                still_live.push((tuple, closes));
+                drain.packet(tuple);
+                true
             }
-        }
-        live = still_live;
+        });
 
         // 11. The planned drain, and its progress.
         if !drain_begun && now >= clock.at(DRAIN_S) {

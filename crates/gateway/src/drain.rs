@@ -23,9 +23,14 @@
 //! The planned-drain invariant the drill gates on: `force_closed == 0` when
 //! the drain window exceeds the longest session, and every packet of every
 //! established session reaches the session's owner throughout.
+//!
+//! Sessions live in a [`FlatTable`] keyed by the five-tuple: a packet hashes
+//! its tuple once ([`FlowHash`]), and that one value finds the owner in the
+//! table and the bucket in the chain table, so a packet is one probe and a
+//! chain walk that compares each hop with the owner it already has.
 
 use crate::redirector::BucketTable;
-use canal_net::{hash_five_tuple, FiveTuple};
+use canal_net::{hash_five_tuple, FiveTuple, FlatTable, FlowHash};
 use canal_sim::{Digest, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -69,7 +74,7 @@ pub enum DrainError {
 #[derive(Debug)]
 pub struct GatewayDrain {
     table: BucketTable,
-    sessions: BTreeMap<FiveTuple, usize>,
+    sessions: FlatTable<FiveTuple, usize>,
     max_sessions: usize,
     phases: BTreeMap<usize, DrainPhase>,
     opened: u64,
@@ -86,7 +91,7 @@ impl GatewayDrain {
     pub fn new(n_buckets: usize, gateways: &[usize], max_chain: usize, max_sessions: usize) -> Self {
         GatewayDrain {
             table: BucketTable::new(n_buckets, gateways, max_chain),
-            sessions: BTreeMap::new(),
+            sessions: FlatTable::new(),
             max_sessions,
             phases: gateways.iter().map(|&g| (g, DrainPhase::Active)).collect(),
             opened: 0,
@@ -104,12 +109,17 @@ impl GatewayDrain {
             self.rejected += 1;
             return Err(DrainReject::AtCapacity);
         }
-        let d = self.table.dispatch(&tuple, true, |_, _| false);
+        let hash = FlowHash::of(&tuple);
+        let d = self.table.dispatch_hashed(hash, true, |_| false);
         if self.phases.get(&d.replica) == Some(&DrainPhase::Drained) {
             self.rejected += 1;
             return Err(DrainReject::GatewayDrained);
         }
-        self.sessions.insert(tuple, d.replica);
+        // A re-open of a live tuple moves it to the new owner.
+        match self.sessions.get_mut(hash.value(), &tuple) {
+            Some(owner) => *owner = d.replica,
+            None => self.sessions.insert_new(hash.value(), tuple, d.replica),
+        }
         self.opened += 1;
         Ok(d.replica)
     }
@@ -118,10 +128,9 @@ impl GatewayDrain {
     /// session's owner, counting each daisy-chained forward as a hand-off.
     /// Returns `(owner, redirect_hops)`, or `None` for unknown sessions.
     pub fn packet(&mut self, tuple: &FiveTuple) -> Option<(usize, usize)> {
-        let owner = *self.sessions.get(tuple)?;
-        let d = self.table.dispatch(tuple, false, |replica, tpl| {
-            self.sessions.get(tpl) == Some(&replica)
-        });
+        let hash = FlowHash::of(tuple);
+        let owner = *self.sessions.get(hash.value(), tuple)?;
+        let d = self.table.dispatch_hashed(hash, false, |replica| replica == owner);
         debug_assert_eq!(d.replica, owner, "chain walk must find the session owner");
         if d.redirect_hops > 0 {
             self.handed_off += 1;
@@ -131,7 +140,7 @@ impl GatewayDrain {
 
     /// Close a session normally.
     pub fn close(&mut self, tuple: &FiveTuple) -> bool {
-        let existed = self.sessions.remove(tuple).is_some();
+        let existed = self.sessions.remove(FlowHash::of(tuple).value(), tuple).is_some();
         if existed {
             self.closed += 1;
         }
@@ -175,16 +184,12 @@ impl GatewayDrain {
             .collect();
         let mut finished = Vec::new();
         for (g, deadline) in draining {
-            let remaining = self.sessions.values().filter(|&&o| o == g).count();
-            if remaining > 0 && now < deadline {
+            if now < deadline && self.sessions_on(g) > 0 {
                 continue;
             }
-            if remaining > 0 {
-                // Deadline passed: the stragglers lose their sessions — the
-                // accounting the planned-drain invariant gates to zero.
-                self.sessions.retain(|_, &mut o| o != g);
-                self.force_closed += remaining as u64;
-            }
+            // Past the deadline the stragglers lose their sessions — the
+            // accounting the planned-drain invariant gates to zero.
+            self.force_closed += self.sessions.retain(|_, &mut o| o != g) as u64;
             self.table.replica_removed(g);
             self.phases.insert(g, DrainPhase::Drained);
             finished.push(g);
@@ -199,7 +204,7 @@ impl GatewayDrain {
 
     /// Established sessions currently owned by a gateway.
     pub fn sessions_on(&self, gateway: usize) -> usize {
-        self.sessions.values().filter(|&&o| o == gateway).count()
+        self.sessions.iter().filter(|&(_, &o)| o == gateway).count()
     }
 
     /// The underlying bucket table (bucket-ownership assertions in tests).
@@ -219,10 +224,9 @@ impl GatewayDrain {
     /// `rejected`).
     pub fn fold_digest(&self, d: &mut Digest) {
         self.table.fold_digest(d);
-        d.write_u64(self.sessions.len() as u64);
-        for (tuple, &owner) in &self.sessions {
+        self.sessions.fold_digest(d, |d, tuple, &owner| {
             d.write_u64(hash_five_tuple(tuple)).write_u64(owner as u64);
-        }
+        });
         d.write_u64(self.phases.len() as u64);
         for (&g, ph) in &self.phases {
             d.write_u64(g as u64);
@@ -370,5 +374,240 @@ mod tests {
         let mut c = Digest::new();
         d.fold_digest(&mut c);
         assert_ne!(b.value(), c.value(), "completion must move the digest");
+    }
+
+    fn digest_of(d: &GatewayDrain) -> u64 {
+        let mut dg = Digest::new();
+        d.fold_digest(&mut dg);
+        dg.value()
+    }
+
+    #[test]
+    fn digest_sees_every_owner_phase_counter_and_chain() {
+        // Sessions on every gateway, a drain in flight, every counter > 0.
+        let base = || {
+            let mut d = GatewayDrain::new(64, &[0, 1, 2], 4, 60);
+            for i in 0..61u16 {
+                d.open(tuple(i)).ok();
+            }
+            d.close(&tuple(0));
+            d.begin_drain(T(0), 1, 2, S(10)).unwrap();
+            for i in 1..61u16 {
+                d.packet(&tuple(i));
+            }
+            d.force_closed += 1;
+            d
+        };
+        let (opened, closed, handed_off, force_closed, rejected) = base().stats();
+        assert!(opened > 0 && closed > 0 && handed_off > 0 && force_closed > 0 && rejected > 0);
+        // tuple(7) is a live session of the base state.
+        type Mutation = (&'static str, fn(&mut GatewayDrain));
+        let mutations: [Mutation; 11] = [
+            ("one session's owner", |d| {
+                if let Some(o) = d.sessions.get_mut(FlowHash::of(&tuple(7)).value(), &tuple(7)) {
+                    *o = (*o + 1) % 3;
+                }
+            }),
+            ("a session removed", |d| {
+                d.sessions.remove(FlowHash::of(&tuple(7)).value(), &tuple(7));
+            }),
+            ("a session added", |d| {
+                let extra = tuple(999);
+                d.sessions.insert_new(FlowHash::of(&extra).value(), extra, 0);
+            }),
+            ("a phase", |d| {
+                d.phases.insert(0, DrainPhase::Drained);
+            }),
+            ("a drain deadline", |d| {
+                d.phases.insert(1, DrainPhase::Draining { deadline: T(11) });
+            }),
+            ("opened", |d| d.opened += 1),
+            ("closed", |d| d.closed += 1),
+            ("handed_off", |d| d.handed_off += 1),
+            ("force_closed", |d| d.force_closed += 1),
+            ("rejected", |d| d.rejected += 1),
+            ("a chain", |d| d.table.replica_added(9, 64)),
+        ];
+        let mut seen = BTreeMap::new();
+        seen.insert(digest_of(&base()), "the base state");
+        for (what, mutate) in mutations {
+            let mut d = base();
+            mutate(&mut d);
+            let clash = seen.insert(digest_of(&d), what);
+            assert_eq!(clash, None, "changing {what} left the digest of another state");
+        }
+    }
+
+    /// The coordinator as it stood on an ordered map: the reference the
+    /// flat table must match call for call.
+    struct Model {
+        table: BucketTable,
+        sessions: BTreeMap<FiveTuple, usize>,
+        max_sessions: usize,
+        phases: BTreeMap<usize, DrainPhase>,
+        counters: (u64, u64, u64, u64, u64),
+    }
+
+    impl Model {
+        fn open(&mut self, tuple: FiveTuple) -> Result<usize, DrainReject> {
+            if self.sessions.len() >= self.max_sessions {
+                self.counters.4 += 1;
+                return Err(DrainReject::AtCapacity);
+            }
+            let d = self.table.dispatch(&tuple, true, |_, _| false);
+            if self.phases.get(&d.replica) == Some(&DrainPhase::Drained) {
+                self.counters.4 += 1;
+                return Err(DrainReject::GatewayDrained);
+            }
+            self.sessions.insert(tuple, d.replica);
+            self.counters.0 += 1;
+            Ok(d.replica)
+        }
+
+        fn packet(&mut self, tuple: &FiveTuple) -> Option<(usize, usize)> {
+            self.sessions.get(tuple)?;
+            let d = self.table.dispatch(tuple, false, |r, tpl| self.sessions.get(tpl) == Some(&r));
+            if d.redirect_hops > 0 {
+                self.counters.2 += 1;
+            }
+            Some((d.replica, d.redirect_hops))
+        }
+
+        fn close(&mut self, tuple: &FiveTuple) -> bool {
+            let existed = self.sessions.remove(tuple).is_some();
+            self.counters.1 += u64::from(existed);
+            existed
+        }
+
+        fn begin_drain(
+            &mut self,
+            now: SimTime,
+            leaving: usize,
+            replacement: usize,
+            grace: SimDuration,
+        ) -> Result<(), DrainError> {
+            match self.phases.get(&leaving) {
+                None => return Err(DrainError::UnknownGateway),
+                Some(DrainPhase::Active) => {}
+                Some(_) => return Err(DrainError::AlreadyDraining),
+            }
+            if leaving == replacement || self.phases.get(&replacement) != Some(&DrainPhase::Active) {
+                return Err(DrainError::BadReplacement);
+            }
+            self.table.replica_going_offline(leaving, replacement);
+            self.phases.insert(leaving, DrainPhase::Draining { deadline: now + grace });
+            Ok(())
+        }
+
+        fn sessions_on(&self, g: usize) -> usize {
+            self.sessions.values().filter(|&&o| o == g).count()
+        }
+
+        fn tick(&mut self, now: SimTime) -> Vec<usize> {
+            let draining: Vec<(usize, SimTime)> = self
+                .phases
+                .iter()
+                .filter_map(|(&g, ph)| match ph {
+                    DrainPhase::Draining { deadline } => Some((g, *deadline)),
+                    _ => None,
+                })
+                .collect();
+            let mut finished = Vec::new();
+            for (g, deadline) in draining {
+                let remaining = self.sessions_on(g);
+                if remaining > 0 && now < deadline {
+                    continue;
+                }
+                self.sessions.retain(|_, &mut o| o != g);
+                self.counters.3 += remaining as u64;
+                self.table.replica_removed(g);
+                self.phases.insert(g, DrainPhase::Drained);
+                finished.push(g);
+            }
+            finished
+        }
+
+        fn digest(&self) -> u64 {
+            let mut d = Digest::new();
+            self.table.fold_digest(&mut d);
+            d.write_u64(self.sessions.len() as u64);
+            for (tuple, &owner) in &self.sessions {
+                d.write_u64(hash_five_tuple(tuple)).write_u64(owner as u64);
+            }
+            d.write_u64(self.phases.len() as u64);
+            for (&g, ph) in &self.phases {
+                d.write_u64(g as u64);
+                match ph {
+                    DrainPhase::Active => d.write_u64(0),
+                    DrainPhase::Draining { deadline } => d.write_u64(1).write_u64(deadline.as_nanos()),
+                    DrainPhase::Drained => d.write_u64(2),
+                };
+            }
+            let (o, c, h, f, r) = self.counters;
+            d.write_u64(o).write_u64(c).write_u64(h).write_u64(f).write_u64(r);
+            d.value()
+        }
+    }
+
+    /// Seeded differential test against the ordered-map [`Model`]: random
+    /// open (re-opens of live tuples included) / packet / close /
+    /// `begin_drain` / tick sequences, on fleets tight enough to hit the
+    /// session cap and to drain every gateway but one.
+    #[test]
+    fn matches_the_btreemap_model_under_random_operations() {
+        use canal_sim::SimRng;
+        let gateways = [0, 1, 2, 3];
+        let mut rng = SimRng::seed(0xD2A1_0001);
+        let mut totals = [0u64; 5];
+        for case in 0..40 {
+            let n_buckets = [8usize, 64, 128][case % 3];
+            let max_sessions = [12usize, 300, 10_000][case % 3];
+            let space = [40u16, 400, 2000][case % 3];
+            let mut d = GatewayDrain::new(n_buckets, &gateways, 4, max_sessions);
+            let mut m = Model {
+                table: BucketTable::new(n_buckets, &gateways, 4),
+                sessions: BTreeMap::new(),
+                max_sessions,
+                phases: gateways.iter().map(|&g| (g, DrainPhase::Active)).collect(),
+                counters: (0, 0, 0, 0, 0),
+            };
+            let mut now = SimTime::ZERO;
+            for step in 0..3000 {
+                now += SimDuration::from_millis(rng.int_range(0, 40));
+                let t = tuple(rng.index(space as usize) as u16);
+                match rng.index(20) {
+                    0..=6 => assert_eq!(d.open(t), m.open(t)),
+                    7..=13 => assert_eq!(d.packet(&t), m.packet(&t)),
+                    14..=17 => assert_eq!(d.close(&t), m.close(&t)),
+                    18 => {
+                        let (leaving, replacement) = (rng.index(5), rng.index(5));
+                        let grace = SimDuration::from_millis(rng.int_range(0, 20_000));
+                        assert_eq!(
+                            d.begin_drain(now, leaving, replacement, grace),
+                            m.begin_drain(now, leaving, replacement, grace)
+                        );
+                    }
+                    _ => assert_eq!(d.tick(now), m.tick(now)),
+                }
+                if step % 100 == 0 {
+                    for g in 0..5 {
+                        let on = (d.sessions_on(g), m.sessions_on(g));
+                        assert_eq!(on.0, on.1, "case {case} step {step} gateway {g}");
+                        assert_eq!(d.phase(g), m.phases.get(&g).copied());
+                    }
+                    assert_eq!(d.stats(), m.counters);
+                    assert_eq!(digest_of(&d), m.digest(), "case {case} step {step}");
+                }
+            }
+            assert_eq!(d.stats(), m.counters);
+            assert_eq!(digest_of(&d), m.digest(), "case {case}");
+            let (o, c, h, f, r) = m.counters;
+            for (total, n) in totals.iter_mut().zip([o, c, h, f, r]) {
+                *total += n;
+            }
+        }
+        // The sequences reach every counter: hand-offs, force-closes and
+        // both kinds of refusal included.
+        assert!(totals.iter().all(|&n| n > 0), "{totals:?}");
     }
 }

@@ -354,7 +354,7 @@ impl ResilientDispatcher {
     }
 
     /// All currently-ejected backends.
-    pub fn ejected_backends(&self, now: SimTime) -> Vec<BackendId> {
+    fn ejected_backends(&self, now: SimTime) -> Vec<BackendId> {
         self.detectors
             .iter()
             .filter(|(_, d)| d.is_ejected(now))

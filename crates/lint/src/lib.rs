@@ -316,7 +316,7 @@ fn findings_for(record: &FileRecord, lexed: &LexedFile) -> Vec<Finding> {
                 rules::AMBIENT_RNG_PATTERNS,
                 lineno,
                 line,
-                "draws ambient randomness; thread all randomness through a seeded canal_sim::SimRng",
+                "draws ambient randomness or reads the environment; thread randomness through a seeded canal_sim::SimRng and inputs through parameters",
             );
         }
 

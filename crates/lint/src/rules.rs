@@ -210,10 +210,12 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "ambient-rng",
-        summary: "no thread_rng/OsRng/from_entropy ambient randomness",
+        summary: "no ambient randomness or environment (thread_rng/OsRng/from_entropy, env::var)",
         rationale: "All randomness must derive from the experiment's single seed through \
                     canal_sim::SimRng; ambient entropy desynchronizes double runs and makes \
-                    chaos/overload results unrepeatable.",
+                    chaos/overload results unrepeatable. An environment variable is the same \
+                    hole: a run's behaviour then depends on a shell nobody digests, so inputs \
+                    arrive as parameters.",
         suppression: SUPPRESS_PLAIN,
     },
     RuleDoc {
@@ -353,13 +355,16 @@ pub const WALLCLOCK_PATTERNS: &[Pattern] = &[
     tok("std::time::SystemTime"),
 ];
 
-/// Ambient (unseeded) randomness: all randomness flows through `SimRng`.
+/// Ambient (unseeded) randomness, and the process environment: all
+/// randomness flows through `SimRng`, every other input through parameters.
 pub const AMBIENT_RNG_PATTERNS: &[Pattern] = &[
     tok("thread_rng"),
     tok("rand::random"),
     tok("from_entropy"),
     word("OsRng"),
     tok("getrandom"),
+    word("env::var"),
+    word("env::var_os"),
 ];
 
 /// Unordered collections whose iteration order depends on the hasher.

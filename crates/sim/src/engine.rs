@@ -91,6 +91,10 @@ pub struct Simulation<E> {
     queue: BinaryHeap<QueuedEvent<E>>,
     events_fired: u64,
     monitor: EventOrderMonitor,
+    /// The [`Scheduler`] buffer every dispatch borrows and hands back
+    /// empty, so no dispatch allocates once it has grown to the most
+    /// events one handler schedules.
+    scratch: Vec<(SimTime, E)>,
 }
 
 impl<E> Default for Simulation<E> {
@@ -108,6 +112,7 @@ impl<E> Simulation<E> {
             queue: BinaryHeap::new(),
             events_fired: 0,
             monitor: EventOrderMonitor::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -129,8 +134,10 @@ impl<E> Simulation<E> {
     /// Fold the engine state into a digest: clock (`now`), insertion
     /// sequence (`seq`), dispatch count (`events_fired`), the `(time, seq)`
     /// shape of every event still in `queue` (canonical order), and the
-    /// `monitor` position. Event payloads are the model's to digest.
+    /// `monitor` position. Event payloads are the model's to digest, and
+    /// the `scratch` buffer is empty between dispatches.
     pub fn fold_digest(&self, d: &mut Digest) {
+        debug_assert!(self.scratch.is_empty(), "scratch is drained by every dispatch");
         d.write_u64(self.now.as_nanos())
             .write_u64(self.seq)
             .write_u64(self.events_fired)
@@ -168,13 +175,14 @@ impl<E> Simulation<E> {
         self.events_fired += 1;
         let mut sched = Scheduler {
             now: self.now,
-            pending: Vec::new(),
+            pending: std::mem::take(&mut self.scratch),
             halted: false,
         };
         model.handle(self.now, next.event, &mut sched);
-        for (t, e) in sched.pending {
+        for (t, e) in sched.pending.drain(..) {
             self.schedule(t, e);
         }
+        self.scratch = sched.pending;
         !sched.halted
     }
 
@@ -283,5 +291,173 @@ mod tests {
         sim.schedule(SimTime::from_millis(1), Ev::Tick(2));
         sim.run(&mut m);
         assert_eq!(m.seen, vec![(10_000_000, 1), (10_000_000, 2)]);
+    }
+
+    /// Schedules through the handler's [`Scheduler`], so every dispatch
+    /// goes through the reused buffer: `Fan(n, delay)` at `t` schedules `n`
+    /// leaves (ids `10 n + k`) at `t + delay`, `Back` one leaf 5 ns before
+    /// now, and `Halt(n)` `n` leaves 1 ns apart before it halts.
+    #[derive(Default)]
+    struct Fanout {
+        seen: Vec<(u64, u32)>,
+    }
+
+    enum FanEv {
+        Fan(u32, u64),
+        Back(u32),
+        Leaf(u32),
+        Halt(u32),
+    }
+
+    impl Model for Fanout {
+        type Event = FanEv;
+        fn handle(&mut self, now: SimTime, event: FanEv, sched: &mut Scheduler<FanEv>) {
+            match event {
+                FanEv::Fan(n, delay) => {
+                    for k in 0..n {
+                        sched.after(SimDuration::from_nanos(delay), FanEv::Leaf(10 * n + k));
+                    }
+                }
+                FanEv::Back(id) => sched.at(SimTime::from_nanos(now.as_nanos() - 5), FanEv::Leaf(id)),
+                FanEv::Leaf(id) => self.seen.push((now.as_nanos(), id)),
+                FanEv::Halt(n) => {
+                    for k in 0..n {
+                        sched.after(SimDuration::from_nanos(k as u64), FanEv::Leaf(100 + k));
+                    }
+                    sched.halt();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_instant_events_from_successive_dispatches_stay_fifo() {
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime::from_nanos(10), FanEv::Fan(3, 0));
+        sim.schedule(SimTime::from_nanos(10), FanEv::Fan(2, 0));
+        sim.schedule(SimTime::from_nanos(10), FanEv::Leaf(1));
+        sim.schedule(SimTime::from_nanos(10), FanEv::Fan(4, 5));
+        let mut m = Fanout::default();
+        sim.run(&mut m);
+        // The leaf queued up front fires first at t=10, then the fan-outs'
+        // leaves in the order their handlers ran and, within one handler,
+        // the order it scheduled them.
+        assert_eq!(
+            m.seen,
+            vec![(10, 1), (10, 30), (10, 31), (10, 32), (10, 20), (10, 21)]
+                .into_iter()
+                .chain((40..44).map(|id| (15, id)))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(sim.events_fired(), 4 + 3 + 2 + 4);
+    }
+
+    #[test]
+    fn an_event_a_handler_schedules_in_the_past_fires_now() {
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime::from_nanos(20), FanEv::Back(7));
+        sim.schedule(SimTime::from_nanos(20), FanEv::Leaf(8));
+        sim.schedule(SimTime::from_nanos(21), FanEv::Leaf(9));
+        let mut m = Fanout::default();
+        sim.run(&mut m);
+        // Clamped to t=20, behind the leaf already queued for that instant.
+        assert_eq!(m.seen, vec![(20, 8), (20, 7), (21, 9)]);
+        assert_eq!(sim.now(), SimTime::from_nanos(21));
+    }
+
+    #[test]
+    fn events_a_halting_handler_schedules_stay_queued() {
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime::from_nanos(1), FanEv::Fan(2, 1));
+        sim.schedule(SimTime::from_nanos(3), FanEv::Halt(3));
+        sim.schedule(SimTime::from_nanos(9), FanEv::Leaf(9));
+        let mut m = Fanout::default();
+        sim.run(&mut m);
+        assert_eq!(m.seen, vec![(2, 20), (2, 21)]);
+        // The leaf at t=9 plus the three the halting handler scheduled.
+        assert_eq!(sim.pending(), 4);
+        assert_eq!(sim.now(), SimTime::from_nanos(3));
+        // They fire when the run resumes, in time order.
+        sim.run(&mut m);
+        assert_eq!(m.seen[2..], [(3, 100), (4, 101), (5, 102), (9, 9)]);
+        assert_eq!(sim.pending(), 0);
+    }
+
+    /// A time-sorted arrival list plus pre-scheduled plan events, each of
+    /// which schedules a follow-up `lag` later. `chained` schedules only
+    /// arrival 0 and lets arrival `i` schedule arrival `i + 1`; up front,
+    /// every arrival is scheduled after the plan.
+    struct Stream {
+        arrivals: Vec<u64>,
+        chained: bool,
+        /// A follow-up that ties with the next unfired arrival re-queues
+        /// itself behind it (what scheduling arrivals up front gives it).
+        defer: bool,
+        lag: u64,
+        next: usize,
+        seen: Vec<(u64, char, usize)>,
+    }
+
+    enum StreamEv {
+        Plan(usize),
+        FollowUp(usize),
+        Arrive(usize),
+    }
+
+    impl Model for Stream {
+        type Event = StreamEv;
+        fn handle(&mut self, now: SimTime, event: StreamEv, sched: &mut Scheduler<StreamEv>) {
+            let t = now.as_nanos();
+            match event {
+                StreamEv::Plan(i) => {
+                    self.seen.push((t, 'p', i));
+                    sched.after(SimDuration::from_nanos(self.lag), StreamEv::FollowUp(i));
+                }
+                StreamEv::FollowUp(i) => {
+                    if self.defer && self.arrivals.get(self.next) == Some(&t) {
+                        sched.at(now, StreamEv::FollowUp(i));
+                        return;
+                    }
+                    self.seen.push((t, 'f', i));
+                }
+                StreamEv::Arrive(i) => {
+                    self.seen.push((t, 'a', i));
+                    self.next = i + 1;
+                    if let Some(&at) = self.arrivals.get(i + 1).filter(|_| self.chained) {
+                        sched.at(SimTime::from_nanos(at), StreamEv::Arrive(i + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    fn stream(chained: bool, defer: bool) -> Vec<(u64, char, usize)> {
+        // Arrival 1 ties with plan event 0; arrivals 2 and 3 tie with each
+        // other; arrival 4 ties with plan 0's follow-up, arrivals 5 and 6
+        // with plan 1's.
+        let arrivals = vec![3, 10, 12, 12, 15, 25, 25, 40];
+        let mut sim = Simulation::new();
+        for (i, at) in [10, 20, 30].into_iter().enumerate() {
+            sim.schedule(SimTime::from_nanos(at), StreamEv::Plan(i));
+        }
+        let upfront = if chained { 1 } else { arrivals.len() };
+        for (i, &at) in arrivals.iter().enumerate().take(upfront) {
+            sim.schedule(SimTime::from_nanos(at), StreamEv::Arrive(i));
+        }
+        let mut m = Stream { arrivals, chained, defer, lag: 5, next: 0, seen: Vec::new() };
+        sim.run(&mut m);
+        m.seen
+    }
+
+    #[test]
+    fn a_chained_arrival_stream_fires_what_scheduling_it_up_front_fires() {
+        let upfront = stream(false, false);
+        assert_eq!(upfront[..3], [(3, 'a', 0), (10, 'p', 0), (10, 'a', 1)]);
+        assert_eq!(upfront[5..7], [(15, 'a', 4), (15, 'f', 0)]);
+        assert_eq!(upfront.len(), 8 + 3 + 3);
+        assert_eq!(stream(true, true), upfront);
+        // Without the re-queue, a follow-up scheduled before the arrival it
+        // ties with was chained overtakes that arrival.
+        assert_ne!(stream(true, false), upfront);
     }
 }

@@ -87,6 +87,15 @@ fn fixtures_trip_every_rule() {
         .map(|v| v.line)
         .collect();
     assert_eq!(global_state_lines, [4, 6, 11, 11]);
+    // ambient-rng fires on both randomness draws and on both environment
+    // reads, once each.
+    let ambient_lines: Vec<usize> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "ambient-rng" && v.file.contains("ambient_rng.rs"))
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(ambient_lines, [5, 10, 14, 14]);
     // dead-export fires on its fixture only: the uncalled fn, the fn only
     // tests call, and the fn only a `pub use` names.
     let dead: Vec<(&str, usize)> = report
