@@ -93,6 +93,44 @@ fn vxlan_header_corruption_detected() {
     }
 }
 
+/// Payload lengths the golden frames cover: empty, one byte, either side
+/// of the 36-byte header size, a cache line, an MTU-sized packet and a
+/// 16 KiB body.
+const GOLDEN_PAYLOAD_LENS: [usize; 7] = [0, 1, 35, 36, 64, 1400, 16 * 1024];
+
+/// Fold of the encoded bytes of [`golden_frames`], captured from the
+/// encoder as it stood before the header was built on the stack.
+const VXLAN_GOLDEN: u64 = 0xf828_c685_5f54_bd42;
+
+/// Seeded frames, eight per payload length, with random endpoints, ports
+/// and VNIs (including bits above the 24 the header keeps).
+fn golden_frames() -> Vec<VxlanFrame> {
+    let mut rng = SimRng::seed(0x0DEC_000A);
+    let mut frames = Vec::new();
+    for len in GOLDEN_PAYLOAD_LENS {
+        for _ in 0..8 {
+            let (src, dst, sport, vni) = (rng.u64() as u32, rng.u64() as u32, rng.u64() as u16, rng.u64() as u32);
+            let payload: Vec<u8> = (0..len).map(|_| rng.u64() as u8).collect();
+            frames.push(VxlanFrame::new(src, dst, sport, vni, payload));
+        }
+    }
+    frames
+}
+
+/// The encoder's bytes, not only what decoding them gives back: an encoder
+/// that changed the wire format in step with the decoder would pass
+/// [`vxlan_round_trip`] and fails here.
+#[test]
+fn vxlan_encodes_the_golden_bytes() {
+    let mut d = canal::sim::invariant::Digest::new();
+    for frame in golden_frames() {
+        let wire = frame.encode();
+        assert_eq!(wire.len(), VXLAN_OVERHEAD + frame.inner.len());
+        d.write_u64(wire.len() as u64).write_bytes(&wire);
+    }
+    assert_eq!(d.value(), VXLAN_GOLDEN, "VXLAN wire bytes changed: {:#018x}", d.value());
+}
+
 /// HTTP requests round-trip through encode → incremental parse for any
 /// method/path/headers/body, even fed one byte at a time.
 #[test]
