@@ -111,6 +111,22 @@ impl Bytes {
         }
     }
 
+    /// `head` followed by `tail` in one fresh buffer: one allocation of
+    /// exactly their summed length (a `TrustedLen` iterator collects into an
+    /// `Arc<[u8]>` without a staging `Vec`), zero-filled, then each part
+    /// copied in once.
+    pub fn concat(head: &[u8], tail: &[u8]) -> Self {
+        let len = head.len() + tail.len();
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        // Just created, so never shared: `get_mut` always succeeds.
+        if let Some(buf) = Arc::get_mut(&mut data) {
+            let (h, t) = buf.split_at_mut(head.len());
+            h.copy_from_slice(head);
+            t.copy_from_slice(tail);
+        }
+        Bytes { data, start: 0, end: len }
+    }
+
     /// Length of the visible window.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -469,6 +485,29 @@ mod tests {
     #[should_panic(expected = "slice out of range")]
     fn slice_out_of_range_panics() {
         let _ = Bytes::from(b"ab").slice(0..3);
+    }
+
+    #[test]
+    fn concat_is_head_then_tail() {
+        let cases: [(&[u8], &[u8]); 4] = [(b"head", b"tail"), (b"", b"tail"), (b"head", b""), (b"", b"")];
+        for (head, tail) in cases {
+            let joined = Bytes::concat(head, tail);
+            assert_eq!(joined.as_slice(), [head, tail].concat().as_slice());
+            assert_eq!(joined.len(), head.len() + tail.len());
+            assert_eq!(joined.is_empty(), head.is_empty() && tail.is_empty());
+            // Slices and clones of the result see the same bytes.
+            assert_eq!(joined.slice(..head.len()).as_slice(), head);
+            assert_eq!(joined.slice(head.len()..).as_slice(), tail);
+            let copy = joined.clone();
+            assert_eq!(copy, joined);
+            assert!(Arc::ptr_eq(&copy.data, &joined.data), "a clone shares the buffer");
+        }
+        // A slice outlives the buffer it was cut from.
+        let mut joined = Bytes::concat(b"abc", b"def");
+        let middle = joined.slice(2..4);
+        joined.advance(3);
+        drop(joined);
+        assert_eq!(middle.as_slice(), b"cd");
     }
 
     #[test]

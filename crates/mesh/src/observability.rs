@@ -15,12 +15,12 @@
 //! to that crate's collector.
 
 use canal_http::StatusCode;
-use canal_net::{GlobalServiceId, PodId};
+use canal_net::{FlatKey, FlatTable, GlobalServiceId, PodId};
 use canal_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// L4 counters the on-node proxy keeps per pod.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L4PodStats {
     /// Bytes sent by the pod.
     pub bytes_out: u64,
@@ -34,7 +34,8 @@ pub struct L4PodStats {
 /// counters.
 #[derive(Debug, Default)]
 pub struct NodeObservability {
-    stats: BTreeMap<PodId, L4PodStats>,
+    /// Keyed by pod: one hashed probe a transfer.
+    stats: FlatTable<PodId, L4PodStats>,
     /// Labeling operations performed (the App. A overhead: a sidecar knows
     /// its pod for free; the shared node proxy must label each flow).
     labeling_ops: u64,
@@ -48,13 +49,22 @@ impl NodeObservability {
 
     /// Record one pod-attributed transfer (one labeling operation).
     pub fn record_transfer(&mut self, pod: PodId, bytes_out: u64, bytes_in: u64, new_conn: bool) {
-        let e = self.stats.entry(pod).or_default();
-        e.bytes_out += bytes_out;
-        e.bytes_in += bytes_in;
-        if new_conn {
-            e.connections += 1;
+        let hash = pod.flat_hash();
+        let connections = u64::from(new_conn);
+        match self.stats.get_mut(hash, &pod) {
+            Some(e) => {
+                e.bytes_out += bytes_out;
+                e.bytes_in += bytes_in;
+                e.connections += connections;
+            }
+            None => self.stats.insert_new(hash, pod, L4PodStats { bytes_out, bytes_in, connections }),
         }
         self.labeling_ops += 1;
+    }
+
+    /// Counters of `pod`, if it has transferred anything.
+    pub fn pod_stats(&self, pod: PodId) -> Option<L4PodStats> {
+        self.stats.get(pod.flat_hash(), &pod).copied()
     }
 
     /// Labeling operations performed so far.
@@ -72,8 +82,8 @@ pub struct AccessLogEntry {
     pub service: GlobalServiceId,
     /// Request method token.
     pub method: &'static str,
-    /// Request path.
-    pub path: String,
+    /// Where the request path lies in its log's path text.
+    path: Range<usize>,
     /// Response status.
     pub status: StatusCode,
     /// Gateway-side processing latency.
@@ -86,6 +96,9 @@ pub struct AccessLogEntry {
 #[derive(Debug, Default)]
 pub struct GatewayObservability {
     log: Vec<AccessLogEntry>,
+    /// Every entry's path, back to back: one growing buffer, not a
+    /// `String` per request.
+    paths: String,
 }
 
 impl GatewayObservability {
@@ -104,19 +117,23 @@ impl GatewayObservability {
         status: StatusCode,
         latency: SimDuration,
     ) {
+        let start = self.paths.len();
+        self.paths.push_str(path);
         self.log.push(AccessLogEntry {
             at,
             service,
             method,
-            path: path.to_string(),
+            path: start..self.paths.len(),
             status,
             latency,
         });
     }
 
-    /// Access log entries.
-    pub fn log(&self) -> &[AccessLogEntry] {
-        &self.log
+    /// Access log entries in arrival order, each with its request path.
+    pub fn entries(&self) -> impl Iterator<Item = (&AccessLogEntry, &str)> {
+        self.log
+            .iter()
+            .map(|e| (e, self.paths.get(e.path.clone()).unwrap_or_default()))
     }
 
     /// Per-service aggregate `(requests, errors, mean latency ms)` — the
@@ -139,11 +156,16 @@ impl GatewayObservability {
 mod tests {
     use super::*;
     use canal_net::{ServiceId, TenantId};
+    use std::collections::BTreeMap;
 
     const T: fn(u64) -> SimTime = SimTime::from_micros;
 
     fn svc() -> GlobalServiceId {
         GlobalServiceId::compose(TenantId(1), ServiceId(2))
+    }
+
+    fn stats(bytes_out: u64, bytes_in: u64, connections: u64) -> L4PodStats {
+        L4PodStats { bytes_out, bytes_in, connections }
     }
 
     #[test]
@@ -152,12 +174,44 @@ mod tests {
         node.record_transfer(PodId(1), 100, 2000, true);
         node.record_transfer(PodId(1), 50, 500, false);
         node.record_transfer(PodId(2), 10, 10, true);
-        let p1 = node.stats[&PodId(1)];
-        assert_eq!((p1.bytes_out, p1.bytes_in, p1.connections), (150, 2500, 1));
-        assert_eq!(node.stats[&PodId(2)].connections, 1);
-        assert!(!node.stats.contains_key(&PodId(9)));
+        assert_eq!(node.pod_stats(PodId(1)), Some(stats(150, 2500, 1)));
+        assert_eq!(node.pod_stats(PodId(2)), Some(stats(10, 10, 1)));
+        assert_eq!(node.pod_stats(PodId(9)), None);
         // Every transfer costs one labeling op (the App. A overhead).
         assert_eq!(node.labeling_ops(), 3);
+    }
+
+    /// Seeded differential test against the `BTreeMap` the table replaced:
+    /// random transfers over a pod space small enough to revisit and wide
+    /// enough to grow the table, with both ends of the id range in it.
+    #[test]
+    fn pod_counters_match_a_btreemap_model() {
+        let mut rng = canal_sim::SimRng::seed(0x0B5E_0001);
+        for case in 0..16 {
+            let mut node = NodeObservability::new();
+            let mut model: BTreeMap<PodId, L4PodStats> = BTreeMap::new();
+            let space = [4u32, 100, 5000][case % 3];
+            for step in 1..=2000u64 {
+                let pod = match rng.index(8) {
+                    0 => PodId(0),
+                    1 => PodId(u32::MAX),
+                    _ => PodId(rng.index(space as usize) as u32),
+                };
+                let (out, inb, new_conn) = (rng.int_range(0, 1500), rng.int_range(0, 1500), rng.chance(0.3));
+                node.record_transfer(pod, out, inb, new_conn);
+                let e = model.entry(pod).or_default();
+                e.bytes_out += out;
+                e.bytes_in += inb;
+                e.connections += u64::from(new_conn);
+                assert_eq!(node.pod_stats(pod), model.get(&pod).copied(), "case {case}, step {step}");
+                let probe = PodId(rng.index(space as usize + 2) as u32);
+                assert_eq!(node.pod_stats(probe), model.get(&probe).copied(), "case {case}, step {step}");
+                assert_eq!(node.labeling_ops(), step);
+            }
+            for (pod, want) in &model {
+                assert_eq!(node.pod_stats(*pod), Some(*want));
+            }
+        }
     }
 
     #[test]
@@ -166,6 +220,8 @@ mod tests {
         gw.record_request(T(0), svc(), "GET", "/a", StatusCode::OK, SimDuration::from_micros(120));
         gw.record_request(T(10), svc(), "GET", "/b", StatusCode::SERVICE_UNAVAILABLE, SimDuration::from_micros(80));
         gw.record_request(T(20), svc(), "POST", "/c", StatusCode::OK, SimDuration::from_micros(100));
+        let paths: Vec<&str> = gw.entries().map(|(_, path)| path).collect();
+        assert_eq!(paths, ["/a", "/b", "/c"]);
         let (req, err, mean) = gw.service_summary(svc());
         assert_eq!((req, err), (3, 1));
         assert!((mean - 0.1).abs() < 1e-9);

@@ -22,7 +22,7 @@
 //! entries it has held.
 
 use crate::ecmp::fmix64;
-use crate::ids::GlobalServiceId;
+use crate::ids::{GlobalServiceId, PodId};
 use canal_sim::Digest;
 
 /// A key that supplies its own fixed 64-bit hash.
@@ -35,6 +35,12 @@ pub trait FlatKey: Copy + Ord {
 impl FlatKey for GlobalServiceId {
     fn flat_hash(&self) -> u64 {
         fmix64(self.0)
+    }
+}
+
+impl FlatKey for PodId {
+    fn flat_hash(&self) -> u64 {
+        fmix64(u64::from(self.0))
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::ids::{GlobalServiceId, ServiceId, TenantId};
 use crate::packet::Packet;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::collections::BTreeMap;
 
 /// UDP destination port assigned to VXLAN.
@@ -37,6 +37,12 @@ pub enum VxlanError {
     LengthMismatch,
     /// The vSwitch has no mapping for this VNI.
     UnknownVni,
+    /// A header field the frame does not keep (DSCP, identification,
+    /// fragment bits, TTL, UDP checksum, the VXLAN reserved bits) differs
+    /// from what the encoder writes. RFC 7348 has a receiver ignore the
+    /// reserved bits; refusing them instead keeps decode the exact inverse
+    /// of encode, so a frame passed on is byte for byte the one received.
+    NotCanonical,
 }
 
 impl std::fmt::Display for VxlanError {
@@ -102,86 +108,87 @@ impl VxlanFrame {
         VXLAN_OVERHEAD + self.inner.len()
     }
 
-    /// Serialize to wire bytes: outer IPv4 (with real checksum) + UDP + VXLAN
-    /// header + inner payload.
-    pub fn encode(&self) -> Bytes {
-        let total = self.encoded_len();
-        let mut buf = BytesMut::with_capacity(total);
-
+    /// The outer IPv4 + UDP + VXLAN header, built on the stack. Every byte
+    /// not named below is zero.
+    fn header(&self) -> [u8; VXLAN_OVERHEAD] {
+        let mut h = [0u8; VXLAN_OVERHEAD];
         // --- Outer IPv4 header (20 bytes, no options) ---
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(total as u16); // total length
-        buf.put_u16(0); // identification
-        buf.put_u16(0x4000); // flags: DF
-        buf.put_u8(64); // TTL
-        buf.put_u8(17); // protocol: UDP
-        buf.put_u16(0); // checksum placeholder
-        buf.put_u32(self.outer_src_ip);
-        buf.put_u32(self.outer_dst_ip);
-        let csum = ipv4_checksum(&buf[0..20]);
-        buf[10..12].copy_from_slice(&csum.to_be_bytes());
+        h[0] = 0x45; // version 4, IHL 5
+        h[2..4].copy_from_slice(&(self.encoded_len() as u16).to_be_bytes()); // total length
+        h[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // flags: DF
+        h[8] = 64; // TTL
+        h[9] = 17; // protocol: UDP
+        h[12..16].copy_from_slice(&self.outer_src_ip.to_be_bytes());
+        h[16..20].copy_from_slice(&self.outer_dst_ip.to_be_bytes());
+        let csum = ipv4_checksum(&h[0..20]);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
 
-        // --- Outer UDP header (8 bytes) ---
+        // --- Outer UDP header (8 bytes; the checksum is optional over IPv4) ---
         let udp_len = (8 + 8 + self.inner.len()) as u16;
-        buf.put_u16(self.outer_sport);
-        buf.put_u16(VXLAN_PORT);
-        buf.put_u16(udp_len);
-        buf.put_u16(0); // UDP checksum optional over IPv4
+        h[20..22].copy_from_slice(&self.outer_sport.to_be_bytes());
+        h[22..24].copy_from_slice(&VXLAN_PORT.to_be_bytes());
+        h[24..26].copy_from_slice(&udp_len.to_be_bytes());
 
         // --- VXLAN header (8 bytes) ---
-        buf.put_u8(0x08); // flags: I (valid VNI)
-        buf.put_u8(0);
-        buf.put_u16(0); // reserved
-        buf.put_u32(self.vni << 8); // VNI in the top 24 bits
-
-        buf.put_slice(&self.inner);
-        buf.freeze()
+        h[28] = 0x08; // flags: I (valid VNI)
+        h[32..36].copy_from_slice(&(self.vni << 8).to_be_bytes()); // VNI in the top 24 bits
+        h
     }
 
-    /// Parse wire bytes back into a frame, validating version, protocol,
-    /// checksum, VXLAN port and flags.
+    /// Serialize to wire bytes: outer IPv4 (with real checksum) + UDP + VXLAN
+    /// header + inner payload, in one allocation.
+    pub fn encode(&self) -> Bytes {
+        Bytes::concat(&self.header(), &self.inner)
+    }
+
+    /// Parse wire bytes back into a frame: the fields it keeps are read, and
+    /// the frame is accepted only if its header is byte for byte the one
+    /// [`VxlanFrame::encode`] writes for them. Anything else is refused with
+    /// the first check it fails ([`refusal`]).
     pub fn decode(mut bytes: Bytes) -> Result<VxlanFrame, VxlanError> {
-        if bytes.len() < VXLAN_OVERHEAD {
-            return Err(VxlanError::Truncated);
+        let mut wire = [0u8; VXLAN_OVERHEAD];
+        match bytes.get(..VXLAN_OVERHEAD) {
+            Some(h) => wire.copy_from_slice(h),
+            None => return Err(VxlanError::Truncated),
         }
-        let header = bytes.slice(0..20);
-        if header[0] != 0x45 || header[9] != 17 {
-            return Err(VxlanError::BadIpHeader);
-        }
-        if ipv4_checksum(&header) != 0 {
-            return Err(VxlanError::BadChecksum);
-        }
-        let total_len = u16::from_be_bytes([header[2], header[3]]) as usize;
-        if total_len != bytes.len() {
-            return Err(VxlanError::LengthMismatch);
-        }
-        bytes.advance(12);
-        let outer_src_ip = bytes.get_u32();
-        let outer_dst_ip = bytes.get_u32();
-        let outer_sport = bytes.get_u16();
-        let dport = bytes.get_u16();
-        if dport != VXLAN_PORT {
-            return Err(VxlanError::NotVxlan);
-        }
-        let udp_len = bytes.get_u16() as usize;
-        let _udp_csum = bytes.get_u16();
-        if udp_len != 8 + 8 + bytes.len() - 8 {
-            return Err(VxlanError::LengthMismatch);
-        }
-        let flags = bytes.get_u8();
-        if flags & 0x08 == 0 {
-            return Err(VxlanError::BadFlags);
-        }
-        bytes.advance(3);
-        let vni = bytes.get_u32() >> 8;
-        Ok(VxlanFrame {
-            outer_src_ip,
-            outer_dst_ip,
-            outer_sport,
-            vni,
+        let len = bytes.len();
+        // The payload keeps the caller's buffer: no reference count moves.
+        bytes.advance(VXLAN_OVERHEAD);
+        let be32 = |at: usize| u32::from_be_bytes([wire[at], wire[at + 1], wire[at + 2], wire[at + 3]]);
+        let frame = VxlanFrame {
+            outer_src_ip: be32(12),
+            outer_dst_ip: be32(16),
+            outer_sport: u16::from_be_bytes([wire[20], wire[21]]),
+            vni: be32(32) >> 8,
             inner: bytes,
-        })
+        };
+        if frame.header() == wire {
+            return Ok(frame);
+        }
+        Err(refusal(&wire, len))
+    }
+}
+
+/// Why a frame of `len` bytes with header `wire` is not one the encoder
+/// wrote: version / IHL and protocol, the IPv4 checksum, the total length,
+/// the VXLAN port, the UDP length and the valid-VNI flag, in that order,
+/// and [`VxlanError::NotCanonical`] if all of those hold.
+fn refusal(wire: &[u8; VXLAN_OVERHEAD], len: usize) -> VxlanError {
+    let be16 = |at: usize| usize::from(u16::from_be_bytes([wire[at], wire[at + 1]]));
+    if wire[0] != 0x45 || wire[9] != 17 {
+        VxlanError::BadIpHeader
+    } else if ipv4_checksum(&wire[0..20]) != 0 {
+        VxlanError::BadChecksum
+    } else if be16(2) != len {
+        VxlanError::LengthMismatch
+    } else if be16(22) != usize::from(VXLAN_PORT) {
+        VxlanError::NotVxlan
+    } else if be16(24) != len - 20 {
+        VxlanError::LengthMismatch
+    } else if wire[28] & 0x08 == 0 {
+        VxlanError::BadFlags
+    } else {
+        VxlanError::NotCanonical
     }
 }
 
@@ -328,6 +335,32 @@ mod tests {
         assert_eq!(
             VxlanFrame::decode(Bytes::from(bad)),
             Err(VxlanError::BadFlags)
+        );
+    }
+
+    #[test]
+    fn fields_decode_drops_must_be_what_encode_writes() {
+        let wire = sample_frame(b"x").encode().to_vec();
+        // The UDP checksum, a reserved flag bit, a reserved byte before the
+        // VNI and the one after it.
+        for at in [26, 28, 30, 35] {
+            let mut bad = wire.clone();
+            bad[at] ^= 0x01;
+            assert_eq!(
+                VxlanFrame::decode(Bytes::from(bad)),
+                Err(VxlanError::NotCanonical),
+                "byte {at}"
+            );
+        }
+        // Another TTL under a valid checksum.
+        let mut bad = wire;
+        bad[8] = 63;
+        bad[10..12].fill(0);
+        let csum = ipv4_checksum(&bad[0..20]);
+        bad[10..12].copy_from_slice(&csum.to_be_bytes());
+        assert_eq!(
+            VxlanFrame::decode(Bytes::from(bad)),
+            Err(VxlanError::NotCanonical)
         );
     }
 

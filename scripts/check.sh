@@ -23,9 +23,9 @@ cargo build --workspace --release
 echo "==> ChaCha20 lane kernel is vectorised (canal-crypto --ignored, release)"
 cargo test --release -q -p canal-crypto -- --ignored
 
-# The HTTP parser fuzzer at ten times its tier-1 depth (1M cases on ten
-# seeds): too slow for a debug `cargo test`, ~20 s in release.
-echo "==> HTTP parser fuzzer, deep sweep (props_codecs --ignored, release)"
+# The HTTP parser and VXLAN decoder fuzzers at ten times their tier-1
+# depth (1M cases each on ten seeds): too slow for a debug `cargo test`.
+echo "==> HTTP parser and VXLAN decoder fuzzers, deep sweeps (props_codecs --ignored, release)"
 cargo test --release -q --test props_codecs -- --ignored
 
 echo "==> cargo test --workspace"

@@ -21,6 +21,12 @@
 # the parent's by more than the bound is a regression. Exits 1 if any metric
 # of any workload regressed or the change failed a larger share of its
 # operations than the parent. Not part of check.sh.
+#
+# The same table is written as JSON to target/pairs/<sha>/point.json: the
+# parent's and HEAD's commit, the pair count and run_seconds, then per
+# workload both sides' failed and attempted operations and per end-to-end
+# metric both sides' q1 / median / q3, the pairs won and tied, and the
+# verdict. A PR commits its `all` run of it as BENCH_<pr>.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -84,8 +90,10 @@ run() {
 }
 
 status=0
+fragments=()
 for workload in "$@"; do
     runs=$parent/runs-$workload.txt
+    fragment=$parent/point-$workload.json
     : >"$runs"
     for pair in $(seq 1 "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
@@ -98,9 +106,12 @@ for workload in "$@"; do
 
     echo
     echo "$workload, $pairs pairs of $seconds s, parent $sha against the working tree"
-    awk -v names="$metrics" '
+    awk -v names="$metrics" -v workload="$workload" -v json="$fragment" '
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
+        }
+        function quartiles(x, n) {
+            return sprintf("{\"q1\": %.4f, \"median\": %.4f, \"q3\": %.4f}", quantile(x, n, 0.25), quantile(x, n, 0.5), quantile(x, n, 0.75))
         }
         function quantile(a, n, q,    h, lo) {
             h = (n - 1) * q + 1; lo = int(h)
@@ -118,6 +129,8 @@ for workload in "$@"; do
             printf "failed: parent %d of %d, change %d of %d%s\n", failed["parent"], attempted["parent"],
                 failed["change"], attempted["change"], bad ? ": the change fails a LARGER SHARE" : ""
             printf "%-14s %-6s %14s %14s %14s   %s\n", "metric", "side", "q1", "median", "q3", "pairs won / tied"
+            printf "    \"%s\": {\n      \"failed\": {\"parent\": %d, \"change\": %d},\n      \"attempted\": {\"parent\": %d, \"change\": %d},\n      \"metrics\": {", workload,
+                failed["parent"], failed["change"], attempted["parent"], attempted["change"] >json
             for (i = 1; i <= n; i += 3) {
                 m = f[i]; higher = f[i + 1] == "higher"; bound = f[i + 2]
                 won = tied = 0
@@ -137,9 +150,27 @@ for workload in "$@"; do
                 else verdict = "no gain shown, within the bound"
                 printf "%-14s %-6s %14.4f %14.4f %14.4f\n", m, "parent", quantile(a, pairs, 0.25), ma, quantile(a, pairs, 0.75)
                 printf "%-14s %-6s %14.4f %14.4f %14.4f   %d / %d of %d: %s\n", "", "change", quantile(b, pairs, 0.25), mb, quantile(b, pairs, 0.75), won, tied, pairs, verdict
+                printf "%s\n        \"%s\": {\"parent\": %s, \"change\": %s, \"won\": %d, \"tied\": %d, \"verdict\": \"%s\"}",
+                    (i > 1 ? "," : ""), m, quartiles(a, pairs), quartiles(b, pairs), won, tied, verdict >json
             }
+            printf "\n      }\n    }" >json
             exit bad
         }' "$runs" || status=1
+    fragments+=("$fragment")
     echo
 done
+
+point=$parent/point.json
+{
+    printf '{\n  "parent": "%s",\n  "head": "%s",\n  "pairs": %d,\n  "run_seconds": %s,\n  "workloads": {\n' \
+        "$(git rev-parse "$sha")" "$(git rev-parse HEAD)" "$pairs" "$seconds"
+    sep=
+    for fragment in "${fragments[@]}"; do
+        printf '%s' "$sep"
+        cat "$fragment"
+        sep=$',\n'
+    done
+    printf '\n  }\n}\n'
+} >"$point"
+echo "wrote $point" >&2
 exit $status

@@ -329,6 +329,10 @@ mod tests {
         let (requests, errors, _mean) = tb.gateway_obs.service_summary(svc);
         assert_eq!((requests, errors), (10, 0));
         assert_eq!(tb.node_obs.labeling_ops(), 10);
+        // All ten are identity 5's, labelled to its pod, one connection each.
+        let pod = tb.node_obs.pod_stats(PodId(5)).unwrap();
+        assert_eq!((pod.connections, pod.bytes_in), (10, 0));
+        assert!(tb.gateway_obs.entries().all(|(_, path)| path == "/x"));
         // Spans pair up per trace and nest gateway-inside-client.
         let traces = tb.collector.assemble_all();
         assert_eq!(traces.len(), 10);

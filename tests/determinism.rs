@@ -72,10 +72,10 @@ fn run_scenario(seed: u64) -> u64 {
     // Fold the observability layers: access log on the gateway side,
     // transfer accounting on the node side, and the full canonical span
     // content of every assembled trace (canal-telemetry).
-    for entry in tb.gateway_obs.log() {
+    for (entry, path) in tb.gateway_obs.entries() {
         digest.write_u64(entry.at.as_nanos());
         digest.write_u64(entry.status.0 as u64);
-        digest.write_str(&entry.path);
+        digest.write_str(path);
     }
     let (reqs, errs, p_err) = tb.gateway_obs.service_summary(orders);
     digest.write_u64(reqs).write_u64(errs).write_f64(p_err);

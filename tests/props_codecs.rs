@@ -131,6 +131,111 @@ fn vxlan_encodes_the_golden_bytes() {
     assert_eq!(d.value(), VXLAN_GOLDEN, "VXLAN wire bytes changed: {:#018x}", d.value());
 }
 
+// --- Decode fuzzing of the VXLAN codec ----------------------------------
+//
+// Every case builds one valid frame (any endpoints, port and VNI; mostly
+// short payloads) and feeds the decoder the frame, a truncation of it, the
+// frame with one of its header bytes flipped, the frame with several
+// header bytes overwritten, and a random byte string. None may panic; a
+// refusal is a `VxlanError`, and a frame the decoder accepts must encode
+// back to exactly the bytes it was decoded from.
+
+/// Cases the tier-1 run checks; [`vxlan_fuzz_deep_sweep`] runs more.
+const VXLAN_FUZZ_CASES: usize = 100_000;
+
+/// Decode `wire`, holding an accepted frame to re-encoding as `wire`.
+fn decode_checked(wire: &[u8]) -> Result<VxlanFrame, VxlanError> {
+    let frame = VxlanFrame::decode(Bytes::copy_from_slice(wire))?;
+    assert_eq!(&*frame.encode(), wire, "accepted {frame:?} encodes to other bytes");
+    Ok(frame)
+}
+
+/// A valid frame's bytes.
+fn fuzz_frame(rng: &mut SimRng) -> Vec<u8> {
+    let len = match rng.index(8) {
+        0 => 0,
+        1..=5 => rng.index(65),
+        _ => rng.index(1501),
+    };
+    let payload: Vec<u8> = (0..len).map(|_| rng.u64() as u8).collect();
+    let (src, dst, sport, vni) = (rng.u64() as u32, rng.u64() as u32, rng.u64() as u16, rng.u64() as u32);
+    VxlanFrame::new(src, dst, sport, vni, payload).encode().to_vec()
+}
+
+/// Header bytes the decoder keeps without a check that covers them: the
+/// outer UDP source port and the VNI. Flipping any other header byte of a
+/// valid frame must be refused.
+fn flip_is_accepted(at: usize) -> bool {
+    matches!(at, 20 | 21 | 32..=34)
+}
+
+/// Every single-byte flip of the header of `wire`, a valid frame.
+fn every_header_flip(wire: &[u8]) {
+    for at in 0..VXLAN_OVERHEAD {
+        for xor in 1..=255u8 {
+            let mut m = wire.to_vec();
+            m[at] ^= xor;
+            let got = decode_checked(&m);
+            assert_eq!(got.is_ok(), flip_is_accepted(at), "byte {at} ^ {xor:#04x}: {got:?}");
+        }
+    }
+}
+
+fn fuzz_vxlan(cases: usize, seed: u64) {
+    let mut rng = SimRng::seed(seed);
+    for case in 0..cases {
+        let wire = fuzz_frame(&mut rng);
+        assert!(decode_checked(&wire).is_ok(), "case {case}: a valid frame refused");
+
+        // Truncation: inside the header at every length in turn, then
+        // inside the payload.
+        let cut = case % VXLAN_OVERHEAD;
+        assert_eq!(decode_checked(&wire[..cut]).err(), Some(VxlanError::Truncated), "case {case}, cut {cut}");
+        if wire.len() > VXLAN_OVERHEAD {
+            let cut = VXLAN_OVERHEAD + rng.index(wire.len() - VXLAN_OVERHEAD);
+            assert_eq!(decode_checked(&wire[..cut]).err(), Some(VxlanError::LengthMismatch), "case {case}, cut {cut}");
+        }
+
+        // One header byte flipped.
+        let at = rng.index(VXLAN_OVERHEAD);
+        let mut m = wire.clone();
+        m[at] ^= rng.int_range(1, 256) as u8;
+        let got = decode_checked(&m);
+        assert_eq!(got.is_ok(), flip_is_accepted(at), "case {case}, byte {at}: {got:?}");
+
+        // Several header bytes overwritten.
+        let mut m = wire.clone();
+        for _ in 0..1 + rng.index(4) {
+            m[rng.index(VXLAN_OVERHEAD)] = rng.u64() as u8;
+        }
+        let _ = decode_checked(&m);
+
+        // A random byte string.
+        let noise: Vec<u8> = (0..rng.index(2 * VXLAN_OVERHEAD + 1)).map(|_| rng.u64() as u8).collect();
+        if let Err(e) = decode_checked(&noise) {
+            assert_ne!(e, VxlanError::UnknownVni, "decode does not consult a vSwitch");
+        }
+    }
+}
+
+#[test]
+fn vxlan_fuzz_decoder() {
+    for len in [0, 1, 64, 1400] {
+        every_header_flip(&VxlanFrame::new(0x0A00_0001, 0x0A63_0001, 41000, 0x12_3456, vec![0xA5; len]).encode());
+    }
+    fuzz_vxlan(VXLAN_FUZZ_CASES, 0x0DEC_000B);
+}
+
+/// Ten times the tier-1 run on other seeds; `scripts/check.sh` runs it in
+/// release.
+#[test]
+#[ignore = "deep sweep, run by scripts/check.sh in release"]
+fn vxlan_fuzz_deep_sweep() {
+    for seed in 0..10 {
+        fuzz_vxlan(VXLAN_FUZZ_CASES, 0x0DEC_2000 + seed);
+    }
+}
+
 /// HTTP requests round-trip through encode → incremental parse for any
 /// method/path/headers/body, even fed one byte at a time.
 #[test]
