@@ -144,7 +144,7 @@ impl VxlanFrame {
     /// Parse wire bytes back into a frame: the fields it keeps are read, and
     /// the frame is accepted only if its header is byte for byte the one
     /// [`VxlanFrame::encode`] writes for them. Anything else is refused with
-    /// the first check it fails ([`refusal`]).
+    /// the first check it fails.
     pub fn decode(mut bytes: Bytes) -> Result<VxlanFrame, VxlanError> {
         let mut wire = [0u8; VXLAN_OVERHEAD];
         match bytes.get(..VXLAN_OVERHEAD) {
