@@ -8,10 +8,15 @@
 #
 # `all` is every workload BENCHMARK.json names; a last argument that is a
 # number is the pair count. The parent is checked out (git archive: nothing
-# is registered in .git) and built under target/pairs/<sha>/, the working
-# tree into target/pairs/change, both --release --offline, once for all the
-# workloads. Pair i runs both sides with --seed i for BENCHMARK.json's
-# run_seconds, parent first when i is odd, change first when it is even.
+# is registered in .git) to ${TMPDIR:-/tmp}/canal-pairs-<sha>/src and built
+# from there into target/pairs/<sha>/target, the working tree into
+# target/pairs/change, both --release --offline, once for all the workloads.
+# The parent's source lies outside the repository because cargo reads
+# .cargo/config.toml from the directories above the one it runs in: built
+# under target/, the parent would take the working tree's build settings
+# (its target-cpu) and not its own. Pair i runs both sides with --seed i
+# for BENCHMARK.json's run_seconds, parent first when i is odd, change first
+# when it is even.
 # Per workload every run is printed, then both sides' failed share of the
 # operations attempted, then for each end-to-end metric both sides' median
 # and quartiles, the pairs the change won and tied, and the verdict: a gain
@@ -23,7 +28,9 @@
 # operations than the parent. Not part of check.sh.
 #
 # The same table is written as JSON to target/pairs/<sha>/point.json: the
-# parent's and HEAD's commit, the pair count and run_seconds, then per
+# parent's and HEAD's commit, the pair count and run_seconds, each side's
+# target-cpu (read from the rustflags cargo recorded for its benchmark
+# binary; "none" is the target's baseline), then per
 # workload both sides' failed and attempted operations and per end-to-end
 # metric both sides' q1 / median / q3, the pairs won and tied, and the
 # verdict. A PR commits its `all` run of it as BENCH_<pr>.json.
@@ -64,22 +71,37 @@ metrics=$(awk '/"end_to_end"/ { on = 1; next } on && /^ *\]/ { on = 0 } on {
     gsub(/[{}",:]/, " "); printf "%s %s %s ", $2, $6, $8 }' BENCHMARK.json)
 
 parent=$root/target/pairs/$sha
-if [ ! -d "$parent/src" ]; then
-    mkdir -p "$parent/src"
-    git archive "$sha" | tar -x -C "$parent/src"
+src=${TMPDIR:-/tmp}/canal-pairs-$sha/src
+if [ ! -d "$src" ]; then
+    mkdir -p "$src"
+    git archive "$sha" | tar -x -C "$src"
 fi
 echo "==> building parent $sha and the working tree" >&2
-(cd "$parent/src" && CARGO_TARGET_DIR="$parent/target" \
+(cd "$src" && CARGO_TARGET_DIR="$parent/target" \
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 CARGO_TARGET_DIR="$root/target/pairs/change" \
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
+# The target-cpu in the rustflags cargo fingerprinted a side's benchmark
+# binary with: release/canal-benchmark is a hard link to
+# deps/canal_benchmark-<hash>, whose fingerprint is canal-benchmark-<hash>.
+target_cpu() {
+    local bin hash
+    bin=$(find "$1/release/deps" -maxdepth 1 -name 'canal_benchmark-*' -samefile "$1/release/canal-benchmark")
+    hash=${bin##*-}
+    grep -o 'target-cpu=[^"]*' "$1/release/.fingerprint/canal-benchmark-$hash/bin-canal-benchmark.json" |
+        tail -n 1 | cut -d= -f2 | grep . || echo none
+}
+cpu_parent=$(target_cpu "$parent/target")
+cpu_change=$(target_cpu "$root/target/pairs/change")
+echo "==> target-cpu: parent $cpu_parent, change $cpu_change" >&2
 
 # One run of $workload: prints "<side> <pair> <metric> <value>" per metric,
 # and attempted and failed.
 run() {
     local side=$1 pair=$2 dir bin
     case $side in
-    parent) dir=$parent/src bin=$parent/target/release/canal-benchmark ;;
+    parent) dir=$src bin=$parent/target/release/canal-benchmark ;;
     change) dir=$root bin=$root/target/pairs/change/release/canal-benchmark ;;
     esac
     (cd "$dir" && "$bin" --workload "$workload" --seed "$pair" --seconds "$seconds" --trace 0 2>&1) |
@@ -162,8 +184,9 @@ done
 
 point=$parent/point.json
 {
-    printf '{\n  "parent": "%s",\n  "head": "%s",\n  "pairs": %d,\n  "run_seconds": %s,\n  "workloads": {\n' \
+    printf '{\n  "parent": "%s",\n  "head": "%s",\n  "pairs": %d,\n  "run_seconds": %s,\n' \
         "$(git rev-parse "$sha")" "$(git rev-parse HEAD)" "$pairs" "$seconds"
+    printf '  "target_cpu": {"parent": "%s", "change": "%s"},\n  "workloads": {\n' "$cpu_parent" "$cpu_change"
     sep=
     for fragment in "${fragments[@]}"; do
         printf '%s' "$sep"

@@ -10,7 +10,8 @@ use canal::crypto::keystore::KeyStore;
 use canal::http::{Method, ParseError, Request, RequestParser, Response, ResponseParser, StatusCode};
 use canal::net::vxlan::{VxlanError, VxlanFrame, VXLAN_OVERHEAD};
 use canal::net::TenantId;
-use canal::sim::SimRng;
+use canal::sim::faults::ScriptError;
+use canal::sim::{FaultEvent, FaultKind, FaultPlan, FaultTarget, SimDuration, SimRng, SimTime};
 
 const CASES: usize = 128;
 
@@ -621,6 +622,389 @@ fn http_fuzz_parsers() {
 fn http_fuzz_deep_sweep() {
     for seed in 0..10 {
         fuzz_http(FUZZ_CASES, 0x0DEC_1000 + seed);
+    }
+}
+
+// The fault DSL (`FaultPlan::parse`), generated from its class table:
+// scripts of valid lines whose events are known, rendered with any
+// whitespace, comments, blank lines and line endings; then one line
+// truncated at every word, given a word its slot must refuse, or given a
+// random word; and random byte strings. No input may panic, a refusal names
+// a line of the script (the broken one, where only one is), and respacing
+// or recommenting an accepted script leaves its events as they were.
+
+/// Cases the tier-1 run checks; [`fault_dsl_fuzz_deep_sweep`] runs more.
+const DSL_FUZZ_CASES: usize = 100_000;
+
+/// How a class's operand is written.
+#[derive(Clone, Copy)]
+enum Shape {
+    None,
+    Id,
+    Pair(char),
+}
+
+/// One row of the DSL's target table (README.md): token, operand, the keys
+/// `degrade` takes, and the target a pair of operands names.
+struct DslClass {
+    token: &'static str,
+    shape: Shape,
+    keys: &'static [&'static str],
+    make: fn(u32, u32) -> FaultTarget,
+}
+
+const EXTRA: &[&str] = &["extra"];
+const LOSS_EXTRA: &[&str] = &["loss", "extra"];
+
+static DSL_CLASSES: [DslClass; 16] = [
+    DslClass { token: "replica", shape: Shape::Pair('/'), keys: &[], make: |backend, index| FaultTarget::Replica { backend, index: index as usize } },
+    DslClass { token: "backend", shape: Shape::Id, keys: &[], make: |id, _| FaultTarget::Backend(id) },
+    DslClass { token: "az", shape: Shape::Id, keys: &[], make: |id, _| FaultTarget::Az(id) },
+    DslClass { token: "config-push", shape: Shape::None, keys: EXTRA, make: |_, _| FaultTarget::ConfigPush },
+    DslClass { token: "config-poison", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::ConfigPoison },
+    DslClass { token: "policy-poison", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::PolicyPoison },
+    DslClass { token: "key-server", shape: Shape::None, keys: EXTRA, make: |_, _| FaultTarget::KeyServer },
+    DslClass { token: "cert-expiry-skew", shape: Shape::None, keys: EXTRA, make: |_, _| FaultTarget::CertExpirySkew },
+    DslClass { token: "ca-compromise-revoke", shape: Shape::Id, keys: &[], make: |tenant, _| FaultTarget::CaCompromiseRevoke(tenant) },
+    DslClass { token: "az-mass-restart", shape: Shape::Id, keys: &[], make: |az, _| FaultTarget::AzMassRestart(az) },
+    DslClass { token: "link", shape: Shape::Pair('-'), keys: LOSS_EXTRA, make: |a, b| FaultTarget::Link { a, b } },
+    DslClass { token: "link-directed", shape: Shape::Pair('>'), keys: LOSS_EXTRA, make: |from, to| FaultTarget::LinkDirected { from, to } },
+    DslClass { token: "gray", shape: Shape::Id, keys: LOSS_EXTRA, make: |gateway, _| FaultTarget::GrayDegrade(gateway) },
+    DslClass { token: "control-partition", shape: Shape::Id, keys: &[], make: |gateway, _| FaultTarget::ControlPartition(gateway) },
+    DslClass { token: "control-crash", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::ControlCrash },
+    DslClass { token: "control-zombie", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::ControlZombie },
+];
+
+const DURATION_SUFFIXES: [(&str, u64); 4] = [("ns", 1), ("us", 1_000), ("ms", 1_000_000), ("s", 1_000_000_000)];
+
+/// A duration word and its nanoseconds: an integer, a decimal with up to
+/// three places or a mantissa and exponent, each under 2^53 ns so that the
+/// parser's `f64` arithmetic is exact after rounding.
+fn dsl_duration(rng: &mut SimRng) -> (String, u64) {
+    let (suffix, unit) = DURATION_SUFFIXES[rng.index(DURATION_SUFFIXES.len())];
+    let whole = [1, 10, 1_000, 1_000_000][rng.index(4)];
+    let whole = rng.index(whole) as u64;
+    match rng.index(4) {
+        0 if unit >= 1_000 => {
+            let milli = rng.index(1_000) as u64;
+            (format!("{whole}.{milli:03}{suffix}"), whole * unit + milli * (unit / 1_000))
+        }
+        1 => {
+            let (m, e) = (rng.index(1_000) as u64, rng.index(4) as u32);
+            (format!("{m}e{e}{suffix}"), m * 10u64.pow(e) * unit)
+        }
+        _ => (format!("{whole}{suffix}"), whole * unit),
+    }
+}
+
+/// A loss word and its value, in thousandths: a whole or one-place percent,
+/// or a fraction.
+fn dsl_loss(rng: &mut SimRng) -> (String, f64) {
+    let k = rng.index(1_001);
+    match rng.index(3) {
+        0 => (format!("{}%", k / 10), (k / 10) as f64 / 100.0),
+        1 => (format!("{}.{}%", k / 10, k % 10), k as f64 / 10.0 / 100.0),
+        _ if k == 1_000 => ("1".to_string(), 1.0),
+        _ => (format!("0.{k:03}"), k as f64 / 1_000.0),
+    }
+}
+
+/// An operand word and its value: small, near `u32::MAX` or anywhere, some
+/// written with leading zeros or a `+`.
+fn dsl_id(rng: &mut SimRng) -> (String, u32) {
+    let v = match rng.index(3) {
+        0 => rng.index(4) as u32,
+        1 => u32::MAX - rng.index(2) as u32,
+        _ => rng.u64() as u32,
+    };
+    let word = match rng.index(6) {
+        0 => format!("00{v}"),
+        1 => format!("+{v}"),
+        _ => v.to_string(),
+    };
+    (word, v)
+}
+
+/// Which grammar slot a word fills, for the words a slot must refuse.
+#[derive(Clone, Copy)]
+enum Slot {
+    At,
+    Time,
+    Action,
+    Target,
+    Id,
+    Pair(char),
+    Key,
+    Loss,
+}
+
+/// A valid line: its words, the events it schedules, the slot of each word,
+/// and the fewest words a line of its class and action can have.
+struct DslLine {
+    class: usize,
+    action: &'static str,
+    words: Vec<String>,
+    slots: Vec<Slot>,
+    events: Vec<FaultEvent>,
+    min_words: usize,
+}
+
+fn dsl_line(rng: &mut SimRng) -> DslLine {
+    let class = rng.index(DSL_CLASSES.len());
+    let DslClass { token, shape, keys, make } = &DSL_CLASSES[class];
+    let (time, at) = dsl_duration(rng);
+    let at = SimTime::from_nanos(at);
+    let actions: &[&'static str] = if keys.is_empty() { &["fail", "recover"] } else { &["fail", "recover", "degrade"] };
+    let action = actions[rng.index(actions.len())];
+    let mut words = vec!["at".to_string(), time, action.to_string(), token.to_string()];
+    let mut slots = vec![Slot::At, Slot::Time, Slot::Action, Slot::Target];
+    let (x, y) = match *shape {
+        Shape::None => (0, 0),
+        Shape::Id => {
+            let (word, x) = dsl_id(rng);
+            words.push(word);
+            slots.push(Slot::Id);
+            (x, 0)
+        }
+        Shape::Pair(sep) => {
+            let ((wx, x), (wy, y)) = (dsl_id(rng), dsl_id(rng));
+            words.push(format!("{wx}{sep}{wy}"));
+            slots.push(Slot::Pair(sep));
+            (x, y)
+        }
+    };
+    let target = make(x, y);
+    let event = |at, kind| FaultEvent { at, target, kind };
+    let mut events = Vec::new();
+    match action {
+        "fail" => {
+            events.push(event(at, FaultKind::Crash));
+            if target == FaultTarget::ControlCrash {
+                let (word, restart) = dsl_duration(rng);
+                words.push(word);
+                slots.push(Slot::Time);
+                events.push(event(at + SimDuration::from_nanos(restart), FaultKind::Recover));
+            }
+        }
+        "recover" => events.push(event(at, FaultKind::Recover)),
+        _ => {
+            // One to three pairs, a key possibly repeated: the last wins.
+            let (mut loss, mut extra) = (0.0, SimDuration::ZERO);
+            for _ in 0..1 + rng.index(3) {
+                let key = keys[rng.index(keys.len())];
+                words.push(key.to_string());
+                slots.push(Slot::Key);
+                let word = if key == "loss" {
+                    let (word, v) = dsl_loss(rng);
+                    loss = v;
+                    slots.push(Slot::Loss);
+                    word
+                } else {
+                    let (word, ns) = dsl_duration(rng);
+                    extra = SimDuration::from_nanos(ns);
+                    slots.push(Slot::Time);
+                    word
+                };
+                words.push(word);
+            }
+            events.push(event(at, FaultKind::Degrade { loss, extra }));
+        }
+    }
+    let operand = !matches!(shape, Shape::None) as usize;
+    let tail = match action {
+        "degrade" => 2,
+        "fail" if target == FaultTarget::ControlCrash => 1,
+        _ => 0,
+    };
+    DslLine { class, action, words, slots, events, min_words: 4 + operand + tail }
+}
+
+const DSL_SPACES: [char; 5] = [' ', ' ', '\t', '\u{0C}', '\u{3000}'];
+const DSL_COMMENT: &[u8] = b"abc xyz 019 #%/->\t";
+
+fn dsl_space(rng: &mut SimRng, min: usize) -> String {
+    (0..min + rng.index(3)).map(|_| DSL_SPACES[rng.index(DSL_SPACES.len())]).collect()
+}
+
+fn dsl_comment(rng: &mut SimRng) -> String {
+    format!("#{}", random_string(rng, DSL_COMMENT, 0, 12))
+}
+
+/// `lines` as a script: words separated by any run of whitespace, comments
+/// after a line and on lines of their own, blank lines, `\n` or `\r\n`.
+/// Returns the script and the 1-based script line of each of `lines`.
+fn dsl_render(rng: &mut SimRng, lines: &[Vec<String>]) -> (String, Vec<usize>) {
+    let newline = if rng.chance(0.25) { "\r\n" } else { "\n" };
+    let (mut script, mut numbers) = (String::new(), Vec::new());
+    let mut n = 0;
+    for (i, words) in lines.iter().enumerate() {
+        while rng.chance(0.3) {
+            script += &dsl_space(rng, 0);
+            if rng.chance(0.5) {
+                script += &dsl_comment(rng);
+            }
+            script += newline;
+            n += 1;
+        }
+        script += &dsl_space(rng, 0);
+        for (j, word) in words.iter().enumerate() {
+            if j > 0 {
+                script += &dsl_space(rng, 1);
+            }
+            script += word;
+        }
+        script += &dsl_space(rng, 0);
+        if rng.chance(0.3) {
+            script += &dsl_comment(rng);
+        }
+        n += 1;
+        numbers.push(n);
+        if i + 1 < lines.len() || rng.chance(0.5) {
+            script += newline;
+        }
+    }
+    (script, numbers)
+}
+
+/// Parse `script`, holding a refusal to a line of it.
+fn dsl_parse(script: &str) -> Result<Vec<FaultEvent>, ScriptError> {
+    let got = FaultPlan::parse(script).map(|plan| plan.events().to_vec());
+    if let Err(e) = &got {
+        let lines = script.lines().count();
+        assert!((1..=lines).contains(&e.line), "{e} outside 1..={lines}: {script:?}");
+        assert!(!e.msg.is_empty(), "{e}: no message");
+    }
+    got
+}
+
+/// Words each slot must refuse (`Action` also refuses `degrade` on a class
+/// with nothing to degrade, `Key` a key the class lacks).
+fn dsl_bad_word(rng: &mut SimRng, slot: Slot, class: &DslClass) -> String {
+    let pick = |rng: &mut SimRng, words: &[&str]| words[rng.index(words.len())].to_string();
+    match slot {
+        Slot::At => pick(rng, &["At", "AT", "on", "fail", "at5s", "@"]),
+        Slot::Time => pick(rng, &["5", "s", "5h", "5m", "5S", "5sec", "-1s", "-0.5ms", "1e30s", "9223372037s", "infs", "NaNs", "0x10s", "1_0s", "1,5s", "5 s"]),
+        Slot::Action if class.keys.is_empty() && rng.chance(0.25) => "degrade".to_string(),
+        Slot::Action => pick(rng, &["crash", "Fail", "failed", "recovers", "heal", "at", "degraded"]),
+        Slot::Target => pick(rng, &["Az", "azz", "link_directed", "links", "replica/", "gray-", "controlcrash"]),
+        Slot::Id => pick(rng, &["-1", "4294967296", "99999999999", "1.5", "x", "0x1", "1e3", "1/2", "1-2", "1>2"]),
+        Slot::Pair(sep) => match rng.index(6) {
+            0 => "12".to_string(),
+            1 => format!("1{sep}"),
+            2 => format!("{sep}2"),
+            3 => format!("1{sep}2{sep}3"),
+            4 => format!("4294967296{sep}2"),
+            _ => format!("1{sep}-2"),
+        },
+        Slot::Key if class.keys == EXTRA && rng.chance(0.25) => "loss".to_string(),
+        Slot::Key => pick(rng, &["Loss", "EXTRA", "latency", "drop", "at", "5ms"]),
+        Slot::Loss => pick(rng, &["1.01", "101%", "100.1%", "-0.1", "-1%", "%", "x", "nan", "inf", "0.5%%", "1e3", "5ms"]),
+    }
+}
+
+/// Words a random edit inserts: the DSL's own vocabulary, good and bad.
+/// The last two are not words (a comment and nothing), so a word appended
+/// to a valid line from the rest must be refused.
+const DSL_VOCABULARY: &[&str] = &[
+    "at", "fail", "recover", "degrade", "loss", "extra", "replica", "az", "link", "link-directed", "gray",
+    "control-crash", "config-push", "5s", "10ms", "0.5", "50%", "1", "0-1", "1>0", "2/0", "-1", "x", "#", "",
+];
+
+fn fuzz_fault_dsl(cases: usize, seed: u64) {
+    let mut rng = SimRng::seed(seed);
+    let mut covered = std::collections::BTreeSet::new();
+    for case in 0..cases {
+        let lines: Vec<DslLine> = (0..1 + rng.index(4)).map(|_| dsl_line(&mut rng)).collect();
+        let mut want: Vec<FaultEvent> = lines.iter().flat_map(|l| l.events.iter().copied()).collect();
+        want.sort_by_key(|e| e.at);
+        for line in &lines {
+            covered.insert((line.class, line.action));
+        }
+
+        // Two renderings: the same events.
+        let words: Vec<Vec<String>> = lines.iter().map(|l| l.words.clone()).collect();
+        for _ in 0..2 {
+            let (script, _) = dsl_render(&mut rng, &words);
+            assert_eq!(dsl_parse(&script), Ok(want.clone()), "case {case}: {script:?}");
+        }
+
+        // One line broken; the others stay valid, so a refusal is its.
+        let i = rng.index(lines.len());
+        let line = &lines[i];
+        let mut broken = words.clone();
+        match case % 3 {
+            0 => {
+                for k in 1..line.words.len() {
+                    broken[i] = line.words[..k].to_vec();
+                    let (script, numbers) = dsl_render(&mut rng, &broken);
+                    match dsl_parse(&script) {
+                        Err(e) => assert_eq!(e.line, numbers[i], "case {case}, {k} words: {e}"),
+                        Ok(_) => assert!(k >= line.min_words, "case {case}: {k} words accepted: {script:?}"),
+                    }
+                }
+                continue;
+            }
+            1 => {
+                let slot = rng.index(line.words.len() + 1);
+                let bad = match line.slots.get(slot) {
+                    Some(&s) => dsl_bad_word(&mut rng, s, &DSL_CLASSES[line.class]),
+                    None => DSL_VOCABULARY[rng.index(DSL_VOCABULARY.len() - 2)].to_string(),
+                };
+                match line.slots.get(slot) {
+                    Some(_) => broken[i][slot] = bad,
+                    None => broken[i].push(bad),
+                }
+                let (script, numbers) = dsl_render(&mut rng, &broken);
+                let got = dsl_parse(&script).map_err(|e| e.line);
+                assert_eq!(got, Err(numbers[i]), "case {case}: {script:?}");
+            }
+            _ => {
+                let w = &mut broken[i];
+                let at = rng.index(w.len());
+                let word = DSL_VOCABULARY[rng.index(DSL_VOCABULARY.len())].to_string();
+                match rng.index(4) {
+                    0 => w[at] = word,
+                    1 => w.insert(at, word),
+                    2 => drop(w.remove(at)),
+                    _ => {
+                        let other = rng.index(w.len());
+                        w.swap(at, other);
+                    }
+                }
+                let (script, numbers) = dsl_render(&mut rng, &broken);
+                if let Err(e) = dsl_parse(&script) {
+                    assert_eq!(e.line, numbers[i], "case {case}: {e}");
+                }
+            }
+        }
+
+        // Random bytes, some of them the DSL's.
+        let mut noise = Vec::new();
+        for _ in 0..rng.index(12) {
+            match rng.index(3) {
+                0 => noise.extend_from_slice(DSL_VOCABULARY[rng.index(DSL_VOCABULARY.len())].as_bytes()),
+                1 => noise.push(b" \t\n\r#"[rng.index(5)]),
+                _ => noise.push(rng.u64() as u8),
+            }
+        }
+        let _ = dsl_parse(&String::from_utf8_lossy(&noise));
+    }
+    let every: usize = DSL_CLASSES.iter().map(|c| if c.keys.is_empty() { 2 } else { 3 }).sum();
+    assert_eq!(covered.len(), every, "every class met every action it takes");
+}
+
+#[test]
+fn fault_dsl_fuzz_parser() {
+    fuzz_fault_dsl(DSL_FUZZ_CASES, 0x0DEC_000D);
+}
+
+/// Ten times the tier-1 run on other seeds; `scripts/check.sh` runs it in
+/// release.
+#[test]
+#[ignore = "deep sweep, run by scripts/check.sh in release"]
+fn fault_dsl_fuzz_deep_sweep() {
+    for seed in 0..10 {
+        fuzz_fault_dsl(DSL_FUZZ_CASES, 0x0DEC_3000 + seed);
     }
 }
 
