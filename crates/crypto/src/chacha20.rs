@@ -330,7 +330,7 @@ mod tests {
                 let at = format!("{blocks} blocks at {vector}: {lanes} lanes");
                 assert!((blocks..=LANES).contains(&lanes), "{at}");
                 if blocks % vector > 2 {
-                    assert!(lanes % vector == 0 && lanes - blocks < vector, "{at}");
+                    assert!(lanes.is_multiple_of(vector) && lanes - blocks < vector, "{at}");
                 } else {
                     assert_eq!(lanes, blocks, "{at}");
                 }
@@ -355,7 +355,10 @@ mod tests {
     fn chacha20_lanes_are_vectorised() {
         if cfg!(target_arch = "x86_64") {
             // `VECTOR` is 8 exactly when the build has `target_feature = "avx2"`.
-            assert_eq!(VECTOR, 8, "built without AVX2: .cargo/config.toml's x86-64-v3 rustflags were replaced");
+            assert_eq!(
+                VECTOR, 8,
+                "built without AVX2: .cargo/config.toml's x86-64-v3 rustflags were replaced"
+            );
         }
         let key = rfc_key();
         let nonce = [7u8; 12];

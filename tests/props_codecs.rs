@@ -637,7 +637,7 @@ fn http_fuzz_deep_sweep() {
 const DSL_FUZZ_CASES: usize = 100_000;
 
 /// How a class's operand is written.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum Shape {
     None,
     Id,
@@ -646,33 +646,28 @@ enum Shape {
 
 /// One row of the DSL's target table (README.md): token, operand, the keys
 /// `degrade` takes, and the target a pair of operands names.
-struct DslClass {
-    token: &'static str,
-    shape: Shape,
-    keys: &'static [&'static str],
-    make: fn(u32, u32) -> FaultTarget,
-}
+type DslClass = (&'static str, Shape, &'static [&'static str], fn(u32, u32) -> FaultTarget);
 
 const EXTRA: &[&str] = &["extra"];
 const LOSS_EXTRA: &[&str] = &["loss", "extra"];
 
 static DSL_CLASSES: [DslClass; 16] = [
-    DslClass { token: "replica", shape: Shape::Pair('/'), keys: &[], make: |backend, index| FaultTarget::Replica { backend, index: index as usize } },
-    DslClass { token: "backend", shape: Shape::Id, keys: &[], make: |id, _| FaultTarget::Backend(id) },
-    DslClass { token: "az", shape: Shape::Id, keys: &[], make: |id, _| FaultTarget::Az(id) },
-    DslClass { token: "config-push", shape: Shape::None, keys: EXTRA, make: |_, _| FaultTarget::ConfigPush },
-    DslClass { token: "config-poison", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::ConfigPoison },
-    DslClass { token: "policy-poison", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::PolicyPoison },
-    DslClass { token: "key-server", shape: Shape::None, keys: EXTRA, make: |_, _| FaultTarget::KeyServer },
-    DslClass { token: "cert-expiry-skew", shape: Shape::None, keys: EXTRA, make: |_, _| FaultTarget::CertExpirySkew },
-    DslClass { token: "ca-compromise-revoke", shape: Shape::Id, keys: &[], make: |tenant, _| FaultTarget::CaCompromiseRevoke(tenant) },
-    DslClass { token: "az-mass-restart", shape: Shape::Id, keys: &[], make: |az, _| FaultTarget::AzMassRestart(az) },
-    DslClass { token: "link", shape: Shape::Pair('-'), keys: LOSS_EXTRA, make: |a, b| FaultTarget::Link { a, b } },
-    DslClass { token: "link-directed", shape: Shape::Pair('>'), keys: LOSS_EXTRA, make: |from, to| FaultTarget::LinkDirected { from, to } },
-    DslClass { token: "gray", shape: Shape::Id, keys: LOSS_EXTRA, make: |gateway, _| FaultTarget::GrayDegrade(gateway) },
-    DslClass { token: "control-partition", shape: Shape::Id, keys: &[], make: |gateway, _| FaultTarget::ControlPartition(gateway) },
-    DslClass { token: "control-crash", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::ControlCrash },
-    DslClass { token: "control-zombie", shape: Shape::None, keys: &[], make: |_, _| FaultTarget::ControlZombie },
+    ("replica", Shape::Pair('/'), &[], |b, i| FaultTarget::Replica { backend: b, index: i as usize }),
+    ("backend", Shape::Id, &[], |id, _| FaultTarget::Backend(id)),
+    ("az", Shape::Id, &[], |id, _| FaultTarget::Az(id)),
+    ("config-push", Shape::None, EXTRA, |_, _| FaultTarget::ConfigPush),
+    ("config-poison", Shape::None, &[], |_, _| FaultTarget::ConfigPoison),
+    ("policy-poison", Shape::None, &[], |_, _| FaultTarget::PolicyPoison),
+    ("key-server", Shape::None, EXTRA, |_, _| FaultTarget::KeyServer),
+    ("cert-expiry-skew", Shape::None, EXTRA, |_, _| FaultTarget::CertExpirySkew),
+    ("ca-compromise-revoke", Shape::Id, &[], |t, _| FaultTarget::CaCompromiseRevoke(t)),
+    ("az-mass-restart", Shape::Id, &[], |az, _| FaultTarget::AzMassRestart(az)),
+    ("link", Shape::Pair('-'), LOSS_EXTRA, |a, b| FaultTarget::Link { a, b }),
+    ("link-directed", Shape::Pair('>'), LOSS_EXTRA, |from, to| FaultTarget::LinkDirected { from, to }),
+    ("gray", Shape::Id, LOSS_EXTRA, |g, _| FaultTarget::GrayDegrade(g)),
+    ("control-partition", Shape::Id, &[], |g, _| FaultTarget::ControlPartition(g)),
+    ("control-crash", Shape::None, &[], |_, _| FaultTarget::ControlCrash),
+    ("control-zombie", Shape::None, &[], |_, _| FaultTarget::ControlZombie),
 ];
 
 const DURATION_SUFFIXES: [(&str, u64); 4] = [("ns", 1), ("us", 1_000), ("ms", 1_000_000), ("s", 1_000_000_000)];
@@ -682,8 +677,8 @@ const DURATION_SUFFIXES: [(&str, u64); 4] = [("ns", 1), ("us", 1_000), ("ms", 1_
 /// parser's `f64` arithmetic is exact after rounding.
 fn dsl_duration(rng: &mut SimRng) -> (String, u64) {
     let (suffix, unit) = DURATION_SUFFIXES[rng.index(DURATION_SUFFIXES.len())];
-    let whole = [1, 10, 1_000, 1_000_000][rng.index(4)];
-    let whole = rng.index(whole) as u64;
+    let scale = [1, 10, 1_000, 1_000_000][rng.index(4)];
+    let whole = rng.index(scale) as u64;
     match rng.index(4) {
         0 if unit >= 1_000 => {
             let milli = rng.index(1_000) as u64;
@@ -738,8 +733,9 @@ enum Slot {
     Loss,
 }
 
-/// A valid line: its words, the events it schedules, the slot of each word,
-/// and the fewest words a line of its class and action can have.
+/// A valid line: its class's row, its action, its words with the slot of
+/// each, the events it schedules, and the fewest words a line of its class
+/// and action can have.
 struct DslLine {
     class: usize,
     action: &'static str,
@@ -749,74 +745,72 @@ struct DslLine {
     min_words: usize,
 }
 
+impl DslLine {
+    fn push(&mut self, word: String, slot: Slot) {
+        self.words.push(word);
+        self.slots.push(slot);
+    }
+}
+
 fn dsl_line(rng: &mut SimRng) -> DslLine {
     let class = rng.index(DSL_CLASSES.len());
-    let DslClass { token, shape, keys, make } = &DSL_CLASSES[class];
+    let (token, shape, keys, make) = DSL_CLASSES[class];
+    let action = ["fail", "recover", "degrade"][rng.index(if keys.is_empty() { 2 } else { 3 })];
     let (time, at) = dsl_duration(rng);
     let at = SimTime::from_nanos(at);
-    let actions: &[&'static str] = if keys.is_empty() { &["fail", "recover"] } else { &["fail", "recover", "degrade"] };
-    let action = actions[rng.index(actions.len())];
-    let mut words = vec!["at".to_string(), time, action.to_string(), token.to_string()];
-    let mut slots = vec![Slot::At, Slot::Time, Slot::Action, Slot::Target];
-    let (x, y) = match *shape {
+    let mut line = DslLine { class, action, words: vec![], slots: vec![], events: vec![], min_words: 4 };
+    line.push("at".into(), Slot::At);
+    line.push(time, Slot::Time);
+    line.push(action.into(), Slot::Action);
+    line.push(token.into(), Slot::Target);
+    let (x, y) = match shape {
         Shape::None => (0, 0),
         Shape::Id => {
             let (word, x) = dsl_id(rng);
-            words.push(word);
-            slots.push(Slot::Id);
+            line.push(word, Slot::Id);
             (x, 0)
         }
         Shape::Pair(sep) => {
             let ((wx, x), (wy, y)) = (dsl_id(rng), dsl_id(rng));
-            words.push(format!("{wx}{sep}{wy}"));
-            slots.push(Slot::Pair(sep));
+            line.push(format!("{wx}{sep}{wy}"), Slot::Pair(sep));
             (x, y)
         }
     };
+    line.min_words = line.words.len();
     let target = make(x, y);
     let event = |at, kind| FaultEvent { at, target, kind };
-    let mut events = Vec::new();
     match action {
         "fail" => {
-            events.push(event(at, FaultKind::Crash));
+            line.events.push(event(at, FaultKind::Crash));
             if target == FaultTarget::ControlCrash {
                 let (word, restart) = dsl_duration(rng);
-                words.push(word);
-                slots.push(Slot::Time);
-                events.push(event(at + SimDuration::from_nanos(restart), FaultKind::Recover));
+                line.push(word, Slot::Time);
+                line.min_words += 1;
+                line.events.push(event(at + SimDuration::from_nanos(restart), FaultKind::Recover));
             }
         }
-        "recover" => events.push(event(at, FaultKind::Recover)),
+        "recover" => line.events.push(event(at, FaultKind::Recover)),
         _ => {
             // One to three pairs, a key possibly repeated: the last wins.
             let (mut loss, mut extra) = (0.0, SimDuration::ZERO);
             for _ in 0..1 + rng.index(3) {
                 let key = keys[rng.index(keys.len())];
-                words.push(key.to_string());
-                slots.push(Slot::Key);
-                let word = if key == "loss" {
+                line.push(key.into(), Slot::Key);
+                if key == "loss" {
                     let (word, v) = dsl_loss(rng);
+                    line.push(word, Slot::Loss);
                     loss = v;
-                    slots.push(Slot::Loss);
-                    word
                 } else {
                     let (word, ns) = dsl_duration(rng);
+                    line.push(word, Slot::Time);
                     extra = SimDuration::from_nanos(ns);
-                    slots.push(Slot::Time);
-                    word
-                };
-                words.push(word);
+                }
             }
-            events.push(event(at, FaultKind::Degrade { loss, extra }));
+            line.min_words += 2;
+            line.events.push(event(at, FaultKind::Degrade { loss, extra }));
         }
     }
-    let operand = !matches!(shape, Shape::None) as usize;
-    let tail = match action {
-        "degrade" => 2,
-        "fail" if target == FaultTarget::ControlCrash => 1,
-        _ => 0,
-    };
-    DslLine { class, action, words, slots, events, min_words: 4 + operand + tail }
+    line
 }
 
 const DSL_SPACES: [char; 5] = [' ', ' ', '\t', '\u{0C}', '\u{3000}'];
@@ -835,8 +829,7 @@ fn dsl_comment(rng: &mut SimRng) -> String {
 /// Returns the script and the 1-based script line of each of `lines`.
 fn dsl_render(rng: &mut SimRng, lines: &[Vec<String>]) -> (String, Vec<usize>) {
     let newline = if rng.chance(0.25) { "\r\n" } else { "\n" };
-    let (mut script, mut numbers) = (String::new(), Vec::new());
-    let mut n = 0;
+    let (mut script, mut numbers, mut n) = (String::new(), Vec::new(), 0);
     for (i, words) in lines.iter().enumerate() {
         while rng.chance(0.3) {
             script += &dsl_space(rng, 0);
@@ -877,29 +870,26 @@ fn dsl_parse(script: &str) -> Result<Vec<FaultEvent>, ScriptError> {
     got
 }
 
-/// Words each slot must refuse (`Action` also refuses `degrade` on a class
-/// with nothing to degrade, `Key` a key the class lacks).
-fn dsl_bad_word(rng: &mut SimRng, slot: Slot, class: &DslClass) -> String {
-    let pick = |rng: &mut SimRng, words: &[&str]| words[rng.index(words.len())].to_string();
-    match slot {
-        Slot::At => pick(rng, &["At", "AT", "on", "fail", "at5s", "@"]),
-        Slot::Time => pick(rng, &["5", "s", "5h", "5m", "5S", "5sec", "-1s", "-0.5ms", "1e30s", "9223372037s", "infs", "NaNs", "0x10s", "1_0s", "1,5s", "5 s"]),
-        Slot::Action if class.keys.is_empty() && rng.chance(0.25) => "degrade".to_string(),
-        Slot::Action => pick(rng, &["crash", "Fail", "failed", "recovers", "heal", "at", "degraded"]),
-        Slot::Target => pick(rng, &["Az", "azz", "link_directed", "links", "replica/", "gray-", "controlcrash"]),
-        Slot::Id => pick(rng, &["-1", "4294967296", "99999999999", "1.5", "x", "0x1", "1e3", "1/2", "1-2", "1>2"]),
-        Slot::Pair(sep) => match rng.index(6) {
-            0 => "12".to_string(),
-            1 => format!("1{sep}"),
-            2 => format!("{sep}2"),
-            3 => format!("1{sep}2{sep}3"),
-            4 => format!("4294967296{sep}2"),
-            _ => format!("1{sep}-2"),
-        },
-        Slot::Key if class.keys == EXTRA && rng.chance(0.25) => "loss".to_string(),
-        Slot::Key => pick(rng, &["Loss", "EXTRA", "latency", "drop", "at", "5ms"]),
-        Slot::Loss => pick(rng, &["1.01", "101%", "100.1%", "-0.1", "-1%", "%", "x", "nan", "inf", "0.5%%", "1e3", "5ms"]),
-    }
+/// A word `slot` must refuse: `Action` also `degrade` on a class with
+/// nothing to degrade, `Key` also `loss` on a class with only `extra`.
+fn dsl_bad_word(rng: &mut SimRng, slot: Slot, keys: &[&str]) -> String {
+    let words = match slot {
+        Slot::At => "At AT on fail at5s @",
+        Slot::Time => "5 s 5h 5m 5S 5sec -1s -0.5ms 1e30s 9223372037s infs NaNs 0x10s 1_0s 1,5s",
+        Slot::Action if keys.is_empty() => "crash Fail failed recovers heal at degraded degrade",
+        Slot::Action => "crash Fail failed recovers heal at degraded",
+        Slot::Target => "Az azz link_directed links replica/ gray- controlcrash",
+        Slot::Id => "-1 4294967296 99999999999 1.5 x 0x1 1e3 1/2 1-2 1>2",
+        Slot::Pair(sep) => {
+            let bad = ["12".into(), format!("1{sep}"), format!("{sep}2"), format!("1{sep}2{sep}3"), format!("4294967296{sep}2"), format!("1{sep}-2")];
+            return bad[rng.index(bad.len())].clone();
+        }
+        Slot::Key if keys == EXTRA => "Loss EXTRA latency drop at 5ms loss",
+        Slot::Key => "Loss EXTRA latency drop at 5ms",
+        Slot::Loss => "1.01 101% 100.1% -0.1 -1% % x nan inf 0.5%% 1e3 5ms",
+    };
+    let words: Vec<&str> = words.split(' ').collect();
+    words[rng.index(words.len())].to_string()
 }
 
 /// Words a random edit inserts: the DSL's own vocabulary, good and bad.
@@ -917,9 +907,7 @@ fn fuzz_fault_dsl(cases: usize, seed: u64) {
         let lines: Vec<DslLine> = (0..1 + rng.index(4)).map(|_| dsl_line(&mut rng)).collect();
         let mut want: Vec<FaultEvent> = lines.iter().flat_map(|l| l.events.iter().copied()).collect();
         want.sort_by_key(|e| e.at);
-        for line in &lines {
-            covered.insert((line.class, line.action));
-        }
+        covered.extend(lines.iter().map(|l| (l.class, l.action)));
 
         // Two renderings: the same events.
         let words: Vec<Vec<String>> = lines.iter().map(|l| l.words.clone()).collect();
@@ -945,14 +933,10 @@ fn fuzz_fault_dsl(cases: usize, seed: u64) {
                 continue;
             }
             1 => {
-                let slot = rng.index(line.words.len() + 1);
-                let bad = match line.slots.get(slot) {
-                    Some(&s) => dsl_bad_word(&mut rng, s, &DSL_CLASSES[line.class]),
-                    None => DSL_VOCABULARY[rng.index(DSL_VOCABULARY.len() - 2)].to_string(),
-                };
-                match line.slots.get(slot) {
-                    Some(_) => broken[i][slot] = bad,
-                    None => broken[i].push(bad),
+                let at = rng.index(line.words.len() + 1);
+                match line.slots.get(at) {
+                    Some(&slot) => broken[i][at] = dsl_bad_word(&mut rng, slot, DSL_CLASSES[line.class].2),
+                    None => broken[i].push(DSL_VOCABULARY[rng.index(DSL_VOCABULARY.len() - 2)].to_string()),
                 }
                 let (script, numbers) = dsl_render(&mut rng, &broken);
                 let got = dsl_parse(&script).map_err(|e| e.line);
@@ -960,16 +944,13 @@ fn fuzz_fault_dsl(cases: usize, seed: u64) {
             }
             _ => {
                 let w = &mut broken[i];
-                let at = rng.index(w.len());
+                let (at, other) = (rng.index(w.len()), rng.index(w.len()));
                 let word = DSL_VOCABULARY[rng.index(DSL_VOCABULARY.len())].to_string();
                 match rng.index(4) {
                     0 => w[at] = word,
                     1 => w.insert(at, word),
                     2 => drop(w.remove(at)),
-                    _ => {
-                        let other = rng.index(w.len());
-                        w.swap(at, other);
-                    }
+                    _ => w.swap(at, other),
                 }
                 let (script, numbers) = dsl_render(&mut rng, &broken);
                 if let Err(e) = dsl_parse(&script) {
@@ -989,7 +970,7 @@ fn fuzz_fault_dsl(cases: usize, seed: u64) {
         }
         let _ = dsl_parse(&String::from_utf8_lossy(&noise));
     }
-    let every: usize = DSL_CLASSES.iter().map(|c| if c.keys.is_empty() { 2 } else { 3 }).sum();
+    let every: usize = DSL_CLASSES.iter().map(|c| if c.2.is_empty() { 2 } else { 3 }).sum();
     assert_eq!(covered.len(), every, "every class met every action it takes");
 }
 
