@@ -503,7 +503,9 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
 
     let mut ar_idx = 0usize;
     let mut alerts_seen = 0usize;
-    let mut gw_window: Vec<(u64, u64)> = vec![(0, 0); params.fleet];
+    // Per gateway since its last ingest: offered, denied, and denied where
+    // the baseline policy allows.
+    let mut gw_window: Vec<(u64, u64, u64)> = vec![(0, 0, 0); params.fleet];
     let mut errors_poison = 0u64;
     let mut deny_errors = 0u64;
     let mut events = 0u64;
@@ -543,6 +545,7 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
                     .map(|s| s.l7_verdict(&a.l4(), &a.l7()))
                     .unwrap_or(PolicyVerdict::Deny);
                 if intended == PolicyVerdict::Allow {
+                    gw_window[a.gw].2 += 1;
                     let rv = gw.running_version().unwrap_or(0);
                     if canal.poisoned.contains(&rv) {
                         errors_poison += 1;
@@ -596,11 +599,13 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
         //    — per-gateway watermarks catch a wrong-scope canary while the
         //    fleet average still looks healthy. A gateway's window is only
         //    ingested once it holds a full evidence quantum, so the spike
-        //    line is never crossed on two-request noise.
+        //    line is never crossed on two-request noise, and only the denies
+        //    the baseline policy would not make count toward it, so
+        //    background denies never roll a healthy rollout back.
         for w in gw_window.iter_mut() {
             if w.0 >= MONITOR_QUANTUM {
-                monitor.ingest_policy(now, w.0, w.1);
-                *w = (0, 0);
+                monitor.ingest_policy(now, w.0, w.1, w.2);
+                *w = (0, 0, 0);
             }
         }
     }

@@ -95,8 +95,9 @@ struct BackendHistory {
 
 const HISTORY_CAP: usize = 24;
 
-/// Denied fraction of a window's policy decisions beyond which
-/// [`WaterLevelMonitor::ingest_policy`] raises [`AlertKind::PolicyDeny`].
+/// Fraction of a window's policy decisions, denied where the pre-rollout
+/// baseline policy allows, beyond which [`WaterLevelMonitor::ingest_policy`]
+/// raises [`AlertKind::PolicyDeny`].
 pub const POLICY_DENY_SPIKE: f64 = 0.2;
 
 /// Water-level monitor with per-backend history.
@@ -231,14 +232,18 @@ impl WaterLevelMonitor {
     }
 
     /// Ingest one window of policy-plane decisions: how many flows/requests
-    /// the compiled policy evaluated (`offered`) and how many it denied.
+    /// the compiled policy evaluated (`offered`), how many it denied, and
+    /// how many of those the pre-rollout baseline policy allows
+    /// (`unexpected`, from evaluating the baseline beside the running
+    /// tables). The spike is measured against that baseline: denies the
+    /// baseline makes too are background, however many land in one window.
     /// Edge-triggered like [`ingest_rollout`](Self::ingest_rollout): the
-    /// window where the denied fraction first exceeds
+    /// window where the unexpected fraction first exceeds
     /// [`POLICY_DENY_SPIKE`] raises one [`AlertKind::PolicyDeny`]; the
     /// spike must clear before it can alert again.
-    pub fn ingest_policy(&mut self, now: SimTime, offered: u64, denied: u64) {
+    pub fn ingest_policy(&mut self, now: SimTime, offered: u64, denied: u64, unexpected: u64) {
         self.policy_denials += denied;
-        let spiking = offered > 0 && denied as f64 > offered as f64 * POLICY_DENY_SPIKE;
+        let spiking = offered > 0 && unexpected as f64 > offered as f64 * POLICY_DENY_SPIKE;
         if spiking && !self.policy_spike {
             self.alerts.push((now, AlertKind::PolicyDeny));
         }
@@ -483,23 +488,28 @@ mod tests {
     fn policy_deny_spike_alerts_on_the_edge() {
         let mut m = WaterLevelMonitor::new();
         // Healthy windows: a few denials are normal zero-trust noise.
-        m.ingest_policy(T(0), 100, 5);
+        m.ingest_policy(T(0), 100, 5, 0);
+        assert!(!m.policy_spike);
+        assert!(m.alerts().is_empty());
+        // Background denies the baseline also makes never spike, however
+        // many of them one window holds.
+        m.ingest_policy(T(5), 16, 5, 0);
         assert!(!m.policy_spike);
         assert!(m.alerts().is_empty());
         // A deny spike alerts once, not every window it persists.
-        m.ingest_policy(T(10), 100, 40);
-        m.ingest_policy(T(20), 100, 55);
+        m.ingest_policy(T(10), 100, 40, 38);
+        m.ingest_policy(T(20), 100, 55, 50);
         assert!(m.policy_spike);
         assert_eq!(m.alerts().len(), 1);
         assert_eq!(m.alerts()[0].1, AlertKind::PolicyDeny);
         // Spike clears, then returns: a fresh alert.
-        m.ingest_policy(T(30), 100, 2);
+        m.ingest_policy(T(30), 100, 2, 0);
         assert!(!m.policy_spike);
-        m.ingest_policy(T(40), 100, 90);
+        m.ingest_policy(T(40), 100, 90, 88);
         assert_eq!(m.alerts().len(), 2);
-        assert_eq!(m.policy_denials(), 5 + 40 + 55 + 2 + 90);
+        assert_eq!(m.policy_denials(), 5 + 5 + 40 + 55 + 2 + 90);
         // An idle window (no offered traffic) is not a spike.
-        m.ingest_policy(T(50), 0, 0);
+        m.ingest_policy(T(50), 0, 0, 0);
         assert!(!m.policy_spike);
     }
 }

@@ -162,8 +162,9 @@ pub const LAYERING_DAG: &[(&str, &[&str])] = &[
 ];
 
 /// Internal deps additionally allowed in test targets (`tests/` dirs and
-/// `#[cfg(test)]`): the root crate's test suite drives the linter itself.
-pub const TEST_ONLY_DEPS: &[(&str, &[&str])] = &[("canal", &["canal_lint"])];
+/// `#[cfg(test)]`): the root crate's test suite drives the linter itself,
+/// and runs the experiment harness's scenarios over seed ranges.
+pub const TEST_ONLY_DEPS: &[(&str, &[&str])] = &[("canal", &["canal_lint", "canal_bench"])];
 
 /// All rule ids, used to validate suppression annotations.
 pub const RULE_IDS: &[&str] = &[

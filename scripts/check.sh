@@ -32,6 +32,11 @@ cargo test --release -q -p canal-crypto -- --ignored
 echo "==> HTTP parser, VXLAN decoder and fault DSL fuzzers, deep sweeps (props_codecs --ignored, release)"
 cargo test --release -q --test props_codecs -- --ignored
 
+# The policy experiment at full scale over four times the seeds tier-1
+# runs (0..1024): a healthy rollout must converge at every one of them.
+echo "==> policy invariant at every seed of 0..1024 (policy_seeds --ignored, release)"
+cargo test --release -q --test policy_seeds -- --ignored
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
