@@ -26,7 +26,7 @@ fn tup(sport: u16) -> FiveTuple {
 /// abl-chain — why Canal lengthens Beamer's replica chains beyond 2:
 /// consecutive crashes (query of death) push owners off a short chain, and
 /// their established flows become unreachable.
-pub fn abl_chain(_seed: u64) -> ExperimentReport {
+pub(crate) fn abl_chain(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-chain",
         "redirector chain length under consecutive crashes",
@@ -74,7 +74,7 @@ pub fn abl_chain(_seed: u64) -> ExperimentReport {
 
 /// abl-shuffle — shuffle sharding vs contiguous placement: how many other
 /// services die with the victim's backend combination.
-pub fn abl_shuffle(seed: u64) -> ExperimentReport {
+pub(crate) fn abl_shuffle(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-shuffle",
         "shuffle sharding vs contiguous placement blast radius",
@@ -137,7 +137,7 @@ pub fn abl_shuffle(seed: u64) -> ExperimentReport {
 /// abl-tunnels — tunnels-per-core sweep: too few tunnels leave replica
 /// cores idle; ~10× cores (the paper's guidance) spreads evenly while still
 /// collapsing the session table.
-pub fn abl_tunnels(_seed: u64) -> ExperimentReport {
+pub(crate) fn abl_tunnels(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-tunnels",
         "tunnels per core vs core balance and session collapse",
@@ -202,7 +202,7 @@ pub fn abl_tunnels(_seed: u64) -> ExperimentReport {
 
 /// abl-nagle — flush-timeout sweep for the eBPF Nagle: shorter timers cut
 /// added latency but give back context-switch savings.
-pub fn abl_nagle(_seed: u64) -> ExperimentReport {
+pub(crate) fn abl_nagle(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-nagle",
         "Nagle flush timeout: context switches vs added latency",
@@ -250,7 +250,7 @@ pub fn abl_nagle(_seed: u64) -> ExperimentReport {
 /// abl-push — full vs incremental configuration push: delta support shrinks
 /// everyone's southbound bytes, but Canal's centralized push keeps a
 /// 2-orders-of-magnitude advantage either way.
-pub fn abl_push(_seed: u64) -> ExperimentReport {
+pub(crate) fn abl_push(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-push",
         "full vs incremental config push (the §2.2 'Istio lacks incremental' gap)",
@@ -292,7 +292,7 @@ pub fn abl_push(_seed: u64) -> ExperimentReport {
 
 /// abl-fallback — key-server outage with and without the App. A local-CPU
 /// fallback: handshakes stay available, at software-crypto cost.
-pub fn abl_fallback(_seed: u64) -> ExperimentReport {
+pub(crate) fn abl_fallback(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-fallback",
         "key-server outage: local-CPU fallback (App. A)",

@@ -100,7 +100,7 @@ impl ChaosParams {
     }
 
     /// Scenario horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
+    pub(crate) fn horizon(&self) -> SimDuration {
         SimDuration::from_secs(120).scale(self.time_scale)
     }
 }

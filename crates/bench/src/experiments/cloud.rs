@@ -24,7 +24,7 @@ fn tuple(vpc: u32, sport: u16, dport: u16) -> FiveTuple {
 /// surge on one service raises a backend past the safety threshold; precise
 /// scaling (Reuse) brings it back down within about a minute while other
 /// services' RPS and latency stay flat and error codes stay at zero.
-pub fn fig16(seed: u64) -> ExperimentReport {
+pub(crate) fn fig16(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig16", "noisy neighbor isolation");
     let mut rng = SimRng::seed(seed);
     let cfg = GatewayConfig {
@@ -191,7 +191,7 @@ pub fn fig16(seed: u64) -> ExperimentReport {
 }
 
 /// Fig. 17 — CDF of completion time for Reuse vs New.
-pub fn fig17(seed: u64) -> ExperimentReport {
+pub(crate) fn fig17(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig17", "CDF of completion time of Reuse and New");
     let mut rng = SimRng::seed(seed);
     let lat = ScalingLatencies::default();
@@ -224,7 +224,7 @@ pub fn fig17(seed: u64) -> ExperimentReport {
 }
 
 /// Fig. 18 — daily Reuse/New occurrences over a month.
-pub fn fig18(seed: u64) -> ExperimentReport {
+pub(crate) fn fig18(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig18", "occurrences of Reuse and New over a month");
     let mut rng = SimRng::seed(seed);
     let mut table = Table::new("daily scaling operations", &["day", "reuse", "new"]);
@@ -278,7 +278,7 @@ pub fn fig18(seed: u64) -> ExperimentReport {
 }
 
 /// Fig. 19 — backend combinations from shuffle sharding for top services.
-pub fn fig19(seed: u64) -> ExperimentReport {
+pub(crate) fn fig19(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig19", "backend combinations from shuffle sharding");
     let mut rng = SimRng::seed(seed);
     let pool = 16;
@@ -332,7 +332,7 @@ pub fn fig19(seed: u64) -> ExperimentReport {
 /// machinery — diurnal traffic (sampled at 1/100 scale), a nightly rolling
 /// version upgrade, a lossless service migration, and Reuse/New scaling —
 /// with RPS and error codes tracked per interval.
-pub fn fig20(seed: u64) -> ExperimentReport {
+pub(crate) fn fig20(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig20", "daily operational data in a cloud region");
     let mut rng = SimRng::seed(seed);
     let cfg = GatewayConfig {
@@ -479,7 +479,7 @@ pub fn fig20(seed: u64) -> ExperimentReport {
 }
 
 /// Table 4 — example Reuse/New timelines (offsets between phases).
-pub fn tab4(seed: u64) -> ExperimentReport {
+pub(crate) fn tab4(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab4", "examples of Reuse and New timelines");
     let mut rng = SimRng::seed(seed);
     let lat = ScalingLatencies::default();

@@ -16,7 +16,7 @@ fn testbed() -> ClusterShape {
 }
 
 /// Fig. 14 — P90 completion time for creating pods via an API call.
-pub fn fig14(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig14(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig14", "configuration completion time");
     let shape = testbed();
     let mut table = Table::new(
@@ -72,7 +72,7 @@ pub fn fig14(_seed: u64) -> ExperimentReport {
 }
 
 /// Fig. 15 — southbound bandwidth during a routing-policy update.
-pub fn fig15(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig15(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig15", "southbound bandwidth overhead");
     let shape = testbed();
     let mut table = Table::new(

@@ -49,7 +49,7 @@ impl RegionFleet {
 }
 
 /// Table 5 — cost reduction by redirector and tunneling across 4 regions.
-pub fn tab5(_seed: u64) -> ExperimentReport {
+pub(crate) fn tab5(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab5", "cost reduction by redirector and tunneling");
     // Fleets sized so LB share and session/CPU ratios match each region's
     // workload mix (sessions_vms fixed by the ~85M-session regional load at

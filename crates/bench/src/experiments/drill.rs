@@ -315,7 +315,7 @@ impl DrillOutcome {
 }
 
 /// Run the canal arm: the scripted drill against the real machinery.
-pub fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
+pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     let ts = params.time_scale;
     let clock = params.clock();
     let tick_s = clock.tick().as_secs_f64();

@@ -90,7 +90,7 @@ impl FailoverParams {
     }
 
     /// CI smoke mode: 2× compressed.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         FailoverParams { time_scale: 0.5, fleet: 8 }
     }
 

@@ -106,7 +106,7 @@ const CHURN_PER_S: f64 = 200.0;
 
 /// Handshake-storm run parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct HandshakeParams {
+pub(crate) struct HandshakeParams {
     /// Time compression: every scripted time and window scales by this.
     pub time_scale: f64,
     /// Gateways in the region (rollout targets).
@@ -122,7 +122,7 @@ pub struct HandshakeParams {
 
 impl HandshakeParams {
     /// The full run: 110 s region timeline, 100 k rotating certs.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         HandshakeParams {
             time_scale: 1.0,
             fleet: 12,
@@ -133,7 +133,7 @@ impl HandshakeParams {
     }
 
     /// CI smoke mode: 4× compressed, 10 k rotating certs.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         HandshakeParams {
             time_scale: 0.25,
             fleet: 8,
@@ -226,7 +226,7 @@ impl LatencyHist {
 
 /// An optional key-server degradation window (satellite regression knob).
 #[derive(Debug, Clone, Copy)]
-pub struct KsDegrade {
+pub(crate) struct KsDegrade {
     /// Window start, scaled seconds.
     pub from_s: f64,
     /// Window end, scaled seconds.
@@ -237,7 +237,7 @@ pub struct KsDegrade {
 
 /// Everything the canal arm measures.
 #[derive(Debug, Clone)]
-pub struct CanalHandshakeRun {
+pub(crate) struct CanalHandshakeRun {
     /// Certs issued under the rotating tenant's new generation.
     pub rotated_certs: u64,
     /// Full (asymmetric) handshakes completed.
@@ -301,7 +301,7 @@ pub struct CanalHandshakeRun {
 
 /// One coarse analytic arm (sidecar / ambient).
 #[derive(Debug, Clone)]
-pub struct AnalyticArm {
+pub(crate) struct AnalyticArm {
     /// Arm name.
     pub name: &'static str,
     /// Full handshakes performed.
@@ -318,7 +318,7 @@ pub struct AnalyticArm {
 
 /// The whole experiment's outcome.
 #[derive(Debug, Clone)]
-pub struct HandshakeOutcome {
+pub(crate) struct HandshakeOutcome {
     /// The canal arm (the machinery under test).
     pub canal: CanalHandshakeRun,
     /// The sidecar and ambient comparison arms.
@@ -332,7 +332,7 @@ pub struct HandshakeOutcome {
 impl HandshakeOutcome {
     /// Fold the complete outcome into one value: equal seeds must produce
     /// equal digests, bit for bit.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut d = Digest::new();
         let c = &self.canal;
         d.write_u64(c.rotated_certs)
@@ -386,7 +386,7 @@ struct TickDemand {
 
 /// Run the canal arm. `degrade` and `retry_budget` are the satellite
 /// regression knobs; the main run uses `None` / `true`.
-pub fn run_canal(
+pub(crate) fn run_canal(
     seed: u64,
     params: &HandshakeParams,
     degrade: Option<KsDegrade>,
@@ -876,7 +876,7 @@ fn analytic_arms(params: &HandshakeParams, canal_demand: u64) -> Vec<AnalyticArm
 }
 
 /// Run the whole rotation-storm scenario. Fully deterministic in `seed`.
-pub fn run_handshake(seed: u64, params: &HandshakeParams) -> HandshakeOutcome {
+pub(crate) fn run_handshake(seed: u64, params: &HandshakeParams) -> HandshakeOutcome {
     let canal = run_canal(seed, params, None, true);
     let demand = canal.full_handshakes + canal.resumed_handshakes;
     let arms = analytic_arms(params, canal.full_handshakes);

@@ -51,7 +51,7 @@ fn cases() -> Vec<(&'static str, f64, HealthCheckPlan)> {
 }
 
 /// Table 6 — health checks vs app traffic.
-pub fn tab6(_seed: u64) -> ExperimentReport {
+pub(crate) fn tab6(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab6", "excessive health checks vs app traffic");
     let paper_checks = [10_817.0, 52_122.0, 12_960.0, 22_107.0, 19_014.0];
     let mut table = Table::new(
@@ -92,7 +92,7 @@ pub fn tab6(_seed: u64) -> ExperimentReport {
 }
 
 /// Table 7 — health-check reduction by multi-level aggregation.
-pub fn tab7(_seed: u64) -> ExperimentReport {
+pub(crate) fn tab7(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab7", "health check reduction by aggregation");
     // Paper rows: (base, service-, core-, replica-) probes/s.
     let paper = [

@@ -16,7 +16,7 @@ use canal_workload::servicetime::sample_ms;
 /// 4k RPS: raw eBPF (no aggregation) vs eBPF+Nagle vs iptables (kernel
 /// Nagle). Each emitted segment costs one redirect context switch; iptables
 /// costs two per segment (Fig. 21).
-pub fn fig22(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig22(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig22", "context switch frequency of eBPF (16B, 4kRPS)");
     let rps = 4000u64;
     let secs = 10u64;
@@ -59,7 +59,7 @@ pub fn fig22(_seed: u64) -> ExperimentReport {
 
 /// Fig. 23 — crypto completion time: remote key server ≈1.7 ms flat, local
 /// offload ≈1 ms (when batches fill), no offloading ≈2 ms.
-pub fn fig23(seed: u64) -> ExperimentReport {
+pub(crate) fn fig23(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig23", "completion time of crypto with remote/local/no offloading");
     let mut rng = SimRng::seed(seed);
     let software = SoftwareBackend::default();
@@ -121,7 +121,7 @@ pub fn fig23(seed: u64) -> ExperimentReport {
 }
 
 /// Fig. 24 — distribution of end-to-end latency in a production K8s cluster.
-pub fn fig24(seed: u64) -> ExperimentReport {
+pub(crate) fn fig24(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig24", "production end-to-end latency distribution");
     let mut rng = SimRng::seed(seed);
     let samples = sample_ms(100_000, &mut rng);
@@ -153,7 +153,7 @@ pub fn fig24(seed: u64) -> ExperimentReport {
 
 /// Fig. 25 — AVX-512-style local acceleration degrades below 8 concurrent
 /// new connections (the batch bubble), exercised on the exact queue model.
-pub fn fig25(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig25(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig25", "performance under few concurrent connections (AVX-512)");
     let software = SoftwareBackend::default();
     let mut table = Table::new(
@@ -208,7 +208,7 @@ pub fn fig25(_seed: u64) -> ExperimentReport {
 /// Fig. 26 — session-consistency case study: replica IP2 goes offline, IP3
 /// is prepended; old flows keep landing on IP2, new flows go to IP3, and
 /// IP2 can be removed once drained.
-pub fn fig26(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig26(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig26", "session consistency maintenance with redirector");
     let mut table = BucketTable::new(256, &[1, 2], 4);
     let tuple = |sport: u16| {

@@ -13,7 +13,7 @@ use canal_workload::rps::RpsProcess;
 /// Fig. 2 — sidecar CPU utilization vs end-to-end latency. A 1-core sidecar
 /// stage is driven at increasing utilization with jittered demands; the
 /// latency multipliers (vs idle) emerge from queueing.
-pub fn fig2(seed: u64) -> ExperimentReport {
+pub(crate) fn fig2(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig2", "sidecar CPU usage vs end-to-end latency");
     let mut rng = SimRng::seed(seed);
     let service_us = 400.0; // one sidecar pass
@@ -62,7 +62,7 @@ pub fn fig2(seed: u64) -> ExperimentReport {
 
 /// Fig. 3 — sidecar count growth for a major customer, 2020→2022 (the count
 /// doubles). Contrasted with what Ambient/Canal would have needed to manage.
-pub fn fig3(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig3(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig3", "#sidecars for a major customer (2020-2022)");
     let mut table = Table::new(
         "proxy count by quarter",
@@ -96,7 +96,7 @@ pub fn fig3(_seed: u64) -> ExperimentReport {
 
 /// Fig. 4 — controller CPU (build vs push) and pod update time vs cluster
 /// size, per-pod-sidecar architecture.
-pub fn fig4(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig4(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig4", "controller CPU usage and pod update time");
     let plane = ConfigPlane::new(Architecture::Sidecar);
     let mut table = Table::new(
@@ -137,7 +137,7 @@ pub fn fig4(_seed: u64) -> ExperimentReport {
 /// Fig. 5 — CPU usage of Istio vs Ambient over a synchronized-peak day:
 /// Ambient is lower, but its per-service waypoints peak together with their
 /// pods, limiting peak shaving.
-pub fn fig5(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig5(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig5", "CPU usage of Istio and Ambient");
     let costs = canal_mesh::CostModel::default();
     let shape = ClusterShape {
@@ -197,7 +197,7 @@ pub fn fig5(_seed: u64) -> ExperimentReport {
 }
 
 /// Table 1 — sidecar resource usage across production cluster sizes.
-pub fn tab1(_seed: u64) -> ExperimentReport {
+pub(crate) fn tab1(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab1", "resource usage of Istio in production");
     let model = SidecarResourceModel::default();
     // (nodes, pods, paper cores, paper GB, config complexity knob).
@@ -237,7 +237,7 @@ pub fn tab1(_seed: u64) -> ExperimentReport {
 }
 
 /// Table 2 — configuration update frequency by cluster size.
-pub fn tab2(_seed: u64) -> ExperimentReport {
+pub(crate) fn tab2(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab2", "configuration update frequency by cluster");
     let mut table = Table::new(
         "updates per minute",
@@ -265,7 +265,7 @@ pub fn tab2(_seed: u64) -> ExperimentReport {
 }
 
 /// Table 3 — proportion of tenants enabling L7 features by region.
-pub fn tab3(seed: u64) -> ExperimentReport {
+pub(crate) fn tab3(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("tab3", "users enabling L7 features by region");
     let mut rng = SimRng::seed(seed);
     // Paper's five regions: (L7, routing, security).

@@ -73,7 +73,7 @@ fn capacity(cores: usize, backend: &dyn AsymmetricBackend, rng: &mut SimRng) -> 
 
 /// Fig. 27 — throughput improvement with key-server offloading, across
 /// proxy core counts.
-pub fn fig27(seed: u64) -> ExperimentReport {
+pub(crate) fn fig27(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig27", "throughput improvement with offloading");
     let mut rng = SimRng::seed(seed);
     let software = SoftwareBackend::default();
@@ -111,7 +111,7 @@ pub fn fig27(seed: u64) -> ExperimentReport {
 
 /// Fig. 28 — latency reduction with key-server offloading, growing with RPS
 /// as the proxy's resources exhaust.
-pub fn fig28(seed: u64) -> ExperimentReport {
+pub(crate) fn fig28(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig28", "latency improvement with offloading");
     let mut rng = SimRng::seed(seed);
     let software = SoftwareBackend::default();
@@ -176,7 +176,7 @@ fn stream_throughput(size: usize, per_segment: f64) -> f64 {
 }
 
 /// Fig. 29 — throughput improvement with eBPF redirection vs packet size.
-pub fn fig29(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig29(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig29", "throughput improvement with eBPF");
     let mut table = Table::new(
         "redirection throughput (MB/s)",
@@ -222,7 +222,7 @@ pub fn fig29(_seed: u64) -> ExperimentReport {
 
 /// Fig. 30 — latency improvement with eBPF redirection: iptables is
 /// 1.5x~1.8x the eBPF latency, mostly insensitive to packet size.
-pub fn fig30(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig30(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig30", "latency improvement with eBPF");
     let mut table = Table::new(
         "one-way redirect latency (µs)",

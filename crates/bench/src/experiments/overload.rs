@@ -71,7 +71,7 @@ impl SurgeParams {
     }
 
     /// Measurement horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
+    pub(crate) fn horizon(&self) -> SimDuration {
         SimDuration::from_secs(30).scale(self.time_scale)
     }
 }
@@ -238,7 +238,7 @@ impl PlacementOutcome {
     }
 
     /// Worst victim-tenant goodput ratio during the surge.
-    pub fn victim_goodput_ratio(&self) -> f64 {
+    pub(crate) fn victim_goodput_ratio(&self) -> f64 {
         (0..TENANTS as usize)
             .filter(|&t| t as u32 + 1 != SURGER)
             .map(|t| self.surge.tenants[t].goodput_ratio())

@@ -10,7 +10,7 @@ use canal_sim::SimRng;
 
 /// Fig. 10 — end-to-end latency under light workloads (1 rps, 100 samples),
 /// all four setups.
-pub fn fig10(seed: u64) -> ExperimentReport {
+pub(crate) fn fig10(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig10", "latency under light workloads");
     let mut rng = SimRng::seed(seed);
     let ctx = RequestCtx::light();
@@ -66,7 +66,7 @@ pub fn fig10(seed: u64) -> ExperimentReport {
 /// Fig. 11 — P99 latency under changing workloads; max RPS before the
 /// latency spike (the knee). Canal's knee comes from the gateway packet
 /// pipeline; Istio's from sidecar CPU saturation.
-pub fn fig11(seed: u64) -> ExperimentReport {
+pub(crate) fn fig11(seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig11", "latency under changing workloads");
     let mut rng = SimRng::seed(seed);
     let ctx = RequestCtx::light();

@@ -11,7 +11,7 @@ use canal_sim::output::{num, pct, ratio, Table};
 /// Fig. 12 — on-node proxy CPU saved by local vs remote asymmetric-crypto
 /// offloading, swept over requests-per-connection (which sets how much of
 /// the proxy's work is offloadable).
-pub fn fig12(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig12(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig12", "CPU usage saving with crypto offloading");
     let software = SoftwareBackend::default();
     let local = LocalBatchBackend::default();
@@ -66,7 +66,7 @@ pub fn fig12(_seed: u64) -> ExperimentReport {
 }
 
 /// Fig. 13 — CPU cores used (of 4) under growing workloads.
-pub fn fig13(_seed: u64) -> ExperimentReport {
+pub(crate) fn fig13(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig13", "CPU usage of Istio, Ambient and Canal");
     let costs = CostModel::default;
     let istio = SidecarMesh::new(costs());

@@ -79,7 +79,7 @@ pub struct RolloutParams {
 
 impl RolloutParams {
     /// The full run: a 90 s timeline, 24 proxies, 200 rps.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         RolloutParams {
             time_scale: 1.0,
             rps: 200.0,
@@ -181,7 +181,7 @@ pub struct BlastOutcome {
 impl BlastOutcome {
     /// Fold the complete outcome into one value: equal seeds must produce
     /// equal digests, bit for bit.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let b = &self.blast;
         let mut d = Digest::new();
         for a in &b.arms {

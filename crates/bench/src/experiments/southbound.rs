@@ -138,7 +138,7 @@ impl RateCarry {
 }
 
 /// The controller side of a delivery: where a gateway's verdict goes.
-pub trait Verdicts {
+pub(crate) trait Verdicts {
     /// `target` committed `version`.
     fn ack(&mut self, target: TargetId, version: u64, now: SimTime) -> bool;
     /// `target` refused `version`.
@@ -168,7 +168,7 @@ impl Verdicts for CertRotationController {
 /// One southbound push: stage `spec` on the target's slot, commit it or
 /// not, and tell the controller which. The ack carries the version the
 /// gateway says it committed, the nack the version that was pushed.
-pub fn deliver<P: Plane>(
+pub(crate) fn deliver<P: Plane>(
     slot: &mut FailStatic<P>,
     spec: P::Spec,
     now: SimTime,
@@ -364,7 +364,7 @@ pub struct ArmOutcome {
 
 impl ArmOutcome {
     /// Fraction of the fleet that ever ran the bad config.
-    pub fn exposed_fraction(&self) -> f64 {
+    pub(crate) fn exposed_fraction(&self) -> f64 {
         if self.fleet == 0 {
             return 0.0;
         }
@@ -381,7 +381,7 @@ impl ArmOutcome {
 
     /// Error budget burned: errors over the 99.9%-SLO allowance for the
     /// horizon (1.0 = the whole budget, >1 = blown).
-    pub fn budget_burned(&self) -> f64 {
+    pub(crate) fn budget_burned(&self) -> f64 {
         let budget = (self.offered as f64 * SLO_ERROR_BUDGET).max(1.0);
         self.errors as f64 / budget
     }

@@ -74,7 +74,7 @@ pub struct TraceParams {
 
 impl TraceParams {
     /// The full run: the 120 s timeline at 200 rps.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         TraceParams {
             time_scale: 1.0,
             rps: 200.0,
@@ -90,7 +90,7 @@ impl TraceParams {
     }
 
     /// Scenario horizon (scaled).
-    pub fn horizon(&self) -> SimDuration {
+    pub(crate) fn horizon(&self) -> SimDuration {
         SimDuration::from_secs(120).scale(self.time_scale)
     }
 }
@@ -484,7 +484,7 @@ pub struct TraceOutcome {
 impl TraceOutcome {
     /// Fold the complete outcome into one value: equal seeds must produce
     /// equal digests, bit for bit.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut d = Digest::new();
         d.write_u64(self.plan_events as u64);
         for a in &self.archs {
@@ -509,12 +509,12 @@ impl TraceOutcome {
     }
 
     /// Episodes the span-evidence localizer got right.
-    pub fn span_correct(&self) -> usize {
+    pub(crate) fn span_correct(&self) -> usize {
         self.episodes.iter().filter(|e| e.span_correct).count()
     }
 
     /// Episodes the trend correlator got right.
-    pub fn trend_correct(&self) -> usize {
+    pub(crate) fn trend_correct(&self) -> usize {
         self.episodes.iter().filter(|e| e.trend_correct).count()
     }
 
@@ -531,7 +531,7 @@ impl TraceOutcome {
     /// Every violated invariant, as human-readable labels. `experiments trace`
     /// refuses to exit clean unless this is empty (in `--fast` smoke
     /// mode too — these hold at any scale, unlike the tuned report bands).
-    pub fn invariant_failures(&self) -> Vec<String> {
+    pub(crate) fn invariant_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
         // A beat the fault DSL rejects empties the plan: nothing to trace.
         if self.plan_events != BEATS.len() {

@@ -20,7 +20,7 @@ pub struct Check {
 
 impl Check {
     /// A check on a numeric value against an inclusive band.
-    pub fn band(name: &str, paper: &str, measured: f64, lo: f64, hi: f64) -> Check {
+    pub(crate) fn band(name: &str, paper: &str, measured: f64, lo: f64, hi: f64) -> Check {
         Check {
             name: name.to_string(),
             paper: paper.to_string(),
@@ -30,7 +30,7 @@ impl Check {
     }
 
     /// A boolean condition check.
-    pub fn cond(name: &str, paper: &str, measured: &str, pass: bool) -> Check {
+    pub(crate) fn cond(name: &str, paper: &str, measured: &str, pass: bool) -> Check {
         Check {
             name: name.to_string(),
             paper: paper.to_string(),
@@ -55,7 +55,7 @@ pub struct ExperimentReport {
 
 impl ExperimentReport {
     /// New empty report.
-    pub fn new(id: &str, title: &str) -> Self {
+    pub(crate) fn new(id: &str, title: &str) -> Self {
         ExperimentReport {
             id: id.to_string(),
             title: title.to_string(),
@@ -93,7 +93,7 @@ impl ExperimentReport {
 
 /// Measured behaviour of one architecture at one offered load.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadPoint {
+pub(crate) struct LoadPoint {
     /// Offered requests per second.
     pub rps: f64,
     /// Mean end-to-end latency (ms).
@@ -105,7 +105,7 @@ pub struct LoadPoint {
 /// Drive an architecture with Poisson arrivals at `rps` for `duration_s`
 /// simulated seconds; returns the latency profile. Service demands are
 /// drawn per-request with ±25% jitter so queueing tails are realistic.
-pub fn measure_at_load(
+pub(crate) fn measure_at_load(
     arch: &dyn MeshArchitecture,
     ctx: &RequestCtx,
     rps: f64,
@@ -151,7 +151,7 @@ pub fn measure_at_load(
 
 /// Find the knee: the highest RPS (on a geometric ladder up to `max_rps`)
 /// whose P99 stays below `p99_limit_ms`. Returns (knee_rps, curve).
-pub fn find_knee(
+pub(crate) fn find_knee(
     arch: &dyn MeshArchitecture,
     ctx: &RequestCtx,
     max_rps: f64,

@@ -17,7 +17,7 @@ pub mod experiments;
 pub mod harness;
 pub mod scenario;
 
-pub use harness::{Check, ExperimentReport};
+pub use harness::ExperimentReport;
 use scenario::{Driver, Scenario};
 
 /// One row of the experiment table.

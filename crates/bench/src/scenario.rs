@@ -56,19 +56,19 @@ pub struct Driver {
 }
 
 /// One failure line per clause of the `what` invariant that does not hold.
-pub fn violated(what: &str, clauses: &[(&str, bool)]) -> Vec<String> {
+pub(crate) fn violated(what: &str, clauses: &[(&str, bool)]) -> Vec<String> {
     let broken = clauses.iter().filter(|(_, holds)| !holds);
     broken.map(|(clause, _)| format!("{what} invariant violated: {clause}")).collect()
 }
 
 /// One full-scale run's report.
-pub fn report<S: Scenario>(seed: u64) -> ExperimentReport {
+pub(crate) fn report<S: Scenario>(seed: u64) -> ExperimentReport {
     let params = S::params(false);
     S::run(seed, &params).report(seed, &params)
 }
 
 /// Run `S` twice at `seed` and judge it.
-pub fn drive<S: Scenario>(seed: u64, fast: bool) -> ScenarioRun {
+pub(crate) fn drive<S: Scenario>(seed: u64, fast: bool) -> ScenarioRun {
     let params = S::params(fast);
     let outcome = S::run(seed, &params);
     let (digest, again) = (outcome.outcome_digest(), S::run(seed, &params).outcome_digest());
@@ -115,7 +115,7 @@ pub enum Json {
 
 impl Json {
     /// A leaf.
-    pub fn lit(value: impl std::fmt::Display) -> Json {
+    pub(crate) fn lit(value: impl std::fmt::Display) -> Json {
         Json::Lit(value.to_string())
     }
 

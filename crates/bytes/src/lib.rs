@@ -87,7 +87,7 @@ pub trait BufMut {
 }
 
 /// Immutable, cheaply cloneable byte buffer: a shared allocation plus a
-/// `[start, end)` view into it. `slice`/`split_to` are O(1) and allocation
+/// `[start, end)` view into it. `slice`/`split_off` are O(1) and allocation
 /// free; `advance` narrows the view in place.
 #[derive(Clone, Default)]
 pub struct Bytes {
@@ -128,17 +128,12 @@ impl Bytes {
     }
 
     /// Length of the visible window.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
     }
 
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
     /// The visible bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 
@@ -165,13 +160,6 @@ impl Bytes {
             start: self.start + lo,
             end: self.start + hi,
         }
-    }
-
-    /// Split off and return the first `at` bytes; `self` keeps the rest.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        let head = self.slice(..at);
-        self.start += at;
-        head
     }
 
     /// Split off and return everything from `at`; `self` keeps the front.
@@ -324,26 +312,11 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
     /// Empty buffer with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             inner: Vec::with_capacity(cap),
         }
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 
     /// Append a slice.
@@ -357,18 +330,6 @@ impl BytesMut {
         BytesMut {
             inner: std::mem::replace(&mut self.inner, tail),
         }
-    }
-
-    /// Remove and return everything from `at`; `self` keeps the front.
-    pub fn split_off(&mut self, at: usize) -> BytesMut {
-        BytesMut {
-            inner: self.inner.split_off(at),
-        }
-    }
-
-    /// Drop all contents.
-    pub fn clear(&mut self) {
-        self.inner.clear();
     }
 
     /// Convert into an immutable, cheaply cloneable [`Bytes`].
@@ -462,16 +423,14 @@ mod tests {
         let mut b = Bytes::from(b"abcdef");
         b.advance(2);
         assert_eq!(b.as_slice(), b"cdef");
-        let head = b.split_to(2);
-        assert_eq!(head.as_slice(), b"cd");
-        assert_eq!(b.as_slice(), b"ef");
+        let tail = b.split_off(2);
+        assert_eq!(b.as_slice(), b"cd");
+        assert_eq!(tail.as_slice(), b"ef");
 
         let mut m = BytesMut::from(&b"abcdef"[..]);
         let head = m.split_to(2);
         assert_eq!(&head[..], b"ab");
-        let tail = m.split_off(2);
-        assert_eq!(&m[..], b"cd");
-        assert_eq!(&tail[..], b"ef");
+        assert_eq!(&m[..], b"cdef");
     }
 
     #[test]

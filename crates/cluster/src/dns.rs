@@ -93,11 +93,6 @@ impl CachingResolver {
         }
     }
 
-    /// The configured TTL.
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
-
     /// Resolve through the cache: serve the cached answer while it is
     /// fresh (< TTL old), otherwise re-query `view` and re-cache. Negative
     /// answers are cached too.

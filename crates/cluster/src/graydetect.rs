@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 /// production rps would otherwise hold millions of durations; the quantile
 /// only needs a stable prefix (arrival order is deterministic, so the kept
 /// prefix is too).
-pub const LAT_SAMPLE_CAP: usize = 256;
+pub(crate) const LAT_SAMPLE_CAP: usize = 256;
 
 /// Where the detector currently places a target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -171,12 +171,6 @@ impl<K: Ord + Clone> GrayDetector<K> {
     pub fn add_target(&mut self, key: K) {
         self.probes.add_target(key.clone());
         self.targets.entry(key).or_insert_with(Evidence::new);
-    }
-
-    /// Remove a target from both evidence streams.
-    pub fn remove_target(&mut self, key: &K) -> bool {
-        self.probes.remove_target(key);
-        self.targets.remove(key).is_some()
     }
 
     /// Record one active probe outcome (delegates to the embedded
@@ -328,7 +322,7 @@ impl<K: Ord + Clone> GrayDetector<K> {
     }
 
     /// Current verdict for a target.
-    pub fn verdict(&self, key: &K) -> Option<GrayVerdict> {
+    pub(crate) fn verdict(&self, key: &K) -> Option<GrayVerdict> {
         self.targets.get(key).map(|e| e.verdict)
     }
 
@@ -360,11 +354,6 @@ impl<K: Ord + Clone> GrayDetector<K> {
     /// Total quarantine clears.
     pub fn clears(&self) -> u64 {
         self.clears
-    }
-
-    /// Times the fleet-fraction safety valve refused a quarantine.
-    pub fn safety_holds(&self) -> u64 {
-        self.safety_holds
     }
 
     /// Fold detector state into a digest: per-target verdict, EWMA bits,

@@ -29,7 +29,5 @@ pub mod graydetect;
 pub mod probe;
 pub mod topology;
 
-pub use dns::{CachingResolver, DnsTarget, DnsView};
+pub use dns::{CachingResolver, DnsView};
 pub use graydetect::{GrayDetector, GrayPolicy, GrayVerdict};
-pub use probe::{HealthState, ProbeTracker};
-pub use topology::{Cluster, ClusterSpec, Pod, Service, Tenant};

@@ -52,7 +52,7 @@ struct TargetState {
 /// Default bound on the retained transition log. Long chaos runs flap
 /// targets indefinitely; without a cap the log is an unbounded-memory bug
 /// (the same failure mode `SpanRing` guards against).
-pub const DEFAULT_TRANSITION_CAP: usize = 1024;
+pub(crate) const DEFAULT_TRANSITION_CAP: usize = 1024;
 
 /// Tracks probe state for a set of targets keyed by `K`.
 #[derive(Debug)]
@@ -67,7 +67,7 @@ pub struct ProbeTracker<K: Ord + Clone> {
 
 impl<K: Ord + Clone> ProbeTracker<K> {
     /// New tracker with the given policy and the default transition cap.
-    pub fn new(policy: ProbePolicy) -> Self {
+    pub(crate) fn new(policy: ProbePolicy) -> Self {
         ProbeTracker {
             policy,
             targets: BTreeMap::new(),
@@ -79,7 +79,7 @@ impl<K: Ord + Clone> ProbeTracker<K> {
     }
 
     /// Register a target (initially healthy).
-    pub fn add_target(&mut self, key: K) {
+    pub(crate) fn add_target(&mut self, key: K) {
         self.targets.entry(key).or_insert(TargetState {
             state: HealthState::Healthy,
             consecutive_fails: 0,
@@ -87,11 +87,6 @@ impl<K: Ord + Clone> ProbeTracker<K> {
             last_probe: None,
             probes_sent: 0,
         });
-    }
-
-    /// Remove a target.
-    pub fn remove_target(&mut self, key: &K) -> bool {
-        self.targets.remove(key).is_some()
     }
 
     /// Whether a probe is due for the target at `now`.
@@ -105,7 +100,7 @@ impl<K: Ord + Clone> ProbeTracker<K> {
     }
 
     /// Record one probe result. Returns the new state if it *changed*.
-    pub fn record_probe(&mut self, key: &K, now: SimTime, success: bool) -> Option<HealthState> {
+    pub(crate) fn record_probe(&mut self, key: &K, now: SimTime, success: bool) -> Option<HealthState> {
         let policy = self.policy;
         let t = self.targets.get_mut(key)?;
         t.last_probe = Some(now);
@@ -139,24 +134,8 @@ impl<K: Ord + Clone> ProbeTracker<K> {
     }
 
     /// Current state of a target.
-    pub fn state(&self, key: &K) -> Option<HealthState> {
+    pub(crate) fn state(&self, key: &K) -> Option<HealthState> {
         self.targets.get(key).map(|t| t.state)
-    }
-
-    /// Retained state transitions `(when, target, new_state)`, oldest first.
-    /// Holds at most the configured cap; older entries may have been evicted.
-    pub fn transitions(&self) -> impl Iterator<Item = &(SimTime, K, HealthState)> {
-        self.transitions.iter()
-    }
-
-    /// Total transitions ever recorded, including evicted ones.
-    pub fn transitions_recorded(&self) -> u64 {
-        self.transitions_recorded
-    }
-
-    /// Transitions dropped from the retained window to honour the cap.
-    pub fn transitions_evicted(&self) -> u64 {
-        self.transitions_evicted
     }
 }
 
@@ -183,9 +162,9 @@ mod tests {
             Some(HealthState::Unhealthy)
         );
         assert_eq!(t.state(&1), Some(HealthState::Unhealthy));
-        assert_eq!(t.transitions().count(), 1);
-        assert_eq!(t.transitions_recorded(), 1);
-        assert_eq!(t.transitions_evicted(), 0);
+        assert_eq!(t.transitions.len(), 1);
+        assert_eq!(t.transitions_recorded, 1);
+        assert_eq!(t.transitions_evicted, 0);
     }
 
     #[test]
@@ -233,8 +212,6 @@ mod tests {
         assert_eq!(t.targets.values().map(|s| s.probes_sent).sum::<u64>(), 40);
         assert_eq!(t.targets.len(), 4);
         assert!(t.targets.values().all(|s| s.state == HealthState::Healthy));
-        assert!(t.remove_target(&0));
-        assert_eq!(t.targets.len(), 3);
     }
 
     #[test]
@@ -257,11 +234,11 @@ mod tests {
         }
         // 100 transitions happened (one down + one up per cycle) but only
         // the newest 8 are retained; the rest are accounted, not leaked.
-        assert_eq!(t.transitions_recorded(), 100);
-        assert_eq!(t.transitions().count(), 8);
-        assert_eq!(t.transitions_evicted(), 92);
+        assert_eq!(t.transitions_recorded, 100);
+        assert_eq!(t.transitions.len(), 8);
+        assert_eq!(t.transitions_evicted, 92);
         // Oldest-first, and the retained tail is the *latest* transitions.
-        let times: Vec<u64> = t.transitions().map(|(w, _, _)| w.as_nanos()).collect();
+        let times: Vec<u64> = t.transitions.iter().map(|(w, _, _)| w.as_nanos()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted);
@@ -291,9 +268,9 @@ mod tests {
             }
         }
         assert_eq!(t.state(&1), Some(HealthState::Healthy));
-        assert_eq!(t.transitions_recorded(), 0);
-        assert_eq!(t.transitions_evicted(), 0);
-        assert_eq!(t.transitions().count(), 0);
+        assert_eq!(t.transitions_recorded, 0);
+        assert_eq!(t.transitions_evicted, 0);
+        assert_eq!(t.transitions.len(), 0);
     }
 
     #[test]
@@ -316,15 +293,15 @@ mod tests {
             }
         }
         let recorded = cycles * 2; // one down + one up per cycle
-        assert_eq!(t.transitions_recorded(), recorded);
-        assert_eq!(t.transitions().count(), DEFAULT_TRANSITION_CAP);
+        assert_eq!(t.transitions_recorded, recorded);
+        assert_eq!(t.transitions.len(), DEFAULT_TRANSITION_CAP);
         assert_eq!(
-            t.transitions_evicted(),
+            t.transitions_evicted,
             recorded - DEFAULT_TRANSITION_CAP as u64
         );
         // The retained window is the newest transitions, oldest first.
-        let first_kept = t.transitions().next().map(|(w, _, _)| w.as_nanos());
-        let last_kept = t.transitions().last().map(|(w, _, _)| w.as_nanos());
+        let first_kept = t.transitions.front().map(|(w, _, _)| w.as_nanos());
+        let last_kept = t.transitions.back().map(|(w, _, _)| w.as_nanos());
         assert!(first_kept < last_kept);
     }
 }

@@ -184,7 +184,7 @@ impl Cluster {
     /// Schedule one new pod of `service`, on `node` if given, else on the
     /// least-loaded node. Returns the new pod id.
     #[allow(clippy::expect_used)] // see the lint:allow below — generate() guarantees nodes
-    pub fn add_pod(&mut self, service: ServiceId, node: Option<NodeId>, rng: &mut SimRng) -> PodId {
+    pub(crate) fn add_pod(&mut self, service: ServiceId, node: Option<NodeId>, rng: &mut SimRng) -> PodId {
         let node_id = node.unwrap_or_else(|| {
             *self
                 .nodes
@@ -218,7 +218,7 @@ impl Cluster {
     }
 
     /// Remove a pod. Returns whether it existed.
-    pub fn remove_pod(&mut self, pod: PodId) -> bool {
+    pub(crate) fn remove_pod(&mut self, pod: PodId) -> bool {
         let Some(p) = self.pods.remove(&pod) else {
             return false;
         };

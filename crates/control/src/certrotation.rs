@@ -45,14 +45,14 @@ use std::collections::VecDeque;
 
 /// Most tenants a controller will track; registration beyond the cap is
 /// refused (the roster is control-plane state, not request state).
-pub const MAX_TENANTS: usize = 4096;
+pub(crate) const MAX_TENANTS: usize = 4096;
 
 /// Most cut bundles retained for staging/rollback lookups; older bundles
 /// that are no one's rollback target are evicted oldest-first.
-pub const BUNDLE_CAP: usize = 256;
+pub(crate) const BUNDLE_CAP: usize = 256;
 
 /// Rotation audit records kept (a bounded ring; older records evict).
-pub const HISTORY_CAP: usize = 128;
+pub(crate) const HISTORY_CAP: usize = 128;
 
 /// Scheduling knobs for rotation waves.
 #[derive(Debug, Clone, Copy)]
@@ -461,11 +461,6 @@ impl CertRotationController {
         self.history.iter()
     }
 
-    /// The owned rollout controller (phase, exposure, audit log).
-    pub fn rollout(&self) -> &RolloutController {
-        &self.rollout
-    }
-
     /// Fold the full controller state into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
         self.rollout.fold_digest(d);
@@ -571,7 +566,7 @@ mod tests {
         for _ in 0..64 {
             let actions = c.tick(now, None, None, rng);
             ack_pushes(c, &actions, now);
-            if c.rollout().phase() == RolloutPhase::Converged {
+            if c.rollout.phase() == RolloutPhase::Converged {
                 return;
             }
             now += SimDuration::from_secs(1);

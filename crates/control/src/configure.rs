@@ -117,7 +117,7 @@ impl ConfigPlane {
     ///   policy-and-cert bundle `waypoint_config_scale`× one sidecar's.
     /// * The Canal gateway is a single target whose multi-tenant config is
     ///   `gateway_config_scale`× one sidecar's full config.
-    pub fn bytes_per_target(&self, shape: &ClusterShape) -> Vec<usize> {
+    pub(crate) fn bytes_per_target(&self, shape: &ClusterShape) -> Vec<usize> {
         let c = &self.costs;
         let full = c.base_bytes_per_target + c.bytes_per_entry * shape.pods;
         match self.arch {

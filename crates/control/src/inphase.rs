@@ -35,7 +35,7 @@ pub struct ServiceProfile {
 
 impl ServiceProfile {
     /// Resource-weighted mean RPS: HTTPS counts 3×.
-    pub fn weighted_rps(&self) -> f64 {
+    pub(crate) fn weighted_rps(&self) -> f64 {
         let mean = if self.series.is_empty() {
             0.0
         } else {

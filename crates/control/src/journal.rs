@@ -33,7 +33,7 @@ use crate::versioned::TargetId;
 /// Maximum journal records retained in memory. Older records are folded
 /// into the checkpoint [`ReplayState`] and evicted; the retained window
 /// comfortably covers any single in-flight rollout at region scale.
-pub const JOURNAL_RETAIN_CAP: usize = 4096;
+pub(crate) const JOURNAL_RETAIN_CAP: usize = 4096;
 
 /// Which distribution plane a journaled rollout belongs to. The journal
 /// itself is payload-agnostic — versions are opaque `u64`s — so a `Begin`
@@ -162,7 +162,7 @@ impl JournalRecord {
     }
 
     /// Fold the record into a digest (order- and content-sensitive).
-    pub fn fold_digest(&self, digest: &mut Digest) {
+    pub(crate) fn fold_digest(&self, digest: &mut Digest) {
         match self {
             JournalRecord::Epoch { epoch, at } => {
                 digest.write_u64(1).write_u64(*epoch).write_u64(at.as_nanos());
@@ -413,12 +413,12 @@ pub struct Journal {
 
 impl Journal {
     /// An empty journal at epoch 0 (no incarnation has started).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append a record; write-ahead callers do this before acting on it.
-    pub fn append(&mut self, rec: JournalRecord) {
+    pub(crate) fn append(&mut self, rec: JournalRecord) {
         let mut d = Digest::new();
         d.write_u64(self.chain);
         rec.fold_digest(&mut d);
@@ -434,7 +434,7 @@ impl Journal {
 
     /// Start a new controller incarnation: bump the fencing epoch past
     /// everything journaled and record it. Returns the new epoch.
-    pub fn begin_incarnation(&mut self, at: SimTime) -> u64 {
+    pub(crate) fn begin_incarnation(&mut self, at: SimTime) -> u64 {
         let epoch = self.epoch() + 1;
         self.append(JournalRecord::Epoch { epoch, at });
         epoch
@@ -500,7 +500,7 @@ impl Journal {
 
     /// Fold the journal — ring, checkpoint, counters, chain — into a
     /// digest.
-    pub fn fold_digest(&self, digest: &mut Digest) {
+    pub(crate) fn fold_digest(&self, digest: &mut Digest) {
         digest
             .write_u64(self.evicted)
             .write_u64(self.appended())

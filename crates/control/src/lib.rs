@@ -53,17 +53,11 @@ pub mod rollout;
 pub mod versioned;
 pub mod scaling;
 
-pub use certrotation::{CertRotationController, RotationConfig, RotationRecord};
-pub use configure::{ConfigPlane, PushReport};
-pub use inphase::MigrationPlan;
-pub use monitor::{
-    AlertKind, Classification, MonitorDecision, OverloadAssessment, WaterLevelMonitor,
-};
-pub use journal::{Journal, RolloutKind};
-pub use rca::{RootCauseAnalyzer, RcaVerdict};
-pub use region::{RegionEvent, RegionReport, RegionSimulation};
+pub use certrotation::{CertRotationController, RotationConfig};
+pub use configure::ConfigPlane;
+pub use monitor::{AlertKind, OverloadAssessment, WaterLevelMonitor};
+pub use journal::RolloutKind;
 pub use rollout::{
     Delivery, HealthSample, RollbackReason, RolloutAction, RolloutConfig, RolloutController,
-    RolloutOutcome, RolloutPhase, RolloutResult,
+    RolloutOutcome, RolloutResult,
 };
-pub use scaling::{ScalingEngine, ScalingKind, ScalingRecord};

@@ -98,7 +98,7 @@ const HISTORY_CAP: usize = 24;
 /// Fraction of a window's policy decisions, denied where the pre-rollout
 /// baseline policy allows, beyond which [`WaterLevelMonitor::ingest_policy`]
 /// raises [`AlertKind::PolicyDeny`].
-pub const POLICY_DENY_SPIKE: f64 = 0.2;
+pub(crate) const POLICY_DENY_SPIKE: f64 = 0.2;
 
 /// Water-level monitor with per-backend history.
 #[derive(Debug, Default)]
@@ -248,16 +248,6 @@ impl WaterLevelMonitor {
             self.alerts.push((now, AlertKind::PolicyDeny));
         }
         self.policy_spike = spiking;
-    }
-
-    /// Lifetime policy denials across ingested windows.
-    pub fn policy_denials(&self) -> u64 {
-        self.policy_denials
-    }
-
-    /// Lifetime rollbacks reported by the rollout controller.
-    pub fn rollbacks_seen(&self) -> u64 {
-        self.rollbacks_seen
     }
 
     /// All alerts raised so far.
@@ -477,7 +467,7 @@ mod tests {
         // A rollback alerts again even as the rollout leaves flight.
         m.ingest_rollout(T(30), false, 1);
         assert!(!m.rollout_in_flight);
-        assert_eq!(m.rollbacks_seen(), 1);
+        assert_eq!(m.rollbacks_seen, 1);
         assert_eq!(m.alerts().len(), 2);
         // The next rollout alerts afresh.
         m.ingest_rollout(T(40), true, 1);
@@ -507,7 +497,7 @@ mod tests {
         assert!(!m.policy_spike);
         m.ingest_policy(T(40), 100, 90, 88);
         assert_eq!(m.alerts().len(), 2);
-        assert_eq!(m.policy_denials(), 5 + 5 + 40 + 55 + 2 + 90);
+        assert_eq!(m.policy_denials, 5 + 5 + 40 + 55 + 2 + 90);
         // An idle window (no offered traffic) is not a spike.
         m.ingest_policy(T(50), 0, 0, 0);
         assert!(!m.policy_spike);

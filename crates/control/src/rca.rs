@@ -67,7 +67,7 @@ impl Default for RootCauseAnalyzer {
 
 impl RootCauseAnalyzer {
     /// The basic algorithm on one backend.
-    pub fn basic(&self, trends: &BackendTrends) -> RcaVerdict {
+    pub(crate) fn basic(&self, trends: &BackendTrends) -> RcaVerdict {
         let mut best: Option<(GlobalServiceId, f64)> = None;
         for (&svc, rps) in &trends.service_rps {
             if rps.len() != trends.water_level.len() || rps.len() < 3 {
@@ -86,7 +86,7 @@ impl RootCauseAnalyzer {
 
     /// The intersection speculation across simultaneously alerting backends:
     /// conclusive only when exactly one service is on *all* of them.
-    pub fn intersection(&self, alerting: &[&BackendTrends]) -> RcaVerdict {
+    pub(crate) fn intersection(&self, alerting: &[&BackendTrends]) -> RcaVerdict {
         if alerting.len() < 2 {
             return RcaVerdict::Inconclusive;
         }
@@ -133,9 +133,6 @@ impl RootCauseAnalyzer {
 pub struct HopWindowStats {
     /// Mean exclusive latency per hop, in milliseconds.
     pub hops: BTreeMap<HopSite, f64>,
-}
-
-impl HopWindowStats {
 }
 
 /// Outcome of hop-level localization.

@@ -64,7 +64,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Audit-log retention: terminal [`RolloutOutcome`]s kept in memory. A
 /// region controller drives rollouts for months; the log is a ring with
 /// an eviction counter, not an unbounded `Vec`.
-pub const ROLLOUT_OUTCOMES_RETAIN_CAP: usize = 256;
+pub(crate) const ROLLOUT_OUTCOMES_RETAIN_CAP: usize = 256;
 
 /// Wave sizing, bake times, and health-gate thresholds.
 #[derive(Debug, Clone, Copy)]

@@ -12,7 +12,7 @@
 
 use canal_gateway::gateway::{BackendId, Gateway};
 use canal_net::{AzId, GlobalServiceId};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{SimDuration, SimRng, SimTime};
 
 /// Which scaling strategy was used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +115,7 @@ impl ScalingEngine {
     /// `finished_at` is when capacity becomes effective — apply it then via
     /// [`Self::apply`]. This is the event-driven path (the capacity gap of
     /// Fig. 17 exists precisely because completion lags execution).
-    pub fn plan(
+    pub(crate) fn plan(
         &mut self,
         now: SimTime,
         gateway: &mut Gateway,
@@ -161,7 +161,7 @@ impl ScalingEngine {
 
     /// Make a planned operation's capacity effective: extend the service
     /// onto the chosen backend. Idempotent.
-    pub fn apply(gateway: &mut Gateway, record: &ScalingRecord) {
+    pub(crate) fn apply(gateway: &mut Gateway, record: &ScalingRecord) {
         gateway.extend_service(record.service, record.backend);
     }
 
@@ -183,7 +183,7 @@ impl ScalingEngine {
     }
 
     /// All scaling operations performed (the Fig. 18 ledger).
-    pub fn ledger(&self) -> &[ScalingRecord] {
+    pub(crate) fn ledger(&self) -> &[ScalingRecord] {
         &self.ledger
     }
 
@@ -199,7 +199,8 @@ impl ScalingEngine {
 
     /// Fold the engine state into a digest: the `reuse_threshold`, the
     /// `latencies` model parameters, and every `ledger` record.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    #[cfg(test)]
+    pub(crate) fn fold_digest(&self, d: &mut canal_sim::Digest) {
         d.write_f64(self.reuse_threshold)
             .write_u64(self.latencies.reuse_median.as_nanos())
             .write_f64(self.latencies.reuse_sigma)
@@ -317,6 +318,23 @@ mod tests {
         // Re-applying is harmless.
         ScalingEngine::apply(&mut gw, &record);
         assert_eq!(gw.backends_of(s).len(), before + 1);
+    }
+
+    #[test]
+    fn the_same_operations_fold_the_same_ledger() {
+        let fold = |rounds: u64| {
+            let (mut gw, s, mut rng) = setup();
+            let mut eng = ScalingEngine::new();
+            let idle: Vec<(BackendId, f64)> = gw.backends().iter().map(|&(b, _)| (b, 0.01)).collect();
+            for t in 0..rounds {
+                eng.scale(T(t), &mut gw, s, AzId(0), &idle, &mut rng);
+            }
+            let mut d = canal_sim::Digest::new();
+            eng.fold_digest(&mut d);
+            d.value()
+        };
+        assert_eq!(fold(3), fold(3));
+        assert_ne!(fold(3), fold(2), "every ledger record is folded");
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl BatchAccelerator {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> AccelConfig {
-        self.cfg
-    }
-
     fn flush(&mut self, trigger: SimTime) {
         if self.pending.is_empty() {
             return;

@@ -151,14 +151,6 @@ impl ChaCha20 {
         }
     }
 
-    /// The ChaCha20 block function: 64 bytes of keystream for
-    /// (counter, nonce).
-    pub fn block(&self, counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
-        let mut ks = [[0u32; LANES]; 16];
-        self.words(counter, nonce_words(nonce), 1, &mut ks);
-        lane_block(&ks, 0)
-    }
-
     /// XOR `data` with the keystream starting at block `initial_counter`.
     /// Encryption and decryption are the same operation.
     pub fn apply(&self, initial_counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
@@ -257,7 +249,7 @@ mod tests {
         std::array::from_fn(|i| i as u8)
     }
 
-    /// RFC 8439 §2.3.2 test vector, through `block()` and through `apply`
+    /// RFC 8439 §2.3.2 test vector, through `apply`
     /// on 64 zero bytes.
     #[test]
     fn rfc8439_block_vector() {
@@ -270,7 +262,6 @@ mod tests {
             0xd7, 0x05, 0xd9, 0x8b, 0x02, 0xa2, 0xb5, 0x12, 0x9c, 0xd1, 0xde, 0x16, 0x4e, 0xb9,
             0xcb, 0xd0, 0x83, 0xe8, 0xa2, 0x50, 0x3c, 0x4e,
         ];
-        assert_eq!(cipher.block(1, &nonce), expected);
         let mut zeros = [0u8; 64];
         cipher.apply(1, &nonce, &mut zeros);
         assert_eq!(zeros, expected);
@@ -403,7 +394,7 @@ mod tests {
         let a = ChaCha20::from_shared_secret(1);
         let b = ChaCha20::from_shared_secret(2);
         let nonce = [0u8; 12];
-        assert_ne!(a.block(0, &nonce), b.block(0, &nonce));
+        assert_ne!(a.encrypt(0, &nonce, &[0; 64]), b.encrypt(0, &nonce, &[0; 64]));
     }
 
     #[test]

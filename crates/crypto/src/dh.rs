@@ -31,7 +31,7 @@ fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
 }
 
 /// Modular exponentiation by squaring — the expensive asymmetric operation.
-pub fn mod_exp(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
+pub(crate) fn mod_exp(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
     assert!(modulus > 1);
     let mut acc = 1u64;
     base %= modulus;
@@ -75,11 +75,6 @@ impl DhKeyPair {
     /// Complete the agreement with the peer's public value.
     pub fn agree(&self, peer_public: u64) -> SharedSecret {
         SharedSecret(mod_exp(peer_public, self.private, self.params.p))
-    }
-
-    /// The group parameters this pair uses.
-    pub fn params(&self) -> DhParams {
-        self.params
     }
 }
 

@@ -106,7 +106,6 @@ fn tag_of(channel_secret: u64, nonce: &[u8; 12], ct: &[u8]) -> u64 {
 
 /// The multi-tenant key server.
 pub struct KeyServer {
-    cfg: KeyServerConfig,
     store: KeyStore,
     channels: BTreeMap<RequesterId, u64>,
     params: DhParams,
@@ -117,9 +116,8 @@ pub struct KeyServer {
 
 impl KeyServer {
     /// Create a key server sealed under master-key material.
-    pub fn new(cfg: KeyServerConfig, master_key_material: u64) -> Self {
+    pub fn new(master_key_material: u64) -> Self {
         KeyServer {
-            cfg,
             store: KeyStore::new(master_key_material),
             channels: BTreeMap::new(),
             params: DhParams::DEFAULT,
@@ -127,11 +125,6 @@ impl KeyServer {
             requests_served: 0,
             requests_rejected: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> KeyServerConfig {
-        self.cfg
     }
 
     /// Entrust a tenant's private-key material to the server (skipped by
@@ -189,11 +182,6 @@ impl KeyServer {
         let params = self.params;
         self.store
             .with_key(tenant, |material| DhKeyPair::generate(params, material).public)
-    }
-
-    /// Lifetime counters: `(served, rejected)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.requests_served, self.requests_rejected)
     }
 }
 
@@ -275,7 +263,6 @@ pub struct FallbackBackend<P, F> {
     /// Fallback (e.g. local software/AVX crypto).
     pub fallback: F,
     primary_healthy: bool,
-    fallback_served: u64,
 }
 
 impl<P: AsymmetricBackend, F: AsymmetricBackend> FallbackBackend<P, F> {
@@ -285,23 +272,12 @@ impl<P: AsymmetricBackend, F: AsymmetricBackend> FallbackBackend<P, F> {
             primary,
             fallback,
             primary_healthy: true,
-            fallback_served: 0,
         }
     }
 
     /// Mark the primary down (key-server failure detected) or recovered.
     pub fn set_primary_health(&mut self, healthy: bool) {
         self.primary_healthy = healthy;
-    }
-
-    /// Whether the primary is serving.
-    pub fn primary_healthy(&self) -> bool {
-        self.primary_healthy
-    }
-
-    /// Operations served by the fallback so far.
-    pub fn fallback_served(&self) -> u64 {
-        self.fallback_served
     }
 }
 
@@ -338,7 +314,7 @@ mod tests {
     use crate::dh::DhKeyPair;
 
     fn server_with_tenant() -> (KeyServer, TenantId, RequesterId, u64) {
-        let mut ks = KeyServer::new(KeyServerConfig::default(), 0x5EED);
+        let mut ks = KeyServer::new(0x5EED);
         let tenant = TenantId(1);
         ks.store_tenant_key(tenant, 0x1234_5678_9ABC_DEF0);
         let requester = RequesterId(7);
@@ -367,7 +343,7 @@ mod tests {
             .handle_request(RequesterId(999), tenant, 12345)
             .unwrap_err();
         assert_eq!(err, KeyServerError::UnverifiedRequester);
-        assert_eq!(ks.stats(), (0, 1));
+        assert_eq!((ks.requests_served, ks.requests_rejected), (0, 1));
     }
 
     #[test]
@@ -426,7 +402,7 @@ mod tests {
         be.set_primary_health(false);
         assert_eq!(be.completion(8), SimDuration::from_millis(2));
         assert_eq!(be.name(), "software");
-        assert!(!be.primary_healthy());
+        assert!(!be.primary_healthy);
         // Recovery restores the fast path.
         be.set_primary_health(true);
         assert_eq!(be.completion(8), SimDuration::from_micros(1700));

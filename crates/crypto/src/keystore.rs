@@ -49,26 +49,6 @@ impl KeyStore {
         self.encrypted.insert(tenant, (nonce, ct));
     }
 
-    /// Whether a key is stored for the tenant.
-    pub fn contains(&self, tenant: TenantId) -> bool {
-        self.encrypted.contains_key(&tenant)
-    }
-
-    /// Remove a tenant's key (keyless customers withdraw theirs).
-    pub fn remove(&mut self, tenant: TenantId) -> bool {
-        self.encrypted.remove(&tenant).is_some()
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.encrypted.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.encrypted.is_empty()
-    }
-
     /// Decrypt the tenant's key *transiently* and hand it to `f`. The
     /// plaintext buffer is zeroed before return — the "no intermediate
     /// plaintext private key kept" rule.
@@ -127,7 +107,7 @@ mod tests {
         assert_eq!(ks.with_key(TenantId(1), |k| k), Some(111));
         assert_eq!(ks.with_key(TenantId(2), |k| k), Some(222));
         assert_eq!(ks.with_key(TenantId(3), |k| k), None);
-        assert_eq!(ks.len(), 2);
+        assert_eq!(ks.encrypted.len(), 2);
     }
 
     #[test]
@@ -144,14 +124,12 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_and_remove() {
+    fn overwrite_replaces_the_key() {
         let mut ks = KeyStore::new(1);
         ks.store(TenantId(1), 1);
         ks.store(TenantId(1), 2);
         assert_eq!(ks.with_key(TenantId(1), |k| k), Some(2));
-        assert!(ks.remove(TenantId(1)));
-        assert!(!ks.remove(TenantId(1)));
-        assert!(ks.is_empty());
+        assert_eq!(ks.encrypted.len(), 1);
     }
 
     #[test]

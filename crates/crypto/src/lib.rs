@@ -36,10 +36,6 @@ pub mod keystore;
 pub mod lifecycle;
 pub mod mtls;
 
-pub use accel::{AccelConfig, AsymmetricBackend, BatchAccelerator, SoftwareBackend};
 pub use chacha20::ChaCha20;
-pub use dh::{DhKeyPair, DhParams, SharedSecret};
-pub use keyserver::{KeyServer, KeyServerConfig, KeyServerPlacement};
-pub use keystore::KeyStore;
-pub use lifecycle::{Cert, SessionTicket, TenantCa, TicketCache, TicketMiss, TrustBundle};
-pub use mtls::{HandshakeOutcome, MtlsEndpoint, MtlsError, MtlsState};
+pub use dh::SharedSecret;
+pub use lifecycle::{TenantCa, TicketCache};

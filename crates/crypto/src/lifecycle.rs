@@ -55,7 +55,7 @@ pub struct Cert {
 impl Cert {
     /// A never-expiring cert for tenant 0 — the compatibility identity used
     /// by endpoints that predate the lifecycle layer (tests, examples).
-    pub fn eternal(identity: u64) -> Self {
+    pub(crate) fn eternal(identity: u64) -> Self {
         Cert {
             identity,
             tenant: 0,
@@ -64,22 +64,9 @@ impl Cert {
         }
     }
 
-    /// The CA generation that issued this cert (high serial bits).
-    pub fn generation(&self) -> u64 {
-        self.serial >> 32
-    }
-
     /// Expiry check against a caller-supplied clock.
-    pub fn valid_at(&self, now: SimTime) -> bool {
+    pub(crate) fn valid_at(&self, now: SimTime) -> bool {
         now < self.not_after
-    }
-
-    /// Fold the cert into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.identity)
-            .write_u64(self.tenant)
-            .write_u64(self.serial)
-            .write_u64(self.not_after.as_nanos());
     }
 }
 
@@ -107,7 +94,8 @@ pub struct TenantCa {
 
 impl TenantCa {
     /// Individually tracked revocations (oldest evicted past this).
-    pub const REVOKED_CAP: usize = 1024;
+    #[cfg(test)]
+    const REVOKED_CAP: usize = 1024;
 
     /// A fresh CA for a tenant, at generation 1.
     pub fn new(tenant: u64) -> Self {
@@ -120,21 +108,6 @@ impl TenantCa {
             revoked: BTreeMap::new(),
             revocations_evicted: 0,
         }
-    }
-
-    /// The owning tenant.
-    pub fn tenant(&self) -> u64 {
-        self.tenant
-    }
-
-    /// Current issuing generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Total certs issued over the CA's lifetime.
-    pub fn issued_total(&self) -> u64 {
-        self.issued_total
     }
 
     /// Issue a cert for `identity`, valid for `ttl` from `now`.
@@ -166,8 +139,10 @@ impl TenantCa {
     }
 
     /// Revoke one serial individually. Bounded: past [`Self::REVOKED_CAP`]
-    /// the oldest entry is evicted (and counted).
-    pub fn revoke(&mut self, serial: u64, now: SimTime) {
+    /// the oldest entry is evicted (and counted). Only tests revoke one
+    /// serial; the list stays in the CA's digest and trust bundle.
+    #[cfg(test)]
+    pub(crate) fn revoke(&mut self, serial: u64, now: SimTime) {
         if serial < self.revocation_floor {
             return; // already covered by the floor
         }
@@ -176,11 +151,6 @@ impl TenantCa {
             self.revoked.pop_first();
             self.revocations_evicted += 1;
         }
-    }
-
-    /// Individual revocations evicted past the cap.
-    pub fn revocations_evicted(&self) -> u64 {
-        self.revocations_evicted
     }
 
     /// Snapshot the distributable validation view at `version`.
@@ -229,7 +199,7 @@ pub struct TrustBundle {
 
 impl TrustBundle {
     /// Validate a presented cert against this bundle at `now`.
-    pub fn permits(&self, cert: &Cert, now: SimTime) -> Result<(), MtlsError> {
+    pub(crate) fn permits(&self, cert: &Cert, now: SimTime) -> Result<(), MtlsError> {
         if cert.tenant != self.tenant {
             return Err(MtlsError::AuthenticationFailed);
         }
@@ -278,7 +248,7 @@ pub struct SessionTicket {
 
 impl SessionTicket {
     /// Fold the ticket into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.id)
             .write_u64(self.secret.0)
             .write_u64(self.peer_identity)
@@ -320,7 +290,7 @@ impl Default for TicketCache {
 
 impl TicketCache {
     /// Maximum live tickets; oldest are evicted past this.
-    pub const CAP: usize = 4096;
+    pub(crate) const CAP: usize = 4096;
 
     /// An empty cache.
     pub fn new() -> Self {
@@ -416,37 +386,6 @@ impl TicketCache {
         dropped
     }
 
-    /// Live tickets.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-
-    /// Tickets minted over the cache's lifetime.
-    pub fn minted(&self) -> u64 {
-        self.minted
-    }
-
-    /// Successful redemptions.
-    pub fn redeemed(&self) -> u64 {
-        self.redeemed
-    }
-
-    /// Failed redemptions (unknown/evicted/expired ids) — each one is a
-    /// full handshake the data path must fall back to.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Tickets evicted by the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Fold the cache state into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.minted)
@@ -478,13 +417,13 @@ mod tests {
         let a = ca.issue(100, now, ttl);
         let b = ca.issue(101, now, ttl);
         assert_eq!(a.tenant, 7);
-        assert_eq!(a.generation(), 1);
+        assert_eq!(a.serial >> 32, 1);
         assert!(b.serial > a.serial, "serials are monotone");
         assert!(!is_revoked(&ca, a.serial));
 
         ca.rotate();
         let c = ca.issue(100, now, ttl);
-        assert_eq!(c.generation(), 2);
+        assert_eq!(c.serial >> 32, 2);
         assert!(c.serial > b.serial, "monotone across rotation");
         // Planned rotation leaves the old generation valid...
         assert!(!is_revoked(&ca, a.serial));
@@ -503,7 +442,7 @@ mod tests {
         for i in 0..(TenantCa::REVOKED_CAP as u64 + 10) {
             ca.revoke((1 << 32) | (i + 1), now);
         }
-        assert_eq!(ca.revocations_evicted(), 10);
+        assert_eq!(ca.revocations_evicted, 10);
         assert!(!is_revoked(&ca, floor_probe));
         // Below-floor serials are never stored individually.
         ca.revoke_generation(); // floor still 1<<32 (generation 1)
@@ -541,7 +480,7 @@ mod tests {
         let t = cache.mint(&cert, 99, SharedSecret(0xAB), now, SimDuration::from_secs(3600));
         assert_eq!(t.expires, cert.not_after, "clamped to cert expiry");
         assert!(cache.redeem(t.id, cert.not_after).is_err());
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.misses, 1);
     }
 
     #[test]
@@ -555,8 +494,8 @@ mod tests {
         for _ in 0..(TicketCache::CAP + 5) {
             cache.mint(&cert, 2, SharedSecret(7), now, SimDuration::from_secs(10));
         }
-        assert_eq!(cache.len(), TicketCache::CAP);
-        assert_eq!(cache.evicted(), 5);
+        assert_eq!(cache.tickets.len(), TicketCache::CAP);
+        assert_eq!(cache.evicted, 5);
     }
 
     #[test]
@@ -573,7 +512,7 @@ mod tests {
         let cert2 = ca.issue(1, now, SimDuration::from_secs(100));
         cache.mint(&cert2, 2, SharedSecret(2), now, SimDuration::from_secs(5));
         assert_eq!(cache.sweep(now + SimDuration::from_secs(6), None), 1, "expired swept");
-        assert!(cache.is_empty());
+        assert!(cache.tickets.is_empty());
     }
 
     #[test]

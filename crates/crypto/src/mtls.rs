@@ -26,7 +26,7 @@ use canal_sim::SimTime;
 
 /// Handshake protocol state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MtlsState {
+pub(crate) enum MtlsState {
     /// Nothing sent yet.
     Idle,
     /// Client: hello sent, awaiting server hello.
@@ -154,16 +154,6 @@ impl MtlsEndpoint {
     pub fn with_trust(mut self, bundle: TrustBundle) -> Self {
         self.trust = Some(bundle);
         self
-    }
-
-    /// Current protocol state.
-    pub fn state(&self) -> MtlsState {
-        self.state
-    }
-
-    /// The endpoint's own certificate.
-    pub fn cert(&self) -> &Cert {
-        &self.cert
     }
 
     /// Whether the established session was resumed from a ticket.
@@ -307,11 +297,6 @@ impl MtlsEndpoint {
         Ok(())
     }
 
-    /// The verified peer identity (after establishment).
-    pub fn peer_identity(&self) -> Option<u64> {
-        self.peer_identity
-    }
-
     /// Seal application bytes into the next record.
     pub fn seal(&mut self, plaintext: &[u8]) -> Result<Record, MtlsError> {
         let (cipher, raw) = self.session.as_ref().ok_or(MtlsError::BadState)?;
@@ -377,10 +362,10 @@ mod tests {
         let (sh, server_out) = server.server_respond(&ch, NOW).unwrap();
         let client_out = client.client_finish(&sh, NOW).unwrap();
         assert_eq!(client_out.secret, server_out.secret);
-        assert_eq!(client.state(), MtlsState::Established);
-        assert_eq!(server.state(), MtlsState::Established);
-        assert_eq!(client.peer_identity(), Some(200));
-        assert_eq!(server.peer_identity(), Some(100));
+        assert_eq!(client.state, MtlsState::Established);
+        assert_eq!(server.state, MtlsState::Established);
+        assert_eq!(client.peer_identity, Some(200));
+        assert_eq!(server.peer_identity, Some(100));
         assert!(!client.resumed() && !server.resumed());
     }
 
@@ -407,7 +392,7 @@ mod tests {
             client.client_finish(&sh, NOW),
             Err(MtlsError::AuthenticationFailed)
         );
-        assert_eq!(client.state(), MtlsState::Failed);
+        assert_eq!(client.state, MtlsState::Failed);
     }
 
     #[test]
@@ -472,7 +457,7 @@ mod tests {
         let mut client = MtlsEndpoint::with_cert(cert, 1);
         let late = SimTime::from_secs(10);
         assert_eq!(client.client_hello(late), Err(MtlsError::CertificateExpired));
-        assert_eq!(client.state(), MtlsState::Failed);
+        assert_eq!(client.state, MtlsState::Failed);
     }
 
     #[test]
@@ -488,7 +473,7 @@ mod tests {
             server.server_respond(&ch, SimTime::from_secs(6)),
             Err(MtlsError::CertificateExpired)
         );
-        assert_eq!(server.state(), MtlsState::Failed);
+        assert_eq!(server.state, MtlsState::Failed);
     }
 
     #[test]

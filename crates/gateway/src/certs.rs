@@ -46,7 +46,7 @@ pub struct CertBundleSpec {
 
 impl CertBundleSpec {
     /// Distribution version (from the rotation controller's store).
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.trust.version
     }
 

@@ -15,7 +15,7 @@ use std::fmt;
 /// Identifier of a gateway backend (a group of replica VMs). Keys are small
 /// dense integers (the gateway numbers its backends from 0), so per-backend
 /// state is a vector indexed by key.
-pub type BackendKey = u32;
+pub(crate) type BackendKey = u32;
 
 /// A fault plan referenced a domain the topology does not contain —
 /// unknown backend key, replica index out of range, or an AZ with no
@@ -121,7 +121,7 @@ impl PlacementView {
     }
 
     /// The backends hosting a service.
-    pub fn backends_of(&self, service: GlobalServiceId) -> &[BackendKey] {
+    pub(crate) fn backends_of(&self, service: GlobalServiceId) -> &[BackendKey] {
         self.placements.get(&service).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -213,7 +213,7 @@ impl PlacementView {
     /// The replica that serves a flow dispatched to `preferred`: that
     /// replica when it lives, else the first live one (the short disruption
     /// and reconstruction of §4.2); `None` when the backend is unavailable.
-    pub fn serving_replica(&self, key: BackendKey, preferred: usize) -> Option<usize> {
+    pub(crate) fn serving_replica(&self, key: BackendKey, preferred: usize) -> Option<usize> {
         let be = self.backend(key).filter(|be| self.group_up(be))?;
         if be.replica_live(preferred) {
             Some(preferred)
@@ -244,7 +244,7 @@ impl PlacementView {
     /// Fold the whole placement + failure state into a digest: `backends`
     /// with their per-replica failure sets, `failed_azs`, and the
     /// service-to-backend `placements`.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.registered().count() as u64);
         for (key, be) in self.registered() {
             d.write_u64(key as u64)

@@ -67,23 +67,8 @@ pub mod sandbox;
 pub mod sharding;
 pub mod tunnel;
 
-pub use certs::{ActiveCertBundle, BundleRejection, CertBundleSpec, CertFault};
-pub use config::{ActiveConfig, ConfigRejection, ConfigSpec, RouteSpec};
-pub use drain::{DrainError, DrainPhase, DrainReject, GatewayDrain};
+pub use config::{ActiveConfig, ConfigSpec, RouteSpec};
+pub use drain::{DrainPhase, GatewayDrain};
 pub use failstatic::{FailStatic, Plane, Rejection};
-pub use failure::{FailureDomain, PlacementView, UnknownDomain};
-pub use gateway::{BackendId, Gateway, GatewayConfig};
-pub use health::HealthCheckPlan;
-pub use overload::{
-    AttemptKind, BrownoutController, BrownoutLevel, ClientId, CoDel, OverloadConfig,
-    OverloadControl, OverloadSignals, RetryBudget, TelemetrySink,
-};
+pub use overload::{AttemptKind, BrownoutLevel, OverloadConfig, OverloadControl, OverloadSignals};
 pub use policy::ActivePolicy;
-pub use redirector::{BucketTable, DispatchDecision};
-pub use resilience::{
-    AttemptError, DispatchCounters, DispatchOutcome, OutlierDetector, ResilienceConfig,
-    ResilienceStats, ResilientDispatcher,
-};
-pub use sandbox::{MigrationKind, Sandbox};
-pub use sharding::ShuffleShardPlanner;
-pub use tunnel::{SessionAggregator, TunnelConfig};

@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 /// reaches [`BrownoutLevel::NoObservability`] the sampler is shed, sampled
 /// jobs stop being charged, and already-provisioned span cost is refunded.
 #[derive(Debug, Clone)]
-pub struct TelemetrySink {
+pub(crate) struct TelemetrySink {
     /// Shared head-sampling decision (consistent with the node proxies).
     pub sampler: HeadSampler,
     /// Per-span CPU/byte prices.
@@ -67,20 +67,9 @@ pub struct TelemetrySink {
     pub meter: TelemetryMeter,
 }
 
-impl TelemetrySink {
-    /// A sink around an existing sampler with default span prices.
-    pub fn new(sampler: HeadSampler) -> Self {
-        TelemetrySink {
-            sampler,
-            cost: TelemetryCostModel::default(),
-            meter: TelemetryMeter::default(),
-        }
-    }
-}
-
 /// Identifier of a requesting client (the retry-budget scope: one upstream
 /// caller / connection pool, not one TCP flow).
-pub type ClientId = u64;
+pub(crate) type ClientId = u64;
 
 /// What kind of dispatch attempt is knocking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,16 +128,6 @@ impl RetryBudget {
             }
         }
     }
-
-    /// Current token balance of a client.
-    pub fn tokens(&self, client: ClientId) -> f64 {
-        self.tokens.get(&client).copied().unwrap_or(0.0)
-    }
-
-    /// Lifetime rejections.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
 }
 
 /// CoDel (Controlled Delay) shedding state for one queue class.
@@ -159,7 +138,7 @@ impl RetryBudget {
 /// standing queue dissolves. Exits the moment a job's sojourn dips below
 /// target.
 #[derive(Debug, Clone)]
-pub struct CoDel {
+pub(crate) struct CoDel {
     target: SimDuration,
     interval: SimDuration,
     first_above: Option<SimTime>,
@@ -171,7 +150,7 @@ pub struct CoDel {
 
 impl CoDel {
     /// A shedder with the given sojourn target and control interval.
-    pub fn new(target: SimDuration, interval: SimDuration) -> Self {
+    pub(crate) fn new(target: SimDuration, interval: SimDuration) -> Self {
         CoDel {
             target,
             interval,
@@ -189,7 +168,7 @@ impl CoDel {
 
     /// Observe one dequeued job's sojourn; returns `true` when the job
     /// should be shed instead of served.
-    pub fn should_shed(&mut self, now: SimTime, sojourn: SimDuration) -> bool {
+    pub(crate) fn should_shed(&mut self, now: SimTime, sojourn: SimDuration) -> bool {
         if sojourn < self.target {
             // Below target: leave dropping state, restart the clock.
             self.first_above = None;
@@ -223,16 +202,6 @@ impl CoDel {
             Some(_) => false,
         }
     }
-
-    /// Whether the shedder is currently in its dropping state.
-    pub fn dropping(&self) -> bool {
-        self.dropping
-    }
-
-    /// Lifetime sheds.
-    pub fn sheds(&self) -> u64 {
-        self.sheds
-    }
 }
 
 /// How much optional L7 work the gateway is currently skipping.
@@ -247,22 +216,11 @@ pub enum BrownoutLevel {
     NoCanary,
 }
 
-impl BrownoutLevel {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BrownoutLevel::Normal => "normal",
-            BrownoutLevel::NoObservability => "no-observability",
-            BrownoutLevel::NoCanary => "no-canary",
-        }
-    }
-}
-
 /// Drives [`BrownoutLevel`] from a smoothed sojourn signal with hysteresis:
 /// escalate when the EWMA crosses a stage threshold, de-escalate only when
 /// it falls back below the exit threshold (so the level doesn't flap).
 #[derive(Debug, Clone)]
-pub struct BrownoutController {
+pub(crate) struct BrownoutController {
     enter_observability: f64,
     enter_canary: f64,
     exit: f64,
@@ -272,7 +230,7 @@ pub struct BrownoutController {
 
 impl BrownoutController {
     /// Thresholds are sojourn EWMAs; `exit` must sit below both entries.
-    pub fn new(enter_observability: SimDuration, enter_canary: SimDuration, exit: SimDuration) -> Self {
+    pub(crate) fn new(enter_observability: SimDuration, enter_canary: SimDuration, exit: SimDuration) -> Self {
         assert!(exit <= enter_observability && enter_observability <= enter_canary);
         BrownoutController {
             enter_observability: enter_observability.as_millis_f64(),
@@ -284,7 +242,7 @@ impl BrownoutController {
     }
 
     /// Fold one sojourn observation into the EWMA and update the level.
-    pub fn observe(&mut self, sojourn: SimDuration) -> BrownoutLevel {
+    pub(crate) fn observe(&mut self, sojourn: SimDuration) -> BrownoutLevel {
         const ALPHA: f64 = 0.1;
         self.ewma_ms = ALPHA * sojourn.as_millis_f64() + (1.0 - ALPHA) * self.ewma_ms;
         self.level = if self.ewma_ms >= self.enter_canary {
@@ -300,13 +258,8 @@ impl BrownoutController {
     }
 
     /// The current level.
-    pub fn level(&self) -> BrownoutLevel {
+    pub(crate) fn level(&self) -> BrownoutLevel {
         self.level
-    }
-
-    /// The smoothed sojourn, in milliseconds.
-    pub fn ewma_ms(&self) -> f64 {
-        self.ewma_ms
     }
 }
 
@@ -498,7 +451,7 @@ impl OverloadControl {
     }
 
     /// The scheduler class a request maps to.
-    pub fn class_of(&self, service: GlobalServiceId, priority: Priority) -> ClassId {
+    pub(crate) fn class_of(&self, service: GlobalServiceId, priority: Priority) -> ClassId {
         if self.cfg.per_tenant {
             (u64::from(service.tenant().0) << 1) | priority.bit()
         } else {
@@ -528,7 +481,7 @@ impl OverloadControl {
     /// Stand-alone budget admission (the chaos experiment calls this per
     /// attempt without going through the queues). Always admits when the
     /// budget stage is disabled.
-    pub fn admit_attempt(&mut self, client: ClientId, kind: AttemptKind) -> bool {
+    pub(crate) fn admit_attempt(&mut self, client: ClientId, kind: AttemptKind) -> bool {
         if !self.cfg.retry_budget {
             return true;
         }
@@ -645,12 +598,6 @@ impl OverloadControl {
                 shed,
             });
         }
-    }
-
-    /// When the next queued request could be granted (schedule the next
-    /// pump event then).
-    pub fn next_wake(&self) -> Option<SimTime> {
-        self.fair.next_wake()
     }
 
     /// Instantaneous total queue depth.
@@ -796,7 +743,7 @@ mod tests {
         assert!(b.admit(1, AttemptKind::First));
         assert!(b.admit(1, AttemptKind::Retry));
         assert!(!b.admit(1, AttemptKind::Hedge), "budget spent");
-        assert_eq!(b.rejections(), 2);
+        assert_eq!(b.rejections, 2);
         // Budget is per client.
         assert!(b.admit(2, AttemptKind::First));
         assert!(!b.admit(2, AttemptKind::Retry));
@@ -808,7 +755,7 @@ mod tests {
         for _ in 0..100 {
             b.admit(1, AttemptKind::First);
         }
-        assert!(b.tokens(1) <= 2.0 + 1e-9);
+        assert!(b.tokens[&1] <= 2.0 + 1e-9);
     }
 
     #[test]
@@ -817,7 +764,7 @@ mod tests {
         for i in 0..100 {
             assert!(!c.should_shed(SimTime::from_millis(i), SimDuration::from_micros(500)));
         }
-        assert_eq!(c.sheds(), 0);
+        assert_eq!(c.sheds, 0);
     }
 
     #[test]
@@ -830,10 +777,10 @@ mod tests {
             }
         }
         assert!(shed > 0, "sustained excess sojourn must shed");
-        assert!(c.dropping());
+        assert!(c.dropping);
         // A single below-target observation exits dropping.
         assert!(!c.should_shed(SimTime::from_millis(201), SimDuration::from_micros(100)));
-        assert!(!c.dropping());
+        assert!(!c.dropping);
     }
 
     #[test]
@@ -961,7 +908,7 @@ mod tests {
         );
         // ...while a first attempt sails through.
         assert!(offer_first(&mut ov, SimTime::ZERO, 1, 2).is_ok());
-        assert_eq!(ov.budget.rejections(), 1);
+        assert_eq!(ov.budget.rejections, 1);
     }
 
     #[test]
@@ -1016,7 +963,11 @@ mod tests {
         };
         let mut ov = OverloadControl::new(cfg);
         let mut rng = SimRng::seed(7);
-        ov.telemetry = Some(TelemetrySink::new(HeadSampler::new(0.5, &mut rng)));
+        ov.telemetry = Some(TelemetrySink {
+            sampler: HeadSampler::new(0.5, &mut rng),
+            cost: TelemetryCostModel::default(),
+            meter: TelemetryMeter::default(),
+        });
         // Calm phase: spans charge, nothing is refunded.
         for i in 0..4u16 {
             offer_first(&mut ov, SimTime::from_micros(u64::from(i) * 200), 1, i).unwrap();

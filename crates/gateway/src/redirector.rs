@@ -161,7 +161,7 @@ impl BucketTable {
 
     /// [`BucketTable::dispatch`] for a packet whose flow hash is already
     /// known; the oracle closes over the tuple itself.
-    pub fn dispatch_hashed<F: Fn(usize) -> bool>(
+    pub(crate) fn dispatch_hashed<F: Fn(usize) -> bool>(
         &self,
         hash: FlowHash,
         syn: bool,
@@ -195,7 +195,7 @@ impl BucketTable {
 
     /// Fold every bucket's chain (`slots`, as chain length then entries)
     /// and the `max_chain` cap into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.n_buckets.get() as u64);
         for chain in self.chains() {
             d.write_u64(chain.len() as u64);

@@ -140,7 +140,7 @@ impl Sandbox {
     /// Fold the sandboxed `services`, the installed `throttles` (by keyed
     /// service — the bucket fill level is a `canal_net` implementation
     /// detail), and the `lossy_setup` knob into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.services.len() as u64);
         for (svc, s) in &self.services {
             d.write_u64(svc.0).write_u64(s.completed_at.as_nanos());

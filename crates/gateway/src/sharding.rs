@@ -94,7 +94,7 @@ impl ShuffleShardPlanner {
     /// Grow a service's shard by extra backends (the `Reuse` scaling path
     /// extends a service onto additional low-water backends). Keeps
     /// uniqueness bookkeeping consistent.
-    pub fn extend(&mut self, service: GlobalServiceId, backend: usize) -> bool {
+    pub(crate) fn extend(&mut self, service: GlobalServiceId, backend: usize) -> bool {
         let Some(combo) = self.assignments.get_mut(&service) else {
             return false;
         };
@@ -110,18 +110,8 @@ impl ShuffleShardPlanner {
 
     /// Register newly created backends (the `New` scaling path grows the
     /// pool).
-    pub fn grow_pool(&mut self, additional: usize) {
+    pub(crate) fn grow_pool(&mut self, additional: usize) {
         self.pool_size += additional;
-    }
-
-    /// Current pool size.
-    pub fn pool_size(&self) -> usize {
-        self.pool_size
-    }
-
-    /// Number of assigned services.
-    pub fn service_count(&self) -> usize {
-        self.assignments.len()
     }
 
     /// Largest pairwise overlap among all assigned combinations (Fig. 19's
@@ -152,7 +142,7 @@ impl ShuffleShardPlanner {
     /// every service's combination in `assignments`, and the `used_combos`
     /// uniqueness set (its size — the combos themselves are the assignment
     /// values, already folded).
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.pool_size as u64)
             .write_u64(self.shard_size as u64)
             .write_u64(self.max_overlap as u64)
@@ -186,7 +176,7 @@ mod tests {
             assert_eq!(combo.len(), 3);
             assert!(seen.insert(combo), "duplicate combination");
         }
-        assert_eq!(p.service_count(), 50);
+        assert_eq!(p.assignments.len(), 50);
     }
 
     #[test]
@@ -220,7 +210,7 @@ mod tests {
         let a = p.assign(gs(1), &mut rng);
         let b = p.assign(gs(1), &mut rng);
         assert_eq!(a, b);
-        assert_eq!(p.service_count(), 1);
+        assert_eq!(p.assignments.len(), 1);
     }
 
     #[test]
@@ -248,7 +238,7 @@ mod tests {
         p.assign(gs(1), &mut rng);
         assert!(!p.extend(gs(1), 4), "backend 4 not in pool yet");
         p.grow_pool(2);
-        assert_eq!(p.pool_size(), 6);
+        assert_eq!(p.pool_size, 6);
         assert!(p.extend(gs(1), 4));
     }
 

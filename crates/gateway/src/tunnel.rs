@@ -12,7 +12,6 @@
 //! pressure that Table 5's tunneling savings derive from.
 
 use canal_net::{ecmp::rss_core_for_sport, FiveTuple, FlatTable, FlowHash, Packet, VxlanFrame};
-use canal_sim::Digest;
 use std::num::NonZeroUsize;
 
 /// Tunnel fan-out configuration.
@@ -124,11 +123,6 @@ impl SessionAggregator {
         }
     }
 
-    /// Packets encapsulated.
-    pub fn packets(&self) -> u64 {
-        self.encapsulated
-    }
-
     /// Which RSS core a tunnel's packets land on.
     pub fn core_of_tunnel(&self, tunnel: usize) -> usize {
         rss_core_for_sport(self.cfg.sport_base + tunnel as u16, self.cfg.replica_cores)
@@ -138,7 +132,8 @@ impl SessionAggregator {
     /// tracked `sessions` in ascending five-tuple order (each as its flow
     /// hash and the tunnel that hash selects), and the `encapsulated`
     /// counter.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    #[cfg(test)]
+    fn fold_digest(&self, d: &mut canal_sim::Digest) {
         d.write_u64(self.cfg.tunnels_per_replica as u64)
             .write_u64(self.cfg.replica_cores as u64)
             .write_u64(self.cfg.sport_base as u64)
@@ -197,7 +192,7 @@ mod tests {
         let f2 = a.encapsulate(&pkt(1234));
         assert_eq!(f1.outer_sport, f2.outer_sport);
         assert_eq!(a.user_sessions(), 1);
-        assert_eq!(a.packets(), 2);
+        assert_eq!(a.encapsulated, 2);
     }
 
     #[test]
@@ -256,9 +251,9 @@ mod tests {
             let t = pkt(sport).tuple;
             model.insert(t, (canal_net::hash_five_tuple(&t) % 40) as usize);
         }
-        let mut got = Digest::new();
+        let mut got = canal_sim::Digest::new();
         b.fold_digest(&mut got);
-        let mut want = Digest::new();
+        let mut want = canal_sim::Digest::new();
         want.write_u64(40).write_u64(4).write_u64(40_000).write_u64(0x0A63_0001);
         want.write_u64(0x0A63_0002).write_u64(77).write_u64(model.len() as u64);
         for (t, &tunnel) in &model {

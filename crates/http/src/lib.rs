@@ -24,7 +24,7 @@ pub mod message;
 pub mod parser;
 pub mod route;
 
-pub use message::{HeaderMap, Method, Request, Response, StatusCode};
+pub use message::{Method, Request, Response, StatusCode};
 pub use parser::{ParseError, RequestParser, ResponseParser};
 pub use route::{
     HeaderPredicate, PathPredicate, RoutePredicate, RouteRule, RouteTable, WeightedTarget,

@@ -47,7 +47,7 @@ impl Method {
     }
 
     /// Parse a token (case-sensitive, per RFC 9110).
-    pub fn parse(s: &str) -> Option<Method> {
+    pub(crate) fn parse(s: &str) -> Option<Method> {
         Some(match s {
             "GET" => Method::Get,
             "POST" => Method::Post,
@@ -94,7 +94,7 @@ impl StatusCode {
     }
 
     /// Reason phrase for serialization.
-    pub fn reason(self) -> &'static str {
+    pub(crate) fn reason(self) -> &'static str {
         match self.0 {
             200 => "OK",
             201 => "Created",
@@ -134,7 +134,7 @@ impl Utf8Bytes {
     }
 
     /// The text's bytes, read without checking them again.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         &self.0
     }
 }
@@ -201,20 +201,10 @@ impl HeaderMap {
     }
 
     /// All values for `name`, case-insensitive.
-    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+    pub(crate) fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.iter()
             .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v)
-    }
-
-    /// Number of header lines.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// Whether no headers are present.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
     }
 
     /// Iterate `(name, value)` pairs in the order they were sent or added.
@@ -226,7 +216,7 @@ impl HeaderMap {
 
     /// Cookie value by key from any `Cookie:` header (`k=v; k2=v2` format),
     /// as used by A/B-testing predicates.
-    pub fn cookie(&self, key: &str) -> Option<&str> {
+    pub(crate) fn cookie(&self, key: &str) -> Option<&str> {
         for cookies in self.get_all("cookie") {
             for pair in cookies.split(';') {
                 let pair = pair.trim();
@@ -355,11 +345,6 @@ impl Response {
         }
     }
 
-    /// 200 OK with a body.
-    pub fn ok(body: impl Into<Bytes>) -> Self {
-        Self::new(StatusCode::OK, body)
-    }
-
     /// Builder-style header attachment.
     pub fn with_header(mut self, name: &str, value: &str) -> Self {
         self.headers = self.headers.with(name, value);
@@ -421,13 +406,13 @@ mod tests {
         assert_eq!(h.get("CONTENT-TYPE"), Some("text/plain"));
         assert_eq!(h.get("x-canary"), Some("true"));
         assert_eq!(h.get("absent"), None);
-        assert_eq!(h.len(), 2);
-        assert!(Request::get("/").headers.is_empty());
+        assert_eq!(h.iter().count(), 2);
+        assert!(Request::get("/").headers.iter().next().is_none());
     }
 
     #[test]
     fn header_map_duplicates_preserved() {
-        let h = Response::ok(Bytes::new())
+        let h = Response::new(StatusCode::OK, Bytes::new())
             .with_header("Set-Cookie", "a=1")
             .with_header("set-cookie", "b=2")
             .headers;
@@ -482,7 +467,7 @@ mod tests {
 
     #[test]
     fn response_encoding() {
-        let resp = Response::ok(&b"hello"[..]).with_header("X-Served-By", "gateway");
+        let resp = Response::new(StatusCode::OK, &b"hello"[..]).with_header("X-Served-By", "gateway");
         let text = String::from_utf8(resp.encode().to_vec()).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 5\r\n"));

@@ -34,18 +34,21 @@ pub enum PathPredicate {
     Contains(String),
 }
 
-/// The part of a request path before any `?`.
+/// The part of a request path before any `?`: the scan oracle's own
+/// reading, apart from the table's [`before_query`].
+#[cfg(test)]
 fn strip_query(path: &str) -> &str {
     path.split('?').next().unwrap_or(path)
 }
 
 impl PathPredicate {
     /// Evaluate against a request path (query string excluded).
-    pub fn matches(&self, path: &str) -> bool {
+    #[cfg(test)]
+    fn matches(&self, path: &str) -> bool {
         self.matches_stripped(strip_query(path))
     }
 
-    /// [`PathPredicate::matches`] on a path whose query is already gone.
+    /// Evaluate against a request path whose query is already gone.
     fn matches_stripped(&self, path: &str) -> bool {
         match self {
             PathPredicate::Exact(p) => path == p,
@@ -88,7 +91,7 @@ pub enum HeaderPredicate {
 
 impl HeaderPredicate {
     /// Evaluate against a request's headers.
-    pub fn matches(&self, req: &Request) -> bool {
+    pub(crate) fn matches(&self, req: &Request) -> bool {
         match self {
             HeaderPredicate::Exact { name, value } => req.headers.get(name) == Some(value.as_str()),
             HeaderPredicate::Present { name } => req.headers.get(name).is_some(),
@@ -128,13 +131,14 @@ impl RoutePredicate {
         }
     }
 
-    /// Evaluate against a request.
-    pub fn matches(&self, req: &Request) -> bool {
+    /// Evaluate against a request (query string excluded).
+    #[cfg(test)]
+    fn matches(&self, req: &Request) -> bool {
         self.matches_stripped(req, strip_query(&req.path))
     }
 
-    /// [`RoutePredicate::matches`] given the request's path without its
-    /// query, so a table lookup strips it once for all rules.
+    /// Evaluate against a request given its path without its query, so a
+    /// table lookup strips it once for all rules.
     fn matches_stripped(&self, req: &Request, path: &str) -> bool {
         if let Some(p) = &self.path {
             if !p.matches_stripped(path) {
@@ -213,18 +217,13 @@ impl RouteRule {
     /// A rule exactly as a decoded config push carries it, with nothing
     /// checked: a push is validated as a whole before it may serve, and
     /// that validation needs to be handed the bad rule to refuse it.
-    pub fn unchecked(name: &str, predicate: RoutePredicate, targets: Vec<WeightedTarget>) -> Self {
+    pub(crate) fn unchecked(name: &str, predicate: RoutePredicate, targets: Vec<WeightedTarget>) -> Self {
         RouteRule {
             name: name.to_string(),
             predicate,
             total_weight: targets.iter().map(|t| t.weight as u64).sum(),
             targets,
         }
-    }
-
-    /// The weighted destinations.
-    pub fn targets(&self) -> &[WeightedTarget] {
-        &self.targets
     }
 
     /// Pick a target deterministically from a uniform draw in `[0,1)`.
@@ -554,16 +553,6 @@ impl RouteTable {
         best
     }
 
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The first rule matching the request: the lowest-numbered rule the
     /// index proposes for the path, unless a rule the index cannot key comes
     /// before it and matches; a proposal whose predicate (the path itself
@@ -890,7 +879,7 @@ mod tests {
     #[test]
     fn unchecked_rules_carry_what_they_were_given() {
         let rule = RouteRule::unchecked("bad", RoutePredicate::any(), vec![]);
-        assert!(rule.targets().is_empty());
+        assert!(rule.targets.is_empty());
     }
 
     #[test]

@@ -22,16 +22,16 @@
 //!   calls `SimRng::seed` must receive a `SimRng` in its signature, or be
 //!   reachable only from in-file callers that do (the seed then derives
 //!   from the caller's stream, e.g. `rng.fork(salt)` wrappers).
-//! * **dead-export** — a `pub` item of a library target (free fn, inherent
-//!   method, const, struct, enum, trait, type alias) that no other file
-//!   names, and its own file names only inside the item, its impl blocks
-//!   or `#[cfg(test)]` code. rustc's `dead_code` lint skips `pub` items;
-//!   `pub(crate)` ones it already polices, and trait-impl methods cannot
-//!   carry `pub`. Masked code counts (comments and strings do not), a
-//!   `pub use` re-export does not, and files outside the lint's scope can
-//!   be read as callers only (`benchmark/`). Callers resolve by name, so
-//!   an item whose name another library file also exports cannot be
-//!   judged: the report counts those instead (`dead_export_unjudged`).
+//! * **wide-export** — a `pub` item of a library target (free fn, inherent
+//!   method, const, struct, enum, trait, type alias) that no file outside
+//!   its crate names: not another crate, nor a compilation unit of its own
+//!   (`tests/`, `examples/`, binaries, `benchmark/`, read as callers only).
+//!   A type a kept item names, and the owner of a kept method, stay `pub`
+//!   with it (the leak closure, run to a fixpoint). Masked code counts
+//!   (comments and strings do not), and a `pub use` re-export does not.
+//!   Trait-impl methods cannot carry `pub`. Names resolve by name, so the
+//!   rule cannot flag what the compiler keeps; once an item is
+//!   `pub(crate)`, rustc's `dead_code` (denied) judges whether it is used.
 
 use crate::lexer::LexedFile;
 use crate::parser::{ExportDef, FieldOpKind, FileSyntax, FnDef, StructDef};
@@ -40,9 +40,7 @@ use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One scanned file, lexed and parsed, with its workspace classification.
-pub struct FileRecord {
-    /// Workspace-relative path.
-    pub file: String,
+pub(crate) struct FileRecord {
     /// Owning crate ident (`canal_sim`, ...).
     pub crate_ident: String,
     /// Compilation target kind.
@@ -55,9 +53,8 @@ pub struct FileRecord {
 
 impl FileRecord {
     /// Build a record from a lexed file.
-    pub fn new(file: &str, crate_ident: &str, kind: TargetKind, lexed: &LexedFile) -> Self {
+    pub(crate) fn new(crate_ident: &str, kind: TargetKind, lexed: &LexedFile) -> Self {
         FileRecord {
-            file: file.to_string(),
             crate_ident: crate_ident.to_string(),
             kind,
             syntax: crate::parser::parse(lexed),
@@ -154,7 +151,7 @@ struct StructEntry<'a> {
 }
 
 /// The workspace-wide symbol graph.
-pub struct SymbolGraph<'a> {
+pub(crate) struct SymbolGraph<'a> {
     records: &'a [FileRecord],
     structs: Vec<StructEntry<'a>>,
     /// (crate, type name) → struct id.
@@ -167,7 +164,7 @@ pub struct SymbolGraph<'a> {
 
 impl<'a> SymbolGraph<'a> {
     /// Index every struct, method and const across the scanned files.
-    pub fn build(records: &'a [FileRecord]) -> Self {
+    pub(crate) fn build(records: &'a [FileRecord]) -> Self {
         let mut graph = SymbolGraph {
             records,
             structs: Vec::new(),
@@ -243,8 +240,13 @@ impl<'a> SymbolGraph<'a> {
         out
     }
 
+    /// Whether the struct has a `fold_digest`, a `#[cfg(test)]` one
+    /// included: `dead_code` is denied, so a test-only fold exists because a
+    /// test double-runs the struct through it.
     fn has_fold_digest(&self, id: StructId) -> bool {
-        self.methods_of(id).any(|f| f.name == "fold_digest")
+        let entry = &self.structs[id.0];
+        let key = (self.crate_of(id), entry.def.name.as_str());
+        self.methods.get(&key).into_iter().flatten().any(|(_, f)| f.name == "fold_digest")
     }
 
     fn has_mut_state(&self, id: StructId) -> bool {
@@ -332,7 +334,7 @@ impl<'a> SymbolGraph<'a> {
 
 /// Run the graph rules; findings are keyed by record index so the caller
 /// can merge them with the per-line findings before suppression matching.
-/// `callers` are files read only for the names they use (`dead-export`).
+/// `callers` are files read only for the names they use (`wide-export`).
 pub(crate) fn graph_findings(
     records: &[FileRecord],
     callers: &[FileSyntax],
@@ -342,12 +344,12 @@ pub(crate) fn graph_findings(
     digest_coverage(&graph, &mut out);
     bounded_state(&graph, &mut out);
     seed_dataflow(records, &mut out);
-    dead_export(records, callers, &mut out);
+    wide_export(records, callers, &mut out);
     out
 }
 
 /// The `pub` items of library targets outside `#[cfg(test)]`, by record
-/// index: what `dead-export` checks and the report counts. `fn main` is a
+/// index: what `wide-export` checks and the report counts. `fn main` is a
 /// binary's entry point wherever it sits.
 pub(crate) fn exported_items(records: &[FileRecord]) -> impl Iterator<Item = (usize, &ExportDef)> {
     records.iter().enumerate().flat_map(|(rec, r)| {
@@ -358,61 +360,65 @@ pub(crate) fn exported_items(records: &[FileRecord]) -> impl Iterator<Item = (us
     })
 }
 
-/// The exported items `dead-export` cannot judge: another library file
-/// exports the same name, and the rule resolves callers by name, so a
-/// caller of either item keeps both alive.
-pub(crate) fn dead_export_unjudged(records: &[FileRecord]) -> Vec<(usize, &ExportDef)> {
-    let items: Vec<(usize, &ExportDef)> = exported_items(records).collect();
-    let mut files_of: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-    for (rec, e) in &items {
-        files_of.entry(e.name.as_str()).or_default().insert(*rec);
-    }
-    let shared = |e: &ExportDef| files_of.get(e.name.as_str()).is_some_and(|f| f.len() > 1);
-    items.into_iter().filter(|(_, e)| shared(e)).collect()
+/// Whether `name` is named inside lines `start..=end` of `record`.
+fn names_within(record: &FileRecord, name: &str, start: usize, end: usize) -> bool {
+    record.syntax.refs.get(name).is_some_and(|lines| lines.iter().any(|l| (start..=end).contains(l)))
 }
 
-fn dead_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(usize, Finding)>) {
+fn wide_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(usize, Finding)>) {
     let items: Vec<(usize, &ExportDef)> = exported_items(records).collect();
     let names: BTreeSet<&str> = items.iter().map(|(_, e)| e.name.as_str()).collect();
-    // Candidate name → the files naming it (caller-only files past the
-    // records, so they never equal a record index).
-    let mut named_in: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (idx, syntax) in records.iter().map(|r| &r.syntax).chain(callers).enumerate() {
+    // Name -> the units naming it: the crate of a library file, or `None`
+    // for a file that compiles as a crate of its own (tests, examples,
+    // binaries, the benchmark).
+    let mut named_by: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    let units = records
+        .iter()
+        .map(|r| ((r.kind == TargetKind::Lib).then_some(r.crate_ident.as_str()), &r.syntax));
+    for (unit, syntax) in units.chain(callers.iter().map(|s| (None, s))) {
         for name in syntax.refs.keys().filter_map(|n| names.get(n.as_str())) {
-            named_in.entry(name).or_default().push(idx);
+            named_by.entry(name).or_default().insert(unit);
         }
     }
-    for (rec, item) in items {
-        let name = item.name.as_str();
-        let elsewhere = named_in.get(name).into_iter().flatten().any(|&f| f != rec);
-        if elsewhere {
-            continue;
+    let crate_of = |rec: usize| records[rec].crate_ident.as_str();
+    let mut kept: Vec<bool> = items
+        .iter()
+        .map(|&(rec, e)| {
+            let units = named_by.get(e.name.as_str()).into_iter().flatten();
+            units.copied().any(|unit| unit != Some(crate_of(rec)))
+        })
+        .collect();
+    // The leak closure: a type a kept item of its crate names, or a type
+    // with a kept method, is part of that item's interface.
+    loop {
+        let leaked: Vec<usize> = (0..items.len())
+            .filter(|&i| !kept[i] && matches!(items[i].1.keyword, "struct" | "enum" | "trait" | "type"))
+            .filter(|&i| {
+                let (rec, ty) = items[i];
+                items.iter().zip(&kept).any(|(&(by, item), &is_kept)| {
+                    is_kept
+                        && crate_of(by) == crate_of(rec)
+                        && (item.owner.as_deref() == Some(ty.name.as_str())
+                            || names_within(&records[by], &ty.name, item.line, item.end))
+                })
+            })
+            .collect();
+        if leaked.is_empty() {
+            break;
         }
-        // In its own file, only a reference outside the item, its impl
-        // blocks and test code keeps it.
-        let r = &records[rec];
-        let within = |line: usize, start: usize, end: usize| (start..=end).contains(&line);
-        let used = r.syntax.refs.get(name).into_iter().flatten().any(|&line| {
-            !within(line, item.line, item.end)
-                && !r.line_in_test(line)
-                && !r
-                    .syntax
-                    .impls
-                    .iter()
-                    .any(|b| b.names.iter().any(|n| n == name) && within(line, b.start, b.end))
-        });
-        if used {
-            continue;
-        }
+        leaked.into_iter().for_each(|i| kept[i] = true);
+    }
+    for ((rec, item), _) in items.into_iter().zip(kept).filter(|(_, kept)| !kept) {
         out.push((
             rec,
             Finding {
-                rule: "dead-export",
+                rule: "wide-export",
                 line: item.line,
                 message: format!(
-                    "`pub {} {}` has no caller: no other file names it, and its own file only inside the item, its impl blocks or #[cfg(test)] code; delete it, or move it into the test module that uses it",
+                    "`pub {} {}` is named by no file outside `{}`; make it `pub(crate)` (rustc's dead_code then judges whether it is used)",
                     item.keyword,
-                    item.path()
+                    item.path(),
+                    crate_of(rec)
                 ),
             },
         ));
@@ -599,8 +605,8 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn record(file: &str, crate_ident: &str, kind: TargetKind, src: &str) -> FileRecord {
-        FileRecord::new(file, crate_ident, kind, &lex(src))
+    fn record(crate_ident: &str, kind: TargetKind, src: &str) -> FileRecord {
+        FileRecord::new(crate_ident, kind, &lex(src))
     }
 
     fn rules_fired(findings: &[(usize, Finding)]) -> Vec<&'static str> {
@@ -613,7 +619,7 @@ mod tests {
     #[test]
     fn uncovered_mutable_struct_fires_digest_coverage() {
         let src = "struct Tracker { count: u64 }\nimpl Tracker {\n    fn bump(&mut self) { self.count += 1; }\n}\n";
-        let recs = vec![record("a.rs", "canal_sim", TargetKind::Lib, src)];
+        let recs = vec![record("canal_sim", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
         assert_eq!(rules_fired(&f), vec!["digest-coverage"]);
         assert_eq!(f[0].1.line, 1);
@@ -624,7 +630,7 @@ mod tests {
         let direct = "struct Covered { count: u64 }\nimpl Covered {\n    fn bump(&mut self) { self.count += 1; }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.count); }\n}\n";
         let contained = "struct Inner { v: u64 }\nimpl Inner { fn set(&mut self, v: u64) { self.v = v; } }\nstruct Outer { inner: Inner }\nimpl Outer {\n    fn touch(&mut self) { self.inner.set(1); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.inner.v); }\n}\n";
         for src in [direct, contained] {
-            let recs = vec![record("a.rs", "canal_sim", TargetKind::Lib, src)];
+            let recs = vec![record("canal_sim", TargetKind::Lib, src)];
             let f = graph_findings(&recs, &[]);
             assert!(
                 !f.iter().any(|(_, f)| f.rule == "digest-coverage"),
@@ -639,8 +645,8 @@ mod tests {
         let inner = "struct Child { v: u64 }\nimpl Child { fn set(&mut self, v: u64) { self.v = v; } }\n";
         let outer = "struct Parent { child: Child }\nimpl Parent { fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.child.v); } }\n";
         let recs = vec![
-            record("inner.rs", "canal_sim", TargetKind::Lib, inner),
-            record("outer.rs", "canal_sim", TargetKind::Lib, outer),
+            record("canal_sim", TargetKind::Lib, inner),
+            record("canal_sim", TargetKind::Lib, outer),
         ];
         let f = graph_findings(&recs, &[]);
         assert!(!f.iter().any(|(_, f)| f.rule == "digest-coverage"));
@@ -651,7 +657,7 @@ mod tests {
         // Models the PR-5 `last_good` bug: state advanced in &mut self
         // methods but absent from the digest fold.
         let src = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn promote(&mut self) { self.version += 1; self.last_good = self.version; }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.version); }\n}\n";
-        let recs = vec![record("a.rs", "canal_control", TargetKind::Lib, src)];
+        let recs = vec![record("canal_control", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
         let dc: Vec<_> = f.iter().filter(|(_, f)| f.rule == "digest-coverage").collect();
         assert_eq!(dc.len(), 1, "{dc:?}");
@@ -662,7 +668,7 @@ mod tests {
     #[test]
     fn fold_digest_helpers_count_as_coverage() {
         let src = "struct Ctl { version: u64 }\nimpl Ctl {\n    fn promote(&mut self) { self.version += 1; }\n    fn fold_inner(&self, d: &mut Digest) { d.write_u64(self.version); }\n    fn fold_digest(&self, d: &mut Digest) { self.fold_inner(d); }\n}\n";
-        let recs = vec![record("a.rs", "canal_control", TargetKind::Lib, src)];
+        let recs = vec![record("canal_control", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
         assert!(!f.iter().any(|(_, f)| f.rule == "digest-coverage"), "{f:?}");
     }
@@ -670,7 +676,7 @@ mod tests {
     #[test]
     fn unbounded_growth_fires_bounded_state() {
         let src = "struct Log { entries: Vec<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.entries.len() as u64); }\n}\n";
-        let recs = vec![record("a.rs", "canal_telemetry", TargetKind::Lib, src)];
+        let recs = vec![record("canal_telemetry", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
         assert_eq!(rules_fired(&f), vec!["bounded-state"]);
     }
@@ -681,7 +687,7 @@ mod tests {
         let evict_field = "struct Log { entries: Vec<u64>, evicted: u64 }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.evicted); }\n}\n";
         let shrink = "struct Log { entries: VecDeque<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push_back(v); self.entries.pop_front(); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(0); }\n}\n";
         for src in [cap_const, evict_field, shrink] {
-            let recs = vec![record("a.rs", "canal_telemetry", TargetKind::Lib, src)];
+            let recs = vec![record("canal_telemetry", TargetKind::Lib, src)];
             let f = graph_findings(&recs, &[]);
             assert!(
                 !f.iter().any(|(_, f)| f.rule == "bounded-state"),
@@ -694,99 +700,96 @@ mod tests {
     #[test]
     fn seed_dataflow_requires_simrng_in_signature_or_callers() {
         let bad = "fn plan() -> u64 {\n    let mut rng = SimRng::seed(7);\n    rng.next()\n}\n";
-        let recs = vec![record("a.rs", "canal_sim", TargetKind::Lib, bad)];
+        let recs = vec![record("canal_sim", TargetKind::Lib, bad)];
         assert_eq!(rules_fired(&graph_findings(&recs, &[])), vec!["seed-dataflow"]);
 
         let direct = "fn plan(rng: &mut SimRng) -> u64 {\n    let mut sub = SimRng::seed(rng.next());\n    sub.next()\n}\n";
-        let recs = vec![record("a.rs", "canal_sim", TargetKind::Lib, direct)];
+        let recs = vec![record("canal_sim", TargetKind::Lib, direct)];
         assert!(graph_findings(&recs, &[]).is_empty());
 
         let transitive = "fn derive(salt: u64) -> SimRng {\n    SimRng::seed(salt)\n}\nfn plan(rng: &mut SimRng) -> u64 {\n    derive(rng.next()).next()\n}\n";
-        let recs = vec![record("a.rs", "canal_sim", TargetKind::Lib, transitive)];
+        let recs = vec![record("canal_sim", TargetKind::Lib, transitive)];
         assert!(graph_findings(&recs, &[]).is_empty());
     }
 
     #[test]
     fn seed_dataflow_spares_tests_bins_and_simrng_itself() {
         let src = "fn plan() -> u64 { let mut r = SimRng::seed(7); r.next() }\n";
-        let recs = vec![record("a.rs", "canal_sim", TargetKind::Bin, src)];
+        let recs = vec![record("canal_sim", TargetKind::Bin, src)];
         assert!(graph_findings(&recs, &[]).is_empty());
-        let recs = vec![record("a.rs", "canal_bench", TargetKind::Lib, src)];
+        let recs = vec![record("canal_bench", TargetKind::Lib, src)];
         assert!(graph_findings(&recs, &[]).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { let r = SimRng::seed(7); }\n}\n";
-        let recs = vec![record("a.rs", "canal_sim", TargetKind::Lib, in_test)];
+        let recs = vec![record("canal_sim", TargetKind::Lib, in_test)];
         assert!(graph_findings(&recs, &[]).is_empty());
         let fork = "impl SimRng {\n    fn fork(&mut self, salt: u64) -> SimRng { SimRng::seed(self.next() ^ salt) }\n}\n";
-        let recs = vec![record("rng.rs", "canal_sim", TargetKind::Lib, fork)];
+        let recs = vec![record("canal_sim", TargetKind::Lib, fork)];
         assert!(graph_findings(&recs, &[]).is_empty());
     }
 
-    /// `(record, line)` of every dead-export finding.
-    fn dead(records: &[FileRecord], callers: &[FileSyntax]) -> Vec<(usize, usize)> {
+    /// `(record, line)` of every wide-export finding.
+    fn wide(records: &[FileRecord], callers: &[FileSyntax]) -> Vec<(usize, usize)> {
         graph_findings(records, callers)
             .into_iter()
-            .filter(|(_, f)| f.rule == "dead-export")
+            .filter(|(_, f)| f.rule == "wide-export")
             .map(|(rec, f)| (rec, f.line))
             .collect()
     }
 
     const EXPORTED: &str = "pub fn exported() -> u64 {\n    1\n}\n";
 
-    fn lib(file: &str, src: &str) -> FileRecord {
-        record(file, "canal_sim", TargetKind::Lib, src)
+    fn sim(src: &str) -> FileRecord {
+        record("canal_sim", TargetKind::Lib, src)
+    }
+
+    fn net(src: &str) -> FileRecord {
+        record("canal_net", TargetKind::Lib, src)
     }
 
     #[test]
-    fn dead_export_never_flags_trait_impl_methods() {
+    fn wide_export_never_flags_trait_impl_methods() {
         let src = "pub struct Meters(u64);\nimpl std::fmt::Display for Meters {\n    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n        write!(f, \"{}\", self.0)\n    }\n}\n";
-        let user = "fn show(m: Meters) -> String {\n    m.to_string()\n}\n";
-        assert_eq!(dead(&[lib("a.rs", src), lib("b.rs", user)], &[]), []);
+        let user = "fn show(m: canal_sim::Meters) -> String {\n    m.to_string()\n}\n";
+        assert_eq!(wide(&[sim(src), net(user)], &[]), []);
     }
 
     #[test]
-    fn dead_export_never_flags_main_or_binaries() {
+    fn wide_export_never_flags_main_or_binaries() {
         let bin = "pub fn helper() -> u64 {\n    1\n}\nfn main() {}\n";
-        let lib_main = "pub fn main() {}\n";
-        let recs = vec![
-            record("crates/x/src/bin/x.rs", "canal_sim", TargetKind::Bin, bin),
-            record("crates/x/src/main.rs", "canal_sim", TargetKind::Bin, bin),
-            lib("crates/x/src/lib.rs", lib_main),
-        ];
-        assert_eq!(dead(&recs, &[]), []);
+        let recs = vec![record("canal_sim", TargetKind::Bin, bin), sim("pub fn main() {}\n")];
+        assert_eq!(wide(&recs, &[]), []);
     }
 
     #[test]
-    fn dead_export_counts_callers_in_tests_examples_and_benchmark() {
-        let exported = lib("crates/sim/src/a.rs", EXPORTED);
-        assert_eq!(dead(std::slice::from_ref(&exported), &[]), [(0, 1)]);
+    fn wide_export_counts_tests_examples_binaries_and_benchmark_as_outside() {
+        assert_eq!(wide(&[sim(EXPORTED)], &[]), [(0, 1)]);
         let call = "fn run() -> u64 {\n    canal_sim::exported()\n}\n";
-        for (file, kind) in [
-            ("crates/net/tests/t.rs", TargetKind::Test),
-            ("examples/demo.rs", TargetKind::Example),
-        ] {
-            let recs = vec![
-                lib("crates/sim/src/a.rs", EXPORTED),
-                record(file, "canal_net", kind, call),
-            ];
-            assert_eq!(dead(&recs, &[]), [], "{file}");
+        for kind in [TargetKind::Test, TargetKind::Example, TargetKind::Bin] {
+            let recs = vec![sim(EXPORTED), record("canal_sim", kind, call)];
+            assert_eq!(wide(&recs, &[]), [], "{kind:?}");
         }
         let benchmark = crate::parser::parse(&lex(call));
-        assert_eq!(dead(&[exported], &[benchmark]), []);
+        assert_eq!(wide(&[sim(EXPORTED)], &[benchmark]), []);
     }
 
     #[test]
-    fn dead_export_ignores_a_recursive_self_call() {
-        let src = "pub fn down(n: u64) -> u64 {\n    if n > 0 { down(n - 1) } else { 0 }\n}";
-        assert_eq!(dead(&[lib("a.rs", src)], &[]), [(0, 1)]);
+    fn wide_export_flags_an_item_only_its_own_crate_names() {
+        let call = "fn run() -> u64 {\n    exported()\n}\n";
+        assert_eq!(wide(&[sim(EXPORTED), sim(call)], &[]), [(0, 1)]);
+        assert_eq!(wide(&[sim(EXPORTED), net(call)], &[]), []);
     }
 
     #[test]
-    fn dead_export_keeps_a_type_a_live_signature_names() {
-        let caller = lib("b.rs", "fn f() -> u64 {\n    make().v\n}\n");
+    fn wide_export_keeps_the_types_a_kept_item_leaks() {
+        let caller = net("fn f() -> u64 {\n    canal_sim::make().v\n}\n");
         let knob = "pub struct Knob {\n    pub v: u64,\n}\nimpl Knob {\n    fn new() -> Knob {\n        Knob { v: 1 }\n    }\n}\n";
         let with_maker = format!("{knob}pub fn make() -> Knob {{\n    Knob::new()\n}}\n");
-        assert_eq!(dead(&[lib("a.rs", &with_maker), caller], &[]), []);
-        // Once `make` is gone, only Knob's own impl block names it.
-        assert_eq!(dead(&[lib("a.rs", knob)], &[]), [(0, 1)]);
+        assert_eq!(wide(&[sim(&with_maker), caller], &[]), []);
+        // Once `make` is gone, only Knob's own crate names it.
+        assert_eq!(wide(&[sim(knob)], &[]), [(0, 1)]);
+        // A kept method keeps its owner.
+        let gauge = "pub struct Gauge(u64);\nimpl Gauge {\n    pub fn reading(&self) -> u64 {\n        self.0\n    }\n}\n";
+        let reader = net("fn f(g: &G) -> u64 {\n    g.reading()\n}\n");
+        assert_eq!(wide(&[sim(gauge), reader], &[]), []);
     }
 }

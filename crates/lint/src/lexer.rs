@@ -10,7 +10,7 @@
 
 /// One extracted suppression annotation: `// lint:allow(rule) reason=...`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
+pub(crate) struct Suppression {
     /// 1-based line the comment appears on.
     pub line: usize,
     /// Rule id inside the parentheses.
@@ -22,7 +22,7 @@ pub struct Suppression {
 
 /// Lexed view of one source file.
 #[derive(Debug)]
-pub struct LexedFile {
+pub(crate) struct LexedFile {
     /// Source with comment/string contents blanked, split into lines.
     pub code_lines: Vec<String>,
     /// All `lint:allow` annotations found in comments.
@@ -324,7 +324,7 @@ fn test_regions(code_lines: &[String]) -> Vec<bool> {
 
 /// Lex one source file into masked code lines, suppressions and test
 /// region flags.
-pub fn lex(source: &str) -> LexedFile {
+pub(crate) fn lex(source: &str) -> LexedFile {
     let (masked, comments) = mask(source);
     let code_lines: Vec<String> = masked.lines().map(|l| l.to_string()).collect();
     let suppressions = comments

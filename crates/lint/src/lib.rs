@@ -27,9 +27,10 @@
 //!   must carry a cap const, an eviction counter, or a shrink path.
 //! * **seed-dataflow** — fns seeding a `SimRng` must take one from their
 //!   callers (directly or through the in-file call graph).
-//! * **dead-export** — a `pub` item of a library target must have a caller:
-//!   another file (any crate's tests, examples or `benchmark/` included)
-//!   or its own file's non-test code outside the item and its impls.
+//! * **wide-export** — a `pub` item of a library target must be named
+//!   outside its crate (another crate, any `tests/`, `examples/` or binary,
+//!   or `benchmark/`), or be a type a kept item's interface names. What is
+//!   `pub(crate)` rustc's `dead_code` polices.
 //!
 //! Deliberate exceptions are annotated in the source as
 //! `// lint:allow(<rule>) reason=<why>` on the offending line or the line
@@ -107,11 +108,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of manifests checked against the layering DAG.
     pub manifests_checked: usize,
-    /// Number of `pub` items in library targets (what `dead-export` checks).
+    /// Number of `pub` items in library targets (what `wide-export` checks).
     pub exports: usize,
-    /// `(file, line, item)` of each exported item `dead-export` cannot
-    /// judge, because another library file exports the same name.
-    pub dead_export_unjudged: Vec<(String, usize, String)>,
     /// Number of files read only for the names they use (`benchmark/`).
     pub caller_files: usize,
 }
@@ -137,11 +135,10 @@ impl Report {
             out.push_str(&format!("error: {v}\n"));
         }
         out.push_str(&format!(
-            "canal-lint: {} file(s), {} manifest(s) scanned; {} exported item(s), {} unjudged by dead-export; {} violation(s), {} suppressed exception(s)\n",
+            "canal-lint: {} file(s), {} manifest(s) scanned; {} exported item(s); {} violation(s), {} suppressed exception(s)\n",
             self.files_scanned,
             self.manifests_checked,
             self.exports,
-            self.dead_export_unjudged.len(),
             self.violations.len(),
             self.suppressed.len(),
         ));
@@ -182,14 +179,6 @@ impl Report {
             self.manifests_checked
         ));
         out.push_str(&format!("  \"exports\": {},\n", self.exports));
-        let unjudged: Vec<String> = self
-            .dead_export_unjudged
-            .iter()
-            .map(|(file, line, item)| {
-                format!("{{\"file\": \"{}\", \"line\": {line}, \"item\": \"{}\"}}", esc(file), esc(item))
-            })
-            .collect();
-        out.push_str(&format!("  \"dead_export_unjudged\": [{}],\n", unjudged.join(", ")));
         let fired: Vec<String> = self
             .rules_fired()
             .iter()
@@ -497,7 +486,7 @@ fn scan_files(files: &[ScanFile], callers: &[String], report: &mut Report) {
     let mut records = Vec::with_capacity(files.len());
     for f in files {
         let lexed = lexer::lex(&f.source);
-        records.push(FileRecord::new(&f.file, &f.crate_ident, f.kind, &lexed));
+        records.push(FileRecord::new(&f.crate_ident, f.kind, &lexed));
         lexed_files.push(lexed);
     }
     let callers: Vec<parser::FileSyntax> = callers
@@ -506,10 +495,6 @@ fn scan_files(files: &[ScanFile], callers: &[String], report: &mut Report) {
         .collect();
     report.caller_files += callers.len();
     report.exports += graph::exported_items(&records).count();
-    for (rec, item) in graph::dead_export_unjudged(&records) {
-        let entry = (files[rec].file.clone(), item.line, item.path());
-        report.dead_export_unjudged.push(entry);
-    }
     let mut per_file: Vec<Vec<Finding>> = records
         .iter()
         .zip(&lexed_files)
@@ -714,17 +699,21 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
 
 /// Scan a directory of fixture snippets. Each `.rs` file is treated as
 /// library code of a simulation-facing crate (`canal_sim`), the strictest
-/// configuration, so every rule family can fire.
+/// configuration, so every rule family can fire. A file in a subdirectory
+/// is library code of the crate the subdirectory names (`canal_net/`), so
+/// a fixture can have a caller outside its crate.
 pub fn scan_fixture_dir(dir: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let mut files = Vec::new();
     walk_fixtures(dir, &mut files)?;
     let mut queue = Vec::new();
     for path in &files {
+        let rel = path.strip_prefix(dir).unwrap_or(path);
+        let sub = rel.parent().and_then(Path::to_str).filter(|s| !s.is_empty());
         queue.push(ScanFile {
-            file: path.strip_prefix(dir).unwrap_or(path).display().to_string(),
+            file: rel.display().to_string(),
             source: fs::read_to_string(path)?,
-            crate_ident: "canal_sim".to_string(),
+            crate_ident: sub.unwrap_or("canal_sim").to_string(),
             kind: TargetKind::Lib,
         });
     }

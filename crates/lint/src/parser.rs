@@ -27,7 +27,7 @@ struct Tok {
 
 /// One resolved internal-crate reference (layering input).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrateRef {
+pub(crate) struct CrateRef {
     /// 1-based line of the reference.
     pub line: usize,
     /// Referenced crate ident (`canal_sim`, `bytes`, ...), alias-resolved.
@@ -36,7 +36,7 @@ pub struct CrateRef {
 
 /// One struct field.
 #[derive(Debug, Clone)]
-pub struct FieldDef {
+pub(crate) struct FieldDef {
     /// Field name (tuple fields are `"0"`, `"1"`, ...).
     pub name: String,
     /// Field type as a space-joined token string (`Vec < SpanRecord >`).
@@ -47,7 +47,7 @@ pub struct FieldDef {
 
 /// One struct definition.
 #[derive(Debug, Clone)]
-pub struct StructDef {
+pub(crate) struct StructDef {
     /// Type name (generics stripped).
     pub name: String,
     /// 1-based line of the `struct` item.
@@ -58,7 +58,7 @@ pub struct StructDef {
 
 /// How a `self.<field>` expression is touched inside a method body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldOpKind {
+pub(crate) enum FieldOpKind {
     /// `self.f = ...` or a compound assignment (`+=`, `|=`, ...).
     Assign,
     /// `self.f.method(...)` — the method name, mutating or not.
@@ -69,7 +69,7 @@ pub enum FieldOpKind {
 
 /// One `self.<field>` operation observed in a fn body.
 #[derive(Debug, Clone)]
-pub struct FieldOp {
+pub(crate) struct FieldOp {
     /// The field name.
     pub field: String,
     /// What was done to it.
@@ -80,7 +80,7 @@ pub struct FieldOp {
 
 /// The body facts a fn contributes to the symbol graph.
 #[derive(Debug, Clone, Default)]
-pub struct BodyInfo {
+pub(crate) struct BodyInfo {
     /// Every identifier appearing in the body (field-fold coverage check).
     pub idents: BTreeSet<String>,
     /// Callee names: `foo(...)`, `self.foo(...)`, `Type::foo(...)` all
@@ -94,7 +94,7 @@ pub struct BodyInfo {
 
 /// One fn definition (free or associated).
 #[derive(Debug, Clone)]
-pub struct FnDef {
+pub(crate) struct FnDef {
     /// Fn name.
     pub name: String,
     /// 1-based line of the `fn` item.
@@ -112,11 +112,9 @@ pub struct FnDef {
 
 /// One `const`/`static` item (associated or module-level).
 #[derive(Debug, Clone)]
-pub struct ConstDef {
+pub(crate) struct ConstDef {
     /// Item name (conventionally SCREAMING_CASE).
     pub name: String,
-    /// 1-based line.
-    pub line: usize,
     /// `Some(Type)` for associated consts.
     pub owner: Option<String>,
 }
@@ -125,7 +123,7 @@ pub struct ConstDef {
 /// a free fn, inherent method, const or static, struct, enum, trait or type
 /// alias.
 #[derive(Debug, Clone)]
-pub struct ExportDef {
+pub(crate) struct ExportDef {
     /// Item name.
     pub name: String,
     /// The keyword that introduced it (`fn`, `const`, `struct`, ...).
@@ -148,21 +146,9 @@ impl ExportDef {
     }
 }
 
-/// One `impl` block: the types it is for and the lines it spans.
-#[derive(Debug, Clone)]
-pub struct ImplBlock {
-    /// Last path segment of the self type, and of the trait for
-    /// `impl Trait for Type`.
-    pub names: Vec<String>,
-    /// 1-based line of `impl`.
-    pub start: usize,
-    /// 1-based line of the closing brace.
-    pub end: usize,
-}
-
 /// Everything the parser extracts from one file.
 #[derive(Debug, Clone, Default)]
-pub struct FileSyntax {
+pub(crate) struct FileSyntax {
     /// Internal-crate references, deduped per (line, crate).
     pub crate_refs: Vec<CrateRef>,
     /// Struct definitions (item position only, not inside fn bodies).
@@ -173,8 +159,6 @@ pub struct FileSyntax {
     pub consts: Vec<ConstDef>,
     /// `pub` items, in source order.
     pub exports: Vec<ExportDef>,
-    /// `impl` blocks, in source order.
-    pub impls: Vec<ImplBlock>,
     /// Every identifier the masked code names, with the lines it is named
     /// on; the names an item definition introduces and the paths of
     /// `pub use` re-exports are not references and are left out.
@@ -433,7 +417,6 @@ impl<'a> Parser<'a> {
                         if t.text.chars().next().is_some_and(is_ident_char) {
                             self.out.consts.push(ConstDef {
                                 name: t.text.clone(),
-                                line: t.line,
                                 owner: owner.map(str::to_string),
                             });
                         }
@@ -598,16 +581,13 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_impl(&mut self) {
-        let start = self.cur().map_or(0, |t| t.line);
         self.bump(); // impl
         self.skip_generics();
         // Collect the type path; `Trait for Type` keeps what follows `for`.
         let mut path: Vec<String> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
         while let Some(t) = self.cur() {
             match t.text.as_str() {
                 "for" => {
-                    names.extend(path.pop());
                     path.clear();
                     self.bump();
                 }
@@ -638,9 +618,6 @@ impl<'a> Parser<'a> {
         if self.at(0) == "{" {
             self.bump();
             self.parse_items(if ty.is_empty() { None } else { Some(&ty) });
-            names.push(ty);
-            let end = self.last_line();
-            self.out.impls.push(ImplBlock { names, start, end });
         }
     }
 
@@ -876,7 +853,7 @@ fn collect_refs(toks: &[Tok]) -> BTreeMap<String, Vec<usize>> {
 }
 
 /// Parse one lexed file into its symbol-level view.
-pub fn parse(lexed: &LexedFile) -> FileSyntax {
+pub(crate) fn parse(lexed: &LexedFile) -> FileSyntax {
     let toks = tokenize(&lexed.code_lines);
     let mut parser = Parser {
         toks: &toks,
@@ -1029,15 +1006,6 @@ mod tests {
                 ("const", "CAP", Some("Ring"), 6, 6),
                 ("fn", "len", Some("Ring"), 7, 9),
             ]
-        );
-        let impls: Vec<(Vec<&str>, usize, usize)> = syn
-            .impls
-            .iter()
-            .map(|b| (b.names.iter().map(String::as_str).collect(), b.start, b.end))
-            .collect();
-        assert_eq!(
-            impls,
-            [(vec!["Ring"], 5, 10), (vec!["Default", "Ring"], 11, 15)]
         );
         // Definitions and `pub use` paths are not references.
         assert_eq!(syn.refs["Ring"], [5, 11, 13]);

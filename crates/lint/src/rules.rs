@@ -15,12 +15,12 @@
 //!   `digest-coverage`, `bounded-state` and `seed-dataflow` run over the
 //!   parsed symbol graph rather than per-line patterns; their scope
 //!   constants ([`DIGEST_CRATES`]) and docs ([`RULE_DOCS`]) live here.
-//! * **dead surface** (graph-aware) — `dead-export`: a `pub` item of a
-//!   library target with no caller outside itself and test code.
+//! * **exported surface** (graph-aware) — `wide-export`: a `pub` item of
+//!   a library target that no file outside its crate names.
 
 /// What kind of compilation target a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetKind {
+pub(crate) enum TargetKind {
     /// Crate library source (`src/`, excluding `src/bin/` and `main.rs`).
     Lib,
     /// Binary source (`src/bin/`, `src/main.rs`).
@@ -39,7 +39,7 @@ pub enum TargetKind {
 /// codec and workload crates hold no cross-event state of their own;
 /// `canal_net` does (session tables, the flat table under them, token
 /// buckets, connection state).
-pub const DIGEST_CRATES: &[&str] = &[
+pub(crate) const DIGEST_CRATES: &[&str] = &[
     "canal_sim",
     "canal_net",
     "canal_control",
@@ -50,7 +50,7 @@ pub const DIGEST_CRATES: &[&str] = &[
 
 /// Crates whose behaviour feeds the deterministic simulator. Wall clocks,
 /// ambient RNG and unordered-map iteration are forbidden here.
-pub const DETERMINISM_CRATES: &[&str] = &[
+pub(crate) const DETERMINISM_CRATES: &[&str] = &[
     "canal_sim",
     "canal_net",
     "canal_http",
@@ -69,7 +69,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 /// `canal-lint` depends on nothing; `canal-sim` and `bytes` are the only
 /// leaves everyone may sit on. Additions here are an architecture decision —
 /// keep the graph acyclic and shallow.
-pub const LAYERING_DAG: &[(&str, &[&str])] = &[
+pub(crate) const LAYERING_DAG: &[(&str, &[&str])] = &[
     ("bytes", &[]),
     ("canal_sim", &[]),
     ("canal_lint", &[]),
@@ -164,7 +164,7 @@ pub const LAYERING_DAG: &[(&str, &[&str])] = &[
 /// Internal deps additionally allowed in test targets (`tests/` dirs and
 /// `#[cfg(test)]`): the root crate's test suite drives the linter itself,
 /// and runs the experiment harness's scenarios over seed ranges.
-pub const TEST_ONLY_DEPS: &[(&str, &[&str])] = &[("canal", &["canal_lint", "canal_bench"])];
+pub(crate) const TEST_ONLY_DEPS: &[(&str, &[&str])] = &[("canal", &["canal_lint", "canal_bench"])];
 
 /// All rule ids, used to validate suppression annotations.
 pub const RULE_IDS: &[&str] = &[
@@ -179,7 +179,7 @@ pub const RULE_IDS: &[&str] = &[
     "digest-coverage",
     "bounded-state",
     "seed-dataflow",
-    "dead-export",
+    "wide-export",
 ];
 
 /// Documentation for one rule, served by `canal-lint --explain <rule>`.
@@ -296,15 +296,16 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         suppression: SUPPRESS_PLAIN,
     },
     RuleDoc {
-        id: "dead-export",
-        summary: "a pub item in library code must have a caller outside itself and tests",
-        rationale: "rustc's dead_code lint skips pub items, so exported code nobody calls \
-                    survives every refactor and has to be read, built and kept green. A pub \
-                    fn, inherent method, const, struct, enum, trait or type alias of a library \
-                    target is dead when no other file names it (tests, examples and benchmark/ \
-                    count; comments, strings and pub use re-exports do not) and its own file \
-                    names it only inside the item, its impl blocks or #[cfg(test)] code. \
-                    Delete it; a helper only tests need moves into the test module.",
+        id: "wide-export",
+        summary: "a pub item in library code must be named outside its crate",
+        rationale: "rustc's dead_code lint skips pub items, so every needless pub hides dead \
+                    code from the compiler. A pub fn, inherent method, const, struct, enum, \
+                    trait or type alias of a library target is too wide when no file outside \
+                    its crate names it: other crates, tests/, examples/, binaries and \
+                    benchmark/ count; comments, strings and pub use re-exports do not. A type \
+                    a kept item names, and the owner of a kept method, stay pub with it. Make \
+                    it pub(crate); dead_code (denied workspace-wide) then decides whether it \
+                    is used at all.",
         suppression: SUPPRESS_PLAIN,
     },
 ];
@@ -315,7 +316,7 @@ pub fn rule_doc(id: &str) -> Option<&'static RuleDoc> {
 }
 
 /// One textual pattern a rule searches for.
-pub struct Pattern {
+pub(crate) struct Pattern {
     /// Substring to find in masked code.
     pub needle: &'static str,
     /// Require a non-identifier character (or line start) before the match.
@@ -349,7 +350,7 @@ const fn method(needle: &'static str) -> Pattern {
 }
 
 /// Wall-clock reads: virtual time lives in `canal_sim::SimTime`.
-pub const WALLCLOCK_PATTERNS: &[Pattern] = &[
+pub(crate) const WALLCLOCK_PATTERNS: &[Pattern] = &[
     tok("Instant::now"),
     tok("SystemTime::now"),
     tok("std::time::Instant"),
@@ -358,7 +359,7 @@ pub const WALLCLOCK_PATTERNS: &[Pattern] = &[
 
 /// Ambient (unseeded) randomness, and the process environment: all
 /// randomness flows through `SimRng`, every other input through parameters.
-pub const AMBIENT_RNG_PATTERNS: &[Pattern] = &[
+pub(crate) const AMBIENT_RNG_PATTERNS: &[Pattern] = &[
     tok("thread_rng"),
     tok("rand::random"),
     tok("from_entropy"),
@@ -369,31 +370,31 @@ pub const AMBIENT_RNG_PATTERNS: &[Pattern] = &[
 ];
 
 /// Unordered collections whose iteration order depends on the hasher.
-pub const UNORDERED_MAP_PATTERNS: &[Pattern] = &[word("HashMap"), word("HashSet")];
+pub(crate) const UNORDERED_MAP_PATTERNS: &[Pattern] = &[word("HashMap"), word("HashSet")];
 
 /// Stdout belongs to `canal-bench` and binary targets; library crates
 /// communicate through return values and metrics.
-pub const STDOUT_PATTERNS: &[Pattern] = &[tok("println!"), tok("print!"), tok("dbg!")];
+pub(crate) const STDOUT_PATTERNS: &[Pattern] = &[tok("println!"), tok("print!"), tok("dbg!")];
 
 /// Ambient global state: survives across runs in one process, escapes the
 /// digest fold, and undermines per-tenant isolation reasoning.
-pub const GLOBAL_STATE_PATTERNS: &[Pattern] =
+pub(crate) const GLOBAL_STATE_PATTERNS: &[Pattern] =
     &[tok("static mut"), tok("thread_local!"), tok("lazy_static!")];
 
 /// Write-once cells, which are global state only as the type of a `static`
 /// item (see [`declares_static`]): as a field they live and die with the
 /// struct that owns them, like any other field.
-pub const STATIC_CELL_PATTERNS: &[Pattern] =
+pub(crate) const STATIC_CELL_PATTERNS: &[Pattern] =
     &[word("OnceLock"), word("OnceCell"), word("LazyLock")];
 
 /// Whether `line` holds the `static` keyword of an item, as against the
 /// `'static` lifetime.
-pub fn declares_static(line: &str) -> bool {
+pub(crate) fn declares_static(line: &str) -> bool {
     find_pattern(line, &word("static")).into_iter().any(|at| !line[..at].ends_with('\''))
 }
 
 /// Panicking constructs forbidden in library code outside `#[cfg(test)]`.
-pub const PANIC_PATTERNS: &[Pattern] = &[
+pub(crate) const PANIC_PATTERNS: &[Pattern] = &[
     method(".unwrap()"),
     method(".unwrap_err()"),
     method(".expect("),
@@ -410,7 +411,7 @@ fn is_ident_char(c: char) -> bool {
 
 /// Find every occurrence of `pat` in `line` honouring boundary flags.
 /// Returns byte offsets.
-pub fn find_pattern(line: &str, pat: &Pattern) -> Vec<usize> {
+pub(crate) fn find_pattern(line: &str, pat: &Pattern) -> Vec<usize> {
     let mut hits = Vec::new();
     let mut from = 0usize;
     while let Some(rel) = line[from..].find(pat.needle) {

@@ -122,20 +122,8 @@ impl RequestCtx {
         ctx
     }
 
-    /// Mark the request as bulk/batch traffic.
-    pub fn bulk(mut self) -> Self {
-        self.priority = Priority::Bulk;
-        self
-    }
-
-    /// Attach a trace context (propagated as request metadata).
-    pub fn traced(mut self, trace: TraceContext) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
     /// Whether the carried trace context asks sites to record spans.
-    pub fn trace_sampled(&self) -> bool {
+    pub(crate) fn trace_sampled(&self) -> bool {
         self.trace.is_some_and(|t| t.sampled)
     }
 }
@@ -525,7 +513,7 @@ impl MeshArchitecture for CanalMesh {
 }
 
 /// The no-mesh baseline.
-pub struct NoMesh {
+pub(crate) struct NoMesh {
     /// Cost constants (hop + app only).
     pub costs: CostModel,
 }
@@ -728,8 +716,8 @@ mod tests {
         use canal_net::TraceContext;
         let tc = TraceContext::root(99, true);
         let plain = RequestCtx::light();
-        let traced = RequestCtx::light().traced(tc);
-        let unsampled = RequestCtx::light().traced(TraceContext::root(99, false));
+        let traced = RequestCtx { trace: Some(tc), ..RequestCtx::light() };
+        let unsampled = RequestCtx { trace: Some(TraceContext::root(99, false)), ..RequestCtx::light() };
         let mut extras = Vec::new();
         for kind in [Architecture::Sidecar, Architecture::Ambient, Architecture::Canal] {
             let arch = build(kind, CostModel::default());
@@ -773,9 +761,9 @@ mod tests {
             RequestCtx::new_https(64),
             RequestCtx::resumed_https(8),
             https_large,
-            RequestCtx::light().traced(TraceContext::root(7, true)),
-            RequestCtx::light().traced(TraceContext::root(7, false)),
-            RequestCtx::light().bulk(),
+            RequestCtx { trace: Some(TraceContext::root(7, true)), ..RequestCtx::light() },
+            RequestCtx { trace: Some(TraceContext::root(7, false)), ..RequestCtx::light() },
+            RequestCtx { priority: Priority::Bulk, ..RequestCtx::light() },
         ];
         let mut d = Digest::new();
         for kind in Architecture::ALL {

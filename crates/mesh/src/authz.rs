@@ -135,21 +135,11 @@ impl AuthzPolicy {
         self
     }
 
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the policy has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Evaluate a request from a *verified* source identity (the mTLS layer
     /// established it; see `canal_crypto::mtls`) through the compiled
     /// tables: one bitmask intersection, first set bit wins, and the
     /// verdict is the tables' own.
-    pub fn check(&self, source_identity: u64, req: &Request) -> AuthzAction {
+    pub(crate) fn check(&self, source_identity: u64, req: &Request) -> AuthzAction {
         let l4 = L4Ctx {
             tenant: LOCAL_TENANT,
             vpc: VpcId(0),

@@ -134,19 +134,19 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Memory-copy cost for `bytes` of payload.
-    pub fn copy_cost(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn copy_cost(&self, bytes: usize) -> SimDuration {
         self.copy_per_kib.scale(bytes as f64 / 1024.0)
     }
 
     /// Symmetric crypto cost for `bytes` of payload.
-    pub fn sym_crypto_cost(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn sym_crypto_cost(&self, bytes: usize) -> SimDuration {
         self.sym_crypto_per_kib.scale(bytes as f64 / 1024.0)
     }
 
     /// Span-recording cost at an L7-rich (`true`) or L4 site. This is the
     /// §4.1.1 cost asymmetry: a sidecar mesh pays the rich price at two pods
     /// per request, canal once at the shared gateway.
-    pub fn telemetry_record_cpu(&self, l7: bool) -> SimDuration {
+    pub(crate) fn telemetry_record_cpu(&self, l7: bool) -> SimDuration {
         if l7 {
             self.telemetry_l7_span_cpu
         } else {

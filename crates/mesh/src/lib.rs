@@ -41,10 +41,8 @@ pub mod observability;
 pub mod path;
 pub mod resources;
 
-pub use arch::{Architecture, MeshArchitecture, RequestCtx};
-pub use authz::{AuthzAction, AuthzPolicy, AuthzRule};
+pub use authz::{AuthzPolicy, AuthzRule};
 pub use costs::CostModel;
 pub use l4policy::L4Filter;
 pub use l7::{L7Engine, L7Outcome};
-pub use path::{PathExecutor, StageId, Step};
-pub use canal_net::ratelimit::TokenBucket;
+pub use path::PathExecutor;

@@ -50,7 +50,7 @@ pub struct Step {
 
 impl Step {
     /// A pure-latency step (network hop, overhead).
-    pub fn wire(latency: SimDuration) -> Step {
+    pub(crate) fn wire(latency: SimDuration) -> Step {
         Step {
             stage: None,
             cpu: SimDuration::ZERO,
@@ -69,7 +69,7 @@ impl Step {
 
     /// A CPU step with extra non-CPU latency (e.g. an L7 pass with kernel
     /// I/O overhead).
-    pub fn cpu_with_overhead(stage: StageId, demand: SimDuration, overhead: SimDuration) -> Step {
+    pub(crate) fn cpu_with_overhead(stage: StageId, demand: SimDuration, overhead: SimDuration) -> Step {
         Step {
             stage: Some(stage),
             cpu: demand,
@@ -160,11 +160,6 @@ impl PathExecutor {
         steps
             .iter()
             .fold(SimDuration::ZERO, |acc, s| acc + s.cpu + s.latency)
-    }
-
-    /// A stage's CPU server, if registered.
-    pub fn stage(&self, id: StageId) -> Option<&CpuServer> {
-        self.stages.get(&id)
     }
 }
 

@@ -36,12 +36,12 @@ impl Default for SidecarResourceModel {
 
 impl SidecarResourceModel {
     /// Cores one sidecar burns at the given config complexity.
-    pub fn cpu_per_pod(&self, complexity: f64) -> f64 {
+    pub(crate) fn cpu_per_pod(&self, complexity: f64) -> f64 {
         self.cpu_base + self.cpu_slope * complexity.clamp(0.0, 1.0)
     }
 
     /// GB one sidecar holds at the given config complexity.
-    pub fn mem_per_pod_gb(&self, complexity: f64) -> f64 {
+    pub(crate) fn mem_per_pod_gb(&self, complexity: f64) -> f64 {
         self.mem_base_gb + self.mem_slope_gb * complexity.clamp(0.0, 1.0)
     }
 

@@ -33,7 +33,7 @@ impl VpcAddr {
     }
 
     /// Dotted-quad octets.
-    pub const fn octets(self) -> [u8; 4] {
+    pub(crate) const fn octets(self) -> [u8; 4] {
         [
             (self.ip >> 24) as u8,
             (self.ip >> 16) as u8,

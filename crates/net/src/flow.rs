@@ -15,7 +15,7 @@ use crate::packet::FiveTuple;
 use canal_sim::{SimDuration, SimTime};
 
 /// Key identifying a session (the five-tuple).
-pub type SessionKey = FiveTuple;
+pub(crate) type SessionKey = FiveTuple;
 
 /// Why an insertion failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,23 +70,13 @@ impl SessionTable {
         self.entries.is_empty()
     }
 
-    /// Session budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Occupancy fraction in [0, 1].
     pub fn occupancy(&self) -> f64 {
         self.entries.len() as f64 / self.capacity as f64
     }
 
-    /// Whether a session exists for this key.
-    pub fn contains(&self, key: &SessionKey) -> bool {
-        self.contains_hashed(FlowHash::of(key), key)
-    }
-
-    /// [`SessionTable::contains`] for a packet whose hash is already known
-    /// (`hash` must be `FlowHash::of(key)`).
+    /// Whether a session exists for `key`, whose hash the caller already
+    /// holds (`hash` must be `FlowHash::of(key)`).
     pub fn contains_hashed(&self, hash: FlowHash, key: &SessionKey) -> bool {
         self.entries.contains(hash.value(), key)
     }
@@ -170,7 +160,7 @@ mod tests {
     fn establish_and_close() {
         let mut t = SessionTable::new(10, SimDuration::from_secs(60));
         assert!(t.establish(key(1), T(0)).is_ok());
-        assert!(t.contains(&key(1)));
+        assert!(t.contains_hashed(FlowHash::of(&key(1)), &key(1)));
         assert_eq!(t.len(), 1);
         let age = t.close(&key(1), T(5)).unwrap();
         assert_eq!(age, SimDuration::from_secs(5));
@@ -265,7 +255,7 @@ mod tests {
                         let age = model.entries.remove(&k).map(|e| now.since(e.1));
                         assert_eq!(table.close(&k, now), age);
                     }
-                    6 => assert_eq!(table.contains(&k), model.entries.contains_key(&k)),
+                    6 => assert_eq!(table.contains_hashed(FlowHash::of(&k), &k), model.entries.contains_key(&k)),
                     _ => {
                         if rng.chance(0.1) {
                             assert_eq!(table.expire_idle(now), model.expire_idle(now));
@@ -277,7 +267,7 @@ mod tests {
             assert_eq!(table.stats(), model.stats);
             for i in 0..space {
                 let k = key(i as u16);
-                assert_eq!(table.contains(&k), model.entries.contains_key(&k));
+                assert_eq!(table.contains_hashed(FlowHash::of(&k), &k), model.entries.contains_key(&k));
             }
         }
     }

@@ -89,13 +89,8 @@ impl GlobalServiceId {
     }
 
     /// The per-tenant service component.
-    pub const fn service(self) -> ServiceId {
+    pub(crate) const fn service(self) -> ServiceId {
         ServiceId(self.0 as u32)
-    }
-
-    /// Raw 64-bit value.
-    pub const fn raw(self) -> u64 {
-        self.0
     }
 }
 

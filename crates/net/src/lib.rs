@@ -30,11 +30,10 @@ pub mod vxlan;
 pub use addr::{Endpoint, VpcAddr};
 pub use ecmp::{hash_five_tuple, FlowHash};
 pub use flat::{FlatKey, FlatTable};
-pub use flow::{SessionKey, SessionTable};
+pub use flow::SessionTable;
 pub use ids::{AzId, GlobalServiceId, NodeId, PodId, ServiceId, TenantId, VpcId};
-pub use nagle::NagleBuffer;
 pub use priority::Priority;
 pub use ratelimit::TokenBucket;
 pub use trace::TraceContext;
-pub use packet::{FiveTuple, Packet, Proto};
-pub use vxlan::{VSwitch, VxlanFrame, VXLAN_OVERHEAD};
+pub use packet::{FiveTuple, Packet};
+pub use vxlan::{VxlanFrame, VXLAN_OVERHEAD};

@@ -21,7 +21,7 @@ pub enum Proto {
 
 impl Proto {
     /// IANA protocol number.
-    pub const fn number(self) -> u8 {
+    pub(crate) const fn number(self) -> u8 {
         match self {
             Proto::Tcp => 6,
             Proto::Udp => 17,

@@ -27,14 +27,6 @@ impl Priority {
     /// Both classes, interactive first.
     pub const ALL: [Priority; 2] = [Priority::Interactive, Priority::Bulk];
 
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Bulk => "bulk",
-        }
-    }
-
     /// Stable low bit used when packing the class into a scheduler
     /// [`ClassId`](u64) alongside a tenant id.
     pub fn bit(self) -> u64 {

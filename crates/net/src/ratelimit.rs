@@ -58,11 +58,6 @@ impl TokenBucket {
         self.refill(now);
         self.rate_per_sec = rate_per_sec;
     }
-
-    /// Lifetime counters `(allowed, dropped)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.allowed, self.dropped)
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +75,7 @@ mod tests {
         }
         // ...then the 6th is dropped.
         assert!(!b.admit(T(0)));
-        assert_eq!(b.stats(), (5, 1));
+        assert_eq!((b.allowed, b.dropped), (5, 1));
     }
 
     #[test]

@@ -744,7 +744,7 @@ impl CompiledTenant {
     }
 
     /// Fold every compiled table into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.n as u64);
         for &a in &self.actions {
             d.write_u64(verdict_tag(a));

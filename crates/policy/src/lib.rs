@@ -40,7 +40,6 @@ pub use compile::{CompiledPolicySet, CompiledTenant, L4Verdict};
 pub use reference::{reference_l4_verdict, reference_l7_match, reference_l7_verdict};
 pub use spec::{
     validate, Cidr, HeaderPredicate, L4Ctx, L7Ctx, PolicyRejection, PolicyRule, PolicySpec,
-    PolicyVerdict, PortRange, SniMatch, TenantList, TenantNode, TenantPolicy, MAX_HEADER_PREDICATES,
-    MAX_PATH_PREFIX_BYTES, MAX_RULES_PER_TENANT,
+    PolicyVerdict, PortRange, SniMatch, TenantPolicy,
 };
 pub use store::{PolicyStore, POLICY_RETAIN_CAP};

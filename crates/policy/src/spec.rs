@@ -35,13 +35,13 @@ use std::sync::{Arc, OnceLock};
 
 /// Hard cap on rules per tenant: bounds compiled-table memory and is a
 /// semantic-rejection trigger, not a silent truncation.
-pub const MAX_RULES_PER_TENANT: usize = 4096;
+pub(crate) const MAX_RULES_PER_TENANT: usize = 4096;
 /// Hard cap on a path-prefix predicate, bytes. Together with
 /// [`MAX_RULES_PER_TENANT`] this bounds the compiled path trie.
-pub const MAX_PATH_PREFIX_BYTES: usize = 128;
+pub(crate) const MAX_PATH_PREFIX_BYTES: usize = 128;
 /// Hard cap on header predicates per rule (the compiled form gives each
 /// predicate a fixed slot).
-pub const MAX_HEADER_PREDICATES: usize = 4;
+pub(crate) const MAX_HEADER_PREDICATES: usize = 4;
 
 /// Allow or deny a flow/request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,17 +80,17 @@ impl Cidr {
     }
 
     /// Whether the prefix length is in range and no host bit is set.
-    pub const fn is_canonical(self) -> bool {
+    pub(crate) const fn is_canonical(self) -> bool {
         self.prefix_len <= 32 && (self.base & !self.mask()) == 0
     }
 
     /// Inclusive address range `[first, last]` the block covers.
-    pub const fn range(self) -> (u32, u32) {
+    pub(crate) const fn range(self) -> (u32, u32) {
         (self.base, self.base | !self.mask())
     }
 
     /// Whether `ip` falls inside the block.
-    pub const fn contains(self, ip: u32) -> bool {
+    pub(crate) const fn contains(self, ip: u32) -> bool {
         (ip & self.mask()) == self.base
     }
 }
@@ -188,7 +188,7 @@ impl PartialEq for PolicyRule {
 
 impl PolicyRule {
     /// A match-everything rule with the given verdict.
-    pub fn any(action: PolicyVerdict) -> Self {
+    pub(crate) fn any(action: PolicyVerdict) -> Self {
         PolicyRule {
             source_cidr: None,
             dest_ports: None,
@@ -258,7 +258,7 @@ impl PolicyRule {
 
     /// Whether the rule carries any L7 predicate (method/path/SNI/header) —
     /// such a rule cannot be decided on the node L4 path.
-    pub fn has_l7_predicates(&self) -> bool {
+    pub(crate) fn has_l7_predicates(&self) -> bool {
         !self.methods.is_empty()
             || !self.path_prefix.is_empty()
             || self.sni.is_some()
@@ -266,7 +266,7 @@ impl PolicyRule {
     }
 
     /// Fold the rule content into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         match self.source_cidr {
             None => {
                 d.write_u64(0);
@@ -342,18 +342,8 @@ pub struct TenantPolicy {
 }
 
 impl TenantPolicy {
-    /// An empty default-deny policy for a tenant.
-    pub fn default_deny(tenant: TenantId, vpc: VpcId) -> Self {
-        TenantPolicy {
-            tenant,
-            vpc,
-            rules: Vec::new(),
-            default_action: PolicyVerdict::Deny,
-        }
-    }
-
     /// Fold the tenant policy into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.tenant.0 as u64)
             .write_u64(self.vpc.0 as u64)
             .write_u64(self.rules.len() as u64);
@@ -435,13 +425,8 @@ pub struct TenantList(Vec<Arc<TenantNode>>);
 
 impl TenantList {
     /// Number of tenants.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// Whether the list holds no tenant.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// The tenants in order.
@@ -654,7 +639,7 @@ impl fmt::Display for PolicyRejection {
 
 /// Validate one tenant's rules (shared by [`validate`] and the per-tenant
 /// compiler).
-pub fn validate_tenant(tp: &TenantPolicy) -> Result<(), PolicyRejection> {
+pub(crate) fn validate_tenant(tp: &TenantPolicy) -> Result<(), PolicyRejection> {
     if tp.rules.len() > MAX_RULES_PER_TENANT {
         return Err(PolicyRejection::TooManyRules {
             tenant: tp.tenant,
@@ -760,6 +745,11 @@ mod tests {
         TenantId(1)
     }
 
+    /// An empty default-deny policy for a tenant.
+    fn default_deny(tenant: TenantId, vpc: VpcId) -> TenantPolicy {
+        TenantPolicy { tenant, vpc, rules: Vec::new(), default_action: PolicyVerdict::Deny }
+    }
+
     #[test]
     fn cidr_canonical_and_range() {
         let c = Cidr::new(0x0A00_0000, 16); // 10.0.0.0/16
@@ -775,7 +765,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_semantic_poison() {
-        let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+        let mut tp = default_deny(t1(), VpcId(1));
         tp.rules.push(PolicyRule::allow().with_ports(443, 80));
         let spec = PolicySpec { version: 1, tenants: [tp].into_iter().collect() };
         assert_eq!(
@@ -786,8 +776,8 @@ mod tests {
 
     #[test]
     fn validation_rejects_duplicate_tenant_and_bad_cidr() {
-        let a = TenantPolicy::default_deny(t1(), VpcId(1));
-        let b = TenantPolicy::default_deny(t1(), VpcId(2));
+        let a = default_deny(t1(), VpcId(1));
+        let b = default_deny(t1(), VpcId(2));
         let spec = PolicySpec { version: 1, tenants: [a.clone(), b].into_iter().collect() };
         assert_eq!(validate(&spec), Err(PolicyRejection::DuplicateTenant(t1())));
 
@@ -800,7 +790,7 @@ mod tests {
     #[test]
     fn validation_rejects_sni_suffix_without_its_dot() {
         let suffix = |s: &str| {
-            let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+            let mut tp = default_deny(t1(), VpcId(1));
             tp.rules.push(PolicyRule::deny());
             tp.rules.push(PolicyRule::allow().with_sni(SniMatch::Suffix(s.to_string())));
             validate(&PolicySpec { version: 1, tenants: [tp].into_iter().collect() })
@@ -835,7 +825,7 @@ mod tests {
 
     #[test]
     fn validation_enforces_caps() {
-        let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+        let mut tp = default_deny(t1(), VpcId(1));
         let mut r = PolicyRule::allow();
         for i in 0..=MAX_HEADER_PREDICATES {
             r = r.with_header(&format!("x-h{i}"), None);
@@ -846,7 +836,7 @@ mod tests {
             Err(PolicyRejection::TooManyHeaderPredicates { tenant: t1(), rule: 0 })
         );
 
-        let mut long = TenantPolicy::default_deny(t1(), VpcId(1));
+        let mut long = default_deny(t1(), VpcId(1));
         long.rules
             .push(PolicyRule::allow().with_path_prefix(&"a".repeat(MAX_PATH_PREFIX_BYTES + 1)));
         assert_eq!(
@@ -863,7 +853,7 @@ mod tests {
     fn an_edit_copies_the_tenant_it_touches_only_while_it_is_shared() {
         let mut spec = PolicySpec {
             version: 1,
-            tenants: (1..=3).map(|t| TenantPolicy::default_deny(TenantId(t), VpcId(t))).collect(),
+            tenants: (1..=3).map(|t| default_deny(TenantId(t), VpcId(t))).collect(),
         };
         let held = spec.clone();
         assert_eq!(spec.tenants.shared_tenants(&held.tenants), 3);
@@ -900,7 +890,7 @@ mod tests {
             version: spec.version,
             tenants: spec.tenants.iter().cloned().collect(),
         };
-        let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+        let mut tp = default_deny(t1(), VpcId(1));
         tp.rules.push(PolicyRule::allow().with_ports(80, 80));
         let mut spec = PolicySpec { version: 1, tenants: [tp].into_iter().collect() };
         assert_eq!(format!("{:?}", spec.tenants.shared()[0]), format!("{:?}", spec.tenants[0]));
@@ -926,7 +916,7 @@ mod tests {
     #[test]
     fn digest_is_content_sensitive() {
         let mut a = PolicySpec { version: 1, ..PolicySpec::default() };
-        let mut tp = TenantPolicy::default_deny(t1(), VpcId(1));
+        let mut tp = default_deny(t1(), VpcId(1));
         tp.rules.push(PolicyRule::allow().with_path_prefix("/api"));
         a.tenants.push(tp);
         let mut b = a.clone();

@@ -61,11 +61,6 @@ impl PolicyStore {
         self.by_version.is_empty()
     }
 
-    /// How many specs have been evicted since construction.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Fold the archive into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.by_version.len() as u64).write_u64(self.evicted);
@@ -78,7 +73,7 @@ impl PolicyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PolicyRule, PortRange, TenantNode, TenantPolicy};
+    use crate::spec::{PolicyRule, PolicyVerdict, PortRange, TenantNode, TenantPolicy};
     use canal_net::{TenantId, VpcId};
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -94,7 +89,7 @@ mod tests {
             store.record(spec(v));
         }
         assert_eq!(store.len(), POLICY_RETAIN_CAP);
-        assert_eq!(store.evicted(), 4);
+        assert_eq!(store.evicted, 4);
         assert!(store.get(1).is_none(), "oldest evicted");
         assert!(store.get(POLICY_RETAIN_CAP as u64 + 4).is_some());
     }
@@ -109,8 +104,10 @@ mod tests {
             version: 0,
             tenants: (1..=TENANTS as u32)
                 .map(|t| TenantPolicy {
+                    tenant: TenantId(t),
+                    vpc: VpcId(t),
                     rules: vec![PolicyRule::allow().with_ports(80, 80)],
-                    ..TenantPolicy::default_deny(TenantId(t), VpcId(t))
+                    default_action: PolicyVerdict::Deny,
                 })
                 .collect(),
         };

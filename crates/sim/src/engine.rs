@@ -7,7 +7,7 @@
 //! directly, which keeps borrow scopes simple and the event order fully
 //! deterministic (ties broken by insertion sequence, FIFO).
 
-use crate::invariant::{Digest, EventOrderMonitor};
+use crate::invariant::EventOrderMonitor;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,15 +31,9 @@ pub struct Scheduler<E> {
     now: SimTime,
     // lint:allow(bounded-state) reason=drained wholesale into the Simulation queue after every single dispatch
     pending: Vec<(SimTime, E)>,
-    halted: bool,
 }
 
 impl<E> Scheduler<E> {
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedule `event` to fire `delay` after the current instant.
     pub fn after(&mut self, delay: SimDuration, event: E) {
         self.pending.push((self.now + delay, event));
@@ -49,11 +43,6 @@ impl<E> Scheduler<E> {
     /// immediately (at `now`), preserving causality.
     pub fn at(&mut self, time: SimTime, event: E) {
         self.pending.push((time.max(self.now), event));
-    }
-
-    /// Request the simulation stop once the current handler returns.
-    pub fn halt(&mut self) {
-        self.halted = true;
     }
 }
 
@@ -116,39 +105,9 @@ impl<E> Simulation<E> {
         }
     }
 
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Total number of events fired so far.
     pub fn events_fired(&self) -> u64 {
         self.events_fired
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Fold the engine state into a digest: clock (`now`), insertion
-    /// sequence (`seq`), dispatch count (`events_fired`), the `(time, seq)`
-    /// shape of every event still in `queue` (canonical order), and the
-    /// `monitor` position. Event payloads are the model's to digest, and
-    /// the `scratch` buffer is empty between dispatches.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        debug_assert!(self.scratch.is_empty(), "scratch is drained by every dispatch");
-        d.write_u64(self.now.as_nanos())
-            .write_u64(self.seq)
-            .write_u64(self.events_fired)
-            .write_u64(self.queue.len() as u64);
-        let mut shape: Vec<(SimTime, u64)> =
-            self.queue.iter().map(|q| (q.time, q.seq)).collect();
-        shape.sort_unstable();
-        for (t, seq) in shape {
-            d.write_u64(t.as_nanos()).write_u64(seq);
-        }
-        self.monitor.fold_digest(d);
     }
 
     /// Seed an event at an absolute instant before (or during) the run.
@@ -163,8 +122,8 @@ impl<E> Simulation<E> {
     }
 
     /// Pop and dispatch a single event. Returns `false` when the queue is
-    /// empty or the model halted.
-    pub fn step<M: Model<Event = E>>(&mut self, model: &mut M) -> bool {
+    /// empty.
+    pub(crate) fn step<M: Model<Event = E>>(&mut self, model: &mut M) -> bool {
         let Some(next) = self.queue.pop() else {
             return false;
         };
@@ -176,19 +135,38 @@ impl<E> Simulation<E> {
         let mut sched = Scheduler {
             now: self.now,
             pending: std::mem::take(&mut self.scratch),
-            halted: false,
         };
         model.handle(self.now, next.event, &mut sched);
         for (t, e) in sched.pending.drain(..) {
             self.schedule(t, e);
         }
         self.scratch = sched.pending;
-        !sched.halted
+        true
     }
 
-    /// Run until the queue drains or the model halts.
+    /// Run until the queue drains.
     pub fn run<M: Model<Event = E>>(&mut self, model: &mut M) {
         while self.step(model) {}
+    }
+
+    /// Fold the engine state into a digest: clock (`now`), insertion
+    /// sequence (`seq`), dispatch count (`events_fired`) and the `(time,
+    /// seq)` shape of every event still in `queue` (canonical order). Event
+    /// payloads are the model's to digest, the `scratch` buffer is empty
+    /// between dispatches, and the `monitor` only checks the order.
+    #[cfg(test)]
+    fn fold_digest(&self, d: &mut crate::invariant::Digest) {
+        debug_assert!(self.scratch.is_empty(), "scratch is drained by every dispatch");
+        d.write_u64(self.now.as_nanos())
+            .write_u64(self.seq)
+            .write_u64(self.events_fired)
+            .write_u64(self.queue.len() as u64);
+        let mut shape: Vec<(SimTime, u64)> =
+            self.queue.iter().map(|q| (q.time, q.seq)).collect();
+        shape.sort_unstable();
+        for (t, seq) in shape {
+            d.write_u64(t.as_nanos()).write_u64(seq);
+        }
     }
 }
 
@@ -199,7 +177,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Ev {
         Tick(u32),
-        Stop,
     }
 
     #[derive(Default)]
@@ -209,11 +186,9 @@ mod tests {
 
     impl Model for Recorder {
         type Event = Ev;
-        fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-            match event {
-                Ev::Tick(id) => self.seen.push((now.as_nanos(), id)),
-                Ev::Stop => sched.halt(),
-            }
+        fn handle(&mut self, now: SimTime, event: Ev, _sched: &mut Scheduler<Ev>) {
+            let Ev::Tick(id) = event;
+            self.seen.push((now.as_nanos(), id));
         }
     }
 
@@ -242,15 +217,19 @@ mod tests {
     }
 
     #[test]
-    fn halt_stops_the_loop() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime::from_nanos(1), Ev::Tick(1));
-        sim.schedule(SimTime::from_nanos(2), Ev::Stop);
-        sim.schedule(SimTime::from_nanos(3), Ev::Tick(3));
-        let mut m = Recorder::default();
-        sim.run(&mut m);
-        assert_eq!(m.seen, vec![(1, 1)]);
-        assert_eq!(sim.pending(), 1);
+    fn the_same_schedule_folds_the_same_engine_state() {
+        let fold = |ticks: u32| {
+            let mut sim = Simulation::new();
+            for id in 0..ticks {
+                sim.schedule(SimTime::from_nanos(u64::from(id % 3)), Ev::Tick(id));
+            }
+            sim.step(&mut Recorder::default());
+            let mut d = crate::invariant::Digest::new();
+            sim.fold_digest(&mut d);
+            d.value()
+        };
+        assert_eq!(fold(5), fold(5));
+        assert_ne!(fold(5), fold(6), "a queued event moves the digest");
     }
 
     struct Chain {
@@ -296,7 +275,7 @@ mod tests {
     /// Schedules through the handler's [`Scheduler`], so every dispatch
     /// goes through the reused buffer: `Fan(n, delay)` at `t` schedules `n`
     /// leaves (ids `10 n + k`) at `t + delay`, `Back` one leaf 5 ns before
-    /// now, and `Halt(n)` `n` leaves 1 ns apart before it halts.
+    /// now.
     #[derive(Default)]
     struct Fanout {
         seen: Vec<(u64, u32)>,
@@ -306,7 +285,6 @@ mod tests {
         Fan(u32, u64),
         Back(u32),
         Leaf(u32),
-        Halt(u32),
     }
 
     impl Model for Fanout {
@@ -320,12 +298,6 @@ mod tests {
                 }
                 FanEv::Back(id) => sched.at(SimTime::from_nanos(now.as_nanos() - 5), FanEv::Leaf(id)),
                 FanEv::Leaf(id) => self.seen.push((now.as_nanos(), id)),
-                FanEv::Halt(n) => {
-                    for k in 0..n {
-                        sched.after(SimDuration::from_nanos(k as u64), FanEv::Leaf(100 + k));
-                    }
-                    sched.halt();
-                }
             }
         }
     }
@@ -362,25 +334,7 @@ mod tests {
         sim.run(&mut m);
         // Clamped to t=20, behind the leaf already queued for that instant.
         assert_eq!(m.seen, vec![(20, 8), (20, 7), (21, 9)]);
-        assert_eq!(sim.now(), SimTime::from_nanos(21));
-    }
-
-    #[test]
-    fn events_a_halting_handler_schedules_stay_queued() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime::from_nanos(1), FanEv::Fan(2, 1));
-        sim.schedule(SimTime::from_nanos(3), FanEv::Halt(3));
-        sim.schedule(SimTime::from_nanos(9), FanEv::Leaf(9));
-        let mut m = Fanout::default();
-        sim.run(&mut m);
-        assert_eq!(m.seen, vec![(2, 20), (2, 21)]);
-        // The leaf at t=9 plus the three the halting handler scheduled.
-        assert_eq!(sim.pending(), 4);
-        assert_eq!(sim.now(), SimTime::from_nanos(3));
-        // They fire when the run resumes, in time order.
-        sim.run(&mut m);
-        assert_eq!(m.seen[2..], [(3, 100), (4, 101), (5, 102), (9, 9)]);
-        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.now, SimTime::from_nanos(21));
     }
 
     /// A time-sorted arrival list plus pre-scheduled plan events, each of

@@ -22,20 +22,20 @@ use crate::time::SimTime;
 /// be lexicographic in `(time, seq)`: time non-decreasing, and strictly
 /// increasing `seq` within one instant (FIFO tie-break).
 #[derive(Debug, Clone, Default)]
-pub struct EventOrderMonitor {
+pub(crate) struct EventOrderMonitor {
     last: Option<(SimTime, u64)>,
 }
 
 impl EventOrderMonitor {
     /// A monitor that has seen nothing yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventOrderMonitor { last: None }
     }
 
     /// Record one dispatched event. In debug builds (and therefore in every
     /// test run) a violated invariant aborts with a message naming the
     /// offending pair; release builds only track state.
-    pub fn observe(&mut self, time: SimTime, seq: u64) {
+    pub(crate) fn observe(&mut self, time: SimTime, seq: u64) {
         if let Some((last_time, last_seq)) = self.last {
             debug_assert!(
                 time >= last_time,
@@ -47,20 +47,6 @@ impl EventOrderMonitor {
             );
         }
         self.last = Some((time, seq));
-    }
-
-    /// The most recently observed `(time, seq)` pair.
-    pub fn last_seen(&self) -> Option<(SimTime, u64)> {
-        self.last
-    }
-
-    /// Fold the monitor position (`last`) into a digest: two runs that
-    /// dispatched the same event stream end at the same `(time, seq)`.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        match self.last {
-            Some((t, seq)) => d.write_u64(1).write_u64(t.as_nanos()).write_u64(seq),
-            None => d.write_u64(0),
-        };
     }
 }
 
@@ -132,7 +118,7 @@ mod tests {
         m.observe(SimTime::from_nanos(5), 3);
         m.observe(SimTime::from_nanos(9), 1); // seq may reset across instants
         m.observe(SimTime::from_nanos(9), 2);
-        assert_eq!(m.last_seen(), Some((SimTime::from_nanos(9), 2)));
+        assert_eq!(m.last, Some((SimTime::from_nanos(9), 2)));
     }
 
     // The monitor's checks are `debug_assert!`s: no panic to expect without them.

@@ -47,9 +47,9 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Model, Scheduler, Simulation};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
-pub use invariant::{Digest, EventOrderMonitor};
-pub use metrics::{Exemplar, Histogram, TimeSeries};
-pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, FairServed, QueueReject};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
+pub use invariant::Digest;
+pub use metrics::{Histogram, TimeSeries};
+pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, QueueReject};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -101,13 +101,8 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Arithmetic mean, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -217,11 +212,6 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// New empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a sample; samples must arrive in non-decreasing time order.
     pub fn push(&mut self, t: SimTime, v: f64) {
         debug_assert!(
@@ -234,21 +224,6 @@ impl TimeSeries {
     /// All samples.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Last value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
     }
 
     /// First time at which the value satisfies `pred`, at or after `from`.
@@ -351,7 +326,7 @@ mod tests {
 
     #[test]
     fn timeseries_window_queries() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         for i in 0..10u64 {
             s.push(SimTime::from_secs(i), i as f64);
         }
@@ -359,6 +334,6 @@ mod tests {
             s.first_time(SimTime::from_secs(4), |v| v > 6.0),
             Some(SimTime::from_secs(7))
         );
-        assert_eq!(s.last(), Some(9.0));
+        assert_eq!(s.points.last(), Some(&(SimTime::from_secs(9), 9.0)));
     }
 }

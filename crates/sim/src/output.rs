@@ -39,16 +39,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render as an aligned text block.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -123,7 +113,7 @@ mod tests {
         // Columns padded to the same width: both data lines equal length.
         let lines: Vec<&str> = r.lines().skip(2).collect();
         assert_eq!(lines.len(), 3); // separator + 2 rows
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

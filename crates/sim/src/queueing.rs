@@ -61,11 +61,6 @@ impl CpuServer {
         }
     }
 
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.core_free.len()
-    }
-
     /// Submit a job arriving at `arrival` needing `demand` of CPU time.
     /// Returns when it started, finished and how long it queued.
     pub fn submit(&mut self, arrival: SimTime, demand: SimDuration) -> Served {
@@ -91,20 +86,6 @@ impl CpuServer {
         }
     }
 
-    /// Total jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Average utilization in `[0,1]` over `[0, now]` across all cores.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let elapsed = now.as_nanos() as f64 * self.core_free.len() as f64;
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        (self.busy.as_nanos() as f64 / elapsed).min(1.0)
-    }
-
     /// Utilization over the window since the last [`Self::reset_window`],
     /// then restart the window at `now`. Used by the periodic backend
     /// water-level monitors.
@@ -118,12 +99,6 @@ impl CpuServer {
         self.window_start = now;
         self.window_busy = SimDuration::ZERO;
         u
-    }
-
-    /// Restart the utilization window without reading it.
-    pub fn reset_window(&mut self, now: SimTime) {
-        self.window_start = now;
-        self.window_busy = SimDuration::ZERO;
     }
 
     /// Fold the full server state into a digest: every `core_free` instant,
@@ -290,11 +265,6 @@ impl<T> FairCpuServer<T> {
         }
     }
 
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.core_free.len()
-    }
-
     /// Offer a job to `class` at `now`. Advances the scheduler to `now`
     /// first (so cap checks see the live backlog), then either enqueues the
     /// job with its `payload` — returning its ticket — or rejects it at the
@@ -437,16 +407,6 @@ impl<T> FairCpuServer<T> {
         queued.chain(self.started.iter().map(|j| (j.ticket, &j.payload)))
     }
 
-    /// When the next queued job could start: the earliest core-free
-    /// instant, if anything is queued. After `advance(now)` this is always
-    /// strictly after `now` — callers use it to schedule a pump event.
-    pub fn next_wake(&self) -> Option<SimTime> {
-        if self.classes.values().all(|c| c.queue.is_empty()) {
-            return None;
-        }
-        self.core_free.iter().copied().min()
-    }
-
     /// Queue depth of one class.
     pub fn depth(&self, class: ClassId) -> usize {
         self.classes.get(&class).map_or(0, |c| c.queue.len())
@@ -553,15 +513,6 @@ mod tests {
         assert_eq!(b.queued, SimDuration::ZERO);
         let c = s.submit(SimTime::ZERO, US(10));
         assert_eq!(c.queued, US(10));
-    }
-
-    #[test]
-    fn utilization_integrates_busy_time() {
-        let mut s = CpuServer::new(2);
-        s.submit(SimTime::ZERO, US(10));
-        // 10us busy over 2 cores * 20us elapsed = 25%.
-        let u = s.utilization(SimTime::from_micros(20));
-        assert!((u - 0.25).abs() < 1e-9, "{u}");
     }
 
     #[test]
@@ -741,18 +692,6 @@ mod tests {
         s.advance(SimTime::from_micros(60));
         let started: Vec<_> = s.drain_started().collect();
         assert_eq!(started[1].sojourn, SimDuration::from_micros(50));
-    }
-
-    #[test]
-    fn fair_next_wake_tracks_core_free() {
-        let mut s = fair(1);
-        s.add_class(1, ClassConfig::default());
-        assert_eq!(s.next_wake(), None);
-        s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap(); // running
-        s.offer(SimTime::ZERO, 1, US(10), 1, ()).unwrap(); // queued
-        assert_eq!(s.next_wake(), Some(SimTime::from_micros(10)));
-        s.advance(SimTime::from_micros(10));
-        assert_eq!(s.next_wake(), None);
     }
 
     #[test]

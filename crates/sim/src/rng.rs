@@ -113,7 +113,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller.
-    pub fn std_normal(&mut self) -> f64 {
+    pub(crate) fn std_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
         let u2 = self.f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

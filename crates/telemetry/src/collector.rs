@@ -38,7 +38,7 @@ impl AssembledTrace {
     }
 
     /// Spans whose parent is `span_id`, in span-id order.
-    pub fn children(&self, span_id: u32) -> impl Iterator<Item = &Span> {
+    pub(crate) fn children(&self, span_id: u32) -> impl Iterator<Item = &Span> {
         self.spans.iter().filter(move |s| s.parent == Some(span_id))
     }
 
@@ -128,7 +128,7 @@ impl AssembledTrace {
 
     /// Fold the canonical form into a digest. Because spans are sorted by
     /// id, the value is independent of span arrival order.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.trace_id).write_u64(self.spans.len() as u64);
         for s in &self.spans {
             s.fold_digest(d);
@@ -161,11 +161,6 @@ impl Collector {
         for s in spans {
             self.ingest(s);
         }
-    }
-
-    /// Spans ingested so far.
-    pub fn ingested(&self) -> u64 {
-        self.ingested
     }
 
     /// Assemble one trace, if any of its spans have arrived.

@@ -14,7 +14,7 @@
 //! the "drop observability before dropping requests" stage of the overload
 //! pipeline, now actually connected to a modeled cost.
 
-use canal_sim::{Digest, SimDuration};
+use canal_sim::SimDuration;
 
 /// Per-span CPU and wire-byte prices.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +45,7 @@ impl Default for TelemetryCostModel {
 
 impl TelemetryCostModel {
     /// Recording CPU for a span at an L7 (`true`) or L4 site.
-    pub fn record_cpu(&self, l7: bool) -> SimDuration {
+    pub(crate) fn record_cpu(&self, l7: bool) -> SimDuration {
         if l7 {
             self.l7_record_cpu
         } else {
@@ -54,7 +54,7 @@ impl TelemetryCostModel {
     }
 
     /// Wire bytes for a span at an L7 (`true`) or L4 site.
-    pub fn span_bytes(&self, l7: bool) -> u64 {
+    pub(crate) fn span_bytes(&self, l7: bool) -> u64 {
         if l7 {
             self.l7_span_bytes
         } else {
@@ -128,16 +128,6 @@ impl TelemetryMeter {
     /// Spans shed (recording skipped, cost refunded).
     pub fn refunded_spans(&self) -> u64 {
         self.refunded_spans
-    }
-
-    /// Fold the account into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.cpu.as_nanos())
-            .write_u64(self.bytes)
-            .write_u64(self.spans_recorded)
-            .write_u64(self.spans_exported)
-            .write_u64(self.refunded_cpu.as_nanos())
-            .write_u64(self.refunded_spans);
     }
 }
 

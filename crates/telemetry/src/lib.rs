@@ -27,7 +27,7 @@ pub mod cost;
 pub mod sampler;
 pub mod span;
 
-pub use collector::{AssembledTrace, Collector};
+pub use collector::Collector;
 pub use cost::{TelemetryCostModel, TelemetryMeter};
 pub use sampler::{HeadSampler, TailPolicy};
 pub use span::{HopSite, SegmentKind, Span, SpanRing};

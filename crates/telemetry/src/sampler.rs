@@ -20,7 +20,7 @@
 //! and the per-span recording cost is refunded to the request path (see
 //! [`TelemetryMeter`](crate::TelemetryMeter)).
 
-use canal_sim::{Digest, Histogram, SimDuration, SimRng};
+use canal_sim::{Histogram, SimDuration, SimRng};
 
 /// Deterministic, propagation-consistent head sampler.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ impl HeadSampler {
 
     /// The pure decision: would this trace be head-sampled (ignoring shed)?
     /// Every site carrying the same salt agrees.
-    pub fn would_sample(&self, trace_id: u64) -> bool {
+    pub(crate) fn would_sample(&self, trace_id: u64) -> bool {
         // Top 53 bits → uniform in [0,1); compare against the rate.
         let u = (Self::mix(self.salt, trace_id) >> 11) as f64 / (1u64 << 53) as f64;
         u < self.rate
@@ -86,21 +86,6 @@ impl HeadSampler {
     /// Whether sampling is currently shed.
     pub fn is_shed(&self) -> bool {
         self.shed
-    }
-
-    /// Configured head rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Decisions taken so far.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Positive decisions so far.
-    pub fn kept(&self) -> u64 {
-        self.kept
     }
 
     /// Decisions forced negative by shedding.
@@ -170,35 +155,11 @@ impl TailPolicy {
         verdict
     }
 
-    /// Traces kept because they errored.
-    pub fn kept_error(&self) -> u64 {
-        self.kept_error
-    }
-
-    /// Traces kept because they were in the slow tail.
-    pub fn kept_slow(&self) -> u64 {
-        self.kept_slow
-    }
-
-    /// Traces kept only because the estimator was still warming up.
-    pub fn kept_warmup(&self) -> u64 {
-        self.kept_warmup
-    }
-
-    /// Traces the tail stage declined.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Completed traces observed.
-    pub fn observed(&self) -> u64 {
-        self.totals_ms.count()
-    }
-
     /// Fold the policy state into a digest: the configuration, the running
     /// `totals_ms` latency distribution, and the
     /// `kept_error`/`kept_slow`/`kept_warmup`/`dropped` verdict counters.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    #[cfg(test)]
+    fn fold_digest(&self, d: &mut canal_sim::Digest) {
         d.write_f64(self.slow_quantile).write_u64(self.warmup);
         self.totals_ms.fold_digest(d);
         d.write_u64(self.kept_error)
@@ -245,7 +206,7 @@ mod tests {
         assert_eq!(s.shed_refused(), 1);
         s.set_shed(false);
         assert!(s.decide(3));
-        assert_eq!(s.kept(), 2);
+        assert_eq!(s.kept, 2);
     }
 
     #[test]
@@ -265,7 +226,22 @@ mod tests {
         assert!(dropped > 900, "fast clean traces mostly dropped: {dropped}");
         assert!(tail.keep(SimDuration::from_millis(1), true), "error kept");
         assert!(tail.keep(SimDuration::from_millis(500), false), "slow kept");
-        assert_eq!(tail.kept_error(), 1);
-        assert!(tail.kept_slow() >= 1);
+        assert_eq!(tail.kept_error, 1);
+        assert!(tail.kept_slow >= 1);
+    }
+
+    #[test]
+    fn the_same_traces_fold_the_same_tail_state() {
+        let fold = |traces: u64| {
+            let mut tail = TailPolicy::new(0.99, 10);
+            for i in 0..traces {
+                tail.keep(SimDuration::from_millis(1 + i % 50), i % 17 == 0);
+            }
+            let mut d = canal_sim::Digest::new();
+            tail.fold_digest(&mut d);
+            d.value()
+        };
+        assert_eq!(fold(200), fold(200));
+        assert_ne!(fold(200), fold(201), "every verdict is folded");
     }
 }

@@ -80,7 +80,7 @@ impl HopSite {
     }
 
     /// Stable numeric tag for digests.
-    pub fn tag(self) -> u64 {
+    pub(crate) fn tag(self) -> u64 {
         match self {
             HopSite::ClientSidecar => 0,
             HopSite::ServerSidecar => 1,
@@ -136,7 +136,7 @@ impl SegmentKind {
     }
 
     /// Stable numeric tag for digests.
-    pub fn tag(self) -> u64 {
+    pub(crate) fn tag(self) -> u64 {
         match self {
             SegmentKind::Queue => 0,
             SegmentKind::Crypto => 1,
@@ -187,7 +187,7 @@ impl Span {
     }
 
     /// Wall duration of the hop.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end.since(self.start)
     }
 
@@ -197,16 +197,8 @@ impl Span {
         self.end += d;
     }
 
-    /// Total time recorded under `kind`.
-    pub fn segment(&self, kind: SegmentKind) -> SimDuration {
-        self.segments
-            .iter()
-            .filter(|&&(k, _)| k == kind)
-            .fold(SimDuration::ZERO, |acc, &(_, d)| acc + d)
-    }
-
     /// Fold this span into a digest (order-stable given a stable span order).
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.trace_id)
             .write_u64(self.span_id as u64)
             .write_u64(self.parent.map_or(u64::MAX, |p| p as u64))
@@ -265,21 +257,6 @@ impl SpanRing {
             .collect()
     }
 
-    /// Spans currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total spans ever recorded.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
     /// Spans lost to eviction.
     pub fn evicted(&self) -> u64 {
         self.evicted
@@ -287,7 +264,8 @@ impl SpanRing {
 
     /// Fold the ring into a digest: the `cap`, every buffered span in
     /// `buf` (recording order), and the `recorded`/`evicted` counters.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    #[cfg(test)]
+    fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.cap as u64).write_u64(self.buf.len() as u64);
         for s in &self.buf {
             s.fold_digest(d);
@@ -312,26 +290,35 @@ mod tests {
     }
 
     #[test]
-    fn segments_extend_duration_and_sum_by_kind() {
+    fn segments_extend_duration() {
         let mut s = span(1, 0);
         s.push_segment(SegmentKind::Network, SimDuration::from_micros(100));
         s.push_segment(SegmentKind::L7Parse, SimDuration::from_micros(5));
         assert_eq!(s.duration(), SimDuration::from_micros(130));
-        assert_eq!(s.segment(SegmentKind::L7Parse), SimDuration::from_micros(30));
-        assert_eq!(s.segment(SegmentKind::Crypto), SimDuration::ZERO);
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts() {
-        let mut ring = SpanRing::new(3);
-        for t in 1..=5u64 {
-            ring.record(span(t, 0));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.recorded(), 5);
-        assert_eq!(ring.evicted(), 2);
-        assert!(ring.retrieve(1).is_empty(), "oldest evicted");
-        assert_eq!(ring.retrieve(5).len(), 1);
+        let ring = |spans: u64| {
+            let mut ring = SpanRing::new(3);
+            for t in 1..=spans {
+                ring.record(span(t, 0));
+            }
+            ring
+        };
+        let fold = |ring: &SpanRing| {
+            let mut d = Digest::new();
+            ring.fold_digest(&mut d);
+            d.value()
+        };
+        let full = ring(5);
+        assert_eq!(full.buf.len(), 3);
+        assert_eq!(full.recorded, 5);
+        assert_eq!(full.evicted(), 2);
+        assert!(full.retrieve(1).is_empty(), "oldest evicted");
+        assert_eq!(full.retrieve(5).len(), 1);
+        assert_eq!(fold(&full), fold(&ring(5)));
+        assert_ne!(fold(&full), fold(&ring(6)), "the evicted count is folded");
     }
 
     #[test]

@@ -21,6 +21,3 @@ pub mod attack;
 pub mod rps;
 pub mod servicetime;
 
-pub use attack::{AttackKind, AttackScenario};
-pub use rps::RpsProcess;
-pub use servicetime::production_service_time;

@@ -1,6 +1,6 @@
-//! Request-rate processes and arrival generation.
+//! Request-rate processes.
 
-use canal_sim::{SimRng, SimTime};
+use canal_sim::SimTime;
 
 /// A time-varying request rate (requests per second).
 #[derive(Debug, Clone)]
@@ -99,39 +99,6 @@ impl RpsProcess {
         }
     }
 
-    /// An upper bound on the rate over `[0, horizon]` (for thinning).
-    pub fn max_rate(&self, horizon: SimTime) -> f64 {
-        let h = horizon.as_secs_f64();
-        match *self {
-            RpsProcess::Constant { rps } => rps,
-            RpsProcess::Diurnal {
-                base, amplitude, ..
-            } => base + amplitude,
-            RpsProcess::Spike { base, factor, .. } => base * factor.max(1.0),
-            RpsProcess::Ramp { base, from, slope } => base + slope * (h - from).max(0.0),
-            RpsProcess::FlashCrowd { base, surge, .. } => base + surge,
-        }
-    }
-
-    /// Generate Poisson arrivals over `[0, horizon]` by thinning.
-    pub fn arrivals(&self, horizon: SimTime, rng: &mut SimRng) -> Vec<SimTime> {
-        let lambda_max = self.max_rate(horizon).max(1e-9);
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        let h = horizon.as_secs_f64();
-        loop {
-            t += rng.exponential(1.0 / lambda_max);
-            if t > h {
-                break;
-            }
-            let at = SimTime::from_nanos((t * 1e9) as u64);
-            if rng.chance(self.rate_at(at) / lambda_max) {
-                out.push(at);
-            }
-        }
-        out
-    }
-
     /// Sample the rate curve at `n` evenly spaced points over `[0, horizon]`
     /// (the 24-hour series of §6.3).
     pub fn sample_curve(&self, horizon: SimTime, n: usize) -> Vec<f64> {
@@ -149,18 +116,6 @@ impl RpsProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const H: SimTime = SimTime::from_secs(1000);
-
-    #[test]
-    fn constant_arrival_count_converges() {
-        let p = RpsProcess::Constant { rps: 50.0 };
-        let mut rng = SimRng::seed(1);
-        let arr = p.arrivals(H, &mut rng);
-        let expected = 50.0 * 1000.0;
-        assert!((arr.len() as f64 - expected).abs() < expected * 0.05, "{}", arr.len());
-        assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-    }
 
     #[test]
     fn diurnal_peaks_at_phase() {
@@ -187,18 +142,6 @@ mod tests {
         assert_eq!(p.rate_at(SimTime::from_secs(49)), 100.0);
         assert_eq!(p.rate_at(SimTime::from_secs(55)), 800.0);
         assert_eq!(p.rate_at(SimTime::from_secs(60)), 100.0);
-        let mut rng = SimRng::seed(2);
-        let arr = p.arrivals(SimTime::from_secs(100), &mut rng);
-        let in_spike = arr
-            .iter()
-            .filter(|t| (50.0..60.0).contains(&t.as_secs_f64()))
-            .count();
-        let before = arr
-            .iter()
-            .filter(|t| t.as_secs_f64() < 50.0)
-            .count();
-        // 10s at 800 ≈ 8000 vs 50s at 100 ≈ 5000.
-        assert!(in_spike as f64 > before as f64 * 1.3);
     }
 
     #[test]
@@ -243,26 +186,5 @@ mod tests {
             .unwrap();
         // Peak near midday (index 48).
         assert!((44..=52).contains(&peak_idx), "{peak_idx}");
-    }
-
-    #[test]
-    fn thinning_respects_time_varying_rate() {
-        let p = RpsProcess::Diurnal {
-            base: 5.0,
-            amplitude: 200.0,
-            period: 1000.0,
-            phase: 500.0,
-        };
-        let mut rng = SimRng::seed(3);
-        let arr = p.arrivals(SimTime::from_secs(1000), &mut rng);
-        let hot = arr
-            .iter()
-            .filter(|t| (400.0..600.0).contains(&t.as_secs_f64()))
-            .count();
-        let cold = arr
-            .iter()
-            .filter(|t| t.as_secs_f64() < 200.0)
-            .count();
-        assert!(hot > cold * 3, "hot {hot} cold {cold}");
     }
 }

@@ -11,7 +11,7 @@ use canal_sim::{SimDuration, SimRng};
 const FAST_FRACTION: f64 = 0.62;
 
 /// Draw one production app service time.
-pub fn production_service_time(rng: &mut SimRng) -> SimDuration {
+pub(crate) fn production_service_time(rng: &mut SimRng) -> SimDuration {
     let ms = if rng.chance(FAST_FRACTION) {
         // Fast hump: 40–50 ms, centered at 45.
         rng.normal(45.0, 2.5).clamp(35.0, 60.0)

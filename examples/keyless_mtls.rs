@@ -15,7 +15,7 @@
 use canal::crypto::accel::{AsymmetricBackend, LocalBatchBackend, SoftwareBackend};
 use canal::crypto::dh::{DhKeyPair, DhParams};
 use canal::crypto::keyserver::{
-    KeyServer, KeyServerConfig, KeyServerPlacement, RemoteKeyServerBackend, RequesterId,
+    KeyServer, KeyServerPlacement, RemoteKeyServerBackend, RequesterId,
 };
 use canal::crypto::mtls::MtlsEndpoint;
 use canal::net::TenantId;
@@ -23,7 +23,7 @@ use canal::net::TenantId;
 fn main() {
     // --- The multi-tenant key server holds tenant1's private key,
     //     encrypted in memory. ---
-    let mut ks = KeyServer::new(KeyServerConfig::default(), 0x5EED_CAFE);
+    let mut ks = KeyServer::new(0x5EED_CAFE);
     let tenant = TenantId(1);
     ks.store_tenant_key(tenant, 0x0123_4567_89AB_CDEF);
 
@@ -62,13 +62,7 @@ fn main() {
 
     // --- Keyless mode (App. B): the financial tenant keeps its key
     //     on-premises; same protocol, higher RTT, zero key custody. ---
-    let mut onprem = KeyServer::new(
-        KeyServerConfig {
-            placement: KeyServerPlacement::OnPremKeyless,
-            ..Default::default()
-        },
-        0xFA11_BACC,
-    );
+    let mut onprem = KeyServer::new(0xFA11_BACC);
     let fin = TenantId(77);
     onprem.store_tenant_key(fin, 0xFEED_F00D_0000_1111);
     onprem.register_requester(proxy, channel_secret);

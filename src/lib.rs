@@ -15,5 +15,4 @@ pub use canal_http as http;
 pub use canal_mesh as mesh;
 pub use canal_net as net;
 pub use canal_sim as sim;
-pub use canal_telemetry as telemetry;
 pub use canal_workload as workload;

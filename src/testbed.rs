@@ -161,11 +161,6 @@ impl Testbed {
         self.now += d;
     }
 
-    /// Current testbed time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// The underlying gateway (failure injection, water levels...).
     pub fn gateway_mut(&mut self) -> &mut Gateway {
         &mut self.gateway

@@ -5,7 +5,7 @@
 
 use canal::cluster::topology::{Cluster, ClusterSpec, Tenant};
 use canal::crypto::dh::{DhKeyPair, DhParams};
-use canal::crypto::keyserver::{KeyServer, KeyServerConfig, RequesterId};
+use canal::crypto::keyserver::{KeyServer, RequesterId};
 use canal::crypto::mtls::MtlsEndpoint;
 use canal::gateway::failure::FailureDomain;
 use canal::gateway::gateway::{Gateway, GatewayConfig, GatewayError};
@@ -118,7 +118,7 @@ fn l7_pipeline_with_gateway_dispatch() {
 /// gateway-side endpoint.
 #[test]
 fn key_server_mtls_end_to_end() {
-    let mut ks = KeyServer::new(KeyServerConfig::default(), 0xABCD);
+    let mut ks = KeyServer::new(0xABCD);
     ks.store_tenant_key(TenantId(5), 0x1111_2222_3333_4444);
     ks.register_requester(RequesterId(1), 0xAAAA);
     ks.register_requester(RequesterId(2), 0xBBBB);

@@ -35,8 +35,19 @@ fn workspace_is_lint_clean() {
         "{} lint:allow suppressions, the ratchet allows {MAX_SUPPRESSIONS}",
         report.suppressed.len()
     );
-    // The dead-export caller scan read `benchmark/src` and `benchmark/tests`:
-    // from a wrong root, every item only the benchmark calls would look dead.
+    // The export ratchet: a new `pub` item has to raise this number in the
+    // same diff, and a narrowed or deleted one should lower it. It also
+    // covers what `wide-export` cannot see: an item whose name a file
+    // outside its crate uses for something else.
+    const MAX_EXPORTS: usize = 995;
+    assert!(
+        report.exports <= MAX_EXPORTS,
+        "{} exported items, the ratchet allows {MAX_EXPORTS}",
+        report.exports
+    );
+    // The wide-export caller scan read `benchmark/src` and `benchmark/tests`:
+    // from a wrong root, every item only the benchmark names would look
+    // too wide.
     assert!(
         report.caller_files >= 10,
         "the caller scan read {} benchmark file(s)",
@@ -96,30 +107,25 @@ fn fixtures_trip_every_rule() {
         .map(|v| v.line)
         .collect();
     assert_eq!(ambient_lines, [5, 10, 14, 14]);
-    // dead-export fires on its fixture only: the uncalled fn, the fn only
-    // tests call, and the fn only a `pub use` names.
-    let dead: Vec<(&str, usize)> = report
+    // wide-export fires on its fixture only: the uncalled fn, the fn only
+    // its tests call, the fn only a `pub use` names and the fn only its own
+    // crate calls; not on the fn another crate calls, the type only that
+    // fn's signature names, or a trait-impl method.
+    let wide: Vec<(&str, usize)> = report
         .violations
         .iter()
-        .filter(|v| v.rule == "dead-export")
+        .filter(|v| v.rule == "wide-export")
         .map(|v| (v.file.as_str(), v.line))
         .collect();
     assert_eq!(
-        dead,
+        wide,
         [
-            ("dead_export.rs", 6),
-            ("dead_export.rs", 11),
-            ("dead_export.rs", 18)
+            ("wide_export.rs", 6),
+            ("wide_export.rs", 11),
+            ("wide_export.rs", 18),
+            ("wide_export.rs", 26)
         ]
     );
-    // ... and counts, without flagging, the two `reset`s it cannot tell
-    // apart by name: one is dead, but the other's caller hides it.
-    let unjudged: Vec<(&str, usize)> = report
-        .dead_export_unjudged
-        .iter()
-        .map(|(file, line, _)| (file.as_str(), *line))
-        .collect();
-    assert_eq!(unjudged, [("dead_export.rs", 46), ("dead_export_twin.rs", 4)]);
     assert!(
         report
             .violations
