@@ -33,7 +33,7 @@
 //! Everything is seeded and tick-driven; double runs are bit-identical
 //! ([`FailoverOutcome::digest`], gated by `experiments failover`).
 //!
-//! [`Journal`]: canal_control::Journal
+//! [`Journal`]: canal_control::journal::Journal
 //! [`RolloutController::recover`]: canal_control::rollout::RolloutController::recover
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
 //! [`Rejection::StaleEpoch`]: canal_gateway::Rejection::StaleEpoch

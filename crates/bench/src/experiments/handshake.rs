@@ -51,7 +51,7 @@
 //! ([`HandshakeOutcome::digest`], gated by `experiments handshake`).
 //!
 //! [`CertRotationController`]: canal_control::CertRotationController
-//! [`ActiveCertBundle`]: canal_gateway::ActiveCertBundle
+//! [`ActiveCertBundle`]: canal_gateway::certs::ActiveCertBundle
 //! [`BatchAccelerator`]: canal_crypto::accel::BatchAccelerator
 
 use crate::experiments::southbound::{deliver, DelayLine, RateCarry, TickClock};

@@ -3,7 +3,7 @@
 //! The experiment harness: one row of [`EXPERIMENTS`] per table/figure of
 //! the paper and per robustness scenario (see DESIGN.md §3 for the full
 //! index). Each experiment returns an [`ExperimentReport`]: the paper-shaped
-//! rows plus paper-vs-measured [`Check`]s that EXPERIMENTS.md records. A
+//! rows plus paper-vs-measured [`Check`](harness::Check)s that EXPERIMENTS.md records. A
 //! scenario is also held to the double-run contract of [`mod@scenario`].
 //!
 //! Run everything: `cargo run -p canal-bench --release --bin experiments`

@@ -43,7 +43,7 @@
 //!   compiled tables never diverge.
 //! * [`certs`] — trust bundles: mismatched tenant, bad or regressed CA
 //!   generation, clock-skewed expiry; plus the typed bridge from handshake
-//!   [`canal_crypto::MtlsError`]s into the resilience layer.
+//!   [`canal_crypto::mtls::MtlsError`]s into the resilience layer.
 //! * [`gateway`] — the assembled gateway: service placement, per-backend
 //!   CPU/session accounting, request dispatch, and the water-level signals
 //!   the control plane consumes.

@@ -20,7 +20,7 @@
 //! widen or narrow enforcement beyond the canary that NACKed it.
 //!
 //! The document is shared the way the tables are. A [`PolicySpec`] holds its
-//! tenants copy on write ([`canal_policy::TenantList`]), so what the slot
+//! tenants copy on write ([`canal_policy::spec::TenantList`]), so what the slot
 //! stages and runs is the pushed clone at the price of a reference per
 //! tenant, the comparison above is a pointer check for every tenant the
 //! operator did not touch, and no later edit of the operator's copy can

@@ -11,7 +11,7 @@
 //! Distributed tracing — spans, sampling, assembly, critical paths — lives
 //! in `canal-telemetry`; callers stamp a
 //! [`TraceContext`](canal_net::TraceContext) on the request
-//! ([`RequestCtx::traced`](crate::arch::RequestCtx::traced)) and feed spans
+//! ([`RequestCtx::trace`](crate::arch::RequestCtx::trace)) and feed spans
 //! to that crate's collector.
 
 use canal_http::StatusCode;

@@ -13,7 +13,7 @@
 //! * path prefix — a byte trie whose nodes carry ancestor-cumulative rule
 //!   sets ([`PathTrie`]): the deepest node reached on a walk already holds
 //!   every rule whose prefix covers the path.
-//! * header predicates — fixed slots ([`MAX_HEADER_PREDICATES`]); slot `j`
+//! * header predicates — fixed slots ([`MAX_HEADER_PREDICATES`](crate::spec::MAX_HEADER_PREDICATES)); slot `j`
 //!   auto-admits every rule with at most `j` predicates, so rules with
 //!   fewer predicates than the maximum impose no constraint there.
 //!

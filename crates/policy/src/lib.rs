@@ -8,7 +8,7 @@
 //!   destination-port range, verified workload identity, HTTP method, path
 //!   prefix, SNI and header predicates, grouped per tenant into a versioned
 //!   [`PolicySpec`] whose versions and copies share every tenant they did
-//!   not change ([`TenantList`]), plus semantic validation ([`validate`])
+//!   not change ([`TenantList`](spec::TenantList)), plus semantic validation ([`validate`])
 //!   whose rejections the gateway NACKs instead of applying.
 //! * [`compile`] — the compiled form: per-dimension disjoint-interval
 //!   tables (binary search over segment boundaries), a path-prefix byte

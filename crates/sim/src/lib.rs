@@ -24,7 +24,7 @@
 //!   round-robin scheduling for the gateway overload-control layer.
 //! * [`faults`] — deterministic fault injection: [`FaultPlan`]s written in
 //!   a scenario DSL schedule typed fault events into a simulation, with
-//!   [`FaultState`] ground-truth bookkeeping for chaos experiments (Fig. 8).
+//!   [`FaultState`](faults::FaultState) ground-truth bookkeeping for chaos experiments (Fig. 8).
 //! * [`invariant`] — runtime determinism self-checks: the engine
 //!   debug-asserts event-order invariants on every dispatch, and [`Digest`]
 //!   folds run outcomes so double-run harnesses can demand bit-identical

@@ -86,7 +86,7 @@ impl CpuServer {
         }
     }
 
-    /// Utilization over the window since the last [`Self::reset_window`],
+    /// Utilization over the window since the last call (or construction),
     /// then restart the window at `now`. Used by the periodic backend
     /// water-level monitors.
     pub fn window_utilization(&mut self, now: SimTime) -> f64 {
