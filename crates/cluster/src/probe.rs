@@ -4,11 +4,10 @@
 //! §6.1 experience section is entirely about how *many* of these probes a
 //! consolidated gateway generates; this module provides the per-target state
 //! machine (k consecutive failures → unhealthy, m consecutive successes →
-//! healthy) and a tracker that counts probes sent — the quantity Tables 6/7
-//! aggregate.
+//! healthy) and a tracker over a set of targets.
 
 use canal_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Health of a probed target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,36 +45,19 @@ struct TargetState {
     consecutive_fails: u32,
     consecutive_oks: u32,
     last_probe: Option<SimTime>,
-    probes_sent: u64,
 }
-
-/// Default bound on the retained transition log. Long chaos runs flap
-/// targets indefinitely; without a cap the log is an unbounded-memory bug
-/// (the same failure mode `SpanRing` guards against).
-pub(crate) const DEFAULT_TRANSITION_CAP: usize = 1024;
 
 /// Tracks probe state for a set of targets keyed by `K`.
 #[derive(Debug)]
 pub struct ProbeTracker<K: Ord + Clone> {
     policy: ProbePolicy,
     targets: BTreeMap<K, TargetState>,
-    transition_cap: usize,
-    transitions: VecDeque<(SimTime, K, HealthState)>,
-    transitions_recorded: u64,
-    transitions_evicted: u64,
 }
 
 impl<K: Ord + Clone> ProbeTracker<K> {
-    /// New tracker with the given policy and the default transition cap.
+    /// New tracker with the given policy.
     pub(crate) fn new(policy: ProbePolicy) -> Self {
-        ProbeTracker {
-            policy,
-            targets: BTreeMap::new(),
-            transition_cap: DEFAULT_TRANSITION_CAP,
-            transitions: VecDeque::new(),
-            transitions_recorded: 0,
-            transitions_evicted: 0,
-        }
+        ProbeTracker { policy, targets: BTreeMap::new() }
     }
 
     /// Register a target (initially healthy).
@@ -85,7 +67,6 @@ impl<K: Ord + Clone> ProbeTracker<K> {
             consecutive_fails: 0,
             consecutive_oks: 0,
             last_probe: None,
-            probes_sent: 0,
         });
     }
 
@@ -104,7 +85,6 @@ impl<K: Ord + Clone> ProbeTracker<K> {
         let policy = self.policy;
         let t = self.targets.get_mut(key)?;
         t.last_probe = Some(now);
-        t.probes_sent += 1;
         if success {
             t.consecutive_oks += 1;
             t.consecutive_fails = 0;
@@ -123,12 +103,6 @@ impl<K: Ord + Clone> ProbeTracker<K> {
         };
         if let Some(s) = new_state {
             t.state = s;
-            if self.transitions.len() == self.transition_cap {
-                self.transitions.pop_front();
-                self.transitions_evicted += 1;
-            }
-            self.transitions.push_back((now, key.clone(), s));
-            self.transitions_recorded += 1;
         }
         new_state
     }
@@ -162,9 +136,6 @@ mod tests {
             Some(HealthState::Unhealthy)
         );
         assert_eq!(t.state(&1), Some(HealthState::Unhealthy));
-        assert_eq!(t.transitions.len(), 1);
-        assert_eq!(t.transitions_recorded, 1);
-        assert_eq!(t.transitions_evicted, 0);
     }
 
     #[test]
@@ -199,52 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_counting_across_targets() {
-        let mut t = ProbeTracker::new(ProbePolicy::default());
-        for k in 0..4u32 {
-            t.add_target(k);
-        }
-        for round in 0..10u64 {
-            for k in 0..4u32 {
-                t.record_probe(&k, T(round * 5), true);
-            }
-        }
-        assert_eq!(t.targets.values().map(|s| s.probes_sent).sum::<u64>(), 40);
-        assert_eq!(t.targets.len(), 4);
-        assert!(t.targets.values().all(|s| s.state == HealthState::Healthy));
-    }
-
-    #[test]
-    fn transition_log_is_bounded() {
-        // Regression: a target flapping forever must not grow memory without
-        // bound. Drive 50 full down/up cycles with a cap of 8.
-        let mut t = ProbeTracker::new(ProbePolicy::default());
-        t.transition_cap = 8;
-        t.add_target(1);
-        let mut at = 0u64;
-        for _ in 0..50 {
-            for _ in 0..3 {
-                t.record_probe(&1, T(at), false);
-                at += 5;
-            }
-            for _ in 0..2 {
-                t.record_probe(&1, T(at), true);
-                at += 5;
-            }
-        }
-        // 100 transitions happened (one down + one up per cycle) but only
-        // the newest 8 are retained; the rest are accounted, not leaked.
-        assert_eq!(t.transitions_recorded, 100);
-        assert_eq!(t.transitions.len(), 8);
-        assert_eq!(t.transitions_evicted, 92);
-        // Oldest-first, and the retained tail is the *latest* transitions.
-        let times: Vec<u64> = t.transitions.iter().map(|(w, _, _)| w.as_nanos()).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
-    }
-
-    #[test]
     fn sub_threshold_flapping_never_transitions() {
         // Gray-failure edge: a target that alternates hard between streaks
         // of (fail_threshold - 1) failures and (rise_threshold - 1)
@@ -268,40 +193,5 @@ mod tests {
             }
         }
         assert_eq!(t.state(&1), Some(HealthState::Healthy));
-        assert_eq!(t.transitions_recorded, 0);
-        assert_eq!(t.transitions_evicted, 0);
-        assert_eq!(t.transitions.len(), 0);
-    }
-
-    #[test]
-    fn default_cap_evicts_with_counter_advancing() {
-        // Exercise DEFAULT_TRANSITION_CAP itself (not a small test cap):
-        // drive enough full down/up cycles to overflow 1024 retained
-        // transitions and check eviction accounting at the real bound.
-        let mut t = ProbeTracker::new(ProbePolicy::default());
-        t.add_target(1);
-        let cycles = (DEFAULT_TRANSITION_CAP / 2 + 10) as u64;
-        let mut at = 0u64;
-        for _ in 0..cycles {
-            for _ in 0..3 {
-                t.record_probe(&1, T(at), false);
-                at += 5;
-            }
-            for _ in 0..2 {
-                t.record_probe(&1, T(at), true);
-                at += 5;
-            }
-        }
-        let recorded = cycles * 2; // one down + one up per cycle
-        assert_eq!(t.transitions_recorded, recorded);
-        assert_eq!(t.transitions.len(), DEFAULT_TRANSITION_CAP);
-        assert_eq!(
-            t.transitions_evicted,
-            recorded - DEFAULT_TRANSITION_CAP as u64
-        );
-        // The retained window is the newest transitions, oldest first.
-        let first_kept = t.transitions.front().map(|(w, _, _)| w.as_nanos());
-        let last_kept = t.transitions.back().map(|(w, _, _)| w.as_nanos());
-        assert!(first_kept < last_kept);
     }
 }

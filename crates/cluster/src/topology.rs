@@ -61,8 +61,6 @@ pub struct Node {
     pub id: NodeId,
     /// The AZ hosting this node.
     pub az: AzId,
-    /// CPU cores available to proxies/apps.
-    pub cores: usize,
     /// Pods scheduled here.
     pub pods: Vec<PodId>,
 }
@@ -78,8 +76,6 @@ pub struct ClusterSpec {
     pub services: usize,
     /// AZs to spread nodes across.
     pub azs: usize,
-    /// Cores per node.
-    pub cores_per_node: usize,
 }
 
 impl ClusterSpec {
@@ -91,7 +87,6 @@ impl ClusterSpec {
             pods,
             services: (pods / 2).max(1),
             azs: 2,
-            cores_per_node: 8,
         }
     }
 
@@ -103,7 +98,6 @@ impl ClusterSpec {
             pods: 30,
             services: 3,
             azs: 1,
-            cores_per_node: 8,
         }
     }
 }
@@ -135,7 +129,6 @@ impl Cluster {
                 Node {
                     id,
                     az: AzId((n % spec.azs) as u32),
-                    cores: spec.cores_per_node,
                     pods: Vec::new(),
                 },
             );
@@ -330,7 +323,6 @@ mod tests {
             pods: 150,
             services: 75,
             azs: 2,
-            cores_per_node: 8,
         };
         let c = Cluster::generate(tenant(1), spec, &mut rng);
         assert_eq!(c.node_count(), 10);

@@ -110,8 +110,6 @@ pub struct KeyServer {
     channels: BTreeMap<RequesterId, u64>,
     params: DhParams,
     nonce_counter: u64,
-    requests_served: u64,
-    requests_rejected: u64,
 }
 
 impl KeyServer {
@@ -122,8 +120,6 @@ impl KeyServer {
             channels: BTreeMap::new(),
             params: DhParams::DEFAULT,
             nonce_counter: 0,
-            requests_served: 0,
-            requests_rejected: 0,
         }
     }
 
@@ -147,10 +143,7 @@ impl KeyServer {
         tenant: TenantId,
         peer_public: u64,
     ) -> Result<SealedKeyResponse, KeyServerError> {
-        let &channel_secret = self.channels.get(&requester).ok_or_else(|| {
-            self.requests_rejected += 1;
-            KeyServerError::UnverifiedRequester
-        })?;
+        let &channel_secret = self.channels.get(&requester).ok_or(KeyServerError::UnverifiedRequester)?;
         let params = self.params;
         let secret = self
             .store
@@ -158,11 +151,7 @@ impl KeyServer {
                 let pair = DhKeyPair::generate(params, material);
                 pair.agree(peer_public)
             })
-            .ok_or_else(|| {
-                self.requests_rejected += 1;
-                KeyServerError::UnknownTenant
-            })?;
-        self.requests_served += 1;
+            .ok_or(KeyServerError::UnknownTenant)?;
         self.nonce_counter += 1;
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&self.nonce_counter.to_le_bytes());
@@ -343,7 +332,6 @@ mod tests {
             .handle_request(RequesterId(999), tenant, 12345)
             .unwrap_err();
         assert_eq!(err, KeyServerError::UnverifiedRequester);
-        assert_eq!((ks.requests_served, ks.requests_rejected), (0, 1));
     }
 
     #[test]

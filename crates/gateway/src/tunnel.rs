@@ -12,6 +12,7 @@
 //! pressure that Table 5's tunneling savings derive from.
 
 use canal_net::{ecmp::rss_core_for_sport, FiveTuple, FlatTable, FlowHash, Packet, VxlanFrame};
+use canal_sim::Digest;
 use std::num::NonZeroUsize;
 
 /// Tunnel fan-out configuration.
@@ -132,8 +133,7 @@ impl SessionAggregator {
     /// tracked `sessions` in ascending five-tuple order (each as its flow
     /// hash and the tunnel that hash selects), and the `encapsulated`
     /// counter.
-    #[cfg(test)]
-    fn fold_digest(&self, d: &mut canal_sim::Digest) {
+    pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.cfg.tunnels_per_replica as u64)
             .write_u64(self.cfg.replica_cores as u64)
             .write_u64(self.cfg.sport_base as u64)
@@ -251,9 +251,9 @@ mod tests {
             let t = pkt(sport).tuple;
             model.insert(t, (canal_net::hash_five_tuple(&t) % 40) as usize);
         }
-        let mut got = canal_sim::Digest::new();
+        let mut got = Digest::new();
         b.fold_digest(&mut got);
-        let mut want = canal_sim::Digest::new();
+        let mut want = Digest::new();
         want.write_u64(40).write_u64(4).write_u64(40_000).write_u64(0x0A63_0001);
         want.write_u64(0x0A63_0002).write_u64(77).write_u64(model.len() as u64);
         for (t, &tunnel) in &model {

@@ -240,13 +240,8 @@ impl<'a> SymbolGraph<'a> {
         out
     }
 
-    /// Whether the struct has a `fold_digest`, a `#[cfg(test)]` one
-    /// included: `dead_code` is denied, so a test-only fold exists because a
-    /// test double-runs the struct through it.
     fn has_fold_digest(&self, id: StructId) -> bool {
-        let entry = &self.structs[id.0];
-        let key = (self.crate_of(id), entry.def.name.as_str());
-        self.methods.get(&key).into_iter().flatten().any(|(_, f)| f.name == "fold_digest")
+        self.methods_of(id).any(|f| f.name == "fold_digest")
     }
 
     fn has_mut_state(&self, id: StructId) -> bool {

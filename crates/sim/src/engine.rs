@@ -7,7 +7,7 @@
 //! directly, which keeps borrow scopes simple and the event order fully
 //! deterministic (ties broken by insertion sequence, FIFO).
 
-use crate::invariant::EventOrderMonitor;
+use crate::invariant::{Digest, EventOrderMonitor};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -110,6 +110,26 @@ impl<E> Simulation<E> {
         self.events_fired
     }
 
+    /// Fold the engine state into a digest: clock (`now`), insertion
+    /// sequence (`seq`), dispatch count (`events_fired`), the `(time, seq)`
+    /// shape of every event still in `queue` (canonical order), and the
+    /// `monitor` position. Event payloads are the model's to digest, and
+    /// the `scratch` buffer is empty between dispatches.
+    pub fn fold_digest(&self, d: &mut Digest) {
+        debug_assert!(self.scratch.is_empty(), "scratch is drained by every dispatch");
+        d.write_u64(self.now.as_nanos())
+            .write_u64(self.seq)
+            .write_u64(self.events_fired)
+            .write_u64(self.queue.len() as u64);
+        let mut shape: Vec<(SimTime, u64)> =
+            self.queue.iter().map(|q| (q.time, q.seq)).collect();
+        shape.sort_unstable();
+        for (t, seq) in shape {
+            d.write_u64(t.as_nanos()).write_u64(seq);
+        }
+        self.monitor.fold_digest(d);
+    }
+
     /// Seed an event at an absolute instant before (or during) the run.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
@@ -147,26 +167,6 @@ impl<E> Simulation<E> {
     /// Run until the queue drains.
     pub fn run<M: Model<Event = E>>(&mut self, model: &mut M) {
         while self.step(model) {}
-    }
-
-    /// Fold the engine state into a digest: clock (`now`), insertion
-    /// sequence (`seq`), dispatch count (`events_fired`) and the `(time,
-    /// seq)` shape of every event still in `queue` (canonical order). Event
-    /// payloads are the model's to digest, the `scratch` buffer is empty
-    /// between dispatches, and the `monitor` only checks the order.
-    #[cfg(test)]
-    fn fold_digest(&self, d: &mut crate::invariant::Digest) {
-        debug_assert!(self.scratch.is_empty(), "scratch is drained by every dispatch");
-        d.write_u64(self.now.as_nanos())
-            .write_u64(self.seq)
-            .write_u64(self.events_fired)
-            .write_u64(self.queue.len() as u64);
-        let mut shape: Vec<(SimTime, u64)> =
-            self.queue.iter().map(|q| (q.time, q.seq)).collect();
-        shape.sort_unstable();
-        for (t, seq) in shape {
-            d.write_u64(t.as_nanos()).write_u64(seq);
-        }
     }
 }
 
@@ -214,22 +214,6 @@ mod tests {
         sim.run(&mut m);
         let ids: Vec<u32> = m.seen.iter().map(|&(_, id)| id).collect();
         assert_eq!(ids, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn the_same_schedule_folds_the_same_engine_state() {
-        let fold = |ticks: u32| {
-            let mut sim = Simulation::new();
-            for id in 0..ticks {
-                sim.schedule(SimTime::from_nanos(u64::from(id % 3)), Ev::Tick(id));
-            }
-            sim.step(&mut Recorder::default());
-            let mut d = crate::invariant::Digest::new();
-            sim.fold_digest(&mut d);
-            d.value()
-        };
-        assert_eq!(fold(5), fold(5));
-        assert_ne!(fold(5), fold(6), "a queued event moves the digest");
     }
 
     struct Chain {

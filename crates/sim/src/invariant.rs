@@ -48,6 +48,15 @@ impl EventOrderMonitor {
         }
         self.last = Some((time, seq));
     }
+
+    /// Fold the monitor position (`last`) into a digest: two runs that
+    /// dispatched the same event stream end at the same `(time, seq)`.
+    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+        match self.last {
+            Some((t, seq)) => d.write_u64(1).write_u64(t.as_nanos()).write_u64(seq),
+            None => d.write_u64(0),
+        };
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -44,8 +44,6 @@ pub struct Served {
     pub start: SimTime,
     /// When processing finished.
     pub finish: SimTime,
-    /// Time spent waiting for a core.
-    pub queued: SimDuration,
 }
 
 impl CpuServer {
@@ -62,7 +60,7 @@ impl CpuServer {
     }
 
     /// Submit a job arriving at `arrival` needing `demand` of CPU time.
-    /// Returns when it started, finished and how long it queued.
+    /// Returns when it started and finished.
     pub fn submit(&mut self, arrival: SimTime, demand: SimDuration) -> Served {
         // Earliest-free core (first wins on ties, like min_by_key).
         let mut idx = 0usize;
@@ -79,11 +77,7 @@ impl CpuServer {
         self.busy += demand;
         self.window_busy += demand;
         self.jobs += 1;
-        Served {
-            start,
-            finish,
-            queued: start.since(arrival),
-        }
+        Served { start, finish }
     }
 
     /// Utilization over the window since the last call (or construction),
@@ -491,7 +485,6 @@ mod tests {
         let r = s.submit(SimTime::from_micros(5), US(10));
         assert_eq!(r.start, SimTime::from_micros(5));
         assert_eq!(r.finish, SimTime::from_micros(15));
-        assert_eq!(r.queued, SimDuration::ZERO);
     }
 
     #[test]
@@ -499,9 +492,8 @@ mod tests {
         let mut s = CpuServer::new(1);
         let a = s.submit(SimTime::ZERO, US(10));
         let b = s.submit(SimTime::ZERO, US(10));
-        assert_eq!(a.queued, SimDuration::ZERO);
+        assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(b.start, a.finish);
-        assert_eq!(b.queued, US(10));
     }
 
     #[test]
@@ -509,10 +501,9 @@ mod tests {
         let mut s = CpuServer::new(2);
         let a = s.submit(SimTime::ZERO, US(10));
         let b = s.submit(SimTime::ZERO, US(10));
-        assert_eq!(a.queued, SimDuration::ZERO);
-        assert_eq!(b.queued, SimDuration::ZERO);
+        assert_eq!((a.start, b.start), (SimTime::ZERO, SimTime::ZERO));
         let c = s.submit(SimTime::ZERO, US(10));
-        assert_eq!(c.queued, US(10));
+        assert_eq!(c.start, SimTime::from_micros(10));
     }
 
     #[test]
@@ -536,10 +527,9 @@ mod tests {
         let mut last_under = SimDuration::ZERO;
         let mut last_over = SimDuration::ZERO;
         for i in 0..1000u64 {
-            last_under = under
-                .submit(SimTime::from_nanos(i * 11_111), service)
-                .queued;
-            last_over = over.submit(SimTime::from_nanos(i * 9_090), service).queued;
+            let (at_under, at_over) = (SimTime::from_nanos(i * 11_111), SimTime::from_nanos(i * 9_090));
+            last_under = under.submit(at_under, service).start.since(at_under);
+            last_over = over.submit(at_over, service).start.since(at_over);
         }
         assert!(last_over > last_under * 5);
     }

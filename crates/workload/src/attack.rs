@@ -33,10 +33,6 @@ pub struct AttackScenario {
     pub kind: AttackKind,
     /// `(time, new_sessions_opened, requests_sent)` per second-long slot.
     pub timeline: Vec<(SimTime, u64, u64)>,
-    /// For `QueryOfDeath`: CPU demand multiplier of poisoned requests.
-    pub poison_demand_factor: f64,
-    /// For `QueryOfDeath`: fraction of requests that are poisoned.
-    pub poison_fraction: f64,
 }
 
 impl AttackScenario {
@@ -67,8 +63,6 @@ impl AttackScenario {
         AttackScenario {
             kind: AttackKind::SessionFlood,
             timeline,
-            poison_demand_factor: 1.0,
-            poison_fraction: 0.0,
         }
     }
 
@@ -96,8 +90,6 @@ impl AttackScenario {
         AttackScenario {
             kind: AttackKind::SlowGrowth,
             timeline,
-            poison_demand_factor: 1.0,
-            poison_fraction: 0.0,
         }
     }
 
