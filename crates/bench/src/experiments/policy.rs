@@ -62,7 +62,7 @@ const TENANT_IDS: [u32; 2] = [1, 2];
 /// Source /24 both tenants block (rule 1, L4-only).
 const BLOCKED_CIDR: Cidr = Cidr { base: 0x0A00_C800, prefix_len: 24 };
 /// Steady tail latency fed to the health gate (the gate trips on the
-/// unexpected-deny rate here, never on latency).
+/// deny spike here, never on latency).
 const STEADY_P99: SimDuration = SimDuration::from_millis(5);
 /// Request payload size charged per offered request.
 const REQUEST_BYTES: u64 = 2 << 10;
@@ -503,9 +503,8 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
 
     let mut ar_idx = 0usize;
     let mut alerts_seen = 0usize;
-    // Per gateway since its last ingest: offered, denied, and denied where
-    // the baseline policy allows.
-    let mut gw_window: Vec<(u64, u64, u64)> = vec![(0, 0, 0); params.fleet];
+    // Per gateway since its last ingest: offered and denied.
+    let mut gw_window: Vec<(u64, u64)> = vec![(0, 0); params.fleet];
     let mut errors_poison = 0u64;
     let mut deny_errors = 0u64;
     let mut events = 0u64;
@@ -545,7 +544,6 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
                     .map(|s| s.l7_verdict(&a.l4(), &a.l7()))
                     .unwrap_or(PolicyVerdict::Deny);
                 if intended == PolicyVerdict::Allow {
-                    gw_window[a.gw].2 += 1;
                     let rv = gw.running_version().unwrap_or(0);
                     if canal.poisoned.contains(&rv) {
                         errors_poison += 1;
@@ -597,15 +595,18 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
 
         // 6. The water-level monitor watches *per-gateway* deny fractions
         //    — per-gateway watermarks catch a wrong-scope canary while the
-        //    fleet average still looks healthy. A gateway's window is only
-        //    ingested once it holds a full evidence quantum, so the spike
-        //    line is never crossed on two-request noise, and only the denies
-        //    the baseline policy would not make count toward it, so
-        //    background denies never roll a healthy rollout back.
-        for w in gw_window.iter_mut() {
+        //    fleet average still looks healthy. It sees the controller's
+        //    rollout state first, so each gateway's baseline deny fraction
+        //    is measured from windows outside a rollout. A gateway's window
+        //    is only ingested once it holds a full evidence quantum, and
+        //    the alert needs consecutive spiking quanta, so background
+        //    denies bunched into one window never roll a healthy rollout
+        //    back.
+        monitor.ingest_rollout(now, canal.ctl.in_flight(), canal.ctl.rollbacks());
+        for (gw, w) in gw_window.iter_mut().enumerate() {
             if w.0 >= MONITOR_QUANTUM {
-                monitor.ingest_policy(now, w.0, w.1, w.2);
-                *w = (0, 0, 0);
+                monitor.ingest_policy(now, gw as u32, w.0, w.1);
+                *w = (0, 0);
             }
         }
     }

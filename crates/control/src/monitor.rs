@@ -95,10 +95,37 @@ struct BackendHistory {
 
 const HISTORY_CAP: usize = 24;
 
-/// Fraction of a window's policy decisions, denied where the pre-rollout
-/// baseline policy allows, beyond which [`WaterLevelMonitor::ingest_policy`]
-/// raises [`AlertKind::PolicyDeny`].
+/// How far a window's denied fraction must rise above the gateway's
+/// measured baseline fraction before the window counts as spiking.
 pub(crate) const POLICY_DENY_SPIKE: f64 = 0.2;
+
+/// Consecutive spiking windows of one gateway before
+/// [`WaterLevelMonitor::ingest_policy`] raises [`AlertKind::PolicyDeny`].
+/// One window of rare background denies can bunch over the line. Two in a
+/// row almost never do, while a policy that denies a whole tenant spikes
+/// every window.
+pub(crate) const POLICY_SPIKE_WINDOWS: u32 = 2;
+
+/// One gateway's deny watch. The `idle_*` counts are the decisions and
+/// denies of its non-spiking windows ingested while no rollout was in
+/// flight: their ratio is the baseline a rollout's windows are measured
+/// against. `streak` counts its consecutive spiking windows.
+#[derive(Debug, Default, Clone, Copy)]
+struct DenyWatch {
+    idle_offered: u64,
+    idle_denied: u64,
+    streak: u32,
+}
+
+impl DenyWatch {
+    fn baseline(&self) -> f64 {
+        if self.idle_offered == 0 {
+            0.0
+        } else {
+            self.idle_denied as f64 / self.idle_offered as f64
+        }
+    }
+}
 
 /// Water-level monitor with per-backend history.
 #[derive(Debug, Default)]
@@ -107,7 +134,7 @@ pub struct WaterLevelMonitor {
     alerts: Vec<(SimTime, AlertKind)>,
     rollout_in_flight: bool,
     rollbacks_seen: u64,
-    policy_spike: bool,
+    policy: BTreeMap<u32, DenyWatch>,
     policy_denials: u64,
 }
 
@@ -231,23 +258,29 @@ impl WaterLevelMonitor {
         self.rollout_in_flight = in_flight;
     }
 
-    /// Ingest one window of policy-plane decisions: how many flows/requests
-    /// the compiled policy evaluated (`offered`), how many it denied, and
-    /// how many of those the pre-rollout baseline policy allows
-    /// (`unexpected`, from evaluating the baseline beside the running
-    /// tables). The spike is measured against that baseline: denies the
-    /// baseline makes too are background, however many land in one window.
-    /// Edge-triggered like [`ingest_rollout`](Self::ingest_rollout): the
-    /// window where the unexpected fraction first exceeds
-    /// [`POLICY_DENY_SPIKE`] raises one [`AlertKind::PolicyDeny`]; the
-    /// spike must clear before it can alert again.
-    pub fn ingest_policy(&mut self, now: SimTime, offered: u64, denied: u64, unexpected: u64) {
+    /// Ingest one window of one gateway's policy-plane decisions: how many
+    /// flows/requests its compiled policy evaluated (`offered`) and how many
+    /// it denied. A window spikes when its denied fraction exceeds the
+    /// gateway's baseline by more than [`POLICY_DENY_SPIKE`]. The baseline is
+    /// measured, like the p99 the rollout gate compares against: the deny
+    /// fraction of the gateway's calm windows while no rollout was in flight
+    /// (see [`ingest_rollout`](Self::ingest_rollout)), zero before it has
+    /// any. The [`POLICY_SPIKE_WINDOWS`]-th spiking window in a row raises
+    /// one [`AlertKind::PolicyDeny`]; the streak must break before that
+    /// gateway can alert again.
+    pub fn ingest_policy(&mut self, now: SimTime, gateway: u32, offered: u64, denied: u64) {
         self.policy_denials += denied;
-        let spiking = offered > 0 && unexpected as f64 > offered as f64 * POLICY_DENY_SPIKE;
-        if spiking && !self.policy_spike {
+        let watch = self.policy.entry(gateway).or_default();
+        let spiking = offered > 0
+            && denied as f64 > offered as f64 * (watch.baseline() + POLICY_DENY_SPIKE);
+        watch.streak = if spiking { watch.streak + 1 } else { 0 };
+        if watch.streak == POLICY_SPIKE_WINDOWS {
             self.alerts.push((now, AlertKind::PolicyDeny));
         }
-        self.policy_spike = spiking;
+        if !spiking && !self.rollout_in_flight {
+            watch.idle_offered += offered;
+            watch.idle_denied += denied;
+        }
     }
 
     /// All alerts raised so far.
@@ -256,8 +289,9 @@ impl WaterLevelMonitor {
     }
 
     /// Fold the monitor state into a digest: every backend's `history`
-    /// window, the `alerts` log, and the rollout view
-    /// (`rollout_in_flight`, `rollbacks_seen`).
+    /// window, the `alerts` log, the rollout view (`rollout_in_flight`,
+    /// `rollbacks_seen`), every gateway's `policy` deny watch and the
+    /// `policy_denials` total.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.history.len() as u64);
         for (&backend, h) in &self.history {
@@ -283,8 +317,14 @@ impl WaterLevelMonitor {
         }
         d.write_u64(self.rollout_in_flight as u64)
             .write_u64(self.rollbacks_seen)
-            .write_u64(self.policy_spike as u64)
-            .write_u64(self.policy_denials);
+            .write_u64(self.policy.len() as u64);
+        for (&gateway, w) in &self.policy {
+            d.write_u64(u64::from(gateway))
+                .write_u64(w.idle_offered)
+                .write_u64(w.idle_denied)
+                .write_u64(u64::from(w.streak));
+        }
+        d.write_u64(self.policy_denials);
     }
 }
 
@@ -475,31 +515,69 @@ mod tests {
     }
 
     #[test]
-    fn policy_deny_spike_alerts_on_the_edge() {
+    fn policy_deny_spike_needs_two_windows_over_the_baseline() {
         let mut m = WaterLevelMonitor::new();
-        // Healthy windows: a few denials are normal zero-trust noise.
-        m.ingest_policy(T(0), 100, 5, 0);
-        assert!(!m.policy_spike);
+        // Calm windows outside a rollout: a few denials are normal
+        // zero-trust noise, and they become gateway 1's baseline.
+        m.ingest_policy(T(0), 1, 100, 5);
         assert!(m.alerts().is_empty());
-        // Background denies the baseline also makes never spike, however
-        // many of them one window holds.
-        m.ingest_policy(T(5), 16, 5, 0);
-        assert!(!m.policy_spike);
+        // One window where background denies bunch over the line is not an
+        // alert on its own.
+        m.ingest_policy(T(5), 1, 16, 5);
         assert!(m.alerts().is_empty());
-        // A deny spike alerts once, not every window it persists.
-        m.ingest_policy(T(10), 100, 40, 38);
-        m.ingest_policy(T(20), 100, 55, 50);
-        assert!(m.policy_spike);
+        m.ingest_policy(T(6), 1, 100, 5);
+        // A sustained spike alerts once, not every window it persists.
+        m.ingest_policy(T(10), 1, 100, 40);
+        assert!(m.alerts().is_empty());
+        m.ingest_policy(T(20), 1, 100, 55);
+        m.ingest_policy(T(25), 1, 100, 60);
         assert_eq!(m.alerts().len(), 1);
         assert_eq!(m.alerts()[0].1, AlertKind::PolicyDeny);
-        // Spike clears, then returns: a fresh alert.
-        m.ingest_policy(T(30), 100, 2, 0);
-        assert!(!m.policy_spike);
-        m.ingest_policy(T(40), 100, 90, 88);
+        // The streak breaks, then a new one: a fresh alert.
+        m.ingest_policy(T(30), 1, 100, 2);
+        m.ingest_policy(T(40), 1, 100, 90);
+        m.ingest_policy(T(45), 1, 100, 90);
         assert_eq!(m.alerts().len(), 2);
-        assert_eq!(m.policy_denials, 5 + 5 + 40 + 55 + 2 + 90);
+        assert_eq!(m.policy_denials, 5 + 5 + 5 + 40 + 55 + 60 + 2 + 90 + 90);
         // An idle window (no offered traffic) is not a spike.
-        m.ingest_policy(T(50), 0, 0, 0);
-        assert!(!m.policy_spike);
+        m.ingest_policy(T(50), 1, 0, 0);
+        assert_eq!(m.policy[&1].streak, 0);
+        // Spiking windows never join the baseline.
+        assert_eq!((m.policy[&1].idle_offered, m.policy[&1].idle_denied), (300, 12));
+    }
+
+    #[test]
+    fn each_gateway_keeps_its_own_streak() {
+        let mut m = WaterLevelMonitor::new();
+        // Gateway 2's calm windows between gateway 1's spiking ones do not
+        // break gateway 1's streak.
+        m.ingest_policy(T(0), 1, 16, 10);
+        m.ingest_policy(T(1), 2, 16, 0);
+        m.ingest_policy(T(2), 1, 16, 10);
+        assert_eq!(m.alerts().len(), 1);
+    }
+
+    #[test]
+    fn a_rollout_that_legitimately_denies_more_stays_under_the_line() {
+        let mut m = WaterLevelMonitor::new();
+        // Before the rollout the gateway denies 15% of its traffic.
+        for t in 0..4 {
+            m.ingest_policy(T(t), 3, 100, 15);
+        }
+        // The new policy denies 30%: over the line as a raw fraction, 15
+        // points over the measured baseline, which is under it.
+        m.ingest_rollout(T(10), true, 0);
+        for t in 11..20 {
+            m.ingest_policy(T(t), 3, 100, 30);
+        }
+        assert!(!m.alerts().iter().any(|&(_, k)| k == AlertKind::PolicyDeny));
+        // Windows ingested while the rollout is in flight do not move the
+        // baseline.
+        assert_eq!((m.policy[&3].idle_offered, m.policy[&3].idle_denied), (400, 60));
+        // A gateway with no baseline measures against zero: the same windows
+        // spike there.
+        m.ingest_policy(T(20), 4, 100, 30);
+        m.ingest_policy(T(21), 4, 100, 30);
+        assert!(m.alerts().iter().any(|&(_, k)| k == AlertKind::PolicyDeny));
     }
 }
