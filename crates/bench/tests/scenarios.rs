@@ -22,7 +22,7 @@ const GOLDEN: [(&str, [u64; 4]); 8] = [
     ("rollout", [0x643b_6291_fe2f_ef7b, 0x061b_74bf_ad65_8103, 0x76bf_fb1b_d55f_bbc4, 0xc2d6_d714_5c44_8b8d]),
     ("handshake", [0xb581_b99d_baa1_387a, 0x7f8d_91e9_6797_8f56, 0xd066_81eb_e08d_f89c, 0x2de7_ce83_cf1d_16f3]),
     ("drill", [0xdb94_f1f7_3338_5696, 0xa6fc_0b12_cede_3a09, 0xbb63_c294_ab49_b7c8, 0x80e0_be23_b17a_3693]),
-    ("policy", [0xd334_2fa3_2ae6_26d6, 0x31a0_8d9a_5949_7561, 0x95c3_d85b_2146_795e, 0xc6d1_8d0b_4c20_9755]),
+    ("policy", [0x5bea_7b05_e98e_10e8, 0xdacb_8693_ddce_9d34, 0x182e_ab2a_abb3_90ee, 0x4d06_37b8_ee56_1732]),
     ("failover", [0x7977_f6a2_785f_2045, 0x2a80_3b44_332c_a99a, 0xe5da_b39d_6409_acbb, 0x87da_85b1_69c2_cfc9]),
 ];
 
