@@ -57,6 +57,15 @@ const DNS_NAME: &str = "svc.mesh";
 /// The arrival stream models one client population, so the retry budget
 /// keys every attempt under a single client id.
 const BUDGET_CLIENT: u64 = 1;
+/// The failure domains each architecture's recovery is timed in.
+const DOMAINS: [&str; 3] = ["replica", "backend", "az"];
+/// The budgeted run of [`run_retry_storm`]: `(ratio, cap)` of a 100% retry
+/// budget. Every first attempt earns one retry credit, burst-capped, so
+/// steady-state amplification is bounded at 2x, the storm's
+/// ~6-attempts-per-request demand is clamped hard, and the post-recovery
+/// re-steer retries are self-funding: the budget never starves a retry that
+/// a freshly recovered replica needed.
+const STORM_RETRY_BUDGET: (f64, f64) = (1.0, 100.0);
 
 /// Chaos run parameters.
 #[derive(Debug, Clone, Copy)]
@@ -66,16 +75,6 @@ pub struct ChaosParams {
     pub time_scale: f64,
     /// Offered load (requests/s).
     pub rps: f64,
-    /// Append a total-outage retry-storm window to the scripted plan:
-    /// every placed backend goes down at ~106 s and recovers at ~114 s.
-    /// With no live replica anywhere, failures in the window cannot
-    /// violate the availability invariant — every attempt beyond the first
-    /// is pure retry amplification, which is what the retry budget kills.
-    pub storm: bool,
-    /// Per-client retry-budget admission `(ratio, cap)` enforced on the
-    /// attempt path ([`GatewayError::RetryBudgetExhausted`] is terminal in
-    /// the dispatcher). `None` disables the budget.
-    pub retry_budget: Option<(f64, f64)>,
 }
 
 impl ChaosParams {
@@ -84,8 +83,6 @@ impl ChaosParams {
         ChaosParams {
             time_scale: 1.0,
             rps: 200.0,
-            storm: false,
-            retry_budget: None,
         }
     }
 
@@ -94,8 +91,6 @@ impl ChaosParams {
         ChaosParams {
             time_scale: 0.25,
             rps: 80.0,
-            storm: false,
-            retry_budget: None,
         }
     }
 
@@ -146,8 +141,8 @@ pub struct ArchOutcome {
     pub dns_flips: u64,
     /// Requests that died on their deadline.
     pub deadline_exceeded: u64,
-    /// Retry/hedge attempts refused by the retry budget (0 unless
-    /// [`ChaosParams::retry_budget`] is set).
+    /// Retry/hedge attempts refused by the retry budget (0 outside the
+    /// budgeted run of [`run_retry_storm`]).
     pub budget_rejected: u64,
     /// p99 latency outside fault windows (ms).
     pub calm_p99_ms: f64,
@@ -161,7 +156,7 @@ pub struct ArchOutcome {
 
 impl ArchOutcome {
     /// Overall availability (successful / offered).
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.offered == 0 {
             return 1.0;
         }
@@ -169,7 +164,7 @@ impl ArchOutcome {
     }
 
     /// Retry amplification (attempts / offered).
-    pub fn retry_amplification(&self) -> f64 {
+    pub(crate) fn retry_amplification(&self) -> f64 {
         if self.offered == 0 {
             return 1.0;
         }
@@ -597,7 +592,7 @@ pub fn run_chaos(seed: u64, params: &ChaosParams) -> ChaosOutcome {
     let mut archs = Vec::new();
     let mut plan_events = 0;
     for profile in profiles(params.time_scale) {
-        let (outcome, events) = run_arch(seed, params, &profile, shape);
+        let (outcome, events) = run_arch(seed, params, &profile, shape, false, None);
         plan_events = events;
         archs.push(outcome);
     }
@@ -606,11 +601,22 @@ pub fn run_chaos(seed: u64, params: &ChaosParams) -> ChaosOutcome {
 
 /// One architecture's chaos run; returns the outcome and the number of
 /// fault-plan events executed.
+///
+/// `storm` appends a total-outage retry-storm window to the scripted plan:
+/// every placed backend goes down at ~106 s and recovers at ~114 s. With no
+/// live replica anywhere, failures in the window cannot violate the
+/// availability invariant, and every attempt beyond the first is pure retry
+/// amplification, which is what the retry budget kills. `retry_budget` is
+/// the per-client admission `(ratio, cap)` enforced on the attempt path
+/// ([`GatewayError::RetryBudgetExhausted`] is terminal in the dispatcher);
+/// `None` disables it.
 fn run_arch(
     seed: u64,
     params: &ChaosParams,
     profile: &ArchProfile,
     shape: ClusterShape,
+    storm: bool,
+    retry_budget: Option<(f64, f64)>,
 ) -> (ArchOutcome, usize) {
     let scale = params.time_scale;
     let horizon = params.horizon();
@@ -645,7 +651,7 @@ fn run_arch(
             .or_else(|| placed.first().copied())
             .unwrap_or(0);
 
-        let storm_backends = if params.storm { placed.clone() } else { Vec::new() };
+        let storm_backends = if storm { placed.clone() } else { Vec::new() };
         let plan = scripted_plan(local_backend, &storm_backends, scale);
         let plan_events = plan.len();
         let replicas_per_backend = gw.config().replicas_per_backend;
@@ -702,9 +708,7 @@ fn run_arch(
                 profile.resilience,
                 SimRng::seed(seed ^ 0xD15B_A7C4_E125_1113),
             ),
-            budget: params
-                .retry_budget
-                .map(|(ratio, cap)| RetryBudget::new(ratio, cap)),
+            budget: retry_budget.map(|(ratio, cap)| RetryBudget::new(ratio, cap)),
             plan: plan.events().to_vec(),
             arrivals,
             next_arrival: 0,
@@ -758,28 +762,19 @@ fn run_arch(
 /// Retry-budget A/B under the retry-storm plan, canal profile only: same
 /// seed, same arrivals, same faults — the budget is the only difference, so
 /// the attempt delta is purely what admission refused to amplify.
-pub fn run_retry_storm(seed: u64, params: &ChaosParams) -> (ArchOutcome, ArchOutcome) {
+pub(crate) fn run_retry_storm(seed: u64, params: &ChaosParams) -> (ArchOutcome, ArchOutcome) {
     let shape = ClusterShape::production(300);
     let profile = canal_profile(params.time_scale);
-    let off = ChaosParams {
-        storm: true,
-        retry_budget: None,
-        ..*params
-    };
-    // Default to a 100% retry budget (every first attempt earns one retry
-    // credit, burst-capped): steady-state amplification is bounded at 2x,
-    // the storm's ~6-attempts-per-request demand is clamped hard, and the
-    // post-recovery re-steer retries are self-funding — the budget never
-    // starves a retry that a freshly recovered replica needed.
-    let on = ChaosParams {
-        storm: true,
-        retry_budget: Some(params.retry_budget.unwrap_or((1.0, 100.0))),
-        ..*params
-    };
     (
-        run_arch(seed, &off, &profile, shape).0,
-        run_arch(seed, &on, &profile, shape).0,
+        run_arch(seed, params, &profile, shape, true, None).0,
+        run_arch(seed, params, &profile, shape, true, Some(STORM_RETRY_BUDGET)).0,
     )
+}
+
+/// `a`'s time to recovery from its `domain` incident in ms, NaN if it had
+/// none.
+fn ttr_of(a: &ArchOutcome, domain: &str) -> f64 {
+    a.incidents.iter().find(|i| i.domain == domain).map_or(f64::NAN, |i| i.ttr_ms)
 }
 
 fn domain_label(target: FaultTarget) -> Option<&'static str> {
@@ -875,15 +870,36 @@ impl Scenario for ChaosOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let violations = self.arch("canal").map_or(u64::MAX, |a| a.invariant_violations);
-        let clause = format!("{violations} requests failed with a live replica reachable");
+        let (Some(canal), Some(sidecar)) = (self.arch("canal"), self.arch("istio-sidecar")) else {
+            return violated("chaos-recovery", &[("the canal and sidecar arms ran", false)]);
+        };
+        let violations = canal.invariant_violations;
+        let (served, offered) = (canal.succeeded, canal.offered);
+        let (avail, sidecar_avail) = (canal.availability(), sidecar.availability());
+        let (amp, sidecar_amp) = (canal.retry_amplification(), sidecar.retry_amplification());
         // A beat the fault DSL rejects empties the plan, and a fault-free
-        // run is trivially available (these params append no storm).
-        let scripted = format!("the plan has {} events for {FIG8_BEATS} beats", self.plan_events);
-        violated(
-            "canal availability",
-            &[(&clause, violations == 0), (&scripted, self.plan_events == FIG8_BEATS)],
-        )
+        // run is trivially available (this plan has no storm).
+        let mut clauses = vec![
+            (format!("{violations} requests failed with a live replica reachable"), violations == 0),
+            (format!("the plan has {} events for {FIG8_BEATS} beats", self.plan_events), self.plan_events == FIG8_BEATS),
+            (format!("canal serves every request ({served} of {offered})"), served == offered),
+            (format!("canal availability {} beats sidecar's {}", pct(avail), pct(sidecar_avail)), avail > sidecar_avail),
+            (format!("canal's datapath retries ({}x amplification)", num(amp)), amp > 1.0),
+            (format!("the sidecar never retries ({}x amplification)", num(sidecar_amp)), sidecar.attempts == sidecar.offered),
+            (format!("all three architectures ran ({})", self.archs.len()), self.archs.len() == 3),
+        ];
+        for domain in DOMAINS {
+            for a in &self.archs {
+                let ttr = ttr_of(a, domain);
+                clauses.push((format!("{}: {domain} TTR is measured ({} ms)", a.name, num(ttr)), ttr.is_finite() && ttr > 0.0));
+            }
+            let (ttr, sidecar_ttr) = (ttr_of(canal, domain), ttr_of(sidecar, domain));
+            clauses.push((
+                format!("canal recovers from the {domain} fault before sidecar ({} vs {} ms)", num(ttr), num(sidecar_ttr)),
+                ttr < sidecar_ttr,
+            ));
+        }
+        violated("chaos-recovery", &clauses)
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -986,12 +1002,11 @@ fn report(outcome: &ChaosOutcome, seed: u64, params: &ChaosParams) -> Experiment
             50.0,
             99.9,
         ));
-        let domains = ["replica", "backend", "az"];
         let rows = outcome
             .archs
             .iter()
             .map(|a| {
-                domains
+                DOMAINS
                     .iter()
                     .filter(|d| a.incidents.iter().any(|i| i.domain == **d))
                     .count()
@@ -1004,13 +1019,6 @@ fn report(outcome: &ChaosOutcome, seed: u64, params: &ChaosParams) -> Experiment
             &format!("{} domains each across {} archs", rows, outcome.archs.len()),
             rows == 3 && outcome.archs.len() == 3,
         ));
-        let ttr_of = |a: &ArchOutcome, d: &str| {
-            a.incidents
-                .iter()
-                .find(|i| i.domain == d)
-                .map(|i| i.ttr_ms)
-                .unwrap_or(f64::NAN)
-        };
         let canal_az = ttr_of(canal, "az");
         let sidecar_az = ttr_of(sidecar, "az");
         report.checks.push(Check::cond(
@@ -1096,4 +1104,41 @@ fn report(outcome: &ChaosOutcome, seed: u64, params: &ChaosParams) -> Experiment
             && no_budget.invariant_violations == 0,
     ));
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The storm A/B is a run of its own, outside the scenario digest.
+    #[test]
+    fn retry_budget_cuts_storm_amplification() {
+        let (no_budget, budgeted) = run_retry_storm(42, &ChaosParams::fast());
+        assert!(
+            budgeted.retry_amplification() < no_budget.retry_amplification() - 0.01,
+            "budget must measurably reduce retry amplification: off {} vs on {}",
+            no_budget.retry_amplification(),
+            budgeted.retry_amplification()
+        );
+        assert!(budgeted.budget_rejected > 0, "the budget actually engaged");
+        assert_eq!(no_budget.budget_rejected, 0, "budget off never rejects");
+        assert_eq!(
+            no_budget.invariant_violations, 0,
+            "total outage has no live replica: storm failures are not violations"
+        );
+        assert_eq!(
+            budgeted.invariant_violations, 0,
+            "the budget must never reject a retry that a live replica needed"
+        );
+    }
+
+    #[test]
+    fn retry_storm_is_deterministic() {
+        let params = ChaosParams::fast();
+        let (off_a, on_a) = run_retry_storm(7, &params);
+        let (off_b, on_b) = run_retry_storm(7, &params);
+        assert_eq!(off_a.attempts, off_b.attempts);
+        assert_eq!(on_a.attempts, on_b.attempts);
+        assert_eq!(on_a.budget_rejected, on_b.budget_rejected);
+    }
 }

@@ -95,25 +95,25 @@ const AMBIENT_SHIELD: f64 = 0.3;
 const REQ_PER_S: f64 = 600.0;
 /// New-session rate (opens/s across the region).
 const OPENS_PER_S: f64 = 40.0;
+/// Gateways in the region.
+const FLEET: usize = 6;
 
 /// Disaster-drill run parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DrillParams {
     /// Time compression: every scripted time and window scales by this.
     pub time_scale: f64,
-    /// Gateways in the region.
-    pub fleet: usize,
 }
 
 impl DrillParams {
     /// The full run: 90 s timeline at real scale.
     pub fn full() -> Self {
-        DrillParams { time_scale: 1.0, fleet: 6 }
+        DrillParams { time_scale: 1.0 }
     }
 
     /// CI smoke mode: 4× compressed.
     pub fn fast() -> Self {
-        DrillParams { time_scale: 0.25, fleet: 6 }
+        DrillParams { time_scale: 0.25 }
     }
 
     /// The scaled clock: the scripted timeline in 100 ms ticks.
@@ -329,19 +329,19 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     // Request plane: the differential gray detector over the fleet.
     let mut detector: GrayDetector<u32> =
         GrayDetector::new(params.gray_policy(), params.probe_policy());
-    for g in 0..params.fleet as u32 {
+    for g in 0..FLEET as u32 {
         detector.add_target(g);
     }
 
     // Session plane: the drain coordinator over the same fleet.
-    let gateways: Vec<usize> = (0..params.fleet).collect();
+    let gateways: Vec<usize> = (0..FLEET).collect();
     let mut drain = GatewayDrain::new(128, &gateways, 4, 100_000);
     let mut live: Vec<(FiveTuple, SimTime)> = Vec::new();
     let mut next_port = 1024u16;
 
     // Control plane: the partition-aware rollout controller.
     let mut ctl = RolloutController::new(params.rollout_cfg(), SimDuration::ZERO);
-    for g in 0..params.fleet as u32 {
+    for g in 0..FLEET as u32 {
         ctl.add_target(g);
     }
     let mut southbound: DelayLine<Delivery> = DelayLine::default();
@@ -428,7 +428,7 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         }
 
         // 6. Active probes — the gray gateway keeps passing them.
-        for g in 0..params.fleet as u32 {
+        for g in 0..FLEET as u32 {
             if detector.probes().due(&g, now) {
                 detector.record_probe(&g, now, true);
                 events += 1;
@@ -440,12 +440,12 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         let drained = |g: u32| drain.phase(g as usize) == Some(DrainPhase::Drained);
         let n_requests = req_carry.take(REQ_PER_S * tick_s);
         for _ in 0..n_requests {
-            let zone = rng.index(params.fleet) as u32;
-            let mut g = rng.index(params.fleet) as u32;
+            let zone = rng.index(FLEET) as u32;
+            let mut g = rng.index(FLEET) as u32;
             if detector.is_quarantined(&g) || drained(g) {
                 rerouted += 1;
-                for off in 1..params.fleet as u32 {
-                    let alt = (g + off) % params.fleet as u32;
+                for off in 1..FLEET as u32 {
+                    let alt = (g + off) % FLEET as u32;
                     if !detector.is_quarantined(&alt) && !drained(alt) {
                         g = alt;
                         break;
@@ -476,10 +476,10 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         }
 
         // 8. Canary trickle: the only route back for a quarantined gateway.
-        for g in 0..params.fleet as u32 {
+        for g in 0..FLEET as u32 {
             if detector.allow_canary(&g, now) {
                 for _ in 0..2 {
-                    let zone = rng.index(params.fleet) as u32;
+                    let zone = rng.index(FLEET) as u32;
                     let (ok, latency) = request_outcome(&state, &mut rng, zone, g, base_latency);
                     detector.record_request(&g, ok, latency);
                     requests += 1;
@@ -639,7 +639,7 @@ fn session_tuple(sport: u16) -> FiveTuple {
 /// versions after the heal.
 fn analytic_arms(params: &DrillParams, canal: &CanalDrillRun) -> Vec<DrillArm> {
     let gray_window_s = (HEAL_S - GRAY_ONSET_S) * params.time_scale;
-    let gray_share = REQ_PER_S / params.fleet as f64;
+    let gray_share = REQ_PER_S / FLEET as f64;
     let undetected_errors = (gray_share * gray_window_s * 0.6) as u64;
     vec![
         DrillArm {

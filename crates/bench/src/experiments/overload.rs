@@ -190,7 +190,7 @@ pub struct TenantOutcome {
 
 impl TenantOutcome {
     /// Started / offered.
-    pub fn goodput_ratio(&self) -> f64 {
+    pub(crate) fn goodput_ratio(&self) -> f64 {
         if self.offered == 0 {
             return 1.0;
         }
@@ -225,7 +225,7 @@ pub struct PlacementOutcome {
 impl PlacementOutcome {
     /// Worst victim-tenant P99 inflation: max over well-behaved tenants of
     /// surge-pass P99 over baseline-pass P99.
-    pub fn victim_p99_ratio(&self) -> f64 {
+    pub(crate) fn victim_p99_ratio(&self) -> f64 {
         let mut worst: f64 = 0.0;
         for t in 0..TENANTS as usize {
             if t as u32 + 1 == SURGER {
@@ -276,9 +276,9 @@ pub struct SurgeOutcome {
 }
 
 /// Victim P99 may inflate at most this much under canal.
-pub const VICTIM_P99_BOUND: f64 = 5.0;
+pub(crate) const VICTIM_P99_BOUND: f64 = 5.0;
 /// The surging tenant must keep at least this goodput ratio under canal.
-pub const SURGER_GOODPUT_FLOOR: f64 = 0.5;
+pub(crate) const SURGER_GOODPUT_FLOOR: f64 = 0.5;
 
 impl SurgeOutcome {
     /// Fold the complete outcome into one value: equal seeds must produce
@@ -476,14 +476,28 @@ impl Scenario for SurgeOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let Some(canal) = self.placement("canal") else {
-            return violated("tenant-isolation", &[("the canal placement ran", false)]);
+        let placements = (self.placement("canal"), self.placement("ambient"), self.placement("istio-sidecar"));
+        let (Some(canal), Some(ambient), Some(sidecar)) = placements else {
+            return violated("tenant-isolation", &[("all three placements ran", false)]);
         };
         violated("tenant-isolation", &[
             ("victims hold their no-surge P99", canal.victim_p99_ratio() <= VICTIM_P99_BOUND),
             ("victims keep their goodput", canal.victim_goodput_ratio() >= 0.99),
             ("the surger keeps its goodput floor", canal.surger().goodput_ratio() >= SURGER_GOODPUT_FLOOR),
             ("the surger is shed", canal.surger().shed > 0),
+            (
+                "a shared FIFO inflates victim P99 over 4x what canal's fair queues do",
+                ambient.victim_p99_ratio() > 4.0 * canal.victim_p99_ratio(),
+            ),
+            ("static sidecar cores isolate victims", sidecar.victim_p99_ratio() <= 2.0),
+            (
+                "canal serves more of the surge than a static core split",
+                canal.surger().goodput_ratio() > sidecar.surger().goodput_ratio(),
+            ),
+            ("brownout engages under the surge", canal.surge.brownout_engaged),
+            ("brownout stays off at baseline", !canal.baseline.brownout_engaged),
+            ("the monitor alerts under the surge", canal.surge.overload_alerts > 0),
+            ("the monitor stays calm at baseline", canal.baseline.overload_alerts == 0),
         ])
     }
 

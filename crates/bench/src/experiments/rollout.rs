@@ -204,16 +204,6 @@ impl BlastOutcome {
             .write_u64(self.canal_state_digest);
         d.value()
     }
-
-    /// The safe-rollout invariant `experiments rollout` gates on: the
-    /// poisoned version is never committed anywhere under canal (blast
-    /// radius 0, availability 100% — fail-static), rollback is automatic
-    /// and far faster than operator-detection arms, the degrading change is
-    /// contained to the canary wave, the blackout never degrades serving,
-    /// and the healthy rollout still converges fleet-wide.
-    pub fn rollout_ok(&self) -> bool {
-        self.failures().is_empty()
-    }
 }
 
 /// The route table content for `version`: good unless the config source was
@@ -255,7 +245,7 @@ fn result_label(result: RolloutResult) -> String {
 /// scripted faults, and the four scheduled config changes (healthy,
 /// poisoned, blackout-stalled, degrading); the blind-push arms are priced
 /// against the same arrivals.
-pub fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
+pub(crate) fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
     let clock = params.clock();
     let plan = scripted_plan(&clock);
     let stream = arrivals(seed, params);
@@ -441,15 +431,26 @@ impl Scenario for BlastOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let mut clauses = self.blast.clauses();
+        let b = &self.blast;
+        let [canal, ambient, istio] = &b.arms;
+        let mut clauses = b.clauses();
         clauses.extend([
             (
                 "the degrading change is contained to the canary wave",
-                (1..=self.blast.canary_size).contains(&self.degrade_exposed),
+                (1..=b.canary_size).contains(&self.degrade_exposed),
             ),
             ("the push blackout never degrades serving", self.blocked_availability == 1.0),
             ("the rollout stalled by the blackout times out and rolls back", self.blocked_timeout_rollback),
             ("every rollback restores a converged, unpoisoned version", self.rollback_targets_good),
+            ("the healthy rollout takes a canary and at least two promotions", b.healthy_waves >= 3),
+            ("rollout flights and rollbacks raise at least four monitor alerts", self.rollout_alerts >= 4),
+            ("istio's exposed fleet serves errors", istio.errors > 0),
+            ("ambient's partial exposure serves errors", ambient.errors > 0),
+            ("canal rolls back in under a tenth of istio's operator time", canal.ttr_s < istio.ttr_s / 10.0),
+            (
+                "availability ranks canal over ambient over istio",
+                canal.availability() > ambient.availability() && ambient.availability() > istio.availability(),
+            ),
         ]);
         violated("safe-rollout", &clauses)
     }

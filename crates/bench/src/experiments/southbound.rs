@@ -372,7 +372,7 @@ impl ArmOutcome {
     }
 
     /// 1 − errors/offered.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.offered == 0 {
             return 1.0;
         }
@@ -424,7 +424,7 @@ pub struct Blast {
 
 impl Blast {
     /// The outcome for one arm.
-    pub fn arm(&self, name: &str) -> Option<&ArmOutcome> {
+    pub(crate) fn arm(&self, name: &str) -> Option<&ArmOutcome> {
         self.arms.iter().find(|a| a.name == name)
     }
 

@@ -27,7 +27,7 @@
 
 use crate::experiments::southbound::script;
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, Json, Scenario};
+use crate::scenario::{fields, violated, Json, Scenario};
 use canal_control::rca::{HopWindowStats, SpanEvidenceRca, SpanRcaVerdict, TrendHopRca};
 use canal_mesh::costs::CostModel;
 use canal_sim::faults::{BackendSpec, FaultPlan, FaultState, FaultTarget, FaultTopology};
@@ -412,7 +412,7 @@ pub struct TraceArchOutcome {
 
 impl TraceArchOutcome {
     /// Fraction of error traces retained (1 if there were none).
-    pub fn error_retention(&self) -> f64 {
+    pub(crate) fn error_retention(&self) -> f64 {
         if self.errors == 0 {
             return 1.0;
         }
@@ -420,7 +420,7 @@ impl TraceArchOutcome {
     }
 
     /// Fraction of global-P999 traces retained (1 if there were none).
-    pub fn p999_retention(&self) -> f64 {
+    pub(crate) fn p999_retention(&self) -> f64 {
         if self.p999_traces == 0 {
             return 1.0;
         }
@@ -519,81 +519,13 @@ impl TraceOutcome {
     }
 
     /// Total windows-to-detection for the span-evidence localizer.
-    pub fn span_windows_total(&self) -> usize {
+    pub(crate) fn span_windows_total(&self) -> usize {
         self.episodes.iter().map(|e| e.span_windows).sum()
     }
 
     /// Total windows-to-detection for the trend correlator.
-    pub fn trend_windows_total(&self) -> usize {
+    pub(crate) fn trend_windows_total(&self) -> usize {
         self.episodes.iter().map(|e| e.trend_windows).sum()
-    }
-
-    /// Every violated invariant, as human-readable labels. `experiments trace`
-    /// refuses to exit clean unless this is empty (in `--fast` smoke
-    /// mode too — these hold at any scale, unlike the tuned report bands).
-    pub(crate) fn invariant_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        // A beat the fault DSL rejects empties the plan: nothing to trace.
-        if self.plan_events != BEATS.len() {
-            out.push(format!("the plan has {} events for {} beats", self.plan_events, BEATS.len()));
-        }
-        for a in &self.archs {
-            if a.error_retention() < 0.99 {
-                out.push(format!(
-                    "{}: error retention {} < 99%",
-                    a.name,
-                    pct(a.error_retention())
-                ));
-            }
-            if a.p999_retention() < 0.99 {
-                out.push(format!(
-                    "{}: P999 retention {} < 99%",
-                    a.name,
-                    pct(a.p999_retention())
-                ));
-            }
-            if a.head_rate > 0.025 {
-                out.push(format!(
-                    "{}: head rate {} above the 2% budget",
-                    a.name,
-                    pct(a.head_rate)
-                ));
-            }
-            if !a.exemplar_retained {
-                out.push(format!("{}: P999 exemplar trace not retained", a.name));
-            }
-        }
-        if let (Some(canal), Some(sidecar)) = (self.arch("canal"), self.arch("istio-sidecar")) {
-            if canal.telemetry_cpu_us_per_req >= sidecar.telemetry_cpu_us_per_req {
-                out.push(format!(
-                    "canal telemetry cpu {}us/req not below sidecar {}us/req",
-                    num(canal.telemetry_cpu_us_per_req),
-                    num(sidecar.telemetry_cpu_us_per_req)
-                ));
-            }
-        }
-        if self.span_correct() < self.trend_correct() {
-            out.push(format!(
-                "span RCA correct on {} episodes < trend's {}",
-                self.span_correct(),
-                self.trend_correct()
-            ));
-        }
-        if self.span_correct() < self.episodes.len() {
-            out.push(format!(
-                "span RCA localized only {}/{} episodes",
-                self.span_correct(),
-                self.episodes.len()
-            ));
-        }
-        if self.span_windows_total() >= self.trend_windows_total() {
-            out.push(format!(
-                "span RCA windows {} not strictly below trend's {}",
-                self.span_windows_total(),
-                self.trend_windows_total()
-            ));
-        }
-        out
     }
 }
 
@@ -942,7 +874,38 @@ impl Scenario for TraceOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        self.invariant_failures()
+        let (Some(canal), Some(sidecar)) = (self.arch("canal"), self.arch("istio-sidecar")) else {
+            return violated("tracing", &[("the canal and sidecar arms ran", false)]);
+        };
+        // A beat the fault DSL rejects empties the plan: nothing to trace.
+        let beats = BEATS.len();
+        let mut clauses = vec![(format!("the plan has {} events for {beats} beats", self.plan_events), self.plan_events == beats)];
+        for a in &self.archs {
+            let (errors, p999) = (a.error_retention(), a.p999_retention());
+            clauses.extend([
+                (format!("{}: error retention {} reaches 99%", a.name, pct(errors)), errors >= 0.99),
+                (format!("{}: P999 retention {} reaches 99%", a.name, pct(p999)), p999 >= 0.99),
+                (format!("{}: head rate {} stays in the 2% budget", a.name, pct(a.head_rate)), a.head_rate <= 0.025),
+                (format!("{}: the P999 exemplar trace is retained", a.name), a.exemplar_retained),
+            ]);
+        }
+        let (cpu, sidecar_cpu) = (canal.telemetry_cpu_us_per_req, sidecar.telemetry_cpu_us_per_req);
+        let (span, trend) = (self.span_correct(), self.trend_correct());
+        let (span_windows, trend_windows) = (self.span_windows_total(), self.trend_windows_total());
+        let episodes = self.episodes.len();
+        clauses.extend([
+            (format!("canal telemetry cpu {}us/req is below sidecar's {}us/req", num(cpu), num(sidecar_cpu)), cpu < sidecar_cpu),
+            (format!("the fault plan produces error traces ({} under canal)", canal.errors), canal.errors > 0),
+            (format!("canal span rings evict ({} spans)", canal.spans_evicted), canal.spans_evicted > 0),
+            (format!("the RCA scores three episodes ({episodes})"), episodes == 3),
+            (format!("span RCA localizes every episode ({span}/{episodes})"), span == episodes),
+            (format!("span RCA is right at least as often as trend's ({span} vs {trend})"), span >= trend),
+            (
+                format!("span RCA needs fewer windows than trend's ({span_windows} vs {trend_windows})"),
+                span_windows < trend_windows,
+            ),
+        ]);
+        violated("tracing", &clauses)
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {

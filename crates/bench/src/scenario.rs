@@ -23,8 +23,13 @@ pub trait Scenario: Sized {
     /// The whole outcome folded into one value (the outcome types' own
     /// `digest()`, which `benchmark/` calls without this trait in scope).
     fn outcome_digest(&self) -> u64;
-    /// Every way the invariant is violated; it holds at any scale, unlike
-    /// the report's bands, which are tuned for the full one.
+    /// Every way the invariant is violated, one line per broken clause.
+    ///
+    /// The clause list built here, with `violated`, is the one place a
+    /// scenario's properties are stated: the golden double-run test holds
+    /// them at every pinned run, so a property needs no test of its own.
+    /// Each clause holds at any scale, unlike the report's bands, which are
+    /// tuned for the full one.
     fn failures(&self) -> Vec<String>;
     /// The scenario's sections of the JSON document, in order.
     fn json(&self) -> Vec<(&'static str, Json)>;
@@ -56,9 +61,9 @@ pub struct Driver {
 }
 
 /// One failure line per clause of the `what` invariant that does not hold.
-pub(crate) fn violated(what: &str, clauses: &[(&str, bool)]) -> Vec<String> {
+pub(crate) fn violated<S: AsRef<str>>(what: &str, clauses: &[(S, bool)]) -> Vec<String> {
     let broken = clauses.iter().filter(|(_, holds)| !holds);
-    broken.map(|(clause, _)| format!("{what} invariant violated: {clause}")).collect()
+    broken.map(|(clause, _)| format!("{what} invariant violated: {}", clause.as_ref())).collect()
 }
 
 /// One full-scale run's report.

@@ -3,6 +3,10 @@
 //! the scenario twice and reports a divergence, or a violated invariant, as
 //! a failure.
 //!
+//! This is the one test that holds a scenario's properties: each of them is
+//! a clause of the scenario's `failures()`, and a broken clause fails here by
+//! name, before any digest is compared.
+//!
 //! [`GOLDEN`] holds each scenario to its digests across commits: a change
 //! that is meant to keep behaviour leaves all 32 values where they are, and
 //! one that is meant to move a scenario re-pins that scenario's row and says
@@ -13,8 +17,10 @@ use canal_bench::EXPERIMENTS;
 /// `(seed, fast)` of each golden column.
 const GOLDEN_RUNS: [(u64, bool); 4] = [(42, true), (7, true), (1001, true), (42, false)];
 
-/// Digest of every scenario at each of [`GOLDEN_RUNS`], captured at commit
-/// 67beed4 (PR 14) with `experiments [--fast] --seed <seed> <id>`.
+/// Digest of every scenario at each of [`GOLDEN_RUNS`], as `experiments
+/// [--fast] --seed <seed> <id>` prints it. Each row was last pinned in commit
+/// 1a04bcd, with the values of 67beed4, except `policy`: 64de06d re-pinned it
+/// when the deny-spike alert came to need two spiking quanta in a row.
 const GOLDEN: [(&str, [u64; 4]); 8] = [
     ("fig8", [0xa887_2086_e24b_d75a, 0x4175_5572_426e_ba87, 0xfc2a_f813_a781_5647, 0xfdeb_3eb4_660a_bad3]),
     ("overload", [0x9cb1_60c7_adba_1cf5, 0xde6b_7a36_bb35_afde, 0x64a9_ebb0_9979_5357, 0x8cc2_ab2f_d509_df36]),
