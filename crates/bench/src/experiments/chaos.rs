@@ -72,9 +72,9 @@ const STORM_RETRY_BUDGET: (f64, f64) = (1.0, 100.0);
 pub struct ChaosParams {
     /// Time compression: scripted fault times, probe intervals and
     /// detection (push) times are all multiplied by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
     /// Offered load (requests/s).
-    pub rps: f64,
+    pub(crate) rps: f64,
 }
 
 impl ChaosParams {
@@ -87,7 +87,7 @@ impl ChaosParams {
     }
 
     /// CI smoke mode: the same scenario compressed 4× at lower load.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         ChaosParams {
             time_scale: 0.25,
             rps: 80.0,
@@ -102,17 +102,17 @@ impl ChaosParams {
 
 /// One failure incident's recovery measurement.
 #[derive(Debug, Clone)]
-pub struct IncidentOutcome {
+pub(crate) struct IncidentOutcome {
     /// Failure domain label ("replica" / "backend" / "az").
-    pub domain: String,
+    pub(crate) domain: String,
     /// When the fault hit (seconds).
-    pub fault_s: f64,
+    pub(crate) fault_s: f64,
     /// When the fault's scripted recovery landed (seconds).
-    pub recover_s: f64,
+    pub(crate) recover_s: f64,
     /// Availability over the fault window.
-    pub window_availability: f64,
+    pub(crate) window_availability: f64,
     /// Time from fault onset to the first fully-available bin (ms).
-    pub ttr_ms: f64,
+    pub(crate) ttr_ms: f64,
 }
 
 /// One architecture's chaos-run outcome.
@@ -123,7 +123,7 @@ pub struct ArchOutcome {
     /// Requests offered.
     pub offered: u64,
     /// Requests served.
-    pub succeeded: u64,
+    pub(crate) succeeded: u64,
     /// Attempts made (succeeded + retries + failures).
     pub attempts: u64,
     /// Requests that failed while ground truth had a live replica in a
@@ -131,27 +131,27 @@ pub struct ArchOutcome {
     pub invariant_violations: u64,
     /// `Gateway::fail`/`recover` calls the detection path got wrong
     /// (unknown domain) — must be zero or the plan drifted from topology.
-    pub placement_drift: u64,
+    pub(crate) placement_drift: u64,
     /// Requests salvaged by the fail-open last resort (detected view said
     /// "all down", ground truth disagreed).
-    pub fail_open: u64,
+    pub(crate) fail_open: u64,
     /// Outlier-ejection trips.
-    pub ejections: u64,
+    pub(crate) ejections: u64,
     /// DNS health flips published by the breaker.
-    pub dns_flips: u64,
+    pub(crate) dns_flips: u64,
     /// Requests that died on their deadline.
-    pub deadline_exceeded: u64,
+    pub(crate) deadline_exceeded: u64,
     /// Retry/hedge attempts refused by the retry budget (0 outside the
     /// budgeted run of [`run_retry_storm`]).
-    pub budget_rejected: u64,
+    pub(crate) budget_rejected: u64,
     /// p99 latency outside fault windows (ms).
-    pub calm_p99_ms: f64,
+    pub(crate) calm_p99_ms: f64,
     /// p99 latency inside fault windows (ms).
-    pub fault_p99_ms: f64,
+    pub(crate) fault_p99_ms: f64,
     /// p999 latency inside fault windows (ms).
-    pub fault_p999_ms: f64,
+    pub(crate) fault_p999_ms: f64,
     /// Per-domain recovery measurements.
-    pub incidents: Vec<IncidentOutcome>,
+    pub(crate) incidents: Vec<IncidentOutcome>,
 }
 
 impl ArchOutcome {
@@ -202,7 +202,7 @@ pub struct ChaosOutcome {
     /// Per-architecture results, in sidecar/ambient/canal order.
     pub archs: Vec<ArchOutcome>,
     /// Fault-plan events executed (identical across architectures).
-    pub plan_events: usize,
+    pub(crate) plan_events: usize,
 }
 
 impl ChaosOutcome {

@@ -102,7 +102,7 @@ const FLEET: usize = 6;
 #[derive(Debug, Clone, Copy)]
 pub struct DrillParams {
     /// Time compression: every scripted time and window scales by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
 }
 
 impl DrillParams {
@@ -112,7 +112,7 @@ impl DrillParams {
     }
 
     /// CI smoke mode: 4× compressed.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         DrillParams { time_scale: 0.25 }
     }
 
@@ -167,83 +167,83 @@ fn scripted_plan(clock: &TickClock) -> FaultPlan {
 #[derive(Debug, Clone)]
 pub struct CanalDrillRun {
     /// Real requests routed (canary probes included).
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Requests that failed, fleet-wide.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Failed requests on the gray gateway (the gray blast the detector
     /// bounds).
-    pub gray_errors: u64,
+    pub(crate) gray_errors: u64,
     /// Evidence windows from gray onset to quarantine (`u64::MAX` = never).
-    pub detect_windows: u64,
+    pub(crate) detect_windows: u64,
     /// Lifetime quarantine transitions.
-    pub quarantines: u64,
+    pub(crate) quarantines: u64,
     /// Quarantines of any gateway other than the scripted gray one.
-    pub false_positive_quarantines: u64,
+    pub(crate) false_positive_quarantines: u64,
     /// The quarantine cleared (cooloff + clean canary windows) after heal.
-    pub quarantine_cleared: bool,
+    pub(crate) quarantine_cleared: bool,
     /// Requests steered off the quarantined gateway.
-    pub rerouted: u64,
+    pub(crate) rerouted: u64,
     /// Canary requests sent to quarantined gateways.
-    pub canary_requests: u64,
+    pub(crate) canary_requests: u64,
     /// Sessions opened over the run.
-    pub sessions_opened: u64,
+    pub(crate) sessions_opened: u64,
     /// Daisy-chained packet hand-offs during the drain.
-    pub handed_off: u64,
+    pub(crate) handed_off: u64,
     /// Sessions force-closed at the drain deadline (the zero-loss gate).
-    pub force_closed: u64,
+    pub(crate) force_closed: u64,
     /// The leaving gateway reached `Drained`.
-    pub drain_completed: bool,
+    pub(crate) drain_completed: bool,
     /// Established sessions on the leaving gateway when the drain began —
     /// what a handoff-less architecture would reset.
-    pub sessions_at_drain: u64,
+    pub(crate) sessions_at_drain: u64,
     /// Rollouts that converged (must be 2: v1 and v2).
-    pub rollouts_converged: u64,
+    pub(crate) rollouts_converged: u64,
     /// Automatic rollbacks (must be 0: partition ≠ NACK).
-    pub rollbacks: u64,
+    pub(crate) rollbacks: u64,
     /// Monotone catch-up pushes on partition heal.
-    pub catch_up_pushes: u64,
+    pub(crate) catch_up_pushes: u64,
     /// Ticks a quorum-starved wave spent holding.
-    pub partition_holds: u64,
+    pub(crate) partition_holds: u64,
     /// Config pushes dropped at partitioned targets.
-    pub dropped_pushes: u64,
+    pub(crate) dropped_pushes: u64,
     /// Requests served by partitioned gateways (fail-static) during the
     /// partition.
-    pub fail_static_served: u64,
+    pub(crate) fail_static_served: u64,
     /// Ticks a partitioned gateway served past its config lease (must be 0).
-    pub lease_violations: u64,
+    pub(crate) lease_violations: u64,
     /// After heal + catch-up, every gateway acked the same final version.
-    pub one_converged_version: bool,
+    pub(crate) one_converged_version: bool,
     /// That version (must be 2).
-    pub last_good: u64,
+    pub(crate) last_good: u64,
     /// Failed requests on the scripted asymmetric path (zone 1 → gw 2).
-    pub asym_forward_errors: u64,
+    pub(crate) asym_forward_errors: u64,
     /// Failed requests on the reverse path (zone 2 → gw 1) — must be 0.
-    pub asym_reverse_errors: u64,
+    pub(crate) asym_reverse_errors: u64,
     /// Payload bytes carried by successful requests.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
     /// Simulation events processed (requests, probes, window rolls,
     /// session ops, config pushes).
     pub events: u64,
     /// Full detector + drain + controller + fault-state digest.
-    pub state_digest: u64,
+    pub(crate) state_digest: u64,
 }
 
 /// One coarse analytic arm (sidecar / ambient).
 #[derive(Debug, Clone)]
-pub struct DrillArm {
+pub(crate) struct DrillArm {
     /// Arm name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Failed requests on the gray gateway over the full window (active
     /// probes never catch it).
-    pub gray_errors: u64,
+    pub(crate) gray_errors: u64,
     /// Seconds the gray gateway keeps taking real traffic undetected.
-    pub undetected_secs: f64,
+    pub(crate) undetected_secs: f64,
     /// Established sessions reset by the maintenance drain.
-    pub sessions_lost: u64,
+    pub(crate) sessions_lost: u64,
     /// Active config versions after the partition heals.
-    pub active_versions_post_heal: u64,
+    pub(crate) active_versions_post_heal: u64,
     /// Promotions made without a reachability quorum during the partition.
-    pub unsafe_promotions: u64,
+    pub(crate) unsafe_promotions: u64,
 }
 
 /// The whole experiment's outcome.
@@ -252,7 +252,7 @@ pub struct DrillOutcome {
     /// The canal arm (the machinery under test).
     pub canal: CanalDrillRun,
     /// The sidecar and ambient comparison arms.
-    pub arms: Vec<DrillArm>,
+    pub(crate) arms: Vec<DrillArm>,
 }
 
 impl DrillOutcome {

@@ -80,7 +80,7 @@ const FLEET: usize = 8;
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverParams {
     /// Time compression: every scripted time and window scales by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
 }
 
 impl FailoverParams {
@@ -151,63 +151,63 @@ pub struct FailoverArmRun {
     /// Arm name.
     pub name: &'static str,
     /// Live-controller pushes delivered to gateways (rollbacks included).
-    pub pushes_delivered: u64,
+    pub(crate) pushes_delivered: u64,
     /// Successful commits (stage + validate + swap) across the fleet.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Content / version NACKs returned to the live controller.
-    pub nacks: u64,
+    pub(crate) nacks: u64,
     /// Live-controller deliveries of a version the gateway already runs —
     /// the duplicate-exposure count the journal keeps at zero.
-    pub duplicate_exposures: u64,
+    pub(crate) duplicate_exposures: u64,
     /// Pushes that died in the crashed controller's send queue.
-    pub dropped_in_flight: u64,
+    pub(crate) dropped_in_flight: u64,
     /// Targets re-pushed by the recovery anti-entropy pass.
-    pub recovery_pushes: u64,
+    pub(crate) recovery_pushes: u64,
     /// Rollback targets re-emitted by recovery (the pending-rollback path).
-    pub rollback_repushes: u64,
+    pub(crate) rollback_repushes: u64,
     /// Pushes the zombie incarnation attempted after resuming.
-    pub zombie_pushes: u64,
+    pub(crate) zombie_pushes: u64,
     /// Zombie pushes fenced by the data plane's epoch floor.
-    pub zombie_fenced: u64,
+    pub(crate) zombie_fenced: u64,
     /// Epoch of the crashed incarnation.
-    pub epoch_before: u64,
+    pub(crate) epoch_before: u64,
     /// Epoch of the recovered incarnation.
-    pub epoch_after: u64,
+    pub(crate) epoch_after: u64,
     /// Recovery resumed the in-flight wave (vs. aborting or idling).
-    pub resumed_in_flight: bool,
+    pub(crate) resumed_in_flight: bool,
     /// Rollbacks the recovered incarnation performed.
-    pub rollbacks: u64,
+    pub(crate) rollbacks: u64,
     /// Every gateway runs this version at the horizon (0 = divergent).
-    pub converged_version: u64,
+    pub(crate) converged_version: u64,
     /// The fleet ended on more than one running version.
-    pub divergent: bool,
+    pub(crate) divergent: bool,
     /// Gateways left running the poisoned version at the horizon.
-    pub on_bad_version: u64,
+    pub(crate) on_bad_version: u64,
     /// Records appended to the journal of record over the arm.
-    pub journal_appended: u64,
+    pub(crate) journal_appended: u64,
     /// Journal records evicted into the replay checkpoint.
-    pub journal_evicted: u64,
+    pub(crate) journal_evicted: u64,
     /// Simulation events processed (deliveries, acks, faults, ticks).
     pub events: u64,
     /// Full fleet + controller + fault-state digest.
-    pub state_digest: u64,
+    pub(crate) state_digest: u64,
 }
 
 /// The journal-less comparison arm, priced analytically: a restart has no
 /// intent record, so it re-pushes the whole fleet (double-exposing the
 /// canary), and nothing fences the zombie.
 #[derive(Debug, Clone)]
-pub struct FailoverBaselineArm {
+pub(crate) struct FailoverBaselineArm {
     /// Arm name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Targets blind-re-pushed after the restart.
-    pub restart_repushes: u64,
+    pub(crate) restart_repushes: u64,
     /// Canary targets exposed to the same version twice.
-    pub duplicate_exposures: u64,
+    pub(crate) duplicate_exposures: u64,
     /// Zombie pushes that apply (no fence).
-    pub zombie_applied: u64,
+    pub(crate) zombie_applied: u64,
     /// Active config versions after the zombie race.
-    pub versions_post_zombie: u64,
+    pub(crate) versions_post_zombie: u64,
 }
 
 /// The whole experiment's outcome.
@@ -220,7 +220,7 @@ pub struct FailoverOutcome {
     /// Zombie incarnation races the recovered controller; fencing wins.
     pub zombie: FailoverArmRun,
     /// Journal-less baselines (sidecar / ambient control planes).
-    pub baselines: Vec<FailoverBaselineArm>,
+    pub(crate) baselines: Vec<FailoverBaselineArm>,
 }
 
 impl FailoverOutcome {

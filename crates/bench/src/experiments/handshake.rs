@@ -108,16 +108,16 @@ const CHURN_PER_S: f64 = 200.0;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HandshakeParams {
     /// Time compression: every scripted time and window scales by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
     /// Gateways in the region (rollout targets).
-    pub fleet: usize,
+    pub(crate) fleet: usize,
     /// Workload certs under the rotating tenant (the storm size).
-    pub rotating_workloads: u64,
+    pub(crate) rotating_workloads: u64,
     /// Workloads per non-rotating tenant.
-    pub workloads_per_other: u64,
+    pub(crate) workloads_per_other: u64,
     /// Key-server asymmetric capacity (ops/s); the batch accelerator's
     /// 8-wide × 1 ms batches cap out at 8 k/s, so stay under that.
-    pub ks_capacity_per_s: f64,
+    pub(crate) ks_capacity_per_s: f64,
 }
 
 impl HandshakeParams {
@@ -228,105 +228,105 @@ impl LatencyHist {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KsDegrade {
     /// Window start, scaled seconds.
-    pub from_s: f64,
+    pub(crate) from_s: f64,
     /// Window end, scaled seconds.
-    pub to_s: f64,
+    pub(crate) to_s: f64,
     /// Capacity multiplier inside the window (e.g. 0.05).
-    pub factor: f64,
+    pub(crate) factor: f64,
 }
 
 /// Everything the canal arm measures.
 #[derive(Debug, Clone)]
 pub(crate) struct CanalHandshakeRun {
     /// Certs issued under the rotating tenant's new generation.
-    pub rotated_certs: u64,
+    pub(crate) rotated_certs: u64,
     /// Full (asymmetric) handshakes completed.
-    pub full_handshakes: u64,
+    pub(crate) full_handshakes: u64,
     /// Resumed (symmetric-only) handshakes completed.
-    pub resumed_handshakes: u64,
+    pub(crate) resumed_handshakes: u64,
     /// Steady-phase resumed share of all handshakes.
-    pub steady_resumed_fraction: f64,
+    pub(crate) steady_resumed_fraction: f64,
     /// Accelerator occupancy (ops per batch-slot) in the steady phase —
     /// the Fig. 25 bubble regime.
-    pub steady_occupancy: f64,
+    pub(crate) steady_occupancy: f64,
     /// Accelerator occupancy during the storm phase.
-    pub storm_occupancy: f64,
+    pub(crate) storm_occupancy: f64,
     /// Rotating-tenant full-handshake p99 by phase (µs).
-    pub steady_full_p99_us: f64,
+    pub(crate) steady_full_p99_us: f64,
     /// Storm-phase rotating-tenant full-handshake p99 (µs).
-    pub storm_full_p99_us: f64,
+    pub(crate) storm_full_p99_us: f64,
     /// Non-rotating tenants' full-handshake p99 over the whole run (µs) —
     /// strict priority at the key server keeps this near steady state.
-    pub nonrotating_full_p99_us: f64,
+    pub(crate) nonrotating_full_p99_us: f64,
     /// Resumed-handshake p99 over the whole run (µs).
-    pub resumed_p99_us: f64,
+    pub(crate) resumed_p99_us: f64,
     /// Peak rotating-tenant queue sojourn at the key server (seconds).
-    pub peak_sojourn_s: f64,
+    pub(crate) peak_sojourn_s: f64,
     /// Key-server backlog still queued at the horizon (ops).
-    pub backlog_end: u64,
+    pub(crate) backlog_end: u64,
     /// Handshakes offered by non-rotating tenants.
-    pub nonrotating_offered: u64,
+    pub(crate) nonrotating_offered: u64,
     /// Non-rotating handshakes that failed (shed past retries, or bundle
     /// validation failures). The zero-availability-loss gate.
-    pub nonrotating_errors: u64,
+    pub(crate) nonrotating_errors: u64,
     /// Full handshakes shed past the client deadline (0 unless degraded).
-    pub sheds: u64,
+    pub(crate) sheds: u64,
     /// Handshake attempts / unique handshake demands (retry amplification).
-    pub amplification: f64,
+    pub(crate) amplification: f64,
     /// Targets the poisoned (clock-skewed) bundle was pushed to.
-    pub poison_exposed: usize,
+    pub(crate) poison_exposed: usize,
     /// Gateways that ever *committed* the poisoned bundle (must be 0).
-    pub poison_committed: usize,
+    pub(crate) poison_committed: usize,
     /// The poisoned rotation ended in an automatic NACK rollback.
-    pub poison_rolled_back: bool,
+    pub(crate) poison_rolled_back: bool,
     /// The skewed tenant's retry (after backoff + clock recovery) converged.
-    pub poison_retry_converged: bool,
+    pub(crate) poison_retry_converged: bool,
     /// Bundle NACKs the gateways sent.
-    pub nacks: u64,
+    pub(crate) nacks: u64,
     /// The compromise rotation raised the revocation floor fleet-wide.
-    pub compromise_floor_raised: bool,
+    pub(crate) compromise_floor_raised: bool,
     /// Sampled tenant-2 tickets dropped by the post-compromise sweep.
-    pub tickets_swept: u64,
+    pub(crate) tickets_swept: u64,
     /// After the sweep, no swept ticket could resume.
-    pub revoked_resumes_blocked: bool,
+    pub(crate) revoked_resumes_blocked: bool,
     /// Rotations converged / rolled back.
-    pub rotations_converged: u64,
+    pub(crate) rotations_converged: u64,
     /// Rotations rolled back or refused.
-    pub rotations_rolled_back: u64,
+    pub(crate) rotations_rolled_back: u64,
     /// Node CPU burned on handshakes (seconds).
-    pub cpu_s: f64,
+    pub(crate) cpu_s: f64,
     /// Full controller + gateway + histogram state digest.
-    pub state_digest: u64,
+    pub(crate) state_digest: u64,
 }
 
 /// One coarse analytic arm (sidecar / ambient).
 #[derive(Debug, Clone)]
 pub(crate) struct AnalyticArm {
     /// Arm name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Full handshakes performed.
-    pub full_handshakes: u64,
+    pub(crate) full_handshakes: u64,
     /// Handshake p99 (µs) — software crypto is flat.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
     /// Node CPU burned on handshakes (seconds).
-    pub cpu_s: f64,
+    pub(crate) cpu_s: f64,
     /// Proxies a poisoned bundle reaches under this arm's push model.
-    pub poison_exposed: usize,
+    pub(crate) poison_exposed: usize,
     /// Fleet size for the exposure denominator.
-    pub fleet: usize,
+    pub(crate) fleet: usize,
 }
 
 /// The whole experiment's outcome.
 #[derive(Debug, Clone)]
 pub(crate) struct HandshakeOutcome {
     /// The canal arm (the machinery under test).
-    pub canal: CanalHandshakeRun,
+    pub(crate) canal: CanalHandshakeRun,
     /// The sidecar and ambient comparison arms.
-    pub arms: Vec<AnalyticArm>,
+    pub(crate) arms: Vec<AnalyticArm>,
     /// Canary wave size (poison blast-radius bound).
-    pub canary_size: usize,
+    pub(crate) canary_size: usize,
     /// Total handshake demand (all arms share it).
-    pub demand: u64,
+    pub(crate) demand: u64,
 }
 
 impl HandshakeOutcome {

@@ -1,22 +1,22 @@
 //! One module per experiment group; every public function regenerates one
 //! paper table or figure (DESIGN.md §3 maps ids to modules).
 
-pub mod ablations;
+pub(crate) mod ablations;
 pub mod chaos;
-pub mod cloud;
-pub mod control;
-pub mod costs;
+pub(crate) mod cloud;
+pub(crate) mod control;
+pub(crate) mod costs;
 pub mod drill;
 pub mod failover;
-pub mod handshake;
-pub mod health;
-pub mod micro;
-pub mod motivation;
-pub mod offload;
+pub(crate) mod handshake;
+pub(crate) mod health;
+pub(crate) mod micro;
+pub(crate) mod motivation;
+pub(crate) mod offload;
 pub mod overload;
-pub mod perf;
+pub(crate) mod perf;
 pub mod policy;
-pub mod resource;
-pub mod rollout;
-pub mod southbound;
-pub mod trace;
+pub(crate) mod resource;
+pub(crate) mod rollout;
+pub(crate) mod southbound;
+pub(crate) mod trace;

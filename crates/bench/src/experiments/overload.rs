@@ -56,7 +56,7 @@ const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(250);
 #[derive(Debug, Clone, Copy)]
 pub struct SurgeParams {
     /// Time compression: the measurement horizon is multiplied by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
 }
 
 impl SurgeParams {
@@ -66,7 +66,7 @@ impl SurgeParams {
     }
 
     /// CI smoke mode: the same scenario compressed 4×.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         SurgeParams { time_scale: 0.25 }
     }
 
@@ -179,13 +179,13 @@ pub struct TenantOutcome {
     /// Requests granted ingress CPU (goodput).
     pub started: u64,
     /// Requests shed (queue caps or CoDel).
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// P99 ingress latency (queue sojourn + service), ms.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// P99 over interactive requests only, ms.
-    pub interactive_p99_ms: f64,
+    pub(crate) interactive_p99_ms: f64,
     /// P99 over bulk requests only, ms.
-    pub bulk_p99_ms: f64,
+    pub(crate) bulk_p99_ms: f64,
 }
 
 impl TenantOutcome {
@@ -204,11 +204,11 @@ pub struct PassOutcome {
     /// Per-tenant measurements, indexed `tenant - 1`.
     pub tenants: Vec<TenantOutcome>,
     /// Whether brownout ever left [`canal_gateway::BrownoutLevel::Normal`].
-    pub brownout_engaged: bool,
+    pub(crate) brownout_engaged: bool,
     /// Requests shed in total.
-    pub total_shed: u64,
+    pub(crate) total_shed: u64,
     /// Control-plane monitor samples that assessed pressure or shedding.
-    pub overload_alerts: u64,
+    pub(crate) overload_alerts: u64,
 }
 
 /// One placement's baseline + surge passes.
@@ -246,7 +246,7 @@ impl PlacementOutcome {
     }
 
     /// The surging tenant's measurements during the surge.
-    pub fn surger(&self) -> &TenantOutcome {
+    pub(crate) fn surger(&self) -> &TenantOutcome {
         &self.surge.tenants[(SURGER - 1) as usize]
     }
 
@@ -292,7 +292,7 @@ impl SurgeOutcome {
     }
 
     /// The outcome for one placement.
-    pub fn placement(&self, name: &str) -> Option<&PlacementOutcome> {
+    pub(crate) fn placement(&self, name: &str) -> Option<&PlacementOutcome> {
         self.placements.iter().find(|p| p.name == name)
     }
 

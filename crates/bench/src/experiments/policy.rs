@@ -83,11 +83,11 @@ const PATHS: [&str; 5] = ["/", "/api/items", "/api/orders", "/admin/keys", "/hea
 pub struct PolicyParams {
     /// Time compression: scripted fault times, detection delays, bake and
     /// ack windows are all multiplied by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
     /// Offered load (requests/s, both tenants together).
-    pub rps: f64,
+    pub(crate) rps: f64,
     /// Data-plane fleet size (gateways and their nodes).
-    pub fleet: usize,
+    pub(crate) fleet: usize,
 }
 
 impl PolicyParams {
@@ -100,7 +100,7 @@ impl PolicyParams {
     /// The offered rate goes *up*, not down: compressed time shrinks every
     /// monitoring window, so the per-gateway evidence quanta need a higher
     /// arrival rate to fill inside the (also compressed) bake window.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         PolicyParams { time_scale: 0.25, rps: 280.0, fleet: 12 }
     }
 
@@ -256,42 +256,42 @@ fn spec_for(version: u64, poisoned: bool, deny_all: bool) -> PolicySpec {
 pub struct PolicyBlastOutcome {
     /// The poisoned policy across the three arms, and canal's healthy
     /// policy rollout before it.
-    pub blast: Blast,
+    pub(crate) blast: Blast,
     /// Gateways that committed the wrong-scope deny-all version before
     /// the health gate rolled it back (must be ≤ canary).
-    pub deny_exposed: usize,
+    pub(crate) deny_exposed: usize,
     /// Tenant-1 requests wrongly denied by the deny-all canary.
-    pub deny_errors: u64,
+    pub(crate) deny_errors: u64,
     /// `PolicyDeny` alerts the water-level monitor raised.
-    pub policy_alerts: u64,
+    pub(crate) policy_alerts: u64,
     /// Node-path admission counters summed over the fleet.
-    pub node_allowed: u64,
+    pub(crate) node_allowed: u64,
     /// Node-path fast denies (no L7 involvement).
-    pub node_denied: u64,
+    pub(crate) node_denied: u64,
     /// Node-path deferrals to the gateway L7 tables.
-    pub node_deferred: u64,
+    pub(crate) node_deferred: u64,
     /// Versions the policy store retains after the run.
-    pub store_len: usize,
+    pub(crate) store_len: usize,
     /// Isolation gate: packets probed against joint vs solo compiles.
-    pub isolation_probes: u64,
+    pub(crate) isolation_probes: u64,
     /// Isolation gate: verdict divergences (must be zero).
-    pub cross_tenant_matches: u64,
+    pub(crate) cross_tenant_matches: u64,
     /// Differential gate: compiled verdict-stream digest.
-    pub compiled_digest: u64,
+    pub(crate) compiled_digest: u64,
     /// Differential gate: reference verdict-stream digest.
-    pub reference_digest: u64,
+    pub(crate) reference_digest: u64,
     /// Match-cost gate: compiled per-lookup op bound on the large set.
-    pub compiled_ops: u64,
+    pub(crate) compiled_ops: u64,
     /// Match-cost gate: the reference's per-lookup rule evaluations.
-    pub naive_ops: u64,
+    pub(crate) naive_ops: u64,
     /// Rules in the match-cost synthetic tenant.
-    pub cost_rules: usize,
+    pub(crate) cost_rules: usize,
     /// Policy evaluations performed (node + gateway), for throughput.
     pub events: u64,
     /// Bytes offered over the horizon.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
     /// Controller + gateway + node + monitor state digest.
-    pub canal_state_digest: u64,
+    pub(crate) canal_state_digest: u64,
 }
 
 impl PolicyBlastOutcome {

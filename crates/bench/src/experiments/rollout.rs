@@ -67,14 +67,14 @@ const STEADY_P99: SimDuration = SimDuration::from_millis(5);
 
 /// Rollout run parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct RolloutParams {
+pub(crate) struct RolloutParams {
     /// Time compression: scripted fault times, detection delays, bake and
     /// ack windows are all multiplied by this.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
     /// Offered load (requests/s).
-    pub rps: f64,
+    pub(crate) rps: f64,
     /// Data-plane fleet size (gateways / waypoints / sidecar'd pods).
-    pub fleet: usize,
+    pub(crate) fleet: usize,
 }
 
 impl RolloutParams {
@@ -88,7 +88,7 @@ impl RolloutParams {
     }
 
     /// CI smoke mode: the same scenario compressed 4× on a smaller fleet.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         RolloutParams {
             time_scale: 0.25,
             rps: 120.0,
@@ -149,33 +149,33 @@ fn arrivals(seed: u64, params: &RolloutParams) -> Vec<Arrival> {
 
 /// The whole experiment's outcome.
 #[derive(Debug, Clone)]
-pub struct BlastOutcome {
+pub(crate) struct BlastOutcome {
     /// The poisoned change across the three arms, and canal's healthy
     /// rollout before it.
-    pub blast: Blast,
+    pub(crate) blast: Blast,
     /// Gateways that committed the valid-but-degrading version before the
     /// health gate rolled it back (must be ≤ canary).
-    pub degrade_exposed: usize,
+    pub(crate) degrade_exposed: usize,
     /// Errors burned by the degrading canary before rollback.
-    pub degrade_errors: u64,
+    pub(crate) degrade_errors: u64,
     /// Availability inside the `config-push` blackout window (fail-static:
     /// must be 100%).
-    pub blocked_availability: f64,
+    pub(crate) blocked_availability: f64,
     /// Whether the rollout begun inside the blackout ended in an
     /// ack-timeout rollback (it could not have converged).
-    pub blocked_timeout_rollback: bool,
+    pub(crate) blocked_timeout_rollback: bool,
     /// `ConfigRollout` alerts the water-level monitor raised.
-    pub rollout_alerts: u64,
+    pub(crate) rollout_alerts: u64,
     /// Southbound pushes dropped by the scripted blackout.
-    pub dropped_pushes: u64,
+    pub(crate) dropped_pushes: u64,
     /// Whether every rollback the controller emitted targeted a version
     /// the fleet had actually converged on (or 0), never a poisoned or
     /// never-committed one.
-    pub rollback_targets_good: bool,
+    pub(crate) rollback_targets_good: bool,
     /// Controller + gateway state digest from the canal arm.
-    pub canal_state_digest: u64,
+    pub(crate) canal_state_digest: u64,
     /// The canal controller's per-version audit log.
-    pub audit: Vec<RolloutOutcome>,
+    pub(crate) audit: Vec<RolloutOutcome>,
 }
 
 impl BlastOutcome {

@@ -346,20 +346,20 @@ pub(crate) fn poisson_arrivals<A>(
 
 /// One arm's blast-radius measurements for the poisoned change.
 #[derive(Debug, Clone)]
-pub struct ArmOutcome {
+pub(crate) struct ArmOutcome {
     /// Arm name (`canal`, `ambient-waypoint`, `istio-full-push`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Fleet size.
-    pub fleet: usize,
+    pub(crate) fleet: usize,
     /// Proxies that ever *ran* (committed) the bad config.
-    pub exposed: usize,
+    pub(crate) exposed: usize,
     /// Requests offered over the horizon.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Requests that errored because their proxy ran the bad config.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Seconds from the bad push starting to the last proxy back on good
     /// config (for canal: to the automatic rollback completing).
-    pub ttr_s: f64,
+    pub(crate) ttr_s: f64,
 }
 
 impl ArmOutcome {
@@ -402,24 +402,24 @@ pub(crate) type ArmColumn<'a> = (&'a str, fn(&ArmOutcome) -> String);
 /// What `rollout` and `policy` both measure: one poisoned change pushed
 /// three ways, and the healthy rollout that preceded it under canal.
 #[derive(Debug, Clone)]
-pub struct Blast {
+pub(crate) struct Blast {
     /// Per-arm results for the poisoned change, in canal / ambient / istio
     /// order.
-    pub arms: [ArmOutcome; 3],
+    pub(crate) arms: [ArmOutcome; 3],
     /// Fleet size shared by every arm.
-    pub fleet: usize,
+    pub(crate) fleet: usize,
     /// Canal's canary wave size.
-    pub canary_size: usize,
+    pub(crate) canary_size: usize,
     /// NACKs the canal gateways sent for the poisoned version.
-    pub nacks: u64,
+    pub(crate) nacks: u64,
     /// Automatic rollbacks the controller performed.
-    pub rollbacks: u64,
+    pub(crate) rollbacks: u64,
     /// Whether the initial healthy rollout converged fleet-wide.
-    pub healthy_converged: bool,
+    pub(crate) healthy_converged: bool,
     /// Waves the healthy rollout used.
-    pub healthy_waves: usize,
+    pub(crate) healthy_waves: usize,
     /// Targets the healthy rollout reached (must equal the fleet).
-    pub healthy_exposed: usize,
+    pub(crate) healthy_exposed: usize,
 }
 
 impl Blast {

@@ -65,11 +65,11 @@ const REPLICAS: usize = 2;
 
 /// Trace run parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct TraceParams {
+pub(crate) struct TraceParams {
     /// Time compression applied to the scripted fault timeline.
-    pub time_scale: f64,
+    pub(crate) time_scale: f64,
     /// Offered load (requests/s).
-    pub rps: f64,
+    pub(crate) rps: f64,
 }
 
 impl TraceParams {
@@ -82,7 +82,7 @@ impl TraceParams {
     }
 
     /// CI smoke mode: the same scenario compressed 4× at lower load.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         TraceParams {
             time_scale: 0.25,
             rps: 80.0,
@@ -375,39 +375,39 @@ fn chain_spans(
 
 /// One architecture's tracing outcome.
 #[derive(Debug, Clone)]
-pub struct TraceArchOutcome {
+pub(crate) struct TraceArchOutcome {
     /// Architecture name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Requests offered (== traces produced).
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Error traces in ground truth.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Error traces the sampling pipeline retained.
-    pub error_retained: u64,
+    pub(crate) error_retained: u64,
     /// Traces at or above the global P999 latency (ground truth).
-    pub p999_traces: u64,
+    pub(crate) p999_traces: u64,
     /// Of those, how many the pipeline retained.
-    pub p999_retained: u64,
+    pub(crate) p999_retained: u64,
     /// Achieved head-sampling rate.
-    pub head_rate: f64,
+    pub(crate) head_rate: f64,
     /// Distinct traces exported to the collector.
-    pub retained_traces: u64,
+    pub(crate) retained_traces: u64,
     /// Spans recorded into site rings (always-on, pre-sampling).
-    pub spans_recorded: u64,
+    pub(crate) spans_recorded: u64,
     /// Spans overwritten in rings before any retrieval wanted them.
-    pub spans_evicted: u64,
+    pub(crate) spans_evicted: u64,
     /// Spans exported to the collector (head + tail retrievals).
-    pub spans_exported: u64,
+    pub(crate) spans_exported: u64,
     /// Telemetry CPU per request (µs) — record + export charges.
-    pub telemetry_cpu_us_per_req: f64,
+    pub(crate) telemetry_cpu_us_per_req: f64,
     /// Telemetry export bytes per request.
-    pub telemetry_bytes_per_req: f64,
+    pub(crate) telemetry_bytes_per_req: f64,
     /// End-to-end P999 latency (ms).
-    pub p999_ms: f64,
+    pub(crate) p999_ms: f64,
     /// Whether the P999 histogram cell's exemplar links to a retained trace.
-    pub exemplar_retained: bool,
+    pub(crate) exemplar_retained: bool,
     /// Mean per-request latency decomposition (µs) by segment kind.
-    pub decomposition: Vec<(SegmentKind, f64)>,
+    pub(crate) decomposition: Vec<(SegmentKind, f64)>,
 }
 
 impl TraceArchOutcome {
@@ -451,34 +451,34 @@ impl TraceArchOutcome {
 
 /// One fault episode's RCA head-to-head result (canal evidence).
 #[derive(Debug, Clone)]
-pub struct EpisodeRca {
+pub(crate) struct EpisodeRca {
     /// Episode label.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// The hop the injected fault actually inflated.
-    pub truth: HopSite,
+    pub(crate) truth: HopSite,
     /// Hop the span-evidence localizer named (None = inconclusive).
-    pub span_hop: Option<HopSite>,
+    pub(crate) span_hop: Option<HopSite>,
     /// Whether the span-evidence localizer named the truth hop.
-    pub span_correct: bool,
+    pub(crate) span_correct: bool,
     /// Windows the span-evidence localizer consumed (miss ⇒ penalty).
-    pub span_windows: usize,
+    pub(crate) span_windows: usize,
     /// Hop the trend correlator named (None = inconclusive).
-    pub trend_hop: Option<HopSite>,
+    pub(crate) trend_hop: Option<HopSite>,
     /// Whether the trend correlator named the truth hop.
-    pub trend_correct: bool,
+    pub(crate) trend_correct: bool,
     /// Windows the trend correlator consumed (miss ⇒ penalty).
-    pub trend_windows: usize,
+    pub(crate) trend_windows: usize,
 }
 
 /// The whole experiment's outcome.
 #[derive(Debug, Clone)]
-pub struct TraceOutcome {
+pub(crate) struct TraceOutcome {
     /// Per-architecture results, in sidecar/ambient/canal order.
-    pub archs: Vec<TraceArchOutcome>,
+    pub(crate) archs: Vec<TraceArchOutcome>,
     /// Per-episode RCA comparison on the canal trace evidence.
-    pub episodes: Vec<EpisodeRca>,
+    pub(crate) episodes: Vec<EpisodeRca>,
     /// Fault-plan events executed (identical across architectures).
-    pub plan_events: usize,
+    pub(crate) plan_events: usize,
 }
 
 impl TraceOutcome {
@@ -504,7 +504,7 @@ impl TraceOutcome {
     }
 
     /// The outcome for one architecture, by name.
-    pub fn arch(&self, name: &str) -> Option<&TraceArchOutcome> {
+    pub(crate) fn arch(&self, name: &str) -> Option<&TraceArchOutcome> {
         self.archs.iter().find(|a| a.name == name)
     }
 
@@ -791,7 +791,7 @@ fn episode_rca(
 
 /// Run the tracing scenario for every architecture under identical fault
 /// plans and arrival streams. Fully deterministic in `seed`.
-pub fn run_trace(seed: u64, params: &TraceParams) -> TraceOutcome {
+pub(crate) fn run_trace(seed: u64, params: &TraceParams) -> TraceOutcome {
     let scale = params.time_scale;
     let arrivals = gen_arrivals(seed, params);
     let plan = script(scale, &BEATS);

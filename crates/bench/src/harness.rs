@@ -48,7 +48,7 @@ pub struct ExperimentReport {
     /// Human title.
     pub title: String,
     /// Paper-shaped data tables.
-    pub tables: Vec<Table>,
+    pub(crate) tables: Vec<Table>,
     /// Paper-vs-measured checks.
     pub checks: Vec<Check>,
 }
@@ -95,11 +95,11 @@ impl ExperimentReport {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LoadPoint {
     /// Offered requests per second.
-    pub rps: f64,
+    pub(crate) rps: f64,
     /// Mean end-to-end latency (ms).
-    pub mean_ms: f64,
+    pub(crate) mean_ms: f64,
     /// P99 end-to-end latency (ms).
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
 }
 
 /// Drive an architecture with Poisson arrivals at `rps` for `duration_s`

@@ -14,7 +14,7 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod harness;
+pub(crate) mod harness;
 pub mod scenario;
 
 pub use harness::ExperimentReport;
