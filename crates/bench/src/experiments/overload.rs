@@ -296,11 +296,13 @@ impl SurgeOutcome {
         self.placements.iter().find(|p| p.name == name)
     }
 
-    /// The isolation invariant `experiments overload` gates on: under canal,
-    /// every well-behaved tenant holds its no-surge P99 within
-    /// [`VICTIM_P99_BOUND`] and keeps its goodput, while the surging
-    /// tenant degrades gracefully — shed happens, but goodput stays above
-    /// [`SURGER_GOODPUT_FLOOR`].
+    /// The isolation invariant `experiments overload` gates on, every
+    /// clause of it: under canal, every well-behaved tenant holds its
+    /// no-surge P99 within `VICTIM_P99_BOUND` and keeps its goodput, while
+    /// the surging tenant degrades gracefully (shed happens, but goodput
+    /// stays above `SURGER_GOODPUT_FLOOR`); a shared FIFO melts and a static
+    /// core split isolates but wastes; brownout and the monitor engage only
+    /// under the surge.
     pub fn isolation_ok(&self) -> bool {
         self.failures().is_empty()
     }
