@@ -297,15 +297,16 @@ impl Gateway {
     }
 
     /// The `Reuse` scaling operation: extend a service onto an existing
-    /// low-water backend. Returns false if already placed there.
+    /// low-water backend. Returns false, and changes nothing, if already
+    /// placed there or if this gateway never created `backend`.
     pub fn extend_service(&mut self, service: GlobalServiceId, backend: BackendId) -> bool {
-        if self.placement.backends_of(service).contains(&backend) {
+        let created = (backend as usize) < self.backends.len();
+        if !created || self.placement.backends_of(service).contains(&backend) {
             return false;
         }
-        if !self.planner.extend(service, backend as usize) {
-            // The planner only knows services it assigned; register the
-            // extension directly for services placed manually.
-        }
+        // The planner tracks only the services it assigned: a service placed
+        // by hand, which it refuses, is extended in the placement alone.
+        self.planner.extend(service, backend as usize);
         self.install(service, backend);
         true
     }
@@ -783,6 +784,21 @@ mod tests {
         gw.register_service(svc(1), &mut rng);
         let (b, r) = gw.rolling_upgrade_order()[0];
         assert!(!gw.rolling_upgrade_step(b, r));
+    }
+
+    #[test]
+    fn extend_service_refuses_a_backend_never_created() {
+        let (mut gw, s) = gateway_with_service();
+        let placed = gw.backends_of(s);
+        let unknown = gw.backends().len() as BackendId;
+        assert!(!gw.extend_service(s, unknown));
+        assert_eq!(gw.backends_of(s), placed, "nothing installed");
+        // A service the planner never assigned extends onto a real backend.
+        let by_hand = svc(2);
+        assert!(!gw.extend_service(by_hand, unknown));
+        assert!(gw.backends_of(by_hand).is_empty());
+        assert!(gw.extend_service(by_hand, 0));
+        assert_eq!(gw.backends_of(by_hand), [0]);
     }
 
     #[test]
