@@ -23,8 +23,8 @@
 //! [`ChaosOutcome::digest`] values (held by `crate::scenario::drive`).
 
 use crate::experiments::southbound::{ms, script};
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_cluster::DnsView;
 use canal_control::configure::ConfigPlane;
 use canal_crypto::accel::AsymmetricBackend;
@@ -220,6 +220,103 @@ impl ChaosOutcome {
     /// The outcome for one architecture, by [`Architecture::name`].
     pub fn arch(&self, name: &str) -> Option<&ArchOutcome> {
         self.archs.iter().find(|a| a.name == name)
+    }
+
+    /// The Fig. 8 report's checks on the outcome, with their clauses.
+    fn claims(&self) -> Vec<Claim> {
+        let (Some(canal), Some(sidecar)) = (self.arch("canal"), self.arch("istio-sidecar")) else {
+            return vec![Claim::unreported(&[("the canal and sidecar arms ran", false)])];
+        };
+        let violations = canal.invariant_violations;
+        let (served, offered) = (canal.succeeded, canal.offered);
+        let (avail, sidecar_avail) = (canal.availability(), sidecar.availability());
+        let (amp, sidecar_amp) = (canal.retry_amplification(), sidecar.retry_amplification());
+        let recovers_first = |domain: &str| {
+            let (ttr, sidecar_ttr) = (ttr_of(canal, domain), ttr_of(sidecar, domain));
+            (
+                format!("canal recovers from the {domain} fault before sidecar ({} vs {} ms)", num(ttr), num(sidecar_ttr)),
+                ttr < sidecar_ttr,
+            )
+        };
+        let domains_of = |a: &ArchOutcome| DOMAINS.iter().filter(|d| a.incidents.iter().any(|i| i.domain == **d)).count();
+        let (rows, archs) = (self.archs.iter().map(domains_of).min().unwrap_or(0), self.archs.len());
+        let mut ttr_measured = vec![(format!("all three architectures ran ({archs})"), archs == 3)];
+        for domain in DOMAINS {
+            for a in &self.archs {
+                let ttr = ttr_of(a, domain);
+                let clause = format!("{}: {domain} TTR is measured ({} ms)", a.name, num(ttr));
+                ttr_measured.push((clause, ttr.is_finite() && ttr > 0.0));
+            }
+        }
+        let drift: u64 = self.archs.iter().map(|a| a.placement_drift).sum();
+        vec![
+            Claim::new(
+                "canal availability invariant",
+                "0 failures while a live replica existed in a live AZ",
+                &violations.to_string(),
+                &[(format!("{violations} requests failed with a live replica reachable"), violations == 0)],
+            ),
+            Claim::band(
+                "canal availability under the full fault plan",
+                "100% (>=1 live replica in a live AZ => served)",
+                avail * 100.0,
+                99.999,
+                100.0,
+            ),
+            Claim::band(
+                "sidecar availability (no datapath retries)",
+                "dips during detection windows",
+                sidecar_avail * 100.0,
+                50.0,
+                99.9,
+            ),
+            Claim::new(
+                "per-domain TTR emitted for all three architectures",
+                "3 domains x 3 architectures",
+                &format!("{rows} domains each across {archs} archs"),
+                &ttr_measured,
+            ),
+            Claim::new(
+                "canal AZ-fault recovery beats sidecar",
+                "O(retry) vs O(detection) — Fig. 8",
+                &format!("canal {} ms vs sidecar {} ms", num(ttr_of(canal, "az")), num(ttr_of(sidecar, "az"))),
+                &[recovers_first("az")],
+            ),
+            Claim::band("canal retry amplification", "slightly above 1 (retries only during faults)", amp, 1.0001, 1.5),
+            Claim::band(
+                "sidecar retry amplification",
+                "exactly 1 (single attempt, no datapath retries)",
+                sidecar_amp,
+                1.0,
+                1.0,
+            ),
+            Claim::new(
+                "canal outlier ejection engaged",
+                "breaker trips and publishes DNS health during faults",
+                &format!("{} ejections, {} dns flips", canal.ejections, canal.dns_flips),
+                &[
+                    (format!("canal's breaker ejects outliers ({})", canal.ejections), canal.ejections > 0),
+                    (format!("canal publishes DNS health flips ({})", canal.dns_flips), canal.dns_flips > 0),
+                ],
+            ),
+            Claim::new(
+                "fault plan targets stay inside the topology",
+                "0 unknown-domain errors",
+                &drift.to_string(),
+                &[(format!("every fault targets a domain of the topology ({drift} do not)"), drift == 0)],
+            ),
+            // A beat the fault DSL rejects empties the plan, and a fault-free
+            // run is trivially available (this plan has no storm).
+            Claim::unreported(&[
+                (format!("the plan has {} events for {FIG8_BEATS} beats", self.plan_events), self.plan_events == FIG8_BEATS),
+                (format!("canal serves every request ({served} of {offered})"), served == offered),
+                (format!("canal availability {} beats sidecar's {}", pct(avail), pct(sidecar_avail)), avail > sidecar_avail),
+                (format!("canal's datapath retries ({}x amplification)", num(amp)), amp > 1.0),
+                (format!("the sidecar never retries ({}x amplification)", num(sidecar_amp)), sidecar.attempts == sidecar.offered),
+                recovers_first("replica"),
+                recovers_first("backend"),
+            ]),
+        ]
     }
 }
 
@@ -870,36 +967,7 @@ impl Scenario for ChaosOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let (Some(canal), Some(sidecar)) = (self.arch("canal"), self.arch("istio-sidecar")) else {
-            return violated("chaos-recovery", &[("the canal and sidecar arms ran", false)]);
-        };
-        let violations = canal.invariant_violations;
-        let (served, offered) = (canal.succeeded, canal.offered);
-        let (avail, sidecar_avail) = (canal.availability(), sidecar.availability());
-        let (amp, sidecar_amp) = (canal.retry_amplification(), sidecar.retry_amplification());
-        // A beat the fault DSL rejects empties the plan, and a fault-free
-        // run is trivially available (this plan has no storm).
-        let mut clauses = vec![
-            (format!("{violations} requests failed with a live replica reachable"), violations == 0),
-            (format!("the plan has {} events for {FIG8_BEATS} beats", self.plan_events), self.plan_events == FIG8_BEATS),
-            (format!("canal serves every request ({served} of {offered})"), served == offered),
-            (format!("canal availability {} beats sidecar's {}", pct(avail), pct(sidecar_avail)), avail > sidecar_avail),
-            (format!("canal's datapath retries ({}x amplification)", num(amp)), amp > 1.0),
-            (format!("the sidecar never retries ({}x amplification)", num(sidecar_amp)), sidecar.attempts == sidecar.offered),
-            (format!("all three architectures ran ({})", self.archs.len()), self.archs.len() == 3),
-        ];
-        for domain in DOMAINS {
-            for a in &self.archs {
-                let ttr = ttr_of(a, domain);
-                clauses.push((format!("{}: {domain} TTR is measured ({} ms)", a.name, num(ttr)), ttr.is_finite() && ttr > 0.0));
-            }
-            let (ttr, sidecar_ttr) = (ttr_of(canal, domain), ttr_of(sidecar, domain));
-            clauses.push((
-                format!("canal recovers from the {domain} fault before sidecar ({} vs {} ms)", num(ttr), num(sidecar_ttr)),
-                ttr < sidecar_ttr,
-            ));
-        }
-        violated("chaos-recovery", &clauses)
+        violated("chaos-recovery", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -979,82 +1047,7 @@ fn report(outcome: &ChaosOutcome, seed: u64, params: &ChaosParams) -> Experiment
     }
     report.tables.push(ttr);
 
-    let canal = outcome.arch("canal");
-    let sidecar = outcome.arch("istio-sidecar");
-    if let (Some(canal), Some(sidecar)) = (canal, sidecar) {
-        report.checks.push(Check::cond(
-            "canal availability invariant",
-            "0 failures while a live replica existed in a live AZ",
-            &canal.invariant_violations.to_string(),
-            canal.invariant_violations == 0,
-        ));
-        report.checks.push(Check::band(
-            "canal availability under the full fault plan",
-            "100% (>=1 live replica in a live AZ => served)",
-            canal.availability() * 100.0,
-            99.999,
-            100.0,
-        ));
-        report.checks.push(Check::band(
-            "sidecar availability (no datapath retries)",
-            "dips during detection windows",
-            sidecar.availability() * 100.0,
-            50.0,
-            99.9,
-        ));
-        let rows = outcome
-            .archs
-            .iter()
-            .map(|a| {
-                DOMAINS
-                    .iter()
-                    .filter(|d| a.incidents.iter().any(|i| i.domain == **d))
-                    .count()
-            })
-            .min()
-            .unwrap_or(0);
-        report.checks.push(Check::cond(
-            "per-domain TTR emitted for all three architectures",
-            "3 domains x 3 architectures",
-            &format!("{} domains each across {} archs", rows, outcome.archs.len()),
-            rows == 3 && outcome.archs.len() == 3,
-        ));
-        let canal_az = ttr_of(canal, "az");
-        let sidecar_az = ttr_of(sidecar, "az");
-        report.checks.push(Check::cond(
-            "canal AZ-fault recovery beats sidecar",
-            "O(retry) vs O(detection) — Fig. 8",
-            &format!("canal {} ms vs sidecar {} ms", num(canal_az), num(sidecar_az)),
-            canal_az < sidecar_az,
-        ));
-        report.checks.push(Check::band(
-            "canal retry amplification",
-            "slightly above 1 (retries only during faults)",
-            canal.retry_amplification(),
-            1.0001,
-            1.5,
-        ));
-        report.checks.push(Check::band(
-            "sidecar retry amplification",
-            "exactly 1 (single attempt, no datapath retries)",
-            sidecar.retry_amplification(),
-            1.0,
-            1.0,
-        ));
-        report.checks.push(Check::cond(
-            "canal outlier ejection engaged",
-            "breaker trips and publishes DNS health during faults",
-            &format!("{} ejections, {} dns flips", canal.ejections, canal.dns_flips),
-            canal.ejections > 0 && canal.dns_flips > 0,
-        ));
-        let drift: u64 = outcome.archs.iter().map(|a| a.placement_drift).sum();
-        report.checks.push(Check::cond(
-            "fault plan targets stay inside the topology",
-            "0 unknown-domain errors",
-            &drift.to_string(),
-            drift == 0,
-        ));
-    }
+    report.checks.extend(checks(outcome.claims()));
 
     // Retry-budget A/B: append a total-outage storm window to the same plan
     // and run the canal profile with the budget off and on. Nothing else
@@ -1082,54 +1075,47 @@ fn report(outcome: &ChaosOutcome, seed: u64, params: &ChaosParams) -> Experiment
         ]);
     }
     report.tables.push(storm);
-    report.checks.push(Check::cond(
-        "retry budget cuts storm retry amplification",
-        "amp with budget measurably below amp without",
-        &format!(
-            "off {} vs on {}",
-            num(no_budget.retry_amplification()),
-            num(budgeted.retry_amplification())
-        ),
-        budgeted.retry_amplification() < no_budget.retry_amplification() - 0.01,
-    ));
-    report.checks.push(Check::cond(
-        "retry budget engages without costing availability",
-        "rejections > 0, invariant still clean in both runs",
-        &format!(
-            "{} rejected, violations off={} on={}",
-            budgeted.budget_rejected, no_budget.invariant_violations, budgeted.invariant_violations
-        ),
-        budgeted.budget_rejected > 0
-            && budgeted.invariant_violations == 0
-            && no_budget.invariant_violations == 0,
-    ));
+    report.checks.extend(checks(storm_claims(&no_budget, &budgeted)));
     report
+}
+
+/// The retry-budget A/B's report checks, each with the clauses it rests on.
+/// The A/B is a run of its own, outside the scenario digest and invariant:
+/// a unit test holds these clauses.
+fn storm_claims(no_budget: &ArchOutcome, budgeted: &ArchOutcome) -> [Claim; 3] {
+    let (off, on) = (no_budget.retry_amplification(), budgeted.retry_amplification());
+    [
+        Claim::new(
+            "retry budget cuts storm retry amplification",
+            "amp with budget measurably below amp without",
+            &format!("off {} vs on {}", num(off), num(on)),
+            &[("the budget measurably cuts retry amplification", on < off - 0.01)],
+        ),
+        Claim::new(
+            "retry budget engages without costing availability",
+            "rejections > 0, invariant still clean in both runs",
+            &format!(
+                "{} rejected, violations off={} on={}",
+                budgeted.budget_rejected, no_budget.invariant_violations, budgeted.invariant_violations
+            ),
+            &[
+                ("the budget engages", budgeted.budget_rejected > 0),
+                ("the budget never rejects a retry a live replica needed", budgeted.invariant_violations == 0),
+                ("without the budget the outage breaks no availability invariant", no_budget.invariant_violations == 0),
+            ],
+        ),
+        Claim::unreported(&[("with the budget off nothing is rejected", no_budget.budget_rejected == 0)]),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The storm A/B is a run of its own, outside the scenario digest.
     #[test]
     fn retry_budget_cuts_storm_amplification() {
         let (no_budget, budgeted) = run_retry_storm(42, &ChaosParams::fast());
-        assert!(
-            budgeted.retry_amplification() < no_budget.retry_amplification() - 0.01,
-            "budget must measurably reduce retry amplification: off {} vs on {}",
-            no_budget.retry_amplification(),
-            budgeted.retry_amplification()
-        );
-        assert!(budgeted.budget_rejected > 0, "the budget actually engaged");
-        assert_eq!(no_budget.budget_rejected, 0, "budget off never rejects");
-        assert_eq!(
-            no_budget.invariant_violations, 0,
-            "total outage has no live replica: storm failures are not violations"
-        );
-        assert_eq!(
-            budgeted.invariant_violations, 0,
-            "the budget must never reject a retry that a live replica needed"
-        );
+        assert_eq!(violated("retry-budget", &storm_claims(&no_budget, &budgeted)), Vec::<String>::new());
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! [`RolloutController`]: canal_control::rollout::RolloutController
 
 use crate::experiments::southbound::{DelayLine, RateCarry, TickClock};
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_cluster::probe::ProbePolicy;
 use canal_cluster::{GrayDetector, GrayPolicy, GrayVerdict};
 use canal_control::rollout::{Delivery, HealthSample, RolloutConfig, RolloutController};
@@ -300,17 +300,104 @@ impl DrillOutcome {
         d.value()
     }
 
-    /// The disaster-drill invariant `experiments drill` gates on: the
-    /// planned drain loses zero established sessions (with real hand-offs
-    /// observed), the gray gateway is quarantined within the bounded
-    /// detection window with zero false positives and clears after heal,
-    /// the in-flight rollout survives the partition without a rollback
-    /// (unreachable ≠ NACK), partitioned gateways serve fail-static under a
-    /// valid lease, heal triggers monotone catch-up to exactly one
-    /// converged version fleet-wide, and the scripted link fault really was
-    /// asymmetric.
+    /// Whether the invariant `experiments drill` gates on holds: every clause
+    /// of the drill's claims.
     pub fn drill_ok(&self) -> bool {
         self.failures().is_empty()
+    }
+
+    /// The drill's report checks, each with the clauses it rests on.
+    fn claims(&self) -> Vec<Claim> {
+        let c = &self.canal;
+        let Some(sidecar) = self.arms.first() else {
+            return vec![Claim::unreported(&[("the sidecar arm ran", false)])];
+        };
+        vec![
+            Claim::new(
+                "gray gateway quarantined within the bounded window, zero false positives",
+                "differential detection: passive evidence vs peer median, probes fused in",
+                &format!(
+                    "{} windows to quarantine, {} false positives",
+                    c.detect_windows, c.false_positive_quarantines
+                ),
+                &[
+                    ("exactly the gray gateway is quarantined, once", c.quarantines == 1),
+                    ("no healthy gateway is quarantined", c.false_positive_quarantines == 0),
+                    ("gray detection is bounded", c.detect_windows <= DETECT_WINDOW_BOUND),
+                ],
+            ),
+            Claim::new(
+                "quarantine clears via cooloff + clean canary after heal",
+                "hysteresis: no flap, no permanent exile",
+                &format!("cleared: {}", c.quarantine_cleared),
+                &[("the quarantine clears after heal", c.quarantine_cleared)],
+            ),
+            Claim::band(
+                "probe-only detection error amplification (ratio)",
+                "active probes never catch a gray gateway",
+                sidecar.gray_errors as f64 / c.gray_errors.max(1) as f64,
+                2.5,
+                1e9,
+            ),
+            Claim::new(
+                "planned drain loses zero established sessions",
+                "bucket hand-off + daisy-chained forwarding until natural close",
+                &format!(
+                    "{} at drain start, {} handed off, {} force-closed",
+                    c.sessions_at_drain, c.handed_off, c.force_closed
+                ),
+                &[
+                    ("the drain force-closes no session", c.force_closed == 0),
+                    ("the drain hands sessions off", c.handed_off > 0),
+                    ("the leaving gateway reaches Drained", c.drain_completed),
+                    ("the drain starts with established sessions", c.sessions_at_drain > 0),
+                ],
+            ),
+            Claim::new(
+                "partition is not a NACK: in-flight rollout survives without rollback",
+                "wave acks on reachable quorum; unreachable targets hold, not kill",
+                &format!(
+                    "{} rollbacks, {} dropped pushes, {} converged rollouts",
+                    c.rollbacks, c.dropped_pushes, c.rollouts_converged
+                ),
+                &[
+                    ("the partition causes no rollback", c.rollbacks == 0),
+                    ("the partition drops pushes", c.dropped_pushes > 0),
+                    ("both rollouts converge", c.rollouts_converged == 2),
+                ],
+            ),
+            Claim::new(
+                "heal catch-up converges the fleet on exactly one version",
+                "monotone reconciliation: forward only, no split-brain",
+                &format!(
+                    "catch-up pushes {}, converged on v{}: {}",
+                    c.catch_up_pushes, c.last_good, c.one_converged_version
+                ),
+                &[
+                    ("heal triggers catch-up pushes", c.catch_up_pushes >= 1),
+                    ("the fleet ends on one converged version", c.one_converged_version),
+                    ("that version is v2", c.last_good == 2),
+                ],
+            ),
+            Claim::new(
+                "partitioned gateways serve fail-static under a valid config lease",
+                "data plane outlives its control channel",
+                &format!("{} fail-static serves, {} lease violations", c.fail_static_served, c.lease_violations),
+                &[
+                    ("partitioned gateways serve fail-static", c.fail_static_served > 0),
+                    ("no gateway serves past its config lease", c.lease_violations == 0),
+                ],
+            ),
+            Claim::new(
+                "the scripted link fault is really asymmetric",
+                "directed loss: forward path degraded, reverse path clean",
+                &format!("{} forward errors vs {} reverse", c.asym_forward_errors, c.asym_reverse_errors),
+                &[
+                    ("the asymmetric link fails forward", c.asym_forward_errors > 0),
+                    ("the asymmetric link is clean in reverse", c.asym_reverse_errors == 0),
+                ],
+            ),
+        ]
     }
 }
 
@@ -689,27 +776,7 @@ impl Scenario for DrillOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let c = &self.canal;
-        violated("drill", &[
-            ("the drain force-closes no session", c.force_closed == 0),
-            ("the drain hands sessions off", c.handed_off > 0),
-            ("the leaving gateway reaches Drained", c.drain_completed),
-            ("the drain starts with established sessions", c.sessions_at_drain > 0),
-            ("exactly the gray gateway is quarantined, once", c.quarantines == 1),
-            ("no healthy gateway is quarantined", c.false_positive_quarantines == 0),
-            ("gray detection is bounded", c.detect_windows <= DETECT_WINDOW_BOUND),
-            ("the quarantine clears after heal", c.quarantine_cleared),
-            ("the partition causes no rollback", c.rollbacks == 0),
-            ("both rollouts converge", c.rollouts_converged == 2),
-            ("the partition drops pushes", c.dropped_pushes > 0),
-            ("heal triggers catch-up pushes", c.catch_up_pushes >= 1),
-            ("the fleet ends on one converged version", c.one_converged_version),
-            ("that version is v2", c.last_good == 2),
-            ("partitioned gateways serve fail-static", c.fail_static_served > 0),
-            ("no gateway serves past its config lease", c.lease_violations == 0),
-            ("the asymmetric link fails forward", c.asym_forward_errors > 0),
-            ("the asymmetric link is clean in reverse", c.asym_reverse_errors == 0),
-        ])
+        violated("drill", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -772,76 +839,6 @@ fn report(outcome: &DrillOutcome, params: &DrillParams) -> ExperimentReport {
     detail.row(&["fail-static serves".to_string(), c.fail_static_served.to_string()]);
     report.tables.push(detail);
 
-    report.checks.push(Check::cond(
-        "gray gateway quarantined within the bounded window, zero false positives",
-        "differential detection: passive evidence vs peer median, probes fused in",
-        &format!(
-            "{} windows to quarantine, {} false positives",
-            c.detect_windows, c.false_positive_quarantines
-        ),
-        c.quarantines == 1
-            && c.false_positive_quarantines == 0
-            && c.detect_windows <= DETECT_WINDOW_BOUND,
-    ));
-    report.checks.push(Check::cond(
-        "quarantine clears via cooloff + clean canary after heal",
-        "hysteresis: no flap, no permanent exile",
-        &format!("cleared: {}", c.quarantine_cleared),
-        c.quarantine_cleared,
-    ));
-    if let Some(sidecar) = outcome.arms.first() {
-        report.checks.push(Check::band(
-            "probe-only detection error amplification (ratio)",
-            "active probes never catch a gray gateway",
-            sidecar.gray_errors as f64 / c.gray_errors.max(1) as f64,
-            2.5,
-            1e9,
-        ));
-    }
-    report.checks.push(Check::cond(
-        "planned drain loses zero established sessions",
-        "bucket hand-off + daisy-chained forwarding until natural close",
-        &format!(
-            "{} at drain start, {} handed off, {} force-closed",
-            c.sessions_at_drain, c.handed_off, c.force_closed
-        ),
-        c.force_closed == 0 && c.handed_off > 0 && c.drain_completed && c.sessions_at_drain > 0,
-    ));
-    report.checks.push(Check::cond(
-        "partition is not a NACK: in-flight rollout survives without rollback",
-        "wave acks on reachable quorum; unreachable targets hold, not kill",
-        &format!(
-            "{} rollbacks, {} dropped pushes, {} converged rollouts",
-            c.rollbacks, c.dropped_pushes, c.rollouts_converged
-        ),
-        c.rollbacks == 0 && c.dropped_pushes > 0 && c.rollouts_converged == 2,
-    ));
-    report.checks.push(Check::cond(
-        "heal catch-up converges the fleet on exactly one version",
-        "monotone reconciliation: forward only, no split-brain",
-        &format!(
-            "catch-up pushes {}, converged on v{}: {}",
-            c.catch_up_pushes, c.last_good, c.one_converged_version
-        ),
-        c.catch_up_pushes >= 1 && c.one_converged_version && c.last_good == 2,
-    ));
-    report.checks.push(Check::cond(
-        "partitioned gateways serve fail-static under a valid config lease",
-        "data plane outlives its control channel",
-        &format!(
-            "{} fail-static serves, {} lease violations",
-            c.fail_static_served, c.lease_violations
-        ),
-        c.fail_static_served > 0 && c.lease_violations == 0,
-    ));
-    report.checks.push(Check::cond(
-        "the scripted link fault is really asymmetric",
-        "directed loss: forward path degraded, reverse path clean",
-        &format!(
-            "{} forward errors vs {} reverse",
-            c.asym_forward_errors, c.asym_reverse_errors
-        ),
-        c.asym_forward_errors > 0 && c.asym_reverse_errors == 0,
-    ));
+    report.checks.extend(checks(outcome.claims()));
     report
 }

@@ -39,8 +39,8 @@
 //! [`Rejection::StaleEpoch`]: canal_gateway::Rejection::StaleEpoch
 
 use crate::experiments::southbound::{DelayLine, TickClock};
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json};
 use canal_control::rollout::{
     Delivery, HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutPhase,
 };
@@ -261,20 +261,86 @@ impl FailoverOutcome {
         d.value()
     }
 
-    /// The failover invariant `experiments failover` gates on:
-    ///
-    /// * healthy-crash: the crash really orphaned in-flight pushes, the
-    ///   recovered incarnation (epoch exactly +1) resumed the wave,
-    ///   re-pushed only the orphans — zero duplicate exposure — and the
-    ///   fleet converged on exactly the new version with no rollback;
-    /// * rollback-crash: the journaled rollback was finished after the
-    ///   restart — the poisoned version is nowhere in the fleet and
-    ///   everything is back on last-known-good;
-    /// * zombie: the old incarnation really pushed (waves and a
-    ///   version-legal rollback) and every single push was fenced; the
-    ///   fleet converged on the new controller's version, no divergence.
+    /// Whether the invariant `experiments failover` gates on holds: every
+    /// clause of the failover claims, over the healthy-crash, rollback-crash
+    /// and zombie arms.
     pub fn failover_ok(&self) -> bool {
         crate::scenario::Scenario::failures(self).is_empty()
+    }
+
+    /// The failover report's checks, each with the clauses it rests on.
+    fn claims(&self) -> Vec<Claim> {
+        let (h, r, z) = (&self.healthy, &self.rollback, &self.zombie);
+        vec![
+            Claim::new(
+                "healthy crash: recovery resumes the wave, re-pushes only the orphans",
+                "write-ahead journal + anti-entropy over fleet-reported versions",
+                &format!(
+                    "{} dropped, {} re-pushed, {} duplicate exposures, resumed: {}",
+                    h.dropped_in_flight, h.recovery_pushes, h.duplicate_exposures, h.resumed_in_flight
+                ),
+                &[
+                    ("healthy-crash: the crash orphans in-flight pushes", h.dropped_in_flight > 0),
+                    ("healthy-crash: recovery resumes the in-flight wave", h.resumed_in_flight),
+                    ("healthy-crash: recovery re-pushes the orphans", h.recovery_pushes > 0),
+                    ("healthy-crash: no gateway is exposed twice", h.duplicate_exposures == 0),
+                ],
+            ),
+            Claim::new(
+                "healthy crash: fleet converges on exactly the new version, no rollback",
+                "resumed rollout completes; the journal is the single source of intent",
+                &format!(
+                    "converged on v{} (divergent: {}), {} rollbacks, {} NACKs",
+                    h.converged_version, h.divergent, h.rollbacks, h.nacks
+                ),
+                &[
+                    ("healthy-crash: the fleet converges on v2", !h.divergent && h.converged_version == 2),
+                    ("healthy-crash: nothing rolls back", h.rollbacks == 0),
+                    ("healthy-crash: nothing is NACKed", h.nacks == 0),
+                ],
+            ),
+            Claim::new(
+                "rollback crash: the journaled rollback completes after restart",
+                "pending-rollback replay: intent outlives the process",
+                &format!(
+                    "{} rollback re-pushes, {} gateways on the poisoned version, converged on v{}",
+                    r.rollback_repushes, r.on_bad_version, r.converged_version
+                ),
+                &[
+                    ("rollback-crash: the crash orphans the rollback pushes", r.dropped_in_flight > 0),
+                    ("rollback-crash: recovery re-emits the journaled rollback", r.rollback_repushes > 0),
+                    ("rollback-crash: no gateway is left on the poisoned version", r.on_bad_version == 0),
+                    ("rollback-crash: the fleet converges back on v1", !r.divergent && r.converged_version == 1),
+                ],
+            ),
+            Claim::new(
+                "zombie: every stale-epoch push is fenced, zero divergence",
+                "monotone epoch floor on every gateway; rollbacks are fenced too",
+                &format!(
+                    "{}/{} fenced, converged on v{} (divergent: {})",
+                    z.zombie_fenced, z.zombie_pushes, z.converged_version, z.divergent
+                ),
+                &[
+                    ("zombie: the old incarnation pushes", z.zombie_pushes > 0),
+                    ("zombie: every zombie push is fenced", z.zombie_fenced == z.zombie_pushes),
+                    ("zombie: the fleet converges on v2", !z.divergent && z.converged_version == 2),
+                ],
+            ),
+            Claim::new(
+                "every recovered incarnation runs at exactly epoch + 1",
+                "begin_incarnation journals the fence before any push",
+                &format!(
+                    "healthy {}→{}, rollback {}→{}, zombie {}→{}",
+                    h.epoch_before, h.epoch_after, r.epoch_before, r.epoch_after, z.epoch_before, z.epoch_after
+                ),
+                &[
+                    ("healthy-crash: the recovered epoch is the old one plus one", h.epoch_after == h.epoch_before + 1),
+                    ("rollback-crash: the recovered epoch is the old one plus one", r.epoch_after == r.epoch_before + 1),
+                    ("zombie: the recovered epoch is the old one plus one", z.epoch_after == z.epoch_before + 1),
+                ],
+            ),
+            Claim::unreported(&[("zombie: no gateway is exposed twice", z.duplicate_exposures == 0)]),
+        ]
     }
 }
 
@@ -616,29 +682,7 @@ impl crate::scenario::Scenario for FailoverOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let h = &self.healthy;
-        let r = &self.rollback;
-        let z = &self.zombie;
-        violated("failover", &[
-            ("healthy-crash: the crash orphans in-flight pushes", h.dropped_in_flight > 0),
-            ("healthy-crash: recovery resumes the in-flight wave", h.resumed_in_flight),
-            ("healthy-crash: recovery re-pushes the orphans", h.recovery_pushes > 0),
-            ("healthy-crash: no gateway is exposed twice", h.duplicate_exposures == 0),
-            ("healthy-crash: nothing rolls back", h.rollbacks == 0),
-            ("healthy-crash: nothing is NACKed", h.nacks == 0),
-            ("healthy-crash: the fleet converges on v2", !h.divergent && h.converged_version == 2),
-            ("healthy-crash: the recovered epoch is the old one plus one", h.epoch_after == h.epoch_before + 1),
-            ("rollback-crash: the crash orphans the rollback pushes", r.dropped_in_flight > 0),
-            ("rollback-crash: recovery re-emits the journaled rollback", r.rollback_repushes > 0),
-            ("rollback-crash: no gateway is left on the poisoned version", r.on_bad_version == 0),
-            ("rollback-crash: the fleet converges back on v1", !r.divergent && r.converged_version == 1),
-            ("rollback-crash: the recovered epoch is the old one plus one", r.epoch_after == r.epoch_before + 1),
-            ("zombie: the old incarnation pushes", z.zombie_pushes > 0),
-            ("zombie: every zombie push is fenced", z.zombie_fenced == z.zombie_pushes),
-            ("zombie: no gateway is exposed twice", z.duplicate_exposures == 0),
-            ("zombie: the fleet converges on v2", !z.divergent && z.converged_version == 2),
-            ("zombie: the recovered epoch is the old one plus one", z.epoch_after == z.epoch_before + 1),
-        ])
+        violated("failover", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -662,9 +706,7 @@ fn report(outcome: &FailoverOutcome) -> ExperimentReport {
         "failover",
         "controller crash recovery: journaled rollouts, epoch fencing, zombie race",
     );
-    let h = &outcome.healthy;
-    let r = &outcome.rollback;
-    let z = &outcome.zombie;
+    let (h, r, z) = (&outcome.healthy, &outcome.rollback, &outcome.zombie);
 
     let mut arms = Table::new(
         "controller failover by scenario",
@@ -704,60 +746,6 @@ fn report(outcome: &FailoverOutcome) -> ExperimentReport {
     }
     report.tables.push(base);
 
-    report.checks.push(Check::cond(
-        "healthy crash: recovery resumes the wave, re-pushes only the orphans",
-        "write-ahead journal + anti-entropy over fleet-reported versions",
-        &format!(
-            "{} dropped, {} re-pushed, {} duplicate exposures, resumed: {}",
-            h.dropped_in_flight, h.recovery_pushes, h.duplicate_exposures, h.resumed_in_flight
-        ),
-        h.dropped_in_flight > 0
-            && h.resumed_in_flight
-            && h.recovery_pushes > 0
-            && h.duplicate_exposures == 0,
-    ));
-    report.checks.push(Check::cond(
-        "healthy crash: fleet converges on exactly the new version, no rollback",
-        "resumed rollout completes; the journal is the single source of intent",
-        &format!(
-            "converged on v{} (divergent: {}), {} rollbacks, {} NACKs",
-            h.converged_version, h.divergent, h.rollbacks, h.nacks
-        ),
-        !h.divergent && h.converged_version == 2 && h.rollbacks == 0 && h.nacks == 0,
-    ));
-    report.checks.push(Check::cond(
-        "rollback crash: the journaled rollback completes after restart",
-        "pending-rollback replay: intent outlives the process",
-        &format!(
-            "{} rollback re-pushes, {} gateways on the poisoned version, converged on v{}",
-            r.rollback_repushes, r.on_bad_version, r.converged_version
-        ),
-        r.dropped_in_flight > 0
-            && r.rollback_repushes > 0
-            && r.on_bad_version == 0
-            && !r.divergent
-            && r.converged_version == 1,
-    ));
-    report.checks.push(Check::cond(
-        "zombie: every stale-epoch push is fenced, zero divergence",
-        "monotone epoch floor on every gateway; rollbacks are fenced too",
-        &format!(
-            "{}/{} fenced, converged on v{} (divergent: {})",
-            z.zombie_fenced, z.zombie_pushes, z.converged_version, z.divergent
-        ),
-        z.zombie_pushes > 0
-            && z.zombie_fenced == z.zombie_pushes
-            && !z.divergent
-            && z.converged_version == 2,
-    ));
-    report.checks.push(Check::cond(
-        "every recovered incarnation runs at exactly epoch + 1",
-        "begin_incarnation journals the fence before any push",
-        &format!(
-            "healthy {}→{}, rollback {}→{}, zombie {}→{}",
-            h.epoch_before, h.epoch_after, r.epoch_before, r.epoch_after, z.epoch_before, z.epoch_after
-        ),
-        [h, r, z].iter().all(|a| a.epoch_after == a.epoch_before + 1),
-    ));
+    report.checks.extend(checks(outcome.claims()));
     report
 }

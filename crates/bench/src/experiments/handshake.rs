@@ -55,8 +55,8 @@
 //! [`BatchAccelerator`]: canal_crypto::accel::BatchAccelerator
 
 use crate::experiments::southbound::{deliver, DelayLine, RateCarry, TickClock};
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::{
     CertRotationController, Delivery, RolloutConfig, RolloutResult, RotationConfig,
 };
@@ -325,6 +325,9 @@ pub(crate) struct HandshakeOutcome {
     pub(crate) arms: Vec<AnalyticArm>,
     /// Canary wave size (poison blast-radius bound).
     pub(crate) canary_size: usize,
+    /// Workload certs under the rotating tenant: the parameter, kept for
+    /// the re-key clause. The digest does not fold it; the parameters fix it.
+    pub(crate) rotating_workloads: u64,
     /// Total handshake demand (all arms share it).
     pub(crate) demand: u64,
 }
@@ -373,6 +376,125 @@ impl HandshakeOutcome {
         }
         d.write_u64(self.canary_size as u64).write_u64(self.demand);
         d.value()
+    }
+
+    /// The handshake report's checks, each with the clauses it rests on.
+    fn claims(&self) -> Vec<Claim> {
+        let c = &self.canal;
+        let Some(sidecar) = self.arms.iter().find(|a| a.name == "istio-sidecar") else {
+            return vec![Claim::unreported(&[("the sidecar arm ran", false)])];
+        };
+        vec![
+            Claim::new(
+                "the whole rotating tenant re-keys",
+                "one synchronized wave re-issues every workload cert",
+                &format!("{} certs issued in generation 2", c.rotated_certs),
+                &[("every rotating workload is re-issued once", c.rotated_certs == self.rotating_workloads)],
+            ),
+            Claim::new(
+                "non-rotating tenants lose zero availability",
+                "strict key-server priority + fail-static bundles",
+                &format!("{} errors over {} handshakes", c.nonrotating_errors, c.nonrotating_offered),
+                &[
+                    ("non-rotating tenants lose no handshake", c.nonrotating_errors == 0),
+                    ("non-rotating tenants handshake", c.nonrotating_offered > 0),
+                ],
+            ),
+            Claim::new(
+                "storm fills accelerator batches; steady state stays in the bubble regime",
+                "Fig. 25: occupancy is the offload story",
+                &format!("steady {} vs storm {}", num(c.steady_occupancy), num(c.storm_occupancy)),
+                &[
+                    ("the storm fills accelerator batches", c.storm_occupancy > c.steady_occupancy + 0.25),
+                    ("steady state stays in the bubble regime", c.steady_occupancy < 0.5),
+                ],
+            ),
+            Claim::band(
+                "steady-state resumed share",
+                "session tickets keep reconnects off the asymmetric path",
+                c.steady_resumed_fraction,
+                0.8,
+                1.0,
+            ),
+            Claim::new(
+                "poisoned bundle: NACKed at the canary, zero commits, auto-rollback",
+                "clock-skewed not_after passes the cutter, dies at the gateway clock",
+                &format!(
+                    "{} pushed / {} committed / rolled back: {}",
+                    c.poison_exposed, c.poison_committed, c.poison_rolled_back
+                ),
+                &[
+                    ("the poisoned bundle is never committed", c.poison_committed == 0),
+                    (
+                        "the poisoned bundle reaches the canary wave and no further",
+                        (1..=self.canary_size).contains(&c.poison_exposed),
+                    ),
+                    ("the poisoned rotation rolls back automatically", c.poison_rolled_back),
+                    ("the canary NACKs the poisoned bundle", c.nacks > 0),
+                ],
+            ),
+            Claim::new(
+                "skewed tenant retries clean after clock recovery",
+                "rollback backoff, then a converged rotation",
+                &format!("retry converged: {}", c.poison_retry_converged),
+                &[("the skewed tenant's retry converges", c.poison_retry_converged)],
+            ),
+            Claim::new(
+                "compromise rotation revokes prior generations",
+                "revocation floor over every old serial; swept tickets never resume",
+                &format!(
+                    "floor raised: {}, {} tickets swept, resumes blocked: {}",
+                    c.compromise_floor_raised, c.tickets_swept, c.revoked_resumes_blocked
+                ),
+                &[
+                    ("the compromise raises the revocation floor", c.compromise_floor_raised),
+                    ("the post-compromise sweep drops tickets", c.tickets_swept > 0),
+                    ("no swept ticket resumes", c.revoked_resumes_blocked),
+                ],
+            ),
+            Claim::new(
+                "key-server backlog fully drains",
+                "the storm is a transient, not a collapse",
+                &format!("{} ops queued at horizon", c.backlog_end),
+                &[("the key-server backlog drains", c.backlog_end == 0), ("no handshake is shed", c.sheds == 0)],
+            ),
+            Claim::band(
+                "storm p99 stays bounded (s)",
+                "queue sojourn, not timeout collapse",
+                c.storm_full_p99_us / 1e6,
+                0.0,
+                3.0,
+            ),
+            Claim::band(
+                "sidecar storm CPU vs canal (ratio)",
+                "software asym at both ends vs marshalling + shared accelerator",
+                sidecar.cpu_s / c.cpu_s.max(1e-9),
+                10.0,
+                f64::INFINITY,
+            ),
+            Claim::new(
+                "blind cert pushes expose the fleet",
+                "no canary, no NACK: the poisoned bundle lands everywhere",
+                &format!("sidecar {} vs canal {} committed", sidecar.poison_exposed, c.poison_committed),
+                &[
+                    ("the sidecar's blind push exposes the whole fleet", sidecar.poison_exposed == sidecar.fleet),
+                    ("the poisoned bundle is never committed", c.poison_committed == 0),
+                ],
+            ),
+            Claim::new(
+                "non-rotating full-handshake p99 unaffected by the storm (ms)",
+                "strict priority at the key server",
+                &num(c.nonrotating_full_p99_us / 1000.0),
+                &[(
+                    "non-rotating full handshakes stay under the storm's p99 (or 5 ms)",
+                    c.nonrotating_full_p99_us < c.storm_full_p99_us.max(5_000.0),
+                )],
+            ),
+            Claim::unreported(&[
+                ("steady state is mostly resumption", c.steady_resumed_fraction > 0.8),
+                ("no handshake is retried", c.amplification == 1.0),
+            ]),
+        ]
     }
 }
 
@@ -884,6 +1006,7 @@ pub(crate) fn run_handshake(seed: u64, params: &HandshakeParams) -> HandshakeOut
         canal,
         arms,
         canary_size: params.rollout_cfg().canary_size,
+        rotating_workloads: params.rotating_workloads,
         demand,
     }
 }
@@ -909,29 +1032,7 @@ impl Scenario for HandshakeOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let c = &self.canal;
-        violated("cert-lifecycle", &[
-            ("the rotating fleet re-keys", c.rotated_certs > 0),
-            ("non-rotating tenants handshake", c.nonrotating_offered > 0),
-            ("non-rotating tenants lose no handshake", c.nonrotating_errors == 0),
-            ("the poisoned bundle is never committed", c.poison_committed == 0),
-            (
-                "the poisoned bundle reaches the canary wave and no further",
-                (1..=self.canary_size).contains(&c.poison_exposed),
-            ),
-            ("the canary NACKs the poisoned bundle", c.nacks > 0),
-            ("the poisoned rotation rolls back automatically", c.poison_rolled_back),
-            ("the skewed tenant's retry converges", c.poison_retry_converged),
-            ("the compromise raises the revocation floor", c.compromise_floor_raised),
-            ("the post-compromise sweep drops tickets", c.tickets_swept > 0),
-            ("no swept ticket resumes", c.revoked_resumes_blocked),
-            ("the storm fills accelerator batches", c.storm_occupancy > c.steady_occupancy + 0.25),
-            ("steady state stays in the bubble regime", c.steady_occupancy < 0.5),
-            ("steady state is mostly resumption", c.steady_resumed_fraction > 0.8),
-            ("the key-server backlog drains", c.backlog_end == 0),
-            ("no handshake is shed", c.sheds == 0),
-            ("no handshake is retried", c.amplification == 1.0),
-        ])
+        violated("cert-lifecycle", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -1026,96 +1127,7 @@ fn report(outcome: &HandshakeOutcome, params: &HandshakeParams) -> ExperimentRep
     }
     report.tables.push(presets);
 
-    report.checks.push(Check::cond(
-        "the whole rotating tenant re-keys",
-        "one synchronized wave re-issues every workload cert",
-        &format!("{} certs issued in generation 2", c.rotated_certs),
-        c.rotated_certs == params.rotating_workloads,
-    ));
-    report.checks.push(Check::cond(
-        "non-rotating tenants lose zero availability",
-        "strict key-server priority + fail-static bundles",
-        &format!("{} errors over {} handshakes", c.nonrotating_errors, c.nonrotating_offered),
-        c.nonrotating_errors == 0 && c.nonrotating_offered > 0,
-    ));
-    report.checks.push(Check::cond(
-        "storm fills accelerator batches; steady state stays in the bubble regime",
-        "Fig. 25: occupancy is the offload story",
-        &format!("steady {} vs storm {}", num(c.steady_occupancy), num(c.storm_occupancy)),
-        c.storm_occupancy > c.steady_occupancy + 0.25 && c.steady_occupancy < 0.5,
-    ));
-    report.checks.push(Check::band(
-        "steady-state resumed share",
-        "session tickets keep reconnects off the asymmetric path",
-        c.steady_resumed_fraction,
-        0.8,
-        1.0,
-    ));
-    report.checks.push(Check::cond(
-        "poisoned bundle: NACKed at the canary, zero commits, auto-rollback",
-        "clock-skewed not_after passes the cutter, dies at the gateway clock",
-        &format!(
-            "{} pushed / {} committed / rolled back: {}",
-            c.poison_exposed, c.poison_committed, c.poison_rolled_back
-        ),
-        c.poison_committed == 0
-            && c.poison_exposed > 0
-            && c.poison_exposed <= outcome.canary_size
-            && c.poison_rolled_back
-            && c.nacks > 0,
-    ));
-    report.checks.push(Check::cond(
-        "skewed tenant retries clean after clock recovery",
-        "rollback backoff, then a converged rotation",
-        &format!("retry converged: {}", c.poison_retry_converged),
-        c.poison_retry_converged,
-    ));
-    report.checks.push(Check::cond(
-        "compromise rotation revokes prior generations",
-        "revocation floor over every old serial; swept tickets never resume",
-        &format!(
-            "floor raised: {}, {} tickets swept, resumes blocked: {}",
-            c.compromise_floor_raised, c.tickets_swept, c.revoked_resumes_blocked
-        ),
-        c.compromise_floor_raised && c.tickets_swept > 0 && c.revoked_resumes_blocked,
-    ));
-    report.checks.push(Check::cond(
-        "key-server backlog fully drains",
-        "the storm is a transient, not a collapse",
-        &format!("{} ops queued at horizon", c.backlog_end),
-        c.backlog_end == 0 && c.sheds == 0,
-    ));
-    report.checks.push(Check::band(
-        "storm p99 stays bounded (s)",
-        "queue sojourn, not timeout collapse",
-        c.storm_full_p99_us / 1e6,
-        0.0,
-        3.0,
-    ));
-    if let Some(sidecar) = outcome.arms.iter().find(|a| a.name == "istio-sidecar") {
-        report.checks.push(Check::band(
-            "sidecar storm CPU vs canal (ratio)",
-            "software asym at both ends vs marshalling + shared accelerator",
-            sidecar.cpu_s / c.cpu_s.max(1e-9),
-            10.0,
-            f64::INFINITY,
-        ));
-        report.checks.push(Check::cond(
-            "blind cert pushes expose the fleet",
-            "no canary, no NACK: the poisoned bundle lands everywhere",
-            &format!(
-                "sidecar {} vs canal {} committed",
-                sidecar.poison_exposed, c.poison_committed
-            ),
-            sidecar.poison_exposed == params.fleet && c.poison_committed == 0,
-        ));
-    }
-    report.checks.push(Check::cond(
-        "non-rotating full-handshake p99 unaffected by the storm (ms)",
-        "strict priority at the key server",
-        &num(c.nonrotating_full_p99_us / 1000.0),
-        c.nonrotating_full_p99_us < c.storm_full_p99_us.max(5_000.0),
-    ));
+    report.checks.extend(checks(outcome.claims()));
     report
 }
 

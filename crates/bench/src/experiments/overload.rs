@@ -28,8 +28,8 @@
 //! Everything is seeded; double runs produce bit-identical
 //! [`SurgeOutcome::digest`] values (held by `crate::scenario::drive`).
 
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::{OverloadAssessment, WaterLevelMonitor};
 use canal_gateway::overload::{AttemptKind, OverloadConfig, OverloadControl};
 use canal_net::{
@@ -296,15 +296,92 @@ impl SurgeOutcome {
         self.placements.iter().find(|p| p.name == name)
     }
 
-    /// The isolation invariant `experiments overload` gates on, every
-    /// clause of it: under canal, every well-behaved tenant holds its
-    /// no-surge P99 within `VICTIM_P99_BOUND` and keeps its goodput, while
-    /// the surging tenant degrades gracefully (shed happens, but goodput
-    /// stays above `SURGER_GOODPUT_FLOOR`); a shared FIFO melts and a static
-    /// core split isolates but wastes; brownout and the monitor engage only
-    /// under the surge.
+    /// Whether the isolation invariant `experiments overload` gates on
+    /// holds: every clause of the surge's claims.
     pub fn isolation_ok(&self) -> bool {
         self.failures().is_empty()
+    }
+
+    /// The overload report's checks, each with the clauses it rests on.
+    fn claims(&self) -> Vec<Claim> {
+        let placements = (self.placement("canal"), self.placement("ambient"), self.placement("istio-sidecar"));
+        let (Some(canal), Some(ambient), Some(sidecar)) = placements else {
+            return vec![Claim::unreported(&[("all three placements ran", false)])];
+        };
+        let surger = canal.surger();
+        vec![
+            Claim::new(
+                "canal victim p99 inflation under a 20x surge",
+                &format!("bounded (≤ {VICTIM_P99_BOUND}x of no-surge p99)"),
+                &num(canal.victim_p99_ratio()),
+                &[("victims hold their no-surge P99", canal.victim_p99_ratio() <= VICTIM_P99_BOUND)],
+            ),
+            Claim::new(
+                "canal victims keep their goodput",
+                "fair queues never shed a well-behaved tenant",
+                &pct(canal.victim_goodput_ratio()),
+                &[("victims keep their goodput", canal.victim_goodput_ratio() >= 0.99)],
+            ),
+            Claim::new(
+                "canal surger degrades gracefully",
+                &format!("goodput ≥ {:.0}% with CoDel shedding the excess", SURGER_GOODPUT_FLOOR * 100.0),
+                &format!("{} goodput, {} shed", pct(surger.goodput_ratio()), surger.shed),
+                &[
+                    ("the surger keeps its goodput floor", surger.goodput_ratio() >= SURGER_GOODPUT_FLOOR),
+                    ("the surger is shed", surger.shed > 0),
+                ],
+            ),
+            Claim::new(
+                "shared FIFO melts without fair queues",
+                "ambient victim p99 inflates far past the canal bound",
+                &num(ambient.victim_p99_ratio()),
+                &[(
+                    "a shared FIFO inflates victim P99 past 4x canal's bound",
+                    ambient.victim_p99_ratio() > 4.0 * VICTIM_P99_BOUND,
+                )],
+            ),
+            Claim::new(
+                "static sidecar split isolates but wastes capacity",
+                "sidecar victims isolated; canal surger goodput beats sidecar's",
+                &format!(
+                    "sidecar victim inflation {}, surger goodput canal {} vs sidecar {}",
+                    num(sidecar.victim_p99_ratio()),
+                    pct(surger.goodput_ratio()),
+                    pct(sidecar.surger().goodput_ratio())
+                ),
+                &[
+                    ("static sidecar cores isolate victims", sidecar.victim_p99_ratio() <= 2.0),
+                    (
+                        "canal serves more of the surge than a static core split",
+                        surger.goodput_ratio() > sidecar.surger().goodput_ratio(),
+                    ),
+                ],
+            ),
+            Claim::new(
+                "interactive class outranks bulk for the surging tenant",
+                "weighted classes: interactive p99 < bulk p99 under canal",
+                &format!("interactive {} ms vs bulk {} ms", num(surger.interactive_p99_ms), num(surger.bulk_p99_ms)),
+                &[("the surger's interactive p99 beats its bulk p99", surger.interactive_p99_ms < surger.bulk_p99_ms)],
+            ),
+            Claim::new(
+                "brownout sheds optional work before requests",
+                "brownout engages during the surge, never at baseline",
+                &format!("surge {} / baseline {}", canal.surge.brownout_engaged, canal.baseline.brownout_engaged),
+                &[
+                    ("brownout engages under the surge", canal.surge.brownout_engaged),
+                    ("brownout stays off at baseline", !canal.baseline.brownout_engaged),
+                ],
+            ),
+            Claim::new(
+                "overload signals reach the control plane",
+                "monitor alerts during the surge, calm at baseline",
+                &format!("surge {} alerts / baseline {}", canal.surge.overload_alerts, canal.baseline.overload_alerts),
+                &[
+                    ("the monitor alerts under the surge", canal.surge.overload_alerts > 0),
+                    ("the monitor stays calm at baseline", canal.baseline.overload_alerts == 0),
+                ],
+            ),
+        ]
     }
 }
 
@@ -478,29 +555,7 @@ impl Scenario for SurgeOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let placements = (self.placement("canal"), self.placement("ambient"), self.placement("istio-sidecar"));
-        let (Some(canal), Some(ambient), Some(sidecar)) = placements else {
-            return violated("tenant-isolation", &[("all three placements ran", false)]);
-        };
-        violated("tenant-isolation", &[
-            ("victims hold their no-surge P99", canal.victim_p99_ratio() <= VICTIM_P99_BOUND),
-            ("victims keep their goodput", canal.victim_goodput_ratio() >= 0.99),
-            ("the surger keeps its goodput floor", canal.surger().goodput_ratio() >= SURGER_GOODPUT_FLOOR),
-            ("the surger is shed", canal.surger().shed > 0),
-            (
-                "a shared FIFO inflates victim P99 over 4x what canal's fair queues do",
-                ambient.victim_p99_ratio() > 4.0 * canal.victim_p99_ratio(),
-            ),
-            ("static sidecar cores isolate victims", sidecar.victim_p99_ratio() <= 2.0),
-            (
-                "canal serves more of the surge than a static core split",
-                canal.surger().goodput_ratio() > sidecar.surger().goodput_ratio(),
-            ),
-            ("brownout engages under the surge", canal.surge.brownout_engaged),
-            ("brownout stays off at baseline", !canal.baseline.brownout_engaged),
-            ("the monitor alerts under the surge", canal.surge.overload_alerts > 0),
-            ("the monitor stays calm at baseline", canal.baseline.overload_alerts == 0),
-        ])
+        violated("tenant-isolation", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -586,79 +641,6 @@ fn report(outcome: &SurgeOutcome) -> ExperimentReport {
     }
     report.tables.push(isolation);
 
-    let canal = outcome.placement("canal");
-    let ambient = outcome.placement("ambient");
-    let sidecar = outcome.placement("istio-sidecar");
-    if let (Some(canal), Some(ambient), Some(sidecar)) = (canal, ambient, sidecar) {
-        report.checks.push(Check::band(
-            "canal victim p99 inflation under a 20x surge",
-            &format!("bounded (≤ {VICTIM_P99_BOUND}x of no-surge p99)"),
-            canal.victim_p99_ratio(),
-            0.0,
-            VICTIM_P99_BOUND,
-        ));
-        report.checks.push(Check::cond(
-            "canal victims keep their goodput",
-            "fair queues never shed a well-behaved tenant",
-            &pct(canal.victim_goodput_ratio()),
-            canal.victim_goodput_ratio() >= 0.99,
-        ));
-        report.checks.push(Check::cond(
-            "canal surger degrades gracefully",
-            &format!("goodput ≥ {:.0}% with CoDel shedding the excess", SURGER_GOODPUT_FLOOR * 100.0),
-            &format!(
-                "{} goodput, {} shed",
-                pct(canal.surger().goodput_ratio()),
-                canal.surger().shed
-            ),
-            canal.surger().goodput_ratio() >= SURGER_GOODPUT_FLOOR && canal.surger().shed > 0,
-        ));
-        report.checks.push(Check::cond(
-            "shared FIFO melts without fair queues",
-            "ambient victim p99 inflates far past the canal bound",
-            &num(ambient.victim_p99_ratio()),
-            ambient.victim_p99_ratio() > 4.0 * VICTIM_P99_BOUND,
-        ));
-        report.checks.push(Check::cond(
-            "static sidecar split isolates but wastes capacity",
-            "sidecar victims isolated; canal surger goodput beats sidecar's",
-            &format!(
-                "sidecar victim inflation {}, surger goodput canal {} vs sidecar {}",
-                num(sidecar.victim_p99_ratio()),
-                pct(canal.surger().goodput_ratio()),
-                pct(sidecar.surger().goodput_ratio())
-            ),
-            sidecar.victim_p99_ratio() <= 2.0
-                && canal.surger().goodput_ratio() > sidecar.surger().goodput_ratio(),
-        ));
-        report.checks.push(Check::cond(
-            "interactive class outranks bulk for the surging tenant",
-            "weighted classes: interactive p99 < bulk p99 under canal",
-            &format!(
-                "interactive {} ms vs bulk {} ms",
-                num(canal.surger().interactive_p99_ms),
-                num(canal.surger().bulk_p99_ms)
-            ),
-            canal.surger().interactive_p99_ms < canal.surger().bulk_p99_ms,
-        ));
-        report.checks.push(Check::cond(
-            "brownout sheds optional work before requests",
-            "brownout engages during the surge, never at baseline",
-            &format!(
-                "surge {} / baseline {}",
-                canal.surge.brownout_engaged, canal.baseline.brownout_engaged
-            ),
-            canal.surge.brownout_engaged && !canal.baseline.brownout_engaged,
-        ));
-        report.checks.push(Check::cond(
-            "overload signals reach the control plane",
-            "monitor alerts during the surge, calm at baseline",
-            &format!(
-                "surge {} alerts / baseline {}",
-                canal.surge.overload_alerts, canal.baseline.overload_alerts
-            ),
-            canal.surge.overload_alerts > 0 && canal.baseline.overload_alerts == 0,
-        ));
-    }
+    report.checks.extend(checks(outcome.claims()));
     report
 }

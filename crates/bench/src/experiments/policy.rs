@@ -40,8 +40,8 @@
 //! [`AlertKind::PolicyDeny`]: canal_control::AlertKind
 
 use crate::experiments::southbound::{poisson_arrivals, Blast, CanalArm, TickClock};
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::{
     AlertKind, HealthSample, RolloutConfig, RolloutController, RolloutKind, WaterLevelMonitor,
 };
@@ -330,14 +330,95 @@ impl PolicyBlastOutcome {
         d.value()
     }
 
-    /// The invariant `experiments policy` gates on: the poisoned policy is
-    /// NACKed and never committed under canal (blast radius 0), the
-    /// wrong-scope deny-all is contained to the canary wave and rolled
-    /// back by the deny-spike health gate, the compiled tables are
-    /// bit-identical to the naive reference, the overlapping tenants
-    /// never cross-match, and the compiled match cost beats the scan.
+    /// Whether the invariant `experiments policy` gates on holds: every
+    /// clause of the policy plane's claims.
     pub fn policy_ok(&self) -> bool {
         self.failures().is_empty()
+    }
+
+    /// The policy report's checks, each with the clauses it rests on.
+    fn claims(&self) -> Vec<Claim> {
+        let b = &self.blast;
+        let mut claims = vec![
+            b.poison_claim("policy"),
+            b.fail_static_claim(
+                "fail-static keeps the running tables enforcing",
+                "a rejected policy push never degrades serving",
+                &format!("{} poison-attributed errors", b.arms[0].errors),
+            ),
+            b.rollback_claim("NACK and deny-spike health-gate rollbacks, no operator"),
+            Claim::new(
+                "wrong-scope deny-all contained to the canary wave",
+                "the monitor's deny-spike alert trips the health gate during bake",
+                &format!(
+                    "{} of {} gateways (canary {}), {} wrong denies",
+                    self.deny_exposed, b.fleet, b.canary_size, self.deny_errors
+                ),
+                &[
+                    (
+                        "the wrong-scope deny-all is contained to the canary wave",
+                        (1..=b.canary_size).contains(&self.deny_exposed),
+                    ),
+                    ("the deny-all canary wrongly denies requests", self.deny_errors > 0),
+                ],
+            ),
+            Claim::new(
+                "deny spike surfaces as a monitor dimension",
+                "PolicyDeny alerts on the spike edge at the worst gateway",
+                &format!("{} alerts", self.policy_alerts),
+                &[("the deny spike raises a PolicyDeny alert", self.policy_alerts >= 1)],
+            ),
+            b.healthy_claim("healthy policy rollout converges in waves"),
+            Claim::new(
+                "tenant isolation over overlapping address spaces",
+                "joint vs solo compiles agree on every probe; zero cross-tenant matches",
+                &format!("{} probes, {} divergences", self.isolation_probes, self.cross_tenant_matches),
+                &[
+                    ("the isolation gate probes", self.isolation_probes > 0),
+                    ("overlapping tenants never cross-match", self.cross_tenant_matches == 0),
+                ],
+            ),
+            Claim::new(
+                "compiled tables match the naive reference bit-for-bit",
+                "verdict-stream digests over the full arrival stream are equal",
+                if self.compiled_digest == self.reference_digest { "equal" } else { "DIVERGED" },
+                &[("compiled tables equal the naive reference", self.compiled_digest == self.reference_digest)],
+            ),
+            Claim::band(
+                "compiled per-lookup cost vs naive scan",
+                "flat tables beat the O(rules) scan with headroom",
+                self.compiled_ops as f64 / self.naive_ops.max(1) as f64,
+                0.0,
+                0.5,
+            ),
+            Claim::new(
+                "node L4 path splits fast-path from deferral",
+                "pure-L4 slices decide on the node; L7-predicated candidates defer",
+                &format!(
+                    "{} allowed / {} denied / {} deferred",
+                    self.node_allowed, self.node_denied, self.node_deferred
+                ),
+                &[
+                    ("the node L4 path allows on the node", self.node_allowed > 0),
+                    ("the node L4 path denies on the node", self.node_denied > 0),
+                    ("the node L4 path defers L7-predicated candidates", self.node_deferred > 0),
+                ],
+            ),
+        ];
+        claims.extend(b.blind_push_claims());
+        claims.extend([
+            Claim::new(
+                "policy store retention stays bounded",
+                "version history capped at POLICY_RETAIN_CAP",
+                &format!("{} of {}", self.store_len, POLICY_RETAIN_CAP),
+                &[
+                    ("the policy store keeps at most POLICY_RETAIN_CAP versions", self.store_len <= POLICY_RETAIN_CAP),
+                    ("the policy store keeps a version", self.store_len > 0),
+                ],
+            ),
+            Claim::unreported(&[("a compiled lookup costs less than the scan", self.compiled_ops < self.naive_ops)]),
+        ]);
+        claims
     }
 }
 
@@ -688,20 +769,7 @@ impl Scenario for PolicyBlastOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let mut clauses = self.blast.clauses();
-        clauses.extend([
-            (
-                "the wrong-scope deny-all is contained to the canary wave",
-                (1..=self.blast.canary_size).contains(&self.deny_exposed),
-            ),
-            ("the deny-all canary wrongly denies requests", self.deny_errors > 0),
-            ("the deny spike raises a PolicyDeny alert", self.policy_alerts >= 1),
-            ("the isolation gate probes", self.isolation_probes > 0),
-            ("overlapping tenants never cross-match", self.cross_tenant_matches == 0),
-            ("compiled tables equal the naive reference", self.compiled_digest == self.reference_digest),
-            ("a compiled lookup costs less than the scan", self.compiled_ops < self.naive_ops),
-        ]);
-        violated("policy", &clauses)
+        violated("policy", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -782,81 +850,6 @@ fn report(outcome: &PolicyBlastOutcome) -> ExperimentReport {
     }
     report.tables.push(engine);
 
-    if let Some(canal) = blast.arm("canal") {
-        report.checks.push(Check::cond(
-            "canal never commits the poisoned policy",
-            "semantic validation NACKs at the canary; blast radius 0",
-            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, blast.nacks),
-            canal.exposed == 0 && blast.nacks > 0,
-        ));
-        report.checks.push(Check::cond(
-            "fail-static keeps the running tables enforcing",
-            "a rejected policy push never degrades serving",
-            &format!("{} poison-attributed errors", canal.errors),
-            canal.errors == 0,
-        ));
-        report.checks.push(Check::cond(
-            "rollback is automatic",
-            "NACK and deny-spike health-gate rollbacks, no operator",
-            &format!("{} rollbacks", blast.rollbacks),
-            blast.rollbacks >= 2,
-        ));
-        report.checks.push(Check::cond(
-            "wrong-scope deny-all contained to the canary wave",
-            "the monitor's deny-spike alert trips the health gate during bake",
-            &format!(
-                "{} of {} gateways (canary {}), {} wrong denies",
-                outcome.deny_exposed, blast.fleet, blast.canary_size, outcome.deny_errors
-            ),
-            outcome.deny_exposed >= 1
-                && outcome.deny_exposed <= blast.canary_size
-                && outcome.deny_errors > 0,
-        ));
-        report.checks.push(Check::cond(
-            "deny spike surfaces as a monitor dimension",
-            "PolicyDeny alerts on the spike edge at the worst gateway",
-            &format!("{} alerts", outcome.policy_alerts),
-            outcome.policy_alerts >= 1,
-        ));
-        report.checks.push(blast.healthy_check("healthy policy rollout converges in waves"));
-        report.checks.push(Check::cond(
-            "tenant isolation over overlapping address spaces",
-            "joint vs solo compiles agree on every probe; zero cross-tenant matches",
-            &format!(
-                "{} probes, {} divergences",
-                outcome.isolation_probes, outcome.cross_tenant_matches
-            ),
-            outcome.isolation_probes > 0 && outcome.cross_tenant_matches == 0,
-        ));
-        report.checks.push(Check::cond(
-            "compiled tables match the naive reference bit-for-bit",
-            "verdict-stream digests over the full arrival stream are equal",
-            if outcome.compiled_digest == outcome.reference_digest { "equal" } else { "DIVERGED" },
-            outcome.compiled_digest == outcome.reference_digest,
-        ));
-        report.checks.push(Check::band(
-            "compiled per-lookup cost vs naive scan",
-            "flat tables beat the O(rules) scan with headroom",
-            outcome.compiled_ops as f64 / outcome.naive_ops.max(1) as f64,
-            0.0,
-            0.5,
-        ));
-        report.checks.push(Check::cond(
-            "node L4 path splits fast-path from deferral",
-            "pure-L4 slices decide on the node; L7-predicated candidates defer",
-            &format!(
-                "{} allowed / {} denied / {} deferred",
-                outcome.node_allowed, outcome.node_denied, outcome.node_deferred
-            ),
-            outcome.node_allowed > 0 && outcome.node_denied > 0 && outcome.node_deferred > 0,
-        ));
-        report.checks.extend(blast.blind_push_checks());
-        report.checks.push(Check::cond(
-            "policy store retention stays bounded",
-            "version history capped at POLICY_RETAIN_CAP",
-            &format!("{} of {}", outcome.store_len, POLICY_RETAIN_CAP),
-            outcome.store_len <= POLICY_RETAIN_CAP && outcome.store_len > 0,
-        ));
-    }
+    report.checks.extend(checks(outcome.claims()));
     report
 }

@@ -41,7 +41,7 @@ use crate::experiments::southbound::{
 };
 use canal_gateway::config::RoutePlane;
 use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::configure::ConfigPlane;
 use canal_control::{
     AlertKind, HealthSample, RollbackReason, RolloutConfig, RolloutController, RolloutOutcome,
@@ -203,6 +203,69 @@ impl BlastOutcome {
             .write_u64(u64::from(self.rollback_targets_good))
             .write_u64(self.canal_state_digest);
         d.value()
+    }
+
+    /// The rollout report's checks on the outcome, with their clauses.
+    fn claims(&self) -> Vec<Claim> {
+        let b = &self.blast;
+        let [canal, ambient, istio] = &b.arms;
+        let mut claims = vec![
+            b.poison_claim("version"),
+            b.fail_static_claim(
+                "fail-static serving keeps availability at 100%",
+                "rejected pushes never degrade the data plane",
+                &pct(canal.availability()),
+            ),
+            b.rollback_claim("NACK, ack-timeout and health-gate rollbacks, no operator"),
+            Claim::new(
+                "rollbacks restore only converged versions",
+                "last-known-good is the last converged version, never a poisoned or never-committed one",
+                &format!("all targets good: {}", self.rollback_targets_good),
+                &[("every rollback restores a converged, unpoisoned version", self.rollback_targets_good)],
+            ),
+            Claim::new(
+                "degrading change contained to the canary wave",
+                "health gate trips during bake, before wave 2",
+                &format!("{} of {} gateways (canary {})", self.degrade_exposed, b.fleet, b.canary_size),
+                &[(
+                    "the degrading change is contained to the canary wave",
+                    (1..=b.canary_size).contains(&self.degrade_exposed),
+                )],
+            ),
+            Claim::new(
+                "blocked push fails static",
+                "blackout window serves at 100%; stalled rollout times out and rolls back",
+                &format!(
+                    "{} availability, timeout rollback {}",
+                    pct(self.blocked_availability),
+                    self.blocked_timeout_rollback
+                ),
+                &[
+                    ("the push blackout never degrades serving", self.blocked_availability == 1.0),
+                    ("the rollout stalled by the blackout times out and rolls back", self.blocked_timeout_rollback),
+                ],
+            ),
+            b.healthy_claim("healthy rollout converges in exponential waves"),
+        ];
+        claims.extend(b.blind_push_claims());
+        claims.extend([
+            Claim::new(
+                "rollout surfaces as a monitor dimension",
+                "ConfigRollout alerts on flight starts and rollbacks",
+                &format!("{} alerts", self.rollout_alerts),
+                &[("rollout flights and rollbacks raise at least four monitor alerts", self.rollout_alerts >= 4)],
+            ),
+            Claim::unreported(&[
+                ("istio's exposed fleet serves errors", istio.errors > 0),
+                ("ambient's partial exposure serves errors", ambient.errors > 0),
+                ("canal rolls back in under a tenth of istio's operator time", canal.ttr_s < istio.ttr_s / 10.0),
+                (
+                    "availability ranks canal over ambient over istio",
+                    canal.availability() > ambient.availability() && ambient.availability() > istio.availability(),
+                ),
+            ]),
+        ]);
+        claims
     }
 }
 
@@ -431,28 +494,7 @@ impl Scenario for BlastOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let b = &self.blast;
-        let [canal, ambient, istio] = &b.arms;
-        let mut clauses = b.clauses();
-        clauses.extend([
-            (
-                "the degrading change is contained to the canary wave",
-                (1..=b.canary_size).contains(&self.degrade_exposed),
-            ),
-            ("the push blackout never degrades serving", self.blocked_availability == 1.0),
-            ("the rollout stalled by the blackout times out and rolls back", self.blocked_timeout_rollback),
-            ("every rollback restores a converged, unpoisoned version", self.rollback_targets_good),
-            ("the healthy rollout takes a canary and at least two promotions", b.healthy_waves >= 3),
-            ("rollout flights and rollbacks raise at least four monitor alerts", self.rollout_alerts >= 4),
-            ("istio's exposed fleet serves errors", istio.errors > 0),
-            ("ambient's partial exposure serves errors", ambient.errors > 0),
-            ("canal rolls back in under a tenth of istio's operator time", canal.ttr_s < istio.ttr_s / 10.0),
-            (
-                "availability ranks canal over ambient over istio",
-                canal.availability() > ambient.availability() && ambient.availability() > istio.availability(),
-            ),
-        ]);
-        violated("safe-rollout", &clauses)
+        violated("safe-rollout", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -524,65 +566,13 @@ fn report(outcome: &BlastOutcome) -> ExperimentReport {
     }
     report.tables.push(south);
 
-    if let Some(canal) = blast.arm("canal") {
-        report.checks.push(Check::cond(
-            "canal never commits the poisoned version",
-            "semantic validation NACKs at the canary; blast radius 0",
-            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, blast.nacks),
-            canal.exposed == 0 && blast.nacks > 0,
-        ));
-        report.checks.push(Check::cond(
-            "fail-static serving keeps availability at 100%",
-            "rejected pushes never degrade the data plane",
-            &pct(canal.availability()),
-            canal.errors == 0,
-        ));
-        report.checks.push(Check::cond(
-            "rollback is automatic",
-            "NACK, ack-timeout and health-gate rollbacks, no operator",
-            &format!("{} rollbacks", blast.rollbacks),
-            blast.rollbacks >= 2,
-        ));
-        report.checks.push(Check::cond(
-            "rollbacks restore only converged versions",
-            "last-known-good is the last converged version, never a poisoned or never-committed one",
-            &format!("all targets good: {}", outcome.rollback_targets_good),
-            outcome.rollback_targets_good,
-        ));
-        report.checks.push(Check::cond(
-            "degrading change contained to the canary wave",
-            "health gate trips during bake, before wave 2",
-            &format!(
-                "{} of {} gateways (canary {})",
-                outcome.degrade_exposed, blast.fleet, blast.canary_size
-            ),
-            outcome.degrade_exposed >= 1 && outcome.degrade_exposed <= blast.canary_size,
-        ));
-        report.checks.push(Check::cond(
-            "blocked push fails static",
-            "blackout window serves at 100%; stalled rollout times out and rolls back",
-            &format!(
-                "{} availability, timeout rollback {}",
-                pct(outcome.blocked_availability),
-                outcome.blocked_timeout_rollback
-            ),
-            outcome.blocked_availability == 1.0 && outcome.blocked_timeout_rollback,
-        ));
-        report.checks.push(blast.healthy_check("healthy rollout converges in exponential waves"));
-        report.checks.extend(blast.blind_push_checks());
-        report.checks.push(Check::cond(
-            "rollout surfaces as a monitor dimension",
-            "ConfigRollout alerts on flight starts and rollbacks",
-            &format!("{} alerts", outcome.rollout_alerts),
-            outcome.rollout_alerts >= 4,
-        ));
-        report.checks.push(Check::band(
-            "paper-scale southbound blow-up, istio full vs canal",
-            "O(100x)+ more bytes for a fleet-wide sidecar push",
-            istio_full.southbound_bytes as f64 / canal_full.southbound_bytes.max(1) as f64,
-            100.0,
-            f64::INFINITY,
-        ));
-    }
+    report.checks.extend(checks(outcome.claims()));
+    report.checks.push(Check::band(
+        "paper-scale southbound blow-up, istio full vs canal",
+        "O(100x)+ more bytes for a fleet-wide sidecar push",
+        istio_full.southbound_bytes as f64 / canal_full.southbound_bytes.max(1) as f64,
+        100.0,
+        f64::INFINITY,
+    ));
     report
 }

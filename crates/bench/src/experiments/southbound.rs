@@ -12,7 +12,7 @@
 //! controller side of the vocabulary is [`RolloutAction::deliveries`], the
 //! fault side `canal_sim::faults::FaultState::apply_due`.
 
-use crate::harness::Check;
+use crate::scenario::Claim;
 use canal_control::versioned::TargetId;
 use canal_control::{
     CertRotationController, ConfigPlane, Delivery, HealthSample, RolloutAction,
@@ -423,27 +423,31 @@ pub(crate) struct Blast {
 }
 
 impl Blast {
-    /// The outcome for one arm.
-    pub(crate) fn arm(&self, name: &str) -> Option<&ArmOutcome> {
-        self.arms.iter().find(|a| a.name == name)
+    /// The check that canal never commits the poisoned `what`.
+    pub(crate) fn poison_claim(&self, what: &str) -> Claim {
+        let canal = &self.arms[0];
+        Claim::new(
+            &format!("canal never commits the poisoned {what}"),
+            "semantic validation NACKs at the canary; blast radius 0",
+            &format!("{} of {} gateways, {} NACKs", canal.exposed, canal.fleet, self.nacks),
+            &[
+                ("canal never commits the poisoned version", canal.exposed == 0),
+                ("the canary NACKs the poisoned version", self.nacks > 0),
+            ],
+        )
     }
 
-    /// The clauses of the blast-radius invariant both scenarios gate on,
-    /// each with whether it holds.
-    pub(crate) fn clauses(&self) -> Vec<(&'static str, bool)> {
-        let [canal, ambient, istio] = &self.arms;
-        vec![
-            ("canal never commits the poisoned version", canal.exposed == 0),
-            ("no request errors on the poisoned version under canal (fail-static)", canal.errors == 0),
-            ("the canary NACKs the poisoned version", self.nacks > 0),
-            ("rollback is automatic, at least twice", self.rollbacks >= 2),
-            ("the healthy rollout converges", self.healthy_converged),
-            ("the healthy rollout reaches the whole fleet", self.healthy_exposed == self.fleet),
-            ("canal rolls back sooner than istio's operator", canal.ttr_s < istio.ttr_s),
-            ("ambient exposes more of the fleet than canal", ambient.exposed > canal.exposed),
-            ("ambient exposes less of the fleet than istio", ambient.exposed < istio.exposed),
-            ("istio exposes the whole fleet", istio.exposed == self.fleet),
-        ]
+    /// The check that canal serves through the poisoned change, in the
+    /// caller's words.
+    pub(crate) fn fail_static_claim(&self, name: &str, paper: &str, measured: &str) -> Claim {
+        let clause = ("no request errors on the poisoned version under canal (fail-static)", self.arms[0].errors == 0);
+        Claim::new(name, paper, measured, &[clause])
+    }
+
+    /// The check that the controller rolls back by itself.
+    pub(crate) fn rollback_claim(&self, paper: &str) -> Claim {
+        let clause = ("rollback is automatic, at least twice", self.rollbacks >= 2);
+        Claim::new("rollback is automatic", paper, &format!("{} rollbacks", self.rollbacks), &[clause])
     }
 
     /// The blast-radius table, a row per arm; `extra` columns go before
@@ -471,37 +475,45 @@ impl Blast {
 
     /// The check that canal's healthy rollout converged, under the caller's
     /// `name` for it.
-    pub(crate) fn healthy_check(&self, name: &str) -> Check {
-        Check::cond(
+    pub(crate) fn healthy_claim(&self, name: &str) -> Claim {
+        Claim::new(
             name,
             "canary then growing waves reach the whole fleet",
             &format!("{} waves over {} targets", self.healthy_waves, self.healthy_exposed),
-            self.healthy_converged && self.healthy_exposed == self.fleet && self.healthy_waves >= 3,
+            &[
+                ("the healthy rollout converges", self.healthy_converged),
+                ("the healthy rollout reaches the whole fleet", self.healthy_exposed == self.fleet),
+                ("the healthy rollout takes a canary and at least two promotions", self.healthy_waves >= 3),
+            ],
         )
     }
 
-    /// The two checks on the blind-push arms, in report order.
-    pub(crate) fn blind_push_checks(&self) -> [Check; 2] {
+    /// The checks on the blind-push arms, in report order, and the clause
+    /// on time to rollback that holds at any scale.
+    pub(crate) fn blind_push_claims(&self) -> [Claim; 3] {
         let [canal, ambient, istio] = &self.arms;
         [
-            Check::cond(
+            Claim::new(
                 "blind pushes burn the fleet",
                 "istio exposes 100%; ambient halts mid-push (partial)",
                 &format!(
                     "istio {} / ambient {} / canal {}",
                     istio.exposed, ambient.exposed, canal.exposed
                 ),
-                istio.exposed == self.fleet
-                    && ambient.exposed < istio.exposed
-                    && ambient.exposed > canal.exposed,
+                &[
+                    ("istio exposes the whole fleet", istio.exposed == self.fleet),
+                    ("ambient exposes less of the fleet than istio", ambient.exposed < istio.exposed),
+                    ("ambient exposes more of the fleet than canal", ambient.exposed > canal.exposed),
+                ],
             ),
-            Check::band(
+            Claim::band(
                 "canal time-to-rollback vs istio",
                 "automatic NACK rollback ≪ operator detection",
                 canal.ttr_s / istio.ttr_s.max(1e-9),
                 0.0,
                 0.1,
             ),
+            Claim::unreported(&[("canal rolls back sooner than istio's operator", canal.ttr_s < istio.ttr_s)]),
         ]
     }
 }

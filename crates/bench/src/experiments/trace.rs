@@ -26,8 +26,8 @@
 //! [`TraceOutcome::digest`] values.
 
 use crate::experiments::southbound::script;
-use crate::harness::{Check, ExperimentReport};
-use crate::scenario::{fields, violated, Json, Scenario};
+use crate::harness::ExperimentReport;
+use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::rca::{HopWindowStats, SpanEvidenceRca, SpanRcaVerdict, TrendHopRca};
 use canal_mesh::costs::CostModel;
 use canal_sim::faults::{BackendSpec, FaultPlan, FaultState, FaultTarget, FaultTopology};
@@ -527,6 +527,102 @@ impl TraceOutcome {
     pub(crate) fn trend_windows_total(&self) -> usize {
         self.episodes.iter().map(|e| e.trend_windows).sum()
     }
+
+    /// The trace report's checks, each with the clauses it rests on.
+    fn claims(&self) -> Vec<Claim> {
+        let arms = (self.arch("canal"), self.arch("ambient"), self.arch("istio-sidecar"));
+        let (Some(canal), Some(ambient), Some(sidecar)) = arms else {
+            return vec![Claim::unreported(&[("all three arms ran", false)])];
+        };
+        let worst = |rate: fn(&TraceArchOutcome) -> f64| self.archs.iter().map(rate).fold(f64::INFINITY, f64::min);
+        let (cpu, sidecar_cpu) = (canal.telemetry_cpu_us_per_req, sidecar.telemetry_cpu_us_per_req);
+        let (span, trend) = (self.span_correct(), self.trend_correct());
+        let (span_windows, trend_windows) = (self.span_windows_total(), self.trend_windows_total());
+        let (episodes, beats) = (self.episodes.len(), BEATS.len());
+        let mut claims = vec![
+            Claim::band(
+                "tail sampling keeps error traces (worst arch)",
+                ">=99% of error traces retained",
+                worst(TraceArchOutcome::error_retention) * 100.0,
+                99.0,
+                100.0,
+            ),
+            Claim::band(
+                "tail sampling keeps P999 traces (worst arch)",
+                ">=99% of global-P999 traces retained",
+                worst(TraceArchOutcome::p999_retention) * 100.0,
+                99.0,
+                100.0,
+            ),
+            Claim::band("head sampling rate (canal)", "~2% configured, <=2.5% achieved", canal.head_rate * 100.0, 1.5, 2.5),
+            Claim::band(
+                "canal telemetry cpu per request (us)",
+                "mostly L4 node-proxy records + one L7 gateway record",
+                cpu,
+                3.5,
+                6.5,
+            ),
+            Claim::band(
+                "ambient telemetry cpu per request (us)",
+                "two L4 ztunnel records + one L7 waypoint record",
+                ambient.telemetry_cpu_us_per_req,
+                3.5,
+                6.5,
+            ),
+            Claim::band("sidecar telemetry cpu per request (us)", "two full L7 records per request", sidecar_cpu, 7.0, 10.0),
+            Claim::new(
+                "canal telemetry overhead below sidecar",
+                "L4-priced node spans beat per-pod L7 spans (sec 4.1.1)",
+                &format!("canal {} vs sidecar {} us/req", num(cpu), num(sidecar_cpu)),
+                &[(
+                    format!("canal telemetry cpu {}us/req is below sidecar's {}us/req", num(cpu), num(sidecar_cpu)),
+                    cpu < sidecar_cpu,
+                )],
+            ),
+            Claim::new(
+                "span-evidence RCA localizes every episode",
+                "3 episodes, 3 distinct truth hops",
+                &format!("{span}/{episodes}"),
+                &[(format!("span RCA localizes every episode ({span}/{episodes})"), span == episodes)],
+            ),
+            Claim::new(
+                "span RCA beats trend RCA on windows to detection",
+                "standing baseline vs >=3-window correlation",
+                &format!("span {span_windows} vs trend {trend_windows} windows (correct {span} vs {trend})"),
+                &[
+                    (format!("span RCA is right at least as often as trend's ({span} vs {trend})"), span >= trend),
+                    (
+                        format!("span RCA needs fewer windows than trend's ({span_windows} vs {trend_windows})"),
+                        span_windows < trend_windows,
+                    ),
+                ],
+            ),
+            // A beat the fault DSL rejects empties the plan: nothing to trace.
+            Claim::new(
+                "fault plan parsed and executed fully",
+                "10 scripted events",
+                &self.plan_events.to_string(),
+                &[(format!("the plan has {} events for {beats} beats", self.plan_events), self.plan_events == beats)],
+            ),
+        ];
+        let mut clauses = Vec::new();
+        for a in &self.archs {
+            let (errors, p999) = (a.error_retention(), a.p999_retention());
+            clauses.extend([
+                (format!("{}: error retention {} reaches 99%", a.name, pct(errors)), errors >= 0.99),
+                (format!("{}: P999 retention {} reaches 99%", a.name, pct(p999)), p999 >= 0.99),
+                (format!("{}: head rate {} stays in the 2% budget", a.name, pct(a.head_rate)), a.head_rate <= 0.025),
+                (format!("{}: the P999 exemplar trace is retained", a.name), a.exemplar_retained),
+            ]);
+        }
+        clauses.extend([
+            (format!("the fault plan produces error traces ({} under canal)", canal.errors), canal.errors > 0),
+            (format!("canal span rings evict ({} spans)", canal.spans_evicted), canal.spans_evicted > 0),
+            (format!("the RCA scores three episodes ({episodes})"), episodes == 3),
+        ]);
+        claims.push(Claim::unreported(&clauses));
+        claims
+    }
 }
 
 fn tail_decide(
@@ -874,38 +970,7 @@ impl Scenario for TraceOutcome {
     }
 
     fn failures(&self) -> Vec<String> {
-        let (Some(canal), Some(sidecar)) = (self.arch("canal"), self.arch("istio-sidecar")) else {
-            return violated("tracing", &[("the canal and sidecar arms ran", false)]);
-        };
-        // A beat the fault DSL rejects empties the plan: nothing to trace.
-        let beats = BEATS.len();
-        let mut clauses = vec![(format!("the plan has {} events for {beats} beats", self.plan_events), self.plan_events == beats)];
-        for a in &self.archs {
-            let (errors, p999) = (a.error_retention(), a.p999_retention());
-            clauses.extend([
-                (format!("{}: error retention {} reaches 99%", a.name, pct(errors)), errors >= 0.99),
-                (format!("{}: P999 retention {} reaches 99%", a.name, pct(p999)), p999 >= 0.99),
-                (format!("{}: head rate {} stays in the 2% budget", a.name, pct(a.head_rate)), a.head_rate <= 0.025),
-                (format!("{}: the P999 exemplar trace is retained", a.name), a.exemplar_retained),
-            ]);
-        }
-        let (cpu, sidecar_cpu) = (canal.telemetry_cpu_us_per_req, sidecar.telemetry_cpu_us_per_req);
-        let (span, trend) = (self.span_correct(), self.trend_correct());
-        let (span_windows, trend_windows) = (self.span_windows_total(), self.trend_windows_total());
-        let episodes = self.episodes.len();
-        clauses.extend([
-            (format!("canal telemetry cpu {}us/req is below sidecar's {}us/req", num(cpu), num(sidecar_cpu)), cpu < sidecar_cpu),
-            (format!("the fault plan produces error traces ({} under canal)", canal.errors), canal.errors > 0),
-            (format!("canal span rings evict ({} spans)", canal.spans_evicted), canal.spans_evicted > 0),
-            (format!("the RCA scores three episodes ({episodes})"), episodes == 3),
-            (format!("span RCA localizes every episode ({span}/{episodes})"), span == episodes),
-            (format!("span RCA is right at least as often as trend's ({span} vs {trend})"), span >= trend),
-            (
-                format!("span RCA needs fewer windows than trend's ({span_windows} vs {trend_windows})"),
-                span_windows < trend_windows,
-            ),
-        ]);
-        violated("tracing", &clauses)
+        violated("tracing", &self.claims())
     }
 
     fn json(&self) -> Vec<(&'static str, Json)> {
@@ -1028,100 +1093,6 @@ fn report(outcome: &TraceOutcome) -> ExperimentReport {
     }
     report.tables.push(rca);
 
-    let min_err = outcome
-        .archs
-        .iter()
-        .map(|a| a.error_retention())
-        .fold(f64::INFINITY, f64::min);
-    let min_p999 = outcome
-        .archs
-        .iter()
-        .map(|a| a.p999_retention())
-        .fold(f64::INFINITY, f64::min);
-    report.checks.push(Check::band(
-        "tail sampling keeps error traces (worst arch)",
-        ">=99% of error traces retained",
-        min_err * 100.0,
-        99.0,
-        100.0,
-    ));
-    report.checks.push(Check::band(
-        "tail sampling keeps P999 traces (worst arch)",
-        ">=99% of global-P999 traces retained",
-        min_p999 * 100.0,
-        99.0,
-        100.0,
-    ));
-    if let Some(canal) = outcome.arch("canal") {
-        report.checks.push(Check::band(
-            "head sampling rate (canal)",
-            "~2% configured, <=2.5% achieved",
-            canal.head_rate * 100.0,
-            1.5,
-            2.5,
-        ));
-        report.checks.push(Check::band(
-            "canal telemetry cpu per request (us)",
-            "mostly L4 node-proxy records + one L7 gateway record",
-            canal.telemetry_cpu_us_per_req,
-            3.5,
-            6.5,
-        ));
-    }
-    if let Some(ambient) = outcome.arch("ambient") {
-        report.checks.push(Check::band(
-            "ambient telemetry cpu per request (us)",
-            "two L4 ztunnel records + one L7 waypoint record",
-            ambient.telemetry_cpu_us_per_req,
-            3.5,
-            6.5,
-        ));
-    }
-    if let Some(sidecar) = outcome.arch("istio-sidecar") {
-        report.checks.push(Check::band(
-            "sidecar telemetry cpu per request (us)",
-            "two full L7 records per request",
-            sidecar.telemetry_cpu_us_per_req,
-            7.0,
-            10.0,
-        ));
-    }
-    if let (Some(canal), Some(sidecar)) = (outcome.arch("canal"), outcome.arch("istio-sidecar")) {
-        report.checks.push(Check::cond(
-            "canal telemetry overhead below sidecar",
-            "L4-priced node spans beat per-pod L7 spans (sec 4.1.1)",
-            &format!(
-                "canal {} vs sidecar {} us/req",
-                num(canal.telemetry_cpu_us_per_req),
-                num(sidecar.telemetry_cpu_us_per_req)
-            ),
-            canal.telemetry_cpu_us_per_req < sidecar.telemetry_cpu_us_per_req,
-        ));
-    }
-    report.checks.push(Check::cond(
-        "span-evidence RCA localizes every episode",
-        "3 episodes, 3 distinct truth hops",
-        &format!("{}/{}", outcome.span_correct(), outcome.episodes.len()),
-        outcome.span_correct() == outcome.episodes.len(),
-    ));
-    report.checks.push(Check::cond(
-        "span RCA beats trend RCA on windows to detection",
-        "standing baseline vs >=3-window correlation",
-        &format!(
-            "span {} vs trend {} windows (correct {} vs {})",
-            outcome.span_windows_total(),
-            outcome.trend_windows_total(),
-            outcome.span_correct(),
-            outcome.trend_correct()
-        ),
-        outcome.span_correct() >= outcome.trend_correct()
-            && outcome.span_windows_total() < outcome.trend_windows_total(),
-    ));
-    report.checks.push(Check::cond(
-        "fault plan parsed and executed fully",
-        "10 scripted events",
-        &outcome.plan_events.to_string(),
-        outcome.plan_events == 10,
-    ));
+    report.checks.extend(checks(outcome.claims()));
     report
 }

@@ -3,6 +3,7 @@
 //! seed, holds the two digests equal and the invariant true, and builds the
 //! report and the JSON document CI archives from the first outcome.
 
+use crate::harness::Check;
 use crate::ExperimentReport;
 
 /// A robustness scenario, implemented by its outcome type.
@@ -25,11 +26,13 @@ pub trait Scenario: Sized {
     fn outcome_digest(&self) -> u64;
     /// Every way the invariant is violated, one line per broken clause.
     ///
-    /// The clause list built here, with `violated`, is the one place a
-    /// scenario's properties are stated: the golden double-run test holds
-    /// them at every pinned run, so a property needs no test of its own.
-    /// Each clause holds at any scale, unlike the report's bands, which are
-    /// tuned for the full one.
+    /// A scenario's claims (`Claim`: a report check and the clauses it
+    /// rests on) are the one place its properties are stated. `violated`
+    /// flattens them into these lines and `checks` into the report's checks,
+    /// so a check passes exactly when its clauses hold, and the golden
+    /// double-run test holds every clause at every pinned run: a property
+    /// needs no test of its own. Each clause holds at any scale, unlike the
+    /// report's bands, which are tuned for the full one.
     fn failures(&self) -> Vec<String>;
     /// The scenario's sections of the JSON document, in order.
     fn json(&self) -> Vec<(&'static str, Json)>;
@@ -60,10 +63,51 @@ pub struct Driver {
     pub drive: fn(u64, bool) -> ScenarioRun,
 }
 
-/// One failure line per clause of the `what` invariant that does not hold.
-pub(crate) fn violated<S: AsRef<str>>(what: &str, clauses: &[(S, bool)]) -> Vec<String> {
-    let broken = clauses.iter().filter(|(_, holds)| !holds);
-    broken.map(|(clause, _)| format!("{what} invariant violated: {}", clause.as_ref())).collect()
+/// One scenario property: a report check and the invariant clauses, `(clause,
+/// holds)`, that its pass bit is the conjunction of.
+pub(crate) struct Claim {
+    /// `None` for clauses the report shows no check for.
+    check: Option<Check>,
+    clauses: Vec<(String, bool)>,
+}
+
+impl Claim {
+    /// A check that passes when every one of `clauses` holds.
+    pub(crate) fn new<S: AsRef<str>>(name: &str, paper: &str, measured: &str, clauses: &[(S, bool)]) -> Claim {
+        let claim = Claim::unreported(clauses);
+        let pass = claim.clauses.iter().all(|(_, holds)| *holds);
+        Claim { check: Some(Check::cond(name, paper, measured, pass)), ..claim }
+    }
+
+    /// Clauses of the invariant that no report check shows.
+    pub(crate) fn unreported<S: AsRef<str>>(clauses: &[(S, bool)]) -> Claim {
+        let clauses = clauses.iter().map(|(clause, holds)| (clause.as_ref().to_string(), *holds)).collect();
+        Claim { check: None, clauses }
+    }
+
+    /// A report check on `measured` against an inclusive band. Bands are
+    /// tuned for the full scale, so a band adds no clause.
+    pub(crate) fn band(name: &str, paper: &str, measured: f64, lo: f64, hi: f64) -> Claim {
+        Claim { check: Some(Check::band(name, paper, measured, lo, hi)), clauses: Vec::new() }
+    }
+}
+
+/// One failure line per clause of the `what` invariant that does not hold;
+/// a clause two checks rest on gives one line.
+pub(crate) fn violated(what: &str, claims: &[Claim]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (clause, _) in claims.iter().flat_map(|c| &c.clauses).filter(|(_, holds)| !holds) {
+        let line = format!("{what} invariant violated: {clause}");
+        if !lines.contains(&line) {
+            lines.push(line);
+        }
+    }
+    lines
+}
+
+/// The report checks of `claims`, in order.
+pub(crate) fn checks(claims: impl IntoIterator<Item = Claim>) -> impl Iterator<Item = Check> {
+    claims.into_iter().filter_map(|c| c.check)
 }
 
 /// One full-scale run's report.
@@ -159,3 +203,22 @@ macro_rules! fields {
     (@leaf $src:expr, $name:ident, $value:expr) => { $crate::scenario::Json::lit($value) };
 }
 pub(crate) use fields;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_check_passes_exactly_when_its_clauses_hold() {
+        let broken = || Claim::new("broken", "paper", "measured", &[("holds", true), ("breaks", false)]);
+        let whole = Claim::new("whole", "paper", "measured", &[("holds", true), ("holds too", true)]);
+        let pass = |claim: Claim| checks(vec![claim]).map(|c| c.pass).collect::<Vec<_>>();
+
+        assert_eq!(violated("toy", &[broken()]), ["toy invariant violated: breaks"]);
+        assert_eq!(pass(broken()), [false]);
+        assert!(violated("toy", std::slice::from_ref(&whole)).is_empty());
+        assert_eq!(pass(whole), [true]);
+        // Two checks resting on one broken clause give one line.
+        assert_eq!(violated("toy", &[broken(), broken()]), ["toy invariant violated: breaks"]);
+    }
+}
