@@ -1,4 +1,5 @@
-//! Golden histories of the rollout and cert-rotation controllers.
+//! Golden histories of the rollout and cert-rotation controllers, and the
+//! configuration plane's push prices.
 //!
 //! Seeded histories drive [`RolloutController`] through valid and refused
 //! begins, acks, NACKs, health regressions, ack timeouts and an outcome
@@ -8,7 +9,9 @@
 //! [`CertRotationController`] through compromise, clock skew, NACKs and
 //! refused cuts past `HISTORY_CAP` and `BUNDLE_CAP`. Each history folds
 //! every returned action's `deliveries()`, every ack / NACK verdict and the
-//! controller's `fold_digest` into one value.
+//! controller's `fold_digest` into one value. [`ConfigPlane`]'s full, wave
+//! and incremental pushes fold, for every architecture at two cluster
+//! shapes, into another.
 //!
 //! The constants were captured before the controllers were cut down to one
 //! wave state machine with one journaled emitter per transition kind. Any
@@ -18,9 +21,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use canal::control::certrotation::{CertRotationController, RotationConfig};
+use canal::control::configure::{ConfigPlane, PushReport};
 use canal::control::journal::JournalRecord;
 use canal::control::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController};
 use canal::gateway::certs::ActiveCertBundle;
+use canal::mesh::arch::{Architecture, ClusterShape};
 use canal::sim::{Digest, SimDuration, SimRng, SimTime};
 
 fn secs(s: u64) -> SimDuration {
@@ -302,6 +307,41 @@ fn cert_history(seed: u64, ttl: SimDuration) -> u64 {
     d.value()
 }
 
+/// Every push price [`ConfigPlane`] quotes: the full push, a canary, half
+/// and all of the targets as one wave, and one- and three-entry incremental
+/// pushes, for all four architectures on the paper's testbed and on a
+/// production-ratio cluster.
+fn push_prices() -> u64 {
+    let fold = |d: &mut Digest, r: PushReport| {
+        d.write_u64(r.targets as u64)
+            .write_u64(r.southbound_bytes)
+            .write_u64(r.build_cpu.as_nanos())
+            .write_u64(r.push_time.as_nanos())
+            .write_u64(r.total_time.as_nanos());
+    };
+    let testbed = ClusterShape { pods: 30, nodes: 2, services: 3 };
+    let mut d = Digest::new();
+    for shape in [testbed, ClusterShape::production(600)] {
+        for arch in Architecture::ALL {
+            let plane = ConfigPlane::new(arch);
+            let full = plane.push_update(&shape);
+            fold(&mut d, full);
+            for wave in [1, full.targets / 2, full.targets] {
+                fold(&mut d, plane.push_wave(&shape, wave));
+            }
+            for changed in [1, 3] {
+                fold(&mut d, plane.push_incremental(&shape, changed));
+            }
+        }
+    }
+    d.value()
+}
+
+#[test]
+fn push_prices_match_the_golden_value() {
+    assert_eq!(push_prices(), GOLDEN_PUSH_PRICES);
+}
+
 #[test]
 fn rollout_history_matches_the_golden_value() {
     assert_eq!(rollout_history(0x60_1DE0, false), GOLDEN_ROLLOUT);
@@ -332,3 +372,4 @@ const GOLDEN_PARTITION_7: u64 = 5655512504243074680;
 const GOLDEN_CRASH: u64 = 3072231290890627611;
 const GOLDEN_CERT: u64 = 10235040278344491551;
 const GOLDEN_REFUSED_CUT: u64 = 11275890549243508422;
+const GOLDEN_PUSH_PRICES: u64 = 10165587286627820945;
