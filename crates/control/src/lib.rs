@@ -18,9 +18,6 @@
 //! * [`inphase`] — traffic-pattern monitoring and the §6.3 in-phase service
 //!   migration planner (HWHM sampling, complementary-pattern target
 //!   selection).
-//! * [`region`] — the assembled control loop on the discrete-event engine:
-//!   workloads → gateway → monitor → decisions, with scaling capacity that
-//!   only lands at its completion instant.
 //! * [`versioned`] — the ack ledger of xDS-style versioned config
 //!   distribution: the head version, per-target ack/nack state, fleet
 //!   convergence.
@@ -48,7 +45,6 @@ pub mod inphase;
 pub mod journal;
 pub mod monitor;
 pub mod rca;
-pub mod region;
 pub mod rollout;
 pub mod versioned;
 pub mod scaling;

@@ -108,14 +108,12 @@ impl ScalingEngine {
         Self::default()
     }
 
-    /// Plan a scaling operation without applying it: pick `Reuse` on a
-    /// low-water backend in `az` not already hosting the service, else
-    /// provision a `New` backend (the VM starts building immediately, but
-    /// the service is not extended onto it yet). The returned record's
-    /// `finished_at` is when capacity becomes effective — apply it then via
-    /// [`Self::apply`]. This is the event-driven path (the capacity gap of
-    /// Fig. 17 exists precisely because completion lags execution).
-    pub(crate) fn plan(
+    /// Scale `service` in `az`: `Reuse` on the least-loaded low-water
+    /// backend in `az` that is available and not already hosting the
+    /// service, else `New` on a backend created for it. The service is
+    /// extended onto the chosen backend at once; the record's `finished_at`
+    /// is when the operation would complete, drawn from the Fig. 17 models.
+    pub fn scale(
         &mut self,
         now: SimTime,
         gateway: &mut Gateway,
@@ -136,55 +134,23 @@ impl ScalingEngine {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|&(b, _)| b);
 
-        let record = match reusable {
-            Some(backend) => ScalingRecord {
-                kind: ScalingKind::Reuse,
-                service,
-                backend,
-                executed_at: now,
-                finished_at: now + self.latencies.draw_reuse(rng),
-            },
+        let (kind, backend, took) = match reusable {
+            Some(backend) => (ScalingKind::Reuse, backend, self.latencies.draw_reuse(rng)),
             None => {
                 let backend = gateway.scale_new_backend(az);
-                ScalingRecord {
-                    kind: ScalingKind::New,
-                    service,
-                    backend,
-                    executed_at: now,
-                    finished_at: now + self.latencies.draw_new(rng),
-                }
+                (ScalingKind::New, backend, self.latencies.draw_new(rng))
             }
+        };
+        gateway.extend_service(service, backend);
+        let record = ScalingRecord {
+            kind,
+            service,
+            backend,
+            executed_at: now,
+            finished_at: now + took,
         };
         self.ledger.push(record);
         record
-    }
-
-    /// Make a planned operation's capacity effective: extend the service
-    /// onto the chosen backend. Idempotent.
-    pub(crate) fn apply(gateway: &mut Gateway, record: &ScalingRecord) {
-        gateway.extend_service(record.service, record.backend);
-    }
-
-    /// Scale `service` in `az` and apply the placement change immediately
-    /// (the synchronous convenience path; see [`Self::plan`] for the
-    /// event-driven one).
-    pub fn scale(
-        &mut self,
-        now: SimTime,
-        gateway: &mut Gateway,
-        service: GlobalServiceId,
-        az: AzId,
-        backend_utils: &[(BackendId, f64)],
-        rng: &mut SimRng,
-    ) -> ScalingRecord {
-        let record = self.plan(now, gateway, service, az, backend_utils, rng);
-        Self::apply(gateway, &record);
-        record
-    }
-
-    /// All scaling operations performed (the Fig. 18 ledger).
-    pub(crate) fn ledger(&self) -> &[ScalingRecord] {
-        &self.ledger
     }
 
     /// Count of operations by kind.
@@ -303,23 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_defers_capacity_until_apply() {
-        let (mut gw, s, mut rng) = setup();
-        let mut eng = ScalingEngine::new();
-        let idle: Vec<(BackendId, f64)> = gw.backends().iter().map(|&(b, _)| (b, 0.01)).collect();
-        let before = gw.backends_of(s).len();
-        let record = eng.plan(T(5), &mut gw, s, AzId(0), &idle, &mut rng);
-        // Nothing serves from the new placement yet.
-        assert_eq!(gw.backends_of(s).len(), before);
-        assert!(record.finished_at > record.executed_at);
-        ScalingEngine::apply(&mut gw, &record);
-        assert_eq!(gw.backends_of(s).len(), before + 1);
-        // Re-applying is harmless.
-        ScalingEngine::apply(&mut gw, &record);
-        assert_eq!(gw.backends_of(s).len(), before + 1);
-    }
-
-    #[test]
     fn ledger_records_operations() {
         let (mut gw, s, mut rng) = setup();
         let mut eng = ScalingEngine::new();
@@ -329,6 +278,5 @@ mod tests {
         eng.scale(T(10), &mut gw, svc(2), AzId(0), &hot, &mut rng);
         let (reuse, new) = eng.counts();
         assert_eq!((reuse, new), (1, 1));
-        assert_eq!(eng.ledger().len(), 2);
     }
 }

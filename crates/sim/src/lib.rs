@@ -49,7 +49,7 @@ pub mod time;
 pub use engine::{Model, Scheduler, Simulation};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use invariant::Digest;
-pub use metrics::{Histogram, TimeSeries};
+pub use metrics::Histogram;
 pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, QueueReject};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -2,10 +2,8 @@
 //!
 //! * [`Histogram`] — log-bucketed value distribution with quantile queries;
 //!   resolution is ~4.6% per bucket (16 buckets per octave), bounded memory.
-//! * [`TimeSeries`] — (time, value) samples for the timeline figures.
 
 use crate::invariant::Digest;
-use crate::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -204,45 +202,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// (time, value) samples for timeline plots (Figs. 16, 18, 20).
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    // lint:allow(bounded-state) reason=one sample per sampling period; the run horizon bounds the series
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Append a sample; samples must arrive in non-decreasing time order.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(last, _)| t >= last),
-            "time series must be appended in order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// All samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// First time at which the value satisfies `pred`, at or after `from`.
-    pub fn first_time<F: Fn(f64) -> bool>(&self, from: SimTime, pred: F) -> Option<SimTime> {
-        self.points
-            .iter()
-            .find(|&&(t, v)| t >= from && pred(v))
-            .map(|&(t, _)| t)
-    }
-
-    /// Fold every sample in `points` into a digest (time then value).
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.points.len() as u64);
-        for &(t, v) in &self.points {
-            d.write_u64(t.as_nanos()).write_f64(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,18 +281,5 @@ mod tests {
         h.record_with_exemplar(99.0, Some(3));
         let e = h.exemplars.get(&Histogram::bucket_of(100.0)).copied().expect("exemplar");
         assert_eq!((e.value, e.trace_id), (101.0, 2));
-    }
-
-    #[test]
-    fn timeseries_window_queries() {
-        let mut s = TimeSeries::default();
-        for i in 0..10u64 {
-            s.push(SimTime::from_secs(i), i as f64);
-        }
-        assert_eq!(
-            s.first_time(SimTime::from_secs(4), |v| v > 6.0),
-            Some(SimTime::from_secs(7))
-        );
-        assert_eq!(s.points.last(), Some(&(SimTime::from_secs(9), 9.0)));
     }
 }

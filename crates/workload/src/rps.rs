@@ -5,11 +5,6 @@ use canal_sim::SimTime;
 /// A time-varying request rate (requests per second).
 #[derive(Debug, Clone)]
 pub enum RpsProcess {
-    /// Fixed rate.
-    Constant {
-        /// Requests per second.
-        rps: f64,
-    },
     /// A daily sinusoid: `base + amplitude * (1 + cos(2π (t-phase)/period))/2`.
     Diurnal {
         /// Floor rate.
@@ -20,26 +15,6 @@ pub enum RpsProcess {
         period: f64,
         /// Peak offset in seconds.
         phase: f64,
-    },
-    /// A sudden multiplicative spike over a window.
-    Spike {
-        /// Normal rate.
-        base: f64,
-        /// Spike start (seconds).
-        at: f64,
-        /// Spike duration (seconds).
-        duration: f64,
-        /// Multiplier during the spike.
-        factor: f64,
-    },
-    /// A linear ramp starting at `from` seconds.
-    Ramp {
-        /// Initial rate.
-        base: f64,
-        /// Ramp start (seconds).
-        from: f64,
-        /// Added rps per second after `from`.
-        slope: f64,
     },
     /// A hotspot flash crowd: instant surge then exponential decay.
     FlashCrowd {
@@ -59,7 +34,6 @@ impl RpsProcess {
     pub fn rate_at(&self, t: SimTime) -> f64 {
         let s = t.as_secs_f64();
         match *self {
-            RpsProcess::Constant { rps } => rps,
             RpsProcess::Diurnal {
                 base,
                 amplitude,
@@ -68,21 +42,6 @@ impl RpsProcess {
             } => {
                 let x = (s - phase) / period * std::f64::consts::TAU;
                 base + amplitude * (1.0 + x.cos()) / 2.0
-            }
-            RpsProcess::Spike {
-                base,
-                at,
-                duration,
-                factor,
-            } => {
-                if s >= at && s < at + duration {
-                    base * factor
-                } else {
-                    base
-                }
-            }
-            RpsProcess::Ramp { base, from, slope } => {
-                base + slope * (s - from).max(0.0)
             }
             RpsProcess::FlashCrowd {
                 base,
@@ -129,30 +88,6 @@ mod tests {
         let off_peak = p.rate_at(SimTime::from_secs(3600 + 43_200));
         assert!((at_peak - 110.0).abs() < 1e-9);
         assert!((off_peak - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spike_window() {
-        let p = RpsProcess::Spike {
-            base: 100.0,
-            at: 50.0,
-            duration: 10.0,
-            factor: 8.0,
-        };
-        assert_eq!(p.rate_at(SimTime::from_secs(49)), 100.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(55)), 800.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(60)), 100.0);
-    }
-
-    #[test]
-    fn ramp_grows_linearly() {
-        let p = RpsProcess::Ramp {
-            base: 10.0,
-            from: 100.0,
-            slope: 2.0,
-        };
-        assert_eq!(p.rate_at(SimTime::from_secs(50)), 10.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(200)), 210.0);
     }
 
     #[test]

@@ -181,7 +181,8 @@ fn config_plane_orderings_hold_across_sizes() {
 }
 
 /// Session-flood anomaly: the monitor classifies the §6.2 Case #1 signature
-/// and decides on a lossy migration; the sandbox executes it in seconds.
+/// and decides on a lossy migration; the sandbox executes it in seconds and
+/// then releases the service.
 #[test]
 fn session_flood_triggers_lossy_migration() {
     let mut rng = SimRng::seed(11);
@@ -229,4 +230,7 @@ fn session_flood_triggers_lossy_migration() {
         .migrate_lossy(SimTime::from_secs(2), *service, gw.backend_sessions(0));
     assert!(report.completed_at.since(SimTime::from_secs(2)) <= SimDuration::from_secs(5));
     assert!(report.sessions_reset > 2_000);
+    // Once cut over, the service leaves the sandbox, and only once.
+    assert!(gw.sandbox.release(*service));
+    assert!(!gw.sandbox.release(*service));
 }
