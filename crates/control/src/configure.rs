@@ -137,28 +137,10 @@ impl ConfigPlane {
     }
 
     /// Execute one full configuration round (e.g. a routing-policy update)
-    /// over the cluster. This is the Fig. 15 measurement.
+    /// over the cluster: one wave to every target. This is the Fig. 15
+    /// measurement.
     pub fn push_update(&self, shape: &ClusterShape) -> PushReport {
-        let c = &self.costs;
-        let per_target = self.bytes_per_target(shape);
-        let targets = per_target.len();
-        let southbound_bytes: u64 = per_target.iter().map(|&b| b as u64).sum();
-        let entries_built: u64 = per_target
-            .iter()
-            .map(|&b| ((b - c.base_bytes_per_target.min(b)) / c.bytes_per_entry.max(1)) as u64)
-            .sum();
-        let build_cpu = c.build_cpu_per_entry.scale(entries_built as f64);
-        // I/O-bound push: bandwidth-limited transfer + fanout-limited RTTs.
-        let transfer = SimDuration::from_secs_f64(southbound_bytes as f64 / c.southbound_bandwidth);
-        let rtt_waves = (targets + c.push_fanout - 1) / c.push_fanout.max(1);
-        let push_time = transfer + c.per_target_push_rtt.times(rtt_waves as u64);
-        PushReport {
-            targets,
-            southbound_bytes,
-            build_cpu,
-            push_time,
-            total_time: build_cpu + push_time,
-        }
+        self.push_wave(shape, usize::MAX)
     }
 
     /// One *rollout wave*: push the update to only `targets` of the
@@ -171,12 +153,19 @@ impl ConfigPlane {
         let c = &self.costs;
         let per_target = self.bytes_per_target(shape);
         let wave: &[usize] = &per_target[..targets.min(per_target.len())];
-        let targets = wave.len();
         let southbound_bytes: u64 = wave.iter().map(|&b| b as u64).sum();
         let entries_built: u64 = wave
             .iter()
             .map(|&b| ((b - c.base_bytes_per_target.min(b)) / c.bytes_per_entry.max(1)) as u64)
             .sum();
+        self.price(wave.len(), southbound_bytes, entries_built)
+    }
+
+    /// Price a round that builds `entries_built` entries and sends
+    /// `southbound_bytes` to `targets` targets: build CPU per entry, then an
+    /// I/O-bound push, bandwidth-limited transfer plus fanout-limited RTTs.
+    fn price(&self, targets: usize, southbound_bytes: u64, entries_built: u64) -> PushReport {
+        let c = &self.costs;
         let build_cpu = c.build_cpu_per_entry.scale(entries_built as f64);
         let transfer = SimDuration::from_secs_f64(southbound_bytes as f64 / c.southbound_bandwidth);
         let rtt_waves = (targets + c.push_fanout - 1) / c.push_fanout.max(1);
@@ -221,20 +210,8 @@ impl ConfigPlane {
         // Every target that carries the affected entries receives just the
         // delta plus the per-target envelope.
         let per_target = c.base_bytes_per_target / 8 + c.bytes_per_entry * changed_entries;
-        let southbound_bytes = (per_target * targets) as u64;
-        let build_cpu = c
-            .build_cpu_per_entry
-            .scale((changed_entries * targets.max(1)) as f64);
-        let transfer = SimDuration::from_secs_f64(southbound_bytes as f64 / c.southbound_bandwidth);
-        let rtt_waves = (targets + c.push_fanout - 1) / c.push_fanout.max(1);
-        let push_time = transfer + c.per_target_push_rtt.times(rtt_waves as u64);
-        PushReport {
-            targets,
-            southbound_bytes,
-            build_cpu,
-            push_time,
-            total_time: build_cpu + push_time,
-        }
+        let entries_built = (changed_entries * targets.max(1)) as u64;
+        self.price(targets, (per_target * targets) as u64, entries_built)
     }
 
     /// P90-style completion time for creating `new_pods` pods in a cluster

@@ -221,29 +221,6 @@ fn crash_history() -> u64 {
     d.value()
 }
 
-/// `CertRotationController::new` with or without the update-coalescing
-/// window it once took, so one file pins the controller on both sides of
-/// that signature change.
-trait NewCertController<Marker> {
-    fn build(self, cfg: RotationConfig, rollout: RolloutConfig) -> CertRotationController;
-}
-
-impl<F: FnOnce(RotationConfig, RolloutConfig) -> CertRotationController> NewCertController<()>
-    for F
-{
-    fn build(self, cfg: RotationConfig, rollout: RolloutConfig) -> CertRotationController {
-        self(cfg, rollout)
-    }
-}
-
-impl<F: FnOnce(RotationConfig, RolloutConfig, SimDuration) -> CertRotationController>
-    NewCertController<SimDuration> for F
-{
-    fn build(self, cfg: RotationConfig, rollout: RolloutConfig) -> CertRotationController {
-        self(cfg, rollout, SimDuration::ZERO)
-    }
-}
-
 /// Rotations of six tenants under compromise, clock skew, gateway NACKs and
 /// health regressions, until more bundles were cut than `BUNDLE_CAP` keeps
 /// and more waves recorded than `HISTORY_CAP` keeps. A zero `ttl` issues
@@ -264,7 +241,7 @@ fn cert_history(seed: u64, ttl: SimDuration) -> u64 {
         ack_timeout: secs(3),
         ..RolloutConfig::default()
     };
-    let mut c = NewCertController::build(CertRotationController::new, rotation, rollout);
+    let mut c = CertRotationController::new(rotation, rollout);
     for g in 0..5 {
         c.add_target(g);
     }
