@@ -42,12 +42,6 @@ pub(crate) fn fig16(seed: u64) -> ExperimentReport {
     }
     let mut monitor = WaterLevelMonitor::new();
     let mut engine = ScalingEngine::new();
-    // Reuse with an aggressive config push for responsiveness (the paper
-    // notes Reuse was chosen "for responsiveness" in this incident).
-    engine.latencies = ScalingLatencies {
-        reuse_median: SimDuration::from_secs(10),
-        ..ScalingLatencies::default()
-    };
 
     let horizon_s = 150u64;
     let spike_at = 50u64;

@@ -34,7 +34,8 @@ pub struct ScalingRecord {
     pub backend: BackendId,
     /// When the operation was issued.
     pub executed_at: SimTime,
-    /// When the extra capacity was serving traffic.
+    /// When the operation completes, per the Fig. 17 models; the gateway
+    /// serves from the new placement at once.
     pub finished_at: SimTime,
 }
 
