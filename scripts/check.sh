@@ -40,6 +40,14 @@ cargo test --release -q --test policy_seeds -- --ignored
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# The examples are the end-to-end surface a reader runs first. Each runs
+# once in debug, so the event engine's ordering debug-asserts are live; the
+# output is discarded, and a panic or nonzero exit fails the gate.
+echo "==> examples (each once, debug)"
+for example in examples/*.rs; do
+    cargo run -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # Invariant smokes: every robustness scenario of the experiment table (no
 # ids under --fast means all of them) at its compressed scale. The runner
 # drives each twice and exits nonzero unless the two digests agree and the
