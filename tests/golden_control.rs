@@ -13,10 +13,12 @@
 //! and incremental pushes fold, for every architecture at two cluster
 //! shapes, into another.
 //!
-//! The constants were captured before the controllers were cut down to one
-//! wave state machine with one journaled emitter per transition kind. Any
-//! change to what a controller sends, to whom, when, or to the words its
-//! digest emits moves them.
+//! The controller constants were captured before the controllers were cut
+//! down to one wave state machine with one journaled emitter per transition
+//! kind, and the push-price constant before the full, wave and incremental
+//! pushes shared one price function. Any change to what a controller sends,
+//! to whom, when, or to the words its digest emits moves them, as does any
+//! change to a push's price.
 
 use std::collections::{BTreeMap, BTreeSet};
 
