@@ -9,15 +9,12 @@
 //! * [`monitor`] — multi-indicator monitoring and anomaly classification:
 //!   backend/service/tenant alerts and the §6.2 decision rules (scale vs
 //!   lossy/lossless sandbox migration vs throttling).
-//! * [`rca`] — root-cause analysis (§4.3): trend-correlating top services
-//!   against a backend's water level, with the multi-backend intersection
-//!   speculation and its fallback.
-//! * [`scaling`] — precise scaling: the `Reuse` / `New` strategies, their
-//!   completion-time models (P50 ≈ 55 s vs ≈ 17 min, Fig. 17 / Table 4),
-//!   and the scaling ledger behind Fig. 18.
-//! * [`inphase`] — traffic-pattern monitoring and the §6.3 in-phase service
-//!   migration planner (HWHM sampling, complementary-pattern target
-//!   selection).
+//! * [`rca`] — hop-level localization from assembled traces: the
+//!   span-evidence and trend-correlation localizers the `trace` experiment
+//!   compares.
+//! * [`scaling`] — precise scaling: the `Reuse` / `New` strategies and
+//!   their completion-time models (P50 ≈ 55 s vs ≈ 17 min, Fig. 17 /
+//!   Table 4).
 //! * [`versioned`] — the ack ledger of xDS-style versioned config
 //!   distribution: the head version, per-target ack/nack state, fleet
 //!   convergence.
@@ -41,7 +38,6 @@
 
 pub mod certrotation;
 pub mod configure;
-pub mod inphase;
 pub mod journal;
 pub mod monitor;
 pub mod rca;

@@ -1,7 +1,8 @@
-//! Precise scaling: the `Reuse` / `New` strategies (§4.3, Figs. 17/18,
+//! Precise scaling: the `Reuse` / `New` strategies (§4.3, Fig. 17,
 //! Table 4).
 //!
-//! After root-cause analysis names the hot service:
+//! After the monitor names the hot service (the alerting backend's top
+//! service, [`crate::monitor::WaterLevelMonitor::ingest`]):
 //!
 //! * **Reuse** — extend the service onto an existing backend whose water
 //!   level is below the reuse threshold (<20%). Fast: a config push and a

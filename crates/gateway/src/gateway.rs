@@ -4,8 +4,8 @@
 //! shuffle-sharded onto backends across AZs; each backend is a group of
 //! replica VMs with bounded session tables; per-service bucket tables keep
 //! session consistency; a sandbox handles exceptions; per-window water
-//! levels and top-service RPS feed the control plane (root-cause analysis,
-//! precise scaling — `canal-control`).
+//! levels and top-service RPS feed the control plane (the monitor names the
+//! hot service, precise scaling extends it — `canal-control`).
 //!
 //! The per-request path ([`Gateway::handle_request_avoiding`]) hashes the
 //! five-tuple once ([`FlowHash`]) and does one hashed probe for the

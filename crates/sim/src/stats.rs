@@ -40,7 +40,7 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Pearson correlation coefficient of two equal-length series
-/// (0 if degenerate). Used by the root-cause-analysis trend matcher.
+/// (0 if degenerate). Used by the hop trend localizer and Fig. 20.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     if xs.len() < 2 {
@@ -61,27 +61,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     } else {
         cov / (vx.sqrt() * vy.sqrt())
     }
-}
-
-/// Half-width-at-half-maximum window of a 24-hour-style series: the
-/// contiguous index range around the global peak where values stay at or
-/// above `min + (max - min)/2`. Used by the §6.3 in-phase migration planner.
-pub fn hwhm_window(xs: &[f64]) -> Option<(usize, usize)> {
-    if xs.is_empty() {
-        return None;
-    }
-    let (peak_idx, &peak) = xs.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
-    let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let half = min + (peak - min) / 2.0;
-    let mut lo = peak_idx;
-    while lo > 0 && xs[lo - 1] >= half {
-        lo -= 1;
-    }
-    let mut hi = peak_idx;
-    while hi + 1 < xs.len() && xs[hi + 1] >= half {
-        hi += 1;
-    }
-    Some((lo, hi))
 }
 
 #[cfg(test)]
@@ -162,18 +141,5 @@ mod tests {
         assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-9);
         let flat = vec![3.0; 50];
         assert_eq!(pearson(&xs, &flat), 0.0);
-    }
-
-    #[test]
-    fn hwhm_finds_peak_window() {
-        // Triangle peaking at index 5: half-max window should straddle 5.
-        let xs: Vec<f64> = (0..11).map(|i| 10.0 - (i as f64 - 5.0).abs() * 2.0).collect();
-        let (lo, hi) = hwhm_window(&xs).unwrap();
-        assert!(lo <= 5 && hi >= 5);
-        assert!(xs[lo] >= 5.0 && xs[hi] >= 5.0);
-        if lo > 0 {
-            assert!(xs[lo - 1] < 5.0);
-        }
-        assert_eq!(hwhm_window(&[]), None);
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! Traffic and service-time generators for the experiments:
 //!
-//! * [`rps`] — request-rate processes: constant (wrk-style closed loops),
-//!   diurnal sinusoids with controllable phase (the §6.3 in-phase
-//!   scenarios), ramps (§6.2 Case #2), spikes and flash crowds (hotspot
-//!   events, §6.2 Case #3). Arrivals are drawn as a non-homogeneous Poisson
-//!   process by thinning.
+//! * [`rps`] — request-rate processes: diurnal sinusoids with a peak
+//!   offset (the daily curves of Figs. 5 and 20) and flash crowds (hotspot
+//!   events, §6.2 Case #3).
 //! * [`servicetime`] — the production app latency distribution of Fig. 24
 //!   (bimodal: 40–50 ms and 100–200 ms humps).
 //! * [`attack`] — abnormal-traffic generators: session floods without RPS

@@ -57,19 +57,6 @@ impl RpsProcess {
             }
         }
     }
-
-    /// Sample the rate curve at `n` evenly spaced points over `[0, horizon]`
-    /// (the 24-hour series of §6.3).
-    pub fn sample_curve(&self, horizon: SimTime, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                let frac = i as f64 / n as f64;
-                self.rate_at(SimTime::from_nanos(
-                    (horizon.as_nanos() as f64 * frac) as u64,
-                ))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -102,24 +89,5 @@ mod tests {
         assert!((p.rate_at(SimTime::from_secs(10)) - 1100.0).abs() < 1.0);
         let later = p.rate_at(SimTime::from_secs(100));
         assert!(later < 150.0 && later > 100.0);
-    }
-
-    #[test]
-    fn sample_curve_shape() {
-        let p = RpsProcess::Diurnal {
-            base: 0.0,
-            amplitude: 100.0,
-            period: 86_400.0,
-            phase: 43_200.0,
-        };
-        let curve = p.sample_curve(SimTime::from_secs(86_400), 96);
-        assert_eq!(curve.len(), 96);
-        let (peak_idx, _) = curve
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        // Peak near midday (index 48).
-        assert!((44..=52).contains(&peak_idx), "{peak_idx}");
     }
 }

@@ -2,21 +2,19 @@
 //!
 //! One tenant's service suddenly multiplies its traffic 20×; the shared
 //! backend's water level crosses the safety threshold. Watch the monitor
-//! raise a backend-level alert, root-cause analysis name the culprit, and
-//! precise scaling (`Reuse`) extend the hot service onto low-water backends
-//! — while the other tenants' services never notice.
+//! raise a backend-level alert and name the culprit (the alerting backend's
+//! top service), and precise scaling (`Reuse`) extend the hot service onto
+//! low-water backends — while the other tenants' services never notice.
 //!
 //! ```sh
 //! cargo run --release --example noisy_neighbor
 //! ```
 
 use canal::control::monitor::{MonitorDecision, WaterLevelMonitor};
-use canal::control::rca::{BackendTrends, RcaVerdict, RootCauseAnalyzer};
 use canal::control::scaling::ScalingEngine;
 use canal::gateway::gateway::{Gateway, GatewayConfig};
 use canal::net::{AzId, Endpoint, FiveTuple, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
 use canal::sim::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
 
 fn tuple(vpc: u32, sport: u16) -> FiveTuple {
     FiveTuple::tcp(
@@ -47,8 +45,6 @@ fn main() {
 
     let mut monitor = WaterLevelMonitor::new();
     let mut engine = ScalingEngine::new();
-    let rca = RootCauseAnalyzer::default();
-    let mut trends: BTreeMap<u32, BackendTrends> = BTreeMap::new();
     let mut sport = 1u16;
 
     for s in 0..90u64 {
@@ -70,44 +66,11 @@ fn main() {
             let now = SimTime::from_secs(s + 1);
             let levels = gw.water_levels(now);
             let utils: Vec<(u32, f64)> = levels.iter().map(|w| (w.backend, w.utilization)).collect();
-            // Maintain per-backend trend series for RCA.
-            for w in &levels {
-                let e = trends.entry(w.backend).or_insert_with(|| BackendTrends {
-                    backend: w.backend,
-                    water_level: Vec::new(),
-                    service_rps: BTreeMap::new(),
-                });
-                e.water_level.push(w.utilization);
-                for &(svc, n) in &w.top_services {
-                    let series = e.service_rps.entry(svc).or_default();
-                    while series.len() + 1 < e.water_level.len() {
-                        series.push(0.0);
-                    }
-                    series.push(n as f64);
-                }
-                for series in e.service_rps.values_mut() {
-                    while series.len() < e.water_level.len() {
-                        series.push(0.0);
-                    }
-                }
-            }
             let hot = levels.iter().map(|w| w.utilization).fold(0.0f64, f64::max);
             println!("t={:>3}s hottest backend {:>5.1}%", s + 1, hot * 100.0);
 
             for (backend, class, decision) in monitor.ingest(now, &levels, 0.70) {
                 println!("  ALERT backend {backend}: {class:?}");
-                // Root-cause analysis over the alerting backends' trends.
-                let alerting: Vec<&BackendTrends> = levels
-                    .iter()
-                    .filter(|w| w.alert)
-                    .filter_map(|w| trends.get(&w.backend))
-                    .collect();
-                match rca.analyze(&alerting) {
-                    RcaVerdict::Pinpointed(svc, r) => {
-                        println!("  RCA pinpointed {svc} (correlation {r:.2})")
-                    }
-                    RcaVerdict::Inconclusive => println!("  RCA inconclusive; falling back"),
-                }
                 if let MonitorDecision::Scale(service) = decision {
                     let az = gw.placement().az_of(backend).unwrap_or(AzId(0));
                     let record = engine.scale(now, &mut gw, service, az, &utils, &mut rng);

@@ -1,17 +1,14 @@
 //! Integration of the control loop: gateway water levels → monitor →
-//! root-cause analysis → precise scaling; plus the in-phase migration
-//! planner against generated diurnal workloads and cross-architecture
-//! control-plane invariants.
+//! pinpoint (the alerting backend's top service) → precise scaling; plus
+//! cross-architecture control-plane invariants.
 
 use canal::control::configure::ConfigPlane;
-use canal::control::inphase::{self, BackendProfile, ServiceProfile};
 use canal::control::monitor::{Classification, MonitorDecision, WaterLevelMonitor};
 use canal::control::scaling::{ScalingEngine, ScalingKind};
 use canal::gateway::gateway::{Gateway, GatewayConfig};
 use canal::mesh::arch::{Architecture, ClusterShape};
-use canal::net::{AzId, Endpoint, FiveTuple, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
+use canal::net::{Endpoint, FiveTuple, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
 use canal::sim::{SimDuration, SimRng, SimTime};
-use canal::workload::rps::RpsProcess;
 
 fn svc(i: u32) -> GlobalServiceId {
     GlobalServiceId::compose(TenantId(1), ServiceId(i))
@@ -26,6 +23,9 @@ fn tup(sport: u16, salt: u8) -> FiveTuple {
 
 /// The full loop: a surge trips the monitor, the decision is Scale, the
 /// engine extends the service, the water level falls below the threshold.
+/// Three quiet services of other tenants share the hot service's backends
+/// at a low fixed rate: every Scale names the surging service, and no quiet
+/// service gains a backend.
 #[test]
 fn surge_detect_scale_recover() {
     let mut rng = SimRng::seed(10);
@@ -37,7 +37,15 @@ fn surge_detect_scale_recover() {
     };
     let mut gw = Gateway::new(cfg);
     let hot = svc(1);
-    gw.register_service(hot, &mut rng);
+    let hot_backends = gw.register_service(hot, &mut rng);
+    let quiet: Vec<GlobalServiceId> = (2..=4)
+        .map(|t| GlobalServiceId::compose(TenantId(t), ServiceId(0)))
+        .collect();
+    for &q in &quiet {
+        for &b in &hot_backends {
+            assert!(gw.extend_service(q, b));
+        }
+    }
     let mut monitor = WaterLevelMonitor::new();
     let mut engine = ScalingEngine::new();
 
@@ -51,6 +59,13 @@ fn surge_detect_scale_recover() {
             let t = SimTime::from_millis(s * 1000 + (i * 1000 / rps).min(999));
             let _ = gw.handle_request(t, hot, &tup(sport, 1), true);
         }
+        for (k, &q) in quiet.iter().enumerate() {
+            for i in 0..40u64 {
+                sport = sport.wrapping_add(1).max(1);
+                let t = SimTime::from_millis(s * 1000 + i * 25);
+                let _ = gw.handle_request(t, q, &tup(sport, 2 + k as u8), true);
+            }
+        }
         if s % 5 == 4 {
             let now = SimTime::from_secs(s + 1);
             let levels = gw.water_levels(now);
@@ -58,15 +73,13 @@ fn surge_detect_scale_recover() {
             final_hot_util = levels.iter().map(|w| w.utilization).fold(0.0, f64::max);
             for (backend, class, decision) in monitor.ingest(now, &levels, 0.7) {
                 assert_eq!(class, Classification::NormalGrowth);
-                if let MonitorDecision::Scale(service) = decision {
-                    assert_eq!(service, hot);
-                    let az = gw.placement().az_of(backend).unwrap();
-                    for _ in 0..3 {
-                        let r = engine.scale(now, &mut gw, service, az, &utils, &mut rng);
-                        assert_eq!(r.kind, ScalingKind::Reuse);
-                    }
-                    scaled = true;
+                assert_eq!(decision, MonitorDecision::Scale(hot), "backend {backend}");
+                let az = gw.placement().az_of(backend).unwrap();
+                for _ in 0..3 {
+                    let r = engine.scale(now, &mut gw, hot, az, &utils, &mut rng);
+                    assert_eq!(r.kind, ScalingKind::Reuse);
                 }
+                scaled = true;
             }
         }
     }
@@ -75,70 +88,11 @@ fn surge_detect_scale_recover() {
         final_hot_util < 0.5,
         "water level should fall after scaling: {final_hot_util}"
     );
+    for &q in &quiet {
+        assert_eq!(gw.backends_of(q), hot_backends, "quiet {q} must not gain a backend");
+    }
     let (_, errors) = gw.stats();
     assert_eq!(errors, 0);
-}
-
-/// In-phase detection + migration planning over generated diurnal curves:
-/// the planner picks the big in-phase service and lands it on the
-/// complementary backend in the same AZ.
-#[test]
-fn inphase_planner_on_generated_curves() {
-    let horizon = SimTime::from_secs(86_400);
-    let curve = |phase: f64, amp: f64| {
-        RpsProcess::Diurnal {
-            base: 20.0,
-            amplitude: amp,
-            period: 86_400.0,
-            phase,
-        }
-        .sample_curve(horizon, 96)
-    };
-    let services = vec![
-        ServiceProfile {
-            service: svc(1),
-            series: curve(40_000.0, 900.0),
-            long_sessions: 3,
-            https_fraction: 0.5,
-        },
-        ServiceProfile {
-            service: svc(2),
-            series: curve(41_000.0, 600.0),
-            long_sessions: 900,
-            https_fraction: 0.0,
-        },
-        ServiceProfile {
-            service: svc(3),
-            series: curve(83_000.0, 700.0), // out of phase
-            long_sessions: 0,
-            https_fraction: 0.0,
-        },
-    ];
-    let pairs = inphase::detect_in_phase(&services);
-    assert_eq!(pairs.len(), 1, "only svc1/svc2 are in phase: {pairs:?}");
-
-    let candidates = vec![
-        BackendProfile {
-            backend: 50,
-            az: AzId(0),
-            series: curve(40_500.0, 5_000.0), // in-phase target: bad
-        },
-        BackendProfile {
-            backend: 51,
-            az: AzId(0),
-            series: curve(84_000.0, 5_000.0), // complementary: good
-        },
-        BackendProfile {
-            backend: 52,
-            az: AzId(1),
-            series: vec![0.0; 96], // colder but wrong AZ
-        },
-    ];
-    let group: Vec<&ServiceProfile> = services[..2].iter().collect();
-    let plan = inphase::plan(&group, AzId(0), &candidates, 1);
-    assert_eq!(plan.moves.len(), 1);
-    // svc1 has the higher weighted RPS (HTTPS-weighted) → moves first.
-    assert_eq!(plan.moves[0], (svc(1), 51));
 }
 
 /// Control-plane invariants across architectures, any cluster size:
