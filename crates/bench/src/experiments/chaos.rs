@@ -599,8 +599,7 @@ impl Model for ChaosModel {
                             ));
                         }
                     }
-                    let avoid_list: Vec<BackendId> = avoid.iter().copied().collect();
-                    match gw.handle_request_avoiding(t, service, &tup, arrival.syn, &avoid_list) {
+                    match gw.handle_request_avoiding(t, service, &tup, arrival.syn, avoid) {
                         Ok(served) => {
                             // Overlay ground truth on the detected view:
                             // a replica the placement still believes in may

@@ -53,7 +53,7 @@ use canal_cluster::probe::ProbePolicy;
 use canal_cluster::{GrayDetector, GrayPolicy, GrayVerdict};
 use canal_control::rollout::{Delivery, HealthSample, RolloutConfig, RolloutController};
 use canal_gateway::{DrainPhase, GatewayDrain};
-use canal_net::{Endpoint, FiveTuple, VpcAddr, VpcId};
+use canal_net::{Endpoint, FiveTuple, FlowHash, VpcAddr, VpcId};
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, Table};
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
@@ -423,7 +423,8 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
     // Session plane: the drain coordinator over the same fleet.
     let gateways: Vec<usize> = (0..FLEET).collect();
     let mut drain = GatewayDrain::new(128, &gateways, 4, 100_000);
-    let mut live: Vec<(FiveTuple, SimTime)> = Vec::new();
+    // Each live session keeps its flow hash: hashed once at open.
+    let mut live: Vec<(FlowHash, FiveTuple, SimTime)> = Vec::new();
     let mut next_port = 1024u16;
 
     // Control plane: the partition-aware rollout controller.
@@ -599,20 +600,21 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         // 10. Session plane: opens, per-session packets, natural closes.
         for _ in 0..open_carry.take(OPENS_PER_S * tick_s) {
             let tuple = session_tuple(next_port);
+            let hash = FlowHash::of(&tuple);
             next_port = next_port.wrapping_add(1);
-            if drain.open(tuple).is_ok() {
+            if drain.open(hash, tuple).is_ok() {
                 let life = rng.exponential(MEAN_SESSION_S * ts).min(MAX_SESSION_S * ts);
-                live.push((tuple, now + SimDuration::from_secs_f64(life)));
+                live.push((hash, tuple, now + SimDuration::from_secs_f64(life)));
                 events += 1;
             }
         }
-        live.retain(|(tuple, closes)| {
+        live.retain(|(hash, tuple, closes)| {
             events += 1;
             if *closes <= now {
-                drain.close(tuple);
+                drain.close(*hash, tuple);
                 false
             } else {
-                drain.packet(tuple);
+                drain.packet(*hash, tuple);
                 true
             }
         });

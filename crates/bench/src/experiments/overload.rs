@@ -459,16 +459,19 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
         }
     };
 
+    // An arrival pumps only the control it is routed to: pumping a control
+    // to t1 and then t2 with no offer between is one pump to t2, and each
+    // sidecar control serves one tenant, so every tenant's samples come out
+    // in the same order. Every control is pumped before a telemetry sample
+    // reads its window, and at the drain.
     for a in arrivals {
-        for ctrl in placement.controls.iter_mut() {
-            ctrl.pump(a.at, &mut started);
-            absorb(&mut out, &mut samples, &mut started);
-        }
         // Publish the telemetry window to the control plane at a fixed
         // cadence, the way canal-control's monitor would consume it.
         if a.at >= SimTime::ZERO + next_sample {
             next_sample += SAMPLE_EVERY;
             for ctrl in placement.controls.iter_mut() {
+                ctrl.pump(a.at, &mut started);
+                absorb(&mut out, &mut samples, &mut started);
                 let sig = ctrl.signals();
                 if monitor.ingest_overload(a.at, &sig, slo) != OverloadAssessment::Calm {
                     out.overload_alerts += 1;
@@ -477,6 +480,8 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
         }
         let idx = placement.route(a.tenant);
         let ctrl = &mut placement.controls[idx];
+        ctrl.pump(a.at, &mut started);
+        absorb(&mut out, &mut samples, &mut started);
         let ti = (a.tenant - 1) as usize;
         out.tenants[ti].offered += 1;
         let result = ctrl.offer(

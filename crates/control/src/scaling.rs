@@ -90,8 +90,10 @@ pub struct ScalingEngine {
     pub reuse_threshold: f64,
     /// Completion-time models.
     pub latencies: ScalingLatencies,
-    // lint:allow(bounded-state) reason=one record per executed scaling operation; the run horizon bounds the ledger
-    ledger: Vec<ScalingRecord>,
+    /// `Reuse` operations executed.
+    reuses: usize,
+    /// `New` operations executed.
+    news: usize,
 }
 
 impl Default for ScalingEngine {
@@ -99,7 +101,8 @@ impl Default for ScalingEngine {
         ScalingEngine {
             reuse_threshold: 0.20,
             latencies: ScalingLatencies::default(),
-            ledger: Vec::new(),
+            reuses: 0,
+            news: 0,
         }
     }
 }
@@ -151,40 +154,28 @@ impl ScalingEngine {
             executed_at: now,
             finished_at: now + took,
         };
-        self.ledger.push(record);
+        match kind {
+            ScalingKind::Reuse => self.reuses += 1,
+            ScalingKind::New => self.news += 1,
+        }
         record
     }
 
-    /// Count of operations by kind.
+    /// Count of operations by kind: `(reuse, new)`.
     pub fn counts(&self) -> (usize, usize) {
-        let reuse = self
-            .ledger
-            .iter()
-            .filter(|r| r.kind == ScalingKind::Reuse)
-            .count();
-        (reuse, self.ledger.len() - reuse)
+        (self.reuses, self.news)
     }
 
     /// Fold the engine state into a digest: the `reuse_threshold`, the
-    /// `latencies` model parameters, and every `ledger` record.
+    /// `latencies` model parameters, and the `reuses` and `news` counts.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_f64(self.reuse_threshold)
             .write_u64(self.latencies.reuse_median.as_nanos())
             .write_f64(self.latencies.reuse_sigma)
             .write_u64(self.latencies.new_median.as_nanos())
             .write_f64(self.latencies.new_sigma)
-            .write_u64(self.ledger.len() as u64);
-        for r in &self.ledger {
-            let kind = match r.kind {
-                ScalingKind::Reuse => 1,
-                ScalingKind::New => 2,
-            };
-            d.write_u64(kind)
-                .write_u64(r.service.0)
-                .write_u64(r.backend as u64)
-                .write_u64(r.executed_at.as_nanos())
-                .write_u64(r.finished_at.as_nanos());
-        }
+            .write_u64(self.reuses as u64)
+            .write_u64(self.news as u64);
     }
 }
 
@@ -271,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_records_operations() {
+    fn counts_operations_by_kind() {
         let (mut gw, s, mut rng) = setup();
         let mut eng = ScalingEngine::new();
         let idle: Vec<(BackendId, f64)> = gw.backends().iter().map(|&(b, _)| (b, 0.01)).collect();

@@ -24,10 +24,13 @@
 //! the drain window exceeds the longest session, and every packet of every
 //! established session reaches the session's owner throughout.
 //!
-//! Sessions live in a [`FlatTable`] keyed by the five-tuple: a packet hashes
-//! its tuple once ([`FlowHash`]), and that one value finds the owner in the
-//! table and the bucket in the chain table, so a packet is one probe and a
-//! chain walk that compares each hop with the owner it already has.
+//! Sessions live in a [`FlatTable`] keyed by the five-tuple. The caller
+//! hashes a tuple once ([`FlowHash`]) and hands that value to `open`,
+//! `packet` and `close`, as it does to `SessionTable::touch_or_establish`:
+//! a driver that keeps the hash beside a live session never hashes it again,
+//! and the one value finds the owner in the table and the bucket in the
+//! chain table, so a packet is one probe and a chain walk that compares each
+//! hop with the owner it already has.
 
 use crate::redirector::BucketTable;
 use canal_net::{hash_five_tuple, FiveTuple, FlatTable, FlowHash};
@@ -103,13 +106,14 @@ impl GatewayDrain {
     }
 
     /// Open a new session (SYN): dispatched to the bucket head, which the
-    /// drain protocol guarantees is never a draining gateway.
-    pub fn open(&mut self, tuple: FiveTuple) -> Result<usize, DrainReject> {
+    /// drain protocol guarantees is never a draining gateway (`hash` must be
+    /// `FlowHash::of(&tuple)`).
+    pub fn open(&mut self, hash: FlowHash, tuple: FiveTuple) -> Result<usize, DrainReject> {
+        debug_assert_eq!(hash, FlowHash::of(&tuple), "hash does not belong to tuple");
         if self.sessions.len() >= self.max_sessions {
             self.rejected += 1;
             return Err(DrainReject::AtCapacity);
         }
-        let hash = FlowHash::of(&tuple);
         let d = self.table.dispatch_hashed(hash, true, |_| false);
         if self.phases.get(&d.replica) == Some(&DrainPhase::Drained) {
             self.rejected += 1;
@@ -126,9 +130,10 @@ impl GatewayDrain {
 
     /// Route one packet of an established session: chain-walks to the
     /// session's owner, counting each daisy-chained forward as a hand-off.
-    /// Returns `(owner, redirect_hops)`, or `None` for unknown sessions.
-    pub fn packet(&mut self, tuple: &FiveTuple) -> Option<(usize, usize)> {
-        let hash = FlowHash::of(tuple);
+    /// Returns `(owner, redirect_hops)`, or `None` for unknown sessions
+    /// (`hash` must be `FlowHash::of(tuple)`).
+    pub fn packet(&mut self, hash: FlowHash, tuple: &FiveTuple) -> Option<(usize, usize)> {
+        debug_assert_eq!(hash, FlowHash::of(tuple), "hash does not belong to tuple");
         let owner = *self.sessions.get(hash.value(), tuple)?;
         let d = self.table.dispatch_hashed(hash, false, |replica| replica == owner);
         debug_assert_eq!(d.replica, owner, "chain walk must find the session owner");
@@ -138,9 +143,10 @@ impl GatewayDrain {
         Some((d.replica, d.redirect_hops))
     }
 
-    /// Close a session normally.
-    pub fn close(&mut self, tuple: &FiveTuple) -> bool {
-        let existed = self.sessions.remove(FlowHash::of(tuple).value(), tuple).is_some();
+    /// Close a session normally (`hash` must be `FlowHash::of(tuple)`).
+    pub fn close(&mut self, hash: FlowHash, tuple: &FiveTuple) -> bool {
+        debug_assert_eq!(hash, FlowHash::of(tuple), "hash does not belong to tuple");
+        let existed = self.sessions.remove(hash.value(), tuple).is_some();
         if existed {
             self.closed += 1;
         }
@@ -270,7 +276,7 @@ mod tests {
         let owners: Vec<(FiveTuple, usize)> = (0..200u16)
             .map(|i| {
                 let t = tuple(1000 + i);
-                let gw = d.open(t).unwrap();
+                let gw = d.open(FlowHash::of(&t), t).unwrap();
                 (t, gw)
             })
             .collect();
@@ -280,13 +286,13 @@ mod tests {
         assert!(matches!(d.phases.get(&1), Some(DrainPhase::Draining { .. })));
         // New sessions never land on the draining gateway.
         for i in 0..200u16 {
-            let gw = d.open(tuple(5000 + i)).unwrap();
+            let gw = d.open(FlowHash::of(&tuple(5000 + i)), tuple(5000 + i)).unwrap();
             assert_ne!(gw, 1, "draining gateway accepted a new session");
         }
         // Established sessions still reach their owner, daisy-chained.
         let before_handoffs = d.stats().2;
         for (t, gw) in &owners {
-            let (owner, _) = d.packet(t).unwrap();
+            let (owner, _) = d.packet(FlowHash::of(t), t).unwrap();
             assert_eq!(owner, *gw, "established session rerouted mid-drain");
         }
         let handed = d.stats().2 - before_handoffs;
@@ -298,12 +304,12 @@ mod tests {
         let mut d = fleet();
         let ts: Vec<FiveTuple> = (0..100u16).map(|i| tuple(1000 + i)).collect();
         for t in &ts {
-            d.open(*t).unwrap();
+            d.open(FlowHash::of(t), *t).unwrap();
         }
         d.begin_drain(T(0), 0, 1, S(60)).unwrap();
         assert!(d.tick(T(1)).is_empty(), "sessions still open");
         for t in &ts {
-            d.close(t);
+            d.close(FlowHash::of(t), t);
         }
         assert_eq!(d.tick(T(2)), vec![0], "zero sessions: drain completes early");
         assert_eq!(d.phase(0), Some(DrainPhase::Drained));
@@ -319,7 +325,7 @@ mod tests {
         let mut d = fleet();
         let mut on_0 = 0u64;
         for i in 0..100u16 {
-            if d.open(tuple(1000 + i)).unwrap() == 0 {
+            if d.open(FlowHash::of(&tuple(1000 + i)), tuple(1000 + i)).unwrap() == 0 {
                 on_0 += 1;
             }
         }
@@ -350,19 +356,19 @@ mod tests {
     fn session_cap_rejects_and_counts() {
         let mut d = GatewayDrain::new(8, &[0, 1], 4, 3);
         for i in 0..3u16 {
-            d.open(tuple(i)).unwrap();
+            d.open(FlowHash::of(&tuple(i)), tuple(i)).unwrap();
         }
-        assert_eq!(d.open(tuple(99)), Err(DrainReject::AtCapacity));
+        assert_eq!(d.open(FlowHash::of(&tuple(99)), tuple(99)), Err(DrainReject::AtCapacity));
         assert_eq!(d.stats().4, 1);
-        d.close(&tuple(0));
-        assert!(d.open(tuple(99)).is_ok());
+        d.close(FlowHash::of(&tuple(0)), &tuple(0));
+        assert!(d.open(FlowHash::of(&tuple(99)), tuple(99)).is_ok());
     }
 
     #[test]
     fn digest_tracks_drain_lifecycle() {
         let mut d = fleet();
         for i in 0..50u16 {
-            d.open(tuple(i)).unwrap();
+            d.open(FlowHash::of(&tuple(i)), tuple(i)).unwrap();
         }
         let mut a = Digest::new();
         d.fold_digest(&mut a);
@@ -388,12 +394,12 @@ mod tests {
         let base = || {
             let mut d = GatewayDrain::new(64, &[0, 1, 2], 4, 60);
             for i in 0..61u16 {
-                d.open(tuple(i)).ok();
+                d.open(FlowHash::of(&tuple(i)), tuple(i)).ok();
             }
-            d.close(&tuple(0));
+            d.close(FlowHash::of(&tuple(0)), &tuple(0));
             d.begin_drain(T(0), 1, 2, S(10)).unwrap();
             for i in 1..61u16 {
-                d.packet(&tuple(i));
+                d.packet(FlowHash::of(&tuple(i)), &tuple(i));
             }
             d.force_closed += 1;
             d
@@ -576,9 +582,9 @@ mod tests {
                 now += SimDuration::from_millis(rng.int_range(0, 40));
                 let t = tuple(rng.index(space as usize) as u16);
                 match rng.index(20) {
-                    0..=6 => assert_eq!(d.open(t), m.open(t)),
-                    7..=13 => assert_eq!(d.packet(&t), m.packet(&t)),
-                    14..=17 => assert_eq!(d.close(&t), m.close(&t)),
+                    0..=6 => assert_eq!(d.open(FlowHash::of(&t), t), m.open(t)),
+                    7..=13 => assert_eq!(d.packet(FlowHash::of(&t), &t), m.packet(&t)),
+                    14..=17 => assert_eq!(d.close(FlowHash::of(&t), &t), m.close(&t)),
                     18 => {
                         let (leaving, replacement) = (rng.index(5), rng.index(5));
                         let grace = SimDuration::from_millis(rng.int_range(0, 20_000));

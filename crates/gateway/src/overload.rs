@@ -397,6 +397,8 @@ const RETRY_BUDGET_CAP: f64 = 10.0;
 /// `Gateway::handle_request_avoiding`.
 pub struct OverloadControl {
     cfg: OverloadConfig,
+    /// Per-request CPU demand at each [`BrownoutLevel`], indexed by level.
+    demands: [SimDuration; 3],
     /// Parked requests ride here, as their jobs' payloads.
     fair: FairCpuServer<PendingRequest>,
     codel: BTreeMap<ClassId, CoDel>,
@@ -417,8 +419,16 @@ pub struct OverloadControl {
 impl OverloadControl {
     /// Build the pipeline from a policy.
     pub fn new(cfg: OverloadConfig) -> Self {
+        // Brownout shrinks demand *before* anything is dropped: each level
+        // skips one more optional L7 stage.
+        let no_observability = 1.0 - cfg.observability_cpu_frac;
         OverloadControl {
             cfg,
+            demands: [
+                cfg.base_cpu.scale(1.0),
+                cfg.base_cpu.scale(no_observability),
+                cfg.base_cpu.scale(no_observability - cfg.canary_cpu_frac),
+            ],
             fair: FairCpuServer::new(cfg.ingress_cores, cfg.quantum),
             codel: BTreeMap::new(),
             budget: RetryBudget::new(RETRY_BUDGET_RATIO, RETRY_BUDGET_CAP),
@@ -512,19 +522,7 @@ impl OverloadControl {
             return Err(GatewayError::RetryBudgetExhausted);
         }
         let class = self.ensure_class(service, priority);
-        // Brownout shrinks demand *before* anything is dropped: skip the
-        // optional L7 stages first.
-        let mut frac = 1.0;
-        if self.cfg.brownout {
-            let level = self.brownout.level();
-            if level >= BrownoutLevel::NoObservability {
-                frac -= self.cfg.observability_cpu_frac;
-            }
-            if level >= BrownoutLevel::NoCanary {
-                frac -= self.cfg.canary_cpu_frac;
-            }
-        }
-        let demand = self.cfg.base_cpu.scale(frac);
+        let demand = self.demands[self.brownout_level() as usize];
         let pending = PendingRequest {
             service,
             tuple,

@@ -27,7 +27,7 @@ use crate::gateway::{BackendId, GatewayError, GatewayServed};
 use canal_cluster::dns::DnsView;
 use canal_net::VpcAddr;
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Total per-request budget; attempts stop once it is exhausted.
 const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(1);
@@ -268,7 +268,18 @@ pub struct ResilientDispatcher {
     detectors: BTreeMap<BackendId, OutlierDetector>,
     // lint:allow(bounded-state) reason=one health bit per backend in the registered topology
     dns_health: BTreeMap<BackendId, bool>,
+    /// Before this time `sync_dns` has nothing to publish: the last sync
+    /// left every bit equal to its backend's breaker, and no ejection it saw
+    /// expires sooner. A new trip or a failed `set_health` resets it to zero.
+    dns_quiet_until: SimTime,
     stats: ResilienceStats,
+}
+
+/// Add `b` to a sorted backend set.
+fn insert_sorted(set: &mut Vec<BackendId>, b: BackendId) {
+    if let Err(i) = set.binary_search(&b) {
+        set.insert(i, b);
+    }
 }
 
 impl ResilientDispatcher {
@@ -280,6 +291,7 @@ impl ResilientDispatcher {
             rng,
             detectors: BTreeMap::new(),
             dns_health: BTreeMap::new(),
+            dns_quiet_until: SimTime::ZERO,
             stats: ResilienceStats::default(),
         }
     }
@@ -316,7 +328,7 @@ impl ResilientDispatcher {
             .is_some_and(|d| d.is_ejected(now))
     }
 
-    /// All currently-ejected backends.
+    /// All currently-ejected backends, in ascending order.
     fn ejected_backends(&self, now: SimTime) -> Vec<BackendId> {
         self.detectors
             .iter()
@@ -340,25 +352,28 @@ impl ResilientDispatcher {
     }
 
     /// Dispatch one request resiliently. `attempt` is called once per
-    /// attempt with the virtual attempt time and the backends to avoid
-    /// (currently-ejected ones plus backends that already failed this
-    /// request); it normally wraps `Gateway::handle_request_avoiding`.
+    /// attempt with the virtual attempt time and the backends to avoid in
+    /// ascending order (currently-ejected ones plus backends that already
+    /// failed this request); it normally wraps
+    /// `Gateway::handle_request_avoiding`, which takes the slice as it is.
     pub fn dispatch(
         &mut self,
         now: SimTime,
-        mut attempt: impl FnMut(SimTime, &BTreeSet<BackendId>) -> Result<GatewayServed, AttemptError>,
+        mut attempt: impl FnMut(SimTime, &[BackendId]) -> Result<GatewayServed, AttemptError>,
     ) -> DispatchOutcome {
         self.stats.requests += 1;
         let deadline = now + REQUEST_DEADLINE;
-        let mut avoid: BTreeSet<BackendId> = if self.cfg.outlier_ejection {
-            self.ejected_backends(now).into_iter().collect()
+        // Both sets are kept sorted, so membership is a binary search and
+        // `attempt` sees the backends in ascending order.
+        let mut avoid: Vec<BackendId> = if self.cfg.outlier_ejection {
+            self.ejected_backends(now)
         } else {
-            BTreeSet::new()
+            Vec::new()
         };
         let mut t = now;
         let mut attempts = 0u32;
         let mut refreshed_cert = false;
-        let mut failed_here: BTreeSet<BackendId> = BTreeSet::new();
+        let mut failed_here: Vec<BackendId> = Vec::new();
         loop {
             attempts += 1;
             self.stats.attempts += 1;
@@ -386,13 +401,14 @@ impl ResilientDispatcher {
                         let det = self.detectors.entry(b).or_default();
                         if det.record_failure(t, &self.cfg) {
                             self.stats.ejections += 1;
+                            self.dns_quiet_until = SimTime::ZERO;
                         }
                     }
-                    let was_avoided = avoid.contains(&b);
-                    failed_here.insert(b);
+                    let was_avoided = avoid.binary_search(&b).is_ok();
+                    insert_sorted(&mut failed_here, b);
                     // Steer the next attempt elsewhere (different backend,
                     // and — since shards span zones — often a different AZ).
-                    avoid.insert(b);
+                    insert_sorted(&mut avoid, b);
                     if was_avoided {
                         // The balancer handed us a backend we were already
                         // avoiding: the avoid list covers its whole pool, so
@@ -401,7 +417,7 @@ impl ResilientDispatcher {
                         // request has actually seen fail, so the next attempt
                         // can reach pool members blocked solely by a stale
                         // ejection.
-                        avoid = failed_here.clone();
+                        avoid.clone_from(&failed_here);
                     }
                 }
                 Err(AttemptError::BackendDraining(b)) => {
@@ -411,11 +427,11 @@ impl ResilientDispatcher {
                     // and counting them would turn every planned failover
                     // into an ejection storm.
                     self.stats.drain_refusals += 1;
-                    let was_avoided = avoid.contains(&b);
-                    failed_here.insert(b);
-                    avoid.insert(b);
+                    let was_avoided = avoid.binary_search(&b).is_ok();
+                    insert_sorted(&mut failed_here, b);
+                    insert_sorted(&mut avoid, b);
                     if was_avoided {
-                        avoid = failed_here.clone();
+                        avoid.clone_from(&failed_here);
                     }
                 }
                 Err(AttemptError::Handshake(CertFault::Revoked)) => {
@@ -516,6 +532,11 @@ impl ResilientDispatcher {
     /// with an address, flip its `DnsView` health record whenever its
     /// ejection state changed since the last sync. No-op unless
     /// `dns_failover` is enabled. Returns the number of flips.
+    ///
+    /// Calls pass the same `view`, `name` and `addr_of` each time, at
+    /// non-decreasing `now`. Between a sync that published every change and
+    /// the next ejection expiry or trip, no breaker changes state, so such a
+    /// call returns at once.
     pub fn sync_dns(
         &mut self,
         now: SimTime,
@@ -523,26 +544,40 @@ impl ResilientDispatcher {
         name: &str,
         addr_of: &BTreeMap<BackendId, VpcAddr>,
     ) -> u32 {
-        if !self.cfg.dns_failover {
+        if !self.cfg.dns_failover || now < self.dns_quiet_until {
             return 0;
         }
         let mut flips = 0;
+        let mut published = true;
         for (&backend, &addr) in addr_of {
             let healthy = !self.is_ejected(now, backend);
             let prev = self.dns_health.get(&backend).copied().unwrap_or(true);
-            if healthy != prev && view.set_health(name, addr, healthy) {
-                self.dns_health.insert(backend, healthy);
-                self.stats.dns_flips += 1;
-                flips += 1;
+            if healthy != prev {
+                if view.set_health(name, addr, healthy) {
+                    self.dns_health.insert(backend, healthy);
+                    self.stats.dns_flips += 1;
+                    flips += 1;
+                } else {
+                    published = false;
+                }
             }
         }
+        self.dns_quiet_until = if published {
+            self.detectors
+                .values()
+                .filter_map(|d| d.ejected_until.filter(|&until| until > now))
+                .min()
+                .unwrap_or(SimTime::MAX)
+        } else {
+            SimTime::ZERO
+        };
         flips
     }
 
     /// Fold the dispatcher state into a digest: the jitter `rng` stream,
     /// every backend's `detectors` breaker (window, failure streak,
-    /// ejection timer), the published `dns_health` bits, and the lifetime
-    /// `stats` counters.
+    /// ejection timer), the published `dns_health` bits, the
+    /// `dns_quiet_until` of the last sync, and the lifetime `stats` counters.
     pub fn fold_digest(&self, d: &mut Digest) {
         self.rng.fold_digest(d);
         d.write_u64(self.detectors.len() as u64);
@@ -559,6 +594,7 @@ impl ResilientDispatcher {
         for (&b, &healthy) in &self.dns_health {
             d.write_u64(b as u64).write_u64(healthy as u64);
         }
+        d.write_u64(self.dns_quiet_until.as_nanos());
         d.write_u64(self.stats.requests)
             .write_u64(self.stats.attempts)
             .write_u64(self.stats.retries)

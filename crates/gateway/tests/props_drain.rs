@@ -8,7 +8,7 @@
 //!   gateway — the chain walk always lands on the session's live owner.
 
 use canal_gateway::{DrainPhase, GatewayDrain};
-use canal_net::{Endpoint, FiveTuple, VpcAddr, VpcId};
+use canal_net::{Endpoint, FiveTuple, FlowHash, VpcAddr, VpcId};
 use canal_sim::{SimDuration, SimRng, SimTime};
 
 const CASES: usize = 48;
@@ -17,16 +17,19 @@ fn t(secs: u64) -> SimTime {
     SimTime::from_secs(secs)
 }
 
-fn tuple(sport: u16) -> FiveTuple {
-    FiveTuple::tcp(
+/// A session's five-tuple with its hash, computed once as a driver keeps
+/// it beside the live session.
+fn flow(sport: u16) -> (FlowHash, FiveTuple) {
+    let tuple = FiveTuple::tcp(
         Endpoint::new(VpcAddr::new(VpcId(1), 10, 0, 0, 1), sport),
         Endpoint::new(VpcAddr::new(VpcId(1), 10, 0, 9, 9), 443),
-    )
+    );
+    (FlowHash::of(&tuple), tuple)
 }
 
 /// Assert the per-step invariants: single live ownership of every bucket,
 /// and every established session routable to a non-drained owner.
-fn check_invariants(d: &mut GatewayDrain, gateways: &[usize], live: &[FiveTuple], case: usize) {
+fn check_invariants(d: &mut GatewayDrain, gateways: &[usize], live: &[(FlowHash, FiveTuple)], case: usize) {
     for b in 0..d.table().len() {
         let chain = d.table().chain(b);
         assert!(
@@ -51,8 +54,8 @@ fn check_invariants(d: &mut GatewayDrain, gateways: &[usize], live: &[FiveTuple]
             );
         }
     }
-    for tpl in live {
-        let routed = d.packet(tpl);
+    for (hash, tpl) in live {
+        let routed = d.packet(*hash, tpl);
         assert!(routed.is_some(), "case {case}: established session lost");
         let (owner, _) = routed.unwrap_or((usize::MAX, 0));
         assert_ne!(
@@ -73,7 +76,7 @@ fn every_bucket_has_one_live_owner_under_random_drains() {
         let gateways: Vec<usize> = (0..n_gw).collect();
         let n_buckets = 16 << rng.index(3); // 16/32/64
         let mut d = GatewayDrain::new(n_buckets, &gateways, 4, 10_000);
-        let mut live: Vec<FiveTuple> = Vec::new();
+        let mut live: Vec<(FlowHash, FiveTuple)> = Vec::new();
         let mut next_port = 1024u16;
         let mut now = 0u64;
         for _ in 0..120 {
@@ -82,10 +85,10 @@ fn every_bucket_has_one_live_owner_under_random_drains() {
                 // Open a burst of sessions (drained heads are never chosen).
                 0 | 1 => {
                     for _ in 0..rng.index(8) {
-                        let tpl = tuple(next_port);
+                        let (hash, tpl) = flow(next_port);
                         next_port = next_port.wrapping_add(1);
-                        if d.open(tpl).is_ok() {
-                            live.push(tpl);
+                        if d.open(hash, tpl).is_ok() {
+                            live.push((hash, tpl));
                         }
                     }
                 }
@@ -93,8 +96,8 @@ fn every_bucket_has_one_live_owner_under_random_drains() {
                 2 => {
                     if !live.is_empty() {
                         let i = rng.index(live.len());
-                        let tpl = live.swap_remove(i);
-                        assert!(d.close(&tpl), "case {case}: live session unknown");
+                        let (hash, tpl) = live.swap_remove(i);
+                        assert!(d.close(hash, &tpl), "case {case}: live session unknown");
                     }
                 }
                 // Route packets for a few random live sessions.
@@ -103,8 +106,8 @@ fn every_bucket_has_one_live_owner_under_random_drains() {
                         if live.is_empty() {
                             break;
                         }
-                        let tpl = live[rng.index(live.len())];
-                        assert!(d.packet(&tpl).is_some());
+                        let (hash, tpl) = live[rng.index(live.len())];
+                        assert!(d.packet(hash, &tpl).is_some());
                     }
                 }
                 // Start draining a random Active gateway onto another,
@@ -129,7 +132,7 @@ fn every_bucket_has_one_live_owner_under_random_drains() {
                 // Advance drains; deadline force-closes drop stragglers.
                 _ => {
                     for g in d.tick(t(now)) {
-                        live.retain(|tpl| d.packet(tpl).is_some());
+                        live.retain(|(hash, tpl)| d.packet(*hash, tpl).is_some());
                         assert_eq!(d.phase(g), Some(DrainPhase::Drained));
                     }
                 }
@@ -153,10 +156,10 @@ fn patient_drain_never_force_closes() {
     for case in 0..CASES {
         let mut rng = SimRng::seed(0x60D_D12A + case as u64);
         let mut d = GatewayDrain::new(64, &[0, 1, 2, 3], 4, 10_000);
-        let sessions: Vec<FiveTuple> = (0..150u16).map(|i| tuple(2000 + i)).collect();
+        let sessions: Vec<(FlowHash, FiveTuple)> = (0..150u16).map(|i| flow(2000 + i)).collect();
         let mut owners = Vec::new();
-        for tpl in &sessions {
-            owners.push(d.open(*tpl).expect("capacity"));
+        for &(hash, tpl) in &sessions {
+            owners.push(d.open(hash, tpl).expect("capacity"));
         }
         let leaving = rng.index(4);
         let replacement = (leaving + 1) % 4;
@@ -167,9 +170,10 @@ fn patient_drain_never_force_closes() {
         let mut order: Vec<usize> = (0..sessions.len()).collect();
         rng.shuffle(&mut order);
         for (step, &i) in order.iter().enumerate() {
-            let (owner, _) = d.packet(&sessions[i]).expect("still live");
+            let (hash, tpl) = sessions[i];
+            let (owner, _) = d.packet(hash, &tpl).expect("still live");
             assert_eq!(owner, owners[i], "case {case}: session moved mid-drain");
-            assert!(d.close(&sessions[i]));
+            assert!(d.close(hash, &tpl));
             d.tick(t(1 + step as u64));
         }
         assert_eq!(d.phase(leaving), Some(DrainPhase::Drained));

@@ -12,6 +12,10 @@
 //! * collisions resolve by linear probing and deletes by backward shift, so
 //!   the layout is a pure function of the insert / remove history and there
 //!   are no tombstones to accumulate;
+//! * each slot keeps its entry's 32-bit home tag (the top bits of
+//!   `hash * PHI`, of which the home slot is a prefix), so growth, `retain`
+//!   and the backward shift re-home entries without hashing a key again,
+//!   and a probe compares tags before it compares keys;
 //! * nothing observable depends on the layout: lookups are by key, and
 //!   [`FlatTable::fold_digest`] visits entries in ascending key order,
 //!   exactly what the `BTreeMap`s it replaces gave.
@@ -52,12 +56,28 @@ const MIN_SLOTS: usize = 8;
 /// flow on one backend shares that residue) still spread over all slots.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The home tag of a hash: the top 32 bits of `hash * PHI`. The home slot
+/// in a table of `2^k` slots is the tag's top `k` bits, so a slot that keeps
+/// its entry's tag never needs the key's hash again.
+fn tag_of(hash: u64) -> u32 {
+    (hash.wrapping_mul(PHI) >> 32) as u32
+}
+
+/// An occupied slot. The tag sits in padding the key and value leave where
+/// there is some: a session-table slot is 48 bytes with it as without it.
+#[derive(Debug, Clone)]
+struct Slot<K, V> {
+    tag: u32,
+    key: K,
+    value: V,
+}
+
 /// Open-addressed map from `K` to `V`; see the module docs.
 #[derive(Debug, Clone)]
 pub struct FlatTable<K, V> {
     /// Empty, or a power-of-two number of slots.
     // lint:allow(bounded-state) reason=under twice what the owner's entries need; the owner bounds the entries (a field of this type is itself policed) and retain() rebuilds at the survivors' size
-    slots: Vec<Option<(K, V)>>,
+    slots: Vec<Option<Slot<K, V>>>,
     len: usize,
 }
 
@@ -92,26 +112,29 @@ impl<K: FlatKey, V> FlatTable<K, V> {
         self.len == 0
     }
 
-    /// Home slot of a hash. Only called on a non-empty slot array.
-    fn home(&self, hash: u64) -> usize {
-        let shift = 64 - self.slots.len().trailing_zeros();
-        (hash.wrapping_mul(PHI) >> shift) as usize
+    /// Home slot of a tag. Only called on a non-empty slot array (at least
+    /// [`MIN_SLOTS`], so the shift is below 32).
+    fn home(&self, tag: u32) -> usize {
+        let shift = 32 - self.slots.len().trailing_zeros();
+        (tag >> shift) as usize
     }
 
-    /// Slot holding `key`, if present.
+    /// Slot holding `key`, if present. The tag is compared before the key,
+    /// so a probe past other entries rarely reads their keys.
     fn find(&self, hash: u64, key: &K) -> Option<usize> {
         debug_assert_eq!(hash, key.flat_hash(), "hash does not belong to key");
         if self.slots.is_empty() {
             return None;
         }
+        let tag = tag_of(hash);
         let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
+        let mut i = self.home(tag);
         // The load limit keeps at least a quarter of the slots empty, so
         // the probe always terminates.
         loop {
             match &self.slots[i] {
                 None => return None,
-                Some((k, _)) if k == key => return Some(i),
+                Some(s) if s.tag == tag && s.key == *key => return Some(i),
                 Some(_) => i = (i + 1) & mask,
             }
         }
@@ -125,13 +148,13 @@ impl<K: FlatKey, V> FlatTable<K, V> {
     /// The value stored for `key`.
     pub fn get(&self, hash: u64, key: &K) -> Option<&V> {
         let i = self.find(hash, key)?;
-        self.slots[i].as_ref().map(|(_, v)| v)
+        self.slots[i].as_ref().map(|s| &s.value)
     }
 
     /// Mutable access to the value stored for `key`.
     pub fn get_mut(&mut self, hash: u64, key: &K) -> Option<&mut V> {
         let i = self.find(hash, key)?;
-        self.slots[i].as_mut().map(|(_, v)| v)
+        self.slots[i].as_mut().map(|s| &mut s.value)
     }
 
     /// Insert a key the caller has just looked up and not found (every
@@ -143,26 +166,27 @@ impl<K: FlatKey, V> FlatTable<K, V> {
         if self.len >= self.slots.len() / 4 * 3 {
             self.rebuild(slots_for(self.len + 1).max(self.slots.len() * 2));
         }
-        self.place(hash, key, value);
+        self.place(Slot { tag: tag_of(hash), key, value });
         self.len += 1;
     }
 
-    /// Put an absent key into the first free slot of its probe sequence.
-    fn place(&mut self, hash: u64, key: K, value: V) {
+    /// Put an absent entry into the first free slot of its probe sequence.
+    fn place(&mut self, slot: Slot<K, V>) {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
+        let mut i = self.home(slot.tag);
         while self.slots[i].is_some() {
             i = (i + 1) & mask;
         }
-        self.slots[i] = Some((key, value));
+        self.slots[i] = Some(slot);
     }
 
-    /// Move every entry into a fresh slot array of `n_slots`.
+    /// Move every entry into a fresh slot array of `n_slots`; the tags place
+    /// them, so no key is hashed.
     fn rebuild(&mut self, n_slots: usize) {
         let old = std::mem::take(&mut self.slots);
         self.slots.resize_with(n_slots, || None);
-        for (k, v) in old.into_iter().flatten() {
-            self.place(k.flat_hash(), k, v);
+        for slot in old.into_iter().flatten() {
+            self.place(slot);
         }
     }
 
@@ -170,21 +194,21 @@ impl<K: FlatKey, V> FlatTable<K, V> {
     /// shift back over the hole, so no tombstone is left.
     pub fn remove(&mut self, hash: u64, key: &K) -> Option<V> {
         let mut hole = self.find(hash, key)?;
-        let (_, value) = self.slots[hole].take()?;
+        let removed = self.slots[hole].take()?;
         self.len -= 1;
         let mask = self.slots.len() - 1;
         let mut i = (hole + 1) & mask;
-        while let Some((k, _)) = &self.slots[i] {
+        while let Some(s) = &self.slots[i] {
             // An entry may move back to the hole only if that does not put
             // it before its home slot (cyclically).
-            let home = self.home(k.flat_hash());
+            let home = self.home(s.tag);
             if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
                 self.slots.swap(hole, i);
                 hole = i;
             }
             i = (i + 1) & mask;
         }
-        Some(value)
+        Some(removed.value)
     }
 
     /// Keep only the entries `keep` approves; returns how many were
@@ -193,8 +217,8 @@ impl<K: FlatKey, V> FlatTable<K, V> {
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) -> usize {
         let mut removed = 0;
         for slot in &mut self.slots {
-            if let Some((k, v)) = slot {
-                if !keep(k, v) {
+            if let Some(s) = slot {
+                if !keep(&s.key, &mut s.value) {
                     *slot = None;
                     removed += 1;
                 }
@@ -210,12 +234,18 @@ impl<K: FlatKey, V> FlatTable<K, V> {
     /// Every entry, in slot order (a function of the insert / remove
     /// history: use it for order-insensitive work only).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.slots.iter().flatten().map(|(k, v)| (k, v))
+        self.slots.iter().flatten().map(|s| (&s.key, &s.value))
     }
 
     /// Every entry with mutable values, in slot order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.slots.iter_mut().flatten().map(|(k, v)| (&*k, v))
+        self.slots.iter_mut().flatten().map(|s| (&s.key, &mut s.value))
+    }
+
+    /// Bytes one slot takes (the size tests pin per table).
+    #[cfg(test)]
+    pub(crate) fn slot_bytes() -> usize {
+        std::mem::size_of::<Option<Slot<K, V>>>()
     }
 
     /// Every entry in ascending key order: what iterating the `BTreeMap`
@@ -240,6 +270,7 @@ impl<K: FlatKey, V> FlatTable<K, V> {
 mod tests {
     use super::*;
     use canal_sim::SimRng;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
 
     /// A key whose hash the test controls, to force collisions and
@@ -253,6 +284,40 @@ mod tests {
     impl FlatKey for Key {
         fn flat_hash(&self) -> u64 {
             self.hash
+        }
+    }
+
+    /// A [`Key`] whose `flat_hash` counts its calls in the test's counter.
+    #[derive(Debug, Clone, Copy)]
+    struct Counted<'a> {
+        key: Key,
+        calls: &'a Cell<usize>,
+    }
+
+    impl PartialEq for Counted<'_> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Counted<'_> {}
+
+    impl PartialOrd for Counted<'_> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Counted<'_> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    impl FlatKey for Counted<'_> {
+        fn flat_hash(&self) -> u64 {
+            self.calls.set(self.calls.get() + 1);
+            self.key.hash
         }
     }
 
@@ -363,6 +428,48 @@ mod tests {
         assert_eq!(t.slots.len(), 16);
         assert_eq!(t.retain(|_, _| false), 10);
         assert!(t.slots.is_empty());
+    }
+
+    /// The table hashes a key only in its debug assertions (one per
+    /// lookup, `insert_new` and `remove` included): growth, `retain` and the
+    /// backward shift re-home entries by their tags.
+    #[test]
+    fn hashes_only_in_debug_assertions() {
+        let per_call = usize::from(cfg!(debug_assertions));
+        let calls = Cell::new(0);
+        let counted = |key: Key| Counted { key, calls: &calls };
+        // Calls made by `f`.
+        let hashes_in = |f: &mut dyn FnMut()| {
+            let before = calls.get();
+            f();
+            calls.get() - before
+        };
+        let mut t = FlatTable::new();
+        let grown = hashes_in(&mut || {
+            for i in 0..1000u32 {
+                t.insert_new(key(i).hash, counted(key(i)), i as u64);
+            }
+        });
+        assert_eq!(t.slots.len(), 2048, "eight doublings from 8 slots");
+        assert_eq!(grown, 1000 * per_call);
+        let shrunk = hashes_in(&mut || assert_eq!(t.retain(|k, _| k.key.id % 7 == 0), 857));
+        assert_eq!(shrunk, 0);
+        assert_eq!(t.slots.len(), 256, "retain shrank the table");
+        for make in [colliding as fn(u32) -> Key, wrapping] {
+            let mut t = FlatTable::new();
+            for i in 0..5 {
+                t.insert_new(make(i).hash, counted(make(i)), i as u64);
+            }
+            // The head of the run first, so every later entry shifts back.
+            let removed = hashes_in(&mut || {
+                for gone in [0u32, 2, 4] {
+                    assert_eq!(t.remove(make(gone).hash, &counted(make(gone))), Some(gone as u64));
+                }
+            });
+            assert_eq!(removed, 3 * per_call);
+            assert_eq!(t.get(make(1).hash, &counted(make(1))), Some(&1));
+            assert_eq!(t.get(make(3).hash, &counted(make(3))), Some(&3));
+        }
     }
 
     /// Seeded differential test against a `BTreeMap` model: random

@@ -167,6 +167,13 @@ mod tests {
         assert!(t.is_empty());
     }
 
+    /// The flat table's home tag rides in the padding beside the
+    /// five-tuple: a session slot is 48 bytes with it as without it.
+    #[test]
+    fn a_session_slot_is_48_bytes() {
+        assert_eq!(FlatTable::<SessionKey, SessionEntry>::slot_bytes(), 48);
+    }
+
     #[test]
     fn capacity_is_enforced() {
         let mut t = SessionTable::new(3, SimDuration::from_secs(60));

@@ -21,7 +21,7 @@
 use canal::gateway::drain::GatewayDrain;
 use canal::gateway::failure::FailureDomain;
 use canal::gateway::gateway::{Gateway, GatewayConfig, GatewayError, GatewayServed};
-use canal::net::{AzId, Endpoint, FiveTuple, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
+use canal::net::{AzId, Endpoint, FiveTuple, FlowHash, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
 use canal::sim::{Digest, SimDuration, SimRng, SimTime};
 
 const REQUESTS: usize = 50_000;
@@ -203,7 +203,7 @@ fn run_drain(seed: u64) -> (u64, (u64, u64, u64, u64, u64)) {
         match rng.index(10) {
             0..=3 => {
                 let f = rng.index(FLOWS);
-                match d.open(flow(f)) {
+                match d.open(FlowHash::of(&flow(f)), flow(f)) {
                     Ok(g) => {
                         open.push(f);
                         trace.write_u64(g as u64);
@@ -216,7 +216,7 @@ fn run_drain(seed: u64) -> (u64, (u64, u64, u64, u64, u64)) {
             4..=7 => {
                 if !open.is_empty() {
                     let f = open[rng.index(open.len())];
-                    match d.packet(&flow(f)) {
+                    match d.packet(FlowHash::of(&flow(f)), &flow(f)) {
                         Some((owner, hops)) => trace.write_u64(owner as u64).write_u64(hops as u64),
                         None => trace.write_u64(u64::MAX - 1),
                     };
@@ -225,7 +225,7 @@ fn run_drain(seed: u64) -> (u64, (u64, u64, u64, u64, u64)) {
             8 => {
                 if !open.is_empty() {
                     let f = open.swap_remove(rng.index(open.len()));
-                    trace.write_u64(d.close(&flow(f)) as u64);
+                    trace.write_u64(d.close(FlowHash::of(&flow(f)), &flow(f)) as u64);
                 }
             }
             _ => {

@@ -159,3 +159,71 @@ fn unknown_service_fails_fast_without_retry_burn() {
     assert!(outcome.served.is_none());
     assert_eq!(outcome.attempts, 1, "no placement anywhere: retrying cannot help");
 }
+
+/// `sync_dns` may skip work between ejection expiries, but never what it
+/// would have published: over a seeded run of backend failures and
+/// recoveries, with clock steps that cross ejection expiries, every
+/// backend's DNS health after every sync equals its breaker's verdict.
+#[test]
+fn dns_health_tracks_the_breakers_after_every_sync() {
+    const BACKENDS: u32 = 5;
+    let mut dispatcher =
+        ResilientDispatcher::new(ResilienceConfig::paper_canal(), SimRng::seed(0xD15));
+    // One backend per AZ, so a resolve from a backend's AZ returns it
+    // exactly when its record is healthy.
+    let mut dns = DnsView::new();
+    for b in 1..=BACKENDS {
+        dns.add("svc.mesh", AzId(b), addr(b));
+    }
+    let addrs: BTreeMap<u32, VpcAddr> = (1..=BACKENDS).map(|b| (b, addr(b))).collect();
+    let published = |dns: &DnsView, b: u32| {
+        dns.resolve("svc.mesh", AzId(b)).is_some_and(|t| t.addr == addr(b))
+    };
+    let mut rng = SimRng::seed(0x5EED_D115);
+    let mut up = [true; BACKENDS as usize + 1];
+    let mut now = SimTime::ZERO;
+    let mut expiries_crossed = 0;
+    for step in 0..3_000 {
+        // Mostly short steps; now and then one past the 10 s ejection.
+        let ejected_before: Vec<bool> =
+            (1..=BACKENDS).map(|b| dispatcher.is_ejected(now, b)).collect();
+        now += if rng.chance(0.05) {
+            SimDuration::from_secs(rng.int_range(5, 15))
+        } else {
+            SimDuration::from_millis(rng.int_range(0, 200))
+        };
+        expiries_crossed += (1..=BACKENDS)
+            .filter(|&b| ejected_before[b as usize - 1] && !dispatcher.is_ejected(now, b))
+            .count();
+        if rng.chance(0.03) {
+            let b = 1 + rng.index(BACKENDS as usize);
+            up[b] = !up[b];
+        }
+        for _ in 0..rng.index(3) {
+            let first = 1 + rng.index(BACKENDS as usize) as u32;
+            dispatcher.dispatch(now, |t, avoid| {
+                let b = (0..BACKENDS)
+                    .map(|i| 1 + (first - 1 + i) % BACKENDS)
+                    .find(|b| !avoid.contains(b))
+                    .ok_or(AttemptError::Rejected(GatewayError::Unavailable))?;
+                if up[b as usize] {
+                    Ok(served(b, t))
+                } else {
+                    Err(AttemptError::BackendFailure(b))
+                }
+            });
+        }
+        dispatcher.sync_dns(now, &mut dns, "svc.mesh", &addrs);
+        for b in 1..=BACKENDS {
+            assert_eq!(
+                published(&dns, b),
+                !dispatcher.is_ejected(now, b),
+                "step {step}: backend {b}'s DNS record disagrees with its breaker"
+            );
+        }
+    }
+    let stats = dispatcher.stats();
+    assert!(stats.ejections >= 20, "the run trips the breakers: {stats:?}");
+    assert!(expiries_crossed >= 10, "the run crosses expiries: {expiries_crossed}");
+    assert!(stats.dns_flips >= 20, "the run publishes flips both ways: {stats:?}");
+}
