@@ -27,13 +27,23 @@
 # of any workload regressed or the change failed a larger share of its
 # operations than the parent. Not part of check.sh.
 #
+# Each run's `# exact` lines (values that repeat exactly for one code and
+# seed: per-seed suite digests, allocation and event counts) are kept for
+# both sides. Wherever the parent and the change print the same key in the
+# same pair (the same --seed) with different values, the workload's table
+# is preceded by one `EXACT DIFFERS <workload> <key>` line per key. That is
+# what a behaviour-preserving change must not show; it does not change the
+# exit status, because a change may move a digest on purpose and re-pin it.
+#
 # The same table is written as JSON to target/pairs/<sha>/point.json: the
 # parent's and HEAD's commit, the pair count and run_seconds, each side's
 # target-cpu (read from the rustflags cargo recorded for its benchmark
 # binary; "none" is the target's baseline), then per
-# workload both sides' failed and attempted operations and per end-to-end
-# metric both sides' q1 / median / q3, the pairs won and tied, and the
-# verdict. A PR commits its `all` run of it as BENCH_<pr>.json.
+# workload both sides' failed and attempted operations, how many `# exact`
+# values were compared and whether all were equal (`exact_compared`,
+# `exact_equal`: true when none were compared), and per end-to-end metric
+# both sides' q1 / median / q3, the pairs won and tied, and the verdict. A
+# PR commits its `all` run of it as BENCH_<pr>.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -97,7 +107,8 @@ cpu_change=$(target_cpu "$root/target/pairs/change")
 echo "==> target-cpu: parent $cpu_parent, change $cpu_change" >&2
 
 # One run of $workload: prints "<side> <pair> <metric> <value>" per metric,
-# and attempted and failed.
+# and attempted and failed; appends "<side> <pair> <key> <value>" per
+# `# exact` line to $exact.
 run() {
     local side=$1 pair=$2 dir bin
     case $side in
@@ -105,8 +116,9 @@ run() {
     change) dir=$root bin=$root/target/pairs/change/release/canal-benchmark ;;
     esac
     (cd "$dir" && "$bin" --workload "$workload" --seed "$pair" --seconds "$seconds" --trace 0 2>&1) |
-        awk -v side="$side" -v pair="$pair" -v names="$metrics" '
+        awk -v side="$side" -v pair="$pair" -v names="$metrics" -v exact="$exact" '
             BEGIN { n = split(names, f, " "); for (i = 1; i <= n; i += 3) want[f[i]] = 1 }
+            /^# exact / { print side, pair, $3, $4 >>exact; next }
             / attempted, / { print side, pair, "attempted", $(NF - 3); print side, pair, "failed", $(NF - 1) }
             /^  [a-z_0-9.]+ +[-0-9.e+]+ / && ($1 in want) { print side, pair, $1, $2 }'
 }
@@ -115,8 +127,10 @@ status=0
 fragments=()
 for workload in "$@"; do
     runs=$parent/runs-$workload.txt
+    exact=$parent/exact-$workload.txt
     fragment=$parent/point-$workload.json
     : >"$runs"
+    : >"$exact"
     for pair in $(seq 1 "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
@@ -127,8 +141,29 @@ for workload in "$@"; do
     done
 
     echo
+    # One "EXACT DIFFERS <workload> <key>" line per differing key, then
+    # "<values compared> <keys differing>".
+    exact_out=$(awk -v workload="$workload" '
+        { v[$1, $2, $3] = $4; seen[$2, $3] = 1 }
+        END {
+            for (k in seen) {
+                split(k, pk, SUBSEP)
+                if (!(("parent", pk[1], pk[2]) in v) || !(("change", pk[1], pk[2]) in v)) continue
+                compared++
+                if (v["parent", pk[1], pk[2]] != v["change", pk[1], pk[2]] && !(pk[2] in told)) {
+                    told[pk[2]] = 1
+                    differing++
+                    print "EXACT DIFFERS", workload, pk[2]
+                }
+            }
+            print compared + 0, differing + 0
+        }' "$exact")
+    read -r compared differing <<<"${exact_out##*$'\n'}"
+    [ "$differing" -eq 0 ] || printf '%s\n' "${exact_out%$'\n'*}" | sort
     echo "$workload, $pairs pairs of $seconds s, parent $sha against the working tree"
-    awk -v names="$metrics" -v workload="$workload" -v json="$fragment" '
+    echo "exact: $compared values compared at the same seed, $differing keys differ"
+    awk -v names="$metrics" -v workload="$workload" -v json="$fragment" \
+        -v compared="$compared" -v equal="$([ "$differing" -eq 0 ] && echo true || echo false)" '
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
         }
@@ -151,8 +186,8 @@ for workload in "$@"; do
             printf "failed: parent %d of %d, change %d of %d%s\n", failed["parent"], attempted["parent"],
                 failed["change"], attempted["change"], bad ? ": the change fails a LARGER SHARE" : ""
             printf "%-14s %-6s %14s %14s %14s   %s\n", "metric", "side", "q1", "median", "q3", "pairs won / tied"
-            printf "    \"%s\": {\n      \"failed\": {\"parent\": %d, \"change\": %d},\n      \"attempted\": {\"parent\": %d, \"change\": %d},\n      \"metrics\": {", workload,
-                failed["parent"], failed["change"], attempted["parent"], attempted["change"] >json
+            printf "    \"%s\": {\n      \"failed\": {\"parent\": %d, \"change\": %d},\n      \"attempted\": {\"parent\": %d, \"change\": %d},\n      \"exact_compared\": %d,\n      \"exact_equal\": %s,\n      \"metrics\": {", workload,
+                failed["parent"], failed["change"], attempted["parent"], attempted["change"], compared, equal >json
             for (i = 1; i <= n; i += 3) {
                 m = f[i]; higher = f[i + 1] == "higher"; bound = f[i + 2]
                 won = tied = 0
