@@ -272,18 +272,18 @@ impl BlastOutcome {
 /// The route table content for `version`: good unless the config source was
 /// poisoned when the version was cut.
 fn spec_for(version: u64, poisoned: bool) -> ConfigSpec {
-    let routes = if poisoned {
-        vec![RouteSpec {
+    let route = if poisoned {
+        RouteSpec {
             service: BAD_SVC,
             backends: vec![0],
-        }]
+        }
     } else {
-        vec![RouteSpec {
+        RouteSpec {
             service: SVC,
             backends: vec![0, 1],
-        }]
+        }
     };
-    ConfigSpec { version, routes }
+    ConfigSpec { version, routes: [route].into_iter().collect() }
 }
 
 /// How the controller's audit log words one terminal result.

@@ -5,11 +5,16 @@
 //! supplies the content check: a route referencing a service this gateway
 //! has never had placed, an empty backend set, or two routes naming the
 //! same service is refused with a [`ConfigRejection`] and never served.
+//!
+//! The routes are a [`SharedList`], as a policy's tenants are: what a slot
+//! stages and serves is the pushed clone at the price of one reference
+//! count, whatever the number of routes, and a later edit of the operator's
+//! copy first copies the routes, so it reaches no staged or served spec.
 
 use crate::failstatic::{FailStatic, Plane, Rejection};
 use crate::gateway::BackendId;
 use canal_net::GlobalServiceId;
-use canal_sim::{Digest, SimTime};
+use canal_sim::{Digest, SharedList, SimTime};
 use std::collections::BTreeSet;
 
 /// One route entry in a pushed config: a service and the backend set its
@@ -28,8 +33,8 @@ pub struct RouteSpec {
 pub struct ConfigSpec {
     /// Monotone version from `VersionedConfigStore`.
     pub version: u64,
-    /// Route table content.
-    pub routes: Vec<RouteSpec>,
+    /// Route table content, shared copy on write.
+    pub routes: SharedList<RouteSpec>,
 }
 
 /// Why the content check refused a config.

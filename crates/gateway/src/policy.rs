@@ -21,11 +21,13 @@
 //!
 //! The document is shared the way the tables are. A [`PolicySpec`] holds its
 //! tenants copy on write ([`canal_policy::spec::TenantList`]), so what the slot
-//! stages and runs is the pushed clone at the price of a reference per
-//! tenant, the comparison above is a pointer check for every tenant the
-//! operator did not touch, and no later edit of the operator's copy can
-//! reach a staged or running spec or the tables in its nodes: the edit
-//! copies its tenant first, into a node without tables.
+//! stages and runs is the pushed clone at the price of one reference count
+//! however many tenants it has, and the compiled set beside it holds that
+//! same list and an index of its own, at one count each. The comparison
+//! above is a pointer check for every tenant the operator did not touch, and
+//! no later edit of the operator's copy can reach a staged or running spec
+//! or the tables in its nodes: the edit makes the list its own first, and
+//! copies its tenant into a node without tables.
 //! Nothing here does any of that; the slot only moves the spec it is given.
 
 use crate::failstatic::{FailStatic, Plane, Rejection};

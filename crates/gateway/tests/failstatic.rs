@@ -54,10 +54,12 @@ impl Fixture for RoutePlane {
     fn make(version: u64, poisoned: bool) -> ConfigSpec {
         ConfigSpec {
             version,
-            routes: vec![RouteSpec {
+            routes: [RouteSpec {
                 service: GlobalServiceId(if poisoned { 9 } else { 7 }),
                 backends: (0..=(version % 3) as u32).collect(),
-            }],
+            }]
+            .into_iter()
+            .collect(),
         }
     }
 

@@ -9,9 +9,11 @@
 //! [`L4Verdict::NeedsL7`] — the node forwards them and the gateway's
 //! `ActivePolicy` (the second and final enforcement point) decides on full
 //! request context. Both points hold the same tables, not a copy each:
-//! cloning a [`CompiledPolicySet`] shares every tenant's immutable tables,
-//! so what a node installs is the gateway's set, and it keeps the version
-//! it enforces alive however many versions the gateway commits meanwhile.
+//! cloning a [`CompiledPolicySet`] costs two reference counts (its tenant
+//! index and its sources) whatever the number of tenants, and shares every
+//! tenant's immutable tables, so what a node installs is the gateway's set,
+//! and it keeps the version it enforces alive however many versions the
+//! gateway commits meanwhile.
 //! All three architecture arms share this filter; what differs per arm is
 //! only *where* it runs (sidecar pod, ambient node proxy, canal vSwitch).
 

@@ -35,12 +35,12 @@
 //! [`CompiledPolicySet::compile_against`] is the only compile loop, and a
 //! tenant's tables come to it from one of three places, tried in this order:
 //!
-//! 1. the set already running, if the [`TenantNode`] it compiled this tenant
-//!    from `==` the one being compiled. A set remembers those nodes (the
-//!    spec's own shared ones, not copies); a tenant the edit left alone is
-//!    the same allocation in both versions and the comparison is a pointer
-//!    check, and a document that arrives rebuilt equal keeps its running
-//!    tables all the same;
+//! 1. the set already running, if the [`TenantNode`](crate::spec::TenantNode)
+//!    it compiled this tenant from `==` the one being compiled. A set
+//!    remembers those nodes (the spec's own list, not copies); a tenant the
+//!    edit left alone is the same allocation in both versions and the
+//!    comparison is a pointer check, and a document that arrives rebuilt
+//!    equal keeps its running tables all the same;
 //! 2. the node being compiled, if somebody compiled it before: the
 //!    controller validating the document, another gateway of the fleet
 //!    committing it, this gateway the last time it ran the version it is
@@ -59,7 +59,7 @@
 
 use crate::spec::{
     validate_tenant, verdict_tag, L4Ctx, L7Ctx, PolicyRejection, PolicySpec, PolicyVerdict,
-    SniMatch, TenantNode, TenantPolicy,
+    SniMatch, TenantList, TenantPolicy,
 };
 use canal_net::TenantId;
 use canal_sim::Digest;
@@ -768,22 +768,27 @@ impl CompiledTenant {
 /// lookup selects the caller's tenant first, so no rule bit of another
 /// tenant is ever consulted — isolation is structural.
 ///
-/// A tenant's tables are immutable once built and held by `Arc`: `clone()`
-/// (what a node's filter takes of the gateway's set) copies the tenant index
-/// and bumps reference counts, and the next version's set shares the
-/// tables of every tenant it did not change.
+/// A tenant's tables are immutable once built and held by `Arc`, and the
+/// set holds its index and its sources by one `Arc` each: `clone()` (what a
+/// node's filter takes of the gateway's set) is two reference counts however
+/// many tenants the set has, and the next version's set shares the tables of
+/// every tenant it did not change.
 #[derive(Debug, Clone)]
 pub struct CompiledPolicySet {
     version: u64,
     /// Ascending by tenant, one entry each: a lookup is a binary search of
     /// one small contiguous array, then the one hop to the tenant's tables.
     /// Not an ordered map: its node walk in front of that hop is a cache
-    /// miss per packet on the node's L4 admit (DESIGN.md §16).
-    tenants: Vec<(TenantId, Arc<CompiledTenant>)>,
+    /// miss per packet on the node's L4 admit (DESIGN.md §16). A slice, not
+    /// a `Vec`, behind its `Arc`: the entries sit right after the counts,
+    /// so sharing the index adds no hop in front of the search.
+    tenants: Arc<[(TenantId, Arc<CompiledTenant>)]>,
     /// What each tenant's tables were compiled from, in `tenants`' order:
-    /// what the next version's tenants are compared against. Beside the
-    /// index, not in it, so that a lookup's cache lines hold only the index.
-    sources: Vec<Arc<TenantNode>>,
+    /// what the next version's tenants are compared against. The spec's own
+    /// list when it is ascending, else a sorted copy sharing its nodes.
+    /// Beside the index, not in it, so that a lookup's cache lines hold only
+    /// the index.
+    sources: TenantList,
 }
 
 impl CompiledPolicySet {
@@ -810,7 +815,6 @@ impl CompiledPolicySet {
         prior: Option<&CompiledPolicySet>,
     ) -> Result<CompiledPolicySet, PolicyRejection> {
         let mut tenants = Vec::with_capacity(spec.tenants.len());
-        let mut sources = Vec::with_capacity(spec.tenants.len());
         for tp in spec.tenants.shared() {
             // Sorted as it is built, so that a tenant named twice is refused
             // where the spec's order reaches it, whatever that order is; an
@@ -821,16 +825,19 @@ impl CompiledPolicySet {
             };
             let running = prior.and_then(|set| {
                 let i = set.position(tp.tenant)?;
-                (set.sources[i] == *tp).then(|| &set.tenants[i].1)
+                (set.sources.shared()[i] == *tp).then(|| &set.tenants[i].1)
             });
             let tables = match running.or_else(|| tp.tables()) {
                 Some(tables) => Arc::clone(tables),
                 None => tp.remember(CompiledTenant::compile(tp)?),
             };
             tenants.insert(at, (tp.tenant, tables));
-            sources.insert(at, Arc::clone(tp));
         }
-        Ok(CompiledPolicySet { version: spec.version, tenants, sources })
+        Ok(CompiledPolicySet {
+            version: spec.version,
+            tenants: tenants.into(),
+            sources: spec.tenants.ascending(),
+        })
     }
 
     /// How many tenants' tables this set and `other` hold in common: the
@@ -844,7 +851,7 @@ impl CompiledPolicySet {
 
     /// An empty set at version 0 (deny-all for every tenant).
     pub fn empty() -> CompiledPolicySet {
-        CompiledPolicySet { version: 0, tenants: Vec::new(), sources: Vec::new() }
+        CompiledPolicySet { version: 0, tenants: Arc::new([]), sources: TenantList::default() }
     }
 
     /// The spec version this was compiled from.
@@ -895,7 +902,7 @@ impl CompiledPolicySet {
     /// Fold every tenant table into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
         d.write_u64(self.version).write_u64(self.tenants.len() as u64);
-        for (t, c) in &self.tenants {
+        for (t, c) in self.tenants.iter() {
             d.write_u64(t.0 as u64);
             c.fold_digest(d);
         }

@@ -8,11 +8,13 @@
 //! upstream, never applied (fail-static).
 //!
 //! The tenant is the unit of sharing in the document as it is in the
-//! compiled tables: a spec's [`TenantList`] holds each tenant by [`Arc`], so
-//! a clone of a spec (a push, a staged copy, an archive entry) is the list
-//! plus a reference count per tenant, two versions share every tenant the
-//! edit between them left alone, and an edit in place copies the one tenant
-//! it touches, and only while someone else still holds it.
+//! compiled tables: a spec's [`TenantList`] holds each tenant by [`Arc`], in
+//! a [`SharedList`](canal_sim::SharedList) that is itself held by one, so a
+//! clone of a spec (a push, a staged copy, an archive entry) is one
+//! reference count however many tenants it has, two versions share every
+//! tenant the edit between them left alone, and an edit in place copies the
+//! list of pointers once and the one tenant it touches, and each only while
+//! someone else still holds it.
 //!
 //! What the list shares is a [`TenantNode`]: the tenant's policy and a
 //! write-once slot for the tables compiled from it. The tables are a pure
@@ -28,7 +30,7 @@
 
 use crate::compile::CompiledTenant;
 use canal_net::{TenantId, VpcId};
-use canal_sim::Digest;
+use canal_sim::{Digest, SharedList};
 use std::fmt;
 use std::ops::{Deref, Index, IndexMut};
 use std::sync::{Arc, OnceLock};
@@ -411,17 +413,20 @@ impl fmt::Debug for TenantNode {
     }
 }
 
-/// The tenants of a [`PolicySpec`], in the operator's order, shared copy on
-/// write. `clone()` copies the list and counts a reference per tenant; no
-/// rule is copied. The only way to a `&mut TenantPolicy` is [`IndexMut`],
-/// which goes through [`Arc::make_mut`]: it copies the tenant first if any
-/// other list still holds it, so a document that was cloned (staged,
-/// running, archived, in flight to another gateway) cannot be altered by a
-/// later edit of the copy it was cloned from. `==` is [`TenantPolicy`]'s
-/// field-wise `==`; two lists holding the same allocation skip the walk
-/// (`Arc`'s own shortcut for `Eq` types), and that is all identity decides.
+/// The tenants of a [`PolicySpec`], in the operator's order: a
+/// [`SharedList`] of [`TenantNode`]s, each held by [`Arc`]. `clone()` is one
+/// reference count, whatever the number of tenants; no rule, and no
+/// per-tenant count, is copied. Every mutator makes the list this list's own
+/// first (copying the pointers if the list is shared), and the only way to a
+/// `&mut TenantPolicy` is [`IndexMut`], which then copies the one tenant if
+/// any other list still holds it, so a document that was cloned
+/// (staged, running, archived, in flight to another gateway) cannot be
+/// altered by a later edit of the copy it was cloned from. `==` is
+/// [`TenantPolicy`]'s field-wise `==`; two lists holding the same allocation
+/// (the list, or a tenant) skip the walk ([`Arc`]'s own shortcut for `Eq`
+/// types), and that is all identity decides.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TenantList(Vec<Arc<TenantNode>>);
+pub struct TenantList(SharedList<Arc<TenantNode>>);
 
 impl TenantList {
     /// Number of tenants.
@@ -446,6 +451,20 @@ impl TenantList {
         self.0.iter().filter(|tp| other.0.iter().any(|o| Arc::ptr_eq(tp, o))).count()
     }
 
+    /// The same tenants in ascending [`TenantId`] order, which the caller
+    /// has checked holds each tenant once: this list itself, for one count,
+    /// if it is ascending already (the generator's and every experiment's
+    /// are), else a sorted list sharing its nodes.
+    pub(crate) fn ascending(&self) -> TenantList {
+        let nodes = &self.0;
+        if nodes.windows(2).all(|w| w[0].tenant < w[1].tenant) {
+            return self.clone();
+        }
+        let mut sorted = nodes.to_vec();
+        sorted.sort_by_key(|node| node.tenant);
+        TenantList(SharedList::from(sorted))
+    }
+
     /// Append a tenant.
     pub fn push(&mut self, tp: TenantPolicy) {
         self.0.push(TenantNode::new(tp));
@@ -461,12 +480,13 @@ impl TenantList {
         self.0.remove(i)
     }
 
-    /// Swap the tenants at positions `a` and `b`; nothing is copied.
+    /// Swap the tenants at positions `a` and `b`; no tenant is copied.
     pub fn swap(&mut self, a: usize, b: usize) {
         self.0.swap(a, b);
     }
 
-    /// Rotate the list so that position `mid` comes first; nothing is copied.
+    /// Rotate the list so that position `mid` comes first; no tenant is
+    /// copied.
     pub fn rotate_left(&mut self, mid: usize) {
         self.0.rotate_left(mid);
     }
@@ -503,7 +523,7 @@ impl IndexMut<usize> for TenantList {
     /// list shares the one it holds, and without the tables compiled from
     /// what it says now.
     fn index_mut(&mut self, i: usize) -> &mut TenantPolicy {
-        let node = Arc::make_mut(&mut self.0[i]);
+        let node = Arc::make_mut(self.0.make_mut(i));
         node.tables = OnceLock::new();
         &mut node.policy
     }
@@ -869,6 +889,38 @@ mod tests {
         assert_eq!(Arc::as_ptr(&spec.tenants.shared()[1]), own);
         assert_eq!(spec, held, "equal again by value, one tenant apart by allocation");
         assert_eq!(spec.tenants.shared_tenants(&held.tenants), 2);
+    }
+
+    /// Every mutator of a list that a clone shares makes the list its own
+    /// first: the clone keeps its tenants by value and by allocation, and
+    /// only `IndexMut` copies a tenant (the one it hands out).
+    #[test]
+    fn every_mutator_leaves_a_clone_as_it_was() {
+        type Edit = fn(&mut TenantList);
+        let edits: [(&str, Edit); 6] = [
+            ("push", |l| l.push(default_deny(TenantId(9), VpcId(9)))),
+            ("insert", |l| l.insert(1, default_deny(TenantId(9), VpcId(9)))),
+            ("remove", |l| drop(l.remove(1))),
+            ("swap", |l| l.swap(0, 2)),
+            ("rotate_left", |l| l.rotate_left(1)),
+            ("index_mut", |l| l[1].rules.push(PolicyRule::allow())),
+        ];
+        let seen = |list: &TenantList| -> Vec<(TenantPolicy, *const TenantNode)> {
+            list.shared().iter().map(|node| (node.policy.clone(), Arc::as_ptr(node))).collect()
+        };
+        for (name, edit) in edits {
+            let mut list: TenantList = (1..=3).map(|t| default_deny(TenantId(t), VpcId(t))).collect();
+            let held = list.clone();
+            let was = seen(&held);
+            assert!(list.shared().iter().all(|node| Arc::strong_count(node) == 1), "{name}: one list");
+
+            edit(&mut list);
+            assert_eq!(seen(&held), was, "{name}");
+            assert_ne!(list, held, "{name}: the edit is the list's own");
+            let copied = usize::from(name == "index_mut");
+            let kept = held.shared_tenants(&list);
+            assert_eq!(kept, 3 - usize::from(name == "remove") - copied, "{name}");
+        }
     }
 
     /// The stale-tables hazard. A document nobody else holds is compiled (as

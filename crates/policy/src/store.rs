@@ -8,10 +8,11 @@
 //! counting evictions, so memory stays flat no matter how many pushes a
 //! region sees. What it retains is documents that share their tenants
 //! ([`TenantList`](crate::spec::TenantList)): a version costs the archive
-//! the tenants its edit touched, and a push is a clone of [`PolicyStore::get`],
-//! so the gateways of a wave share the archived tenants too, and with them
-//! the tables compiled from each: a rollback to a retained version compiles
-//! nothing, and those tables are dropped with the last document holding them.
+//! one list of pointers and the tenants its edit touched, and a push is a
+//! clone of [`PolicyStore::get`], one reference count, so the gateways of a
+//! wave hold the archived document itself, and with it the tables compiled
+//! from each tenant: a rollback to a retained version compiles nothing, and
+//! those tables are dropped with the last document holding them.
 
 use crate::spec::PolicySpec;
 use canal_sim::Digest;

@@ -29,6 +29,9 @@
 //!   debug-asserts event-order invariants on every dispatch, and [`Digest`]
 //!   folds run outcomes so double-run harnesses can demand bit-identical
 //!   results (see `tests/determinism.rs` and DESIGN.md).
+//! * [`shared`] — [`SharedList`], the copy-on-write list a distributed
+//!   document (a policy's tenants, a route table) is held in: a clone is one
+//!   reference count, and an edit copies only what it touches.
 //!
 //! Design follows the event-driven, allocation-conscious style of embedded
 //! TCP/IP stacks: explicit state machines, no async runtime, no global state.
@@ -43,6 +46,7 @@ pub mod metrics;
 pub mod output;
 pub mod queueing;
 pub mod rng;
+pub mod shared;
 pub mod stats;
 pub mod time;
 
@@ -52,4 +56,5 @@ pub use invariant::Digest;
 pub use metrics::Histogram;
 pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, QueueReject};
 pub use rng::SimRng;
+pub use shared::SharedList;
 pub use time::{SimDuration, SimTime};

@@ -203,6 +203,12 @@ struct ClassState<T> {
 #[derive(Debug, Clone)]
 pub struct FairCpuServer<T> {
     core_free: Vec<SimTime>,
+    /// The core `earliest_core(&core_free)` names, kept as cores are
+    /// assigned: an [`FairCpuServer::advance`] that starts nothing (the
+    /// common case: a pump, then an offer's two advances, at one instant)
+    /// reads one slot instead of scanning every core. Derived, so
+    /// `fold_digest` checks it and folds nothing.
+    next_free: usize,
     /// DRR quantum: nanoseconds of CPU credit added per round per weight
     /// unit. One typical job demand is a good value.
     quantum: SimDuration,
@@ -227,6 +233,7 @@ impl<T> FairCpuServer<T> {
         assert!(quantum > SimDuration::ZERO, "quantum must be positive");
         FairCpuServer {
             core_free: vec![SimTime::ZERO; cores],
+            next_free: 0,
             quantum,
             classes: BTreeMap::new(),
             rr: VecDeque::new(),
@@ -306,16 +313,10 @@ impl<T> FairCpuServer<T> {
     /// `now` picks its next job in deficit-weighted round-robin order.
     /// Started jobs accumulate until [`FairCpuServer::drain_started`].
     pub fn advance(&mut self, now: SimTime) {
-        loop {
-            // Earliest-free core (first wins on ties, like CpuServer).
-            let mut idx = 0usize;
-            let mut free = SimTime::MAX;
-            for (i, &t) in self.core_free.iter().enumerate() {
-                if t < free {
-                    idx = i;
-                    free = t;
-                }
-            }
+        // With no class backlogged there is nothing to start.
+        while !self.rr.is_empty() {
+            let idx = self.next_free;
+            let free = self.core_free[idx];
             if free > now {
                 return;
             }
@@ -327,6 +328,7 @@ impl<T> FairCpuServer<T> {
             let start = free.max(job.arrival);
             let finish = start + job.demand;
             self.core_free[idx] = finish;
+            self.next_free = earliest_core(&self.core_free);
             self.busy += job.demand;
             self.started.push(FairServed {
                 class: job_class,
@@ -432,6 +434,7 @@ impl<T> FairCpuServer<T> {
     /// its `front_topped` flag, undrained `started` jobs, `next_ticket` and
     /// integrated `busy` time. Payloads are the caller's to fold.
     pub fn fold_digest(&self, d: &mut Digest) {
+        debug_assert_eq!(self.next_free, earliest_core(&self.core_free), "stale earliest core");
         d.write_u64(self.core_free.len() as u64);
         for &t in &self.core_free {
             d.write_u64(t.as_nanos());
@@ -471,6 +474,19 @@ impl<T> FairCpuServer<T> {
         }
         d.write_u64(self.next_ticket).write_u64(self.busy.as_nanos());
     }
+}
+
+/// The core that frees first, the lowest index winning a tie (as in
+/// [`CpuServer::submit`]).
+fn earliest_core(core_free: &[SimTime]) -> usize {
+    let (mut idx, mut free) = (0, SimTime::MAX);
+    for (i, &t) in core_free.iter().enumerate() {
+        if t < free {
+            idx = i;
+            free = t;
+        }
+    }
+    idx
 }
 
 #[cfg(test)]

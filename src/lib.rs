@@ -14,5 +14,6 @@ pub use canal_gateway as gateway;
 pub use canal_http as http;
 pub use canal_mesh as mesh;
 pub use canal_net as net;
+pub use canal_policy as policy;
 pub use canal_sim as sim;
 pub use canal_workload as workload;
