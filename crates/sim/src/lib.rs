@@ -31,7 +31,8 @@
 //!   results (see `tests/determinism.rs` and DESIGN.md).
 //! * [`shared`] — [`SharedList`], the copy-on-write list a distributed
 //!   document (a policy's tenants, a route table) is held in: a clone is one
-//!   reference count, and an edit copies only what it touches.
+//!   reference count, and an edit copies the list only while another holder
+//!   shares it.
 //!
 //! Design follows the event-driven, allocation-conscious style of embedded
 //! TCP/IP stacks: explicit state machines, no async runtime, no global state.
