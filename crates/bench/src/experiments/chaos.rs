@@ -172,21 +172,26 @@ impl ArchOutcome {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_str(self.name)
-            .write_u64(self.offered)
-            .write_u64(self.succeeded)
-            .write_u64(self.attempts)
-            .write_u64(self.invariant_violations)
-            .write_u64(self.placement_drift)
-            .write_u64(self.fail_open)
-            .write_u64(self.ejections)
-            .write_u64(self.dns_flips)
-            .write_u64(self.deadline_exceeded)
-            .write_u64(self.budget_rejected)
-            .write_f64(self.calm_p99_ms)
-            .write_f64(self.fault_p99_ms)
-            .write_f64(self.fault_p999_ms);
-        for inc in &self.incidents {
+        let Self {
+            name, offered, succeeded, attempts, invariant_violations, placement_drift, fail_open,
+            ejections, dns_flips, deadline_exceeded, budget_rejected, calm_p99_ms, fault_p99_ms,
+            fault_p999_ms, incidents,
+        } = self;
+        d.write_str(name)
+            .write_u64(*offered)
+            .write_u64(*succeeded)
+            .write_u64(*attempts)
+            .write_u64(*invariant_violations)
+            .write_u64(*placement_drift)
+            .write_u64(*fail_open)
+            .write_u64(*ejections)
+            .write_u64(*dns_flips)
+            .write_u64(*deadline_exceeded)
+            .write_u64(*budget_rejected)
+            .write_f64(*calm_p99_ms)
+            .write_f64(*fault_p99_ms)
+            .write_f64(*fault_p999_ms);
+        for inc in incidents {
             d.write_str(&inc.domain)
                 .write_f64(inc.fault_s)
                 .write_f64(inc.recover_s)

@@ -217,8 +217,9 @@ impl LatencyHist {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.total);
-        for (us, count) in &self.samples {
+        let Self { samples, total } = self;
+        d.write_u64(*total);
+        for (us, count) in samples {
             d.write_u64(*us).write_u64(*count);
         }
     }

@@ -251,8 +251,9 @@ impl PlacementOutcome {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_str(self.name);
-        for pass in [&self.baseline, &self.surge] {
+        let Self { name, baseline, surge } = self;
+        d.write_str(name);
+        for pass in [baseline, surge] {
             d.write_u64(u64::from(pass.brownout_engaged))
                 .write_u64(pass.total_shed)
                 .write_u64(pass.overload_alerts);

@@ -387,12 +387,13 @@ impl ArmOutcome {
     }
 
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_str(self.name)
-            .write_u64(self.fleet as u64)
-            .write_u64(self.exposed as u64)
-            .write_u64(self.offered)
-            .write_u64(self.errors)
-            .write_f64(self.ttr_s);
+        let Self { name, fleet, exposed, offered, errors, ttr_s } = self;
+        d.write_str(name)
+            .write_u64(*fleet as u64)
+            .write_u64(*exposed as u64)
+            .write_u64(*offered)
+            .write_u64(*errors)
+            .write_f64(*ttr_s);
     }
 }
 

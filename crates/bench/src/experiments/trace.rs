@@ -428,22 +428,28 @@ impl TraceArchOutcome {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_str(self.name)
-            .write_u64(self.offered)
-            .write_u64(self.errors)
-            .write_u64(self.error_retained)
-            .write_u64(self.p999_traces)
-            .write_u64(self.p999_retained)
-            .write_f64(self.head_rate)
-            .write_u64(self.retained_traces)
-            .write_u64(self.spans_recorded)
-            .write_u64(self.spans_evicted)
-            .write_u64(self.spans_exported)
-            .write_f64(self.telemetry_cpu_us_per_req)
-            .write_f64(self.telemetry_bytes_per_req)
-            .write_f64(self.p999_ms)
-            .write_u64(self.exemplar_retained as u64);
-        for &(k, us) in &self.decomposition {
+        let Self {
+            name, offered, errors, error_retained, p999_traces, p999_retained, head_rate,
+            retained_traces, spans_recorded, spans_evicted, spans_exported,
+            telemetry_cpu_us_per_req, telemetry_bytes_per_req, p999_ms, exemplar_retained,
+            decomposition,
+        } = self;
+        d.write_str(name)
+            .write_u64(*offered)
+            .write_u64(*errors)
+            .write_u64(*error_retained)
+            .write_u64(*p999_traces)
+            .write_u64(*p999_retained)
+            .write_f64(*head_rate)
+            .write_u64(*retained_traces)
+            .write_u64(*spans_recorded)
+            .write_u64(*spans_evicted)
+            .write_u64(*spans_exported)
+            .write_f64(*telemetry_cpu_us_per_req)
+            .write_f64(*telemetry_bytes_per_req)
+            .write_f64(*p999_ms)
+            .write_u64(*exemplar_retained as u64);
+        for &(k, us) in decomposition {
             d.write_str(k.name()).write_f64(us);
         }
     }

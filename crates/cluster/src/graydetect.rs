@@ -362,8 +362,13 @@ impl<K: Ord + Clone> GrayDetector<K> {
     /// `good_windows`, `quarantined_at`), the roll clock (`last_roll`) and
     /// the lifetime counters (`quarantines`, `clears`, `safety_holds`).
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.targets.len() as u64);
-        for ev in self.targets.values() {
+        let Self {
+            targets, last_roll, quarantines, clears, safety_holds,
+            policy: _, // config: fixed at construction
+            probes: _, // gap: probe health feeds the folded verdicts but is not folded itself
+        } = self;
+        d.write_u64(targets.len() as u64);
+        for ev in targets.values() {
             d.write_u64(ev.verdict.tag())
                 .write_f64(ev.ewma_error)
                 .write_u64(ev.win_requests)
@@ -374,10 +379,10 @@ impl<K: Ord + Clone> GrayDetector<K> {
                 .write_u64(ev.good_windows as u64)
                 .write_u64(ev.quarantined_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX));
         }
-        d.write_u64(self.last_roll.map(|t| t.as_nanos()).unwrap_or(u64::MAX))
-            .write_u64(self.quarantines)
-            .write_u64(self.clears)
-            .write_u64(self.safety_holds);
+        d.write_u64(last_roll.map(|t| t.as_nanos()).unwrap_or(u64::MAX))
+            .write_u64(*quarantines)
+            .write_u64(*clears)
+            .write_u64(*safety_holds);
     }
 }
 

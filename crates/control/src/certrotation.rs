@@ -463,9 +463,14 @@ impl CertRotationController {
 
     /// Fold the full controller state into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.rollout.fold_digest(d);
-        d.write_u64(self.tenants.len() as u64);
-        for (tenant, st) in &self.tenants {
+        let Self {
+            rollout, tenants, bundles, bundles_evicted, in_flight, history, history_evicted,
+            rotations_converged, rotations_rolled_back,
+            cfg: _, // config: fixed at construction
+        } = self;
+        rollout.fold_digest(d);
+        d.write_u64(tenants.len() as u64);
+        for (tenant, st) in tenants {
             d.write_u64(*tenant)
                 .write_u64(st.generation)
                 .write_u64(st.revocation_floor)
@@ -474,33 +479,33 @@ impl CertRotationController {
                 .write_u64(st.retry_after.as_nanos())
                 .write_u64(st.rotations);
         }
-        d.write_u64(self.bundles.len() as u64);
-        for (version, spec) in &self.bundles {
+        d.write_u64(bundles.len() as u64);
+        for (version, spec) in bundles {
             d.write_u64(*version);
             spec.fold_digest(d);
         }
-        d.write_u64(self.bundles_evicted);
-        for (tenant, st) in &self.tenants {
+        d.write_u64(*bundles_evicted);
+        for (tenant, st) in tenants {
             if let Some(version) = st.converged_version {
                 d.write_u64(*tenant).write_u64(version);
             }
         }
-        match &self.in_flight {
+        match in_flight {
             None => {
                 d.write_u64(0);
             }
             Some(fl) => {
                 d.write_u64(1)
                     .write_u64(fl.tenant)
-                    .write_u64(self.rollout.store().version())
+                    .write_u64(rollout.store().version())
                     .write_u64(fl.generation)
                     .write_u64(fl.revoked_prior as u64)
                     .write_u64(fl.expiry.as_nanos())
                     .write_u64(fl.revocation_floor);
             }
         }
-        d.write_u64(self.history.len() as u64);
-        for r in &self.history {
+        d.write_u64(history.len() as u64);
+        for r in history {
             d.write_u64(r.tenant)
                 .write_u64(r.version)
                 .write_u64(r.generation)
@@ -508,13 +513,12 @@ impl CertRotationController {
                 .write_u64(r.ended_at.as_nanos());
         }
         // Every rollout outcome is settled by the tick that produced it.
-        let observed_outcomes =
-            self.rollout.outcomes_evicted() + self.rollout.outcomes().len() as u64;
-        d.write_u64(self.history_evicted)
+        let observed_outcomes = rollout.outcomes_evicted() + rollout.outcomes().len() as u64;
+        d.write_u64(*history_evicted)
             .write_u64(observed_outcomes)
             .write_u64(self.rotations_started())
-            .write_u64(self.rotations_converged)
-            .write_u64(self.rotations_rolled_back);
+            .write_u64(*rotations_converged)
+            .write_u64(*rotations_rolled_back);
     }
 }
 

@@ -352,11 +352,9 @@ impl ReplayState {
 
     /// Fold the replay state into a digest.
     pub fn fold_digest(&self, digest: &mut Digest) {
-        digest
-            .write_u64(self.epoch)
-            .write_u64(self.last_good)
-            .write_u64(self.latest_begun);
-        match &self.in_flight {
+        let Self { epoch, last_good, latest_begun, in_flight, pending_rollback, nacked } = self;
+        digest.write_u64(*epoch).write_u64(*last_good).write_u64(*latest_begun);
+        match in_flight {
             None => {
                 digest.write_u64(0);
             }
@@ -375,7 +373,7 @@ impl ReplayState {
                 }
             }
         }
-        match &self.pending_rollback {
+        match pending_rollback {
             None => {
                 digest.write_u64(0);
             }
@@ -386,7 +384,7 @@ impl ReplayState {
                 }
             }
         }
-        for (t, v) in &self.nacked {
+        for (t, v) in nacked {
             digest.write_u64(u64::from(*t)).write_u64(*v);
         }
     }
@@ -501,14 +499,15 @@ impl Journal {
     /// Fold the journal — ring, checkpoint, counters, chain — into a
     /// digest.
     pub(crate) fn fold_digest(&self, digest: &mut Digest) {
+        let Self { records, checkpoint, evicted, chain } = self;
         digest
-            .write_u64(self.evicted)
+            .write_u64(*evicted)
             .write_u64(self.appended())
-            .write_u64(self.chain)
+            .write_u64(*chain)
             .write_u64(self.epoch())
-            .write_u64(self.records.len() as u64);
-        self.checkpoint.fold_digest(digest);
-        for rec in &self.records {
+            .write_u64(records.len() as u64);
+        checkpoint.fold_digest(digest);
+        for rec in records {
             rec.fold_digest(digest);
         }
     }

@@ -293,8 +293,9 @@ impl WaterLevelMonitor {
     /// `rollbacks_seen`), every gateway's `policy` deny watch and the
     /// `policy_denials` total.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.history.len() as u64);
-        for (&backend, h) in &self.history {
+        let Self { history, alerts, rollout_in_flight, rollbacks_seen, policy, policy_denials } = self;
+        d.write_u64(history.len() as u64);
+        for (&backend, h) in history {
             d.write_u64(backend as u64);
             for q in [&h.utilization, &h.sessions, &h.rps] {
                 d.write_u64(q.len() as u64);
@@ -303,8 +304,8 @@ impl WaterLevelMonitor {
                 }
             }
         }
-        d.write_u64(self.alerts.len() as u64);
-        for &(t, kind) in &self.alerts {
+        d.write_u64(alerts.len() as u64);
+        for &(t, kind) in alerts {
             d.write_u64(t.as_nanos());
             match kind {
                 AlertKind::Backend(b) => d.write_u64(1).write_u64(b as u64),
@@ -315,16 +316,16 @@ impl WaterLevelMonitor {
                 AlertKind::PolicyDeny => d.write_u64(6),
             };
         }
-        d.write_u64(self.rollout_in_flight as u64)
-            .write_u64(self.rollbacks_seen)
-            .write_u64(self.policy.len() as u64);
-        for (&gateway, w) in &self.policy {
+        d.write_u64(*rollout_in_flight as u64)
+            .write_u64(*rollbacks_seen)
+            .write_u64(policy.len() as u64);
+        for (&gateway, w) in policy {
             d.write_u64(u64::from(gateway))
                 .write_u64(w.idle_offered)
                 .write_u64(w.idle_denied)
                 .write_u64(u64::from(w.streak));
         }
-        d.write_u64(self.policy_denials);
+        d.write_u64(*policy_denials);
     }
 }
 
@@ -348,7 +349,6 @@ mod tests {
             utilization: util,
             session_occupancy: sessions,
             top_services: top.to_vec(),
-            alert: util > 0.7,
         }
     }
 

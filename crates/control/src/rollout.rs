@@ -903,6 +903,12 @@ impl RolloutController {
     /// audit log into `d` — the experiment's double-run bit-identity
     /// covers the whole state machine.
     pub fn fold_digest(&self, d: &mut Digest) {
+        let Self {
+            store, targets, active, outcomes, outcomes_evicted, rollbacks, last_good, unreachable,
+            partition_holds, catch_up_pushes, kind, journal, epoch,
+            cfg: _, // config: fixed at construction
+            settled: _, // folded through `phase`, which it is while no rollout is active
+        } = self;
         let phase_tag = match self.phase() {
             RolloutPhase::Idle => 0,
             RolloutPhase::Canary => 1,
@@ -911,12 +917,12 @@ impl RolloutController {
             RolloutPhase::RolledBack => 3,
         };
         d.write_u64(phase_tag);
-        d.write_u64(self.store.version());
-        d.write_u64(self.targets.len() as u64);
-        for &t in &self.targets {
+        d.write_u64(store.version());
+        d.write_u64(targets.len() as u64);
+        for &t in targets {
             d.write_u64(t as u64);
         }
-        match &self.active {
+        match active {
             None => {
                 d.write_u64(0);
             }
@@ -937,24 +943,24 @@ impl RolloutController {
                     .write_u64(a.wave_acked_at.map_or(u64::MAX, |t| t.as_nanos()));
             }
         }
-        d.write_u64(self.last_good);
+        d.write_u64(*last_good);
         // The partitioned targets, then each with its lease anchor.
-        d.write_u64(self.unreachable.len() as u64);
-        for &t in self.unreachable.keys() {
+        d.write_u64(unreachable.len() as u64);
+        for &t in unreachable.keys() {
             d.write_u64(t as u64);
         }
-        for (&t, &since) in &self.unreachable {
+        for (&t, &since) in unreachable {
             d.write_u64(t as u64).write_u64(since.as_nanos());
         }
-        d.write_u64(self.partition_holds);
-        d.write_u64(self.catch_up_pushes);
-        d.write_u64(self.rollbacks);
-        d.write_u64(self.epoch);
-        d.write_u64(self.kind.tag());
-        self.journal.fold_digest(d);
-        d.write_u64(self.outcomes_evicted);
-        d.write_u64(self.outcomes.len() as u64);
-        for o in &self.outcomes {
+        d.write_u64(*partition_holds);
+        d.write_u64(*catch_up_pushes);
+        d.write_u64(*rollbacks);
+        d.write_u64(*epoch);
+        d.write_u64(kind.tag());
+        journal.fold_digest(d);
+        d.write_u64(*outcomes_evicted);
+        d.write_u64(outcomes.len() as u64);
+        for o in outcomes {
             d.write_u64(o.version);
             d.write_u64(o.rolled_back_to);
             d.write_u64(o.started_at.as_nanos());

@@ -169,13 +169,14 @@ impl ScalingEngine {
     /// Fold the engine state into a digest: the `reuse_threshold`, the
     /// `latencies` model parameters, and the `reuses` and `news` counts.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_f64(self.reuse_threshold)
-            .write_u64(self.latencies.reuse_median.as_nanos())
-            .write_f64(self.latencies.reuse_sigma)
-            .write_u64(self.latencies.new_median.as_nanos())
-            .write_f64(self.latencies.new_sigma)
-            .write_u64(self.reuses as u64)
-            .write_u64(self.news as u64);
+        let Self { reuse_threshold, latencies, reuses, news } = self;
+        d.write_f64(*reuse_threshold)
+            .write_u64(latencies.reuse_median.as_nanos())
+            .write_f64(latencies.reuse_sigma)
+            .write_u64(latencies.new_median.as_nanos())
+            .write_f64(latencies.new_sigma)
+            .write_u64(*reuses as u64)
+            .write_u64(*news as u64);
     }
 }
 

@@ -166,14 +166,18 @@ impl TenantCa {
 
     /// Fold the CA state into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.tenant)
-            .write_u64(self.generation)
-            .write_u64(self.issued_in_generation)
-            .write_u64(self.issued_total)
-            .write_u64(self.revocation_floor)
-            .write_u64(self.revocations_evicted)
-            .write_u64(self.revoked.len() as u64);
-        for (&s, &at) in &self.revoked {
+        let Self {
+            tenant, generation, issued_in_generation, issued_total, revocation_floor, revoked,
+            revocations_evicted,
+        } = self;
+        d.write_u64(*tenant)
+            .write_u64(*generation)
+            .write_u64(*issued_in_generation)
+            .write_u64(*issued_total)
+            .write_u64(*revocation_floor)
+            .write_u64(*revocations_evicted)
+            .write_u64(revoked.len() as u64);
+        for (&s, &at) in revoked {
             d.write_u64(s).write_u64(at.as_nanos());
         }
     }
@@ -215,12 +219,13 @@ impl TrustBundle {
 
     /// Fold the bundle into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.version)
-            .write_u64(self.tenant)
-            .write_u64(self.generation)
-            .write_u64(self.revocation_floor)
-            .write_u64(self.revoked.len() as u64);
-        for &s in &self.revoked {
+        let Self { version, tenant, generation, revocation_floor, revoked } = self;
+        d.write_u64(*version)
+            .write_u64(*tenant)
+            .write_u64(*generation)
+            .write_u64(*revocation_floor)
+            .write_u64(revoked.len() as u64);
+        for &s in revoked {
             d.write_u64(s);
         }
     }
@@ -249,12 +254,13 @@ pub struct SessionTicket {
 impl SessionTicket {
     /// Fold the ticket into a digest.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.id)
-            .write_u64(self.secret.0)
-            .write_u64(self.peer_identity)
-            .write_u64(self.tenant)
-            .write_u64(self.cert_serial)
-            .write_u64(self.expires.as_nanos());
+        let Self { id, secret, peer_identity, tenant, cert_serial, expires } = self;
+        d.write_u64(*id)
+            .write_u64(secret.0)
+            .write_u64(*peer_identity)
+            .write_u64(*tenant)
+            .write_u64(*cert_serial)
+            .write_u64(expires.as_nanos());
     }
 }
 
@@ -388,13 +394,14 @@ impl TicketCache {
 
     /// Fold the cache state into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.minted)
-            .write_u64(self.redeemed)
-            .write_u64(self.misses)
-            .write_u64(self.evicted)
-            .write_u64(self.expired_swept)
-            .write_u64(self.tickets.len() as u64);
-        for t in self.tickets.values() {
+        let Self { tickets, minted, redeemed, misses, evicted, expired_swept } = self;
+        d.write_u64(*minted)
+            .write_u64(*redeemed)
+            .write_u64(*misses)
+            .write_u64(*evicted)
+            .write_u64(*expired_swept)
+            .write_u64(tickets.len() as u64);
+        for t in tickets.values() {
             t.fold_digest(d);
         }
     }

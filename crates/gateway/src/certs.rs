@@ -52,9 +52,9 @@ impl CertBundleSpec {
 
     /// Fold the spec into a digest (content-sensitive).
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.trust.fold_digest(d);
-        d.write_u64(self.issued_at.as_nanos())
-            .write_u64(self.not_after.as_nanos());
+        let Self { trust, issued_at, not_after } = self;
+        trust.fold_digest(d);
+        d.write_u64(issued_at.as_nanos()).write_u64(not_after.as_nanos());
     }
 }
 

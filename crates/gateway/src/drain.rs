@@ -229,12 +229,16 @@ impl GatewayDrain {
     /// counters (`opened`, `closed`, `handed_off`, `force_closed`,
     /// `rejected`).
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.table.fold_digest(d);
-        self.sessions.fold_digest(d, |d, tuple, &owner| {
+        let Self {
+            table, sessions, phases, opened, closed, handed_off, force_closed, rejected,
+            max_sessions: _, // config: the session-table cap, fixed at construction
+        } = self;
+        table.fold_digest(d);
+        sessions.fold_digest(d, |d, tuple, &owner| {
             d.write_u64(hash_five_tuple(tuple)).write_u64(owner as u64);
         });
-        d.write_u64(self.phases.len() as u64);
-        for (&g, ph) in &self.phases {
+        d.write_u64(phases.len() as u64);
+        for (&g, ph) in phases {
             d.write_u64(g as u64);
             match ph {
                 DrainPhase::Active => d.write_u64(0),
@@ -242,11 +246,11 @@ impl GatewayDrain {
                 DrainPhase::Drained => d.write_u64(2),
             };
         }
-        d.write_u64(self.opened)
-            .write_u64(self.closed)
-            .write_u64(self.handed_off)
-            .write_u64(self.force_closed)
-            .write_u64(self.rejected);
+        d.write_u64(*opened)
+            .write_u64(*closed)
+            .write_u64(*handed_off)
+            .write_u64(*force_closed)
+            .write_u64(*rejected);
     }
 }
 

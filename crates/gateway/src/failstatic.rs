@@ -294,13 +294,15 @@ impl<P: Plane> FailStatic<P> {
     /// different commit instant) is in a different state even while serving
     /// the same running version.
     pub fn fold_digest(&self, d: &mut Digest) {
+        let Self { running, staged, committed_at, commits, rejections, epoch_floor, fenced_pushes } =
+            self;
         d.write_u64(self.running_version().unwrap_or(0));
-        d.write_u64(self.commits);
-        d.write_u64(self.rejections);
-        if let Some(r) = &self.running {
+        d.write_u64(*commits);
+        d.write_u64(*rejections);
+        if let Some(r) = running {
             P::fold_served(r, d);
         }
-        match &self.staged {
+        match staged {
             None => {
                 d.write_u64(0);
             }
@@ -309,8 +311,8 @@ impl<P: Plane> FailStatic<P> {
                 P::fold_spec(s, d);
             }
         }
-        d.write_u64(self.committed_at.map_or(u64::MAX, |t| t.as_nanos()));
-        d.write_u64(self.epoch_floor);
-        d.write_u64(self.fenced_pushes);
+        d.write_u64(committed_at.map_or(u64::MAX, |t| t.as_nanos()));
+        d.write_u64(*epoch_floor);
+        d.write_u64(*fenced_pushes);
     }
 }

@@ -245,6 +245,10 @@ impl PlacementView {
     /// with their per-replica failure sets, `failed_azs`, and the
     /// service-to-backend `placements`.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
+        let Self {
+            failed_azs, placements,
+            backends: _, // folded through `registered`, skipping never-registered keys
+        } = self;
         d.write_u64(self.registered().count() as u64);
         for (key, be) in self.registered() {
             d.write_u64(key as u64)
@@ -256,12 +260,12 @@ impl PlacementView {
             }
             d.write_u64(be.backend_failed as u64);
         }
-        d.write_u64(self.failed_azs.len() as u64);
-        for az in &self.failed_azs {
+        d.write_u64(failed_azs.len() as u64);
+        for az in failed_azs {
             d.write_u64(az.0 as u64);
         }
-        d.write_u64(self.placements.len() as u64);
-        for (svc, backends) in &self.placements {
+        d.write_u64(placements.len() as u64);
+        for (svc, backends) in placements {
             d.write_u64(svc.0).write_u64(backends.len() as u64);
             for &b in backends {
                 d.write_u64(b as u64);

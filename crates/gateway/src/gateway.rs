@@ -52,9 +52,6 @@ pub struct GatewayConfig {
     pub cpu_per_request: SimDuration,
 }
 
-/// Backend water-level alert threshold (fraction of CPU).
-const ALERT_THRESHOLD: f64 = 0.70;
-
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
@@ -182,8 +179,6 @@ pub struct WaterLevel {
     pub session_occupancy: f64,
     /// Per-service request counts over the window, descending.
     pub top_services: Vec<(GlobalServiceId, u64)>,
-    /// Whether the alert threshold is breached.
-    pub alert: bool,
 }
 
 impl Gateway {
@@ -474,7 +469,6 @@ impl Gateway {
                 utilization,
                 session_occupancy: occupancy,
                 top_services: top,
-                alert: utilization > ALERT_THRESHOLD,
             });
         }
         for (_, slot) in self.services.iter_mut() {
@@ -536,10 +530,16 @@ impl Gateway {
     /// that live in service slots are emitted per backend in ascending
     /// service order, so the sequence is independent of the slot layout.
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.placement.fold_digest(d);
-        self.planner.fold_digest(d);
-        d.write_u64(self.backends.iter().map(|be| be.replicas.len() as u64).sum());
-        for (b, be) in self.backend_ids().zip(&self.backends) {
+        let Self {
+            placement, planner, backends, sandbox, window_start, errors, served,
+            cfg: _, // config: fixed at construction
+            services: _, // folded through `placements_by_backend`, in (backend, service) order
+            fresh_table: _, // config: the table every placement starts from, built from `cfg`
+        } = self;
+        placement.fold_digest(d);
+        planner.fold_digest(d);
+        d.write_u64(backends.iter().map(|be| be.replicas.len() as u64).sum());
+        for (b, be) in self.backend_ids().zip(backends) {
             for (r, st) in be.replicas.iter().enumerate() {
                 d.write_u64(b as u64).write_u64(r as u64);
                 st.cpu.fold_digest(d);
@@ -548,8 +548,8 @@ impl Gateway {
         }
         let placed = self.placements_by_backend();
         let mut rest = placed.as_slice();
-        d.write_u64(self.backends.len() as u64);
-        for (b, be) in self.backend_ids().zip(&self.backends) {
+        d.write_u64(backends.len() as u64);
+        for (b, be) in self.backend_ids().zip(backends) {
             let here = take_backend(&mut rest, b);
             d.write_u64(b as u64).write_u64(here.len() as u64);
             for (_, svc, p) in here {
@@ -558,20 +558,18 @@ impl Gateway {
             }
             d.write_u64(be.dispatches).write_u64(be.redirected);
         }
-        self.sandbox.fold_digest(d);
-        d.write_u64(self.backends.len() as u64);
-        for (b, be) in self.backend_ids().zip(&self.backends) {
+        sandbox.fold_digest(d);
+        d.write_u64(backends.len() as u64);
+        for (b, be) in self.backend_ids().zip(backends) {
             d.write_u64(b as u64).write_u64(be.az.0 as u64);
         }
-        d.write_u64(self.backends.len() as u64);
+        d.write_u64(backends.len() as u64);
         let counted = placed.iter().filter(|(_, _, p)| p.window_requests > 0);
         d.write_u64(counted.clone().count() as u64);
         for (b, s, p) in counted {
             d.write_u64(*b as u64).write_u64(s.0).write_u64(p.window_requests);
         }
-        d.write_u64(self.window_start.as_nanos())
-            .write_u64(self.errors)
-            .write_u64(self.served);
+        d.write_u64(window_start.as_nanos()).write_u64(*errors).write_u64(*served);
     }
 
     /// Execute one upgrade step: fail the replica, migrate its sessions'

@@ -661,9 +661,15 @@ impl OverloadControl {
     /// started but not yet pumped, in ticket order), the `telemetry`
     /// attachment, the window counters and `total_shed`.
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.fair.fold_digest(d);
-        d.write_u64(self.codel.len() as u64);
-        for (&class, c) in &self.codel {
+        let Self {
+            fair, codel, budget, brownout, telemetry, win_offered, win_started, win_shed_caps,
+            win_shed_codel, win_budget_rejected, win_sojourns_ms, total_shed,
+            cfg: _,     // config: fixed at construction
+            demands: _, // derived: priced once from `cfg`
+        } = self;
+        fair.fold_digest(d);
+        d.write_u64(codel.len() as u64);
+        for (&class, c) in codel {
             d.write_u64(class)
                 .write_u64(c.target.as_nanos())
                 .write_u64(c.interval.as_nanos())
@@ -673,23 +679,23 @@ impl OverloadControl {
                 .write_u64(c.count as u64)
                 .write_u64(c.sheds);
         }
-        d.write_f64(self.budget.ratio)
-            .write_f64(self.budget.cap)
-            .write_u64(self.budget.tokens.len() as u64);
-        for (&client, &tokens) in &self.budget.tokens {
+        d.write_f64(budget.ratio)
+            .write_f64(budget.cap)
+            .write_u64(budget.tokens.len() as u64);
+        for (&client, &tokens) in &budget.tokens {
             d.write_u64(client).write_f64(tokens);
         }
-        d.write_u64(self.budget.rejections);
-        d.write_f64(self.brownout.enter_observability)
-            .write_f64(self.brownout.enter_canary)
-            .write_f64(self.brownout.exit)
-            .write_f64(self.brownout.ewma_ms)
-            .write_u64(match self.brownout.level {
+        d.write_u64(budget.rejections);
+        d.write_f64(brownout.enter_observability)
+            .write_f64(brownout.enter_canary)
+            .write_f64(brownout.exit)
+            .write_f64(brownout.ewma_ms)
+            .write_u64(match brownout.level {
                 BrownoutLevel::Normal => 0,
                 BrownoutLevel::NoObservability => 1,
                 BrownoutLevel::NoCanary => 2,
             });
-        let mut parked: Vec<(u64, &PendingRequest)> = self.fair.held().collect();
+        let mut parked: Vec<(u64, &PendingRequest)> = fair.held().collect();
         parked.sort_unstable_by_key(|&(ticket, _)| ticket);
         d.write_u64(parked.len() as u64);
         for (ticket, p) in parked {
@@ -699,17 +705,17 @@ impl OverloadControl {
                 .write_u64(p.syn as u64)
                 .write_u64(p.client);
         }
-        d.write_u64(self.telemetry.is_some() as u64);
-        d.write_u64(self.win_offered)
-            .write_u64(self.win_started)
-            .write_u64(self.win_shed_caps)
-            .write_u64(self.win_shed_codel)
-            .write_u64(self.win_budget_rejected)
-            .write_u64(self.win_sojourns_ms.len() as u64);
-        for &s in &self.win_sojourns_ms {
+        d.write_u64(telemetry.is_some() as u64);
+        d.write_u64(*win_offered)
+            .write_u64(*win_started)
+            .write_u64(*win_shed_caps)
+            .write_u64(*win_shed_codel)
+            .write_u64(*win_budget_rejected)
+            .write_u64(win_sojourns_ms.len() as u64);
+        for &s in win_sojourns_ms {
             d.write_f64(s);
         }
-        d.write_u64(self.total_shed);
+        d.write_u64(*total_shed);
     }
 }
 

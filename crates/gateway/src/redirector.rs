@@ -196,14 +196,18 @@ impl BucketTable {
     /// Fold every bucket's chain (`slots`, as chain length then entries)
     /// and the `max_chain` cap into a digest.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.n_buckets.get() as u64);
+        let Self {
+            n_buckets, max_chain,
+            slots: _, // folded through `chains`, one chain per bucket
+        } = self;
+        d.write_u64(n_buckets.get() as u64);
         for chain in self.chains() {
             d.write_u64(chain.len() as u64);
             for &r in chain {
                 d.write_u64(r as u64);
             }
         }
-        d.write_u64(self.max_chain as u64);
+        d.write_u64(*max_chain as u64);
     }
 }
 

@@ -579,9 +579,13 @@ impl ResilientDispatcher {
     /// ejection timer), the published `dns_health` bits, the
     /// `dns_quiet_until` of the last sync, and the lifetime `stats` counters.
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.rng.fold_digest(d);
-        d.write_u64(self.detectors.len() as u64);
-        for (&b, det) in &self.detectors {
+        let Self {
+            rng, detectors, dns_health, dns_quiet_until, stats,
+            cfg: _, // config: fixed at construction
+        } = self;
+        rng.fold_digest(d);
+        d.write_u64(detectors.len() as u64);
+        for (&b, det) in detectors {
             d.write_u64(b as u64).write_u64(det.window.len() as u64);
             for &ok in &det.window {
                 d.write_u64(ok as u64);
@@ -590,24 +594,24 @@ impl ResilientDispatcher {
                 .write_u64(det.ejected_until.map_or(u64::MAX, |t| t.as_nanos()))
                 .write_u64(det.ejections);
         }
-        d.write_u64(self.dns_health.len() as u64);
-        for (&b, &healthy) in &self.dns_health {
+        d.write_u64(dns_health.len() as u64);
+        for (&b, &healthy) in dns_health {
             d.write_u64(b as u64).write_u64(healthy as u64);
         }
-        d.write_u64(self.dns_quiet_until.as_nanos());
-        d.write_u64(self.stats.requests)
-            .write_u64(self.stats.attempts)
-            .write_u64(self.stats.retries)
-            .write_u64(self.stats.hedges)
-            .write_u64(self.stats.successes)
-            .write_u64(self.stats.failures)
-            .write_u64(self.stats.deadline_exceeded)
-            .write_u64(self.stats.ejections)
-            .write_u64(self.stats.dns_flips)
-            .write_u64(self.stats.budget_rejected)
-            .write_u64(self.stats.cert_refreshes)
-            .write_u64(self.stats.cert_revoked)
-            .write_u64(self.stats.drain_refusals);
+        d.write_u64(dns_quiet_until.as_nanos());
+        d.write_u64(stats.requests)
+            .write_u64(stats.attempts)
+            .write_u64(stats.retries)
+            .write_u64(stats.hedges)
+            .write_u64(stats.successes)
+            .write_u64(stats.failures)
+            .write_u64(stats.deadline_exceeded)
+            .write_u64(stats.ejections)
+            .write_u64(stats.dns_flips)
+            .write_u64(stats.budget_rejected)
+            .write_u64(stats.cert_refreshes)
+            .write_u64(stats.cert_revoked)
+            .write_u64(stats.drain_refusals);
     }
 }
 

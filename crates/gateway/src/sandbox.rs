@@ -141,15 +141,16 @@ impl Sandbox {
     /// service — the bucket fill level is a `canal_net` implementation
     /// detail), and the `lossy_setup` knob into a digest.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.services.len() as u64);
-        for (svc, s) in &self.services {
+        let Self { services, throttles, lossy_setup } = self;
+        d.write_u64(services.len() as u64);
+        for (svc, s) in services {
             d.write_u64(svc.0).write_u64(s.completed_at.as_nanos());
         }
-        d.write_u64(self.throttles.len() as u64);
-        for svc in self.throttles.keys() {
+        d.write_u64(throttles.len() as u64);
+        for svc in throttles.keys() {
             d.write_u64(svc.0);
         }
-        d.write_u64(self.lossy_setup.as_nanos());
+        d.write_u64(lossy_setup.as_nanos());
     }
 }
 

@@ -143,17 +143,18 @@ impl ShuffleShardPlanner {
     /// uniqueness set (its size — the combos themselves are the assignment
     /// values, already folded).
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.pool_size as u64)
-            .write_u64(self.shard_size as u64)
-            .write_u64(self.max_overlap as u64)
-            .write_u64(self.assignments.len() as u64);
-        for (svc, combo) in &self.assignments {
+        let Self { pool_size, shard_size, max_overlap, assignments, used_combos } = self;
+        d.write_u64(*pool_size as u64)
+            .write_u64(*shard_size as u64)
+            .write_u64(*max_overlap as u64)
+            .write_u64(assignments.len() as u64);
+        for (svc, combo) in assignments {
             d.write_u64(svc.0).write_u64(combo.len() as u64);
             for &b in combo {
                 d.write_u64(b as u64);
             }
         }
-        d.write_u64(self.used_combos.len() as u64);
+        d.write_u64(used_combos.len() as u64);
     }
 }
 

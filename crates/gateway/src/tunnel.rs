@@ -44,7 +44,7 @@ impl TunnelConfig {
 #[derive(Debug)]
 pub struct SessionAggregator {
     cfg: TunnelConfig,
-    /// `cfg.tunnels_per_replica`, checked non-zero once at construction.
+    /// `cfg.tunnels_per_replica`, or one tunnel for a zero config.
     tunnels: NonZeroUsize,
     replica_ip: u32,
     vni: u32,
@@ -54,22 +54,22 @@ pub struct SessionAggregator {
     /// Tracked sessions per tunnel, kept in step with `sessions`.
     per_tunnel: Vec<u32>,
     /// Tunnels with at least one tracked session.
-    // lint:allow(digest-coverage) reason=derived: recomputable from the folded `sessions` set (each session's tunnel is its flow hash modulo the tunnel count)
     in_use: usize,
     encapsulated: u64,
 }
 
 impl SessionAggregator {
-    /// Aggregator toward `replica_ip` on tenant `vni`.
+    /// Aggregator toward `replica_ip` on tenant `vni`. A config of zero
+    /// tunnels gets one.
     pub fn new(cfg: TunnelConfig, replica_ip: u32, vni: u32) -> Self {
-        assert!(cfg.tunnels_per_replica > 0);
+        let tunnels = NonZeroUsize::new(cfg.tunnels_per_replica).unwrap_or(NonZeroUsize::MIN);
         SessionAggregator {
             cfg,
-            tunnels: NonZeroUsize::new(cfg.tunnels_per_replica).unwrap_or(NonZeroUsize::MIN),
+            tunnels,
             replica_ip,
             vni,
             sessions: FlatTable::new(),
-            per_tunnel: vec![0; cfg.tunnels_per_replica],
+            per_tunnel: vec![0; tunnels.get()],
             in_use: 0,
             encapsulated: 0,
         }
@@ -134,18 +134,22 @@ impl SessionAggregator {
     /// hash and the tunnel that hash selects), and the `encapsulated`
     /// counter.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.cfg.tunnels_per_replica as u64)
-            .write_u64(self.cfg.replica_cores as u64)
-            .write_u64(self.cfg.sport_base as u64)
-            .write_u64(self.cfg.router_ip as u64)
-            .write_u64(self.replica_ip as u64)
-            .write_u64(self.vni as u64);
-        let tunnels = self.tunnels;
-        self.sessions.fold_digest(d, |d, tuple, ()| {
+        let Self {
+            cfg, tunnels, replica_ip, vni, sessions, encapsulated,
+            per_tunnel: _, // derived: each folded session's tunnel, counted
+            in_use: _,     // derived: the nonzero entries of `per_tunnel`
+        } = self;
+        d.write_u64(cfg.tunnels_per_replica as u64)
+            .write_u64(cfg.replica_cores as u64)
+            .write_u64(cfg.sport_base as u64)
+            .write_u64(cfg.router_ip as u64)
+            .write_u64(*replica_ip as u64)
+            .write_u64(*vni as u64);
+        sessions.fold_digest(d, |d, tuple, ()| {
             let hash = FlowHash::of(tuple);
-            d.write_u64(hash.value()).write_u64(hash.select(tunnels) as u64);
+            d.write_u64(hash.value()).write_u64(hash.select(*tunnels) as u64);
         });
-        d.write_u64(self.encapsulated);
+        d.write_u64(*encapsulated);
     }
 }
 
@@ -261,6 +265,16 @@ mod tests {
         }
         want.write_u64(6);
         assert_eq!(got.value(), want.value());
+    }
+
+    #[test]
+    fn a_zero_config_encapsulates_on_one_tunnel() {
+        let cfg = TunnelConfig { tunnels_per_replica: 0, ..TunnelConfig::for_cores(4) };
+        let mut a = SessionAggregator::new(cfg, 0x0A63_0002, 77);
+        for sport in [1, 2, 3] {
+            assert_eq!(a.encapsulate(&pkt(sport)).outer_sport, 40_000);
+        }
+        assert_eq!((a.user_sessions(), a.tunnels_in_use()), (3, 1));
     }
 
     #[test]

@@ -12,8 +12,9 @@ impl GrowingAuditLog {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.entries.len() as u64);
-        for &e in &self.entries {
+        let Self { entries } = self;
+        d.write_u64(entries.len() as u64);
+        for &e in entries {
             d.write_u64(e);
         }
     }

@@ -1,7 +1,7 @@
-// Fixture: the PR-5 `last_good` bug, in miniature. The struct *has* a
-// fold_digest, but one field its &mut self methods mutate never reaches
-// the fold — exactly the shape of drift the `digest-coverage` field-fold
-// prong exists to catch structurally.
+// Fixture: the rollout controller's old `last_good` bug, in miniature. The fold destructures
+// `Self` but hides the field its `&mut self` methods advance behind `..`,
+// so rustc never asks whether `last_good` is folded: the `digest-coverage`
+// rule rejects the `..` and names the hidden field.
 struct MiniRollout {
     version: u64,
     last_good: u64,
@@ -14,7 +14,8 @@ impl MiniRollout {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        // BUG (deliberate): last_good is mutated above but never folded.
-        d.write_u64(self.version);
+        // BUG (deliberate): `..` lets last_good drop out of the fold.
+        let Self { version, .. } = self;
+        d.write_u64(*version);
     }
 }

@@ -9,10 +9,11 @@
 //! * **digest-coverage** — every mutable-state struct in the
 //!   determinism-participating crates ([`crate::rules::DIGEST_CRATES`])
 //!   must be reachable from a `fold_digest` impl through field
-//!   containment; and a struct that *has* a `fold_digest` must actually
-//!   fold every field its `&mut self` methods mutate (the PR-5
-//!   `last_good` bug, caught structurally). Exceptions are typed:
-//!   `reason=derived: ...` or `reason=transient: ...`.
+//!   containment; and a struct's `fold_digest` in library code must
+//!   destructure `Self` with no `..`, so that rustc proves it names every
+//!   field (a fold that forgets `last_good` becomes a compile error) and
+//!   `unused_variables` (denied) that it reads every field it binds.
+//!   Exceptions are typed: `reason=derived: ...` or `reason=transient: ...`.
 //! * **bounded-state** — a growable collection field (`Vec`, `VecDeque`,
 //!   `BTreeMap`, `BTreeSet`, `BinaryHeap`, `canal_net::FlatTable`) that the
 //!   owning struct's
@@ -34,7 +35,7 @@
 //!   `pub(crate)`, rustc's `dead_code` (denied) judges whether it is used.
 
 use crate::lexer::LexedFile;
-use crate::parser::{ExportDef, FieldOpKind, FileSyntax, FnDef, StructDef};
+use crate::parser::{ExportDef, FileSyntax, FnDef, StructDef};
 use crate::rules::{self, TargetKind};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
@@ -275,34 +276,6 @@ impl<'a> SymbolGraph<'a> {
             && !r.line_in_test(entry.def.line)
     }
 
-    /// The idents visible to a struct's `fold_digest`: its own body plus
-    /// the bodies of everything it transitively calls in the same file.
-    fn fold_digest_idents(&self, id: StructId) -> BTreeSet<String> {
-        let entry = &self.structs[id.0];
-        let key = (self.crate_of(id), entry.def.name.as_str());
-        let mut idents = BTreeSet::new();
-        let Some(methods) = self.methods.get(&key) else {
-            return idents;
-        };
-        for (rec, fold) in methods.iter().filter(|(_, f)| f.name == "fold_digest") {
-            idents.extend(fold.body.idents.iter().cloned());
-            // Transitive in-file callees, by name.
-            let file_fns = &self.records[*rec].syntax.fns;
-            let mut queue: Vec<&str> = fold.body.calls.iter().map(String::as_str).collect();
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            while let Some(callee) = queue.pop() {
-                if !seen.insert(callee) {
-                    continue;
-                }
-                for f in file_fns.iter().filter(|f| f.name == callee) {
-                    idents.extend(f.body.idents.iter().cloned());
-                    queue.extend(f.body.calls.iter().map(String::as_str));
-                }
-            }
-        }
-        idents
-    }
-
     /// Cap-const / cap-field / eviction-counter evidence for a struct.
     fn bound_evidence(&self, id: StructId) -> bool {
         let entry = &self.structs[id.0];
@@ -424,54 +397,10 @@ fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
     let reachable = graph.digest_reachable();
     for (idx, entry) in graph.structs.iter().enumerate() {
         let id = StructId(idx);
-        if !graph.in_digest_scope(id) {
-            continue;
-        }
         let name = entry.def.name.as_str();
-        // The digest sink and the runtime monitors that feed it are the
-        // mechanism, not simulation state.
-        if name == "Digest" {
-            continue;
-        }
-        if graph.has_fold_digest(id) {
-            // Field-fold check: every field mutated by a `&mut self` method
-            // must be referenced by fold_digest (directly or via an in-file
-            // helper it calls).
-            let folded = graph.fold_digest_idents(id);
-            let mut mutated: BTreeMap<&str, usize> = BTreeMap::new();
-            for m in graph.methods_of(id) {
-                if m.name == "fold_digest" || !m.takes_mut_self {
-                    continue;
-                }
-                for op in &m.body.field_ops {
-                    let mutates = match &op.kind {
-                        FieldOpKind::Assign | FieldOpKind::MutBorrow => true,
-                        FieldOpKind::Call(m) => {
-                            GROW_METHODS.contains(&m.as_str())
-                                || SHRINK_METHODS.contains(&m.as_str())
-                        }
-                    };
-                    if mutates {
-                        mutated.entry(op.field.as_str()).or_insert(op.line);
-                    }
-                }
-            }
-            for field in &entry.def.fields {
-                if mutated.contains_key(field.name.as_str()) && !folded.contains(&field.name) {
-                    out.push((
-                        entry.rec,
-                        Finding {
-                            rule: "digest-coverage",
-                            line: field.line,
-                            message: format!(
-                                "field `{}` of `{name}` is mutated by &mut self methods but never folded in `{name}::fold_digest` — determinism drift here is invisible to the double-run harness",
-                                field.name
-                            ),
-                        },
-                    ));
-                }
-            }
-        } else if graph.has_mut_state(id) && !reachable.contains(&id) {
+        // The digest sink is the mechanism, not simulation state.
+        let uncovered = name != "Digest" && graph.has_mut_state(id) && !reachable.contains(&id);
+        if uncovered && graph.in_digest_scope(id) {
             out.push((
                 entry.rec,
                 Finding {
@@ -479,6 +408,38 @@ fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
                     line: entry.def.line,
                     message: format!(
                         "mutable-state struct `{name}` is not reachable from any fold_digest impl; fold it into a digest or allow-list it as reason=derived:/transient: state"
+                    ),
+                },
+            ));
+        }
+    }
+    // A struct's fold names every field (an enum's `match self` already
+    // does): rustc then rejects a fold that misses one.
+    for (&(crate_ident, owner), fns) in &graph.methods {
+        let Some(&id) = graph.by_crate_name.get(&(crate_ident, owner)) else {
+            continue;
+        };
+        for &(rec, f) in fns {
+            let r = &graph.records[rec];
+            if f.name != "fold_digest" || r.kind != TargetKind::Lib || r.line_in_test(f.line) {
+                continue;
+            }
+            let problem = match &f.body.self_pattern {
+                None => "does not destructure `Self`".to_string(),
+                Some(pattern) if pattern.windows(2).any(|w| w == [".", "."]) => {
+                    let fields = graph.structs[id.0].def.fields.iter().map(|f| f.name.as_str());
+                    let hidden: Vec<&str> = fields.filter(|n| !pattern.iter().any(|t| t == n)).collect();
+                    format!("hides `{}` behind `..`", hidden.join("`, `"))
+                }
+                Some(_) => continue,
+            };
+            out.push((
+                rec,
+                Finding {
+                    rule: "digest-coverage",
+                    line: f.line,
+                    message: format!(
+                        "`{owner}::fold_digest` {problem}; open it with `let Self {{ a, b, c: _ }} = self;` naming every field (one it does not fold as `name: _`, with its reason), so that rustc rejects a fold that misses a field"
                     ),
                 },
             ));
@@ -503,14 +464,9 @@ fn bounded_state(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
             let mut grown = false;
             let mut shrunk = false;
             for m in graph.methods_of(id) {
-                for op in &m.body.field_ops {
-                    if op.field != field.name {
-                        continue;
-                    }
-                    if let FieldOpKind::Call(call) = &op.kind {
-                        grown |= GROW_METHODS.contains(&call.as_str());
-                        shrunk |= SHRINK_METHODS.contains(&call.as_str());
-                    }
+                for op in m.body.field_ops.iter().filter(|op| op.field == field.name) {
+                    grown |= GROW_METHODS.contains(&op.method.as_str());
+                    shrunk |= SHRINK_METHODS.contains(&op.method.as_str());
                 }
             }
             if grown && !shrunk && !evidence {
@@ -622,8 +578,8 @@ mod tests {
 
     #[test]
     fn fold_digest_or_containment_covers_structs() {
-        let direct = "struct Covered { count: u64 }\nimpl Covered {\n    fn bump(&mut self) { self.count += 1; }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.count); }\n}\n";
-        let contained = "struct Inner { v: u64 }\nimpl Inner { fn set(&mut self, v: u64) { self.v = v; } }\nstruct Outer { inner: Inner }\nimpl Outer {\n    fn touch(&mut self) { self.inner.set(1); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.inner.v); }\n}\n";
+        let direct = "struct Covered { count: u64 }\nimpl Covered {\n    fn bump(&mut self) { self.count += 1; }\n    fn fold_digest(&self, d: &mut Digest) { let Self { count } = self; d.write_u64(*count); }\n}\n";
+        let contained = "struct Inner { v: u64 }\nimpl Inner { fn set(&mut self, v: u64) { self.v = v; } }\nstruct Outer { inner: Inner }\nimpl Outer {\n    fn touch(&mut self) { self.inner.set(1); }\n    fn fold_digest(&self, d: &mut Digest) { let Self { inner } = self; d.write_u64(inner.v); }\n}\n";
         for src in [direct, contained] {
             let recs = vec![record("canal_sim", TargetKind::Lib, src)];
             let f = graph_findings(&recs, &[]);
@@ -638,7 +594,7 @@ mod tests {
     #[test]
     fn containment_reaches_across_files() {
         let inner = "struct Child { v: u64 }\nimpl Child { fn set(&mut self, v: u64) { self.v = v; } }\n";
-        let outer = "struct Parent { child: Child }\nimpl Parent { fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.child.v); } }\n";
+        let outer = "struct Parent { child: Child }\nimpl Parent { fn fold_digest(&self, d: &mut Digest) { let Self { child } = self; d.write_u64(child.v); } }\n";
         let recs = vec![
             record("canal_sim", TargetKind::Lib, inner),
             record("canal_sim", TargetKind::Lib, outer),
@@ -647,30 +603,43 @@ mod tests {
         assert!(!f.iter().any(|(_, f)| f.rule == "digest-coverage"));
     }
 
-    #[test]
-    fn mutated_field_missing_from_fold_digest_fires() {
-        // Models the PR-5 `last_good` bug: state advanced in &mut self
-        // methods but absent from the digest fold.
-        let src = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn promote(&mut self) { self.version += 1; self.last_good = self.version; }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.version); }\n}\n";
+    /// `(line, message)` of every digest-coverage finding.
+    fn coverage(src: &str) -> Vec<(usize, String)> {
         let recs = vec![record("canal_control", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
-        let dc: Vec<_> = f.iter().filter(|(_, f)| f.rule == "digest-coverage").collect();
-        assert_eq!(dc.len(), 1, "{dc:?}");
-        assert!(dc[0].1.message.contains("last_good"));
-        assert_eq!(dc[0].1.line, 1); // field line of last_good
+        f.into_iter().filter(|(_, f)| f.rule == "digest-coverage").map(|(_, f)| (f.line, f.message)).collect()
     }
 
     #[test]
-    fn fold_digest_helpers_count_as_coverage() {
-        let src = "struct Ctl { version: u64 }\nimpl Ctl {\n    fn promote(&mut self) { self.version += 1; }\n    fn fold_inner(&self, d: &mut Digest) { d.write_u64(self.version); }\n    fn fold_digest(&self, d: &mut Digest) { self.fold_inner(d); }\n}\n";
-        let recs = vec![record("canal_control", TargetKind::Lib, src)];
-        let f = graph_findings(&recs, &[]);
-        assert!(!f.iter().any(|(_, f)| f.rule == "digest-coverage"), "{f:?}");
+    fn a_struct_fold_must_name_every_field() {
+        // No destructure at all: a field the fold skips would go unnoticed.
+        let bare = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold_digest(&self, d: &mut Digest) {\n        d.write_u64(self.version);\n    }\n}\n";
+        let found = coverage(bare);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].0, 3);
+        assert!(found[0].1.contains("does not destructure"));
+        // `..` hides the unfolded `last_good` from rustc; the finding names it.
+        let rest = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold_digest(&self, d: &mut Digest) {\n        let Self { version, .. } = self;\n        d.write_u64(*version);\n    }\n}\n";
+        let found = coverage(rest);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].1.contains("hides `last_good` behind `..`"), "{found:?}");
+        // The same fold in a test module is not library code.
+        assert_eq!(coverage(&format!("#[cfg(test)]\nmod tests {{\n{bare}}}\n")), []);
+    }
+
+    #[test]
+    fn exhaustive_struct_and_enum_folds_pass() {
+        let named = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold_digest(&self, d: &mut Digest) {\n        let Self { version, last_good: _ } = self;\n        d.write_u64(*version);\n    }\n}\n";
+        let tuple = "struct Pair(u64, u64);\nimpl Pair {\n    fn fold_digest(&self, d: &mut Digest) {\n        let Self(a, b) = self;\n        d.write_u64(*a).write_u64(*b);\n    }\n}\n";
+        let by_match = "enum Phase { Idle, Busy(u64) }\nimpl Phase {\n    fn fold_digest(&self, d: &mut Digest) {\n        match self {\n            Phase::Idle => d.write_u64(0),\n            Phase::Busy(n) => d.write_u64(*n),\n        };\n    }\n}\n";
+        for src in [named, tuple, by_match] {
+            assert_eq!(coverage(src), [], "{src}");
+        }
     }
 
     #[test]
     fn unbounded_growth_fires_bounded_state() {
-        let src = "struct Log { entries: Vec<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.entries.len() as u64); }\n}\n";
+        let src = "struct Log { entries: Vec<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { let Self { entries } = self; d.write_u64(entries.len() as u64); }\n}\n";
         let recs = vec![record("canal_telemetry", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
         assert_eq!(rules_fired(&f), vec!["bounded-state"]);

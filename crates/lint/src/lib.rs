@@ -2,7 +2,7 @@
 //!
 //! A std-only, dependency-free analyzer over every `.rs` file in the
 //! workspace (plus each crate's `Cargo.toml`), enforcing the determinism
-//! contract described in DESIGN.md. Two stages:
+//! contract described in DESIGN.md. Three stages:
 //!
 //! **Line stage** (lexer + patterns over masked code):
 //!
@@ -15,14 +15,21 @@
 //!   no `unwrap()`/`expect()`/`panic!` in library code outside
 //!   `#[cfg(test)]`.
 //!
+//! **Manifest stage**:
+//!
+//! * **layering** — every dependency table of every manifest
+//!   (`[dependencies]`, `[dev-dependencies]`, `[build-dependencies]`, and
+//!   their `[target.<cfg>.…]` forms) must follow the DAG declared in
+//!   [`rules::LAYERING_DAG`]. Cargo lets a source file name only the crates
+//!   its manifest declares, and dev-dependencies only from test code, so
+//!   the manifests bound every crate reference in the source.
+//!
 //! **Graph stage** ([`parser`] items folded into a [`graph::SymbolGraph`]):
 //!
-//! * **layering** — crate references from the parsed `use` graph (aliases
-//!   resolved, multi-line groups handled) and manifest dependencies must
-//!   follow the DAG declared in [`rules::LAYERING_DAG`].
 //! * **digest-coverage** — mutable-state structs in digest-participating
-//!   crates must be reachable from a `fold_digest` impl, and every field a
-//!   struct mutates must appear in its own fold.
+//!   crates must be reachable from a `fold_digest` impl, and a struct's
+//!   `fold_digest` must destructure `Self` exhaustively (no `..`), which
+//!   lets rustc prove it names every field.
 //! * **bounded-state** — growable collection fields on long-lived structs
 //!   must carry a cap const, an eviction counter, or a shrink path.
 //! * **seed-dataflow** — fns seeding a `SimRng` must take one from their
@@ -43,8 +50,8 @@
 //! violations; `--json` for the machine-readable report, `--explain` for
 //! per-rule rationale) and the root-crate integration test `tests/lint.rs`
 //! (so `cargo test` fails on violations too). [`scan_fixture_dir`] runs the
-//! same rules over `crates/lint/fixtures/` — known-bad snippets acting as a
-//! self-test that every rule still fires.
+//! same rules over `crates/lint/fixtures/` — known-bad snippets and a
+//! manifest acting as a self-test that every rule still fires.
 
 #![forbid(unsafe_code)]
 
@@ -256,8 +263,7 @@ fn is_determinism_crate(ident: &str) -> bool {
     rules::DETERMINISM_CRATES.contains(&ident)
 }
 
-/// Run the line-stage rules plus the parsed-use-graph layering check over
-/// one lexed+parsed source file.
+/// Run the line-stage rules over one lexed source file.
 fn findings_for(record: &FileRecord, lexed: &LexedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     let crate_ident = record.crate_ident.as_str();
@@ -372,34 +378,6 @@ fn findings_for(record: &FileRecord, lexed: &LexedFile) -> Vec<Finding> {
         }
     }
 
-    // Layering: every reference in the parsed use-graph (use declarations,
-    // qualified path roots, `use x as y` aliases resolved) must be an edge
-    // in the declared DAG; test code additionally gets TEST_ONLY_DEPS.
-    for r in &record.syntax.crate_refs {
-        if r.name == crate_ident {
-            continue;
-        }
-        let in_test = lexed.in_test.get(r.line.wrapping_sub(1)).copied().unwrap_or(false);
-        let test_scope = in_test
-            || matches!(
-                kind,
-                TargetKind::Test | TargetKind::Example | TargetKind::Bench
-            );
-        let ok = deps_of(crate_ident).is_some_and(|deps| {
-            deps.contains(&r.name.as_str())
-                || (test_scope && test_only_deps_of(crate_ident).contains(&r.name.as_str()))
-        });
-        if !ok {
-            findings.push(Finding {
-                rule: "layering",
-                line: r.line,
-                message: format!(
-                    "`{crate_ident}` must not depend on `{}` (not an edge in the declared DAG; see canal_lint::rules::LAYERING_DAG)",
-                    r.name
-                ),
-            });
-        }
-    }
     findings
 }
 
@@ -580,42 +558,59 @@ fn manifest_dep_name(line: &str) -> Option<String> {
     Some(key.replace('-', "_"))
 }
 
-/// Check one crate manifest's `[dependencies]`/`[dev-dependencies]` against
-/// the layering DAG. Only internal crates (`canal_*`, `bytes`) are policed;
-/// there are no external dependencies in this workspace by design.
-fn check_manifest(
-    path: &Path,
-    rel: &str,
-    crate_ident: &str,
-    report: &mut Report,
-) -> io::Result<()> {
-    let text = fs::read_to_string(path)?;
-    let mut section = "";
+/// The dependency table a manifest header opens: `[dependencies]`,
+/// `[dev-dependencies]` or `[build-dependencies]`, bare or under
+/// `[target.<cfg>.…]`. Returns whether it is a dev table and, for the
+/// `[dependencies.<name>]` form, the dependency the header names.
+/// `[workspace.dependencies]` only declares versions and opens none.
+fn dep_table(header: &str) -> Option<(bool, Option<&str>)> {
+    let mut table = header.strip_prefix('[')?.strip_suffix(']')?.trim();
+    if let Some(rest) = table.strip_prefix("target.") {
+        // The cfg is a quoted expression (which may hold dots) or a triple.
+        let end = match rest.chars().next() {
+            Some(q @ ('\'' | '"')) => rest[1..].find(q)? + 2,
+            _ => rest.find('.')?,
+        };
+        table = rest[end..].strip_prefix('.')?;
+    }
+    let (kind, dep) = match table.split_once('.') {
+        Some((kind, dep)) => (kind, Some(dep.trim_matches('"'))),
+        None => (table, None),
+    };
+    match kind {
+        "dependencies" | "build-dependencies" => Some((false, dep)),
+        "dev-dependencies" => Some((true, dep)),
+        _ => None,
+    }
+}
+
+/// Check one crate manifest's dependency tables against the layering DAG.
+/// Only internal crates (`canal_*`, `bytes`) are policed; there are no
+/// external dependencies in this workspace by design.
+fn check_manifest(text: &str, rel: &str, crate_ident: &str, report: &mut Report) {
+    // (dev table, header names its dependency) of the table being read.
+    let mut table: Option<(bool, bool)> = None;
     for (idx, line) in text.lines().enumerate() {
         let trimmed = line.trim();
-        if trimmed.starts_with('[') {
-            section = match trimmed {
-                "[dependencies]" => "deps",
-                "[dev-dependencies]" => "dev",
-                _ => "",
-            };
-            continue;
-        }
-        if section.is_empty() {
-            continue;
-        }
-        let Some(dep) = manifest_dep_name(line) else {
+        let dep = if trimmed.starts_with('[') {
+            let opened = dep_table(trimmed.split_once('#').map_or(trimmed, |(h, _)| h).trim_end());
+            table = opened.map(|(dev, dep)| (dev, dep.is_some()));
+            opened.and_then(|(_, dep)| dep).map(|dep| dep.replace('-', "_"))
+        } else if table.is_some_and(|(_, named)| !named) {
+            manifest_dep_name(line)
+        } else {
+            None
+        };
+        let Some(dep) = dep else {
             continue;
         };
-        if dep != "bytes" && !dep.starts_with("canal_") {
+        if dep != "bytes" && !dep.starts_with("canal_") || dep == crate_ident {
             continue;
         }
-        if dep == crate_ident {
-            continue;
-        }
+        let dev = table.is_some_and(|(dev, _)| dev);
         let allowed = deps_of(crate_ident).is_some_and(|deps| {
             deps.contains(&dep.as_str())
-                || (section == "dev" && test_only_deps_of(crate_ident).contains(&dep.as_str()))
+                || (dev && test_only_deps_of(crate_ident).contains(&dep.as_str()))
         });
         if !allowed {
             report.violations.push(Violation {
@@ -629,7 +624,6 @@ fn check_manifest(
         }
     }
     report.manifests_checked += 1;
-    Ok(())
 }
 
 /// Scan the whole workspace rooted at `root`: every `.rs` file under `src/`,
@@ -668,7 +662,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
     // Manifests: the root package plus every crate.
     let root_manifest = root.join("Cargo.toml");
     if root_manifest.is_file() {
-        check_manifest(&root_manifest, "Cargo.toml", "canal", &mut report)?;
+        check_manifest(&fs::read_to_string(root_manifest)?, "Cargo.toml", "canal", &mut report);
     }
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -690,7 +684,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
                 other => format!("canal_{}", other.replace('-', "_")),
             };
             let rel = format!("crates/{name}/Cargo.toml");
-            check_manifest(&manifest, &rel, &ident, &mut report)?;
+            check_manifest(&fs::read_to_string(manifest)?, &rel, &ident, &mut report);
         }
     }
     report.sort();
@@ -699,9 +693,10 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
 
 /// Scan a directory of fixture snippets. Each `.rs` file is treated as
 /// library code of a simulation-facing crate (`canal_sim`), the strictest
-/// configuration, so every rule family can fire. A file in a subdirectory
-/// is library code of the crate the subdirectory names (`canal_net/`), so
-/// a fixture can have a caller outside its crate.
+/// configuration, so every rule family can fire, and each `.toml` file as
+/// that crate's manifest. A file in a subdirectory belongs to the crate
+/// the subdirectory names (`canal_net/`), so a fixture can have a caller
+/// outside its crate.
 pub fn scan_fixture_dir(dir: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let mut files = Vec::new();
@@ -710,12 +705,13 @@ pub fn scan_fixture_dir(dir: &Path) -> io::Result<Report> {
     for path in &files {
         let rel = path.strip_prefix(dir).unwrap_or(path);
         let sub = rel.parent().and_then(Path::to_str).filter(|s| !s.is_empty());
-        queue.push(ScanFile {
-            file: rel.display().to_string(),
-            source: fs::read_to_string(path)?,
-            crate_ident: sub.unwrap_or("canal_sim").to_string(),
-            kind: TargetKind::Lib,
-        });
+        let (file, source) = (rel.display().to_string(), fs::read_to_string(path)?);
+        let crate_ident = sub.unwrap_or("canal_sim").to_string();
+        if path.extension().and_then(|e| e.to_str()) == Some("toml") {
+            check_manifest(&source, &file, &crate_ident, &mut report);
+        } else {
+            queue.push(ScanFile { file, source, crate_ident, kind: TargetKind::Lib });
+        }
     }
     scan_files(&queue, &[], &mut report);
     report.sort();
@@ -730,7 +726,7 @@ fn walk_fixtures(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for path in entries {
         if path.is_dir() {
             walk_fixtures(&path, out)?;
-        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+        } else if matches!(path.extension().and_then(|e| e.to_str()), Some("rs" | "toml")) {
             out.push(path);
         }
     }
@@ -785,42 +781,45 @@ mod tests {
         assert_eq!(r.violations[0].line, 1);
     }
 
-    #[test]
-    fn layering_rejects_undeclared_edges() {
-        let r = scan_one("use canal_gateway::Gateway;", "canal_net", TargetKind::Lib);
-        assert_eq!(r.rules_fired(), vec!["layering"]);
-        let r = scan_one("use canal_sim::SimRng;", "canal_net", TargetKind::Lib);
-        assert!(r.clean(), "{}", r.render());
-        // bytes:: path references count as crate references.
-        let r = scan_one(
-            "let b = bytes::Bytes::new();",
-            "canal_workload",
-            TargetKind::Lib,
-        );
-        assert_eq!(r.rules_fired(), vec!["layering"]);
-        // Local variables that merely start with `canal_` are not crate
-        // references, and neither are fields accessed as `x.bytes`.
-        let r = scan_one(
-            "let canal_bps = rate * 8; let b = pkt.bytes;",
-            "canal_net",
-            TargetKind::Lib,
-        );
-        assert!(r.clean(), "{}", r.render());
-        // Re-exports without `::` still count.
-        let r = scan_one(
-            "pub use canal_gateway as gateway;",
-            "canal_net",
-            TargetKind::Lib,
-        );
-        assert_eq!(r.rules_fired(), vec!["layering"]);
+    /// The layering findings of one in-memory manifest, as lines.
+    fn manifest(text: &str, ident: &str) -> Vec<usize> {
+        let mut r = Report::default();
+        check_manifest(text, "Cargo.toml", ident, &mut r);
+        assert!(r.violations.iter().all(|v| v.rule == "layering"));
+        r.violations.iter().map(|v| v.line).collect()
     }
 
     #[test]
-    fn test_only_deps_are_allowed_in_tests_only() {
-        let r = scan_one("use canal_lint::Report;", "canal", TargetKind::Test);
-        assert!(r.clean(), "{}", r.render());
-        let r = scan_one("use canal_lint::Report;", "canal", TargetKind::Lib);
-        assert_eq!(r.rules_fired(), vec!["layering"]);
+    fn layering_rejects_undeclared_edges_in_every_dependency_table() {
+        let declared = "[package]\nname = \"canal-net\"\n[dependencies]\ncanal-sim.workspace = true\nbytes = { path = \"../bytes\" }\n";
+        assert_eq!(manifest(declared, "canal_net"), []);
+        for table in [
+            "[dependencies] # runtime",
+            "[build-dependencies]",
+            "[dev-dependencies]",
+            "[target.'cfg(unix)'.dependencies]",
+            "[target.'cfg(target_os = \"linux\")'.build-dependencies]",
+            "[target.x86_64-unknown-linux-gnu.dev-dependencies]",
+        ] {
+            let text = format!("{table}\ncanal-gateway.workspace = true\n");
+            assert_eq!(manifest(&text, "canal_net"), [2], "{table}");
+        }
+        // The `[dependencies.<name>]` form names its dependency in the header.
+        let named = "[dependencies.canal-gateway]\nworkspace = true\npath = \"../gateway\"\n";
+        assert_eq!(manifest(named, "canal_net"), [1]);
+        // `[workspace.dependencies]` declares versions for members; it is
+        // no package's edge.
+        assert_eq!(manifest("[workspace.dependencies]\ncanal-gateway = { path = \"crates/gateway\" }\n", "canal_net"), []);
+    }
+
+    #[test]
+    fn test_only_deps_are_allowed_in_dev_tables_only() {
+        for dev in ["[dev-dependencies]", "[target.'cfg(unix)'.dev-dependencies]"] {
+            assert_eq!(manifest(&format!("{dev}\ncanal-lint.workspace = true\n"), "canal"), []);
+        }
+        for table in ["[dependencies]", "[build-dependencies]"] {
+            assert_eq!(manifest(&format!("{table}\ncanal-lint.workspace = true\n"), "canal"), [2]);
+        }
     }
 
     #[test]

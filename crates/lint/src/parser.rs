@@ -1,12 +1,12 @@
 //! A std-only item parser layered on the masked lexer output.
 //!
 //! [`parse`] extracts the symbols the graph-aware rules need from one
-//! lexed file: `use` edges and qualified-path crate references (with
-//! `use x as y` alias resolution) for the layering rule, struct
-//! definitions with their fields, `impl` blocks binding methods to their
-//! owning type, free and associated fns with the parts of their bodies
-//! the rules query (idents, call edges, `SimRng::seed` sites, `self.f`
-//! mutations), and consts (cap-constant evidence for `bounded-state`).
+//! lexed file: struct definitions with their fields, `impl` blocks
+//! binding methods to their owning type, free and associated fns with the
+//! parts of their bodies the rules query (call edges, `SimRng::seed`
+//! sites, `self.f.method(..)` calls, a `let Self` destructure), consts
+//! (cap-constant evidence for `bounded-state`), `pub` items and the names
+//! each file uses (`wide-export`).
 //!
 //! This is deliberately not a full Rust grammar: it token-scans with
 //! brace/angle matching, which is exact for the rustfmt-formatted code in
@@ -23,15 +23,6 @@ use std::collections::{BTreeMap, BTreeSet};
 struct Tok {
     text: String,
     line: usize,
-}
-
-/// One resolved internal-crate reference (layering input).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CrateRef {
-    /// 1-based line of the reference.
-    pub line: usize,
-    /// Referenced crate ident (`canal_sim`, `bytes`, ...), alias-resolved.
-    pub name: String,
 }
 
 /// One struct field.
@@ -56,40 +47,28 @@ pub(crate) struct StructDef {
     pub fields: Vec<FieldDef>,
 }
 
-/// How a `self.<field>` expression is touched inside a method body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum FieldOpKind {
-    /// `self.f = ...` or a compound assignment (`+=`, `|=`, ...).
-    Assign,
-    /// `self.f.method(...)` — the method name, mutating or not.
-    Call(String),
-    /// `&mut self.f` handed out (e.g. to `mem::take` or a helper).
-    MutBorrow,
-}
-
-/// One `self.<field>` operation observed in a fn body.
+/// One `self.<field>.<method>(...)` call observed in a fn body.
 #[derive(Debug, Clone)]
 pub(crate) struct FieldOp {
     /// The field name.
     pub field: String,
-    /// What was done to it.
-    pub kind: FieldOpKind,
-    /// 1-based line of the operation.
-    pub line: usize,
+    /// The method called on it, mutating or not.
+    pub method: String,
 }
 
 /// The body facts a fn contributes to the symbol graph.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BodyInfo {
-    /// Every identifier appearing in the body (field-fold coverage check).
-    pub idents: BTreeSet<String>,
     /// Callee names: `foo(...)`, `self.foo(...)`, `Type::foo(...)` all
     /// contribute `foo` (in-file call edges for `seed-dataflow`).
     pub calls: Vec<String>,
     /// Lines where the body seeds a fresh stream via `SimRng::seed(...)`.
     pub rng_seed_lines: Vec<usize>,
-    /// `self.<field>` operations (mutation evidence).
+    /// `self.<field>.<method>(...)` calls (growth and shrink evidence).
     pub field_ops: Vec<FieldOp>,
+    /// The tokens between the brackets of the body's first `let Self {..}`
+    /// or `let Self(..)` pattern, if it has one.
+    pub self_pattern: Option<Vec<String>>,
 }
 
 /// One fn definition (free or associated).
@@ -149,8 +128,6 @@ impl ExportDef {
 /// Everything the parser extracts from one file.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FileSyntax {
-    /// Internal-crate references, deduped per (line, crate).
-    pub crate_refs: Vec<CrateRef>,
     /// Struct definitions (item position only, not inside fn bodies).
     pub structs: Vec<StructDef>,
     /// Fn definitions, with impl owners attached.
@@ -214,11 +191,6 @@ fn tokenize(code_lines: &[String]) -> Vec<Tok> {
         }
     }
     toks
-}
-
-/// Crate idents the layering rule polices.
-fn is_internal_crate(name: &str) -> bool {
-    name == "bytes" || name.starts_with("canal_")
 }
 
 struct Parser<'a> {
@@ -353,16 +325,9 @@ impl<'a> Parser<'a> {
                     continue;
                 }
                 "extern" => {
-                    // `extern crate x;` (a crate ref) or an extern block.
+                    // `extern crate x;` or an extern block.
                     self.bump();
                     if self.at(0) == "crate" {
-                        self.bump();
-                        if let Some(t) = self.cur() {
-                            if is_internal_crate(&t.text) {
-                                let (line, name) = (t.line, t.text.clone());
-                                self.out.crate_refs.push(CrateRef { line, name });
-                            }
-                        }
                         self.skip_to_semi();
                     } else if self.at(0) == "\"" {
                         // `extern "C"` — the masked ABI string is `"` `"`.
@@ -679,10 +644,29 @@ impl<'a> Parser<'a> {
         self.out.fns.push(def);
     }
 
-    /// Walk a `{...}` body, extracting idents, call edges, `SimRng::seed`
-    /// sites and `self.<field>` operations. Nested items are swallowed
-    /// into the enclosing fn's body facts, which is what the in-file
-    /// dataflow rules want.
+    /// The tokens strictly between the bracket at token `open` and the
+    /// bracket that closes it.
+    fn group_at(&self, open: usize) -> Vec<String> {
+        let mut depth = 0i64;
+        let mut out = Vec::new();
+        for t in &self.toks[open..] {
+            match t.text.as_str() {
+                "{" | "(" | "[" => depth += 1,
+                "}" | ")" | "]" => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+            out.push(t.text.clone());
+        }
+        out.into_iter().skip(1).collect()
+    }
+
+    /// Walk a `{...}` body, extracting call edges, `SimRng::seed` sites,
+    /// `self.<field>.<method>(...)` calls and the first `let Self` pattern.
+    /// Nested items are swallowed into the enclosing fn's body facts, which
+    /// is what the in-file dataflow rules want.
     fn walk_body(&mut self, body: &mut BodyInfo) {
         const NOT_CALLS: &[&str] = &[
             "if", "while", "for", "match", "return", "loop", "fn", "in", "as", "let", "else",
@@ -704,7 +688,6 @@ impl<'a> Parser<'a> {
             let text = t.text.clone();
             let line = t.line;
             if text.chars().next().is_some_and(is_ident_char) {
-                body.idents.insert(text.clone());
                 // Call edge: `name(` not preceded by `fn`/`.`-less paths are
                 // fine either way; a nested `fn helper(` is a definition.
                 let prev = self.i.checked_sub(1).map_or("", |p| self.toks[p].text.as_str());
@@ -714,107 +697,24 @@ impl<'a> Parser<'a> {
                 if text == "SimRng" && self.at(1) == "::" && self.at(2) == "seed" {
                     body.rng_seed_lines.push(line);
                 }
-                if text == "self" && self.at(1) == "." {
-                    let field = self.at(2).to_string();
-                    if field.chars().next().is_some_and(is_ident_char) {
-                        let kind = match self.at(3) {
-                            "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|="
-                            | "<<=" | ">>=" => Some(FieldOpKind::Assign),
-                            "." => {
-                                let m = self.at(4);
-                                if m.chars().next().is_some_and(is_ident_char)
-                                    && self.at(5) == "("
-                                {
-                                    Some(FieldOpKind::Call(m.to_string()))
-                                } else {
-                                    None
-                                }
-                            }
-                            _ => {
-                                let p1 = self.i.checked_sub(1).map_or("", |p| self.toks[p].text.as_str());
-                                let p2 = self.i.checked_sub(2).map_or("", |p| self.toks[p].text.as_str());
-                                if p1 == "mut" && p2 == "&" {
-                                    Some(FieldOpKind::MutBorrow)
-                                } else {
-                                    None
-                                }
-                            }
-                        };
-                        if let Some(kind) = kind {
-                            body.field_ops.push(FieldOp { field, kind, line });
-                        }
-                    }
+                let (field, method) = (self.at(2), self.at(4));
+                if text == "self"
+                    && self.at(1) == "."
+                    && field.chars().next().is_some_and(is_ident_char)
+                    && self.at(3) == "."
+                    && method.chars().next().is_some_and(is_ident_char)
+                    && self.at(5) == "("
+                {
+                    let (field, method) = (field.to_string(), method.to_string());
+                    body.field_ops.push(FieldOp { field, method });
+                }
+                if text == "let" && self.at(1) == "Self" && matches!(self.at(2), "{" | "(") {
+                    body.self_pattern.get_or_insert_with(|| self.group_at(self.i + 2));
                 }
             }
             self.bump();
         }
     }
-}
-
-/// Pre-pass over the token stream: `use` roots, `use ... as` aliases, and
-/// qualified path roots (`alias::` resolves through the alias map).
-fn collect_crate_refs(toks: &[Tok], out: &mut Vec<CrateRef>) {
-    // First pass: use-declaration roots and aliases.
-    let mut aliases: BTreeMap<String, String> = BTreeMap::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].text != "use" {
-            i += 1;
-            continue;
-        }
-        // Statement start only (not `.use` — impossible — or idents).
-        let root_at = i + 1;
-        let Some(root) = toks.get(root_at) else { break };
-        if is_internal_crate(&root.text) {
-            out.push(CrateRef {
-                line: root.line,
-                name: root.text.clone(),
-            });
-        }
-        // Scan the use item for a top-level `as` alias of the root path.
-        let mut depth = 0i64;
-        let mut j = root_at;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => depth -= 1,
-                ";" if depth <= 0 => break,
-                "as" if depth == 0 => {
-                    if let (Some(alias), true) =
-                        (toks.get(j + 1), is_internal_crate(&root.text))
-                    {
-                        aliases.insert(alias.text.clone(), root.text.clone());
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        i = j;
-    }
-    // Second pass: qualified path roots `name::...` (skipping `x::name::`).
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if !t.text.chars().next().is_some_and(is_ident_char) {
-            continue;
-        }
-        if toks.get(i + 1).is_none_or(|n| n.text != "::") {
-            continue;
-        }
-        if i > 0 && toks[i - 1].text == "::" {
-            continue; // not a path root
-        }
-        let resolved = if is_internal_crate(&t.text) {
-            Some(t.text.clone())
-        } else {
-            aliases.get(&t.text).cloned()
-        };
-        if let Some(name) = resolved {
-            out.push(CrateRef { line: t.line, name });
-        }
-    }
-    out.sort_by(|a, b| (a.line, &a.name).cmp(&(b.line, &b.name)));
-    out.dedup();
 }
 
 /// Every identifier the tokens name, by line: the name a definition
@@ -862,7 +762,6 @@ pub(crate) fn parse(lexed: &LexedFile) -> FileSyntax {
     };
     parser.parse_items(None);
     let mut out = parser.out;
-    collect_crate_refs(&toks, &mut out.crate_refs);
     out.refs = collect_refs(&toks);
     out
 }
@@ -919,53 +818,17 @@ mod tests {
     }
 
     #[test]
-    fn body_facts_record_mutations_and_seeds() {
-        let src = "impl S {\n    fn step(&mut self) {\n        self.count += 1;\n        self.log.push(self.count);\n        let r = SimRng::seed(7);\n        helper(&mut self.buf);\n    }\n}\n";
+    fn body_facts_record_field_calls_seeds_and_the_self_pattern() {
+        let src = "impl S {\n    fn step(&mut self) {\n        let Self { count, log: _ } = self;\n        self.log.push(*count);\n        let r = SimRng::seed(7);\n        helper(&mut self.buf);\n        self.count += 1;\n    }\n}\n";
         let syn = parse_src(src);
         let step = &syn.fns[0];
         assert_eq!(step.body.rng_seed_lines, vec![5]);
         assert!(step.body.calls.contains(&"helper".to_string()));
-        let kinds: Vec<(&str, &FieldOpKind)> = step
-            .body
-            .field_ops
-            .iter()
-            .map(|o| (o.field.as_str(), &o.kind))
-            .collect();
-        assert!(kinds.contains(&("count", &FieldOpKind::Assign)));
-        assert!(kinds
-            .iter()
-            .any(|(f, k)| *f == "log" && matches!(k, FieldOpKind::Call(m) if m == "push")));
-        assert!(kinds.contains(&("buf", &FieldOpKind::MutBorrow)));
-    }
-
-    #[test]
-    fn equality_is_not_an_assignment() {
-        let src = "impl S {\n    fn check(&mut self) -> bool { self.count == 3 }\n}\n";
-        let syn = parse_src(src);
-        assert!(syn.fns[0].body.field_ops.is_empty());
-    }
-
-    #[test]
-    fn crate_refs_resolve_aliases_and_skip_locals() {
-        let src = "use canal_sim as cs;\nuse canal_net::link::Link;\nfn f() {\n    let t = cs::SimTime::ZERO;\n    let canal_bps = 3;\n    let b = pkt.bytes;\n    let x = other::bytes::thing();\n}\n";
-        let syn = parse_src(src);
-        let names: Vec<(usize, &str)> = syn
-            .crate_refs
-            .iter()
-            .map(|r| (r.line, r.name.as_str()))
-            .collect();
-        assert!(names.contains(&(1, "canal_sim")));
-        assert!(names.contains(&(2, "canal_net")));
-        assert!(names.contains(&(4, "canal_sim")), "{names:?}");
-        assert!(!names.iter().any(|(l, _)| *l >= 5), "{names:?}");
-    }
-
-    #[test]
-    fn multiline_use_groups_are_one_edge() {
-        let src = "use canal_gateway::{\n    config::ActiveConfig,\n    overload::Admission,\n};\n";
-        let syn = parse_src(src);
-        assert_eq!(syn.crate_refs.len(), 1);
-        assert_eq!(syn.crate_refs[0].name, "canal_gateway");
+        let ops: Vec<(&str, &str)> =
+            step.body.field_ops.iter().map(|o| (o.field.as_str(), o.method.as_str())).collect();
+        assert_eq!(ops, [("log", "push")]);
+        let pattern = step.body.self_pattern.as_deref().unwrap();
+        assert_eq!(pattern.join(" "), "count , log : _");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   ambient randomness, or iterate unordered maps; all of those make a
 //!   seeded run irreproducible.
 //! * **layering** — the crate-dependency DAG is declared here and checked
-//!   against both `use canal_*` statements and `Cargo.toml`; stdout belongs
-//!   to `canal-bench` and binaries only.
+//!   against every dependency table of every `Cargo.toml` (Cargo keeps
+//!   source files to what their manifest declares); stdout belongs to
+//!   `canal-bench` and binaries only.
 //! * **panic policy** — library code must not `unwrap`/`expect`/`panic!`
 //!   outside `#[cfg(test)]`; deliberate exceptions carry a
 //!   `// lint:allow(panic) reason=...` annotation.
@@ -229,10 +230,13 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "layering",
-        summary: "crate references and manifest deps must follow the declared DAG",
+        summary: "manifest dependencies must follow the declared DAG",
         rationale: "The dependency DAG (canal_lint::rules::LAYERING_DAG) is the architecture: \
                     gateway code must not reach into control, leaf crates stay leaves. The rule \
-                    checks the parsed use-graph (aliases resolved) and every Cargo.toml.",
+                    checks every dependency table of every Cargo.toml ([dependencies], \
+                    [dev-dependencies], [build-dependencies] and their [target.<cfg>.…] forms). \
+                    Cargo lets a source file name only the crates its package declares, and \
+                    dev-dependencies only from test code, so the manifests bound the source.",
         suppression: SUPPRESS_PLAIN,
     },
     RuleDoc {
@@ -270,11 +274,15 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "digest-coverage",
-        summary: "mutable structs in digest crates must be reachable from a fold_digest",
+        summary: "mutable structs reach a fold_digest; a struct's fold destructures Self",
         rationale: "The double-run harness only proves determinism for state that reaches a \
-                    digest. A struct mutated by &mut self methods but unreachable from every \
-                    fold_digest impl — or a field mutated but missing from its own fold \
-                    (the PR-5 last_good bug) — can silently diverge between runs.",
+                    digest. A struct in a digest crate mutated by &mut self methods but \
+                    unreachable from every fold_digest impl can silently diverge between runs. \
+                    A struct's fold_digest in library code must open with an exhaustive \
+                    `let Self { a, b, c: _ } = self;` (no `..`), binding a field it does not \
+                    fold as `name: _` with its reason. Then a field the fold misses (the \
+                    rollout controller's old last_good bug) fails to compile, and one it \
+                    binds but never reads fails on unused_variables, denied workspace-wide.",
         suppression: "// lint:allow(digest-coverage) reason=derived: <why> (recomputable from \
                       folded state) or reason=transient: <why> (scratch state, reset per step)",
     },

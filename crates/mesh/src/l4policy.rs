@@ -76,8 +76,9 @@ impl L4Filter {
 
     /// Fold the installed set and counters into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        self.set.fold_digest(d);
-        d.write_u64(self.allowed).write_u64(self.denied).write_u64(self.deferred);
+        let Self { set, allowed, denied, deferred } = self;
+        set.fold_digest(d);
+        d.write_u64(*allowed).write_u64(*denied).write_u64(*deferred);
     }
 }
 

@@ -259,7 +259,11 @@ impl<K: FlatKey, V> FlatTable<K, V> {
     /// Fold the entries in ascending key order (so the digest does not
     /// depend on the slot layout): the count, then `entry` per entry.
     pub fn fold_digest(&self, d: &mut Digest, mut entry: impl FnMut(&mut Digest, &K, &V)) {
-        d.write_u64(self.len as u64);
+        let Self {
+            slots: _, // folded through `sorted`, in key order rather than slot order
+            len,
+        } = self;
+        d.write_u64(*len as u64);
         for (k, v) in self.sorted() {
             entry(d, k, v);
         }

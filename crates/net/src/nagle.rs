@@ -142,14 +142,16 @@ impl NagleBuffer {
     /// `enabled`), what is pending (`pending_bytes`, `pending_writes`,
     /// `oldest_pending`) and every segment in `emitted`.
     pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
-        d.write_u64(self.mss as u64)
-            .write_u64(self.flush_delay.as_nanos())
-            .write_u64(self.enabled as u64)
-            .write_u64(self.pending_bytes as u64)
-            .write_u64(self.pending_writes as u64)
-            .write_u64(self.oldest_pending.map_or(u64::MAX, SimTime::as_nanos))
-            .write_u64(self.emitted.len() as u64);
-        for seg in &self.emitted {
+        let Self { mss, flush_delay, enabled, pending_bytes, pending_writes, oldest_pending, emitted } =
+            self;
+        d.write_u64(*mss as u64)
+            .write_u64(flush_delay.as_nanos())
+            .write_u64(*enabled as u64)
+            .write_u64(*pending_bytes as u64)
+            .write_u64(*pending_writes as u64)
+            .write_u64(oldest_pending.map_or(u64::MAX, SimTime::as_nanos))
+            .write_u64(emitted.len() as u64);
+        for seg in emitted {
             d.write_u64(seg.at.as_nanos())
                 .write_u64(seg.len as u64)
                 .write_u64(seg.writes as u64);

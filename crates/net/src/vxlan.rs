@@ -223,12 +223,13 @@ impl VSwitch {
     /// Fold both registries, `vni_to_tenant` and `service_by_port`, into a
     /// digest.
     pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
-        d.write_u64(self.vni_to_tenant.len() as u64);
-        for (&vni, tenant) in &self.vni_to_tenant {
+        let Self { vni_to_tenant, service_by_port } = self;
+        d.write_u64(vni_to_tenant.len() as u64);
+        for (&vni, tenant) in vni_to_tenant {
             d.write_u64(vni as u64).write_u64(tenant.raw() as u64);
         }
-        d.write_u64(self.service_by_port.len() as u64);
-        for (&(tenant, port), service) in &self.service_by_port {
+        d.write_u64(service_by_port.len() as u64);
+        for (&(tenant, port), service) in service_by_port {
             d.write_u64(tenant.raw() as u64)
                 .write_u64(port as u64)
                 .write_u64(service.raw() as u64);

@@ -133,7 +133,8 @@ impl RuleSet {
 
     /// Fold the mask into a digest.
     fn fold_digest(&self, d: &mut Digest) {
-        fold_mask(self.bits, &self.words, d);
+        let Self { words, bits } = self;
+        fold_mask(*bits, words, d);
     }
 }
 
@@ -244,12 +245,17 @@ impl IntervalTable {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.segments as u64);
-        for s in 0..self.segments {
+        let Self {
+            segments, bits,
+            rows: _, // folded through `start` and `segment`, row by row
+            unconstrained: _, // derived: whether every folded mask is full
+        } = self;
+        d.write_u64(*segments as u64);
+        for s in 0..*segments {
             d.write_u64(self.start(s));
         }
-        for s in 0..self.segments {
-            fold_mask(self.bits, self.segment(s), d);
+        for s in 0..*segments {
+            fold_mask(*bits, self.segment(s), d);
         }
     }
 }
@@ -278,9 +284,10 @@ impl MapTable {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        self.any.fold_digest(d);
-        d.write_u64(self.exact.len() as u64);
-        for (k, v) in &self.exact {
+        let Self { any, exact } = self;
+        any.fold_digest(d);
+        d.write_u64(exact.len() as u64);
+        for (k, v) in exact {
             d.write_str(k);
             v.fold_digest(d);
         }
@@ -329,14 +336,15 @@ impl SniTable {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        self.any.fold_digest(d);
-        d.write_u64(self.exact.len() as u64);
-        for (k, v) in &self.exact {
+        let Self { any, exact, suffix } = self;
+        any.fold_digest(d);
+        d.write_u64(exact.len() as u64);
+        for (k, v) in exact {
             d.write_str(k);
             v.fold_digest(d);
         }
-        d.write_u64(self.suffix.len() as u64);
-        for (k, v) in &self.suffix {
+        d.write_u64(suffix.len() as u64);
+        for (k, v) in suffix {
             d.write_str(k);
             v.fold_digest(d);
         }
@@ -412,8 +420,9 @@ impl PathTrie {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.nodes.len() as u64);
-        for node in &self.nodes {
+        let Self { nodes } = self;
+        d.write_u64(nodes.len() as u64);
+        for node in nodes {
             d.write_u64(node.children.len() as u64);
             for (&b, &c) in &node.children {
                 d.write_u64(b as u64).write_u64(c as u64);
@@ -468,14 +477,15 @@ impl HeaderSlot {
     }
 
     fn fold_digest(&self, d: &mut Digest) {
-        self.auto.fold_digest(d);
-        d.write_u64(self.present.len() as u64);
-        for (k, v) in &self.present {
+        let Self { auto, present, exact } = self;
+        auto.fold_digest(d);
+        d.write_u64(present.len() as u64);
+        for (k, v) in present {
             d.write_str(k);
             v.fold_digest(d);
         }
-        d.write_u64(self.exact.len() as u64);
-        for ((k, val), v) in &self.exact {
+        d.write_u64(exact.len() as u64);
+        for ((k, val), v) in exact {
             d.write_str(k).write_str(val);
             v.fold_digest(d);
         }
@@ -745,22 +755,27 @@ impl CompiledTenant {
 
     /// Fold every compiled table into a digest.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.n as u64);
-        for &a in &self.actions {
+        let Self {
+            n, actions, l7_rules, src, ports, idents, methods, path, sni, headers, default_action,
+            first_allows: _, // derived: the allow bits of the first 64 `actions`
+            constrained_header_slots: _, // derived: the leading `headers` some rule constrains
+        } = self;
+        d.write_u64(*n as u64);
+        for &a in actions {
             d.write_u64(verdict_tag(a));
         }
-        self.l7_rules.fold_digest(d);
-        self.src.fold_digest(d);
-        self.ports.fold_digest(d);
-        self.idents.fold_digest(d);
-        self.methods.fold_digest(d);
-        self.path.fold_digest(d);
-        self.sni.fold_digest(d);
-        d.write_u64(self.headers.len() as u64);
-        for slot in &self.headers {
+        l7_rules.fold_digest(d);
+        src.fold_digest(d);
+        ports.fold_digest(d);
+        idents.fold_digest(d);
+        methods.fold_digest(d);
+        path.fold_digest(d);
+        sni.fold_digest(d);
+        d.write_u64(headers.len() as u64);
+        for slot in headers {
             slot.fold_digest(d);
         }
-        d.write_u64(verdict_tag(self.default_action));
+        d.write_u64(verdict_tag(*default_action));
     }
 }
 
@@ -901,8 +916,12 @@ impl CompiledPolicySet {
 
     /// Fold every tenant table into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.version).write_u64(self.tenants.len() as u64);
-        for (t, c) in self.tenants.iter() {
+        let Self {
+            version, tenants,
+            sources: _, // gap: the specs `tenants` was compiled from; the folded tables decide
+        } = self;
+        d.write_u64(*version).write_u64(tenants.len() as u64);
+        for (t, c) in tenants.iter() {
             d.write_u64(t.0 as u64);
             c.fold_digest(d);
         }

@@ -269,7 +269,9 @@ impl PolicyRule {
 
     /// Fold the rule content into a digest.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        match self.source_cidr {
+        let Self { source_cidr, dest_ports, source_identities, methods, path_prefix, sni, headers, action } =
+            self;
+        match source_cidr {
             None => {
                 d.write_u64(0);
             }
@@ -277,7 +279,7 @@ impl PolicyRule {
                 d.write_u64(1).write_u64(c.base as u64).write_u64(c.prefix_len as u64);
             }
         }
-        match self.dest_ports {
+        match dest_ports {
             None => {
                 d.write_u64(0);
             }
@@ -285,16 +287,16 @@ impl PolicyRule {
                 d.write_u64(1).write_u64(p.lo as u64).write_u64(p.hi as u64);
             }
         }
-        d.write_u64(self.source_identities.len() as u64);
-        for &id in &self.source_identities {
+        d.write_u64(source_identities.len() as u64);
+        for &id in source_identities {
             d.write_u64(id);
         }
-        d.write_u64(self.methods.len() as u64);
-        for m in &self.methods {
+        d.write_u64(methods.len() as u64);
+        for m in methods {
             d.write_str(m);
         }
-        d.write_str(&self.path_prefix);
-        match &self.sni {
+        d.write_str(path_prefix);
+        match sni {
             None => {
                 d.write_u64(0);
             }
@@ -305,8 +307,8 @@ impl PolicyRule {
                 d.write_u64(2).write_str(s);
             }
         }
-        d.write_u64(self.headers.len() as u64);
-        for h in &self.headers {
+        d.write_u64(headers.len() as u64);
+        for h in headers {
             d.write_str(&h.name);
             match &h.value {
                 None => {
@@ -317,7 +319,7 @@ impl PolicyRule {
                 }
             }
         }
-        d.write_u64(verdict_tag(self.action));
+        d.write_u64(verdict_tag(*action));
     }
 }
 
@@ -346,13 +348,12 @@ pub struct TenantPolicy {
 impl TenantPolicy {
     /// Fold the tenant policy into a digest.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.tenant.0 as u64)
-            .write_u64(self.vpc.0 as u64)
-            .write_u64(self.rules.len() as u64);
-        for r in &self.rules {
+        let Self { tenant, vpc, rules, default_action } = self;
+        d.write_u64(tenant.0 as u64).write_u64(vpc.0 as u64).write_u64(rules.len() as u64);
+        for r in rules {
             r.fold_digest(d);
         }
-        d.write_u64(verdict_tag(self.default_action));
+        d.write_u64(verdict_tag(*default_action));
     }
 }
 
@@ -542,8 +543,9 @@ pub struct PolicySpec {
 impl PolicySpec {
     /// Fold the spec into a digest (content- and order-sensitive).
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.version).write_u64(self.tenants.len() as u64);
-        for t in &self.tenants {
+        let Self { version, tenants } = self;
+        d.write_u64(*version).write_u64(tenants.len() as u64);
+        for t in tenants {
             t.fold_digest(d);
         }
     }

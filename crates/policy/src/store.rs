@@ -64,8 +64,9 @@ impl PolicyStore {
 
     /// Fold the archive into a digest.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.by_version.len() as u64).write_u64(self.evicted);
-        for spec in self.by_version.values() {
+        let Self { by_version, evicted } = self;
+        d.write_u64(by_version.len() as u64).write_u64(*evicted);
+        for spec in by_version.values() {
             spec.fold_digest(d);
         }
     }

@@ -116,18 +116,21 @@ impl<E> Simulation<E> {
     /// `monitor` position. Event payloads are the model's to digest, and
     /// the `scratch` buffer is empty between dispatches.
     pub fn fold_digest(&self, d: &mut Digest) {
-        debug_assert!(self.scratch.is_empty(), "scratch is drained by every dispatch");
-        d.write_u64(self.now.as_nanos())
-            .write_u64(self.seq)
-            .write_u64(self.events_fired)
-            .write_u64(self.queue.len() as u64);
-        let mut shape: Vec<(SimTime, u64)> =
-            self.queue.iter().map(|q| (q.time, q.seq)).collect();
+        let Self {
+            now, seq, queue, events_fired, monitor,
+            scratch, // transient: drained by every dispatch, so only checked empty
+        } = self;
+        debug_assert!(scratch.is_empty(), "scratch is drained by every dispatch");
+        d.write_u64(now.as_nanos())
+            .write_u64(*seq)
+            .write_u64(*events_fired)
+            .write_u64(queue.len() as u64);
+        let mut shape: Vec<(SimTime, u64)> = queue.iter().map(|q| (q.time, q.seq)).collect();
         shape.sort_unstable();
         for (t, seq) in shape {
             d.write_u64(t.as_nanos()).write_u64(seq);
         }
-        self.monitor.fold_digest(d);
+        monitor.fold_digest(d);
     }
 
     /// Seed an event at an absolute instant before (or during) the run.

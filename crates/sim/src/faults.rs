@@ -774,16 +774,17 @@ impl FaultState {
     /// or not it is active. Three scenario digests contain this one, so the
     /// words and their order are contract.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.az_of.len() as u64);
-        for (&b, &az) in &self.az_of {
+        let Self { az_of, replicas, active } = self;
+        d.write_u64(az_of.len() as u64);
+        for (&b, &az) in az_of {
             d.write_u64(b as u64).write_u64(az as u64);
         }
-        d.write_u64(self.replicas.len() as u64);
-        for (&b, &n) in &self.replicas {
+        d.write_u64(replicas.len() as u64);
+        for (&b, &n) in replicas {
             d.write_u64(b as u64).write_u64(n as u64);
         }
         for class in &CLASSES {
-            let mut members = self.active.iter().filter(|(t, _)| std::ptr::eq(parts(**t).0, class));
+            let mut members = active.iter().filter(|(t, _)| std::ptr::eq(parts(**t).0, class));
             if class.operand == Operand::None {
                 class.fold_condition(d, members.next().map(|(_, cond)| cond));
                 continue;

@@ -52,7 +52,8 @@ impl EventOrderMonitor {
     /// Fold the monitor position (`last`) into a digest: two runs that
     /// dispatched the same event stream end at the same `(time, seq)`.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        match self.last {
+        let Self { last } = self;
+        match *last {
             Some((t, seq)) => d.write_u64(1).write_u64(t.as_nanos()).write_u64(seq),
             None => d.write_u64(0),
         };

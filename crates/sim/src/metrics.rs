@@ -172,16 +172,17 @@ impl Histogram {
     /// raw `min`/`max` (bit patterns, including the empty-histogram
     /// infinities), every `buckets` cell and every `exemplars` entry.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.count)
-            .write_f64(self.sum)
-            .write_f64(self.min)
-            .write_f64(self.max)
-            .write_u64(self.buckets.len() as u64);
-        for (&idx, &c) in &self.buckets {
+        let Self { buckets, exemplars, count, sum, min, max } = self;
+        d.write_u64(*count)
+            .write_f64(*sum)
+            .write_f64(*min)
+            .write_f64(*max)
+            .write_u64(buckets.len() as u64);
+        for (&idx, &c) in buckets {
             d.write_u64(idx as u64).write_u64(c);
         }
-        d.write_u64(self.exemplars.len() as u64);
-        for (&idx, e) in &self.exemplars {
+        d.write_u64(exemplars.len() as u64);
+        for (&idx, e) in exemplars {
             d.write_u64(idx as u64).write_f64(e.value).write_u64(e.trace_id);
         }
     }

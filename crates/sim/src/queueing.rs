@@ -99,14 +99,15 @@ impl CpuServer {
     /// integrated `busy` time, `jobs` served, and the `window_start` /
     /// `window_busy` accounting window.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.core_free.len() as u64);
-        for &t in &self.core_free {
+        let Self { core_free, busy, jobs, window_start, window_busy } = self;
+        d.write_u64(core_free.len() as u64);
+        for &t in core_free {
             d.write_u64(t.as_nanos());
         }
-        d.write_u64(self.busy.as_nanos())
-            .write_u64(self.jobs)
-            .write_u64(self.window_start.as_nanos())
-            .write_u64(self.window_busy.as_nanos());
+        d.write_u64(busy.as_nanos())
+            .write_u64(*jobs)
+            .write_u64(window_start.as_nanos())
+            .write_u64(window_busy.as_nanos());
     }
 }
 
@@ -434,14 +435,18 @@ impl<T> FairCpuServer<T> {
     /// its `front_topped` flag, undrained `started` jobs, `next_ticket` and
     /// integrated `busy` time. Payloads are the caller's to fold.
     pub fn fold_digest(&self, d: &mut Digest) {
-        debug_assert_eq!(self.next_free, earliest_core(&self.core_free), "stale earliest core");
-        d.write_u64(self.core_free.len() as u64);
-        for &t in &self.core_free {
+        let Self {
+            core_free, quantum, classes, rr, front_topped, started, next_ticket, busy,
+            next_free, // derived: checked against `core_free` in debug builds
+        } = self;
+        debug_assert_eq!(*next_free, earliest_core(core_free), "stale earliest core");
+        d.write_u64(core_free.len() as u64);
+        for &t in core_free {
             d.write_u64(t.as_nanos());
         }
-        d.write_u64(self.quantum.as_nanos());
-        d.write_u64(self.classes.len() as u64);
-        for (&cid, c) in &self.classes {
+        d.write_u64(quantum.as_nanos());
+        d.write_u64(classes.len() as u64);
+        for (&cid, c) in classes {
             d.write_u64(cid)
                 .write_u64(u64::from(c.cfg.weight))
                 .write_u64(c.cfg.max_slots as u64)
@@ -459,20 +464,20 @@ impl<T> FairCpuServer<T> {
                 .write_u64(c.served)
                 .write_u64(c.rejected);
         }
-        d.write_u64(self.rr.len() as u64);
-        for &cid in &self.rr {
+        d.write_u64(rr.len() as u64);
+        for &cid in rr {
             d.write_u64(cid);
         }
-        d.write_u64(self.front_topped as u64);
-        d.write_u64(self.started.len() as u64);
-        for j in &self.started {
+        d.write_u64(*front_topped as u64);
+        d.write_u64(started.len() as u64);
+        for j in started {
             d.write_u64(j.class)
                 .write_u64(j.ticket)
                 .write_u64(j.arrival.as_nanos())
                 .write_u64(j.start.as_nanos())
                 .write_u64(j.finish.as_nanos());
         }
-        d.write_u64(self.next_ticket).write_u64(self.busy.as_nanos());
+        d.write_u64(*next_ticket).write_u64(busy.as_nanos());
     }
 }
 

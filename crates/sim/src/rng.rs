@@ -160,7 +160,8 @@ impl SimRng {
     /// streams have diverged produce different folds even if every sampled
     /// value happened to agree so far.
     pub fn fold_digest(&self, d: &mut Digest) {
-        for word in self.inner.s {
+        let Self { inner } = self;
+        for word in inner.s {
             d.write_u64(word);
         }
     }

@@ -129,8 +129,9 @@ impl AssembledTrace {
     /// Fold the canonical form into a digest. Because spans are sorted by
     /// id, the value is independent of span arrival order.
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.trace_id).write_u64(self.spans.len() as u64);
-        for s in &self.spans {
+        let Self { trace_id, spans } = self;
+        d.write_u64(*trace_id).write_u64(spans.len() as u64);
+        for s in spans {
             s.fold_digest(d);
         }
     }
@@ -183,11 +184,12 @@ impl Collector {
     /// the `ingested` span counter: two collectors holding the same traces
     /// after different ingest histories are different states.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.traces.len() as u64);
+        let Self { traces, ingested } = self;
+        d.write_u64(traces.len() as u64);
         for tr in self.assemble_all() {
             tr.fold_digest(d);
         }
-        d.write_u64(self.ingested);
+        d.write_u64(*ingested);
     }
 }
 

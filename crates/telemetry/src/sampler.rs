@@ -159,12 +159,14 @@ impl TailPolicy {
     /// `totals_ms` latency distribution, and the
     /// `kept_error`/`kept_slow`/`kept_warmup`/`dropped` verdict counters.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_f64(self.slow_quantile).write_u64(self.warmup);
-        self.totals_ms.fold_digest(d);
-        d.write_u64(self.kept_error)
-            .write_u64(self.kept_slow)
-            .write_u64(self.kept_warmup)
-            .write_u64(self.dropped);
+        let Self { slow_quantile, warmup, totals_ms, kept_error, kept_slow, kept_warmup, dropped } =
+            self;
+        d.write_f64(*slow_quantile).write_u64(*warmup);
+        totals_ms.fold_digest(d);
+        d.write_u64(*kept_error)
+            .write_u64(*kept_slow)
+            .write_u64(*kept_warmup)
+            .write_u64(*dropped);
     }
 }
 

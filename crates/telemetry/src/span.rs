@@ -199,14 +199,15 @@ impl Span {
 
     /// Fold this span into a digest (order-stable given a stable span order).
     pub(crate) fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.trace_id)
-            .write_u64(self.span_id as u64)
-            .write_u64(self.parent.map_or(u64::MAX, |p| p as u64))
-            .write_u64(self.site.tag())
-            .write_u64(self.start.as_nanos())
-            .write_u64(self.end.as_nanos())
-            .write_u64(self.error as u64);
-        for &(k, dur) in &self.segments {
+        let Self { trace_id, span_id, parent, site, start, end, error, segments } = self;
+        d.write_u64(*trace_id)
+            .write_u64(*span_id as u64)
+            .write_u64(parent.map_or(u64::MAX, |p| p as u64))
+            .write_u64(site.tag())
+            .write_u64(start.as_nanos())
+            .write_u64(end.as_nanos())
+            .write_u64(*error as u64);
+        for &(k, dur) in segments {
             d.write_u64(k.tag()).write_u64(dur.as_nanos());
         }
     }
@@ -265,11 +266,12 @@ impl SpanRing {
     /// Fold the ring into a digest: the `cap`, every buffered span in
     /// `buf` (recording order), and the `recorded`/`evicted` counters.
     pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.cap as u64).write_u64(self.buf.len() as u64);
-        for s in &self.buf {
+        let Self { cap, buf, recorded, evicted } = self;
+        d.write_u64(*cap as u64).write_u64(buf.len() as u64);
+        for s in buf {
             s.fold_digest(d);
         }
-        d.write_u64(self.recorded).write_u64(self.evicted);
+        d.write_u64(*recorded).write_u64(*evicted);
     }
 }
 

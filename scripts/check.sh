@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 
 # Lint first: canal-lint is std-only and builds in seconds, so contract
 # violations surface before the full workspace build. The JSON report is
-# written either way (CI archives it as an artifact).
-echo "==> canal-lint (determinism / layering / panic-policy / state discipline)"
+# written either way (CI archives it as an artifact). Layering is read from
+# the manifests; that every fold names every field is proved by the build
+# below (exhaustive `let Self` destructures, `unused_variables` denied).
+echo "==> canal-lint (determinism / manifest layering / panic-policy / state discipline / exhaustive folds)"
 mkdir -p target
 cargo run -q -p canal-lint -- --json > target/canal-lint.json || true
 cargo run -q -p canal-lint

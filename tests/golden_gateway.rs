@@ -133,7 +133,7 @@ fn operate(gw: &mut Gateway, rng: &mut SimRng, now: SimTime, trace: &mut Digest)
                     .write_u64(w.backend as u64)
                     .write_f64(w.utilization)
                     .write_f64(w.session_occupancy)
-                    .write_u64(w.alert as u64)
+                    .write_u64((w.utilization > 0.70) as u64)
                     .write_u64(w.top_services.len() as u64);
                 for (s, n) in w.top_services {
                     trace.write_u64(s.0).write_u64(n);
