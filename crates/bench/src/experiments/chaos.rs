@@ -39,7 +39,7 @@ use canal_sim::faults::{
     BackendSpec, FaultEvent, FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology,
 };
 use canal_sim::output::{num, pct, Table};
-use canal_sim::{stats, Digest, Model, Scheduler, SimDuration, SimRng, SimTime, Simulation};
+use canal_sim::{stats, Digest, Fold, Model, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 use std::collections::BTreeMap;
 
 /// Availability-timeline bin width.
@@ -171,13 +171,13 @@ impl ArchOutcome {
         self.attempts as f64 / self.offered as f64
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self {
             name, offered, succeeded, attempts, invariant_violations, placement_drift, fail_open,
             ejections, dns_flips, deadline_exceeded, budget_rejected, calm_p99_ms, fault_p99_ms,
             fault_p999_ms, incidents,
         } = self;
-        d.write_str(name)
+        f.write_str(name)
             .write_u64(*offered)
             .write_u64(*succeeded)
             .write_u64(*attempts)
@@ -192,7 +192,7 @@ impl ArchOutcome {
             .write_f64(*fault_p99_ms)
             .write_f64(*fault_p999_ms);
         for inc in incidents {
-            d.write_str(&inc.domain)
+            f.write_str(&inc.domain)
                 .write_f64(inc.fault_s)
                 .write_f64(inc.recover_s)
                 .write_f64(inc.window_availability)
@@ -217,7 +217,7 @@ impl ChaosOutcome {
         let mut d = Digest::new();
         d.write_u64(self.plan_events as u64);
         for a in &self.archs {
-            a.fold_digest(&mut d);
+            a.fold(&mut d);
         }
         d.value()
     }
@@ -838,7 +838,7 @@ fn run_arch(
         sim.run(&mut model);
 
         let incidents = measure_incidents(&model.plan, &model.bins);
-        let counters = model.dispatcher.counters();
+        let counters = model.dispatcher.stats();
         let outcome = ArchOutcome {
             name: profile.arch.name(),
             offered: model.offered,
@@ -849,7 +849,7 @@ fn run_arch(
             fail_open: model.fail_open_served,
             ejections: counters.ejections,
             dns_flips: counters.dns_flips,
-            deadline_exceeded: counters.deadline_misses,
+            deadline_exceeded: counters.deadline_exceeded,
             budget_rejected: counters.budget_rejected,
             calm_p99_ms: stats::percentile(&model.latencies_calm, 0.99),
             fault_p99_ms: stats::percentile(&model.latencies_fault, 0.99),

@@ -56,7 +56,7 @@ use canal_gateway::{DrainPhase, GatewayDrain};
 use canal_net::{Endpoint, FiveTuple, FlowHash, VpcAddr, VpcId};
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, Table};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 
 /// The gateway the script turns gray.
 const GRAY_GW: u32 = 0;
@@ -640,14 +640,17 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         t.since(gray_onset).as_nanos().div_ceil(w)
     });
     let (_, _, handed_off, force_closed, _) = drain.stats();
+    let mut s = Stats::default();
+    s.scope("detector", |s| detector.fold(s)).scope("ctl", |s| ctl.fold(s));
+    let count = |path| s.get(path).unwrap_or(0);
     let store = ctl.store();
     let one_converged_version = store.converged();
 
     let mut d = Digest::new();
-    detector.fold_digest(&mut d);
-    drain.fold_digest(&mut d);
-    ctl.fold_digest(&mut d);
-    state.fold_digest(&mut d);
+    detector.fold(&mut d);
+    drain.fold(&mut d);
+    ctl.fold(&mut d);
+    state.fold(&mut d);
     d.write_u64(requests).write_u64(errors).write_u64(total_bytes);
 
     CanalDrillRun {
@@ -655,9 +658,9 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
         errors,
         gray_errors,
         detect_windows,
-        quarantines: detector.quarantines(),
+        quarantines: count("detector.quarantines"),
         false_positive_quarantines: false_positives,
-        quarantine_cleared: detector.clears() >= 1 && !detector.is_quarantined(&GRAY_GW),
+        quarantine_cleared: count("detector.clears") >= 1 && !detector.is_quarantined(&GRAY_GW),
         rerouted,
         canary_requests,
         sessions_opened: drain.stats().0,
@@ -671,8 +674,8 @@ pub(crate) fn run_canal(seed: u64, params: &DrillParams) -> CanalDrillRun {
             .filter(|o| o.result == canal_control::rollout::RolloutResult::Converged)
             .count() as u64,
         rollbacks: ctl.rollbacks(),
-        catch_up_pushes: ctl.catch_up_pushes(),
-        partition_holds: ctl.partition_holds(),
+        catch_up_pushes: count("ctl.catch_up_pushes"),
+        partition_holds: count("ctl.partition_holds"),
         dropped_pushes,
         fail_static_served,
         lease_violations,

@@ -48,7 +48,7 @@ use canal_gateway::{ActiveConfig, ConfigSpec, Rejection, RouteSpec};
 use canal_net::GlobalServiceId;
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::Table;
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 use std::collections::BTreeMap;
 
 /// Services every gateway knows; specs route all of them.
@@ -610,17 +610,18 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
     if let Some(c) = &ctl {
         m.rollbacks = c.rollbacks();
         m.journal_appended = c.journal().appended();
-        m.journal_evicted = c.journal().evicted();
+        let s = Stats::of(|s| c.fold(s));
+        m.journal_evicted = s.get("journal.evicted").unwrap_or(0);
     }
 
     let mut d = Digest::new();
     for ac in &fleet {
-        ac.fold_digest(&mut d);
+        ac.fold(&mut d);
     }
     if let Some(c) = &ctl {
-        c.fold_digest(&mut d);
+        c.fold(&mut d);
     }
-    state.fold_digest(&mut d);
+    state.fold(&mut d);
     d.write_u64(m.pushes_delivered)
         .write_u64(m.commits)
         .write_u64(m.zombie_pushes)

@@ -71,7 +71,7 @@ use canal_mesh::costs::CostModel;
 use canal_mesh::path::PathExecutor;
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, Table};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 use std::collections::BTreeMap;
 
 /// The rotating tenant whose whole cert fleet turns over at once.
@@ -216,11 +216,11 @@ impl LatencyHist {
         0.0
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { samples, total } = self;
-        d.write_u64(*total);
+        f.write_u64(*total);
         for (us, count) in samples {
-            d.write_u64(*us).write_u64(*count);
+            f.write_u64(*us).write_u64(*count);
         }
     }
 }
@@ -906,18 +906,19 @@ pub(crate) fn run_canal(
         .is_some_and(|spec| spec.trust.revocation_floor >= 2 << 32);
 
     let mut d = Digest::new();
-    ctl.fold_digest(&mut d);
+    ctl.fold(&mut d);
+    let rotations = Stats::of(|s| ctl.fold(s));
     for gw in &gws {
         for slot in gw.values() {
-            slot.fold_digest(&mut d);
+            slot.fold(&mut d);
         }
     }
-    sample_cache.fold_digest(&mut d);
-    state.fold_digest(&mut d);
-    hist_steady_full.fold_digest(&mut d);
-    hist_storm_full.fold_digest(&mut d);
-    hist_other_full.fold_digest(&mut d);
-    hist_resumed.fold_digest(&mut d);
+    sample_cache.fold(&mut d);
+    state.fold(&mut d);
+    hist_steady_full.fold(&mut d);
+    hist_storm_full.fold(&mut d);
+    hist_other_full.fold(&mut d);
+    hist_resumed.fold(&mut d);
     d.write_u64(nacks).write_u64(sheds).write_u64(backlog_rot);
 
     CanalHandshakeRun {
@@ -953,8 +954,8 @@ pub(crate) fn run_canal(
         compromise_floor_raised,
         tickets_swept,
         revoked_resumes_blocked: revoked_resume_attempts > 0 && revoked_resume_hits == 0,
-        rotations_converged: ctl.rotations_converged(),
-        rotations_rolled_back: ctl.rotations_rolled_back(),
+        rotations_converged: rotations.get("rotations_converged").unwrap_or(0),
+        rotations_rolled_back: rotations.get("rotations_rolled_back").unwrap_or(0),
         cpu_s,
         state_digest: d.value(),
     }

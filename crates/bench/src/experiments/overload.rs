@@ -36,7 +36,7 @@ use canal_net::{
     Endpoint, FiveTuple, GlobalServiceId, Priority, ServiceId, TenantId, VpcAddr, VpcId,
 };
 use canal_sim::output::{num, pct, Table};
-use canal_sim::{stats, Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{stats, Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 
 /// Well-behaved tenants offer this rate each (requests/s).
 const BASE_RPS: f64 = 100.0;
@@ -250,15 +250,15 @@ impl PlacementOutcome {
         &self.surge.tenants[(SURGER - 1) as usize]
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { name, baseline, surge } = self;
-        d.write_str(name);
+        f.write_str(name);
         for pass in [baseline, surge] {
-            d.write_u64(u64::from(pass.brownout_engaged))
+            f.write_u64(u64::from(pass.brownout_engaged))
                 .write_u64(pass.total_shed)
                 .write_u64(pass.overload_alerts);
             for t in &pass.tenants {
-                d.write_u64(t.offered)
+                f.write_u64(t.offered)
                     .write_u64(t.started)
                     .write_u64(t.shed)
                     .write_f64(t.p99_ms)
@@ -285,11 +285,7 @@ impl SurgeOutcome {
     /// Fold the complete outcome into one value: equal seeds must produce
     /// equal digests, bit for bit.
     pub fn digest(&self) -> u64 {
-        let mut d = Digest::new();
-        for p in &self.placements {
-            p.fold_digest(&mut d);
-        }
-        d.value()
+        Digest::of(|d| self.placements.iter().for_each(|p| p.fold(d))).value()
     }
 
     /// The outcome for one placement.
@@ -507,7 +503,7 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
     for ctrl in placement.controls.iter_mut() {
         ctrl.pump(drain, &mut started);
         absorb(&mut out, &mut samples, &mut started);
-        out.total_shed += ctrl.total_shed();
+        out.total_shed += Stats::of(|s| ctrl.fold(s)).get("total_shed").unwrap_or(0);
         if ctrl.brownout_level() > canal_gateway::BrownoutLevel::Normal {
             out.brownout_engaged = true;
         }

@@ -54,7 +54,7 @@ use canal_policy::{
 };
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::Table;
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 
 /// The two tenants sharing the 10.0.0.0/16 address space (their VPCs
 /// overlap on purpose — addresses alone never discriminate, §4.2).
@@ -301,7 +301,7 @@ impl PolicyBlastOutcome {
         let b = &self.blast;
         let mut d = Digest::new();
         for a in &b.arms {
-            a.fold_digest(&mut d);
+            a.fold(&mut d);
         }
         d.write_u64(b.fleet as u64)
             .write_u64(b.canary_size as u64)
@@ -692,24 +692,21 @@ pub fn run_policy(seed: u64, params: &PolicyParams) -> PolicyBlastOutcome {
         }
     }
 
-    let (mut node_allowed, mut node_denied, mut node_deferred) = (0u64, 0u64, 0u64);
-    for n in &nodes {
-        let (a, d, f) = n.counters();
-        node_allowed += a;
-        node_denied += d;
-        node_deferred += f;
-    }
+    let node = Stats::of(|s| nodes.iter().for_each(|n| n.fold(s)));
+    let node_count = |name| node.get(name).unwrap_or(0);
+    let (node_allowed, node_denied, node_deferred) =
+        (node_count("allowed"), node_count("denied"), node_count("deferred"));
 
     let mut d = Digest::new();
-    canal.ctl.fold_digest(&mut d);
+    canal.ctl.fold(&mut d);
     for gw in &canal.slots {
-        gw.fold_digest(&mut d);
+        gw.fold(&mut d);
     }
     for n in &nodes {
-        n.fold_digest(&mut d);
+        n.fold(&mut d);
     }
-    store.fold_digest(&mut d);
-    monitor.fold_digest(&mut d);
+    store.fold(&mut d);
+    monitor.fold(&mut d);
     d.write_u64(canal.nacks);
 
     // A blindly applied broken policy fails closed: every request the

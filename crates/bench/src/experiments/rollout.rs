@@ -52,7 +52,7 @@ use canal_mesh::arch::{Architecture, ClusterShape};
 use canal_net::GlobalServiceId;
 use canal_sim::faults::{FaultKind, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, pct, Table};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime};
 use std::collections::BTreeSet;
 
 /// The one service every gateway has placed.
@@ -185,7 +185,7 @@ impl BlastOutcome {
         let b = &self.blast;
         let mut d = Digest::new();
         for a in &b.arms {
-            a.fold_digest(&mut d);
+            a.fold(&mut d);
         }
         d.write_u64(b.fleet as u64)
             .write_u64(b.canary_size as u64)
@@ -443,9 +443,9 @@ pub(crate) fn run_rollout(seed: u64, params: &RolloutParams) -> BlastOutcome {
         .count() as u64;
 
     let mut d = Digest::new();
-    canal.ctl.fold_digest(&mut d);
+    canal.ctl.fold(&mut d);
     for gw in &canal.slots {
-        gw.fold_digest(&mut d);
+        gw.fold(&mut d);
     }
     d.write_u64(canal.nacks)
         .write_u64(dropped_pushes)

@@ -22,7 +22,7 @@ use canal_gateway::{FailStatic, Plane, Rejection};
 use canal_mesh::arch::{Architecture, ClusterShape};
 use canal_sim::faults::FaultPlan;
 use canal_sim::output::{num, pct, Table};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Fold, SimDuration, SimRng, SimTime};
 use std::collections::BTreeSet;
 
 /// Operator detection delay for the blind-push arms (monitoring pipeline +
@@ -386,9 +386,9 @@ impl ArmOutcome {
         self.errors as f64 / budget
     }
 
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { name, fleet, exposed, offered, errors, ttr_s } = self;
-        d.write_str(name)
+        f.write_str(name)
             .write_u64(*fleet as u64)
             .write_u64(*exposed as u64)
             .write_u64(*offered)

@@ -32,7 +32,7 @@ use canal_control::rca::{HopWindowStats, SpanEvidenceRca, SpanRcaVerdict, TrendH
 use canal_mesh::costs::CostModel;
 use canal_sim::faults::{BackendSpec, FaultPlan, FaultState, FaultTarget, FaultTopology};
 use canal_sim::output::{num, pct, Table};
-use canal_sim::{stats, Digest, Histogram, SimDuration, SimRng, SimTime};
+use canal_sim::{stats, Digest, Fold, Histogram, SimDuration, SimRng, SimTime, Stats};
 use canal_telemetry::{
     Collector, HeadSampler, HopSite, SegmentKind, Span, SpanRing, TailPolicy, TelemetryCostModel,
     TelemetryMeter,
@@ -427,14 +427,14 @@ impl TraceArchOutcome {
         self.p999_retained as f64 / self.p999_traces as f64
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self {
             name, offered, errors, error_retained, p999_traces, p999_retained, head_rate,
             retained_traces, spans_recorded, spans_evicted, spans_exported,
             telemetry_cpu_us_per_req, telemetry_bytes_per_req, p999_ms, exemplar_retained,
             decomposition,
         } = self;
-        d.write_str(name)
+        f.write_str(name)
             .write_u64(*offered)
             .write_u64(*errors)
             .write_u64(*error_retained)
@@ -450,7 +450,7 @@ impl TraceArchOutcome {
             .write_f64(*p999_ms)
             .write_u64(*exemplar_retained as u64);
         for &(k, us) in decomposition {
-            d.write_str(k.name()).write_f64(us);
+            f.write_str(k.name()).write_f64(us);
         }
     }
 }
@@ -494,7 +494,7 @@ impl TraceOutcome {
         let mut d = Digest::new();
         d.write_u64(self.plan_events as u64);
         for a in &self.archs {
-            a.fold_digest(&mut d);
+            a.fold(&mut d);
         }
         for e in &self.episodes {
             d.write_str(e.label)
@@ -767,6 +767,7 @@ fn run_arch_trace(
         .iter()
         .map(|&k| (k, per_req(seg_sum.get(&k).copied().unwrap_or(0.0))))
         .collect();
+    let ring_stats = Stats::of(|s| rings.values().for_each(|r| r.fold(s)));
     let outcome = TraceArchOutcome {
         name: arch,
         offered,
@@ -777,7 +778,7 @@ fn run_arch_trace(
         head_rate: sampler.achieved_rate(),
         retained_traces: retained.len() as u64,
         spans_recorded: meter.spans_recorded(),
-        spans_evicted: rings.values().map(|r| r.evicted()).sum(),
+        spans_evicted: ring_stats.get("evicted").unwrap_or(0),
         spans_exported: meter.spans_exported(),
         telemetry_cpu_us_per_req: per_req(meter.cpu().as_micros_f64()),
         telemetry_bytes_per_req: per_req(meter.bytes() as f64),

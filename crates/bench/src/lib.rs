@@ -11,6 +11,7 @@
 //! Smoke a scenario: `... --bin experiments -- drill --fast --json target`
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod cli;
 pub mod experiments;

@@ -8,6 +8,7 @@
 //! matching the real crate's `get_u16`/`put_u16` family.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;

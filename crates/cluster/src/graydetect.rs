@@ -25,7 +25,7 @@
 //! every roll.
 
 use crate::probe::{HealthState, ProbePolicy, ProbeTracker};
-use canal_sim::invariant::Digest;
+use canal_sim::invariant::Fold;
 use canal_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -346,30 +346,20 @@ impl<K: Ord + Clone> GrayDetector<K> {
         &self.probes
     }
 
-    /// Total `→ Quarantined` transitions.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines
-    }
-
-    /// Total quarantine clears.
-    pub fn clears(&self) -> u64 {
-        self.clears
-    }
-
     /// Fold detector state into a digest: per-target verdict, EWMA bits,
     /// window counters (`win_requests`, `win_errors`, `win_latencies` via
     /// length, `lat_overflow`), hysteresis counters (`bad_windows`,
     /// `good_windows`, `quarantined_at`), the roll clock (`last_roll`) and
     /// the lifetime counters (`quarantines`, `clears`, `safety_holds`).
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             targets, last_roll, quarantines, clears, safety_holds,
             policy: _, // config: fixed at construction
             probes: _, // gap: probe health feeds the folded verdicts but is not folded itself
         } = self;
-        d.write_u64(targets.len() as u64);
+        f.write_u64(targets.len() as u64);
         for ev in targets.values() {
-            d.write_u64(ev.verdict.tag())
+            f.write_u64(ev.verdict.tag())
                 .write_f64(ev.ewma_error)
                 .write_u64(ev.win_requests)
                 .write_u64(ev.win_errors)
@@ -379,16 +369,17 @@ impl<K: Ord + Clone> GrayDetector<K> {
                 .write_u64(ev.good_windows as u64)
                 .write_u64(ev.quarantined_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX));
         }
-        d.write_u64(last_roll.map(|t| t.as_nanos()).unwrap_or(u64::MAX))
-            .write_u64(*quarantines)
-            .write_u64(*clears)
-            .write_u64(*safety_holds);
+        f.write_u64(last_roll.map(|t| t.as_nanos()).unwrap_or(u64::MAX))
+            .count("quarantines", *quarantines)
+            .count("clears", *clears)
+            .count("safety_holds", *safety_holds);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
 
     const T: fn(u64) -> SimTime = SimTime::from_secs;
     const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
@@ -435,7 +426,7 @@ mod tests {
             assert!(at < 10, "gray target must quarantine within bounded windows");
         }
         assert!(d.is_quarantined(&0));
-        assert_eq!(d.quarantines(), 1);
+        assert_eq!(d.quarantines, 1);
         for g in 1..6u32 {
             assert_eq!(d.verdict(&g), Some(GrayVerdict::Healthy), "peer {g} false-positived");
         }
@@ -478,7 +469,7 @@ mod tests {
         }
         // The differential margin keeps everyone off the error path (nobody
         // beats the peer median by the margin), so nothing quarantines.
-        assert_eq!(d.quarantines(), 0);
+        assert_eq!(d.quarantines, 0);
     }
 
     #[test]
@@ -498,7 +489,7 @@ mod tests {
             d.roll_window(T(w));
         }
         assert!(!d.is_quarantined(&0), "flapping below threshold must not quarantine");
-        assert_eq!(d.quarantines(), 0);
+        assert_eq!(d.quarantines, 0);
     }
 
     #[test]
@@ -532,7 +523,7 @@ mod tests {
             d.roll_window(T(at));
         }
         assert_eq!(d.verdict(&0), Some(GrayVerdict::Healthy));
-        assert_eq!(d.clears(), 1);
+        assert_eq!(d.clears, 1);
         // An idle quarantine (no canary traffic at all) never clears.
         let mut idle = detector();
         let mut t = 0u64;
@@ -584,12 +575,11 @@ mod tests {
             d.record_request(&0, true, MS(1));
         }
         let (mut a, mut b) = (Digest::new(), Digest::new());
-        d.fold_digest(&mut a);
-        d.fold_digest(&mut b);
+        d.fold(&mut a);
+        d.fold(&mut b);
         assert_eq!(a.value(), b.value());
         d.roll_window(T(1));
-        let mut c = Digest::new();
-        d.fold_digest(&mut c);
+        let c = Digest::of(|f| d.fold(f));
         assert_ne!(a.value(), c.value(), "roll must move the digest");
     }
 }

@@ -21,6 +21,7 @@
 //!   with cooloff-gated canary re-admission.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

@@ -39,7 +39,7 @@ use crate::rollout::{
 };
 use crate::versioned::TargetId;
 use canal_gateway::certs::{ActiveCertBundle, CertBundleSpec, TrustBundle};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Fold, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -446,56 +446,46 @@ impl CertRotationController {
         self.rotations_converged + self.rotations_rolled_back + self.in_flight.is_some() as u64
     }
 
-    /// Rotation waves that converged fleet-wide.
-    pub fn rotations_converged(&self) -> u64 {
-        self.rotations_converged
-    }
-
-    /// Rotation waves rolled back or refused.
-    pub fn rotations_rolled_back(&self) -> u64 {
-        self.rotations_rolled_back
-    }
-
     /// The rotation audit ring (newest last).
     pub fn history(&self) -> impl Iterator<Item = &RotationRecord> {
         self.history.iter()
     }
 
     /// Fold the full controller state into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             rollout, tenants, bundles, bundles_evicted, in_flight, history, history_evicted,
             rotations_converged, rotations_rolled_back,
             cfg: _, // config: fixed at construction
         } = self;
-        rollout.fold_digest(d);
-        d.write_u64(tenants.len() as u64);
+        f.scope("rollout", |f| rollout.fold(f));
+        f.write_u64(tenants.len() as u64);
         for (tenant, st) in tenants {
-            d.write_u64(*tenant)
+            f.write_u64(*tenant)
                 .write_u64(st.generation)
                 .write_u64(st.revocation_floor)
                 .write_u64(st.expiry.as_nanos())
                 .write_u64(st.compromised as u64)
                 .write_u64(st.retry_after.as_nanos())
-                .write_u64(st.rotations);
+                .count("rotations", st.rotations);
         }
-        d.write_u64(bundles.len() as u64);
+        f.write_u64(bundles.len() as u64);
         for (version, spec) in bundles {
-            d.write_u64(*version);
-            spec.fold_digest(d);
+            f.write_u64(*version);
+            spec.fold(f);
         }
-        d.write_u64(*bundles_evicted);
+        f.count("bundles_evicted", *bundles_evicted);
         for (tenant, st) in tenants {
             if let Some(version) = st.converged_version {
-                d.write_u64(*tenant).write_u64(version);
+                f.write_u64(*tenant).write_u64(version);
             }
         }
         match in_flight {
             None => {
-                d.write_u64(0);
+                f.write_u64(0);
             }
             Some(fl) => {
-                d.write_u64(1)
+                f.write_u64(1)
                     .write_u64(fl.tenant)
                     .write_u64(rollout.store().version())
                     .write_u64(fl.generation)
@@ -504,9 +494,9 @@ impl CertRotationController {
                     .write_u64(fl.revocation_floor);
             }
         }
-        d.write_u64(history.len() as u64);
+        f.write_u64(history.len() as u64);
         for r in history {
-            d.write_u64(r.tenant)
+            f.write_u64(r.tenant)
                 .write_u64(r.version)
                 .write_u64(r.generation)
                 .write_u64(r.started_at.as_nanos())
@@ -514,11 +504,11 @@ impl CertRotationController {
         }
         // Every rollout outcome is settled by the tick that produced it.
         let observed_outcomes = rollout.outcomes_evicted() + rollout.outcomes().len() as u64;
-        d.write_u64(*history_evicted)
-            .write_u64(observed_outcomes)
-            .write_u64(self.rotations_started())
-            .write_u64(*rotations_converged)
-            .write_u64(*rotations_rolled_back);
+        f.count("history_evicted", *history_evicted)
+            .count("observed_outcomes", observed_outcomes)
+            .count("rotations_started", self.rotations_started())
+            .count("rotations_converged", *rotations_converged)
+            .count("rotations_rolled_back", *rotations_rolled_back);
     }
 }
 
@@ -594,7 +584,7 @@ mod tests {
         ack_pushes(&mut c, &actions, SimTime::from_secs(9_500));
         drive_to_converged(&mut c, SimTime::from_secs(9_501), &mut rng);
         assert_eq!(c.tenants[&1].generation, 2);
-        assert_eq!(c.rotations_converged(), 1);
+        assert_eq!(c.rotations_converged, 1);
         // Expiry advanced: a fresh tick schedules nothing.
         let again = c.tick(SimTime::from_secs(9_560), None, None, &mut rng);
         assert!(again.is_empty());
@@ -627,7 +617,7 @@ mod tests {
         );
         // Tenant state unchanged; retry is backed off.
         assert_eq!(c.tenants[&1].generation, 2);
-        assert_eq!(c.rotations_rolled_back(), 1);
+        assert_eq!(c.rotations_rolled_back, 1);
         let quiet = c.tick(t1 + SimDuration::from_secs(2), None, None, &mut rng);
         assert!(quiet.is_empty(), "backoff holds: {quiet:?}");
         let retry = c.tick(t1 + SimDuration::from_secs(122), None, None, &mut rng);

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use canal_sim::invariant::Digest;
+use canal_sim::invariant::{Digest, Fold};
 use canal_sim::time::SimTime;
 
 use crate::versioned::TargetId;
@@ -162,63 +162,58 @@ impl JournalRecord {
     }
 
     /// Fold the record into a digest (order- and content-sensitive).
-    pub(crate) fn fold_digest(&self, digest: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         match self {
             JournalRecord::Epoch { epoch, at } => {
-                digest.write_u64(1).write_u64(*epoch).write_u64(at.as_nanos());
+                f.write_u64(1).write_u64(*epoch).write_u64(at.as_nanos());
             }
             JournalRecord::Begin { epoch, kind, version, last_known_good, order, at } => {
-                digest
-                    .write_u64(2)
+                f.write_u64(2)
                     .write_u64(*epoch)
                     .write_u64(kind.tag())
                     .write_u64(*version)
                     .write_u64(*last_known_good)
                     .write_u64(at.as_nanos());
                 for t in order {
-                    digest.write_u64(u64::from(*t));
+                    f.write_u64(u64::from(*t));
                 }
             }
             JournalRecord::WaveCut { epoch, version, wave, targets, at } => {
-                digest
-                    .write_u64(3)
+                f.write_u64(3)
                     .write_u64(*epoch)
                     .write_u64(*version)
                     .write_u64(*wave as u64)
                     .write_u64(at.as_nanos());
                 for t in targets {
-                    digest.write_u64(u64::from(*t));
+                    f.write_u64(u64::from(*t));
                 }
             }
             JournalRecord::Ack { epoch, target, version, at } => {
-                digest
-                    .write_u64(4)
+                f.write_u64(4)
                     .write_u64(*epoch)
                     .write_u64(u64::from(*target))
                     .write_u64(*version)
                     .write_u64(at.as_nanos());
             }
             JournalRecord::Nack { epoch, target, version, at } => {
-                digest
-                    .write_u64(5)
+                f.write_u64(5)
                     .write_u64(*epoch)
                     .write_u64(u64::from(*target))
                     .write_u64(*version)
                     .write_u64(at.as_nanos());
             }
             JournalRecord::Rollback { epoch, version, to, targets, at } => {
-                digest
-                    .write_u64(6)
+                f.write_u64(6)
                     .write_u64(*epoch)
                     .write_u64(*version)
                     .write_u64(*to)
                     .write_u64(at.as_nanos());
                 for t in targets {
-                    digest.write_u64(u64::from(*t));
+                    f.write_u64(u64::from(*t));
                 }
             }
             JournalRecord::Converge { epoch, version, at } => {
-                digest.write_u64(7).write_u64(*epoch).write_u64(*version).write_u64(at.as_nanos());
+                f.write_u64(7).write_u64(*epoch).write_u64(*version).write_u64(at.as_nanos());
             }
         }
     }
@@ -351,41 +346,40 @@ impl ReplayState {
     }
 
     /// Fold the replay state into a digest.
-    pub fn fold_digest(&self, digest: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { epoch, last_good, latest_begun, in_flight, pending_rollback, nacked } = self;
-        digest.write_u64(*epoch).write_u64(*last_good).write_u64(*latest_begun);
+        f.write_u64(*epoch).write_u64(*last_good).write_u64(*latest_begun);
         match in_flight {
             None => {
-                digest.write_u64(0);
+                f.write_u64(0);
             }
             Some(fl) => {
-                digest
-                    .write_u64(1)
+                f.write_u64(1)
                     .write_u64(fl.version)
                     .write_u64(fl.last_known_good)
                     .write_u64(fl.wave as u64)
                     .write_u64(fl.started_at.as_nanos());
                 for t in &fl.order {
-                    digest.write_u64(u64::from(*t));
+                    f.write_u64(u64::from(*t));
                 }
                 for t in &fl.exposed {
-                    digest.write_u64(u64::from(*t));
+                    f.write_u64(u64::from(*t));
                 }
             }
         }
         match pending_rollback {
             None => {
-                digest.write_u64(0);
+                f.write_u64(0);
             }
             Some(p) => {
-                digest.write_u64(1).write_u64(p.version).write_u64(p.to);
+                f.write_u64(1).write_u64(p.version).write_u64(p.to);
                 for t in &p.targets {
-                    digest.write_u64(u64::from(*t));
+                    f.write_u64(u64::from(*t));
                 }
             }
         }
         for (t, v) in nacked {
-            digest.write_u64(u64::from(*t)).write_u64(*v);
+            f.write_u64(u64::from(*t)).write_u64(*v);
         }
     }
 }
@@ -419,7 +413,7 @@ impl Journal {
     pub(crate) fn append(&mut self, rec: JournalRecord) {
         let mut d = Digest::new();
         d.write_u64(self.chain);
-        rec.fold_digest(&mut d);
+        rec.fold(&mut d);
         self.chain = d.value();
         self.records.push_back(rec);
         while self.records.len() > JOURNAL_RETAIN_CAP {
@@ -480,11 +474,6 @@ impl Journal {
         self.appended() == 0
     }
 
-    /// Records evicted into the checkpoint so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Total records ever appended: each is either retained or evicted.
     pub fn appended(&self) -> u64 {
         self.evicted + self.records.len() as u64
@@ -498,17 +487,16 @@ impl Journal {
 
     /// Fold the journal — ring, checkpoint, counters, chain — into a
     /// digest.
-    pub(crate) fn fold_digest(&self, digest: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { records, checkpoint, evicted, chain } = self;
-        digest
-            .write_u64(*evicted)
-            .write_u64(self.appended())
+        f.count("evicted", *evicted)
+            .count("appended", self.appended())
             .write_u64(*chain)
             .write_u64(self.epoch())
             .write_u64(records.len() as u64);
-        checkpoint.fold_digest(digest);
+        f.scope("checkpoint", |f| checkpoint.fold(f));
         for rec in records {
-            rec.fold_digest(digest);
+            rec.fold(f);
         }
     }
 }
@@ -634,7 +622,7 @@ mod tests {
             });
             j.append(JournalRecord::Converge { epoch: 1, version: v, at: t(v) });
         }
-        assert!(j.evicted() > 0, "ring should have overflowed");
+        assert!(j.evicted > 0, "ring should have overflowed");
         assert_eq!(j.len(), JOURNAL_RETAIN_CAP);
         let state = j.replay();
         assert_eq!(state.last_good, rounds);

@@ -33,6 +33,7 @@
 //!   resume or abort the in-flight wave under a fresh fencing epoch.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

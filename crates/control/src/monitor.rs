@@ -16,7 +16,7 @@
 use canal_gateway::gateway::{BackendId, WaterLevel};
 use canal_gateway::overload::{BrownoutLevel, OverloadSignals};
 use canal_net::GlobalServiceId;
-use canal_sim::{Digest, SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Alert levels of §4.2.
@@ -292,40 +292,40 @@ impl WaterLevelMonitor {
     /// window, the `alerts` log, the rollout view (`rollout_in_flight`,
     /// `rollbacks_seen`), every gateway's `policy` deny watch and the
     /// `policy_denials` total.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { history, alerts, rollout_in_flight, rollbacks_seen, policy, policy_denials } = self;
-        d.write_u64(history.len() as u64);
+        f.write_u64(history.len() as u64);
         for (&backend, h) in history {
-            d.write_u64(backend as u64);
+            f.write_u64(backend as u64);
             for q in [&h.utilization, &h.sessions, &h.rps] {
-                d.write_u64(q.len() as u64);
+                f.write_u64(q.len() as u64);
                 for &v in q {
-                    d.write_f64(v);
+                    f.write_f64(v);
                 }
             }
         }
-        d.write_u64(alerts.len() as u64);
+        f.write_u64(alerts.len() as u64);
         for &(t, kind) in alerts {
-            d.write_u64(t.as_nanos());
+            f.write_u64(t.as_nanos());
             match kind {
-                AlertKind::Backend(b) => d.write_u64(1).write_u64(b as u64),
-                AlertKind::Service(s) => d.write_u64(2).write_u64(s.0),
-                AlertKind::Tenant(tenant) => d.write_u64(3).write_u64(tenant.0 as u64),
-                AlertKind::Overload => d.write_u64(4),
-                AlertKind::ConfigRollout => d.write_u64(5),
-                AlertKind::PolicyDeny => d.write_u64(6),
+                AlertKind::Backend(b) => f.write_u64(1).write_u64(b as u64),
+                AlertKind::Service(s) => f.write_u64(2).write_u64(s.0),
+                AlertKind::Tenant(tenant) => f.write_u64(3).write_u64(tenant.0 as u64),
+                AlertKind::Overload => f.write_u64(4),
+                AlertKind::ConfigRollout => f.write_u64(5),
+                AlertKind::PolicyDeny => f.write_u64(6),
             };
         }
-        d.write_u64(*rollout_in_flight as u64)
-            .write_u64(*rollbacks_seen)
+        f.write_u64(*rollout_in_flight as u64)
+            .count("rollbacks_seen", *rollbacks_seen)
             .write_u64(policy.len() as u64);
         for (&gateway, w) in policy {
-            d.write_u64(u64::from(gateway))
+            f.write_u64(u64::from(gateway))
                 .write_u64(w.idle_offered)
                 .write_u64(w.idle_denied)
                 .write_u64(u64::from(w.streak));
         }
-        d.write_u64(*policy_denials);
+        f.count("policy_denials", *policy_denials);
     }
 }
 

@@ -58,7 +58,7 @@
 
 use crate::journal::{Journal, JournalRecord, ReplayState, RolloutKind};
 use crate::versioned::{TargetId, VersionedConfigStore};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Fold, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Audit-log retention: terminal [`RolloutOutcome`]s kept in memory. A
@@ -856,16 +856,6 @@ impl RolloutController {
         self.rollbacks
     }
 
-    /// Ticks a fully-acked-but-quorum-starved wave spent holding.
-    pub fn partition_holds(&self) -> u64 {
-        self.partition_holds
-    }
-
-    /// Monotone catch-up pushes emitted on partition heal.
-    pub fn catch_up_pushes(&self) -> u64 {
-        self.catch_up_pushes
-    }
-
     /// The last version the whole fleet converged on — what a rollback
     /// restores (0 until any rollout converges).
     pub fn last_known_good(&self) -> u64 {
@@ -873,13 +863,13 @@ impl RolloutController {
     }
 
     /// The retained per-version audit log, oldest first (a bounded ring;
-    /// [`Self::outcomes_evicted`] counts entries aged out).
+    /// the fold counts entries aged out as `outcomes_evicted`).
     pub fn outcomes(&self) -> &VecDeque<RolloutOutcome> {
         &self.outcomes
     }
 
     /// Audit-log entries evicted from the bounded ring (lifetime total).
-    pub fn outcomes_evicted(&self) -> u64 {
+    pub(crate) fn outcomes_evicted(&self) -> u64 {
         self.outcomes_evicted
     }
 
@@ -902,7 +892,7 @@ impl RolloutController {
     /// Fold phase, fleet roster, in-flight rollout, counters, and the
     /// audit log into `d` — the experiment's double-run bit-identity
     /// covers the whole state machine.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             store, targets, active, outcomes, outcomes_evicted, rollbacks, last_good, unreachable,
             partition_holds, catch_up_pushes, kind, journal, epoch,
@@ -916,18 +906,18 @@ impl RolloutController {
             RolloutPhase::Converged => 2,
             RolloutPhase::RolledBack => 3,
         };
-        d.write_u64(phase_tag);
-        d.write_u64(store.version());
-        d.write_u64(targets.len() as u64);
+        f.write_u64(phase_tag);
+        f.write_u64(store.version());
+        f.write_u64(targets.len() as u64);
         for &t in targets {
-            d.write_u64(t as u64);
+            f.write_u64(t as u64);
         }
         match active {
             None => {
-                d.write_u64(0);
+                f.write_u64(0);
             }
             Some(a) => {
-                d.write_u64(1)
+                f.write_u64(1)
                     .write_u64(a.version)
                     .write_u64(a.last_known_good)
                     .write_u64(a.started_at.as_nanos())
@@ -935,37 +925,37 @@ impl RolloutController {
                     .write_u64(a.baseline.p99.as_nanos())
                     .write_u64(a.order.len() as u64);
                 for &t in &a.order {
-                    d.write_u64(t as u64);
+                    f.write_u64(t as u64);
                 }
-                d.write_u64(a.pushed as u64)
+                f.write_u64(a.pushed as u64)
                     .write_u64(a.wave as u64)
                     .write_u64(a.wave_pushed_at.as_nanos())
                     .write_u64(a.wave_acked_at.map_or(u64::MAX, |t| t.as_nanos()));
             }
         }
-        d.write_u64(*last_good);
+        f.write_u64(*last_good);
         // The partitioned targets, then each with its lease anchor.
-        d.write_u64(unreachable.len() as u64);
+        f.write_u64(unreachable.len() as u64);
         for &t in unreachable.keys() {
-            d.write_u64(t as u64);
+            f.write_u64(t as u64);
         }
         for (&t, &since) in unreachable {
-            d.write_u64(t as u64).write_u64(since.as_nanos());
+            f.write_u64(t as u64).write_u64(since.as_nanos());
         }
-        d.write_u64(*partition_holds);
-        d.write_u64(*catch_up_pushes);
-        d.write_u64(*rollbacks);
-        d.write_u64(*epoch);
-        d.write_u64(kind.tag());
-        journal.fold_digest(d);
-        d.write_u64(*outcomes_evicted);
-        d.write_u64(outcomes.len() as u64);
+        f.count("partition_holds", *partition_holds)
+            .count("catch_up_pushes", *catch_up_pushes)
+            .count("rollbacks", *rollbacks);
+        f.write_u64(*epoch);
+        f.write_u64(kind.tag());
+        f.scope("journal", |f| journal.fold(f));
+        f.count("outcomes_evicted", *outcomes_evicted);
+        f.write_u64(outcomes.len() as u64);
         for o in outcomes {
-            d.write_u64(o.version);
-            d.write_u64(o.rolled_back_to);
-            d.write_u64(o.started_at.as_nanos());
-            d.write_u64(o.ended_at.as_nanos());
-            d.write_u64(match o.result {
+            f.write_u64(o.version);
+            f.write_u64(o.rolled_back_to);
+            f.write_u64(o.started_at.as_nanos());
+            f.write_u64(o.ended_at.as_nanos());
+            f.write_u64(match o.result {
                 RolloutResult::Converged => 1,
                 RolloutResult::FailedValidation => 2,
                 RolloutResult::RolledBack(RollbackReason::Nack { target }) => {
@@ -974,8 +964,8 @@ impl RolloutController {
                 RolloutResult::RolledBack(RollbackReason::HealthRegression) => 3,
                 RolloutResult::RolledBack(RollbackReason::AckTimeout) => 4,
             });
-            d.write_u64(o.waves_pushed as u64);
-            d.write_u64(o.exposed_targets as u64);
+            f.write_u64(o.waves_pushed as u64);
+            f.write_u64(o.exposed_targets as u64);
         }
     }
 }
@@ -983,6 +973,7 @@ impl RolloutController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
 
     const T: fn(u64) -> SimTime = SimTime::from_secs;
 
@@ -1322,7 +1313,7 @@ mod tests {
             assert!(c.tick(T(s), None).is_empty());
         }
         assert!(c.in_flight(), "held, not rolled back or promoted");
-        assert!(c.partition_holds() > 0);
+        assert!(c.partition_holds > 0);
         assert_eq!(c.rollbacks(), 0);
     }
 
@@ -1343,7 +1334,7 @@ mod tests {
             heal,
             vec![RolloutAction::Push { version, targets: vec![lost], epoch: c.epoch() }]
         );
-        assert_eq!(c.catch_up_pushes(), 1);
+        assert_eq!(c.catch_up_pushes, 1);
         assert!(!c.unreachable.contains_key(&lost));
     }
 
@@ -1363,12 +1354,12 @@ mod tests {
         // Heal: exactly one monotone catch-up push of last-known-good.
         let heal = c.set_reachable(skip, true, t);
         assert_eq!(heal, vec![RolloutAction::Push { version: 2, targets: vec![skip], epoch: c.epoch() }]);
-        assert_eq!(c.catch_up_pushes(), 1);
+        assert_eq!(c.catch_up_pushes, 1);
         c.ack(skip, 2, t);
         assert!(c.store().converged(), "one converged version fleet-wide");
         // Healing an already-reachable target is a no-op.
         assert!(c.set_reachable(skip, true, t).is_empty());
-        assert_eq!(c.catch_up_pushes(), 1);
+        assert_eq!(c.catch_up_pushes, 1);
     }
 
     #[test]
@@ -1385,9 +1376,7 @@ mod tests {
     #[test]
     fn partition_state_reaches_the_digest() {
         let fold = |c: &RolloutController| {
-            let mut d = Digest::new();
-            c.fold_digest(&mut d);
-            d.value()
+            Digest::of(|f| c.fold(f)).value()
         };
         let mut c = controller(4);
         let before = fold(&c);
@@ -1573,7 +1562,7 @@ mod tests {
             actions,
             vec![RolloutAction::Push { version: 1, targets: vec![3], epoch: 2 }]
         );
-        assert_eq!(c2.catch_up_pushes(), 1);
+        assert_eq!(c2.catch_up_pushes, 1);
     }
 
     /// The outcome ring evicts past the cap, counts evictions, and stays
@@ -1582,9 +1571,7 @@ mod tests {
     #[test]
     fn outcome_eviction_is_bounded_and_digest_stable() {
         let fold = |c: &RolloutController| {
-            let mut d = Digest::new();
-            c.fold_digest(&mut d);
-            d.value()
+            Digest::of(|f| c.fold(f)).value()
         };
         let drive = |seed: u64| {
             let mut rng = SimRng::seed(seed);

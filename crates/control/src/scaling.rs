@@ -13,7 +13,7 @@
 
 use canal_gateway::gateway::{BackendId, Gateway};
 use canal_net::{AzId, GlobalServiceId};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Fold, SimDuration, SimRng, SimTime};
 
 /// Which scaling strategy was used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,15 +168,15 @@ impl ScalingEngine {
 
     /// Fold the engine state into a digest: the `reuse_threshold`, the
     /// `latencies` model parameters, and the `reuses` and `news` counts.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { reuse_threshold, latencies, reuses, news } = self;
-        d.write_f64(*reuse_threshold)
+        f.write_f64(*reuse_threshold)
             .write_u64(latencies.reuse_median.as_nanos())
             .write_f64(latencies.reuse_sigma)
             .write_u64(latencies.new_median.as_nanos())
             .write_f64(latencies.new_sigma)
-            .write_u64(*reuses as u64)
-            .write_u64(*news as u64);
+            .count("reuses", *reuses as u64)
+            .count("news", *news as u64);
     }
 }
 

@@ -18,7 +18,7 @@ use canal_control::journal::{Journal, JournalRecord};
 use canal_control::rollout::{
     Delivery, HealthSample, RolloutAction, RolloutConfig, RolloutController,
 };
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime};
 
 const CASES: usize = 64;
 
@@ -109,9 +109,7 @@ fn assert_write_ahead(journal: &Journal, action: &RolloutAction, epoch: u64, see
 }
 
 fn digest_of(state: &canal_control::journal::ReplayState) -> u64 {
-    let mut d = Digest::new();
-    state.fold_digest(&mut d);
-    d.value()
+    Digest::of(|f| state.fold(f)).value()
 }
 
 /// Replaying a journal twice — re-applying every retained record on top of

@@ -25,6 +25,7 @@
 //!   the asymmetric step entirely).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

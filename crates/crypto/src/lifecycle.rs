@@ -32,7 +32,7 @@
 
 use crate::dh::SharedSecret;
 use crate::mtls::MtlsError;
-use canal_sim::{Digest, SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// A workload certificate: what a [`crate::mtls::Hello`] carries instead of
@@ -165,20 +165,20 @@ impl TenantCa {
     }
 
     /// Fold the CA state into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             tenant, generation, issued_in_generation, issued_total, revocation_floor, revoked,
             revocations_evicted,
         } = self;
-        d.write_u64(*tenant)
+        f.write_u64(*tenant)
             .write_u64(*generation)
             .write_u64(*issued_in_generation)
-            .write_u64(*issued_total)
+            .count("issued_total", *issued_total)
             .write_u64(*revocation_floor)
-            .write_u64(*revocations_evicted)
+            .count("revocations_evicted", *revocations_evicted)
             .write_u64(revoked.len() as u64);
         for (&s, &at) in revoked {
-            d.write_u64(s).write_u64(at.as_nanos());
+            f.write_u64(s).write_u64(at.as_nanos());
         }
     }
 }
@@ -218,15 +218,15 @@ impl TrustBundle {
     }
 
     /// Fold the bundle into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { version, tenant, generation, revocation_floor, revoked } = self;
-        d.write_u64(*version)
+        f.write_u64(*version)
             .write_u64(*tenant)
             .write_u64(*generation)
             .write_u64(*revocation_floor)
             .write_u64(revoked.len() as u64);
         for &s in revoked {
-            d.write_u64(s);
+            f.write_u64(s);
         }
     }
 }
@@ -253,9 +253,9 @@ pub struct SessionTicket {
 
 impl SessionTicket {
     /// Fold the ticket into a digest.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { id, secret, peer_identity, tenant, cert_serial, expires } = self;
-        d.write_u64(*id)
+        f.write_u64(*id)
             .write_u64(secret.0)
             .write_u64(*peer_identity)
             .write_u64(*tenant)
@@ -393,16 +393,16 @@ impl TicketCache {
     }
 
     /// Fold the cache state into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { tickets, minted, redeemed, misses, evicted, expired_swept } = self;
-        d.write_u64(*minted)
-            .write_u64(*redeemed)
-            .write_u64(*misses)
-            .write_u64(*evicted)
-            .write_u64(*expired_swept)
+        f.count("minted", *minted)
+            .count("redeemed", *redeemed)
+            .count("misses", *misses)
+            .count("evicted", *evicted)
+            .count("expired_swept", *expired_swept)
             .write_u64(tickets.len() as u64);
         for t in tickets.values() {
-            t.fold_digest(d);
+            t.fold(f);
         }
     }
 }
@@ -410,6 +410,7 @@ impl TicketCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
 
     /// Whether a serial is revoked (floor or individually).
     fn is_revoked(ca: &TenantCa, serial: u64) -> bool {
@@ -531,9 +532,9 @@ mod tests {
             let mut cache = TicketCache::new();
             cache.mint(&cert, 3, SharedSecret(0xC0FFEE), now, SimDuration::from_secs(5));
             let mut d = Digest::new();
-            ca.fold_digest(&mut d);
-            cache.fold_digest(&mut d);
-            ca.trust_bundle(1).fold_digest(&mut d);
+            ca.fold(&mut d);
+            cache.fold(&mut d);
+            ca.trust_bundle(1).fold(&mut d);
             d.value()
         };
         assert_eq!(build(), build());

@@ -13,7 +13,7 @@
 
 use canal_crypto::mtls::MtlsEndpoint;
 use canal_crypto::{SharedSecret, TenantCa, TicketCache};
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimDuration, SimRng, SimTime};
 
 /// Full handshake then resumption: every record the resumed session seals
 /// must be identical to the full session's records — the ticket carries
@@ -160,8 +160,8 @@ fn lifecycle_interleaving(seed: u64) -> u64 {
     }
 
     let mut d = Digest::new();
-    ca.fold_digest(&mut d);
-    cache.fold_digest(&mut d);
+    ca.fold(&mut d);
+    cache.fold(&mut d);
     d.write_u64(now.as_nanos()).write_u64(bundle_version);
     d.value()
 }

@@ -20,7 +20,7 @@
 
 use crate::failstatic::{FailStatic, Plane};
 use canal_crypto::mtls::MtlsError;
-use canal_sim::{Digest, SimTime};
+use canal_sim::{Fold, SimTime};
 
 // Re-exported so upstream crates (the rotation controller in
 // `canal_control`) can build bundles through the gateway's cert surface
@@ -51,10 +51,10 @@ impl CertBundleSpec {
     }
 
     /// Fold the spec into a digest (content-sensitive).
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { trust, issued_at, not_after } = self;
-        trust.fold_digest(d);
-        d.write_u64(issued_at.as_nanos()).write_u64(not_after.as_nanos());
+        f.scope("trust", |f| trust.fold(f));
+        f.write_u64(issued_at.as_nanos()).write_u64(not_after.as_nanos());
     }
 }
 
@@ -126,8 +126,8 @@ impl Plane for CertPlane {
         Ok(spec)
     }
 
-    fn fold_spec(spec: &CertBundleSpec, d: &mut Digest) {
-        spec.fold_digest(d);
+    fn fold_spec(spec: &CertBundleSpec, f: &mut impl Fold) {
+        spec.fold(f);
     }
 }
 

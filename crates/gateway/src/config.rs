@@ -14,7 +14,7 @@
 use crate::failstatic::{FailStatic, Plane, Rejection};
 use crate::gateway::BackendId;
 use canal_net::GlobalServiceId;
-use canal_sim::{Digest, SharedList, SimTime};
+use canal_sim::{Fold, SharedList, SimTime};
 use std::collections::BTreeSet;
 
 /// One route entry in a pushed config: a service and the backend set its
@@ -100,14 +100,14 @@ impl Plane for RoutePlane {
     }
 
     /// Content-sensitive and order-sensitive.
-    fn fold_spec(spec: &ConfigSpec, d: &mut Digest) {
-        d.write_u64(spec.version);
-        d.write_u64(spec.routes.len() as u64);
+    fn fold_spec(spec: &ConfigSpec, f: &mut impl Fold) {
+        f.write_u64(spec.version);
+        f.write_u64(spec.routes.len() as u64);
         for r in &spec.routes {
-            d.write_u64(r.service.0);
-            d.write_u64(r.backends.len() as u64);
+            f.write_u64(r.service.0);
+            f.write_u64(r.backends.len() as u64);
             for &b in &r.backends {
-                d.write_u64(b as u64);
+                f.write_u64(b as u64);
             }
         }
     }

@@ -34,7 +34,7 @@
 
 use crate::redirector::BucketTable;
 use canal_net::{hash_five_tuple, FiveTuple, FlatTable, FlowHash};
-use canal_sim::{Digest, SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Lifecycle of one gateway in the drain protocol.
@@ -228,29 +228,29 @@ impl GatewayDrain {
     /// session in `sessions`, per-gateway `phases`, and the lifetime
     /// counters (`opened`, `closed`, `handed_off`, `force_closed`,
     /// `rejected`).
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             table, sessions, phases, opened, closed, handed_off, force_closed, rejected,
             max_sessions: _, // config: the session-table cap, fixed at construction
         } = self;
-        table.fold_digest(d);
-        sessions.fold_digest(d, |d, tuple, &owner| {
-            d.write_u64(hash_five_tuple(tuple)).write_u64(owner as u64);
+        f.scope("table", |f| table.fold(f));
+        sessions.fold(f, |f, tuple, &owner| {
+            f.write_u64(hash_five_tuple(tuple)).write_u64(owner as u64);
         });
-        d.write_u64(phases.len() as u64);
+        f.write_u64(phases.len() as u64);
         for (&g, ph) in phases {
-            d.write_u64(g as u64);
+            f.write_u64(g as u64);
             match ph {
-                DrainPhase::Active => d.write_u64(0),
-                DrainPhase::Draining { deadline } => d.write_u64(1).write_u64(deadline.as_nanos()),
-                DrainPhase::Drained => d.write_u64(2),
+                DrainPhase::Active => f.write_u64(0),
+                DrainPhase::Draining { deadline } => f.write_u64(1).write_u64(deadline.as_nanos()),
+                DrainPhase::Drained => f.write_u64(2),
             };
         }
-        d.write_u64(*opened)
-            .write_u64(*closed)
-            .write_u64(*handed_off)
-            .write_u64(*force_closed)
-            .write_u64(*rejected);
+        f.count("opened", *opened)
+            .count("closed", *closed)
+            .count("handed_off", *handed_off)
+            .count("force_closed", *force_closed)
+            .count("rejected", *rejected);
     }
 }
 
@@ -258,6 +258,7 @@ impl GatewayDrain {
 mod tests {
     use super::*;
     use canal_net::{Endpoint, VpcAddr, VpcId};
+    use canal_sim::Digest;
 
     const T: fn(u64) -> SimTime = SimTime::from_secs;
     const S: fn(u64) -> SimDuration = SimDuration::from_secs;
@@ -374,22 +375,17 @@ mod tests {
         for i in 0..50u16 {
             d.open(FlowHash::of(&tuple(i)), tuple(i)).unwrap();
         }
-        let mut a = Digest::new();
-        d.fold_digest(&mut a);
+        let a = Digest::of(|f| d.fold(f));
         d.begin_drain(T(0), 1, 2, S(10)).unwrap();
-        let mut b = Digest::new();
-        d.fold_digest(&mut b);
+        let b = Digest::of(|f| d.fold(f));
         assert_ne!(a.value(), b.value(), "begin_drain must move the digest");
         d.tick(T(10));
-        let mut c = Digest::new();
-        d.fold_digest(&mut c);
+        let c = Digest::of(|f| d.fold(f));
         assert_ne!(b.value(), c.value(), "completion must move the digest");
     }
 
     fn digest_of(d: &GatewayDrain) -> u64 {
-        let mut dg = Digest::new();
-        d.fold_digest(&mut dg);
-        dg.value()
+        Digest::of(|f| d.fold(f)).value()
     }
 
     #[test]
@@ -539,7 +535,7 @@ mod tests {
 
         fn digest(&self) -> u64 {
             let mut d = Digest::new();
-            self.table.fold_digest(&mut d);
+            self.table.fold(&mut d);
             d.write_u64(self.sessions.len() as u64);
             for (tuple, &owner) in &self.sessions {
                 d.write_u64(hash_five_tuple(tuple)).write_u64(owner as u64);

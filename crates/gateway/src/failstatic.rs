@@ -22,7 +22,7 @@
 //! (`canal_control::rollout`) rolls the fleet back to the last converged
 //! version when a canary NACKs or its health regresses.
 
-use canal_sim::{Digest, SimTime};
+use canal_sim::{Fold, SimTime};
 
 /// What differs between the planes a gateway receives pushes on.
 pub trait Plane {
@@ -54,11 +54,11 @@ pub trait Plane {
     ) -> Result<Self::Served, Self::Reject>;
 
     /// Fold a spec into a digest.
-    fn fold_spec(spec: &Self::Spec, d: &mut Digest);
+    fn fold_spec(spec: &Self::Spec, f: &mut impl Fold);
 
     /// Fold a served form into a digest.
-    fn fold_served(served: &Self::Served, d: &mut Digest) {
-        Self::fold_spec(Self::spec(served), d);
+    fn fold_served(served: &Self::Served, f: &mut impl Fold) {
+        Self::fold_spec(Self::spec(served), f);
     }
 }
 
@@ -283,36 +283,30 @@ impl<P: Plane> FailStatic<P> {
         self.epoch_floor
     }
 
-    /// Pushes fenced for carrying a stale controller epoch.
-    pub fn fenced_pushes(&self) -> u64 {
-        self.fenced_pushes
-    }
-
     /// Fold the whole pair into a digest: the running version and served
     /// form, the uncommitted `staged` spec, `committed_at`, the counters and
     /// the fencing state. A gateway with a different staged spec (or a
     /// different commit instant) is in a different state even while serving
     /// the same running version.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { running, staged, committed_at, commits, rejections, epoch_floor, fenced_pushes } =
             self;
-        d.write_u64(self.running_version().unwrap_or(0));
-        d.write_u64(*commits);
-        d.write_u64(*rejections);
+        f.write_u64(self.running_version().unwrap_or(0));
+        f.count("commits", *commits).count("rejections", *rejections);
         if let Some(r) = running {
-            P::fold_served(r, d);
+            f.scope("running", |f| P::fold_served(r, f));
         }
         match staged {
             None => {
-                d.write_u64(0);
+                f.write_u64(0);
             }
             Some(s) => {
-                d.write_u64(1);
-                P::fold_spec(s, d);
+                f.write_u64(1);
+                f.scope("staged", |f| P::fold_spec(s, f));
             }
         }
-        d.write_u64(committed_at.map_or(u64::MAX, |t| t.as_nanos()));
-        d.write_u64(*epoch_floor);
-        d.write_u64(*fenced_pushes);
+        f.write_u64(committed_at.map_or(u64::MAX, |t| t.as_nanos()));
+        f.write_u64(*epoch_floor);
+        f.count("fenced_pushes", *fenced_pushes);
     }
 }

@@ -8,7 +8,7 @@
 //! build on.
 
 use canal_net::{AzId, GlobalServiceId};
-use canal_sim::Digest;
+use canal_sim::Fold;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -244,31 +244,31 @@ impl PlacementView {
     /// Fold the whole placement + failure state into a digest: `backends`
     /// with their per-replica failure sets, `failed_azs`, and the
     /// service-to-backend `placements`.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self {
             failed_azs, placements,
             backends: _, // folded through `registered`, skipping never-registered keys
         } = self;
-        d.write_u64(self.registered().count() as u64);
+        f.write_u64(self.registered().count() as u64);
         for (key, be) in self.registered() {
-            d.write_u64(key as u64)
+            f.write_u64(key as u64)
                 .write_u64(be.az.0 as u64)
                 .write_u64(be.replica_failed.len() as u64)
                 .write_u64(be.failed_count as u64);
             for (r, _) in be.replica_failed.iter().enumerate().filter(|(_, &failed)| failed) {
-                d.write_u64(r as u64);
+                f.write_u64(r as u64);
             }
-            d.write_u64(be.backend_failed as u64);
+            f.write_u64(be.backend_failed as u64);
         }
-        d.write_u64(failed_azs.len() as u64);
+        f.write_u64(failed_azs.len() as u64);
         for az in failed_azs {
-            d.write_u64(az.0 as u64);
+            f.write_u64(az.0 as u64);
         }
-        d.write_u64(placements.len() as u64);
+        f.write_u64(placements.len() as u64);
         for (svc, backends) in placements {
-            d.write_u64(svc.0).write_u64(backends.len() as u64);
+            f.write_u64(svc.0).write_u64(backends.len() as u64);
             for &b in backends {
-                d.write_u64(b as u64);
+                f.write_u64(b as u64);
             }
         }
     }

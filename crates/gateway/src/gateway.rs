@@ -21,7 +21,7 @@ use crate::sharding::ShuffleShardPlanner;
 use canal_net::{
     AzId, FiveTuple, FlatKey, FlatTable, FlowHash, GlobalServiceId, SessionTable,
 };
-use canal_sim::{CpuServer, Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{CpuServer, Fold, SimDuration, SimRng, SimTime};
 use std::num::NonZeroUsize;
 
 /// Identifier of a gateway backend.
@@ -529,47 +529,47 @@ impl Gateway {
     /// `window_start`, and `errors`/`served`. Tables and counters
     /// that live in service slots are emitted per backend in ascending
     /// service order, so the sequence is independent of the slot layout.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             placement, planner, backends, sandbox, window_start, errors, served,
             cfg: _, // config: fixed at construction
             services: _, // folded through `placements_by_backend`, in (backend, service) order
             fresh_table: _, // config: the table every placement starts from, built from `cfg`
         } = self;
-        placement.fold_digest(d);
-        planner.fold_digest(d);
-        d.write_u64(backends.iter().map(|be| be.replicas.len() as u64).sum());
+        f.scope("placement", |f| placement.fold(f));
+        f.scope("planner", |f| planner.fold(f));
+        f.write_u64(backends.iter().map(|be| be.replicas.len() as u64).sum());
         for (b, be) in self.backend_ids().zip(backends) {
             for (r, st) in be.replicas.iter().enumerate() {
-                d.write_u64(b as u64).write_u64(r as u64);
-                st.cpu.fold_digest(d);
-                d.write_u64(st.sessions.len() as u64);
+                f.write_u64(b as u64).write_u64(r as u64);
+                f.scope("cpu", |f| st.cpu.fold(f));
+                f.write_u64(st.sessions.len() as u64);
             }
         }
         let placed = self.placements_by_backend();
         let mut rest = placed.as_slice();
-        d.write_u64(backends.len() as u64);
+        f.write_u64(backends.len() as u64);
         for (b, be) in self.backend_ids().zip(backends) {
             let here = take_backend(&mut rest, b);
-            d.write_u64(b as u64).write_u64(here.len() as u64);
+            f.write_u64(b as u64).write_u64(here.len() as u64);
             for (_, svc, p) in here {
-                d.write_u64(svc.0);
-                p.table.fold_digest(d);
+                f.write_u64(svc.0);
+                p.table.fold(f);
             }
-            d.write_u64(be.dispatches).write_u64(be.redirected);
+            f.count("dispatches", be.dispatches).count("redirected", be.redirected);
         }
-        sandbox.fold_digest(d);
-        d.write_u64(backends.len() as u64);
+        f.scope("sandbox", |f| sandbox.fold(f));
+        f.write_u64(backends.len() as u64);
         for (b, be) in self.backend_ids().zip(backends) {
-            d.write_u64(b as u64).write_u64(be.az.0 as u64);
+            f.write_u64(b as u64).write_u64(be.az.0 as u64);
         }
-        d.write_u64(backends.len() as u64);
+        f.write_u64(backends.len() as u64);
         let counted = placed.iter().filter(|(_, _, p)| p.window_requests > 0);
-        d.write_u64(counted.clone().count() as u64);
+        f.write_u64(counted.clone().count() as u64);
         for (b, s, p) in counted {
-            d.write_u64(*b as u64).write_u64(s.0).write_u64(p.window_requests);
+            f.write_u64(*b as u64).write_u64(s.0).write_u64(p.window_requests);
         }
-        d.write_u64(window_start.as_nanos()).write_u64(*errors).write_u64(*served);
+        f.write_u64(window_start.as_nanos()).count("errors", *errors).count("served", *served);
     }
 
     /// Execute one upgrade step: fail the replica, migrate its sessions'

@@ -49,6 +49,7 @@
 //!   the control plane consumes.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

@@ -48,7 +48,7 @@
 use crate::gateway::GatewayError;
 use canal_net::{FiveTuple, GlobalServiceId, Priority};
 use canal_sim::stats::percentile;
-use canal_sim::{ClassConfig, ClassId, Digest, FairCpuServer, QueueReject, SimDuration, SimTime};
+use canal_sim::{ClassConfig, ClassId, FairCpuServer, Fold, QueueReject, SimDuration, SimTime};
 use canal_telemetry::{HeadSampler, TelemetryCostModel, TelemetryMeter};
 use std::collections::BTreeMap;
 
@@ -612,11 +612,6 @@ impl OverloadControl {
         }
     }
 
-    /// Lifetime shed count (caps + CoDel).
-    pub fn total_shed(&self) -> u64 {
-        self.total_shed
-    }
-
     /// Read and reset the telemetry window.
     pub fn signals(&mut self) -> OverloadSignals {
         let shed = self.win_shed_caps + self.win_shed_codel;
@@ -660,33 +655,33 @@ impl OverloadControl {
     /// controller, the parked requests (every job `fair` holds, queued or
     /// started but not yet pumped, in ticket order), the `telemetry`
     /// attachment, the window counters and `total_shed`.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             fair, codel, budget, brownout, telemetry, win_offered, win_started, win_shed_caps,
             win_shed_codel, win_budget_rejected, win_sojourns_ms, total_shed,
             cfg: _,     // config: fixed at construction
             demands: _, // derived: priced once from `cfg`
         } = self;
-        fair.fold_digest(d);
-        d.write_u64(codel.len() as u64);
+        f.scope("fair", |f| fair.fold(f));
+        f.write_u64(codel.len() as u64);
         for (&class, c) in codel {
-            d.write_u64(class)
+            f.write_u64(class)
                 .write_u64(c.target.as_nanos())
                 .write_u64(c.interval.as_nanos())
                 .write_u64(c.first_above.map_or(u64::MAX, |t| t.as_nanos()))
                 .write_u64(c.dropping as u64)
                 .write_u64(c.drop_next.as_nanos())
                 .write_u64(c.count as u64)
-                .write_u64(c.sheds);
+                .count("codel_sheds", c.sheds);
         }
-        d.write_f64(budget.ratio)
+        f.write_f64(budget.ratio)
             .write_f64(budget.cap)
             .write_u64(budget.tokens.len() as u64);
         for (&client, &tokens) in &budget.tokens {
-            d.write_u64(client).write_f64(tokens);
+            f.write_u64(client).write_f64(tokens);
         }
-        d.write_u64(budget.rejections);
-        d.write_f64(brownout.enter_observability)
+        f.count("budget_rejections", budget.rejections);
+        f.write_f64(brownout.enter_observability)
             .write_f64(brownout.enter_canary)
             .write_f64(brownout.exit)
             .write_f64(brownout.ewma_ms)
@@ -697,25 +692,25 @@ impl OverloadControl {
             });
         let mut parked: Vec<(u64, &PendingRequest)> = fair.held().collect();
         parked.sort_unstable_by_key(|&(ticket, _)| ticket);
-        d.write_u64(parked.len() as u64);
+        f.write_u64(parked.len() as u64);
         for (ticket, p) in parked {
-            d.write_u64(ticket)
+            f.write_u64(ticket)
                 .write_u64(p.service.0)
                 .write_u64(canal_net::hash_five_tuple(&p.tuple))
                 .write_u64(p.syn as u64)
                 .write_u64(p.client);
         }
-        d.write_u64(telemetry.is_some() as u64);
-        d.write_u64(*win_offered)
+        f.write_u64(telemetry.is_some() as u64);
+        f.write_u64(*win_offered)
             .write_u64(*win_started)
             .write_u64(*win_shed_caps)
             .write_u64(*win_shed_codel)
             .write_u64(*win_budget_rejected)
             .write_u64(win_sojourns_ms.len() as u64);
         for &s in win_sojourns_ms {
-            d.write_f64(s);
+            f.write_f64(s);
         }
-        d.write_u64(*total_shed);
+        f.count("total_shed", *total_shed);
     }
 }
 
@@ -991,7 +986,7 @@ mod tests {
         let m = &ov.telemetry.as_ref().unwrap().meter;
         assert!(m.refunded_spans() > 0, "brownout must refund span cost");
         assert!(m.refunded_cpu() > SimDuration::ZERO);
-        assert_eq!(ov.total_shed(), 0, "telemetry sheds strictly before requests");
+        assert_eq!(ov.total_shed, 0, "telemetry sheds strictly before requests");
         let sampler = &ov.telemetry.as_ref().unwrap().sampler;
         assert!(sampler.is_shed());
         assert!(sampler.shed_refused() > 0);

@@ -32,7 +32,7 @@
 
 use crate::failstatic::{FailStatic, Plane, Rejection};
 use canal_policy::{CompiledPolicySet, PolicyRejection, PolicySpec};
-use canal_sim::{Digest, SimTime};
+use canal_sim::{Fold, SimTime};
 
 /// The tenant-policy [`Plane`]: a spec is served together with the tables
 /// compiled from it; a commit needs nothing besides the spec.
@@ -63,13 +63,13 @@ impl Plane for PolicyPlane {
         Ok((spec, compiled))
     }
 
-    fn fold_spec(spec: &PolicySpec, d: &mut Digest) {
-        spec.fold_digest(d);
+    fn fold_spec(spec: &PolicySpec, f: &mut impl Fold) {
+        spec.fold(f);
     }
 
-    fn fold_served((spec, compiled): &Self::Served, d: &mut Digest) {
-        spec.fold_digest(d);
-        compiled.fold_digest(d);
+    fn fold_served((spec, compiled): &Self::Served, f: &mut impl Fold) {
+        spec.fold(f);
+        compiled.fold(f);
     }
 }
 

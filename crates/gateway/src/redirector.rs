@@ -19,7 +19,7 @@
 //! change).
 
 use canal_net::{FiveTuple, FlowHash};
-use canal_sim::Digest;
+use canal_sim::Fold;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
@@ -195,25 +195,26 @@ impl BucketTable {
 
     /// Fold every bucket's chain (`slots`, as chain length then entries)
     /// and the `max_chain` cap into a digest.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self {
             n_buckets, max_chain,
             slots: _, // folded through `chains`, one chain per bucket
         } = self;
-        d.write_u64(n_buckets.get() as u64);
+        f.write_u64(n_buckets.get() as u64);
         for chain in self.chains() {
-            d.write_u64(chain.len() as u64);
+            f.write_u64(chain.len() as u64);
             for &r in chain {
-                d.write_u64(r as u64);
+                f.write_u64(r as u64);
             }
         }
-        d.write_u64(*max_chain as u64);
+        f.write_u64(*max_chain as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
     use canal_net::{Endpoint, VpcAddr, VpcId};
     use std::collections::HashSet;
 
@@ -345,9 +346,7 @@ mod tests {
             assert_eq!(b.chain(bucket)[0], if bucket % 2 == 0 { 9 } else { bucket % 3 });
         }
         let digest = |t: &BucketTable| {
-            let mut d = Digest::new();
-            t.fold_digest(&mut d);
-            d.value()
+            Digest::of(|f| t.fold(f)).value()
         };
         assert_eq!(digest(&fresh), digest(&BucketTable::new(64, &[0, 1, 2], 4)));
         assert_ne!(digest(&a), digest(&fresh));

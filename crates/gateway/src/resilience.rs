@@ -26,7 +26,7 @@ use crate::certs::CertFault;
 use crate::gateway::{BackendId, GatewayError, GatewayServed};
 use canal_cluster::dns::DnsView;
 use canal_net::VpcAddr;
-use canal_sim::{Digest, SimDuration, SimRng, SimTime};
+use canal_sim::{Fold, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Total per-request budget; attempts stop once it is exhausted.
@@ -233,32 +233,6 @@ pub struct ResilienceStats {
     pub drain_refusals: u64,
 }
 
-/// Point-in-time snapshot of the dispatcher's work counters, for
-/// experiments that report resilience behavior without reaching into
-/// [`ResilienceStats`] internals. Deltas between two snapshots are
-/// per-window counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DispatchCounters {
-    /// Requests dispatched.
-    pub requests: u64,
-    /// Attempts made (requests + retries + hedges).
-    pub attempts: u64,
-    /// Circuit-breaker ejections tripped.
-    pub ejections: u64,
-    /// DNS health flips published.
-    pub dns_flips: u64,
-    /// Requests that died on their deadline.
-    pub deadline_misses: u64,
-    /// Requests terminated by retry-budget rejection.
-    pub budget_rejected: u64,
-    /// Expired-cert refresh retries fired.
-    pub cert_refreshes: u64,
-    /// Requests terminated by revoked certificates.
-    pub cert_revoked: u64,
-    /// Draining-backend refusals steered around (never outlier evidence).
-    pub drain_refusals: u64,
-}
-
 /// The resilient request path: wraps per-attempt dispatch in deadlines,
 /// retries, hedging and outlier ejection.
 pub struct ResilientDispatcher {
@@ -304,21 +278,6 @@ impl ResilientDispatcher {
     /// Lifetime counters.
     pub fn stats(&self) -> ResilienceStats {
         self.stats
-    }
-
-    /// Snapshot the work counters (see [`DispatchCounters`]).
-    pub fn counters(&self) -> DispatchCounters {
-        DispatchCounters {
-            requests: self.stats.requests,
-            attempts: self.stats.attempts,
-            ejections: self.stats.ejections,
-            dns_flips: self.stats.dns_flips,
-            deadline_misses: self.stats.deadline_exceeded,
-            budget_rejected: self.stats.budget_rejected,
-            cert_refreshes: self.stats.cert_refreshes,
-            cert_revoked: self.stats.cert_revoked,
-            drain_refusals: self.stats.drain_refusals,
-        }
     }
 
     /// Whether a backend is currently ejected by its circuit breaker.
@@ -578,40 +537,40 @@ impl ResilientDispatcher {
     /// every backend's `detectors` breaker (window, failure streak,
     /// ejection timer), the published `dns_health` bits, the
     /// `dns_quiet_until` of the last sync, and the lifetime `stats` counters.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             rng, detectors, dns_health, dns_quiet_until, stats,
             cfg: _, // config: fixed at construction
         } = self;
-        rng.fold_digest(d);
-        d.write_u64(detectors.len() as u64);
+        f.scope("rng", |f| rng.fold(f));
+        f.write_u64(detectors.len() as u64);
         for (&b, det) in detectors {
-            d.write_u64(b as u64).write_u64(det.window.len() as u64);
+            f.write_u64(b as u64).write_u64(det.window.len() as u64);
             for &ok in &det.window {
-                d.write_u64(ok as u64);
+                f.write_u64(ok as u64);
             }
-            d.write_u64(det.consecutive_failures as u64)
+            f.write_u64(det.consecutive_failures as u64)
                 .write_u64(det.ejected_until.map_or(u64::MAX, |t| t.as_nanos()))
-                .write_u64(det.ejections);
+                .count("detector_ejections", det.ejections);
         }
-        d.write_u64(dns_health.len() as u64);
+        f.write_u64(dns_health.len() as u64);
         for (&b, &healthy) in dns_health {
-            d.write_u64(b as u64).write_u64(healthy as u64);
+            f.write_u64(b as u64).write_u64(healthy as u64);
         }
-        d.write_u64(dns_quiet_until.as_nanos());
-        d.write_u64(stats.requests)
-            .write_u64(stats.attempts)
-            .write_u64(stats.retries)
-            .write_u64(stats.hedges)
-            .write_u64(stats.successes)
-            .write_u64(stats.failures)
-            .write_u64(stats.deadline_exceeded)
-            .write_u64(stats.ejections)
-            .write_u64(stats.dns_flips)
-            .write_u64(stats.budget_rejected)
-            .write_u64(stats.cert_refreshes)
-            .write_u64(stats.cert_revoked)
-            .write_u64(stats.drain_refusals);
+        f.write_u64(dns_quiet_until.as_nanos());
+        f.count("requests", stats.requests)
+            .count("attempts", stats.attempts)
+            .count("retries", stats.retries)
+            .count("hedges", stats.hedges)
+            .count("successes", stats.successes)
+            .count("failures", stats.failures)
+            .count("deadline_exceeded", stats.deadline_exceeded)
+            .count("ejections", stats.ejections)
+            .count("dns_flips", stats.dns_flips)
+            .count("budget_rejected", stats.budget_rejected)
+            .count("cert_refreshes", stats.cert_refreshes)
+            .count("cert_revoked", stats.cert_revoked)
+            .count("drain_refusals", stats.drain_refusals);
     }
 }
 
@@ -789,7 +748,7 @@ mod tests {
         assert!(out.served.is_none());
         assert!(!out.deadline_exceeded);
         assert_eq!(d.stats().budget_rejected, 1);
-        assert_eq!(d.counters().budget_rejected, 1);
+        assert_eq!(d.stats().budget_rejected, 1);
     }
 
     #[test]
@@ -802,7 +761,7 @@ mod tests {
         assert!(out.served.is_none());
         assert_eq!(d.stats().cert_revoked, 1);
         assert_eq!(d.stats().retries, 0);
-        assert_eq!(d.counters().cert_revoked, 1);
+        assert_eq!(d.stats().cert_revoked, 1);
     }
 
     #[test]
@@ -828,7 +787,7 @@ mod tests {
         assert_eq!(out.attempts, 2, "refresh retried once, then stopped");
         assert!(out.served.is_none());
         assert_eq!(d.stats().cert_refreshes, 2);
-        assert_eq!(d.counters().cert_refreshes, 2);
+        assert_eq!(d.stats().cert_refreshes, 2);
     }
 
     #[test]
@@ -856,7 +815,6 @@ mod tests {
             d.stats().drain_refusals,
             (EJECT_CONSECUTIVE_FAILURES * 4) as u64
         );
-        assert_eq!(d.counters().drain_refusals, d.stats().drain_refusals);
         // Contrast: the same volume of *real* failures does trip it.
         let mut real = dispatcher(cfg);
         for i in 0..EJECT_CONSECUTIVE_FAILURES {
@@ -876,7 +834,7 @@ mod tests {
     fn counters_count_requests_and_attempts() {
         let mut d = dispatcher(ResilienceConfig::paper_canal());
         d.dispatch(SimTime::ZERO, |t, _| Ok(served(1, t)));
-        let snap = d.counters();
+        let snap = d.stats();
         assert_eq!((snap.requests, snap.attempts), (1, 1));
         let mut first = true;
         d.dispatch(SimTime::from_secs(1), |t, _| {
@@ -887,7 +845,7 @@ mod tests {
                 Ok(served(3, t))
             }
         });
-        let now = d.counters();
+        let now = d.stats();
         assert_eq!((now.requests, now.attempts), (2, 3));
     }
 

@@ -13,7 +13,7 @@
 //!   the customer scales.
 
 use canal_net::{GlobalServiceId, TokenBucket};
-use canal_sim::{Digest, SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Which migration flavour.
@@ -140,17 +140,17 @@ impl Sandbox {
     /// Fold the sandboxed `services`, the installed `throttles` (by keyed
     /// service — the bucket fill level is a `canal_net` implementation
     /// detail), and the `lossy_setup` knob into a digest.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { services, throttles, lossy_setup } = self;
-        d.write_u64(services.len() as u64);
+        f.write_u64(services.len() as u64);
         for (svc, s) in services {
-            d.write_u64(svc.0).write_u64(s.completed_at.as_nanos());
+            f.write_u64(svc.0).write_u64(s.completed_at.as_nanos());
         }
-        d.write_u64(throttles.len() as u64);
+        f.write_u64(throttles.len() as u64);
         for svc in throttles.keys() {
-            d.write_u64(svc.0);
+            f.write_u64(svc.0);
         }
-        d.write_u64(lossy_setup.as_nanos());
+        f.write_u64(lossy_setup.as_nanos());
     }
 }
 

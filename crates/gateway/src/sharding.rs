@@ -8,7 +8,7 @@
 //! overlap).
 
 use canal_net::GlobalServiceId;
-use canal_sim::{Digest, SimRng};
+use canal_sim::{Fold, SimRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Assigns backend combinations to services with bounded pairwise overlap.
@@ -142,19 +142,19 @@ impl ShuffleShardPlanner {
     /// every service's combination in `assignments`, and the `used_combos`
     /// uniqueness set (its size — the combos themselves are the assignment
     /// values, already folded).
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { pool_size, shard_size, max_overlap, assignments, used_combos } = self;
-        d.write_u64(*pool_size as u64)
+        f.write_u64(*pool_size as u64)
             .write_u64(*shard_size as u64)
             .write_u64(*max_overlap as u64)
             .write_u64(assignments.len() as u64);
         for (svc, combo) in assignments {
-            d.write_u64(svc.0).write_u64(combo.len() as u64);
+            f.write_u64(svc.0).write_u64(combo.len() as u64);
             for &b in combo {
-                d.write_u64(b as u64);
+                f.write_u64(b as u64);
             }
         }
-        d.write_u64(used_combos.len() as u64);
+        f.write_u64(used_combos.len() as u64);
     }
 }
 

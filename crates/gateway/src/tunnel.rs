@@ -12,7 +12,7 @@
 //! pressure that Table 5's tunneling savings derive from.
 
 use canal_net::{ecmp::rss_core_for_sport, FiveTuple, FlatTable, FlowHash, Packet, VxlanFrame};
-use canal_sim::Digest;
+use canal_sim::Fold;
 use std::num::NonZeroUsize;
 
 /// Tunnel fan-out configuration.
@@ -20,9 +20,10 @@ use std::num::NonZeroUsize;
 pub struct TunnelConfig {
     /// Number of tunnels per replica (paper: ≈10× the core count).
     pub tunnels_per_replica: usize,
-    /// Replica core count (for RSS spreading checks).
+    /// Replica core count (for RSS spreading checks); zero counts as one.
     pub replica_cores: usize,
-    /// Base outer source port; tunnel `i` uses `base + i`.
+    /// Base outer source port; tunnel `i` uses `base + i`, wrapping at
+    /// `u16::MAX`.
     pub sport_base: u16,
     /// Router IP (outer source).
     pub router_ip: u32,
@@ -92,7 +93,7 @@ impl SessionAggregator {
     pub fn encapsulate(&mut self, pkt: &Packet) -> VxlanFrame {
         let tunnel = self.tunnel_of(&pkt.tuple);
         self.encapsulated += 1;
-        let sport = self.cfg.sport_base + tunnel as u16;
+        let sport = self.cfg.sport_base.wrapping_add(tunnel as u16);
         // Inner bytes: the app payload (headers abstracted by Packet).
         VxlanFrame::new(
             self.cfg.router_ip,
@@ -126,30 +127,31 @@ impl SessionAggregator {
 
     /// Which RSS core a tunnel's packets land on.
     pub fn core_of_tunnel(&self, tunnel: usize) -> usize {
-        rss_core_for_sport(self.cfg.sport_base + tunnel as u16, self.cfg.replica_cores)
+        let cores = NonZeroUsize::new(self.cfg.replica_cores).unwrap_or(NonZeroUsize::MIN);
+        rss_core_for_sport(self.cfg.sport_base.wrapping_add(tunnel as u16), cores)
     }
 
     /// Fold the aggregator state into a digest: the config, endpoints, the
     /// tracked `sessions` in ascending five-tuple order (each as its flow
     /// hash and the tunnel that hash selects), and the `encapsulated`
     /// counter.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             cfg, tunnels, replica_ip, vni, sessions, encapsulated,
             per_tunnel: _, // derived: each folded session's tunnel, counted
             in_use: _,     // derived: the nonzero entries of `per_tunnel`
         } = self;
-        d.write_u64(cfg.tunnels_per_replica as u64)
+        f.write_u64(cfg.tunnels_per_replica as u64)
             .write_u64(cfg.replica_cores as u64)
             .write_u64(cfg.sport_base as u64)
             .write_u64(cfg.router_ip as u64)
             .write_u64(*replica_ip as u64)
             .write_u64(*vni as u64);
-        sessions.fold_digest(d, |d, tuple, ()| {
+        sessions.fold(f, |f, tuple, ()| {
             let hash = FlowHash::of(tuple);
-            d.write_u64(hash.value()).write_u64(hash.select(*tunnels) as u64);
+            f.write_u64(hash.value()).write_u64(hash.select(*tunnels) as u64);
         });
-        d.write_u64(*encapsulated);
+        f.count("encapsulated", *encapsulated);
     }
 }
 
@@ -162,6 +164,7 @@ pub fn disaggregate(frame_bytes: bytes::Bytes) -> Result<VxlanFrame, canal_net::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
     use canal_net::{Endpoint, VpcAddr, VpcId};
 
     fn pkt(sport: u16) -> Packet {
@@ -255,8 +258,7 @@ mod tests {
             let t = pkt(sport).tuple;
             model.insert(t, (canal_net::hash_five_tuple(&t) % 40) as usize);
         }
-        let mut got = Digest::new();
-        b.fold_digest(&mut got);
+        let got = Digest::of(|f| b.fold(f));
         let mut want = Digest::new();
         want.write_u64(40).write_u64(4).write_u64(40_000).write_u64(0x0A63_0001);
         want.write_u64(0x0A63_0002).write_u64(77).write_u64(model.len() as u64);
@@ -275,6 +277,17 @@ mod tests {
             assert_eq!(a.encapsulate(&pkt(sport)).outer_sport, 40_000);
         }
         assert_eq!((a.user_sessions(), a.tunnels_in_use()), (3, 1));
+    }
+
+    /// No core and the top port: the ports wrap (as release builds always
+    /// did) and every tunnel lands on the one core, in debug builds too.
+    #[test]
+    fn a_zero_core_config_at_the_top_port_does_not_panic() {
+        let cfg = TunnelConfig { replica_cores: 0, sport_base: u16::MAX, ..TunnelConfig::for_cores(4) };
+        let mut a = SessionAggregator::new(cfg, 0x0A63_0002, 77);
+        let sports: Vec<u16> = (0..40).map(|sport| a.encapsulate(&pkt(sport)).outer_sport).collect();
+        assert!(sports.iter().any(|&s| s < 40), "{sports:?}");
+        assert!((0..40).all(|t| a.core_of_tunnel(t) == 0));
     }
 
     #[test]

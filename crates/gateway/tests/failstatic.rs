@@ -4,7 +4,7 @@
 //! * `golden_*`: a fixed script per plane whose per-step results and
 //!   digests were captured from the commit *before* the three hand-written
 //!   slots became one generic (PR 13); any change to an outcome or to the
-//!   byte sequence `fold_digest` emits moves them.
+//!   byte sequence `fold` emits moves them.
 //! * `contract_*`: seeded random sequences of every operation with valid,
 //!   stale and poisoned specs, checked step by step against a small model
 //!   and against the invariants stated on [`FailStatic`].
@@ -29,7 +29,7 @@ use canal_policy::{
     CompiledPolicySet, L4Ctx, L4Verdict, PolicyRule, PolicySpec, PolicyStore, PolicyVerdict,
     PortRange, TenantPolicy,
 };
-use canal_sim::{Digest, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimRng, SimTime, Stats};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -164,9 +164,7 @@ fn apply_with<P: Plane>(
 }
 
 fn digest_of<P: Plane>(slot: &FailStatic<P>) -> u64 {
-    let mut d = Digest::new();
-    slot.fold_digest(&mut d);
-    d.value()
+    Digest::of(|f| slot.fold(f)).value()
 }
 
 /// Empty commit, first commit, replay, poison, fenced push, epoch
@@ -211,7 +209,7 @@ where
             Err(Rejection::StaleEpoch { pushed, floor }) => format!("E{pushed}/{floor}"),
             Err(Rejection::Content(c)) => format!("C:{c:?}"),
         });
-        slot.fold_digest(&mut folded);
+        slot.fold(&mut folded);
     }
     assert_eq!(out.join(" "), results);
     assert_eq!(folded.value(), trace, "digest after each step");
@@ -329,7 +327,7 @@ impl Model {
             commits: slot.commits(),
             rejections: slot.rejections(),
             floor: slot.epoch_floor(),
-            fenced: slot.fenced_pushes(),
+            fenced: Stats::of(|s| slot.fold(s)).get("fenced_pushes").unwrap_or(0),
         }
     }
 }
@@ -353,9 +351,7 @@ fn random_op(rng: &mut SimRng, running: Option<u64>, floor: u64) -> Op {
 }
 
 fn served_digest<P: Plane>(served: &P::Served) -> u64 {
-    let mut d = Digest::new();
-    P::fold_served(served, &mut d);
-    d.value()
+    Digest::of(|d| P::fold_served(served, d)).value()
 }
 
 fn contract<P: Fixture>() {
@@ -459,9 +455,7 @@ fn tenants_spec(version: u64, poisoned: bool) -> PolicySpec {
 }
 
 fn set_digest(set: &CompiledPolicySet) -> u64 {
-    let mut d = Digest::new();
-    set.fold_digest(&mut d);
-    d.value()
+    Digest::of(|f| set.fold(f)).value()
 }
 
 /// The contract's random histories over many-tenant policy specs. After
@@ -591,9 +585,7 @@ fn sharing_an_edit_in_place_moves_nothing_staged_running_or_archived() {
         probes.iter().map(|p| gateway.compiled().map(|c| c.l4_verdict(p))).collect()
     };
     let archive_digest = |store: &PolicyStore| {
-        let mut d = Digest::new();
-        store.fold_digest(&mut d);
-        d.value()
+        Digest::of(|f| store.fold(f)).value()
     };
 
     let mut operator = tenants_spec(1, false);

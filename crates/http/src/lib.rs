@@ -17,6 +17,7 @@
 //! simulation: every simulated L7 proxy visit really parses the request.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

@@ -11,11 +11,11 @@ impl GrowingAuditLog {
         self.entries.push(v);
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { entries } = self;
-        d.write_u64(entries.len() as u64);
+        f.write_u64(entries.len() as u64);
         for &e in entries {
-            d.write_u64(e);
+            f.write_u64(e);
         }
     }
 }

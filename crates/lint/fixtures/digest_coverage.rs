@@ -1,7 +1,7 @@
 // Fixture: a mutable-state struct in a digest-participating crate that is
-// unreachable from every fold_digest impl must trip the `digest-coverage`
-// rule — state the double-run harness cannot see can silently diverge
-// between runs.
+// unreachable from every `fold(&self, f: &mut impl Fold)` must trip the
+// `digest-coverage` rule — state the double-run harness cannot see can
+// silently diverge between runs.
 struct ShadowTracker {
     count: u64,
 }

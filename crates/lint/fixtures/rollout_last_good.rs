@@ -13,9 +13,9 @@ impl MiniRollout {
         self.last_good = self.version;
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         // BUG (deliberate): `..` lets last_good drop out of the fold.
         let Self { version, .. } = self;
-        d.write_u64(*version);
+        f.write_u64(*version);
     }
 }

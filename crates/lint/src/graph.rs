@@ -8,8 +8,8 @@
 //!
 //! * **digest-coverage** — every mutable-state struct in the
 //!   determinism-participating crates ([`crate::rules::DIGEST_CRATES`])
-//!   must be reachable from a `fold_digest` impl through field
-//!   containment; and a struct's `fold_digest` in library code must
+//!   must be reachable from a `fold(&self, f: &mut impl Fold)` through
+//!   field containment; and a struct's `fold` in library code must
 //!   destructure `Self` with no `..`, so that rustc proves it names every
 //!   field (a fold that forgets `last_good` becomes a compile error) and
 //!   `unused_variables` (denied) that it reads every field it binds.
@@ -241,21 +241,17 @@ impl<'a> SymbolGraph<'a> {
         out
     }
 
-    fn has_fold_digest(&self, id: StructId) -> bool {
-        self.methods_of(id).any(|f| f.name == "fold_digest")
-    }
-
     fn has_mut_state(&self, id: StructId) -> bool {
         !self.structs[id.0].def.fields.is_empty()
             && self.methods_of(id).any(|f| f.takes_mut_self)
     }
 
-    /// Struct ids reachable from any `fold_digest` root via field edges.
+    /// Struct ids reachable from any `fold` root via field edges.
     fn digest_reachable(&self) -> BTreeSet<StructId> {
         let mut reached: BTreeSet<StructId> = BTreeSet::new();
         let mut stack: Vec<StructId> = (0..self.structs.len())
             .map(StructId)
-            .filter(|id| self.has_fold_digest(*id))
+            .filter(|id| self.methods_of(*id).any(is_fold))
             .collect();
         while let Some(id) = stack.pop() {
             if !reached.insert(id) {
@@ -393,13 +389,19 @@ fn wide_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(us
     }
 }
 
+/// A type's one walk: `fn fold` taking a `Fold` sink.
+fn is_fold(f: &FnDef) -> bool {
+    f.name == "fold" && f.sig_idents.contains("Fold")
+}
+
 fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
     let reachable = graph.digest_reachable();
     for (idx, entry) in graph.structs.iter().enumerate() {
         let id = StructId(idx);
         let name = entry.def.name.as_str();
-        // The digest sink is the mechanism, not simulation state.
-        let uncovered = name != "Digest" && graph.has_mut_state(id) && !reachable.contains(&id);
+        // The sinks are the mechanism, not simulation state.
+        let sink = ["Digest", "Stats"].contains(&name);
+        let uncovered = !sink && graph.has_mut_state(id) && !reachable.contains(&id);
         if uncovered && graph.in_digest_scope(id) {
             out.push((
                 entry.rec,
@@ -407,7 +409,7 @@ fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
                     rule: "digest-coverage",
                     line: entry.def.line,
                     message: format!(
-                        "mutable-state struct `{name}` is not reachable from any fold_digest impl; fold it into a digest or allow-list it as reason=derived:/transient: state"
+                        "mutable-state struct `{name}` is not reachable from any `fold(&self, f: &mut impl Fold)`; fold it or allow-list it as reason=derived:/transient: state"
                     ),
                 },
             ));
@@ -421,7 +423,7 @@ fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
         };
         for &(rec, f) in fns {
             let r = &graph.records[rec];
-            if f.name != "fold_digest" || r.kind != TargetKind::Lib || r.line_in_test(f.line) {
+            if !is_fold(f) || r.kind != TargetKind::Lib || r.line_in_test(f.line) {
                 continue;
             }
             let problem = match &f.body.self_pattern {
@@ -439,7 +441,7 @@ fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
                     rule: "digest-coverage",
                     line: f.line,
                     message: format!(
-                        "`{owner}::fold_digest` {problem}; open it with `let Self {{ a, b, c: _ }} = self;` naming every field (one it does not fold as `name: _`, with its reason), so that rustc rejects a fold that misses a field"
+                        "`{owner}::fold` {problem}; open it with `let Self {{ a, b, c: _ }} = self;` naming every field (one it does not fold as `name: _`, with its reason), so that rustc rejects a fold that misses a field"
                     ),
                 },
             ));
@@ -577,9 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn fold_digest_or_containment_covers_structs() {
-        let direct = "struct Covered { count: u64 }\nimpl Covered {\n    fn bump(&mut self) { self.count += 1; }\n    fn fold_digest(&self, d: &mut Digest) { let Self { count } = self; d.write_u64(*count); }\n}\n";
-        let contained = "struct Inner { v: u64 }\nimpl Inner { fn set(&mut self, v: u64) { self.v = v; } }\nstruct Outer { inner: Inner }\nimpl Outer {\n    fn touch(&mut self) { self.inner.set(1); }\n    fn fold_digest(&self, d: &mut Digest) { let Self { inner } = self; d.write_u64(inner.v); }\n}\n";
+    fn fold_or_containment_covers_structs() {
+        let direct = "struct Covered { count: u64 }\nimpl Covered {\n    fn bump(&mut self) { self.count += 1; }\n    fn fold(&self, f: &mut impl Fold) { let Self { count } = self; f.write_u64(*count); }\n}\n";
+        let contained = "struct Inner { v: u64 }\nimpl Inner { fn set(&mut self, v: u64) { self.v = v; } }\nstruct Outer { inner: Inner }\nimpl Outer {\n    fn touch(&mut self) { self.inner.set(1); }\n    fn fold(&self, f: &mut impl Fold) { let Self { inner } = self; f.write_u64(inner.v); }\n}\n";
         for src in [direct, contained] {
             let recs = vec![record("canal_sim", TargetKind::Lib, src)];
             let f = graph_findings(&recs, &[]);
@@ -594,7 +596,7 @@ mod tests {
     #[test]
     fn containment_reaches_across_files() {
         let inner = "struct Child { v: u64 }\nimpl Child { fn set(&mut self, v: u64) { self.v = v; } }\n";
-        let outer = "struct Parent { child: Child }\nimpl Parent { fn fold_digest(&self, d: &mut Digest) { let Self { child } = self; d.write_u64(child.v); } }\n";
+        let outer = "struct Parent { child: Child }\nimpl Parent { fn fold(&self, f: &mut impl Fold) { let Self { child } = self; f.write_u64(child.v); } }\n";
         let recs = vec![
             record("canal_sim", TargetKind::Lib, inner),
             record("canal_sim", TargetKind::Lib, outer),
@@ -613,13 +615,13 @@ mod tests {
     #[test]
     fn a_struct_fold_must_name_every_field() {
         // No destructure at all: a field the fold skips would go unnoticed.
-        let bare = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold_digest(&self, d: &mut Digest) {\n        d.write_u64(self.version);\n    }\n}\n";
+        let bare = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold(&self, f: &mut impl Fold) {\n        f.write_u64(self.version);\n    }\n}\n";
         let found = coverage(bare);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].0, 3);
         assert!(found[0].1.contains("does not destructure"));
         // `..` hides the unfolded `last_good` from rustc; the finding names it.
-        let rest = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold_digest(&self, d: &mut Digest) {\n        let Self { version, .. } = self;\n        d.write_u64(*version);\n    }\n}\n";
+        let rest = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold(&self, f: &mut impl Fold) {\n        let Self { version, .. } = self;\n        f.write_u64(*version);\n    }\n}\n";
         let found = coverage(rest);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].1.contains("hides `last_good` behind `..`"), "{found:?}");
@@ -629,9 +631,9 @@ mod tests {
 
     #[test]
     fn exhaustive_struct_and_enum_folds_pass() {
-        let named = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold_digest(&self, d: &mut Digest) {\n        let Self { version, last_good: _ } = self;\n        d.write_u64(*version);\n    }\n}\n";
-        let tuple = "struct Pair(u64, u64);\nimpl Pair {\n    fn fold_digest(&self, d: &mut Digest) {\n        let Self(a, b) = self;\n        d.write_u64(*a).write_u64(*b);\n    }\n}\n";
-        let by_match = "enum Phase { Idle, Busy(u64) }\nimpl Phase {\n    fn fold_digest(&self, d: &mut Digest) {\n        match self {\n            Phase::Idle => d.write_u64(0),\n            Phase::Busy(n) => d.write_u64(*n),\n        };\n    }\n}\n";
+        let named = "struct Ctl { version: u64, last_good: u64 }\nimpl Ctl {\n    fn fold(&self, f: &mut impl Fold) {\n        let Self { version, last_good: _ } = self;\n        f.write_u64(*version);\n    }\n}\n";
+        let tuple = "struct Pair(u64, u64);\nimpl Pair {\n    fn fold(&self, f: &mut impl Fold) {\n        let Self(a, b) = self;\n        f.write_u64(*a).write_u64(*b);\n    }\n}\n";
+        let by_match = "enum Phase { Idle, Busy(u64) }\nimpl Phase {\n    fn fold(&self, f: &mut impl Fold) {\n        match self {\n            Phase::Idle => f.write_u64(0),\n            Phase::Busy(n) => f.write_u64(*n),\n        };\n    }\n}\n";
         for src in [named, tuple, by_match] {
             assert_eq!(coverage(src), [], "{src}");
         }
@@ -639,7 +641,7 @@ mod tests {
 
     #[test]
     fn unbounded_growth_fires_bounded_state() {
-        let src = "struct Log { entries: Vec<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { let Self { entries } = self; d.write_u64(entries.len() as u64); }\n}\n";
+        let src = "struct Log { entries: Vec<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold(&self, f: &mut impl Fold) { let Self { entries } = self; f.write_u64(entries.len() as u64); }\n}\n";
         let recs = vec![record("canal_telemetry", TargetKind::Lib, src)];
         let f = graph_findings(&recs, &[]);
         assert_eq!(rules_fired(&f), vec!["bounded-state"]);
@@ -647,9 +649,9 @@ mod tests {
 
     #[test]
     fn caps_counters_and_shrink_paths_bound_state() {
-        let cap_const = "struct Log { entries: Vec<u64> }\nimpl Log {\n    const MAX_ENTRIES: usize = 64;\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(0); }\n}\n";
-        let evict_field = "struct Log { entries: Vec<u64>, evicted: u64 }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(self.evicted); }\n}\n";
-        let shrink = "struct Log { entries: VecDeque<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push_back(v); self.entries.pop_front(); }\n    fn fold_digest(&self, d: &mut Digest) { d.write_u64(0); }\n}\n";
+        let cap_const = "struct Log { entries: Vec<u64> }\nimpl Log {\n    const MAX_ENTRIES: usize = 64;\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold(&self, f: &mut impl Fold) { f.write_u64(0); }\n}\n";
+        let evict_field = "struct Log { entries: Vec<u64>, evicted: u64 }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold(&self, f: &mut impl Fold) { f.write_u64(self.evicted); }\n}\n";
+        let shrink = "struct Log { entries: VecDeque<u64> }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push_back(v); self.entries.pop_front(); }\n    fn fold(&self, f: &mut impl Fold) { f.write_u64(0); }\n}\n";
         for src in [cap_const, evict_field, shrink] {
             let recs = vec![record("canal_telemetry", TargetKind::Lib, src)];
             let f = graph_findings(&recs, &[]);

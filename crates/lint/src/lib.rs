@@ -27,8 +27,8 @@
 //! **Graph stage** ([`parser`] items folded into a [`graph::SymbolGraph`]):
 //!
 //! * **digest-coverage** — mutable-state structs in digest-participating
-//!   crates must be reachable from a `fold_digest` impl, and a struct's
-//!   `fold_digest` must destructure `Self` exhaustively (no `..`), which
+//!   crates must be reachable from a `fold(&self, f: &mut impl Fold)`, and
+//!   a struct's `fold` must destructure `Self` exhaustively (no `..`), which
 //!   lets rustc prove it names every field.
 //! * **bounded-state** — growable collection fields on long-lived structs
 //!   must carry a cap const, an eviction counter, or a shrink path.
@@ -54,6 +54,7 @@
 //! manifest acting as a self-test that every rule still fires.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod graph;
 pub mod lexer;

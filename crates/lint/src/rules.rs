@@ -107,31 +107,20 @@ pub(crate) const LAYERING_DAG: &[(&str, &[&str])] = &[
             "canal_net",
             "canal_http",
             "canal_crypto",
-            "canal_cluster",
             // The node L4 filter and the per-route authz check both
             // evaluate the compiled policy tables.
             "canal_policy",
-            "bytes",
         ],
     ),
     (
         "canal_control",
-        &[
-            "canal_sim",
-            "canal_net",
-            "canal_cluster",
-            "canal_gateway",
-            "canal_mesh",
-            "canal_telemetry",
-            "canal_workload",
-        ],
+        &["canal_sim", "canal_net", "canal_gateway", "canal_mesh", "canal_telemetry"],
     ),
     (
         "canal_bench",
         &[
             "canal_sim",
             "canal_net",
-            "canal_http",
             "canal_crypto",
             "canal_cluster",
             "canal_policy",
@@ -140,7 +129,6 @@ pub(crate) const LAYERING_DAG: &[(&str, &[&str])] = &[
             "canal_telemetry",
             "canal_control",
             "canal_workload",
-            "bytes",
         ],
     ),
     (
@@ -157,15 +145,16 @@ pub(crate) const LAYERING_DAG: &[(&str, &[&str])] = &[
             "canal_telemetry",
             "canal_control",
             "canal_workload",
-            "bytes",
         ],
     ),
 ];
 
 /// Internal deps additionally allowed in test targets (`tests/` dirs and
 /// `#[cfg(test)]`): the root crate's test suite drives the linter itself,
-/// and runs the experiment harness's scenarios over seed ranges.
-pub(crate) const TEST_ONLY_DEPS: &[(&str, &[&str])] = &[("canal", &["canal_lint", "canal_bench"])];
+/// runs the experiment harness's scenarios over seed ranges, and feeds the
+/// codecs `bytes` buffers.
+pub(crate) const TEST_ONLY_DEPS: &[(&str, &[&str])] =
+    &[("canal", &["canal_lint", "canal_bench", "bytes"])];
 
 /// All rule ids, used to validate suppression annotations.
 pub const RULE_IDS: &[&str] = &[
@@ -274,14 +263,14 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "digest-coverage",
-        summary: "mutable structs reach a fold_digest; a struct's fold destructures Self",
+        summary: "mutable structs reach a fold; a struct's fold destructures Self",
         rationale: "The double-run harness only proves determinism for state that reaches a \
                     digest. A struct in a digest crate mutated by &mut self methods but \
-                    unreachable from every fold_digest impl can silently diverge between runs. \
-                    A struct's fold_digest in library code must open with an exhaustive \
-                    `let Self { a, b, c: _ } = self;` (no `..`), binding a field it does not \
-                    fold as `name: _` with its reason. Then a field the fold misses (the \
-                    rollout controller's old last_good bug) fails to compile, and one it \
+                    unreachable from every `fn fold(&self, f: &mut impl Fold)` can silently \
+                    diverge between runs. A struct's fold in library code must open with an \
+                    exhaustive `let Self { a, b, c: _ } = self;` (no `..`), binding a field it \
+                    does not fold as `name: _` with its reason. Then a field the fold misses \
+                    (the rollout controller's old last_good bug) fails to compile, and one it \
                     binds but never reads fails on unused_variables, denied workspace-wide.",
         suppression: "// lint:allow(digest-coverage) reason=derived: <why> (recomputable from \
                       folded state) or reason=transient: <why> (scratch state, reset per step)",

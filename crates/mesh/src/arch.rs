@@ -750,7 +750,7 @@ mod tests {
     #[test]
     fn step_plans_and_mesh_cpu_match_the_golden_value() {
         use canal_net::TraceContext;
-        use canal_sim::Digest;
+        use canal_sim::{Digest, Fold};
         let mut https_large = RequestCtx::light();
         https_large.https = true;
         https_large.req_bytes = 16 * 1024;

@@ -18,7 +18,7 @@
 //! only *where* it runs (sidecar pod, ambient node proxy, canal vSwitch).
 
 use canal_policy::{CompiledPolicySet, L4Ctx, L4Verdict};
-use canal_sim::Digest;
+use canal_sim::Fold;
 
 /// Per-node L4 policy filter plus admission counters.
 #[derive(Debug)]
@@ -69,16 +69,12 @@ impl L4Filter {
         v
     }
 
-    /// `(allowed, denied, deferred-to-L7)` counts since construction.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.allowed, self.denied, self.deferred)
-    }
-
-    /// Fold the installed set and counters into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    /// Fold the installed set and the `allowed`, `denied` and
+    /// `deferred` (to L7) counts since construction.
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { set, allowed, denied, deferred } = self;
-        set.fold_digest(d);
-        d.write_u64(*allowed).write_u64(*denied).write_u64(*deferred);
+        f.scope("set", |f| set.fold(f));
+        f.count("allowed", *allowed).count("denied", *denied).count("deferred", *deferred);
     }
 }
 
@@ -114,7 +110,7 @@ mod tests {
     fn uninstalled_filter_denies_everything() {
         let mut f = L4Filter::new();
         assert_eq!(f.admit(&ctx(1, 1, 80)), L4Verdict::Deny);
-        assert_eq!(f.counters(), (0, 1, 0));
+        assert_eq!((f.allowed, f.denied, f.deferred), (0, 1, 0));
     }
 
     #[test]
@@ -128,7 +124,7 @@ mod tests {
         assert_eq!(f.admit(&ctx(1, 0x0A00_0105, 80)), L4Verdict::NeedsL7);
         // Unknown tenant: deny.
         assert_eq!(f.admit(&ctx(9, 1, 80)), L4Verdict::Deny);
-        assert_eq!(f.counters(), (0, 2, 1));
+        assert_eq!((f.allowed, f.denied, f.deferred), (0, 2, 1));
     }
 
     /// The filter holds the gateway's tables, not a copy, and later versions

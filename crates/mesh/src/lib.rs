@@ -29,6 +29,7 @@
 //!   `canal-telemetry`).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

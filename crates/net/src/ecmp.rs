@@ -101,9 +101,8 @@ impl FlatKey for FiveTuple {
 
 /// Hash an outer tunnel source port to a vSwitch RSS core (§4.4 session
 /// aggregation: tunnels are spread over cores by outer SPort).
-pub fn rss_core_for_sport(sport: u16, cores: usize) -> usize {
-    assert!(cores > 0);
-    (fnv1a(&sport.to_be_bytes()) % cores as u64) as usize
+pub fn rss_core_for_sport(sport: u16, cores: NonZeroUsize) -> usize {
+    (fnv1a(&sport.to_be_bytes()) % cores.get() as u64) as usize
 }
 
 #[cfg(test)]
@@ -201,8 +200,8 @@ mod tests {
 
     #[test]
     fn rss_spreads_tunnel_sports() {
-        let cores = 8;
-        let mut counts = vec![0usize; cores];
+        let cores = NonZeroUsize::new(8).unwrap();
+        let mut counts = vec![0usize; cores.get()];
         for sport in 40000..40080u16 {
             counts[rss_core_for_sport(sport, cores)] += 1;
         }

@@ -17,7 +17,7 @@
 //!   and the backward shift re-home entries without hashing a key again,
 //!   and a probe compares tags before it compares keys;
 //! * nothing observable depends on the layout: lookups are by key, and
-//!   [`FlatTable::fold_digest`] visits entries in ascending key order,
+//!   [`FlatTable::fold`] visits entries in ascending key order,
 //!   exactly what the `BTreeMap`s it replaces gave.
 //!
 //! The slot array starts empty, doubles when three quarters full, and
@@ -27,7 +27,7 @@
 
 use crate::ecmp::fmix64;
 use crate::ids::{GlobalServiceId, PodId};
-use canal_sim::Digest;
+use canal_sim::Fold;
 
 /// A key that supplies its own fixed 64-bit hash.
 pub trait FlatKey: Copy + Ord {
@@ -258,14 +258,14 @@ impl<K: FlatKey, V> FlatTable<K, V> {
 
     /// Fold the entries in ascending key order (so the digest does not
     /// depend on the slot layout): the count, then `entry` per entry.
-    pub fn fold_digest(&self, d: &mut Digest, mut entry: impl FnMut(&mut Digest, &K, &V)) {
+    pub fn fold<F: Fold>(&self, f: &mut F, mut entry: impl FnMut(&mut F, &K, &V)) {
         let Self {
             slots: _, // folded through `sorted`, in key order rather than slot order
             len,
         } = self;
-        d.write_u64(*len as u64);
+        f.write_u64(*len as u64);
         for (k, v) in self.sorted() {
-            entry(d, k, v);
+            entry(f, k, v);
         }
     }
 }
@@ -273,7 +273,7 @@ impl<K: FlatKey, V> FlatTable<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canal_sim::SimRng;
+    use canal_sim::{Digest, SimRng};
     use std::cell::Cell;
     use std::collections::BTreeMap;
 
@@ -537,11 +537,7 @@ mod tests {
         upsert(&mut b, key(500), 0);
         b.remove(key(500).hash, &key(500));
         let fold = |t: &FlatTable<Key, u64>| {
-            let mut d = Digest::new();
-            t.fold_digest(&mut d, |d, k, v| {
-                d.write_u64(k.id as u64).write_u64(*v);
-            });
-            d.value()
+            Digest::of(|d| t.fold(d, |d, k, v| _ = d.write_u64(k.id as u64).write_u64(*v))).value()
         };
         assert_eq!(fold(&a), fold(&b));
         upsert(&mut b, key(3), 99);

@@ -10,7 +10,7 @@
 //! [`NagleBuffer`] is that aggregator. It exposes how many flushes (≈ context
 //! switches) a write sequence produced, which drives the Fig. 22 experiment.
 
-use canal_sim::{SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 
 /// Default TCP maximum segment size used by the aggregator.
 pub(crate) const DEFAULT_MSS: usize = 1460;
@@ -141,10 +141,10 @@ impl NagleBuffer {
     /// Fold the buffer into a digest: the knobs (`mss`, `flush_delay`,
     /// `enabled`), what is pending (`pending_bytes`, `pending_writes`,
     /// `oldest_pending`) and every segment in `emitted`.
-    pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { mss, flush_delay, enabled, pending_bytes, pending_writes, oldest_pending, emitted } =
             self;
-        d.write_u64(*mss as u64)
+        f.write_u64(*mss as u64)
             .write_u64(flush_delay.as_nanos())
             .write_u64(*enabled as u64)
             .write_u64(*pending_bytes as u64)
@@ -152,7 +152,7 @@ impl NagleBuffer {
             .write_u64(oldest_pending.map_or(u64::MAX, SimTime::as_nanos))
             .write_u64(emitted.len() as u64);
         for seg in emitted {
-            d.write_u64(seg.at.as_nanos())
+            f.write_u64(seg.at.as_nanos())
                 .write_u64(seg.len as u64)
                 .write_u64(seg.writes as u64);
         }

@@ -13,6 +13,7 @@
 use crate::ids::{GlobalServiceId, ServiceId, TenantId};
 use crate::packet::Packet;
 use bytes::{Buf, Bytes};
+use canal_sim::Fold;
 use std::collections::BTreeMap;
 
 /// UDP destination port assigned to VXLAN.
@@ -222,15 +223,15 @@ impl VSwitch {
 
     /// Fold both registries, `vni_to_tenant` and `service_by_port`, into a
     /// digest.
-    pub fn fold_digest(&self, d: &mut canal_sim::Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { vni_to_tenant, service_by_port } = self;
-        d.write_u64(vni_to_tenant.len() as u64);
+        f.write_u64(vni_to_tenant.len() as u64);
         for (&vni, tenant) in vni_to_tenant {
-            d.write_u64(vni as u64).write_u64(tenant.raw() as u64);
+            f.write_u64(vni as u64).write_u64(tenant.raw() as u64);
         }
-        d.write_u64(service_by_port.len() as u64);
+        f.write_u64(service_by_port.len() as u64);
         for (&(tenant, port), service) in service_by_port {
-            d.write_u64(tenant.raw() as u64)
+            f.write_u64(tenant.raw() as u64)
                 .write_u64(port as u64)
                 .write_u64(service.raw() as u64);
         }

@@ -62,7 +62,7 @@ use crate::spec::{
     SniMatch, TenantList, TenantPolicy,
 };
 use canal_net::TenantId;
-use canal_sim::Digest;
+use canal_sim::Fold;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -132,17 +132,17 @@ impl RuleSet {
     }
 
     /// Fold the mask into a digest.
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { words, bits } = self;
-        fold_mask(*bits, words, d);
+        fold_mask(*bits, words, f);
     }
 }
 
 /// The digest form of one mask: its bit count, then its words.
-fn fold_mask(bits: usize, words: &[u64], d: &mut Digest) {
-    d.write_u64(bits as u64);
+fn fold_mask(bits: usize, words: &[u64], f: &mut impl Fold) {
+    f.write_u64(bits as u64);
     for &w in words {
-        d.write_u64(w);
+        f.write_u64(w);
     }
 }
 
@@ -244,18 +244,18 @@ impl IntervalTable {
         u64::from((self.segments.max(1) as u64).ilog2()) + 1
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self {
             segments, bits,
             rows: _, // folded through `start` and `segment`, row by row
             unconstrained: _, // derived: whether every folded mask is full
         } = self;
-        d.write_u64(*segments as u64);
+        f.write_u64(*segments as u64);
         for s in 0..*segments {
-            d.write_u64(self.start(s));
+            f.write_u64(self.start(s));
         }
         for s in 0..*segments {
-            fold_mask(*bits, self.segment(s), d);
+            fold_mask(*bits, self.segment(s), f);
         }
     }
 }
@@ -283,13 +283,13 @@ impl MapTable {
         u64::from((self.exact.len().max(1) as u64).ilog2()) + 1
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { any, exact } = self;
-        any.fold_digest(d);
-        d.write_u64(exact.len() as u64);
+        f.scope("any", |f| any.fold(f));
+        f.write_u64(exact.len() as u64);
         for (k, v) in exact {
-            d.write_str(k);
-            v.fold_digest(d);
+            f.write_str(k);
+            v.fold(f);
         }
     }
 }
@@ -335,18 +335,18 @@ impl SniTable {
         per * 9
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { any, exact, suffix } = self;
-        any.fold_digest(d);
-        d.write_u64(exact.len() as u64);
+        f.scope("any", |f| any.fold(f));
+        f.write_u64(exact.len() as u64);
         for (k, v) in exact {
-            d.write_str(k);
-            v.fold_digest(d);
+            f.write_str(k);
+            v.fold(f);
         }
-        d.write_u64(suffix.len() as u64);
+        f.write_u64(suffix.len() as u64);
         for (k, v) in suffix {
-            d.write_str(k);
-            v.fold_digest(d);
+            f.write_str(k);
+            v.fold(f);
         }
     }
 }
@@ -419,15 +419,15 @@ impl PathTrie {
         crate::spec::MAX_PATH_PREFIX_BYTES as u64
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { nodes } = self;
-        d.write_u64(nodes.len() as u64);
+        f.write_u64(nodes.len() as u64);
         for node in nodes {
-            d.write_u64(node.children.len() as u64);
+            f.write_u64(node.children.len() as u64);
             for (&b, &c) in &node.children {
-                d.write_u64(b as u64).write_u64(c as u64);
+                f.write_u64(b as u64).write_u64(c as u64);
             }
-            node.cum.fold_digest(d);
+            node.cum.fold(f);
         }
     }
 }
@@ -476,18 +476,18 @@ impl HeaderSlot {
         u64::from(((self.present.len() + self.exact.len()).max(1) as u64).ilog2()) + 1
     }
 
-    fn fold_digest(&self, d: &mut Digest) {
+    fn fold(&self, f: &mut impl Fold) {
         let Self { auto, present, exact } = self;
-        auto.fold_digest(d);
-        d.write_u64(present.len() as u64);
+        f.scope("auto", |f| auto.fold(f));
+        f.write_u64(present.len() as u64);
         for (k, v) in present {
-            d.write_str(k);
-            v.fold_digest(d);
+            f.write_str(k);
+            v.fold(f);
         }
-        d.write_u64(exact.len() as u64);
+        f.write_u64(exact.len() as u64);
         for ((k, val), v) in exact {
-            d.write_str(k).write_str(val);
-            v.fold_digest(d);
+            f.write_str(k).write_str(val);
+            v.fold(f);
         }
     }
 }
@@ -754,28 +754,28 @@ impl CompiledTenant {
     }
 
     /// Fold every compiled table into a digest.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self {
             n, actions, l7_rules, src, ports, idents, methods, path, sni, headers, default_action,
             first_allows: _, // derived: the allow bits of the first 64 `actions`
             constrained_header_slots: _, // derived: the leading `headers` some rule constrains
         } = self;
-        d.write_u64(*n as u64);
+        f.write_u64(*n as u64);
         for &a in actions {
-            d.write_u64(verdict_tag(a));
+            f.write_u64(verdict_tag(a));
         }
-        l7_rules.fold_digest(d);
-        src.fold_digest(d);
-        ports.fold_digest(d);
-        idents.fold_digest(d);
-        methods.fold_digest(d);
-        path.fold_digest(d);
-        sni.fold_digest(d);
-        d.write_u64(headers.len() as u64);
+        f.scope("l7_rules", |f| l7_rules.fold(f));
+        f.scope("src", |f| src.fold(f));
+        f.scope("ports", |f| ports.fold(f));
+        f.scope("idents", |f| idents.fold(f));
+        f.scope("methods", |f| methods.fold(f));
+        f.scope("path", |f| path.fold(f));
+        f.scope("sni", |f| sni.fold(f));
+        f.write_u64(headers.len() as u64);
         for slot in headers {
-            slot.fold_digest(d);
+            slot.fold(f);
         }
-        d.write_u64(verdict_tag(*default_action));
+        f.write_u64(verdict_tag(*default_action));
     }
 }
 
@@ -915,15 +915,15 @@ impl CompiledPolicySet {
     }
 
     /// Fold every tenant table into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             version, tenants,
             sources: _, // gap: the specs `tenants` was compiled from; the folded tables decide
         } = self;
-        d.write_u64(*version).write_u64(tenants.len() as u64);
+        f.write_u64(*version).write_u64(tenants.len() as u64);
         for (t, c) in tenants.iter() {
-            d.write_u64(t.0 as u64);
-            c.fold_digest(d);
+            f.write_u64(t.0 as u64);
+            c.fold(f);
         }
     }
 }
@@ -931,6 +931,7 @@ impl CompiledPolicySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
     use crate::spec::{Cidr, PolicyRule, SniMatch};
     use canal_net::VpcId;
 
@@ -1111,17 +1112,14 @@ mod tests {
         };
         let a = CompiledPolicySet::compile(&spec).unwrap_or_else(|e| panic!("{e}"));
         let b = CompiledPolicySet::compile(&spec).unwrap_or_else(|e| panic!("{e}"));
-        let mut da = Digest::new();
-        a.fold_digest(&mut da);
-        let mut db = Digest::new();
-        b.fold_digest(&mut db);
+        let da = Digest::of(|f| a.fold(f));
+        let db = Digest::of(|f| b.fold(f));
         assert_eq!(da.value(), db.value());
 
         let mut spec2 = spec.clone();
         spec2.tenants[0].rules[0].path_prefix = "/api".to_string();
         let c = CompiledPolicySet::compile(&spec2).unwrap_or_else(|e| panic!("{e}"));
-        let mut dc = Digest::new();
-        c.fold_digest(&mut dc);
+        let dc = Digest::of(|f| c.fold(f));
         assert_ne!(da.value(), dc.value());
     }
 

@@ -22,7 +22,7 @@
 //! so whoever compiles the node first (the controller validating a document,
 //! a gateway committing it) leaves the tables where every other holder of
 //! the node finds them, and a fleet compiles a tenant once. The slot is not
-//! part of the document: `==`, `Debug` and `fold_digest` see the policy alone
+//! part of the document: `==`, `Debug` and `fold` see the policy alone
 //! and a cloned node starts empty. The one way to change a node's policy is
 //! [`IndexMut`] on the list, and it empties the slot: [`Arc::make_mut`] edits
 //! a node nobody else holds where it is, and tables kept across that edit
@@ -30,7 +30,7 @@
 
 use crate::compile::CompiledTenant;
 use canal_net::{TenantId, VpcId};
-use canal_sim::{Digest, SharedList};
+use canal_sim::{Fold, SharedList};
 use std::fmt;
 use std::ops::{Deref, Index, IndexMut};
 use std::sync::{Arc, OnceLock};
@@ -268,58 +268,58 @@ impl PolicyRule {
     }
 
     /// Fold the rule content into a digest.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { source_cidr, dest_ports, source_identities, methods, path_prefix, sni, headers, action } =
             self;
         match source_cidr {
             None => {
-                d.write_u64(0);
+                f.write_u64(0);
             }
             Some(c) => {
-                d.write_u64(1).write_u64(c.base as u64).write_u64(c.prefix_len as u64);
+                f.write_u64(1).write_u64(c.base as u64).write_u64(c.prefix_len as u64);
             }
         }
         match dest_ports {
             None => {
-                d.write_u64(0);
+                f.write_u64(0);
             }
             Some(p) => {
-                d.write_u64(1).write_u64(p.lo as u64).write_u64(p.hi as u64);
+                f.write_u64(1).write_u64(p.lo as u64).write_u64(p.hi as u64);
             }
         }
-        d.write_u64(source_identities.len() as u64);
+        f.write_u64(source_identities.len() as u64);
         for &id in source_identities {
-            d.write_u64(id);
+            f.write_u64(id);
         }
-        d.write_u64(methods.len() as u64);
+        f.write_u64(methods.len() as u64);
         for m in methods {
-            d.write_str(m);
+            f.write_str(m);
         }
-        d.write_str(path_prefix);
+        f.write_str(path_prefix);
         match sni {
             None => {
-                d.write_u64(0);
+                f.write_u64(0);
             }
             Some(SniMatch::Exact(s)) => {
-                d.write_u64(1).write_str(s);
+                f.write_u64(1).write_str(s);
             }
             Some(SniMatch::Suffix(s)) => {
-                d.write_u64(2).write_str(s);
+                f.write_u64(2).write_str(s);
             }
         }
-        d.write_u64(headers.len() as u64);
+        f.write_u64(headers.len() as u64);
         for h in headers {
-            d.write_str(&h.name);
+            f.write_str(&h.name);
             match &h.value {
                 None => {
-                    d.write_u64(0);
+                    f.write_u64(0);
                 }
                 Some(v) => {
-                    d.write_u64(1).write_str(v);
+                    f.write_u64(1).write_str(v);
                 }
             }
         }
-        d.write_u64(verdict_tag(*action));
+        f.write_u64(verdict_tag(*action));
     }
 }
 
@@ -347,13 +347,13 @@ pub struct TenantPolicy {
 
 impl TenantPolicy {
     /// Fold the tenant policy into a digest.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { tenant, vpc, rules, default_action } = self;
-        d.write_u64(tenant.0 as u64).write_u64(vpc.0 as u64).write_u64(rules.len() as u64);
+        f.write_u64(tenant.0 as u64).write_u64(vpc.0 as u64).write_u64(rules.len() as u64);
         for r in rules {
-            r.fold_digest(d);
+            r.fold(f);
         }
-        d.write_u64(verdict_tag(*default_action));
+        f.write_u64(verdict_tag(*default_action));
     }
 }
 
@@ -542,11 +542,11 @@ pub struct PolicySpec {
 
 impl PolicySpec {
     /// Fold the spec into a digest (content- and order-sensitive).
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { version, tenants } = self;
-        d.write_u64(*version).write_u64(tenants.len() as u64);
+        f.write_u64(*version).write_u64(tenants.len() as u64);
         for t in tenants {
-            t.fold_digest(d);
+            t.fold(f);
         }
     }
 }
@@ -762,6 +762,7 @@ impl<'a> L7Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
 
     fn t1() -> TenantId {
         TenantId(1)
@@ -936,8 +937,7 @@ mod tests {
         let ctx = L4Ctx { tenant: t1(), vpc: VpcId(1), src_ip: 1, dst_port: 80, identity: 0 };
         let compile = |spec: &PolicySpec| {
             let set = CompiledPolicySet::compile(spec).unwrap_or_else(|e| panic!("{e}"));
-            let mut d = Digest::new();
-            set.fold_digest(&mut d);
+            let d = Digest::of(|f| set.fold(f));
             (set.l4_verdict(&ctx), d.value())
         };
         let rebuilt = |spec: &PolicySpec| PolicySpec {
@@ -974,14 +974,11 @@ mod tests {
         tp.rules.push(PolicyRule::allow().with_path_prefix("/api"));
         a.tenants.push(tp);
         let mut b = a.clone();
-        let mut da = Digest::new();
-        a.fold_digest(&mut da);
-        let mut db = Digest::new();
-        b.fold_digest(&mut db);
+        let da = Digest::of(|f| a.fold(f));
+        let db = Digest::of(|f| b.fold(f));
         assert_eq!(da.value(), db.value());
         b.tenants[0].rules[0].action = PolicyVerdict::Deny;
-        let mut dc = Digest::new();
-        b.fold_digest(&mut dc);
+        let dc = Digest::of(|f| b.fold(f));
         assert_ne!(da.value(), dc.value());
     }
 }

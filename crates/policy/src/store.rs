@@ -15,7 +15,7 @@
 //! those tables are dropped with the last document holding them.
 
 use crate::spec::PolicySpec;
-use canal_sim::Digest;
+use canal_sim::Fold;
 use std::collections::BTreeMap;
 
 /// How many policy versions the archive retains; older entries are
@@ -63,11 +63,11 @@ impl PolicyStore {
     }
 
     /// Fold the archive into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { by_version, evicted } = self;
-        d.write_u64(by_version.len() as u64).write_u64(*evicted);
+        f.write_u64(by_version.len() as u64).count("evicted", *evicted);
         for spec in by_version.values() {
-            spec.fold_digest(d);
+            spec.fold(f);
         }
     }
 }
@@ -75,6 +75,7 @@ impl PolicyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Digest;
     use crate::spec::{PolicyRule, PolicyVerdict, PortRange, TenantNode, TenantPolicy};
     use canal_net::{TenantId, VpcId};
     use std::collections::BTreeSet;
@@ -140,14 +141,11 @@ mod tests {
         a.record(spec(1));
         let mut b = PolicyStore::new();
         b.record(spec(1));
-        let mut da = Digest::new();
-        a.fold_digest(&mut da);
-        let mut db = Digest::new();
-        b.fold_digest(&mut db);
+        let da = Digest::of(|f| a.fold(f));
+        let db = Digest::of(|f| b.fold(f));
         assert_eq!(da.value(), db.value());
         b.record(spec(2));
-        let mut dc = Digest::new();
-        b.fold_digest(&mut dc);
+        let dc = Digest::of(|f| b.fold(f));
         assert_ne!(da.value(), dc.value());
     }
 }

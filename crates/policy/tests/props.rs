@@ -34,7 +34,7 @@ use canal_policy::{
     CompiledPolicySet, CompiledTenant, HeaderPredicate, L4Ctx, L7Ctx, PolicyRejection, PolicyRule,
     PolicySpec, PolicyVerdict, PortRange, SniMatch, TenantPolicy,
 };
-use canal_sim::{Digest, SimRng};
+use canal_sim::{Digest, Fold, SimRng};
 
 const TENANTS: u32 = 3;
 const RULES_PER_TENANT: usize = 48;
@@ -176,7 +176,7 @@ fn verdict_stream_digest(seed: u64) -> u64 {
         Err(e) => panic!("random spec must validate: {e}"),
     };
     let mut d = Digest::new();
-    compiled.fold_digest(&mut d);
+    compiled.fold(&mut d);
     for _ in 0..PACKETS {
         let (l4, method, path, sni, hdrs) = random_ctx(&mut rng);
         let l7 = L7Ctx { method, path, sni, headers: &HEADERS[..hdrs] };
@@ -370,9 +370,7 @@ fn flipped(v: PolicyVerdict) -> PolicyVerdict {
 }
 
 fn set_digest(set: &CompiledPolicySet) -> u64 {
-    let mut d = Digest::new();
-    set.fold_digest(&mut d);
-    d.value()
+    Digest::of(|f| set.fold(f)).value()
 }
 
 /// Compile `new` from scratch and against `old`, and hold the two to each

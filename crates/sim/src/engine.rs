@@ -7,7 +7,7 @@
 //! directly, which keeps borrow scopes simple and the event order fully
 //! deterministic (ties broken by insertion sequence, FIFO).
 
-use crate::invariant::{Digest, EventOrderMonitor};
+use crate::invariant::{EventOrderMonitor, Fold};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -115,22 +115,22 @@ impl<E> Simulation<E> {
     /// shape of every event still in `queue` (canonical order), and the
     /// `monitor` position. Event payloads are the model's to digest, and
     /// the `scratch` buffer is empty between dispatches.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             now, seq, queue, events_fired, monitor,
             scratch, // transient: drained by every dispatch, so only checked empty
         } = self;
         debug_assert!(scratch.is_empty(), "scratch is drained by every dispatch");
-        d.write_u64(now.as_nanos())
+        f.write_u64(now.as_nanos())
             .write_u64(*seq)
-            .write_u64(*events_fired)
+            .count("events_fired", *events_fired)
             .write_u64(queue.len() as u64);
         let mut shape: Vec<(SimTime, u64)> = queue.iter().map(|q| (q.time, q.seq)).collect();
         shape.sort_unstable();
         for (t, seq) in shape {
-            d.write_u64(t.as_nanos()).write_u64(seq);
+            f.write_u64(t.as_nanos()).write_u64(seq);
         }
-        monitor.fold_digest(d);
+        f.scope("monitor", |f| monitor.fold(f));
     }
 
     /// Seed an event at an absolute instant before (or during) the run.

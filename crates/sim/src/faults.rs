@@ -12,7 +12,7 @@
 //! (`CLASSES`: DSL token, operand shape, what `degrade` means for it, which
 //! condition fields the state digest writes, and the constructor) plus its
 //! arm of the one `match` that takes a [`FaultTarget`] apart (`parts`). The
-//! parser and [`FaultState::fold_digest`] are read off the table and a test
+//! parser and [`FaultState::fold`] are read off the table and a test
 //! holds the README catalogue to it, so a new target is a variant, a row
 //! and an arm.
 //!
@@ -23,7 +23,7 @@
 //! resilience layer gets measured on).
 
 use crate::engine::Simulation;
-use crate::invariant::Digest;
+use crate::invariant::Fold;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -226,14 +226,14 @@ struct Class {
     token: &'static str,
     operand: Operand,
     degrade: Degrade,
-    /// What [`FaultState::fold_digest`] writes after the operands.
+    /// What [`FaultState::fold`] writes after the operands.
     digest: &'static [Field],
     /// The member with these operands (as many as `operand` has).
     make: fn(u32, u32) -> FaultTarget,
 }
 
 /// The target catalogue, in the order of the README table and of the
-/// sections of [`FaultState::fold_digest`]. `parts` indexes it.
+/// sections of [`FaultState::fold`]. `parts` indexes it.
 static CLASSES: [Class; 16] = [
     Class {
         token: "replica",
@@ -351,14 +351,14 @@ static CLASSES: [Class; 16] = [
 
 impl Class {
     /// The words of one member's condition (`None`: an inactive singleton).
-    fn fold_condition(&self, d: &mut Digest, cond: Option<&Condition>) {
+    fn fold_condition(&self, f: &mut impl Fold, cond: Option<&Condition>) {
         let c = cond.copied().unwrap_or_default();
         for field in self.digest {
             match field {
-                Field::Active => d.write_u64(cond.is_some() as u64),
-                Field::Crashed => d.write_u64(c.crashed as u64),
-                Field::Loss => d.write_f64(c.loss),
-                Field::Extra => d.write_u64(c.extra.as_nanos()),
+                Field::Active => f.write_u64(cond.is_some() as u64),
+                Field::Crashed => f.write_u64(c.crashed as u64),
+                Field::Loss => f.write_f64(c.loss),
+                Field::Extra => f.write_u64(c.extra.as_nanos()),
             };
         }
     }
@@ -773,30 +773,30 @@ impl FaultState {
     /// names, ascending); a singleton is just its fields, written whether
     /// or not it is active. Three scenario digests contain this one, so the
     /// words and their order are contract.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { az_of, replicas, active } = self;
-        d.write_u64(az_of.len() as u64);
+        f.write_u64(az_of.len() as u64);
         for (&b, &az) in az_of {
-            d.write_u64(b as u64).write_u64(az as u64);
+            f.write_u64(b as u64).write_u64(az as u64);
         }
-        d.write_u64(replicas.len() as u64);
+        f.write_u64(replicas.len() as u64);
         for (&b, &n) in replicas {
-            d.write_u64(b as u64).write_u64(n as u64);
+            f.write_u64(b as u64).write_u64(n as u64);
         }
         for class in &CLASSES {
             let mut members = active.iter().filter(|(t, _)| std::ptr::eq(parts(**t).0, class));
             if class.operand == Operand::None {
-                class.fold_condition(d, members.next().map(|(_, cond)| cond));
+                class.fold_condition(f, members.next().map(|(_, cond)| cond));
                 continue;
             }
-            d.write_u64(members.clone().count() as u64);
+            f.write_u64(members.clone().count() as u64);
             for (&target, cond) in members {
                 let (_, x, y) = parts(target);
-                d.write_u64(x as u64);
+                f.write_u64(x as u64);
                 if let Operand::Pair(..) = class.operand {
-                    d.write_u64(y as u64);
+                    f.write_u64(y as u64);
                 }
-                class.fold_condition(d, Some(cond));
+                class.fold_condition(f, Some(cond));
             }
         }
     }
@@ -810,6 +810,7 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariant::Digest;
     use crate::rng::SimRng;
     use std::collections::BTreeSet;
 
@@ -840,9 +841,7 @@ mod tests {
     }
 
     fn digest(st: &FaultState) -> u64 {
-        let mut d = Digest::new();
-        st.fold_digest(&mut d);
-        d.value()
+        Digest::of(|f| st.fold(f)).value()
     }
 
     fn live_replicas(st: &FaultState, backend: u32) -> usize {

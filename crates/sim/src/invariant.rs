@@ -9,11 +9,15 @@
 //!   backwards, and events at the same instant fire in insertion (FIFO)
 //!   order. The engine feeds it from [`crate::engine::Simulation::step`],
 //!   so every test that drives a simulation exercises the check for free.
-//! * [`Digest`] — a tiny FNV-1a fold for metrics and outcomes. Two runs of
-//!   the same seeded scenario must produce *bit-identical* digests; the
-//!   root-crate `tests/determinism.rs` double-run harness relies on this.
+//! * [`Fold`] — the one walk a stateful type offers over its state, with
+//!   two sinks: [`Digest`], a tiny FNV-1a fold that two runs of the same
+//!   seeded scenario must leave *bit-identical* (the root-crate
+//!   `tests/determinism.rs` double-run harness relies on this), and
+//!   [`Stats`], the same walk's named counts.
 
 use crate::time::SimTime;
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Watches the stream of dispatched `(time, seq)` pairs and debug-asserts
 /// the event-order invariants.
@@ -51,11 +55,11 @@ impl EventOrderMonitor {
 
     /// Fold the monitor position (`last`) into a digest: two runs that
     /// dispatched the same event stream end at the same `(time, seq)`.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { last } = self;
         match *last {
-            Some((t, seq)) => d.write_u64(1).write_u64(t.as_nanos()).write_u64(seq),
-            None => d.write_u64(0),
+            Some((t, seq)) => f.write_u64(1).write_u64(t.as_nanos()).write_u64(seq),
+            None => f.write_u64(0),
         };
     }
 }
@@ -63,10 +67,59 @@ impl EventOrderMonitor {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One walk over a type's observable state, read by two sinks: [`Digest`]
+/// hashes the bytes and ignores the names, [`Stats`] ignores the bytes and
+/// keeps the named counts. Every stateful type has one
+/// `fn fold(&self, f: &mut impl Fold)`, so both readers see the same walk.
+pub trait Fold {
+    /// Fold raw bytes: the one encoding the other writes reduce to.
+    fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self;
+
+    /// Fold one `u64` (little-endian).
+    fn write_u64(&mut self, v: u64) -> &mut Self {
+        self.write_bytes(&v.to_le_bytes())
+    }
+
+    /// Fold one `f64` by exact bit pattern — no epsilon, bit-identical or
+    /// different.
+    fn write_f64(&mut self, v: f64) -> &mut Self {
+        self.write_u64(v.to_bits())
+    }
+
+    /// Fold a string (length-prefixed so concatenations can't collide with
+    /// shifted boundaries).
+    fn write_str(&mut self, s: &str) -> &mut Self {
+        self.write_u64(s.len() as u64);
+        self.write_bytes(s.as_bytes())
+    }
+
+    /// Fold a monotone tally under `name`: the bytes of `write_u64(v)`.
+    fn count(&mut self, _name: &str, v: u64) -> &mut Self {
+        self.write_u64(v)
+    }
+
+    /// Fold a named part of the state: `body` is the part's own fold.
+    fn scope(&mut self, _name: &str, body: impl FnOnce(&mut Self)) -> &mut Self {
+        body(self);
+        self
+    }
+
+    /// A fresh sink that has taken `walk`: `Digest::of(|f| x.fold(f))`.
+    fn of(walk: impl FnOnce(&mut Self)) -> Self
+    where
+        Self: Default + Sized,
+    {
+        let mut sink = Self::default();
+        walk(&mut sink);
+        sink
+    }
+}
+
 /// A 64-bit FNV-1a fold over whatever a scenario considers observable:
 /// statuses, chosen backends, counters, histogram buckets. Deterministic
 /// runs produce bit-identical digests; any divergence — including float
 /// noise, since floats are folded by bit pattern — changes the value.
+/// Names and scopes write no bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digest {
     state: u64,
@@ -84,36 +137,64 @@ impl Digest {
         Digest { state: FNV_OFFSET }
     }
 
-    /// Fold raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    /// The current digest value.
+    pub fn value(&self) -> u64 {
+        self.state
+    }
+}
+
+impl Fold for Digest {
+    #[inline]
+    fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
         }
         self
     }
+}
 
-    /// Fold one `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
+/// The named sink: each [`Fold::count`] adds into the dotted path of its
+/// enclosing scopes and its name, so a name folded N times (one per ring
+/// under a scope) reads as their total. Bytes are ignored. `Display` dumps
+/// one sorted `name value` line per path.
+#[derive(Debug, Clone, Default)]
+pub struct Stats {
+    values: BTreeMap<String, u64>,
+    path: String,
+}
+
+impl Stats {
+    /// The total counted under a dotted path, if any fold counted it.
+    pub fn get(&self, path: &str) -> Option<u64> {
+        self.values.get(path).copied()
+    }
+}
+
+impl Fold for Stats {
+    fn write_bytes(&mut self, _bytes: &[u8]) -> &mut Self {
+        self
     }
 
-    /// Fold one `f64` by exact bit pattern — no epsilon, bit-identical or
-    /// different.
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
-        self.write_u64(v.to_bits())
+    fn count(&mut self, name: &str, v: u64) -> &mut Self {
+        self.scope(name, |s| *s.values.entry(s.path.clone()).or_default() += v)
     }
 
-    /// Fold a string (length-prefixed so concatenations can't collide with
-    /// shifted boundaries).
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes())
+    fn scope(&mut self, name: &str, body: impl FnOnce(&mut Self)) -> &mut Self {
+        let len = self.path.len();
+        if len > 0 {
+            self.path.push('.');
+        }
+        self.path.push_str(name);
+        body(self);
+        self.path.truncate(len);
+        self
     }
+}
 
-    /// The current digest value.
-    pub fn value(&self) -> u64 {
-        self.state
+impl fmt::Display for Stats {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.values.iter().try_for_each(|(name, v)| writeln!(out, "{name} {v}"))
     }
 }
 
@@ -161,6 +242,32 @@ mod tests {
         let mut c = Digest::new();
         c.write_u64(1).write_str("ok").write_f64(0.250000001);
         assert_ne!(a.value(), c.value(), "float noise must change the digest");
+
+        // Names and scopes write no bytes: a named fold is its raw writes.
+        let mut named = Digest::new();
+        named.count("one", 1).scope("status", |f| {
+            f.write_str("ok").scope("ratio", |f| {
+                f.write_f64(0.25);
+            });
+        });
+        assert_eq!(named.value(), a.value());
+    }
+
+    #[test]
+    fn stats_nest_scopes_sum_repeated_names_and_dump_sorted() {
+        let mut s = Stats::default();
+        s.count("top", 1).write_u64(99);
+        for ring in [3, 4] {
+            s.scope("rings", |f| {
+                f.count("evicted", ring).scope("inner", |f| {
+                    f.count("b", 1).count("a", 2);
+                });
+            });
+        }
+        assert_eq!(s.get("rings.evicted"), Some(7));
+        assert_eq!(s.get("rings.inner.a"), Some(4));
+        assert_eq!(s.get("evicted"), None, "a scope's names stay under it");
+        assert_eq!(s.to_string(), "rings.evicted 7\nrings.inner.a 4\nrings.inner.b 2\ntop 1\n");
     }
 
     #[test]

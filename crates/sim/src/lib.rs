@@ -38,6 +38,7 @@
 //! TCP/IP stacks: explicit state machines, no async runtime, no global state.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 
 pub mod engine;
@@ -53,7 +54,7 @@ pub mod time;
 
 pub use engine::{Model, Scheduler, Simulation};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
-pub use invariant::Digest;
+pub use invariant::{Digest, Fold, Stats};
 pub use metrics::Histogram;
 pub use queueing::{ClassConfig, ClassId, CpuServer, FairCpuServer, QueueReject};
 pub use rng::SimRng;

@@ -3,7 +3,7 @@
 //! * [`Histogram`] — log-bucketed value distribution with quantile queries;
 //!   resolution is ~4.6% per bucket (16 buckets per octave), bounded memory.
 
-use crate::invariant::Digest;
+use crate::invariant::Fold;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -171,19 +171,19 @@ impl Histogram {
     /// Fold the full distribution state into a digest: `count`, `sum`,
     /// raw `min`/`max` (bit patterns, including the empty-histogram
     /// infinities), every `buckets` cell and every `exemplars` entry.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { buckets, exemplars, count, sum, min, max } = self;
-        d.write_u64(*count)
+        f.count("count", *count)
             .write_f64(*sum)
             .write_f64(*min)
             .write_f64(*max)
             .write_u64(buckets.len() as u64);
         for (&idx, &c) in buckets {
-            d.write_u64(idx as u64).write_u64(c);
+            f.write_u64(idx as u64).write_u64(c);
         }
-        d.write_u64(exemplars.len() as u64);
+        f.write_u64(exemplars.len() as u64);
         for (&idx, e) in exemplars {
-            d.write_u64(idx as u64).write_f64(e.value).write_u64(e.trace_id);
+            f.write_u64(idx as u64).write_f64(e.value).write_u64(e.trace_id);
         }
     }
 }

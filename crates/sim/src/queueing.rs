@@ -18,7 +18,7 @@
 //! on simulated time with `BTreeMap`-ordered state, so runs stay
 //! digest-deterministic.
 
-use crate::invariant::Digest;
+use crate::invariant::Fold;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -98,14 +98,14 @@ impl CpuServer {
     /// Fold the full server state into a digest: every `core_free` instant,
     /// integrated `busy` time, `jobs` served, and the `window_start` /
     /// `window_busy` accounting window.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { core_free, busy, jobs, window_start, window_busy } = self;
-        d.write_u64(core_free.len() as u64);
+        f.write_u64(core_free.len() as u64);
         for &t in core_free {
-            d.write_u64(t.as_nanos());
+            f.write_u64(t.as_nanos());
         }
-        d.write_u64(busy.as_nanos())
-            .write_u64(*jobs)
+        f.write_u64(busy.as_nanos())
+            .count("jobs", *jobs)
             .write_u64(window_start.as_nanos())
             .write_u64(window_busy.as_nanos());
     }
@@ -208,7 +208,7 @@ pub struct FairCpuServer<T> {
     /// assigned: an [`FairCpuServer::advance`] that starts nothing (the
     /// common case: a pump, then an offer's two advances, at one instant)
     /// reads one slot instead of scanning every core. Derived, so
-    /// `fold_digest` checks it and folds nothing.
+    /// `fold` checks it and folds nothing.
     next_free: usize,
     /// DRR quantum: nanoseconds of CPU credit added per round per weight
     /// unit. One typical job demand is a good value.
@@ -434,50 +434,50 @@ impl<T> FairCpuServer<T> {
     /// `deficit`, `granted`, `served`, `rejected`), the `rr` rotation with
     /// its `front_topped` flag, undrained `started` jobs, `next_ticket` and
     /// integrated `busy` time. Payloads are the caller's to fold.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             core_free, quantum, classes, rr, front_topped, started, next_ticket, busy,
             next_free, // derived: checked against `core_free` in debug builds
         } = self;
         debug_assert_eq!(*next_free, earliest_core(core_free), "stale earliest core");
-        d.write_u64(core_free.len() as u64);
+        f.write_u64(core_free.len() as u64);
         for &t in core_free {
-            d.write_u64(t.as_nanos());
+            f.write_u64(t.as_nanos());
         }
-        d.write_u64(quantum.as_nanos());
-        d.write_u64(classes.len() as u64);
+        f.write_u64(quantum.as_nanos());
+        f.write_u64(classes.len() as u64);
         for (&cid, c) in classes {
-            d.write_u64(cid)
+            f.write_u64(cid)
                 .write_u64(u64::from(c.cfg.weight))
                 .write_u64(c.cfg.max_slots as u64)
                 .write_u64(c.cfg.max_bytes)
                 .write_u64(c.queue.len() as u64);
             for job in &c.queue {
-                d.write_u64(job.ticket)
+                f.write_u64(job.ticket)
                     .write_u64(job.arrival.as_nanos())
                     .write_u64(job.demand.as_nanos())
                     .write_u64(job.bytes);
             }
-            d.write_u64(c.queued_bytes)
+            f.write_u64(c.queued_bytes)
                 .write_u64(c.deficit)
                 .write_u64(c.granted.as_nanos())
-                .write_u64(c.served)
-                .write_u64(c.rejected);
+                .count("served", c.served)
+                .count("rejected", c.rejected);
         }
-        d.write_u64(rr.len() as u64);
+        f.write_u64(rr.len() as u64);
         for &cid in rr {
-            d.write_u64(cid);
+            f.write_u64(cid);
         }
-        d.write_u64(*front_topped as u64);
-        d.write_u64(started.len() as u64);
+        f.write_u64(*front_topped as u64);
+        f.write_u64(started.len() as u64);
         for j in started {
-            d.write_u64(j.class)
+            f.write_u64(j.class)
                 .write_u64(j.ticket)
                 .write_u64(j.arrival.as_nanos())
                 .write_u64(j.start.as_nanos())
                 .write_u64(j.finish.as_nanos());
         }
-        d.write_u64(*next_ticket).write_u64(busy.as_nanos());
+        f.write_u64(*next_ticket).write_u64(busy.as_nanos());
     }
 }
 

@@ -5,7 +5,7 @@
 //! (inverse-CDF / Box–Muller / rejection-free Zipf) to avoid extra
 //! dependencies and to keep their behaviour stable across `rand` versions.
 
-use crate::invariant::Digest;
+use crate::invariant::Fold;
 
 /// splitmix64 step — used only to expand a 64-bit seed into xoshiro state.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -159,10 +159,10 @@ impl SimRng {
     /// Fold the generator state (`inner`) into a digest. Two runs whose RNG
     /// streams have diverged produce different folds even if every sampled
     /// value happened to agree so far.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { inner } = self;
         for word in inner.s {
-            d.write_u64(word);
+            f.write_u64(word);
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   span-driven RCA consumes.
 
 use crate::span::Span;
-use canal_sim::{Digest, SimDuration};
+use canal_sim::{Fold, SimDuration};
 use std::collections::BTreeMap;
 
 /// One trace in canonical form: spans sorted by span id.
@@ -128,11 +128,11 @@ impl AssembledTrace {
 
     /// Fold the canonical form into a digest. Because spans are sorted by
     /// id, the value is independent of span arrival order.
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { trace_id, spans } = self;
-        d.write_u64(*trace_id).write_u64(spans.len() as u64);
+        f.write_u64(*trace_id).write_u64(spans.len() as u64);
         for s in spans {
-            s.fold_digest(d);
+            s.fold(f);
         }
     }
 }
@@ -183,13 +183,13 @@ impl Collector {
     /// span order — bit-identical across runs and arrival orders), plus
     /// the `ingested` span counter: two collectors holding the same traces
     /// after different ingest histories are different states.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { traces, ingested } = self;
-        d.write_u64(traces.len() as u64);
+        f.write_u64(traces.len() as u64);
         for tr in self.assemble_all() {
-            tr.fold_digest(d);
+            tr.fold(f);
         }
-        d.write_u64(*ingested);
+        f.count("ingested", *ingested);
     }
 }
 
@@ -197,7 +197,7 @@ impl Collector {
 mod tests {
     use super::*;
     use crate::span::HopSite;
-    use canal_sim::SimTime;
+    use canal_sim::{Digest, SimTime};
 
     /// A 3-hop chain trace: root(0) ⊃ gateway(1) ⊃ app(2).
     fn chain(trace_id: u64) -> Vec<Span> {
@@ -226,10 +226,8 @@ mod tests {
         fwd.ingest_all(spans.clone());
         let mut rev = Collector::new();
         rev.ingest_all(spans.into_iter().rev());
-        let mut d1 = Digest::new();
-        fwd.fold_digest(&mut d1);
-        let mut d2 = Digest::new();
-        rev.fold_digest(&mut d2);
+        let d1 = Digest::of(|f| fwd.fold(f));
+        let d2 = Digest::of(|f| rev.fold(f));
         assert_eq!(d1.value(), d2.value());
     }
 

@@ -20,6 +20,7 @@
 //! gateway, control plane and the bench harness consume it.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![warn(missing_docs)]
 
 pub mod collector;

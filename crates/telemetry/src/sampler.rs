@@ -20,7 +20,7 @@
 //! and the per-span recording cost is refunded to the request path (see
 //! [`TelemetryMeter`](crate::TelemetryMeter)).
 
-use canal_sim::{Digest, Histogram, SimDuration, SimRng};
+use canal_sim::{Fold, Histogram, SimDuration, SimRng};
 
 /// Deterministic, propagation-consistent head sampler.
 #[derive(Debug, Clone)]
@@ -158,15 +158,15 @@ impl TailPolicy {
     /// Fold the policy state into a digest: the configuration, the running
     /// `totals_ms` latency distribution, and the
     /// `kept_error`/`kept_slow`/`kept_warmup`/`dropped` verdict counters.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { slow_quantile, warmup, totals_ms, kept_error, kept_slow, kept_warmup, dropped } =
             self;
-        d.write_f64(*slow_quantile).write_u64(*warmup);
-        totals_ms.fold_digest(d);
-        d.write_u64(*kept_error)
-            .write_u64(*kept_slow)
-            .write_u64(*kept_warmup)
-            .write_u64(*dropped);
+        f.write_f64(*slow_quantile).write_u64(*warmup);
+        f.scope("totals_ms", |f| totals_ms.fold(f));
+        f.count("kept_error", *kept_error)
+            .count("kept_slow", *kept_slow)
+            .count("kept_warmup", *kept_warmup)
+            .count("dropped", *dropped);
     }
 }
 

@@ -11,7 +11,7 @@
 //! evicted it.
 
 use canal_net::TraceContext;
-use canal_sim::{Digest, SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// A recording site on the request path. Covers every proxy placement of the
@@ -198,9 +198,9 @@ impl Span {
     }
 
     /// Fold this span into a digest (order-stable given a stable span order).
-    pub(crate) fn fold_digest(&self, d: &mut Digest) {
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { trace_id, span_id, parent, site, start, end, error, segments } = self;
-        d.write_u64(*trace_id)
+        f.write_u64(*trace_id)
             .write_u64(*span_id as u64)
             .write_u64(parent.map_or(u64::MAX, |p| p as u64))
             .write_u64(site.tag())
@@ -208,7 +208,7 @@ impl Span {
             .write_u64(end.as_nanos())
             .write_u64(*error as u64);
         for &(k, dur) in segments {
-            d.write_u64(k.tag()).write_u64(dur.as_nanos());
+            f.write_u64(k.tag()).write_u64(dur.as_nanos());
         }
     }
 }
@@ -258,20 +258,15 @@ impl SpanRing {
             .collect()
     }
 
-    /// Spans lost to eviction.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Fold the ring into a digest: the `cap`, every buffered span in
     /// `buf` (recording order), and the `recorded`/`evicted` counters.
-    pub fn fold_digest(&self, d: &mut Digest) {
+    pub fn fold(&self, f: &mut impl Fold) {
         let Self { cap, buf, recorded, evicted } = self;
-        d.write_u64(*cap as u64).write_u64(buf.len() as u64);
+        f.write_u64(*cap as u64).write_u64(buf.len() as u64);
         for s in buf {
-            s.fold_digest(d);
+            s.fold(f);
         }
-        d.write_u64(*recorded).write_u64(*evicted);
+        f.count("recorded", *recorded).count("evicted", *evicted);
     }
 }
 
@@ -306,7 +301,7 @@ mod tests {
         }
         assert_eq!(ring.buf.len(), 3);
         assert_eq!(ring.recorded, 5);
-        assert_eq!(ring.evicted(), 2);
+        assert_eq!(ring.evicted, 2);
         assert!(ring.retrieve(1).is_empty(), "oldest evicted");
         assert_eq!(ring.retrieve(5).len(), 1);
     }

@@ -3,7 +3,7 @@
 //! well-nested (child intervals inside parents, a single root, no cycles),
 //! and a trace stays ill-formed exactly until every hop has reported.
 
-use canal_sim::{Digest, SimRng, SimTime};
+use canal_sim::{Digest, Fold, SimRng, SimTime};
 use canal_telemetry::{Collector, HopSite, SegmentKind, Span};
 
 /// Build a random well-formed span tree: span 0 is the root; every later
@@ -48,9 +48,7 @@ fn random_trace(rng: &mut SimRng, trace_id: u64) -> Vec<Span> {
 }
 
 fn digest_of(c: &Collector) -> u64 {
-    let mut d = Digest::new();
-    c.fold_digest(&mut d);
-    d.value()
+    Digest::of(|f| c.fold(f)).value()
 }
 
 #[test]

@@ -12,6 +12,7 @@
 //!   inflation.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 #![warn(missing_docs)]
 

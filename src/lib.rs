@@ -4,6 +4,7 @@
 //! tests. See README.md for the architecture overview.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod testbed;
 

@@ -11,7 +11,7 @@
 
 use canal::gateway::failure::FailureDomain;
 use canal::http::Request;
-use canal::sim::invariant::Digest;
+use canal::sim::invariant::{Digest, Fold};
 use canal::sim::{SimDuration, SimRng};
 use canal::testbed::{Testbed, TestbedConfig};
 
@@ -80,7 +80,7 @@ fn run_scenario(seed: u64) -> u64 {
     let (reqs, errs, p_err) = tb.gateway_obs.service_summary(orders);
     digest.write_u64(reqs).write_u64(errs).write_f64(p_err);
     digest.write_u64(tb.node_obs.labeling_ops());
-    tb.collector.fold_digest(&mut digest);
+    tb.collector.fold(&mut digest);
     digest.value()
 }
 

@@ -9,7 +9,7 @@
 //! [`CertRotationController`] through compromise, clock skew, NACKs and
 //! refused cuts past `HISTORY_CAP` and `BUNDLE_CAP`. Each history folds
 //! every returned action's `deliveries()`, every ack / NACK verdict and the
-//! controller's `fold_digest` into one value. [`ConfigPlane`]'s full, wave
+//! controller's `fold` into one value. [`ConfigPlane`]'s full, wave
 //! and incremental pushes fold, for every architecture at two cluster
 //! shapes, into another.
 //!
@@ -28,7 +28,7 @@ use canal::control::journal::JournalRecord;
 use canal::control::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController};
 use canal::gateway::certs::ActiveCertBundle;
 use canal::mesh::arch::{Architecture, ClusterShape};
-use canal::sim::{Digest, SimDuration, SimRng, SimTime};
+use canal::sim::{Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 
 fn secs(s: u64) -> SimDuration {
     SimDuration::from_secs(s)
@@ -60,8 +60,9 @@ fn pushes(actions: &[RolloutAction]) -> Vec<(u32, u64)> {
 /// health regressions on both gates and unanswered waves, until more than
 /// `ROLLOUT_OUTCOMES_RETAIN_CAP` outcomes were recorded. With `partitions`,
 /// targets also partition and heal, a push to a partitioned target is
-/// lost, and every target's lease is folded at every step.
-fn rollout_history(seed: u64, partitions: bool) -> u64 {
+/// lost, and every target's lease is folded at every step. Returns the
+/// digest and the controller's final [`Stats`].
+fn rollout_history(seed: u64, partitions: bool) -> (u64, Stats) {
     let mut rng = SimRng::seed(seed);
     let cfg = RolloutConfig {
         canary_size: 2,
@@ -80,7 +81,8 @@ fn rollout_history(seed: u64, partitions: bool) -> u64 {
     let (mut d, mut now) = (Digest::new(), SimTime::ZERO);
     let mut down: BTreeSet<u32> = BTreeSet::new();
     let mut outstanding: Vec<(u32, u64)> = Vec::new();
-    while ctl.outcomes_evicted() < 24 {
+    let mut stats = Stats::default();
+    while stats.get("outcomes_evicted").unwrap_or(0) < 24 {
         now += SimDuration::from_millis(500 + rng.index(1000) as u64);
         let mut actions = Vec::new();
         if partitions && rng.chance(0.15) {
@@ -134,15 +136,17 @@ fn rollout_history(seed: u64, partitions: bool) -> u64 {
         for g in 0..FLEET {
             d.write_u64(ctl.lease_valid(g, now) as u64);
         }
-        d.write_u64(ctl.partition_holds()).write_u64(ctl.catch_up_pushes());
-        ctl.fold_digest(&mut d);
+        stats = Stats::of(|s| ctl.fold(s));
+        d.write_u64(stats.get("partition_holds").unwrap_or(0)).write_u64(stats.get("catch_up_pushes").unwrap_or(0));
+        ctl.fold(&mut d);
     }
     for g in down {
         fold_actions(&mut d, &ctl.set_reachable(g, true, now));
     }
     d.write_u64(ctl.rollbacks());
-    ctl.fold_digest(&mut d);
-    d.value()
+    ctl.fold(&mut d);
+    let stats = Stats::of(|s| ctl.fold(s));
+    (d.value(), stats)
 }
 
 /// A converged v1, a multi-wave v2 that converges, a v3 whose canary NACKs
@@ -206,7 +210,7 @@ fn crash_history() -> u64 {
         let (mut c, mut actions) =
             RolloutController::recover(cfg, SimDuration::ZERO, &crashed, &running, at);
         fold_actions(&mut d, &actions);
-        c.fold_digest(&mut d);
+        c.fold(&mut d);
         for _ in 0..40 {
             for (target, version) in pushes(&actions) {
                 d.write_u64(c.ack(target, version, at) as u64);
@@ -218,7 +222,7 @@ fn crash_history() -> u64 {
                 break;
             }
         }
-        c.fold_digest(&mut d);
+        c.fold(&mut d);
     }
     d.value()
 }
@@ -274,9 +278,10 @@ fn cert_history(seed: u64, ttl: SimDuration) -> u64 {
             };
             d.write_u64(verdict as u64);
         }
-        c.fold_digest(&mut d);
+        c.fold(&mut d);
     }
-    d.write_u64(c.rotations_converged()).write_u64(c.rotations_rolled_back());
+    let stats = Stats::of(|s| c.fold(s));
+    d.write_u64(stats.get("rotations_converged").unwrap_or(0)).write_u64(stats.get("rotations_rolled_back").unwrap_or(0));
     for r in c.history() {
         d.write_u64(r.tenant).write_u64(r.version).write_u64(r.ended_at.as_nanos());
     }
@@ -323,14 +328,18 @@ fn push_prices_match_the_golden_value() {
 
 #[test]
 fn rollout_history_matches_the_golden_value() {
-    assert_eq!(rollout_history(0x60_1DE0, false), GOLDEN_ROLLOUT);
-    assert_eq!(rollout_history(7, false), GOLDEN_ROLLOUT_7);
+    assert_eq!(rollout_history(0x60_1DE0, false).0, GOLDEN_ROLLOUT);
+    assert_eq!(rollout_history(7, false).0, GOLDEN_ROLLOUT_7);
 }
 
 #[test]
 fn partition_history_matches_the_golden_value() {
-    assert_eq!(rollout_history(0x9A27_0001, true), GOLDEN_PARTITION);
-    assert_eq!(rollout_history(7, true), GOLDEN_PARTITION_7);
+    let (digest, stats) = rollout_history(0x9A27_0001, true);
+    assert_eq!(digest, GOLDEN_PARTITION);
+    // Every named count of the controller and its journal: a renamed or
+    // dropped leaf moves this, though no digest moves.
+    assert_eq!(stats.to_string(), GOLDEN_PARTITION_STATS);
+    assert_eq!(rollout_history(7, true).0, GOLDEN_PARTITION_7);
 }
 
 #[test]
@@ -348,6 +357,14 @@ const GOLDEN_ROLLOUT: u64 = 17916307895593835880;
 const GOLDEN_ROLLOUT_7: u64 = 10982522773771858670;
 const GOLDEN_PARTITION: u64 = 202730596361911005;
 const GOLDEN_PARTITION_7: u64 = 5655512504243074680;
+const GOLDEN_PARTITION_STATS: &str = "\
+catch_up_pushes 40
+journal.appended 989
+journal.evicted 0
+outcomes_evicted 24
+partition_holds 2506
+rollbacks 200
+";
 const GOLDEN_CRASH: u64 = 3072231290890627611;
 const GOLDEN_CERT: u64 = 10235040278344491551;
 const GOLDEN_REFUSED_CUT: u64 = 11275890549243508422;

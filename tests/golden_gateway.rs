@@ -7,12 +7,12 @@
 //! captured from the commit *before* the gateway fast path was rebuilt on
 //! flat tables (PR 12); any change to which backend / replica serves which
 //! request, to a finish time, a redirect hop count, an error, or to the
-//! sequence `Gateway::fold_digest` emits moves them.
+//! sequence `Gateway::fold` emits moves them.
 //!
 //! `GOLDEN_TRACE`, `GOLDEN_FINAL` and their `_7` twins were retaken in PR 15,
 //! when `Gateway` lost three members no caller ever set (the embedded
-//! overload pipeline, `known_services`, the config slot) and `fold_digest`
-//! stopped emitting their words. With the members gone and `fold_digest`
+//! overload pipeline, `known_services`, the config slot) and `fold`
+//! stopped emitting their words. With the members gone and `fold`
 //! still emitting what the empty ones did (`0` for the absent pipeline, the
 //! service keys in ascending order, an empty slot's words) every constant
 //! held; only dropping those words moved the four. `GOLDEN_STATS*` and the
@@ -22,7 +22,7 @@ use canal::gateway::drain::GatewayDrain;
 use canal::gateway::failure::FailureDomain;
 use canal::gateway::gateway::{Gateway, GatewayConfig, GatewayError, GatewayServed};
 use canal::net::{AzId, Endpoint, FiveTuple, FlowHash, GlobalServiceId, ServiceId, TenantId, VpcAddr, VpcId};
-use canal::sim::{Digest, SimDuration, SimRng, SimTime};
+use canal::sim::{Digest, Fold, SimDuration, SimRng, SimTime};
 
 const REQUESTS: usize = 50_000;
 const FLOWS: usize = 4096;
@@ -141,7 +141,7 @@ fn operate(gw: &mut Gateway, rng: &mut SimRng, now: SimTime, trace: &mut Digest)
             }
         }
     }
-    gw.fold_digest(trace);
+    gw.fold(trace);
 }
 
 fn run_trace(seed: u64) -> (u64, u64, [u64; 8]) {
@@ -187,8 +187,7 @@ fn run_trace(seed: u64) -> (u64, u64, [u64; 8]) {
         };
         fold_result(&mut trace, &mut tally, &res);
     }
-    let mut fin = Digest::new();
-    gw.fold_digest(&mut fin);
+    let fin = Digest::of(|f| gw.fold(f));
     assert_eq!(gw.stats().0, tally[0]);
     (trace.value(), fin.value(), tally)
 }
@@ -240,10 +239,10 @@ fn run_drain(seed: u64) -> (u64, (u64, u64, u64, u64, u64)) {
             }
         }
         if step % 997 == 0 {
-            d.fold_digest(&mut trace);
+            d.fold(&mut trace);
         }
     }
-    d.fold_digest(&mut trace);
+    d.fold(&mut trace);
     (trace.value(), d.stats())
 }
 

@@ -26,7 +26,7 @@ use canal::http::{
     RouteTable, WeightedTarget,
 };
 use canal::mesh::{AuthzPolicy, AuthzRule, L7Engine, L7Outcome};
-use canal::sim::{Digest, SimRng, SimTime};
+use canal::sim::{Digest, Fold, SimRng, SimTime};
 
 const SERVICES: usize = 64;
 const RULES: usize = 100;

@@ -10,7 +10,7 @@
 //! engages and budgets run dry.
 //!
 //! One digest folds, per policy, every offer's result, every pumped grant
-//! (ticket, start, shed), the pipeline's `fold_digest` every 97 offers and
+//! (ticket, start, shed), the pipeline's `fold` every 97 offers and
 //! its `signals()` every 1,000. The constants were captured before parked
 //! requests moved from a side map into the fair queue; any change to what
 //! is granted when, what is shed, what the pipeline holds or what it
@@ -20,7 +20,7 @@ use canal::gateway::gateway::GatewayError;
 use canal::gateway::overload::StartedRequest;
 use canal::gateway::{AttemptKind, BrownoutLevel, OverloadConfig, OverloadControl, OverloadSignals};
 use canal::net::{Endpoint, FiveTuple, GlobalServiceId, Priority, ServiceId, TenantId, VpcAddr, VpcId};
-use canal::sim::{Digest, SimDuration, SimRng, SimTime};
+use canal::sim::{Digest, Fold, SimDuration, SimRng, SimTime};
 
 const OFFERS: usize = 20_000;
 const TENANTS: usize = 4;
@@ -130,7 +130,7 @@ fn run(cfg: OverloadConfig, seed: u64, d: &mut Digest, tally: &mut [u64; 4]) {
             }
         }
         if k % DIGEST_EVERY == DIGEST_EVERY - 1 {
-            ov.fold_digest(d);
+            ov.fold(d);
         }
         if k % SIGNALS_EVERY == SIGNALS_EVERY - 1 {
             fold_signals(d, &ov.signals());
@@ -139,7 +139,7 @@ fn run(cfg: OverloadConfig, seed: u64, d: &mut Digest, tally: &mut [u64; 4]) {
     // Drain: everything still parked is granted or shed.
     pump(&mut ov, now + SimDuration::from_secs(60), &mut started);
     fold_started(d, tally, &mut started);
-    ov.fold_digest(d);
+    ov.fold(d);
     fold_signals(d, &ov.signals());
     assert_eq!(ov.queue_depth(), 0);
 }

@@ -16,7 +16,7 @@ use canal::net::{TenantId, VpcId};
 use canal::policy::{
     CompiledPolicySet, L4Ctx, L4Verdict, PolicyRule, PolicySpec, PolicyVerdict, TenantPolicy,
 };
-use canal::sim::{Digest, SimTime};
+use canal::sim::{Digest, Fold, SimTime};
 use std::sync::Arc;
 
 const FLEET: usize = 24;
@@ -34,12 +34,6 @@ fn tenant(t: u32) -> TenantPolicy {
 
 fn probe(t: u32, dst_port: u16) -> L4Ctx {
     L4Ctx { tenant: TenantId(t), vpc: VpcId(t), src_ip: 1, dst_port, identity: 0 }
-}
-
-fn digest(fold: impl FnOnce(&mut Digest)) -> u64 {
-    let mut d = Digest::new();
-    fold(&mut d);
-    d.value()
 }
 
 /// A gateway's policy slot and the filter of the node behind it.
@@ -129,8 +123,8 @@ fn a_fleet_holds_a_version_once_and_an_operator_edit_reaches_none_of_it() {
         fleet
             .iter()
             .map(|member| {
-                let slot = digest(|d| member.slot.fold_digest(d));
-                let filter = digest(|d| member.filter.fold_digest(d));
+                let slot = Digest::of(|d| member.slot.fold(d)).value();
+                let filter = Digest::of(|d| member.filter.fold(d)).value();
                 (member.slot.staged().cloned(), member.running(), slot, filter)
             })
             .collect()

@@ -11,7 +11,7 @@ use canal::http::{Method, ParseError, Request, RequestParser, Response, Response
 use canal::net::vxlan::{VxlanError, VxlanFrame, VXLAN_OVERHEAD};
 use canal::net::TenantId;
 use canal::sim::faults::ScriptError;
-use canal::sim::{FaultEvent, FaultKind, FaultPlan, FaultTarget, SimDuration, SimRng, SimTime};
+use canal::sim::{FaultEvent, FaultKind, FaultPlan, FaultTarget, Fold, SimDuration, SimRng, SimTime};
 
 const CASES: usize = 128;
 
