@@ -158,8 +158,9 @@ impl Fold for Digest {
 /// enclosing scopes and its name, so a name folded N times (one per ring
 /// under a scope) reads as their total. Bytes are ignored. `Display` dumps
 /// one sorted `name value` line per path.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Stats {
+    /// One total per path: the names are literals in the folds, so the code bounds the keys.
     values: BTreeMap<String, u64>,
     path: String,
 }
