@@ -23,7 +23,7 @@
 //! [`ChaosOutcome::digest`] values (held by `crate::scenario::drive`).
 
 use crate::experiments::southbound::{ms, script};
-use crate::harness::ExperimentReport;
+use crate::harness::{poisson_arrivals, ExperimentReport};
 use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_cluster::DnsView;
 use canal_control::configure::ConfigPlane;
@@ -769,22 +769,11 @@ fn run_arch(
 
         // Identical arrival stream per architecture: its own seeded fork.
         let mut arr_rng = SimRng::seed(seed ^ 0xA881_7A1C_57B3_11E9);
-        let mut arrivals = Vec::new();
-        let mut t = 0.0;
-        let horizon_s = horizon.as_secs_f64();
         let mut sport = 1u16;
-        loop {
-            t += arr_rng.exponential(1.0 / params.rps);
-            if t > horizon_s {
-                break;
-            }
+        let arrivals = poisson_arrivals(&mut arr_rng, params.rps, horizon.as_secs_f64(), |rng, at| {
             sport = sport.wrapping_add(1).max(1);
-            arrivals.push(Arrival {
-                at: SimTime::from_nanos((t * 1e9) as u64),
-                sport,
-                syn: arr_rng.chance(NEW_CONN_FRACTION),
-            });
-        }
+            Arrival { at, sport, syn: rng.chance(NEW_CONN_FRACTION) }
+        });
 
         let mut sim: Simulation<Ev> = Simulation::new();
         plan.schedule_into(&mut sim, |i, _| Ev::Fault(i));

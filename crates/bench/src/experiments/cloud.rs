@@ -1,6 +1,6 @@
 //! §5.5 cloud-infra experiments: Figs. 16–20 and Table 4.
 
-use crate::harness::{Check, ExperimentReport};
+use crate::harness::{poisson_arrivals, Check, ExperimentReport};
 use canal_control::monitor::{MonitorDecision, WaterLevelMonitor};
 use canal_control::scaling::{ScalingEngine, ScalingKind, ScalingLatencies};
 use canal_gateway::gateway::{Gateway, GatewayConfig};
@@ -225,23 +225,11 @@ pub(crate) fn fig18(seed: u64) -> ExperimentReport {
     let mut total_reuse = 0u64;
     let mut total_new = 0u64;
     for day in 1..=30u32 {
-        // Scaling demand: spikes per day, Poisson around 7; ~7% of
-        // operations find no reusable backend (pre-provisioning keeps New
-        // rare; the paper executes New in advance).
-        let spikes = {
-            let mean = 7.0;
-            // Poisson via exponential interarrival counting.
-            let mut n = 0u64;
-            let mut acc = 0.0;
-            loop {
-                acc += rng.exponential(1.0 / mean);
-                if acc > 1.0 {
-                    break;
-                }
-                n += 1;
-            }
-            n
-        };
+        // Scaling demand: spikes per day, Poisson around 7 (the arrivals of
+        // a 7-per-day stream over one day); ~7% of operations find no
+        // reusable backend (pre-provisioning keeps New rare; the paper
+        // executes New in advance).
+        let spikes = poisson_arrivals(&mut rng, 7.0, 1.0, |_, _| ()).len();
         let mut reuse = 0u64;
         let mut new = 0u64;
         for _ in 0..spikes {

@@ -6,19 +6,10 @@ use canal_control::configure::ConfigPlane;
 use canal_mesh::arch::{Architecture, ClusterShape};
 use canal_sim::output::{num, ratio, Table};
 
-fn testbed() -> ClusterShape {
-    // The paper's testbed: 2 worker nodes, 15 pods each, 3 services.
-    ClusterShape {
-        pods: 30,
-        nodes: 2,
-        services: 3,
-    }
-}
-
 /// Fig. 14 — P90 completion time for creating pods via an API call.
 pub(crate) fn fig14(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig14", "configuration completion time");
-    let shape = testbed();
+    let shape = ClusterShape::paper_testbed();
     let mut table = Table::new(
         "pod-creation completion (s)",
         &["new pods", "istio", "ambient", "canal", "istio/canal", "ambient/canal"],
@@ -74,7 +65,7 @@ pub(crate) fn fig14(_seed: u64) -> ExperimentReport {
 /// Fig. 15 — southbound bandwidth during a routing-policy update.
 pub(crate) fn fig15(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig15", "southbound bandwidth overhead");
-    let shape = testbed();
+    let shape = ClusterShape::paper_testbed();
     let mut table = Table::new(
         "southbound bytes per routing update",
         &["setup", "targets", "bytes", "vs canal"],

@@ -140,11 +140,7 @@ pub(crate) fn fig4(_seed: u64) -> ExperimentReport {
 pub(crate) fn fig5(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig5", "CPU usage of Istio and Ambient");
     let costs = canal_mesh::CostModel::default();
-    let shape = ClusterShape {
-        pods: 30,
-        nodes: 2,
-        services: 3,
-    };
+    let shape = ClusterShape::paper_testbed();
     let istio = canal_mesh::arch::SidecarMesh::new(costs.clone());
     let ambient = canal_mesh::arch::AmbientMesh::new(costs.clone());
     use canal_mesh::arch::MeshArchitecture;

@@ -28,7 +28,7 @@
 //! Everything is seeded; double runs produce bit-identical
 //! [`SurgeOutcome::digest`] values (held by `crate::scenario::drive`).
 
-use crate::harness::ExperimentReport;
+use crate::harness::{poisson_arrivals, ExperimentReport};
 use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::{OverloadAssessment, WaterLevelMonitor};
 use canal_gateway::overload::{AttemptKind, OverloadConfig, OverloadControl};
@@ -147,16 +147,11 @@ fn arrivals(seed: u64, params: &SurgeParams, surge: bool) -> Vec<Arrival> {
             BASE_RPS
         };
         let mut rng = SimRng::seed(seed ^ 0x5c1e_0b5e_55ed_0000 ^ u64::from(tenant) << 48);
-        let mut t = 0.0;
         let mut sport = 1u16;
-        loop {
-            t += rng.exponential(1.0 / rate);
-            if t > horizon_s {
-                break;
-            }
+        all.extend(poisson_arrivals(&mut rng, rate, horizon_s, |rng, at| {
             sport = sport.wrapping_add(1).max(1);
-            all.push(Arrival {
-                at: SimTime::from_nanos((t * 1e9) as u64),
+            Arrival {
+                at,
                 tenant,
                 priority: if rng.chance(INTERACTIVE_FRACTION) {
                     Priority::Interactive
@@ -164,8 +159,8 @@ fn arrivals(seed: u64, params: &SurgeParams, surge: bool) -> Vec<Arrival> {
                     Priority::Bulk
                 },
                 sport,
-            });
-        }
+            }
+        }));
     }
     all.sort_by_key(|a| (a.at, a.tenant, a.sport));
     all

@@ -39,8 +39,8 @@
 //! [`L4Filter`]: canal_mesh::L4Filter
 //! [`AlertKind::PolicyDeny`]: canal_control::AlertKind
 
-use crate::experiments::southbound::{poisson_arrivals, Blast, CanalArm, TickClock};
-use crate::harness::ExperimentReport;
+use crate::experiments::southbound::{Blast, CanalArm, TickClock};
+use crate::harness::{poisson_arrivals, ExperimentReport};
 use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::{
     AlertKind, HealthSample, RolloutConfig, RolloutController, RolloutKind, WaterLevelMonitor,
@@ -167,7 +167,8 @@ impl Arrival {
 /// One deterministic Poisson stream over both tenants, spread uniformly
 /// over the fleet. Both tenants draw sources from the *same* 10.0.0.0/16.
 fn arrivals(seed: u64, params: &PolicyParams) -> Vec<Arrival> {
-    poisson_arrivals(seed ^ 0x0011_C7A5_7AB1_E500, params.rps, params.clock().horizon(), |rng, at| {
+    let mut rng = SimRng::seed(seed ^ 0x0011_C7A5_7AB1_E500);
+    poisson_arrivals(&mut rng, params.rps, params.clock().horizon().as_secs_f64(), |rng, at| {
         // A thin slice of sources falls in the blocked /24, the rest
         // spreads over the shared /16. Legitimate denies are kept rare
         // (~1.6% total) so the deny-spike watermark separates cleanly

@@ -72,11 +72,7 @@ pub(crate) fn fig13(_seed: u64) -> ExperimentReport {
     let istio = SidecarMesh::new(costs());
     let ambient = AmbientMesh::new(costs());
     let canal = CanalMesh::new(costs());
-    let shape = ClusterShape {
-        pods: 30,
-        nodes: 2,
-        services: 3,
-    };
+    let shape = ClusterShape::paper_testbed();
     let ctx = RequestCtx::light();
     let cores = |arch: &dyn MeshArchitecture, rps: f64| {
         (arch.background_cores(&shape) + rps * arch.mesh_cpu_per_request(&ctx).as_secs_f64())

@@ -36,11 +36,9 @@
 //! [`ActiveConfig`]: canal_gateway::ActiveConfig
 //! [`FaultPlan`]: canal_sim::faults::FaultPlan
 
-use crate::experiments::southbound::{
-    poisson_arrivals, ArmOutcome, Blast, CanalArm, TickClock,
-};
+use crate::experiments::southbound::{ArmOutcome, Blast, CanalArm, TickClock};
 use canal_gateway::config::RoutePlane;
-use crate::harness::{Check, ExperimentReport};
+use crate::harness::{poisson_arrivals, Check, ExperimentReport};
 use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::configure::ConfigPlane;
 use canal_control::{
@@ -140,7 +138,8 @@ struct Arrival {
 
 /// One deterministic Poisson stream, spread uniformly over the fleet.
 fn arrivals(seed: u64, params: &RolloutParams) -> Vec<Arrival> {
-    poisson_arrivals(seed ^ 0x0110_07CA_11A5_0B5E, params.rps, params.clock().horizon(), |rng, at| Arrival {
+    let mut rng = SimRng::seed(seed ^ 0x0110_07CA_11A5_0B5E);
+    poisson_arrivals(&mut rng, params.rps, params.clock().horizon().as_secs_f64(), |rng, at| Arrival {
         at,
         gw: rng.index(params.fleet),
         fail_draw: rng.chance(DEGRADE_FAIL),

@@ -322,28 +322,6 @@ impl<P: Plane> CanalArm<P> {
     }
 }
 
-/// One deterministic Poisson stream at `rps` over `horizon`; `draw` makes
-/// each arrival from its instant (spreading it over the fleet is the
-/// caller's first or later draw, as its stream always had it).
-pub(crate) fn poisson_arrivals<A>(
-    seed: u64,
-    rps: f64,
-    horizon: SimDuration,
-    mut draw: impl FnMut(&mut SimRng, SimTime) -> A,
-) -> Vec<A> {
-    let horizon_s = horizon.as_secs_f64();
-    let mut rng = SimRng::seed(seed);
-    let mut all = Vec::new();
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / rps);
-        if t > horizon_s {
-            return all;
-        }
-        all.push(draw(&mut rng, SimTime::from_nanos((t * 1e9) as u64)));
-    }
-}
-
 /// One arm's blast-radius measurements for the poisoned change.
 #[derive(Debug, Clone)]
 pub(crate) struct ArmOutcome {

@@ -26,7 +26,7 @@
 //! [`TraceOutcome::digest`] values.
 
 use crate::experiments::southbound::script;
-use crate::harness::ExperimentReport;
+use crate::harness::{poisson_arrivals, ExperimentReport};
 use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::rca::{HopWindowStats, SpanEvidenceRca, SpanRcaVerdict, TrendHopRca};
 use canal_mesh::costs::CostModel;
@@ -117,27 +117,17 @@ struct TraceArrival {
 
 fn gen_arrivals(seed: u64, params: &TraceParams) -> Vec<TraceArrival> {
     let mut rng = SimRng::seed(seed ^ 0x7261_7263_655F_A001);
-    let horizon_s = params.horizon().as_secs_f64();
-    let mut out = Vec::new();
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / params.rps);
-        if t > horizon_s {
-            break;
-        }
-        out.push(TraceArrival {
-            at: SimTime::from_nanos((t * 1e9) as u64),
-            new_conn: rng.chance(NEW_CONN_FRACTION),
-            backend: rng.index(BACKENDS as usize) as u32,
-            replica: rng.index(REPLICAS),
-            q0_us: rng.exponential(20.0),
-            q1_us: rng.exponential(20.0),
-            err_roll: rng.f64(),
-            sev: rng.f64(),
-            loss_rolls: [rng.f64(), rng.f64(), rng.f64()],
-        });
-    }
-    out
+    poisson_arrivals(&mut rng, params.rps, params.horizon().as_secs_f64(), |rng, at| TraceArrival {
+        at,
+        new_conn: rng.chance(NEW_CONN_FRACTION),
+        backend: rng.index(BACKENDS as usize) as u32,
+        replica: rng.index(REPLICAS),
+        q0_us: rng.exponential(20.0),
+        q1_us: rng.exponential(20.0),
+        err_roll: rng.f64(),
+        sev: rng.f64(),
+        loss_rolls: [rng.f64(), rng.f64(), rng.f64()],
+    })
 }
 
 fn topology() -> FaultTopology {

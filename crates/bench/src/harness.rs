@@ -102,6 +102,27 @@ pub(crate) struct LoadPoint {
     pub(crate) p99_ms: f64,
 }
 
+/// One deterministic Poisson stream at `rps` over `horizon_s` seconds. Each
+/// arrival draws its exponential gap from `rng`; `draw` then makes the
+/// arrival from its instant with the same `rng`, so a caller's per-arrival
+/// draws follow its gap, as its stream always had them.
+pub(crate) fn poisson_arrivals<A>(
+    rng: &mut SimRng,
+    rps: f64,
+    horizon_s: f64,
+    mut draw: impl FnMut(&mut SimRng, SimTime) -> A,
+) -> Vec<A> {
+    let mut all = Vec::new();
+    let mut t = 0.0;
+    loop {
+        t += rng.exponential(1.0 / rps);
+        if t > horizon_s {
+            return all;
+        }
+        all.push(draw(rng, SimTime::from_nanos((t * 1e9) as u64)));
+    }
+}
+
 /// Drive an architecture with Poisson arrivals at `rps` for `duration_s`
 /// simulated seconds; returns the latency profile. Service demands are
 /// drawn per-request with ±25% jitter so queueing tails are realistic.
@@ -114,14 +135,7 @@ pub(crate) fn measure_at_load(
 ) -> LoadPoint {
     let mut exec = PathExecutor::new(&arch.stage_cores());
     let template = arch.request_steps(ctx);
-    let mut requests: Vec<(SimTime, Vec<canal_mesh::path::Step>)> = Vec::new();
-    let mut t = 0.0;
-    loop {
-        t += rng.exponential(1.0 / rps);
-        if t > duration_s {
-            break;
-        }
-        let arrival = SimTime::from_nanos((t * 1e9) as u64);
+    let requests = poisson_arrivals(rng, rps, duration_s, |rng, arrival| {
         // Jitter CPU demands ±25% around the template.
         let steps: Vec<canal_mesh::path::Step> = template
             .iter()
@@ -131,8 +145,8 @@ pub(crate) fn measure_at_load(
                 latency: s.latency,
             })
             .collect();
-        requests.push((arrival, steps));
-    }
+        (arrival, steps)
+    });
     let completions = exec.run_many(&requests);
     let latencies: Vec<f64> = requests
         .iter()

@@ -1,14 +1,14 @@
 //! # canal-cluster
 //!
-//! The Kubernetes-like multi-tenant cluster substrate the mesh architectures
-//! run against. The paper's experiments depend on cluster *shape* — pod,
-//! service and node counts, their ratios (≈2 pods per service, ≈15 pods per
-//! node in production, §2.2), AZ placement, and lifecycle events — not on
-//! kubelet internals, so that is what this crate models:
+//! The multi-tenant cluster substrate the mesh architectures run against:
+//! who the tenants are, how their requests find gateway backends, and how
+//! unhealthy backends are found. The paper's experiments depend on cluster
+//! *counts* — pods, nodes, services and their §2.2 ratios — not on kubelet
+//! internals; those counts are `canal_mesh::arch::ClusterShape`'s, not this
+//! crate's.
 //!
-//! * [`topology`] — tenants, VPCs, AZs, nodes, pods, services; builders that
-//!   generate production-shaped clusters; lifecycle operations (create /
-//!   remove / scale) that the control-plane experiments replay.
+//! * [`topology`] — tenants and their L7 feature adoption (the Table 3
+//!   population model).
 //! * [`dns`] — the customized DNS resolution of §4.2: requests resolve to
 //!   healthy gateway backends in the client's AZ first, spilling to other
 //!   AZs only when the local ones are all down.

@@ -276,12 +276,7 @@ mod tests {
 
     #[test]
     fn fig15_southbound_ratios() {
-        // The paper's testbed shape: 2 nodes / 30 pods / 3 services.
-        let shape = ClusterShape {
-            pods: 30,
-            nodes: 2,
-            services: 3,
-        };
+        let shape = ClusterShape::paper_testbed();
         let istio = ConfigPlane::new(Architecture::Sidecar)
             .push_update(&shape)
             .southbound_bytes as f64;
@@ -312,11 +307,7 @@ mod tests {
 
     #[test]
     fn fig14_completion_ratios() {
-        let shape = ClusterShape {
-            pods: 30,
-            nodes: 2,
-            services: 3,
-        };
+        let shape = ClusterShape::paper_testbed();
         let n = 100; // create 100 pods
         let istio = ConfigPlane::new(Architecture::Sidecar)
             .pod_creation_completion(&shape, n)

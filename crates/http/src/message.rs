@@ -83,11 +83,6 @@ impl StatusCode {
     /// 503 Service Unavailable (no healthy backend)
     pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
 
-    /// Whether this is a 2xx code.
-    pub const fn is_success(self) -> bool {
-        self.0 >= 200 && self.0 < 300
-    }
-
     /// Whether this is a 4xx/5xx code (the "error codes" of Fig. 20).
     pub const fn is_error(self) -> bool {
         self.0 >= 400
@@ -388,7 +383,6 @@ mod tests {
 
     #[test]
     fn status_categories() {
-        assert!(StatusCode::OK.is_success());
         assert!(!StatusCode::OK.is_error());
         assert!(StatusCode::SERVICE_UNAVAILABLE.is_error());
         assert!(StatusCode::TOO_MANY_REQUESTS.is_error());

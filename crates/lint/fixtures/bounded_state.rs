@@ -19,3 +19,26 @@ impl GrowingAuditLog {
         }
     }
 }
+
+// The same growth through a closure parameter: the method hands the owner
+// to a closure, and the closure grows the map.
+struct NamedTotals {
+    totals: BTreeMap<String, u64>,
+}
+
+impl NamedTotals {
+    fn add(&mut self, name: &str, v: u64) {
+        self.with(|t| *t.totals.entry(name.to_string()).or_default() += v);
+    }
+
+    fn with(&mut self, body: impl FnOnce(&mut Self)) {
+        body(self);
+    }
+
+    fn fold(&self, f: &mut impl Fold) {
+        let Self { totals } = self;
+        for (name, v) in totals {
+            f.count(name, *v);
+        }
+    }
+}

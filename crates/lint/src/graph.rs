@@ -648,6 +648,14 @@ mod tests {
     }
 
     #[test]
+    fn growth_through_a_closure_parameter_fires_bounded_state() {
+        let src = "struct Totals { values: BTreeMap<String, u64> }\nimpl Totals {\n    fn count(&mut self, v: u64) { self.with(|s| *s.values.entry(String::new()).or_default() += v); }\n    fn with(&mut self, body: impl FnOnce(&mut Self)) { body(self); }\n    fn fold(&self, f: &mut impl Fold) { let Self { values } = self; f.write_u64(values.len() as u64); }\n}\n";
+        let recs = vec![record("canal_telemetry", TargetKind::Lib, src)];
+        let f = graph_findings(&recs, &[]);
+        assert_eq!(rules_fired(&f), vec!["bounded-state"]);
+    }
+
+    #[test]
     fn caps_counters_and_shrink_paths_bound_state() {
         let cap_const = "struct Log { entries: Vec<u64> }\nimpl Log {\n    const MAX_ENTRIES: usize = 64;\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold(&self, f: &mut impl Fold) { f.write_u64(0); }\n}\n";
         let evict_field = "struct Log { entries: Vec<u64>, evicted: u64 }\nimpl Log {\n    fn add(&mut self, v: u64) { self.entries.push(v); }\n    fn fold(&self, f: &mut impl Fold) { f.write_u64(self.evicted); }\n}\n";

@@ -47,7 +47,9 @@ pub(crate) struct StructDef {
     pub fields: Vec<FieldDef>,
 }
 
-/// One `self.<field>.<method>(...)` call observed in a fn body.
+/// One `self.<field>.<method>(...)` call observed in a fn body, or the
+/// same call through a closure parameter (`|s| s.<field>.<method>(...)`),
+/// which in a method is the owner handed back to a closure.
 #[derive(Debug, Clone)]
 pub(crate) struct FieldOp {
     /// The field name.
@@ -64,7 +66,8 @@ pub(crate) struct BodyInfo {
     pub calls: Vec<String>,
     /// Lines where the body seeds a fresh stream via `SimRng::seed(...)`.
     pub rng_seed_lines: Vec<usize>,
-    /// `self.<field>.<method>(...)` calls (growth and shrink evidence).
+    /// `self.<field>.<method>(...)` and `<closure param>.<field>.<method>(...)`
+    /// calls (growth and shrink evidence).
     pub field_ops: Vec<FieldOp>,
     /// The tokens between the brackets of the body's first `let Self {..}`
     /// or `let Self(..)` pattern, if it has one.
@@ -664,7 +667,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Walk a `{...}` body, extracting call edges, `SimRng::seed` sites,
-    /// `self.<field>.<method>(...)` calls and the first `let Self` pattern.
+    /// `self.<field>.<method>(...)` calls (and those through a closure
+    /// parameter) and the first `let Self` pattern.
     /// Nested items are swallowed into the enclosing fn's body facts, which
     /// is what the in-file dataflow rules want.
     fn walk_body(&mut self, body: &mut BodyInfo) {
@@ -672,8 +676,15 @@ impl<'a> Parser<'a> {
             "if", "while", "for", "match", "return", "loop", "fn", "in", "as", "let", "else",
             "move", "unsafe", "self", "Some", "Ok", "Err",
         ];
+        // Where a `|` opens a closure's parameter list rather than an or.
+        const CLOSURE_OPENERS: &[&str] = &["(", ",", "=", "{", ";", "=>", "move", "return"];
+        let mut closure_params: Vec<String> = Vec::new();
         let mut depth = 0i64;
         while let Some(t) = self.cur() {
+            let prev = self.i.checked_sub(1).map_or("", |p| self.toks[p].text.as_str());
+            if t.text == "|" && CLOSURE_OPENERS.contains(&prev) {
+                closure_params.extend(self.closure_params());
+            }
             match t.text.as_str() {
                 "{" => depth += 1,
                 "}" => {
@@ -690,7 +701,6 @@ impl<'a> Parser<'a> {
             if text.chars().next().is_some_and(is_ident_char) {
                 // Call edge: `name(` not preceded by `fn`/`.`-less paths are
                 // fine either way; a nested `fn helper(` is a definition.
-                let prev = self.i.checked_sub(1).map_or("", |p| self.toks[p].text.as_str());
                 if self.at(1) == "(" && prev != "fn" && !NOT_CALLS.contains(&text.as_str()) {
                     body.calls.push(text.clone());
                 }
@@ -698,7 +708,8 @@ impl<'a> Parser<'a> {
                     body.rng_seed_lines.push(line);
                 }
                 let (field, method) = (self.at(2), self.at(4));
-                if text == "self"
+                let receiver = text == "self" || prev != "." && closure_params.contains(&text);
+                if receiver
                     && self.at(1) == "."
                     && field.chars().next().is_some_and(is_ident_char)
                     && self.at(3) == "."
@@ -714,6 +725,28 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
+    }
+
+    /// The names a closure's parameter list binds, read from the `|` at the
+    /// cursor: `|s|`, `|a, mut b|`, `|s: &mut Stats|` (tuple and reference
+    /// patterns bind nothing here).
+    fn closure_params(&self) -> Vec<String> {
+        let mut names = Vec::new();
+        let mut at_start = true;
+        for t in self.toks[self.i + 1..].iter().take_while(|t| t.text != "|") {
+            match t.text.as_str() {
+                "," => at_start = true,
+                "mut" => {}
+                name if at_start => {
+                    if name.chars().next().is_some_and(is_ident_char) {
+                        names.push(name.to_string());
+                    }
+                    at_start = false;
+                }
+                _ => {}
+            }
+        }
+        names
     }
 }
 

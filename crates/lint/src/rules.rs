@@ -63,7 +63,7 @@ pub(crate) const DETERMINISM_CRATES: &[&str] = &[
     "canal_gateway",
     "canal_control",
     "canal_workload",
-    "canal", // the root facade/testbed
+    "canal", // the root facade
 ];
 
 /// The declared internal dependency DAG: `(crate, allowed internal deps)`.
@@ -142,7 +142,6 @@ pub(crate) const LAYERING_DAG: &[(&str, &[&str])] = &[
             "canal_policy",
             "canal_gateway",
             "canal_mesh",
-            "canal_telemetry",
             "canal_control",
             "canal_workload",
         ],

@@ -128,7 +128,9 @@ impl RequestCtx {
     }
 }
 
-/// Cluster shape for proxy-count and control-plane accounting.
+/// Cluster shape for proxy-count and control-plane accounting: the pod,
+/// node and service counts every experiment prices its proxies and pushes
+/// by.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterShape {
     /// Pod count.
@@ -140,12 +142,23 @@ pub struct ClusterShape {
 }
 
 impl ClusterShape {
-    /// The paper's production ratios applied to a pod count.
+    /// The paper's production ratios (§2.2: pods:nodes ≈ 15:1,
+    /// pods:services ≈ 2:1) applied to a pod count.
     pub fn production(pods: usize) -> Self {
         ClusterShape {
             pods,
             nodes: (pods / 15).max(1),
             services: (pods / 2).max(1),
+        }
+    }
+
+    /// The paper's testbed (§5.1): 2 worker nodes, 15 pods each, 3
+    /// services.
+    pub fn paper_testbed() -> Self {
+        ClusterShape {
+            pods: 30,
+            nodes: 2,
+            services: 3,
         }
     }
 }

@@ -63,12 +63,14 @@ impl NodeObservability {
     }
 
     /// Counters of `pod`, if it has transferred anything.
-    pub fn pod_stats(&self, pod: PodId) -> Option<L4PodStats> {
+    #[cfg(test)]
+    fn pod_stats(&self, pod: PodId) -> Option<L4PodStats> {
         self.stats.get(pod.flat_hash(), &pod).copied()
     }
 
     /// Labeling operations performed so far.
-    pub fn labeling_ops(&self) -> u64 {
+    #[cfg(test)]
+    fn labeling_ops(&self) -> u64 {
         self.labeling_ops
     }
 }
@@ -82,17 +84,16 @@ pub struct AccessLogEntry {
     pub service: GlobalServiceId,
     /// Request method token.
     pub method: &'static str,
-    /// Where the request path lies in its log's path text.
-    path: Range<usize>,
+    /// Where the request path lies in the owning log's path text.
+    pub path: Range<usize>,
     /// Response status.
     pub status: StatusCode,
     /// Gateway-side processing latency.
     pub latency: SimDuration,
 }
 
-/// The gateway's L7 observability: access logs and per-service latency/error
-/// aggregates. (The gateway's L7 *spans* go to the `canal-telemetry`
-/// collector, not here.)
+/// The gateway's L7 observability: the access log. (The gateway's L7
+/// *spans* go to the `canal-telemetry` collector, not here.)
 #[derive(Debug, Default)]
 pub struct GatewayObservability {
     log: Vec<AccessLogEntry>,
@@ -130,25 +131,11 @@ impl GatewayObservability {
     }
 
     /// Access log entries in arrival order, each with its request path.
-    pub fn entries(&self) -> impl Iterator<Item = (&AccessLogEntry, &str)> {
+    #[cfg(test)]
+    fn entries(&self) -> impl Iterator<Item = (&AccessLogEntry, &str)> {
         self.log
             .iter()
             .map(|e| (e, self.paths.get(e.path.clone()).unwrap_or_default()))
-    }
-
-    /// Per-service aggregate `(requests, errors, mean latency ms)` — the
-    /// service-level SLA metrics fed to the §4.2 service-level alerts.
-    pub fn service_summary(&self, service: GlobalServiceId) -> (u64, u64, f64) {
-        let entries: Vec<&AccessLogEntry> =
-            self.log.iter().filter(|e| e.service == service).collect();
-        let requests = entries.len() as u64;
-        let errors = entries.iter().filter(|e| e.status.is_error()).count() as u64;
-        let mean = if entries.is_empty() {
-            0.0
-        } else {
-            entries.iter().map(|e| e.latency.as_millis_f64()).sum::<f64>() / entries.len() as f64
-        };
-        (requests, errors, mean)
     }
 }
 
@@ -215,18 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn gateway_access_log_and_summary() {
+    fn gateway_access_log_keeps_arrival_order_and_paths() {
         let mut gw = GatewayObservability::new();
         gw.record_request(T(0), svc(), "GET", "/a", StatusCode::OK, SimDuration::from_micros(120));
         gw.record_request(T(10), svc(), "GET", "/b", StatusCode::SERVICE_UNAVAILABLE, SimDuration::from_micros(80));
         gw.record_request(T(20), svc(), "POST", "/c", StatusCode::OK, SimDuration::from_micros(100));
-        let paths: Vec<&str> = gw.entries().map(|(_, path)| path).collect();
-        assert_eq!(paths, ["/a", "/b", "/c"]);
-        let (req, err, mean) = gw.service_summary(svc());
-        assert_eq!((req, err), (3, 1));
-        assert!((mean - 0.1).abs() < 1e-9);
-        // An unknown service reports zeros.
-        let other = GlobalServiceId::compose(TenantId(9), ServiceId(9));
-        assert_eq!(gw.service_summary(other), (0, 0, 0.0));
+        let seen: Vec<(SimTime, &str, u16, &str)> =
+            gw.entries().map(|(e, path)| (e.at, e.method, e.status.0, path)).collect();
+        assert_eq!(seen, [(T(0), "GET", 200, "/a"), (T(10), "GET", 503, "/b"), (T(20), "POST", 200, "/c")]);
     }
 }

@@ -160,7 +160,8 @@ impl Fold for Digest {
 /// one sorted `name value` line per path.
 #[derive(Debug, Default)]
 pub struct Stats {
-    /// One total per path: the names are literals in the folds, so the code bounds the keys.
+    /// One total per dotted path.
+    // lint:allow(bounded-state) reason=the names are literals in the folds, so the code bounds the keys
     values: BTreeMap<String, u64>,
     path: String,
 }

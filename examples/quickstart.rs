@@ -8,10 +8,9 @@
 
 // Examples, like tests, assert the scenario works via unwrap.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use canal::cluster::topology::{Cluster, ClusterSpec, Tenant};
 use canal::gateway::gateway::{Gateway, GatewayConfig};
 use canal::http::{Request, RoutePredicate, RouteRule, RouteTable, WeightedTarget};
-use canal::mesh::arch::{build, Architecture, RequestCtx};
+use canal::mesh::arch::{build, Architecture, ClusterShape, RequestCtx};
 use canal::mesh::authz::{AuthzPolicy, AuthzRule};
 use canal::mesh::l7::{L7Engine, L7Outcome};
 use canal::mesh::path::PathExecutor;
@@ -22,41 +21,23 @@ use canal::sim::{SimRng, SimTime};
 fn main() {
     let mut rng = SimRng::seed(7);
 
-    // --- 1. Two tenants, each with a production-shaped cluster. ---
-    let tenants: Vec<Tenant> = (1..=2)
-        .map(|i| Tenant {
-            id: TenantId(i),
-            vpc: VpcId(i),
-            uses_l7: true,
-            uses_l7_routing: true,
-            uses_l7_security: i == 1,
-        })
-        .collect();
-    let clusters: Vec<Cluster> = tenants
-        .iter()
-        .map(|t| Cluster::generate(t.clone(), ClusterSpec::paper_testbed(), &mut rng))
-        .collect();
-    for c in &clusters {
-        println!(
-            "{}: {} nodes, {} pods, {} services",
-            c.tenant.id,
-            c.node_count(),
-            c.pod_count(),
-            c.service_count()
-        );
-    }
-
-    // --- 2. Register every tenant service on the shared mesh gateway. ---
+    // --- 1. Two tenants on the paper's testbed shape, every service
+    // registered on the shared mesh gateway. ---
+    let shape = ClusterShape::paper_testbed();
     let mut gw = Gateway::new(GatewayConfig::default());
-    for c in &clusters {
-        for svc in c.services.values() {
-            let gid = GlobalServiceId::compose(c.tenant.id, svc.id);
+    for tenant in [TenantId(1), TenantId(2)] {
+        println!(
+            "{tenant}: {} nodes, {} pods, {} services",
+            shape.nodes, shape.pods, shape.services
+        );
+        for svc in 0..shape.services {
+            let gid = GlobalServiceId::compose(tenant, ServiceId(svc as u32));
             let backends = gw.register_service(gid, &mut rng);
             println!("registered {gid} on gateway backends {backends:?}");
         }
     }
 
-    // --- 3. An L7 config for tenant1/svc0: canary split + zero trust. ---
+    // --- 2. An L7 config for tenant1/svc0: canary split + zero trust. ---
     let mut routes = RouteTable::new();
     routes.push(RouteRule::new(
         "orders",
@@ -67,7 +48,7 @@ fn main() {
     authz.push(AuthzRule::allow(&[100, 101], "/orders"));
     let mut l7 = L7Engine::new(routes, authz);
 
-    // --- 4. Send real HTTP bytes through the L7 engine + gateway. ---
+    // --- 3. Send real HTTP bytes through the L7 engine + gateway. ---
     let service = GlobalServiceId::compose(TenantId(1), ServiceId(0));
     let mut v2_hits = 0;
     for i in 0..20u16 {
@@ -106,7 +87,7 @@ fn main() {
         .unwrap();
     println!("unauthorized identity -> {:?}\n", denied.status());
 
-    // --- 5. Architecture latency comparison (the Fig. 10 shape). ---
+    // --- 4. Architecture latency comparison (the Fig. 10 shape). ---
     println!("light-load request latency by architecture:");
     let ctx = RequestCtx::light();
     for kind in Architecture::ALL {

@@ -1,12 +1,10 @@
 //! Facade crate for the Canal Mesh workspace: re-exports every subsystem
-//! crate under one name and provides [`testbed`] — the assembled mesh
-//! behind a single handle for downstream users, examples and integration
-//! tests. See README.md for the architecture overview.
+//! crate under one name, so the examples and the integration tests reach
+//! the whole mesh through `canal::…`. See README.md for the architecture
+//! overview.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
-
-pub mod testbed;
 
 pub use canal_cluster as cluster;
 pub use canal_control as control;

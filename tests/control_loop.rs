@@ -95,6 +95,17 @@ fn surge_detect_scale_recover() {
     assert_eq!(errors, 0);
 }
 
+/// The two cluster shapes every experiment is priced on hold the paper's
+/// counts: the §5.1 testbed, and §2.2's production ratios (pods:nodes ≈
+/// 15:1, pods:services ≈ 2:1).
+#[test]
+fn cluster_shapes_hold_the_paper_counts() {
+    let testbed = ClusterShape::paper_testbed();
+    assert_eq!((testbed.pods, testbed.nodes, testbed.services), (30, 2, 3));
+    let production = ClusterShape::production(15_000);
+    assert_eq!((production.pods, production.nodes, production.services), (15_000, 1_000, 7_500));
+}
+
 /// Control-plane invariants across architectures, any cluster size:
 /// southbound bytes and target counts are totally ordered Canal < Ambient
 /// < Istio, and Canal's bytes grow linearly while Istio's grow

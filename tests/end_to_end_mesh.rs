@@ -3,7 +3,6 @@
 //! mTLS via the key server — and the failure machinery reroutes around
 //! injected faults.
 
-use canal::cluster::topology::{Cluster, ClusterSpec, Tenant};
 use canal::crypto::dh::{DhKeyPair, DhParams};
 use canal::crypto::keyserver::{KeyServer, RequesterId};
 use canal::crypto::mtls::MtlsEndpoint;
@@ -17,16 +16,6 @@ use canal::net::{
     Endpoint, FiveTuple, GlobalServiceId, Packet, ServiceId, TenantId, VpcAddr, VpcId,
 };
 use canal::sim::{SimRng, SimTime};
-
-fn tenant(i: u32) -> Tenant {
-    Tenant {
-        id: TenantId(i),
-        vpc: VpcId(i),
-        uses_l7: true,
-        uses_l7_routing: true,
-        uses_l7_security: true,
-    }
-}
 
 /// Two tenants with *identical* pod IPs stay distinguishable end to end:
 /// the vSwitch attaches the global service id before the gateway sees the
@@ -181,26 +170,4 @@ fn hierarchical_failover_keeps_service_up() {
     // ...until recovery.
     gw.recover(FailureDomain::Backend(backends[0])).unwrap();
     assert!(gw.handle_request(SimTime::from_secs(4), svc, &t, true).is_ok());
-}
-
-/// Cluster lifecycle feeds the mesh: scaling a service adds pods whose
-/// count the control plane would push — and the topology stays consistent.
-#[test]
-fn cluster_scaling_keeps_topology_consistent() {
-    let mut rng = SimRng::seed(4);
-    let mut cluster = Cluster::generate(tenant(1), ClusterSpec::production_shape(300), &mut rng);
-    let svc = canal::net::ServiceId(0);
-    let before = cluster.pods_of(svc).len();
-    let (added, _) = cluster.scale_service(svc, before + 10, &mut rng);
-    assert_eq!(added.len(), 10);
-    // Every pod's node and service indexes agree.
-    for (id, pod) in &cluster.pods {
-        assert!(cluster.pods_on(pod.node).contains(id));
-        assert!(cluster.pods_of(pod.service).contains(id));
-    }
-    // Unique IPs preserved across scaling.
-    let mut ips: Vec<_> = cluster.pods.values().map(|p| p.ip).collect();
-    ips.sort_unstable();
-    ips.dedup();
-    assert_eq!(ips.len(), cluster.pod_count());
 }

@@ -303,9 +303,8 @@ fn push_prices() -> u64 {
             .write_u64(r.push_time.as_nanos())
             .write_u64(r.total_time.as_nanos());
     };
-    let testbed = ClusterShape { pods: 30, nodes: 2, services: 3 };
     let mut d = Digest::new();
-    for shape in [testbed, ClusterShape::production(600)] {
+    for shape in [ClusterShape::paper_testbed(), ClusterShape::production(600)] {
         for arch in Architecture::ALL {
             let plane = ConfigPlane::new(arch);
             let full = plane.push_update(&shape);

@@ -39,7 +39,7 @@ fn workspace_is_lint_clean() {
     // same diff, and a narrowed or deleted one should lower it. It also
     // covers what `wide-export` cannot see: an item whose name a file
     // outside its crate uses for something else.
-    const MAX_EXPORTS: usize = 937;
+    const MAX_EXPORTS: usize = 909;
     assert!(
         report.exports <= MAX_EXPORTS,
         "{} exported items, the ratchet allows {MAX_EXPORTS}",
@@ -86,7 +86,15 @@ fn fixtures_trip_every_rule() {
     };
     assert!(at("digest-coverage", "digest_coverage.rs"));
     assert!(at("digest-coverage", "rollout_last_good.rs"));
-    assert!(at("bounded-state", "bounded_state.rs"));
+    // bounded-state fires on both growth shapes of its fixture: through
+    // `self`, and through a closure parameter the owner is handed to.
+    let bounded_lines: Vec<usize> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "bounded-state" && v.file.contains("bounded_state.rs"))
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(bounded_lines, [6, 26]);
     assert!(at("seed-dataflow", "seed_dataflow.rs"));
     assert!(at("global-state", "global_state.rs"));
     // ... on its statics (`static mut`, `thread_local!`, a `static` `OnceLock`)
