@@ -754,46 +754,6 @@ mod tests {
         assert!(extras[2] < extras[0], "canal {:?} < sidecar {:?}", extras[2], extras[0]);
     }
 
-    /// Every architecture's step plan and per-request mesh CPU over the
-    /// request shapes the experiments use, folded into one value. Captured
-    /// while each architecture still summed its mesh CPU by hand; any change
-    /// to a step, its stage, its price or the CPU total moves it.
-    const GOLDEN_PLANS: u64 = 0xc491_76d4_a856_fbe3;
-
-    #[test]
-    fn step_plans_and_mesh_cpu_match_the_golden_value() {
-        use canal_net::TraceContext;
-        use canal_sim::{Digest, Fold};
-        let mut https_large = RequestCtx::light();
-        https_large.https = true;
-        https_large.req_bytes = 16 * 1024;
-        https_large.resp_bytes = 64 * 1024;
-        let contexts = [
-            RequestCtx::light(),
-            RequestCtx::new_https(1),
-            RequestCtx::new_https(64),
-            RequestCtx::resumed_https(8),
-            https_large,
-            RequestCtx { trace: Some(TraceContext::root(7, true)), ..RequestCtx::light() },
-            RequestCtx { trace: Some(TraceContext::root(7, false)), ..RequestCtx::light() },
-            RequestCtx { priority: Priority::Bulk, ..RequestCtx::light() },
-        ];
-        let mut d = Digest::new();
-        for kind in Architecture::ALL {
-            let arch = build(kind, CostModel::default());
-            for ctx in &contexts {
-                let steps = arch.request_steps(ctx);
-                d.write_u64(steps.len() as u64);
-                for s in &steps {
-                    d.write_u64(s.stage.map_or(0, |stage| stage as u64 + 1));
-                    d.write_u64(s.cpu.as_nanos()).write_u64(s.latency.as_nanos());
-                }
-                d.write_u64(arch.mesh_cpu_per_request(ctx).as_nanos());
-            }
-        }
-        assert_eq!(d.value(), GOLDEN_PLANS, "{:#018x}", d.value());
-    }
-
     #[test]
     fn build_covers_all_kinds() {
         for kind in Architecture::ALL {
