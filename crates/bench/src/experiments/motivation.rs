@@ -3,7 +3,7 @@
 use crate::harness::{Check, ExperimentReport};
 use canal_cluster::topology::tenant_population;
 use canal_control::configure::{update_frequency_per_min, ConfigPlane};
-use canal_mesh::arch::{Architecture, ClusterShape};
+use canal_mesh::arch::{build, Architecture, ClusterShape};
 use canal_mesh::path::{PathExecutor, StageId, Step};
 use canal_mesh::resources::SidecarResourceModel;
 use canal_sim::output::{num, pct, Table};
@@ -141,9 +141,8 @@ pub(crate) fn fig5(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig5", "CPU usage of Istio and Ambient");
     let costs = canal_mesh::CostModel::default();
     let shape = ClusterShape::paper_testbed();
-    let istio = canal_mesh::arch::SidecarMesh::new(costs.clone());
-    let ambient = canal_mesh::arch::AmbientMesh::new(costs.clone());
-    use canal_mesh::arch::MeshArchitecture;
+    let istio = build(Architecture::Sidecar, costs.clone());
+    let ambient = build(Architecture::Ambient, costs);
     let ctx = canal_mesh::arch::RequestCtx::light();
     let day = RpsProcess::Diurnal {
         base: 200.0,

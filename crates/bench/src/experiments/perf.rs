@@ -24,7 +24,7 @@ pub(crate) fn fig10(seed: u64) -> ExperimentReport {
         let unloaded =
             PathExecutor::unloaded_latency(&arch.request_steps(&ctx)).as_millis_f64();
         // 1 thread, 1 connection, 1 rps, 100 requests (the paper's method).
-        let point = measure_at_load(arch.as_ref(), &ctx, 1.0, 100.0, &mut rng);
+        let point = measure_at_load(&arch, &ctx, 1.0, 100.0, &mut rng);
         means.insert(kind.name(), (unloaded, point.mean_ms));
     }
     let canal_mean = means["canal"].1;
@@ -80,7 +80,7 @@ pub(crate) fn fig11(seed: u64) -> ExperimentReport {
         let unloaded =
             PathExecutor::unloaded_latency(&arch.request_steps(&ctx)).as_millis_f64();
         // Knee = P99 exceeding 5x the unloaded latency.
-        let (knee, curve) = find_knee(arch.as_ref(), &ctx, 80_000.0, unloaded * 5.0, &mut rng);
+        let (knee, curve) = find_knee(&arch, &ctx, 80_000.0, unloaded * 5.0, &mut rng);
         for p in curve.iter().filter(|p| p.rps > knee / 8.0) {
             table.row(&[kind.name().to_string(), num(p.rps), num(p.p99_ms)]);
         }

@@ -4,7 +4,7 @@
 use crate::harness::{Check, ExperimentReport};
 use canal_crypto::accel::{AsymmetricBackend, LocalBatchBackend, SoftwareBackend};
 use canal_crypto::keyserver::{KeyServerPlacement, RemoteKeyServerBackend};
-use canal_mesh::arch::{AmbientMesh, CanalMesh, ClusterShape, MeshArchitecture, RequestCtx, SidecarMesh};
+use canal_mesh::arch::{build, Architecture, ClusterShape, Mesh, RequestCtx};
 use canal_mesh::CostModel;
 use canal_sim::output::{num, pct, ratio, Table};
 
@@ -69,12 +69,12 @@ pub(crate) fn fig12(_seed: u64) -> ExperimentReport {
 pub(crate) fn fig13(_seed: u64) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig13", "CPU usage of Istio, Ambient and Canal");
     let costs = CostModel::default;
-    let istio = SidecarMesh::new(costs());
-    let ambient = AmbientMesh::new(costs());
-    let canal = CanalMesh::new(costs());
+    let istio = build(Architecture::Sidecar, costs());
+    let ambient = build(Architecture::Ambient, costs());
+    let canal = build(Architecture::Canal, costs());
     let shape = ClusterShape::paper_testbed();
     let ctx = RequestCtx::light();
-    let cores = |arch: &dyn MeshArchitecture, rps: f64| {
+    let cores = |arch: &Mesh, rps: f64| {
         (arch.background_cores(&shape) + rps * arch.mesh_cpu_per_request(&ctx).as_secs_f64())
             .min(4.0)
     };

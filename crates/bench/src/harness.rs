@@ -1,6 +1,6 @@
 //! Report/check types and shared measurement helpers.
 
-use canal_mesh::arch::{MeshArchitecture, RequestCtx};
+use canal_mesh::arch::{Mesh, RequestCtx};
 use canal_mesh::path::PathExecutor;
 use canal_sim::output::Table;
 use canal_sim::{stats, SimRng, SimTime};
@@ -127,13 +127,13 @@ pub(crate) fn poisson_arrivals<A>(
 /// simulated seconds; returns the latency profile. Service demands are
 /// drawn per-request with ±25% jitter so queueing tails are realistic.
 pub(crate) fn measure_at_load(
-    arch: &dyn MeshArchitecture,
+    arch: &Mesh,
     ctx: &RequestCtx,
     rps: f64,
     duration_s: f64,
     rng: &mut SimRng,
 ) -> LoadPoint {
-    let mut exec = PathExecutor::new(&arch.stage_cores());
+    let mut exec = PathExecutor::new(arch.stage_cores());
     let template = arch.request_steps(ctx);
     let requests = poisson_arrivals(rng, rps, duration_s, |rng, arrival| {
         // Jitter CPU demands ±25% around the template.
@@ -166,7 +166,7 @@ pub(crate) fn measure_at_load(
 /// Find the knee: the highest RPS (on a geometric ladder up to `max_rps`)
 /// whose P99 stays below `p99_limit_ms`. Returns (knee_rps, curve).
 pub(crate) fn find_knee(
-    arch: &dyn MeshArchitecture,
+    arch: &Mesh,
     ctx: &RequestCtx,
     max_rps: f64,
     p99_limit_ms: f64,

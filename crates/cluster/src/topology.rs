@@ -4,16 +4,11 @@
 //! them) are `canal_mesh::arch::ClusterShape`'s; what this module keeps is
 //! who the tenants are and which L7 features each adopts.
 
-use canal_net::{TenantId, VpcId};
 use canal_sim::SimRng;
 
 /// A cloud tenant and its mesh feature adoption (Table 3 population model).
 #[derive(Debug, Clone)]
 pub struct Tenant {
-    /// Tenant id.
-    pub id: TenantId,
-    /// The tenant's VPC.
-    pub vpc: VpcId,
     /// Whether the tenant configures L7 rules at all (80–95% do).
     pub uses_l7: bool,
     /// Whether they use L7 routing policies (72–95%).
@@ -32,11 +27,9 @@ pub fn tenant_population(
     rng: &mut SimRng,
 ) -> Vec<Tenant> {
     (0..n)
-        .map(|i| {
+        .map(|_| {
             let uses_l7 = rng.chance(p_l7);
             Tenant {
-                id: TenantId(i as u32),
-                vpc: VpcId(i as u32),
                 uses_l7,
                 // Routing/security imply L7 usage.
                 uses_l7_routing: uses_l7 && rng.chance(p_routing / p_l7.max(1e-9)),

@@ -201,12 +201,7 @@ impl ConfigPlane {
     /// `abl-push` ablation.
     pub fn push_incremental(&self, shape: &ClusterShape, changed_entries: usize) -> PushReport {
         let c = &self.costs;
-        let targets = match self.arch {
-            Architecture::NoMesh => 0,
-            Architecture::Sidecar => shape.pods,
-            Architecture::Ambient => shape.nodes + shape.services * c.waypoint_replicas,
-            Architecture::Canal => 1,
-        };
+        let targets = self.bytes_per_target(shape).len();
         // Every target that carries the affected entries receives just the
         // delta plus the per-target envelope.
         let per_target = c.base_bytes_per_target / 8 + c.bytes_per_entry * changed_entries;

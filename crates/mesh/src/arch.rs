@@ -1,25 +1,31 @@
-//! The three data-plane architectures as step-plan builders.
+//! The four data-plane architectures as placements of the same work.
 //!
-//! Each architecture answers the same questions:
+//! An architecture is a `Placement`: which stage runs each hop of one
+//! request-response (proxy passes, redirects, the gateway's packet
+//! pipeline, the app), where spans are recorded, and how many testbed cores
+//! each stage gets. One walker, [`Mesh::request_steps`], prices every hop
+//! from the [`CostModel`], so the same placement answers:
 //!
 //! * what [`Step`]s does one request-response traverse (→ latency, Figs.
 //!   10/11, and emergent queueing knees),
 //! * how much mesh CPU does one request burn and where (→ Fig. 13),
 //! * how many cores of *background* burn does the proxy fleet cost (→
-//!   Table 1, Fig. 13's low-RPS gap),
-//! * how many proxies must the control plane configure (→ Figs. 4/14/15).
+//!   Table 1, Fig. 13's low-RPS gap).
 //!
-//! Structural differences, straight from the paper:
+//! Structural differences, straight from the paper (redirects per round
+//! trip; passes and hops per direction):
 //!
 //! | | redirect | L4 passes | L7 passes | crypto | hops (one way) |
 //! |---|---|---|---|---|---|
 //! | Sidecar (Istio) | iptables ×2 | — | 2 (both sidecars) | software | 1 |
 //! | Ambient | eBPF-ish ×2 | 2 ztunnels | 1 (waypoint) | software | 2 (via waypoint) |
 //! | Canal | eBPF+Nagle ×2 | 2 on-node proxies | 1 (gateway) | key server | 2 (hairpin via gateway) |
+//! | No mesh | — | — | — | — | 1 |
 
 use crate::costs::CostModel;
 use crate::path::{StageId, Step};
-use canal_crypto::accel::AsymmetricBackend;
+use canal_crypto::accel::{AsymmetricBackend, SoftwareBackend};
+use canal_crypto::keyserver::{KeyServerPlacement, RemoteKeyServerBackend};
 use canal_net::{Priority, TraceContext};
 use canal_sim::SimDuration;
 
@@ -163,416 +169,283 @@ impl ClusterShape {
     }
 }
 
-/// A mesh data-plane architecture.
-pub trait MeshArchitecture {
-    /// Which variant this is.
-    fn kind(&self) -> Architecture;
+/// What one hop of a request path does. An L4 pass with `ebpf` sits behind
+/// an eBPF socket redirect on the client node.
+#[derive(Debug, Clone, Copy)]
+enum Work {
+    /// The server application.
+    App,
+    /// An iptables redirect into a sidecar (Fig. 21).
+    Iptables,
+    /// One slot of the gateway VM's packet-pipeline pps budget: a serial
+    /// resource in front of the worker cores, what caps Canal's Fig. 11 knee.
+    Pipeline,
+    /// An L7 pass through a per-pod sidecar, which also runs mTLS (Istio).
+    Sidecar,
+    /// An L4 pass through a per-node ztunnel, which runs mTLS (Ambient).
+    Ztunnel { ebpf: bool },
+    /// An L7 pass through a per-service waypoint (Ambient).
+    Waypoint,
+    /// An L4 pass through Canal's on-node proxy, which runs mTLS.
+    NodeProxy { ebpf: bool },
+    /// An L7 pass through Canal's shared multi-tenant gateway.
+    Gateway,
+}
 
-    /// The step plan of one request-response round trip.
-    fn request_steps(&self, ctx: &RequestCtx) -> Vec<Step>;
+/// One hop of a placement: a one-way network hop, or work on a CPU stage.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    Wire,
+    On(StageId, Work),
+}
 
-    /// Testbed core allocation per stage (Fig. 13's “4 cores total” setup:
+/// Where an architecture runs each piece of one request-response's work.
+struct Placement {
+    /// Stage whose CPU drives a new connection's mTLS handshake.
+    handshake: Option<StageId>,
+    /// Hops from the client app up to and including the server app.
+    request: &'static [Hop],
+    /// Hops from the server app back to the client app.
+    response: &'static [Hop],
+    /// Span-recording sites, each with whether it records a rich L7 span.
+    telemetry: &'static [(StageId, bool)],
+    /// Testbed cores per stage (Fig. 13's "4 cores total" setup).
+    cores: &'static [(StageId, usize)],
+}
+
+/// Istio: iptables into a sidecar on both ends, two L7 passes per direction,
+/// and the rich span recorded at both pods. The sidecars share 2+2 cores.
+const SIDECAR: Placement = Placement {
+    handshake: Some(StageId::ClientSidecar),
+    request: &[
+        Hop::On(StageId::ClientSidecar, Work::Iptables),
+        Hop::On(StageId::ClientSidecar, Work::Sidecar),
+        Hop::Wire,
+        Hop::On(StageId::ServerSidecar, Work::Iptables),
+        Hop::On(StageId::ServerSidecar, Work::Sidecar),
+        Hop::On(StageId::App, Work::App),
+    ],
+    response: &[
+        Hop::On(StageId::ServerSidecar, Work::Sidecar),
+        Hop::Wire,
+        Hop::On(StageId::ClientSidecar, Work::Sidecar),
+    ],
+    telemetry: &[(StageId::ClientSidecar, true), (StageId::ServerSidecar, true)],
+    cores: &[(StageId::ClientSidecar, 2), (StageId::ServerSidecar, 2), (StageId::App, 4)],
+};
+
+/// Ambient: eBPF into the client ztunnel, the waypoint's one L7 pass, the
+/// server ztunnel; cheap L4 stamps at the ztunnels, one rich span at the
+/// waypoint. 2 cores for the L4 proxies, 2 for L7.
+const AMBIENT: Placement = Placement {
+    handshake: Some(StageId::ClientZtunnel),
+    request: &[
+        Hop::On(StageId::ClientZtunnel, Work::Ztunnel { ebpf: true }),
+        Hop::Wire,
+        Hop::On(StageId::Waypoint, Work::Waypoint),
+        Hop::Wire,
+        Hop::On(StageId::ServerZtunnel, Work::Ztunnel { ebpf: false }),
+        Hop::On(StageId::App, Work::App),
+    ],
+    response: &[
+        Hop::On(StageId::ServerZtunnel, Work::Ztunnel { ebpf: false }),
+        Hop::Wire,
+        Hop::On(StageId::Waypoint, Work::Waypoint),
+        Hop::Wire,
+        Hop::On(StageId::ClientZtunnel, Work::Ztunnel { ebpf: true }),
+    ],
+    telemetry: &[
+        (StageId::ClientZtunnel, false),
+        (StageId::ServerZtunnel, false),
+        (StageId::Waypoint, true),
+    ],
+    cores: &[
+        (StageId::ClientZtunnel, 1),
+        (StageId::ServerZtunnel, 1),
+        (StageId::Waypoint, 2),
+        (StageId::App, 4),
+    ],
+};
+
+/// Canal: eBPF (+Nagle) into the on-node proxy, a hairpin through the shared
+/// gateway's packet pipeline and its one L7 pass, the server's node proxy;
+/// cheap L4 stamps at the node proxies, one rich span at the gateway (§4.1.1:
+/// centralized observability). 2 cores for the node proxies, 2 for the
+/// gateway.
+const CANAL: Placement = Placement {
+    handshake: Some(StageId::ClientNodeProxy),
+    request: &[
+        Hop::On(StageId::ClientNodeProxy, Work::NodeProxy { ebpf: true }),
+        Hop::Wire,
+        Hop::On(StageId::GatewayPipeline, Work::Pipeline),
+        Hop::On(StageId::GatewayBackend, Work::Gateway),
+        Hop::Wire,
+        Hop::On(StageId::ServerNodeProxy, Work::NodeProxy { ebpf: false }),
+        Hop::On(StageId::App, Work::App),
+    ],
+    response: &[
+        Hop::On(StageId::ServerNodeProxy, Work::NodeProxy { ebpf: false }),
+        Hop::Wire,
+        Hop::On(StageId::GatewayBackend, Work::Gateway),
+        Hop::Wire,
+        Hop::On(StageId::ClientNodeProxy, Work::NodeProxy { ebpf: true }),
+    ],
+    telemetry: &[
+        (StageId::ClientNodeProxy, false),
+        (StageId::ServerNodeProxy, false),
+        (StageId::GatewayBackend, true),
+    ],
+    cores: &[
+        (StageId::ClientNodeProxy, 1),
+        (StageId::ServerNodeProxy, 1),
+        (StageId::GatewayBackend, 2),
+        (StageId::GatewayPipeline, 1),
+        (StageId::App, 4),
+    ],
+};
+
+/// No mesh: one wire hop each way to the app, no handshake, no recording.
+const NO_MESH: Placement = Placement {
+    handshake: None,
+    request: &[Hop::Wire, Hop::On(StageId::App, Work::App)],
+    response: &[Hop::Wire],
+    telemetry: &[],
+    cores: &[(StageId::App, 4)],
+};
+
+fn placement(kind: Architecture) -> &'static Placement {
+    match kind {
+        Architecture::NoMesh => &NO_MESH,
+        Architecture::Sidecar => &SIDECAR,
+        Architecture::Ambient => &AMBIENT,
+        Architecture::Canal => &CANAL,
+    }
+}
+
+/// A mesh data plane: an architecture's placement priced by one cost model,
+/// with the asymmetric backend its handshakes complete on.
+pub struct Mesh {
+    kind: Architecture,
+    costs: CostModel,
+    asym: Box<dyn AsymmetricBackend + Send>,
+}
+
+impl Mesh {
+    /// Architecture name.
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// The step plan of one request-response round trip: the handshake of
+    /// a new connection, the request and response hops, then the span
+    /// recording of a sampled trace.
+    pub fn request_steps(&self, ctx: &RequestCtx) -> Vec<Step> {
+        let p = placement(self.kind);
+        let mut steps = Vec::new();
+        if let Some(stage) = p.handshake.filter(|_| ctx.new_connection) {
+            // Node CPU to drive the handshake (marshalling / software crypto,
+            // or a resumed ticket's symmetric decrypt).
+            steps.push(Step::cpu(stage, self.asym.node_cpu_cost()));
+            // Completion latency of the asymmetric step (batch wait, RTT...).
+            // A resumed session consumes no batch slot and no key-server
+            // round trip, so the accelerator sees none of its handshake.
+            if !ctx.resumed {
+                steps.push(Step::wire(self.asym.completion(ctx.concurrent_new_connections)));
+            }
+        }
+        let request = p.request.iter().map(|&hop| self.price(hop, ctx.https, ctx.req_bytes, false));
+        let response = p.response.iter().map(|&hop| self.price(hop, ctx.https, ctx.resp_bytes, true));
+        steps.extend(request.chain(response));
+        // Telemetry is not free: a sampled trace charges span-recording CPU
+        // at every recording site.
+        if ctx.trace_sampled() {
+            let sites = p.telemetry.iter();
+            steps.extend(sites.map(|&(stage, l7)| Step::cpu(stage, self.costs.telemetry_record_cpu(l7))));
+        }
+        steps
+    }
+
+    /// One hop's step, carrying `bytes` of payload in the request or the
+    /// response direction. mTLS ciphers the payload where the session ends
+    /// (sidecar, ztunnel, node proxy); an L7 pass copies it.
+    fn price(&self, hop: Hop, https: bool, bytes: usize, response: bool) -> Step {
+        let c = &self.costs;
+        let Hop::On(stage, work) = hop else {
+            return Step::wire(c.hop_one_way);
+        };
+        let sym = if https { c.sym_crypto_cost(bytes) } else { SimDuration::ZERO };
+        let redirect = |ebpf| if ebpf { c.ebpf_redirect } else { SimDuration::ZERO };
+        let l7 = |request, resp| (if response { resp } else { request }) + c.copy_cost(bytes);
+        match work {
+            Work::App => Step::cpu(stage, c.app_service),
+            Work::Iptables => Step::cpu(stage, c.iptables_redirect()),
+            Work::Pipeline => Step::cpu(stage, SimDuration::from_secs_f64(1.0 / c.gateway_pipeline_rps_cap)),
+            Work::Sidecar => Step::cpu(stage, l7(c.sidecar_cpu_request, c.sidecar_cpu_response) + sym),
+            Work::Ztunnel { ebpf } => Step::cpu(stage, redirect(ebpf) + c.ztunnel_cpu_per_pass + sym),
+            Work::NodeProxy { ebpf } => Step::cpu(stage, redirect(ebpf) + c.node_proxy_cpu_per_pass + sym),
+            Work::Waypoint => {
+                let cpu = l7(c.waypoint_cpu_request, c.waypoint_cpu_response);
+                Step::cpu_with_overhead(stage, cpu, c.waypoint_pass_overhead)
+            }
+            Work::Gateway => {
+                let cpu = l7(c.gateway_cpu_request, c.gateway_cpu_response);
+                Step::cpu_with_overhead(stage, cpu, c.gateway_pass_overhead)
+            }
+        }
+    }
+
+    /// Testbed core allocation per stage (Fig. 13's "4 cores total" setup:
     /// 2+2 for Ambient and Canal, sidecars sharing 2+2).
-    fn stage_cores(&self) -> Vec<(StageId, usize)>;
+    pub fn stage_cores(&self) -> &'static [(StageId, usize)] {
+        placement(self.kind).cores
+    }
 
     /// Mesh CPU burned per request on an established connection: the CPU
     /// of every step of the plan except the app's and the gateway VM's
     /// packet pipeline (a pps budget, not cores), priced where the plan
     /// prices it.
-    fn mesh_cpu_per_request(&self, ctx: &RequestCtx) -> SimDuration {
-        let established = RequestCtx {
-            new_connection: false,
-            ..*ctx
-        };
-        self.request_steps(&established)
-            .iter()
-            .filter(|s| {
-                s.stage
-                    .is_some_and(|st| !matches!(st, StageId::App | StageId::GatewayPipeline))
-            })
-            .fold(SimDuration::ZERO, |acc, s| acc + s.cpu)
+    pub fn mesh_cpu_per_request(&self, ctx: &RequestCtx) -> SimDuration {
+        let established = RequestCtx { new_connection: false, ..*ctx };
+        let mesh = |s: &&Step| s.stage.is_some_and(|st| !matches!(st, StageId::App | StageId::GatewayPipeline));
+        let steps = self.request_steps(&established);
+        steps.iter().filter(mesh).fold(SimDuration::ZERO, |acc, s| acc + s.cpu)
     }
 
-    /// Idle/background cores the proxy fleet burns for a cluster.
-    fn background_cores(&self, cluster: &ClusterShape) -> f64;
-
-    /// Number of proxies the control plane must configure.
-    fn config_targets(&self, cluster: &ClusterShape) -> usize;
-
-    /// Architecture name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-}
-
-fn handshake_steps(
-    ctx: &RequestCtx,
-    backend: &dyn AsymmetricBackend,
-    node_stage: StageId,
-) -> Vec<Step> {
-    if !ctx.new_connection {
-        return Vec::new();
-    }
-    if ctx.resumed {
-        // Session resumption: the ticket decrypt is symmetric node work;
-        // no batch slot is consumed and no key-server round trip happens,
-        // so the accelerator sees none of this handshake.
-        return vec![Step::cpu(node_stage, backend.node_cpu_cost())];
-    }
-    vec![
-        // Node CPU to drive the handshake (marshalling / software crypto).
-        Step::cpu(node_stage, backend.node_cpu_cost()),
-        // Completion latency of the asymmetric step (batch wait, RTT...).
-        Step::wire(backend.completion(ctx.concurrent_new_connections)),
-    ]
-}
-
-/// Sidecar recording sites: the rich L7 span price at *two* pods per request.
-const SIDECAR_TELEMETRY_SITES: [(StageId, bool); 2] = [
-    (StageId::ClientSidecar, true),
-    (StageId::ServerSidecar, true),
-];
-
-/// Ambient recording sites: cheap L4 stamps at the ztunnels, one rich span
-/// at the waypoint.
-const AMBIENT_TELEMETRY_SITES: [(StageId, bool); 3] = [
-    (StageId::ClientZtunnel, false),
-    (StageId::ServerZtunnel, false),
-    (StageId::Waypoint, true),
-];
-
-/// Canal recording sites: cheap L4 stamps at the node proxies, one rich span
-/// at the shared gateway (§4.1.1: centralized observability).
-const CANAL_TELEMETRY_SITES: [(StageId, bool); 3] = [
-    (StageId::ClientNodeProxy, false),
-    (StageId::ServerNodeProxy, false),
-    (StageId::GatewayBackend, true),
-];
-
-/// Per-pod-sidecar architecture (Istio-like).
-pub struct SidecarMesh {
-    /// Cost constants.
-    pub costs: CostModel,
-    /// Asymmetric crypto backend (software, unless QAT-enabled nodes).
-    pub asym: Box<dyn AsymmetricBackend + Send>,
-}
-
-impl SidecarMesh {
-    /// Default: software crypto (the common case the paper measures).
-    pub fn new(costs: CostModel) -> Self {
-        SidecarMesh {
-            costs,
-            asym: Box::new(canal_crypto::accel::SoftwareBackend::default()),
+    /// Idle/background cores the proxy fleet burns for a cluster: a sidecar
+    /// per pod; a ztunnel per node and a waypoint per service; a node proxy
+    /// per node and one shared gateway.
+    pub fn background_cores(&self, cluster: &ClusterShape) -> f64 {
+        let c = &self.costs;
+        match self.kind {
+            Architecture::NoMesh => 0.0,
+            Architecture::Sidecar => cluster.pods as f64 * c.sidecar_background_cores_per_pod,
+            Architecture::Ambient => {
+                cluster.nodes as f64 * c.ztunnel_background_cores
+                    + cluster.services as f64 * c.waypoint_background_cores
+            }
+            Architecture::Canal => {
+                cluster.nodes as f64 * c.node_proxy_background_cores + c.gateway_background_cores
+            }
         }
     }
 }
 
-fn sym_cost(costs: &CostModel, ctx: &RequestCtx, bytes: usize) -> SimDuration {
-    if ctx.https {
-        costs.sym_crypto_cost(bytes)
-    } else {
-        SimDuration::ZERO
-    }
-}
-
-/// Span-recording CPU at each of the architecture's recording sites, charged
-/// only when the propagated trace context says the trace is sampled. `sites`
-/// lists (stage, records-rich-L7-span) pairs.
-fn telemetry_steps(c: &CostModel, ctx: &RequestCtx, sites: &[(StageId, bool)]) -> Vec<Step> {
-    if !ctx.trace_sampled() {
-        return Vec::new();
-    }
-    sites
-        .iter()
-        .map(|&(stage, l7)| Step::cpu(stage, c.telemetry_record_cpu(l7)))
-        .collect()
-}
-
-impl MeshArchitecture for SidecarMesh {
-    fn kind(&self) -> Architecture {
-        Architecture::Sidecar
-    }
-
-    fn request_steps(&self, ctx: &RequestCtx) -> Vec<Step> {
-        let c = &self.costs;
-        let mut steps = Vec::new();
-        steps.extend(handshake_steps(ctx, self.asym.as_ref(), StageId::ClientSidecar));
-        // --- request: app → iptables → client sidecar L7 → wire →
-        //     iptables → server sidecar L7 → app ---
-        steps.push(Step::cpu(StageId::ClientSidecar, c.iptables_redirect()));
-        steps.push(Step::cpu(
-            StageId::ClientSidecar,
-            c.sidecar_cpu_request + c.copy_cost(ctx.req_bytes) + sym_cost(c, ctx, ctx.req_bytes),
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu(StageId::ServerSidecar, c.iptables_redirect()));
-        steps.push(Step::cpu(
-            StageId::ServerSidecar,
-            c.sidecar_cpu_request + c.copy_cost(ctx.req_bytes) + sym_cost(c, ctx, ctx.req_bytes),
-        ));
-        steps.push(Step::cpu(StageId::App, c.app_service));
-        // --- response: back through both sidecars ---
-        steps.push(Step::cpu(
-            StageId::ServerSidecar,
-            c.sidecar_cpu_response + c.copy_cost(ctx.resp_bytes) + sym_cost(c, ctx, ctx.resp_bytes),
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu(
-            StageId::ClientSidecar,
-            c.sidecar_cpu_response + c.copy_cost(ctx.resp_bytes) + sym_cost(c, ctx, ctx.resp_bytes),
-        ));
-        steps.extend(telemetry_steps(c, ctx, &SIDECAR_TELEMETRY_SITES));
-        steps
-    }
-
-    fn stage_cores(&self) -> Vec<(StageId, usize)> {
-        vec![
-            (StageId::ClientSidecar, 2),
-            (StageId::ServerSidecar, 2),
-            (StageId::App, 4),
-        ]
-    }
-
-    fn background_cores(&self, cluster: &ClusterShape) -> f64 {
-        cluster.pods as f64 * self.costs.sidecar_background_cores_per_pod
-    }
-
-    fn config_targets(&self, cluster: &ClusterShape) -> usize {
-        cluster.pods // one sidecar per pod
-    }
-}
-
-/// Ambient-like split-proxy architecture.
-pub struct AmbientMesh {
-    /// Cost constants.
-    pub costs: CostModel,
-    /// Asymmetric backend for ztunnel mTLS.
-    pub asym: Box<dyn AsymmetricBackend + Send>,
-}
-
-impl AmbientMesh {
-    /// Default: software crypto at the ztunnel.
-    pub fn new(costs: CostModel) -> Self {
-        AmbientMesh {
-            costs,
-            asym: Box::new(canal_crypto::accel::SoftwareBackend::default()),
-        }
-    }
-}
-
-impl MeshArchitecture for AmbientMesh {
-    fn kind(&self) -> Architecture {
-        Architecture::Ambient
-    }
-
-    fn request_steps(&self, ctx: &RequestCtx) -> Vec<Step> {
-        let c = &self.costs;
-        let mut steps = Vec::new();
-        steps.extend(handshake_steps(ctx, self.asym.as_ref(), StageId::ClientZtunnel));
-        // --- request: app → eBPF → ztunnel → wire → waypoint L7 → wire →
-        //     ztunnel → app ---
-        steps.push(Step::cpu(
-            StageId::ClientZtunnel,
-            c.ebpf_redirect + c.ztunnel_cpu_per_pass + sym_cost(c, ctx, ctx.req_bytes),
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu_with_overhead(
-            StageId::Waypoint,
-            c.waypoint_cpu_request + c.copy_cost(ctx.req_bytes),
-            c.waypoint_pass_overhead,
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu(
-            StageId::ServerZtunnel,
-            c.ztunnel_cpu_per_pass + sym_cost(c, ctx, ctx.req_bytes),
-        ));
-        steps.push(Step::cpu(StageId::App, c.app_service));
-        // --- response: back via the waypoint ---
-        steps.push(Step::cpu(
-            StageId::ServerZtunnel,
-            c.ztunnel_cpu_per_pass + sym_cost(c, ctx, ctx.resp_bytes),
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu_with_overhead(
-            StageId::Waypoint,
-            c.waypoint_cpu_response + c.copy_cost(ctx.resp_bytes),
-            c.waypoint_pass_overhead,
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu(
-            StageId::ClientZtunnel,
-            c.ebpf_redirect + c.ztunnel_cpu_per_pass + sym_cost(c, ctx, ctx.resp_bytes),
-        ));
-        steps.extend(telemetry_steps(c, ctx, &AMBIENT_TELEMETRY_SITES));
-        steps
-    }
-
-    fn stage_cores(&self) -> Vec<(StageId, usize)> {
-        // Fig. 13 setup: 2 cores for L4 proxies, 2 for L7.
-        vec![
-            (StageId::ClientZtunnel, 1),
-            (StageId::ServerZtunnel, 1),
-            (StageId::Waypoint, 2),
-            (StageId::App, 4),
-        ]
-    }
-
-    fn background_cores(&self, cluster: &ClusterShape) -> f64 {
-        cluster.nodes as f64 * self.costs.ztunnel_background_cores
-            + cluster.services as f64 * self.costs.waypoint_background_cores
-    }
-
-    fn config_targets(&self, cluster: &ClusterShape) -> usize {
-        cluster.nodes + cluster.services // L4 per node + L7 per service
-    }
-}
-
-/// The Canal architecture: on-node proxies + centralized multi-tenant
-/// gateway + key server.
-pub struct CanalMesh {
-    /// Cost constants.
-    pub costs: CostModel,
-    /// Asymmetric backend (default: the remote key server, §4.1.3).
-    pub asym: Box<dyn AsymmetricBackend + Send>,
-}
-
-impl CanalMesh {
-    /// Default: remote key server in the local AZ.
-    pub fn new(costs: CostModel) -> Self {
-        CanalMesh {
-            costs,
-            asym: Box::new(canal_crypto::keyserver::RemoteKeyServerBackend::new(
-                canal_crypto::keyserver::KeyServerPlacement::LocalAz,
-            )),
-        }
-    }
-}
-
-impl MeshArchitecture for CanalMesh {
-    fn kind(&self) -> Architecture {
-        Architecture::Canal
-    }
-
-    fn request_steps(&self, ctx: &RequestCtx) -> Vec<Step> {
-        let c = &self.costs;
-        let mut steps = Vec::new();
-        steps.extend(handshake_steps(ctx, self.asym.as_ref(), StageId::ClientNodeProxy));
-        // --- request: app → eBPF(+Nagle) → on-node proxy → hairpin to the
-        //     gateway → gateway L7 → server node proxy → app ---
-        steps.push(Step::cpu(
-            StageId::ClientNodeProxy,
-            c.ebpf_redirect + c.node_proxy_cpu_per_pass + sym_cost(c, ctx, ctx.req_bytes),
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        // The VM's packet pipeline is a serial pps budget in front of the
-        // worker cores (what actually caps the Fig. 11 knee for Canal).
-        steps.push(Step::cpu(
-            StageId::GatewayPipeline,
-            SimDuration::from_secs_f64(1.0 / c.gateway_pipeline_rps_cap),
-        ));
-        steps.push(Step::cpu_with_overhead(
-            StageId::GatewayBackend,
-            c.gateway_cpu_request + c.copy_cost(ctx.req_bytes),
-            c.gateway_pass_overhead,
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu(
-            StageId::ServerNodeProxy,
-            c.node_proxy_cpu_per_pass + sym_cost(c, ctx, ctx.req_bytes),
-        ));
-        steps.push(Step::cpu(StageId::App, c.app_service));
-        // --- response: hairpins back through the gateway ---
-        steps.push(Step::cpu(
-            StageId::ServerNodeProxy,
-            c.node_proxy_cpu_per_pass + sym_cost(c, ctx, ctx.resp_bytes),
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu_with_overhead(
-            StageId::GatewayBackend,
-            c.gateway_cpu_response + c.copy_cost(ctx.resp_bytes),
-            c.gateway_pass_overhead,
-        ));
-        steps.push(Step::wire(c.hop_one_way));
-        steps.push(Step::cpu(
-            StageId::ClientNodeProxy,
-            c.ebpf_redirect + c.node_proxy_cpu_per_pass + sym_cost(c, ctx, ctx.resp_bytes),
-        ));
-        steps.extend(telemetry_steps(c, ctx, &CANAL_TELEMETRY_SITES));
-        steps
-    }
-
-    fn stage_cores(&self) -> Vec<(StageId, usize)> {
-        // Fig. 13 setup: 2 cores for on-node proxies, 2 for the gateway.
-        vec![
-            (StageId::ClientNodeProxy, 1),
-            (StageId::ServerNodeProxy, 1),
-            (StageId::GatewayBackend, 2),
-            (StageId::GatewayPipeline, 1),
-            (StageId::App, 4),
-        ]
-    }
-
-    fn background_cores(&self, cluster: &ClusterShape) -> f64 {
-        cluster.nodes as f64 * self.costs.node_proxy_background_cores
-            + self.costs.gateway_background_cores
-    }
-
-    fn config_targets(&self, _cluster: &ClusterShape) -> usize {
-        // Traffic-control config goes only to the centralized gateway; the
-        // on-node proxies hold minimal security/observability config that
-        // rarely changes (§4.1.1).
-        1
-    }
-}
-
-/// The no-mesh baseline.
-pub(crate) struct NoMesh {
-    /// Cost constants (hop + app only).
-    pub costs: CostModel,
-}
-
-impl MeshArchitecture for NoMesh {
-    fn kind(&self) -> Architecture {
-        Architecture::NoMesh
-    }
-
-    fn request_steps(&self, ctx: &RequestCtx) -> Vec<Step> {
-        let c = &self.costs;
-        let _ = ctx;
-        vec![
-            Step::wire(c.hop_one_way),
-            Step::cpu(StageId::App, c.app_service),
-            Step::wire(c.hop_one_way),
-        ]
-    }
-
-    fn stage_cores(&self) -> Vec<(StageId, usize)> {
-        vec![(StageId::App, 4)]
-    }
-
-    fn background_cores(&self, _cluster: &ClusterShape) -> f64 {
-        0.0
-    }
-
-    fn config_targets(&self, _cluster: &ClusterShape) -> usize {
-        0
-    }
-}
-
-/// Construct an architecture by kind with default crypto backends.
-pub fn build(kind: Architecture, costs: CostModel) -> Box<dyn MeshArchitecture + Send> {
-    match kind {
-        Architecture::NoMesh => Box::new(NoMesh { costs }),
-        Architecture::Sidecar => Box::new(SidecarMesh::new(costs)),
-        Architecture::Ambient => Box::new(AmbientMesh::new(costs)),
-        Architecture::Canal => Box::new(CanalMesh::new(costs)),
-    }
+/// Construct an architecture by kind with default crypto backends: software
+/// asymmetric crypto at the sidecars and ztunnels, the remote key server in
+/// the local AZ for Canal (§4.1.3).
+pub fn build(kind: Architecture, costs: CostModel) -> Mesh {
+    let asym: Box<dyn AsymmetricBackend + Send> = match kind {
+        Architecture::Canal => Box::new(RemoteKeyServerBackend::new(KeyServerPlacement::LocalAz)),
+        _ => Box::new(SoftwareBackend::default()),
+    };
+    Mesh { kind, costs, asym }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::path::PathExecutor;
+    use std::collections::BTreeSet;
 
     fn unloaded(kind: Architecture, ctx: &RequestCtx) -> f64 {
         let arch = build(kind, CostModel::default());
@@ -595,25 +468,42 @@ mod tests {
         assert!((1.15..=1.45).contains(&r_ambient), "ambient/canal = {r_ambient}");
     }
 
+    /// Every placement cores exactly the stages its hops and recording
+    /// sites name (`PathExecutor::run` runs an uncored stage as
+    /// uncontended, so a stray stage would pass unnoticed), and holds the
+    /// module doc's structural table per direction.
     #[test]
-    fn sidecar_visits_l7_twice_but_canal_once() {
-        let ctx = RequestCtx::light();
-        let sidecar = SidecarMesh::new(CostModel::default());
-        let canal = CanalMesh::new(CostModel::default());
-        let count = |steps: &[Step], stage: StageId| {
-            steps.iter().filter(|s| s.stage == Some(stage)).count()
-        };
-        let s = sidecar.request_steps(&ctx);
-        // Client sidecar: redirect + request pass + response pass.
-        assert_eq!(count(&s, StageId::ClientSidecar), 3);
-        assert_eq!(count(&s, StageId::ServerSidecar), 3);
-        let c = canal.request_steps(&ctx);
-        assert_eq!(count(&c, StageId::GatewayBackend), 2); // req + resp pass
+    fn placements_core_the_stages_they_name_and_hold_the_structural_table() {
+        // (architecture, L7 passes, L4 passes, one-way wire hops) per direction.
+        for (kind, l7, l4, wires) in [
+            (Architecture::Sidecar, 2, 0, 1),
+            (Architecture::Ambient, 1, 2, 2),
+            (Architecture::Canal, 1, 2, 2),
+            (Architecture::NoMesh, 0, 0, 1),
+        ] {
+            let p = placement(kind);
+            let mut named: BTreeSet<StageId> = p.handshake.into_iter().collect();
+            named.extend(p.telemetry.iter().map(|&(stage, _)| stage));
+            for hops in [p.request, p.response] {
+                let count = |pick: fn(&Hop) -> bool| hops.iter().filter(|h| pick(h)).count();
+                let l7_pass = |h: &Hop| matches!(h, Hop::On(_, Work::Sidecar | Work::Waypoint | Work::Gateway));
+                let l4_pass = |h: &Hop| matches!(h, Hop::On(_, Work::Ztunnel { .. } | Work::NodeProxy { .. }));
+                assert_eq!(count(l7_pass), l7, "{}: L7 passes", kind.name());
+                assert_eq!(count(l4_pass), l4, "{}: L4 passes", kind.name());
+                assert_eq!(count(|h| matches!(h, Hop::Wire)), wires, "{}: wire hops", kind.name());
+                for &hop in hops {
+                    let Hop::On(stage, _) = hop else { continue };
+                    named.insert(stage);
+                }
+            }
+            let cored: BTreeSet<StageId> = p.cores.iter().map(|&(stage, _)| stage).collect();
+            assert_eq!(named, cored, "{}: named stages against cored stages", kind.name());
+        }
     }
 
     #[test]
     fn new_https_connection_pays_handshake() {
-        let arch = CanalMesh::new(CostModel::default());
+        let arch = build(Architecture::Canal, CostModel::default());
         let light = PathExecutor::unloaded_latency(&arch.request_steps(&RequestCtx::light()));
         let fresh =
             PathExecutor::unloaded_latency(&arch.request_steps(&RequestCtx::new_https(8)));
@@ -645,7 +535,7 @@ mod tests {
         // A resumed Canal handshake pays no key-server RTT at all: the gap
         // to an established connection is pure node CPU (≤ the software
         // handshake cost), nowhere near the ≈1.7ms key-server round trip.
-        let canal = CanalMesh::new(CostModel::default());
+        let canal = build(Architecture::Canal, CostModel::default());
         let established =
             PathExecutor::unloaded_latency(&canal.request_steps(&RequestCtx::light()));
         let resumed =
@@ -657,12 +547,12 @@ mod tests {
     #[test]
     fn handshake_concurrency_matters_for_sidecar_but_not_canal() {
         // Canal's key server is flat; a QAT sidecar would batch-bubble.
-        let canal = CanalMesh::new(CostModel::default());
+        let canal = build(Architecture::Canal, CostModel::default());
         let lone = PathExecutor::unloaded_latency(&canal.request_steps(&RequestCtx::new_https(1)));
         let many = PathExecutor::unloaded_latency(&canal.request_steps(&RequestCtx::new_https(64)));
         assert_eq!(lone, many);
         // Sidecar with a local batch accelerator shows the bubble.
-        let mut sc = SidecarMesh::new(CostModel::default());
+        let mut sc = build(Architecture::Sidecar, CostModel::default());
         sc.asym = Box::new(canal_crypto::accel::LocalBatchBackend::default());
         let lone = PathExecutor::unloaded_latency(&sc.request_steps(&RequestCtx::new_https(1)));
         let many = PathExecutor::unloaded_latency(&sc.request_steps(&RequestCtx::new_https(64)));
@@ -670,25 +560,12 @@ mod tests {
     }
 
     #[test]
-    fn config_targets_shrink_down_the_decoupling_ladder() {
-        let shape = ClusterShape::production(15_000);
-        let istio = SidecarMesh::new(CostModel::default());
-        let ambient = AmbientMesh::new(CostModel::default());
-        let canal = CanalMesh::new(CostModel::default());
-        assert_eq!(istio.config_targets(&shape), 15_000);
-        assert_eq!(ambient.config_targets(&shape), 1000 + 7500);
-        assert_eq!(canal.config_targets(&shape), 1);
-        // §2.2: Ambient configures ≈43% fewer proxies than Istio.
-        let reduction = 1.0 - ambient.config_targets(&shape) as f64 / 15_000.0;
-        assert!((0.40..0.46).contains(&reduction), "{reduction}");
-    }
-
-    #[test]
     fn background_burn_ordering() {
         let shape = ClusterShape::production(450);
-        let istio = SidecarMesh::new(CostModel::default()).background_cores(&shape);
-        let ambient = AmbientMesh::new(CostModel::default()).background_cores(&shape);
-        let canal = CanalMesh::new(CostModel::default()).background_cores(&shape);
+        let cores = |kind| build(kind, CostModel::default()).background_cores(&shape);
+        let istio = cores(Architecture::Sidecar);
+        let ambient = cores(Architecture::Ambient);
+        let canal = cores(Architecture::Canal);
         assert!(istio > ambient && ambient > canal);
     }
 
@@ -714,7 +591,7 @@ mod tests {
 
     #[test]
     fn https_costs_more_than_http() {
-        let arch = AmbientMesh::new(CostModel::default());
+        let arch = build(Architecture::Ambient, CostModel::default());
         let http = arch.mesh_cpu_per_request(&RequestCtx::light());
         let mut ctx = RequestCtx::light();
         ctx.https = true;
@@ -758,7 +635,7 @@ mod tests {
     fn build_covers_all_kinds() {
         for kind in Architecture::ALL {
             let arch = build(kind, CostModel::default());
-            assert_eq!(arch.kind(), kind);
+            assert_eq!(arch.kind, kind);
             assert!(!arch.request_steps(&RequestCtx::light()).is_empty());
         }
     }

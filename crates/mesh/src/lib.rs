@@ -18,10 +18,11 @@
 //!   [`path::Step`]s over named CPU stages; queueing delay and CPU
 //!   utilization come from `canal_sim::CpuServer` integration, so the
 //!   latency knees of Figs. 2/11 *emerge* rather than being asserted.
-//! * [`arch`] — [`arch::MeshArchitecture`]: the Sidecar (Istio-like),
-//!   Ambient-like, and Canal data planes as step-plan builders plus the
-//!   proxy/component inventory each needs (for resource and control-plane
-//!   accounting).
+//! * [`arch`] — [`arch::Mesh`]: the Sidecar (Istio-like), Ambient-like,
+//!   Canal and no-mesh data planes, each a private placement table (which
+//!   stage runs each hop, where spans are recorded, the testbed cores) that
+//!   one walker prices into step plans, plus each fleet's background cores
+//!   (for resource accounting).
 //! * [`resources`] — the per-pod sidecar resource model behind Table 1 and
 //!   Fig. 3.
 //! * [`observability`] — the §4.1.1 split: L4 per-pod labeling at the
