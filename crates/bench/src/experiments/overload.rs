@@ -32,9 +32,7 @@ use crate::harness::{poisson_arrivals, ExperimentReport};
 use crate::scenario::{checks, fields, violated, Claim, Json, Scenario};
 use canal_control::{OverloadAssessment, WaterLevelMonitor};
 use canal_gateway::overload::{AttemptKind, OverloadConfig, OverloadControl};
-use canal_net::{
-    Endpoint, FiveTuple, GlobalServiceId, Priority, ServiceId, TenantId, VpcAddr, VpcId,
-};
+use canal_net::{GlobalServiceId, Priority, ServiceId, TenantId};
 use canal_sim::output::{num, pct, Table};
 use canal_sim::{stats, Digest, Fold, SimDuration, SimRng, SimTime, Stats};
 
@@ -115,16 +113,6 @@ fn sidecar_cfg() -> OverloadConfig {
 
 fn svc(tenant: u32) -> GlobalServiceId {
     GlobalServiceId::compose(TenantId(tenant), ServiceId(8))
-}
-
-fn tuple(tenant: u32, sport: u16) -> FiveTuple {
-    FiveTuple::tcp(
-        Endpoint::new(
-            VpcAddr::new(VpcId(tenant), 10, 0, (sport >> 8) as u8, sport as u8),
-            sport.max(1),
-        ),
-        Endpoint::new(VpcAddr::new(VpcId(tenant), 10, 9, 9, 9), 443),
-    )
 }
 
 /// One precomputed client arrival.
@@ -480,8 +468,6 @@ fn run_pass(placement: &mut Placement, arrivals: &[Arrival], horizon: SimDuratio
             a.at,
             svc(a.tenant),
             a.priority,
-            tuple(a.tenant, a.sport),
-            false,
             u64::from(a.tenant),
             AttemptKind::First,
             REQUEST_BYTES,

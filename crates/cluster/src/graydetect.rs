@@ -346,25 +346,30 @@ impl<K: Ord + Clone> GrayDetector<K> {
         &self.probes
     }
 
-    /// Fold detector state into a digest: per-target verdict, EWMA bits,
-    /// window counters (`win_requests`, `win_errors`, `win_latencies` via
-    /// length, `lat_overflow`), hysteresis counters (`bad_windows`,
+}
+
+impl<K: Ord + Copy + Into<u64>> GrayDetector<K> {
+    /// Fold detector state into a digest: the embedded `probes` tracker,
+    /// then per target its key, verdict, EWMA bits, window counters
+    /// (`win_requests`, `win_errors`, `win_latencies` via length,
+    /// `lat_overflow`) and hysteresis counters (`bad_windows`,
     /// `good_windows`, `quarantined_at`), the roll clock (`last_roll`) and
     /// the lifetime counters (`quarantines`, `clears`, `safety_holds`).
     pub fn fold(&self, f: &mut impl Fold) {
         let Self {
-            targets, last_roll, quarantines, clears, safety_holds,
+            probes, targets, last_roll, quarantines, clears, safety_holds,
             policy: _, // config: fixed at construction
-            probes: _, // gap: probe health feeds the folded verdicts but is not folded itself
         } = self;
+        f.scope("probes", |f| probes.fold(f));
         f.write_u64(targets.len() as u64);
-        for ev in targets.values() {
-            f.write_u64(ev.verdict.tag())
+        for (&key, ev) in targets {
+            f.write_u64(key.into())
+                .write_u64(ev.verdict.tag())
                 .write_f64(ev.ewma_error)
                 .write_u64(ev.win_requests)
                 .write_u64(ev.win_errors)
                 .write_u64(ev.win_latencies.len() as u64)
-                .write_u64(ev.lat_overflow)
+                .count("lat_overflow", ev.lat_overflow)
                 .write_u64(ev.bad_windows as u64)
                 .write_u64(ev.good_windows as u64)
                 .write_u64(ev.quarantined_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX));
@@ -581,5 +586,25 @@ mod tests {
         d.roll_window(T(1));
         let c = Digest::of(|f| d.fold(f));
         assert_ne!(a.value(), c.value(), "roll must move the digest");
+    }
+
+    #[test]
+    fn fold_tells_targets_and_probe_health_apart() {
+        let policy = GrayPolicy {
+            window: SimDuration::from_secs(1),
+            cooloff: SimDuration::from_secs(10),
+        };
+        let fresh = |key: u32| {
+            let mut d = GrayDetector::new(policy, ProbePolicy::default());
+            d.add_target(key);
+            d
+        };
+        let digest = |d: &GrayDetector<u32>| Digest::of(|f| d.fold(f)).value();
+        // The same evidence, held for different targets.
+        assert_ne!(digest(&fresh(1)), digest(&fresh(2)), "the fold must name each target");
+        // The same evidence, one failed probe apart.
+        let mut probed = fresh(1);
+        probed.record_probe(&1, T(0), false);
+        assert_ne!(digest(&fresh(1)), digest(&probed), "the fold must take the probe tracker");
     }
 }

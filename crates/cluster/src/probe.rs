@@ -6,7 +6,7 @@
 //! machine (k consecutive failures → unhealthy, m consecutive successes →
 //! healthy) and a tracker over a set of targets.
 
-use canal_sim::{SimDuration, SimTime};
+use canal_sim::{Fold, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Health of a probed target.
@@ -110,6 +110,26 @@ impl<K: Ord + Clone> ProbeTracker<K> {
     /// Current state of a target.
     pub(crate) fn state(&self, key: &K) -> Option<HealthState> {
         self.targets.get(key).map(|t| t.state)
+    }
+}
+
+impl<K: Ord + Copy + Into<u64>> ProbeTracker<K> {
+    /// Fold every target's key, health, hysteresis counters and last probe
+    /// time.
+    pub(crate) fn fold(&self, f: &mut impl Fold) {
+        let Self {
+            targets,
+            policy: _, // config: fixed at construction
+        } = self;
+        f.write_u64(targets.len() as u64);
+        for (&key, t) in targets {
+            let TargetState { state, consecutive_fails, consecutive_oks, last_probe } = t;
+            f.write_u64(key.into())
+                .write_u64(*state as u64)
+                .write_u64(u64::from(*consecutive_fails))
+                .write_u64(u64::from(*consecutive_oks))
+                .write_u64(last_probe.map_or(u64::MAX, |t| t.as_nanos()));
+        }
     }
 }
 

@@ -106,7 +106,7 @@ pub struct RotationRecord {
     /// CA generation the bundle carried.
     pub generation: u64,
     /// Whether the bundle revoked all prior generations (compromise).
-    pub revoked_prior: bool,
+    pub(crate) revoked_prior: bool,
     /// When the wave began.
     pub started_at: SimTime,
     /// When it reached a terminal phase.

@@ -19,39 +19,39 @@ use canal_sim::SimDuration;
 #[derive(Debug, Clone, Copy)]
 pub struct ConfigCosts {
     /// Serialized bytes per config entry (one pod's routing+security rules).
-    pub bytes_per_entry: usize,
+    pub(crate) bytes_per_entry: usize,
     /// Fixed bytes per target (envelope, TLS, metadata).
-    pub base_bytes_per_target: usize,
+    pub(crate) base_bytes_per_target: usize,
     /// Controller CPU per built entry.
-    pub build_cpu_per_entry: SimDuration,
+    pub(crate) build_cpu_per_entry: SimDuration,
     /// Southbound bandwidth (bytes/s) available for pushing.
-    pub southbound_bandwidth: f64,
+    pub(crate) southbound_bandwidth: f64,
     /// Per-target push round trip (connection + ack).
-    pub per_target_push_rtt: SimDuration,
+    pub(crate) per_target_push_rtt: SimDuration,
     /// Per-pod infra setup common to all architectures (scheduling, image,
     /// IP allocation) when creating pods.
-    pub pod_setup: SimDuration,
+    pub(crate) pod_setup: SimDuration,
     /// Parallelism of the pusher (concurrent target streams).
-    pub push_fanout: usize,
+    pub(crate) push_fanout: usize,
     /// Waypoint deployments run replicated (Ambient defaults to 2).
-    pub waypoint_replicas: usize,
+    pub(crate) waypoint_replicas: usize,
     /// A waypoint's config is scoped to its service plus the services it
     /// talks to: `pods_per_service × dependency_fanout` entries (capped at
     /// the full cluster).
-    pub dependency_fanout: usize,
+    pub(crate) dependency_fanout: usize,
     /// A waypoint's config carries inbound+outbound policy and certs —
     /// larger than one sidecar's share by this factor.
-    pub waypoint_config_scale: f64,
+    pub(crate) waypoint_config_scale: f64,
     /// The Canal gateway's multi-tenant config (routing + security +
     /// session/bucket/tunnel tables) relative to one sidecar's full config.
-    pub gateway_config_scale: f64,
+    pub(crate) gateway_config_scale: f64,
     /// Per-20-pod-wave bootstrap on pod creation: sidecar injection and
     /// restart (Istio).
-    pub sidecar_bootstrap_per_wave: SimDuration,
+    pub(crate) sidecar_bootstrap_per_wave: SimDuration,
     /// Per-wave bootstrap: ztunnel identity/cert issuance (Ambient).
-    pub ambient_bootstrap_per_wave: SimDuration,
+    pub(crate) ambient_bootstrap_per_wave: SimDuration,
     /// Per-wave bootstrap: nothing node-local beyond registration (Canal).
-    pub canal_bootstrap_per_wave: SimDuration,
+    pub(crate) canal_bootstrap_per_wave: SimDuration,
 }
 
 impl Default for ConfigCosts {

@@ -262,11 +262,11 @@ pub struct ReplayState {
     pub last_good: u64,
     /// Highest version any Begin record carries (used to discard
     /// superseded rollback records on re-application).
-    pub latest_begun: u64,
+    pub(crate) latest_begun: u64,
     /// The non-terminal rollout, if the journal ends mid-flight.
     pub in_flight: Option<ReplayRollout>,
     /// A journaled rollback not yet superseded by a later begin/converge.
-    pub pending_rollback: Option<PendingRollback>,
+    pub(crate) pending_rollback: Option<PendingRollback>,
     /// Highest version each target rejected (per the journal).
     pub nacked: BTreeMap<TargetId, u64>,
 }

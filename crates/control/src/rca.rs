@@ -52,9 +52,9 @@ pub enum SpanRcaVerdict {
 #[derive(Debug, Clone, Copy)]
 pub struct SpanEvidenceRca {
     /// Multiplicative inflation over baseline that names a hop.
-    pub inflation: f64,
+    pub(crate) inflation: f64,
     /// Ignore hops below this absolute level (ms) — noise floor.
-    pub min_ms: f64,
+    pub(crate) min_ms: f64,
 }
 
 impl Default for SpanEvidenceRca {
@@ -107,9 +107,9 @@ impl SpanEvidenceRca {
 #[derive(Debug, Clone, Copy)]
 pub struct TrendHopRca {
     /// Minimum Pearson correlation to accept a culprit hop.
-    pub min_correlation: f64,
+    pub(crate) min_correlation: f64,
     /// Minimum number of windows before correlating at all.
-    pub min_windows: usize,
+    pub(crate) min_windows: usize,
 }
 
 impl Default for TrendHopRca {

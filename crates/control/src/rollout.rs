@@ -178,7 +178,7 @@ pub struct RolloutOutcome {
     /// The version driven.
     pub version: u64,
     /// The last-known-good version a rollback would (or did) restore.
-    pub rolled_back_to: u64,
+    pub(crate) rolled_back_to: u64,
     /// When the rollout began.
     pub started_at: SimTime,
     /// When it reached a terminal phase.

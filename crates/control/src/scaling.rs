@@ -29,15 +29,13 @@ pub enum ScalingKind {
 pub struct ScalingRecord {
     /// Strategy chosen.
     pub kind: ScalingKind,
-    /// The service scaled.
-    pub service: GlobalServiceId,
     /// Backend the service was extended onto / created.
     pub backend: BackendId,
     /// When the operation was issued.
-    pub executed_at: SimTime,
+    pub(crate) executed_at: SimTime,
     /// When the operation completes, per the Fig. 17 models; the gateway
     /// serves from the new placement at once.
-    pub finished_at: SimTime,
+    pub(crate) finished_at: SimTime,
 }
 
 impl ScalingRecord {
@@ -51,13 +49,13 @@ impl ScalingRecord {
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingLatencies {
     /// Median `Reuse` completion (config push + redirector update).
-    pub reuse_median: SimDuration,
+    pub(crate) reuse_median: SimDuration,
     /// Lognormal sigma for `Reuse`.
-    pub reuse_sigma: f64,
+    pub(crate) reuse_sigma: f64,
     /// Median `New` completion (VM create + image + network + registration).
-    pub new_median: SimDuration,
+    pub(crate) new_median: SimDuration,
     /// Lognormal sigma for `New`.
-    pub new_sigma: f64,
+    pub(crate) new_sigma: f64,
 }
 
 impl Default for ScalingLatencies {
@@ -149,7 +147,6 @@ impl ScalingEngine {
         gateway.extend_service(service, backend);
         let record = ScalingRecord {
             kind,
-            service,
             backend,
             executed_at: now,
             finished_at: now + took,

@@ -28,9 +28,9 @@ pub struct AccelConfig {
     pub batch_width: usize,
     /// How long a partial batch waits before processing anyway (min 1 ms per
     /// the paper).
-    pub flush_timeout: SimDuration,
+    pub(crate) flush_timeout: SimDuration,
     /// Time to process one full batch.
-    pub per_batch_cost: SimDuration,
+    pub(crate) per_batch_cost: SimDuration,
 }
 
 impl Default for AccelConfig {
@@ -51,7 +51,7 @@ pub struct CompletedOp {
     /// When the operation was submitted.
     pub arrived: SimTime,
     /// When its batch finished processing.
-    pub completed: SimTime,
+    pub(crate) completed: SimTime,
 }
 
 impl CompletedOp {
@@ -162,7 +162,7 @@ pub trait AsymmetricBackend {
 #[derive(Debug, Clone, Copy)]
 pub struct SoftwareBackend {
     /// Per-operation compute time.
-    pub op_cost: SimDuration,
+    pub(crate) op_cost: SimDuration,
 }
 
 impl Default for SoftwareBackend {
@@ -195,7 +195,7 @@ pub struct LocalBatchBackend {
     pub cfg: AccelConfig,
     /// Node CPU consumed per op (the accelerator is the node's own CPU, but
     /// vectorization cuts the cycle count substantially).
-    pub node_cpu: SimDuration,
+    pub(crate) node_cpu: SimDuration,
 }
 
 impl Default for LocalBatchBackend {

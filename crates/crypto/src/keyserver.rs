@@ -195,11 +195,11 @@ pub struct RemoteKeyServerBackend {
     /// The server configuration (placement decides RTT).
     pub cfg: KeyServerConfig,
     /// Node CPU per op: marshalling the RPC only.
-    pub node_cpu: SimDuration,
+    pub(crate) node_cpu: SimDuration,
     /// Fault-injected extra wait per op (a degraded-but-alive key server:
     /// every handshake eats a timeout before the answer lands). `None` when
     /// healthy; set by chaos runs via [`RemoteKeyServerBackend::inject_timeout`].
-    pub injected_timeout: Option<SimDuration>,
+    pub(crate) injected_timeout: Option<SimDuration>,
 }
 
 impl RemoteKeyServerBackend {
@@ -248,9 +248,9 @@ impl AsymmetricBackend for RemoteKeyServerBackend {
 /// handshakes".
 pub struct FallbackBackend<P, F> {
     /// Primary backend (e.g. [`RemoteKeyServerBackend`]).
-    pub primary: P,
+    pub(crate) primary: P,
     /// Fallback (e.g. local software/AVX crypto).
-    pub fallback: F,
+    pub(crate) fallback: F,
     primary_healthy: bool,
 }
 

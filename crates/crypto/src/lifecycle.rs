@@ -47,7 +47,7 @@ pub struct Cert {
     /// the low 32 bits the per-generation issuance counter, so serials are
     /// strictly monotone across rotations and a generation-wide revocation
     /// is a single floor comparison.
-    pub serial: u64,
+    pub(crate) serial: u64,
     /// Hard expiry instant: the cert is invalid at and after this time.
     pub not_after: SimTime,
 }
@@ -245,7 +245,7 @@ pub struct SessionTicket {
     pub tenant: u64,
     /// Serial of the cert the session was established under. A bundle that
     /// revokes this serial also kills the ticket.
-    pub cert_serial: u64,
+    pub(crate) cert_serial: u64,
     /// Expiry: `min(minted + ticket_lifetime, cert.not_after)` — a ticket
     /// never outlives the certificate it was minted under.
     pub expires: SimTime,

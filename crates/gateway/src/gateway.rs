@@ -151,7 +151,6 @@ pub struct Gateway {
     fresh_table: BucketTable,
     /// The sandbox/throttle machinery.
     pub sandbox: Sandbox,
-    window_start: SimTime,
     errors: u64,
     served: u64,
 }
@@ -194,7 +193,6 @@ impl Gateway {
             services: FlatTable::new(),
             fresh_table: BucketTable::new(cfg.buckets, &replicas, cfg.max_chain),
             sandbox: Sandbox::new(),
-            window_start: SimTime::ZERO,
             errors: 0,
             served: 0,
         };
@@ -476,7 +474,6 @@ impl Gateway {
                 p.window_requests = 0;
             }
         }
-        self.window_start = now;
         out
     }
 
@@ -525,13 +522,13 @@ impl Gateway {
     /// Fold the whole gateway into a digest, delegating to every
     /// subsystem: `placement`, `planner`, per-replica state and
     /// per-redirector tables and counters of `backends`, the `sandbox`, the
-    /// backend AZs and count, the window counters of `services` and
-    /// `window_start`, and `errors`/`served`. Tables and counters
-    /// that live in service slots are emitted per backend in ascending
-    /// service order, so the sequence is independent of the slot layout.
+    /// backend AZs and count, the window counters of `services`, and
+    /// `errors`/`served`. Tables and counters that live in service slots
+    /// are emitted per backend in ascending service order, so the sequence
+    /// is independent of the slot layout.
     pub fn fold(&self, f: &mut impl Fold) {
         let Self {
-            placement, planner, backends, sandbox, window_start, errors, served,
+            placement, planner, backends, sandbox, errors, served,
             cfg: _, // config: fixed at construction
             services: _, // folded through `placements_by_backend`, in (backend, service) order
             fresh_table: _, // config: the table every placement starts from, built from `cfg`
@@ -569,7 +566,7 @@ impl Gateway {
         for (b, s, p) in counted {
             f.write_u64(*b as u64).write_u64(s.0).write_u64(p.window_requests);
         }
-        f.write_u64(window_start.as_nanos()).count("errors", *errors).count("served", *served);
+        f.count("errors", *errors).count("served", *served);
     }
 
     /// Execute one upgrade step: fail the replica, migrate its sessions'

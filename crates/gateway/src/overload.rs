@@ -46,7 +46,7 @@
 //! simulated time with no internal RNG — runs are digest-deterministic.
 
 use crate::gateway::GatewayError;
-use canal_net::{FiveTuple, GlobalServiceId, Priority};
+use canal_net::{GlobalServiceId, Priority};
 use canal_sim::stats::percentile;
 use canal_sim::{ClassConfig, ClassId, FairCpuServer, Fold, QueueReject, SimDuration, SimTime};
 use canal_telemetry::{HeadSampler, TelemetryCostModel, TelemetryMeter};
@@ -65,6 +65,18 @@ pub(crate) struct TelemetrySink {
     pub cost: TelemetryCostModel,
     /// Accumulated telemetry spend (and refunds) at this gateway.
     pub meter: TelemetryMeter,
+}
+
+impl TelemetrySink {
+    /// Fold the head `sampler`.
+    fn fold(&self, f: &mut impl Fold) {
+        let Self {
+            sampler,
+            cost: _,  // config: fixed at attachment
+            meter: _, // gap: the spend and refunds are not folded
+        } = self;
+        f.scope("sampler", |f| sampler.fold(f));
+    }
 }
 
 /// Identifier of a requesting client (the retry-budget scope: one upstream
@@ -330,12 +342,6 @@ impl Default for OverloadConfig {
 pub struct PendingRequest {
     /// The destination service.
     pub service: GlobalServiceId,
-    /// The request's five-tuple.
-    pub tuple: FiveTuple,
-    /// Whether this is a connection-opening packet.
-    pub syn: bool,
-    /// The requesting client (budget scope).
-    pub client: ClientId,
     /// Scheduling class metadata.
     pub priority: Priority,
 }
@@ -505,14 +511,11 @@ impl OverloadControl {
     /// Offer one request to the pipeline: budget check → class queue with
     /// caps. On success the request is parked and the ticket is returned;
     /// the grant (or CoDel shed) arrives from [`OverloadControl::pump`].
-    #[allow(clippy::too_many_arguments, reason = "request metadata is genuinely this wide")]
     pub fn offer(
         &mut self,
         now: SimTime,
         service: GlobalServiceId,
         priority: Priority,
-        tuple: FiveTuple,
-        syn: bool,
         client: ClientId,
         kind: AttemptKind,
         bytes: u64,
@@ -523,13 +526,7 @@ impl OverloadControl {
         }
         let class = self.ensure_class(service, priority);
         let demand = self.demands[self.brownout_level() as usize];
-        let pending = PendingRequest {
-            service,
-            tuple,
-            syn,
-            client,
-            priority,
-        };
+        let pending = PendingRequest { service, priority };
         match self.fair.offer(now, class, demand, bytes, pending) {
             Ok(ticket) => {
                 // Provisional span recording: charged unconditionally so the
@@ -653,8 +650,9 @@ impl OverloadControl {
     /// Fold the whole pipeline into a digest: the `fair` scheduler, every
     /// class's `codel` shedder, the retry `budget` ledger, the `brownout`
     /// controller, the parked requests (every job `fair` holds, queued or
-    /// started but not yet pumped, in ticket order), the `telemetry`
-    /// attachment, the window counters and `total_shed`.
+    /// started but not yet pumped, in ticket order, by service), the
+    /// `telemetry` attachment and its head sampler, the window counters
+    /// and `total_shed`.
     pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             fair, codel, budget, brownout, telemetry, win_offered, win_started, win_shed_caps,
@@ -694,13 +692,12 @@ impl OverloadControl {
         parked.sort_unstable_by_key(|&(ticket, _)| ticket);
         f.write_u64(parked.len() as u64);
         for (ticket, p) in parked {
-            f.write_u64(ticket)
-                .write_u64(p.service.0)
-                .write_u64(canal_net::hash_five_tuple(&p.tuple))
-                .write_u64(p.syn as u64)
-                .write_u64(p.client);
+            f.write_u64(ticket).write_u64(p.service.0);
         }
         f.write_u64(telemetry.is_some() as u64);
+        if let Some(sink) = telemetry {
+            f.scope("telemetry", |f| sink.fold(f));
+        }
         f.write_u64(*win_offered)
             .write_u64(*win_started)
             .write_u64(*win_shed_caps)
@@ -717,17 +714,10 @@ impl OverloadControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canal_net::{Endpoint, ServiceId, TenantId, VpcAddr, VpcId};
+    use canal_net::{ServiceId, TenantId};
 
     fn svc(tenant: u32) -> GlobalServiceId {
         GlobalServiceId::compose(TenantId(tenant), ServiceId(1))
-    }
-
-    fn tuple(sport: u16) -> FiveTuple {
-        FiveTuple::tcp(
-            Endpoint::new(VpcAddr::new(VpcId(1), 10, 0, 0, 1), sport),
-            Endpoint::new(VpcAddr::new(VpcId(1), 10, 0, 2, 2), 443),
-        )
     }
 
     const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
@@ -823,14 +813,11 @@ mod tests {
         ov: &mut OverloadControl,
         now: SimTime,
         tenant: u32,
-        sport: u16,
     ) -> Result<u64, GatewayError> {
         ov.offer(
             now,
             svc(tenant),
             Priority::Interactive,
-            tuple(sport),
-            true,
             u64::from(tenant),
             AttemptKind::First,
             256,
@@ -848,10 +835,10 @@ mod tests {
         };
         let mut ov = OverloadControl::new(cfg);
         // Tenant 1 floods; tenant 2 sends one request afterwards.
-        for i in 0..400u16 {
-            let _ = offer_first(&mut ov, SimTime::ZERO, 1, i);
+        for _ in 0..400 {
+            let _ = offer_first(&mut ov, SimTime::ZERO, 1);
         }
-        offer_first(&mut ov, SimTime::from_micros(150), 2, 1).unwrap();
+        offer_first(&mut ov, SimTime::from_micros(150), 2).unwrap();
         let surger = ov.class_of(svc(1), Priority::Interactive);
         let victim = ov.class_of(svc(2), Priority::Interactive);
         assert!(ov.fair.depth(surger) > 100);
@@ -877,8 +864,8 @@ mod tests {
         };
         let mut ov = OverloadControl::new(cfg);
         let mut shed = 0;
-        for i in 0..100u16 {
-            if offer_first(&mut ov, SimTime::ZERO, 1, i) == Err(GatewayError::OverloadShed) {
+        for _ in 0..100 {
+            if offer_first(&mut ov, SimTime::ZERO, 1) == Err(GatewayError::OverloadShed) {
                 shed += 1;
             }
         }
@@ -897,8 +884,6 @@ mod tests {
                 SimTime::ZERO,
                 svc(1),
                 Priority::Interactive,
-                tuple(1),
-                true,
                 7,
                 AttemptKind::Retry,
                 256,
@@ -906,7 +891,7 @@ mod tests {
             Err(GatewayError::RetryBudgetExhausted)
         );
         // ...while a first attempt sails through.
-        assert!(offer_first(&mut ov, SimTime::ZERO, 1, 2).is_ok());
+        assert!(offer_first(&mut ov, SimTime::ZERO, 1).is_ok());
         assert_eq!(ov.budget.rejections, 1);
     }
 
@@ -925,7 +910,7 @@ mod tests {
         let mut ov = OverloadControl::new(cfg);
         // Build pressure: a sustained backlog raises sojourns.
         for i in 0..200u64 {
-            let _ = offer_first(&mut ov, SimTime::from_micros(i * 50), 1, i as u16);
+            let _ = offer_first(&mut ov, SimTime::from_micros(i * 50), 1);
         }
         ov.pump(SimTime::from_millis(20), &mut Vec::new());
         assert!(ov.brownout_level() > BrownoutLevel::Normal);
@@ -934,7 +919,7 @@ mod tests {
         let before = ov.fair.granted(ov.class_of(svc(1), Priority::Interactive));
         let served0 = ov.fair.served_count(ov.class_of(svc(1), Priority::Interactive));
         for i in 0..50u64 {
-            let _ = offer_first(&mut ov, SimTime::from_millis(21) + SimDuration::from_micros(i), 1, 500 + i as u16);
+            let _ = offer_first(&mut ov, SimTime::from_millis(21) + SimDuration::from_micros(i), 1);
         }
         ov.pump(SimTime::from_millis(40), &mut Vec::new());
         let class = ov.class_of(svc(1), Priority::Interactive);
@@ -948,7 +933,7 @@ mod tests {
 
     #[test]
     fn brownout_sheds_telemetry_before_any_request() {
-        use canal_sim::SimRng;
+        use canal_sim::{SimRng, Stats};
         let cfg = OverloadConfig {
             ingress_cores: 1,
             base_cpu: SimDuration::from_micros(100),
@@ -969,7 +954,7 @@ mod tests {
         });
         // Calm phase: spans charge, nothing is refunded.
         for i in 0..4u16 {
-            offer_first(&mut ov, SimTime::from_micros(u64::from(i) * 200), 1, i).unwrap();
+            offer_first(&mut ov, SimTime::from_micros(u64::from(i) * 200), 1).unwrap();
         }
         ov.pump(SimTime::from_millis(1), &mut Vec::new());
         let m = &ov.telemetry.as_ref().unwrap().meter;
@@ -979,8 +964,8 @@ mod tests {
         // observability threshold. Telemetry cost must come back as refunds
         // while not a single request has been dropped — the brownout ladder
         // sheds optional work strictly before requests.
-        for i in 0..200u16 {
-            offer_first(&mut ov, SimTime::from_millis(2), 1, 100 + i).unwrap();
+        for _ in 0..200 {
+            offer_first(&mut ov, SimTime::from_millis(2), 1).unwrap();
         }
         ov.pump(SimTime::from_millis(40), &mut Vec::new());
         let m = &ov.telemetry.as_ref().unwrap().meter;
@@ -989,7 +974,8 @@ mod tests {
         assert_eq!(ov.total_shed, 0, "telemetry sheds strictly before requests");
         let sampler = &ov.telemetry.as_ref().unwrap().sampler;
         assert!(sampler.is_shed());
-        assert!(sampler.shed_refused() > 0);
+        let refused = Stats::of(|s| ov.fold(s)).get("telemetry.sampler.shed_refused");
+        assert!(refused > Some(0), "{refused:?}");
     }
 
     #[test]
@@ -1002,13 +988,11 @@ mod tests {
             ..OverloadConfig::default()
         };
         let mut ov = OverloadControl::new(cfg);
-        for i in 0..100u16 {
+        for _ in 0..100 {
             ov.offer(
                 SimTime::ZERO,
                 svc(1),
                 Priority::Bulk,
-                tuple(i),
-                true,
                 1,
                 AttemptKind::First,
                 256,
@@ -1018,8 +1002,6 @@ mod tests {
                 SimTime::ZERO,
                 svc(1),
                 Priority::Interactive,
-                tuple(1000 + i),
-                true,
                 1,
                 AttemptKind::First,
                 256,
@@ -1043,8 +1025,8 @@ mod tests {
             ov.class_of(svc(1), Priority::Interactive),
             ov.class_of(svc(9), Priority::Bulk)
         );
-        offer_first(&mut ov, SimTime::ZERO, 1, 1).unwrap();
-        offer_first(&mut ov, SimTime::ZERO, 9, 2).unwrap();
+        offer_first(&mut ov, SimTime::ZERO, 1).unwrap();
+        offer_first(&mut ov, SimTime::ZERO, 9).unwrap();
         let mut started = Vec::new();
         ov.pump(SimTime::from_millis(1), &mut started);
         assert_eq!(started.len(), 2);
@@ -1053,7 +1035,7 @@ mod tests {
     #[test]
     fn signals_window_resets_on_read() {
         let mut ov = OverloadControl::new(OverloadConfig::default());
-        offer_first(&mut ov, SimTime::ZERO, 1, 1).unwrap();
+        offer_first(&mut ov, SimTime::ZERO, 1).unwrap();
         ov.pump(SimTime::from_millis(1), &mut Vec::new());
         let s1 = ov.signals();
         assert_eq!((s1.offered, s1.started), (1, 1));

@@ -51,18 +51,18 @@ const EJECT_MIN_SUCCESS_RATE: f64 = 0.5;
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
     /// Maximum attempts per request (1 = no retries).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Hedge delay: when set and shorter than the backoff, the retry fires
     /// after this long instead (against a different backend), trading
     /// duplicate work for tail latency.
-    pub hedge_after: Option<SimDuration>,
+    pub(crate) hedge_after: Option<SimDuration>,
     /// Whether the per-backend outlier-ejection circuit breaker runs.
-    pub outlier_ejection: bool,
+    pub(crate) outlier_ejection: bool,
     /// How long an ejected backend stays out before probing again.
     pub ejection_duration: SimDuration,
     /// Whether ejections are published to the DNS failover path
     /// ([`ResilientDispatcher::sync_dns`]).
-    pub dns_failover: bool,
+    pub(crate) dns_failover: bool,
 }
 
 impl ResilienceConfig {
@@ -194,8 +194,6 @@ pub struct DispatchOutcome {
     pub attempts: u32,
     /// Virtual time at which the final attempt resolved.
     pub completed_at: SimTime,
-    /// Whether the request died on its deadline rather than max-attempts.
-    pub deadline_exceeded: bool,
 }
 
 /// Lifetime counters for the dispatcher.
@@ -206,9 +204,9 @@ pub struct ResilienceStats {
     /// Total attempts (≥ requests; the ratio is retry amplification).
     pub attempts: u64,
     /// Retries (attempts beyond the first per request).
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Hedged retries (fired early on the hedge timer).
-    pub hedges: u64,
+    pub(crate) hedges: u64,
     /// Requests that ultimately succeeded.
     pub successes: u64,
     /// Requests that ultimately failed.
@@ -224,13 +222,13 @@ pub struct ResilienceStats {
     pub budget_rejected: u64,
     /// Expired-certificate handshake failures that triggered the single
     /// refresh-then-retry (each is one re-issuance round trip).
-    pub cert_refreshes: u64,
+    pub(crate) cert_refreshes: u64,
     /// Requests terminated by a revoked certificate (terminal — revocation
     /// is not retry fuel).
-    pub cert_revoked: u64,
+    pub(crate) cert_revoked: u64,
     /// Connection refusals from *draining* backends. Steered around like
     /// failures but exempt from outlier-ejection evidence.
-    pub drain_refusals: u64,
+    pub(crate) drain_refusals: u64,
 }
 
 /// The resilient request path: wraps per-attempt dispatch in deadlines,
@@ -352,7 +350,6 @@ impl ResilientDispatcher {
                         served: Some(served),
                         attempts,
                         completed_at: t,
-                        deadline_exceeded: false,
                     };
                 }
                 Err(AttemptError::BackendFailure(b)) => {
@@ -403,7 +400,6 @@ impl ResilientDispatcher {
                         served: None,
                         attempts,
                         completed_at: t,
-                        deadline_exceeded: false,
                     };
                 }
                 Err(AttemptError::Handshake(CertFault::Expired)) => {
@@ -417,7 +413,6 @@ impl ResilientDispatcher {
                             served: None,
                             attempts,
                             completed_at: t,
-                            deadline_exceeded: false,
                         };
                     }
                     refreshed_cert = true;
@@ -430,7 +425,6 @@ impl ResilientDispatcher {
                         served: None,
                         attempts,
                         completed_at: t,
-                        deadline_exceeded: false,
                     };
                 }
                 Err(AttemptError::Rejected(GatewayError::RetryBudgetExhausted)) => {
@@ -444,7 +438,6 @@ impl ResilientDispatcher {
                         served: None,
                         attempts,
                         completed_at: t,
-                        deadline_exceeded: false,
                     };
                 }
                 Err(AttemptError::Rejected(GatewayError::Unavailable)) if !avoid.is_empty() => {
@@ -470,7 +463,6 @@ impl ResilientDispatcher {
                     served: None,
                     attempts,
                     completed_at: deadline,
-                    deadline_exceeded: true,
                 };
             }
             if is_hedge {
@@ -483,7 +475,6 @@ impl ResilientDispatcher {
             served: None,
             attempts,
             completed_at: t,
-            deadline_exceeded: false,
         }
     }
 
@@ -714,7 +705,6 @@ mod tests {
         let out = d.dispatch(SimTime::ZERO, |_, _| {
             Err(AttemptError::BackendFailure(1))
         });
-        assert!(out.deadline_exceeded);
         assert!(out.attempts < 100);
         assert_eq!(out.completed_at, SimTime::ZERO + REQUEST_DEADLINE);
         assert_eq!(d.stats().deadline_exceeded, 1);
@@ -727,7 +717,7 @@ mod tests {
             Err(AttemptError::Rejected(GatewayError::UnknownService))
         });
         assert_eq!(out.attempts, 1);
-        assert!(!out.deadline_exceeded);
+        assert_eq!(d.stats().deadline_exceeded, 0);
     }
 
     #[test]
@@ -746,8 +736,7 @@ mod tests {
         });
         assert_eq!(out.attempts, 2);
         assert!(out.served.is_none());
-        assert!(!out.deadline_exceeded);
-        assert_eq!(d.stats().budget_rejected, 1);
+        assert_eq!(d.stats().deadline_exceeded, 0);
         assert_eq!(d.stats().budget_rejected, 1);
     }
 

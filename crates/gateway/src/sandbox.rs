@@ -14,7 +14,7 @@
 
 use canal_net::{GlobalServiceId, TokenBucket};
 use canal_sim::{Fold, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which migration flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,15 +36,10 @@ pub struct MigrationReport {
     pub sessions_reset: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SandboxedService {
-    completed_at: SimTime,
-}
-
 /// The sandbox: tracks migrated services and redirector-level throttles.
 #[derive(Debug, Default)]
 pub struct Sandbox {
-    services: BTreeMap<GlobalServiceId, SandboxedService>,
+    services: BTreeSet<GlobalServiceId>,
     throttles: BTreeMap<GlobalServiceId, TokenBucket>,
     /// Config-push plus session-rebuild time for a lossy move (seconds per
     /// the paper: "within seconds").
@@ -55,7 +50,7 @@ impl Sandbox {
     /// Sandbox with the default 3 s lossy setup time.
     pub fn new() -> Self {
         Sandbox {
-            services: BTreeMap::new(),
+            services: BTreeSet::new(),
             throttles: BTreeMap::new(),
             lossy_setup: SimDuration::from_secs(3),
         }
@@ -70,7 +65,7 @@ impl Sandbox {
         active_sessions: usize,
     ) -> MigrationReport {
         let completed_at = now + self.lossy_setup;
-        self.services.insert(service, SandboxedService { completed_at });
+        self.services.insert(service);
         MigrationReport {
             kind: MigrationKind::Lossy,
             completed_at,
@@ -93,7 +88,7 @@ impl Sandbox {
             .max()
             .unwrap_or(SimDuration::ZERO);
         let completed_at = now + drain;
-        self.services.insert(service, SandboxedService { completed_at });
+        self.services.insert(service);
         MigrationReport {
             kind: MigrationKind::Lossless,
             completed_at,
@@ -103,7 +98,7 @@ impl Sandbox {
 
     /// Release a service back to the main pool.
     pub fn release(&mut self, service: GlobalServiceId) -> bool {
-        self.services.remove(&service).is_some()
+        self.services.remove(&service)
     }
 
     /// Install a redirector-level throttle for a service ("early rate
@@ -143,8 +138,8 @@ impl Sandbox {
     pub(crate) fn fold(&self, f: &mut impl Fold) {
         let Self { services, throttles, lossy_setup } = self;
         f.write_u64(services.len() as u64);
-        for (svc, s) in services {
-            f.write_u64(svc.0).write_u64(s.completed_at.as_nanos());
+        for svc in services {
+            f.write_u64(svc.0);
         }
         f.write_u64(throttles.len() as u64);
         for svc in throttles.keys() {
@@ -171,9 +166,8 @@ mod tests {
         let r = sb.migrate_lossy(T(100), svc(1), 5000);
         assert_eq!(r.kind, MigrationKind::Lossy);
         assert_eq!(r.sessions_reset, 5000);
-        assert!(r.completed_at.since(T(100)) <= SimDuration::from_secs(5));
-        let done = sb.services[&svc(1)].completed_at;
-        assert!(T(101) < done && done <= T(103));
+        assert!(T(101) < r.completed_at && r.completed_at <= T(103));
+        assert!(sb.services.contains(&svc(1)));
     }
 
     #[test]
@@ -187,7 +181,7 @@ mod tests {
         let r = sb.migrate_lossless(T(0), svc(2), &lifetimes);
         assert_eq!(r.sessions_reset, 0);
         assert_eq!(r.completed_at, T(1200));
-        assert_eq!(sb.services[&svc(2)].completed_at, T(1200));
+        assert!(sb.services.contains(&svc(2)));
     }
 
     #[test]
@@ -203,7 +197,7 @@ mod tests {
         sb.migrate_lossy(T(0), svc(1), 10);
         assert!(sb.release(svc(1)));
         assert!(!sb.release(svc(1)));
-        assert!(!sb.services.contains_key(&svc(1)));
+        assert!(!sb.services.contains(&svc(1)));
     }
 
     #[test]

@@ -196,7 +196,7 @@ pub struct RouteRule {
     /// Rule name (for observability).
     pub name: String,
     /// Match condition.
-    pub predicate: RoutePredicate,
+    pub(crate) predicate: RoutePredicate,
     /// Weighted destinations (non-empty with total weight > 0, unless the
     /// rule came through [`RouteRule::unchecked`]).
     targets: Vec<WeightedTarget>,

@@ -18,11 +18,11 @@ use canal_sim::SimDuration;
 pub struct CostModel {
     // ---- Generic kernel / network ----
     /// One kernel protocol-stack traversal (Fig. 21 decomposition).
-    pub stack_traversal: SimDuration,
+    pub(crate) stack_traversal: SimDuration,
     /// One context switch (Fig. 22).
-    pub context_switch: SimDuration,
+    pub(crate) context_switch: SimDuration,
     /// Memory copy per KiB.
-    pub copy_per_kib: SimDuration,
+    pub(crate) copy_per_kib: SimDuration,
     /// One-way network hop on the testbed (loopback/vSwitch scale).
     pub hop_one_way: SimDuration,
 
@@ -43,7 +43,7 @@ pub struct CostModel {
     pub sidecar_cpu_response: SimDuration,
     /// Sidecar background CPU per pod, in cores (stats, health, config
     /// churn) — the idle burn behind Table 1 / Fig. 13.
-    pub sidecar_background_cores_per_pod: f64,
+    pub(crate) sidecar_background_cores_per_pod: f64,
 
     // ---- Ambient-like ----
     /// ztunnel (per-node L4 proxy) CPU per pass (one direction, one node).
@@ -55,9 +55,9 @@ pub struct CostModel {
     /// Non-CPU latency per waypoint pass (kernel I/O, HBONE framing).
     pub waypoint_pass_overhead: SimDuration,
     /// Background cores per ztunnel.
-    pub ztunnel_background_cores: f64,
+    pub(crate) ztunnel_background_cores: f64,
     /// Background cores per waypoint.
-    pub waypoint_background_cores: f64,
+    pub(crate) waypoint_background_cores: f64,
 
     // ---- Canal ----
     /// On-node proxy CPU per pass (eBPF redirected, L4 observability +
@@ -72,25 +72,25 @@ pub struct CostModel {
     /// lookup).
     pub gateway_pass_overhead: SimDuration,
     /// Background cores per on-node proxy.
-    pub node_proxy_background_cores: f64,
+    pub(crate) node_proxy_background_cores: f64,
     /// Background cores of the gateway share serving this tenant.
-    pub gateway_background_cores: f64,
+    pub(crate) gateway_background_cores: f64,
     /// Packet-pipeline ceiling of one gateway VM (requests/s). The paper's
     /// gateway rides VMs above a vSwitch; pps, not CPU, caps the testbed
     /// knee (this is why Fig. 11 shows 2.3× Ambient while Fig. 13 shows
     /// 4.6–7.2× less CPU).
-    pub gateway_pipeline_rps_cap: f64,
+    pub(crate) gateway_pipeline_rps_cap: f64,
 
     // ---- Crypto (priced via canal-crypto backends at call sites) ----
     /// Symmetric crypto CPU per KiB (ChaCha20 software).
-    pub sym_crypto_per_kib: SimDuration,
+    pub(crate) sym_crypto_per_kib: SimDuration,
 
     // ---- Telemetry (charged only when the request's trace is sampled;
     //      defaults mirror canal-telemetry's TelemetryCostModel) ----
     /// CPU to record a cheap L4 timing span (node proxy, ztunnel).
-    pub telemetry_l4_span_cpu: SimDuration,
+    pub(crate) telemetry_l4_span_cpu: SimDuration,
     /// CPU to record a rich L7 span (sidecar, waypoint, gateway).
-    pub telemetry_l7_span_cpu: SimDuration,
+    pub(crate) telemetry_l7_span_cpu: SimDuration,
 }
 
 impl Default for CostModel {

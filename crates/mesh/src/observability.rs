@@ -23,11 +23,11 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L4PodStats {
     /// Bytes sent by the pod.
-    pub bytes_out: u64,
+    pub(crate) bytes_out: u64,
     /// Bytes received by the pod.
-    pub bytes_in: u64,
+    pub(crate) bytes_in: u64,
     /// Connections opened.
-    pub connections: u64,
+    pub(crate) connections: u64,
 }
 
 /// The on-node proxy's L4 observability: per-pod traffic labeling and

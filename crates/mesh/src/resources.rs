@@ -12,13 +12,13 @@
 #[derive(Debug, Clone, Copy)]
 pub struct SidecarResourceModel {
     /// CPU cores at zero config complexity.
-    pub cpu_base: f64,
+    pub(crate) cpu_base: f64,
     /// Additional cores at full complexity.
-    pub cpu_slope: f64,
+    pub(crate) cpu_slope: f64,
     /// Memory GB at zero complexity.
-    pub mem_base_gb: f64,
+    pub(crate) mem_base_gb: f64,
     /// Additional GB at full complexity.
-    pub mem_slope_gb: f64,
+    pub(crate) mem_slope_gb: f64,
 }
 
 impl Default for SidecarResourceModel {

@@ -37,7 +37,7 @@ pub struct FiveTuple {
     /// Destination endpoint.
     pub dst: Endpoint,
     /// Transport protocol.
-    pub proto: Proto,
+    pub(crate) proto: Proto,
 }
 
 impl FiveTuple {

@@ -59,7 +59,7 @@ impl std::error::Error for VxlanError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VxlanFrame {
     /// Outer IPv4 source (the tunnel aggregator / router).
-    pub outer_src_ip: u32,
+    pub(crate) outer_src_ip: u32,
     /// Outer IPv4 destination (the replica VM).
     pub outer_dst_ip: u32,
     /// Outer UDP source port — chosen per-tunnel to spread across RSS cores.

@@ -104,7 +104,7 @@ impl CpuServer {
         for &t in core_free {
             f.write_u64(t.as_nanos());
         }
-        f.write_u64(busy.as_nanos())
+        f.count("busy_ns", busy.as_nanos())
             .count("jobs", *jobs)
             .write_u64(window_start.as_nanos())
             .write_u64(window_busy.as_nanos());
@@ -477,7 +477,7 @@ impl<T> FairCpuServer<T> {
                 .write_u64(j.start.as_nanos())
                 .write_u64(j.finish.as_nanos());
         }
-        f.write_u64(*next_ticket).write_u64(busy.as_nanos());
+        f.write_u64(*next_ticket).count("busy_ns", busy.as_nanos());
     }
 }
 

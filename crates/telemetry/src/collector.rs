@@ -20,16 +20,14 @@ use std::collections::BTreeMap;
 /// One trace in canonical form: spans sorted by span id.
 #[derive(Debug, Clone)]
 pub struct AssembledTrace {
-    /// Trace identity.
-    pub trace_id: u64,
     /// All spans of the trace, sorted by `span_id` (arrival order erased).
     pub spans: Vec<Span>,
 }
 
 impl AssembledTrace {
-    fn from_spans(trace_id: u64, mut spans: Vec<Span>) -> Self {
+    fn from_spans(mut spans: Vec<Span>) -> Self {
         spans.sort_by_key(|s| s.span_id);
-        AssembledTrace { trace_id, spans }
+        AssembledTrace { spans }
     }
 
     /// The root span (no parent). If several claim root, the lowest id wins.
@@ -129,8 +127,8 @@ impl AssembledTrace {
     /// Fold the canonical form into a digest. Because spans are sorted by
     /// id, the value is independent of span arrival order.
     pub(crate) fn fold(&self, f: &mut impl Fold) {
-        let Self { trace_id, spans } = self;
-        f.write_u64(*trace_id).write_u64(spans.len() as u64);
+        let Self { spans } = self;
+        f.write_u64(spans.len() as u64);
         for s in spans {
             s.fold(f);
         }
@@ -168,26 +166,28 @@ impl Collector {
     pub fn assemble(&self, trace_id: u64) -> Option<AssembledTrace> {
         self.traces
             .get(&trace_id)
-            .map(|spans| AssembledTrace::from_spans(trace_id, spans.clone()))
+            .map(|spans| AssembledTrace::from_spans(spans.clone()))
     }
 
     /// Assemble every trace, in trace-id order.
     pub fn assemble_all(&self) -> Vec<AssembledTrace> {
         self.traces
-            .iter()
-            .map(|(&id, spans)| AssembledTrace::from_spans(id, spans.clone()))
+            .values()
+            .map(|spans| AssembledTrace::from_spans(spans.clone()))
             .collect()
     }
 
-    /// Fold every assembled trace into a digest (trace-id order, canonical
-    /// span order — bit-identical across runs and arrival orders), plus
-    /// the `ingested` span counter: two collectors holding the same traces
-    /// after different ingest histories are different states.
+    /// Fold every trace id and its assembled trace into a digest (trace-id
+    /// order, canonical span order — bit-identical across runs and arrival
+    /// orders), plus the `ingested` span counter: two collectors holding
+    /// the same traces after different ingest histories are different
+    /// states.
     pub fn fold(&self, f: &mut impl Fold) {
         let Self { traces, ingested } = self;
         f.write_u64(traces.len() as u64);
-        for tr in self.assemble_all() {
-            tr.fold(f);
+        for (&id, spans) in traces {
+            f.write_u64(id);
+            AssembledTrace::from_spans(spans.clone()).fold(f);
         }
         f.count("ingested", *ingested);
     }
@@ -252,12 +252,12 @@ mod tests {
     fn orphan_and_escaping_child_fail_nesting() {
         let mut spans = chain(2);
         spans.remove(1); // drop the middle hop → span 2's parent missing
-        let tr = AssembledTrace::from_spans(2, spans);
+        let tr = AssembledTrace::from_spans(spans);
         assert!(!tr.well_nested());
 
         let mut spans = chain(3);
         spans[2].end = SimTime::from_micros(5000); // child escapes parent
-        let tr = AssembledTrace::from_spans(3, spans);
+        let tr = AssembledTrace::from_spans(spans);
         assert!(!tr.well_nested());
     }
 }

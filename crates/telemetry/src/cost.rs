@@ -20,15 +20,15 @@ use canal_sim::SimDuration;
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryCostModel {
     /// CPU to record a cheap L4 timing span (node proxy, ztunnel).
-    pub l4_record_cpu: SimDuration,
+    pub(crate) l4_record_cpu: SimDuration,
     /// CPU to record a rich L7 span (sidecar, waypoint, gateway).
-    pub l7_record_cpu: SimDuration,
+    pub(crate) l7_record_cpu: SimDuration,
     /// CPU to serialize + export one span to the collector.
-    pub export_cpu: SimDuration,
+    pub(crate) export_cpu: SimDuration,
     /// Wire bytes of an L4 span record.
-    pub l4_span_bytes: u64,
+    pub(crate) l4_span_bytes: u64,
     /// Wire bytes of an L7 span record.
-    pub l7_span_bytes: u64,
+    pub(crate) l7_span_bytes: u64,
 }
 
 impl Default for TelemetryCostModel {

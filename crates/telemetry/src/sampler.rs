@@ -88,11 +88,6 @@ impl HeadSampler {
         self.shed
     }
 
-    /// Decisions forced negative by shedding.
-    pub fn shed_refused(&self) -> u64 {
-        self.shed_refused
-    }
-
     /// Achieved head-sampling rate over non-shed decisions.
     pub fn achieved_rate(&self) -> f64 {
         let eligible = self.offered - self.shed_refused;
@@ -101,6 +96,14 @@ impl HeadSampler {
         } else {
             self.kept as f64 / eligible as f64
         }
+    }
+
+    /// Fold the sampler: its `rate` and `salt`, whether it is `shed`, and
+    /// the `offered`, `kept` and `shed_refused` decision counters.
+    pub fn fold(&self, f: &mut impl Fold) {
+        let Self { rate, salt, shed, offered, kept, shed_refused } = self;
+        f.write_f64(*rate).write_u64(*salt).write_u64(u64::from(*shed));
+        f.count("offered", *offered).count("kept", *kept).count("shed_refused", *shed_refused);
     }
 }
 
@@ -173,6 +176,7 @@ impl TailPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canal_sim::Stats;
 
     #[test]
     fn head_decisions_are_salt_deterministic_and_site_consistent() {
@@ -204,10 +208,12 @@ mod tests {
         s.set_shed(true);
         assert!(!s.decide(2));
         assert!(s.is_shed());
-        assert_eq!(s.shed_refused(), 1);
         s.set_shed(false);
         assert!(s.decide(3));
-        assert_eq!(s.kept, 2);
+        let stats = Stats::of(|f| s.fold(f));
+        assert_eq!(stats.get("shed_refused"), Some(1));
+        assert_eq!(stats.get("kept"), Some(2));
+        assert_eq!(stats.get("offered"), Some(3));
     }
 
     #[test]

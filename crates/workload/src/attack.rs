@@ -3,36 +3,20 @@
 //! Each scenario generates the observable *signature* the paper's monitors
 //! key on, so the monitor/classifier stack can be exercised end to end:
 //!
-//! * [`AttackKind::SessionFlood`] — many new TCP sessions, flat request
-//!   rate (Case #1's "#TCP sessions surged without a corresponding increase
-//!   in RPS") → expect a lossy migration.
-//! * [`AttackKind::SlowGrowth`] — traffic creeping up over hours, steadily
-//!   consuming auto-scaled resources (Case #2) → expect a lossless
+//! * [`AttackScenario::session_flood`] — many new TCP sessions, flat
+//!   request rate (Case #1's "#TCP sessions surged without a corresponding
+//!   increase in RPS") → expect a lossy migration.
+//! * [`AttackScenario::slow_growth`] — traffic creeping up over hours,
+//!   steadily consuming auto-scaled resources (Case #2) → expect a lossless
 //!   migration after confirmation.
-//! * [`AttackKind::QueryOfDeath`] — rare requests with pathological
-//!   processing demand that can crash replicas in sequence (§4.2, the
-//!   motivation for >2-long redirector chains).
 
 use canal_sim::{SimDuration, SimRng, SimTime};
-
-/// The abnormal patterns of §6.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackKind {
-    /// New-session flood with flat RPS.
-    SessionFlood,
-    /// Hours-long slow ramp.
-    SlowGrowth,
-    /// Occasional pathologically expensive queries.
-    QueryOfDeath,
-}
 
 /// A generated abnormal-traffic timeline.
 #[derive(Debug, Clone)]
 pub struct AttackScenario {
-    /// Which pattern.
-    pub kind: AttackKind,
     /// `(time, new_sessions_opened, requests_sent)` per second-long slot.
-    pub timeline: Vec<(SimTime, u64, u64)>,
+    pub(crate) timeline: Vec<(SimTime, u64, u64)>,
 }
 
 impl AttackScenario {
@@ -60,10 +44,7 @@ impl AttackScenario {
                 (SimTime::from_secs(s), sessions, jitter(base_rps, rng))
             })
             .collect();
-        AttackScenario {
-            kind: AttackKind::SessionFlood,
-            timeline,
-        }
+        AttackScenario { timeline }
     }
 
     /// A slow multiplicative ramp over `duration` reaching `final_factor`×
@@ -87,10 +68,7 @@ impl AttackScenario {
                 )
             })
             .collect();
-        AttackScenario {
-            kind: AttackKind::SlowGrowth,
-            timeline,
-        }
+        AttackScenario { timeline }
     }
 
     /// Peak sessions-per-second over the timeline.

@@ -1,9 +1,9 @@
 //! Golden stream of the gateway overload pipeline.
 //!
 //! 20,000 seeded offers from 4 tenants (both priorities, one retry or hedge
-//! in five, one SYN in ten) go through `OverloadControl` under three
-//! policies: the default pipeline on 8 cores; one shared FIFO on 1 core with
-//! CoDel, brownout and the retry budget off; and 8-slot queues on 2 cores.
+//! in five) go through `OverloadControl` under three policies: the default
+//! pipeline on 8 cores; one shared FIFO on 1 core with CoDel, brownout and
+//! the retry budget off; and 8-slot queues on 2 cores.
 //! The first 4,000 arrivals come at half the ingress stage's capacity and
 //! the rest at twice it, with tenant 1 sending most of the surge and most of
 //! that as bulk, so every stage acts: caps tail-drop, CoDel sheds, brownout
@@ -19,7 +19,7 @@
 use canal::gateway::gateway::GatewayError;
 use canal::gateway::overload::StartedRequest;
 use canal::gateway::{AttemptKind, BrownoutLevel, OverloadConfig, OverloadControl, OverloadSignals};
-use canal::net::{Endpoint, FiveTuple, GlobalServiceId, Priority, ServiceId, TenantId, VpcAddr, VpcId};
+use canal::net::{GlobalServiceId, Priority, ServiceId, TenantId};
 use canal::sim::{Digest, Fold, SimDuration, SimRng, SimTime};
 
 const OFFERS: usize = 20_000;
@@ -113,14 +113,16 @@ fn run(cfg: OverloadConfig, seed: u64, d: &mut Digest, tally: &mut [u64; 4]) {
             1 => AttemptKind::Hedge,
             _ => AttemptKind::First,
         };
-        let syn = rng.chance(0.1);
-        let tuple = FiveTuple::tcp(
-            Endpoint::new(VpcAddr::new(VpcId(tenant), 10, 0, rng.index(4) as u8, rng.index(256) as u8), 1024 + rng.index(60_000) as u16),
-            Endpoint::new(VpcAddr::new(VpcId(tenant), 10, 1, 0, 2), 443),
-        );
+        // A SYN flag and a source address and port were drawn here while
+        // `offer` took a five-tuple; the draws stay, so every later draw,
+        // and with it every grant and shed, is unchanged.
+        rng.chance(0.1);
+        for n in [4, 256, 60_000] {
+            rng.index(n);
+        }
         let bytes = 64 + rng.index(32 << 10) as u64;
         let service = GlobalServiceId::compose(TenantId(tenant), ServiceId(1 + rng.index(3) as u32));
-        match ov.offer(now, service, priority, tuple, syn, client, kind, bytes) {
+        match ov.offer(now, service, priority, client, kind, bytes) {
             Ok(ticket) => {
                 d.write_u64(0).write_u64(ticket);
             }
