@@ -20,14 +20,16 @@ const GOLDEN_RUNS: [(u64, bool); 4] = [(42, true), (7, true), (1001, true), (42,
 /// Digest of every scenario at each of [`GOLDEN_RUNS`], as `experiments
 /// [--fast] --seed <seed> <id>` prints it. Each row was last pinned in commit
 /// 1a04bcd, with the values of 67beed4, except `policy`: 64de06d re-pinned it
-/// when the deny-spike alert came to need two spiking quanta in a row.
+/// when the deny-spike alert came to need two spiking quanta in a row; and
+/// `drill`, re-pinned when the gray detector's fold came to write each
+/// target's key and to fold its probe tracker.
 const GOLDEN: [(&str, [u64; 4]); 8] = [
     ("fig8", [0xa887_2086_e24b_d75a, 0x4175_5572_426e_ba87, 0xfc2a_f813_a781_5647, 0xfdeb_3eb4_660a_bad3]),
     ("overload", [0x9cb1_60c7_adba_1cf5, 0xde6b_7a36_bb35_afde, 0x64a9_ebb0_9979_5357, 0x8cc2_ab2f_d509_df36]),
     ("trace", [0x5174_51e8_7c24_e9a9, 0x0d73_9eaf_a9f0_f871, 0x8c47_d5a5_496d_f2fa, 0x067c_eddc_1906_43cc]),
     ("rollout", [0x643b_6291_fe2f_ef7b, 0x061b_74bf_ad65_8103, 0x76bf_fb1b_d55f_bbc4, 0xc2d6_d714_5c44_8b8d]),
     ("handshake", [0xb581_b99d_baa1_387a, 0x7f8d_91e9_6797_8f56, 0xd066_81eb_e08d_f89c, 0x2de7_ce83_cf1d_16f3]),
-    ("drill", [0xdb94_f1f7_3338_5696, 0xa6fc_0b12_cede_3a09, 0xbb63_c294_ab49_b7c8, 0x80e0_be23_b17a_3693]),
+    ("drill", [0x5e3f_eee9_5a31_c924, 0xcfcb_7776_7795_5b44, 0xd63e_adef_94fa_c5b3, 0x2f25_0595_7a04_b474]),
     ("policy", [0x5bea_7b05_e98e_10e8, 0xdacb_8693_ddce_9d34, 0x182e_ab2a_abb3_90ee, 0x4d06_37b8_ee56_1732]),
     ("failover", [0x7977_f6a2_785f_2045, 0x2a80_3b44_332c_a99a, 0xe5da_b39d_6409_acbb, 0x87da_85b1_69c2_cfc9]),
 ];
