@@ -1,6 +1,6 @@
-// Fixture: `pub` items that no file outside their crate names must trip the
-// `wide-export` rule. rustc's dead_code lint skips `pub` items, so a needless
-// `pub` hides dead code from the compiler. `canal_net/` is another crate.
+// Fixture: `pub` items and fields no file outside their crate names must trip
+// `wide-export`. rustc's dead_code lint skips `pub` items and fields, so a
+// needless `pub` hides dead code from the compiler. `canal_net/` is a crate.
 
 // Fires: a `pub fn` nobody calls.
 pub fn nobody_calls_this() -> u64 {
@@ -43,6 +43,31 @@ pub struct Reading(pub u64);
 impl std::fmt::Display for Reading {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+// The fields of a `pub` struct are judged one by one. `gauge` keeps
+// `Gauge` public, and `canal_net/` reads `shown`.
+pub struct Gauge {
+    pub shown: u64,
+    // Fires: no file outside this crate names it.
+    pub unread_outside: u64,
+}
+
+pub fn gauge() -> Gauge {
+    Gauge { shown: 23, unread_outside: 29 }
+}
+
+// Clean: `canal_net/` builds `Knobs` with struct update syntax, which needs
+// every field visible, `depth` as well as the `width` it names.
+pub struct Knobs {
+    pub width: u64,
+    pub depth: u64,
+}
+
+impl Default for Knobs {
+    fn default() -> Self {
+        Knobs { width: 31, depth: 37 }
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`SymbolGraph`]: structs indexed per crate, methods bound to their
 //! owning type across files, field-containment edges between struct
 //! types, and the in-file call edges each fn body exposes. Three rule
-//! families query it, and a fourth reads names across files:
+//! families query it, and two more read names across files:
 //!
 //! * **digest-coverage** — every mutable-state struct in the
 //!   determinism-participating crates ([`crate::rules::DIGEST_CRATES`])
@@ -24,18 +24,30 @@
 //!   reachable only from in-file callers that do (the seed then derives
 //!   from the caller's stream, e.g. `rng.fork(salt)` wrappers).
 //! * **wide-export** — a `pub` item of a library target (free fn, inherent
-//!   method, const, struct, enum, trait, type alias) that no file outside
-//!   its crate names: not another crate, nor a compilation unit of its own
-//!   (`tests/`, `examples/`, binaries, `benchmark/`, read as callers only).
-//!   A type a kept item names, and the owner of a kept method, stay `pub`
-//!   with it (the leak closure, run to a fixpoint). Masked code counts
-//!   (comments and strings do not), and a `pub use` re-export does not.
-//!   Trait-impl methods cannot carry `pub`. Names resolve by name, so the
-//!   rule cannot flag what the compiler keeps; once an item is
-//!   `pub(crate)`, rustc's `dead_code` (denied) judges whether it is used.
+//!   method, const, struct, enum, trait, type alias), or a named `pub`
+//!   field of a `pub` struct, that no file outside its crate names: not
+//!   another crate, nor a compilation unit of its own (`tests/`,
+//!   `examples/`, binaries, `benchmark/`, read as callers only). A type a
+//!   kept item names, and the owner of a kept method or field, stay `pub`
+//!   with it (the leak closure, run to a fixpoint); a field of a struct
+//!   that is itself too wide is left to the struct's finding. Masked code
+//!   counts (comments and strings do not), and a `pub use` re-export does
+//!   not. Trait-impl methods cannot carry `pub`. Names resolve by name, so
+//!   the rule cannot flag what the compiler keeps; once an item or field
+//!   is `pub(crate)`, rustc's `dead_code` (denied) judges whether it is
+//!   used.
+//! * **fold-only** — a field of a library struct whose every read outside
+//!   `#[cfg(test)]` sits in a `fn fold` body. rustc counts a fold's read
+//!   as a use, so such a field moves digests and no behaviour. The reads
+//!   are searched where privacy lets them be: the field's file for a
+//!   private field, its crate for a restricted one (`pub` fields of `pub`
+//!   structs are `wide-export`'s). A field the fold hands to a `count` or
+//!   `scope` leaf is seen by `Stats` readers and is exempt. Names resolve
+//!   by name, so a field sharing its name with anything read in scope is
+//!   not flagged.
 
 use crate::lexer::LexedFile;
-use crate::parser::{ExportDef, FileSyntax, FnDef, StructDef};
+use crate::parser::{ExportDef, FileSyntax, FnDef, StructDef, Vis};
 use crate::rules::{self, TargetKind};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
@@ -309,6 +321,7 @@ pub(crate) fn graph_findings(
     bounded_state(&graph, &mut out);
     seed_dataflow(records, &mut out);
     wide_export(records, callers, &mut out);
+    fold_only(records, &mut out);
     out
 }
 
@@ -334,8 +347,10 @@ fn wide_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(us
     let names: BTreeSet<&str> = items.iter().map(|(_, e)| e.name.as_str()).collect();
     // Name -> the units naming it: the crate of a library file, or `None`
     // for a file that compiles as a crate of its own (tests, examples,
-    // binaries, the benchmark).
+    // binaries, the benchmark). Type -> the units building it with struct
+    // update syntax, which needs every field of the type visible to them.
     let mut named_by: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    let mut updated_by: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
     let units = records
         .iter()
         .map(|r| ((r.kind == TargetKind::Lib).then_some(r.crate_ident.as_str()), &r.syntax));
@@ -343,13 +358,20 @@ fn wide_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(us
         for name in syntax.refs.keys().filter_map(|n| names.get(n.as_str())) {
             named_by.entry(name).or_default().insert(unit);
         }
+        for ty in &syntax.updates {
+            updated_by.entry(ty.as_str()).or_default().insert(unit);
+        }
     }
     let crate_of = |rec: usize| records[rec].crate_ident.as_str();
+    let outside = |rec: usize, units: Option<&BTreeSet<Option<&str>>>| {
+        units.into_iter().flatten().any(|&unit| unit != Some(crate_of(rec)))
+    };
     let mut kept: Vec<bool> = items
         .iter()
         .map(|&(rec, e)| {
-            let units = named_by.get(e.name.as_str()).into_iter().flatten();
-            units.copied().any(|unit| unit != Some(crate_of(rec)))
+            outside(rec, named_by.get(e.name.as_str()))
+                || e.keyword == "field"
+                    && e.owner.as_deref().is_some_and(|o| outside(rec, updated_by.get(o)))
         })
         .collect();
     // The leak closure: a type a kept item of its crate names, or a type
@@ -372,7 +394,14 @@ fn wide_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(us
         }
         leaked.into_iter().for_each(|i| kept[i] = true);
     }
-    for ((rec, item), _) in items.into_iter().zip(kept).filter(|(_, kept)| !kept) {
+    // A field of a struct that is too wide itself goes with the struct.
+    let owner_kept = |rec: usize, owner: &str| {
+        items.iter().zip(&kept).any(|(&(by, e), &k)| k && e.keyword == "struct" && e.name == owner && crate_of(by) == crate_of(rec))
+    };
+    for (&(rec, item), _) in items.iter().zip(&kept).filter(|(_, kept)| !**kept) {
+        if item.keyword == "field" && !item.owner.as_deref().is_some_and(|o| owner_kept(rec, o)) {
+            continue;
+        }
         out.push((
             rec,
             Finding {
@@ -392,6 +421,50 @@ fn wide_export(records: &[FileRecord], callers: &[FileSyntax], out: &mut Vec<(us
 /// A type's one walk: `fn fold` taking a `Fold` sink.
 fn is_fold(f: &FnDef) -> bool {
     f.name == "fold" && f.sig_idents.contains("Fold")
+}
+
+fn fold_only(records: &[FileRecord], out: &mut Vec<(usize, Finding)>) {
+    let lib = |r: &&FileRecord| r.kind == TargetKind::Lib;
+    for (rec, r) in records.iter().enumerate().filter(|(_, r)| lib(r)) {
+        for def in r.syntax.structs.iter().filter(|d| !r.line_in_test(d.line)) {
+            'field: for field in &def.fields {
+                let scope: Vec<&FileRecord> = match field.vis {
+                    Vis::Public if def.public => continue,
+                    Vis::Private => vec![r],
+                    _ => records.iter().filter(lib).filter(|o| o.crate_ident == r.crate_ident).collect(),
+                };
+                let (mut in_fold, mut elsewhere) = (false, false);
+                for s in scope {
+                    let folds: Vec<&FnDef> =
+                        s.syntax.fns.iter().filter(|f| is_fold(f) && !s.line_in_test(f.line)).collect();
+                    if folds.iter().any(|f| f.body.leaf_args.contains(&field.name)) {
+                        continue 'field;
+                    }
+                    let reads = s.syntax.reads.get(&field.name).into_iter().flatten();
+                    for &line in reads.filter(|&&l| !s.line_in_test(l)) {
+                        if folds.iter().any(|f| (f.line..=f.end).contains(&line)) {
+                            in_fold = true;
+                        } else {
+                            elsewhere = true;
+                        }
+                    }
+                }
+                if in_fold && !elsewhere {
+                    out.push((
+                        rec,
+                        Finding {
+                            rule: "fold-only",
+                            line: field.line,
+                            message: format!(
+                                "`{}::{}` is read only by `fn fold` bodies: it moves digests and no behaviour; delete it, or fold it as a `count` leaf if it is a tally worth reading",
+                                def.name, field.name
+                            ),
+                        },
+                    ));
+                }
+            }
+        }
+    }
 }
 
 fn digest_coverage(graph: &SymbolGraph<'_>, out: &mut Vec<(usize, Finding)>) {
@@ -765,5 +838,58 @@ mod tests {
         let gauge = "pub struct Gauge(u64);\nimpl Gauge {\n    pub fn reading(&self) -> u64 {\n        self.0\n    }\n}\n";
         let reader = net("fn f(g: &G) -> u64 {\n    g.reading()\n}\n");
         assert_eq!(wide(&[sim(gauge), reader], &[]), []);
+    }
+
+    const KNOB: &str = "pub struct Knob {\n    pub width: u64,\n    pub depth: u64,\n}\n";
+
+    #[test]
+    fn wide_export_judges_the_fields_of_a_kept_struct() {
+        // `width` is read outside the crate, `depth` is not.
+        let reader = net("fn f(k: canal_sim::Knob) -> u64 {\n    k.width\n}\n");
+        assert_eq!(wide(&[sim(KNOB), reader], &[]), [(0, 3)]);
+        // A struct too wide itself is one finding, not one per field.
+        assert_eq!(wide(&[sim(KNOB)], &[]), [(0, 1)]);
+        // Struct update syntax outside the crate needs every field visible.
+        let builder = net("fn f() -> canal_sim::Knob {\n    canal_sim::Knob { width: 1, ..Default::default() }\n}\n");
+        assert_eq!(wide(&[sim(KNOB), builder], &[]), []);
+        // The same syntax inside the crate keeps nothing.
+        let inside = sim("fn f() -> Knob {\n    Knob { width: 1, ..Default::default() }\n}\n");
+        let reader = net("fn f(k: canal_sim::Knob) -> u64 {\n    k.width\n}\n");
+        assert_eq!(wide(&[sim(KNOB), inside, reader], &[]), [(0, 3)]);
+    }
+
+    /// `(record, line)` of every fold-only finding.
+    fn fold_only(records: &[FileRecord]) -> Vec<(usize, usize)> {
+        let findings = graph_findings(records, &[]).into_iter().filter(|(_, f)| f.rule == "fold-only");
+        findings.map(|(rec, f)| (rec, f.line)).collect()
+    }
+
+    const LEDGER: &str = "struct Ledger {\n    last: u64,\n    n: u64,\n}\nimpl Ledger {\n    fn record(&mut self, v: u64) {\n        self.last = v;\n        self.n += 1;\n    }\n    fn fold(&self, f: &mut impl Fold) {\n        let Self { last, n } = self;\n        f.write_u64(*last).count(\"n\", *n);\n    }\n}\n";
+
+    #[test]
+    fn fold_only_flags_a_field_only_folds_read() {
+        // `n` goes to a `count` leaf; `last` only to the digest.
+        assert_eq!(fold_only(&[sim(LEDGER)]), [(0, 2)]);
+        // A method that reads `last` clears it; a test that does, does not.
+        let read = LEDGER.replace("    fn fold", "    fn last(&self) -> u64 {\n        self.last\n    }\n    fn fold");
+        assert_eq!(fold_only(&[sim(&read)]), []);
+        let tested = format!("{LEDGER}#[cfg(test)]\nmod tests {{\n    fn t(l: &Ledger) -> u64 {{\n        l.last\n    }}\n}}\n");
+        assert_eq!(fold_only(&[sim(&tested)]), [(0, 2)]);
+    }
+
+    #[test]
+    fn fold_only_searches_where_privacy_lets_a_field_be_read() {
+        let reader = sim("fn f(l: &Ledger) -> u64 {\n    l.last\n}\n");
+        // A private field is read in its own file only.
+        assert_eq!(fold_only(&[sim(LEDGER), reader]), [(0, 2)]);
+        // A restricted one anywhere in its crate, but not in another crate.
+        let restricted = LEDGER.replace("    last: u64", "    pub(crate) last: u64");
+        let reader = sim("fn f(l: &Ledger) -> u64 {\n    l.last\n}\n");
+        assert_eq!(fold_only(&[sim(&restricted), reader]), []);
+        let elsewhere = net("fn f(l: &Ledger) -> u64 {\n    l.last\n}\n");
+        assert_eq!(fold_only(&[sim(&restricted), elsewhere]), [(0, 2)]);
+        // A `pub` field of a `pub` struct is wide-export's to judge.
+        let public = restricted.replace("pub(crate) last", "pub last").replace("struct Ledger", "pub struct Ledger");
+        assert_eq!(fold_only(&[sim(&public)]), []);
     }
 }

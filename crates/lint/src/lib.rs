@@ -34,10 +34,14 @@
 //!   must carry a cap const, an eviction counter, or a shrink path.
 //! * **seed-dataflow** — fns seeding a `SimRng` must take one from their
 //!   callers (directly or through the in-file call graph).
-//! * **wide-export** — a `pub` item of a library target must be named
-//!   outside its crate (another crate, any `tests/`, `examples/` or binary,
-//!   or `benchmark/`), or be a type a kept item's interface names. What is
-//!   `pub(crate)` rustc's `dead_code` polices.
+//! * **wide-export** — a `pub` item of a library target, or a `pub` field
+//!   of a `pub` struct, must be named outside its crate (another crate, any
+//!   `tests/`, `examples/` or binary, or `benchmark/`), or be a type a kept
+//!   item's interface names; a struct built outside its crate with struct
+//!   update syntax keeps every field. What is `pub(crate)` rustc's
+//!   `dead_code` polices.
+//! * **fold-only** — a field whose only reads outside `#[cfg(test)]` sit in
+//!   `fn fold` bodies, other than as a `count` or `scope` leaf.
 //!
 //! Deliberate exceptions are annotated in the source as
 //! `// lint:allow(<rule>) reason=<why>` on the offending line or the line
@@ -116,7 +120,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of manifests checked against the layering DAG.
     pub manifests_checked: usize,
-    /// Number of `pub` items in library targets (what `wide-export` checks).
+    /// Number of `pub` items and `pub` fields of `pub` structs in library
+    /// targets (what `wide-export` checks).
     pub exports: usize,
     /// Number of files read only for the names they use (`benchmark/`).
     pub caller_files: usize,
@@ -143,7 +148,7 @@ impl Report {
             out.push_str(&format!("error: {v}\n"));
         }
         out.push_str(&format!(
-            "canal-lint: {} file(s), {} manifest(s) scanned; {} exported item(s); {} violation(s), {} suppressed exception(s)\n",
+            "canal-lint: {} file(s), {} manifest(s) scanned; {} exported item(s) and field(s); {} violation(s), {} suppressed exception(s)\n",
             self.files_scanned,
             self.manifests_checked,
             self.exports,

@@ -4,9 +4,10 @@
 //! lexed file: struct definitions with their fields, `impl` blocks
 //! binding methods to their owning type, free and associated fns with the
 //! parts of their bodies the rules query (call edges, `SimRng::seed`
-//! sites, `self.f.method(..)` calls, a `let Self` destructure), consts
-//! (cap-constant evidence for `bounded-state`), `pub` items and the names
-//! each file uses (`wide-export`).
+//! sites, `self.f.method(..)` calls, a `let Self` destructure, the names
+//! a `count` or `scope` leaf folds), consts (cap-constant evidence for
+//! `bounded-state`), `pub` items and fields, the names each file uses
+//! (`wide-export`) and the places it reads a name as a value (`fold-only`).
 //!
 //! This is deliberately not a full Rust grammar: it token-scans with
 //! brace/angle matching, which is exact for the rustfmt-formatted code in
@@ -25,6 +26,17 @@ struct Tok {
     line: usize,
 }
 
+/// The visibility a field is declared with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Vis {
+    /// No `pub`: visible in its module.
+    Private,
+    /// `pub(crate)`, `pub(super)`, `pub(in ..)`.
+    Restricted,
+    /// A plain `pub`.
+    Public,
+}
+
 /// One struct field.
 #[derive(Debug, Clone)]
 pub(crate) struct FieldDef {
@@ -34,6 +46,10 @@ pub(crate) struct FieldDef {
     pub ty: String,
     /// 1-based line of the field.
     pub line: usize,
+    /// 1-based line of the field type's last token.
+    pub end: usize,
+    /// Declared visibility (tuple fields read as private).
+    pub vis: Vis,
 }
 
 /// One struct definition.
@@ -43,6 +59,8 @@ pub(crate) struct StructDef {
     pub name: String,
     /// 1-based line of the `struct` item.
     pub line: usize,
+    /// Declared with a plain `pub`.
+    pub public: bool,
     /// Declared fields, in order.
     pub fields: Vec<FieldDef>,
 }
@@ -72,6 +90,9 @@ pub(crate) struct BodyInfo {
     /// The tokens between the brackets of the body's first `let Self {..}`
     /// or `let Self(..)` pattern, if it has one.
     pub self_pattern: Option<Vec<String>>,
+    /// Identifiers inside the arguments of `.count(..)` and `.scope(..)`
+    /// calls: in a fold, what reaches the `Stats` sink.
+    pub leaf_args: BTreeSet<String>,
 }
 
 /// One fn definition (free or associated).
@@ -81,6 +102,9 @@ pub(crate) struct FnDef {
     pub name: String,
     /// 1-based line of the `fn` item.
     pub line: usize,
+    /// 1-based line of the body's closing brace (of the `;` for a
+    /// declaration).
+    pub end: usize,
     /// `Some(Type)` when the fn sits in an `impl Type` / `impl Tr for Type`.
     pub owner: Option<String>,
     /// True for `&mut self` / `mut self` receivers.
@@ -103,14 +127,15 @@ pub(crate) struct ConstDef {
 
 /// One item exported with a plain `pub` (not `pub(crate)` / `pub(super)`):
 /// a free fn, inherent method, const or static, struct, enum, trait or type
-/// alias.
+/// alias, or a named field of a `pub` struct.
 #[derive(Debug, Clone)]
 pub(crate) struct ExportDef {
     /// Item name.
     pub name: String,
-    /// The keyword that introduced it (`fn`, `const`, `struct`, ...).
+    /// The keyword that introduced it (`fn`, `const`, `struct`, ...), or
+    /// `field`.
     pub keyword: &'static str,
-    /// `Some(Type)` for inherent methods and associated consts.
+    /// `Some(Type)` for inherent methods, associated consts and fields.
     pub owner: Option<String>,
     /// 1-based line of the item's name.
     pub line: usize,
@@ -119,7 +144,8 @@ pub(crate) struct ExportDef {
 }
 
 impl ExportDef {
-    /// `Owner::name` for a method or associated const, else the name.
+    /// `Owner::name` for a method, associated const or field, else the
+    /// name.
     pub(crate) fn path(&self) -> String {
         match &self.owner {
             Some(owner) => format!("{owner}::{}", self.name),
@@ -143,6 +169,13 @@ pub(crate) struct FileSyntax {
     /// on; the names an item definition introduces and the paths of
     /// `pub use` re-exports are not references and are left out.
     pub refs: BTreeMap<String, Vec<usize>>,
+    /// The lines each name is read on as a value: every reference except
+    /// `.name(` (a method), `.name =` and `.name += ..` (stores) and `name:`
+    /// (a field definition or initialiser, a parameter, a pattern's field).
+    pub reads: BTreeMap<String, Vec<usize>>,
+    /// Types the file builds with struct update syntax
+    /// (`Type { a: 1, ..base }`), which needs every field visible.
+    pub updates: BTreeSet<String>,
 }
 
 const MULTI_TOKS: &[&str] = &[
@@ -284,6 +317,21 @@ impl<'a> Parser<'a> {
             line: name.line,
             end: self.last_line(),
         });
+        if keyword == "struct" {
+            let Some(def) = self.out.structs.last() else { return };
+            // Tuple fields read as private: a position is no name to find.
+            let fields = def.fields.iter().filter(|f| f.vis == Vis::Public);
+            let fields: Vec<ExportDef> = fields
+                .map(|f| ExportDef {
+                    name: f.name.clone(),
+                    keyword: "field",
+                    owner: Some(def.name.clone()),
+                    line: f.line,
+                    end: f.end,
+                })
+                .collect();
+            self.out.exports.extend(fields);
+        }
     }
 
     /// Line of the last token consumed.
@@ -351,7 +399,7 @@ impl<'a> Parser<'a> {
                         self.skip_to_semi();
                     }
                 }
-                "struct" => self.parse_struct(),
+                "struct" => self.parse_struct(public),
                 "enum" | "union" | "trait" => {
                     self.bump();
                     self.bump(); // name
@@ -415,7 +463,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_struct(&mut self) {
+    fn parse_struct(&mut self, public: bool) {
         self.bump(); // struct
         let Some(name_tok) = self.cur() else { return };
         let (name, line) = (name_tok.text.clone(), name_tok.line);
@@ -424,6 +472,7 @@ impl<'a> Parser<'a> {
         let mut def = StructDef {
             name,
             line,
+            public,
             fields: Vec::new(),
         };
         // Optional where clause, then `;` (unit), `(...)` (tuple) or `{...}`.
@@ -465,6 +514,8 @@ impl<'a> Parser<'a> {
                             name: idx.to_string(),
                             ty: ty.join(" "),
                             line,
+                            end: line,
+                            vis: Vis::Private,
                         });
                     }
                     self.bump();
@@ -475,6 +526,8 @@ impl<'a> Parser<'a> {
                         name: idx.to_string(),
                         ty: ty.join(" "),
                         line,
+                        end: line,
+                        vis: Vis::Private,
                     });
                     idx += 1;
                     ty = Vec::new();
@@ -493,6 +546,7 @@ impl<'a> Parser<'a> {
 
     fn parse_named_fields(&mut self, def: &mut StructDef) {
         self.bump(); // {
+        let mut vis = Vis::Private;
         loop {
             match self.at(0) {
                 "" | "}" => {
@@ -508,7 +562,9 @@ impl<'a> Parser<'a> {
                 }
                 "pub" => {
                     self.bump();
+                    vis = Vis::Public;
                     if self.at(0) == "(" {
+                        vis = Vis::Restricted;
                         self.skip_balanced("(", ")");
                     }
                     continue;
@@ -529,6 +585,7 @@ impl<'a> Parser<'a> {
             self.bump(); // :
             let mut depth = 0i64;
             let mut ty = Vec::new();
+            let mut end = line;
             while let Some(t) = self.cur() {
                 match t.text.as_str() {
                     "(" | "[" | "<" => depth += 1,
@@ -538,12 +595,15 @@ impl<'a> Parser<'a> {
                     _ => {}
                 }
                 ty.push(t.text.clone());
+                end = t.line;
                 self.bump();
             }
             def.fields.push(FieldDef {
                 name,
                 ty: ty.join(" "),
                 line,
+                end,
+                vis: std::mem::replace(&mut vis, Vis::Private),
             });
         }
     }
@@ -595,6 +655,7 @@ impl<'a> Parser<'a> {
         let mut def = FnDef {
             name: name_tok.text.clone(),
             line: name_tok.line,
+            end: name_tok.line,
             owner: owner.map(str::to_string),
             takes_mut_self: false,
             sig_idents: BTreeSet::new(),
@@ -634,6 +695,7 @@ impl<'a> Parser<'a> {
                 "{" => break,
                 ";" => {
                     self.bump();
+                    def.end = self.last_line();
                     self.out.fns.push(def);
                     return;
                 }
@@ -644,6 +706,7 @@ impl<'a> Parser<'a> {
         if self.at(0) == "{" {
             self.walk_body(&mut def.body);
         }
+        def.end = self.last_line();
         self.out.fns.push(def);
     }
 
@@ -668,7 +731,8 @@ impl<'a> Parser<'a> {
 
     /// Walk a `{...}` body, extracting call edges, `SimRng::seed` sites,
     /// `self.<field>.<method>(...)` calls (and those through a closure
-    /// parameter) and the first `let Self` pattern.
+    /// parameter), the first `let Self` pattern and the names inside
+    /// `.count(..)` and `.scope(..)` arguments.
     /// Nested items are swallowed into the enclosing fn's body facts, which
     /// is what the in-file dataflow rules want.
     fn walk_body(&mut self, body: &mut BodyInfo) {
@@ -722,6 +786,10 @@ impl<'a> Parser<'a> {
                 if text == "let" && self.at(1) == "Self" && matches!(self.at(2), "{" | "(") {
                     body.self_pattern.get_or_insert_with(|| self.group_at(self.i + 2));
                 }
+                if prev == "." && matches!(text.as_str(), "count" | "scope") && self.at(1) == "(" {
+                    let args = self.group_at(self.i + 1).into_iter();
+                    body.leaf_args.extend(args.filter(|a| a.starts_with(is_ident_char)));
+                }
             }
             self.bump();
         }
@@ -752,12 +820,17 @@ impl<'a> Parser<'a> {
 
 /// Every identifier the tokens name, by line: the name a definition
 /// introduces (`fn x`, `struct X`, ...) is not a reference, and neither is
-/// anything inside a `pub use` / `pub(crate) use` re-export.
-fn collect_refs(toks: &[Tok]) -> BTreeMap<String, Vec<usize>> {
+/// anything inside a `pub use` / `pub(crate) use` re-export. The second map
+/// keeps the references that read the name as a value (see
+/// [`FileSyntax::reads`]).
+type NameLines = BTreeMap<String, Vec<usize>>;
+
+fn collect_refs(toks: &[Tok]) -> (NameLines, NameLines) {
     const DEFINES: &[&str] = &[
         "fn", "struct", "enum", "union", "trait", "type", "const", "static",
     ];
-    let mut refs: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    let mut refs: NameLines = BTreeMap::new();
+    let mut reads: NameLines = BTreeMap::new();
     let mut i = 0usize;
     while let Some(t) = toks.get(i) {
         if t.text == "pub" {
@@ -775,14 +848,57 @@ fn collect_refs(toks: &[Tok]) -> BTreeMap<String, Vec<usize>> {
                 continue;
             }
         }
-        let defined = i > 0 && DEFINES.contains(&toks[i - 1].text.as_str());
+        let prev = i.checked_sub(1).map_or("", |p| toks[p].text.as_str());
+        let next = toks.get(i + 1).map_or("", |t| t.text.as_str());
+        let defined = DEFINES.contains(&prev);
         let ident = t.text.starts_with(|c: char| c.is_alphabetic() || c == '_');
         if ident && !defined {
             refs.entry(t.text.clone()).or_default().push(t.line);
+            let read = match next {
+                "(" => prev != ".",
+                "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|=" | "<<=" | ">>=" => {
+                    prev != "."
+                }
+                ":" => false,
+                _ => true,
+            };
+            if read {
+                reads.entry(t.text.clone()).or_default().push(t.line);
+            }
         }
         i += 1;
     }
-    refs
+    (refs, reads)
+}
+
+/// The types `toks` build with struct update syntax: a `..` that opens a
+/// field of a `Type { .. }` group and is followed by an expression (a
+/// pattern's rest, `Type { a, .. }`, is followed by the `}`).
+fn struct_updates(toks: &[Tok]) -> BTreeSet<String> {
+    let mut types = BTreeSet::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !t.text.starts_with(|c: char| c.is_ascii_uppercase()) || toks.get(i + 1).is_none_or(|t| t.text != "{") {
+            continue;
+        }
+        let mut depth = 0i64;
+        for (j, u) in toks.iter().enumerate().skip(i + 1) {
+            match u.text.as_str() {
+                "{" | "(" | "[" => depth += 1,
+                "}" | ")" | "]" => depth -= 1,
+                "." if depth == 1 => {
+                    let at = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+                    if matches!(at(j - 1), "{" | ",") && at(j + 1) == "." && at(j + 2) != "}" {
+                        types.insert(t.text.clone());
+                    }
+                }
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    types
 }
 
 /// Parse one lexed file into its symbol-level view.
@@ -795,7 +911,8 @@ pub(crate) fn parse(lexed: &LexedFile) -> FileSyntax {
     };
     parser.parse_items(None);
     let mut out = parser.out;
-    out.refs = collect_refs(&toks);
+    (out.refs, out.reads) = collect_refs(&toks);
+    out.updates = struct_updates(&toks);
     out
 }
 
@@ -906,6 +1023,47 @@ mod tests {
         // Definitions and `pub use` paths are not references.
         assert_eq!(syn.refs["Ring"], [5, 11, 13]);
         assert!(!syn.refs.contains_key("hidden") && !syn.refs.contains_key("Other"));
+    }
+
+    #[test]
+    fn pub_fields_of_pub_structs_are_exports() {
+        let src = "pub struct Knob {\n    pub width: u64,\n    pub(crate) depth: u64,\n    pub kind:\n        Vec<u8>,\n    hidden: u64,\n}\nstruct Private {\n    pub v: u64,\n}\n";
+        let syn = parse_src(src);
+        let vis: Vec<Vis> = syn.structs[0].fields.iter().map(|f| f.vis).collect();
+        assert_eq!(vis, [Vis::Public, Vis::Restricted, Vis::Public, Vis::Private]);
+        assert!(syn.structs[0].public && !syn.structs[1].public);
+        let exports: Vec<(&str, &str, usize, usize)> =
+            syn.exports.iter().map(|e| (e.keyword, e.name.as_str(), e.line, e.end)).collect();
+        assert_eq!(exports, [("struct", "Knob", 1, 7), ("field", "width", 2, 2), ("field", "kind", 4, 5)]);
+        assert_eq!(syn.exports[1].path(), "Knob::width");
+    }
+
+    #[test]
+    fn reads_leave_out_stores_methods_and_field_initialisers() {
+        let src = "fn f(s: &mut S, n: u64) -> u64 {\n    s.a = n;\n    s.b += 1;\n    s.c(n);\n    let t = T { d: n, e };\n    s.g + t.d\n}\n";
+        let syn = parse_src(src);
+        for stored in ["a", "b", "c"] {
+            assert!(!syn.reads.contains_key(stored), "{stored}");
+        }
+        // `d:` initialises a field; `t.d` reads it.
+        assert_eq!(syn.reads["d"], [6]);
+        assert_eq!(syn.reads["e"], [5]);
+        assert_eq!(syn.reads["g"], [6]);
+    }
+
+    #[test]
+    fn struct_update_syntax_is_told_from_a_rest_pattern() {
+        let src = "fn f(k: Knob) -> Knob {\n    let Gauge { v, .. } = g;\n    let r = Span { lo: 0..4, hi: 2 };\n    Knob { width: 1, ..k }\n}\n";
+        assert_eq!(parse_src(src).updates, BTreeSet::from(["Knob".to_string()]));
+    }
+
+    #[test]
+    fn fns_record_their_end_and_what_count_and_scope_leaves_take() {
+        let src = "impl S {\n    fn fold(&self, f: &mut impl Fold) {\n        let Self { a, b, c } = self;\n        f.write_u64(*a).count(\"b\", *b);\n        f.scope(\"c\", |f| c.fold(f));\n    }\n}\n";
+        let fold = &parse_src(src).fns[0];
+        assert_eq!((fold.line, fold.end), (2, 6));
+        let leaves: Vec<&str> = fold.body.leaf_args.iter().map(String::as_str).collect();
+        assert_eq!(leaves, ["b", "c", "f", "fold"]);
     }
 
     #[test]

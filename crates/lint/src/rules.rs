@@ -16,8 +16,9 @@
 //!   `digest-coverage`, `bounded-state` and `seed-dataflow` run over the
 //!   parsed symbol graph rather than per-line patterns; their scope
 //!   constants ([`DIGEST_CRATES`]) and docs ([`RULE_DOCS`]) live here.
-//! * **exported surface** (graph-aware) — `wide-export`: a `pub` item of
-//!   a library target that no file outside its crate names.
+//! * **exported surface** (graph-aware) — `wide-export`: a `pub` item or
+//!   field of a library target that no file outside its crate names; and
+//!   `fold-only`: a field that only `fn fold` bodies read.
 
 /// What kind of compilation target a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,6 +170,7 @@ pub const RULE_IDS: &[&str] = &[
     "bounded-state",
     "seed-dataflow",
     "wide-export",
+    "fold-only",
 ];
 
 /// Documentation for one rule, served by `canal-lint --explain <rule>`.
@@ -293,15 +295,28 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "wide-export",
-        summary: "a pub item in library code must be named outside its crate",
-        rationale: "rustc's dead_code lint skips pub items, so every needless pub hides dead \
-                    code from the compiler. A pub fn, inherent method, const, struct, enum, \
-                    trait or type alias of a library target is too wide when no file outside \
-                    its crate names it: other crates, tests/, examples/, binaries and \
-                    benchmark/ count; comments, strings and pub use re-exports do not. A type \
-                    a kept item names, and the owner of a kept method, stay pub with it. Make \
-                    it pub(crate); dead_code (denied workspace-wide) then decides whether it \
-                    is used at all.",
+        summary: "a pub item or field in library code must be named outside its crate",
+        rationale: "rustc's dead_code lint skips pub items and fields, so every needless pub \
+                    hides dead code from the compiler. A pub fn, inherent method, const, \
+                    struct, enum, trait or type alias of a library target, or a named pub \
+                    field of a pub struct, is too wide when no file outside its crate names \
+                    it: other crates, tests/, examples/, binaries and benchmark/ count; \
+                    comments, strings and pub use re-exports do not. A type a kept item names, \
+                    and the owner of a kept method or field, stay pub with it. Make it \
+                    pub(crate); dead_code (denied workspace-wide) then decides whether it is \
+                    used at all.",
+        suppression: SUPPRESS_PLAIN,
+    },
+    RuleDoc {
+        id: "fold-only",
+        summary: "a field must be read somewhere other than a fold",
+        rationale: "rustc's dead_code counts a read inside `fn fold` as a use, so a field that \
+                    behaviour writes and only a fold reads moves every digest and changes no \
+                    outcome: per-request state nothing uses is pure cost, and one more field \
+                    for each isolation check and model-check key to project away. The reads \
+                    are searched in the field's file (private) or crate (restricted); a field \
+                    a fold hands to a `count` or `scope` leaf is seen by Stats readers and \
+                    exempt. Delete the field, or fold it as a count leaf.",
         suppression: SUPPRESS_PLAIN,
     },
 ];
