@@ -650,9 +650,9 @@ impl OverloadControl {
     /// Fold the whole pipeline into a digest: the `fair` scheduler, every
     /// class's `codel` shedder, the retry `budget` ledger, the `brownout`
     /// controller, the parked requests (every job `fair` holds, queued or
-    /// started but not yet pumped, in ticket order, by service), the
-    /// `telemetry` attachment and its head sampler, the window counters
-    /// and `total_shed`.
+    /// started but not yet pumped: its ticket and service, in ticket
+    /// order), the `telemetry` attachment and its head sampler, the window
+    /// counters and `total_shed`.
     pub fn fold(&self, f: &mut impl Fold) {
         let Self {
             fair, codel, budget, brownout, telemetry, win_offered, win_started, win_shed_caps,

@@ -114,9 +114,8 @@ fn run(cfg: OverloadConfig, seed: u64, d: &mut Digest, tally: &mut [u64; 4]) {
             1 => AttemptKind::Hedge,
             _ => AttemptKind::First,
         };
-        // A SYN flag and a source address and port were drawn here while
-        // `offer` took a five-tuple; the draws stay, so every later draw,
-        // and with it every grant and shed, is unchanged.
+        // These draws feed nothing: they keep the stream `GOLDEN_TALLY`
+        // was captured on.
         rng.chance(0.1);
         for n in [4, 256, 60_000] {
             rng.index(n);
