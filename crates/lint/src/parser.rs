@@ -855,11 +855,10 @@ fn collect_refs(toks: &[Tok]) -> (NameLines, NameLines) {
         if ident && !defined {
             refs.entry(t.text.clone()).or_default().push(t.line);
             let read = match next {
-                "(" => prev != ".",
-                "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|=" | "<<=" | ">>=" => {
+                ":" => false,
+                "(" | "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|=" | "<<=" | ">>=" => {
                     prev != "."
                 }
-                ":" => false,
                 _ => true,
             };
             if read {
