@@ -17,8 +17,8 @@
 //! service keys in ascending order, an empty slot's words) every constant
 //! held; only dropping those words moved the four. They were retaken again
 //! when `Gateway::window_start`, which only `fold` read, was deleted and
-//! `fold` stopped writing it. `GOLDEN_STATS*` and the drain vector are the
-//! PR 12 values.
+//! `fold` stopped writing it. `GOLDEN_STATS*` and the drain vector still
+//! hold their first values.
 
 use canal::gateway::drain::GatewayDrain;
 use canal::gateway::failure::FailureDomain;
